@@ -8,7 +8,8 @@ into a library of composable :class:`AttackStrategy` objects that can be
 * declared in a :class:`AttackSpec` (strategy name + parameters + schedule)
   embedded in an experiment's :class:`~repro.experiments.spec.ScenarioSpec`,
 * looked up by name in the :data:`ADVERSARIES` registry,
-* stacked on one receiver (several strategies compose on the same host), and
+* stacked on one receiver (a :class:`StrategyStack` passed as the receiver's
+  ``strategies=`` argument composes several on the same host), and
 * swept like any other experiment parameter (attacker type × intensity ×
   onset) through the parallel experiment runner.
 
@@ -34,9 +35,7 @@ from .strategies import (
     KeyGuessingStrategy,
     KeyReplayStrategy,
 )
-from .receivers import AdversarialFlidDlReceiver, AdversarialFlidDsReceiver
-from .cohort import AdversarialCohortFlidDlReceiver, AdversarialCohortFlidDsReceiver
-from .vector import AdversarialVectorFlidDlReceiver, AdversarialVectorFlidDsReceiver
+from .receivers import StrategyStack
 
 __all__ = [
     "AttackContext",
@@ -55,10 +54,5 @@ __all__ = [
     "JoinStormStrategy",
     "KeyGuessingStrategy",
     "KeyReplayStrategy",
-    "AdversarialFlidDlReceiver",
-    "AdversarialFlidDsReceiver",
-    "AdversarialCohortFlidDlReceiver",
-    "AdversarialCohortFlidDsReceiver",
-    "AdversarialVectorFlidDlReceiver",
-    "AdversarialVectorFlidDsReceiver",
+    "StrategyStack",
 ]

@@ -9,8 +9,8 @@ forwarding internals directly — whatever an attack achieves, it achieves
 through the same messages an honest receiver could send.
 
 The context also carries the per-receiver attack counters (join attempts,
-guesses, replays, shared-key submissions) that the protection metrics and the
-compatibility shims report, and hands out named collusion pools: plain
+guesses, replays, shared-key submissions) that the protection metrics
+report, and hands out named collusion pools: plain
 per-network dictionaries through which colluding receivers exchange
 reconstructed keys out of band (§4.3's key-sharing attack).
 """
@@ -85,11 +85,11 @@ class AttackContext:
         self.spec = receiver.spec
         self.sim = receiver.sim
         self._bare_igmp: Optional[IgmpHostInterface] = None
-        #: Attackers this context speaks for: 1 for an individual adversarial
-        #: receiver, N for an adversarial cohort.  Every attack counter is
-        #: booked per member through this weight, so a cohort of N attackers
-        #: reports exactly what N individual attackers would.
-        self.member_count = getattr(receiver, "population", 1)
+        #: Attackers this context speaks for: the receiver's population at
+        #: admission.  Every attack counter is booked per member through this
+        #: weight, so one receiver standing for N attackers reports exactly
+        #: what N one-member receivers would.
+        self.member_count = receiver.population
         # Attack counters, shared by all strategies on this receiver.
         for key in COUNTER_KEYS:
             setattr(self, key, 0)

@@ -1,71 +1,69 @@
-"""Adversarial receivers: honest protocol machines driving attack strategies.
+"""The strategy stack: attack strategies dispatched around a receiver.
 
-An adversarial receiver is the corresponding honest receiver (FLID-DL or
-FLID-DS) with a stack of :class:`~repro.adversary.strategy.AttackStrategy`
-instances spliced into its slot-evaluation loop.  The honest pipeline stays
-available — most attackers keep playing it for the access it guarantees —
-and each strategy decides per slot whether to augment, rewrite or suppress
-the honest subscription decision.
+An adversarial receiver is the ordinary protocol receiver
+(:class:`~repro.multicast_cc.flid_dl.FlidDlReceiver` or
+:class:`~repro.multicast_cc.flid_ds.FlidDsReceiver`) with a
+:class:`StrategyStack` passed as its ``strategies=`` argument.  The receiver
+owns the stack and hands it every evaluated slot; the stack runs its
+:class:`~repro.adversary.strategy.AttackStrategy` hooks around the receiver's
+honest decision.  The honest pipeline stays available — most attackers keep
+playing it for the access it guarantees — and each strategy decides per slot
+whether to augment, rewrite or suppress the honest subscription decision.
+
+A receiver standing for N members mounts the stack once: the shared
+:class:`~repro.adversary.context.AttackContext` books every counter, IGMP
+report and SIGMA ``member_count`` stamp **per member**, so N aggregated
+attackers report exactly what N one-member attackers would (per-slot
+randomness is drawn once per receiver from the strategy's named seeded
+stream; collusion pools take member-weighted contributions — see
+``docs/threat-model.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..multicast_cc.flid_dl import FlidDlReceiver
-from ..multicast_cc.flid_ds import FlidDsReceiver
-from ..multicast_cc.receiver_base import SlotRecord
-from ..multicast_cc.session import SessionSpec
-from ..simulator.node import Host
-from ..simulator.topology import Network
 from .context import AttackContext, COUNTER_KEYS
 from .strategy import AttackStrategy
 
-__all__ = ["AdversarialFlidDlReceiver", "AdversarialFlidDsReceiver"]
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (import cycle guard)
+    from ..multicast_cc.receiver_base import LayeredReceiverBase, SlotRecord
+
+__all__ = ["StrategyStack"]
 
 
-class _AdversaryMixin:
-    """Strategy dispatch shared by the DL and DS adversarial receivers."""
+class StrategyStack:
+    """The attack strategies one receiver mounts, in declaration order."""
 
-    def _init_adversary(self, strategies: Sequence[AttackStrategy]) -> None:
-        self._strategies: List[AttackStrategy] = list(strategies)
-        self._attack_ctx: Optional[AttackContext] = None
+    def __init__(self, strategies: Sequence[AttackStrategy]) -> None:
+        self.strategies: List[AttackStrategy] = list(strategies)
+        self.ctx: Optional[AttackContext] = None
 
-    # ------------------------------------------------------------------
-    @property
-    def strategies(self) -> List[AttackStrategy]:
-        return list(self._strategies)
-
-    @property
-    def attack_ctx(self) -> Optional[AttackContext]:
-        return self._attack_ctx
+    def attach(self, receiver: "LayeredReceiverBase") -> None:
+        """Bind the stack to ``receiver`` once it has joined its session."""
+        self.ctx = AttackContext(receiver)
+        for strategy in self.strategies:
+            strategy.on_attach(self.ctx)
 
     @property
     def attacking(self) -> bool:
         """True while at least one strategy's attack window is open."""
-        return any(s.started and not s.stopped for s in self._strategies)
+        return any(s.started and not s.stopped for s in self.strategies)
 
-    def adversary_stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, int]:
         """Attack counters (zeroes before the receiver joined the session)."""
-        if self._attack_ctx is None:
+        if self.ctx is None:
             return dict.fromkeys(COUNTER_KEYS, 0)
-        return self._attack_ctx.stats()
+        return self.ctx.stats()
 
     # ------------------------------------------------------------------
-    def _join_session(self) -> None:
-        super()._join_session()
-        self._attack_ctx = AttackContext(self)
-        for strategy in self._strategies:
-            strategy.on_attach(self._attack_ctx)
-
-    def _apply_decision(self, evaluated_slot: int, record: SlotRecord, congested: bool) -> None:
-        ctx = self._attack_ctx
-        if ctx is None:
-            super()._apply_decision(evaluated_slot, record, congested)
-            return
-        now = self.sim.now
+    def evaluate(self, evaluated_slot: int, record: "SlotRecord", congested: bool) -> None:
+        """Run one evaluated slot: strategy hooks around the honest decision."""
+        ctx = self.ctx
+        receiver = ctx.receiver
+        now = ctx.now
         active: List[AttackStrategy] = []
-        for strategy in self._strategies:
+        for strategy in self.strategies:
             if not strategy.started and strategy.active(now):
                 strategy.started = True
                 strategy.on_start(ctx)
@@ -90,11 +88,8 @@ class _AdversaryMixin:
             s for s in active if type(s).on_loss is not AttackStrategy.on_loss
         ]
         if listeners:
-            # The same loss signal the honest pipeline classifies on: gap and
-            # tail losses always, starvation when the slot counted as congested.
-            lost = self._loss_signal_groups(record)
-            if congested:
-                lost |= self._starved_groups(record)
+            # The same loss signal the honest pipeline classifies on.
+            lost = receiver._lost_groups(record, congested)
             if lost:
                 for strategy in listeners:
                     strategy.on_loss(ctx, evaluated_slot, set(lost))
@@ -105,63 +100,19 @@ class _AdversaryMixin:
                 suppress = True
         if suppress:
             # One suppressed honest decision per represented attacker, so the
-            # counter reads the same for a cohort as for N individuals.
+            # counter reads the same for N aggregated members as for N
+            # one-member receivers.
             ctx.suppressed_slots += ctx.member_count
         else:
-            super()._apply_decision(evaluated_slot, record, effective)
+            receiver._apply_decision(evaluated_slot, record, effective)
 
         for strategy in active:
             strategy.after_slot(ctx, evaluated_slot, record, effective)
 
-    def _dispatch_reconstructed_keys(self, governed_slot: int, keys: Dict[int, int]) -> None:
+    def on_keys(self, governed_slot: int, keys: Dict[int, int]) -> None:
         """Hand the honest pipeline's DELTA keys to every active strategy."""
-        ctx = self._attack_ctx
-        if ctx is None:
-            return
-        now = self.sim.now
-        for strategy in self._strategies:
+        ctx = self.ctx
+        now = ctx.now
+        for strategy in self.strategies:
             if strategy.started and not strategy.stopped and strategy.active(now):
                 strategy.on_keys(ctx, governed_slot, dict(keys))
-
-
-class AdversarialFlidDlReceiver(_AdversaryMixin, FlidDlReceiver):
-    """FLID-DL receiver mounting a stack of attack strategies."""
-
-    def __init__(
-        self,
-        network: Network,
-        host: Host,
-        spec: SessionSpec,
-        strategies: Sequence[AttackStrategy],
-        bin_width_s: float = 1.0,
-        name: str = "",
-    ) -> None:
-        super().__init__(network, host, spec, bin_width_s=bin_width_s, name=name)
-        self._init_adversary(strategies)
-
-
-class AdversarialFlidDsReceiver(_AdversaryMixin, FlidDsReceiver):
-    """FLID-DS receiver mounting a stack of attack strategies.
-
-    The honest DELTA pipeline keeps running (its fair-share keys are the only
-    access the attacker is guaranteed to keep); strategies additionally see
-    every key it reconstructs through :meth:`on_keys`.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        host: Host,
-        spec: SessionSpec,
-        strategies: Sequence[AttackStrategy],
-        key_bits: int = 16,
-        bin_width_s: float = 1.0,
-        name: str = "",
-    ) -> None:
-        super().__init__(
-            network, host, spec, key_bits=key_bits, bin_width_s=bin_width_s, name=name
-        )
-        self._init_adversary(strategies)
-
-    def _on_keys_reconstructed(self, governed_slot: int, keys: Dict[int, int]) -> None:
-        self._dispatch_reconstructed_keys(governed_slot, keys)

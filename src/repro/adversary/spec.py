@@ -21,41 +21,32 @@ __all__ = ["AttackSpec", "BATCHED_DECISION_RULES", "COHORT_BATCHED_STRATEGIES"]
 #: Strategy name -> the pure decision rules in
 #: :mod:`repro.multicast_cc.decision` that its per-slot action reduces to.
 #: Listing a strategy here is the *batching contract*: its live class must be
-#: a thin shim over exactly these rules, every rule must be gated by the
-#: exhaustive small-model harness (``tests/properties/exhaustive.py``
-#: enumerates every (count, level, phase, key-state, rng-draw) tuple below a
-#: bound and asserts batch == N x scalar, and array == batch where an array
-#: form exists), and cohort-vs-individual exactness at N=3 must hold on both
-#: population backends.  A strategy registered *without* an entry is rejected
-#: at :class:`AttackSpec` declaration time — extend this mapping (and the
-#: harness) before shipping a new strategy.
+#: a thin shim over exactly these rules — gathering the slot's inputs and
+#: booking the rule's output through the capability context at
+#: ``member_count`` weight — every rule must be gated by the exhaustive
+#: small-model harness (``tests/properties/exhaustive.py`` enumerates every
+#: (level, phase, key-state, rng-draw) tuple below a bound against an
+#: independent reference), and N-members-vs-N-receivers exactness at N=3 must
+#: hold on both population backends.  A strategy registered *without* an
+#: entry is rejected at :class:`AttackSpec` declaration time — extend this
+#: mapping (and the harness) before shipping a new strategy.
 BATCHED_DECISION_RULES: Dict[str, Tuple[str, ...]] = {
-    "inflated-join": (
-        "attack_target_level",
-        "decide_inflated_join",
-        "decide_inflated_join_batch",
-        "decide_inflated_join_array",
-    ),
+    "inflated-join": ("attack_target_level",),
     "ignore-congestion": ("mask_congestion",),
-    "churn": (
-        "churn_phase",
-        "churn_phase_array",
-        "decide_churn",
-        "decide_churn_batch",
-        "decide_churn_array",
-    ),
-    "key-replay": ("attack_rate", "replay_volley", "replay_volley_batch"),
-    "key-guessing": ("attack_rate", "guess_volley", "guess_volley_batch"),
-    "join-storm": ("attack_rate", "decide_join_storm", "decide_join_storm_batch"),
-    "collusion": ("collusion_volley", "collusion_volley_batch"),
+    "churn": ("churn_phase", "decide_churn"),
+    "key-replay": ("attack_rate", "replay_volley"),
+    "key-guessing": ("attack_rate", "guess_volley"),
+    "join-storm": ("attack_rate", "decide_join_storm"),
+    "collusion": ("collusion_volley",),
 }
 
-#: Strategies that batch *exactly* over an adversarial cohort (one aggregated
-#: attacker object == N individuals, asserted by the equivalence tests and
-#: the exhaustive harness).  Since PR 8 this is the whole registry: formerly
-#: randomised strategies draw their per-slot randomness *once per cohort*
-#: from the named seeded stream, and collusion pools accept member-weighted
-#: contributions — see ``docs/threat-model.md`` for the per-strategy account.
+#: Strategies that batch *exactly* over a population (one receiver standing
+#: for N attackers == N one-member receivers, asserted by the equivalence
+#: tests and the exhaustive harness).  Since PR 8 this is the whole registry:
+#: formerly randomised strategies draw their per-slot randomness *once per
+#: receiver* from the named seeded stream, and collusion pools accept
+#: member-weighted contributions — see ``docs/threat-model.md`` for the
+#: per-strategy account.
 COHORT_BATCHED_STRATEGIES = frozenset(BATCHED_DECISION_RULES)
 
 
@@ -89,7 +80,7 @@ class AttackSpec:
             if self.strategy in ADVERSARIES:
                 raise ValueError(
                     f"strategy {self.strategy!r} is registered but has no "
-                    f"batched decision rules: add a scalar+batched pair to "
+                    f"batched decision rules: add its pure rule to "
                     f"repro.multicast_cc.decision, list it in "
                     f"BATCHED_DECISION_RULES (repro.adversary.spec), and gate "
                     f"it in tests/properties/exhaustive.py"

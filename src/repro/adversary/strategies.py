@@ -90,7 +90,7 @@ class IgnoreCongestionStrategy(AttackStrategy):
     pipeline — under DELTA the attacker then computes top keys from an
     incomplete component set, submits garbage, and loses access by itself.
     ``mode="hold"`` suppresses the decision on congested slots instead
-    (the historical ``IgnoreCongestionFlidDlReceiver`` behaviour).
+    (never decrease, only increase when authorised).
     """
 
     name = "ignore-congestion"

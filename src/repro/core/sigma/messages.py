@@ -52,9 +52,8 @@ class SessionJoinMessage:
     """Figure 6(a): request key-less admission to the session's minimal group.
 
     ``member_count`` is the number of receivers the sending interface
-    represents: 1 for an ordinary host, N for a
-    :mod:`~repro.multicast_cc.cohort` host aggregating N homogeneous
-    receivers behind one edge interface.
+    represents: 1 for an ordinary host, N for a host whose receiver stands
+    for N homogeneous members behind one edge interface.
     """
 
     session_id: str

@@ -165,7 +165,7 @@ def collect_metrics(scenario: Scenario, spec: ScenarioSpec) -> Dict[str, Any]:
         if decl.population:
             # Population-weighted view, present only for sessions that
             # declare cohorts (keeps legacy metric documents byte-identical).
-            populations = [model.population for model in session.models]
+            populations = [receiver.population for receiver in session.receivers]
             total = sum(populations)
             entry["receiver_population"] = populations
             entry["population"] = total
@@ -249,7 +249,7 @@ def collect_protection_metrics(
         return None
     global_onset = min(session_onsets.values())
 
-    # Honest receivers weighted by the population each model stands for:
+    # Honest receivers weighted by the population each stands for:
     # individuals weigh 1, a cohort weighs its member count.  A population
     # block is honest unless it carries its own attack declaration.
     honest_rates = []
@@ -303,9 +303,7 @@ def collect_protection_metrics(
                 entry["weighted_excess_kbps"] = weighted_excess_goodput_kbps(
                     attacker_kbps, baseline, receiver.population
                 )
-            stats = getattr(receiver, "adversary_stats", None)
-            if stats is not None:
-                entry["counters"] = stats()
+            entry["counters"] = receiver.adversary_stats()
             entries[str(index)] = entry
         sessions[decl.session_id] = {"onset_s": onset, "attackers": entries}
     return {"honest_baseline_kbps": baseline, "sessions": sessions}

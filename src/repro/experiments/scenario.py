@@ -29,34 +29,19 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..adversary.cohort import (
-    AdversarialCohortFlidDlReceiver,
-    AdversarialCohortFlidDsReceiver,
-)
-from ..adversary.receivers import AdversarialFlidDlReceiver, AdversarialFlidDsReceiver
-from ..adversary.vector import (
-    AdversarialVectorFlidDlReceiver,
-    AdversarialVectorFlidDsReceiver,
-)
+from ..adversary.receivers import StrategyStack
 from ..adversary.registry import build_strategies
 from ..adversary.spec import AttackSpec
 from ..core.sigma import SigmaConfig, SigmaRouterAgent
 from ..core.timeslot import SlotClock
 from ..multicast_cc import (
-    AdversarialCohort,
-    CohortFlidDlReceiver,
-    CohortFlidDsReceiver,
+    ChurnProcess,
     FlidDlReceiver,
     FlidDlSender,
     FlidDsReceiver,
     FlidDsSender,
-    IndividualReceiver,
     PopulationTable,
-    ReceiverCohort,
-    ReceiverModel,
     SessionSpec,
-    VectorFlidDlReceiver,
-    VectorFlidDsReceiver,
 )
 from ..multicast_cc.population import split_counts
 from ..multicast_cc.receiver_base import LayeredReceiverBase
@@ -78,7 +63,9 @@ from .spec import CohortDecl, ScenarioSpec
 
 #: Stamped into every :meth:`Scenario.checkpoint` blob; bump whenever the
 #: pickled state layout changes so stale blobs read as misses, never as state.
-CHECKPOINT_VERSION = 1
+#: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
+#: unaddressed instead of counted as hits the worker then fails to unpickle.
+CHECKPOINT_VERSION = 2
 
 __all__ = ["MulticastSession", "Scenario"]
 
@@ -87,25 +74,23 @@ __all__ = ["MulticastSession", "Scenario"]
 class MulticastSession:
     """Handles to one multicast session created by the scenario builder.
 
-    ``receivers`` lists the live receiver *objects* (one per model — a
-    cohort receiver appears once however many members it aggregates);
-    ``models`` wraps each in its :class:`~repro.multicast_cc.receiver_model`
-    so metric code can weight by population without branching on kind.
+    ``receivers`` lists the live receiver *objects* — one appears once
+    however many members it stands for; metric code weights each by its
+    ``population``.
     """
 
     spec: SessionSpec
     protected: bool
     sender: LayeredSenderBase
     receivers: List[LayeredReceiverBase] = field(default_factory=list)
-    models: List[ReceiverModel] = field(default_factory=list)
     overhead: Optional[OverheadAccumulator] = None
     #: Per population block, the half-open ``(start, stop)`` range of indices
     #: its realised receiver objects occupy in ``receivers`` — one entry per
     #: ``SessionDecl.population`` declaration, in declaration order.  How
-    #: many objects a block realises as depends on the model (``count`` for
-    #: individuals, ``cohorts`` for per-cohort objects, one per edge router
-    #: for vector blocks), so downstream code maps declarations to objects
-    #: through these slices rather than re-deriving the arithmetic.
+    #: many objects a block realises as depends on its placement (``count``
+    #: for individuals, ``cohorts`` for per-cohort objects, one per edge
+    #: router for vector blocks), so downstream code maps declarations to
+    #: objects through these slices rather than re-deriving the arithmetic.
     block_slices: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -115,24 +100,8 @@ class MulticastSession:
 
     @property
     def total_population(self) -> int:
-        """End systems served by the session across all receiver models."""
-        return sum(model.population for model in self.models)
-
-    def _adopt(
-        self,
-        receiver: LayeredReceiverBase,
-        cohort: bool = False,
-        adversarial: bool = False,
-    ) -> None:
-        """Register a built receiver object under the matching model."""
-        self.receivers.append(receiver)
-        if cohort:
-            model: ReceiverModel = (
-                AdversarialCohort(receiver) if adversarial else ReceiverCohort(receiver)
-            )
-        else:
-            model = IndividualReceiver(receiver)
-        self.models.append(model)
+        """End systems served by the session across all receivers."""
+        return sum(receiver.population for receiver in self.receivers)
 
 
 class Scenario:
@@ -298,11 +267,11 @@ class Scenario:
         inflated-subscription stack from ``attack_start_s``.
         ``receiver_routers`` optionally pins receivers to named routers.
 
-        ``population`` appends blocks of homogeneous honest receivers after
-        the individual ones: each :class:`~repro.experiments.spec.CohortDecl`
-        is realised either as one aggregated cohort receiver (its default)
-        or, for reference runs, as ``count`` per-object receivers.  Attacks
-        never target population blocks.
+        ``population`` appends blocks of homogeneous receivers after the
+        individual ones: each :class:`~repro.experiments.spec.CohortDecl`
+        is realised at the placement its ``model`` names (one aggregated
+        receiver by default).  ``attacks`` never target population blocks;
+        a block turns adversarial through its own ``attack`` declaration.
         """
         index = len(self.sessions) + 1
         session_id = session_id or f"mc{index}"
@@ -347,7 +316,7 @@ class Scenario:
                 router=routers[r_index],
             )
             receiver = self._make_receiver(spec, host, per_receiver.get(r_index, ()))
-            session._adopt(receiver)
+            session.receivers.append(receiver)
             receiver.start(start_times[r_index])
         for c_index, cohort in enumerate(population):
             start = len(session.receivers)
@@ -365,160 +334,70 @@ class Scenario:
         c_index: int,
         cohort: CohortDecl,
     ) -> None:
-        """Realise one population block as cohorts, individuals or columns.
+        """Realise one population block at the placement its model names.
 
-        A block carrying an :class:`~repro.adversary.spec.AttackSpec`
-        realises as an adversarial cohort (every member mounts the declared
-        batch-exact strategy); with ``model="individual"`` the same attack
-        is mounted by each per-object member — the reference realisation
-        the adversarial-cohort equivalence tests compare against.  A
-        ``cohorts=K`` split realises ``model="cohort"`` as K per-cohort
-        receiver objects and ``model="vector"`` as K rows of per-edge
-        columnar blocks (one vectorised receiver per edge router).
+        Every placement builds the same receiver; ``cohort.model`` decides
+        how many hosts carry the block and how many members each stands for:
+
+        * ``"individual"`` — ``count`` hosts of one member each (the
+          reference realisation the equivalence tests compare against);
+        * ``"cohort"`` — ``cohorts`` hosts (default one), each standing for
+          one row of the as-even split;
+        * ``"vector"`` — one host per receiver edge router (or the pinned
+          ``cohort.router``), carrying the rows spread round-robin across
+          the edges and registered in the scenario's population table.
+
+        A block carrying an :class:`~repro.adversary.spec.AttackSpec` mounts
+        the declared strategy on every receiver it realises as.
         """
         attacks = (cohort.attack,) if cohort.attack is not None else ()
+        #: (host name, router, rows) of every receiver of the block; vector
+        #: rows are the population-table block registering them.
+        placements: List[Tuple[str, Optional[str], Sequence[int]]] = []
         if cohort.model == "individual":
-            # Reference realisation: the same population as per-object
-            # receivers (what the equivalence tests and the scale benchmark
-            # compare the aggregated model against).
             for member in range(cohort.count):
-                host = self.network.add_receiver(
-                    f"{session_id}-pop{c_index + 1}-rx{member + 1}",
-                    router=cohort.router,
+                placements.append(
+                    (f"{session_id}-pop{c_index + 1}-rx{member + 1}", cohort.router, (1,))
                 )
-                receiver = self._make_receiver(spec, host, attacks)
-                session._adopt(receiver)
-                receiver.start(cohort.start_s)
-            return
-        if cohort.model == "vector":
-            self._add_vector_block(session, spec, session_id, c_index, cohort, attacks)
-            return
-        counts = split_counts(cohort.count, cohort.cohorts or 1)
-        for k, members in enumerate(counts):
-            # The single-cohort host keeps its historical name so legacy
-            # scenarios stay byte-identical; split cohorts get a -k suffix.
-            suffix = "" if len(counts) == 1 else f"-{k + 1}"
-            host = self.network.add_receiver(
-                f"{session_id}-cohort{c_index + 1}{suffix}", router=cohort.router
-            )
-            receiver: LayeredReceiverBase
-            if attacks:
-                strategies = build_strategies(attacks, self.network, spec, host.name)
-                if self.protected:
-                    receiver = AdversarialCohortFlidDsReceiver(
-                        self.network,
-                        host,
-                        spec,
-                        strategies,
-                        population=members,
-                        key_bits=self.config.key_bits,
-                    )
-                else:
-                    receiver = AdversarialCohortFlidDlReceiver(
-                        self.network, host, spec, strategies, population=members
-                    )
-            elif self.protected:
-                receiver = CohortFlidDsReceiver(
-                    self.network,
-                    host,
-                    spec,
-                    population=members,
-                    key_bits=self.config.key_bits,
-                )
+        elif cohort.model == "vector":
+            counts = split_counts(cohort.count, cohort.cohorts or 1)
+            if cohort.router is not None:
+                edges: List[str] = [cohort.router]
             else:
-                receiver = CohortFlidDlReceiver(
-                    self.network, host, spec, population=members
-                )
-            if cohort.churn is not None:
-                receiver.attach_churn(cohort.churn)
-            session._adopt(receiver, cohort=True, adversarial=bool(attacks))
-            receiver.start(cohort.start_s)
-
-    def _add_vector_block(
-        self,
-        session: MulticastSession,
-        spec: SessionSpec,
-        session_id: str,
-        c_index: int,
-        cohort: CohortDecl,
-        attacks: Sequence[AttackSpec],
-    ) -> None:
-        """Realise one ``model="vector"`` block through the columnar engine.
-
-        The block's cohorts become rows of the scenario-level
-        :class:`~repro.multicast_cc.population.PopulationTable`, spread
-        round-robin across the receiver edge routers (or pinned to
-        ``cohort.router``); each edge with at least one row gets **one**
-        vectorised receiver — Python object count scales with edges, not
-        cohorts.
-        """
-        counts = split_counts(cohort.count, cohort.cohorts or 1)
-        if cohort.router is not None:
-            edges: List[str] = [cohort.router]
+                edges = list(self.network.spec.receiver_routers)
+            for e_index, edge in enumerate(edges):
+                # Row k of the split lands on edge k mod E; edges left
+                # without a row get no receiver.
+                rows = counts[e_index :: len(edges)]
+                if rows:
+                    block = self._require_population_table().allocate(
+                        edge, session_id, rows
+                    )
+                    placements.append(
+                        (f"{session_id}-vec{c_index + 1}-{e_index + 1}", edge, block)
+                    )
         else:
-            edges = list(self.network.spec.receiver_routers)
-        per_edge: Dict[str, List[int]] = {edge: [] for edge in edges}
-        for row, members in enumerate(counts):
-            per_edge[edges[row % len(edges)]].append(members)
-        table = self._require_population_table()
-        for e_index, edge in enumerate(edges):
-            edge_counts = per_edge[edge]
-            if not edge_counts:
-                continue
-            host = self.network.add_receiver(
-                f"{session_id}-vec{c_index + 1}-{e_index + 1}", router=edge
+            counts = split_counts(cohort.count, cohort.cohorts or 1)
+            for k, members in enumerate(counts):
+                # The single-cohort host keeps its historical name so legacy
+                # scenarios stay byte-identical; split cohorts get a -k suffix.
+                suffix = "" if len(counts) == 1 else f"-{k + 1}"
+                placements.append(
+                    (f"{session_id}-cohort{c_index + 1}{suffix}", cohort.router, (members,))
+                )
+        for host_name, router, rows in placements:
+            host = self.network.add_receiver(host_name, router=router)
+            receiver = self._make_receiver(
+                spec, host, attacks, counts=rows, churn=cohort.churn
             )
-            receiver: LayeredReceiverBase
-            if attacks:
-                strategies = build_strategies(attacks, self.network, spec, host.name)
-                if self.protected:
-                    receiver = AdversarialVectorFlidDsReceiver(
-                        self.network,
-                        host,
-                        spec,
-                        strategies,
-                        counts=edge_counts,
-                        table=table,
-                        router=edge,
-                        key_bits=self.config.key_bits,
-                    )
-                else:
-                    receiver = AdversarialVectorFlidDlReceiver(
-                        self.network,
-                        host,
-                        spec,
-                        strategies,
-                        counts=edge_counts,
-                        table=table,
-                        router=edge,
-                    )
-            elif self.protected:
-                receiver = VectorFlidDsReceiver(
-                    self.network,
-                    host,
-                    spec,
-                    counts=edge_counts,
-                    table=table,
-                    router=edge,
-                    key_bits=self.config.key_bits,
-                )
-            else:
-                receiver = VectorFlidDlReceiver(
-                    self.network,
-                    host,
-                    spec,
-                    counts=edge_counts,
-                    table=table,
-                    router=edge,
-                )
-            session._adopt(receiver, cohort=True, adversarial=bool(attacks))
+            session.receivers.append(receiver)
             receiver.start(cohort.start_s)
 
     def _require_population_table(self) -> PopulationTable:
         """The scenario-level population table, created on first vector block.
 
-        Lazy so legacy scenarios never touch the columnar machinery (or the
-        backend selection) at all.
+        Lazy so scenarios without vector blocks never touch the table (or
+        the backend selection) at all.
         """
         if self.population_table is None:
             self.population_table = PopulationTable()
@@ -567,24 +446,39 @@ class Scenario:
                 per_receiver.setdefault(index, []).append(attack)
         return per_receiver
 
+    def _strategy_stack(
+        self, spec: SessionSpec, host_name: str, attacks: Sequence[AttackSpec]
+    ) -> Optional[StrategyStack]:
+        """The stack realising ``attacks`` on one host (None when honest)."""
+        if not attacks:
+            return None
+        return StrategyStack(
+            build_strategies(list(attacks), self.network, spec, host_name)
+        )
+
     def _make_receiver(
         self,
         spec: SessionSpec,
         host: Host,
         attacks: Sequence[AttackSpec],
+        counts: Sequence[int] = (1,),
+        churn: Optional[ChurnProcess] = None,
     ) -> LayeredReceiverBase:
-        if not attacks:
-            if self.protected:
-                return FlidDsReceiver(
-                    self.network, host, spec, key_bits=self.config.key_bits
-                )
-            return FlidDlReceiver(self.network, host, spec)
-        strategies = build_strategies(attacks, self.network, spec, host.name)
+        """The scenario's protocol receiver standing for ``counts`` on ``host``."""
+        strategies = self._strategy_stack(spec, host.name, attacks)
         if self.protected:
-            return AdversarialFlidDsReceiver(
-                self.network, host, spec, strategies, key_bits=self.config.key_bits
+            return FlidDsReceiver(
+                self.network,
+                host,
+                spec,
+                counts=counts,
+                strategies=strategies,
+                churn=churn,
+                key_bits=self.config.key_bits,
             )
-        return AdversarialFlidDlReceiver(self.network, host, spec, strategies)
+        return FlidDlReceiver(
+            self.network, host, spec, counts=counts, strategies=strategies, churn=churn
+        )
 
     # ------------------------------------------------------------------
     # unicast traffic
@@ -673,7 +567,7 @@ class Scenario:
 
         Every piece of mutable state — the two event lanes, timer groups,
         named RNG streams, population tables, SIGMA/IGMP agents, monitors
-        and receiver models — hangs off this object graph, and every
+        and receivers — hangs off this object graph, and every
         scheduled callable is a named bound method, so a single pickle
         captures the full simulation.  Rebuild with :meth:`restore`.
         """
@@ -707,7 +601,7 @@ class Scenario:
         one checkpoint.  Rebinding is exact: strategy RNG stream names
         depend only on (session, host, attack index, strategy) and a
         zero-draw stream equals a freshly created one, while churned blocks
-        keep their ``_churn_initial`` booking because an inert process never
+        keep their initial-population booking because an inert process never
         changed the population before the barrier.
         """
         for decl, session in zip(spec.sessions, self.sessions):
@@ -718,29 +612,18 @@ class Scenario:
                 decl.attacks,
             )
             for r_index, attacks in per_receiver.items():
-                self._rebind_strategies(session, session.receivers[r_index], attacks)
+                receiver = session.receivers[r_index]
+                receiver.rebind(
+                    self._strategy_stack(session.spec, receiver.host.name, attacks)
+                )
             for b_index, cohort in enumerate(decl.population):
                 start, stop = session.block_slices[b_index]
+                attacks = (cohort.attack,) if cohort.attack is not None else ()
                 for receiver in session.receivers[start:stop]:
-                    if cohort.attack is not None:
-                        self._rebind_strategies(session, receiver, (cohort.attack,))
-                    if cohort.churn is not None:
-                        receiver._churn = cohort.churn
-
-    def _rebind_strategies(
-        self,
-        session: MulticastSession,
-        receiver: LayeredReceiverBase,
-        attacks: Sequence[AttackSpec],
-    ) -> None:
-        strategies = build_strategies(
-            list(attacks), self.network, session.spec, receiver.host.name
-        )
-        receiver._strategies = strategies
-        context = receiver._attack_ctx
-        if context is not None:
-            for strategy in strategies:
-                strategy.on_attach(context)
+                    receiver.rebind(
+                        self._strategy_stack(session.spec, receiver.host.name, attacks),
+                        cohort.churn,
+                    )
 
     # ------------------------------------------------------------------
     # results helpers

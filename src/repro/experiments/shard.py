@@ -1,7 +1,7 @@
 """Region-sharded execution: planner, region workers and deterministic merge.
 
-The columnar population engine (PR 6) takes one session to a million
-receivers on a single CPU; this module is the other half of the scale story
+Vector placement (one receiver per edge router carrying many cohort rows)
+takes one session to a million receivers on a single CPU; this module is the other half of the scale story
 — *hierarchical aggregation* in the sense of the "Scalable Internetworking"
 report: partition an annotated topology into regions cut at designated
 trunk-to-region links, run each region as an ordinary standalone scenario
@@ -126,8 +126,8 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     must annotate exactly ``N`` regions with region-contiguous receiver edge
     routers, sessions must realise their whole population as blocks
     (``receivers=0``; the individual-receiver path uses a topology-global
-    placement cursor), every round-robin block must use the columnar
-    ``model="vector"`` engine, and globally-coupled features (TCP/CBR cross
+    placement cursor), every round-robin block must use the
+    ``model="vector"`` placement, and globally-coupled features (TCP/CBR cross
     traffic, overhead tracking, series recording) are rejected.
     """
     if spec.shards is None:
@@ -316,13 +316,12 @@ def _collect_region_sessions(
         bound_level: Optional[int] = None
         for block_decl, (start, stop) in zip(decl.population, session.block_slices):
             rows = session.receivers[start:stop]
-            models = session.models[start:stop]
             block: Dict[str, Any] = {
                 "receiver_kbps": [
                     receiver.average_rate_kbps(warmup, duration) for receiver in rows
                 ],
                 "final_levels": [receiver.level for receiver in rows],
-                "population": [model.population for model in models],
+                "population": [receiver.population for receiver in rows],
             }
             if block_decl.attack is None:
                 if onsets is not None:
@@ -354,9 +353,7 @@ def _collect_region_sessions(
                         ),
                         "population": receiver.population,
                     }
-                    stats = getattr(receiver, "adversary_stats", None)
-                    if stats is not None:
-                        entry["counters"] = stats()
+                    entry["counters"] = receiver.adversary_stats()
                     attackers.append(entry)
                 block["attackers"] = attackers
             blocks.append(block)

@@ -34,27 +34,29 @@ __all__ = ["CohortDecl", "SessionDecl", "TcpDecl", "CbrDecl", "ScenarioSpec"]
 
 @dataclass(frozen=True)
 class CohortDecl:
-    """``count`` homogeneous honest receivers added to a session's population.
+    """``count`` homogeneous receivers added to a session's population.
 
-    ``model`` selects how the scenario interpreter realises them:
+    Every block is realised by the same protocol receiver
+    (:mod:`~repro.multicast_cc.receiver_base`), which stands for any number
+    of members; ``model`` names where the scenario interpreter *places*
+    them:
 
-    * ``"cohort"`` (default) — one aggregated
-      :mod:`~repro.multicast_cc.cohort` receiver whose per-slot cost is
-      amortised over the population (sessions scale to 100k+ receivers);
-    * ``"individual"`` — ``count`` ordinary per-object receivers, the
-      reference realisation the equivalence tests and the scale benchmark
-      compare against;
-    * ``"vector"`` — the columnar engine
-      (:mod:`~repro.multicast_cc.vector`): the block's cohorts become rows
-      of a :class:`~repro.multicast_cc.population.PopulationTable` block,
-      one vectorised receiver per edge router instead of one object per
-      cohort (sessions scale past 1M receivers).
+    * ``"cohort"`` (default) — one host whose receiver stands for the whole
+      block, per-slot cost amortised over the population (sessions scale to
+      100k+ receivers);
+    * ``"individual"`` — ``count`` hosts of one member each, the reference
+      realisation the equivalence tests and the scale benchmark compare
+      against;
+    * ``"vector"`` — one host per edge router, each receiver carrying the
+      block's cohorts placed there as rows registered in the scenario's
+      :class:`~repro.multicast_cc.population.PopulationTable` (sessions
+      scale past 1M receivers).
 
     ``cohorts`` splits the block's ``count`` members into that many
     homogeneous cohorts (as even as possible; ``None`` means one).  With
-    ``model="cohort"`` each becomes its own per-cohort receiver object —
-    the reference path the columnar benchmark measures against — while
-    ``model="vector"`` packs them as rows of per-edge columnar blocks.
+    ``model="cohort"`` each gets its own host and receiver — the reference
+    path the cohort-count benchmark measures against — while
+    ``model="vector"`` packs them as rows behind one receiver per edge.
 
     ``router`` optionally pins the cohort to a named edge router (default:
     the topology's round-robin receiver placement — for ``"vector"`` the

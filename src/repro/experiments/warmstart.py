@@ -70,16 +70,16 @@ PREFIX_NAME = "warm-prefix"
 #: Placeholder strategy mounted while the prefix runs.  ``inflated-join``
 #: is registered for every protocol variant and batch-exact on cohorts, and
 #: with ``start_s`` at the barrier it never acts inside the prefix — it
-#: only pins the receiver's adversarial class and attack context, which the
-#: real strategies take over at rebind.
+#: only marks which receivers mount a strategy stack, which the real
+#: strategies replace at rebind.
 PLACEHOLDER_STRATEGY = "inflated-join"
 
 
 def _canonical_attack(attack: AttackSpec, barrier_s: float) -> AttackSpec:
     """The placeholder standing in for ``attack`` before the barrier.
 
-    ``receivers`` is preserved — it decides which receivers realise as
-    adversarial objects at construction time; everything the sweep varies
+    ``receivers`` is preserved — it decides which receivers mount a stack
+    at construction time; everything the sweep varies
     (strategy, onset, stop, intensity, params) collapses to fixed values.
     """
     return AttackSpec(

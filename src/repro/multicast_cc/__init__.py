@@ -3,111 +3,56 @@
 * :mod:`repro.multicast_cc.flid_dl` — FLID-DL, the unprotected baseline.
 * :mod:`repro.multicast_cc.flid_ds` — FLID-DS, FLID-DL integrated with DELTA
   and SIGMA (the paper's protected protocol).
-* :mod:`repro.multicast_cc.misbehaving` — inflated-subscription attackers for
-  both protocols.
+* :mod:`repro.multicast_cc.receiver_base` — the machinery both receivers
+  share: one receiver stands for any number of homogeneous members (a
+  population is a weight on the messages of one state machine), optionally
+  mounting an attack-strategy stack (:mod:`repro.adversary`) and a
+  :class:`~repro.multicast_cc.churn.ChurnProcess`.
 * :mod:`repro.multicast_cc.replicated` — a replicated (single-group-per-level)
   protocol protected by the Figure 5 DELTA instantiation.
 * :mod:`repro.multicast_cc.session` — session descriptions (rates, groups,
   slots) shared by all protocols.
 * :mod:`repro.multicast_cc.decision` — the pure per-slot subscription rules
-  (scalar, batched and array-form) shared by all receiver models.
-* :mod:`repro.multicast_cc.cohort` / :mod:`repro.multicast_cc.receiver_model`
-  — cohort-aggregated receiver populations and the model abstraction the
-  experiment layer composes populations from.
-* :mod:`repro.multicast_cc.population` / :mod:`repro.multicast_cc.vector` —
-  the columnar population engine: every cohort's state as table rows,
-  advanced one array pass per slot (sessions scale past 1M receivers).
+  of the honest protocols and of every attack strategy.
+* :mod:`repro.multicast_cc.population` — the scenario-level table of the
+  cohort rows vector placements pack behind one receiver per edge router
+  (sessions scale past 1M receivers).
 """
 
 from .churn import ChurnProcess
-from .cohort import CohortFlidDlReceiver, CohortFlidDsReceiver
 from .decision import (
     ChurnAction,
     DlDecision,
     attack_target_level,
     churn_phase,
-    churn_phase_array,
     decide_churn,
-    decide_churn_array,
-    decide_churn_batch,
     decide_dl,
-    decide_dl_array,
-    decide_dl_batch,
-    decide_inflated_join,
-    decide_inflated_join_array,
-    decide_inflated_join_batch,
     mask_congestion,
-    reconstruct_ds_batch,
 )
 from .flid_dl import FlidDlReceiver, FlidDlSender
 from .flid_ds import FlidDsReceiver, FlidDsSender
 from .population import PopulationBlock, PopulationTable, active_backend
 from .receiver_base import LayeredReceiverBase, SlotRecord
-from .receiver_model import (
-    AdversarialCohort,
-    IndividualReceiver,
-    ReceiverCohort,
-    ReceiverModel,
-)
 from .replicated import ReplicatedReceiver, ReplicatedSender
 from .sender_base import LayeredSenderBase
 from .session import SessionSpec, fair_level_for_rate
-from .vector import VectorFlidDlReceiver, VectorFlidDsReceiver
-
-#: Shim classes living in .misbehaving, resolved lazily (PEP 562) because the
-#: module subclasses the adversary subsystem's receivers, which in turn build
-#: on the honest receivers of this package — an eager import would cycle.
-_LAZY_MISBEHAVING = (
-    "IgnoreCongestionFlidDlReceiver",
-    "InflatedSubscriptionFlidDlReceiver",
-    "InflatedSubscriptionFlidDsReceiver",
-)
-
-
-def __getattr__(name: str):
-    if name in _LAZY_MISBEHAVING:
-        from . import misbehaving
-
-        return getattr(misbehaving, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ChurnProcess",
-    "CohortFlidDlReceiver",
-    "CohortFlidDsReceiver",
     "ChurnAction",
     "DlDecision",
     "attack_target_level",
     "churn_phase",
-    "churn_phase_array",
     "decide_churn",
-    "decide_churn_array",
-    "decide_churn_batch",
     "decide_dl",
-    "decide_dl_array",
-    "decide_dl_batch",
-    "decide_inflated_join",
-    "decide_inflated_join_array",
-    "decide_inflated_join_batch",
     "mask_congestion",
-    "reconstruct_ds_batch",
     "PopulationBlock",
     "PopulationTable",
     "active_backend",
-    "VectorFlidDlReceiver",
-    "VectorFlidDsReceiver",
     "FlidDlReceiver",
     "FlidDlSender",
     "FlidDsReceiver",
     "FlidDsSender",
-    "AdversarialCohort",
-    "IndividualReceiver",
-    "ReceiverCohort",
-    "ReceiverModel",
-    "IgnoreCongestionFlidDlReceiver",
-    "InflatedSubscriptionFlidDlReceiver",
-    "InflatedSubscriptionFlidDsReceiver",
     "LayeredReceiverBase",
     "SlotRecord",
     "LayeredSenderBase",

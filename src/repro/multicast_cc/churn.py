@@ -8,7 +8,7 @@ is a closed-form function of elapsed time, with no random draws, so churned
 scenarios keep the byte-determinism contract (``docs/determinism.md``)
 across repeated runs and the serial-vs-pool runner paths.
 
-The cohort receivers (:mod:`repro.multicast_cc.cohort`) sample the process
+The receivers (:mod:`repro.multicast_cc.receiver_base`) sample the process
 at slot-evaluation boundaries and book the membership delta through
 member-weighted IGMP/SIGMA messages — see ``docs/scale.md`` for the exact
 accounting semantics (arrivals adopt the cohort's current subscription

@@ -12,20 +12,23 @@ a receiver
 
 Group membership is managed with plain IGMP joins and leaves, which is what
 makes the protocol vulnerable to inflated subscription: nothing stops a
-receiver from joining every group of the session (see
-:mod:`repro.multicast_cc.misbehaving` and Figure 1 of the paper).
+receiver from joining every group of the session (the ``inflated-join``
+strategy of :mod:`repro.adversary.strategies` and Figure 1 of the paper).
 
 This module provides the sender (:class:`FlidDlSender` is the shared layered
-sender unchanged) and the well-behaved receiver (:class:`FlidDlReceiver`).
+sender unchanged) and the receiver (:class:`FlidDlReceiver`), which plays the
+honest protocol for the population it stands for unless a strategy stack is
+mounted on it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from ..simulator.igmp import IgmpHostInterface
 from ..simulator.node import Host
 from ..simulator.topology import Network
+from .churn import ChurnProcess
 from .decision import DlDecision, decide_dl
 from .receiver_base import LayeredReceiverBase, SlotRecord
 from .sender_base import LayeredSenderBase
@@ -44,17 +47,33 @@ class FlidDlSender(LayeredSenderBase):
 
 
 class FlidDlReceiver(LayeredReceiverBase):
-    """Well-behaved FLID-DL receiver driven by IGMP joins and leaves."""
+    """FLID-DL receiver driven by IGMP joins and leaves.
+
+    Stands for ``sum(counts)`` members behind one host: the host receives
+    one copy of every packet and every membership report represents the
+    population (weighted at send time by the IGMP interface).
+    """
 
     def __init__(
         self,
         network: Network,
         host: Host,
         spec: SessionSpec,
+        counts: Sequence[int] = (1,),
+        strategies: Optional[Any] = None,
+        churn: Optional[ChurnProcess] = None,
         bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
-        super().__init__(host, spec, bin_width_s=bin_width_s, name=name)
+        super().__init__(
+            host,
+            spec,
+            counts=counts,
+            strategies=strategies,
+            churn=churn,
+            bin_width_s=bin_width_s,
+            name=name,
+        )
         self.network = network
         self.igmp: Optional[IgmpHostInterface] = None
 
@@ -63,6 +82,16 @@ class FlidDlReceiver(LayeredReceiverBase):
         """Admission in FLID-DL is simply an IGMP join of the minimal group."""
         self.igmp = IgmpHostInterface(self.host)
         self.igmp.join(self.spec.minimal_group())
+
+    def _book_arrivals(self, members: int) -> None:
+        """Arrivals adopt the current level: one weighted join per group."""
+        for group in range(1, self.level + 1):
+            self.igmp.join(self.spec.address_of(group), members=members)
+
+    def _book_departures(self, members: int) -> None:
+        """Departures abandon the current level: one weighted leave per group."""
+        for group in range(1, self.level + 1):
+            self.igmp.leave(self.spec.address_of(group), members=members)
 
     def _apply_decision(self, evaluated_slot: int, record: SlotRecord, congested: bool) -> None:
         """Apply the three FLID-DL subscription rules for one evaluated slot.

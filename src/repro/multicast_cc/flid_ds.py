@@ -23,7 +23,7 @@ FLID-DL's 500 ms) so FLID-DS offers the same control granularity (§5.1).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.delta import (
     LayeredDeltaReceiver,
@@ -38,6 +38,7 @@ from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..simulator.topology import Network
 from . import headers
+from .churn import ChurnProcess
 from .receiver_base import LayeredReceiverBase, SlotRecord
 from .sender_base import LayeredSenderBase
 from .session import SessionSpec
@@ -109,18 +110,36 @@ class FlidDsSender(LayeredSenderBase):
 
 
 class FlidDsReceiver(LayeredReceiverBase):
-    """FLID-DS receiver: FLID-DL dynamics driven by DELTA keys and SIGMA messages."""
+    """FLID-DS receiver: FLID-DL dynamics driven by DELTA keys and SIGMA messages.
+
+    Stands for ``sum(counts)`` members behind one host: DELTA reconstruction
+    runs once per slot and the resulting (group, key) pairs go to the edge
+    router in one subscription message stamped ``member_count = population``
+    — the router verifies each key once and counts a delivery per member, so
+    SIGMA's key-table work is O(edge interfaces) rather than O(receivers).
+    """
 
     def __init__(
         self,
         network: Network,
         host: Host,
         spec: SessionSpec,
+        counts: Sequence[int] = (1,),
+        strategies: Optional[Any] = None,
+        churn: Optional[ChurnProcess] = None,
         key_bits: int = 16,
         bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
-        super().__init__(host, spec, bin_width_s=bin_width_s, name=name)
+        super().__init__(
+            host,
+            spec,
+            counts=counts,
+            strategies=strategies,
+            churn=churn,
+            bin_width_s=bin_width_s,
+            name=name,
+        )
         self.network = network
         self.key_bits = key_bits
         self.delta = LayeredDeltaReceiver(spec.group_count)
@@ -129,6 +148,10 @@ class FlidDsReceiver(LayeredReceiverBase):
         #: slot at which that level takes effect.
         self._level_schedule: Dict[int, int] = {}
         self.subscriptions_sent = 0
+        #: Population-weighted count of keys *submitted* on behalf of members
+        #: (each submitted pair speaks for every member; the edge router's
+        #: ``valid_submissions`` counts the accepted subset).
+        self.member_keys_submitted = 0
         self.rejoin_count = 0
 
     # ------------------------------------------------------------------
@@ -136,14 +159,32 @@ class FlidDsReceiver(LayeredReceiverBase):
     # ------------------------------------------------------------------
     def _join_session(self) -> None:
         """SIGMA admission: key-less session-join for the minimal group."""
-        self.sigma = self._make_sigma_interface()
+        self.sigma = SigmaHostInterface(
+            self.host,
+            self.spec.session_id,
+            key_bits=self.key_bits,
+            member_count=self.population,
+        )
         self.sigma.session_join(self.spec.minimal_group())
         current_slot = int(self.sim.now / self.spec.slot_duration_s)
         self._level_schedule[current_slot] = 1
 
-    def _make_sigma_interface(self) -> SigmaHostInterface:
-        """Hook: build the host-side SIGMA stub (cohorts stamp a member count)."""
-        return SigmaHostInterface(self.host, self.spec.session_id, key_bits=self.key_bits)
+    # ------------------------------------------------------------------
+    # churn accounting (member-weighted SIGMA messages)
+    # ------------------------------------------------------------------
+    def _set_population(self, population: int) -> None:
+        super()._set_population(population)
+        # Every subsequent SIGMA message speaks for the new population.
+        self.sigma.member_count = population
+
+    def _book_arrivals(self, members: int) -> None:
+        """Each arrival wave is one key-less session-join for its members."""
+        self.sigma.session_join(self.spec.minimal_group(), members=members)
+
+    def _book_departures(self, members: int) -> None:
+        """Departures are silent under SIGMA — exactly like an individual
+        receiver that stops submitting keys: they vanish from the member
+        counts of subsequent messages instead of sending a farewell."""
 
     # ------------------------------------------------------------------
     # level bookkeeping
@@ -188,7 +229,9 @@ class FlidDsReceiver(LayeredReceiverBase):
 
         observation = self._build_observation(record, entitled, congested)
         result = self.delta.reconstruct(observation)
-        self._on_keys_reconstructed(governed_slot, result.keys)
+        if self._stack is not None:
+            # Strategies (key replay, collusion) see every key reconstructed.
+            self._stack.on_keys(governed_slot, result.keys)
 
         if result.keys:
             pairs = [
@@ -197,6 +240,7 @@ class FlidDsReceiver(LayeredReceiverBase):
             ]
             self.sigma.subscribe(governed_slot, pairs)
             self.subscriptions_sent += 1
+            self.member_keys_submitted += self.population * len(pairs)
 
         if congested and result.next_level < entitled:
             # The reduced subscription only takes effect at the governed slot
@@ -213,24 +257,13 @@ class FlidDsReceiver(LayeredReceiverBase):
     def _build_observation(
         self, record: SlotRecord, entitled: int, congested: bool
     ) -> ReceiverSlotObservation:
-        lost = self._loss_signal_groups(record)
-        if congested:
-            lost |= self._starved_groups(record)
         return ReceiverSlotObservation(
             subscription_level=entitled,
             components=record.components(),
             decrease_fields=record.decrease_fields(),
-            lost_groups=frozenset(lost),
+            lost_groups=frozenset(self._lost_groups(record, congested)),
             upgrade_authorized=frozenset(record.upgrade_groups),
         )
-
-    def _on_keys_reconstructed(self, governed_slot: int, keys: Dict[int, int]) -> None:
-        """Hook: the keys DELTA reconstructed for ``governed_slot``.
-
-        The honest receiver does nothing with it; adversarial receivers
-        (:mod:`repro.adversary.receivers`) dispatch it to their strategies
-        (key replay, collusion).
-        """
 
     def _rejoin(self, effective_slot: int) -> None:
         """Fall back to key-less admission after losing every key."""

@@ -1,28 +1,20 @@
-"""Columnar population state: every cohort of a scenario in one table.
+"""Columnar population state: every vector block of a scenario in one table.
 
-The cohort model (:mod:`~repro.multicast_cc.cohort`) amortises a homogeneous
-population behind a per-cohort receiver *object* — which is what caps
-sessions around 100k receivers: with thousands of cohorts the per-slot cost
-becomes thousands of Python method calls again.  This module holds the
-population state *columnar* instead:
+A receiver (:mod:`~repro.multicast_cc.receiver_base`) stands for one or more
+*rows* of homogeneous members behind one edge router, all sharing its
+subscription level.  A ``model="vector"`` placement packs thousands of such
+rows behind one receiver per edge router; this module is the scenario-level
+registry of those rows:
 
 * a :class:`PopulationTable` owns one :class:`PopulationBlock` per
-  ``(router, session)`` placement — contiguous ``count`` / ``level`` /
-  ``phase`` / ``target`` columns covering every cohort row at that edge;
-* the vectorised receivers (:mod:`~repro.multicast_cc.vector`) advance a
-  whole block through the array-form decision rules of
-  :mod:`~repro.multicast_cc.decision` in **one pass per slot**, then emit a
-  single member-weighted IGMP/SIGMA booking for the block;
+  ``(router, session)`` placement — contiguous ``count`` / ``level`` columns
+  covering every cohort row at that edge;
+* the block's receiver is the level column's only writer: every level
+  change broadcasts one scalar over the column, so the rows cannot split;
 * columns are numpy ``int64`` arrays when numpy is importable and plain
   :class:`array.array` ``'q'`` columns otherwise — numpy is an *optional*
   accelerator, never a dependency.  ``REPRO_POPULATION_BACKEND=numpy`` or
-  ``=fallback`` forces the choice (CI runs the cohort tests on both).
-
-Exactness is inherited from the cohort contract (``docs/scale.md``): within
-a block every row is homogeneous (honest or batch-exact adversarial, same
-router, same start, lossless access links), so the array rules reproduce
-what each member — and therefore each per-cohort object — would have
-decided, byte for byte.
+  ``=fallback`` forces the choice (CI runs the population tests on both).
 """
 
 from __future__ import annotations
@@ -106,16 +98,12 @@ def _make_column(values: Sequence[int], backend: str) -> Column:
 class PopulationBlock:
     """All cohort rows of one ``(router, session)`` placement, columnar.
 
-    A block is the unit a vectorised receiver advances per slot: one
-    ``counts`` column (fixed at allocation), one mutable ``levels`` column,
-    plus ``phases`` (the churn-cycle flag of the batch-exact churn rule) and
-    ``targets`` (the pinned level of an attack strategy).  Rows within a
-    block share one host/interface, so the *homogeneity invariant* of the
-    cohort model applies block-wide: :meth:`require_uniform` is the columnar
-    analogue of the cohort's single-row guard.
+    One ``counts`` column (fixed at allocation) and one ``levels`` column,
+    written only by the receiver that carries the block: rows within a block
+    share one host/interface, hence one subscription level.
     """
 
-    __slots__ = ("router", "session", "population", "_backend", "_counts", "_levels", "_phases", "_targets")
+    __slots__ = ("router", "session", "population", "_backend", "_counts", "_levels")
 
     def __init__(self, router: str, session: str, counts: Sequence[int], backend: str) -> None:
         """Allocate columns for ``counts`` cohort rows placed at ``router``."""
@@ -129,8 +117,6 @@ class PopulationBlock:
         self._backend = backend
         self._counts = _make_column(counts, backend)
         self._levels = _make_column([0] * len(counts), backend)
-        self._phases = _make_column([0] * len(counts), backend)
-        self._targets = _make_column([0] * len(counts), backend)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -147,20 +133,13 @@ class PopulationBlock:
         return self._counts
 
     def levels(self) -> Column:
-        """The per-row subscription-level column (mutate via the setters)."""
+        """The per-row subscription-level column (mutate via :meth:`set_levels`)."""
         return self._levels
 
-    def phases(self) -> Column:
-        """The per-row churn-phase flag column (0 = low, 1 = high)."""
-        return self._phases
-
-    def targets(self) -> Column:
-        """The per-row pinned attack-target column (0 = no pin)."""
-        return self._targets
-
     # ------------------------------------------------------------------
-    def _store(self, name: str, values: Union[int, Sequence[int]]) -> None:
-        column = getattr(self, name)
+    def set_levels(self, values: Union[int, Sequence[int]]) -> None:
+        """Overwrite the level column with a scalar or a same-length column."""
+        column = self._levels
         if isinstance(values, int):
             if self._backend == "numpy":
                 column[:] = values
@@ -179,18 +158,6 @@ class PopulationBlock:
             for index, value in enumerate(values):
                 column[index] = int(value)
 
-    def set_levels(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the level column with a scalar or a same-length column."""
-        self._store("_levels", values)
-
-    def set_phases(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the churn-phase column (scalar or same-length column)."""
-        self._store("_phases", values)
-
-    def set_targets(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the attack-target column (scalar or same-length column)."""
-        self._store("_targets", values)
-
     # ------------------------------------------------------------------
     def rows(self) -> List[Row]:
         """The block as ``(count, level)`` rows, in stable row order."""
@@ -199,39 +166,12 @@ class PopulationBlock:
             for count, level in zip(self._counts, self._levels)
         ]
 
-    def require_uniform(self) -> int:
-        """Return the single level every row sits at, or fail loudly.
-
-        The columnar analogue of the cohort model's single-row guard: the
-        block drives one shared IGMP/SIGMA interface, which can only
-        represent one membership set.  Homogeneous blocks never split; a
-        split is a bug, not a state to paper over.
-        """
-        if self._backend == "numpy":
-            first = int(self._levels[0])
-            if bool((self._levels != first).any()):
-                raise RuntimeError(
-                    f"population block at {self.router!r} split across levels "
-                    f"({self.rows()!r}); heterogeneous members must be "
-                    "separate blocks or individuals"
-                )
-            return first
-        first = self._levels[0]
-        for level in self._levels:
-            if level != first:
-                raise RuntimeError(
-                    f"population block at {self.router!r} split across levels "
-                    f"({self.rows()!r}); heterogeneous members must be "
-                    "separate blocks or individuals"
-                )
-        return first
-
 
 class PopulationTable:
     """Every population block of one scenario, keyed ``(router, session)``.
 
-    The table is the scenario-level registry the vectorised receivers
-    allocate their blocks from; iterating :meth:`blocks` visits allocation
+    The table is the scenario-level registry vector placements allocate
+    their blocks from; iterating :meth:`blocks` visits allocation
     order (deterministic — spec declaration order), which is what keeps the
     bulk IGMP/SIGMA booking order byte-stable across runs and processes.
     """

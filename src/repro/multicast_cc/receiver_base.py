@@ -11,18 +11,34 @@ local arrival time, and a slot is evaluated a small guard interval after its
 nominal end; this absorbs propagation and queueing skew so that the DELTA key
 reconstruction in FLID-DS sees exactly the per-slot packet sets the sender
 used to define the keys.
+
+**One receiver, any population.**  A receiver object drives one host and one
+IGMP/SIGMA interface, so everything it stands for shares one subscription
+level: a population is a *weight* on the messages of one state machine.  The
+receiver therefore takes the member ``counts`` of the rows it stands for
+(default: one row of one member — an ordinary end system) and weights every
+IGMP/SIGMA message by their sum at send time.  Aggregation is *exact* —
+byte-identical trajectories and counters versus that many one-member
+receivers — when the members are homogeneous: same edge router, same start
+time, same strategy stack, and access links that never drop (true in the
+paper's §5.1 topologies; ``docs/scale.md`` discusses the limits).  An
+optional strategy stack (``repro.adversary``) is dispatched around the
+honest decision, and an optional
+:class:`~repro.multicast_cc.churn.ChurnProcess` drives the member count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulator.engine import PeriodicTimer
 from ..simulator.monitors import ThroughputMonitor
 from ..simulator.node import Host, PacketAgent
 from ..simulator.packet import Packet
 from . import headers
+from .churn import ChurnProcess
+from .population import PopulationBlock
 from .session import SessionSpec
 
 __all__ = ["SlotRecord", "LayeredReceiverBase"]
@@ -48,15 +64,18 @@ class SlotRecord:
     bytes_received: int = 0
 
     def received_groups(self) -> Set[int]:
+        """Groups from which at least one packet of the slot arrived."""
         return {g for g, pkts in self.packets.items() if pkts}
 
     def components(self) -> Dict[int, List[int]]:
+        """Per-group DELTA component fields, in arrival order."""
         return {
             g: [c for (_, c, _) in pkts if c is not None]
             for g, pkts in self.packets.items()
         }
 
     def decrease_fields(self) -> Dict[int, List[int]]:
+        """Per-group DELTA decrease fields, in arrival order."""
         return {
             g: [d for (_, _, d) in pkts if d is not None]
             for g, pkts in self.packets.items()
@@ -66,28 +85,54 @@ class SlotRecord:
 class LayeredReceiverBase(PacketAgent):
     """Receiver-driven layered congestion control (shared FLID logic)."""
 
-    #: Number of actual receivers this object represents.  Per-object
-    #: receivers are exactly one; the :mod:`~repro.multicast_cc.cohort`
-    #: subclasses override it with their aggregated population, and the
-    #: analysis layer weights goodput/protection metrics by it.
-    population: int = 1
-
     def __init__(
         self,
         host: Host,
         spec: SessionSpec,
+        counts: Sequence[int] = (1,),
+        strategies: Optional[Any] = None,
+        churn: Optional[ChurnProcess] = None,
         bin_width_s: float = 1.0,
         guard_s: float = DEFAULT_GUARD_S,
         name: str = "",
     ) -> None:
+        """Stand for ``sum(counts)`` homogeneous members behind ``host``.
+
+        ``counts`` lists the member count of each row the receiver stands
+        for; passing a :class:`~repro.multicast_cc.population.PopulationBlock`
+        (a vector placement) additionally keeps the block's level column in
+        lockstep with :attr:`level`.  ``strategies`` is the strategy stack
+        (``repro.adversary.StrategyStack``) every member mounts; ``churn``
+        drives the member count (see :meth:`attach_churn`).
+        """
         if not spec.group_addresses:
             raise ValueError("session spec must have group addresses assigned")
+        self._block: Optional[PopulationBlock] = None
+        if isinstance(counts, PopulationBlock):
+            self._block, counts = counts, counts.counts()
+        #: Member count of every row this receiver stands for.
+        self.counts: Tuple[int, ...] = tuple(int(count) for count in counts)
+        if not self.counts or min(self.counts) < 1:
+            raise ValueError("a receiver stands for >=1 rows of >=1 members")
+        #: Number of end systems this object represents.  Every IGMP/SIGMA
+        #: message and attack counter is weighted by it at send time, and the
+        #: analysis layer weights goodput/protection metrics by it.
+        self.population = sum(self.counts)
+        # The host stands for the whole population: membership counting,
+        # IGMP/SIGMA counters and overhead accounting weight it as N end
+        # systems.
+        host.population = self.population
         self.host = host
         self.spec = spec
         self.sim = host.sim
         self.guard_s = guard_s
         self.name = name or f"{spec.session_id}-rx-{host.name}"
         self.monitor = ThroughputMonitor(self.sim, bin_width_s=bin_width_s, name=self.name)
+        self._stack = strategies
+        self._churn: Optional[ChurnProcess] = None
+        self._churn_initial = self.population
+        if churn is not None:
+            self.attach_churn(churn)
 
         #: Current subscription level (number of groups the receiver believes
         #: it is entitled to).  Level 0 means "not yet admitted".
@@ -128,6 +173,8 @@ class LayeredReceiverBase(PacketAgent):
         for group in range(1, self.spec.group_count + 1):
             self.host.register_group_agent(self.spec.address_of(group), self)
         self._join_session()
+        if self._stack is not None:
+            self._stack.attach(self)
         self._set_level(1)
         slot_duration = self.spec.slot_duration_s
         current_slot = int(self.sim.now / slot_duration)
@@ -139,8 +186,98 @@ class LayeredReceiverBase(PacketAgent):
         self._timer.start()
 
     def stop(self) -> None:
+        """Stop evaluating slots (the receiver keeps its memberships)."""
         if self._timer is not None:
             self._timer.stop()
+
+    # ------------------------------------------------------------------
+    # population, strategies, churn
+    # ------------------------------------------------------------------
+    def state_rows(self) -> List[Tuple[int, int]]:
+        """The ``(count, level)`` row of every cohort the receiver stands for."""
+        return [(count, self.level) for count in self.counts]
+
+    @property
+    def strategies(self) -> List[Any]:
+        """The attack strategies every member mounts (empty when honest)."""
+        return list(self._stack.strategies) if self._stack is not None else []
+
+    @property
+    def attacking(self) -> bool:
+        """True while at least one strategy's attack window is open."""
+        return self._stack is not None and self._stack.attacking
+
+    def adversary_stats(self) -> Dict[str, int]:
+        """Member-weighted attack counters (empty without strategies)."""
+        return self._stack.stats() if self._stack is not None else {}
+
+    def attach_churn(self, process: ChurnProcess) -> None:
+        """Drive the member count by ``process`` (call before :meth:`start`).
+
+        The process is sampled at every slot-evaluation wakeup
+        (deterministically, before the due slots are evaluated): the
+        membership delta is booked through member-weighted IGMP/SIGMA
+        messages and the population — including the host weight every
+        counter derives from — is updated before any message of the new slot
+        is sent.  Arrivals adopt the current subscription level; see
+        ``docs/scale.md`` for the exactness conditions.
+
+        Only a single honest row can churn: the attack context's member
+        weight is fixed at admission (a churned attacker population would
+        book stale counters), and a multi-row block has no well-defined row
+        to grow or shrink.
+        """
+        if self._stack is not None:
+            raise ValueError(
+                "receivers mounting strategies cannot churn: the attack "
+                "context's member weight is fixed at admission — declare the "
+                "churned honest audience and the attacker population as "
+                "separate blocks"
+            )
+        if self._block is not None or len(self.counts) != 1:
+            raise ValueError(
+                "multi-row population blocks cannot churn; declare the "
+                "churned audience as a separate model=\"cohort\" block"
+            )
+        self._churn = process
+        self._churn_initial = self.population
+
+    def rebind(
+        self, strategies: Optional[Any] = None, churn: Optional[ChurnProcess] = None
+    ) -> None:
+        """Swap in the declarations of a divergent warm-started cell.
+
+        A warm-start prefix runs with placeholder strategies that are inert
+        before the barrier, so nothing they could have changed is lost: the
+        new stack gets a fresh attack context.  A new churn process replaces
+        the old one's schedule but keeps its initial-population booking
+        (the prefix may already have sampled the process).
+        """
+        if strategies is not None:
+            self._stack = strategies
+            if self._started_at is not None:
+                strategies.attach(self)
+        if churn is not None:
+            self._churn = churn
+
+    def _apply_churn(self) -> None:
+        target = self._churn.population_at(
+            self._churn_initial, self.sim.now - self._started_at
+        )
+        delta = target - self.population
+        if delta == 0:
+            return
+        if delta > 0:
+            self._book_arrivals(delta)
+        else:
+            self._book_departures(-delta)
+        self._set_population(target)
+
+    def _set_population(self, population: int) -> None:
+        """Adopt the new population everywhere counters weigh it."""
+        self.population = population
+        self.host.population = population
+        self.counts = (population,)
 
     # ------------------------------------------------------------------
     # hooks implemented by FLID-DL / FLID-DS subclasses
@@ -153,10 +290,19 @@ class LayeredReceiverBase(PacketAgent):
         """Subscription-control reaction to one evaluated slot."""
         raise NotImplementedError  # pragma: no cover - interface
 
+    def _book_arrivals(self, members: int) -> None:  # pragma: no cover - interface
+        """Book ``members`` churn arrivals on the protocol's control channel."""
+        raise NotImplementedError
+
+    def _book_departures(self, members: int) -> None:  # pragma: no cover - interface
+        """Book ``members`` churn departures on the protocol's control channel."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # packet path
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
+        """Record one data packet of the session under its sender slot."""
         if packet.headers.get(headers.SESSION) != self.spec.session_id:
             return
         group = packet.headers[headers.GROUP]
@@ -194,6 +340,8 @@ class LayeredReceiverBase(PacketAgent):
     # slot evaluation
     # ------------------------------------------------------------------
     def _on_timer(self) -> None:
+        if self._churn is not None:
+            self._apply_churn()
         slot_duration = self.spec.slot_duration_s
         ready_until = int((self.sim.now - self.guard_s) / slot_duration) - 1
         while self._last_processed_slot < ready_until:
@@ -209,7 +357,11 @@ class LayeredReceiverBase(PacketAgent):
                 # Still inside the deaf period of a previous decrease: the
                 # congestion is (most likely) the tail of the same episode.
                 congested = False
-        self._apply_decision(slot, record, congested)
+        if self._stack is None:
+            self._apply_decision(slot, record, congested)
+        else:
+            # The stack runs its hooks around the honest decision.
+            self._stack.evaluate(slot, record, congested)
 
     def _enter_deaf_period(self, last_deaf_slot: int) -> None:
         """Ignore congestion through ``last_deaf_slot`` (inclusive)."""
@@ -229,6 +381,14 @@ class LayeredReceiverBase(PacketAgent):
     def _loss_signal_groups(self, record: SlotRecord) -> Set[int]:
         """Entitled groups with a detected sequence gap or tail loss."""
         return (set(record.gap_groups) | self._tail_loss_groups(record)) & self._entitled_groups(record)
+
+    def _lost_groups(self, record: SlotRecord, congested: bool) -> Set[int]:
+        """The slot's loss classification: gap and tail losses always,
+        starvation when the slot counted as congested."""
+        lost = self._loss_signal_groups(record)
+        if congested:
+            lost |= self._starved_groups(record)
+        return lost
 
     def _starved_groups(self, record: SlotRecord) -> Set[int]:
         """Entitled, previously-seen groups that went completely silent."""
@@ -275,6 +435,8 @@ class LayeredReceiverBase(PacketAgent):
         elif level < self.level:
             self.decreases += 1
         self.level = level
+        if self._block is not None:
+            self._block.set_levels(level)
         self.level_history.append((self.sim.now, level))
 
     def average_rate_kbps(self, start_s: float = 0.0, end_s: Optional[float] = None) -> float:

@@ -1,7 +1,7 @@
-"""Exactness of adversarial cohorts: cohort of N attackers == N attackers.
+"""Exactness of adversarial populations: N aggregated attackers == N attackers.
 
-The adversarial-cohort contract (``docs/threat-model.md``) extends the
-honest-cohort exactness guarantee to the batch-exact strategies: a
+The adversarial contract (``docs/threat-model.md``) extends the honest
+exactness guarantee to every registered strategy: a
 :class:`~repro.experiments.spec.CohortDecl` carrying an ``AttackSpec``
 realised with ``model="cohort"`` must reproduce — with ``==``, on the same
 seed — what ``model="individual"`` produces member for member:
@@ -12,75 +12,29 @@ seed — what ``model="individual"`` produces member for member:
 * identical SIGMA counters (valid/invalid submissions, session joins,
   revocations, ignored bare joins) on the protected variant and identical
   population-weighted IGMP counters on the unprotected one,
-* identical attack counters (the cohort's context books per member; the
-  individual realisation's counters are summed across members).
+* identical attack counters (the aggregated receiver's context books per
+  member; the individual realisation's counters are summed across members).
 
-Since PR 8 the contract spans the **whole adversary registry** — the
-formerly randomised strategies draw per-cohort randomness (one seeded draw
-budget per slot, counts booked per member) and collusion pools accept
-member-weighted contributions, so key-replay, key-guessing, join-storm and
-collusion batch exactly too.  A strategy registered *without* batched
-decision rules is rejected at ``AttackSpec`` declaration — also asserted
-here.
+The contract spans the **whole adversary registry** — randomised strategies
+draw per-receiver randomness (one seeded draw budget per slot, counts booked
+per member) and collusion pools accept member-weighted contributions.  A
+strategy registered *without* decision rules is rejected at ``AttackSpec``
+declaration — also asserted here.
 """
 
 import itertools
 
 import pytest
+from population_equivalence import (
+    ATTACK_DURATION_S as DURATION_S,
+    POPULATION,
+    STRATEGIES,
+    attack_spec,
+    run,
+)
 
 from repro.adversary import AttackSpec
-from repro.experiments import (
-    PAPER_DEFAULTS,
-    CohortDecl,
-    Scenario,
-    ScenarioSpec,
-    SessionDecl,
-)
-
-POPULATION = 3
-DURATION_S = 16.0
-ATTACK_START_S = 6.0
-
-#: The batch-exact strategies — the whole registry (docs/threat-model.md).
-STRATEGIES = (
-    "inflated-join",
-    "ignore-congestion",
-    "churn",
-    "key-replay",
-    "key-guessing",
-    "join-storm",
-    "collusion",
-)
-
-
-def _spec(protected: bool, model: str, strategy: str) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="adversarial-cohort-equivalence",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "atk",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        POPULATION,
-                        model=model,
-                        attack=AttackSpec(strategy, start_s=ATTACK_START_S),
-                    ),
-                ),
-            ),
-            SessionDecl("hon", receivers=1),
-        ),
-        duration_s=DURATION_S,
-        config=PAPER_DEFAULTS,
-    )
-
-
-def _run(protected: bool, model: str, strategy: str) -> Scenario:
-    scenario = Scenario.from_spec(_spec(protected, model, strategy))
-    scenario.run(DURATION_S)
-    return scenario
+from repro.experiments import CohortDecl, Scenario
 
 
 @pytest.fixture(
@@ -94,8 +48,8 @@ def pair(request):
     return (
         protected,
         strategy,
-        _run(protected, "cohort", strategy),
-        _run(protected, "individual", strategy),
+        run(attack_spec(protected, "cohort", strategy)),
+        run(attack_spec(protected, "individual", strategy)),
     )
 
 
@@ -201,8 +155,9 @@ def test_strategy_without_batched_rules_rejected_at_declaration():
 
 
 def test_adversarial_cohorts_refuse_churn_at_the_class_level():
-    """The churn+attack exclusion holds even bypassing the spec layer."""
-    scenario = Scenario.from_spec(_spec(True, "cohort", "inflated-join"))
+    """The churn+attack exclusion holds even bypassing the spec layer
+    (``attach_churn`` is the one check behind every placement)."""
+    scenario = Scenario.from_spec(attack_spec(True, "cohort", "inflated-join"))
     receiver = scenario.sessions[0].receivers[0]
     from repro.experiments import ChurnProcess
 
@@ -214,7 +169,7 @@ def test_protection_metrics_weight_attacker_cohorts():
     """The protection block reports the cohort's population-weighted excess."""
     from repro.experiments import ExperimentRunner
 
-    spec = _spec(True, "cohort", "inflated-join")
+    spec = attack_spec(True, "cohort", "inflated-join")
     result = ExperimentRunner().run_one(spec)
     entry = result.metrics["protection"]["sessions"]["atk"]["attackers"]["0"]
     assert entry["population"] == POPULATION

@@ -1,6 +1,6 @@
-"""Exactness of cohort aggregation: cohort-of-N == N individual receivers.
+"""Exactness of aggregation: one receiver of N members == N receivers.
 
-The cohort model's contract (``docs/scale.md``) is that for a homogeneous
+The population contract (``docs/scale.md``) is that for a homogeneous
 honest population behind one edge router, aggregation is *exact*: the same
 spec realised with ``model="cohort"`` and ``model="individual"`` must produce
 
@@ -16,44 +16,20 @@ These are exact (``==``) comparisons on the same seed, not statistical ones.
 """
 
 import pytest
+from population_equivalence import DURATION_S, POPULATION, honest_spec, run
 
 from repro.analysis.golden import subscription_vector
-from repro.experiments import PAPER_DEFAULTS, CohortDecl, Scenario, ScenarioSpec, SessionDecl
-
-#: Small population (feasible as individuals) on a tight bottleneck, so the
-#: run exercises congestion decreases, deaf periods and upgrades.
-POPULATION = 3
-DURATION_S = 20.0
-
-
-def _spec(protected: bool, model: str) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="cohort-equivalence",
-        protected=protected,
-        expected_sessions=1,
-        sessions=(
-            SessionDecl(
-                "s",
-                receivers=0,
-                population=(CohortDecl(POPULATION, model=model),),
-            ),
-        ),
-        duration_s=DURATION_S,
-        config=PAPER_DEFAULTS,
-    )
-
-
-def _run(protected: bool, model: str) -> Scenario:
-    scenario = Scenario.from_spec(_spec(protected, model))
-    scenario.run(DURATION_S)
-    return scenario
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["flid_dl", "flid_ds"])
 def pair(request):
     """One (cohort scenario, individual scenario) pair per protocol variant."""
     protected = request.param
-    return protected, _run(protected, "cohort"), _run(protected, "individual")
+    return (
+        protected,
+        run(honest_spec(protected, "cohort")),
+        run(honest_spec(protected, "individual")),
+    )
 
 
 def test_population_accounting(pair):
@@ -88,16 +64,12 @@ def test_trajectory_exercises_congestion(pair):
 
 
 def test_identical_per_member_goodput(pair):
-    """Per-member goodput matches; the weighted rate scales by N."""
+    """Per-member goodput matches, member for member."""
     _, cohort, individual = pair
-    model = cohort.sessions[0].models[0]
-    member_kbps = model.average_rate_kbps(0.0, DURATION_S)
+    member_kbps = cohort.sessions[0].receivers[0].average_rate_kbps(0.0, DURATION_S)
     assert member_kbps > 0
-    for other in individual.sessions[0].models:
+    for other in individual.sessions[0].receivers:
         assert other.average_rate_kbps(0.0, DURATION_S) == member_kbps
-    assert model.weighted_rate_kbps(0.0, DURATION_S) == pytest.approx(
-        POPULATION * member_kbps
-    )
 
 
 def test_identical_sigma_counters(pair):
@@ -134,7 +106,7 @@ def test_identical_igmp_counters(pair):
 
 
 def test_cohort_state_block_stays_single_row(pair):
-    """A homogeneous cohort never splits its columnar state block."""
+    """A cohort is one row carrying the receiver's level."""
     _, cohort, _ = pair
     receiver = cohort.sessions[0].receivers[0]
     rows = receiver.state_rows()

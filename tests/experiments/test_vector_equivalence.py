@@ -1,18 +1,17 @@
-"""Exactness of the columnar engine: vector block == cohorts == individuals.
+"""Exactness of vector placement: vector block == cohorts == individuals.
 
-The columnar population engine (``docs/scale.md``) extends the cohort
-contract one level up: a ``model="vector"`` block whose rows are advanced by
-the array-form decision rules must reproduce — with ``==``, on the same
-seed — what ``model="cohort"`` and ``model="individual"`` produce member for
-member:
+A ``model="vector"`` block packs its cohort rows behind one receiver per edge
+router and registers them in the scenario's population table
+(``docs/scale.md``).  It must reproduce — with ``==``, on the same seed —
+what ``model="cohort"`` and ``model="individual"`` produce member for member:
 
 * identical subscription-level trajectories (the full ``(time, level)``
   transition list),
 * identical per-member goodput,
 * identical SIGMA counters on the protected variant and identical
   population-weighted IGMP counters on the unprotected one,
-* for adversarial blocks, identical attack counters under every
-  batch-exact strategy.
+* for adversarial blocks, identical attack counters under every registered
+  strategy.
 
 Everything here is asserted on **both** column backends: the parametrised
 fixtures pin :data:`~repro.multicast_cc.population.BACKEND_ENV_VAR` so the
@@ -22,101 +21,20 @@ exported globally, covering the numpy-absent container too).
 """
 
 import itertools
-import os
 
 import pytest
-
-from repro.adversary import AttackSpec
-from repro.experiments import (
-    PAPER_DEFAULTS,
-    CohortDecl,
-    Scenario,
-    ScenarioSpec,
-    SessionDecl,
+from population_equivalence import (
+    BACKENDS,
+    DURATION_S,
+    POPULATION,
+    STRATEGIES,
+    attack_spec,
+    backend_or_skip,
+    honest_spec,
+    run,
 )
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
 
-POPULATION = 3
-DURATION_S = 20.0
-ATTACK_DURATION_S = 16.0
-ATTACK_START_S = 6.0
-
-#: Every registered strategy batches exactly — including over vector blocks.
-STRATEGIES = (
-    "inflated-join",
-    "ignore-congestion",
-    "churn",
-    "key-replay",
-    "key-guessing",
-    "join-storm",
-    "collusion",
-)
-BACKENDS = ("numpy", "fallback")
-
-
-def _honest_spec(protected: bool, model: str, cohorts=None) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="vector-equivalence",
-        protected=protected,
-        expected_sessions=1,
-        sessions=(
-            SessionDecl(
-                "s",
-                receivers=0,
-                population=(CohortDecl(POPULATION, model=model, cohorts=cohorts),),
-            ),
-        ),
-        duration_s=DURATION_S,
-        config=PAPER_DEFAULTS,
-    )
-
-
-def _attack_spec(protected: bool, model: str, strategy: str) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="vector-adversarial-equivalence",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "atk",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        POPULATION,
-                        model=model,
-                        cohorts=POPULATION if model == "vector" else None,
-                        attack=AttackSpec(strategy, start_s=ATTACK_START_S),
-                    ),
-                ),
-            ),
-            SessionDecl("hon", receivers=1),
-        ),
-        duration_s=ATTACK_DURATION_S,
-        config=PAPER_DEFAULTS,
-    )
-
-
-def _run(spec: ScenarioSpec, duration_s: float, backend: str = "") -> Scenario:
-    """Realise and run a spec, pinning the column backend for the build."""
-    saved = os.environ.get(BACKEND_ENV_VAR)
-    if backend:
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        scenario = Scenario.from_spec(spec)
-    finally:
-        if backend:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV_VAR, None)
-            else:
-                os.environ[BACKEND_ENV_VAR] = saved
-    scenario.run(duration_s)
-    return scenario
-
-
-def _backend_or_skip(name: str) -> str:
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
+from repro.experiments import CohortDecl, Scenario
 
 
 @pytest.fixture(
@@ -132,13 +50,13 @@ def trio(request):
     the hardest shape for the one-pass rules to keep exact.
     """
     protected, backend = request.param
-    _backend_or_skip(backend)
+    backend_or_skip(backend)
     return (
         protected,
         backend,
-        _run(_honest_spec(protected, "vector", POPULATION), DURATION_S, backend),
-        _run(_honest_spec(protected, "cohort"), DURATION_S),
-        _run(_honest_spec(protected, "individual"), DURATION_S),
+        run(honest_spec(protected, "vector", POPULATION), backend),
+        run(honest_spec(protected, "cohort")),
+        run(honest_spec(protected, "individual")),
     )
 
 
@@ -174,18 +92,22 @@ def test_block_keeps_per_member_rows(trio):
     assert len(rows) == POPULATION
     assert all(count == 1 for count, _ in rows)
     assert {level for _, level in rows} == {receiver.level}
+    # The table's level column is the receiver's level, broadcast.
+    (block,) = vector.population_table.blocks()
+    assert block.rows() == rows
 
 
 def test_identical_per_member_goodput(trio):
     """Per-member goodput matches across all three realisations."""
     _, _, vector, cohort, individual = trio
-    member_kbps = vector.sessions[0].models[0].average_rate_kbps(0.0, DURATION_S)
+    member_kbps = vector.sessions[0].receivers[0].average_rate_kbps(0.0, DURATION_S)
     assert member_kbps > 0
     assert (
-        cohort.sessions[0].models[0].average_rate_kbps(0.0, DURATION_S) == member_kbps
+        cohort.sessions[0].receivers[0].average_rate_kbps(0.0, DURATION_S)
+        == member_kbps
     )
-    for model in individual.sessions[0].models:
-        assert model.average_rate_kbps(0.0, DURATION_S) == member_kbps
+    for receiver in individual.sessions[0].receivers:
+        assert receiver.average_rate_kbps(0.0, DURATION_S) == member_kbps
 
 
 def test_identical_sigma_counters(trio):
@@ -237,12 +159,12 @@ def test_block_slices_map_declarations_to_objects(trio):
 def attack_pair(request):
     """(vector, cohort) scenario pairs per protocol × strategy × backend."""
     protected, strategy, backend = request.param
-    _backend_or_skip(backend)
+    backend_or_skip(backend)
     return (
         protected,
         strategy,
-        _run(_attack_spec(protected, "vector", strategy), ATTACK_DURATION_S, backend),
-        _run(_attack_spec(protected, "cohort", strategy), ATTACK_DURATION_S),
+        run(attack_spec(protected, "vector", strategy), backend),
+        run(attack_spec(protected, "cohort", strategy)),
     )
 
 
@@ -304,7 +226,7 @@ def test_vector_blocks_cannot_churn():
         CohortDecl(10, model="vector", churn=ChurnProcess(arrival_rate=1.0))
     with pytest.raises(ValueError, match="single aggregated cohort"):
         CohortDecl(10, cohorts=2, churn=ChurnProcess(arrival_rate=1.0))
-    scenario = Scenario.from_spec(_honest_spec(True, "vector", POPULATION))
+    scenario = Scenario.from_spec(honest_spec(True, "vector", POPULATION))
     with pytest.raises(ValueError, match="cannot churn"):
         scenario.sessions[0].receivers[0].attach_churn(
             ChurnProcess(arrival_rate=1.0)
@@ -314,8 +236,8 @@ def test_vector_blocks_cannot_churn():
 def test_cohorts_split_of_cohort_model_matches_single_cohort():
     """model="cohort" with cohorts=N realises N per-cohort objects, exactly
     equivalent to the single aggregated cohort."""
-    split = _run(_honest_spec(True, "cohort", POPULATION), DURATION_S)
-    single = _run(_honest_spec(True, "cohort"), DURATION_S)
+    split = run(honest_spec(True, "cohort", POPULATION))
+    single = run(honest_spec(True, "cohort"))
     assert len(split.sessions[0].receivers) == POPULATION
     assert split.sessions[0].total_population == POPULATION
     history = single.sessions[0].receivers[0].level_history

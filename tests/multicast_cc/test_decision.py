@@ -1,107 +1,35 @@
-"""Decision-function tests: scalar behaviour, ordering and flavour contracts.
+"""Decision-function tests: the rules' behaviour at large bounds.
 
-The batch == N x scalar and array == batch *equivalence* proofs live in the
-exhaustive small-model harness (``tests/properties/exhaustive.py`` — every
-(count, level, phase, key-state, rng-draw) tuple below the bounds, for every
-rule in :data:`repro.adversary.spec.BATCHED_DECISION_RULES`); the sampled
-Hypothesis batch-vs-scalar checks that used to live here are retired.  What
-remains are the scalar rules' behavioural properties at *large* bounds
-(10k-receiver rows, wide float grids), the ordering/compaction invariants,
-and a real-DELTA integration check of the batched reconstruction.
+The rule-vs-independent-oracle proofs live in the exhaustive small-model
+harness (``tests/properties/exhaustive.py`` — every (level, phase,
+key-state, rng-draw) tuple below the bounds, for every rule in
+:data:`repro.adversary.spec.BATCHED_DECISION_RULES`).  What remains here are
+the rules' behavioural properties at *large* bounds (wide float grids,
+10-group sessions).
 """
-
-import itertools
-from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.delta import LayeredDeltaReceiver
-from repro.core.delta.base import ReceiverSlotObservation
 from repro.multicast_cc.decision import (
     attack_rate,
     attack_target_level,
     churn_phase,
     collusion_volley,
     decide_churn,
-    decide_churn_array,
-    decide_dl,
-    decide_dl_array,
-    decide_dl_batch,
     decide_join_storm,
     guess_volley,
     mask_congestion,
-    merge_rows,
-    reconstruct_ds_batch,
     replay_volley,
 )
-from repro.multicast_cc.population import numpy_available
 
 GROUP_COUNT = 10
 
-rows_strategy = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=10_000), st.integers(min_value=0, max_value=GROUP_COUNT)),
-    min_size=1,
-    max_size=8,
-)
-
-
-@given(rows=rows_strategy)
-def test_merge_rows_preserves_population(rows):
-    """Compaction never loses or invents receivers, and levels stay unique."""
-    merged = merge_rows(rows)
-    assert sum(count for count, _ in merged) == sum(count for count, _ in rows)
-    levels = [level for _, level in merged]
-    assert len(levels) == len(set(levels))
-    for level in set(l for _, l in rows):
-        expected = sum(count for count, l in rows if l == level)
-        assert (expected, level) in merged
-
-
-def test_ds_batch_real_delta_reconstruction_exhaustive_levels():
-    """Batched DELTA reconstruction == per-member scalar, on the real codec.
-
-    A fixed synthetic observation, every subscription level, every row count
-    1..3 — the real :class:`LayeredDeltaReceiver` integration of the generic
-    ``reconstruct_ds_batch`` contract the exhaustive harness proves with a
-    recording callable.
-    """
-    import dataclasses
-
-    observation = ReceiverSlotObservation(
-        subscription_level=0,
-        components={g: [g, g + 1, 0xBEEF] for g in range(1, GROUP_COUNT + 1)},
-        decrease_fields={g: [g ^ 0xFF] for g in range(2, GROUP_COUNT + 1)},
-        lost_groups=frozenset({2, 5}),
-        upgrade_authorized=frozenset({1, 3, 7}),
-    )
-    receiver = LayeredDeltaReceiver(GROUP_COUNT)
-    calls = []
-
-    def reconstruct_for(level):
-        calls.append(level)
-        return receiver.reconstruct(
-            dataclasses.replace(observation, subscription_level=level)
-        )
-
-    for count in (1, 2, 3):
-        rows = [(count, level) for level in range(0, GROUP_COUNT + 1)]
-        calls.clear()
-        outcomes = reconstruct_ds_batch(rows, reconstruct_for)
-        assert [c for c, _ in outcomes] == [c for c, _ in rows]
-        assert calls == [level for _, level in rows]
-        for (_, level), (_, result) in zip(rows, outcomes):
-            scalar = receiver.reconstruct(
-                dataclasses.replace(observation, subscription_level=level)
-            )
-            assert result.next_level == scalar.next_level
-            assert result.keys == scalar.keys
-
 
 # ----------------------------------------------------------------------
-# attack decisions: scalar behaviour at large bounds (equivalence proofs
-# live in tests/properties/exhaustive.py)
+# attack decisions: behaviour at large bounds (oracle proofs live in
+# tests/properties/exhaustive.py)
 # ----------------------------------------------------------------------
 @given(
     intensity=st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
@@ -193,96 +121,6 @@ def test_churn_phase_duty_cycle(elapsed, period, duty):
     assert high == ((elapsed % period) < clamped * period)
     if clamped == 0.0:
         assert not high
-
-
-# ----------------------------------------------------------------------
-# array forms: array == batch == N x scalar, in every column flavour
-# ----------------------------------------------------------------------
-def _flavours(values):
-    """The same integer column in every backend flavour the rules accept."""
-    out = [("list", list(values)), ("array", array("q", values))]
-    if numpy_available():
-        import numpy as np
-
-        out.append(("numpy", np.asarray(list(values), dtype=np.int64)))
-    return out
-
-
-#: Exhaustive small-model bounds (Commuter-style): every (count, level,
-#: congested, upgrade-set) tuple below these bounds is enumerated outright.
-EXHAUSTIVE_COUNTS = (1, 2, 3)
-EXHAUSTIVE_UPGRADE_POOL = (1, 2, 3, GROUP_COUNT, GROUP_COUNT + 1)
-
-
-def _upgrade_subsets():
-    for size in range(len(EXHAUSTIVE_UPGRADE_POOL) + 1):
-        for subset in itertools.combinations(EXHAUSTIVE_UPGRADE_POOL, size):
-            yield frozenset(subset)
-
-
-def test_dl_array_exhaustive_small_model():
-    """Every small (count, level, congested, upgrades) tuple, all flavours.
-
-    Enumerates the full cross product below the exhaustive bounds and checks
-    the three realisations agree pointwise: the array form, the batched form
-    and N independent scalar decisions.  This is the columnar engine's
-    exactness contract at its definitional root.
-    """
-    levels = list(range(0, GROUP_COUNT + 1))
-    for congested, upgrades in itertools.product(
-        (False, True), _upgrade_subsets()
-    ):
-        scalar = [
-            decide_dl(level, congested, upgrades, GROUP_COUNT).next_level
-            for level in levels
-        ]
-        for count in EXHAUSTIVE_COUNTS:
-            rows = [(count, level) for level in levels]
-            batched = decide_dl_batch(rows, congested, upgrades, GROUP_COUNT)
-            assert [d.next_level for _, d in batched] == scalar
-        for flavour, column in _flavours(levels):
-            result = decide_dl_array(column, congested, upgrades, GROUP_COUNT)
-            assert [int(v) for v in result] == scalar, flavour
-            assert type(result) is type(column)
-
-
-def test_churn_array_exhaustive_phase_pairs():
-    """All four (phase, was) transitions, enumerated over small columns."""
-    joined = (1, 2, 5)
-    for entitled in range(0, GROUP_COUNT + 1):
-        for pairs in itertools.product((0, 1), repeat=4):
-            phases = list(pairs)
-            was = list(reversed(pairs))
-            actions = decide_churn_array(
-                phases, was, entitled, GROUP_COUNT, joined
-            )
-            assert actions == [
-                decide_churn(bool(p), bool(w), entitled, GROUP_COUNT, joined)
-                for p, w in zip(phases, was)
-            ]
-
-
-def test_churn_array_rejects_mismatched_columns():
-    with pytest.raises(ValueError, match="disagree"):
-        decide_churn_array([1, 0], [1], 2, GROUP_COUNT)
-
-
-# ----------------------------------------------------------------------
-# ordering guarantees: merge_rows and _batch_rows
-# ----------------------------------------------------------------------
-@given(rows=rows_strategy)
-def test_merge_rows_is_sorted_and_permutation_stable(rows):
-    """Merged rows come out ascending by level, identically for any input order."""
-    merged = merge_rows(rows)
-    levels = [level for _, level in merged]
-    assert levels == sorted(levels)
-    assert merge_rows(list(reversed(rows))) == merged
-
-
-def test_merge_rows_sums_counts_in_input_order():
-    """Equal-level counts coalesce; the result is the sorted per-level sums."""
-    rows = [(3, 2), (1, 0), (4, 2), (2, 7)]
-    assert merge_rows(rows) == [(1, 0), (7, 2), (2, 7)]
 
 
 @given(

@@ -231,3 +231,32 @@ class TestReplicatedProtocol:
         receiver.start()
         net.run(until=20.0)
         assert receiver.group <= 2
+
+
+def test_one_receiver_class_per_protocol():
+    """The receiver lattice stays collapsed: two classes, scalar rules only.
+
+    Placement (N hosts / one host per cohort / one host per edge router),
+    population, attack strategies and churn are constructor arguments of the
+    two protocol receivers — never a reason for another subclass or for a
+    batched/array form of a decision rule.
+    """
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.multicast_cc import LayeredReceiverBase, decision
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+
+    def descendants(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from descendants(sub)
+
+    assert set(descendants(LayeredReceiverBase)) == {FlidDlReceiver, FlidDsReceiver}
+    assert not [
+        name for name in decision.__all__ if name.endswith(("_batch", "_array"))
+    ]

@@ -2,11 +2,12 @@
 
 These tests are the unit-level counterpart of Figures 1 and 7: the attack
 must succeed against IGMP-managed FLID-DL and fail against SIGMA-managed
-FLID-DS.
+FLID-DS.  Attackers are the ordinary receivers with a strategy stack passed
+as ``strategies=`` — the same stacks the scenario interpreter assembles for
+a ``misbehaving=`` declaration.
 """
 
-import pytest
-
+from repro.adversary import AttackSpec, StrategyStack, build_strategies
 from repro.core.sigma import SigmaRouterAgent
 from repro.core.timeslot import SlotClock
 from repro.multicast_cc import (
@@ -14,12 +15,14 @@ from repro.multicast_cc import (
     FlidDlSender,
     FlidDsReceiver,
     FlidDsSender,
-    IgnoreCongestionFlidDlReceiver,
-    InflatedSubscriptionFlidDlReceiver,
-    InflatedSubscriptionFlidDsReceiver,
     SessionSpec,
 )
 from repro.simulator import DumbbellConfig, DumbbellNetwork, install_igmp
+
+
+def mount(net, spec, host, attacks):
+    """The strategy stack realising ``attacks`` on ``host``."""
+    return StrategyStack(build_strategies(attacks, net, spec, host.name))
 
 
 def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
@@ -35,8 +38,15 @@ def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
     attacker_host = net.add_receiver()
     victim_host = net.add_receiver()
     net.build_routes()
-    attacker = InflatedSubscriptionFlidDlReceiver(
-        net, attacker_host, sessions[0][0], attack_start_s=attack_start
+    spec = sessions[0][0]
+    # Figure 1's F1: join every group at the attack time and freeze there.
+    attacker = FlidDlReceiver(
+        net,
+        attacker_host,
+        spec,
+        strategies=mount(
+            net, spec, attacker_host, [AttackSpec("inflated-join", start_s=attack_start)]
+        ),
     )
     victim = FlidDlReceiver(net, victim_host, sessions[1][0])
     for _, tx in sessions:
@@ -62,8 +72,27 @@ def build_ds_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
     attacker_host = net.add_receiver()
     victim_host = net.add_receiver()
     net.build_routes()
-    attacker = InflatedSubscriptionFlidDsReceiver(
-        net, attacker_host, sessions[0][0], attack_start_s=attack_start
+    spec = sessions[0][0]
+    # The composite Figure 7 attacker: bare IGMP joins on top of the honest
+    # pipeline, replay of the keys it holds, and random key guessing.
+    attacker = FlidDsReceiver(
+        net,
+        attacker_host,
+        spec,
+        strategies=mount(
+            net,
+            spec,
+            attacker_host,
+            [
+                AttackSpec(
+                    "inflated-join",
+                    start_s=attack_start,
+                    params={"suppress_honest": False},
+                ),
+                AttackSpec("key-replay", start_s=attack_start),
+                AttackSpec("key-guessing", start_s=attack_start),
+            ],
+        ),
     )
     victim = FlidDsReceiver(net, victim_host, sessions[1][0])
     for _, tx in sessions:
@@ -128,13 +157,13 @@ class TestAttackOnFlidDs:
     def test_guessed_keys_are_rejected(self):
         net, attacker, victim, agent = build_ds_with_attacker(attack_start=3.0)
         net.run(until=15.0)
-        assert attacker.guess_attempts > 0
+        assert attacker.adversary_stats()["guess_attempts"] > 0
         assert agent.invalid_submissions > 0
 
     def test_igmp_joins_are_ignored_by_sigma(self):
         net, attacker, victim, agent = build_ds_with_attacker(attack_start=3.0)
         net.run(until=10.0)
-        assert attacker.igmp_attempts == attacker.spec.group_count
+        assert attacker.adversary_stats()["igmp_attempts"] == attacker.spec.group_count
         assert agent.igmp_joins_ignored >= attacker.spec.group_count
 
     def test_probability_of_guessing_is_negligible(self):
@@ -157,7 +186,15 @@ class TestIgnoreCongestionReceiver:
         tx = FlidDlSender(net, net.add_sender(), spec)
         rx_host = net.add_receiver()
         net.build_routes()
-        rx = IgnoreCongestionFlidDlReceiver(net, rx_host, spec)
+        # The historical *hold* mode: suppress the decision on congested slots.
+        rx = FlidDlReceiver(
+            net,
+            rx_host,
+            spec,
+            strategies=mount(
+                net, spec, rx_host, [AttackSpec("ignore-congestion", params={"mode": "hold"})]
+            ),
+        )
         tx.start()
         rx.start()
         net.run(until=20.0)

@@ -1,4 +1,4 @@
-"""The columnar population table: blocks, backends and the uniform guard.
+"""The columnar population table: blocks and backends.
 
 The :mod:`repro.multicast_cc.population` contract is backend-transparent:
 every behaviour asserted here must hold identically on the numpy column
@@ -99,29 +99,12 @@ def test_block_scalar_and_columnwise_setters(backend):
     assert block.rows() == [(1, 4), (1, 4), (1, 4)]
     block.set_levels([1, 2, 3])  # column write
     assert block.rows() == [(1, 1), (1, 2), (1, 3)]
-    block.set_phases([0, 1, 0])
-    assert list(block.phases()) == [0, 1, 0]
-    block.set_targets(7)
-    assert list(block.targets()) == [7, 7, 7]
 
 
 def test_block_setter_rejects_length_mismatch(backend):
     block = PopulationBlock("e", "s", (1, 1, 1), backend)
     with pytest.raises(ValueError, match="length mismatch"):
         block.set_levels([1, 2])
-
-
-def test_require_uniform_returns_the_common_level(backend):
-    block = PopulationBlock("e", "s", (5, 5), backend)
-    block.set_levels(3)
-    assert block.require_uniform() == 3
-
-
-def test_require_uniform_fails_loudly_on_split_blocks(backend):
-    block = PopulationBlock("edge9", "s", (5, 5), backend)
-    block.set_levels([3, 2])
-    with pytest.raises(RuntimeError, match="edge9"):
-        block.require_uniform()
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""The batching gate: exhaustive small-model equivalence for every rule.
+"""The batching gate: an exhaustive small model for every decision rule.
 
-This is the registry-wide proof obligation that replaced the sampled
-Hypothesis batch-vs-scalar checks (ISSUE 8): every decision rule named in
-:data:`repro.adversary.spec.BATCHED_DECISION_RULES` must be covered by an
-exhaustive model in ``exhaustive.RULE_MODELS``, every registered strategy
-must declare its rules, and every model's full cross-product enumeration
-must pass.  A new strategy (or a new batched form of an existing one) that
-skips the harness fails here before it can ship.
+This is the registry-wide proof obligation: every decision rule named in
+:data:`repro.adversary.spec.BATCHED_DECISION_RULES` — and every public rule
+of :mod:`repro.multicast_cc.decision` — must be covered by an exhaustive
+model in ``exhaustive.RULE_MODELS``, every registered strategy must declare
+its rules, and every model's full cross-product enumeration must pass.  A
+new strategy (or rule) that skips the harness fails here before it can ship.
 """
 
 import pytest
@@ -45,16 +44,16 @@ def test_every_declared_rule_is_gated_by_an_exhaustive_model():
     )
 
 
-def test_batched_forms_are_covered_alongside_their_scalars():
-    """Every *_batch / *_array rule in the module is gated by some model."""
+def test_every_public_rule_has_an_exhaustive_model():
+    """Every public rule in ``decision.__all__`` is gated by some model."""
     covered = covered_rules()
-    batched = [
+    rules = [
         name
         for name in decision.__all__
-        if name.endswith("_batch") or name.endswith("_array")
+        if not isinstance(getattr(decision, name), type)
     ]
-    gaps = [name for name in batched if name not in covered]
-    assert not gaps, f"batched/array rules without an exhaustive model: {gaps}"
+    gaps = [name for name in rules if name not in covered]
+    assert not gaps, f"decision rules without an exhaustive model: {gaps}"
 
 
 @pytest.mark.parametrize("model", RULE_MODELS, ids=lambda model: model.name)

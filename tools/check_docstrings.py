@@ -50,12 +50,13 @@ SCOPED: Tuple[str, ...] = (
     "experiments/scale.py",
     "experiments/warmstart.py",
     "adversary/strategy.py",
-    "adversary/cohort.py",
+    "adversary/receivers.py",
     "multicast_cc/decision.py",
     "multicast_cc/churn.py",
     "multicast_cc/population.py",
-    "multicast_cc/vector.py",
-    "adversary/vector.py",
+    "multicast_cc/receiver_base.py",
+    "multicast_cc/flid_dl.py",
+    "multicast_cc/flid_ds.py",
     "service/protocol.py",
     "service/pool.py",
     "service/jobs.py",
