@@ -151,6 +151,23 @@ def _format_population_rate(results, wall_s: float, cache_hits: int) -> str:
     return line
 
 
+def _report_goodput(entry, results, out) -> Optional[Path]:
+    """The report ``run`` and ``submit`` share: print the per-seed goodput
+    table and, with ``out``, write ``<out>/<scenario>-runs.json`` (returns
+    its path for the caller's own ``wrote ...`` line, else ``None``)."""
+    rows = []
+    for result in results:
+        for session_id, session in result.metrics["multicast"].items():
+            rows.append((result.seed, session_id, session["average_kbps"]))
+    print()
+    print(format_table(["seed", "session", "avg goodput (Kbps)"], rows))
+    if out is None:
+        return None
+    return write_json(
+        Path(out) / f"{entry.name}-runs.json", [r.to_dict() for r in results]
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     resolved = _resolve_spec(args)
     if resolved is None:
@@ -182,12 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{runner.checkpoint_hits + runner.checkpoint_misses} checkpoint(s) "
         f"({runner.checkpoint_hits} reused, {runner.checkpoint_misses} built)"
     )
-    rows = []
-    for result in results:
-        for session_id, session in result.metrics["multicast"].items():
-            rows.append((result.seed, session_id, session["average_kbps"]))
-    print()
-    print(format_table(["seed", "session", "avg goodput (Kbps)"], rows))
+    runs_path = _report_goodput(entry, results, args.out)
     for result in results:
         protection = result.metrics.get("protection")
         if protection:
@@ -197,12 +209,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     aggregate = aggregate_metrics([result.metrics for result in results])
     print(format_aggregate_table(aggregate))
 
-    if args.out is not None:
-        out_dir = Path(args.out)
-        runs_path = write_json(
-            out_dir / f"{entry.name}-runs.json", [r.to_dict() for r in results]
+    if runs_path is not None:
+        agg_path = write_json(
+            Path(args.out) / f"{entry.name}-aggregate.json", aggregate
         )
-        agg_path = write_json(out_dir / f"{entry.name}-aggregate.json", aggregate)
         print(f"\nwrote {runs_path} and {agg_path}")
     return 0
 
@@ -293,12 +303,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         f"daemon answered {len(results)} cell(s): {cached} cached, "
         f"{deduped} deduped, {warm} warm-started"
     )
-    rows = []
-    for result in results:
-        for session_id, session in result.metrics["multicast"].items():
-            rows.append((result.seed, session_id, session["average_kbps"]))
-    print()
-    print(format_table(["seed", "session", "avg goodput (Kbps)"], rows))
+    runs_path = _report_goodput(entry, results, args.out)
     if args.digest:
         for result in results:
             text = json.dumps(
@@ -306,11 +311,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             )
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             print(f"metrics_sha256 seed={result.seed}: {digest}")
-    if args.out is not None:
-        out_dir = Path(args.out)
-        runs_path = write_json(
-            out_dir / f"{entry.name}-runs.json", [r.to_dict() for r in results]
-        )
+    if runs_path is not None:
         print(f"wrote {runs_path}")
     return 0
 

@@ -63,11 +63,10 @@ def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
     # the analysis package, so an eager import would cycle through
     # ``analysis/__init__`` during ``repro.experiments`` initialisation.
     from ..experiments.runner import collect_metrics
-    from ..experiments.scenario import Scenario
+    from ..experiments.warmstart import run_scenario
 
-    scenario = Scenario.from_spec(spec)
+    scenario = run_scenario(spec)
     duration = spec.effective_duration_s
-    scenario.run(duration)
     metrics = collect_metrics(scenario, spec)
 
     sessions: Dict[str, Any] = {}

@@ -10,16 +10,17 @@ The stack is layered:
   ``python -m repro list``).
 * :mod:`repro.experiments.scenario` — the interpreter realising specs on the
   simulator's topology graph layer.
-* :mod:`repro.experiments.runner` — the parallel
-  :class:`ExperimentRunner`: spec × seed × parameter grids over a process
-  pool, with atomic JSON result caching.
+* :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
+  assemble: the one planner (:func:`plan_cells`), the one metric assembler
+  (:func:`collect_metrics`) and the parallel :class:`ExperimentRunner` —
+  spec × seed × parameter grids over a process pool, atomic JSON caching.
 * :mod:`repro.experiments.shard` — region-sharded execution for 10M+
   receivers: the planner splitting a ``shards=N`` spec into standalone
-  region sub-scenarios, the region worker, and the deterministic
-  boundary-event merge.
+  region sub-scenarios, the region worker, and the deterministic merge
+  (the assembler over N region documents plus the boundary-event summary).
 * :mod:`repro.experiments.warmstart` — common-prefix warm-starts for sweep
-  grids: canonical prefix planning, slot-barrier checkpoints, and the
-  content-addressed blob store the runner resumes cells from.
+  grids: canonical prefix planning, slot-barrier checkpoints, the blob
+  store, and the one worker body realising and running a scenario.
 * :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9` — the
   paper's figures, built on the layers above.
 """
@@ -42,9 +43,9 @@ from .runner import (
     RunResult,
     cache_stats,
     collect_metrics,
-    collect_protection_metrics,
     execute_spec,
     plan_cell,
+    plan_cells,
     prune_cache,
     run_spec_json,
 )
@@ -94,13 +95,7 @@ from .scale import (
 )
 from .scenario import MulticastSession, Scenario
 from .shard import ShardPlan, merge_region_results, plan_shards, run_region_json
-from .warmstart import (
-    CheckpointStore,
-    PrefixPlan,
-    checkpoint_payload,
-    plan_prefix,
-    warm_payload,
-)
+from .warmstart import CheckpointStore, PrefixPlan, plan_prefix
 from ..multicast_cc.churn import ChurnProcess
 
 __all__ = [
@@ -135,16 +130,14 @@ __all__ = [
     "RunResult",
     "cache_stats",
     "collect_metrics",
-    "collect_protection_metrics",
     "execute_spec",
     "plan_cell",
+    "plan_cells",
     "prune_cache",
     "run_spec_json",
     "CheckpointStore",
     "PrefixPlan",
-    "checkpoint_payload",
     "plan_prefix",
-    "warm_payload",
     "attack_duel_spec",
     "DEFAULT_ATTACK_START_S",
     "InflatedSubscriptionResult",

@@ -25,8 +25,8 @@ from ..analysis.fairness import jain_index
 from ..simulator.monitors import ThroughputSample
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
-from .scenario import Scenario
 from .spec import ScenarioSpec, SessionDecl, TcpDecl
+from .warmstart import run_scenario
 
 __all__ = [
     "InflatedSubscriptionResult",
@@ -124,10 +124,9 @@ def run_inflated_subscription_experiment(
     duration = spec.effective_duration_s
     attack_start = min(attack_start_s, duration)
 
-    scenario = Scenario.from_spec(spec)
+    scenario = run_scenario(spec)
     f1_session, f2_session = scenario.sessions
     t1, t2 = scenario.tcp_connections
-    scenario.run(duration)
 
     monitors = {
         "F1": f1_session.receiver.monitor,

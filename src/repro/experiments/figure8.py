@@ -30,6 +30,7 @@ from .registry import register_scenario
 from .runner import ExperimentRunner
 from .scenario import Scenario
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .warmstart import run_scenario
 
 __all__ = [
     "ThroughputVsSessionsResult",
@@ -240,9 +241,8 @@ def run_responsiveness(
         duration_s=duration_s,
     )
     config = spec.config
-    scenario = Scenario.from_spec(spec)
+    scenario = run_scenario(spec)
     session = scenario.sessions[0]
-    scenario.run(duration_s)
     monitor = session.receiver.monitor
     result = ResponsivenessResult(
         protected=protected,
@@ -383,9 +383,8 @@ def run_convergence(
         protected, config=config, join_times_s=join_times_s, duration_s=duration_s
     )
     config = spec.config
-    scenario = Scenario.from_spec(spec)
+    scenario = run_scenario(spec)
     session = scenario.sessions[0]
-    scenario.run(duration_s)
     histories = [receiver.level_history for receiver in session.receivers]
     result = ConvergenceResult(
         protected=protected,

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.overhead import OverheadModel, OverheadPoint
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
-from .scenario import Scenario
 from .spec import ScenarioSpec, SessionDecl
+from .warmstart import run_scenario
 
 __all__ = [
     "OverheadSweepResult",
@@ -173,9 +173,8 @@ def run_measured_overhead(
     spec = measured_overhead_spec(
         config=config, duration_s=duration_s, bottleneck_bps=2.0 * model.cumulative_rate_bps
     )
-    scenario = Scenario.from_spec(spec)
+    scenario = run_scenario(spec)
     session = scenario.sessions[0]
-    scenario.run(duration_s)
     overhead = session.overhead
     assert overhead is not None
     delta_pct, sigma_pct = overhead.as_percentages()

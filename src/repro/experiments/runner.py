@@ -18,10 +18,21 @@ experiment.  Cache entries are written atomically (tmp sibling +
 ``os.replace``) and unparsable entries read as misses, so runners can share
 one cache directory and an interrupted run can never poison later ones.
 
-Specs with ``shards=N`` expand into one job per topology region (planned and
-merged by :mod:`repro.experiments.shard`); region jobs ride the same process
-pool as ordinary specs and the merged result is byte-deterministic across
-the serial and pooled paths, like everything else.
+Every cell — batch, sharded, warm-started or served by the daemon — goes
+through one pipeline, **plan → run → assemble**:
+
+* :func:`plan_cells` turns a batch of specs into :class:`CellPlan` objects
+  (``(kind, payload)`` jobs plus how to merge their outputs) and owns the
+  warm-start policy; :func:`plan_cell` is the batch of one.  A ``shards=N``
+  spec expands into one job per topology region
+  (:mod:`repro.experiments.shard`) on the same process pool.
+* :func:`run_job` executes one job in a worker; whatever the kind, the
+  scenario is realised and run by
+  :func:`~repro.experiments.warmstart.run_scenario`.
+* :func:`collect_ingredients` measures a finished run and :func:`assemble`
+  turns one such document (:func:`collect_metrics`) or one per region
+  (:func:`~repro.experiments.shard.merge_region_results`) into the metric
+  document, byte-deterministic across the serial and pooled paths.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,7 +55,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -57,7 +67,16 @@ from ..analysis.protection import (
     weighted_honest_baseline_kbps,
 )
 from .scenario import Scenario
-from .spec import ScenarioSpec, SessionDecl
+from .spec import ScenarioSpec, canonical_json
+from .warmstart import (
+    CheckpointStore,
+    PrefixPlan,
+    plan_prefix,
+    require_store_key,
+    run_checkpoint_json,
+    run_scenario,
+    run_warm_json,
+)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -67,13 +86,15 @@ __all__ = [
     "JobExecutor",
     "ResultCache",
     "RunResult",
-    "blob_descriptors",
+    "assemble",
+    "attack_onsets",
     "cache_stats",
+    "collect_ingredients",
     "collect_metrics",
-    "collect_protection_metrics",
     "describe_job",
     "execute_spec",
     "plan_cell",
+    "plan_cells",
     "prune_cache",
     "run_spec_json",
     "run_job",
@@ -106,6 +127,17 @@ class RunResult:
     duration_s: float
     metrics: Dict[str, Any]
 
+    @classmethod
+    def for_spec(cls, spec: ScenarioSpec, metrics: Dict[str, Any]) -> "RunResult":
+        """The result of running ``spec`` to its end, given its metrics."""
+        return cls(
+            scenario=spec.name,
+            seed=spec.seed,
+            protected=spec.protected,
+            duration_s=spec.effective_duration_s,
+            metrics=metrics,
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form of the result (inverse of :meth:`from_dict`)."""
         return {
@@ -118,7 +150,7 @@ class RunResult:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, no whitespace) — stable byte-for-byte."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunResult":
@@ -138,41 +170,127 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# metric extraction
+# metric assembly: extract ingredients per run, assemble once per cell
 # ----------------------------------------------------------------------
-def collect_metrics(scenario: Scenario, spec: ScenarioSpec) -> Dict[str, Any]:
-    """Measure a finished scenario into plain JSON data.
+def attack_onsets(spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+    """The protection windows of ``spec``, or ``None`` without attackers.
 
-    Per multicast session: the per-receiver average goodput over
-    ``[warmup, duration]``, its mean, and the final subscription levels.
-    Per TCP connection: the average goodput.  SIGMA counters are aggregated
-    over all edge agents.  With ``spec.record_series`` the per-session
-    first-receiver throughput series is included as ``[time_s, kbps]`` pairs.
+    ``{"global": earliest onset, "sessions": {session id: onset}}``.
+    Sessions whose attack never starts within the run contribute nothing: a
+    clamped zero-width window would fabricate "contained in 0.0 s" results.
+    Always computed from the *whole* spec — a region sub-spec may omit
+    sessions, which would shift the global onset.
+    """
+    duration = spec.effective_duration_s
+    session_onsets = {
+        decl.session_id: onset
+        for decl in spec.sessions
+        for onset in [decl.attack_onset_s()]
+        if onset is not None and onset < duration
+    }
+    if not session_onsets:
+        return None
+    return {"global": min(session_onsets.values()), "sessions": session_onsets}
+
+
+def _attacker_record(
+    receiver: Any,
+    onset: float,
+    bound_level: int,
+    bound_kbps: float,
+    duration: float,
+    from_population: bool,
+) -> Dict[str, Any]:
+    """What one attacking receiver contributes to the protection block.
+
+    Everything except the excess fields, which need the honest baseline
+    only :func:`assemble` can compute.  Attackers from a population block
+    (and only they) carry their ``population``.
+    """
+    rate_series = [
+        (sample.time_s, sample.rate_kbps)
+        for sample in receiver.monitor.series(end_time_s=duration)
+    ]
+    record: Dict[str, Any] = {
+        "goodput_kbps": receiver.average_rate_kbps(onset, duration),
+        "containment_s": combined_containment_s(
+            time_to_containment_s(receiver.level_history, onset, bound_level, duration),
+            goodput_containment_s(rate_series, onset, bound_kbps, duration),
+        ),
+        "bound_level": bound_level,
+        "counters": receiver.adversary_stats(),
+    }
+    if from_population:
+        record["population"] = receiver.population
+    return record
+
+
+def collect_ingredients(
+    scenario: Scenario, spec: ScenarioSpec, onsets: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Measure a finished run into the plain-JSON ingredients of its metrics.
+
+    Everything that needs the live scenario is read here; what needs more
+    than one run (a region sees only its own receivers) is left to
+    :func:`assemble`.  Per session, group 0 holds the individual receivers
+    and group ``i + 1`` the objects population block ``i`` realised as;
+    each group is a set of per-receiver columns: goodput over ``[warmup,
+    duration]``, final level, population and, given ``onsets``, a
+    ``protection`` column — an honest receiver's goodput over the global
+    attack window (a term of the honest baseline), an attacker's
+    :func:`_attacker_record`, or ``None`` for an attacker whose session's
+    attack never starts within the run.  Whole-session extras
+    (``overhead_percent``, ``series``), ``tcp_kbps`` and the summed SIGMA
+    counters ride along.
     """
     config = spec.config
     duration = spec.effective_duration_s
     warmup = config.warmup_s
-    metrics: Dict[str, Any] = {"multicast": {}}
+    sessions: List[Dict[str, Any]] = []
     for decl, session in zip(spec.sessions, scenario.sessions):
-        receiver_kbps = [
-            receiver.average_rate_kbps(warmup, duration) for receiver in session.receivers
-        ]
-        entry: Dict[str, Any] = {
-            "receiver_kbps": receiver_kbps,
-            "average_kbps": sum(receiver_kbps) / len(receiver_kbps),
-            "final_levels": [receiver.level for receiver in session.receivers],
-        }
-        if decl.population:
-            # Population-weighted view, present only for sessions that
-            # declare cohorts (keeps legacy metric documents byte-identical).
-            populations = [receiver.population for receiver in session.receivers]
-            total = sum(populations)
-            entry["receiver_population"] = populations
-            entry["population"] = total
-            entry["weighted_average_kbps"] = (
-                sum(rate * count for rate, count in zip(receiver_kbps, populations))
-                / total
-            )
+        onset = onsets["sessions"].get(decl.session_id) if onsets else None
+        bound_level = session.spec.fair_level(config.fair_share_bps)
+        #: Delivered-rate bound: the honest entitlement's cumulative rate,
+        #: with slack for 1-second bin jitter around slot boundaries.
+        bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
+
+        # Group boundaries come from the session's recorded ``block_slices``:
+        # how many objects a block realised as depends on its placement.
+        slices = session.block_slices
+        individuals = slices[0][0] if slices else len(session.receivers)
+        attackers = set(decl.attacker_indices())
+        groups: List[Dict[str, Any]] = []
+        for g_index, (start, stop) in enumerate([(0, individuals), *slices]):
+            rows = session.receivers[start:stop]
+            group: Dict[str, Any] = {
+                "receiver_kbps": [
+                    receiver.average_rate_kbps(warmup, duration) for receiver in rows
+                ],
+                "final_levels": [receiver.level for receiver in rows],
+                "population": [receiver.population for receiver in rows],
+            }
+            if onsets is not None:
+                block_attacks = (
+                    g_index > 0 and decl.population[g_index - 1].attack is not None
+                )
+                column: List[Any] = []
+                for index, receiver in enumerate(rows, start):
+                    if not (block_attacks or index in attackers):
+                        column.append(
+                            receiver.average_rate_kbps(onsets["global"], duration)
+                        )
+                    elif onset is None:
+                        column.append(None)
+                    else:
+                        column.append(
+                            _attacker_record(
+                                receiver, onset, bound_level, bound_kbps, duration,
+                                from_population=g_index > 0,
+                            )
+                        )
+                group["protection"] = column
+            groups.append(group)
+        entry: Dict[str, Any] = {"session_id": decl.session_id, "groups": groups}
         if session.overhead is not None:
             delta_pct, sigma_pct = session.overhead.as_percentages()
             entry["overhead_percent"] = {"delta": delta_pct, "sigma": sigma_pct}
@@ -183,144 +301,161 @@ def collect_metrics(scenario: Scenario, spec: ScenarioSpec) -> Dict[str, Any]:
                     window_bins=5, end_time_s=duration
                 )
             ]
-        metrics["multicast"][decl.session_id] = entry
+        sessions.append(entry)
+    document: Dict[str, Any] = {"sessions": sessions}
     if spec.tcp:
-        metrics["tcp_kbps"] = {
+        document["tcp_kbps"] = {
             decl.name: connection.monitor.average_rate_kbps(warmup, duration)
             for decl, connection in zip(spec.tcp, scenario.tcp_connections)
         }
-    if scenario.sigma_agents:
-        metrics["sigma"] = {
-            "valid_submissions": sum(a.valid_submissions for a in scenario.sigma_agents),
-            "invalid_submissions": sum(a.invalid_submissions for a in scenario.sigma_agents),
-            "revocations": sum(a.revocations for a in scenario.sigma_agents),
-            "igmp_joins_ignored": sum(a.igmp_joins_ignored for a in scenario.sigma_agents),
-            "guess_alarms": sum(a.guess_alarms for a in scenario.sigma_agents),
-            "edge_agents": len(scenario.sigma_agents),
+    agents = scenario.sigma_agents
+    if agents:
+        document["sigma"] = {
+            "valid_submissions": sum(a.valid_submissions for a in agents),
+            "invalid_submissions": sum(a.invalid_submissions for a in agents),
+            "revocations": sum(a.revocations for a in agents),
+            "igmp_joins_ignored": sum(a.igmp_joins_ignored for a in agents),
+            "guess_alarms": sum(a.guess_alarms for a in agents),
+            "edge_agents": len(agents),
         }
-    protection = collect_protection_metrics(scenario, spec)
-    if protection is not None:
-        metrics["protection"] = protection
+    return document
+
+
+def assemble(
+    spec: ScenarioSpec,
+    onsets: Optional[Dict[str, Any]],
+    documents: Sequence[Mapping[str, Any]],
+    layouts: Sequence[Sequence[Tuple[int, Sequence[int]]]],
+) -> Dict[str, Any]:
+    """Turn :func:`collect_ingredients` documents into the metric document.
+
+    ``documents`` are the runs that together realise ``spec`` — one for an
+    ordinary run, one per region for a sharded one.  ``layouts[i]`` maps
+    document ``i`` onto the spec: per session document, the spec's session
+    index and the spec's block index of each of its blocks.  Per-receiver
+    lists are reassembled in the receiver index order of the single-process
+    run (group-major, document-major within a group) and every float
+    reduction is computed in that order, so where regional physics is
+    decoupled N documents assemble to the floats of one, term for term.
+
+    Per multicast session: per-receiver goodput, its mean, final levels
+    and, for sessions declaring cohorts, the population-weighted view.  The
+    ``protection`` block (attack scenarios only) adds to each attacker
+    record its excess over the honest baseline — the mean goodput of every
+    non-attacking receiver over the earliest attack window, individuals
+    weighing 1 and a cohort its member count — and, for attackers from
+    population blocks, the weighted excess.  SIGMA counters are summed.
+    """
+    # session index -> (its session documents, group index -> group documents)
+    collected: Dict[int, Tuple[List[Any], Dict[int, List[Any]]]] = {}
+    for document, layout in zip(documents, layouts):
+        for (s_index, block_indices), session in zip(layout, document["sessions"]):
+            session_docs, groups = collected.setdefault(s_index, ([], {}))
+            session_docs.append(session)
+            group_indices = (0, *(b_index + 1 for b_index in block_indices))
+            for g_index, group in zip(group_indices, session["groups"]):
+                groups.setdefault(g_index, []).append(group)
+
+    metrics: Dict[str, Any] = {"multicast": {}}
+    honest: List[Tuple[float, int]] = []
+    # session id -> receiver index -> attacker record
+    attackers: Dict[str, Dict[int, Any]] = {}
+    for s_index, decl in enumerate(spec.sessions):
+        session_docs, groups = collected.get(s_index, ([], {}))
+        receiver_kbps: List[float] = []
+        final_levels: List[int] = []
+        populations: List[int] = []
+        protection: List[Any] = []
+        for g_index in range(len(decl.population) + 1):
+            for group in groups.get(g_index, ()):
+                receiver_kbps.extend(group["receiver_kbps"])
+                final_levels.extend(group["final_levels"])
+                populations.extend(group["population"])
+                protection.extend(group.get("protection", ()))
+        entry: Dict[str, Any] = {
+            "receiver_kbps": receiver_kbps,
+            "average_kbps": sum(receiver_kbps) / len(receiver_kbps),
+            "final_levels": final_levels,
+        }
+        if decl.population:
+            # Population-weighted view, present only for sessions that
+            # declare cohorts (keeps legacy metric documents byte-identical).
+            total = sum(populations)
+            entry["receiver_population"] = populations
+            entry["population"] = total
+            entry["weighted_average_kbps"] = (
+                sum(rate * count for rate, count in zip(receiver_kbps, populations))
+                / total
+            )
+        for session in session_docs:
+            for extra in ("overhead_percent", "series"):
+                if extra in session:
+                    entry[extra] = session[extra]
+        metrics["multicast"][decl.session_id] = entry
+        for index, (item, population) in enumerate(zip(protection, populations)):
+            if isinstance(item, dict):
+                attackers.setdefault(decl.session_id, {})[index] = item
+            elif item is not None:
+                honest.append((item, population))
+
+    for document in documents:
+        if "tcp_kbps" in document:
+            metrics["tcp_kbps"] = document["tcp_kbps"]
+    sigma = [document["sigma"] for document in documents if "sigma" in document]
+    if sigma:
+        metrics["sigma"] = {key: sum(doc[key] for doc in sigma) for key in sigma[0]}
+
+    if onsets is not None:
+        baseline = weighted_honest_baseline_kbps(
+            honest, spec.config.fair_share_bps / 1e3
+        )
+        sessions: Dict[str, Any] = {}
+        for session_id, records in attackers.items():
+            entries: Dict[str, Any] = {}
+            for index, record in records.items():
+                goodput = record["goodput_kbps"]
+                entries[str(index)] = {
+                    **record,
+                    "excess_kbps": excess_goodput_kbps(goodput, baseline),
+                }
+                if "population" in record:
+                    # Cohort attackers report the population-weighted view;
+                    # individual attackers keep their historical shape.
+                    entries[str(index)]["weighted_excess_kbps"] = (
+                        weighted_excess_goodput_kbps(
+                            goodput, baseline, record["population"]
+                        )
+                    )
+            sessions[session_id] = {
+                "onset_s": onsets["sessions"][session_id],
+                "attackers": entries,
+            }
+        metrics["protection"] = {"honest_baseline_kbps": baseline, "sessions": sessions}
     return metrics
 
 
-def _attacker_object_indices(decl: SessionDecl, session: Any) -> Dict[int, bool]:
-    """Map attacking receiver-object indices to "came from a population block".
+def collect_metrics(scenario: Scenario, spec: ScenarioSpec) -> Dict[str, Any]:
+    """Measure a finished scenario into plain JSON data.
 
-    Object indices align with the realised ``session.receivers``: the
-    ``decl.receivers`` individuals first, then each population block.  How
-    many objects a block realised as depends on its model (``count``
-    individuals, ``cohorts`` per-cohort objects, one vector receiver per
-    edge router), so the mapping reads the session's recorded
-    ``block_slices`` instead of re-deriving the arithmetic.
+    An ordinary run is the one-document case of :func:`assemble` (which
+    documents the metric schema): its own ingredients, mapped onto the spec
+    one to one, with no JSON hop in between.
     """
-    attackers: Dict[int, bool] = {index: False for index in decl.attacker_indices()}
-    for block_index in decl.adversarial_blocks():
-        start, stop = session.block_slices[block_index]
-        for object_index in range(start, stop):
-            attackers[object_index] = True
-    return attackers
+    onsets = attack_onsets(spec)
+    layout = [
+        (s_index, range(len(decl.population)))
+        for s_index, decl in enumerate(spec.sessions)
+    ]
+    document = collect_ingredients(scenario, spec, onsets)
+    return assemble(spec, onsets, [document], [layout])
 
 
-def collect_protection_metrics(
-    scenario: Scenario, spec: ScenarioSpec
-) -> Optional[Dict[str, Any]]:
-    """Protection summary of a finished attack scenario (None without attackers).
-
-    Per attacker: goodput over its attack window, excess over the honest
-    baseline (mean goodput of every non-attacking multicast receiver over the
-    earliest attack window), time to containment derived from the level
-    history against the session's fair entitlement, and the adversary's
-    attack counters.  Attackers are the individually-targeted receivers plus
-    every adversarial population block; cohort attackers additionally report
-    their ``population`` and the population-weighted excess.
-    """
-    config = spec.config
-    duration = spec.effective_duration_s
-    # Sessions whose attack never starts within the run contribute nothing: a
-    # clamped zero-width window would fabricate "contained in 0.0 s" results.
-    session_onsets = {
-        decl.session_id: onset
-        for decl in spec.sessions
-        for onset in [decl.attack_onset_s()]
-        if onset is not None and onset < duration
-    }
-    if not session_onsets:
-        return None
-    global_onset = min(session_onsets.values())
-
-    # Honest receivers weighted by the population each stands for:
-    # individuals weigh 1, a cohort weighs its member count.  A population
-    # block is honest unless it carries its own attack declaration.
-    honest_rates = []
-    for decl, session in zip(spec.sessions, scenario.sessions):
-        attacked = _attacker_object_indices(decl, session)
-        for index, receiver in enumerate(session.receivers):
-            if index not in attacked:
-                honest_rates.append(
-                    (receiver.average_rate_kbps(global_onset, duration), receiver.population)
-                )
-    baseline = weighted_honest_baseline_kbps(honest_rates, config.fair_share_bps / 1e3)
-
-    sessions: Dict[str, Any] = {}
-    for decl, session in zip(spec.sessions, scenario.sessions):
-        attackers = _attacker_object_indices(decl, session)
-        onset = session_onsets.get(decl.session_id)
-        if not attackers or onset is None:
-            continue
-        bound_level = session.spec.fair_level(config.fair_share_bps)
-        entries: Dict[str, Any] = {}
-        #: Delivered-rate bound: the honest entitlement's cumulative rate,
-        #: with slack for 1-second bin jitter around slot boundaries.
-        bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
-        for index in sorted(attackers):
-            from_population = attackers[index]
-            receiver = session.receivers[index]
-            attacker_kbps = receiver.average_rate_kbps(onset, duration)
-            level_containment = time_to_containment_s(
-                receiver.level_history, onset, bound_level, duration
-            )
-            rate_series = [
-                (sample.time_s, sample.rate_kbps)
-                for sample in receiver.monitor.series(end_time_s=duration)
-            ]
-            goodput_containment = goodput_containment_s(
-                rate_series, onset, bound_kbps, duration
-            )
-            entry: Dict[str, Any] = {
-                "goodput_kbps": attacker_kbps,
-                "excess_kbps": excess_goodput_kbps(attacker_kbps, baseline),
-                "containment_s": combined_containment_s(
-                    level_containment, goodput_containment
-                ),
-                "bound_level": bound_level,
-            }
-            if from_population:
-                # Cohort attackers (and their individual reference
-                # realisation) report the population-weighted view; legacy
-                # individual attackers keep their historical shape.
-                entry["population"] = receiver.population
-                entry["weighted_excess_kbps"] = weighted_excess_goodput_kbps(
-                    attacker_kbps, baseline, receiver.population
-                )
-            entry["counters"] = receiver.adversary_stats()
-            entries[str(index)] = entry
-        sessions[decl.session_id] = {"onset_s": onset, "attackers": entries}
-    return {"honest_baseline_kbps": baseline, "sessions": sessions}
-
-
+# ----------------------------------------------------------------------
+# worker entry points
+# ----------------------------------------------------------------------
 def execute_spec(spec: ScenarioSpec) -> RunResult:
     """Interpret and run one spec in-process, returning its result."""
-    scenario = Scenario.from_spec(spec)
-    duration = spec.effective_duration_s
-    scenario.run(duration)
-    return RunResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        protected=spec.protected,
-        duration_s=duration,
-        metrics=collect_metrics(scenario, spec),
-    )
+    return RunResult.for_spec(spec, collect_metrics(run_scenario(spec), spec))
 
 
 def run_spec_json(spec_json: str) -> str:
@@ -342,8 +477,8 @@ def run_job(job: Tuple[str, str]) -> str:
     ``"checkpoint"`` (build one prefix checkpoint) or ``"warm"`` (restore a
     prefix checkpoint and run a cell to the end), the latter two through
     :mod:`repro.experiments.warmstart`.  Module-level and built from plain
-    strings so it pickles into pool workers; the shard and warm-start
-    modules are imported lazily to keep the import graph acyclic.
+    strings so it pickles into pool workers; the shard module imports this
+    one, so it is imported lazily.
     """
     kind, payload = job
     if kind == "region":
@@ -351,12 +486,8 @@ def run_job(job: Tuple[str, str]) -> str:
 
         return run_region_json(payload)
     if kind == "checkpoint":
-        from .warmstart import run_checkpoint_json
-
         return run_checkpoint_json(payload)
     if kind == "warm":
-        from .warmstart import run_warm_json
-
         return run_warm_json(payload)
     return run_spec_json(payload)
 
@@ -381,11 +512,15 @@ def describe_job(job: Tuple[str, str]) -> str:
         document = json.loads(payload)
     except (TypeError, ValueError):
         return f"{kind} job"
-    spec = document
-    if kind in ("warm", "region"):
-        spec = document.get("spec", {})
-    elif kind == "checkpoint":
-        spec = document.get("prefix", {})
+    if kind == "checkpoint":
+        # The prefix spec carries a placeholder name; the barrier is what
+        # tells one prefix checkpoint from another.
+        seed = document.get("prefix", {}).get("config", {}).get("seed", "?")
+        return (
+            f"checkpoint job for the prefix checkpoint at the "
+            f"{document.get('barrier_s', '?')}s barrier (seed {seed})"
+        )
+    spec = document.get("spec", {}) if kind in ("warm", "region") else document
     name = spec.get("name", "?")
     seed = spec.get("config", {}).get("seed", "?")
     return f"{kind} job for scenario {name!r} (seed {seed})"
@@ -400,6 +535,20 @@ def _crash_message(job: Tuple[str, str], attempts: int, retries: int) -> str:
         "usually an OOM kill or a native-extension fault; rerun with jobs=1 "
         "to execute the job in-process and see the real failure."
     )
+
+
+def _submit(pool: ProcessPoolExecutor, worker: Callable, job: Tuple[str, str]) -> Future:
+    """``pool.submit``, reporting an already-broken pool through the future.
+
+    ``submit`` itself raises once an earlier job of the round has killed its
+    worker; a job that never started counts as a crashed attempt like any other.
+    """
+    try:
+        return pool.submit(worker, job)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 class JobExecutor:
@@ -436,10 +585,6 @@ class JobExecutor:
         #: surfaces this as worker health).
         self.restarts = 0
 
-    def _resolve_worker(self) -> Callable[[Tuple[str, str]], str]:
-        """The worker function — the module-level default unless injected."""
-        return self._worker if self._worker is not None else run_job
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -460,7 +605,8 @@ class JobExecutor:
         Pooled runs retry each job whose worker crashed on a fresh pool.
         """
         jobs = list(jobs)
-        worker = self._resolve_worker()
+        # Looked up per call, so tests can substitute ``run_job`` itself.
+        worker = self._worker if self._worker is not None else run_job
         if self.jobs == 1 or len(jobs) <= 1:
             return [worker(job) for job in jobs]
         outputs: List[Optional[str]] = [None] * len(jobs)
@@ -468,7 +614,7 @@ class JobExecutor:
         pending = list(range(len(jobs)))
         while pending:
             pool = self._ensure_pool()
-            futures = [(index, pool.submit(worker, jobs[index])) for index in pending]
+            futures = [(index, _submit(pool, worker, jobs[index])) for index in pending]
             failed: List[int] = []
             for index, future in futures:
                 try:
@@ -484,7 +630,9 @@ class JobExecutor:
             if failed:
                 self._discard_pool()
             pending = failed
-        return [output for output in outputs if output is not None]
+        # Every slot is filled here (each job returned, or this call raised);
+        # callers slice the list by job counts, so it is returned whole.
+        return outputs
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -530,11 +678,13 @@ class ResultCache:
             (_cache_version_tag() + spec.to_json()).encode("utf-8")
         ).hexdigest()
 
-    def path(self, spec: ScenarioSpec) -> Optional[Path]:
-        """The entry path for ``spec``, or ``None`` without a directory."""
+    def _read(self, key: str) -> Optional[RunResult]:
         if self.directory is None:
             return None
-        return self.directory / f"{self.key(spec)}.json"
+        try:
+            return RunResult.from_json((self.directory / f"{key}.json").read_text())
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     def load(self, spec: ScenarioSpec) -> Optional[RunResult]:
         """The cached result for ``spec``, or ``None`` on a miss.
@@ -545,27 +695,20 @@ class ResultCache:
         re-run and atomically overwritten), never as an error: a shared
         cache directory must not be able to poison later runs.
         """
-        path = self.path(spec)
-        if path is None or not path.exists():
-            return None
-        try:
-            return RunResult.from_json(path.read_text())
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        return self._read(self.key(spec))
 
     def load_key(self, key: str) -> Optional[Dict[str, Any]]:
         """The raw result document stored under ``key``, or ``None``.
 
         The service's ``cache-get`` op answers from here without touching
         the worker pool; the same torn-entry-is-a-miss contract applies.
+        ``key`` comes off the wire, so anything but a content address
+        raises :class:`ValueError`
+        (:func:`~repro.experiments.warmstart.require_store_key`) instead of
+        naming a path outside the store.
         """
-        if self.directory is None:
-            return None
-        try:
-            payload = (self.directory / f"{key}.json").read_text()
-            return RunResult.from_json(payload).to_dict()
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        result = self._read(require_store_key(key))
+        return None if result is None else result.to_dict()
 
     def store(self, spec: ScenarioSpec, output: str) -> None:
         """Atomically publish ``output`` as the cache entry for ``spec``.
@@ -576,9 +719,9 @@ class ResultCache:
         the final name — readers see the old state or the whole new
         document, nothing in between.
         """
-        path = self.path(spec)
-        if path is None:
+        if self.directory is None:
             return
+        path = self.directory / f"{self.key(spec)}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -592,59 +735,162 @@ class ResultCache:
             raise
 
 
-def blob_descriptors(spec: ScenarioSpec, plan: Any) -> List[Tuple]:
-    """``(key, prefix spec dict, barrier_s, membership_log)`` per blob.
-
-    An unsharded cell has one blob; a sharded cell has one per region
-    (the prefix spec shards into regions that align one-to-one with the
-    real spec's — canonicalization never touches populations or the
-    topology).
-    """
-    if spec.shards is None:
-        return [(plan.checkpoint_key(), plan.spec.to_dict(), plan.barrier_s, False)]
-    from .shard import plan_shards
-    from .warmstart import PrefixPlan
-
-    return [
-        (
-            PrefixPlan(plan.barrier_s, region.spec).checkpoint_key(),
-            region.spec.to_dict(),
-            plan.barrier_s,
-            True,
-        )
-        for region in plan_shards(plan.spec).regions
-    ]
-
-
+# ----------------------------------------------------------------------
+# the planner
+# ----------------------------------------------------------------------
 @dataclass
 class CellPlan:
     """The executable shape of one grid cell: jobs in, one result out.
 
     ``setup_jobs`` build missing prefix-checkpoint blobs and must finish
     before ``jobs`` start; ``jobs`` are the cell's main work (one spec/warm
-    job, or one region job per shard).  :meth:`merge` folds the main jobs'
-    outputs into the cell's :class:`RunResult` — for a sharded cell that is
-    the deterministic region merge, otherwise the single output parsed.
-    Shared by the batch runner's durable-cache path and the service daemon,
-    so both produce byte-identical results by construction.
+    job, or one region job per shard); ``verify_jobs`` (sharded cells under
+    runtime verification only) re-run the regions cold alongside them.
+    :meth:`merge` folds the outputs into the cell's :class:`RunResult`.
+    Every executor — the batch runner, the service daemon, the benchmark's
+    traced walk — runs the same four steps over these fields (setup jobs,
+    jobs, :meth:`merge`, cache store), so all produce byte-identical
+    results by construction.
     """
 
     spec: ScenarioSpec
     setup_jobs: List[Tuple[str, str]] = field(default_factory=list)
     jobs: List[Tuple[str, str]] = field(default_factory=list)
+    verify_jobs: List[Tuple[str, str]] = field(default_factory=list)
     shard_plan: Optional[Any] = None
     warm: bool = False
+    #: Blobs this cell found published / has ``setup_jobs`` building.  A
+    #: blob shared by several cells of one batch is booked on the first.
     checkpoint_hits: int = 0
     checkpoint_misses: int = 0
 
-    def merge(self, outputs: Sequence[str]) -> RunResult:
-        """Fold the main jobs' outputs into this cell's result."""
+    def merge(
+        self, outputs: Sequence[str], verify_outputs: Sequence[str] = ()
+    ) -> RunResult:
+        """Fold the main jobs' outputs into this cell's result.
+
+        A sharded cell is the deterministic region merge, any other the
+        single output parsed.  ``verify_outputs`` (the ``verify_jobs``'
+        outputs) must merge to the same bytes, else :class:`RuntimeError`.
+        """
         if self.shard_plan is None:
             return RunResult.from_json(outputs[0])
         from .shard import merge_region_results
 
-        documents = [json.loads(output) for output in outputs]
-        return merge_region_results(self.shard_plan, documents)
+        result = merge_region_results(
+            self.shard_plan, [json.loads(output) for output in outputs]
+        )
+        if verify_outputs and self.merge(verify_outputs).to_json() != result.to_json():
+            raise RuntimeError(
+                f"warm-start divergence on {self.spec.name!r} "
+                f"(seed {self.spec.seed}): the warm sharded "
+                "result does not byte-match the cold run"
+            )
+        return result
+
+
+def _prefix_blobs(
+    spec: ScenarioSpec, prefix: PrefixPlan, directory: Path
+) -> List[Dict[str, Any]]:
+    """The checkpoint blobs ``spec`` resumes from (:meth:`PrefixPlan.block`).
+
+    An unsharded cell has one blob; a sharded cell has one per region (the
+    prefix spec shards into regions that align one-to-one with the real
+    spec's — canonicalization never touches populations or the topology).
+    """
+    if spec.shards is None:
+        return [prefix.block(directory)]
+    from .shard import plan_shards
+
+    return [
+        PrefixPlan(prefix.barrier_s, region.spec).block(directory)
+        for region in plan_shards(prefix.spec).regions
+    ]
+
+
+def plan_cells(
+    specs: Sequence[ScenarioSpec],
+    checkpoint_dir: Optional[Path] = None,
+    warm_start: bool = True,
+    durable: bool = True,
+    verify: bool = False,
+) -> List[CellPlan]:
+    """Plan the jobs realising a batch of cells — the one planner.
+
+    Owns the whole warm-start policy.  Cells whose canonical prefix specs
+    are byte-equal (:meth:`PrefixPlan.checkpoint_key`) form a group, and a
+    group resumes from the ``ck_*.pkl`` blobs under ``checkpoint_dir`` when
+    at least two cells share the prefix, when its blobs are already
+    published, or when the directory is ``durable`` (the caller's lasting
+    store): the prefix must be simulated anyway, so publishing the blob
+    costs one pickle and seeds every later batch, from any client, that
+    sweeps the same prefix.  A lone cell over a scratch directory stays
+    cold — a blob nothing will ever share is pure overhead — as does every
+    cell with no directory, no ``warm_start`` or no shareable prefix.  Each
+    missing blob is built by one ``checkpoint`` setup job, booked on the
+    first cell that needs it; ``verify`` makes the first cell of each warm
+    group re-run cold and compare bytes.  Sharded specs expand into one
+    region job per shard either way.
+    """
+    plans = [CellPlan(spec=spec) for spec in specs]
+    # checkpoint key -> (prefix plan, indices of the cells sharing it)
+    groups: Dict[str, Tuple[PrefixPlan, List[int]]] = {}
+    if warm_start and checkpoint_dir is not None:
+        for index, spec in enumerate(specs):
+            prefix = plan_prefix(spec)
+            if prefix is not None:
+                key = prefix.checkpoint_key()
+                groups.setdefault(key, (prefix, []))[1].append(index)
+
+    blobs_of: Dict[int, List[Dict[str, Any]]] = {}
+    verified = set()
+    planned_keys = set()
+    for prefix, members in groups.values():
+        store = CheckpointStore(Path(checkpoint_dir))
+        first = plans[members[0]]
+        blobs = _prefix_blobs(first.spec, prefix, store.directory)
+        published = {blob["key"]: store.exists(blob["key"]) for blob in blobs}
+        if len(members) < 2 and not all(published.values()) and not durable:
+            continue
+        blobs_of.update((index, blobs) for index in members)
+        if verify:
+            verified.add(members[0])
+        for blob in blobs:
+            # Region blobs can recur across groups; build each key once.
+            if blob["key"] in planned_keys:
+                continue
+            planned_keys.add(blob["key"])
+            if published[blob["key"]]:
+                first.checkpoint_hits += 1
+                continue
+            first.checkpoint_misses += 1
+            payload = {**blob, "membership_log": first.spec.shards is not None}
+            first.setup_jobs.append(("checkpoint", canonical_json(payload)))
+
+    for index, plan in enumerate(plans):
+        spec = plan.spec
+        blobs = blobs_of.get(index)
+        plan.warm = blobs is not None
+        if spec.shards is not None:
+            from .shard import plan_shards, region_payloads
+
+            plan.shard_plan = plan_shards(spec)
+            plan.jobs = [
+                ("region", payload)
+                for payload in region_payloads(plan.shard_plan, blobs)
+            ]
+            if index in verified:
+                # Sharded runtime verify: re-run the regions cold; the
+                # merged documents must match byte for byte.
+                plan.verify_jobs = [
+                    ("region", payload) for payload in region_payloads(plan.shard_plan)
+                ]
+        elif blobs is not None:
+            payload = {**blobs[0], "spec": spec.to_dict(), "verify": index in verified}
+            plan.jobs = [("warm", canonical_json(payload))]
+        else:
+            plan.jobs = [("spec", spec.to_json())]
+    return plans
 
 
 def plan_cell(
@@ -652,61 +898,8 @@ def plan_cell(
     checkpoint_dir: Optional[Path] = None,
     warm_start: bool = True,
 ) -> CellPlan:
-    """Plan the jobs realising one cell, warm-starting when durably stored.
-
-    Mirrors the batch runner's policy for a lone cell with a durable cache
-    directory: when the spec has a plannable prefix and ``checkpoint_dir``
-    is durable, the cell resumes from the shared ``ck_*.pkl`` blob store —
-    publishing the blob on a miss so every later cell (from any client)
-    sweeping the same prefix reuses it.  Without a directory, or for specs
-    with no shareable prefix, the cell runs cold.  Sharded specs expand into
-    one region job per shard either way.
-    """
-    from .warmstart import checkpoint_payload, plan_prefix, warm_payload
-
-    prefix_plan = plan_prefix(spec) if warm_start and checkpoint_dir else None
-    plan = CellPlan(spec=spec, warm=prefix_plan is not None)
-    descriptors: List[Tuple] = []
-    if prefix_plan is not None:
-        from .warmstart import CheckpointStore
-
-        store = CheckpointStore(Path(checkpoint_dir))
-        descriptors = blob_descriptors(spec, prefix_plan)
-        for key, prefix_dict, barrier_s, membership_log in descriptors:
-            if store.exists(key):
-                plan.checkpoint_hits += 1
-                continue
-            plan.checkpoint_misses += 1
-            plan.setup_jobs.append(
-                (
-                    "checkpoint",
-                    checkpoint_payload(
-                        key, prefix_dict, barrier_s, str(checkpoint_dir),
-                        membership_log=membership_log,
-                    ),
-                )
-            )
-    if spec.shards is not None:
-        from .shard import plan_shards, region_payloads
-
-        plan.shard_plan = plan_shards(spec)
-        payloads = region_payloads(plan.shard_plan)
-        if plan.warm:
-            payloads = _attach_warm_blocks(payloads, descriptors, str(checkpoint_dir))
-        plan.jobs = [("region", payload) for payload in payloads]
-    elif plan.warm:
-        key, prefix_dict, barrier_s, _membership_log = descriptors[0]
-        plan.jobs = [
-            (
-                "warm",
-                warm_payload(
-                    spec.to_dict(), prefix_dict, barrier_s, str(checkpoint_dir), key
-                ),
-            )
-        ]
-    else:
-        plan.jobs = [("spec", spec.to_json())]
-    return plan
+    """Plan one cell against a durable store: :func:`plan_cells` of one."""
+    return plan_cells([spec], checkpoint_dir, warm_start)[0]
 
 
 # ----------------------------------------------------------------------
@@ -715,11 +908,10 @@ def plan_cell(
 class ExperimentRunner:
     """Fan specs out over processes, with optional on-disk result caching.
 
-    With ``warm_start`` (the default) the runner additionally plans
-    common-prefix warm-starts across each batch
-    (:mod:`repro.experiments.warmstart`): pending cells whose canonical
-    prefix specs are byte-equal share one checkpoint of the pre-attack
-    dynamics, built once and resumed per cell.  Warm results are
+    With ``warm_start`` (the default) each batch is planned with
+    common-prefix warm-starts (:func:`plan_cells`): pending cells whose
+    canonical prefix specs are byte-equal share one checkpoint of the
+    pre-attack dynamics, built once and resumed per cell.  Warm results are
     byte-identical to cold runs, so they are cached like any other result.
     ``verify_warm_start`` re-runs one cell per prefix group cold and raises
     on any byte divergence — the runtime spot-check behind the CLI's
@@ -755,11 +947,11 @@ class ExperimentRunner:
         self.checkpoint_misses = 0
         #: Cells executed from a restored prefix instead of from ``t=0``.
         self.warm_runs = 0
-        #: Wall seconds spent planning prefixes and hashing checkpoint keys
-        #: (pure orchestration overhead, no simulation inside).
+        #: Wall seconds spent planning (prefixes, checkpoint keys, job
+        #: payloads — pure orchestration overhead, no simulation inside).
         self.plan_overhead_s = 0.0
         #: Wall seconds spent building/publishing missing prefix blobs
-        #: (phase-1 checkpoint jobs; simulation of the shared prefix).
+        #: (the setup jobs; simulation of the shared prefix).
         self.checkpoint_wall_s = 0.0
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
 
@@ -779,209 +971,72 @@ class ExperimentRunner:
         """SHA-256 cache key of ``spec`` (see :meth:`ResultCache.key`)."""
         return ResultCache.key(spec)
 
-    def _read_cached(self, spec: ScenarioSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` (see :class:`ResultCache`)."""
-        return self._cache.load(spec)
-
-    def _write_cache(self, spec: ScenarioSpec, output: str) -> None:
-        """Atomically publish ``output`` for ``spec`` (see :class:`ResultCache`)."""
-        self._cache.store(spec, output)
-
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Execute every spec, preserving input order in the results.
 
         Cache lookups happen first; identical pending specs are deduplicated
         (one execution, one counted miss, the result fanned out to every
-        occurrence).  A spec with ``shards=N`` expands into ``N`` region
-        jobs planned by :mod:`repro.experiments.shard`; region jobs and
-        ordinary specs share one flat job list over the process pool, and
-        each sharded spec's region documents are merged deterministically
-        before caching.
+        occurrence).  The pending cells are planned as one batch by
+        :func:`plan_cells`; all their jobs — ordinary specs, warm resumes,
+        the ``N`` region jobs of a ``shards=N`` spec — share one flat job
+        list over the process pool.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
         occurrences: Dict[str, List[int]] = {}
-        pending: List[int] = []
+        pending: List[ScenarioSpec] = []
         for index, spec in enumerate(specs):
-            cached = self._read_cached(spec)
+            cached = self._cache.load(spec)
             if cached is not None:
                 results[index] = cached
                 self.cache_hits += 1
                 continue
             group = occurrences.setdefault(spec.to_json(), [])
             if not group:
-                pending.append(index)
+                pending.append(spec)
                 self.cache_misses += 1
             group.append(index)
 
         if pending:
-            self._execute_pending(specs, pending, occurrences, results)
+            for spec, result in zip(pending, self._execute_pending(pending)):
+                for duplicate in occurrences[spec.to_json()]:
+                    results[duplicate] = result
         return [result for result in results if result is not None]
 
-    # ------------------------------------------------------------------
-    def _plan_warm_starts(
-        self, specs: Sequence[ScenarioSpec], pending: Sequence[int]
-    ) -> Tuple[Dict[int, Any], Dict[int, bool], Dict[int, List[Tuple]], List[Tuple[str, str]]]:
-        """Group pending cells by shared prefix and plan checkpoint jobs.
-
-        Returns ``(plans, warm_cells, blob_descriptors, phase1_jobs)``:
-        per-cell :class:`~repro.experiments.warmstart.PrefixPlan` objects,
-        the cells to warm-start (mapped to their runtime-verify flag), each
-        warm cell's blob descriptors (one per region on sharded specs) and
-        the phase-1 ``("checkpoint", payload)`` jobs for blobs not yet
-        published.  A cell warms when its prefix is shared by another
-        pending cell, when its blobs already exist — or, with a durable
-        ``cache_dir``, always: the prefix must be simulated anyway, so
-        publishing the blob costs one pickle and seeds every future
-        invocation sweeping the same prefix (the CLI's one-cell-at-a-time
-        usage pattern).  Without a ``cache_dir`` a lone cell stays cold —
-        a scratch-directory blob nothing will ever share is pure overhead.
-        """
-        plans: Dict[int, Any] = {}
-        warm_cells: Dict[int, bool] = {}
-        descriptors: Dict[int, List[Tuple]] = {}
-        phase1: List[Tuple[str, str]] = []
-        if not self.warm_start:
-            return plans, warm_cells, descriptors, phase1
-        from .warmstart import CheckpointStore, checkpoint_payload, plan_prefix
-
-        groups: Dict[str, List[int]] = {}
-        for index in pending:
-            plan = plan_prefix(specs[index])
-            if plan is not None:
-                plans[index] = plan
-                groups.setdefault(plan.checkpoint_key(), []).append(index)
-        if not groups:
-            return plans, warm_cells, descriptors, phase1
-
-        store = CheckpointStore(self._checkpoint_dir())
-        planned_keys: Set[str] = set()
-        for members in groups.values():
-            blobs = blob_descriptors(specs[members[0]], plans[members[0]])
-            published = all(store.exists(key) for key, *_ in blobs)
-            if len(members) < 2 and not published and self.cache_dir is None:
-                continue
-            for position, index in enumerate(members):
-                warm_cells[index] = self.verify_warm_start and position == 0
-                descriptors[index] = blobs
-            for key, prefix_dict, barrier_s, membership_log in blobs:
-                if key in planned_keys:
-                    continue
-                planned_keys.add(key)
-                if store.exists(key):
-                    self.checkpoint_hits += 1
-                    continue
-                self.checkpoint_misses += 1
-                phase1.append(
-                    (
-                        "checkpoint",
-                        checkpoint_payload(
-                            key,
-                            prefix_dict,
-                            barrier_s,
-                            str(store.directory),
-                            membership_log=membership_log,
-                        ),
-                    )
-                )
-        return plans, warm_cells, descriptors, phase1
-
-    def _execute_pending(
-        self,
-        specs: Sequence[ScenarioSpec],
-        pending: Sequence[int],
-        occurrences: Dict[str, List[int]],
-        results: List[Optional[RunResult]],
-    ) -> None:
-        """Run the uncached cells: plan warm-starts, fan out, merge, cache."""
+    def _execute_pending(self, pending: Sequence[ScenarioSpec]) -> List[RunResult]:
+        """Run the uncached cells: plan, then setup jobs, jobs, merge, store."""
         plan_started = time.perf_counter()
-        plans, warm_cells, descriptors, phase1 = self._plan_warm_starts(specs, pending)
+        plans = plan_cells(
+            pending,
+            checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
+            durable=self.cache_dir is not None,
+            verify=self.verify_warm_start,
+        )
         self.plan_overhead_s += time.perf_counter() - plan_started
-        checkpoint_dir = str(self._checkpoint_dir()) if warm_cells else ""
-
-        jobs: List[Tuple[str, str]] = []
-        # (spec index, shard plan or None, first job offset, job count)
-        segments: List[Tuple[int, Optional[Any], int, int]] = []
-        # spec index -> (shard plan, offset, count) of the cold verify jobs
-        verify_segments: Dict[int, Tuple[Any, int, int]] = {}
-        for index in pending:
-            spec = specs[index]
-            warm = index in warm_cells
-            if warm:
-                self.warm_runs += 1
-            if spec.shards is not None:
-                from .shard import plan_shards, region_payloads
-
-                plan = plan_shards(spec)
-                payloads = region_payloads(plan)
-                if warm:
-                    payloads = _attach_warm_blocks(
-                        payloads, descriptors[index], checkpoint_dir
-                    )
-                segments.append((index, plan, len(jobs), len(payloads)))
-                jobs.extend(("region", payload) for payload in payloads)
-                if warm and warm_cells[index]:
-                    # Sharded runtime verify: re-run the regions cold and
-                    # compare the merged documents byte for byte.
-                    cold = region_payloads(plan)
-                    verify_segments[index] = (plan, len(jobs), len(cold))
-                    jobs.extend(("region", payload) for payload in cold)
-            elif warm:
-                from .warmstart import warm_payload
-
-                prefix_plan = plans[index]
-                segments.append((index, None, len(jobs), 1))
-                jobs.append(
-                    (
-                        "warm",
-                        warm_payload(
-                            spec.to_dict(),
-                            prefix_plan.spec.to_dict(),
-                            prefix_plan.barrier_s,
-                            checkpoint_dir,
-                            prefix_plan.checkpoint_key(),
-                            verify=warm_cells[index],
-                        ),
-                    )
-                )
-            else:
-                segments.append((index, None, len(jobs), 1))
-                jobs.append(("spec", spec.to_json()))
+        for plan in plans:
+            self.checkpoint_hits += plan.checkpoint_hits
+            self.checkpoint_misses += plan.checkpoint_misses
+            self.warm_runs += plan.warm
 
         with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
             checkpoint_started = time.perf_counter()
-            executor.run_all(phase1)
+            executor.run_all([job for plan in plans for job in plan.setup_jobs])
             self.checkpoint_wall_s += time.perf_counter() - checkpoint_started
-            outputs = executor.run_all(jobs)
+            outputs = executor.run_all(
+                [job for plan in plans for job in plan.jobs + plan.verify_jobs]
+            )
 
-        for index, plan, offset, count in segments:
-            if plan is None:
-                output = outputs[offset]
-                result = RunResult.from_json(output)
-            else:
-                from .shard import merge_region_results
-
-                documents = [json.loads(outputs[offset + i]) for i in range(count)]
-                result = merge_region_results(plan, documents)
-                output = result.to_json()
-                if index in verify_segments:
-                    cold_plan, cold_offset, cold_count = verify_segments[index]
-                    cold_documents = [
-                        json.loads(outputs[cold_offset + i]) for i in range(cold_count)
-                    ]
-                    cold_output = merge_region_results(
-                        cold_plan, cold_documents
-                    ).to_json()
-                    if cold_output != output:
-                        raise RuntimeError(
-                            f"warm-start divergence on {specs[index].name!r} "
-                            f"(seed {specs[index].seed}): the warm sharded "
-                            "result does not byte-match the cold run"
-                        )
-            for duplicate in occurrences[specs[index].to_json()]:
-                results[duplicate] = result
-            self._write_cache(specs[index], output)
+        results: List[RunResult] = []
+        offset = 0
+        for plan in plans:
+            middle = offset + len(plan.jobs)
+            end = middle + len(plan.verify_jobs)
+            result = plan.merge(outputs[offset:middle], outputs[middle:end])
+            offset = end
+            self._cache.store(plan.spec, result.to_json())
+            results.append(result)
+        return results
 
     # ------------------------------------------------------------------
     def run_one(self, spec: ScenarioSpec) -> RunResult:
@@ -1005,29 +1060,6 @@ class ExperimentRunner:
             for seed in seeds:
                 variants.append(base.with_seed(seed))
         return self.run(variants)
-
-
-def _attach_warm_blocks(
-    payloads: Sequence[str], descriptors: Sequence[Tuple], directory: str
-) -> List[str]:
-    """Region payloads with their prefix-checkpoint ``warm`` blocks attached.
-
-    Region payloads and blob descriptors are both in region order, so they
-    zip one-to-one.
-    """
-    attached: List[str] = []
-    for payload, (key, prefix_dict, barrier_s, _membership_log) in zip(
-        payloads, descriptors
-    ):
-        document = json.loads(payload)
-        document["warm"] = {
-            "dir": directory,
-            "key": key,
-            "prefix": prefix_dict,
-            "barrier_s": barrier_s,
-        }
-        attached.append(json.dumps(document, sort_keys=True, separators=(",", ":")))
-    return attached
 
 
 # ----------------------------------------------------------------------

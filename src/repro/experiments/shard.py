@@ -24,17 +24,19 @@ The three layers:
   and link parameters.
 * :func:`run_region_json` — the **worker entry point** (module-level and
   string-typed, so it pickles into pool workers exactly like
-  :func:`~repro.experiments.runner.run_spec_json`).  Runs one region,
-  records the boundary events (effective membership transitions — the
-  result of IGMP/SIGMA signalling crossing the region's cut link) via the
-  multicast service's ``membership_log`` hook, and returns per-block metric
-  ingredients as JSON.
-* :func:`merge_region_results` — the **deterministic merge**.  Reassembles
-  per-receiver metric lists in exactly the order the unsharded scenario
-  would produce (block-major, then region-major — the receiver index order),
-  recomputes the float reductions (averages, population weighting, the
-  global honest baseline) in that order, sums the SIGMA counters, and folds
-  the boundary events into per-slot barriers (slot-major, then region-major)
+  :func:`~repro.experiments.runner.run_spec_json`).  Runs one region
+  through the shared worker body
+  (:func:`~repro.experiments.warmstart.run_scenario`), records the boundary
+  events (effective membership transitions — the result of IGMP/SIGMA
+  signalling crossing the region's cut link) via the multicast service's
+  ``membership_log`` hook, and returns the region's metric ingredients
+  (:func:`~repro.experiments.runner.collect_ingredients`) as JSON.
+* :func:`merge_region_results` — the **deterministic merge**.  Validates
+  the region documents' count and order, hands them to the one metric
+  assembler (:func:`~repro.experiments.runner.assemble` — the same code an
+  unsharded run goes through with a single document, so every float
+  reduction happens in the unsharded receiver index order), and folds the
+  boundary events into per-slot barriers (slot-major, then region-major)
   summarised by a SHA-256 digest.  The merge is a pure function of the
   region documents, so running the regions serially or on the pool yields a
   byte-identical merged result — the serial == sharded contract
@@ -49,19 +51,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.protection import (
-    combined_containment_s,
-    excess_goodput_kbps,
-    goodput_containment_s,
-    time_to_containment_s,
-    weighted_excess_goodput_kbps,
-    weighted_honest_baseline_kbps,
-)
 from ..multicast_cc.population import split_counts
 from ..simulator.topology import TopologySpec, build_topology
-from .scenario import Scenario
-from .spec import CohortDecl, ScenarioSpec, SessionDecl
-from .runner import RunResult
+from .runner import RunResult, assemble, attack_onsets, collect_ingredients
+from .spec import CohortDecl, ScenarioSpec, SessionDecl, canonical_json
+from .warmstart import run_scenario
 
 __all__ = [
     "RegionSession",
@@ -103,20 +97,6 @@ class ShardPlan:
     #: may omit sessions, which would shift the global onset): per-session
     #: onset plus the global minimum, or ``None`` without attackers.
     onsets: Optional[Dict[str, Any]]
-
-
-def _shard_onsets(spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
-    """The protection windows of the original spec (see ``collect_protection_metrics``)."""
-    duration = spec.effective_duration_s
-    session_onsets = {
-        decl.session_id: onset
-        for decl in spec.sessions
-        for onset in [decl.attack_onset_s()]
-        if onset is not None and onset < duration
-    }
-    if not session_onsets:
-        return None
-    return {"global": min(session_onsets.values()), "sessions": session_onsets}
 
 
 def plan_shards(spec: ScenarioSpec) -> ShardPlan:
@@ -267,158 +247,61 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
         topology=topology,
         regions=tuple(region_plans),
         slot_s=slot_s,
-        onsets=_shard_onsets(spec),
+        onsets=attack_onsets(spec),
     )
 
 
-def region_payloads(plan: ShardPlan) -> List[str]:
-    """One worker payload (JSON string) per region, in region order."""
-    return [
-        json.dumps(
-            {
-                "kind": "region",
-                "region": region.region,
-                "spec": region.spec.to_dict(),
-                "slot_s": plan.slot_s,
-                "onsets": plan.onsets,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for region in plan.regions
-    ]
+def region_payloads(
+    plan: ShardPlan, warm_blocks: Optional[Sequence[Dict[str, Any]]] = None
+) -> List[str]:
+    """One worker payload (JSON string) per region, in region order.
+
+    ``warm_blocks`` — one :meth:`PrefixPlan.block
+    <repro.experiments.warmstart.PrefixPlan.block>` per region, in region
+    order — makes the regions resume from their prefix checkpoints instead
+    of running from ``t=0``.
+    """
+    payloads: List[str] = []
+    for index, region in enumerate(plan.regions):
+        payload: Dict[str, Any] = {
+            "kind": "region",
+            "region": region.region,
+            "spec": region.spec.to_dict(),
+            "slot_s": plan.slot_s,
+            "onsets": plan.onsets,
+        }
+        if warm_blocks is not None:
+            payload["warm"] = warm_blocks[index]
+        payloads.append(canonical_json(payload))
+    return payloads
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _collect_region_sessions(
-    scenario: Scenario,
-    spec: ScenarioSpec,
-    onsets: Optional[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Per-session, per-block metric ingredients of a finished region run.
-
-    Receiver-level lists are kept *per block* (not per session) because the
-    merge interleaves blocks across regions block-major; the protection
-    ingredients carry everything except the excess fields, which need the
-    global honest baseline only the merge can compute.
-    """
-    config = spec.config
-    duration = spec.effective_duration_s
-    warmup = config.warmup_s
-    sessions: List[Dict[str, Any]] = []
-    for decl, session in zip(spec.sessions, scenario.sessions):
-        onset = None
-        if onsets is not None:
-            onset = onsets["sessions"].get(decl.session_id)
-        blocks: List[Dict[str, Any]] = []
-        bound_level: Optional[int] = None
-        for block_decl, (start, stop) in zip(decl.population, session.block_slices):
-            rows = session.receivers[start:stop]
-            block: Dict[str, Any] = {
-                "receiver_kbps": [
-                    receiver.average_rate_kbps(warmup, duration) for receiver in rows
-                ],
-                "final_levels": [receiver.level for receiver in rows],
-                "population": [receiver.population for receiver in rows],
-            }
-            if block_decl.attack is None:
-                if onsets is not None:
-                    block["window_kbps"] = [
-                        receiver.average_rate_kbps(onsets["global"], duration)
-                        for receiver in rows
-                    ]
-            elif onset is not None:
-                if bound_level is None:
-                    bound_level = session.spec.fair_level(config.fair_share_bps)
-                bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
-                attackers: List[Dict[str, Any]] = []
-                for receiver in rows:
-                    attacker_kbps = receiver.average_rate_kbps(onset, duration)
-                    level_containment = time_to_containment_s(
-                        receiver.level_history, onset, bound_level, duration
-                    )
-                    rate_series = [
-                        (sample.time_s, sample.rate_kbps)
-                        for sample in receiver.monitor.series(end_time_s=duration)
-                    ]
-                    entry: Dict[str, Any] = {
-                        "goodput_kbps": attacker_kbps,
-                        "containment_s": combined_containment_s(
-                            level_containment,
-                            goodput_containment_s(
-                                rate_series, onset, bound_kbps, duration
-                            ),
-                        ),
-                        "population": receiver.population,
-                    }
-                    entry["counters"] = receiver.adversary_stats()
-                    attackers.append(entry)
-                block["attackers"] = attackers
-            blocks.append(block)
-        entry = {"session_id": decl.session_id, "blocks": blocks}
-        if bound_level is not None:
-            entry["bound_level"] = bound_level
-        sessions.append(entry)
-    return sessions
-
-
 def run_region_json(payload_json: str) -> str:
     """Worker entry point: region payload JSON in, region document JSON out.
 
     Module-level and string-typed so it pickles into pool workers.  The
-    returned document carries the per-block metric ingredients, the summed
-    SIGMA counters, the recorded boundary events and the region's wall time
-    (the only nondeterministic field — the merge drops it).
+    returned document is the region's metric ingredients
+    (:func:`~repro.experiments.runner.collect_ingredients`, with the
+    protection windows of the *whole* spec from the payload) plus the
+    region number, the recorded boundary events and the region's wall time
+    (the only nondeterministic field — the merge drops it).  A ``warm``
+    block in the payload resumes the region from its prefix checkpoint.
     """
     payload = json.loads(payload_json)
     spec = ScenarioSpec.from_dict(payload["spec"])
-    warm = payload.get("warm")
-    if warm is not None:
-        # Warm-started region: restore the region's prefix checkpoint (the
-        # boundary log was attached before the prefix ran, so pre-barrier
-        # events are inside the blob) and rebind the real declarations.
-        from pathlib import Path
-
-        from .warmstart import CheckpointStore, _ensure_checkpoint
-
-        scenario, _reused = _ensure_checkpoint(
-            CheckpointStore(Path(warm["dir"])),
-            warm["key"],
-            ScenarioSpec.from_dict(warm["prefix"]),
-            warm["barrier_s"],
-            membership_log=True,
-        )
-        events = scenario.network.multicast.membership_log
-        scenario.rebind_spec(spec)
-    else:
-        scenario = Scenario.from_spec(spec)
-        events = []
-        scenario.network.multicast.membership_log = events
     started = time.perf_counter()
-    scenario.run(spec.effective_duration_s)
+    scenario = run_scenario(spec, warm=payload.get("warm"), membership_log=True)
     wall_s = time.perf_counter() - started
-    document: Dict[str, Any] = {
-        "region": payload["region"],
-        "sessions": _collect_region_sessions(scenario, spec, payload.get("onsets")),
-        "boundary": [list(event) for event in events],
-        "wall_s": wall_s,
-    }
-    if scenario.sigma_agents:
-        document["sigma"] = {
-            "valid_submissions": sum(a.valid_submissions for a in scenario.sigma_agents),
-            "invalid_submissions": sum(
-                a.invalid_submissions for a in scenario.sigma_agents
-            ),
-            "revocations": sum(a.revocations for a in scenario.sigma_agents),
-            "igmp_joins_ignored": sum(
-                a.igmp_joins_ignored for a in scenario.sigma_agents
-            ),
-            "guess_alarms": sum(a.guess_alarms for a in scenario.sigma_agents),
-            "edge_agents": len(scenario.sigma_agents),
-        }
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    document = collect_ingredients(scenario, spec, payload.get("onsets"))
+    document["region"] = payload["region"]
+    document["boundary"] = [
+        list(event) for event in scenario.network.multicast.membership_log
+    ]
+    document["wall_s"] = wall_s
+    return canonical_json(document)
 
 
 # ----------------------------------------------------------------------
@@ -476,16 +359,13 @@ def merge_region_results(
 ) -> RunResult:
     """Deterministically merge region documents into one :class:`RunResult`.
 
-    Per-receiver lists are reassembled in the unsharded scenario's receiver
-    index order (block-major, region-major within a block) and every float
-    reduction — session averages, population weighting, the global honest
-    baseline and the per-attacker excess — is recomputed in that exact
-    order, so where the regional physics is decoupled the merged document
-    matches the unsharded run's floats term for term.
+    The documents must be the plan's regions, in region order.  Their
+    metric ingredients go through :func:`~repro.experiments.runner.assemble`
+    — the assembler of every run, here over N documents, each mapped onto
+    the original spec's sessions and blocks by its region plan — and the
+    ``boundary`` summary (:func:`merge_boundary_events`) is the one
+    sharding-only block added on top.
     """
-    spec = plan.spec
-    config = spec.config
-    duration = spec.effective_duration_s
     if len(documents) != len(plan.regions):
         raise ValueError(
             f"expected {len(plan.regions)} region documents, got {len(documents)}"
@@ -496,120 +376,10 @@ def merge_region_results(
                 f"region document out of order: expected region "
                 f"{region_plan.region}, got {document.get('region')}"
             )
-
-    # session index -> original block index -> region-ordered block documents
-    collected: Dict[int, Dict[int, List[Dict[str, Any]]]] = {}
-    bound_levels: Dict[int, int] = {}
-    for region_plan, document in zip(plan.regions, documents):
-        for region_session, session_doc in zip(
-            region_plan.sessions, document["sessions"]
-        ):
-            per_block = collected.setdefault(region_session.session_index, {})
-            for local_index, block_index in enumerate(region_session.block_indices):
-                per_block.setdefault(block_index, []).append(
-                    session_doc["blocks"][local_index]
-                )
-            if "bound_level" in session_doc:
-                bound_levels[region_session.session_index] = session_doc["bound_level"]
-
-    metrics: Dict[str, Any] = {"multicast": {}}
-    block_lengths: Dict[int, List[int]] = {}
-    for s_index, decl in enumerate(spec.sessions):
-        per_block = collected.get(s_index, {})
-        receiver_kbps: List[float] = []
-        final_levels: List[int] = []
-        populations: List[int] = []
-        lengths: List[int] = []
-        for b_index in range(len(decl.population)):
-            length = 0
-            for block in per_block.get(b_index, []):
-                receiver_kbps.extend(block["receiver_kbps"])
-                final_levels.extend(block["final_levels"])
-                populations.extend(block["population"])
-                length += len(block["receiver_kbps"])
-            lengths.append(length)
-        block_lengths[s_index] = lengths
-        total = sum(populations)
-        metrics["multicast"][decl.session_id] = {
-            "receiver_kbps": receiver_kbps,
-            "average_kbps": sum(receiver_kbps) / len(receiver_kbps),
-            "final_levels": final_levels,
-            "receiver_population": populations,
-            "population": total,
-            "weighted_average_kbps": (
-                sum(rate * count for rate, count in zip(receiver_kbps, populations))
-                / total
-            ),
-        }
-
-    sigma_docs = [doc["sigma"] for doc in documents if "sigma" in doc]
-    if sigma_docs:
-        metrics["sigma"] = {
-            key: sum(doc[key] for doc in sigma_docs) for key in sigma_docs[0]
-        }
-
-    onsets = plan.onsets
-    if onsets is not None:
-        # The honest baseline sums (rate, weight) pairs in the unsharded
-        # iteration order: sessions outer, receiver index order inner.
-        honest: List[Tuple[float, int]] = []
-        for s_index, decl in enumerate(spec.sessions):
-            per_block = collected.get(s_index, {})
-            for b_index, block_decl in enumerate(decl.population):
-                if block_decl.attack is not None:
-                    continue
-                for block in per_block.get(b_index, []):
-                    honest.extend(
-                        zip(block["window_kbps"], block["population"])
-                    )
-        baseline = weighted_honest_baseline_kbps(honest, config.fair_share_bps / 1e3)
-        protection_sessions: Dict[str, Any] = {}
-        for s_index, decl in enumerate(spec.sessions):
-            onset = onsets["sessions"].get(decl.session_id)
-            if onset is None or not decl.adversarial_blocks():
-                continue
-            adversarial = set(decl.adversarial_blocks())
-            per_block = collected.get(s_index, {})
-            entries: Dict[str, Any] = {}
-            offset = 0
-            for b_index in range(len(decl.population)):
-                if b_index not in adversarial:
-                    offset += block_lengths[s_index][b_index]
-                    continue
-                for block in per_block.get(b_index, []):
-                    for ingredient in block["attackers"]:
-                        entry: Dict[str, Any] = {
-                            "goodput_kbps": ingredient["goodput_kbps"],
-                            "excess_kbps": excess_goodput_kbps(
-                                ingredient["goodput_kbps"], baseline
-                            ),
-                            "containment_s": ingredient["containment_s"],
-                            "bound_level": bound_levels[s_index],
-                            "population": ingredient["population"],
-                            "weighted_excess_kbps": weighted_excess_goodput_kbps(
-                                ingredient["goodput_kbps"],
-                                baseline,
-                                ingredient["population"],
-                            ),
-                        }
-                        if "counters" in ingredient:
-                            entry["counters"] = ingredient["counters"]
-                        entries[str(offset)] = entry
-                        offset += 1
-            protection_sessions[decl.session_id] = {
-                "onset_s": onset,
-                "attackers": entries,
-            }
-        metrics["protection"] = {
-            "honest_baseline_kbps": baseline,
-            "sessions": protection_sessions,
-        }
-
+    layouts = [
+        [(session.session_index, session.block_indices) for session in region.sessions]
+        for region in plan.regions
+    ]
+    metrics = assemble(plan.spec, plan.onsets, documents, layouts)
     metrics["boundary"] = merge_boundary_events(plan, documents)
-    return RunResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        protected=spec.protected,
-        duration_s=duration,
-        metrics=metrics,
-    )
+    return RunResult.for_spec(plan.spec, metrics)

@@ -29,7 +29,24 @@ from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
 from .config import PAPER_DEFAULTS, ExperimentConfig
 
-__all__ = ["CohortDecl", "SessionDecl", "TcpDecl", "CbrDecl", "ScenarioSpec"]
+__all__ = [
+    "CohortDecl",
+    "SessionDecl",
+    "TcpDecl",
+    "CbrDecl",
+    "ScenarioSpec",
+    "canonical_json",
+]
+
+
+def canonical_json(document: Any) -> str:
+    """The one byte form of a JSON document: sorted keys, no whitespace.
+
+    Specs, job payloads, region documents and results all serialise through
+    here, so equal documents are equal strings — what the cache keys, the
+    job dedup and every byte-identity test compare.
+    """
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -345,7 +362,7 @@ class ScenarioSpec:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — stable for hashing."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":

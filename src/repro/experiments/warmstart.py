@@ -18,14 +18,18 @@ attack schedule starts.  This module amortises that prefix across cells.
   runner's result cache (``ck_<sha256>.pkl``), published atomically via a
   pid-suffixed tmp sibling + :func:`os.replace`; torn, corrupt or
   version-mismatched blobs read as misses, never as state.
+* :func:`run_scenario` — the **one worker body** behind every job kind:
+  obtain a scenario (cold :meth:`Scenario.from_spec`, or a restored prefix
+  with the cell's real declarations rebound by
+  :meth:`Scenario.rebind_spec`), with the boundary log on or off, and run
+  it to the end.  A cold run is the warm run with no prefix.
 * :func:`run_checkpoint_json` / :func:`run_warm_json` — module-level worker
   entry points (string-typed, pool-picklable) mirroring
   :func:`~repro.experiments.runner.run_spec_json`: the first builds and
-  publishes a prefix checkpoint, the second restores one, rebinds the
-  cell's real declarations (:meth:`Scenario.rebind_spec`) and runs to the
-  end.  A warm run is byte-identical to a cold run — the golden warm-start
-  suite asserts it for every golden scenario and ``verify=True`` re-checks
-  it at runtime.
+  publishes a prefix checkpoint, the second resumes one cell from it.  A
+  warm run is byte-identical to a cold run — the golden warm-start suite
+  asserts it for every golden scenario and ``verify=True`` re-checks it at
+  runtime.
 
 Why byte-identity holds: the barrier cut is *exclusive*
 (:meth:`Scenario.run_to_barrier`), so events scheduled at exactly the
@@ -42,9 +46,10 @@ import hashlib
 import json
 import os
 import pickle
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
@@ -56,10 +61,10 @@ __all__ = [
     "PrefixPlan",
     "plan_prefix",
     "CheckpointStore",
-    "checkpoint_payload",
+    "require_store_key",
     "run_checkpoint_json",
+    "run_scenario",
     "run_warm_json",
-    "warm_payload",
 ]
 
 #: Placeholder name for every canonical prefix spec — the scenario name
@@ -138,6 +143,19 @@ class PrefixPlan:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
+    def block(self, directory: Path) -> Dict[str, Any]:
+        """How workers are told about this prefix's blob under ``directory``.
+
+        The fields a ``checkpoint`` payload, a ``warm`` payload and a region
+        payload's ``warm`` block share (consumed by :func:`run_scenario`).
+        """
+        return {
+            "dir": str(directory),
+            "key": self.checkpoint_key(),
+            "prefix": self.spec.to_dict(),
+            "barrier_s": self.barrier_s,
+        }
+
 
 def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
     """The shareable prefix of ``spec``, or ``None`` when there is none.
@@ -177,6 +195,25 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
 # ----------------------------------------------------------------------
 # checkpoint storage
 # ----------------------------------------------------------------------
+_STORE_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def require_store_key(key: str) -> str:
+    """``key`` itself when it is a content address, else :class:`ValueError`.
+
+    Every result-cache and blob-store key is a SHA-256 hex digest, and keys
+    are joined into a path.  They also arrive from outside the program (the
+    service's ``cache-get``/``blob-stat`` ops, worker payloads), so anything
+    but 64 lowercase hex characters — an absolute path, ``..``, a NUL byte
+    — is refused before it can name a file outside the store.
+    """
+    if not isinstance(key, str) or _STORE_KEY.fullmatch(key) is None:
+        raise ValueError(
+            f"invalid store key {key!r}: expected 64 lowercase hex characters"
+        )
+    return key
+
+
 class CheckpointStore:
     """Content-addressed prefix checkpoints in one directory.
 
@@ -190,8 +227,8 @@ class CheckpointStore:
         self.directory = Path(directory)
 
     def path(self, key: str) -> Path:
-        """The blob path for ``key``."""
-        return self.directory / f"ck_{key}.pkl"
+        """The blob path for ``key`` (:func:`require_store_key` applies)."""
+        return self.directory / f"ck_{require_store_key(key)}.pkl"
 
     def exists(self, key: str) -> bool:
         """True when a blob is published under ``key`` (not validated)."""
@@ -234,21 +271,18 @@ def _build_prefix(
     if membership_log:
         # Region runs record boundary events from t=0; the log must be
         # attached before the prefix runs so it survives inside the blob.
-        events: List[Any] = []
-        scenario.network.multicast.membership_log = events
+        scenario.network.multicast.membership_log = []
     scenario.run_to_barrier(barrier_s)
     return scenario
 
 
-def _ensure_checkpoint(
-    store: CheckpointStore,
-    key: str,
-    prefix: ScenarioSpec,
-    barrier_s: float,
-    membership_log: bool,
-) -> tuple:
-    """(scenario at the barrier, whether an existing blob was reused)."""
-    scenario = store.load(key)
+def _ensure_checkpoint(block: Mapping[str, Any], membership_log: bool) -> tuple:
+    """(scenario at the barrier, whether an existing blob was reused).
+
+    ``block`` names the checkpoint (:meth:`PrefixPlan.block`).
+    """
+    store = CheckpointStore(Path(block["dir"]))
+    scenario = store.load(block["key"])
     if (
         scenario is not None
         and membership_log
@@ -259,64 +293,36 @@ def _ensure_checkpoint(
         scenario = None
     if scenario is not None:
         return scenario, True
-    scenario = _build_prefix(prefix, barrier_s, membership_log)
-    store.save(key, scenario)
+    scenario = _build_prefix(
+        ScenarioSpec.from_dict(block["prefix"]), block["barrier_s"], membership_log
+    )
+    store.save(block["key"], scenario)
     return scenario, False
 
 
-# ----------------------------------------------------------------------
-# worker payloads
-# ----------------------------------------------------------------------
-def checkpoint_payload(
-    key: str,
-    prefix_dict: Dict[str, Any],
-    barrier_s: float,
-    directory: str,
+def run_scenario(
+    spec: ScenarioSpec,
+    warm: Optional[Mapping[str, Any]] = None,
     membership_log: bool = False,
-) -> str:
-    """The canonical ``("checkpoint", …)`` job payload building one blob.
+) -> Scenario:
+    """Realise ``spec`` and run it to the end — the body of every job kind.
 
-    One builder shared by the batch runner and the service daemon, so both
-    schedule byte-identical jobs onto :func:`run_checkpoint_json`.
+    Cold (``warm is None``) the scenario is built from the spec at ``t=0``.
+    Warm, ``warm`` names a prefix checkpoint (see :func:`_ensure_checkpoint`):
+    the blob is restored, or rebuilt in place on a miss — a concurrently
+    pruned or torn blob degrades to a cold prefix, never an error — and the
+    cell's real declarations are rebound onto it.  ``membership_log``
+    records the effective membership transitions from ``t=0`` (region runs).
     """
-    return json.dumps(
-        {
-            "prefix": prefix_dict,
-            "barrier_s": barrier_s,
-            "dir": directory,
-            "key": key,
-            "membership_log": membership_log,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def warm_payload(
-    spec_dict: Dict[str, Any],
-    prefix_dict: Dict[str, Any],
-    barrier_s: float,
-    directory: str,
-    key: str,
-    verify: bool = False,
-) -> str:
-    """The canonical ``("warm", …)`` job payload resuming one cell.
-
-    One builder shared by the batch runner and the service daemon, so both
-    schedule byte-identical jobs onto :func:`run_warm_json`.
-    """
-    return json.dumps(
-        {
-            "spec": spec_dict,
-            "prefix": prefix_dict,
-            "barrier_s": barrier_s,
-            "dir": directory,
-            "key": key,
-            "verify": verify,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    if warm is None:
+        scenario = Scenario.from_spec(spec)
+        if membership_log:
+            scenario.network.multicast.membership_log = []
+    else:
+        scenario, _reused = _ensure_checkpoint(warm, membership_log)
+        scenario.rebind_spec(spec)
+    scenario.run(spec.effective_duration_s)
+    return scenario
 
 
 # ----------------------------------------------------------------------
@@ -330,54 +336,30 @@ def run_checkpoint_json(payload_json: str) -> str:
     reporting whether an already-published blob was reused.
     """
     payload = json.loads(payload_json)
-    store = CheckpointStore(Path(payload["dir"]))
-    key = payload["key"]
     _scenario, reused = _ensure_checkpoint(
-        store,
-        key,
-        ScenarioSpec.from_dict(payload["prefix"]),
-        payload["barrier_s"],
-        payload.get("membership_log", False),
+        payload, payload.get("membership_log", False)
     )
-    return json.dumps({"key": key, "reused": reused})
+    return json.dumps({"key": payload["key"], "reused": reused})
 
 
 def run_warm_json(payload_json: str) -> str:
     """Worker entry point: warm-start one grid cell from its prefix.
 
     Payload: ``{"spec": real spec dict, "prefix": canonical spec dict,
-    "barrier_s": float, "dir": str, "key": str, "verify": bool}``.  The
-    checkpoint is restored (rebuilt in place on a miss — a concurrently
-    pruned or torn blob degrades to a cold prefix, never an error), the
-    real declarations are rebound, and the run completes normally.  With
-    ``verify`` the cell is also run cold and the result documents must be
-    byte-identical — the runtime spot-check behind ``--verify-warm-start``.
+    "barrier_s": float, "dir": str, "key": str, "verify": bool}``
+    (:func:`run_scenario` resumes the cell from it).  With ``verify`` the
+    cell is also run cold and the result documents must be byte-identical
+    — the runtime spot-check behind ``--verify-warm-start``.
     """
     from .runner import RunResult, collect_metrics, execute_spec
 
     payload = json.loads(payload_json)
     spec = ScenarioSpec.from_dict(payload["spec"])
-    prefix = ScenarioSpec.from_dict(payload["prefix"])
-    store = CheckpointStore(Path(payload["dir"]))
-    scenario, _reused = _ensure_checkpoint(
-        store, payload["key"], prefix, payload["barrier_s"], membership_log=False
-    )
-    scenario.rebind_spec(spec)
-    duration = spec.effective_duration_s
-    scenario.run(duration)
-    result = RunResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        protected=spec.protected,
-        duration_s=duration,
-        metrics=collect_metrics(scenario, spec),
-    )
-    output = result.to_json()
-    if payload.get("verify"):
-        cold = execute_spec(spec).to_json()
-        if cold != output:
-            raise RuntimeError(
-                f"warm-start divergence on {spec.name!r} (seed {spec.seed}): "
-                "the warm result does not byte-match the cold run"
-            )
+    scenario = run_scenario(spec, warm=payload)
+    output = RunResult.for_spec(spec, collect_metrics(scenario, spec)).to_json()
+    if payload.get("verify") and execute_spec(spec).to_json() != output:
+        raise RuntimeError(
+            f"warm-start divergence on {spec.name!r} (seed {spec.seed}): "
+            "the warm result does not byte-match the cold run"
+        )
     return output

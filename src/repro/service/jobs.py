@@ -5,10 +5,11 @@ it admits submissions against a bounded queue, answers cells from the
 shared :class:`~repro.experiments.runner.ResultCache` without touching the
 pool, coalesces concurrent identical cells onto one execution (the
 cross-connection extension of the batch runner's in-batch dedup), and runs
-misses through :func:`~repro.experiments.runner.plan_cell` — the exact
-code path a batch :class:`~repro.experiments.runner.ExperimentRunner` with
-a durable cache takes, which is why service results are byte-identical to
-batch results.
+misses through :func:`~repro.experiments.runner.plan_cell` —
+:func:`~repro.experiments.runner.plan_cells`, the batch runner's planner,
+over a batch of one — and the runner's four steps over the
+:class:`~repro.experiments.runner.CellPlan` (setup jobs, jobs, merge, cache
+store), which is why service results are byte-identical to batch results.
 
 Executions are detached :class:`asyncio.Task`s keyed by cache key: a
 client that disconnects mid-stream never cancels the simulation — the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..experiments.runner import ResultCache, RunResult, plan_cell
+from ..experiments.runner import CellPlan, ResultCache, RunResult, plan_cell
 from ..experiments.spec import ScenarioSpec
 from .pool import AsyncJobPool
 
@@ -137,7 +138,7 @@ class ExperimentScheduler:
         self.checkpoint_hits += plan.checkpoint_hits
         self.checkpoint_misses += plan.checkpoint_misses
         task = asyncio.get_running_loop().create_task(
-            self._execute_cell(spec, plan, timeout_s)
+            self._execute_cell(plan, timeout_s)
         )
         self._inflight[key] = task
         task.add_done_callback(lambda done: self._finish(key, done))
@@ -159,19 +160,20 @@ class ExperimentScheduler:
             self.cells_failed += 1
 
     async def _execute_cell(
-        self,
-        spec: ScenarioSpec,
-        plan: Any,
-        timeout_s: Optional[float],
+        self, plan: CellPlan, timeout_s: Optional[float]
     ) -> RunResult:
-        """Run one planned cell on the pool and publish its result."""
+        """Run one planned cell on the pool and publish its result.
+
+        The batch runner's four steps, per cell: setup jobs, jobs, merge,
+        cache store.
+        """
         for job in plan.setup_jobs:
             await self.pool.run(job, timeout_s)
         outputs = await asyncio.gather(
             *(self.pool.run(job, timeout_s) for job in plan.jobs)
         )
         result = plan.merge(outputs)
-        self.cache.store(spec, result.to_json())
+        self.cache.store(plan.spec, result.to_json())
         self.cells_executed += 1
         if plan.warm:
             self.warm_runs += 1

@@ -72,10 +72,6 @@ class AsyncJobPool:
         self.retries_used = 0
 
     # ------------------------------------------------------------------
-    def _resolve_worker(self) -> Callable[[Tuple[str, str]], str]:
-        """The worker function — the runner's default unless injected."""
-        return self._worker if self._worker is not None else run_job
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -119,7 +115,8 @@ class AsyncJobPool:
             while True:
                 pool = self._ensure_pool()
                 generation = self._generation
-                future = asyncio.wrap_future(pool.submit(self._resolve_worker(), job))
+                worker = self._worker if self._worker is not None else run_job
+                future = asyncio.wrap_future(pool.submit(worker, job))
                 try:
                     output = await asyncio.wait_for(future, budget)
                     self.jobs_completed += 1

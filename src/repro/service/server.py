@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import signal
 import sys
 import time
@@ -67,6 +68,26 @@ class ServiceConfig:
     def resolved_checkpoint_dir(self) -> Path:
         """The blob store directory (defaults to the result cache's)."""
         return Path(self.checkpoint_dir or self.cache_dir)
+
+
+def _timeout_budget(raw: Any) -> Optional[float]:
+    """A submission's ``timeout_s`` as a per-job budget, or :class:`ValueError`.
+
+    ``None`` (use the daemon's default) or a positive finite number.  A zero
+    or negative budget would time every job out at once — SIGKILLing the
+    workers and rebuilding the pool under all other clients' jobs — so it
+    is refused before the submission reserves queue room.
+    """
+    if raw is None:
+        return None
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            budget = float(raw)
+        except OverflowError:
+            budget = math.inf
+        if 0 < budget < math.inf:
+            return budget
+    raise ValueError("timeout_s must be null or a positive finite number")
 
 
 class ExperimentService:
@@ -244,33 +265,29 @@ class ExperimentService:
             await self._send(
                 writer, {"event": "status", "id": request_id, **self.status()}
             )
-        elif op == "cache-get":
+        elif op in ("cache-get", "blob-stat"):
             key = str(message.get("key", ""))
-            document = self.cache.load_key(key)
-            await self._send(
-                writer,
-                {
-                    "event": "cache",
-                    "id": request_id,
-                    "key": key,
-                    "hit": document is not None,
-                    "result": document,
-                },
-            )
-        elif op == "blob-stat":
-            key = str(message.get("key", ""))
-            path = self.blobs.path(key)
-            exists = path.exists()
-            await self._send(
-                writer,
-                {
-                    "event": "blob",
-                    "id": request_id,
-                    "key": key,
-                    "exists": exists,
-                    "size": path.stat().st_size if exists else 0,
-                },
-            )
+            try:
+                if op == "cache-get":
+                    document = self.cache.load_key(key)
+                    reply = {
+                        "event": "cache",
+                        "hit": document is not None,
+                        "result": document,
+                    }
+                else:
+                    path = self.blobs.path(key)
+                    exists = path.exists()
+                    reply = {
+                        "event": "blob",
+                        "exists": exists,
+                        "size": path.stat().st_size if exists else 0,
+                    }
+            except ValueError as exc:
+                # Not a content address: it could name a path outside the
+                # store, so it is refused before any file is touched.
+                reply = {"event": "error", "message": str(exc)}
+            await self._send(writer, {"id": request_id, "key": key, **reply})
         elif op == "shutdown":
             await self._send(
                 writer, {"event": "bye", "id": request_id, "draining": True}
@@ -296,18 +313,17 @@ class ExperimentService:
         streams: Set["asyncio.Task[None]"],
     ) -> None:
         request_id = message.get("id")
+
+        async def reject(reason: str, **extra: Any) -> None:
+            await self._send(
+                writer,
+                {"event": "rejected", "id": request_id, "reason": reason, **extra},
+            )
+
         try:
             spec = ScenarioSpec.from_dict(message["spec"])
         except (KeyError, TypeError, ValueError) as exc:
-            await self._send(
-                writer,
-                {
-                    "event": "rejected",
-                    "id": request_id,
-                    "reason": f"invalid spec: {exc}",
-                },
-            )
-            return
+            return await reject(f"invalid spec: {exc}")
         raw_seeds = message.get("seeds")
         if raw_seeds is None:
             seeds: List[int] = [spec.seed]
@@ -318,29 +334,17 @@ class ExperimentService:
         ):
             seeds = list(raw_seeds)
         else:
-            await self._send(
-                writer,
-                {
-                    "event": "rejected",
-                    "id": request_id,
-                    "reason": "seeds must be a non-empty list of integers",
-                },
-            )
-            return
-        timeout_s = message.get("timeout_s")
+            return await reject("seeds must be a non-empty list of integers")
+        try:
+            timeout_s = _timeout_budget(message.get("timeout_s"))
+        except ValueError as exc:
+            return await reject(str(exc))
         try:
             self.scheduler.admit(len(seeds))
         except (QueueFullError, ServiceDrainingError) as exc:
-            await self._send(
-                writer,
-                {
-                    "event": "rejected",
-                    "id": request_id,
-                    "reason": str(exc),
-                    "draining": isinstance(exc, ServiceDrainingError),
-                },
+            return await reject(
+                str(exc), draining=isinstance(exc, ServiceDrainingError)
             )
-            return
         await self._send(
             writer,
             {"event": "accepted", "id": request_id, "cells": len(seeds)},

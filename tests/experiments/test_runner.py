@@ -264,6 +264,99 @@ class TestCacheHardening:
         assert list(tmp_path.glob("*.tmp")) == []
         assert RunResult.from_json(entries[0].read_text()).to_json() == first.to_json()
 
+    def test_load_key_refuses_keys_that_are_not_content_addresses(self, tmp_path):
+        from repro.experiments import ResultCache
+
+        outside = tmp_path / "outside"
+        outside.with_suffix(".json").write_text(execute_spec(fast_spec()).to_json())
+        cache = ResultCache(tmp_path / "store")
+        for key in (str(outside), "../outside", "", "0" * 65, "0" * 63 + "\x00"):
+            with pytest.raises(ValueError, match="invalid store key"):
+                cache.load_key(key)
+        assert cache.load_key("0" * 64) is None
+
+
+class TestOnePipeline:
+    """Plan → run → assemble exists once; the runner only walks the plan."""
+
+    PROTECTION_FORMULAS = (
+        "weighted_honest_baseline_kbps",
+        "excess_goodput_kbps",
+        "weighted_excess_goodput_kbps",
+        "time_to_containment_s",
+        "goodput_containment_s",
+        "combined_containment_s",
+    )
+
+    def test_each_protection_formula_has_one_caller_module(self):
+        import re
+        from pathlib import Path
+
+        import repro.experiments
+
+        sources = {
+            path.name: path.read_text()
+            for path in Path(repro.experiments.__file__).parent.glob("*.py")
+        }
+        for formula in self.PROTECTION_FORMULAS:
+            users = [
+                name
+                for name, text in sources.items()
+                if re.search(rf"\b{formula}\b", text)
+            ]
+            assert users == ["runner.py"], (formula, users)
+
+    def test_runner_has_no_planner_of_its_own(self, tmp_path, monkeypatch):
+        """One ``plan_cells`` call per run; the jobs executed are its jobs."""
+        import repro.experiments.runner as runner_module
+        from repro.experiments import scale_dumbbell_10m_spec, scale_protection_spec
+
+        assert not [name for name in vars(ExperimentRunner) if "plan" in name]
+
+        group = [
+            scale_protection_spec(
+                audience=200, strategy=strategy, attack_start_s=6.0, duration_s=9.0
+            )
+            for strategy in ("inflated-join", "key-replay", "join-storm")
+        ]
+        sharded = scale_dumbbell_10m_spec(
+            receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=2,
+            edges_per_region=2, shards=2, attack_start_s=6.0, duration_s=9.0,
+        )
+        batch = [fast_spec(), *group, sharded]
+        # Planning writes nothing, so the runner below plans against the
+        # same (empty) store and must arrive at the very same jobs.
+        expected = runner_module.plan_cells(batch, checkpoint_dir=tmp_path)
+        assert [plan.warm for plan in expected] == [False, True, True, True, True]
+        assert len(expected[1].setup_jobs) == 1 and not expected[2].setup_jobs
+        assert len(expected[4].setup_jobs) == len(expected[4].jobs) == 2
+
+        cold = ExperimentRunner(jobs=1, warm_start=False).run(batch)
+        planned, executed = [], []
+        real_plan_cells, real_run_job = runner_module.plan_cells, runner_module.run_job
+
+        def spying_plan_cells(*args, **kwargs):
+            planned.append(real_plan_cells(*args, **kwargs))
+            return planned[-1]
+
+        def recording_run_job(job):
+            executed.append(job)
+            return real_run_job(job)
+
+        monkeypatch.setattr(runner_module, "plan_cells", spying_plan_cells)
+        monkeypatch.setattr(runner_module, "run_job", recording_run_job)
+        runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
+        results = runner.run(batch)
+        assert len(planned) == 1
+        assert executed == (
+            [job for plan in expected for job in plan.setup_jobs]
+            + [job for plan in expected for job in plan.jobs]
+        )
+        assert (runner.warm_runs, runner.checkpoint_misses) == (4, 3)
+        assert [r.to_json() for r in results] == [r.to_json() for r in cold]
+        runner.run(batch)  # all cached: nothing left to plan
+        assert len(planned) == 1
+
 
 class TestPendingDeduplication:
     """Identical pending specs in one batch run once and fan the result out."""

@@ -261,6 +261,78 @@ class TestShardedDeterminism:
         assert a.to_json() == b.to_json()
 
 
+def _two_sessions(second_attack):
+    """``mc`` as in :func:`sharded_spec` plus a second session ``mc2``."""
+    return sharded_spec().sessions + (
+        SessionDecl(
+            "mc2",
+            receivers=0,
+            population=(
+                CohortDecl(60, model="vector", cohorts=4),
+                CohortDecl(12, model="vector", cohorts=2, attack=second_attack),
+            ),
+        ),
+    )
+
+
+#: Spec shapes the module fixture (protected, one attacked session) does not
+#: reach — every branch of the shared assembler must stay exercised by the
+#: sharded == unsharded byte contract.
+UNCOVERED_SHAPES = {
+    # shape: (spec overrides, sessions the protection block must report)
+    "unprotected": (dict(protected=False), {"mc"}),
+    "attacker-free": (
+        dict(
+            sessions=(
+                SessionDecl(
+                    "mc",
+                    receivers=0,
+                    population=(
+                        CohortDecl(AUDIENCE, model="vector", cohorts=AUDIENCE_COHORTS),
+                    ),
+                ),
+            )
+        ),
+        None,
+    ),
+    "two-sessions": (
+        dict(
+            sessions=_two_sessions(
+                AttackSpec("inflated-join", start_s=ATTACK_START_S + 1)
+            )
+        ),
+        {"mc", "mc2"},
+    ),
+    "one-of-two-sessions-attacked": (dict(sessions=_two_sessions(None)), {"mc"}),
+    "onset-after-duration": (
+        dict(
+            sessions=_two_sessions(AttackSpec("inflated-join", start_s=DURATION_S + 5))
+        ),
+        {"mc"},
+    ),
+    "every-onset-after-duration": (dict(duration_s=ATTACK_START_S - 1), None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNCOVERED_SHAPES))
+def test_sharded_matches_unsharded_on_uncovered_shapes(shape):
+    """Sharded == unsharded bytes beyond the protected, one-session case."""
+    overrides, attacked = UNCOVERED_SHAPES[shape]
+    spec = sharded_spec(**overrides)
+    sharded = ExperimentRunner(jobs=1).run_one(spec)
+    full = execute_spec(replace(spec, shards=None))
+    metrics = dict(sharded.metrics)
+    assert metrics.pop("boundary")["events"] > 0
+    assert json.dumps(metrics, sort_keys=True) == json.dumps(
+        full.metrics, sort_keys=True
+    )
+    assert replace(sharded, metrics=full.metrics) == full
+    if attacked is None:
+        assert "protection" not in metrics
+    else:
+        assert set(metrics["protection"]["sessions"]) == attacked
+
+
 # ----------------------------------------------------------------------
 # merge error paths
 # ----------------------------------------------------------------------

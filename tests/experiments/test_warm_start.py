@@ -15,6 +15,7 @@ byte.  This suite holds the pipeline to that bar and to its safety rails:
   barrier queued for the resumed run.
 """
 
+import asyncio
 import json
 import os
 
@@ -30,7 +31,13 @@ from repro.experiments import (
     scale_protection_spec,
     scenario_spec,
 )
-from repro.experiments.runner import cache_stats, prune_cache
+from repro.experiments.runner import (
+    ResultCache,
+    cache_stats,
+    plan_cells,
+    prune_cache,
+    run_job,
+)
 from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
 from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
 from repro.simulator.engine import Simulator
@@ -208,6 +215,87 @@ def test_sharded_warm_equals_cold(tmp_path):
     assert warm.checkpoint_misses == grid[0].shards  # one blob per region
     pooled = ExperimentRunner(jobs=2, cache_dir=tmp_path / "pool", verify_warm_start=True)
     assert [r.to_json() for r in pooled.run(grid)] == cold
+
+
+def test_sharded_verify_jobs_catch_divergence(tmp_path):
+    """The cold re-run rides the plan as ``verify_jobs``; ``merge`` compares."""
+    (plan,) = plan_cells([_tiny_sharded(1.0)], checkpoint_dir=tmp_path, verify=True)
+    assert plan.warm and len(plan.verify_jobs) == len(plan.jobs) == 4
+    assert all('"warm"' in payload for _kind, payload in plan.jobs)
+    assert not any('"warm"' in payload for _kind, payload in plan.verify_jobs)
+    for job in plan.setup_jobs:
+        run_job(job)
+    outputs = [run_job(job) for job in plan.jobs]
+    cold = [run_job(job) for job in plan.verify_jobs]
+    assert plan.merge(outputs, cold).to_json() == plan.merge(outputs).to_json()
+    (other,) = plan_cells([_tiny_sharded(1.0).with_seed(99)], warm_start=False)
+    diverged = [run_job(job) for job in other.jobs]
+    with pytest.raises(RuntimeError, match="warm-start divergence"):
+        plan.merge(outputs, diverged)
+
+
+class _RecordingPool:
+    """Stands in for the daemon's ``AsyncJobPool``: runs jobs in-process."""
+
+    def __init__(self):
+        self.jobs = []
+
+    async def run(self, job, timeout_s=None):
+        self.jobs.append(job)
+        return run_job(job)
+
+
+def test_runner_and_scheduler_plan_identical_jobs(tmp_path, monkeypatch):
+    """A lone durable cell: batch and service execute byte-identical jobs,
+    cold and with the prefix blob already published."""
+    import repro.experiments.runner as runner_module
+    from repro.service.jobs import ExperimentScheduler
+
+    spec = _protection_grid()[0]
+
+    def forget(pattern):
+        for path in tmp_path.glob(pattern):
+            path.unlink()
+
+    def batch_jobs():
+        executed = []
+
+        def recording(job):
+            executed.append(job)
+            return run_job(job)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "run_job", recording)
+            ExperimentRunner(jobs=1, cache_dir=tmp_path).run([spec])
+        return executed
+
+    def served_jobs():
+        pool = _RecordingPool()
+        scheduler = ExperimentScheduler(pool, ResultCache(tmp_path), tmp_path)
+        outcome = asyncio.run(scheduler.run_cell(spec))
+        assert outcome.warm and not outcome.cached
+        return pool.jobs
+
+    cold = batch_jobs()
+    assert [kind for kind, _payload in cold] == ["checkpoint", "warm"]
+    forget("*")
+    assert served_jobs() == cold
+    forget("*.json")  # keep the published blob, drop the cached result
+    published = batch_jobs()
+    assert [kind for kind, _payload in published] == ["warm"]
+    forget("*.json")
+    assert served_jobs() == published
+
+
+def test_checkpoint_store_refuses_keys_that_are_not_content_addresses(tmp_path):
+    store = CheckpointStore(tmp_path / "store")
+    (tmp_path / "ck_outside.pkl").write_bytes(b"outside the store")
+    for key in (str(tmp_path / "outside"), "../outside", "", "f" * 65, "f" * 63 + "\x00"):
+        with pytest.raises(ValueError, match="invalid store key"):
+            store.path(key)
+        with pytest.raises(ValueError, match="invalid store key"):
+            store.exists(key)
+    assert store.path("f" * 64).parent == store.directory
 
 
 def test_prefix_shared_across_swept_fields():

@@ -214,3 +214,27 @@ def test_describe_job_names_scenario_and_seed():
     assert "spec job" in description
     assert "'pool-fast'" in description
     assert "seed 3" in description
+
+
+def test_describe_job_names_the_prefix_checkpoint_and_its_barrier():
+    """The prefix spec's placeholder name says nothing; the barrier does."""
+    from repro.experiments import plan_cell, scenario_spec
+
+    spec = scenario_spec("attack-flapping", attack_start_s=6.0, duration_s=18.0)
+    (job,) = plan_cell(spec.with_seed(4), checkpoint_dir="/nonexistent").setup_jobs
+    description = describe_job(job)
+    assert "prefix checkpoint" in description
+    assert "6.0s barrier" in description
+    assert "seed 4" in description
+    assert "warm-prefix" not in description
+
+
+def return_none_worker(job):
+    return None
+
+
+def test_run_all_keeps_one_slot_per_job():
+    """Outputs align with jobs even for a worker that returns ``None``."""
+    jobs = _jobs((0, 1, 2))
+    with JobExecutor(jobs=2, worker=return_none_worker) as executor:
+        assert executor.run_all(jobs) == [None, None, None]

@@ -197,6 +197,111 @@ class TestProtocolErrorHandling:
         assert "seeds" in event["reason"]
 
 
+    #: Keys that are not a content address (64 lowercase hex characters).
+    HOSTILE_KEYS = (
+        "/etc/hostname",
+        "../../etc/hostname",
+        "",
+        "0" * 65,
+        "0" * 63 + "\x00",
+        "A" * 64,
+    )
+
+    def test_hostile_store_keys_answer_error_in_band(self, daemon, tmp_path):
+        """A key that could name a path outside the store opens no file."""
+        handle = daemon()
+        # A well-formed result document *outside* the store: a daemon that
+        # joined the raw key into a path would serve it as a cache hit.
+        outside = tmp_path / "outside"
+        outside.with_suffix(".json").write_text(execute_spec(fast_spec()).to_json())
+        (tmp_path / "ck_outside.pkl").write_bytes(b"not a blob")
+        keys = self.HOSTILE_KEYS + (str(outside), f"../{outside.name}")
+
+        async def scenario(conn):
+            replies = []
+            for op in ("cache-get", "blob-stat"):
+                for number, key in enumerate(keys):
+                    await conn.send({"op": op, "id": f"{op}{number}", "key": key})
+                    replies.append(await conn.recv())
+            await conn.send({"op": "cache-get", "id": "ok", "key": "0" * 64})
+            miss = await conn.recv()
+            await conn.send({"op": "status", "id": "s"})
+            return replies, miss, await conn.recv()
+
+        replies, miss, status = self._converse(handle, scenario)
+        assert len(replies) == 2 * len(keys)
+        for reply in replies:
+            assert reply["event"] == "error", reply
+            assert "invalid store key" in reply["message"]
+            assert reply["id"] is not None
+        # The connection and the daemon are still usable afterwards.
+        assert (miss["event"], miss["hit"]) == ("cache", False)
+        assert status["event"] == "status"
+
+    def test_unusable_timeout_is_rejected(self, daemon):
+        unusable = [0, -1, -0.5, True, "5", float("inf"), float("nan"), 10**400, [1]]
+
+        async def scenario(conn):
+            rejections = []
+            for number, timeout_s in enumerate(unusable):
+                await conn.send(
+                    {
+                        "op": "submit",
+                        "id": f"x{number}",
+                        "spec": fast_spec().to_dict(),
+                        "timeout_s": timeout_s,
+                    }
+                )
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return rejections, await conn.recv()
+
+        rejections, status = self._converse(daemon(), scenario)
+        assert len(rejections) == len(unusable)
+        for rejected in rejections:
+            assert rejected["event"] == "rejected", rejected
+            assert "timeout_s" in rejected["reason"]
+        assert status["scheduler"]["queued"] == 0  # no queue room was reserved
+        assert status["pool"]["restarts"] == 0
+
+    def test_zero_timeout_kills_no_worker_under_a_bystander(self, daemon):
+        """``timeout_s: 0`` used to SIGKILL the pool under other clients."""
+        handle = daemon(jobs=2)
+
+        async def scenario(conn):
+            bystander = await AsyncConn.open(handle.socket)
+            try:
+                await bystander.send(
+                    {"op": "submit", "id": "b", "spec": fast_spec().to_dict()}
+                )
+                accepted = await bystander.recv()
+                assert accepted["event"] == "accepted"
+                for number, timeout_s in enumerate((0, -3, 0.0)):
+                    await conn.send(
+                        {
+                            "op": "submit",
+                            "id": f"h{number}",
+                            "spec": fast_spec(1).to_dict(),
+                            "timeout_s": timeout_s,
+                        }
+                    )
+                    assert (await conn.recv())["event"] == "rejected"
+                events = await bystander.events_until("done", "b")
+            finally:
+                bystander.close()
+            await conn.send({"op": "status", "id": "s"})
+            return events, await conn.recv()
+
+        events, status = self._converse(handle, scenario)
+        assert status["pool"]["restarts"] == 0
+        assert events[-1]["completed"] == 1 and events[-1]["failed"] == 0
+        (result,) = [e for e in events if e["event"] == "result"]
+        assert (
+            json.dumps(result["result"], sort_keys=True, separators=(",", ":"))
+            == execute_spec(fast_spec()).to_json()
+        )
+
+
 class TestSchedulerAdmission:
     def _scheduler(self, tmp_path, max_queue=2):
         return ExperimentScheduler(

@@ -48,6 +48,7 @@ SCOPED: Tuple[str, ...] = (
     "experiments/spec.py",
     "experiments/runner.py",
     "experiments/scale.py",
+    "experiments/shard.py",
     "experiments/warmstart.py",
     "adversary/strategy.py",
     "adversary/receivers.py",
