@@ -6,9 +6,11 @@ lists which receivers of the enclosing session mount it.  Several specs may
 target the same receiver — their strategies then *compose* on that host, in
 declaration order.
 
-The spec is plain data with a canonical dict form, so it serialises inside a
+The spec is plain data, so it serialises inside a
 :class:`~repro.experiments.spec.ScenarioSpec` (whose canonical JSON is the
-experiment cache key) and survives the round trip to process-pool workers.
+experiment cache key, written and read by the one codec in
+:mod:`repro.experiments.spec`) and survives the round trip to process-pool
+workers.
 """
 
 from __future__ import annotations
@@ -93,25 +95,3 @@ class AttackSpec:
             raise ValueError("intensity must be positive")
         if self.stop_s is not None and self.stop_s < self.start_s:
             raise ValueError("stop_s must not precede start_s")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "receivers": list(self.receivers),
-            "start_s": self.start_s,
-            "stop_s": self.stop_s,
-            "intensity": self.intensity,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AttackSpec":
-        return cls(
-            strategy=payload["strategy"],
-            receivers=tuple(payload.get("receivers", (0,))),
-            start_s=payload.get("start_s", 0.0),
-            stop_s=payload.get("stop_s"),
-            intensity=payload.get("intensity", 1.0),
-            params=dict(payload.get("params", {})),
-        )

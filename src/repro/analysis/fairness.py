@@ -2,27 +2,18 @@
 
 The paper argues about fairness qualitatively (Figure 1 versus Figure 7);
 these helpers quantify it so tests and EXPERIMENTS.md can assert on it:
-Jain's fairness index, the max/min share ratio, and normalised bandwidth
-shares.
+Jain's fairness index (``jain_index``, the one body in
+:func:`repro.simulator.monitors.jain_fairness` under its analysis-layer
+name), the max/min share ratio, and normalised bandwidth shares.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from ..simulator.monitors import jain_fairness as jain_index
+
 __all__ = ["jain_index", "max_min_ratio", "bandwidth_shares"]
-
-
-def jain_index(throughputs: Sequence[float]) -> float:
-    """Jain's fairness index: 1.0 is perfectly fair, 1/n is maximally unfair."""
-    values = list(throughputs)
-    if not values:
-        return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(values) * squares)
 
 
 def max_min_ratio(throughputs: Sequence[float]) -> float:

@@ -14,17 +14,49 @@ can sweep attacker type × intensity × onset on any topology; see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from ..adversary.spec import AttackSpec
-from .config import PAPER_DEFAULTS
+from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
-__all__ = ["attack_duel_spec"]
+__all__ = ["attack_duel_spec", "duel_spec"]
 
 DEFAULT_ATTACK_START_S = 20.0
 DEFAULT_DURATION_S = 60.0
+
+
+def duel_spec(
+    name: str,
+    sessions: Sequence[SessionDecl],
+    protected: bool,
+    duration_s: Optional[float],
+    config: ExperimentConfig,
+    tcp: Sequence[TcpDecl] = (),
+    **extras: Any,
+) -> ScenarioSpec:
+    """Honest sessions against attacker sessions on a fair-share-sized bottleneck.
+
+    The one shape behind the attack and scale scenario catalogue: the
+    already-declared multicast ``sessions`` (in the order given) and ``tcp``
+    flows contend for a bottleneck sized at one fair share per flow — so
+    ``expected_sessions`` is their count, a multicast session weighing one
+    however many receivers or cohort members it declares, because it sends
+    one copy across the bottleneck.  ``extras`` are the remaining
+    :class:`~repro.experiments.spec.ScenarioSpec` fields a builder sets
+    (``topology``, ``topology_params``, ``cbr``, ``shards``).
+    """
+    return ScenarioSpec(
+        name=name,
+        protected=protected,
+        expected_sessions=len(sessions) + len(tcp),
+        sessions=tuple(sessions),
+        tcp=tuple(tcp),
+        duration_s=duration_s,
+        config=config,
+        **extras,
+    )
 
 
 def attack_duel_spec(
@@ -43,17 +75,16 @@ def attack_duel_spec(
     attacker's receiver count — a multicast session sends one copy across it.
     """
     receivers = max(attack.receivers) + 1
-    return ScenarioSpec(
-        name=name,
-        protected=protected,
-        expected_sessions=3,
-        sessions=(
+    return duel_spec(
+        name,
+        (
             SessionDecl("F1", receivers=receivers, attacks=(attack,)),
             SessionDecl("F2", receivers=1),
         ),
+        protected,
+        duration_s,
+        config,
         tcp=(TcpDecl("T1"),),
-        duration_s=duration_s,
-        config=config,
     )
 
 
@@ -70,6 +101,7 @@ def attack_flapping(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """Join/leave churn against SIGMA: ``F1`` flaps its membership every ``period_s``."""
     return attack_duel_spec(
         "attack-flapping",
         AttackSpec(
@@ -97,6 +129,7 @@ def attack_key_guessing(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """Random key guessing (§4.2): ``F1`` guesses a key per forbidden group."""
     return attack_duel_spec(
         "attack-key-guessing",
         AttackSpec(
@@ -123,6 +156,7 @@ def attack_key_replay(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """Key replay (§4.1): ``F1`` re-submits reconstructed keys out of scope."""
     return attack_duel_spec(
         "attack-key-replay",
         AttackSpec("key-replay", start_s=attack_start_s, intensity=intensity),
@@ -144,6 +178,7 @@ def attack_join_storm(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """IGMP join storm: ``F1`` reports every group at every slot boundary."""
     return attack_duel_spec(
         "attack-join-storm",
         AttackSpec("join-storm", start_s=attack_start_s, intensity=intensity),
@@ -165,6 +200,7 @@ def attack_ignore_congestion(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """Congestion masking (§2.1): ``F1`` pretends it saw no losses."""
     return attack_duel_spec(
         "attack-ignore-congestion",
         AttackSpec("ignore-congestion", start_s=attack_start_s, intensity=intensity),
@@ -186,6 +222,7 @@ def attack_composite(
     duration_s: Optional[float] = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
+    """The full Figure 7 attacker: four composed strategies on one receiver."""
     attacks = (
         AttackSpec(
             "inflated-join",
@@ -197,17 +234,16 @@ def attack_composite(
         AttackSpec("key-guessing", start_s=attack_start_s, intensity=intensity),
         AttackSpec("join-storm", start_s=attack_start_s, intensity=intensity),
     )
-    return ScenarioSpec(
-        name="attack-composite",
-        protected=protected,
-        expected_sessions=3,
-        sessions=(
+    return duel_spec(
+        "attack-composite",
+        (
             SessionDecl("F1", receivers=1, attacks=attacks),
             SessionDecl("F2", receivers=1),
         ),
+        protected,
+        duration_s,
+        config,
         tcp=(TcpDecl("T1"),),
-        duration_s=duration_s,
-        config=config,
     )
 
 

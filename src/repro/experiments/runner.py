@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tempfile
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -67,11 +66,12 @@ from ..analysis.protection import (
     weighted_honest_baseline_kbps,
 )
 from .scenario import Scenario
-from .spec import ScenarioSpec, canonical_json
+from .spec import PlainData, ScenarioSpec, canonical_json
 from .warmstart import (
     CheckpointStore,
     PrefixPlan,
     plan_prefix,
+    publish_atomically,
     require_store_key,
     run_checkpoint_json,
     run_scenario,
@@ -118,8 +118,13 @@ def _cache_version_tag() -> str:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    """Outcome of one spec execution, as plain JSON-serialisable data."""
+class RunResult(PlainData):
+    """Outcome of one spec execution, as plain JSON-serialisable data.
+
+    Serialises through the declarations' codec
+    (:class:`~repro.experiments.spec.PlainData`): ``to_dict``/``to_json``
+    and the type-checked ``from_dict``/``from_json``.
+    """
 
     scenario: str
     seed: int
@@ -137,36 +142,6 @@ class RunResult:
             duration_s=spec.effective_duration_s,
             metrics=metrics,
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of the result (inverse of :meth:`from_dict`)."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "protected": self.protected,
-            "duration_s": self.duration_s,
-            "metrics": self.metrics,
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace) — stable byte-for-byte."""
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            scenario=payload["scenario"],
-            seed=payload["seed"],
-            protected=payload["protected"],
-            duration_s=payload["duration_s"],
-            metrics=dict(payload["metrics"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunResult":
-        """Rebuild a result from its canonical JSON form."""
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------
@@ -713,26 +688,13 @@ class ResultCache:
     def store(self, spec: ScenarioSpec, output: str) -> None:
         """Atomically publish ``output`` as the cache entry for ``spec``.
 
-        The document is written to a pid-suffixed ``.tmp`` sibling and
-        :func:`os.replace`-d into place, so concurrent writers sharing one
-        directory and interrupted runs can never leave a torn entry under
-        the final name — readers see the old state or the whole new
-        document, nothing in between.
+        Readers see the old state or the whole new document, nothing in
+        between (:func:`~repro.experiments.warmstart.publish_atomically`).
         """
-        if self.directory is None:
-            return
-        path = self.directory / f"{self.key(spec)}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(output)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        if self.directory is not None:
+            publish_atomically(
+                self.directory / f"{self.key(spec)}.json", output.encode("utf-8")
+            )
 
 
 # ----------------------------------------------------------------------

@@ -59,10 +59,11 @@ per-object receivers — the reference the equivalence tests and the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
+from .attacks import duel_spec
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
 from .runner import ExperimentRunner, RunResult
@@ -80,6 +81,19 @@ __all__ = [
     "scale_protection_spec",
     "run_scale_protection_sweep",
 ]
+
+
+def _crowd(session_id: str, *blocks: CohortDecl) -> SessionDecl:
+    """A session whose whole population is cohort ``blocks``, no individuals."""
+    return SessionDecl(session_id, receivers=0, population=blocks)
+
+
+def _attackers(
+    count: int, strategy: str, attack_start_s: float, intensity: float, **block
+) -> CohortDecl:
+    """An adversarial block: ``count`` members mounting ``strategy``."""
+    attack = AttackSpec(strategy, start_s=attack_start_s, intensity=intensity)
+    return CohortDecl(count, attack=attack, **block)
 
 
 def scale_dumbbell_spec(
@@ -102,16 +116,10 @@ def scale_dumbbell_spec(
     audience into that many cohort rows (the axis the cohort-count
     benchmark sweeps); ``None`` keeps the single-cohort legacy shape.
     """
-    return ScenarioSpec(
-        name="scale-dumbbell-10k",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(CohortDecl(receivers, model=model, cohorts=cohorts),),
-            ),
+    return duel_spec(
+        "scale-dumbbell-10k",
+        (
+            _crowd("audience", CohortDecl(receivers, model=model, cohorts=cohorts)),
             SessionDecl(
                 "attacker",
                 receivers=1,
@@ -119,8 +127,9 @@ def scale_dumbbell_spec(
                 attack_start_s=attack_start_s,
             ),
         ),
-        duration_s=duration_s,
-        config=config,
+        protected,
+        duration_s,
+        config,
     )
 
 
@@ -129,6 +138,36 @@ register_scenario(
     "Inflated-subscription attack against a 10,000-receiver cohort audience "
     "on the paper's dumbbell (population-weighted protection metrics)",
 )(scale_dumbbell_spec)
+
+
+def _vector_duel(
+    receivers: int,
+    cohorts: int,
+    attackers: int,
+    attacker_cohorts: int,
+    attack_start_s: float,
+    intensity: float,
+) -> Tuple[SessionDecl, SessionDecl]:
+    """The flagships' two sessions, both ``model="vector"`` populations.
+
+    An honest ``audience`` of ``receivers`` members in ``cohorts`` rows and
+    an ``attackers`` population of ``attackers`` members in
+    ``attacker_cohorts`` rows mounting inflated-join from ``attack_start_s``.
+    """
+    return (
+        _crowd("audience", CohortDecl(receivers, model="vector", cohorts=cohorts)),
+        _crowd(
+            "attackers",
+            _attackers(
+                attackers,
+                "inflated-join",
+                attack_start_s,
+                intensity,
+                model="vector",
+                cohorts=attacker_cohorts,
+            ),
+        ),
+    )
 
 
 def scale_dumbbell_1m_spec(
@@ -156,42 +195,19 @@ def scale_dumbbell_1m_spec(
     ``receivers``.  That is what lets a 1M-receiver scenario finish on one
     CPU inside the CI scale-smoke budget (see ``docs/scale.md``).
     """
-    return ScenarioSpec(
-        name="scale-dumbbell-1m",
-        protected=protected,
-        expected_sessions=2,
+    return duel_spec(
+        "scale-dumbbell-1m",
+        _vector_duel(
+            receivers, cohorts, attackers, attacker_cohorts, attack_start_s, intensity
+        ),
+        protected,
+        duration_s,
+        config,
         topology="multi-edge-dumbbell",
         topology_params={
             "edges": edges,
             "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
         },
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(
-                    CohortDecl(receivers, model="vector", cohorts=cohorts),
-                ),
-            ),
-            SessionDecl(
-                "attackers",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        attackers,
-                        model="vector",
-                        cohorts=attacker_cohorts,
-                        attack=AttackSpec(
-                            "inflated-join",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        duration_s=duration_s,
-        config=config,
     )
 
 
@@ -230,44 +246,21 @@ def scale_dumbbell_10m_spec(
     between the serial and pooled paths — and, because each region has its
     own private bottleneck, to the unsharded run of the same topology.
     """
-    return ScenarioSpec(
-        name="scale-dumbbell-10m",
-        protected=protected,
-        expected_sessions=2,
+    return duel_spec(
+        "scale-dumbbell-10m",
+        _vector_duel(
+            receivers, cohorts, attackers, attacker_cohorts, attack_start_s, intensity
+        ),
+        protected,
+        duration_s,
+        config,
         topology="sharded-dumbbell",
         topology_params={
             "regions": regions,
             "edges_per_region": edges_per_region,
             "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
         },
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(
-                    CohortDecl(receivers, model="vector", cohorts=cohorts),
-                ),
-            ),
-            SessionDecl(
-                "attackers",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        attackers,
-                        model="vector",
-                        cohorts=attacker_cohorts,
-                        attack=AttackSpec(
-                            "inflated-join",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        duration_s=duration_s,
         shards=shards,
-        config=config,
     )
 
 
@@ -341,34 +334,20 @@ def attack_inflated_100k_spec(
     unprotected variant (``protected=False``) shows the aggregate damage an
     IGMP edge would concede.
     """
-    return ScenarioSpec(
-        name="attack-inflated-100k",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(CohortDecl(receivers, model=model),),
-            ),
-            SessionDecl(
+    return duel_spec(
+        "attack-inflated-100k",
+        (
+            _crowd("audience", CohortDecl(receivers, model=model)),
+            _crowd(
                 "attackers",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        attackers,
-                        model=model,
-                        attack=AttackSpec(
-                            "inflated-join",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
+                _attackers(
+                    attackers, "inflated-join", attack_start_s, intensity, model=model
                 ),
             ),
         ),
-        duration_s=duration_s,
-        config=config,
+        protected,
+        duration_s,
+        config,
     )
 
 
@@ -403,43 +382,23 @@ def attack_keys_100k_spec(
     replay in ``invalid_submissions`` and alarm on the guess volume while
     the honest audience's goodput stays at its fair share.
     """
-    return ScenarioSpec(
-        name="attack-keys-100k",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(CohortDecl(receivers, model=model),),
-            ),
-            SessionDecl(
+    return duel_spec(
+        "attack-keys-100k",
+        (
+            _crowd("audience", CohortDecl(receivers, model=model)),
+            _crowd(
                 "attackers",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        replayers,
-                        model=model,
-                        attack=AttackSpec(
-                            "key-replay",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
-                    CohortDecl(
-                        guessers,
-                        model=model,
-                        attack=AttackSpec(
-                            "key-guessing",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
+                _attackers(
+                    replayers, "key-replay", attack_start_s, intensity, model=model
+                ),
+                _attackers(
+                    guessers, "key-guessing", attack_start_s, intensity, model=model
                 ),
             ),
         ),
-        duration_s=duration_s,
-        config=config,
+        protected,
+        duration_s,
+        config,
     )
 
 
@@ -480,51 +439,30 @@ def attack_collusion_100k_spec(
     """
     last = f"r{hops}"
     effective_duration = duration_s if duration_s is not None else config.duration_s
-    pool_params = {"pool": "lot"}
-    return ScenarioSpec(
-        name="attack-collusion-100k",
-        protected=protected,
-        expected_sessions=2,
+    collusion = AttackSpec(
+        "collusion",
+        start_s=attack_start_s,
+        intensity=intensity,
+        params={"pool": "lot"},
+    )
+    return duel_spec(
+        "attack-collusion-100k",
+        (
+            _crowd(
+                "colluders",
+                CohortDecl(publishers, router="r1", model=model, attack=collusion),
+                CohortDecl(exploiters, router=last, model=model, attack=collusion),
+            ),
+            _crowd("audience", CohortDecl(receivers, router=last, model=model)),
+        ),
+        protected,
+        duration_s,
+        config,
         topology="parking-lot",
         topology_params={
             "hops": hops,
             "bottleneck_bandwidth_bps": 3 * config.fair_share_bps,
         },
-        sessions=(
-            SessionDecl(
-                "colluders",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        publishers,
-                        router="r1",
-                        model=model,
-                        attack=AttackSpec(
-                            "collusion",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                            params=pool_params,
-                        ),
-                    ),
-                    CohortDecl(
-                        exploiters,
-                        router=last,
-                        model=model,
-                        attack=AttackSpec(
-                            "collusion",
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                            params=pool_params,
-                        ),
-                    ),
-                ),
-            ),
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(CohortDecl(receivers, router=last, model=model),),
-            ),
-        ),
         cbr=(
             CbrDecl(
                 "squeeze",
@@ -535,8 +473,6 @@ def attack_collusion_100k_spec(
                 receiver_router=last,
             ),
         ),
-        duration_s=duration_s,
-        config=config,
     )
 
 
@@ -566,20 +502,12 @@ def attack_churn_flash_crowd_spec(
     population-weighted IGMP/SIGMA counters must track the instantaneous
     membership.
     """
-    return ScenarioSpec(
-        name="attack-churn-flash-crowd",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
+    return duel_spec(
+        "attack-churn-flash-crowd",
+        (
+            _crowd(
                 "crowd",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        initial,
-                        churn=ChurnProcess(burst=((surge_at_s, surge),)),
-                    ),
-                ),
+                CohortDecl(initial, churn=ChurnProcess(burst=((surge_at_s, surge),))),
             ),
             SessionDecl(
                 "attacker",
@@ -587,8 +515,9 @@ def attack_churn_flash_crowd_spec(
                 attacks=(AttackSpec("churn", start_s=attack_start_s),),
             ),
         ),
-        duration_s=duration_s,
-        config=config,
+        protected,
+        duration_s,
+        config,
     )
 
 
@@ -623,34 +552,18 @@ def scale_protection_spec(
         raise ValueError("attacker_fraction must be in (0, 1)")
     attackers = max(1, round(audience * attacker_fraction))
     honest = max(1, audience - attackers)
-    return ScenarioSpec(
-        name="scale-protection",
-        protected=protected,
-        expected_sessions=2,
-        sessions=(
-            SessionDecl(
-                "audience",
-                receivers=0,
-                population=(CohortDecl(honest, model=model),),
-            ),
-            SessionDecl(
+    return duel_spec(
+        "scale-protection",
+        (
+            _crowd("audience", CohortDecl(honest, model=model)),
+            _crowd(
                 "attackers",
-                receivers=0,
-                population=(
-                    CohortDecl(
-                        attackers,
-                        model=model,
-                        attack=AttackSpec(
-                            strategy,
-                            start_s=attack_start_s,
-                            intensity=intensity,
-                        ),
-                    ),
-                ),
+                _attackers(attackers, strategy, attack_start_s, intensity, model=model),
             ),
         ),
-        duration_s=duration_s,
-        config=config,
+        protected,
+        duration_s,
+        config,
     )
 
 

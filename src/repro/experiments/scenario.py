@@ -1,16 +1,21 @@
-"""Scenario construction: the interpreter of declarative scenario specs.
+"""Scenario construction: declarations in, network out.
 
-Historically :class:`Scenario` was a dumbbell-only builder; it is now an
-interpreter over the general topology layer.  It can be driven two ways:
+:class:`Scenario` is the interpreter of the declaration layer
+(:mod:`repro.experiments.spec`).  :meth:`Scenario.from_spec` builds the
+topology a :class:`~repro.experiments.spec.ScenarioSpec` names and hands
+each of its :class:`~repro.experiments.spec.SessionDecl`,
+:class:`~repro.experiments.spec.TcpDecl` and
+:class:`~repro.experiments.spec.CbrDecl` to one realise method apiece; a
+declaration is read where it is realised and nowhere else, so a new
+declaration field is one dataclass line plus its use here.
 
-* **declaratively** — :meth:`Scenario.from_spec` takes a
-  :class:`~repro.experiments.spec.ScenarioSpec` (topology by name plus session
-  / cross-traffic declarations) and realises the whole experiment;
-* **imperatively** — the historical API (construct, then
-  :meth:`add_multicast_session` / :meth:`add_tcp_connection` /
-  :meth:`add_onoff_cbr`) still works and now accepts an arbitrary
-  :class:`~repro.simulator.topology.TopologySpec`, defaulting to the paper's
-  dumbbell.
+:meth:`~Scenario.add_multicast_session`, :meth:`~Scenario.add_tcp_connection`
+and :meth:`~Scenario.add_onoff_cbr` are *declaration constructors*, not a
+second API: each builds the corresponding declaration from its keyword
+arguments (the declaration's own fields and defaults, auto-naming sessions
+``mc<N>`` and connections ``tcp<N>``) and realises it on a scenario made
+with ``Scenario(config, protected, …)`` — over the paper's dumbbell by
+default, or any :class:`~repro.simulator.topology.TopologySpec`.
 
 Group management is installed on *every* receiver-side router of the
 topology: an IGMP manager per router for the unprotected baseline, or one
@@ -18,7 +23,7 @@ SIGMA agent per router (sharing a single slot clock) for the protected
 system — on multi-bottleneck topologies such as the parking lot, star and
 binary tree, each edge router polices its own local receivers.
 
-The builder exposes the created senders/receivers/connections so experiments
+The scenario exposes the created senders/receivers/connections so experiments
 and tests can interrogate throughput monitors, SIGMA statistics and level
 histories after :meth:`run`.
 """
@@ -26,8 +31,8 @@ histories after :meth:`run`.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..adversary.receivers import StrategyStack
 from ..adversary.registry import build_strategies
@@ -35,7 +40,6 @@ from ..adversary.spec import AttackSpec
 from ..core.sigma import SigmaConfig, SigmaRouterAgent
 from ..core.timeslot import SlotClock
 from ..multicast_cc import (
-    ChurnProcess,
     FlidDlReceiver,
     FlidDlSender,
     FlidDsReceiver,
@@ -59,7 +63,7 @@ from ..simulator.topology import (
 from ..transport.cbr import CbrSink, OnOffCbrSource
 from ..transport.tcp import TcpConnection
 from .config import ExperimentConfig
-from .spec import CohortDecl, ScenarioSpec
+from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 #: Stamped into every :meth:`Scenario.checkpoint` blob; bump whenever the
 #: pickled state layout changes so stale blobs read as misses, never as state.
@@ -193,148 +197,132 @@ class Scenario:
             dumbbell_config=dumbbell_config,
         )
         for session in spec.sessions:
-            scenario.add_multicast_session(
-                session.session_id,
-                receivers=session.receivers,
-                misbehaving=tuple(session.misbehaving),
-                attack_start_s=session.attack_start_s,
-                attacks=session.attacks,
-                receiver_start_times=(
-                    list(session.receiver_start_times)
-                    if session.receiver_start_times is not None
-                    else None
-                ),
-                receiver_access_delays=(
-                    list(session.receiver_access_delays)
-                    if session.receiver_access_delays is not None
-                    else None
-                ),
-                receiver_routers=(
-                    list(session.receiver_routers)
-                    if session.receiver_routers is not None
-                    else None
-                ),
-                track_overhead=session.track_overhead,
-                suppress_unsubscribed_groups=session.suppress_unsubscribed_groups,
-                population=session.population,
-            )
+            scenario._realise_session(session)
         for tcp in spec.tcp:
-            scenario.add_tcp_connection(
-                tcp.name,
-                start_s=tcp.start_s,
-                sender_router=tcp.sender_router,
-                receiver_router=tcp.receiver_router,
-            )
+            scenario._realise_tcp(tcp)
         for cbr in spec.cbr:
-            scenario.add_onoff_cbr(
-                rate_bps=cbr.rate_bps,
-                on_s=cbr.on_s,
-                off_s=cbr.off_s,
-                active_window=(
-                    (cbr.active_window[0], cbr.active_window[1])
-                    if cbr.active_window is not None
-                    else None
-                ),
-                name=cbr.name,
-                sender_router=cbr.sender_router,
-                receiver_router=cbr.receiver_router,
-            )
+            scenario._realise_cbr(cbr)
         return scenario
+
+    # ------------------------------------------------------------------
+    # declaration constructors
+    # ------------------------------------------------------------------
+    def add_multicast_session(
+        self, session_id: Optional[str] = None, **fields: Any
+    ) -> MulticastSession:
+        """Declare one multicast session and realise it.
+
+        Builds ``SessionDecl(session_id, **fields)`` — the keywords *are*
+        :class:`~repro.experiments.spec.SessionDecl`'s fields, with its
+        defaults and its declaration-time validation — and hands it to the
+        interpreter.  ``session_id`` defaults to ``mc<N>``, ``N`` counting
+        the scenario's sessions from 1.
+        """
+        session_id = session_id or f"mc{len(self.sessions) + 1}"
+        return self._realise_session(SessionDecl(session_id, **fields))
+
+    def add_tcp_connection(
+        self, name: Optional[str] = None, **fields: Any
+    ) -> TcpConnection:
+        """Declare one TCP Reno connection and realise it.
+
+        Builds ``TcpDecl(name, **fields)``; ``name`` defaults to ``tcp<N>``,
+        ``N`` counting the scenario's connections from 1.
+        """
+        name = name or f"tcp{len(self.tcp_connections) + 1}"
+        return self._realise_tcp(TcpDecl(name, **fields))
+
+    def add_onoff_cbr(
+        self, rate_bps: float, **fields: Any
+    ) -> Tuple[OnOffCbrSource, CbrSink]:
+        """Declare one on-off CBR source and realise it.
+
+        Builds ``CbrDecl(rate_bps=rate_bps, **fields)``.
+        """
+        return self._realise_cbr(CbrDecl(rate_bps=rate_bps, **fields))
 
     # ------------------------------------------------------------------
     # multicast sessions
     # ------------------------------------------------------------------
-    def add_multicast_session(
-        self,
-        session_id: Optional[str] = None,
-        receivers: int = 1,
-        misbehaving: Tuple[int, ...] = (),
-        attack_start_s: float = 0.0,
-        attacks: Sequence[AttackSpec] = (),
-        receiver_start_times: Optional[List[float]] = None,
-        receiver_access_delays: Optional[List[Optional[float]]] = None,
-        receiver_routers: Optional[List[Optional[str]]] = None,
-        track_overhead: bool = False,
-        suppress_unsubscribed_groups: bool = True,
-        population: Sequence[CohortDecl] = (),
-    ) -> MulticastSession:
-        """Create one multicast session with its sender and receivers.
+    def _realise_session(self, decl: SessionDecl) -> MulticastSession:
+        """Create one declared session: its sender, then every receiver.
 
-        ``attacks`` lists :class:`~repro.adversary.spec.AttackSpec`
-        declarations; each targets one or more (0-based) receiver indices and
-        several may stack on the same receiver.  ``misbehaving`` is the
-        historical shorthand: the listed indices mount the paper's default
-        inflated-subscription stack from ``attack_start_s``.
-        ``receiver_routers`` optionally pins receivers to named routers.
-
-        ``population`` appends blocks of homogeneous receivers after the
-        individual ones: each :class:`~repro.experiments.spec.CohortDecl`
-        is realised at the placement its ``model`` names (one aggregated
-        receiver by default).  ``attacks`` never target population blocks;
-        a block turns adversarial through its own ``attack`` declaration.
+        Individual receivers and population blocks go through one placement
+        loop: the individuals first (one member each, with their own start
+        time, access delay, router and attack stack), then each block at
+        the placement its ``model`` names (:meth:`_block_hosts`), in
+        declaration order.
         """
-        index = len(self.sessions) + 1
-        session_id = session_id or f"mc{index}"
+        session_id = decl.session_id
         spec = self.config.session_spec(session_id, self.protected).with_addresses(
             self.network.allocate_groups(self.config.group_count)
         )
-        overhead = OverheadAccumulator() if track_overhead else None
+        overhead = OverheadAccumulator() if decl.track_overhead else None
 
-        sender_host = self.network.add_sender(f"{session_id}-src")
-        sender: LayeredSenderBase
-        if self.protected:
-            sender = FlidDsSender(
-                self.network,
-                sender_host,
-                spec,
-                key_bits=self.config.key_bits,
-                overhead=overhead,
-                suppress_unsubscribed_groups=suppress_unsubscribed_groups,
-            )
-        else:
-            sender = FlidDlSender(
-                self.network,
-                sender_host,
-                spec,
-                overhead=overhead,
-                suppress_unsubscribed_groups=suppress_unsubscribed_groups,
-            )
-
+        sender_class, receiver_class, protocol = self._protocol()
+        sender: LayeredSenderBase = sender_class(
+            self.network,
+            self.network.add_sender(f"{session_id}-src"),
+            spec,
+            overhead=overhead,
+            suppress_unsubscribed_groups=decl.suppress_unsubscribed_groups,
+            **protocol,
+        )
         session = MulticastSession(
             spec=spec, protected=self.protected, sender=sender, overhead=overhead
         )
-        per_receiver = self._attacks_per_receiver(
-            receivers, misbehaving, attack_start_s, attacks
-        )
-        start_times = receiver_start_times or [0.0] * receivers
-        access_delays = receiver_access_delays or [None] * receivers
-        routers = receiver_routers or [None] * receivers
-        for r_index in range(receivers):
-            host = self.network.add_receiver(
-                f"{session_id}-rx{r_index + 1}",
-                access_delay_s=access_delays[r_index],
-                router=routers[r_index],
+        individual_attacks, block_attacks = self._declared_attacks(decl)
+        count = decl.receivers
+        start_times = decl.receiver_start_times or [0.0] * count
+        access_delays = decl.receiver_access_delays or [None] * count
+        routers = decl.receiver_routers or [None] * count
+        #: One entry per receiver object to create: host name, router, the
+        #: rows it stands for, its attacks, start time, access delay, churn.
+        placements: List[Tuple[Any, ...]] = [
+            (
+                f"{session_id}-rx{index + 1}",
+                routers[index],
+                (1,),
+                individual_attacks.get(index, ()),
+                start_times[index],
+                access_delays[index],
+                None,
             )
-            receiver = self._make_receiver(spec, host, per_receiver.get(r_index, ()))
+            for index in range(count)
+        ]
+        bounds = [count]
+        for c_index, (cohort, attacks) in enumerate(zip(decl.population, block_attacks)):
+            placements.extend(
+                (host_name, router, rows, attacks, cohort.start_s, None, cohort.churn)
+                for host_name, router, rows in self._block_hosts(
+                    session_id, c_index, cohort
+                )
+            )
+            bounds.append(len(placements))
+        session.block_slices = list(zip(bounds, bounds[1:]))
+        for host_name, router, rows, attacks, start_s, access_delay_s, churn in placements:
+            host = self.network.add_receiver(
+                host_name, access_delay_s=access_delay_s, router=router
+            )
+            receiver = receiver_class(
+                self.network,
+                host,
+                spec,
+                counts=rows,
+                strategies=self._strategy_stack(spec, host_name, attacks),
+                churn=churn,
+                **protocol,
+            )
             session.receivers.append(receiver)
-            receiver.start(start_times[r_index])
-        for c_index, cohort in enumerate(population):
-            start = len(session.receivers)
-            self._add_population(session, spec, session_id, c_index, cohort)
-            session.block_slices.append((start, len(session.receivers)))
+            receiver.start(start_s)
         sender.start()
         self.sessions.append(session)
         return session
 
-    def _add_population(
-        self,
-        session: MulticastSession,
-        spec: SessionSpec,
-        session_id: str,
-        c_index: int,
-        cohort: CohortDecl,
-    ) -> None:
-        """Realise one population block at the placement its model names.
+    def _block_hosts(
+        self, session_id: str, c_index: int, cohort: CohortDecl
+    ) -> List[Tuple[str, Optional[str], Sequence[int]]]:
+        """``(host name, router, rows)`` of every receiver of one population block.
 
         Every placement builds the same receiver; ``cohort.model`` decides
         how many hosts carry the block and how many members each stands for:
@@ -346,17 +334,11 @@ class Scenario:
         * ``"vector"`` — one host per receiver edge router (or the pinned
           ``cohort.router``), carrying the rows spread round-robin across
           the edges and registered in the scenario's population table.
-
-        A block carrying an :class:`~repro.adversary.spec.AttackSpec` mounts
-        the declared strategy on every receiver it realises as.
         """
-        attacks = (cohort.attack,) if cohort.attack is not None else ()
-        #: (host name, router, rows) of every receiver of the block; vector
-        #: rows are the population-table block registering them.
-        placements: List[Tuple[str, Optional[str], Sequence[int]]] = []
+        hosts: List[Tuple[str, Optional[str], Sequence[int]]] = []
         if cohort.model == "individual":
             for member in range(cohort.count):
-                placements.append(
+                hosts.append(
                     (f"{session_id}-pop{c_index + 1}-rx{member + 1}", cohort.router, (1,))
                 )
         elif cohort.model == "vector":
@@ -373,7 +355,7 @@ class Scenario:
                     block = self._require_population_table().allocate(
                         edge, session_id, rows
                     )
-                    placements.append(
+                    hosts.append(
                         (f"{session_id}-vec{c_index + 1}-{e_index + 1}", edge, block)
                     )
         else:
@@ -382,16 +364,10 @@ class Scenario:
                 # The single-cohort host keeps its historical name so legacy
                 # scenarios stay byte-identical; split cohorts get a -k suffix.
                 suffix = "" if len(counts) == 1 else f"-{k + 1}"
-                placements.append(
+                hosts.append(
                     (f"{session_id}-cohort{c_index + 1}{suffix}", cohort.router, (members,))
                 )
-        for host_name, router, rows in placements:
-            host = self.network.add_receiver(host_name, router=router)
-            receiver = self._make_receiver(
-                spec, host, attacks, counts=rows, churn=cohort.churn
-            )
-            session.receivers.append(receiver)
-            receiver.start(cohort.start_s)
+        return hosts
 
     def _require_population_table(self) -> PopulationTable:
         """The scenario-level population table, created on first vector block.
@@ -403,48 +379,43 @@ class Scenario:
             self.population_table = PopulationTable()
         return self.population_table
 
-    def _attacks_per_receiver(
-        self,
-        receivers: int,
-        misbehaving: Tuple[int, ...],
-        attack_start_s: float,
-        attacks: Sequence[AttackSpec],
-    ) -> Dict[int, List[AttackSpec]]:
-        """Resolve legacy + declared attacks into per-receiver stacks.
+    def _declared_attacks(
+        self, decl: SessionDecl
+    ) -> Tuple[Dict[int, List[AttackSpec]], List[Tuple[AttackSpec, ...]]]:
+        """What ``decl`` mounts where: by individual index, and per block.
 
         The legacy ``misbehaving`` shorthand expands to the paper's default
         attacker for the scenario's protocol: plain ``inflated-join`` against
         FLID-DL (Figure 1), or the composite Figure 7 stack (bare joins on
         top of the honest pipeline, key replay, key guessing) against
-        FLID-DS.  Declared attacks follow in declaration order.
+        FLID-DS.  Declared attacks follow in declaration order (their target
+        indices were range-checked when ``decl`` was declared).  A
+        population block mounts its own ``attack`` on every member.
         """
-        per_receiver: Dict[int, List[AttackSpec]] = {}
-        if misbehaving:
+        legacy: List[AttackSpec] = []
+        if decl.misbehaving:
+            joins = AttackSpec(
+                "inflated-join",
+                receivers=tuple(decl.misbehaving),
+                start_s=decl.attack_start_s,
+            )
             if self.protected:
                 legacy = [
-                    AttackSpec(
-                        "inflated-join",
-                        receivers=misbehaving,
-                        start_s=attack_start_s,
-                        params={"suppress_honest": False},
-                    ),
-                    AttackSpec("key-replay", receivers=misbehaving, start_s=attack_start_s),
-                    AttackSpec("key-guessing", receivers=misbehaving, start_s=attack_start_s),
+                    replace(joins, params={"suppress_honest": False}),
+                    replace(joins, strategy="key-replay"),
+                    replace(joins, strategy="key-guessing"),
                 ]
             else:
-                legacy = [
-                    AttackSpec("inflated-join", receivers=misbehaving, start_s=attack_start_s)
-                ]
-            attacks = legacy + list(attacks)
-        for attack in attacks:
+                legacy = [joins]
+        individuals: Dict[int, List[AttackSpec]] = {}
+        for attack in (*legacy, *decl.attacks):
             for index in attack.receivers:
-                if not 0 <= index < receivers:
-                    raise ValueError(
-                        f"attack {attack.strategy!r} targets receiver {index}, "
-                        f"out of range for {receivers} receivers"
-                    )
-                per_receiver.setdefault(index, []).append(attack)
-        return per_receiver
+                individuals.setdefault(index, []).append(attack)
+        blocks = [
+            (cohort.attack,) if cohort.attack is not None else ()
+            for cohort in decl.population
+        ]
+        return individuals, blocks
 
     def _strategy_stack(
         self, spec: SessionSpec, host_name: str, attacks: Sequence[AttackSpec]
@@ -456,89 +427,59 @@ class Scenario:
             build_strategies(list(attacks), self.network, spec, host_name)
         )
 
-    def _make_receiver(
-        self,
-        spec: SessionSpec,
-        host: Host,
-        attacks: Sequence[AttackSpec],
-        counts: Sequence[int] = (1,),
-        churn: Optional[ChurnProcess] = None,
-    ) -> LayeredReceiverBase:
-        """The scenario's protocol receiver standing for ``counts`` on ``host``."""
-        strategies = self._strategy_stack(spec, host.name, attacks)
+    def _protocol(self) -> Tuple[type, type, Dict[str, Any]]:
+        """The scenario's sender class, receiver class and their extra keywords."""
         if self.protected:
-            return FlidDsReceiver(
-                self.network,
-                host,
-                spec,
-                counts=counts,
-                strategies=strategies,
-                churn=churn,
-                key_bits=self.config.key_bits,
-            )
-        return FlidDlReceiver(
-            self.network, host, spec, counts=counts, strategies=strategies, churn=churn
-        )
+            return FlidDsSender, FlidDsReceiver, {"key_bits": self.config.key_bits}
+        return FlidDlSender, FlidDlReceiver, {}
 
     # ------------------------------------------------------------------
     # unicast traffic
     # ------------------------------------------------------------------
-    def add_tcp_connection(
-        self,
-        name: Optional[str] = None,
-        start_s: float = 0.0,
-        sender_router: Optional[str] = None,
-        receiver_router: Optional[str] = None,
-    ) -> TcpConnection:
-        """Add a TCP Reno connection crossing the topology left to right."""
-        index = len(self.tcp_connections) + 1
-        name = name or f"tcp{index}"
-        source = self.network.add_sender(f"{name}-src", router=sender_router)
-        sink_host = self.network.add_receiver(f"{name}-dst", router=receiver_router)
+    def _unicast_endpoints(
+        self, decl: Union[TcpDecl, CbrDecl]
+    ) -> Tuple[Host, Host, int]:
+        """Source host, sink host and port for one declared TCP/CBR flow."""
+        source = self.network.add_sender(f"{decl.name}-src", router=decl.sender_router)
+        sink = self.network.add_receiver(f"{decl.name}-dst", router=decl.receiver_router)
         self.network.build_routes()
+        port = self._next_port
+        self._next_port += 1
+        return source, sink, port
+
+    def _realise_tcp(self, decl: TcpDecl) -> TcpConnection:
+        """Create one declared TCP Reno connection crossing the topology."""
+        source, sink_host, port = self._unicast_endpoints(decl)
         connection = TcpConnection.create(
-            source, sink_host, port=self._allocate_port(), segment_bytes=self.config.packet_bytes, name=name
+            source,
+            sink_host,
+            port=port,
+            segment_bytes=self.config.packet_bytes,
+            name=decl.name,
         )
-        connection.start(start_s)
+        connection.start(decl.start_s)
         self.tcp_connections.append(connection)
         return connection
 
-    def add_onoff_cbr(
-        self,
-        rate_bps: float,
-        on_s: float = 5.0,
-        off_s: float = 5.0,
-        active_window: Optional[Tuple[float, float]] = None,
-        name: str = "cbr",
-        sender_router: Optional[str] = None,
-        receiver_router: Optional[str] = None,
-    ) -> Tuple[OnOffCbrSource, CbrSink]:
-        """Add an on-off CBR session crossing the topology."""
-        source_host = self.network.add_sender(f"{name}-src", router=sender_router)
-        sink_host = self.network.add_receiver(f"{name}-dst", router=receiver_router)
-        self.network.build_routes()
-        port = self._allocate_port()
-        sink = CbrSink(sink_host, port, name=f"{name}-sink")
+    def _realise_cbr(self, decl: CbrDecl) -> Tuple[OnOffCbrSource, CbrSink]:
+        """Create one declared on-off CBR session crossing the topology."""
+        source_host, sink_host, port = self._unicast_endpoints(decl)
+        sink = CbrSink(sink_host, port, name=f"{decl.name}-sink")
         source = OnOffCbrSource(
             source_host,
             sink_host,
             port,
-            rate_bps=rate_bps,
-            on_s=on_s,
-            off_s=off_s,
+            rate_bps=decl.rate_bps,
+            on_s=decl.on_s,
+            off_s=decl.off_s,
             packet_bytes=self.config.packet_bytes,
-            active_window=active_window,
-            name=name,
+            active_window=decl.active_window,
+            name=decl.name,
         )
         source.start()
         self.cbr_sources.append(source)
         self.cbr_sinks.append(sink)
         return source, sink
-
-    def _allocate_port(self) -> int:
-        port = self._next_port
-        self._next_port += 1
-        return port
 
     # ------------------------------------------------------------------
     # execution
@@ -605,20 +546,15 @@ class Scenario:
         changed the population before the barrier.
         """
         for decl, session in zip(spec.sessions, self.sessions):
-            per_receiver = self._attacks_per_receiver(
-                decl.receivers,
-                tuple(decl.misbehaving),
-                decl.attack_start_s,
-                decl.attacks,
-            )
-            for r_index, attacks in per_receiver.items():
+            individual_attacks, block_attacks = self._declared_attacks(decl)
+            for r_index, attacks in individual_attacks.items():
                 receiver = session.receivers[r_index]
                 receiver.rebind(
                     self._strategy_stack(session.spec, receiver.host.name, attacks)
                 )
-            for b_index, cohort in enumerate(decl.population):
-                start, stop = session.block_slices[b_index]
-                attacks = (cohort.attack,) if cohort.attack is not None else ()
+            for cohort, attacks, (start, stop) in zip(
+                decl.population, block_attacks, session.block_slices
+            ):
                 for receiver in session.receivers[start:stop]:
                     receiver.rebind(
                         self._strategy_stack(session.spec, receiver.host.name, attacks),
@@ -639,6 +575,7 @@ class Scenario:
     def tcp_average_kbps(
         self, start_s: Optional[float] = None, end_s: Optional[float] = None
     ) -> List[float]:
+        """Average throughput of each TCP connection."""
         start = self.config.warmup_s if start_s is None else start_s
         end = self.config.duration_s if end_s is None else end_s
         return [c.monitor.average_rate_kbps(start, end) for c in self.tcp_connections]

@@ -156,8 +156,9 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
             seen.append(region)
 
     count = len(topology.regions)
-    # region index -> session index -> (block_indices, blocks)
-    regional: List[List[Tuple[int, List[int], List[CohortDecl]]]] = [
+    # Per region, for every session with blocks there: which of the spec's
+    # blocks they are, and the region's share of the session.
+    regional: List[List[Tuple[RegionSession, SessionDecl]]] = [
         [] for _ in range(count)
     ]
     for s_index, decl in enumerate(spec.sessions):
@@ -208,38 +209,28 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
                     )
                 )
         for region, entries in per_region.items():
-            entries.sort(key=lambda pair: pair[0])
+            # Blocks were visited in order and land at most once per region,
+            # so ``entries`` is already in block order.
             regional[region].append(
-                (s_index, [b for b, _ in entries], [blk for _, blk in entries])
-            )
-
-    region_plans: List[RegionPlan] = []
-    for region in range(count):
-        sessions: List[SessionDecl] = []
-        mapping: List[RegionSession] = []
-        for s_index, block_indices, blocks in regional[region]:
-            decl = spec.sessions[s_index]
-            sessions.append(
-                SessionDecl(
-                    session_id=decl.session_id,
-                    receivers=0,
-                    suppress_unsubscribed_groups=decl.suppress_unsubscribed_groups,
-                    population=tuple(blocks),
+                (
+                    RegionSession(s_index, tuple(b_index for b_index, _ in entries)),
+                    replace(decl, population=tuple(block for _, block in entries)),
                 )
             )
-            mapping.append(RegionSession(s_index, tuple(block_indices)))
-        region_plans.append(
-            RegionPlan(
-                region=region + 1,
-                spec=replace(
-                    spec,
-                    topology_params={**params, "region": region + 1},
-                    sessions=tuple(sessions),
-                    shards=None,
-                ),
-                sessions=tuple(mapping),
-            )
+
+    region_plans = [
+        RegionPlan(
+            region=region + 1,
+            spec=replace(
+                spec,
+                topology_params={**params, "region": region + 1},
+                sessions=tuple(share for _, share in shares),
+                shards=None,
+            ),
+            sessions=tuple(mapping for mapping, _ in shares),
         )
+        for region, shares in enumerate(regional)
+    ]
     config = spec.config
     slot_s = config.flid_ds_slot_s if spec.protected else config.flid_dl_slot_s
     return ShardPlan(

@@ -17,13 +17,33 @@ Specs are plain frozen dataclasses with a canonical JSON form, so they can be
 The canonical JSON of a spec plus the seed inside its config fully determine
 an experiment's output bit-for-bit (the engine and the multicast forwarding
 plane are deterministic), which the property tests assert.
+
+A declaration's fields are spelled once, in its dataclass body.  The codec
+(:func:`encode` / :func:`decode`, exposed on every declaration through
+:class:`PlainData`) walks :func:`dataclasses.fields` and the annotations, so
+adding a field is one dataclass line — declared through :func:`unset` when
+it is optional, which keeps the JSON of every older spec byte-identical —
+and a wire spec whose value does not fit its annotation is refused at decode.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from collections.abc import Mapping as AbstractMapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache, partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
@@ -35,7 +55,11 @@ __all__ = [
     "TcpDecl",
     "CbrDecl",
     "ScenarioSpec",
+    "PlainData",
     "canonical_json",
+    "decode",
+    "encode",
+    "unset",
 ]
 
 
@@ -49,8 +73,183 @@ def canonical_json(document: Any) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
+# ----------------------------------------------------------------------
+# the codec: one dataclass walk between declarations and plain JSON data
+# ----------------------------------------------------------------------
+_OMIT_WHEN_UNSET = "omit_when_unset"
+
+#: Classes whose decode refuses keys that name no field.  Declarations
+#: ignore them (documents written by a build with more fields still read);
+#: the config is all knobs, where a misspelt key would silently run the
+#: paper defaults.
+_REJECT_UNKNOWN_KEYS = frozenset({ExperimentConfig})
+
+#: The JSON types a scalar annotation accepts.  Checked, never coerced: a
+#: JSON integer is a legal ``float`` (``10`` for ``start_s``), a boolean is
+#: never an ``int`` although Python would let it pass for one.
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def unset(default: Any = None) -> Any:
+    """A declaration field left out of the plain-data form while unset.
+
+    The key is omitted while the field equals ``default``, so the canonical
+    JSON — and with it every cache key, checkpoint key and golden digest —
+    of a spec that predates the field is byte-identical to what it always
+    was.  Every optional field added to a declaration is declared this way.
+    """
+    return field(default=default, metadata={_OMIT_WHEN_UNSET: True})
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON data: declarations → dicts, tuples → lists."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return encode(value)
+    return dict(value) if isinstance(value, AbstractMapping) else value
+
+
+def _checked(kind: type, value: Any) -> Any:
+    if type(value) not in _SCALARS[kind]:
+        raise TypeError(
+            f"expected {kind.__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
+def _listed(value: Any, length: Optional[int] = None) -> Any:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__} {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"expected {length} entries, got {value!r}")
+    return value
+
+
+def _mapping(value: Any) -> Dict[str, Any]:
+    if not isinstance(value, AbstractMapping):
+        raise TypeError(f"expected a mapping, got {type(value).__name__} {value!r}")
+    return dict(value)
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The function rebuilding one annotated field from plain JSON data.
+
+    It checks the data against the annotation on the way: scalars by type,
+    tuples for being lists (of the right length, when fixed), nested
+    declarations through :func:`decode`; free-form mappings
+    (``Mapping[str, Any]``) for being mappings only.
+    """
+    if hint in _SCALARS:
+        return partial(_checked, hint)
+    if is_dataclass(hint):
+        return partial(decode, hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _decoder(args[0] if args[1] is type(None) else args[1])
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _decoder(args[0])
+        return lambda value: tuple([item(entry) for entry in _listed(value)])
+    if origin is tuple:
+        items = [_decoder(arg) for arg in args]
+        return lambda value: tuple(
+            [item(entry) for item, entry in zip(items, _listed(value, len(items)))]
+        )
+    if origin in (dict, AbstractMapping):
+        return _mapping
+    raise TypeError(f"no codec for the annotation {hint!r}")
+
+
+@lru_cache(maxsize=None)
+def _field_plan(cls: type) -> Tuple[Tuple[str, bool, Any, Callable[[Any], Any]], ...]:
+    """Per field of ``cls``: ``(name, required, omitted default, decoder)``.
+
+    Computed once per class from :func:`dataclasses.fields` and the resolved
+    annotations — the dataclass body is the only place a field is spelled.
+    """
+    hints = get_type_hints(cls)
+    return tuple(
+        (
+            item.name,
+            item.default is MISSING and item.default_factory is MISSING,
+            item.default if item.metadata.get(_OMIT_WHEN_UNSET) else MISSING,
+            _decoder(hints[item.name]),
+        )
+        for item in fields(cls)
+    )
+
+
+def encode(declaration: Any) -> Dict[str, Any]:
+    """Plain-data form of a declaration — the one encoder behind ``to_dict``.
+
+    Fields declared through :func:`unset` are left out while they hold
+    their default.
+    """
+    payload: Dict[str, Any] = {}
+    for name, _required, omitted, _decode in _field_plan(type(declaration)):
+        value = getattr(declaration, name)
+        if omitted is MISSING or value != omitted:
+            payload[name] = _plain(value)
+    return payload
+
+
+def decode(cls: type, payload: Any) -> Any:
+    """Rebuild a ``cls`` declaration — the one decoder behind ``from_dict``.
+
+    This is the trust boundary of everything that takes a spec from outside
+    the process (the daemon's ``submit``, worker payloads, the result
+    cache).  Absent keys take the dataclass default, unknown keys are
+    ignored (except on the config), and every present value is checked
+    against its field's annotation: a missing required key raises
+    :class:`KeyError`, a wrongly-typed value :class:`TypeError` or
+    :class:`ValueError` naming the field, instead of a crash inside a run.
+    """
+    if not isinstance(payload, AbstractMapping):
+        raise TypeError(
+            f"{cls.__name__} must be a mapping, got {type(payload).__name__}"
+        )
+    kwargs: Dict[str, Any] = {}
+    name = ""
+    try:
+        for name, required, _omitted, decode_field in _field_plan(cls):
+            if name in payload:
+                kwargs[name] = decode_field(payload[name])
+            elif required:
+                raise KeyError(f"{cls.__name__}.{name} is required")
+    except (TypeError, ValueError) as error:
+        kind = TypeError if isinstance(error, TypeError) else ValueError
+        raise kind(f"{cls.__name__}.{name}: {error}") from None
+    if len(kwargs) != len(payload) and cls in _REJECT_UNKNOWN_KEYS:
+        unknown = sorted(set(payload) - set(kwargs))
+        raise TypeError(f"{cls.__name__} got unknown keys {unknown}")
+    return cls(**kwargs)
+
+
+class PlainData:
+    """The codec as methods, shared by every declaration and by results."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-data form (:func:`encode`)."""
+        return encode(self)
+
+    def to_json(self) -> str:
+        """Canonical JSON: sorted keys, no whitespace — stable for hashing."""
+        return canonical_json(encode(self))
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> Any:
+        """Rebuild from :meth:`to_dict` output, type-checked (:func:`decode`)."""
+        return decode(cls, payload)
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        """Rebuild from the canonical JSON form."""
+        return decode(cls, json.loads(text))
+
+
 @dataclass(frozen=True)
-class CohortDecl:
+class CohortDecl(PlainData):
     """``count`` homogeneous receivers added to a session's population.
 
     Every block is realised by the same protocol receiver
@@ -96,9 +295,9 @@ class CohortDecl:
     router: Optional[str] = None
     start_s: float = 0.0
     model: str = "cohort"
-    attack: Optional[AttackSpec] = None
-    churn: Optional[ChurnProcess] = None
-    cohorts: Optional[int] = None
+    attack: Optional[AttackSpec] = unset()
+    churn: Optional[ChurnProcess] = unset()
+    cohorts: Optional[int] = unset()
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -139,24 +338,9 @@ class CohortDecl:
                 "honest audience and the attacker population as separate blocks"
             )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CohortDecl":
-        """Rebuild a cohort declaration from its plain-data form."""
-        attack = payload.get("attack")
-        churn = payload.get("churn")
-        return cls(
-            count=payload["count"],
-            router=payload.get("router"),
-            start_s=payload.get("start_s", 0.0),
-            model=payload.get("model", "cohort"),
-            attack=AttackSpec.from_dict(attack) if attack is not None else None,
-            churn=ChurnProcess.from_dict(churn) if churn is not None else None,
-            cohorts=payload.get("cohorts"),
-        )
-
 
 @dataclass(frozen=True)
-class SessionDecl:
+class SessionDecl(PlainData):
     """One multicast session of a scenario.
 
     ``attacks`` declares the misbehaviour: each
@@ -189,7 +373,7 @@ class SessionDecl:
     receiver_routers: Optional[Tuple[Optional[str], ...]] = None
     track_overhead: bool = False
     suppress_unsubscribed_groups: bool = True
-    population: Tuple[CohortDecl, ...] = ()
+    population: Tuple[CohortDecl, ...] = unset(())
 
     def __post_init__(self) -> None:
         if self.receivers < 0:
@@ -222,13 +406,6 @@ class SessionDecl:
             indices.update(attack.receivers)
         return tuple(sorted(indices))
 
-    def adversarial_blocks(self) -> Tuple[int, ...]:
-        """Indices (into ``population``) of blocks that carry an attack."""
-        return tuple(
-            index for index, block in enumerate(self.population)
-            if block.attack is not None
-        )
-
     def attack_onset_s(self) -> Optional[float]:
         """Earliest scheduled attack start, or ``None`` without attackers."""
         onsets = [attack.start_s for attack in self.attacks]
@@ -246,7 +423,7 @@ class SessionDecl:
 
 
 @dataclass(frozen=True)
-class TcpDecl:
+class TcpDecl(PlainData):
     """One TCP Reno connection crossing the topology."""
 
     name: str
@@ -256,7 +433,7 @@ class TcpDecl:
 
 
 @dataclass(frozen=True)
-class CbrDecl:
+class CbrDecl(PlainData):
     """One on-off CBR source crossing the topology."""
 
     name: str = "cbr"
@@ -269,7 +446,7 @@ class CbrDecl:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(PlainData):
     """Declarative description of one experiment run.
 
     ``topology`` names a factory in :data:`repro.simulator.topology.TOPOLOGIES`
@@ -298,7 +475,7 @@ class ScenarioSpec:
     bottleneck_bps: Optional[float] = None
     duration_s: Optional[float] = None
     record_series: bool = False
-    shards: Optional[int] = None
+    shards: Optional[int] = unset()
     config: ExperimentConfig = PAPER_DEFAULTS
 
     def __post_init__(self) -> None:
@@ -330,105 +507,3 @@ class ScenarioSpec:
     def with_duration(self, duration_s: float) -> "ScenarioSpec":
         """A copy of this spec with an overridden run duration."""
         return replace(self, duration_s=duration_s)
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form: nested dataclasses become dicts, tuples lists.
-
-        A session's ``population`` key is omitted when empty — and a cohort
-        block's ``attack``/``churn``/``cohorts`` keys, and the spec-level
-        ``shards`` key, are omitted when unset — so that the canonical JSON
-        (and therefore every golden digest and cache key) of a spec
-        predating each field is byte-identical to what it always was.
-        """
-        payload = asdict(self)
-        payload["topology_params"] = dict(self.topology_params)
-        if payload.get("shards") is None:
-            payload.pop("shards", None)
-        for session in payload["sessions"]:
-            if not session.get("population"):
-                session.pop("population", None)
-                continue
-            for block in session["population"]:
-                if block.get("attack") is None:
-                    block.pop("attack", None)
-                if block.get("churn") is None:
-                    block.pop("churn", None)
-                if block.get("cohorts") is None:
-                    block.pop("cohorts", None)
-        return payload
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace — stable for hashing."""
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (inverse mapping)."""
-        def _tuple(value, convert=lambda x: x):
-            return None if value is None else tuple(convert(v) for v in value)
-
-        sessions = tuple(
-            SessionDecl(
-                session_id=s["session_id"],
-                receivers=s.get("receivers", 1),
-                misbehaving=tuple(s.get("misbehaving", ())),
-                attack_start_s=s.get("attack_start_s", 0.0),
-                attacks=tuple(
-                    AttackSpec.from_dict(a) for a in s.get("attacks", ())
-                ),
-                receiver_start_times=_tuple(s.get("receiver_start_times")),
-                receiver_access_delays=_tuple(s.get("receiver_access_delays")),
-                receiver_routers=_tuple(s.get("receiver_routers")),
-                track_overhead=s.get("track_overhead", False),
-                suppress_unsubscribed_groups=s.get("suppress_unsubscribed_groups", True),
-                population=tuple(
-                    CohortDecl.from_dict(c) for c in s.get("population", ())
-                ),
-            )
-            for s in payload.get("sessions", ())
-        )
-        tcp = tuple(
-            TcpDecl(
-                name=t["name"],
-                start_s=t.get("start_s", 0.0),
-                sender_router=t.get("sender_router"),
-                receiver_router=t.get("receiver_router"),
-            )
-            for t in payload.get("tcp", ())
-        )
-        cbr = tuple(
-            CbrDecl(
-                name=c.get("name", "cbr"),
-                rate_bps=c.get("rate_bps", 100_000.0),
-                on_s=c.get("on_s", 5.0),
-                off_s=c.get("off_s", 5.0),
-                active_window=_tuple(c.get("active_window")),
-                sender_router=c.get("sender_router"),
-                receiver_router=c.get("receiver_router"),
-            )
-            for c in payload.get("cbr", ())
-        )
-        config = ExperimentConfig(**payload.get("config", {}))
-        return cls(
-            name=payload["name"],
-            protected=payload["protected"],
-            sessions=sessions,
-            tcp=tcp,
-            cbr=cbr,
-            topology=payload.get("topology", "dumbbell"),
-            topology_params=dict(payload.get("topology_params", {})),
-            expected_sessions=payload.get("expected_sessions", 1),
-            bottleneck_bps=payload.get("bottleneck_bps"),
-            duration_s=payload.get("duration_s"),
-            record_series=payload.get("record_series", False),
-            shards=payload.get("shards"),
-            config=config,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Rebuild a spec from its canonical JSON form."""
-        return cls.from_dict(json.loads(text))

@@ -61,6 +61,7 @@ __all__ = [
     "PrefixPlan",
     "plan_prefix",
     "CheckpointStore",
+    "publish_atomically",
     "require_store_key",
     "run_checkpoint_json",
     "run_scenario",
@@ -83,12 +84,18 @@ PLACEHOLDER_STRATEGY = "inflated-join"
 def _canonical_attack(attack: AttackSpec, barrier_s: float) -> AttackSpec:
     """The placeholder standing in for ``attack`` before the barrier.
 
-    ``receivers`` is preserved — it decides which receivers mount a stack
-    at construction time; everything the sweep varies
-    (strategy, onset, stop, intensity, params) collapses to fixed values.
+    Everything the sweep varies (strategy, onset, stop, intensity, params)
+    collapses to fixed values; whatever else an attack declares — today
+    ``receivers``, which decides which receivers mount a stack at
+    construction time — is preserved.
     """
-    return AttackSpec(
-        PLACEHOLDER_STRATEGY, receivers=attack.receivers, start_s=barrier_s
+    return replace(
+        attack,
+        strategy=PLACEHOLDER_STRATEGY,
+        start_s=barrier_s,
+        stop_s=None,
+        intensity=1.0,
+        params={},
     )
 
 
@@ -214,6 +221,29 @@ def require_store_key(key: str) -> str:
     return key
 
 
+def publish_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` under ``path`` so readers never see a torn file.
+
+    The bytes go to a pid-suffixed ``.tmp`` sibling that is
+    :func:`os.replace`-d into place, so concurrent writers sharing one
+    directory and interrupted runs leave the old state or the whole new
+    file under the final name, nothing in between; whatever interrupts the
+    write, the sibling is removed.  The one publish step of the result
+    cache and the checkpoint store.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
 class CheckpointStore:
     """Content-addressed prefix checkpoints in one directory.
 
@@ -249,18 +279,7 @@ class CheckpointStore:
 
     def save(self, key: str, scenario: Scenario) -> None:
         """Atomically publish ``scenario``'s checkpoint under ``key``."""
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(scenario.checkpoint())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        publish_atomically(self.path(key), scenario.checkpoint())
 
 
 def _build_prefix(

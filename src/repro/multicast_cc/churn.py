@@ -20,7 +20,7 @@ that stops submitting keys behind a still-active interface).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 __all__ = ["ChurnProcess"]
@@ -71,17 +71,9 @@ class ChurnProcess:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (inverse of :meth:`from_dict`)."""
-        return {
-            "arrival_rate": self.arrival_rate,
-            "departure_rate": self.departure_rate,
-            "burst": [list(step) for step in self.burst],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChurnProcess":
         """Rebuild a churn process from its plain-data form."""
-        return cls(
-            arrival_rate=payload.get("arrival_rate", 0.0),
-            departure_rate=payload.get("departure_rate", 0.0),
-            burst=tuple(tuple(step) for step in payload.get("burst", ())),
-        )
+        return cls(**payload)

@@ -227,8 +227,8 @@ class OverheadAccumulator:
 
 
 def jain_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index of a set of throughputs (1.0 = perfectly fair)."""
-    values = [v for v in values]
+    """Jain's fairness index: 1.0 is perfectly fair, 1/n is maximally unfair."""
+    values = list(values)
     if not values:
         return 1.0
     total = sum(values)

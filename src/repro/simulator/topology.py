@@ -413,8 +413,9 @@ class DumbbellConfig:
         exhibit and keeps the smallest Figure 8 configurations (250 Kbps
         bottleneck) from degenerating to a two-packet buffer.
         """
-        bdp_bytes = self.bottleneck_bandwidth_bps * self.path_rtt_s / 8.0
-        return max(int(self.buffer_bdp_multiple * bdp_bytes), 4 * 1600)
+        return _chain_buffer_bytes(
+            self.bottleneck_bandwidth_bps, self.path_rtt_s, self.buffer_bdp_multiple
+        )
 
     @classmethod
     def for_fair_share(
@@ -462,7 +463,8 @@ def _chain_buffer_bytes(
 ) -> int:
     """Queue capacity of ``buffer_bdp_multiple`` path BDPs with a sane floor.
 
-    Mirrors :meth:`DumbbellConfig.bottleneck_buffer_bytes`: sizing on the
+    The sizing rule of every bottleneck, the dumbbell's included
+    (:meth:`DumbbellConfig.bottleneck_buffer_bytes`): sizing on the
     path round-trip time rather than the single hop's delay keeps small
     bottlenecks from degenerating to a couple-of-packets buffer.
     """

@@ -12,8 +12,6 @@ backends) build their scenarios here.
 import functools
 import os
 
-import pytest
-
 from repro.adversary import AttackSpec
 from repro.experiments import (
     PAPER_DEFAULTS,
@@ -22,7 +20,7 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
 )
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
+from repro.multicast_cc.population import BACKEND_ENV_VAR
 
 #: Small population (feasible as individuals) on a tight bottleneck, so the
 #: runs exercise congestion decreases, deaf periods and upgrades.
@@ -41,7 +39,6 @@ STRATEGIES = (
     "join-storm",
     "collusion",
 )
-BACKENDS = ("numpy", "fallback")
 
 
 def honest_spec(protected: bool, model: str, cohorts=None) -> ScenarioSpec:
@@ -117,10 +114,3 @@ def _run(spec_json: str, backend: str) -> Scenario:
                 os.environ[BACKEND_ENV_VAR] = saved
     scenario.run(spec.effective_duration_s)
     return scenario
-
-
-def backend_or_skip(name: str) -> str:
-    """``name``, or a skip when the numpy backend is genuinely absent."""
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name

@@ -225,7 +225,7 @@ class TestCacheHardening:
 
     def test_crash_mid_write_leaves_no_torn_entry(self, tmp_path, monkeypatch):
         """A crash between tmp write and replace leaves no (partial) entry."""
-        import repro.experiments.runner as runner_module
+        import repro.experiments.warmstart as store_module
 
         spec = fast_spec()
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
@@ -233,7 +233,7 @@ class TestCacheHardening:
         def crash(src, dst):
             raise RuntimeError("simulated crash mid-write")
 
-        monkeypatch.setattr(runner_module.os, "replace", crash)
+        monkeypatch.setattr(store_module.os, "replace", crash)
         with pytest.raises(RuntimeError, match="simulated crash"):
             runner.run_one(spec)
         assert not self._cache_file(tmp_path, spec).exists()

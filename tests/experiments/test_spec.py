@@ -1,12 +1,21 @@
 """Tests of the declarative scenario spec layer and the named registry."""
 
+import dataclasses
+import inspect
+import json
+import re
+from typing import Optional
+
 import pytest
 
+from repro.adversary import AttackSpec
 from repro.experiments import (
     PAPER_DEFAULTS,
     CbrDecl,
     ChurnProcess,
     CohortDecl,
+    ExperimentConfig,
+    RunResult,
     Scenario,
     ScenarioSpec,
     SessionDecl,
@@ -17,6 +26,7 @@ from repro.experiments import (
     scenario_spec,
     throughput_vs_sessions_spec,
 )
+from repro.experiments.spec import canonical_json, decode, encode, unset
 
 
 def _rich_spec() -> ScenarioSpec:
@@ -242,3 +252,322 @@ class TestVectorChurnRejection:
         }
         with pytest.raises(ValueError, match="single aggregated cohort"):
             CohortDecl.from_dict(payload)
+
+
+# ----------------------------------------------------------------------
+# the codec: field-complete round trips, the omit rule, spelled-once guards
+# ----------------------------------------------------------------------
+#: One instance of every class the codec walks, and for each of its fields a
+#: value different from that instance's — valid next to the instance's other
+#: fields, so ``replace(BASES[cls], field=value)`` always declares.  A field
+#: added to a declaration must be given a sample here
+#: (``test_every_declaration_field_has_a_sample`` fails until it is).
+BASES = {
+    ScenarioSpec: ScenarioSpec(
+        name="base", protected=False, sessions=(SessionDecl("s"),)
+    ),
+    SessionDecl: SessionDecl("s", receivers=2),
+    CohortDecl: CohortDecl(10),
+    TcpDecl: TcpDecl("t"),
+    CbrDecl: CbrDecl(),
+    AttackSpec: AttackSpec("churn"),
+    ChurnProcess: ChurnProcess(),
+}
+SAMPLES = {
+    ScenarioSpec: dict(
+        name="other",
+        protected=True,
+        sessions=(SessionDecl("a"), SessionDecl("b")),
+        tcp=(TcpDecl("t1"),),
+        cbr=(CbrDecl("burst"),),
+        topology="parking-lot",
+        topology_params={"hops": 2, "nested": {"deep": [1, 2.5, None]}},
+        expected_sessions=3,
+        bottleneck_bps=1_000_000.0,
+        duration_s=9.0,
+        record_series=True,
+        shards=4,
+        config=PAPER_DEFAULTS.with_seed(5),
+    ),
+    SessionDecl: dict(
+        session_id="other",
+        receivers=3,
+        misbehaving=(1,),
+        attack_start_s=3.0,
+        attacks=(AttackSpec("churn", receivers=(1,)),),
+        receiver_start_times=(0.0, 1.0),
+        receiver_access_delays=(None, 0.02),
+        receiver_routers=("r1", None),
+        track_overhead=True,
+        suppress_unsubscribed_groups=False,
+        population=(CohortDecl(5), CohortDecl(6, model="vector")),
+    ),
+    CohortDecl: dict(
+        count=7,
+        router="r1",
+        start_s=2.0,
+        model="vector",
+        attack=AttackSpec("inflated-join", start_s=4.0),
+        churn=ChurnProcess(burst=((1.0, 5),)),
+        cohorts=2,
+    ),
+    TcpDecl: dict(name="u", start_s=1.0, sender_router="a", receiver_router="b"),
+    CbrDecl: dict(
+        name="burst",
+        rate_bps=50_000.0,
+        on_s=1.0,
+        off_s=2.0,
+        active_window=(1.0, 2.0),
+        sender_router="a",
+        receiver_router="b",
+    ),
+    AttackSpec: dict(
+        strategy="key-replay",
+        receivers=(1,),
+        start_s=2.0,
+        stop_s=8.0,
+        intensity=2.0,
+        params={"period_s": 2.0},
+    ),
+    ChurnProcess: dict(
+        arrival_rate=1.5, departure_rate=0.5, burst=((1.0, 5), (2.0, -3))
+    ),
+}
+# The config is all numbers: sample every knob as "default plus one".
+BASES[ExperimentConfig] = PAPER_DEFAULTS
+SAMPLES[ExperimentConfig] = {
+    field.name: getattr(PAPER_DEFAULTS, field.name) + 1
+    for field in dataclasses.fields(ExperimentConfig)
+}
+
+FIELD_CASES = [
+    (cls, name) for cls, samples in SAMPLES.items() for name in sorted(samples)
+]
+
+
+def _embedded(declaration) -> ScenarioSpec:
+    """A spec carrying ``declaration`` wherever its class nests."""
+    base = BASES[ScenarioSpec]
+    if isinstance(declaration, ScenarioSpec):
+        return declaration
+    if isinstance(declaration, ExperimentConfig):
+        return dataclasses.replace(base, config=declaration)
+    if isinstance(declaration, TcpDecl):
+        return dataclasses.replace(base, tcp=(declaration,))
+    if isinstance(declaration, CbrDecl):
+        return dataclasses.replace(base, cbr=(declaration,))
+    if isinstance(declaration, ChurnProcess):
+        declaration = CohortDecl(10, churn=declaration)
+    if isinstance(declaration, CohortDecl):
+        declaration = SessionDecl("s", receivers=0, population=(declaration,))
+    if isinstance(declaration, AttackSpec):
+        declaration = SessionDecl("s", receivers=2, attacks=(declaration,))
+    return dataclasses.replace(base, sessions=(declaration,))
+
+
+class TestCodecFieldCompleteness:
+    def test_every_declaration_field_has_a_sample(self):
+        for cls, samples in SAMPLES.items():
+            declared = {field.name for field in dataclasses.fields(cls)}
+            assert set(samples) == declared, cls.__name__
+
+    @pytest.mark.parametrize(
+        "cls, name", FIELD_CASES, ids=[f"{c.__name__}.{n}" for c, n in FIELD_CASES]
+    )
+    def test_field_round_trips_and_obeys_the_omit_rule(self, cls, name):
+        base, value = BASES[cls], SAMPLES[cls][name]
+        assert getattr(base, name) != value
+        changed = dataclasses.replace(base, **{name: value})
+
+        spec = _embedded(changed)
+        text = spec.to_json()
+        decoded = ScenarioSpec.from_json(text)
+        assert decoded == spec and decoded.to_json() == text
+
+        # A set field is always written; an unset one is left out exactly
+        # when it was declared through ``unset`` (legacy JSON stays as is).
+        (field,) = [f for f in dataclasses.fields(cls) if f.name == name]
+        assert name in encode(changed)
+        omitted = bool(field.metadata.get("omit_when_unset"))
+        assert (name not in encode(base)) == omitted
+
+    def test_todays_omitted_fields_are_pinned(self):
+        """These keys predate nothing: dropping a marker would change bytes."""
+        omitted = {
+            (cls.__name__, field.name)
+            for cls in SAMPLES
+            for field in dataclasses.fields(cls)
+            if field.metadata.get("omit_when_unset")
+        }
+        assert omitted == {
+            ("ScenarioSpec", "shards"),
+            ("SessionDecl", "population"),
+            ("CohortDecl", "attack"),
+            ("CohortDecl", "churn"),
+            ("CohortDecl", "cohorts"),
+        }
+
+
+class TestSpelledOnce:
+    def test_codec_and_interpreter_name_no_declaration_field(self):
+        """Adding a field must not mean editing a decoder or ``from_spec``."""
+        names = {
+            field.name
+            for cls in (SessionDecl, CohortDecl, TcpDecl, CbrDecl)
+            for field in dataclasses.fields(cls)
+        }
+        for function in (
+            ScenarioSpec.from_dict,
+            ScenarioSpec.to_dict,
+            CohortDecl.from_dict,
+            Scenario.from_spec,
+        ):
+            words = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", inspect.getsource(function)))
+            assert not names & words, (function.__qualname__, names & words)
+
+    def test_a_subclass_field_round_trips_untouched(self):
+        @dataclasses.dataclass(frozen=True)
+        class Annotated(SessionDecl):
+            note: Optional[str] = unset()
+            weight: float = 1.0
+
+        plain = Annotated("s", receivers=2)
+        assert "note" not in plain.to_dict() and plain.to_dict()["weight"] == 1.0
+        noted = Annotated("s", receivers=2, note="hello", weight=3)
+        assert noted.to_dict()["note"] == "hello"
+        assert Annotated.from_dict(noted.to_dict()) == noted
+        assert decode(Annotated, {"session_id": "s", "misbehaving": []}) == Annotated("s")
+        with pytest.raises(TypeError, match="Annotated.weight: expected float"):
+            Annotated.from_dict({"session_id": "s", "weight": "3"})
+
+
+# ----------------------------------------------------------------------
+# the codec as trust boundary: wrongly-typed wire specs die at decode
+# ----------------------------------------------------------------------
+def _wire_spec() -> dict:
+    """A valid wire document with every nesting level present."""
+    spec = ScenarioSpec(
+        name="wire",
+        protected=True,
+        sessions=(
+            SessionDecl(
+                "mc",
+                receivers=2,
+                attacks=(AttackSpec("churn", start_s=2.0),),
+                population=(CohortDecl(10, churn=ChurnProcess(burst=((1.0, 5),))),),
+            ),
+        ),
+        tcp=(TcpDecl("t"),),
+        cbr=(CbrDecl(active_window=(1.0, 2.0)),),
+        duration_s=6.0,
+    )
+    return json.loads(spec.to_json())
+
+
+def _set(path, value):
+    def mutate(document):
+        *parents, last = path
+        for key in parents:
+            document = document[key]
+        document[last] = value
+
+    return mutate
+
+
+HOSTILE = {
+    "receivers-float": (_set(("sessions", 0, "receivers"), 1.5), TypeError),
+    "receivers-bool": (_set(("sessions", 0, "receivers"), True), TypeError),
+    "duration-string": (_set(("duration_s",), "5"), TypeError),
+    "count-string": (_set(("sessions", 0, "population", 0, "count"), "7"), TypeError),
+    "shards-float": (_set(("shards",), 2.0), TypeError),
+    "protected-int": (_set(("protected",), 1), TypeError),
+    "name-null": (_set(("name",), None), TypeError),
+    "sessions-mapping": (_set(("sessions",), {}), TypeError),
+    "sessions-string": (_set(("sessions",), "mc"), TypeError),
+    "session-not-mapping": (_set(("sessions", 0), ["mc"]), TypeError),
+    "topology-params-list": (_set(("topology_params",), [1]), TypeError),
+    "attack-params-string": (
+        _set(("sessions", 0, "attacks", 0, "params"), "x"),
+        TypeError,
+    ),
+    "attack-receivers-float": (
+        _set(("sessions", 0, "attacks", 0, "receivers"), [0.0]),
+        TypeError,
+    ),
+    "burst-not-pairs": (
+        _set(("sessions", 0, "population", 0, "churn", "burst"), [[1.0, 5, 9]]),
+        ValueError,
+    ),
+    "window-too-short": (_set(("cbr", 0, "active_window"), [1.0]), ValueError),
+    "config-seed-float": (_set(("config", "seed"), 1.5), TypeError),
+    "config-unknown-key": (_set(("config", "sede"), 3), TypeError),
+    "config-not-mapping": (_set(("config",), 7), TypeError),
+    "out-of-range-target": (
+        _set(("sessions", 0, "attacks", 0, "receivers"), [5]),
+        ValueError,
+    ),
+}
+
+
+class TestDecodeRejectsWronglyTypedSpecs:
+    def test_the_unmutated_document_decodes(self):
+        document = _wire_spec()
+        assert ScenarioSpec.from_dict(document).to_json() == canonical_json(document)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_wrongly_typed_value_raises_at_decode(self, case):
+        mutate, error = HOSTILE[case]
+        document = _wire_spec()
+        mutate(document)
+        with pytest.raises(error):
+            ScenarioSpec.from_dict(document)
+
+    def test_error_names_the_field(self):
+        document = _wire_spec()
+        document["sessions"][0]["population"][0]["count"] = "7"
+        with pytest.raises(TypeError) as raised:
+            ScenarioSpec.from_dict(document)
+        message = str(raised.value)
+        assert "ScenarioSpec.sessions" in message
+        assert "CohortDecl.count: expected int, got str '7'" in message
+
+    def test_missing_required_key_is_a_key_error(self):
+        document = _wire_spec()
+        del document["sessions"][0]["session_id"]
+        with pytest.raises(KeyError, match="SessionDecl.session_id"):
+            ScenarioSpec.from_dict(document)
+        with pytest.raises(TypeError, match="must be a mapping"):
+            ScenarioSpec.from_dict(["not", "a", "spec"])
+
+    def test_json_integer_is_a_legal_float_and_is_not_coerced(self):
+        document = _wire_spec()
+        document["duration_s"] = 6
+        document["sessions"][0]["attacks"][0]["start_s"] = 2
+        document["config"]["fair_share_bps"] = 250000
+        spec = ScenarioSpec.from_dict(document)
+        assert spec == ScenarioSpec.from_dict(_wire_spec())
+        assert json.loads(spec.to_json()) == document
+        assert '"duration_s":6,' in spec.to_json()
+
+    def test_unknown_keys_are_ignored_on_declarations(self):
+        document = _wire_spec()
+        document["comment"] = "from a newer build"
+        document["sessions"][0]["model"] = "cohort"
+        document["sessions"][0]["population"][0]["colour"] = "red"
+        assert ScenarioSpec.from_dict(document) == ScenarioSpec.from_dict(_wire_spec())
+
+    def test_free_form_mappings_are_not_inspected(self):
+        document = _wire_spec()
+        document["topology_params"] = {"anything": [1, "two", {"three": None}]}
+        document["sessions"][0]["attacks"][0]["params"] = {"period_s": "soon"}
+        spec = ScenarioSpec.from_dict(document)
+        assert json.loads(spec.to_json()) == document
+
+    def test_results_decode_through_the_same_walk(self):
+        result = RunResult(
+            scenario="r", seed=3, protected=True, duration_s=5.0, metrics={"m": [1]}
+        )
+        assert RunResult.from_json(result.to_json()) == result
+        for key, value in (("seed", "3"), ("metrics", [1]), ("duration_s", None)):
+            with pytest.raises(TypeError, match=f"RunResult.{key}"):
+                RunResult.from_dict({**result.to_dict(), key: value})

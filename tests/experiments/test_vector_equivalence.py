@@ -24,12 +24,10 @@ import itertools
 
 import pytest
 from population_equivalence import (
-    BACKENDS,
     DURATION_S,
     POPULATION,
     STRATEGIES,
     attack_spec,
-    backend_or_skip,
     honest_spec,
     run,
 )
@@ -37,20 +35,15 @@ from population_equivalence import (
 from repro.experiments import CohortDecl, Scenario
 
 
-@pytest.fixture(
-    scope="module",
-    params=list(itertools.product([False, True], BACKENDS)),
-    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}",
-)
-def trio(request):
+@pytest.fixture(params=[False, True], ids=["flid_dl", "flid_ds"])
+def trio(request, backend):
     """(vector, cohort, individual) scenarios per protocol × backend.
 
     The vector realisation splits the population into one row per member
     (``cohorts=POPULATION``), so the block carries per-member granularity —
     the hardest shape for the one-pass rules to keep exact.
     """
-    protected, backend = request.param
-    backend_or_skip(backend)
+    protected = request.param
     return (
         protected,
         backend,
@@ -152,14 +145,12 @@ def test_block_slices_map_declarations_to_objects(trio):
 # adversarial vector blocks: every batch-exact strategy
 # ----------------------------------------------------------------------
 @pytest.fixture(
-    scope="module",
-    params=list(itertools.product([False, True], STRATEGIES, BACKENDS)),
-    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}-{p[2]}",
+    params=list(itertools.product([False, True], STRATEGIES)),
+    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}",
 )
-def attack_pair(request):
+def attack_pair(request, backend):
     """(vector, cohort) scenario pairs per protocol × strategy × backend."""
-    protected, strategy, backend = request.param
-    backend_or_skip(backend)
+    protected, strategy = request.param
     return (
         protected,
         strategy,

@@ -71,13 +71,11 @@ GOLDEN_CASES = {
     ),
 }
 
-BACKENDS = ("numpy", "fallback")
 
-
-def _backend_or_skip(name):
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
+@pytest.fixture(params=sorted(GOLDEN_CASES))
+def name(request):
+    """Each golden scenario (a fixture so it leads the ``backend`` id)."""
+    return request.param
 
 
 def _warm_via_worker(spec, tmp_path, verify=False):
@@ -95,11 +93,9 @@ def _warm_via_worker(spec, tmp_path, verify=False):
     return run_warm_json(json.dumps(payload))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_warm_equals_cold(name, backend, tmp_path, monkeypatch):
     """Checkpoint at the barrier, run to end == cold run, on both backends."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, _backend_or_skip(backend))
+    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
     spec = scenario_spec(name, **GOLDEN_CASES[name])
     cold = execute_spec(spec).to_json()
     warm = _warm_via_worker(spec, tmp_path)

@@ -18,17 +18,6 @@ from repro.multicast_cc.population import (
     split_counts,
 )
 
-BACKENDS = ("numpy", "fallback")
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Each supported column backend (numpy legs skip when unavailable)."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return request.param
-
-
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ op answers in-band and never kills the connection's other work.
 import asyncio
 import hashlib
 import json
+import select
 import subprocess
 import sys
 
@@ -19,14 +20,16 @@ from _util import AsyncConn, daemon_env
 
 from repro.experiments import (
     PAPER_DEFAULTS,
+    CohortDecl,
     ResultCache,
+    RunResult,
     ScenarioSpec,
     SessionDecl,
     execute_spec,
     plan_prefix,
     scenario_spec,
 )
-from repro.service import PROTOCOL_VERSION, ServiceError
+from repro.service import PROTOCOL_VERSION, ServiceClient, ServiceError
 from repro.service.jobs import (
     ExperimentScheduler,
     QueueFullError,
@@ -126,6 +129,43 @@ class TestEndToEnd:
         assert status["scheduler"]["draining"] is False
         assert status["scheduler"]["max_queue"] == 256
 
+    def test_tcp_endpoint_serves_and_replays_from_cache(self, tmp_path):
+        """``serve --host/--port`` and ``ServiceClient(host=, port=)``.
+
+        Port 0 binds an ephemeral port; the ``listening`` line names it.
+        """
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--host", "127.0.0.1", "--port", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=daemon_env(),
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "daemon never announced its endpoint"
+            listening = json.loads(proc.stdout.readline())
+            assert listening["event"] == "listening"
+            assert listening["host"] == "127.0.0.1" and listening["port"] > 0
+            endpoint = dict(host=listening["host"], port=listening["port"])
+            with ServiceClient(timeout_s=120.0, **endpoint) as client:
+                (first,) = client.run(fast_spec(), seeds=[0])
+            with ServiceClient(timeout_s=120.0, **endpoint) as client:
+                events = list(client.stream(fast_spec(), seeds=[0]))
+                assert client.shutdown()["draining"] is True
+            (replay,) = [e for e in events if e["event"] == "result"]
+            assert replay["cached"] is True
+            assert RunResult.from_dict(replay["result"]).to_json() == first.to_json()
+            assert first.to_json() == execute_spec(fast_spec()).to_json()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
     def test_shutdown_op_drains_and_exits(self, daemon):
         handle = daemon()
         with handle.client() as client:
@@ -179,6 +219,56 @@ class TestProtocolErrorHandling:
         event = self._converse(daemon(), scenario)
         assert event["event"] == "rejected"
         assert "invalid spec" in event["reason"]
+
+    #: (path into the spec document, wrongly-typed value) — each decoded
+    #: before the typed codec (the first three were even ``accepted``) and
+    #: died, if at all, inside a pool worker.
+    WRONGLY_TYPED = (
+        (("sessions", 0, "receivers"), 1.5),
+        (("sessions", 0, "receivers"), True),
+        (("duration_s",), "5"),
+        (("sessions", 0, "population", 0, "count"), "7"),
+        (("shards",), 2.0),
+        (("sessions",), {}),
+        (("topology_params",), ["hops", 3]),
+    )
+
+    def test_wrongly_typed_spec_is_rejected_before_admission(self, daemon):
+        template = ScenarioSpec(
+            name="service-hostile",
+            protected=False,
+            sessions=(SessionDecl("mc", population=(CohortDecl(5),)),),
+            duration_s=6.0,
+        ).to_json()
+
+        async def scenario(conn):
+            rejections = []
+            for number, (path, value) in enumerate(self.WRONGLY_TYPED):
+                document = json.loads(template)
+                *parents, last = path
+                target = document
+                for key in parents:
+                    target = target[key]
+                target[last] = value
+                await conn.send({"op": "submit", "id": f"h{number}", "spec": document})
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            status = await conn.recv()
+            # The connection is still usable: the intact document runs.
+            await conn.send({"op": "submit", "id": "ok", "spec": json.loads(template)})
+            return rejections, status, await conn.events_until("done", "ok")
+
+        rejections, status, events = self._converse(daemon(), scenario)
+        assert len(rejections) == len(self.WRONGLY_TYPED)
+        for rejected in rejections:
+            assert rejected["event"] == "rejected", rejected
+            assert rejected["reason"].startswith("invalid spec: "), rejected
+        # Rejected at decode: no queue room reserved, no job started.
+        assert status["scheduler"]["queued"] == 0
+        pool = status["pool"]
+        assert (pool["completed"], pool["failed"], pool["restarts"]) == (0, 0, 0)
+        assert [e["event"] for e in events] == ["accepted", "result", "done"]
+        assert events[-1]["completed"] == 1 and events[-1]["failed"] == 0
 
     def test_non_integer_seeds_are_rejected(self, daemon):
         async def scenario(conn):

@@ -24,7 +24,7 @@ from repro.experiments import (
     execute_spec,
     scenario_spec,
 )
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
+from repro.multicast_cc.population import BACKEND_ENV_VAR
 
 #: Same golden scenarios (and shortened overrides) as ``tests/golden`` and
 #: the warm-start byte-identity suite.
@@ -55,13 +55,11 @@ GOLDEN_CASES = {
     ),
 }
 
-BACKENDS = ("numpy", "fallback")
 
-
-def _backend_or_skip(name):
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
+@pytest.fixture(params=sorted(GOLDEN_CASES))
+def name(request):
+    """Each golden scenario (a fixture so it leads the ``backend`` id)."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -125,11 +123,9 @@ def _service_results(handle, spec, seeds):
     return results, [e for e in events if e["event"] == "result"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_service_equals_batch(name, backend, daemon_for, monkeypatch):
     """Every golden scenario, both backends: wire bytes == batch bytes."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, _backend_or_skip(backend))
+    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
     spec = scenario_spec(name, **GOLDEN_CASES[name])
     batch = execute_spec(spec).to_json()
     handle = daemon_for(backend)

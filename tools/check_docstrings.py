@@ -10,8 +10,9 @@ guarantee that also runs inside the tier-1 suite (``tests/docs``).
 
 Scope and rules
 ---------------
-* Scoped files: the engine and simulator substrate, the experiment spec and
-  runner, and the adversary strategy protocol (see ``SCOPED``).
+* Scoped files: the engine and simulator substrate, the experiment
+  declaration layer (spec, interpreter, scenario catalogue) and runner, and
+  the adversary strategy protocol (see ``SCOPED``).
 * A name is public unless it starts with ``_`` (dunders other than
   ``__call__`` are exempt, as are trivial overrides explicitly marked with
   an inline ``# noqa: docstring`` comment — there are currently none).
@@ -46,7 +47,9 @@ SCOPED: Tuple[str, ...] = (
     "simulator/monitors.py",
     "simulator/igmp.py",
     "experiments/spec.py",
+    "experiments/scenario.py",
     "experiments/runner.py",
+    "experiments/attacks.py",
     "experiments/scale.py",
     "experiments/shard.py",
     "experiments/warmstart.py",
