@@ -77,35 +77,49 @@ class ReplicatedSender:
             group_addresses=list(spec.group_addresses),
             key_bits=key_bits,
         )
-        self._group_seq: Dict[int, int] = {g: 0 for g in range(1, spec.group_count + 1)}
+        # Per-group constants, precomputed once for the per-packet loop.
+        groups = range(1, spec.group_count + 1)
+        self._group_address = [None] + [spec.address_of(g) for g in groups]
+        self._interval_s = [0.0] + [
+            spec.packet_bytes * 8.0 / spec.cumulative_rate_bps(g) for g in groups
+        ]
+        self._group_seq: Dict[int, int] = {g: 0 for g in groups}
         self._current_upgrades: Tuple[int, ...] = ()
         self._started = False
+        #: Bumped by :meth:`stop`; bootstrap and tick events carry the epoch
+        #: they were scheduled in and return once it is stale, so a restart
+        #: never runs beside the previous start's tick chains.
+        self._epoch = 0
         self.packets_sent = 0
 
     # ------------------------------------------------------------------
     def start(self, delay_s: float = 0.0) -> None:
+        """Begin transmitting all groups ``delay_s`` seconds from now."""
         if self._started:
             return
         self._started = True
-        self.sim.schedule(delay_s, self._bootstrap)
+        self.sim.schedule(delay_s, self._bootstrap, self._epoch)
 
     def stop(self) -> None:
+        """Stop transmitting; ticks still in the engine return when they fire."""
+        self._epoch += 1
         self._started = False
         self.slot_clock.stop()
 
-    def _bootstrap(self) -> None:
+    def _bootstrap(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            return
         self._on_slot_start(self.slot_clock.current_slot)
         self.slot_clock.start()
         for group in range(1, self.spec.group_count + 1):
-            self.sim.schedule(
-                self.rng.uniform(0.0, self._interval(group)), self._transmit_group, group
+            self.sim.call_after(
+                self.rng.uniform(0.0, self._interval_s[group]),
+                self._transmit_group,
+                group,
+                epoch,
             )
 
     # ------------------------------------------------------------------
-    def _interval(self, group: int) -> float:
-        rate = self.spec.cumulative_rate_bps(group)
-        return self.spec.packet_bytes * 8.0 / rate
-
     def _draw_upgrades(self) -> Tuple[int, ...]:
         return tuple(
             g
@@ -119,13 +133,15 @@ class ReplicatedSender:
         if self.protected:
             self.distributor.announce(material)
 
-    def _transmit_group(self, group: int) -> None:
-        if not self._started:
+    def _transmit_group(self, group: int, epoch: int) -> None:
+        if epoch != self._epoch:
             return
-        interval = self._interval(group)
-        if self.network.multicast.members(self.spec.address_of(group)):
+        interval = self._interval_s[group]
+        if self.network.multicast.has_members(self._group_address[group]):
             self._send_packet(group, interval)
-        self.sim.schedule(interval * self.rng.uniform(0.9, 1.1), self._transmit_group, group)
+        self.sim.call_after(
+            interval * self.rng.uniform(0.9, 1.1), self._transmit_group, group, epoch
+        )
 
     def _send_packet(self, group: int, interval: float) -> None:
         slot = self.slot_clock.current_slot
@@ -135,7 +151,7 @@ class ReplicatedSender:
         fields = self.delta.fields_for_packet(group, is_last)
         packet = Packet(
             source=self.host.address,
-            destination=self.spec.address_of(group),
+            destination=self._group_address[group],
             size_bytes=self.spec.packet_bytes,
             protocol="replicated",
             headers={
@@ -182,6 +198,7 @@ class ReplicatedReceiver(PacketAgent):
 
     # ------------------------------------------------------------------
     def start(self, delay_s: float = 0.0) -> None:
+        """Join the session ``delay_s`` seconds from now."""
         self.sim.schedule(delay_s, self._bootstrap)
 
     def _bootstrap(self) -> None:
@@ -203,6 +220,7 @@ class ReplicatedReceiver(PacketAgent):
 
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
+        """Record one data packet of the session under its sender slot."""
         if packet.headers.get(headers.SESSION) != self.spec.session_id:
             return
         self.monitor.record(packet.size_bytes)

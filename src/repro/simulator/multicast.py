@@ -18,7 +18,7 @@ routing plane) dominates responsiveness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .address import GroupAddress
 from .engine import Simulator
@@ -68,6 +68,9 @@ class MulticastRoutingService:
         #: ``(time_s, group_value, host_name, +1 | -1)``.  ``None`` (the
         #: default) keeps the join/leave hot path allocation-free.
         self.membership_log: Optional[List[Tuple[float, int, str, int]]] = None
+        #: Group value -> callbacks run when the group gains its first member
+        #: (:meth:`on_first_member`).
+        self._first_member_hooks: Dict[int, List[Callable[[GroupAddress], None]]] = {}
 
     # ------------------------------------------------------------------
     # membership queries
@@ -79,8 +82,8 @@ class MulticastRoutingService:
     def has_members(self, group: GroupAddress) -> bool:
         """True when ``group`` has at least one member (no set copy).
 
-        The senders' suppress-unsubscribed-groups fast path calls this once
-        per prospective packet, so it must stay allocation-free.
+        The senders call this once per prospective packet of a live group,
+        so it must stay allocation-free.
         """
         return bool(self._members.get(group.value))
 
@@ -113,6 +116,20 @@ class MulticastRoutingService:
     # ------------------------------------------------------------------
     # membership changes
     # ------------------------------------------------------------------
+    def on_first_member(
+        self, group: GroupAddress, callback: Callable[[GroupAddress], None]
+    ) -> None:
+        """Run ``callback(group)`` whenever ``group`` goes from zero members to one.
+
+        The one place the service calls up into a protocol: a layered sender
+        keeps the packet clock of a memberless group out of the engine and
+        needs to hear when to put it back.  Callbacks run inside the effective
+        join, after the group's replication table is invalidated, in
+        registration order; they must be picklable (bound methods) because the
+        service is part of every scenario checkpoint.
+        """
+        self._first_member_hooks.setdefault(group.value, []).append(callback)
+
     def join(self, host: Host, group: GroupAddress, immediate: bool = False) -> None:
         """Add ``host`` to ``group`` after the graft latency."""
         self.stats.joins_requested += 1
@@ -142,6 +159,9 @@ class MulticastRoutingService:
             if self.membership_log is not None:
                 self.membership_log.append((self.sim.now, int(group), host.name, 1))
             self._invalidate(group)
+            if len(members) == 1:
+                for callback in self._first_member_hooks.get(group.value, ()):
+                    callback(group)
 
     def _do_leave(self, host: Host, group: GroupAddress) -> None:
         members = self._members.get(int(group))

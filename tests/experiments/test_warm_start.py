@@ -118,6 +118,26 @@ def test_golden_warm_equals_cold(name, backend, tmp_path, monkeypatch):
     assert _warm_via_worker(spec, tmp_path) == cold
 
 
+@pytest.mark.parametrize("scenario", ["figure1-attack", "figure7-defence"])
+def test_barrier_falls_while_sender_ticks_are_parked(scenario, tmp_path):
+    """Parked ticks live in the sender, not the engine: the blob must carry them.
+
+    At the barrier the idle top layers of every sender sit in its parked
+    heap with firing times on both sides of the cut; the resumed run has to
+    replay them exactly as the cold run does.
+    """
+    spec = scenario_spec(scenario, **GOLDEN_CASES[scenario])
+    cold = execute_spec(spec).to_json()
+    assert _warm_via_worker(spec, tmp_path) == cold  # publishes the blob
+    plan = plan_prefix(spec)
+    restored = CheckpointStore(tmp_path).load(plan.checkpoint_key())
+    for session in restored.sessions:
+        parked = session.sender._parked
+        assert parked
+        assert any(time < plan.barrier_s for time, _ in parked)
+    assert _warm_via_worker(spec, tmp_path) == cold  # resumes from the blob
+
+
 def _protection_grid():
     return [
         scale_protection_spec(

@@ -1,5 +1,7 @@
 """Tests of topology construction, unicast routing, multicast forwarding and IGMP."""
 
+import pickle
+
 import pytest
 
 from repro.simulator import (
@@ -20,6 +22,16 @@ class Collector(PacketAgent):
 
     def handle_packet(self, packet):
         self.packets.append(packet)
+
+
+class FirstMemberLog:
+    """A picklable first-member callback (the service is checkpointed)."""
+
+    def __init__(self):
+        self.groups = []
+
+    def heard(self, group):
+        self.groups.append(group)
 
 
 def build_line_network():
@@ -190,6 +202,59 @@ class TestMulticastForwarding:
         for group in groups:
             net.multicast.join(b, group, immediate=True)
         assert len(net.multicast.groups_of(b)) == 3
+
+
+class TestFirstMemberHook:
+    def test_runs_on_zero_to_one_only(self):
+        net, a, b, r1, r2 = build_line_network()
+        group, other = net.allocate_groups(2)
+        log = FirstMemberLog()
+        net.multicast.on_first_member(group, log.heard)
+        net.multicast.join(b, other, immediate=True)
+        assert log.groups == []
+        net.multicast.join(b, group, immediate=True)
+        assert log.groups == [group]
+        net.multicast.join(b, group, immediate=True)  # already a member
+        net.multicast.join(a, group, immediate=True)  # one -> two
+        assert log.groups == [group]
+
+    def test_runs_again_after_a_drop_to_zero(self):
+        net, a, b, r1, r2 = build_line_network()
+        group = net.allocate_groups(1)[0]
+        log = FirstMemberLog()
+        net.multicast.on_first_member(group, log.heard)
+        net.multicast.join(a, group, immediate=True)
+        net.multicast.join(b, group, immediate=True)
+        net.multicast.leave(a, group, immediate=True)  # two -> one
+        net.multicast.join(a, group, immediate=True)
+        assert log.groups == [group]
+        net.multicast.leave(a, group, immediate=True)
+        net.multicast.leave(b, group, immediate=True)
+        net.multicast.join(b, group, immediate=True)
+        assert log.groups == [group, group]
+
+    def test_runs_inside_the_effective_join(self):
+        """With a graft delay the hook fires when membership changes, not before."""
+        net, a, b, r1, r2 = build_line_network()
+        group = net.allocate_groups(1)[0]
+        seen = []
+        net.multicast.on_first_member(
+            group, lambda g: seen.append((net.sim.now, net.multicast.has_members(g)))
+        )
+        net.multicast.join(b, group)
+        assert seen == []
+        net.run(until=1.0)
+        assert seen == [(net.multicast.graft_delay_s, True)]
+
+    def test_callbacks_survive_pickle_of_the_network(self):
+        net, a, b, r1, r2 = build_line_network()
+        group = net.allocate_groups(1)[0]
+        log = FirstMemberLog()
+        net.multicast.on_first_member(group, log.heard)
+        restored, restored_log = pickle.loads(pickle.dumps((net, log)))
+        restored.multicast.join(restored.host("b"), group, immediate=True)
+        assert restored_log.groups == [group]
+        assert log.groups == []
 
 
 class TestIgmp:

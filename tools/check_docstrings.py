@@ -59,6 +59,8 @@ SCOPED: Tuple[str, ...] = (
     "multicast_cc/churn.py",
     "multicast_cc/population.py",
     "multicast_cc/receiver_base.py",
+    "multicast_cc/sender_base.py",
+    "multicast_cc/replicated.py",
     "multicast_cc/flid_dl.py",
     "multicast_cc/flid_ds.py",
     "service/protocol.py",
