@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation tables for the design choices the paper argues for.
 
 * **Key-component sharing** (§3.1.1): the paper's argument for sharing one
   component field across levels, instead of one field per level, is
@@ -8,24 +8,17 @@
 * **Threshold scheme cost** (§3.1.2): per-packet overhead of the Shamir-based
   threshold instantiation versus the XOR instantiation, illustrating why the
   paper calls component reuse for threshold schemes an open problem.
-* **Substrate microbenchmark**: raw event throughput of the simulator engine,
-  the quantity that bounds how large an experiment the harness can run.
 """
 
 import random
 
-import pytest
-
 from repro.analysis import format_table
 from repro.core.delta import ThresholdDeltaSender
 from repro.core.overhead import OverheadModel
-from repro.crypto.nonce import NonceGenerator
 from repro.fec import ErasureCode, FecConfig, RepetitionCode
-from repro.simulator.engine import Simulator
 
 
-@pytest.mark.benchmark(group="ablation-keys")
-def test_ablation_shared_vs_independent_components(benchmark, bench_record):
+def test_ablation_shared_vs_independent_components(bench_record):
     """Per-packet DELTA bits with shared components vs one component per level."""
 
     def run():
@@ -50,7 +43,7 @@ def test_ablation_shared_vs_independent_components(benchmark, bench_record):
         independent_bits = fields_per_packet * model.key_bits / model.data_bits_per_packet * 100
         return shared_bits, independent_bits
 
-    shared, independent = benchmark.pedantic(run, rounds=5, iterations=1)
+    shared, independent = run()
     print("\nAblation — DELTA per-packet overhead (percent of data bits)")
     print(
         format_table(
@@ -58,15 +51,11 @@ def test_ablation_shared_vs_independent_components(benchmark, bench_record):
             [("shared components (paper)", round(shared, 3)), ("independent per-level keys", round(independent, 3))],
         )
     )
-    bench_record(
-        {"shared_percent": shared, "independent_percent": independent},
-        benchmark=benchmark,
-    )
+    bench_record({"shared_percent": shared, "independent_percent": independent})
     assert shared < independent
 
 
-@pytest.mark.benchmark(group="ablation-fec")
-def test_ablation_erasure_vs_repetition(benchmark, bench_record):
+def test_ablation_erasure_vs_repetition(bench_record):
     """Decode success of MDS coding vs repetition at the same 2x expansion."""
 
     def run(trials=300, loss=0.5, symbols=42):
@@ -90,7 +79,7 @@ def test_ablation_erasure_vs_repetition(benchmark, bench_record):
                         repetition_ok += 1
         return erasure_ok / trials, repetition_ok / trials
 
-    erasure_rate, repetition_rate = benchmark.pedantic(run, rounds=1, iterations=1)
+    erasure_rate, repetition_rate = run()
     print("\nAblation — SIGMA announcement delivery at 50% random loss, 2x expansion")
     print(
         format_table(
@@ -98,15 +87,11 @@ def test_ablation_erasure_vs_repetition(benchmark, bench_record):
             [("MDS erasure (paper)", round(erasure_rate, 3)), ("repetition x2", round(repetition_rate, 3))],
         )
     )
-    bench_record(
-        {"erasure_success": erasure_rate, "repetition_success": repetition_rate},
-        benchmark=benchmark,
-    )
+    bench_record({"erasure_success": erasure_rate, "repetition_success": repetition_rate})
     assert erasure_rate > repetition_rate
 
 
-@pytest.mark.benchmark(group="ablation-threshold")
-def test_ablation_threshold_scheme_overhead(benchmark, bench_record):
+def test_ablation_threshold_scheme_overhead(bench_record):
     """Shamir-based threshold DELTA costs far more per packet than XOR DELTA."""
 
     def run():
@@ -119,7 +104,7 @@ def test_ablation_threshold_scheme_overhead(benchmark, bench_record):
         shamir_bits = shares.share_bits(model.key_bits)
         return xor_bits, shamir_bits
 
-    xor_bits, shamir_bits = benchmark.pedantic(run, rounds=3, iterations=1)
+    xor_bits, shamir_bits = run()
     print("\nAblation — worst-case per-packet key bits (group 1 packet, 10 groups)")
     print(
         format_table(
@@ -127,28 +112,5 @@ def test_ablation_threshold_scheme_overhead(benchmark, bench_record):
             [("XOR (Figure 4)", xor_bits), ("Shamir threshold (§3.1.2)", shamir_bits)],
         )
     )
-    bench_record(
-        {"xor_bits": xor_bits, "shamir_bits": shamir_bits}, benchmark=benchmark
-    )
+    bench_record({"xor_bits": xor_bits, "shamir_bits": shamir_bits})
     assert shamir_bits > 3 * xor_bits
-
-
-@pytest.mark.benchmark(group="substrate")
-def test_engine_event_throughput(benchmark, bench_record):
-    """Raw events per second of the discrete-event engine."""
-
-    def run(events=20_000):
-        sim = Simulator()
-        counter = {"n": 0}
-
-        def tick():
-            counter["n"] += 1
-
-        for i in range(events):
-            sim.schedule(i * 1e-4, tick)
-        sim.run()
-        return counter["n"]
-
-    executed = benchmark(run)
-    bench_record({"events": executed}, benchmark=benchmark)
-    assert executed == 20_000

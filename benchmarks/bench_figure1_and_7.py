@@ -5,8 +5,6 @@ attack succeeds) and Figure 7 (FLID-DS, attack blocked) and prints the
 per-flow averages before and during the attack plus Jain's fairness index.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.experiments import run_inflated_subscription_experiment
 
@@ -31,17 +29,12 @@ def _report(result, title):
     )
 
 
-@pytest.mark.benchmark(group="figure1")
-def test_figure1_flid_dl_attack(benchmark, bench_config, bench_record):
-    result = benchmark.pedantic(
-        lambda: run_inflated_subscription_experiment(
-            protected=False,
-            config=bench_config,
-            attack_start_s=BENCH_ATTACK_START_S,
-            duration_s=BENCH_DURATION_S,
-        ),
-        rounds=1,
-        iterations=1,
+def test_figure1_flid_dl_attack(bench_config, bench_record):
+    result = run_inflated_subscription_experiment(
+        protected=False,
+        config=bench_config,
+        attack_start_s=BENCH_ATTACK_START_S,
+        duration_s=BENCH_DURATION_S,
     )
     _report(result, "Figure 1 — FLID-DL under inflated subscription")
     bench_record(
@@ -52,24 +45,18 @@ def test_figure1_flid_dl_attack(benchmark, bench_config, bench_record):
             "fairness_during": result.fairness_during,
             "attacker_gain": result.attacker_gain,
         },
-        benchmark=benchmark,
     )
     # Paper: F1 jumps to ~690 Kbps (2.8x its fair share) while others collapse.
     assert result.average_during_kbps["F1"] > 1.8 * result.fair_share_kbps
     assert result.fairness_during < result.fairness_before
 
 
-@pytest.mark.benchmark(group="figure7")
-def test_figure7_flid_ds_protection(benchmark, bench_config, bench_record):
-    result = benchmark.pedantic(
-        lambda: run_inflated_subscription_experiment(
-            protected=True,
-            config=bench_config,
-            attack_start_s=BENCH_ATTACK_START_S,
-            duration_s=BENCH_DURATION_S,
-        ),
-        rounds=1,
-        iterations=1,
+def test_figure7_flid_ds_protection(bench_config, bench_record):
+    result = run_inflated_subscription_experiment(
+        protected=True,
+        config=bench_config,
+        attack_start_s=BENCH_ATTACK_START_S,
+        duration_s=BENCH_DURATION_S,
     )
     _report(result, "Figure 7 — FLID-DS (DELTA + SIGMA) under the same attack")
     bench_record(
@@ -80,7 +67,6 @@ def test_figure7_flid_ds_protection(benchmark, bench_config, bench_record):
             "fairness_during": result.fairness_during,
             "attacker_gain": result.attacker_gain,
         },
-        benchmark=benchmark,
     )
     # Paper: the fair allocation is preserved; the attacker gains nothing.
     assert result.average_during_kbps["F1"] < 1.3 * result.fair_share_kbps

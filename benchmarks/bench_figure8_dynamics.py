@@ -10,27 +10,19 @@ Each is run for FLID-DL and FLID-DS so the curves can be compared as in the
 paper.
 """
 
-import pytest
-
 from repro.analysis import format_series_table, format_table
 from repro.experiments import run_convergence, run_heterogeneous_rtt, run_responsiveness
 
 
-@pytest.mark.benchmark(group="figure8-responsiveness")
-def test_figure8e_responsiveness(benchmark, bench_config, bench_record):
+def test_figure8e_responsiveness(bench_config, bench_record):
     burst_window = (25.0, 45.0)
 
-    def run():
-        return (
-            run_responsiveness(
-                protected=False, config=bench_config, burst_window=burst_window, duration_s=70.0
-            ),
-            run_responsiveness(
-                protected=True, config=bench_config, burst_window=burst_window, duration_s=70.0
-            ),
+    dl, ds = (
+        run_responsiveness(
+            protected=protected, config=bench_config, burst_window=burst_window, duration_s=70.0
         )
-
-    dl, ds = benchmark.pedantic(run, rounds=1, iterations=1)
+        for protected in (False, True)
+    )
     rows = [
         ("FLID-DL", round(dl.average_before_kbps), round(dl.average_during_kbps), round(dl.average_after_kbps)),
         ("FLID-DS", round(ds.average_before_kbps), round(ds.average_during_kbps), round(ds.average_after_kbps)),
@@ -50,22 +42,17 @@ def test_figure8e_responsiveness(benchmark, bench_config, bench_record):
                 "after": ds.average_after_kbps,
             },
         },
-        benchmark=benchmark,
     )
     for result in (dl, ds):
         assert result.yields_to_burst
         assert result.recovers_after_burst
 
 
-@pytest.mark.benchmark(group="figure8-rtt")
-def test_figure8f_heterogeneous_rtt(benchmark, bench_config, bench_record):
-    def run():
-        return (
-            run_heterogeneous_rtt(protected=False, config=bench_config, receiver_count=10, duration_s=60.0),
-            run_heterogeneous_rtt(protected=True, config=bench_config, receiver_count=10, duration_s=60.0),
-        )
-
-    dl, ds = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_figure8f_heterogeneous_rtt(bench_config, bench_record):
+    dl, ds = (
+        run_heterogeneous_rtt(protected=protected, config=bench_config, receiver_count=10, duration_s=60.0)
+        for protected in (False, True)
+    )
     print("\nFigure 8(f) — average throughput vs round-trip time")
     print(format_series_table("FLID-DL", dl.points, x_name="RTT (ms)", y_name="Kbps"))
     print(format_series_table("FLID-DS", ds.points, x_name="RTT (ms)", y_name="Kbps"))
@@ -77,24 +64,19 @@ def test_figure8f_heterogeneous_rtt(benchmark, bench_config, bench_record):
             "flid_dl_spread_ratio": dl.spread_ratio,
             "flid_ds_spread_ratio": ds.spread_ratio,
         },
-        benchmark=benchmark,
     )
     for result in (dl, ds):
         rates = [rate for _, rate in result.points]
         assert min(rates) > 0.5 * max(rates), f"RTT-dependent throughput: {result.points}"
 
 
-@pytest.mark.benchmark(group="figure8-convergence")
-def test_figure8gh_convergence(benchmark, bench_config, bench_record):
+def test_figure8gh_convergence(bench_config, bench_record):
     join_times = (0.0, 10.0, 20.0, 30.0)
 
-    def run():
-        return (
-            run_convergence(protected=False, config=bench_config, join_times_s=join_times, duration_s=50.0),
-            run_convergence(protected=True, config=bench_config, join_times_s=join_times, duration_s=50.0),
-        )
-
-    dl, ds = benchmark.pedantic(run, rounds=1, iterations=1)
+    dl, ds = (
+        run_convergence(protected=protected, config=bench_config, join_times_s=join_times, duration_s=50.0)
+        for protected in (False, True)
+    )
     rows = [
         ("FLID-DL", dl.final_levels, dl.convergence_time_s),
         ("FLID-DS", ds.final_levels, ds.convergence_time_s),
@@ -112,7 +94,6 @@ def test_figure8gh_convergence(benchmark, bench_config, bench_record):
                 "convergence_time_s": ds.convergence_time_s,
             },
         },
-        benchmark=benchmark,
     )
     for result in (dl, ds):
         assert max(result.final_levels) - min(result.final_levels) <= 1

@@ -5,11 +5,10 @@ throughput at each session count — the points of Figures 8(a) and 8(b), the
 comparison line of Figure 8(c), and (with cross traffic) Figure 8(d).
 
 The session counts and durations are reduced relative to the paper (which
-sweeps 1-18 sessions over 200 s) so the harness stays fast; EXPERIMENTS.md
-records a fuller sweep.
+sweeps 1-18 sessions over 200 s) so the harness stays fast;
+``python -m repro run figure8-throughput`` runs the paper-scale sweep and
+``tests/integration/test_paper_claims.py`` asserts its headline claims.
 """
-
-import pytest
 
 from repro.analysis import format_table
 from repro.experiments import run_throughput_vs_sessions
@@ -40,55 +39,35 @@ def _report(title, dl, ds):
     )
 
 
-@pytest.mark.benchmark(group="figure8-throughput")
-def test_figure8abc_throughput_without_cross_traffic(benchmark, bench_config, bench_record):
-    def run():
-        dl = run_throughput_vs_sessions(
-            protected=False,
+def test_figure8abc_throughput_without_cross_traffic(bench_config, bench_record):
+    dl, ds = (
+        run_throughput_vs_sessions(
+            protected=protected,
             session_counts=BENCH_SESSION_COUNTS,
             config=bench_config,
             duration_s=BENCH_DURATION_S,
         )
-        ds = run_throughput_vs_sessions(
-            protected=True,
-            session_counts=BENCH_SESSION_COUNTS,
-            config=bench_config,
-            duration_s=BENCH_DURATION_S,
-        )
-        return dl, ds
-
-    dl, ds = benchmark.pedantic(run, rounds=1, iterations=1)
-    _report("Figures 8(a)-(c) — throughput vs sessions, no cross traffic", dl, ds)
-    bench_record(
-        {"flid_dl_avg_kbps": dl.average_kbps, "flid_ds_avg_kbps": ds.average_kbps},
-        benchmark=benchmark,
+        for protected in (False, True)
     )
+    _report("Figures 8(a)-(c) — throughput vs sessions, no cross traffic", dl, ds)
+    bench_record({"flid_dl_avg_kbps": dl.average_kbps, "flid_ds_avg_kbps": ds.average_kbps})
     for count in BENCH_SESSION_COUNTS:
         # FLID-DS must track FLID-DL (the paper's "similar average throughput").
         assert ds.average_kbps[count] > 0.6 * dl.average_kbps[count]
         assert ds.average_kbps[count] < 1.4 * dl.average_kbps[count]
 
 
-@pytest.mark.benchmark(group="figure8-throughput")
-def test_figure8d_throughput_with_cross_traffic(benchmark, bench_config, bench_record):
-    def run():
-        dl = run_throughput_vs_sessions(
-            protected=False,
+def test_figure8d_throughput_with_cross_traffic(bench_config, bench_record):
+    dl, ds = (
+        run_throughput_vs_sessions(
+            protected=protected,
             session_counts=BENCH_CROSS_SESSION_COUNTS,
             cross_traffic=True,
             config=bench_config,
             duration_s=BENCH_DURATION_S,
         )
-        ds = run_throughput_vs_sessions(
-            protected=True,
-            session_counts=BENCH_CROSS_SESSION_COUNTS,
-            cross_traffic=True,
-            config=bench_config,
-            duration_s=BENCH_DURATION_S,
-        )
-        return dl, ds
-
-    dl, ds = benchmark.pedantic(run, rounds=1, iterations=1)
+        for protected in (False, True)
+    )
     _report("Figure 8(d) — throughput vs sessions, with TCP and on-off CBR cross traffic", dl, ds)
     bench_record(
         {
@@ -97,7 +76,6 @@ def test_figure8d_throughput_with_cross_traffic(benchmark, bench_config, bench_r
             "flid_dl_tcp_kbps": dl.tcp_kbps,
             "flid_ds_tcp_kbps": ds.tcp_kbps,
         },
-        benchmark=benchmark,
     )
     for count in BENCH_CROSS_SESSION_COUNTS:
         assert ds.average_kbps[count] > 0.5 * dl.average_kbps[count]

@@ -6,8 +6,6 @@ cross-checks them against the overhead measured on the wire by a simulated
 FLID-DS session.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.experiments import (
     run_group_count_sweep,
@@ -16,9 +14,8 @@ from repro.experiments import (
 )
 
 
-@pytest.mark.benchmark(group="figure9")
-def test_figure9a_overhead_vs_group_count(benchmark, bench_record):
-    result = benchmark.pedantic(run_group_count_sweep, rounds=3, iterations=1)
+def test_figure9a_overhead_vs_group_count(bench_record):
+    result = run_group_count_sweep()
     rows = [
         (int(p.parameter), round(p.delta_percent, 3), round(p.sigma_percent, 3))
         for p in result.points
@@ -30,16 +27,14 @@ def test_figure9a_overhead_vs_group_count(benchmark, bench_record):
             "max_delta_percent": result.max_delta_percent,
             "max_sigma_percent": result.max_sigma_percent,
         },
-        benchmark=benchmark,
     )
     # Paper: DELTA stays around 0.8 %, SIGMA under 0.6 %.
     assert result.max_delta_percent < 1.0
     assert result.max_sigma_percent < 0.6
 
 
-@pytest.mark.benchmark(group="figure9")
-def test_figure9b_overhead_vs_slot_duration(benchmark, bench_record):
-    result = benchmark.pedantic(run_slot_duration_sweep, rounds=3, iterations=1)
+def test_figure9b_overhead_vs_slot_duration(bench_record):
+    result = run_slot_duration_sweep()
     rows = [
         (p.parameter, round(p.delta_percent, 3), round(p.sigma_percent, 3))
         for p in result.points
@@ -51,19 +46,13 @@ def test_figure9b_overhead_vs_slot_duration(benchmark, bench_record):
             "max_delta_percent": result.max_delta_percent,
             "max_sigma_percent": result.max_sigma_percent,
         },
-        benchmark=benchmark,
     )
     assert result.max_delta_percent < 1.0
     assert result.max_sigma_percent < 0.6
 
 
-@pytest.mark.benchmark(group="figure9")
-def test_figure9_measured_overhead_matches_model(benchmark, bench_config, bench_record):
-    result = benchmark.pedantic(
-        lambda: run_measured_overhead(config=bench_config, duration_s=15.0),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure9_measured_overhead_matches_model(bench_config, bench_record):
+    result = run_measured_overhead(config=bench_config, duration_s=15.0)
     rows = [
         ("DELTA", round(result.model_delta_percent, 3), round(result.delta_percent, 3)),
         ("SIGMA", round(result.model_sigma_percent, 3), round(result.sigma_percent, 3)),
@@ -77,7 +66,6 @@ def test_figure9_measured_overhead_matches_model(benchmark, bench_config, bench_
             "model_delta_percent": result.model_delta_percent,
             "model_sigma_percent": result.model_sigma_percent,
         },
-        benchmark=benchmark,
     )
     assert 0.3 < result.delta_within_factor < 3.0
     assert result.sigma_percent < 2.0

@@ -1,86 +1,33 @@
-"""Shared settings for the benchmark harness.
+"""Shared settings for the figure-table harness.
 
-Every benchmark regenerates one of the paper's evaluation artefacts (a figure
-panel) at reduced scale — shorter runs and, for the sweeps, a subset of the
-x-axis points — so the whole harness completes in minutes on a laptop.  The
-printed tables show the same rows/series the paper plots; EXPERIMENTS.md
-records a full-scale run next to the paper's numbers.
+Every bench regenerates one of the paper's evaluation artefacts (a figure
+panel or a design ablation) at reduced scale — shorter runs and, for the
+sweeps, a subset of the x-axis points — so the whole harness completes in
+seconds.  The printed tables show the same rows/series the
+paper plots; ``docs/paper-to-code.md`` maps each panel to its scenario and
+``tests/integration/test_paper_claims.py`` asserts the paper's headline
+claims on them.
 
-Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
-tables).  Each benchmark additionally writes a machine-readable
-``benchmarks/results/BENCH_<name>.json`` (runtime plus its key metrics) via
-the ``bench_record`` fixture, so the performance trajectory can be compared
-across commits.
-
-Memory instrumentation
-----------------------
-Every ``BENCH_*.json`` carries a ``memory`` block: the process peak RSS
-(``resource.getrusage``) and a GC live-object count — both free to read, so
-``runtime_s`` stays comparable across commits.  Benchmarks where the
-allocation profile is itself the measurement opt in to :mod:`tracemalloc`
-tracing by defining ``TRACEMALLOC_BENCH = True`` at module level (the
-cohort scale benchmark does); their ``memory`` block additionally records
-the traced current/peak heap and live allocated-block count.  Tracing slows
-allocation-heavy runs several-fold, which is why it is opt-in: an autouse
-probe would silently inflate every benchmark's recorded runtime.
+Run with ``pytest benchmarks --ignore=benchmarks/e2e`` (add ``-s`` to see the
+tables).  Each bench writes ``benchmarks/results/BENCH_<name>.json`` through
+the ``bench_record`` fixture.  The document holds simulated quantities only —
+no wall time, no memory reading — so it is a pure function of the code:
+rerunning the harness on an unchanged tree leaves ``git status`` clean, and a
+diff in a committed ``BENCH_*.json`` means a figure moved.  Speed is measured
+in one place, ``benchmarks/e2e`` (the contract in ``BENCHMARK.json``).
 """
 
-import gc
-import json
 import pathlib
-import resource
-import sys
-import tracemalloc
 
 import pytest
 
 from repro.analysis import write_json
 from repro.experiments import PAPER_DEFAULTS
 
-#: Shortened experiment configuration used by every benchmark.
+#: Shortened experiment configuration used by every figure bench.
 BENCH_DURATION_S = 60.0
-BENCH_ATTACK_START_S = 30.0
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOP_LEVEL_BENCH = REPO_ROOT / "BENCH_scale.json"
-
-#: The blocks the top-level ``BENCH_scale.json`` anchor may carry; anything
-#: else (a legacy flat-format field, a block renamed away) is stripped on
-#: the next merge so stale rows cannot survive forever.
-SCALE_BENCH_BLOCKS = (
-    "cohort_speedup",
-    "protection_at_scale",
-    "columnar_speedup",
-    "sharding_speedup",
-    "batched_attacks",
-    "warm_start_speedup",
-)
-
-
-def merge_scale_block(key: str, value: dict, source: pathlib.Path) -> None:
-    """Merge one metrics block into the top-level ``BENCH_scale.json``.
-
-    The anchor document accumulates one block per scale measurement (cohort
-    speedup, protection at scale, warm-start speedup, ...) so the scale
-    benchmarks can run in any order — or alone — without clobbering each
-    other's results.  Sources are recorded per block, keeping the document
-    independent of run order.
-    """
-    payload = {}
-    if TOP_LEVEL_BENCH.exists():
-        payload = json.loads(TOP_LEVEL_BENCH.read_text())
-    payload.pop("source", None)  # legacy order-dependent field
-    payload["bench"] = "scale"
-    payload["metrics"] = {
-        k: v for k, v in payload.get("metrics", {}).items() if k in SCALE_BENCH_BLOCKS
-    }
-    payload["sources"] = {
-        k: v for k, v in payload.get("sources", {}).items() if k in SCALE_BENCH_BLOCKS
-    }
-    payload["metrics"][key] = value
-    payload["sources"][key] = str(source.relative_to(REPO_ROOT))
-    write_json(TOP_LEVEL_BENCH, payload)
 
 
 @pytest.fixture(scope="session")
@@ -88,69 +35,15 @@ def bench_config():
     return PAPER_DEFAULTS.with_duration(BENCH_DURATION_S)
 
 
-def _benchmark_runtime_s(benchmark):
-    """Mean per-round runtime from a pytest-benchmark fixture, if available."""
-    try:
-        return float(benchmark.stats.stats.mean)
-    except AttributeError:
-        return None
-
-
-def _peak_rss_kb() -> float:
-    """Process peak resident set size in KiB (ru_maxrss is bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 1024.0 if sys.platform == "darwin" else float(peak)
-
-
-def memory_snapshot() -> dict:
-    """The ``memory`` block recorded into every ``BENCH_*.json``."""
-    snapshot = {
-        "peak_rss_kb": _peak_rss_kb(),
-        "gc_tracked_objects": len(gc.get_objects()),
-    }
-    if tracemalloc.is_tracing():
-        current, peak = tracemalloc.get_traced_memory()
-        snapshot["tracemalloc"] = {
-            "current_kb": current / 1024.0,
-            "peak_kb": peak / 1024.0,
-            "live_blocks": len(tracemalloc.take_snapshot().traces),
-        }
-    return snapshot
-
-
-@pytest.fixture(autouse=True)
-def _tracemalloc_probe(request):
-    """Trace allocations around tests whose module opts in.
-
-    Opt-in (``TRACEMALLOC_BENCH = True``) rather than autouse-on, so that
-    the ``runtime_s`` recorded by ordinary figure benchmarks stays
-    comparable across commits; tracing is left alone when something else
-    already started it.
-    """
-    if not getattr(request.module, "TRACEMALLOC_BENCH", False) or tracemalloc.is_tracing():
-        yield
-        return
-    tracemalloc.start()
-    try:
-        yield
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture
 def bench_record(request):
-    """Write ``BENCH_<name>.json`` with runtime, memory and key metrics."""
+    """Write ``BENCH_<name>.json`` holding the bench's figure numbers."""
 
-    def record(metrics, benchmark=None, name=None):
-        bench_name = name or request.node.name
+    def record(metrics):
+        bench_name = request.node.name
         if bench_name.startswith("test_"):
             bench_name = bench_name[len("test_"):]
-        payload = {
-            "bench": bench_name,
-            "runtime_s": _benchmark_runtime_s(benchmark) if benchmark is not None else None,
-            "memory": memory_snapshot(),
-            "metrics": metrics,
-        }
+        payload = {"bench": bench_name, "metrics": metrics}
         return write_json(RESULTS_DIR / f"BENCH_{bench_name}.json", payload)
 
     return record

@@ -138,16 +138,20 @@ def _run_population(result) -> int:
     return total
 
 
-def _format_population_rate(results, wall_s: float, cache_hits: int) -> str:
-    """One-line receivers-simulated-per-second summary for ``run`` output."""
+def _format_run_cost(
+    results, wall_s: float, simulated_s: float, cache_hits: int
+) -> str:
+    """One-line receivers-simulated and wall-per-simulated-second summary
+    for ``run`` output (``simulated_s``: the executed, uncached runs only)."""
     total = sum(_run_population(result) for result in results)
-    rate = total / wall_s if wall_s > 0 else 0.0
     line = (
         f"receivers simulated: {total:,} across {len(results)} run(s) "
-        f"in {wall_s:.2f}s wall ({rate:,.0f} receivers/s)"
+        f"in {wall_s:.2f}s wall"
     )
+    if simulated_s > 0:
+        line += f" ({wall_s / simulated_s:.3g} s wall per simulated s)"
     if cache_hits:
-        line += f" [{cache_hits} cached run(s); rate includes cache hits]"
+        line += f" [{cache_hits} cached run(s)]"
     return line
 
 
@@ -192,7 +196,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"topology={spec.topology} protected={spec.protected} "
         f"duration={spec.effective_duration_s:g}s seeds={args.seeds} jobs={args.jobs}"
     )
-    print(_format_population_rate(results, wall_s, runner.cache_hits))
+    simulated_s = spec.effective_duration_s * runner.cache_misses
+    print(_format_run_cost(results, wall_s, simulated_s, runner.cache_hits))
     print(
         f"cache: {runner.cache_hits} hit(s), {runner.cache_misses} miss(es); "
         f"warm starts: {runner.warm_runs} run(s) from "
@@ -388,7 +393,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"{sim.events_executed:,} events in {wall:.2f}s profiled "
         f"({sim.events_executed / wall:,.0f} events/s under instrumentation; "
-        f"run benchmarks/bench_engine_hotpath.py for uninstrumented numbers)"
+        f"run python3 benchmarks/e2e/run.py --workload figures --trace 1 "
+        f"for uninstrumented numbers)"
     )
     if args.out is not None:
         stats.dump_stats(args.out)

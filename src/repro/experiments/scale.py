@@ -52,8 +52,7 @@ per edge interface; see ``docs/scale.md``):
   and ``docs/scale.md``).
 
 Builders accept ``model="individual"`` to realise the same spec with
-per-object receivers — the reference the equivalence tests and the
-``benchmarks/bench_scale_cohort.py`` speedup assertion compare against
+per-object receivers — the reference the equivalence tests compare against
 (at small counts; per-object 100k receivers would not fit in memory).
 """
 

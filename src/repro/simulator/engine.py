@@ -44,7 +44,7 @@ bare engine.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -483,17 +483,6 @@ class Simulator:
         self._fast.clear()
         self._cancellable.clear()
         self._timer_groups.clear()
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def drain_iter(self) -> Iterator[Event]:
-        """Iterate over events as they are executed (debug/test helper)."""
-        while True:
-            event = self.step()
-            if event is None:
-                return
-            yield event
 
 
 class _TimerGroup:

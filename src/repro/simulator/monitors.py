@@ -10,8 +10,7 @@ corresponding instruments:
     well as interval averages (the points of Figures 8(a)-(d), 8(f)).
 
 ``LinkMonitor``
-    Wraps a link's queue statistics to report utilisation and loss rate, used
-    by integration tests to validate the simulator substrate itself.
+    Reports a link's utilisation since the monitor was created.
 
 ``OverheadAccumulator``
     Accumulates data bits versus DELTA/SIGMA overhead bits so that the
@@ -163,15 +162,13 @@ class ThroughputMonitor:
 
 
 class LinkMonitor:
-    """Utilisation and loss statistics for one link over an interval."""
+    """Utilisation of one link over an interval."""
 
     def __init__(self, link: Link, clock) -> None:
         self.link = link
         self._clock = clock
         self._start_time = clock.now
         self._start_tx_bytes = link.stats.transmitted_bytes
-        self._start_drops = link.queue.stats.dropped_packets
-        self._start_enqueued = link.queue.stats.enqueued_packets
 
     def utilisation(self) -> float:
         """Fraction of the link capacity used since the monitor was created."""
@@ -180,13 +177,6 @@ class LinkMonitor:
             return 0.0
         sent_bits = (self.link.stats.transmitted_bytes - self._start_tx_bytes) * 8
         return sent_bits / (self.link.bandwidth_bps * elapsed)
-
-    def loss_rate(self) -> float:
-        """Fraction of packets offered to the queue that were dropped."""
-        drops = self.link.queue.stats.dropped_packets - self._start_drops
-        accepted = self.link.queue.stats.enqueued_packets - self._start_enqueued
-        offered = drops + accepted
-        return drops / offered if offered else 0.0
 
 
 class OverheadAccumulator:

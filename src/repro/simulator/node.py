@@ -92,13 +92,6 @@ class Node:
         """Register an outgoing link (called by the topology builder)."""
         self.links[link.dst.name] = link
 
-    def link_to(self, neighbour: "Node") -> Link:
-        """Outgoing link toward a directly connected neighbour."""
-        try:
-            return self.links[neighbour.name]
-        except KeyError as exc:
-            raise KeyError(f"{self.name} has no link to {neighbour.name}") from exc
-
     def route_for(self, destination: NodeAddress) -> Optional[Link]:
         """Next-hop link for a unicast destination (or the default route)."""
         return self.routes.get(int(destination), self.default_route)

@@ -6,7 +6,7 @@ stream derived from a single experiment seed.  This gives two properties the
 test suite and the benchmark harness rely on:
 
 * **Reproducibility** — the same seed yields bit-identical experiment output,
-  so EXPERIMENTS.md numbers can be regenerated exactly.
+  so the golden digests under ``tests/golden/`` can be regenerated exactly.
 * **Isolation** — adding a new consumer of randomness (a new session, a new
   protocol feature) does not perturb the draws seen by existing consumers,
   because each consumer owns its own stream.

@@ -53,6 +53,42 @@ def test_relative_links_resolve(doc):
         assert resolved.exists(), f"{doc.name}: broken link to {target}"
 
 
+def test_cited_files_exist():
+    """Every `*.md`/`*.py`/`*.json` file the docs cite in backticks, and
+    every ``NAME.md`` the package source cites, is on disk — a deletion or a
+    planned-but-unwritten document must not leave citations behind.
+
+    A citation may be repo-relative (``benchmarks/e2e/README.md``),
+    package-relative (``transport/tcp.py``) or a bare file name
+    (``expected.json``), so it resolves when it is a path suffix of a file
+    in the tree; templates (``<scenario>-runs.json``) and globs
+    (``BENCH_*.json``) are not file names and are skipped.
+    """
+    on_disk = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for pattern in ("*.md", "*.py", "*.json")
+        for path in REPO_ROOT.rglob(pattern)
+        if not any(part.startswith(".") for part in path.relative_to(REPO_ROOT).parts)
+    ]
+
+    def resolves(cited: str) -> bool:
+        return any(f == cited or f.endswith("/" + cited) for f in on_disk)
+
+    cited_in_docs = re.compile(r"`([\w./-]+\.(?:md|py|json))`")
+    cited_in_source = re.compile(r"\b([A-Z_]+\.md)\b")
+    dangling = sorted({
+        f"{source.relative_to(REPO_ROOT)}: {match.group(1)}"
+        for sources, pattern in (
+            (DOC_FILES, cited_in_docs),
+            (sorted((REPO_ROOT / "src" / "repro").rglob("*.py")), cited_in_source),
+        )
+        for source in sources
+        for match in pattern.finditer(source.read_text())
+        if not resolves(match.group(1))
+    })
+    assert not dangling, "citations of files that do not exist:\n" + "\n".join(dangling)
+
+
 def test_cli_reference_covers_every_subcommand():
     """docs/cli.md documents exactly the registered subcommands."""
     from repro.__main__ import build_parser

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Render the committed ``BENCH_*.json`` results into ``docs/benchmarks.md``.
 
-Every benchmark in this repository writes a machine-readable result document
-(``benchmarks/results/BENCH_<name>.json`` via the ``bench_record`` fixture,
-plus the top-level ``BENCH_scale.json`` trajectory anchor).  This tool — the
-only writer of ``docs/benchmarks.md`` — renders them into one generated
-gallery page: a headline block for the speedup/receivers-per-second
-yardsticks, then one section per benchmark with its runtime, memory block
-and flattened metrics.
+Every figure bench under ``benchmarks/`` writes the numbers of its table to
+``benchmarks/results/BENCH_<name>.json`` via the ``bench_record`` fixture.
+This tool — the only writer of ``docs/benchmarks.md`` — renders them into one
+generated gallery page, one section of flattened metrics per bench.  The
+documents hold simulated quantities only; speed lives in ``benchmarks/e2e``.
 
 Stdlib-only and deterministic: the page is a pure function of the committed
 JSON files, so CI (and ``tests/docs``) can assert freshness by re-rendering
@@ -29,7 +27,6 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
-TOP_LEVEL_BENCH = REPO_ROOT / "BENCH_scale.json"
 OUTPUT = REPO_ROOT / "docs" / "benchmarks.md"
 
 #: Flattened metric rows rendered per benchmark before eliding the tail —
@@ -43,11 +40,13 @@ HEADER = """<!-- GENERATED FILE — do not edit.
 
 # Benchmark gallery
 
-Rendered from the committed `benchmarks/results/BENCH_*.json` documents and
-the top-level `BENCH_scale.json` trajectory anchor — regenerate after
-rerunning benchmarks with `python tools/gen_bench_gallery.py`.  Numbers are
-from the reference 1-CPU container (see [performance.md](performance.md)
-and [scale.md](scale.md) for what each yardstick means).
+Rendered from the committed `benchmarks/results/BENCH_*.json` documents —
+the reduced-scale figure and ablation tables that
+`python -m pytest benchmarks --ignore=benchmarks/e2e` prints.  Every number is
+a simulated quantity and a pure function of the code, so a diff on this page
+means a figure moved; regenerate with `python tools/gen_bench_gallery.py`.
+Wall time, throughput and memory are measured by `benchmarks/e2e` alone (see
+[performance.md](performance.md)).
 """
 
 
@@ -88,117 +87,10 @@ def _bench_files() -> List[Path]:
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-def _headline(lines: List[str]) -> None:
-    """The cross-PR yardsticks: engine speedup, scale rates, protection."""
-    lines.append("## Headline yardsticks\n")
-    lines.append("| Yardstick | Value | Source |")
-    lines.append("|---|---|---|")
-
-    hotpath = RESULTS_DIR / "BENCH_engine_hotpath.json"
-    if hotpath.exists():
-        metrics = _load(hotpath).get("metrics", {})
-        lines.append(
-            f"| Engine hot-path speedup vs committed baseline | "
-            f"{_fmt(metrics.get('speedup_vs_baseline'))}× "
-            f"({_fmt(metrics.get('events_per_sec'))} events/s) | "
-            f"`BENCH_engine_hotpath.json` |"
-        )
-    if TOP_LEVEL_BENCH.exists():
-        metrics = _load(TOP_LEVEL_BENCH).get("metrics", {})
-        speedup = metrics.get("cohort_speedup", {})
-        if speedup:
-            cohort = speedup.get("cohort", {})
-            lines.append(
-                f"| Cohort vs individual receivers/s (10k audience) | "
-                f"{_fmt(speedup.get('speedup_receivers_per_sec'))}× "
-                f"({_fmt(cohort.get('receivers_per_sec'))} rx/s; floor "
-                f"{_fmt(speedup.get('min_speedup'))}×) | `BENCH_scale.json` |"
-            )
-        columnar = metrics.get("columnar_speedup", {})
-        if columnar:
-            lines.append(
-                f"| Columnar vs per-cohort-object receivers/s "
-                f"({_fmt(columnar.get('cohort_object_cap'))} cohorts, "
-                f"{_fmt(columnar.get('total_receivers'))} audience) | "
-                f"{_fmt(columnar.get('speedup_at_cap_cohorts'))}× "
-                f"(floor {_fmt(columnar.get('min_speedup'))}×, "
-                f"`{columnar.get('backend')}` backend) | `BENCH_scale.json` |"
-            )
-        sharding = metrics.get("sharding_speedup", {})
-        if sharding:
-            lines.append(
-                f"| Region-sharded 10M receivers (`{sharding.get('scenario')}`, "
-                f"{_fmt(sharding.get('shards'))} regions) | "
-                f"{_fmt(sharding.get('receivers'))} receivers, serial "
-                f"{_fmt(sharding.get('serial_wall_s'))} s == pool bytes, ideal "
-                f"speedup {_fmt(sharding.get('ideal_speedup'))}× (floor "
-                f"{_fmt(sharding.get('min_speedup'))}×; measured "
-                f"{_fmt(sharding.get('measured_speedup'))}× on "
-                f"{_fmt(sharding.get('cpus'))} CPU) | `BENCH_scale.json` |"
-            )
-        batched = metrics.get("batched_attacks", {})
-        for name in sorted(batched.get("scenarios", {})):
-            block = batched["scenarios"][name]
-            cohort = block.get("cohort", {})
-            lines.append(
-                f"| Batched `{name}` attacker cohort vs per-object reference "
-                f"({_fmt(batched.get('per_object_cap'))} rx cap) | "
-                f"{_fmt(block.get('speedup_receivers_per_sec'))}× "
-                f"({_fmt(cohort.get('receivers_per_sec'))} rx/s at "
-                f"{_fmt(cohort.get('receivers'))} receivers; floor "
-                f"{_fmt(batched.get('min_speedup'))}×) | `BENCH_scale.json` |"
-            )
-        warm = metrics.get("warm_start_speedup", {})
-        if warm:
-            grid = warm.get("protection_grid", {})
-            duel = warm.get("duel_intensity_sweep", {})
-            lines.append(
-                f"| Warm-started sweep grids vs cold "
-                f"({_fmt(grid.get('cells'))}-cell strategy×intensity grid, "
-                f"{_fmt(duel.get('cells'))}-cell duel intensity sweep) | "
-                f"{_fmt(grid.get('speedup'))}× and {_fmt(duel.get('speedup'))}× "
-                f"(floor {_fmt(warm.get('min_speedup'))}×, byte-identical) | "
-                f"`BENCH_scale.json` |"
-            )
-        protection = metrics.get("protection_at_scale", {})
-        if protection:
-            lines.append(
-                f"| Protection at scale (`{protection.get('scenario')}`) | "
-                f"{_fmt(protection.get('receivers'))} receivers in "
-                f"{_fmt(protection.get('wall_s'))} s wall "
-                f"({_fmt(protection.get('receivers_per_sec'))} rx/s), attacker "
-                f"cohort weighted excess {_fmt(protection.get('weighted_excess_kbps'))} "
-                f"Kbps, contained in {_fmt(protection.get('containment_s'))} s | "
-                f"`BENCH_scale.json` |"
-            )
-    lines.append("")
-
-
-def _memory_line(memory: Dict[str, Any]) -> str:
-    parts = [f"peak RSS {memory.get('peak_rss_kb', 0.0) / 1024.0:,.1f} MiB"]
-    if "gc_tracked_objects" in memory:
-        parts.append(f"{memory['gc_tracked_objects']:,} GC-tracked objects")
-    traced = memory.get("tracemalloc")
-    if traced:
-        parts.append(
-            f"tracemalloc current {traced.get('current_kb', 0.0) / 1024.0:,.1f} / "
-            f"peak {traced.get('peak_kb', 0.0) / 1024.0:,.1f} MiB, "
-            f"{traced.get('live_blocks', 0):,} live blocks"
-        )
-    return ", ".join(parts)
-
-
 def _section(lines: List[str], path: Path, payload: Dict[str, Any]) -> None:
     lines.append(f"## `{path.name}`\n")
-    runtime = payload.get("runtime_s")
-    if runtime is not None:
-        lines.append(f"- runtime: {runtime:,.3f} s")
-    memory = payload.get("memory")
-    if memory:
-        lines.append(f"- memory: {_memory_line(memory)}")
     rows = list(_flatten(payload.get("metrics", {})))
     if rows:
-        lines.append("")
         lines.append("| Metric | Value |")
         lines.append("|---|---|")
         for key, value in rows[:MAX_ROWS_PER_BENCH]:
@@ -214,10 +106,6 @@ def _section(lines: List[str], path: Path, payload: Dict[str, Any]) -> None:
 def render_gallery() -> str:
     """The full docs/benchmarks.md content as a string."""
     lines: List[str] = [HEADER]
-    _headline(lines)
-
-    if TOP_LEVEL_BENCH.exists():
-        _section(lines, TOP_LEVEL_BENCH, _load(TOP_LEVEL_BENCH))
     for path in _bench_files():
         _section(lines, path, _load(path))
     return "\n".join(lines).rstrip() + "\n"
