@@ -116,8 +116,11 @@ class AsyncJobPool:
                 pool = self._ensure_pool()
                 generation = self._generation
                 worker = self._worker if self._worker is not None else run_job
-                future = asyncio.wrap_future(pool.submit(worker, job))
                 try:
+                    # submit() itself raises on a pool a concurrent job's
+                    # crash broke but has not rebuilt yet: a job that never
+                    # started counts as a crashed attempt like any other.
+                    future = asyncio.wrap_future(pool.submit(worker, job))
                     output = await asyncio.wait_for(future, budget)
                     self.jobs_completed += 1
                     return output

@@ -12,22 +12,21 @@ Design notes
 * Events scheduled for the same time are executed in FIFO order of
   scheduling (a monotonically increasing sequence number breaks ties), which
   keeps runs fully deterministic.
-* The scheduler keeps **two lanes** that share one sequence counter and are
-  merged into a single total order at execution time:
-
-  - a *fast lane* (:meth:`Simulator.call_after` / :meth:`Simulator.call_at`)
-    backed by the C ``heapq`` over plain tuples.  Fast-lane events cannot be
-    cancelled and return no handle; this is where the per-packet hot path
-    (link serialization, delivery, control-channel messages) lives, because
-    tuple keys keep every heap comparison in C.
-  - a *cancellable lane* (:meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`) backed by an **indexed binary heap**:
-    every :class:`Event` tracks its heap position, so
-    :meth:`Event.cancel` removes it from the heap *eagerly* in O(log n).
-    There are no lazy tombstones anywhere — the heap never retains
-    cancelled events, so its size is exactly the number of live events even
-    under heavy timer churn (flapping receivers, per-ACK RTO restarts).
-
+* The scheduler is **one** C ``heapq`` of ``(time, seq, callback, args)``
+  tuples, so every heap comparison stays in C.  :meth:`Simulator.call_after`
+  / :meth:`Simulator.call_at` push an entry and return nothing — the
+  per-packet hot path (link serialization, delivery, control-channel
+  messages) lives here.  :meth:`Simulator.schedule` /
+  :meth:`Simulator.schedule_at` push the same entry and return an
+  :class:`Event` handle onto it.
+* :meth:`Event.cancel` removes its entry from the heap *eagerly*
+  (``heap.remove`` + ``heapify``).  There are no lazy tombstones anywhere —
+  the heap never retains cancelled events, so its size is exactly the number
+  of live events even under timer churn (flapping receivers).  The price is
+  that **``cancel()`` is O(live events)**: it is for control-plane timers
+  (a stopped source, an emptied timer group).  A per-packet timer keeps a
+  deadline and lets one wake re-arm itself, as
+  :class:`~repro.transport.tcp.TcpRenoSender` does for its RTO.
 * Recurring activities are provided by :class:`PeriodicTimer`.  Timers with
   the same interval that fire at the same instant (FLID slot timers, SIGMA
   key distribution, monitor flushes at slot boundaries) are *coalesced*
@@ -54,6 +53,11 @@ __all__ = [
 ]
 
 
+#: One heap entry; ``(time, seq)`` is unique, so comparisons never reach the
+#: callback.
+_Entry = Tuple[float, int, Callable[..., None], tuple]
+
+
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine.
 
@@ -63,11 +67,11 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled, cancellable callback.
+    """Handle onto one scheduled callback; lets the caller cancel it.
 
-    Instances are returned by :meth:`Simulator.schedule` and can be used to
-    cancel the event before it fires.  Events order by ``(time, seq)`` so
-    execution is stable and deterministic.
+    Instances are returned by :meth:`Simulator.schedule` and wrap the
+    ``(time, seq, callback, args)`` heap entry.  Events run in
+    ``(time, seq)`` order, so execution is stable and deterministic.
 
     Attributes
     ----------
@@ -76,162 +80,49 @@ class Event:
     seq:
         Global scheduling sequence number; breaks ties between events that
         share a ``time`` (FIFO order of scheduling).
-    callback, args, kwargs:
-        The callable and the arguments it will receive.
+    callback, args:
+        The callable and the positional arguments it will receive.
     cancelled:
         True once :meth:`cancel` has been called.  A cancelled event is no
         longer in the heap; cancelling an event that already executed is a
         harmless no-op.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "_index", "_sim")
+    __slots__ = ("_entry", "_heap", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.kwargs = kwargs
+    def __init__(self, entry: _Entry, heap: List[_Entry]) -> None:
+        self._entry = entry
+        self._heap = heap
         self.cancelled = False
-        self._index = -1
-        self._sim: Optional["Simulator"] = None
+
+    time = property(lambda self: self._entry[0])
+    seq = property(lambda self: self._entry[1])
+    callback = property(lambda self: self._entry[2])
+    args = property(lambda self: self._entry[3])
 
     def cancel(self) -> None:
-        """Cancel the event, removing it from the heap eagerly (O(log n))."""
+        """Cancel the event, removing its heap entry eagerly.
+
+        O(live events): meant for control-plane timers, not per-packet ones
+        (keep a deadline instead, as the TCP retransmission timer does).
+        """
         if self.cancelled:
             return
         self.cancelled = True
-        sim = self._sim
-        if sim is not None and self._index >= 0:
-            sim._cancellable.remove(self)
-        self._sim = None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        try:
+            self._heap.remove(self._entry)
+        except ValueError:  # already executed (or cleared)
+            return
+        heapq.heapify(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "cancelled" if self.cancelled else ("pending" if self._index >= 0 else "done")
         name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}, {state})"
-
-
-class _IndexedHeap:
-    """Binary min-heap of :class:`Event` objects with position tracking.
-
-    Every contained event stores its heap index in ``event._index``, which
-    makes :meth:`remove` — and therefore :meth:`Event.cancel` — an O(log n)
-    sift instead of a lazy tombstone.  Ordering is ``(time, seq)``.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def peek(self) -> Optional[Event]:
-        """The minimum event without removing it (None when empty)."""
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def push(self, event: Event) -> None:
-        """Insert ``event`` and record its position."""
-        heap = self._heap
-        index = len(heap)
-        heap.append(event)
-        self._sift_up(event, index)
-
-    def pop(self) -> Event:
-        """Remove and return the minimum event."""
-        heap = self._heap
-        root = heap[0]
-        root._index = -1
-        last = heap.pop()
-        if heap and last is not root:
-            self._sift_down(last, 0)
-        return root
-
-    def remove(self, event: Event) -> bool:
-        """Remove ``event`` from an arbitrary position; True when present."""
-        index = event._index
-        if index < 0:
-            return False
-        event._index = -1
-        heap = self._heap
-        last = heap.pop()
-        if last is event or index >= len(heap):
-            return True
-        # Re-seat the displaced tail element; it may need to move either way.
-        time, seq = last.time, last.seq
-        if index > 0:
-            parent = heap[(index - 1) >> 1]
-            if time < parent.time or (time == parent.time and seq < parent.seq):
-                self._sift_up(last, index)
-                return True
-        self._sift_down(last, index)
-        return True
-
-    def clear(self) -> None:
-        """Drop every event, detaching their heap positions."""
-        for event in self._heap:
-            event._index = -1
-            event._sim = None
-        self._heap.clear()
-
-    # ------------------------------------------------------------------
-    def _sift_up(self, event: Event, index: int) -> None:
-        heap = self._heap
-        time, seq = event.time, event.seq
-        while index > 0:
-            parent_index = (index - 1) >> 1
-            parent = heap[parent_index]
-            if time < parent.time or (time == parent.time and seq < parent.seq):
-                heap[index] = parent
-                parent._index = index
-                index = parent_index
-            else:
-                break
-        heap[index] = event
-        event._index = index
-
-    def _sift_down(self, event: Event, index: int) -> None:
-        heap = self._heap
-        size = len(heap)
-        time, seq = event.time, event.seq
-        while True:
-            child_index = 2 * index + 1
-            if child_index >= size:
-                break
-            child = heap[child_index]
-            right_index = child_index + 1
-            if right_index < size:
-                right = heap[right_index]
-                if right.time < child.time or (
-                    right.time == child.time and right.seq < child.seq
-                ):
-                    child = right
-                    child_index = right_index
-            if child.time < time or (child.time == time and child.seq < seq):
-                heap[index] = child
-                child._index = index
-                index = child_index
-            else:
-                break
-        heap[index] = event
-        event._index = index
+        state = ", cancelled" if self.cancelled else ""
+        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}{state})"
 
 
 class Simulator:
-    """Two-lane event-heap discrete-event simulator.
+    """Event-heap discrete-event simulator.
 
     Typical usage::
 
@@ -243,14 +134,13 @@ class Simulator:
     :meth:`run` continue from the current simulated time.  Use
     :meth:`schedule` when the caller may need to cancel the event (it
     returns an :class:`Event` handle) and :meth:`call_after` on hot paths
-    that never cancel (it is substantially faster and returns nothing).
+    that never cancel (it allocates no handle and returns nothing).
     """
 
     def __init__(self) -> None:
-        #: Fast lane: (time, seq, callback, args) tuples ordered by C heapq.
-        self._fast: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        #: Cancellable lane: indexed heap of Event objects.
-        self._cancellable = _IndexedHeap()
+        #: Every live event: (time, seq, callback, args) tuples ordered by C
+        #: heapq.  Never rebound — Event handles and the run loop hold the list.
+        self._heap: List[_Entry] = []
         #: Coalesced periodic-timer groups keyed by (next fire time, interval).
         self._timer_groups: Dict[Tuple[float, float], "_TimerGroup"] = {}
         self._seq = 0
@@ -273,23 +163,17 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events in the heaps.
+        """Number of live events in the heap.
 
         Cancelled events are removed eagerly, so — unlike a tombstone
         scheduler — this is exactly the heap memory footprint.
         """
-        return len(self._fast) + len(self._cancellable)
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        **kwargs: Any,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns the :class:`Event`, which may be cancelled.  ``delay`` must
@@ -298,15 +182,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        **kwargs: Any,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
         if time < self._now:
             raise SimulationError(
@@ -314,34 +192,32 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, args, kwargs or None)
-        event._sim = self
-        self._cancellable.push(event)
-        return event
+        entry = (time, seq, callback, args)
+        heapq.heappush(self._heap, entry)
+        return Event(entry, self._heap)
 
     def call_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast-lane :meth:`schedule`: no handle, no kwargs, no cancellation.
+        """:meth:`schedule` without a handle: no cancellation, nothing returned.
 
         This is the per-packet scheduling primitive: link serialization and
         propagation, control-channel deliveries and transmit-loop wakeups go
-        through here.  Events are plain tuples in a C-ordered heap, so a
-        fast-lane event costs roughly a quarter of a cancellable one.
+        through here.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._fast, (self._now + delay, seq, callback, args))
+        heapq.heappush(self._heap, (self._now + delay, seq, callback, args))
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast-lane :meth:`schedule_at`: no handle, no kwargs, no cancellation."""
+        """:meth:`schedule_at` without a handle: no cancellation, nothing returned."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now}): time is in the past"
             )
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._fast, (time, seq, callback, args))
+        heapq.heappush(self._heap, (time, seq, callback, args))
 
     # ------------------------------------------------------------------
     # periodic-timer coalescing (used by PeriodicTimer)
@@ -379,32 +255,17 @@ class Simulator:
     def step(self) -> Optional[Event]:
         """Execute the single next pending event.
 
-        Returns the event executed — materialising a handle for fast-lane
-        events — or ``None`` if both lanes are empty.  :meth:`run` is the
-        efficient bulk driver; ``step`` exists for tests and debugging.
+        Returns a handle describing the event executed, or ``None`` if the
+        heap is empty.  :meth:`run` is the efficient bulk driver; ``step``
+        exists for tests and debugging.
         """
-        fast = self._fast
-        head = self._cancellable.peek()
-        if fast:
-            entry = fast[0]
-            if head is None or (entry[0], entry[1]) < (head.time, head.seq):
-                time, seq, callback, args = heapq.heappop(fast)
-                self._now = time
-                callback(*args)
-                self._events_executed += 1
-                done = Event(time, seq, callback, args)
-                return done
-        if head is None:
+        if not self._heap:
             return None
-        event = self._cancellable.pop()
-        event._sim = None
-        self._now = event.time
-        if event.kwargs:
-            event.callback(*event.args, **event.kwargs)
-        else:
-            event.callback(*event.args)
+        entry = heapq.heappop(self._heap)
+        self._now = entry[0]
+        entry[2](*entry[3])
         self._events_executed += 1
-        return event
+        return Event(entry, self._heap)
 
     def run(
         self,
@@ -412,14 +273,14 @@ class Simulator:
         max_events: Optional[int] = None,
         inclusive: bool = True,
     ) -> None:
-        """Run events until the queues drain, ``until`` passes, or ``max_events``.
+        """Run events until the heap drains, ``until`` passes, or ``max_events``.
 
         Parameters
         ----------
         until:
             Absolute simulated time at which to stop.  Events at exactly
             ``until`` are executed; later events remain queued.  When the
-            queues drain before ``until``, the clock is advanced to
+            heap drains before ``until``, the clock is advanced to
             ``until`` so periodic post-processing sees a consistent end time.
         max_events:
             Optional hard cap on the number of events to execute, useful as
@@ -432,43 +293,20 @@ class Simulator:
             first on the next :meth:`run`.
         """
         self._stopped = False
-        fast = self._fast
-        cancellable = self._cancellable
-        cancellable_heap = cancellable._heap
+        heap = self._heap
         heappop = heapq.heappop
         executed = 0
         counted = max_events is not None
-        while not self._stopped:
+        while heap and not self._stopped:
             if counted and executed >= max_events:
                 break
-            head = cancellable_heap[0] if cancellable_heap else None
-            if fast:
-                entry = fast[0]
-                time = entry[0]
-                if head is not None and (
-                    head.time < time or (head.time == time and head.seq < entry[1])
-                ):
-                    entry = None
-                    time = head.time
-            elif head is not None:
-                entry = None
-                time = head.time
-            else:
-                break
+            entry = heap[0]
+            time = entry[0]
             if until is not None and (time > until or (not inclusive and time >= until)):
                 break
-            if entry is not None:
-                heappop(fast)
-                self._now = time
-                entry[2](*entry[3])
-            else:
-                event = cancellable.pop()
-                event._sim = None
-                self._now = time
-                if event.kwargs:
-                    event.callback(*event.args, **event.kwargs)
-                else:
-                    event.callback(*event.args)
+            heappop(heap)
+            self._now = time
+            entry[2](*entry[3])
             self._events_executed += 1
             executed += 1
         if until is not None and self._now < until and not self._stopped:
@@ -479,9 +317,8 @@ class Simulator:
         self._stopped = True
 
     def clear(self) -> None:
-        """Drop all pending events (both lanes) without executing them."""
-        self._fast.clear()
-        self._cancellable.clear()
+        """Drop all pending events without executing them."""
+        self._heap.clear()
         self._timer_groups.clear()
 
 
@@ -490,9 +327,7 @@ class _TimerGroup:
 
     A group fires all member callbacks in registration order — the same
     FIFO order the members' separate events would have had — then
-    reschedules itself one interval ahead.  Members whose interval changed
-    (via :meth:`PeriodicTimer.reschedule`) migrate to a matching group at
-    their next fire time.
+    reschedules itself one interval ahead.
     """
 
     __slots__ = ("sim", "next_time", "interval", "members", "event", "firing")
@@ -514,16 +349,9 @@ class _TimerGroup:
         for timer in list(self.members):
             if not timer._running or timer._group is not self:
                 continue
-            timer.fired += 1
             timer._callback()
-            if not timer._running or timer._group is not self:
-                continue
-            if timer._interval == self.interval:
+            if timer._running and timer._group is self:
                 survivors.append(timer)
-            else:
-                # Interval changed mid-flight: migrate at the new cadence.
-                timer._group = None
-                sim._timer_group_join(timer, sim._now + timer._interval)
         self.firing = False
         self.members = []
         if not survivors:
@@ -575,8 +403,6 @@ class PeriodicTimer:
         self._first_delay = interval if first_delay is None else first_delay
         self._group: Optional[_TimerGroup] = None
         self._running = False
-        #: Number of times the callback has fired.
-        self.fired = 0
 
     @property
     def running(self) -> bool:
@@ -585,7 +411,7 @@ class PeriodicTimer:
 
     @property
     def interval(self) -> float:
-        """Current firing interval in simulated seconds."""
+        """Firing interval in simulated seconds."""
         return self._interval
 
     def start(self) -> None:
@@ -600,9 +426,3 @@ class PeriodicTimer:
         self._running = False
         if self._group is not None:
             self._sim._timer_group_leave(self)
-
-    def reschedule(self, interval: float) -> None:
-        """Change the firing interval, effective from the next firing."""
-        if interval <= 0:
-            raise SimulationError(f"timer interval must be positive (got {interval})")
-        self._interval = interval

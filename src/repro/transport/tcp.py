@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..simulator.engine import Event, Simulator
+from ..simulator.engine import Simulator
 from ..simulator.monitors import ThroughputMonitor
 from ..simulator.node import Host, PacketAgent
 from ..simulator.packet import Packet
@@ -35,7 +35,16 @@ MAX_RTO_S = 60.0
 
 
 class TcpRenoSender:
-    """Reno congestion control with an unlimited (FTP-like) data supply."""
+    """Reno congestion control with an unlimited (FTP-like) data supply.
+
+    The retransmission timer restarts on every new ACK, so it is kept as a
+    *deadline* rather than as a cancellable event (``Event.cancel`` is
+    O(live events)): at most one engine wake is live at or before the
+    deadline, and a wake that fires early re-arms itself at the deadline it
+    finds.  Timeouts fire at exactly the instants a cancel-and-reschedule
+    timer would produce (``tests/transport/test_tcp_rto.py`` keeps that timer
+    as the oracle).
+    """
 
     def __init__(
         self,
@@ -80,7 +89,8 @@ class TcpRenoSender:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.rto = INITIAL_RTO_S
-        self._rto_event: Optional[Event] = None
+        self._rto_deadline: Optional[float] = None  # None: timer off
+        self._rto_wake: Optional[float] = None  # time of the one live wake
         self._send_times: Dict[int, float] = {}
         self._retransmitted: set[int] = set()
 
@@ -150,7 +160,7 @@ class TcpRenoSender:
             self.sim.call_after(departure - self.sim.now, self.host.send, packet)
         else:
             self.host.send(packet)
-        if self._rto_event is None:
+        if self._rto_deadline is None:
             self._arm_rto()
 
     # ------------------------------------------------------------------
@@ -224,17 +234,35 @@ class TcpRenoSender:
         self.rto = min(MAX_RTO_S, max(MIN_RTO_S, self.srtt + 4.0 * self.rttvar))
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_event is not None:
-            if not restart:
-                return
-            self._rto_event.cancel()
-        if self.flight_size <= 0 and self.next_seq > 0:
-            self._rto_event = None
+        if self._rto_deadline is not None and not restart:
             return
-        self._rto_event = self.sim.schedule(self.rto, self._on_timeout)
+        if self.flight_size <= 0 and self.next_seq > 0:
+            self._rto_deadline = None  # a wake still in the heap finds it off
+            return
+        self._rto_deadline = deadline = self.sim.now + self.rto
+        if self._rto_wake is None or deadline < self._rto_wake:
+            # No wake, or a shrunken rto put the deadline before it: a new
+            # wake takes over and the later one returns as superseded.
+            self._wake_at(deadline)
+
+    def _wake_at(self, time: float) -> None:
+        self._rto_wake = time
+        self.sim.call_at(time, self._on_rto_wake, time)
+
+    def _on_rto_wake(self, wake: float) -> None:
+        if wake != self._rto_wake:
+            return  # superseded by an earlier wake
+        self._rto_wake = None
+        deadline = self._rto_deadline
+        if deadline is None:
+            return  # the flight emptied since this wake was armed
+        if deadline > wake:
+            self._wake_at(deadline)  # ACKs pushed the deadline out
+        else:
+            self._on_timeout()
 
     def _on_timeout(self) -> None:
-        self._rto_event = None
+        self._rto_deadline = None
         if self.flight_size <= 0:
             return
         self.timeouts += 1
@@ -289,6 +317,7 @@ class TcpSink(PacketAgent):
         host.register_agent(port, self)
 
     def handle_packet(self, packet: Packet) -> None:
+        """Record a data segment and answer with a cumulative ACK."""
         if packet.headers.get("kind") != "data":
             return
         seq = packet.headers["seq"]
@@ -342,8 +371,10 @@ class TcpConnection:
         return cls(sender=sender, sink=sink)
 
     def start(self, delay_s: float = 0.0) -> None:
+        """Start the sender ``delay_s`` seconds from now."""
         self.sender.start(delay_s)
 
     @property
     def monitor(self) -> ThroughputMonitor:
+        """The sink's goodput monitor."""
         return self.sink.monitor

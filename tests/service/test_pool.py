@@ -15,6 +15,7 @@ import asyncio
 import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,46 @@ class TestAsyncJobPool:
                     await pool.run(_jobs((0,))[0])
             finally:
                 pool.close()
+
+        asyncio.run(scenario())
+
+    @fork_only
+    def test_submit_on_a_broken_pool_counts_as_a_crashed_attempt(self):
+        """A job admitted between another job's worker crash and its rebuild."""
+
+        async def scenario():
+            pool = AsyncJobPool(jobs=2, retries=2)
+            try:
+                job = _jobs((0,))[0]
+                # The concurrent job: its worker dies and breaks the executor,
+                # but nobody has reached _rebuild yet.
+                crashed = pool._ensure_pool().submit(always_crash_worker, job)
+                with pytest.raises(BrokenProcessPool):
+                    crashed.result()
+                assert await pool.run(job) == run_job(job)
+                stats = pool.stats()
+                assert (stats["restarts"], stats["retries_used"]) == (1, 1)
+                assert (stats["completed"], stats["failed"]) == (1, 0)
+            finally:
+                pool.close()
+
+        asyncio.run(scenario())
+
+    @fork_only
+    def test_submit_on_a_pool_that_stays_broken_exhausts_retries(self, monkeypatch):
+        async def scenario():
+            pool = AsyncJobPool(jobs=1, retries=1)
+            broken = pool._ensure_pool()
+            with pytest.raises(BrokenProcessPool):
+                broken.submit(always_crash_worker, None).result()
+            monkeypatch.setattr(pool, "_ensure_pool", lambda: broken)
+            try:
+                with pytest.raises(ExperimentExecutionError, match="jobs=1"):
+                    await pool.run(_jobs((0,))[0])
+                assert pool.stats()["failed"] == 1
+                assert pool.stats()["retries_used"] == 2
+            finally:
+                broken.shutdown(wait=True, cancel_futures=True)
 
         asyncio.run(scenario())
 

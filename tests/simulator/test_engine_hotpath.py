@@ -1,16 +1,19 @@
-"""Regression tests for the hot-path engine overhaul.
+"""Regression tests for the engine's one event heap.
 
-Three invariants of the rewritten scheduler are locked in here:
+Three invariants of the scheduler are locked in here:
 
-* the indexed heap removes cancelled events **eagerly** — the historical
+* ``Event.cancel`` removes its heap entry **eagerly** — the historical
   lazy-tombstone leak (cancelled ``PeriodicTimer``/RTO events lingering in
   the heap until popped) cannot recur, even under membership-churn attack
   scenarios that start and stop timers continuously;
-* the fast lane (``call_after``/``call_at``) and the cancellable lane
-  interleave in exact ``(time, seq)`` FIFO order;
+* handle-less events (``call_after``/``call_at``) and cancellable ones
+  (``schedule``/``schedule_at``) interleave in exact ``(time, seq)`` FIFO
+  order;
 * coalesced periodic timers (shared slot-boundary wakeups) fire with the
   same times, counts and relative order as independent timers would.
 """
+
+import pickle
 
 import pytest
 
@@ -28,7 +31,7 @@ class TestEagerCancellation:
             event.cancel()
         # No tombstones: the heap is empty the moment the last cancel returns.
         assert sim.pending_events == 0
-        assert len(sim._cancellable) == 0
+        assert len(sim._heap) == 0
 
     def test_cancel_out_of_order_keeps_heap_consistent(self):
         sim = Simulator()
@@ -62,6 +65,46 @@ class TestEagerCancellation:
             event.cancel()
             event = sim.schedule(1.0, lambda: None)
         assert sim.pending_events == 1
+
+    def test_handle_restored_from_pickle_still_cancels_its_entry(self):
+        sim = Simulator()
+        fired = []
+        sim.call_after(1.0, fired.append, "kept")
+        event = sim.schedule(2.0, fired.append, "cancelled")
+        sim, event, fired = pickle.loads(pickle.dumps((sim, event, fired)))
+        assert sim.pending_events == 2
+        event.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["kept"]
+
+    def test_cancel_after_execution_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, fired.append, "ran")
+        sim.schedule(2.0, fired.append, "later")
+        sim.run(until=1.5)
+        event.cancel()
+        assert event.cancelled and sim.pending_events == 1
+        sim.run()
+        assert fired == ["ran", "later"]
+
+    def test_cancel_from_an_event_at_the_same_instant(self):
+        """A cancels B while the run loop sits between them in the heap."""
+        sim = Simulator()
+        fired = []
+        handles = {}
+
+        def first():
+            fired.append("a")
+            handles["b"].cancel()
+
+        sim.schedule(1.0, first)
+        handles["b"] = sim.schedule(1.0, fired.append, "b")
+        sim.call_after(1.0, fired.append, "c")
+        sim.run()
+        assert fired == ["a", "c"]
+        assert sim.pending_events == 0
 
     def test_churn_attack_scenario_heap_stays_bounded(self):
         """Flapping-membership attack: pending events stay O(active timers).
@@ -161,18 +204,6 @@ class TestCoalescedTimers:
         assert sim.pending_events == 1
         timer.stop()
         assert sim.pending_events == 0
-
-    def test_reschedule_migrates_between_groups(self):
-        sim = Simulator()
-        ticks = []
-        steady = PeriodicTimer(sim, 1.0, lambda: ticks.append(("steady", sim.now)))
-        moving = PeriodicTimer(sim, 1.0, lambda: ticks.append(("moving", sim.now)))
-        steady.start()
-        moving.start()
-        sim.schedule(1.5, moving.reschedule, 2.0)
-        sim.run(until=5.0)
-        assert [t for name, t in ticks if name == "steady"] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert [t for name, t in ticks if name == "moving"] == [1.0, 2.0, 4.0]
 
     def test_stop_inside_own_callback(self):
         sim = Simulator()

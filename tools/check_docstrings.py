@@ -10,9 +10,10 @@ guarantee that also runs inside the tier-1 suite (``tests/docs``).
 
 Scope and rules
 ---------------
-* Scoped files: the engine and simulator substrate, the experiment
-  declaration layer (spec, interpreter, scenario catalogue) and runner, and
-  the adversary strategy protocol (see ``SCOPED``).
+* Scoped files: the engine and simulator substrate, the TCP sender whose
+  retransmission timer leans on the engine's cancellation contract, the
+  experiment declaration layer (spec, interpreter, scenario catalogue) and
+  runner, and the adversary strategy protocol (see ``SCOPED``).
 * A name is public unless it starts with ``_`` (dunders other than
   ``__call__`` are exempt, as are trivial overrides explicitly marked with
   an inline ``# noqa: docstring`` comment — there are currently none).
@@ -53,6 +54,7 @@ SCOPED: Tuple[str, ...] = (
     "experiments/scale.py",
     "experiments/shard.py",
     "experiments/warmstart.py",
+    "transport/tcp.py",
     "adversary/strategy.py",
     "adversary/receivers.py",
     "multicast_cc/decision.py",
