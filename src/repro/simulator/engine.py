@@ -158,7 +158,12 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Number of events executed so far (useful in tests and benches)."""
+        """Number of events executed so far (useful in tests and benches).
+
+        Exact whenever :meth:`run` is not on the stack: the loop counts in a
+        local and publishes once on the way out, so a callback reading this
+        mid-run sees the count as of the start of that ``run``.
+        """
         return self._events_executed
 
     @property
@@ -297,18 +302,20 @@ class Simulator:
         heappop = heapq.heappop
         executed = 0
         counted = max_events is not None
-        while heap and not self._stopped:
-            if counted and executed >= max_events:
-                break
-            entry = heap[0]
-            time = entry[0]
-            if until is not None and (time > until or (not inclusive and time >= until)):
-                break
-            heappop(heap)
-            self._now = time
-            entry[2](*entry[3])
-            self._events_executed += 1
-            executed += 1
+        try:
+            while heap and not self._stopped:
+                if counted and executed >= max_events:
+                    break
+                entry = heap[0]
+                time = entry[0]
+                if until is not None and (time > until or (not inclusive and time >= until)):
+                    break
+                heappop(heap)
+                self._now = time
+                entry[2](*entry[3])
+                executed += 1
+        finally:
+            self._events_executed += executed
         if until is not None and self._now < until and not self._stopped:
             self._now = until
 

@@ -14,6 +14,12 @@ Packet timing follows the textbook store-and-forward model:
 * packets arriving while the link transmits are held in the output queue and
   dropped when the queue is full.
 
+Both times are known the moment serialization starts, so that is when the
+link schedules the packet's delivery — its only event on an idle link.  The
+link remembers when the wire falls free (``_busy_until``) instead of waking
+up to find out; a ``_drain`` event exists only while packets wait in the
+queue.
+
 The default queue capacity is two bandwidth-delay products, the setting used
 throughout the paper's evaluation (§5.1).
 """
@@ -87,7 +93,10 @@ class Link:
         )
         self.name = name or f"{src.name}->{dst.name}"
         self.stats = LinkStats()
-        self._busy = False
+        #: Time at which the packet on the wire (if any) finishes serializing.
+        self._busy_until = 0.0
+        #: True while a ``_drain`` event is armed, i.e. the queue is non-empty.
+        self._draining = False
         #: Optional hook invoked with every packet dropped at this link's queue.
         self.on_drop: Optional[Callable[[Packet], None]] = None
 
@@ -97,8 +106,8 @@ class Link:
 
     @property
     def busy(self) -> bool:
-        """True while a packet is being serialized onto the wire."""
-        return self._busy
+        """True while a packet is being serialized or others wait behind it."""
+        return self._draining or self.sim.now < self._busy_until
 
     def transmission_time(self, packet: Packet) -> float:
         """Serialization delay of ``packet`` on this link."""
@@ -110,40 +119,60 @@ class Link:
 
         Returns True when the packet was queued (or started transmitting)
         and False when the drop-tail queue rejected it.
+
+        A packet that finds the link idle costs one event, its delivery; a
+        packet that finds it busy waits in the queue, and a ``_drain`` event
+        exists only while something waits.
         """
-        accepted = self.queue.enqueue(packet)
-        if not accepted:
-            if self.on_drop is not None:
-                self.on_drop(packet)
-            pool = packet._pool
-            if pool is not None:
-                # A dropped pool replica has no remaining consumer: recycle.
-                pool.release(packet)
-            return False
-        if not self._busy:
-            self._start_next_transmission()
-        return True
+        if self._draining:
+            accepted = self.queue.enqueue(packet)
+        else:
+            sim = self.sim
+            now = sim.now
+            if now < self._busy_until:
+                accepted = self.queue.enqueue(packet)
+                if accepted:
+                    self._draining = True
+                    sim.call_at(self._busy_until, self._drain)
+            else:
+                accepted = self.queue.transit(packet)
+                if accepted:
+                    self._transmit(packet, now)
+        if accepted:
+            return True
+        if self.on_drop is not None:
+            self.on_drop(packet)
+        pool = packet._pool
+        if pool is not None:
+            # A dropped pool replica has no remaining consumer: recycle.
+            pool.release(packet)
+        return False
 
     # ------------------------------------------------------------------
-    def _start_next_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Put ``packet`` on the wire at ``now`` and schedule its one event."""
         size_bytes = packet.size_bytes
-        tx_time = size_bytes * 8 / self.bandwidth_bps
         stats = self.stats
         stats.transmitted_packets += 1
         stats.transmitted_bytes += size_bytes
-        # Transmission completes after tx_time; the packet arrives at the
-        # destination a propagation delay later.  The link becomes free for
-        # the next queued packet as soon as serialization finishes.
-        self.sim.call_after(tx_time, self._transmission_complete, packet)
+        # Serialization ends after size/bandwidth, when the link is free for
+        # the next packet; this one arrives a propagation delay later.
+        done = now + size_bytes * 8 / self.bandwidth_bps
+        self._busy_until = done
+        self.sim.call_at(done + self.delay_s, self._deliver, packet)
 
-    def _transmission_complete(self, packet: Packet) -> None:
-        self.sim.call_after(self.delay_s, self._deliver, packet)
-        self._start_next_transmission()
+    def _drain(self) -> None:
+        """Serialization just ended with packets waiting: start the next."""
+        queue = self.queue
+        packet = queue.dequeue()
+        if packet is not None:
+            # Armed at ``_busy_until`` and nothing else transmits meanwhile,
+            # so that is the current time.
+            self._transmit(packet, self._busy_until)
+            if not queue.is_empty:
+                self.sim.call_at(self._busy_until, self._drain)
+                return
+        self._draining = False
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1

@@ -168,15 +168,27 @@ class LinkMonitor:
         self.link = link
         self._clock = clock
         self._start_time = clock.now
-        self._start_tx_bytes = link.stats.transmitted_bytes
+        self._start_bits = self._bits_on_wire()
+
+    def _bits_on_wire(self) -> float:
+        """Bits the link has serialized up to now.
+
+        ``stats.transmitted_bytes`` counts a packet when its serialization
+        starts; the part still to go onto the wire is taken back off.
+        """
+        link = self.link
+        bits = link.stats.transmitted_bytes * 8
+        remaining_s = link._busy_until - self._clock.now
+        if remaining_s > 0:
+            bits -= remaining_s * link.bandwidth_bps
+        return bits
 
     def utilisation(self) -> float:
         """Fraction of the link capacity used since the monitor was created."""
         elapsed = self._clock.now - self._start_time
         if elapsed <= 0:
             return 0.0
-        sent_bits = (self.link.stats.transmitted_bytes - self._start_tx_bytes) * 8
-        return sent_bits / (self.link.bandwidth_bps * elapsed)
+        return (self._bits_on_wire() - self._start_bits) / (self.link.bandwidth_bps * elapsed)
 
 
 class OverheadAccumulator:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from .address import GroupAddress
 from .engine import Simulator
 from .link import Link
-from .node import Host, Router
+from .node import Host, Node, Router
 from .packet import PacketPool
 
 __all__ = ["MulticastRoutingService", "MembershipStats"]
@@ -54,10 +54,12 @@ class MulticastRoutingService:
         self.graft_delay_s = graft_delay_s
         self.prune_delay_s = prune_delay_s
         self._members: Dict[int, Set[Host]] = {}
-        #: Replication tables: group value -> {router name -> out links}.
-        #: Rebuilt lazily per router after a membership change invalidates
-        #: the group's table (an O(1) pop, not a cache scan).
-        self._tables: Dict[int, Dict[str, List[Link]]] = {}
+        #: Replication tables: group value -> {router name -> rows}, a row
+        #: being ``(out link, next hop, next hop is a host)`` — everything a
+        #: router needs per copy.  Rebuilt lazily per router after a
+        #: membership change invalidates the group's table (an O(1) pop, not
+        #: a cache scan).
+        self._tables: Dict[int, Dict[str, List[Tuple[Link, Node, bool]]]] = {}
         #: Free-list for the multicast data plane: routers draw replicas
         #: from here and the forwarding plane recycles them when dead.
         self.packet_pool = PacketPool()
@@ -182,10 +184,19 @@ class MulticastRoutingService:
     def out_links(self, router: Router, group: GroupAddress) -> List[Link]:
         """Outgoing links on which ``router`` must replicate ``group`` traffic.
 
-        The answer is the deduplicated set of next-hop links from ``router``
-        toward every current member host, precomputed per (group, router)
-        and invalidated only by an effective IGMP/SIGMA join or leave —
-        never recomputed per packet.
+        The deduplicated set of next-hop links from ``router`` toward every
+        current member host, in replication order (see :meth:`out_rows`).
+        """
+        return [row[0] for row in self.out_rows(router, group)]
+
+    def out_rows(self, router: Router, group: GroupAddress) -> List[Tuple[Link, Node, bool]]:
+        """:meth:`out_links` as cached ``(link, next_hop, is_host)`` rows.
+
+        The router's per-packet lookup, precomputed per (group, router) and
+        invalidated only by an effective IGMP/SIGMA join or leave — never
+        recomputed per packet.  The next hop (to skip the branch a packet
+        came from) and whether it is a local interface ride with the link
+        instead of being re-derived for every copy.
         """
         value = group.value
         table = self._tables.get(value)
@@ -196,7 +207,7 @@ class MulticastRoutingService:
             cached = table.get(router.name)
             if cached is not None:
                 return cached
-        links: List[Link] = []
+        rows: List[Tuple[Link, Node, bool]] = []
         seen: set[int] = set()
         # Member sets hash hosts by identity, so raw set order varies between
         # processes; replicating in address order keeps packet interleaving —
@@ -209,9 +220,9 @@ class MulticastRoutingService:
                 continue
             if id(link) not in seen:
                 seen.add(id(link))
-                links.append(link)
-        table[router.name] = links
-        return links
+                rows.append((link, link.dst, isinstance(link.dst, Host)))
+        table[router.name] = rows
+        return rows
 
     # ------------------------------------------------------------------
     def groups(self) -> Iterable[GroupAddress]:

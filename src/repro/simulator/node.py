@@ -204,7 +204,7 @@ class Router(Node):
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
         """Forward a packet: unicast by destination key, multicast by fan-out."""
         self.packets_received += 1
-        if packet.is_multicast:
+        if packet.multicast:
             self._forward_multicast(packet, link)
         else:
             self._forward_unicast(packet)
@@ -218,14 +218,14 @@ class Router(Node):
         out.send(packet)
 
     def _forward_multicast(self, packet: Packet, incoming: Optional[Link]) -> None:
-        """Replicate ``packet`` along the group's precomputed out-links.
+        """Send ``packet`` down every eligible branch of the group's tree.
 
-        Replication is zero-copy: each out-link gets a
-        :meth:`~repro.simulator.packet.Packet.replicate` of the incoming
-        packet (shared headers, private ECN/hop state) drawn from the
-        network's packet pool.  The incoming packet itself is absorbed here
-        — every branch sends a replica, never the original — so it is
-        recycled once the fan-out completes.
+        The last eligible branch takes the incoming packet itself; only the
+        branches before it get a :meth:`~repro.simulator.packet.Packet.replicate`
+        (shared headers, private ECN/hop state) drawn from the network's
+        packet pool, in out-link order.  With individual receivers almost
+        every fan-out is of one, so a hop usually allocates nothing.  A
+        packet with no eligible branch ends here and is recycled.
         """
         service = self.multicast_service
         if service is None:
@@ -237,23 +237,34 @@ class Router(Node):
             if handler is not None:
                 handler(packet)
 
-        out_links = service.out_links(self, packet.destination)
+        rows = service.out_rows(self, packet.destination)
         self.multicast_packets_forwarded += 1
         copies = 0
         pool = service.packet_pool
         hook = self.local_delivery_hook
         incoming_src = incoming.src if incoming is not None else None
-        for out in out_links:
-            dst = out.dst
-            if dst is incoming_src:
+        last = None  # eligible branch still waiting for its packet
+        for row in rows:
+            if row[1] is incoming_src:
                 continue  # never send back toward where the packet came from
-            is_local_interface = isinstance(dst, Host)
-            if intercept and is_local_interface:
+            if intercept and row[2]:
                 continue  # special packets never reach local interfaces
-            copy = packet.replicate(pool)
-            if is_local_interface and hook is not None:
-                hook(copy, out)
-            copies += 1
-            out.send(copy)
-        self.multicast_copies_sent += copies
-        pool.release(packet)
+            if last is not None:
+                out, _, is_local_interface = last
+                copy = packet.replicate(pool)
+                if is_local_interface and hook is not None:
+                    hook(copy, out)
+                copies += 1
+                out.send(copy)
+            last = row
+        if last is None:
+            pool.release(packet)
+            return
+        out, _, is_local_interface = last
+        if copies:
+            # Sibling replicas share these headers: writes must copy first.
+            packet._owns_headers = False
+        if is_local_interface and hook is not None:
+            hook(packet, out)
+        self.multicast_copies_sent += copies + 1
+        out.send(packet)

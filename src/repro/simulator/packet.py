@@ -29,8 +29,9 @@ profile.  Three choices keep them cheap:
   copies on first write;
 * a :class:`PacketPool` recycles the dominant multicast DATA/key packet
   objects.  Only the forwarding plane releases packets, and only at points
-  where the packet provably has no remaining consumer (absorbed at a router
-  after replication, delivered to the final host, or dropped by a queue).
+  where the packet provably has no remaining consumer (at a router with no
+  branch to send it down, delivered to the final host, or dropped by a
+  queue).
   Receiver agents must therefore not retain delivered packets beyond
   ``handle_packet`` — they extract header values instead, which the
   aliasing property tests enforce.
@@ -222,7 +223,8 @@ class PacketPool:
     :meth:`release`, and :meth:`release` is called exclusively by the
     forwarding plane at the three points where a packet is provably dead:
 
-    * a router absorbed it after replicating to the out-links,
+    * a router had no eligible branch to send it down (otherwise the last
+      branch carries the packet itself on),
     * the destination host dispatched it to its agents,
     * a drop-tail queue rejected it (after the drop hook ran).
 

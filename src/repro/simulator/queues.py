@@ -98,6 +98,26 @@ class DropTailQueue:
         self.stats.enqueued_bytes += packet.size_bytes
         return True
 
+    def transit(self, packet: Packet) -> bool:
+        """``enqueue`` then ``dequeue`` of an *empty* queue, in one step.
+
+        What a link calls for a packet it can serialize at once: the same
+        capacity check and the same four counters, no deque traffic.  An
+        empty queue is below every legal marking threshold, so
+        :class:`ECNMarkingQueue` inherits this unchanged.
+        """
+        size_bytes = packet.size_bytes
+        stats = self.stats
+        if size_bytes > self.capacity_bytes:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size_bytes
+            return False
+        stats.enqueued_packets += 1
+        stats.enqueued_bytes += size_bytes
+        stats.dequeued_packets += 1
+        stats.dequeued_bytes += size_bytes
+        return True
+
     def dequeue(self) -> Optional[Packet]:
         """Remove and return the head-of-line packet, or None when empty."""
         if not self._queue:

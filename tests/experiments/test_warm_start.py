@@ -18,6 +18,7 @@ byte.  This suite holds the pipeline to that bar and to its safety rails:
 import asyncio
 import json
 import os
+import pickle
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.experiments.runner import (
     prune_cache,
     run_job,
 )
+from repro.experiments.scenario import CHECKPOINT_VERSION
 from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
 from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
 from repro.simulator.engine import Simulator
@@ -386,6 +388,42 @@ def test_corrupt_checkpoint_blob_is_a_miss(tmp_path):
         assert store.load(plan.checkpoint_key()) is None
         # The warm worker degrades to rebuilding the prefix, never to error.
         assert _warm_via_worker(spec, tmp_path) == cold
+
+
+class _StaleBoundMethod:
+    """Pickles the way ``link._transmission_complete`` did before version 5."""
+
+    def __init__(self, link):
+        self.link = link
+
+    def __reduce__(self):
+        return getattr, (self.link, "_transmission_complete")
+
+
+def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 4 heaps hold bound methods of a link callback that is gone."""
+    assert CHECKPOINT_VERSION == 5
+    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    cold = execute_spec(spec).to_json()
+    plan = plan_prefix(spec)
+    store = CheckpointStore(tmp_path)
+    assert _warm_via_worker(spec, tmp_path) == cold
+    key = plan.checkpoint_key()
+    scenario = store.load(key)
+    blob_path = store.path(key)
+    # Right layout, wrong stamp: refused by the version check.
+    blob_path.write_bytes(pickle.dumps((4, scenario), protocol=pickle.HIGHEST_PROTOCOL))
+    assert store.load(key) is None
+    # A real version 4 blob does not even unpickle.
+    sim = scenario.network.sim
+    link = scenario.network.links[0]
+    sim.call_at(sim.now, _StaleBoundMethod(link), None)
+    blob_path.write_bytes(pickle.dumps((4, scenario), protocol=pickle.HIGHEST_PROTOCOL))
+    with pytest.raises(AttributeError, match="_transmission_complete"):
+        pickle.loads(blob_path.read_bytes())
+    assert store.load(key) is None
+    assert _warm_via_worker(spec, tmp_path) == cold
+    assert store.load(key) is not None  # republished by the worker
 
 
 def test_verify_catches_forced_divergence(tmp_path):

@@ -12,13 +12,29 @@ tests pin down the safety contract:
   double release is a no-op, and foreign packets pass through untouched;
 * **observational equivalence** — a scenario run with pooling/zero-copy
   produces byte-identical metrics across repeated runs and across the
-  serial versus process-pool runner paths (the batched monitors feed both).
+  serial versus process-pool runner paths (the batched monitors feed both);
+* **moving is invisible** — a router hands the incoming packet itself to its
+  last eligible branch and copies only for the branches before it; nothing a
+  receiver, a sibling or a counter can see tells that from the router that
+  copied for every branch (kept below as :func:`forward_by_copying`).
 """
 
+import hashlib
 import json
+import random
 
-from repro.experiments import ExperimentRunner, PAPER_DEFAULTS, ScenarioSpec, SessionDecl
+import pytest
+
+from repro.core.delta.ecn import COMPONENT_HEADER, EcnComponentScrambler
+from repro.experiments import (
+    ExperimentRunner,
+    PAPER_DEFAULTS,
+    ScenarioSpec,
+    SessionDecl,
+    scenario_spec,
+)
 from repro.experiments.runner import run_spec_json
+from repro.experiments.warmstart import run_scenario
 from repro.simulator.address import GroupAddress, NodeAddress, MULTICAST_BASE
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
@@ -163,6 +179,170 @@ class TestPoolHygiene:
         # Steady state: replicas come back; fresh allocations stay a small
         # constant (the in-flight window), not one per delivery.
         assert pool.recycled > pool.allocated
+
+
+def forward_by_copying(self, packet, incoming):
+    """``Router._forward_multicast`` as it was: a replica for *every* branch,
+    the incoming packet absorbed and recycled."""
+    service = self.multicast_service
+    if service is None:
+        return
+    intercept = packet.headers.get("sigma_intercept")
+    if intercept and self.group_manager is not None:
+        handler = getattr(self.group_manager, "handle_control_packet", None)
+        if handler is not None:
+            handler(packet)
+    self.multicast_packets_forwarded += 1
+    copies = 0
+    pool = service.packet_pool
+    hook = self.local_delivery_hook
+    incoming_src = incoming.src if incoming is not None else None
+    for out in service.out_links(self, packet.destination):
+        dst = out.dst
+        if dst is incoming_src:
+            continue
+        is_local_interface = isinstance(dst, Host)
+        if intercept and is_local_interface:
+            continue
+        copy = packet.replicate(pool)
+        if is_local_interface and hook is not None:
+            hook(copy, out)
+        copies += 1
+        out.send(copy)
+    self.multicast_copies_sent += copies
+    pool.release(packet)
+
+
+class IdentityRecorder(PacketAgent):
+    """Remembers *which object* arrived (compared, never dereferenced later)."""
+
+    def __init__(self) -> None:
+        self.objects = []
+
+    def handle_packet(self, packet: Packet) -> None:
+        self.objects.append(packet)
+
+
+class TestMovingThePacket:
+    def marked_packet(self, pool, group, n):
+        packet = pool.acquire(
+            source=NodeAddress(99),
+            destination=group,
+            size_bytes=576,
+            headers={COMPONENT_HEADER: 1000 + n, "seq": n},
+        )
+        packet.ecn = True  # as if a congested queue upstream had marked it
+        return packet
+
+    @pytest.mark.parametrize("scrambled", [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}])
+    def test_scrambler_writes_never_cross_between_moved_packet_and_replicas(self, scrambled):
+        """Branch 2 (the last) carries the moved packet, 0 and 1 carry replicas."""
+        sim, router, service, hosts, group = build_fanout()
+        scrambler = EcnComponentScrambler(rng=random.Random(7))
+        targets = {hosts[i] for i in scrambled}
+        router.local_delivery_hook = (
+            lambda packet, link: scrambler(packet, link) if link.dst in targets else None
+        )
+        recorders = [Recorder() for _ in hosts]
+        for host, recorder in zip(hosts, recorders):
+            host.register_group_agent(group, recorder)
+        for n in range(10):
+            router.receive(self.marked_packet(service.packet_pool, group, n), None)
+            sim.run()
+        for index, recorder in enumerate(recorders):
+            components = [s[COMPONENT_HEADER] for s in recorder.snapshots]
+            genuine = [1000 + n for n in range(10)]
+            if index in scrambled:
+                assert all(got != real for got, real in zip(components, genuine))
+                assert all(s["delta_component_scrambled"] for s in recorder.snapshots)
+            else:
+                assert components == genuine
+                assert all("delta_component_scrambled" not in s for s in recorder.snapshots)
+        assert scrambler.scrambled_packets == 10 * len(scrambled)
+
+    def test_fanout_of_one_moves_the_packet_and_allocates_nothing(self):
+        sim, router, service, hosts, group = build_fanout()
+        for host in hosts[1:]:
+            service.leave(host, group, immediate=True)
+        recorder = IdentityRecorder()
+        hosts[0].register_group_agent(group, recorder)
+        pool = service.packet_pool
+        for n in range(5):
+            packet = pool.acquire(NodeAddress(99), group, 576, headers={"seq": n})
+            uid = packet.uid
+            acquisitions = pool.allocated + pool.recycled
+            router.receive(packet, None)
+            sim.run()
+            assert pool.allocated + pool.recycled == acquisitions  # no replica drawn
+            assert recorder.objects[-1] is packet and packet.uid == uid
+            assert packet._pool is None  # recycled by the host, its last consumer
+        assert router.multicast_copies_sent == 5
+        assert router.links["h0"].stats.transmitted_packets == 5
+
+    def test_fanout_of_three_copies_twice_and_moves_once(self):
+        sim, router, service, hosts, group = build_fanout()
+        recorders = [IdentityRecorder() for _ in hosts]
+        for host, recorder in zip(hosts, recorders):
+            host.register_group_agent(group, recorder)
+        pool = service.packet_pool
+        packet = pool.acquire(NodeAddress(99), group, 576, headers={"seq": 0})
+        acquisitions = pool.allocated + pool.recycled
+        router.receive(packet, None)
+        assert not packet._owns_headers  # siblings share its headers now
+        sim.run()
+        assert pool.allocated + pool.recycled == acquisitions + 2
+        assert [r.objects[0] is packet for r in recorders] == [False, False, True]
+        assert router.multicast_copies_sent == 3
+
+    def test_no_eligible_branch_releases_the_packet(self):
+        sim, router, service, hosts, group = build_fanout()
+        pool = service.packet_pool
+        packet = pool.acquire(
+            NodeAddress(99), group, 576, headers={"sigma_intercept": True}
+        )
+        router.receive(packet, None)  # every branch is a local interface
+        assert packet._pool is None and len(pool) == 1
+        assert router.multicast_copies_sent == 0
+        assert sim.pending_events == 0
+
+    def observe(self, monkeypatch, copying):
+        """Run 10 s of figure1-attack; everything a bystander could compare."""
+        if copying:
+            monkeypatch.setattr(Router, "_forward_multicast", forward_by_copying)
+        seen = hashlib.sha256()
+        host_receive = Host.receive
+
+        def logging_receive(host, packet, link):
+            if packet.multicast:
+                seen.update(
+                    repr(
+                        (host.sim.now, host.name, packet.hop_count, packet.ecn,
+                         sorted(packet.headers.items()))
+                    ).encode()
+                )
+            host_receive(host, packet, link)
+
+        monkeypatch.setattr(Host, "receive", logging_receive)
+        scenario = run_scenario(scenario_spec("figure1-attack", duration_s=10.0))
+        monkeypatch.undo()
+        network = scenario.network
+        routers = [node for node in network.nodes.values() if isinstance(node, Router)]
+        pool = network.multicast.packet_pool
+        return {
+            "copies": {r.name: r.multicast_copies_sent for r in routers},
+            "forwarded": {r.name: r.multicast_packets_forwarded for r in routers},
+            "transmitted": {l.name: l.stats.transmitted_packets for l in network.links},
+            "dropped": {l.name: l.queue.stats.dropped_packets for l in network.links},
+            "deliveries_sha256": seen.hexdigest(),
+        }, pool.allocated + pool.recycled
+
+    def test_figure1_attack_looks_the_same_as_with_the_copying_router(self, monkeypatch):
+        moved, moved_acquisitions = self.observe(monkeypatch, copying=False)
+        copied, copied_acquisitions = self.observe(monkeypatch, copying=True)
+        assert moved == copied
+        assert sum(moved["copies"].values()) > 1000  # the run did forward
+        # ... and nearly every one of those copies was a move.
+        assert moved_acquisitions < copied_acquisitions / 2
 
 
 FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.simulator.address import NodeAddress
 from repro.simulator.engine import Simulator
+from repro.simulator.link import Link
 from repro.simulator.monitors import (
+    LinkMonitor,
     OverheadAccumulator,
     ThroughputMonitor,
     jain_fairness,
 )
+from repro.simulator.node import Host
+from repro.simulator.packet import Packet
 from repro.simulator.rng import RandomStreams
 
 
@@ -81,6 +86,65 @@ class TestThroughputMonitor:
         monitor.record(200, time_s=0.5)
         assert monitor.total_bytes == 300
         assert monitor.total_packets == 2
+
+
+class TestLinkMonitor:
+    """A 576-byte packet takes 4.608 ms to serialize on the 1 Mbps link."""
+
+    TX_S = 576 * 8 / 1e6
+
+    def build(self):
+        sim = Simulator()
+        a, b = Host(sim, "a", NodeAddress(1)), Host(sim, "b", NodeAddress(2))
+        link = Link(sim, a, b, bandwidth_bps=1e6, delay_s=0.01)
+        return sim, link
+
+    @staticmethod
+    def send(link):
+        assert link.send(Packet(NodeAddress(1), NodeAddress(2), 576))
+
+    def test_mid_packet_counts_only_the_bits_already_sent(self):
+        sim, link = self.build()
+        monitor = LinkMonitor(link, sim)
+        self.send(link)
+        sim.run(until=0.001)
+        # Not 4.608: the whole packet was booked when serialization started.
+        assert monitor.utilisation() == pytest.approx(1.0)
+        sim.run(until=0.003)
+        assert monitor.utilisation() == pytest.approx(1.0)
+
+    def test_at_completion_and_across_an_idle_gap(self):
+        sim, link = self.build()
+        monitor = LinkMonitor(link, sim)
+        self.send(link)
+        sim.run(until=self.TX_S)
+        assert monitor.utilisation() == pytest.approx(1.0)
+        sim.run(until=4 * self.TX_S)
+        assert monitor.utilisation() == pytest.approx(0.25)
+        self.send(link)
+        sim.run(until=4.5 * self.TX_S)
+        assert monitor.utilisation() == pytest.approx(1.5 / 4.5)
+
+    def test_monitor_created_mid_packet(self):
+        sim, link = self.build()
+        self.send(link)
+        sim.run(until=0.001)
+        monitor = LinkMonitor(link, sim)
+        assert monitor.utilisation() == 0.0  # no time has passed yet
+        sim.run(until=0.002)
+        assert monitor.utilisation() == pytest.approx(1.0)
+        sim.run(until=0.001 + 2 * (self.TX_S - 0.001))
+        assert monitor.utilisation() == pytest.approx(0.5)
+
+    def test_never_above_one_under_backlog(self):
+        sim, link = self.build()
+        monitor = LinkMonitor(link, sim)
+        for _ in range(5):
+            self.send(link)
+        for step in range(1, 40):
+            sim.run(until=step * 0.001)
+            assert monitor.utilisation() <= 1.0 + 1e-9
+        assert monitor.utilisation() == pytest.approx(5 * self.TX_S / 0.039)
 
 
 class TestOverheadAccumulator:

@@ -171,6 +171,45 @@ class TestMulticastForwarding:
         assert len(c1.packets) == 1
         assert len(c2.packets) == 1
 
+    def test_cached_rows_are_rebuilt_after_an_effective_join_and_leave(self):
+        net = Network()
+        src = net.add_host("src")
+        r = net.add_router("r")
+        rx1 = net.add_host("rx1")
+        rx2 = net.add_host("rx2")
+        for host in (src, rx1, rx2):
+            net.attach_host(host, r, 10e6, 0.001)
+        net.build_routes()
+        group = net.allocate_groups(1)[0]
+        service = net.multicast
+
+        def rows():
+            return [(link.name, hop.name, is_host) for link, hop, is_host in service.out_rows(r, group)]
+
+        assert rows() == []
+        service.join(rx2, group, immediate=True)
+        assert rows() == [("r->rx2", "rx2", True)]
+        cached = service.out_rows(r, group)
+        assert service.out_rows(r, group) is cached  # not recomputed per packet
+        service.join(rx2, group, immediate=True)  # not effective: already a member
+        assert service.out_rows(r, group) is cached
+        service.join(rx1, group, immediate=True)
+        assert rows() == [("r->rx1", "rx1", True), ("r->rx2", "rx2", True)]
+        assert service.out_links(r, group) == [row[0] for row in service.out_rows(r, group)]
+        service.leave(rx2, group, immediate=True)
+        assert rows() == [("r->rx1", "rx1", True)]
+        service.leave(rx1, group, immediate=True)
+        assert rows() == []
+
+    def test_rows_tell_routers_from_local_interfaces(self):
+        net, a, b, r1, r2 = build_line_network()
+        group = net.allocate_groups(1)[0]
+        net.multicast.join(b, group, immediate=True)
+        [(link, hop, is_host)] = net.multicast.out_rows(r1, group)
+        assert (hop, is_host) == (r2, False) and link.dst is r2
+        [(link, hop, is_host)] = net.multicast.out_rows(r2, group)
+        assert (hop, is_host) == (b, True) and link.dst is b
+
     def test_sigma_intercept_flag_blocks_local_delivery(self):
         net, a, b, r1, r2 = build_line_network()
         group = net.allocate_groups(1)[0]
