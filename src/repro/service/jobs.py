@@ -48,6 +48,9 @@ class CellOutcome:
     """How one cell was answered: the result and where it came from."""
 
     result: RunResult
+    #: The cell's :meth:`ResultCache.key`, so the ``result`` event need not
+    #: hash the spec again.
+    key: str
     #: Served from the result store without touching the pool.
     cached: bool = False
     #: Coalesced onto another client's in-flight execution of the same spec.
@@ -122,16 +125,16 @@ class ExperimentScheduler:
         cancellation — a client disconnect abandons the *stream*, never the
         simulation, so the result still publishes to the shared store.
         """
+        key = self.cache.key(spec)
         cached = self.cache.load(spec)
         if cached is not None:
             self.cache_hits += 1
-            return CellOutcome(result=cached, cached=True)
+            return CellOutcome(cached, key, cached=True)
         self.cache_misses += 1
-        key = self.cache.key(spec)
         task = self._inflight.get(key)
         if task is not None:
             self.dedup_hits += 1
-            return CellOutcome(result=await asyncio.shield(task), deduped=True)
+            return CellOutcome(await asyncio.shield(task), key, deduped=True)
         plan = plan_cell(
             spec, checkpoint_dir=self.checkpoint_dir, warm_start=self.warm_start
         )
@@ -142,9 +145,7 @@ class ExperimentScheduler:
         )
         self._inflight[key] = task
         task.add_done_callback(lambda done: self._finish(key, done))
-        return CellOutcome(
-            result=await asyncio.shield(task), warm=plan.warm
-        )
+        return CellOutcome(await asyncio.shield(task), key, warm=plan.warm)
 
     def _finish(self, key: str, task: "asyncio.Task[RunResult]") -> None:
         """Drop a finished execution from the in-flight table.
@@ -164,11 +165,12 @@ class ExperimentScheduler:
     ) -> RunResult:
         """Run one planned cell on the pool and publish its result.
 
-        The batch runner's four steps, per cell: setup jobs, jobs, merge,
-        cache store.
+        The batch runner's four steps, per cell: setup jobs (a sharded
+        cell's region blobs, side by side), jobs, merge, cache store.
         """
-        for job in plan.setup_jobs:
-            await self.pool.run(job, timeout_s)
+        await asyncio.gather(
+            *(self.pool.run(job, timeout_s) for job in plan.setup_jobs)
+        )
         outputs = await asyncio.gather(
             *(self.pool.run(job, timeout_s) for job in plan.jobs)
         )

@@ -66,6 +66,9 @@ class AsyncJobPool:
         #: it actually ran on, so concurrent failures rebuild exactly once.
         self._generation = 0
         self._semaphore = asyncio.Semaphore(jobs)
+        self._running = 0
+        #: High-water mark of jobs executing at once (never above ``jobs``).
+        self.peak_running = 0
         self.restarts = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
@@ -112,34 +115,39 @@ class AsyncJobPool:
         budget = self.timeout_s if timeout_s is None else timeout_s
         attempts = 0
         async with self._semaphore:
-            while True:
-                pool = self._ensure_pool()
-                generation = self._generation
-                worker = self._worker if self._worker is not None else run_job
-                try:
-                    # submit() itself raises on a pool a concurrent job's
-                    # crash broke but has not rebuilt yet: a job that never
-                    # started counts as a crashed attempt like any other.
-                    future = asyncio.wrap_future(pool.submit(worker, job))
-                    output = await asyncio.wait_for(future, budget)
-                    self.jobs_completed += 1
-                    return output
-                except asyncio.TimeoutError:
-                    self._rebuild(generation, kill=True)
-                    self.jobs_failed += 1
-                    raise JobTimeoutError(
-                        f"the {describe_job(job)} exceeded its {budget:g}s "
-                        "budget; its worker was killed and the pool rebuilt"
-                    ) from None
-                except BrokenProcessPool:
-                    attempts += 1
-                    self.retries_used += 1
-                    self._rebuild(generation)
-                    if attempts > self.retries:
+            self._running += 1
+            self.peak_running = max(self.peak_running, self._running)
+            try:
+                while True:
+                    pool = self._ensure_pool()
+                    generation = self._generation
+                    worker = self._worker if self._worker is not None else run_job
+                    try:
+                        # submit() itself raises on a pool a concurrent job's
+                        # crash broke but has not rebuilt yet: a job that never
+                        # started counts as a crashed attempt like any other.
+                        future = asyncio.wrap_future(pool.submit(worker, job))
+                        output = await asyncio.wait_for(future, budget)
+                        self.jobs_completed += 1
+                        return output
+                    except asyncio.TimeoutError:
+                        self._rebuild(generation, kill=True)
                         self.jobs_failed += 1
-                        raise ExperimentExecutionError(
-                            _crash_message(job, attempts, self.retries)
+                        raise JobTimeoutError(
+                            f"the {describe_job(job)} exceeded its {budget:g}s "
+                            "budget; its worker was killed and the pool rebuilt"
                         ) from None
+                    except BrokenProcessPool:
+                        attempts += 1
+                        self.retries_used += 1
+                        self._rebuild(generation)
+                        if attempts > self.retries:
+                            self.jobs_failed += 1
+                            raise ExperimentExecutionError(
+                                _crash_message(job, attempts, self.retries)
+                            ) from None
+            finally:
+                self._running -= 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -147,6 +155,7 @@ class AsyncJobPool:
         return {
             "workers": self.jobs,
             "alive": self._pool is not None,
+            "peak_running": self.peak_running,
             "restarts": self.restarts,
             "completed": self.jobs_completed,
             "failed": self.jobs_failed,

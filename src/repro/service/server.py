@@ -30,7 +30,12 @@ from .. import __version__
 from ..experiments.runner import ResultCache
 from ..experiments.spec import ScenarioSpec
 from ..experiments.warmstart import CheckpointStore
-from .jobs import ExperimentScheduler, QueueFullError, ServiceDrainingError
+from .jobs import (
+    CellOutcome,
+    ExperimentScheduler,
+    QueueFullError,
+    ServiceDrainingError,
+)
 from .pool import AsyncJobPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
@@ -112,7 +117,8 @@ class ExperimentService:
         self._drain = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._submissions: Set["asyncio.Task[None]"] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        #: Open connections: handler task -> the writer it answers on.
+        self._connections: Dict["asyncio.Task[Any]", asyncio.StreamWriter] = {}
         self._started = time.monotonic()
         self.connections_served = 0
 
@@ -173,11 +179,15 @@ class ExperimentService:
             await self._server.wait_closed()
         if self._submissions:
             await asyncio.gather(*self._submissions, return_exceptions=True)
-        for writer in list(self._writers):
+        for writer in list(self._connections.values()):
             with contextlib.suppress(OSError, ConnectionError):
                 writer.write(encode_message({"event": "bye", "draining": True}))
                 await writer.drain()
             writer.close()
+        # The closed writers end the handlers' reads; waiting for them here
+        # leaves the loop teardown no pending task to cancel (and log).
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
         self.pool.close()
         if self.config.socket is not None:
             with contextlib.suppress(OSError):
@@ -196,7 +206,8 @@ class ExperimentService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_served += 1
-        self._writers.add(writer)
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         streams: Set["asyncio.Task[None]"] = set()
         try:
             await self._send(
@@ -240,7 +251,7 @@ class ExperimentService:
             # in-flight cell still completes into the shared cache.
             for task in streams:
                 task.cancel()
-            self._writers.discard(writer)
+            del self._connections[handler]
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
@@ -345,81 +356,92 @@ class ExperimentService:
             return await reject(
                 str(exc), draining=isinstance(exc, ServiceDrainingError)
             )
+        # Up to ``jobs`` cells of a submission are outstanding at a time,
+        # topped up in seed order: one submission can fill the pool, and
+        # another's cells join the pool's FIFO queue between this one's, not
+        # behind all of them.
+        loop = asyncio.get_running_loop()
+        window = asyncio.Semaphore(self.pool.jobs)
+
+        async def answer(seed: int) -> CellOutcome:
+            async with window:
+                return await self.scheduler.run_cell(spec.with_seed(seed), timeout_s)
+
+        cells = [loop.create_task(answer(seed)) for seed in seeds]
+        for cell in cells:
+            cell.add_done_callback(self._cell_done)
         await self._send(
             writer,
             {"event": "accepted", "id": request_id, "cells": len(seeds)},
         )
-        task = asyncio.get_running_loop().create_task(
-            self._stream(writer, request_id, spec, seeds, timeout_s)
-        )
+        task = loop.create_task(self._stream(writer, request_id, seeds, cells))
         streams.add(task)
         self._submissions.add(task)
         task.add_done_callback(streams.discard)
         task.add_done_callback(self._submissions.discard)
 
+    def _cell_done(self, cell: "asyncio.Task[CellOutcome]") -> None:
+        """Return a cell's queue room once its work is done, reported or not."""
+        self.scheduler.release(1)
+        if not cell.cancelled():
+            cell.exception()  # consumed: an abandoned stream never reads it
+
     async def _stream(
         self,
         writer: asyncio.StreamWriter,
         request_id: Any,
-        spec: ScenarioSpec,
         seeds: List[int],
-        timeout_s: Optional[float],
+        cells: List["asyncio.Task[CellOutcome]"],
     ) -> None:
-        """Run the seed sweep, streaming each cell's result as it lands."""
-        remaining = len(seeds)
+        """Stream the seed sweep's answers in seed order, each as it lands.
+
+        An abandoned stream (client gone or connection torn down) abandons
+        no cell: the shield keeps every one of them running into the shared
+        cache, and holding its queue room until it has.
+        """
         completed = failed = from_cache = 0
-        try:
-            for seed in seeds:
-                cell = spec.with_seed(seed)
-                try:
-                    outcome = await self.scheduler.run_cell(cell, timeout_s)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    failed += 1
-                    await self._send(
-                        writer,
-                        {
-                            "event": "error",
-                            "id": request_id,
-                            "seed": seed,
-                            "message": str(exc),
-                        },
-                    )
-                    continue
-                finally:
-                    remaining -= 1
-                    self.scheduler.release(1)
-                completed += 1
-                from_cache += 1 if outcome.cached else 0
+        for seed, cell in zip(seeds, cells):
+            try:
+                outcome = await asyncio.shield(cell)
+            except asyncio.CancelledError:
+                raise
+            except Exception as exc:
+                failed += 1
                 await self._send(
                     writer,
                     {
-                        "event": "result",
+                        "event": "error",
                         "id": request_id,
                         "seed": seed,
-                        "key": self.cache.key(cell),
-                        "cached": outcome.cached,
-                        "deduped": outcome.deduped,
-                        "warm": outcome.warm,
-                        "result": outcome.result.to_dict(),
+                        "message": str(exc),
                     },
                 )
+                continue
+            completed += 1
+            from_cache += 1 if outcome.cached else 0
             await self._send(
                 writer,
                 {
-                    "event": "done",
+                    "event": "result",
                     "id": request_id,
-                    "completed": completed,
-                    "failed": failed,
-                    "cached": from_cache,
+                    "seed": seed,
+                    "key": outcome.key,
+                    "cached": outcome.cached,
+                    "deduped": outcome.deduped,
+                    "warm": outcome.warm,
+                    "result": outcome.result.to_dict(),
                 },
             )
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            # Stream abandoned (client gone or connection torn down): give
-            # back the queue room reserved for the cells never started.
-            self.scheduler.release(remaining)
-            raise
+        await self._send(
+            writer,
+            {
+                "event": "done",
+                "id": request_id,
+                "completed": completed,
+                "failed": failed,
+                "cached": from_cache,
+            },
+        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -430,7 +452,7 @@ class ExperimentService:
             "protocol": PROTOCOL_VERSION,
             "version": __version__,
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "connections": len(self._writers),
+            "connections": len(self._connections),
             "connections_served": self.connections_served,
             "scheduler": self.scheduler.stats(),
             "pool": self.pool.stats(),

@@ -7,6 +7,7 @@ test files and ``conftest.py`` use literally the same harness.
 """
 
 import asyncio
+import json
 import os
 import select
 import subprocess
@@ -17,6 +18,28 @@ from repro.service import ExperimentService, ServiceClient, ServiceConfig
 from repro.service.protocol import decode_line, encode_message
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
+#: How long a gated test worker waits for its gate before giving up (a gate
+#: that never opens is the failure under test, not a hang).
+GATE_TIMEOUT_S = 20.0
+
+
+def job_seed(job):
+    """The seed of a ``spec`` job's cell (for seed-selective test workers)."""
+    return json.loads(job[1])["config"]["seed"]
+
+
+def wire_json(document):
+    """A streamed result document in the canonical form ``to_json`` writes."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+async def wait_until(predicate, timeout_s=GATE_TIMEOUT_S):
+    """Poll ``predicate`` on the running loop; a state never reached fails."""
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "state never reached"
+        await asyncio.sleep(0.01)
 
 
 def daemon_env(backend=None):
@@ -134,6 +157,16 @@ class AsyncConn:
             events.append(event)
             if event.get("event") == kind:
                 return events
+
+    async def submit(self, spec, seeds=None, timeout_s=None, request_id="r"):
+        """Send one submission and return its events through ``done``."""
+        request = {"op": "submit", "id": request_id, "spec": spec.to_dict()}
+        if seeds is not None:
+            request["seeds"] = seeds
+        if timeout_s is not None:
+            request["timeout_s"] = timeout_s
+        await self.send(request)
+        return await self.events_until("done", request_id=request_id)
 
     def close(self):
         self.writer.close()

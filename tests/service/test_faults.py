@@ -11,7 +11,13 @@ Each failure mode the service must absorb, proven deterministically:
 * a torn/corrupt cache entry reads as a miss: the cell re-runs cold and
   the entry is atomically healed,
 * a job over its wall-clock budget surfaces an in-band error and the
-  pool recovers for the next submission.
+  pool recovers for the next submission — and, within one submission, for
+  the sibling cells that were riding the pool the timeout tore down,
+* a client that leaves after the first of four answers leaves all four
+  cells to publish; each holds its queue room until its work is done and
+  gives it back exactly once,
+* a ``shutdown`` sent over a connection that stays open exits 0 with
+  nothing on stderr.
 
 Crash/slow workers are injected by monkeypatching the async pool's worker
 entry point; ``fork``-started pool workers inherit the patched binding.
@@ -37,6 +43,8 @@ from repro.experiments import (
 )
 from repro.experiments.runner import run_job
 from repro.service import ServiceError
+
+from _util import GATE_TIMEOUT_S, job_seed, wait_until, wire_json
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -76,14 +84,32 @@ def sleep_forever_worker(job):
     return run_job(job)
 
 
+def one_seed_hangs_worker(job):
+    """Seed 0 never returns; seed 2's first attempt lives until the pool
+    it rides is killed under it, and its retry runs normally."""
+    seed = job_seed(job)
+    marker = Path(os.environ[MARKER_ENV])
+    first_attempt = seed == 2 and not marker.exists()
+    if first_attempt:
+        marker.write_text("held")
+    if seed == 0 or first_attempt:
+        time.sleep(300.0)
+    return run_job(job)
+
+
+#: Opened by the test once the server has noticed its client leave.
+GATE = None
+HELD_SEEDS = (1, 2, 3)
+
+
+def held_seeds_worker(job):
+    if job_seed(job) in HELD_SEEDS:
+        assert GATE.wait(GATE_TIMEOUT_S), "the gate never opened"
+    return run_job(job)
+
+
 async def _submit_and_collect(conn, spec, seeds=None, timeout_s=None):
-    request = {"op": "submit", "id": "f1", "spec": spec.to_dict()}
-    if seeds is not None:
-        request["seeds"] = seeds
-    if timeout_s is not None:
-        request["timeout_s"] = timeout_s
-    await conn.send(request)
-    return await conn.events_until("done", request_id="f1")
+    return await conn.submit(spec, seeds, timeout_s, request_id="f1")
 
 
 class TestWorkerCrash:
@@ -140,6 +166,8 @@ class TestClientDisconnect:
             while loop.service.scheduler.stats()["cells_executed"] < 1:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.05)
+            # The cell's room comes back a few loop steps after the count.
+            await wait_until(lambda: loop.service.scheduler.queued == 0)
             cached = loop.service.cache.load(spec)
             stats = loop.service.scheduler.stats()
             await loop.stop()
@@ -149,6 +177,64 @@ class TestClientDisconnect:
         assert cached is not None and cached.to_json() == expected
         assert stats["cells_executed"] == 1
         assert stats["queued"] == 0  # the abandoned stream released its slot
+
+    @fork_only
+    def test_leaving_after_the_first_answer_returns_each_cell_once(
+        self, service_loop, monkeypatch
+    ):
+        seeds = [0, 1, 2, 3]
+        monkeypatch.setattr("test_faults.GATE", multiprocessing.Event())
+        monkeypatch.setattr("repro.service.pool.run_job", held_seeds_worker)
+        over_released = []
+
+        async def scenario():
+            loop = await service_loop(jobs=1)
+            scheduler = loop.service.scheduler
+            release = scheduler.release
+
+            def checked_release(cells=1):
+                if cells > scheduler.queued:
+                    over_released.append((cells, scheduler.queued))
+                release(cells)
+
+            scheduler.release = checked_release
+            # Fork the workers first: a worker forked while the leaving
+            # client's socket is open would hold a copy of it open.
+            keeper = await loop.connect()
+            await _submit_and_collect(keeper, fast_spec(100))
+            leaver = await loop.connect()
+            await leaver.send(
+                {"op": "submit", "id": "g", "spec": fast_spec().to_dict(), "seeds": seeds}
+            )
+            assert (await leaver.recv())["event"] == "accepted"
+            first = await leaver.recv()
+            assert (first["event"], first["seed"]) == ("result", 0)
+            leaver.close()
+            await wait_until(lambda: loop.service.status()["connections"] == 1)
+            abandoned = scheduler.stats()
+            GATE.set()
+            events = await _submit_and_collect(keeper, fast_spec(), seeds=seeds)
+            keeper.close()
+            # The leaver's cells may trail the keeper's answers.
+            await wait_until(lambda: scheduler.queued == 0)
+            stats = scheduler.stats()
+            stored = [loop.service.cache.load(fast_spec(seed)) for seed in seeds]
+            await loop.stop()
+            return abandoned, events, stats, stored
+
+        abandoned, events, stats, stored = asyncio.run(scenario())
+        # The three unreported cells keep their room while their work is
+        # pending (one on the worker, two behind it) ...
+        assert abandoned["queued"] == 3
+        assert abandoned["inflight"] == 1
+        # ... and all run to completion: nothing is simulated a second time.
+        assert [e["seed"] for e in events if e["event"] == "result"] == seeds
+        assert stats["cells_executed"] == 5
+        assert stats["queued"] == 0
+        assert over_released == []
+        assert [entry.to_json() for entry in stored] == [
+            execute_spec(fast_spec(seed)).to_json() for seed in seeds
+        ]
 
 
 class TestSigtermDrain:
@@ -180,6 +266,19 @@ class TestSigtermDrain:
         assert handle.wait() == 0
         with pytest.raises((ConnectionError, FileNotFoundError, OSError)):
             handle.client()
+
+
+class TestShutdownIsQuiet:
+    def test_shutdown_over_a_held_connection_leaves_stderr_empty(self, daemon):
+        """The drain ends the connection handlers itself; a handler left
+        for the loop teardown to cancel is logged as a traceback."""
+        for index in range(10):
+            handle = daemon(name=f"quiet-{index}")
+            client = handle.client()
+            client.shutdown()
+            assert handle.wait() == 0
+            assert handle.proc.stderr.read() == b""
+            client.close()
 
 
 class TestTornCacheEntry:
@@ -232,3 +331,52 @@ class TestJobTimeout:
         }
         assert [e["event"] for e in healthy] == ["accepted", "result", "done"]
         assert stats["restarts"] >= 1
+
+    @fork_only
+    def test_one_seed_over_budget_fails_alone(
+        self, service_loop, tmp_path, monkeypatch
+    ):
+        """Seeds 0 and 1 start together; seed 0 hangs.  Seed 2 takes seed
+        1's worker and is mid-job when seed 0's timeout kills the pool."""
+        monkeypatch.setenv(MARKER_ENV, str(tmp_path / "held.marker"))
+        # ~0.2 s of simulation per cell: seed 2 starts that much later than
+        # seed 0, so its own budget is still open when the pool dies.
+        spec = scenario_spec("figure8-throughput", duration_s=30.0, count=8)
+        expected = {
+            seed: execute_spec(spec.with_seed(seed)).to_json() for seed in (1, 2)
+        }
+        monkeypatch.setattr("repro.service.pool.run_job", one_seed_hangs_worker)
+
+        async def scenario():
+            loop = await service_loop(jobs=2)
+            conn = await loop.connect()
+            events = await _submit_and_collect(
+                conn, spec, seeds=[0, 1, 2], timeout_s=2.0
+            )
+            conn.close()
+            status = loop.service.status()
+            await loop.stop()
+            return events, status
+
+        events, status = asyncio.run(scenario())
+        assert [(e["event"], e.get("seed")) for e in events] == [
+            ("accepted", None),
+            ("error", 0),
+            ("result", 1),
+            ("result", 2),
+            ("done", None),
+        ]
+        assert "budget" in events[1]["message"]
+        for event in events[2:4]:
+            assert wire_json(event["result"]) == expected[event["seed"]]
+        assert events[-1] == {
+            "event": "done",
+            "id": "f1",
+            "completed": 2,
+            "failed": 1,
+            "cached": 0,
+        }
+        assert status["pool"]["restarts"] >= 1
+        assert status["pool"]["retries_used"] >= 1  # seed 2, on the new pool
+        assert status["pool"]["failed"] == 1
+        assert status["scheduler"]["queued"] == 0

@@ -157,6 +157,24 @@ def test_grid_equals_batch_serial_and_pooled(jobs, daemon, tmp_path):
     }
 
 
+def test_event_sequence_is_the_same_serial_and_pooled(daemon):
+    """Cells of one submission finish in any order on two workers; the
+    stream a client reads is the one-worker stream, event for event — only
+    the provenance flags may tell the two daemons apart."""
+    spec = scenario_spec("scale-protection", **GOLDEN_CASES["scale-protection"])
+    seeds = [3, 1, 2, 0]
+    streams = []
+    for jobs in (1, 2):
+        with daemon(jobs=jobs, name=f"order-{jobs}").client() as client:
+            streams.append(list(client.stream(spec, seeds=seeds)))
+    for events in streams:
+        assert [e.get("seed") for e in events] == [None, *seeds, None]
+        for event in events:
+            for flag in ("cached", "deduped", "warm"):
+                event.pop(flag, None)
+    assert streams[0] == streams[1]
+
+
 def test_sharded_spec_service_equals_batch(daemon):
     """Region-sharded specs take the same fan-out + merge path either way."""
     spec = sharded_spec()
