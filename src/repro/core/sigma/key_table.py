@@ -12,10 +12,11 @@ Old slots are pruned as the slot clock advances so the table stays bounded by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from ...simulator.address import GroupAddress
 from ..delta.base import GroupKeys
+from .messages import ABSENT_KEY, KeyAnnouncement
 
 __all__ = ["RouterKeyTable"]
 
@@ -35,20 +36,30 @@ class RouterKeyTable:
     # ------------------------------------------------------------------
     def store(self, governed_slot: int, group: GroupAddress, keys: GroupKeys) -> None:
         """Record the keys that open ``group`` during ``governed_slot``."""
-        valid = keys.valid_keys()
-        if not valid:
+        self._add(governed_slot, int(group), keys.valid_keys())
+
+    def store_announcement(self, values: Sequence[int]) -> None:
+        """Record every tuple of a serialised announcement (``KeyAnnouncement.to_ints``).
+
+        This is how an edge router absorbs a decoded announcement: straight
+        from the integers, without rebuilding the message objects.  A
+        truncated serialisation raises ``ValueError`` before anything is stored.
+        """
+        slot, count = KeyAnnouncement.frame(values)
+        for at in range(2, 2 + 4 * count, 4):
+            self._add(slot, values[at], [k for k in values[at + 1 : at + 4] if k != ABSENT_KEY])
+
+    def _add(self, governed_slot: int, address: int, keys: Sequence[int]) -> None:
+        if not keys:  # a group with no valid key is not stored (and not counted)
             return
-        entry = self._table.setdefault((governed_slot, int(group)), set())
-        entry.update(valid)
+        self._table.setdefault((governed_slot, address), set()).update(keys)
         self.entries_stored += 1
 
     def store_key_values(
         self, governed_slot: int, group: GroupAddress, keys: Iterable[int]
     ) -> None:
         """Record raw key values (used by tests and replay tooling)."""
-        entry = self._table.setdefault((governed_slot, int(group)), set())
-        entry.update(keys)
-        self.entries_stored += 1
+        self._add(governed_slot, int(group), list(keys))
 
     # ------------------------------------------------------------------
     def accepts(self, governed_slot: int, group: GroupAddress, submitted: int) -> bool:

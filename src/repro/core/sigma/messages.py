@@ -38,13 +38,14 @@ __all__ = [
     "KeyAnnouncementEntry",
     "KeyAnnouncement",
     "ANNOUNCEMENT_HEADER",
+    "ABSENT_KEY",
 ]
 
 #: Packet-header key under which announcement payloads travel.
 ANNOUNCEMENT_HEADER = "sigma_announcement"
 
 #: Sentinel used in the integer serialisation for "key absent".
-_ABSENT = 0xFFFF_FFFF
+ABSENT_KEY = 0xFFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,12 @@ class KeyAnnouncementEntry:
     keys: GroupKeys
 
     def to_ints(self) -> List[int]:
-        """Serialise to five integers: address, top, decrease, increase, flags."""
+        """Serialise to four integers: address, top, decrease, increase."""
         return [
             int(self.group),
-            self.keys.top if self.keys.top is not None else _ABSENT,
-            self.keys.decrease if self.keys.decrease is not None else _ABSENT,
-            self.keys.increase if self.keys.increase is not None else _ABSENT,
+            self.keys.top if self.keys.top is not None else ABSENT_KEY,
+            self.keys.decrease if self.keys.decrease is not None else ABSENT_KEY,
+            self.keys.increase if self.keys.increase is not None else ABSENT_KEY,
         ]
 
     @classmethod
@@ -123,9 +124,9 @@ class KeyAnnouncementEntry:
         return cls(
             group=GroupAddress(address),
             keys=GroupKeys(
-                top=None if top == _ABSENT else top,
-                decrease=None if decrease == _ABSENT else decrease,
-                increase=None if increase == _ABSENT else increase,
+                top=None if top == ABSENT_KEY else top,
+                decrease=None if decrease == ABSENT_KEY else decrease,
+                increase=None if increase == ABSENT_KEY else increase,
             ),
         )
 
@@ -169,8 +170,9 @@ class KeyAnnouncement:
             values.extend(entry.to_ints())
         return values
 
-    @classmethod
-    def from_ints(cls, session_id: str, values: Sequence[int]) -> "KeyAnnouncement":
+    @staticmethod
+    def frame(values: Sequence[int]) -> Tuple[int, int]:
+        """Check the framing of a :meth:`to_ints` list; return ``(slot, entry count)``."""
         if len(values) < 2:
             raise ValueError("announcement serialisation too short")
         slot, count = values[0], values[1]
@@ -179,6 +181,11 @@ class KeyAnnouncement:
             raise ValueError(
                 f"announcement serialisation truncated: need {expected} ints, got {len(values)}"
             )
+        return slot, count
+
+    @classmethod
+    def from_ints(cls, session_id: str, values: Sequence[int]) -> "KeyAnnouncement":
+        slot, count = cls.frame(values)
         entries = [
             KeyAnnouncementEntry.from_ints(values[2 + i * 4 : 6 + i * 4])
             for i in range(count)

@@ -19,7 +19,7 @@ keys against announced keys, which is Requirement 3 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ...fec.erasure import ErasureCode, FecConfig
 from ...simulator.address import GroupAddress
@@ -119,7 +119,7 @@ class SigmaRouterAgent:
         if payload is None:
             return
         if isinstance(payload, KeyAnnouncement):
-            self._store_announcement(payload)
+            self._store_announcement(payload.to_ints())
             return
         # FEC-coded form: a dict with the symbol slice of a serialised
         # announcement plus the metadata needed to decode it.
@@ -137,14 +137,13 @@ class SigmaRouterAgent:
                 values = self._erasure.decode(list(buffer.values()), source_count)
             except ValueError:
                 return
-            announcement = KeyAnnouncement.from_ints(session_id, values)
-            self._store_announcement(announcement)
+            self._store_announcement(values)
             self._decoded_announcements.add(key)
             del self._symbol_buffers[key]
 
-    def _store_announcement(self, announcement: KeyAnnouncement) -> None:
-        for entry in announcement.entries:
-            self.key_table.store(announcement.governed_slot, entry.group, entry.keys)
+    def _store_announcement(self, values: Sequence[int]) -> None:
+        """Absorb a serialised announcement, whichever form it travelled in."""
+        self.key_table.store_announcement(values)
         self.announcements_decoded += 1
 
     # ------------------------------------------------------------------

@@ -630,7 +630,7 @@ class ResultCache:
     One directory maps ``sha256(version tag + canonical spec JSON)`` to the
     spec's canonical result document (``<key>.json``).  The store is safe to
     share between concurrent runners, the service daemon and its clients:
-    entries are published atomically (pid-suffixed tmp + :func:`os.replace`)
+    entries are published atomically (per-call tmp + :func:`os.replace`)
     and a torn or corrupt entry reads as a miss, never as state.  With no
     directory every operation is a no-op/miss, so callers need no branching.
     """

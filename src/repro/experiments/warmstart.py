@@ -16,7 +16,7 @@ attack schedule starts.  This module amortises that prefix across cells.
   cells are never prefix-shared.
 * :class:`CheckpointStore` — content-addressed pickle blobs next to the
   runner's result cache (``ck_<sha256>.pkl``), published atomically via a
-  pid-suffixed tmp sibling + :func:`os.replace`; torn, corrupt or
+  per-call tmp sibling + :func:`os.replace`; torn, corrupt or
   version-mismatched blobs read as misses, never as state.
 * :func:`run_scenario` — the **one worker body** behind every job kind:
   obtain a scenario (cold :meth:`Scenario.from_spec`, or a restored prefix
@@ -47,6 +47,7 @@ import json
 import os
 import pickle
 import re
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -224,21 +225,23 @@ def require_store_key(key: str) -> str:
 def publish_atomically(path: Path, data: bytes) -> None:
     """Write ``data`` under ``path`` so readers never see a torn file.
 
-    The bytes go to a pid-suffixed ``.tmp`` sibling that is
-    :func:`os.replace`-d into place, so concurrent writers sharing one
+    The bytes go to a ``.tmp`` sibling of their own (:func:`tempfile.mkstemp`,
+    so two threads of one process publishing the same path cannot share it)
+    that is :func:`os.replace`-d into place: concurrent writers sharing one
     directory and interrupted runs leave the old state or the whole new
     file under the final name, nothing in between; whatever interrupts the
     write, the sibling is removed.  The one publish step of the result
     cache and the checkpoint store.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     try:
-        tmp.write_bytes(data)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
-            tmp.unlink()
+            os.unlink(tmp)
         except OSError:
             pass
         raise
@@ -249,7 +252,7 @@ class CheckpointStore:
 
     Blob files are named ``ck_<key>.pkl`` so they live alongside the
     runner's ``<key>.json`` result entries without colliding.  Publication
-    is atomic (pid-suffixed tmp + :func:`os.replace`) and every read
+    is atomic (per-call tmp + :func:`os.replace`) and every read
     validates the checkpoint version — a torn or stale blob is a miss.
     """
 

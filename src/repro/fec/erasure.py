@@ -12,10 +12,12 @@ Two codes are provided:
 
     The implementation is tuned for the simulator's hot path (one encode per
     sender per time slot, one decode per edge router per time slot): the code
-    is systematic so loss-free decoding is a dictionary lookup, and parity
-    symbols are produced with barycentric Lagrange evaluation plus Montgomery
-    batch inversion, which needs only a handful of modular exponentiations
-    per announcement.
+    is systematic so loss-free decoding is a dictionary lookup, and the
+    Lagrange matrix of a code shape (or of a surviving-index set) is computed
+    once per process and cached *packed* — one big integer per source symbol
+    holding that symbol's coefficient for every output in its own lane — so
+    an announcement costs ``k`` C-level big-integer multiplications and no
+    modular inversion (:func:`_packed_columns`, :func:`_evaluate`).
 
 ``RepetitionCode``
     A trivial baseline (every symbol sent ``copies`` times); kept for the FEC
@@ -25,8 +27,9 @@ Two codes are provided:
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -59,7 +62,20 @@ class FecConfig:
         """Number of coded symbols needed for ``source_symbols`` source symbols."""
         if source_symbols <= 0:
             raise ValueError("source_symbols must be positive")
-        return max(source_symbols, math.ceil(source_symbols * self.expansion_factor))
+        return max(source_symbols, _expanded(source_symbols, self.loss_tolerance))
+
+
+@lru_cache(maxsize=None)
+def _exact_expansion(loss_tolerance: float) -> Fraction:
+    """``z`` of the tolerance as declared: 0.8 is 4/5 and z is 5, not 5.000000000000001."""
+    return 1 / (1 - Fraction(str(loss_tolerance)))
+
+
+def _expanded(count: int, loss_tolerance: float) -> int:
+    """``ceil(count * z)``, exactly: through the float ``expansion_factor`` the
+    product lands above the integer it should hit at tolerance 0.8 or 0.9."""
+    z = _exact_expansion(loss_tolerance)
+    return -(-count * z.numerator // z.denominator)
 
 
 def _batch_inverse(values: Sequence[int], prime: int = _FIELD_PRIME) -> List[int]:
@@ -77,89 +93,64 @@ def _batch_inverse(values: Sequence[int], prime: int = _FIELD_PRIME) -> List[int
     return inverses
 
 
-class _BarycentricInterpolator:
-    """Evaluates the polynomial through ``points`` at arbitrary x (barycentric form)."""
-
-    def __init__(self, points: Sequence[Tuple[int, int]], prime: int = _FIELD_PRIME) -> None:
-        self.prime = prime
-        self.xs = [x % prime for x, _ in points]
-        self.ys = [y % prime for _, y in points]
-        diffs_products = []
-        for i, xi in enumerate(self.xs):
-            product = 1
-            for j, xj in enumerate(self.xs):
-                if i != j:
-                    product = (product * (xi - xj)) % prime
-            diffs_products.append(product)
-        self.weights = _batch_inverse(diffs_products, prime)
-        self._x_set = set(self.xs)
-
-    def evaluate(self, x: int) -> int:
-        prime = self.prime
-        x %= prime
-        if x in self._x_set:
-            return self.ys[self.xs.index(x)]
-        deltas = [(x - xi) % prime for xi in self.xs]
-        inv_deltas = _batch_inverse(deltas, prime)
-        numerator = 0
-        denominator = 0
-        for weight, y, inv_delta in zip(self.weights, self.ys, inv_deltas):
-            term = (weight * inv_delta) % prime
-            numerator = (numerator + term * y) % prime
-            denominator = (denominator + term) % prime
-        return (numerator * pow(denominator, prime - 2, prime)) % prime
+def _barycentric_weights(xs: Sequence[int], prime: int = _FIELD_PRIME) -> List[int]:
+    """Barycentric weights ``w_i = 1 / Π_{j≠i} (x_i - x_j)`` of the nodes ``xs``."""
+    products = []
+    for i, xi in enumerate(xs):
+        product = 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                product = (product * (xi - xj)) % prime
+        products.append(product)
+    return _batch_inverse(products, prime)
 
 
-@lru_cache(maxsize=None)
-def _parity_rows(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Cached barycentric coefficient rows for the systematic encoder.
-
-    Encoding evaluates the polynomial through the systematic points
-    ``x = 1..k`` at the parity points ``x = k+1..n``.  Those abscissae are
-    fixed, so for each parity point the per-source coefficients
-    ``c_i = w_i / (x - x_i)`` and the inverse denominator ``(Σ c_i)^-1``
-    depend only on ``(k, n)`` — one modular-inverse batch per distinct shape
-    for the whole process, zero modular exponentiations per announcement.
-    """
-    prime = _FIELD_PRIME
-    xs = list(range(1, k + 1))
-    weights = _BarycentricInterpolator([(x, 0) for x in xs], prime).weights
-    rows = []
-    for x in range(k + 1, n + 1):
-        deltas = [(x - xi) % prime for xi in xs]
-        inv_deltas = _batch_inverse(deltas, prime)
-        coeffs = tuple((w * d) % prime for w, d in zip(weights, inv_deltas))
-        denominator = sum(coeffs) % prime
-        rows.append((coeffs, pow(denominator, prime - 2, prime)))
-    return tuple(rows)
+def _lane_bytes(k: int) -> int:
+    """Bytes per lane: a sum of ``k`` products of two field elements is below
+    ``k * 2**122 < 2**(122 + k.bit_length())``, so it cannot carry out of a
+    lane this wide (rounded up to a byte so lanes can be sliced)."""
+    return (2 * 61 + k.bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=1024)
-def _decode_rows(
-    xs: Tuple[int, ...], source_count: int
-) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Cached interpolation rows for decoding from the abscissae ``xs``.
+def _packed_columns(xs: Sequence[int], targets: Sequence[int]) -> Tuple[int, ...]:
+    """Lagrange matrix from values at ``xs`` to values at ``targets``, packed.
 
-    Loss patterns repeat heavily across slots (the same symbols of an
-    announcement survive the same bottlenecks), so the coefficient matrix
-    for a given surviving-index set is computed once and reused; only the
-    received values change between announcements.
+    Entry ``(t, i)`` is ``c_i / Σ_j c_j`` with ``c_i = w_i / (x_t - x_i)``, the
+    barycentric form of the basis polynomial.  The matrix is returned
+    column-major: column ``i`` is one integer whose lane ``t`` (see
+    :func:`_lane_bytes`) holds that entry, so multiplying it by the value at
+    ``x_i`` scales a whole column at once.
+
+    Cached because the arguments repeat: the encoder's are fixed by the code
+    shape (``1..k`` to ``k+1..n``), and loss patterns recur across slots (the
+    same symbols of an announcement survive the same bottlenecks), so the
+    per-slot path does no modular inversion; only the values change.
     """
     prime = _FIELD_PRIME
-    interpolator = _BarycentricInterpolator([(x, 0) for x in xs], prime)
-    weights = interpolator.weights
+    weights = _barycentric_weights(xs, prime)
+    lane = _lane_bytes(len(xs))
     rows = []
-    for x in range(1, source_count + 1):
-        if x in interpolator._x_set:
-            # Systematic symbol present: marker row selecting it directly.
-            rows.append(((), xs.index(x)))
-            continue
-        deltas = [(x - xi) % prime for xi in xs]
-        inv_deltas = _batch_inverse(deltas, prime)
-        coeffs = tuple((w * d) % prime for w, d in zip(weights, inv_deltas))
-        denominator = sum(coeffs) % prime
-        rows.append((coeffs, pow(denominator, prime - 2, prime)))
-    return tuple(rows)
+    for x in targets:
+        inv_deltas = _batch_inverse([(x - xi) % prime for xi in xs], prime)
+        coeffs = [(w * d) % prime for w, d in zip(weights, inv_deltas)]
+        inv_denominator = pow(sum(coeffs) % prime, prime - 2, prime)
+        rows.append([(c * inv_denominator % prime).to_bytes(lane, "little") for c in coeffs])
+    return tuple(int.from_bytes(b"".join(column), "little") for column in zip(*rows))
+
+
+def _evaluate(columns: Sequence[int], values: Sequence[int], lanes: int) -> List[int]:
+    """The ``lanes`` inner products of the packed matrix with ``values``.
+
+    Every value must lie in ``[0, prime)`` — the lane width rests on it.
+    """
+    lane = _lane_bytes(len(columns))
+    packed = sum(map(operator.mul, columns, values)).to_bytes(lanes * lane, "little")
+    prime, from_bytes = _FIELD_PRIME, int.from_bytes
+    return [
+        from_bytes(packed[at : at + lane], "little") % prime
+        for at in range(0, len(packed), lane)
+    ]
 
 
 class ErasureCode:
@@ -175,27 +166,19 @@ class ErasureCode:
 
         The first ``len(source)`` coded symbols are systematic (equal to the
         source), so in the loss-free case decoding is a no-op.  Parity
-        symbols are inner products with the cached :func:`_parity_rows`
-        coefficients — no field inversions on the per-slot path.
+        symbols are one :func:`_evaluate` against the cached
+        :func:`_packed_columns` — no field inversions on the per-slot path.
         """
         if not source:
             raise ValueError("cannot encode an empty symbol list")
-        prime = self.prime
-        for symbol in source:
-            if not (0 <= symbol < prime):
-                raise ValueError(f"symbol {symbol} outside field range")
+        if min(source) < 0 or max(source) >= self.prime:
+            raise ValueError(f"symbols outside field range [0, {self.prime})")
         k = len(source)
         n = coded_count if coded_count is not None else self.config.coded_symbols(k)
         if n < k:
             raise ValueError(f"coded_count {n} must be at least the source size {k}")
-        coded: List[Tuple[int, int]] = [(i + 1, source[i]) for i in range(k)]
-        if n > k:
-            for offset, (coeffs, inv_denominator) in enumerate(_parity_rows(k, n)):
-                numerator = 0
-                for coeff, symbol in zip(coeffs, source):
-                    numerator += coeff * symbol
-                coded.append((k + 1 + offset, (numerator % prime) * inv_denominator % prime))
-        return coded
+        columns = _packed_columns(range(1, k + 1), range(k + 1, n + 1))
+        return list(enumerate([*source, *_evaluate(columns, source, n - k)], 1))
 
     def decode(self, received: Sequence[Tuple[int, int]], source_count: int) -> List[int]:
         """Recover the ``source_count`` source symbols from received coded symbols.
@@ -213,25 +196,16 @@ class ErasureCode:
         # Systematic fast path: every source symbol arrived untouched.
         if all(index in unique for index in range(1, source_count + 1)):
             return [unique[index] for index in range(1, source_count + 1)]
-        points = list(unique.items())[:source_count]
-        prime = self.prime
-        xs = tuple(x for x, _ in points)
-        ys = [y % prime for _, y in points]
-        source: List[int] = []
-        for coeffs, tail in _decode_rows(xs, source_count):
-            if not coeffs:
-                source.append(ys[tail])  # marker row: systematic symbol
-                continue
-            numerator = 0
-            for coeff, y in zip(coeffs, ys):
-                numerator += coeff * y
-            source.append((numerator % prime) * tail % prime)
-        return source
+        points = {x: y % self.prime for x, y in list(unique.items())[:source_count]}
+        missing = tuple(x for x in range(1, source_count + 1) if x not in points)
+        columns = _packed_columns(tuple(points), missing)
+        points.update(zip(missing, _evaluate(columns, list(points.values()), len(missing))))
+        return [points[x] for x in range(1, source_count + 1)]
 
     # ------------------------------------------------------------------
     def overhead_bits(self, source_bits: int) -> int:
         """Total bits on the wire for ``source_bits`` of payload."""
-        return math.ceil(source_bits * self.config.expansion_factor)
+        return _expanded(source_bits, self.config.loss_tolerance)
 
 
 class RepetitionCode:

@@ -314,6 +314,63 @@ class TestKeyDistribution:
         assert agent.announcements_decoded == 1
         assert agent.key_table.accepts(4, group(10), 100)
 
+    def test_coded_and_plain_forms_fill_the_table_alike(self):
+        """One absorb routine: FEC symbols (systematic or parity) and the plain object agree."""
+        keys = {
+            g: GroupKeys(
+                top=g * 10,
+                decrease=g * 10 + 1 if g > 1 else None,
+                increase=g * 10 + 2 if g % 3 == 0 else None,
+            )
+            for g in range(1, 11)
+        }
+        keys[4] = GroupKeys()  # no valid key: skipped, not counted
+        groups = [group(g) for g in range(1, 11)]
+        announcement = KeyAnnouncement.from_material(
+            "s", SlotKeyMaterial(governed_slot=6, keys=keys), groups
+        )
+        agents = []
+        for form in ("systematic", "parity", "plain"):
+            net, sender, receiver, edge, agent, clock = build_sigma_network()
+            distributor = SigmaKeyDistributor(sender, "s", groups, symbols_per_packet=6)
+            if form == "plain":
+                packets = [distributor._plain_packet(announcement)]
+            else:
+                packets = distributor._fec_packets(announcement)
+                if form == "parity":  # symbols 43..84 of 84: every source symbol interpolated
+                    packets = packets[len(packets) // 2 :]
+            for packet in packets:
+                agent.handle_control_packet(packet)
+            agents.append(agent)
+        for agent in agents:
+            assert agent.announcements_decoded == 1
+            assert agent.key_table.entries_stored == 9
+            assert len(agent.key_table) == 9
+            for g in range(1, 11):
+                assert agent.key_table.keys_for(6, group(g)) == set(keys[g].valid_keys())
+
+    def test_truncated_serialisation_stores_nothing(self):
+        class Truncated(KeyAnnouncement):
+            def to_ints(self):
+                return super().to_ints()[:-1]
+
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        distributor = SigmaKeyDistributor(sender, "s", [group(1), group(2)])
+        whole = KeyAnnouncement.from_material(
+            "s", self._material(groups=2), distributor.group_addresses
+        )
+        cut = Truncated("s", whole.governed_slot, whole.entries)
+        with pytest.raises(ValueError, match="truncated"):
+            for packet in distributor._fec_packets(cut):
+                agent.handle_control_packet(packet)
+        with pytest.raises(ValueError, match="truncated"):
+            agent.key_table.store_announcement(cut.to_ints())
+        with pytest.raises(ValueError, match="too short"):
+            agent.key_table.store_announcement(whole.to_ints()[:1])
+        assert len(agent.key_table) == 0
+        assert agent.key_table.entries_stored == 0
+        assert agent.announcements_decoded == 0
+
     def test_overhead_recorded(self):
         from repro.simulator.monitors import OverheadAccumulator
 

@@ -264,6 +264,32 @@ class TestCacheHardening:
         assert list(tmp_path.glob("*.tmp")) == []
         assert RunResult.from_json(entries[0].read_text()).to_json() == first.to_json()
 
+    def test_two_threads_publishing_one_path_do_not_share_a_tmp_sibling(
+        self, tmp_path, monkeypatch
+    ):
+        """Both threads have written before either renames: neither may lose its file."""
+        import os
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.experiments.warmstart import publish_atomically
+
+        both_written = threading.Barrier(2)
+        replace = os.replace
+
+        def replace_once_both_wrote(source, target):
+            both_written.wait(timeout=10)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_once_both_wrote)
+        target = tmp_path / "entry.json"
+        payloads = [b"first" * 1000, b"second" * 1000]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda data: publish_atomically(target, data), payloads))
+
+        assert target.read_bytes() in payloads
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_load_key_refuses_keys_that_are_not_content_addresses(self, tmp_path):
         from repro.experiments import ResultCache
 

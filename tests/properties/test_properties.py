@@ -8,6 +8,8 @@ order-preserving.
 """
 
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ from repro.simulator.engine import Simulator
 from repro.simulator.queues import DropTailQueue
 from repro.simulator.address import NodeAddress
 from repro.simulator.packet import Packet
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "fec"))
+from fec_oracle import oracle_encode  # noqa: E402  (the kernel's reference lives beside its tests)
 
 KEY_BITS = 16
 keys16 = st.integers(min_value=0, max_value=2**KEY_BITS - 1)
@@ -83,9 +88,12 @@ class TestShamirProperties:
         raise AssertionError("reconstruction below the threshold must be refused")
 
 
+field_symbols = st.integers(min_value=0, max_value=ErasureCode().prime - 1)
+
+
 class TestErasureCodeProperties:
     @given(
-        symbols=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=20),
+        symbols=st.lists(field_symbols, min_size=1, max_size=80),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=40, deadline=None)
@@ -96,12 +104,17 @@ class TestErasureCodeProperties:
         survivors = rng.sample(coded, len(symbols))
         assert code.decode(survivors, len(symbols)) == symbols
 
-    @given(symbols=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=2, max_size=15))
+    @given(symbols=st.lists(field_symbols, min_size=2, max_size=80))
     @settings(max_examples=30, deadline=None)
     def test_systematic_prefix_equals_source(self, symbols):
         code = ErasureCode(FecConfig(0.5))
         coded = code.encode(symbols)
         assert [v for _, v in coded[: len(symbols)]] == symbols
+
+    @given(symbols=st.lists(field_symbols, min_size=1, max_size=80))
+    @settings(max_examples=30, deadline=None)
+    def test_encode_equals_row_major_oracle(self, symbols):
+        assert ErasureCode().encode(symbols) == oracle_encode(symbols, 2 * len(symbols))
 
 
 class TestDeltaEligibilityProperties:
