@@ -5,9 +5,9 @@ Reproduces a shortened version of Figures 1 and 7: two multicast sessions
 (receivers F1 and F2) and two TCP Reno connections (T1 and T2) share a
 1 Mbps bottleneck; at t = 40 s receiver F1 inflates its subscription.
 
-The script runs the scenario twice — once with plain FLID-DL (IGMP-managed
-groups, the attack succeeds) and once with FLID-DS (DELTA + SIGMA, the attack
-is blocked) — and prints the before/during throughput of every flow.
+The script runs both registered figures — plain FLID-DL (IGMP-managed
+groups, the attack succeeds) and FLID-DS (DELTA + SIGMA, the attack is
+blocked) — and prints the before/during throughput of every flow.
 
 Run with::
 
@@ -15,16 +15,17 @@ Run with::
 """
 
 from repro.analysis import format_table
-from repro.experiments import PAPER_DEFAULTS, run_inflated_subscription_experiment
+from repro.experiments import PAPER_DEFAULTS, figure, run_figure
 
 DURATION_S = 80.0
 ATTACK_START_S = 40.0
+FAIR_SHARE_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
 
 
 def run_variant(protected: bool) -> None:
     label = "FLID-DS (protected by DELTA + SIGMA)" if protected else "FLID-DL (unprotected)"
-    result = run_inflated_subscription_experiment(
-        protected=protected,
+    table = run_figure(
+        figure("figure7_flid_ds_protection" if protected else "figure1_flid_dl_attack"),
         config=PAPER_DEFAULTS.with_duration(DURATION_S),
         attack_start_s=ATTACK_START_S,
         duration_s=DURATION_S,
@@ -32,23 +33,23 @@ def run_variant(protected: bool) -> None:
     rows = [
         (
             flow,
-            f"{result.average_before_kbps[flow]:.0f}",
-            f"{result.average_during_kbps[flow]:.0f}",
+            f"{table['before_kbps'][flow]:.0f}",
+            f"{table['during_kbps'][flow]:.0f}",
         )
         for flow in ("F1", "F2", "T1", "T2")
     ]
     print(f"\n=== {label} ===")
     print(f"F1 starts misbehaving at t = {ATTACK_START_S:.0f} s; fair share is "
-          f"{result.fair_share_kbps:.0f} Kbps per flow")
+          f"{FAIR_SHARE_KBPS:.0f} Kbps per flow")
     print(format_table(["flow", "before attack (Kbps)", "during attack (Kbps)"], rows))
-    print(f"Jain fairness index: before = {result.fairness_before:.3f}, "
-          f"during = {result.fairness_during:.3f}")
+    print(f"Jain fairness index: before = {table['fairness_before']:.3f}, "
+          f"during = {table['fairness_during']:.3f}")
     if protected:
         print("-> the attacker is denied keys for the extra groups; the edge router "
               "never forwards them, so the allocation stays fair.")
     else:
         print(f"-> the attacker multiplies its throughput by "
-              f"{result.attacker_gain:.1f}x its fair share at everyone else's expense.")
+              f"{table['attacker_gain']:.1f}x its fair share at everyone else's expense.")
 
 
 def main() -> None:

@@ -1,8 +1,10 @@
 """Fairness metrics.
 
 The paper argues about fairness qualitatively (Figure 1 versus Figure 7);
-these helpers quantify it so ``tests/integration/test_paper_claims.py`` can
-assert on it: Jain's fairness index (``jain_index``, the one body in
+these helpers quantify it for the figure reducers of
+:mod:`repro.experiments.figure1` and :mod:`repro.experiments.figure8`, whose
+tables ``tests/integration/test_paper_claims.py`` asserts the paper's claims
+on: Jain's fairness index (``jain_index``, the one body in
 :func:`repro.simulator.monitors.jain_fairness` under its analysis-layer
 name), the max/min share ratio, and normalised bandwidth shares.
 """

@@ -97,7 +97,8 @@ def flatten_metrics(
     """Flatten a nested metric document to ``dotted.path -> number``.
 
     Dict keys are joined with ``.``; list entries are indexed.  Non-numeric
-    leaves (strings, ``None``) are skipped, so series and labels do not
+    leaves (strings, ``None``) and list entries that are themselves lists
+    (the points of a series) are skipped, so series and labels do not
     pollute the aggregate.
     """
     flat: Dict[str, float] = {}
@@ -107,7 +108,8 @@ def flatten_metrics(
             flat.update(flatten_metrics(value, path))
     elif isinstance(metrics, (list, tuple)):
         for index, value in enumerate(metrics):
-            flat.update(flatten_metrics(value, f"{prefix}[{index}]"))
+            if not isinstance(value, (list, tuple)):
+                flat.update(flatten_metrics(value, f"{prefix}[{index}]"))
     elif isinstance(metrics, bool):
         pass
     elif isinstance(metrics, (int, float)):

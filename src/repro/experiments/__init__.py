@@ -6,8 +6,10 @@ The stack is layered:
 * :mod:`repro.experiments.spec` — declarative, serialisable scenario
   specifications (:class:`ScenarioSpec`): topology by name, sessions, attack
   schedules, TCP/CBR cross traffic.
-* :mod:`repro.experiments.registry` — named scenario registry (see
-  ``python -m repro list``).
+* :mod:`repro.experiments.registry` — the named scenario registry (see
+  ``python -m repro list``) and the figure registry: each table of the
+  paper's evaluation as a :class:`FigureDecl` (a grid of cells and a pure
+  reducer), run through the runner by :func:`run_figure`.
 * :mod:`repro.experiments.scenario` — the interpreter realising specs on the
   simulator's topology graph layer.
 * :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
@@ -22,15 +24,20 @@ The stack is layered:
   grids: canonical prefix planning, slot-barrier checkpoints, the blob
   store, and the one worker body realising and running a scenario.
 * :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9` — the
-  paper's figures, built on the layers above.
+  paper's scenarios and figure declarations, built on the layers above.
 """
 
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 from .registry import (
+    FigureDecl,
     ScenarioEntry,
+    figure,
+    list_figures,
     list_scenarios,
+    register_figure,
     register_scenario,
+    run_figure,
     scenario_entry,
     scenario_spec,
 )
@@ -49,37 +56,20 @@ from .runner import (
     prune_cache,
     run_spec_json,
 )
-from .figure1 import (
-    DEFAULT_ATTACK_START_S,
-    InflatedSubscriptionResult,
-    inflated_subscription_spec,
-    run_inflated_subscription_experiment,
-)
+from .figure1 import DEFAULT_ATTACK_START_S, inflated_subscription_spec
 from .figure8 import (
     PAPER_SESSION_COUNTS,
-    ConvergenceResult,
-    ResponsivenessResult,
-    RttFairnessResult,
-    ThroughputVsSessionsResult,
     convergence_spec,
     responsiveness_spec,
-    run_convergence,
-    run_heterogeneous_rtt,
-    run_responsiveness,
-    run_throughput_vs_sessions,
+    rtt_fairness_spec,
     throughput_vs_sessions_spec,
 )
 from .attacks import attack_duel_spec
 from .figure9 import (
     PAPER_GROUP_COUNTS,
     PAPER_SLOT_DURATIONS,
-    MeasuredOverheadResult,
-    OverheadSweepResult,
     figure9_model,
     measured_overhead_spec,
-    run_group_count_sweep,
-    run_measured_overhead,
-    run_slot_duration_sweep,
 )
 from .scale import (
     attack_churn_flash_crowd_spec,
@@ -117,9 +107,14 @@ __all__ = [
     "scale_dumbbell_spec",
     "scale_overhead_spec",
     "scale_protection_spec",
+    "FigureDecl",
     "ScenarioEntry",
+    "figure",
+    "list_figures",
     "list_scenarios",
+    "register_figure",
     "register_scenario",
+    "run_figure",
     "scenario_entry",
     "scenario_spec",
     "CellPlan",
@@ -140,30 +135,16 @@ __all__ = [
     "plan_prefix",
     "attack_duel_spec",
     "DEFAULT_ATTACK_START_S",
-    "InflatedSubscriptionResult",
     "inflated_subscription_spec",
-    "run_inflated_subscription_experiment",
     "PAPER_SESSION_COUNTS",
-    "ConvergenceResult",
-    "ResponsivenessResult",
-    "RttFairnessResult",
-    "ThroughputVsSessionsResult",
     "convergence_spec",
     "responsiveness_spec",
-    "run_convergence",
-    "run_heterogeneous_rtt",
-    "run_responsiveness",
-    "run_throughput_vs_sessions",
+    "rtt_fairness_spec",
     "throughput_vs_sessions_spec",
     "PAPER_GROUP_COUNTS",
     "PAPER_SLOT_DURATIONS",
-    "MeasuredOverheadResult",
-    "OverheadSweepResult",
     "figure9_model",
     "measured_overhead_spec",
-    "run_group_count_sweep",
-    "run_measured_overhead",
-    "run_slot_duration_sweep",
     "MulticastSession",
     "Scenario",
     "ShardPlan",

@@ -12,27 +12,22 @@ subscription.
 * With FLID-DS (Figure 7) DELTA and SIGMA deny F1 the keys for the extra
   groups, so all four flows keep roughly their fair share.
 
-``run_inflated_subscription_experiment`` runs either variant and returns the
-four per-flow throughput time-series plus before/after averages.
+Both figures reduce their one cell to the four flows' averages before and
+during the attack, Jain's fairness index over each, and F1's gain over its
+fair share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from ..analysis.fairness import jain_index
-from ..simulator.monitors import ThroughputSample
 from .config import PAPER_DEFAULTS, ExperimentConfig
-from .registry import register_scenario
+from .registry import register_figure, register_scenario, series_kbps
+from .runner import RunResult
 from .spec import ScenarioSpec, SessionDecl, TcpDecl
-from .warmstart import run_scenario
 
-__all__ = [
-    "InflatedSubscriptionResult",
-    "inflated_subscription_spec",
-    "run_inflated_subscription_experiment",
-]
+__all__ = ["inflated_subscription_spec"]
 
 #: Time at which F1 starts misbehaving (both figures).
 DEFAULT_ATTACK_START_S = 100.0
@@ -78,71 +73,33 @@ register_scenario(
 )(lambda **params: inflated_subscription_spec(protected=True, **params))
 
 
-@dataclass
-class InflatedSubscriptionResult:
-    """Outcome of one Figure 1 / Figure 7 run."""
-
-    protected: bool
-    attack_start_s: float
-    duration_s: float
-    fair_share_kbps: float
-    #: Per-flow 1-second throughput series, keyed by flow name (F1, F2, T1, T2).
-    series: Dict[str, List[ThroughputSample]] = field(default_factory=dict)
-    #: Average throughput (Kbps) before the attack, keyed by flow name.
-    average_before_kbps: Dict[str, float] = field(default_factory=dict)
-    #: Average throughput (Kbps) while the attack is active, keyed by flow name.
-    average_during_kbps: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def attacker_gain(self) -> float:
-        """F1 throughput during the attack relative to its fair share."""
-        return self.average_during_kbps["F1"] / self.fair_share_kbps
-
-    @property
-    def fairness_before(self) -> float:
-        return jain_index(list(self.average_before_kbps.values()))
-
-    @property
-    def fairness_during(self) -> float:
-        return jain_index(list(self.average_during_kbps.values()))
-
-    def victim_flows(self) -> List[str]:
-        return [name for name in self.average_during_kbps if name != "F1"]
-
-
-def run_inflated_subscription_experiment(
-    protected: bool,
-    config: Optional[ExperimentConfig] = None,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = None,
-) -> InflatedSubscriptionResult:
-    """Run the Figure 1 (``protected=False``) or Figure 7 (``protected=True``) scenario."""
-    spec = inflated_subscription_spec(
-        protected, config=config, attack_start_s=attack_start_s, duration_s=duration_s
-    )
-    config = spec.config
-    duration = spec.effective_duration_s
-    attack_start = min(attack_start_s, duration)
-
-    scenario = run_scenario(spec)
-    f1_session, f2_session = scenario.sessions
-    t1, t2 = scenario.tcp_connections
-
-    monitors = {
-        "F1": f1_session.receiver.monitor,
-        "F2": f2_session.receiver.monitor,
-        "T1": t1.monitor,
-        "T2": t2.monitor,
+def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> Dict[str, Any]:
+    """Per-flow averages before/during the attack, fairness and F1's gain."""
+    (spec,), (result,) = cells, results
+    metrics = result.metrics
+    series = {
+        "F1": metrics["multicast"]["F1"]["series"]["bins"][0],
+        "F2": metrics["multicast"]["F2"]["series"]["bins"][0],
+        "T1": metrics["tcp_series"]["T1"],
+        "T2": metrics["tcp_series"]["T2"],
     }
-    result = InflatedSubscriptionResult(
-        protected=protected,
-        attack_start_s=attack_start,
-        duration_s=duration,
-        fair_share_kbps=config.fair_share_bps / 1e3,
-    )
-    warmup = config.warmup_s
-    for name, monitor in monitors.items():
-        result.series[name] = monitor.smoothed_series(window_bins=5, end_time_s=duration)
-        result.average_before_kbps[name] = monitor.average_rate_kbps(warmup, attack_start)
-        result.average_during_kbps[name] = monitor.average_rate_kbps(attack_start, duration)
-    return result
+    warmup = spec.config.warmup_s
+    attack_start = spec.sessions[0].attack_start_s
+    duration = spec.effective_duration_s
+    before = {name: series_kbps(bins, warmup, attack_start) for name, bins in series.items()}
+    during = {name: series_kbps(bins, attack_start, duration) for name, bins in series.items()}
+    return {
+        "attacker_gain": during["F1"] / (spec.config.fair_share_bps / 1e3),
+        "before_kbps": before,
+        "during_kbps": during,
+        "fairness_before": jain_index(list(before.values())),
+        "fairness_during": jain_index(list(during.values())),
+    }
+
+
+register_figure(
+    "figure1_flid_dl_attack", lambda **axes: [inflated_subscription_spec(False, **axes)]
+)(_duel_table)
+register_figure(
+    "figure7_flid_ds_protection", lambda **axes: [inflated_subscription_spec(True, **axes)]
+)(_duel_table)

@@ -11,31 +11,26 @@ Two sweeps are reported:
 * Figure 9(a): overhead versus the number of groups (2 to 20) at 250 ms slots;
 * Figure 9(b): overhead versus the slot duration (0.2 s to 1 s) with 10 groups.
 
-The paper finds DELTA stays around 0.8 % and SIGMA under 0.6 %.  In addition
-to the analytic curves, ``run_measured_overhead`` runs a short FLID-DS session
-through the full simulator and reports the overhead actually accumulated on
-the wire, so the model and the implementation can be cross-checked.
+The paper finds DELTA stays around 0.8 % and SIGMA under 0.6 %.  Both sweeps
+are analytic figures (no cells).  In addition, the measured-overhead figure
+runs a short FLID-DS session through the full simulator and sets the
+overhead actually accumulated on the wire beside the model of that very
+session, so the model and the implementation can be cross-checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.overhead import OverheadModel, OverheadPoint
 from .config import PAPER_DEFAULTS, ExperimentConfig
-from .registry import register_scenario
+from .registry import register_figure, register_scenario
+from .runner import RunResult
 from .spec import ScenarioSpec, SessionDecl
-from .warmstart import run_scenario
 
 __all__ = [
-    "OverheadSweepResult",
-    "MeasuredOverheadResult",
     "figure9_model",
     "measured_overhead_spec",
-    "run_group_count_sweep",
-    "run_slot_duration_sweep",
-    "run_measured_overhead",
     "PAPER_GROUP_COUNTS",
     "PAPER_SLOT_DURATIONS",
 ]
@@ -60,42 +55,20 @@ def figure9_model(
     )
 
 
-@dataclass
-class OverheadSweepResult:
-    """One Figure 9 curve pair (DELTA and SIGMA percentages)."""
-
-    parameter_name: str
-    points: List[OverheadPoint] = field(default_factory=list)
-
-    @property
-    def max_delta_percent(self) -> float:
-        return max(point.delta_percent for point in self.points)
-
-    @property
-    def max_sigma_percent(self) -> float:
-        return max(point.sigma_percent for point in self.points)
+def _peaks(points: List[OverheadPoint]) -> Dict[str, float]:
+    """The highest DELTA and SIGMA percentages along one analytic curve."""
+    return {
+        "max_delta_percent": max(point.delta_percent for point in points),
+        "max_sigma_percent": max(point.sigma_percent for point in points),
+    }
 
 
-def run_group_count_sweep(
-    group_counts: Sequence[int] = PAPER_GROUP_COUNTS, slot_duration_s: float = 0.25
-) -> OverheadSweepResult:
-    """Figure 9(a): overhead versus the number of groups."""
-    model = figure9_model(slot_duration_s=slot_duration_s)
-    return OverheadSweepResult(
-        parameter_name="groups",
-        points=model.sweep_group_count(list(group_counts)),
-    )
-
-
-def run_slot_duration_sweep(
-    durations_s: Sequence[float] = PAPER_SLOT_DURATIONS, group_count: int = 10
-) -> OverheadSweepResult:
-    """Figure 9(b): overhead versus the time-slot duration."""
-    model = figure9_model(group_count=group_count)
-    return OverheadSweepResult(
-        parameter_name="slot duration (s)",
-        points=model.sweep_slot_duration(list(durations_s)),
-    )
+register_figure("figure9a_overhead_vs_group_count", lambda: [])(
+    lambda cells, results: _peaks(figure9_model().sweep_group_count(PAPER_GROUP_COUNTS))
+)
+register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
+    lambda cells, results: _peaks(figure9_model().sweep_slot_duration(PAPER_SLOT_DURATIONS))
+)
 
 
 # ----------------------------------------------------------------------
@@ -137,66 +110,33 @@ register_scenario(
 )(measured_overhead_spec)
 
 
-@dataclass
-class MeasuredOverheadResult:
-    """Overhead measured on the wire for one simulated FLID-DS session."""
+@register_figure(
+    "figure9_measured_overhead_matches_model",
+    lambda **axes: [measured_overhead_spec(**axes)],
+)
+def _measured_overhead_table(
+    cells: Sequence[ScenarioSpec], results: Sequence[RunResult]
+) -> Dict[str, Any]:
+    """Measured DELTA/SIGMA percentages beside the model of the same session.
 
-    delta_percent: float
-    sigma_percent: float
-    model_delta_percent: float
-    model_sigma_percent: float
-    data_bits: int
-    duration_s: float
-
-    @property
-    def delta_within_factor(self) -> float:
-        """Measured / modelled DELTA overhead (1.0 = exact match)."""
-        if self.model_delta_percent == 0:
-            return float("inf")
-        return self.delta_percent / self.model_delta_percent
-
-
-def run_measured_overhead(
-    config: Optional[ExperimentConfig] = None,
-    duration_s: float = 30.0,
-    group_count: int = 10,
-) -> MeasuredOverheadResult:
-    """Run a FLID-DS session and compare measured overhead with the model.
-
-    The session uses the §5.4 parameters scaled to a bottleneck large enough
-    that every group stays subscribed (the model assumes the full cumulative
-    rate is flowing), so the measured per-packet DELTA overhead and per-slot
-    SIGMA overhead are directly comparable with the analytic expressions.
+    The model takes packet size, rates, group count, key width and slot
+    length from the cell's own config, so both cover the same groups.
     """
-    config = config or PAPER_DEFAULTS
-    model = figure9_model(slot_duration_s=config.flid_ds_slot_s, group_count=group_count)
-    spec = measured_overhead_spec(
-        config=config, duration_s=duration_s, bottleneck_bps=2.0 * model.cumulative_rate_bps
+    (spec,), (result,) = cells, results
+    config = spec.config
+    session = config.session_spec(spec.sessions[0].session_id, protected=True)
+    model = OverheadModel(
+        data_bits_per_packet=session.packet_bytes * 8,
+        cumulative_rate_bps=session.max_rate_bps(),
+        minimal_rate_bps=session.base_rate_bps,
+        key_bits=config.key_bits,
+        group_count=session.group_count,
+        slot_duration_s=session.slot_duration_s,
     )
-    scenario = run_scenario(spec)
-    session = scenario.sessions[0]
-    overhead = session.overhead
-    assert overhead is not None
-    delta_pct, sigma_pct = overhead.as_percentages()
-    return MeasuredOverheadResult(
-        delta_percent=delta_pct,
-        sigma_percent=sigma_pct,
-        model_delta_percent=OverheadModel(
-            data_bits_per_packet=config.packet_bytes * 8,
-            cumulative_rate_bps=session.spec.max_rate_bps(),
-            minimal_rate_bps=session.spec.base_rate_bps,
-            key_bits=config.key_bits,
-            group_count=group_count,
-            slot_duration_s=config.flid_ds_slot_s,
-        ).delta_overhead_percent(),
-        model_sigma_percent=OverheadModel(
-            data_bits_per_packet=config.packet_bytes * 8,
-            cumulative_rate_bps=session.spec.max_rate_bps(),
-            minimal_rate_bps=session.spec.base_rate_bps,
-            key_bits=config.key_bits,
-            group_count=group_count,
-            slot_duration_s=config.flid_ds_slot_s,
-        ).sigma_overhead_percent(),
-        data_bits=overhead.data_bits,
-        duration_s=duration_s,
-    )
+    measured = result.metrics["multicast"][session.session_id]["overhead_percent"]
+    return {
+        "measured_delta_percent": measured["delta"],
+        "measured_sigma_percent": measured["sigma"],
+        "model_delta_percent": model.delta_overhead_percent(),
+        "model_sigma_percent": model.sigma_overhead_percent(),
+    }

@@ -1,4 +1,4 @@
-"""Named scenario registry.
+"""Named scenario and figure registries.
 
 Experiments register :class:`~repro.experiments.spec.ScenarioSpec` builders
 under a stable name, making every scenario addressable from the command line
@@ -6,23 +6,37 @@ under a stable name, making every scenario addressable from the command line
 A builder is a callable returning a spec; keyword parameters are forwarded,
 so registered scenarios stay parameterisable (seed, duration, scale knobs).
 
-The paper's figure scenarios register themselves from their modules
-(:mod:`repro.experiments.figure1`, :mod:`repro.experiments.figure8`); the
-multi-bottleneck showcases on the new parking-lot / star / binary-tree
-topologies are registered here.
+Each table of the paper's evaluation is a :class:`FigureDecl`: the cells its
+registered builders produce at given axis values, and a pure reducer from
+those cells' :class:`~repro.experiments.runner.RunResult` documents to the
+table.  :func:`run_figure` is the one way a figure runs — every cell goes
+through :class:`~repro.experiments.runner.ExperimentRunner`, so figures get
+the result cache, warm-starts and the worker pool like any other batch.
+
+The paper's scenarios and figures register themselves from their modules
+(:mod:`repro.experiments.figure1`, :mod:`~repro.experiments.figure8`,
+:mod:`~repro.experiments.figure9`); the multi-bottleneck showcases on the
+parking-lot / star / binary-tree topologies are registered here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
+from ..simulator.monitors import window_rate_bps
 from .config import PAPER_DEFAULTS
+from .runner import ExperimentRunner, RunResult
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [
+    "FigureDecl",
     "ScenarioEntry",
+    "figure",
+    "list_figures",
+    "register_figure",
     "register_scenario",
+    "run_figure",
     "scenario_spec",
     "scenario_entry",
     "list_scenarios",
@@ -73,6 +87,77 @@ def scenario_spec(name: str, **params) -> ScenarioSpec:
 def list_scenarios() -> List[ScenarioEntry]:
     """All registered scenarios, sorted by name."""
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+
+
+# ----------------------------------------------------------------------
+# figures: a grid of cells and a reducer
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FigureDecl:
+    """One table of the paper's evaluation, registered under ``name``.
+
+    ``cells(**axes)`` builds the figure's cells with registered scenario
+    builders at the given axis values (its keyword defaults are the
+    paper's).  ``reduce(cells, results)`` is a pure function from those
+    cells and their results, in cell order, to the figure's plain-JSON
+    table; an analytic figure has no cells and reduces ``([], [])``.
+    """
+
+    name: str
+    cells: Callable[..., List[ScenarioSpec]]
+    reduce: Callable[[Sequence[ScenarioSpec], Sequence[RunResult]], Dict[Any, Any]]
+
+
+_FIGURES: Dict[str, FigureDecl] = {}
+
+
+def register_figure(name: str, cells: Callable[..., List[ScenarioSpec]]):
+    """Decorator registering ``reduce(cells, results) -> table`` as figure ``name``."""
+
+    def decorate(reduce: Callable[..., Dict[Any, Any]]) -> Callable[..., Dict[Any, Any]]:
+        if name in _FIGURES:
+            raise ValueError(f"figure {name!r} is already registered")
+        _FIGURES[name] = FigureDecl(name, cells, reduce)
+        return reduce
+
+    return decorate
+
+
+def figure(name: str) -> FigureDecl:
+    """The registered figure called ``name``."""
+    try:
+        return _FIGURES[name]
+    except KeyError as exc:
+        raise KeyError(f"unknown figure {name!r}; known: {sorted(_FIGURES)}") from exc
+
+
+def list_figures() -> List[FigureDecl]:
+    """All registered figures, sorted by name."""
+    return [_FIGURES[name] for name in sorted(_FIGURES)]
+
+
+def run_figure(
+    decl: FigureDecl, runner: Optional[ExperimentRunner] = None, **axes: Any
+) -> Dict[Any, Any]:
+    """Run ``decl``'s cells at ``axes`` and reduce their results to its table.
+
+    The cells go through ``runner`` (a fresh serial
+    :class:`~repro.experiments.runner.ExperimentRunner` by default) as one
+    batch, with ``record_series`` set so every result carries the raw
+    throughput bins and level histories the reducers window.
+    """
+    cells = [replace(spec, record_series=True) for spec in decl.cells(**axes)]
+    return decl.reduce(cells, (runner or ExperimentRunner()).run(cells))
+
+
+def series_kbps(bins: Collection[Tuple[int, int]], start_s: float, end_s: float) -> float:
+    """Average Kbps over [start_s, end_s] of one recorded series' bins.
+
+    Every monitor a scenario builds bins by the second, so this is
+    :meth:`~repro.simulator.monitors.ThroughputMonitor.average_rate_kbps`
+    of the live monitor, to the bit.
+    """
+    return window_rate_bps(bins, 1.0, start_s, end_s) / 1e3
 
 
 # ----------------------------------------------------------------------

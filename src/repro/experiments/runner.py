@@ -103,7 +103,7 @@ __all__ = [
 #: Bumped whenever the metric document schema (or what a run means for a
 #: given spec) changes.  Mixed into every cache key together with the package
 #: version so refactors can never resurrect stale cached results.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 
 def _cache_version_tag() -> str:
@@ -216,7 +216,10 @@ def collect_ingredients(
     :func:`_attacker_record`, or ``None`` for an attacker whose session's
     attack never starts within the run.  Whole-session extras
     (``overhead_percent``, ``series``), ``tcp_kbps`` and the summed SIGMA
-    counters ride along.
+    counters ride along.  With ``spec.record_series`` a session's ``series``
+    holds every receiver's raw 1-second ``(bin, bytes)`` counts
+    (:meth:`~repro.simulator.monitors.ThroughputMonitor.bins`) and
+    ``(time, level)`` history, and ``tcp_series`` every connection's bins.
     """
     config = spec.config
     duration = spec.effective_duration_s
@@ -270,12 +273,10 @@ def collect_ingredients(
             delta_pct, sigma_pct = session.overhead.as_percentages()
             entry["overhead_percent"] = {"delta": delta_pct, "sigma": sigma_pct}
         if spec.record_series:
-            entry["series"] = [
-                [sample.time_s, sample.rate_kbps]
-                for sample in session.receiver.monitor.smoothed_series(
-                    window_bins=5, end_time_s=duration
-                )
-            ]
+            entry["series"] = {
+                "bins": [receiver.monitor.bins() for receiver in session.receivers],
+                "levels": [list(receiver.level_history) for receiver in session.receivers],
+            }
         sessions.append(entry)
     document: Dict[str, Any] = {"sessions": sessions}
     if spec.tcp:
@@ -283,6 +284,11 @@ def collect_ingredients(
             decl.name: connection.monitor.average_rate_kbps(warmup, duration)
             for decl, connection in zip(spec.tcp, scenario.tcp_connections)
         }
+        if spec.record_series:
+            document["tcp_series"] = {
+                decl.name: connection.monitor.bins()
+                for decl, connection in zip(spec.tcp, scenario.tcp_connections)
+            }
     agents = scenario.sigma_agents
     if agents:
         document["sigma"] = {
@@ -374,8 +380,9 @@ def assemble(
                 honest.append((item, population))
 
     for document in documents:
-        if "tcp_kbps" in document:
-            metrics["tcp_kbps"] = document["tcp_kbps"]
+        for extra in ("tcp_kbps", "tcp_series"):
+            if extra in document:
+                metrics[extra] = document[extra]
     sigma = [document["sigma"] for document in documents if "sigma" in document]
     if sigma:
         metrics["sigma"] = {key: sum(doc[key] for doc in sigma) for key in sigma[0]}

@@ -9,6 +9,10 @@ corresponding instruments:
     the per-bin rate series (the lines of Figures 1, 7, 8(e), 8(g), 8(h)) as
     well as interval averages (the points of Figures 8(a)-(d), 8(f)).
 
+``window_rate_bps``
+    The one interval average, over a monitor's raw ``(bin, bytes)`` counts
+    live or as a result document carries them.
+
 ``LinkMonitor``
     Reports a link's utilisation since the monitor was created.
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from .link import Link
 
@@ -31,6 +35,7 @@ __all__ = [
     "ThroughputSample",
     "LinkMonitor",
     "OverheadAccumulator",
+    "window_rate_bps",
 ]
 
 
@@ -137,28 +142,51 @@ class ThroughputMonitor:
             smoothed.append(ThroughputSample(time_s=sample.time_s, rate_bps=rate))
         return smoothed
 
+    def bins(self) -> List[Tuple[int, int]]:
+        """The ``(bin index, bytes)`` counts recorded so far, in the order the
+        bins were first written (the order :meth:`average_rate_bps` sums)."""
+        self._flush()
+        return list(self._bins.items())
+
     def average_rate_bps(
         self, start_s: float = 0.0, end_s: Optional[float] = None
     ) -> float:
         """Average throughput over [start_s, end_s] in bits per second."""
         self._flush()
-        if end_s is None:
-            end_s = (max(self._bins) + 1) * self.bin_width_s if self._bins else start_s
-        if end_s <= start_s:
-            return 0.0
-        total = 0
-        for index, nbytes in self._bins.items():
-            bin_start = index * self.bin_width_s
-            bin_end = bin_start + self.bin_width_s
-            overlap = min(bin_end, end_s) - max(bin_start, start_s)
-            if overlap <= 0:
-                continue
-            total += nbytes * (overlap / self.bin_width_s)
-        return total * 8.0 / (end_s - start_s)
+        return window_rate_bps(self._bins.items(), self.bin_width_s, start_s, end_s)
 
     def average_rate_kbps(self, start_s: float = 0.0, end_s: Optional[float] = None) -> float:
         """Average throughput over [start_s, end_s] in kilobits per second."""
         return self.average_rate_bps(start_s, end_s) / 1e3
+
+
+def window_rate_bps(
+    bins: Collection[Tuple[int, int]],
+    width_s: float,
+    start_s: float = 0.0,
+    end_s: Optional[float] = None,
+) -> float:
+    """Average rate over [start_s, end_s] of ``(bin index, bytes)`` counts, in bps.
+
+    Each bin of ``width_s`` seconds contributes the share of its bytes that
+    falls inside the window; ``end_s`` defaults to the end of the last bin.
+    The terms are summed in ``bins`` order, so a monitor's
+    :meth:`~ThroughputMonitor.bins` — live, or read back from a result
+    document — gives :meth:`ThroughputMonitor.average_rate_bps` to the bit.
+    """
+    if end_s is None:
+        end_s = (max(index for index, _ in bins) + 1) * width_s if bins else start_s
+    if end_s <= start_s:
+        return 0.0
+    total = 0
+    for index, nbytes in bins:
+        bin_start = index * width_s
+        bin_end = bin_start + width_s
+        overlap = min(bin_end, end_s) - max(bin_start, start_s)
+        if overlap <= 0:
+            continue
+        total += nbytes * (overlap / width_s)
+    return total * 8.0 / (end_s - start_s)
 
 
 class LinkMonitor:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ from repro.experiments import (
     RunResult,
     ScenarioSpec,
     SessionDecl,
+    TcpDecl,
     execute_spec,
+    figure,
+    run_figure,
     run_spec_json,
     scenario_spec,
-    throughput_vs_sessions_spec,
 )
 
 FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
@@ -54,11 +57,32 @@ class TestExecution:
         assert document["seed"] == 0
 
     def test_record_series_included_when_requested(self):
-        from dataclasses import replace
+        """Every receiver's and connection's bins cover the whole run, and
+        every receiver's level history rides along."""
+        spec = replace(
+            fast_spec(), sessions=(SessionDecl("mc", receivers=2),), tcp=(TcpDecl("t"),),
+            record_series=True,
+        )
+        metrics = execute_spec(spec).metrics
+        series = metrics["multicast"]["mc"]["series"]
+        for bins in [*series["bins"], metrics["tcp_series"]["t"]]:
+            assert [index for index, _ in bins] == list(range(6))
+        assert [len(history) > 0 for history in series["levels"]] == [True, True]
 
-        result = execute_spec(replace(fast_spec(), record_series=True))
-        series = result.metrics["multicast"]["mc"]["series"]
-        assert series and all(len(point) == 2 for point in series)
+    def test_reducers_read_documents_the_same_as_results(self):
+        """A ``record_series`` document reduces to the same table whether it
+        was read back from its JSON or taken straight from the run."""
+        for name, axes in (
+            ("figure1_flid_dl_attack", dict(attack_start_s=4.0, duration_s=8.0)),
+            ("figure8gh_convergence", dict(join_times_s=(0.0, 2.0), duration_s=8.0)),
+            ("figure8e_responsiveness", dict(burst_window=(2.0, 4.0), duration_s=16.0)),
+        ):
+            decl = figure(name)
+            cells = [replace(spec, record_series=True) for spec in decl.cells(**axes)]
+            in_memory = [execute_spec(spec) for spec in cells]
+            read_back = [RunResult.from_json(result.to_json()) for result in in_memory]
+            assert decl.reduce(cells, read_back) == decl.reduce(cells, in_memory)
+            assert decl.reduce(cells, in_memory) == run_figure(decl, **axes)
 
 
 class TestRunner:
@@ -101,30 +125,16 @@ class TestRunner:
 
 class TestFigure8OnRunner:
     def test_throughput_sweep_uses_runner_and_caches(self, tmp_path):
-        from repro.experiments import run_throughput_vs_sessions
-
+        throughput = figure("figure8abc_throughput_without_cross_traffic")
+        axes = dict(counts=(1, 2), config=FAST_CONFIG, duration_s=6.0)
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
-        first = run_throughput_vs_sessions(
-            protected=False,
-            session_counts=(1, 2),
-            config=FAST_CONFIG,
-            duration_s=6.0,
-            runner=runner,
-        )
-        assert set(first.average_kbps) == {1, 2}
-        assert runner.cache_misses == 2
+        first = run_figure(throughput, runner, **axes)
+        assert set(first["flid_dl_avg_kbps"]) == set(first["flid_ds_avg_kbps"]) == {1, 2}
+        assert runner.cache_misses == 4
 
         cached_runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
-        second = run_throughput_vs_sessions(
-            protected=False,
-            session_counts=(1, 2),
-            config=FAST_CONFIG,
-            duration_s=6.0,
-            runner=cached_runner,
-        )
-        assert cached_runner.cache_hits == 2
-        assert second.average_kbps == first.average_kbps
-        assert second.individual_kbps == first.individual_kbps
+        assert run_figure(throughput, cached_runner, **axes) == first
+        assert cached_runner.cache_hits == 4
 
 
 class TestAggregation:
@@ -137,6 +147,14 @@ class TestAggregation:
     def test_aggregate_mean_min_max(self):
         aggregate = aggregate_metrics([{"x": 1.0}, {"x": 3.0}])
         assert aggregate["x"] == {"mean": 2.0, "min": 1.0, "max": 3.0, "count": 2}
+
+    def test_series_stay_out_of_the_aggregate(self):
+        spec = replace(fast_spec(), tcp=(TcpDecl("t"),))
+        plain, recorded = (
+            aggregate_metrics([execute_spec(replace(spec, record_series=flag)).metrics])
+            for flag in (False, True)
+        )
+        assert recorded.keys() == plain.keys()
 
     def test_aggregate_over_seed_sweep(self):
         results = ExperimentRunner(jobs=1).run_seed_sweep(fast_spec(), (0, 1))

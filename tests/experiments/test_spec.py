@@ -104,6 +104,7 @@ class TestRegistry:
             "figure7-defence",
             "figure8-throughput",
             "figure8-responsiveness",
+            "figure8-rtt-fairness",
             "figure8-convergence",
             "figure9-measured-overhead",
             "parking-lot-attack",

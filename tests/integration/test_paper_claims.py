@@ -1,129 +1,170 @@
-"""Integration tests of the paper's headline claims, at reduced scale.
+"""The paper's figure tables, at reduced scale, held to the paper's claims.
 
-Each test runs the actual Figure 1 / Figure 7 / Figure 8 scenarios with
-shortened durations (tens of simulated seconds instead of 200) and asserts
-the qualitative outcome the paper reports.  The full-length runs are in the
-benchmark harness; these tests are the fast regression net around them.
+One test per registered figure (:func:`repro.experiments.list_figures`).
+Each runs the figure through :func:`repro.experiments.run_figure` at the
+reduced scale in ``SCALE`` (tens of simulated seconds instead of 200, a
+subset of the x-axis), asserts the qualitative outcome the paper reports,
+and compares the table byte for byte with the committed
+``benchmarks/results/BENCH_<name>.json``.  Those documents hold simulated
+quantities only, so they change exactly when a figure moves.  After an
+intentional change rewrite them, then the gallery, with::
+
+    python -m pytest tests/integration/test_paper_claims.py --update-golden
+    python tools/gen_bench_gallery.py
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import jain_index
-from repro.experiments import (
-    PAPER_DEFAULTS,
-    run_convergence,
-    run_inflated_subscription_experiment,
-    run_responsiveness,
-    run_throughput_vs_sessions,
-)
+from repro.experiments import PAPER_DEFAULTS, figure, list_figures, run_figure
 
-FAST = PAPER_DEFAULTS.with_duration(60.0)
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+BENCH = PAPER_DEFAULTS.with_duration(60.0)
+FAIR_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
+JOIN_TIMES_S = (0.0, 10.0, 20.0, 30.0)
+
+#: Figure name -> the axes its table is run at.
+SCALE = {
+    "figure1_flid_dl_attack": dict(config=BENCH, attack_start_s=30.0, duration_s=60.0),
+    "figure7_flid_ds_protection": dict(config=BENCH, attack_start_s=30.0, duration_s=60.0),
+    "figure8abc_throughput_without_cross_traffic": dict(
+        config=BENCH, counts=(1, 2, 4), duration_s=40.0
+    ),
+    "figure8d_throughput_with_cross_traffic": dict(
+        config=BENCH, counts=(1, 2), duration_s=40.0
+    ),
+    "figure8e_responsiveness": dict(config=BENCH, burst_window=(25.0, 45.0), duration_s=70.0),
+    "figure8f_heterogeneous_rtt": dict(config=BENCH, receiver_count=10, duration_s=60.0),
+    "figure8gh_convergence": dict(config=BENCH, join_times_s=JOIN_TIMES_S, duration_s=50.0),
+    "figure9_measured_overhead_matches_model": dict(config=BENCH, duration_s=15.0),
+    "figure9a_overhead_vs_group_count": {},
+    "figure9b_overhead_vs_slot_duration": {},
+}
 
 
 @pytest.fixture(scope="module")
-def figure1_result():
-    return run_inflated_subscription_experiment(
-        protected=False, config=FAST, attack_start_s=30.0, duration_s=60.0
+def tables():
+    """``tables(name)``: the figure's table, run once per module."""
+    cache = {}
+
+    def table(name):
+        if name not in cache:
+            cache[name] = run_figure(figure(name), **SCALE[name])
+        return cache[name]
+
+    return table
+
+
+# ----------------------------------------------------------------------
+# the paper's claims, one function per figure
+# ----------------------------------------------------------------------
+def figure1_attack_succeeds(table, tables):
+    """Paper: F1 jumps to ~690 Kbps (2.8x its fair share) while the others collapse."""
+    before, during = table["before_kbps"], table["during_kbps"]
+    assert during["F1"] > 1.8 * FAIR_KBPS
+    assert during["F1"] > 1.5 * before["F1"]
+    for victim in ("F2", "T1", "T2"):
+        assert during[victim] < 0.6 * FAIR_KBPS, victim
+    assert table["fairness_during"] < 0.55
+    assert table["fairness_during"] < table["fairness_before"]
+
+
+def figure7_attack_contained(table, tables):
+    """Paper: under FLID-DS the fair allocation is preserved; the attacker gains nothing."""
+    before, during = table["before_kbps"], table["during_kbps"]
+    assert during["F1"] < 1.5 * max(before["F1"], 0.4 * FAIR_KBPS)
+    assert during["F1"] < 1.3 * FAIR_KBPS
+    for flow in ("F1", "F2"):
+        assert during[flow] > 0.25 * FAIR_KBPS, flow
+    # TCP flows collectively keep at least a fair share each on average.
+    assert during["T1"] + during["T2"] > FAIR_KBPS
+    attacked = tables("figure1_flid_dl_attack")
+    assert table["fairness_during"] > attacked["fairness_during"] + 0.2
+
+
+def figure8_throughput_preserved(ratio_band, floor):
+    """FLID-DS tracks FLID-DL's average throughput (the paper's "similar
+    average throughput") within ``ratio_band`` at every session count, and
+    every multicast average stays above ``floor`` × the fair share."""
+    low, high = ratio_band
+
+    def claims(table, tables):
+        dl, ds = table["flid_dl_avg_kbps"], table["flid_ds_avg_kbps"]
+        for count in dl:
+            assert low * dl[count] < ds[count] < high * dl[count], count
+            assert min(dl[count], ds[count]) > floor * FAIR_KBPS, count
+
+    return claims
+
+
+def figure8e_yields_and_recovers(table, tables):
+    """Both protocols release bandwidth to the burst and climb back after it."""
+    for variant in ("flid_dl_kbps", "flid_ds_kbps"):
+        rates = table[variant]
+        assert rates["during"] < rates["before"], variant
+        assert rates["after"] > 1.2 * rates["during"], variant
+
+
+def figure8f_rtt_independent(table, tables):
+    """Receiver-driven reception: all receivers share one bottleneck and one
+    session, so throughput is essentially independent of round-trip time."""
+    for variant in ("flid_dl_spread_ratio", "flid_ds_spread_ratio"):
+        assert table[variant] < 2.0, variant
+
+
+def figure8gh_converges(table, tables):
+    """Receivers joining 10 s apart end within one subscription level of each
+    other, converging no earlier than the last join."""
+    for variant in ("flid_dl", "flid_ds"):
+        levels = table[variant]["final_levels"]
+        assert max(levels) - min(levels) <= 1, (variant, levels)
+        converged_at = table[variant]["convergence_time_s"]
+        if converged_at is not None:
+            assert converged_at >= max(JOIN_TIMES_S), variant
+
+
+def figure9_overhead_small(table, tables):
+    """Paper: DELTA stays around 0.8 %, SIGMA under 0.6 %."""
+    assert table["max_delta_percent"] < 1.0
+    assert table["max_sigma_percent"] < 0.6
+
+
+def figure9_measured_matches_model(table, tables):
+    """DELTA's measured per-packet overhead is the model's within a factor of
+    three; SIGMA's measured overhead stays small."""
+    assert 0.3 < table["measured_delta_percent"] / table["model_delta_percent"] < 3.0
+    assert table["measured_sigma_percent"] < 2.0
+
+
+CLAIMS = {
+    "figure1_flid_dl_attack": figure1_attack_succeeds,
+    "figure7_flid_ds_protection": figure7_attack_contained,
+    "figure8abc_throughput_without_cross_traffic": figure8_throughput_preserved(
+        (0.6, 1.4), floor=0.5
+    ),
+    "figure8d_throughput_with_cross_traffic": figure8_throughput_preserved(
+        (0.5, 2.0), floor=0.2
+    ),
+    "figure8e_responsiveness": figure8e_yields_and_recovers,
+    "figure8f_heterogeneous_rtt": figure8f_rtt_independent,
+    "figure8gh_convergence": figure8gh_converges,
+    "figure9_measured_overhead_matches_model": figure9_measured_matches_model,
+    "figure9a_overhead_vs_group_count": figure9_overhead_small,
+    "figure9b_overhead_vs_slot_duration": figure9_overhead_small,
+}
+
+
+@pytest.mark.parametrize("name", [decl.name for decl in list_figures()])
+def test_figure(name, tables, update_golden):
+    table = tables(name)
+    document = json.dumps({"bench": name, "metrics": table}, sort_keys=True, indent=2) + "\n"
+    path = RESULTS_DIR / f"BENCH_{name}.json"
+    if update_golden:
+        path.write_text(document)
+    CLAIMS[name](table, tables)
+    assert path.read_text() == document, (
+        f"{path.name} moved; if intentional, rerun with --update-golden"
     )
-
-
-@pytest.fixture(scope="module")
-def figure7_result():
-    return run_inflated_subscription_experiment(
-        protected=True, config=FAST, attack_start_s=30.0, duration_s=60.0
-    )
-
-
-class TestFigure1AttackSucceedsAgainstFlidDl:
-    def test_attacker_exceeds_fair_share(self, figure1_result):
-        result = figure1_result
-        assert result.average_during_kbps["F1"] > 1.8 * result.fair_share_kbps
-
-    def test_attacker_gains_relative_to_before(self, figure1_result):
-        result = figure1_result
-        assert result.average_during_kbps["F1"] > 1.5 * result.average_before_kbps["F1"]
-
-    def test_victims_squeezed_below_fair_share(self, figure1_result):
-        result = figure1_result
-        for victim in result.victim_flows():
-            assert result.average_during_kbps[victim] < 0.6 * result.fair_share_kbps
-
-    def test_fairness_collapses_during_attack(self, figure1_result):
-        result = figure1_result
-        assert result.fairness_during < 0.55
-        assert result.fairness_during < result.fairness_before
-
-    def test_series_cover_whole_run(self, figure1_result):
-        for series in figure1_result.series.values():
-            assert series[-1].time_s >= 59.0
-
-
-class TestFigure7ProtectionWithFlidDs:
-    def test_attacker_gains_nothing(self, figure7_result):
-        result = figure7_result
-        assert result.average_during_kbps["F1"] < 1.5 * max(
-            result.average_before_kbps["F1"], 0.4 * result.fair_share_kbps
-        )
-
-    def test_attacker_stays_at_or_below_fair_share(self, figure7_result):
-        result = figure7_result
-        assert result.average_during_kbps["F1"] < 1.3 * result.fair_share_kbps
-
-    def test_no_flow_is_starved(self, figure7_result):
-        result = figure7_result
-        multicast_flows = ["F1", "F2"]
-        for name in multicast_flows:
-            assert result.average_during_kbps[name] > 0.25 * result.fair_share_kbps
-        # TCP flows collectively keep at least a fair share each on average.
-        tcp_total = result.average_during_kbps["T1"] + result.average_during_kbps["T2"]
-        assert tcp_total > result.fair_share_kbps
-
-    def test_fairness_preserved_relative_to_attack(self, figure1_result, figure7_result):
-        assert figure7_result.fairness_during > figure1_result.fairness_during + 0.2
-
-
-class TestFigure8Preservation:
-    def test_average_throughput_similar_without_cross_traffic(self):
-        dl = run_throughput_vs_sessions(
-            protected=False, session_counts=(1, 2), config=FAST, duration_s=40.0
-        )
-        ds = run_throughput_vs_sessions(
-            protected=True, session_counts=(1, 2), config=FAST, duration_s=40.0
-        )
-        for count in (1, 2):
-            assert ds.average_kbps[count] > 0.6 * dl.average_kbps[count]
-            assert ds.average_kbps[count] < 1.4 * dl.average_kbps[count]
-
-    def test_receivers_get_meaningful_share_of_fair_rate(self):
-        ds = run_throughput_vs_sessions(
-            protected=True, session_counts=(2,), config=FAST, duration_s=40.0
-        )
-        assert ds.average_kbps[2] > 0.5 * ds.fair_share_kbps
-
-    def test_responsiveness_yields_and_recovers(self):
-        for protected in (False, True):
-            result = run_responsiveness(
-                protected=protected,
-                config=FAST,
-                burst_window=(20.0, 35.0),
-                duration_s=55.0,
-            )
-            assert result.yields_to_burst, f"protected={protected} did not yield"
-            assert result.recovers_after_burst, f"protected={protected} did not recover"
-
-    def test_convergence_of_staggered_receivers(self):
-        for protected in (False, True):
-            result = run_convergence(
-                protected=protected,
-                config=FAST,
-                join_times_s=(0.0, 5.0, 10.0, 15.0),
-                duration_s=35.0,
-            )
-            levels = result.final_levels
-            # Receivers that joined 15 seconds apart must end within one
-            # subscription level of each other; on longer (paper-length) runs
-            # the convergence-time metric also resolves, but the short window
-            # used here can leave it undefined while levels still agree.
-            assert max(levels) - min(levels) <= 1, f"protected={protected}: {levels}"
-            if result.converged:
-                assert result.convergence_time_s >= max(result.join_times_s)

@@ -1,5 +1,7 @@
 """Tests of the measurement instrumentation and random streams."""
 
+import json
+
 import pytest
 
 from repro.simulator.address import NodeAddress
@@ -10,6 +12,7 @@ from repro.simulator.monitors import (
     OverheadAccumulator,
     ThroughputMonitor,
     jain_fairness,
+    window_rate_bps,
 )
 from repro.simulator.node import Host
 from repro.simulator.packet import Packet
@@ -86,6 +89,47 @@ class TestThroughputMonitor:
         monitor.record(200, time_s=0.5)
         assert monitor.total_bytes == 300
         assert monitor.total_packets == 2
+
+
+#: (byte count, explicit timestamp) records; the last one steps back in time
+#: into bins the table has not seen (1, 0, 4) and into one it holds (1).
+RECORDINGS = {
+    "empty": [],
+    "steady": [(1250, 0.25), (977, 0.9), (3333, 1.5), (12_500, 2.75), (7, 6.01)],
+    "out-of-order": [(1000, 2.2), (1500, 3.7), (900, 1.4), (4000, 6.5), (60, 0.1),
+                     (333, 1.9), (2024, 4.4), (5, 7.0)],
+}
+
+#: Windows cutting bins mid-way, aligned to edges, reaching past the last
+#: bin, empty or inverted, and open-ended (``None``: up to the last bin).
+WINDOWS = [(0.0, None), (0.3, 2.6), (1.0, 3.0), (0.5, 0.75), (2.5, 40.0),
+           (9.0, 12.0), (3.0, 3.0), (4.0, 1.0), (1.7, None)]
+
+
+class TestWindowRate:
+    """``average_rate_bps`` is :func:`window_rate_bps` over :meth:`bins`, to the
+    bit, also after the bins have been through a JSON result document."""
+
+    @pytest.mark.parametrize("width", [1.0, 0.3])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("recording", sorted(RECORDINGS))
+    def test_monitor_average_is_the_window_over_its_bins(self, recording, window, width):
+        monitor = ThroughputMonitor(FakeClock(), bin_width_s=width)
+        for nbytes, time_s in RECORDINGS[recording]:
+            monitor.record(nbytes, time_s=time_s)
+        start, end = window
+        documented = json.loads(json.dumps(monitor.bins()))
+        expected = monitor.average_rate_bps(start, end)
+        assert window_rate_bps(monitor.bins(), width, start, end) == expected
+        assert window_rate_bps(documented, width, start, end) == expected
+
+    def test_bins_keep_the_table_order(self):
+        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        for nbytes, time_s in RECORDINGS["out-of-order"]:
+            monitor.record(nbytes, time_s=time_s)
+        assert monitor.bins() == [
+            (2, 1000), (1, 1233), (3, 1500), (0, 60), (4, 2024), (6, 4000), (7, 5)
+        ]
 
 
 class TestLinkMonitor:

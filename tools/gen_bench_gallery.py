@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Render the committed ``BENCH_*.json`` results into ``docs/benchmarks.md``.
 
-Every figure bench under ``benchmarks/`` writes the numbers of its table to
-``benchmarks/results/BENCH_<name>.json`` via the ``bench_record`` fixture.
-This tool — the only writer of ``docs/benchmarks.md`` — renders them into one
-generated gallery page, one section of flattened metrics per bench.  The
-documents hold simulated quantities only; speed lives in ``benchmarks/e2e``.
+Every paper figure and design ablation keeps the numbers of its table in
+``benchmarks/results/BENCH_<name>.json``: the figures are written by
+``tests/integration/test_paper_claims.py --update-golden``, the ablations by
+the benches under ``benchmarks/``.  This tool — the only writer of
+``docs/benchmarks.md`` — renders them into one generated gallery page, one
+section of flattened metrics per table.  The documents hold simulated
+quantities only; speed lives in ``benchmarks/e2e``.
 
 Stdlib-only and deterministic: the page is a pure function of the committed
 JSON files, so CI (and ``tests/docs``) can assert freshness by re-rendering
@@ -40,10 +42,12 @@ HEADER = """<!-- GENERATED FILE — do not edit.
 
 # Benchmark gallery
 
-Rendered from the committed `benchmarks/results/BENCH_*.json` documents —
-the reduced-scale figure and ablation tables that
-`python -m pytest benchmarks --ignore=benchmarks/e2e` prints.  Every number is
-a simulated quantity and a pure function of the code, so a diff on this page
+Rendered from the committed `benchmarks/results/BENCH_*.json` documents.
+The reduced-scale figure tables are held, and rewritten under
+`--update-golden`, by the tier-1 test `tests/integration/test_paper_claims.py`;
+the ablation tables are written by
+`python -m pytest benchmarks --ignore=benchmarks/e2e`.  Every number is a
+simulated quantity and a pure function of the code, so a diff on this page
 means a figure moved; regenerate with `python tools/gen_bench_gallery.py`.
 Wall time, throughput and memory are measured by `benchmarks/e2e` alone (see
 [performance.md](performance.md)).
