@@ -117,9 +117,6 @@ class AttackContext:
     def address_of(self, group: int) -> GroupAddress:
         return self.spec.address_of(group)
 
-    def group_of(self, address: GroupAddress) -> Optional[int]:
-        return self.spec.group_index_of(address)
-
     def entitled_level(self, slot: int) -> int:
         """The level the receiver legitimately holds for ``slot``."""
         entitled = getattr(self.receiver, "entitled_level", None)

@@ -66,9 +66,6 @@ class GroupKeys:
         """True when ``submitted`` matches any of the group's keys."""
         return submitted in self.valid_keys()
 
-    def with_increase(self, increase: int) -> "GroupKeys":
-        return GroupKeys(top=self.top, decrease=self.decrease, increase=increase)
-
 
 @dataclass
 class SlotKeyMaterial:
@@ -87,9 +84,6 @@ class SlotKeyMaterial:
     @property
     def group_count(self) -> int:
         return len(self.keys)
-
-    def group_keys(self, group: int) -> GroupKeys:
-        return self.keys[group]
 
     def accepts(self, group: int, submitted: int) -> bool:
         """Does ``submitted`` open ``group`` in this slot?"""

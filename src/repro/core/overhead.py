@@ -88,10 +88,6 @@ class OverheadModel:
         """Average data packets per slot for the whole session (Eq. 11)."""
         return self.cumulative_rate_bps * self.slot_duration_s / self.data_bits_per_packet
 
-    def minimal_group_packets_per_slot(self) -> float:
-        """Average data packets per slot for group 1 (Eq. 12)."""
-        return self.minimal_rate_bps * self.slot_duration_s / self.data_bits_per_packet
-
     # ------------------------------------------------------------------
     # overhead expressions
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ histories after :meth:`run`.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -68,7 +69,43 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
+
+#: The only non-``repro`` globals a checkpoint names: bound methods pickle as
+#: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
+_CHECKPOINT_STDLIB = {
+    ("builtins", "getattr"), ("collections", "deque"), ("itertools", "count"), ("random", "Random")
+}
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Resolves only the globals a checkpoint legitimately names.
+
+    A ``ck_*.pkl`` blob comes from a directory the daemon shares with its
+    clients.  It may name :data:`_CHECKPOINT_STDLIB` and the classes and
+    functions ``repro`` *defines* (not what a ``repro`` module imports), and
+    its ``getattr`` refuses dunder names, the step from a function to its
+    module's globals; anything else raises before it runs.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _CHECKPOINT_STDLIB:
+            found = super().find_class(module, name)
+            return _checkpoint_getattr if found is getattr else found
+        if module == "repro" or module.startswith("repro."):
+            found = super().find_class(module, name)
+            home = getattr(found, "__module__", None) or ""
+            if home == "repro" or home.startswith("repro."):
+                return found
+        raise pickle.UnpicklingError(f"checkpoint names a disallowed global {module}.{name}")
+
+
+def _checkpoint_getattr(obj: Any, name: str) -> Any:
+    """``getattr`` as a checkpoint may call it: never for a dunder attribute."""
+    if name.startswith("__"):
+        raise pickle.UnpicklingError(f"checkpoint reaches for attribute {name!r}")
+    return getattr(obj, name)
+
 
 __all__ = ["MulticastSession", "Scenario"]
 
@@ -491,11 +528,11 @@ class Scenario:
     def checkpoint(self) -> bytes:
         """Serialise the complete live simulation state into one blob.
 
-        Every piece of mutable state — the two event lanes, timer groups,
-        named RNG streams, SIGMA/IGMP agents, monitors
-        and receivers — hangs off this object graph, and every
-        scheduled callable is a named bound method, so a single pickle
-        captures the full simulation.  Rebuild with :meth:`restore`.
+        Every piece of mutable state — the event heap, timer groups, link
+        backlogs, named RNG streams, SIGMA/IGMP agents, monitors and
+        receivers — hangs off this object graph, and every scheduled
+        callable is a named bound method, so a single pickle captures the
+        full simulation.  Rebuild with :meth:`restore`.
         """
         return pickle.dumps(
             (CHECKPOINT_VERSION, self), protocol=pickle.HIGHEST_PROTOCOL
@@ -506,9 +543,11 @@ class Scenario:
         """Rebuild a checkpointed scenario from :meth:`checkpoint` output.
 
         Raises :class:`ValueError` when the blob was written by an
-        incompatible checkpoint layout (callers treat that as a cache miss).
+        incompatible checkpoint layout and :class:`pickle.UnpicklingError`
+        when it names a global outside :class:`_CheckpointUnpickler`'s
+        allow-list; callers treat both as a cache miss.
         """
-        payload = pickle.loads(blob)
+        payload = _CheckpointUnpickler(io.BytesIO(blob)).load()
         if (
             not isinstance(payload, tuple)
             or len(payload) != 2

@@ -299,25 +299,23 @@ class LayeredReceiverBase(PacketAgent):
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
         """Record one data packet of the session under its sender slot."""
-        if packet.headers.get(headers.SESSION) != self.spec.session_id:
+        fields = packet.headers
+        if fields.get(headers.SESSION) != self.spec.session_id:
             return
-        group = packet.headers[headers.GROUP]
-        slot = packet.headers[headers.SLOT]
-        seq = packet.headers[headers.GROUP_SEQ]
-        self.monitor.record(packet.size_bytes)
+        group = fields[headers.GROUP]
+        slot = fields[headers.SLOT]
+        seq = fields[headers.GROUP_SEQ]
+        size_bytes = packet.size_bytes
+        self.monitor.record(size_bytes)
         self._seen_groups.add(group)
 
-        record = self._slots.setdefault(slot, SlotRecord(slot=slot))
-        record.bytes_received += packet.size_bytes
-        record.packets.setdefault(group, []).append(
-            (
-                seq,
-                packet.headers.get(headers.COMPONENT),
-                packet.headers.get(headers.DECREASE),
-            )
-        )
-        record.upgrade_groups.update(packet.headers.get(headers.UPGRADE_GROUPS, ()))
-        if packet.headers.get(headers.CLOSING):
+        # A record or list is built only when missing, not per packet.
+        record = self._slots.get(slot) or self._slots.setdefault(slot, SlotRecord(slot=slot))
+        record.bytes_received += size_bytes
+        arrivals = record.packets.get(group) or record.packets.setdefault(group, [])
+        arrivals.append((seq, fields.get(headers.COMPONENT), fields.get(headers.DECREASE)))
+        record.upgrade_groups.update(fields.get(headers.UPGRADE_GROUPS, ()))
+        if fields.get(headers.CLOSING):
             record.closing_seen.add(group)
 
         # Gap detection with re-baselining: a sequence jump only counts as a

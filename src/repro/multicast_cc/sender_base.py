@@ -25,11 +25,11 @@ catch-up invariant: **no draw from** ``self.rng`` **and no membership read
 without** :meth:`LayeredSenderBase._catch_up` **first**.  It replays, in time
 order, every parked tick that lies before ``sim.now`` — one jitter draw and
 one ``packets_suppressed`` count each, exactly what the tick would have done
-as an engine event — and runs at the top of every live tick, ahead of every
-slot-start hook, in the first-member hook, in :meth:`LayeredSenderBase.stop`
-and on every read of ``packets_suppressed``.  RNG stream, tick times, packets
-and counters are therefore those of a sender that fires every tick; the
-per-tick loop survives as the oracle in
+as an engine event — and runs at the top of every live tick that finds one
+due, ahead of every slot-start hook, in the first-member hook, in
+:meth:`LayeredSenderBase.stop` and on every read of ``packets_suppressed``.
+RNG stream, tick times, packets and counters are therefore those of a sender
+that fires every tick; the per-tick loop survives as the oracle in
 ``tests/multicast_cc/test_sender_parking.py``.
 """
 
@@ -50,9 +50,11 @@ from .session import SessionSpec
 
 __all__ = ["LayeredSenderBase"]
 
-# Tick spacing is the nominal interval times ``rng.uniform(0.9, 1.1)``,
-# spelled out as the ``a + (b - a) * random()`` that ``uniform`` computes so
-# the catch-up loop pays one C call per replayed tick.
+# Tick spacing is the nominal interval times ``rng.uniform(0.9, 1.1)``: the
+# mean rate is unchanged, but the de-phasing keeps the strictly periodic layer
+# schedules from locking competing TCP flows out of the drop-tail bottleneck
+# queue.  It is spelled out as the ``a + (b - a) * random()`` that ``uniform``
+# computes, in place wherever a tick draws it, so a tick pays one C call.
 _JITTER_LOW = 0.9
 _JITTER_SPAN = 1.1 - 0.9
 
@@ -87,7 +89,10 @@ class LayeredSenderBase:
         groups = range(1, spec.group_count + 1)
         self._group_address = [None] + [spec.address_of(g) for g in groups]
         self._interval_s = [0.0] + [spec.packet_interval_s(g) for g in groups]
+        self._group_key = [0] + [address.value for address in self._group_address[1:]]
         self._pool = network.multicast.packet_pool
+        #: The multicast service's member sets, read in place by every tick.
+        self._members = network.multicast._members
 
         self._group_seq: Dict[int, int] = {g: 0 for g in range(1, spec.group_count + 1)}
         self._current_upgrades: Tuple[int, ...] = ()
@@ -167,31 +172,32 @@ class LayeredSenderBase:
     def _transmit_group(self, group: int, epoch: int) -> None:
         if epoch != self._epoch:
             return
-        self._catch_up()
+        now = self.sim.now
+        parked = self._parked
+        if parked and parked[0][0] < now:
+            self._catch_up()
         interval = self._interval_s[group]
-        if self.suppress_unsubscribed_groups and not self._has_subscribers(group):
+        if self.suppress_unsubscribed_groups and not self._members.get(self._group_key[group]):
             self._packets_suppressed += 1
-            heappush(self._parked, (self.sim.now + self._jittered(interval), group))
+            spacing = interval * (_JITTER_LOW + _JITTER_SPAN * self.rng.random())
+            heappush(parked, (now + spacing, group))
             return
         self._send_group_packet(group, interval)
-        self.sim.call_after(self._jittered(interval), self._transmit_group, group, epoch)
-
-    def _jittered(self, interval: float) -> float:
-        """Spacing to the next tick: ±10 % around the nominal interval.
-
-        The mean rate is unchanged, but the de-phasing prevents the strictly
-        periodic layer schedules from locking competing TCP flows out of the
-        drop-tail bottleneck queue.
-        """
-        return interval * (_JITTER_LOW + _JITTER_SPAN * self.rng.random())
+        spacing = interval * (_JITTER_LOW + _JITTER_SPAN * self.rng.random())
+        self.sim.call_after(spacing, self._transmit_group, group, epoch)
 
     def _has_subscribers(self, group: int) -> bool:
+        """The membership test :meth:`_transmit_group` makes in place."""
         return self.network.multicast.has_members(self._group_address[group])
 
     def _send_group_packet(self, group: int, interval: float) -> None:
-        slot = self.slot_clock.current_slot
-        slot_end = self.slot_clock.end_of(slot)
-        is_last_in_slot = (self.sim.now + interval) >= (slot_end - 1e-9)
+        now = self.sim.now
+        clock = self.slot_clock
+        origin = clock.origin_s
+        duration = clock.duration_s
+        # ``SlotClock.current_slot`` and ``end_of``, in place: this runs per packet.
+        slot = int((now - origin) / duration) if now >= origin else -1
+        is_last_in_slot = (now + interval) >= (origin + (slot + 1) * duration - 1e-9)
         seq = self._group_seq[group]
         self._group_seq[group] = seq + 1
         # DATA packets dominate the allocation profile; draw them from the
@@ -209,7 +215,7 @@ class LayeredSenderBase:
                 headers.UPGRADE_GROUPS: self._current_upgrades,
                 headers.CLOSING: is_last_in_slot,
             },
-            created_at=self.sim.now,
+            created_at=now,
         )
         self._decorate_packet(packet, group, is_last_in_slot)
         self.packets_sent += 1
@@ -222,17 +228,17 @@ class LayeredSenderBase:
     def _catch_up(self) -> None:
         """Replay, in time order, every parked tick that lies before ``sim.now``."""
         parked = self._parked
-        now = self.sim.now
-        if not parked or parked[0][0] >= now:
+        if not parked:
             return
+        now = self.sim.now
         interval_s = self._interval_s
         random = self.rng.random
         replayed = 0
-        while parked[0][0] < now:
-            time, group = parked[0]
-            # :meth:`_jittered`, inlined: this loop runs once per idle tick.
+        time, group = parked[0]
+        while time < now:
             time += interval_s[group] * (_JITTER_LOW + _JITTER_SPAN * random())
             heapreplace(parked, (time, group))
+            time, group = parked[0]
             replayed += 1
         self._packets_suppressed += replayed
 
@@ -253,9 +259,3 @@ class LayeredSenderBase:
         """Ticks that found their group without members, as of ``sim.now``."""
         self._catch_up()
         return self._packets_suppressed
-
-    # ------------------------------------------------------------------
-    @property
-    def current_upgrades(self) -> Tuple[int, ...]:
-        """Upgrade authorisations in force for the current slot."""
-        return self._current_upgrades

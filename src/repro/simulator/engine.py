@@ -289,7 +289,8 @@ class Simulator:
             ``until`` so periodic post-processing sees a consistent end time.
         max_events:
             Optional hard cap on the number of events to execute, useful as
-            a safety net in tests.
+            a safety net in tests.  A run the cap stops leaves the clock at
+            the last event executed, so the next :meth:`run` picks up there.
         inclusive:
             When ``False``, events scheduled at exactly ``until`` are left
             queued instead of executed — the slot-barrier cut used by
@@ -316,7 +317,11 @@ class Simulator:
                 executed += 1
         finally:
             self._events_executed += executed
-        if until is not None and self._now < until and not self._stopped:
+        # Advance only across an empty stretch: after a ``max_events`` stop,
+        # events the run should have reached are still queued.
+        if until is not None and self._now < until and not self._stopped and (
+            not heap or heap[0][0] > until or (not inclusive and heap[0][0] >= until)
+        ):
             self._now = until
 
     def stop(self) -> None:

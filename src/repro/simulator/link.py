@@ -14,11 +14,13 @@ Packet timing follows the textbook store-and-forward model:
 * packets arriving while the link transmits are held in the output queue and
   dropped when the queue is full.
 
-Both times are known the moment serialization starts, so that is when the
-link schedules the packet's delivery — its only event on an idle link.  The
-link remembers when the wire falls free (``_busy_until``) instead of waking
-up to find out; a ``_drain`` event exists only while packets wait in the
-queue.
+The queue is FIFO, so an admitted packet starts serializing when the wire
+falls free — at once on an idle link, at the end of the backlog otherwise —
+and both that instant and its arrival at the far end are known the moment
+the queue admits it.  That is when the link schedules the packet's delivery,
+its one and only event.  The link remembers when the wire falls free
+(``_busy_until``) instead of waking up to find out, and the queue retires
+waiting packets by their start times (:mod:`repro.simulator.queues`).
 
 The default queue capacity is two bandwidth-delay products, the setting used
 throughout the paper's evaluation (§5.1).
@@ -50,18 +52,26 @@ def default_buffer_bytes(bandwidth_bps: float, delay_s: float, multiple: float =
 
 
 class LinkStats:
-    """Per-link transmission counters."""
+    """Per-link transmission counters.
 
-    def __init__(self) -> None:
-        self.transmitted_packets = 0
-        self.transmitted_bytes = 0
+    A packet counts as transmitted once its serialization has started —
+    exactly what the link's queue counts as dequeued, read from there as of
+    the current instant — and as delivered once it reached the far end.
+    """
+
+    def __init__(self, queue: DropTailQueue) -> None:
+        self._queue = queue
         self.delivered_packets = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"LinkStats(tx_pkts={self.transmitted_packets}, "
-            f"tx_bytes={self.transmitted_bytes})"
-        )
+    @property
+    def transmitted_packets(self) -> int:
+        """Packets whose serialization has started."""
+        return self._queue.stats.dequeued_packets
+
+    @property
+    def transmitted_bytes(self) -> int:
+        """Bytes of the packets whose serialization has started."""
+        return self._queue.stats.dequeued_bytes
 
 
 class Link:
@@ -91,12 +101,12 @@ class Link:
         self.queue = (
             queue if queue is not None else DropTailQueue(default_buffer_bytes(bandwidth_bps, delay_s))
         )
+        self.queue.clock = sim
         self.name = name or f"{src.name}->{dst.name}"
-        self.stats = LinkStats()
-        #: Time at which the packet on the wire (if any) finishes serializing.
+        self.stats = LinkStats(self.queue)
+        #: Time at which the last admitted packet finishes serializing: the
+        #: end of the backlog.
         self._busy_until = 0.0
-        #: True while a ``_drain`` event is armed, i.e. the queue is non-empty.
-        self._draining = False
         #: Optional hook invoked with every packet dropped at this link's queue.
         self.on_drop: Optional[Callable[[Packet], None]] = None
 
@@ -107,11 +117,7 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized or others wait behind it."""
-        return self._draining or self.sim.now < self._busy_until
-
-    def transmission_time(self, packet: Packet) -> float:
-        """Serialization delay of ``packet`` on this link."""
-        return packet.size_bits / self.bandwidth_bps
+        return self.sim.now < self._busy_until
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -120,25 +126,20 @@ class Link:
         Returns True when the packet was queued (or started transmitting)
         and False when the drop-tail queue rejected it.
 
-        A packet that finds the link idle costs one event, its delivery; a
-        packet that finds it busy waits in the queue, and a ``_drain`` event
-        exists only while something waits.
+        An admitted packet costs one event, its delivery, whether it finds
+        the link idle or waits behind a backlog.
         """
-        if self._draining:
-            accepted = self.queue.enqueue(packet)
-        else:
-            sim = self.sim
-            now = sim.now
-            if now < self._busy_until:
-                accepted = self.queue.enqueue(packet)
-                if accepted:
-                    self._draining = True
-                    sim.call_at(self._busy_until, self._drain)
-            else:
-                accepted = self.queue.transit(packet)
-                if accepted:
-                    self._transmit(packet, now)
-        if accepted:
+        sim = self.sim
+        now = sim.now
+        start = self._busy_until
+        if self.queue.admit(packet, now, start):
+            if start < now:
+                start = now
+            # Serialization ends after size/bandwidth, when the link is free
+            # for the next packet; this one arrives a propagation delay later.
+            done = start + packet.size_bytes * 8 / self.bandwidth_bps
+            self._busy_until = done
+            sim.call_at(done + self.delay_s, self._deliver, packet)
             return True
         if self.on_drop is not None:
             self.on_drop(packet)
@@ -147,32 +148,6 @@ class Link:
             # A dropped pool replica has no remaining consumer: recycle.
             pool.release(packet)
         return False
-
-    # ------------------------------------------------------------------
-    def _transmit(self, packet: Packet, now: float) -> None:
-        """Put ``packet`` on the wire at ``now`` and schedule its one event."""
-        size_bytes = packet.size_bytes
-        stats = self.stats
-        stats.transmitted_packets += 1
-        stats.transmitted_bytes += size_bytes
-        # Serialization ends after size/bandwidth, when the link is free for
-        # the next packet; this one arrives a propagation delay later.
-        done = now + size_bytes * 8 / self.bandwidth_bps
-        self._busy_until = done
-        self.sim.call_at(done + self.delay_s, self._deliver, packet)
-
-    def _drain(self) -> None:
-        """Serialization just ended with packets waiting: start the next."""
-        queue = self.queue
-        packet = queue.dequeue()
-        if packet is not None:
-            # Armed at ``_busy_until`` and nothing else transmits meanwhile,
-            # so that is the current time.
-            self._transmit(packet, self._busy_until)
-            if not queue.is_empty:
-                self.sim.call_at(self._busy_until, self._drain)
-                return
-        self._draining = False
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1

@@ -201,11 +201,11 @@ class LinkMonitor:
     def _bits_on_wire(self) -> float:
         """Bits the link has serialized up to now.
 
-        ``stats.transmitted_bytes`` counts a packet when its serialization
-        starts; the part still to go onto the wire is taken back off.
+        Every byte the queue admitted is booked; the backlog still to go
+        onto the wire, which ends at ``_busy_until``, is taken back off.
         """
         link = self.link
-        bits = link.stats.transmitted_bytes * 8
+        bits = link.queue.stats.enqueued_bytes * 8
         remaining_s = link._busy_until - self._clock.now
         if remaining_s > 0:
             bits -= remaining_s * link.bandwidth_bps

@@ -134,12 +134,6 @@ class Host(Node):
         """Register an agent interested in packets of a multicast group."""
         self._group_agents.setdefault(int(group), []).append(agent)
 
-    def unregister_group_agent(self, group: GroupAddress, agent: PacketAgent) -> None:
-        """Remove a previously registered group agent (no-op when absent)."""
-        agents = self._group_agents.get(int(group), [])
-        if agent in agents:
-            agents.remove(agent)
-
     # ------------------------------------------------------------------
     # sending and receiving
     # ------------------------------------------------------------------

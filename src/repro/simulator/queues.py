@@ -6,16 +6,18 @@ therefore the workhorse of this reproduction; a RED-like marking queue is
 also provided because §3.1.2 describes an ECN variant of DELTA in which edge
 routers scramble the component field of marked packets.
 
-Queues count bytes, packets and drops so monitors and tests can assert
-conservation properties (every enqueued packet is eventually dequeued or
-counted as dropped).
+A link schedules each packet's delivery when its queue admits it
+(:mod:`repro.simulator.link`), so a queue holds no packets: it keeps the start
+time and size of every admitted packet not yet on the wire and retires them
+lazily by time.  Every reading is taken as of the clock's current instant,
+and every admitted packet is eventually dequeued, every rejected one dropped.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Tuple
 
 from .packet import Packet
 
@@ -28,7 +30,11 @@ __all__ = [
 
 @dataclass
 class QueueStats:
-    """Counters exposed by every queue implementation."""
+    """Counters exposed by every queue implementation.
+
+    ``enqueued_*`` count admitted packets, ``dequeued_*`` those whose
+    serialization has started and ``dropped_*`` the rejected ones.
+    """
 
     enqueued_packets: int = 0
     dequeued_packets: int = 0
@@ -37,11 +43,6 @@ class QueueStats:
     dequeued_bytes: int = 0
     dropped_bytes: int = 0
     marked_packets: int = 0
-
-    @property
-    def packets_in_flight(self) -> int:
-        """Packets accepted but not yet dequeued."""
-        return self.enqueued_packets - self.dequeued_packets
 
     def conservation_holds(self, currently_queued: int) -> bool:
         """Check the enqueue = dequeue + drop + queued invariant."""
@@ -56,96 +57,89 @@ class DropTailQueue:
     The capacity is expressed in bytes (the natural unit for a queue sized in
     bandwidth-delay products).  A packet is accepted only if it fits entirely
     within the remaining capacity, which matches NS-2's byte-mode DropTail
-    behaviour closely enough for the paper's experiments.
+    behaviour closely enough for the paper's experiments.  A packet whose
+    serialization starts at the arrival instant has left the queue: at a
+    hand-over instant the packet going onto the wire no longer counts.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"queue capacity must be positive (got {capacity_bytes})")
         self.capacity_bytes = capacity_bytes
-        self._queue: deque[Packet] = deque()
+        #: ``(start time, size)`` of every admitted packet not yet on the
+        #: wire, in FIFO (hence start-time) order.
+        self._waiting: Deque[Tuple[float, int]] = deque()
         self._queued_bytes = 0
-        self.stats = QueueStats()
+        self._stats = QueueStats()
+        #: What readings retire waiting packets by (anything with ``now``);
+        #: the link that owns the queue sets it to its simulator.
+        self.clock = None
 
     # ------------------------------------------------------------------
+    def _retire(self, now: float) -> None:
+        """Dequeue every waiting packet whose serialization started by ``now``."""
+        waiting = self._waiting
+        stats = self._stats
+        while waiting and waiting[0][0] <= now:
+            size_bytes = waiting.popleft()[1]
+            self._queued_bytes -= size_bytes
+            stats.dequeued_packets += 1
+            stats.dequeued_bytes += size_bytes
+
+    def _settle(self) -> None:
+        """Bring the readings up to the clock's current instant."""
+        if self.clock is not None:
+            self._retire(self.clock.now)
+
+    @property
+    def stats(self) -> QueueStats:
+        """The counters, as of the clock's current instant."""
+        self._settle()
+        return self._stats
+
     def __len__(self) -> int:
-        return len(self._queue)
+        self._settle()
+        return len(self._waiting)
 
     @property
     def queued_bytes(self) -> int:
         """Bytes currently held in the queue."""
+        self._settle()
         return self._queued_bytes
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no packet is queued."""
-        return not self._queue
-
-    def occupancy(self) -> float:
-        """Fraction of the byte capacity currently in use (0.0 - 1.0)."""
-        return self._queued_bytes / self.capacity_bytes
-
     # ------------------------------------------------------------------
-    def enqueue(self, packet: Packet) -> bool:
-        """Try to accept ``packet``; returns False (and counts a drop) when full."""
-        if self._queued_bytes + packet.size_bytes > self.capacity_bytes:
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size_bytes
-            return False
-        self._queue.append(packet)
-        self._queued_bytes += packet.size_bytes
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size_bytes
-        return True
+    def admit(self, packet: Packet, now: float, start: float) -> bool:
+        """Admit ``packet``, arriving at ``now``, for serialization at ``start``.
 
-    def transit(self, packet: Packet) -> bool:
-        """``enqueue`` then ``dequeue`` of an *empty* queue, in one step.
-
-        What a link calls for a packet it can serialize at once: the same
-        capacity check and the same four counters, no deque traffic.  An
-        empty queue is below every legal marking threshold, so
-        :class:`ECNMarkingQueue` inherits this unchanged.
+        ``start`` is when the wire falls free: ``now`` or earlier on an idle
+        link, the end of the backlog otherwise.  Returns False (and counts a
+        drop) when the packet does not fit beside the packets still waiting.
         """
+        waiting = self._waiting
+        if waiting and waiting[0][0] <= now:
+            self._retire(now)
         size_bytes = packet.size_bytes
-        stats = self.stats
-        if size_bytes > self.capacity_bytes:
+        stats = self._stats
+        if self._queued_bytes + size_bytes > self.capacity_bytes:
             stats.dropped_packets += 1
             stats.dropped_bytes += size_bytes
             return False
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size_bytes
-        stats.dequeued_packets += 1
-        stats.dequeued_bytes += size_bytes
+        if start > now:
+            waiting.append((start, size_bytes))
+            self._queued_bytes += size_bytes
+        else:
+            stats.dequeued_packets += 1
+            stats.dequeued_bytes += size_bytes
         return True
-
-    def dequeue(self) -> Optional[Packet]:
-        """Remove and return the head-of-line packet, or None when empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self._queued_bytes -= packet.size_bytes
-        self.stats.dequeued_packets += 1
-        self.stats.dequeued_bytes += packet.size_bytes
-        return packet
-
-    def peek(self) -> Optional[Packet]:
-        """Return the head-of-line packet without removing it."""
-        return self._queue[0] if self._queue else None
-
-    def clear(self) -> None:
-        """Discard all queued packets (counted as drops)."""
-        while self._queue:
-            packet = self._queue.popleft()
-            self._queued_bytes -= packet.size_bytes
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size_bytes
 
 
 class ECNMarkingQueue(DropTailQueue):
     """Drop-tail queue that additionally marks packets above a threshold.
 
     When the instantaneous occupancy exceeds ``mark_threshold`` (a fraction
-    of capacity), arriving ECN-capable packets are marked instead of relying
+    of capacity), admitted ECN-capable packets are marked instead of relying
     solely on loss.  The ECN DELTA variant (§3.1.2) uses the mark as the
     trigger for edge routers to scramble the packet's component field so
     marked packets cannot contribute to key reconstruction.
@@ -159,9 +153,13 @@ class ECNMarkingQueue(DropTailQueue):
             )
         self.mark_threshold = mark_threshold
 
-    def enqueue(self, packet: Packet) -> bool:
-        """Mark the packet when occupancy exceeds the threshold, then enqueue."""
-        if self.occupancy() >= self.mark_threshold:
+    def admit(self, packet: Packet, now: float, start: float) -> bool:
+        """Admit as drop-tail does; mark the packet if it found the threshold reached."""
+        self._retire(now)
+        crowded = self._queued_bytes / self.capacity_bytes >= self.mark_threshold
+        if not super().admit(packet, now, start):
+            return False
+        if crowded:
             packet.ecn = True
-            self.stats.marked_packets += 1
-        return super().enqueue(packet)
+            self._stats.marked_packets += 1
+        return True

@@ -42,7 +42,7 @@ from repro.experiments.runner import (
     prune_cache,
     run_job,
 )
-from repro.experiments.scenario import CHECKPOINT_VERSION
+from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
 from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
 from repro.simulator.engine import Simulator
 
@@ -398,7 +398,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 6
+    assert CHECKPOINT_VERSION == 7
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -441,7 +441,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 6
+    assert CHECKPOINT_VERSION == 7
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -457,6 +457,39 @@ def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False
     assert store.load(key) is not None  # rebuilt and republished
+
+
+#: Hand-written protocol-0 blobs.  Under a plain ``pickle.loads`` the first
+#: two run ``touch {marker}`` and the third hands back a module's globals.
+HOSTILE_BLOBS = {
+    # The stdlib gadget itself.
+    "os.system": "cos\nsystem\n(S'touch {marker}'\ntR.",
+    # The same function, reached through a module a repro module imports.
+    "repro re-export": (
+        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nos\nS'system'\ntR"
+        "(S'touch {marker}'\ntR."
+    ),
+    # From a repro function to its module's globals, and on to ``os``.
+    "dunder attribute": (
+        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nrun_checkpoint_json\n"
+        "S'__globals__'\ntR."
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BLOBS))
+def test_blob_naming_a_disallowed_global_is_a_miss_and_runs_nothing(name, tmp_path):
+    marker = tmp_path / "ran"
+    blob = HOSTILE_BLOBS[name].format(marker=marker).encode()
+    with pytest.raises(pickle.UnpicklingError):
+        Scenario.restore(blob)
+    key = plan_prefix(
+        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    ).checkpoint_key()
+    store = CheckpointStore(tmp_path)
+    store.path(key).write_bytes(blob)
+    assert store.load(key) is None  # a miss, like a torn blob
+    assert not marker.exists()
 
 
 def test_checkpoint_key_is_the_same_in_every_interpreter():

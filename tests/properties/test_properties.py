@@ -10,6 +10,7 @@ order-preserving.
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,14 +186,18 @@ class TestQueueProperties:
     @given(sizes=st.lists(st.integers(min_value=1, max_value=2000), max_size=60))
     def test_enqueue_dequeue_drop_accounting(self, sizes):
         queue = DropTailQueue(capacity_bytes=5000)
-        for size in sizes:
-            queue.enqueue(
-                Packet(source=NodeAddress(1), destination=NodeAddress(2), size_bytes=size)
+        queue.clock = clock = SimpleNamespace(now=0.0)
+        for n, size in enumerate(sizes):
+            queue.admit(
+                Packet(source=NodeAddress(1), destination=NodeAddress(2), size_bytes=size),
+                0.0,
+                1.0 + n,
             )
-        drained = 0
-        while queue.dequeue() is not None:
-            drained += 1
+        waiting = len(queue)
         stats = queue.stats
         assert stats.enqueued_packets + stats.dropped_packets == len(sizes)
-        assert stats.dequeued_packets == drained == stats.enqueued_packets
+        assert stats.conservation_holds(currently_queued=waiting)
+        clock.now = float(len(sizes))
+        stats = queue.stats
+        assert stats.dequeued_packets == stats.enqueued_packets
         assert queue.queued_bytes == 0

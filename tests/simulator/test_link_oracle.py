@@ -1,18 +1,20 @@
 """The two-event link, kept as the oracle of the one-event link.
 
-Until this suite's PR a link spent two events on every packet: a
-``_transmission_complete`` when serialisation ended (which then looked for
-the next queued packet) and a ``_deliver`` one propagation delay later.
-:class:`~repro.simulator.link.Link` now schedules the delivery when
-serialisation *starts* and arms a ``_drain`` event only while packets wait.
-:class:`TwoEventLink` below is the old implementation, verbatim, and the
-tests drive both with the same arrivals and demand the same deliveries,
-counters, drops and marks — the way ``PerTickLoop`` is kept for the parked
-sender ticks.
+A link used to spend two events on every packet: a ``_transmission_complete``
+when serialisation ended (which then looked for the next queued packet) and
+a ``_deliver`` one propagation delay later.  :class:`~repro.simulator.link.Link`
+now schedules the delivery when its queue *admits* the packet — at the end
+of the backlog ahead of it — and its queue keeps start times, not packets.
+:class:`TwoEventLink` and :class:`PacketFifo` below are the old link and the
+old packet-holding queue, and the tests drive both links with the same
+arrivals and demand the same deliveries, counters, drops and marks — the way
+``PerTickLoop`` is kept for the parked sender ticks.
 """
 
 import dataclasses
 import random
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,20 +23,75 @@ from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.node import Node
 from repro.simulator.packet import Packet
-from repro.simulator.queues import DropTailQueue, ECNMarkingQueue
+from repro.simulator.queues import DropTailQueue, ECNMarkingQueue, QueueStats
 
 BANDWIDTH_BPS = 1e6
 DELAY_S = 0.01
 CAPACITY_BYTES = 4000
+MARK_THRESHOLD = 0.4
 #: Serialisation time of a 576-byte packet, spelled the way the link spells it.
 TX_576_S = 576 * 8 / BANDWIDTH_BPS
 
 
-class TwoEventLink(Link):
-    """The parent commit's link: a completion event, then a delivery event."""
+class PacketFifo:
+    """The old drop-tail queue: the waiting packets themselves, in a deque.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    With a ``mark_threshold`` it is the ECN queue, marking only packets it
+    admits.
+    """
+
+    def __init__(self, capacity_bytes, mark_threshold=None) -> None:
+        self.capacity_bytes = capacity_bytes
+        self.mark_threshold = mark_threshold
+        self._queue = deque()
+        self._queued_bytes = 0
+        self.stats = QueueStats()
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def enqueue(self, packet: Packet) -> bool:
+        stats = self.stats
+        size_bytes = packet.size_bytes
+        if self._queued_bytes + size_bytes > self.capacity_bytes:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size_bytes
+            return False
+        if (
+            self.mark_threshold is not None
+            and self._queued_bytes / self.capacity_bytes >= self.mark_threshold
+        ):
+            packet.ecn = True
+            stats.marked_packets += 1
+        self._queue.append(packet)
+        self._queued_bytes += size_bytes
+        stats.enqueued_packets += 1
+        stats.enqueued_bytes += size_bytes
+        return True
+
+    def dequeue(self):
+        if not self._queue:
+            return None
+        packet = self._queue.popleft()
+        self._queued_bytes -= packet.size_bytes
+        self.stats.dequeued_packets += 1
+        self.stats.dequeued_bytes += packet.size_bytes
+        return packet
+
+
+class TwoEventLink:
+    """The old link: a completion event, then a delivery event."""
+
+    def __init__(self, sim, src, dst, bandwidth_bps, delay_s, queue) -> None:
+        self.sim = sim
+        self.dst = dst
+        self.bandwidth_bps = bandwidth_bps
+        self.delay_s = delay_s
+        self.queue = queue
+        self.stats = SimpleNamespace(
+            transmitted_packets=0, transmitted_bytes=0, delivered_packets=0
+        )
+        self.on_drop = None
         self._busy = False
 
     @property
@@ -42,13 +99,9 @@ class TwoEventLink(Link):
         return self._busy
 
     def send(self, packet: Packet) -> bool:
-        accepted = self.queue.enqueue(packet)
-        if not accepted:
+        if not self.queue.enqueue(packet):
             if self.on_drop is not None:
                 self.on_drop(packet)
-            pool = packet._pool
-            if pool is not None:
-                pool.release(packet)
             return False
         if not self._busy:
             self._start_next_transmission()
@@ -71,6 +124,11 @@ class TwoEventLink(Link):
         self.sim.call_after(self.delay_s, self._deliver, packet)
         self._start_next_transmission()
 
+    def _deliver(self, packet: Packet) -> None:
+        self.stats.delivered_packets += 1
+        packet.hop_count += 1
+        self.dst.receive(packet, self)
+
 
 class Sink(Node):
     """Far end of the link: logs ``(time, tag, ecn)`` of every delivery."""
@@ -83,15 +141,31 @@ class Sink(Node):
         self.deliveries.append((self.sim.now, packet.headers["tag"], packet.ecn))
 
 
+#: Queue name -> (oracle queue, queue of the real link).
+QUEUES = {
+    "drop-tail": (
+        lambda: PacketFifo(CAPACITY_BYTES),
+        lambda: DropTailQueue(CAPACITY_BYTES),
+    ),
+    "ecn": (
+        lambda: PacketFifo(CAPACITY_BYTES, MARK_THRESHOLD),
+        lambda: ECNMarkingQueue(CAPACITY_BYTES, mark_threshold=MARK_THRESHOLD),
+    ),
+}
+
+
 class Harness:
     """One link of the given class between two nodes, with a drop log."""
 
-    def __init__(self, link_cls, queue_factory) -> None:
+    def __init__(self, link_cls, queue_name="drop-tail", queue=None) -> None:
         self.sim = Simulator()
         self.sink = Sink(self.sim)
         source = Node(self.sim, "source", NodeAddress(1))
+        if queue is None:
+            oracle_queue, real_queue = QUEUES[queue_name]
+            queue = (oracle_queue if link_cls is TwoEventLink else real_queue)()
         self.link = link_cls(
-            self.sim, source, self.sink, BANDWIDTH_BPS, DELAY_S, queue=queue_factory()
+            self.sim, source, self.sink, BANDWIDTH_BPS, DELAY_S, queue=queue
         )
         self.drops = []
         self.link.on_drop = lambda packet: self.drops.append(
@@ -109,19 +183,19 @@ class Harness:
         self.sim.run()
 
     def observed(self) -> dict:
+        """Everything both links must agree on, read once the run has drained."""
+        stats = self.link.stats
         return {
             "deliveries": self.sink.deliveries,
             "drops": self.drops,
-            "link": dict(vars(self.link.stats)),
+            "link": {
+                "transmitted_packets": stats.transmitted_packets,
+                "transmitted_bytes": stats.transmitted_bytes,
+                "delivered_packets": stats.delivered_packets,
+            },
             "queue": dataclasses.asdict(self.link.queue.stats),
             "left_in_queue": len(self.link.queue),
         }
-
-
-QUEUES = {
-    "drop-tail": lambda: DropTailQueue(CAPACITY_BYTES),
-    "ecn": lambda: ECNMarkingQueue(CAPACITY_BYTES, mark_threshold=0.4),
-}
 
 
 def arrival_process(seed: int, count: int = 400):
@@ -151,7 +225,7 @@ def arrival_process(seed: int, count: int = 400):
 def both(queue_name, arrivals):
     observed = []
     for link_cls in (TwoEventLink, Link):
-        harness = Harness(link_cls, QUEUES[queue_name])
+        harness = Harness(link_cls, queue_name)
         harness.play(arrivals)
         observed.append(harness.observed())
     return observed
@@ -188,9 +262,47 @@ def test_packet_larger_than_the_queue_is_dropped_on_an_idle_link(queue_name):
     assert actual["queue"]["dropped_bytes"] == CAPACITY_BYTES + 1
 
 
+def hand_over_arrival(link_cls, late: bool) -> dict:
+    """Seven 576-byte packets at t = 0 (one on the wire, six waiting: one
+    packet short of full), then one more at exactly the first hand-over.
+
+    With ``late`` the last arrival is scheduled after the burst ran, so the
+    two-event link's completion at that instant sorts ahead of it.
+    """
+    harness = Harness(link_cls, "ecn")
+    sim = harness.sim
+
+    def burst():
+        for tag in range(7):
+            harness.send(tag)
+        if late:
+            sim.call_at(TX_576_S, harness.send, 7)
+
+    if not late:
+        sim.call_at(TX_576_S, harness.send, 7)
+    sim.call_at(0.0, burst)
+    sim.run()
+    return harness.observed()
+
+
+def test_ecn_arrival_at_a_hand_over_instant_finds_the_starting_packet_gone():
+    oracle = hand_over_arrival(TwoEventLink, late=True)
+    actual = hand_over_arrival(Link, late=True)
+    assert actual == oracle
+    # Five packets still wait (2,880 B): the arrival fits and is marked.
+    assert not actual["drops"]
+    assert [tag for _, tag, _ in actual["deliveries"]] == list(range(8))
+    assert actual["deliveries"][-1][2]
+    # The link does not depend on scheduling order; the oracle did: with the
+    # arrival sorted ahead of its completion event it still counted the
+    # starting packet and dropped the arrival.
+    assert hand_over_arrival(Link, late=False) == actual
+    assert hand_over_arrival(TwoEventLink, late=False)["drops"] == [(TX_576_S, 7)]
+
+
 @pytest.mark.parametrize("link_cls", [TwoEventLink, Link])
 def test_busy_mid_serialisation_and_while_draining(link_cls):
-    harness = Harness(link_cls, QUEUES["drop-tail"])
+    harness = Harness(link_cls)
     sim, link = harness.sim, harness.link
     assert not link.busy
     harness.send(0)
@@ -207,13 +319,29 @@ def test_busy_mid_serialisation_and_while_draining(link_cls):
     assert [tag for _, tag, _ in harness.sink.deliveries] == [0, 1]
 
 
+def test_counters_read_correctly_between_events():
+    """The queue retires waiting packets by time, not by event."""
+    harness = Harness(Link)
+    sim, link = harness.sim, harness.link
+    for tag in range(3):
+        harness.send(tag)
+    assert len(link.queue) == 2 and link.stats.transmitted_packets == 1
+    sim.run(until=TX_576_S * 1.5)  # no event has run yet: deliveries come later
+    assert sim.events_executed == 0
+    assert len(link.queue) == 1 and link.queue.queued_bytes == 576
+    assert link.stats.transmitted_packets == 2
+    assert link.queue.stats.dequeued_bytes == link.stats.transmitted_bytes == 2 * 576
+    sim.run(until=TX_576_S * 2)
+    assert len(link.queue) == 0 and link.stats.transmitted_packets == 3
+
+
 class TestEventCounts:
     """Deterministic gate on the point of the change (not a stopwatch)."""
 
     N = 25
 
     def test_spaced_packets_cost_one_event_each(self):
-        harness = Harness(Link, QUEUES["drop-tail"])
+        harness = Harness(Link)
         for n in range(self.N):
             harness.sim.run(until=n * 0.1)
             assert not harness.link.busy
@@ -222,16 +350,16 @@ class TestEventCounts:
         assert len(harness.sink.deliveries) == self.N
         assert harness.sim.events_executed == self.N
 
-    def test_back_to_back_burst_costs_two_events_less_one(self):
-        harness = Harness(Link, lambda: DropTailQueue(self.N * 40))
+    def test_back_to_back_burst_costs_one_event_per_packet(self):
+        harness = Harness(Link, queue=DropTailQueue(self.N * 40))
         for n in range(self.N):
             harness.send(n, 40)
         harness.sim.run()
         assert len(harness.sink.deliveries) == self.N
-        assert harness.sim.events_executed == 2 * self.N - 1
+        assert harness.sim.events_executed == self.N
 
     def test_the_oracle_pays_two_events_for_every_packet(self):
-        harness = Harness(TwoEventLink, lambda: DropTailQueue(self.N * 40))
+        harness = Harness(TwoEventLink, queue=PacketFifo(self.N * 40))
         for n in range(self.N):
             harness.send(n, 40)
         harness.sim.run()

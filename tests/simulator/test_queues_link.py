@@ -14,59 +14,71 @@ def make_packet(size=500, src=1, dst=2):
     return Packet(source=NodeAddress(src), destination=NodeAddress(dst), size_bytes=size)
 
 
+class Clock:
+    """The queue's clock: a bare ``now``."""
+
+    now = 0.0
+
+
+def clocked(queue):
+    queue.clock = Clock()
+    return queue
+
+
+def wait(queue, packet, start):
+    """Admit ``packet`` at the queue's current time to start at ``start``."""
+    return queue.admit(packet, queue.clock.now, start)
+
+
 class TestDropTailQueue:
     def test_accepts_until_capacity(self):
-        queue = DropTailQueue(capacity_bytes=1000)
-        assert queue.enqueue(make_packet(400))
-        assert queue.enqueue(make_packet(400))
-        assert not queue.enqueue(make_packet(400))
+        queue = clocked(DropTailQueue(capacity_bytes=1000))
+        assert wait(queue, make_packet(400), 1.0)
+        assert wait(queue, make_packet(400), 2.0)
+        assert not wait(queue, make_packet(400), 3.0)
         assert queue.stats.dropped_packets == 1
 
     def test_fifo_order(self):
-        queue = DropTailQueue(capacity_bytes=10_000)
-        first, second = make_packet(), make_packet()
-        queue.enqueue(first)
-        queue.enqueue(second)
-        assert queue.dequeue() is first
-        assert queue.dequeue() is second
+        queue = clocked(DropTailQueue(capacity_bytes=10_000))
+        wait(queue, make_packet(500), 1.0)
+        wait(queue, make_packet(300), 2.0)
+        queue.clock.now = 1.0
+        assert len(queue) == 1 and queue.stats.dequeued_bytes == 500
+        queue.clock.now = 2.0
+        assert len(queue) == 0 and queue.stats.dequeued_bytes == 800
 
-    def test_dequeue_empty_returns_none(self):
-        assert DropTailQueue(1000).dequeue() is None
+    def test_packet_that_starts_at_once_never_waits(self):
+        queue = clocked(DropTailQueue(1000))
+        queue.clock.now = 5.0
+        assert wait(queue, make_packet(1000), 4.0)
+        assert len(queue) == 0
+        stats = queue.stats
+        assert stats.enqueued_packets == stats.dequeued_packets == 1
 
     def test_byte_accounting(self):
-        queue = DropTailQueue(capacity_bytes=2000)
-        queue.enqueue(make_packet(500))
-        queue.enqueue(make_packet(300))
+        queue = clocked(DropTailQueue(capacity_bytes=2000))
+        wait(queue, make_packet(500), 1.0)
+        wait(queue, make_packet(300), 2.0)
         assert queue.queued_bytes == 800
-        queue.dequeue()
+        queue.clock.now = 1.5
         assert queue.queued_bytes == 300
 
-    def test_occupancy_fraction(self):
-        queue = DropTailQueue(capacity_bytes=1000)
-        queue.enqueue(make_packet(500))
-        assert queue.occupancy() == pytest.approx(0.5)
-
     def test_conservation_invariant(self):
-        queue = DropTailQueue(capacity_bytes=1500)
-        for _ in range(5):
-            queue.enqueue(make_packet(500))
-        queue.dequeue()
+        queue = clocked(DropTailQueue(capacity_bytes=1500))
+        for n in range(5):
+            wait(queue, make_packet(500), 1.0 + n)
+        queue.clock.now = 1.0
+        assert queue.stats.dropped_packets == 2
         assert queue.stats.conservation_holds(currently_queued=len(queue))
 
-    def test_peek_does_not_remove(self):
-        queue = DropTailQueue(2000)
-        packet = make_packet()
-        queue.enqueue(packet)
-        assert queue.peek() is packet
-        assert len(queue) == 1
-
-    def test_clear_counts_drops(self):
-        queue = DropTailQueue(5000)
-        for _ in range(3):
-            queue.enqueue(make_packet())
-        queue.clear()
-        assert queue.is_empty
-        assert queue.stats.dropped_packets == 3
+    def test_hand_over_instant_counts_the_starting_packet_as_gone(self):
+        queue = clocked(DropTailQueue(capacity_bytes=1000))
+        wait(queue, make_packet(500), 1.0)
+        wait(queue, make_packet(500), 2.0)
+        assert not wait(queue, make_packet(500), 3.0)
+        queue.clock.now = 1.0
+        assert wait(queue, make_packet(500), 3.0)
+        assert queue.stats.dropped_packets == 1
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -75,13 +87,25 @@ class TestDropTailQueue:
 
 class TestEcnQueue:
     def test_marks_above_threshold(self):
-        queue = ECNMarkingQueue(capacity_bytes=2000, mark_threshold=0.5)
+        queue = clocked(ECNMarkingQueue(capacity_bytes=2000, mark_threshold=0.5))
         first = make_packet(1100)
         second = make_packet(800)
-        queue.enqueue(first)
-        queue.enqueue(second)
+        wait(queue, first, 1.0)
+        wait(queue, second, 2.0)
         assert not first.ecn
         assert second.ecn
+        assert queue.stats.marked_packets == 1
+
+    def test_dropped_packets_are_never_marked(self):
+        queue = clocked(ECNMarkingQueue(capacity_bytes=1000, mark_threshold=0.5))
+        packets = [make_packet(400) for _ in range(4)]
+        admitted = [wait(queue, packet, 1.0 + n) for n, packet in enumerate(packets)]
+        assert admitted == [True, True, False, False]
+        # The last two found the queue 80 % full, but the queue dropped them.
+        assert [packet.ecn for packet in packets] == [False, False, False, False]
+        assert queue.stats.marked_packets == 0
+        small = make_packet(100)
+        assert wait(queue, small, 5.0) and small.ecn
         assert queue.stats.marked_packets == 1
 
     def test_invalid_threshold_rejected(self):
