@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -84,6 +85,7 @@ __all__ = [
     "ExperimentExecutionError",
     "ExperimentRunner",
     "JobExecutor",
+    "JobTimeoutError",
     "ResultCache",
     "RunResult",
     "assemble",
@@ -98,6 +100,7 @@ __all__ = [
     "prune_cache",
     "run_spec_json",
     "run_job",
+    "timeout_budget",
 ]
 
 #: Bumped whenever the metric document schema (or what a run means for a
@@ -519,32 +522,58 @@ def _crash_message(job: Tuple[str, str], attempts: int, retries: int) -> str:
     )
 
 
-def _submit(pool: ProcessPoolExecutor, worker: Callable, job: Tuple[str, str]) -> Future:
-    """``pool.submit``, reporting an already-broken pool through the future.
+class JobTimeoutError(RuntimeError):
+    """A job exceeded its wall-clock budget and its worker was killed."""
 
-    ``submit`` itself raises once an earlier job of the round has killed its
-    worker; a job that never started counts as a crashed attempt like any other.
+
+def timeout_budget(raw: Any) -> Optional[float]:
+    """``raw`` as a per-job wall-clock budget, or :class:`ValueError`.
+
+    ``None`` (no budget) or a positive finite number.  A zero, negative or
+    NaN budget would time every job out at once — SIGKILLing the workers and
+    rebuilding the pool under every other job — so it is refused up front,
+    whether it is the daemon's default (``serve --timeout``) or one
+    submission's ``timeout_s``.
     """
-    try:
-        return pool.submit(worker, job)
-    except BrokenProcessPool as exc:
-        future: Future = Future()
-        future.set_exception(exc)
-        return future
+    if raw is None:
+        return None
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            budget = float(raw)
+        except OverflowError:
+            budget = math.inf
+        if 0 < budget < math.inf:
+            return budget
+    raise ValueError("timeout_s must be null or a positive finite number")
+
+
+#: What :meth:`JobExecutor._collect` returns for a crashed attempt.
+_RETRY = object()
 
 
 class JobExecutor:
-    """Run ``(kind, payload)`` jobs, serially or over a worker-process pool.
+    """Run ``(kind, payload)`` jobs over one self-healing worker-process pool.
 
-    This is the execution substrate both :class:`ExperimentRunner` and the
-    service daemon (:mod:`repro.service`) schedule onto.  With ``jobs > 1``
-    jobs fan out over a :class:`ProcessPoolExecutor`; a worker that dies
-    mid-job (OOM kill, native crash) no longer aborts the batch with a raw
-    :class:`BrokenProcessPool` — the pool is rebuilt and the dead worker's
-    jobs are retried, up to ``retries`` times each, before an actionable
-    :class:`ExperimentExecutionError` is raised.  Because every job is a
-    pure function of its payload (the simulator is byte-deterministic), a
-    retried job returns exactly the bytes the crashed attempt would have.
+    The one execution substrate: :class:`ExperimentRunner` calls the
+    synchronous :meth:`run_all` with a batch of jobs, the service daemon
+    (:mod:`repro.service`) awaits :meth:`run` once per job from its event
+    loop.  Both loops share the pool and its failure handling:
+
+    * **bounded retry on worker crash** — a worker that dies mid-job (OOM
+      kill, native crash), or a ``submit`` on a pool another job's crash
+      broke, is a crashed attempt: the pool is rebuilt (once per
+      incarnation, however many jobs rode it) and the job resubmitted, up to
+      ``retries`` times, before an actionable
+      :class:`ExperimentExecutionError`.  Every job is a pure function of its
+      payload, so a retried job returns exactly the bytes the crashed attempt
+      would have;
+    * **per-job timeout** (:meth:`run`) — a job over its budget (``timeout_s``
+      by default, :func:`timeout_budget`) gets the workers SIGKILLed and the
+      pool rebuilt, surfacing :class:`JobTimeoutError` instead of wedging a
+      worker slot forever;
+    * **admission control** (:meth:`run`) — at most ``jobs`` jobs execute at
+      once, behind a FIFO semaphore, so the queue a client sees is the
+      daemon's, not an opaque pool backlog.
 
     ``worker`` defaults to :func:`run_job`; tests inject crashing stand-ins.
     """
@@ -553,6 +582,7 @@ class JobExecutor:
         self,
         jobs: int = 1,
         retries: int = 2,
+        timeout_s: Optional[float] = None,
         worker: Optional[Callable[[Tuple[str, str]], str]] = None,
     ) -> None:
         if jobs < 1:
@@ -561,60 +591,187 @@ class JobExecutor:
             raise ValueError("retries must be non-negative")
         self.jobs = jobs
         self.retries = retries
+        self.timeout_s = timeout_budget(timeout_s)
         self._worker = worker
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Pools discarded after a worker crash (observability; the service
-        #: surfaces this as worker health).
+        #: Monotonic pool incarnation: a failed job only tears down the pool
+        #: it actually ran on, so concurrent failures rebuild exactly once.
+        self._generation = 0
+        #: Created by the first :meth:`run`, inside its event loop.
+        self._semaphore: Any = None
+        self._running = 0
+        #: High-water mark of jobs :meth:`run` executed at once (≤ ``jobs``).
+        self.peak_running = 0
+        #: Pools torn down after a crash or a timeout.
         self.restarts = 0
+        self.jobs_completed = 0
+        self.jobs_failed = 0
+        self.retries_used = 0
 
+    # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def _discard_pool(self) -> None:
-        """Drop a broken pool so the next attempt starts fresh workers."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            self.restarts += 1
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _rebuild(self, generation: int, kill: bool = False) -> None:
+        """Tear down the pool incarnation ``generation`` (at most once).
 
+        ``kill`` additionally terminates the worker processes — required on
+        a timeout, where the stuck worker would otherwise run (and hold its
+        slot) forever.  A later caller whose pool already died sees a newer
+        generation and skips the teardown.
+        """
+        if generation != self._generation:
+            return
+        self._generation += 1
+        self.restarts += 1
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            # SIGKILL, not SIGTERM: fork-started workers inherit the server's
+            # asyncio SIGTERM handler, which would swallow a terminate() and
+            # leave the worker running (and the abandoned pool's management
+            # thread waiting on it) for the rest of the job.
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                try:
+                    process.kill()
+                except OSError:  # pragma: no cover - already-dead worker
+                    pass
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def _submit(self, job: Tuple[str, str]) -> Tuple[Future, int]:
+        """Start one attempt of ``job``: its future and the pool's generation.
+
+        ``submit`` itself raises on a pool a concurrent job's crash broke but
+        nobody has rebuilt yet; that is reported through the future, so a job
+        that never started counts as a crashed attempt like any other.
+        """
+        pool = self._ensure_pool()
+        # Looked up per call, so tests can substitute ``run_job`` itself.
+        worker = self._worker if self._worker is not None else run_job
+        try:
+            future = pool.submit(worker, job)
+        except BrokenProcessPool as exc:
+            future = Future()
+            future.set_exception(exc)
+        return future, self._generation
+
+    def _collect(
+        self, job: Tuple[str, str], future: Any, attempt: int, generation: int
+    ) -> Any:
+        """The output of attempt number ``attempt``, or ``_RETRY`` after a crash.
+
+        ``future`` is the attempt's future, or the asyncio future wrapping it.
+        This is the one place an attempt is accounted for.  A returned output
+        counts as ``completed`` and a raising worker as ``failed`` (the
+        exception propagates).  A crash counts a used retry and rebuilds the
+        pool the attempt rode; once ``retries`` are spent the job counts as
+        ``failed`` and :class:`ExperimentExecutionError` is raised.
+        """
+        try:
+            output = future.result()
+        except BrokenProcessPool:
+            self.retries_used += 1
+            self._rebuild(generation)
+            if attempt > self.retries:
+                self.jobs_failed += 1
+                raise ExperimentExecutionError(
+                    _crash_message(job, attempt, self.retries)
+                ) from None
+            return _RETRY
+        except Exception:
+            self.jobs_failed += 1
+            raise
+        self.jobs_completed += 1
+        return output
+
+    # ------------------------------------------------------------------
     def run_all(self, jobs: Sequence[Tuple[str, str]]) -> List[str]:
         """Execute every job, returning outputs in input order.
 
         Serial (``jobs == 1`` or a single job) runs in-process, where an
         exception is a real simulation failure and propagates unchanged.
-        Pooled runs retry each job whose worker crashed on a fresh pool.
+        Pooled runs resubmit each job whose worker crashed.
         """
         jobs = list(jobs)
-        # Looked up per call, so tests can substitute ``run_job`` itself.
-        worker = self._worker if self._worker is not None else run_job
         if self.jobs == 1 or len(jobs) <= 1:
+            worker = self._worker if self._worker is not None else run_job
             return [worker(job) for job in jobs]
-        outputs: List[Optional[str]] = [None] * len(jobs)
+        outputs: List[Any] = [None] * len(jobs)
         attempts = [0] * len(jobs)
         pending = list(range(len(jobs)))
         while pending:
-            pool = self._ensure_pool()
-            futures = [(index, _submit(pool, worker, jobs[index])) for index in pending]
-            failed: List[int] = []
-            for index, future in futures:
-                try:
-                    outputs[index] = future.result()
-                except BrokenProcessPool:
-                    attempts[index] += 1
-                    if attempts[index] > self.retries:
-                        self._discard_pool()
-                        raise ExperimentExecutionError(
-                            _crash_message(jobs[index], attempts[index], self.retries)
-                        ) from None
-                    failed.append(index)
-            if failed:
-                self._discard_pool()
-            pending = failed
-        # Every slot is filled here (each job returned, or this call raised);
-        # callers slice the list by job counts, so it is returned whole.
+            submitted = [(index, *self._submit(jobs[index])) for index in pending]
+            pending = []
+            for index, future, generation in submitted:
+                attempts[index] += 1
+                output = self._collect(jobs[index], future, attempts[index], generation)
+                if output is _RETRY:
+                    pending.append(index)
+                else:
+                    outputs[index] = output
         return outputs
+
+    async def run(
+        self, job: Tuple[str, str], timeout_s: Optional[float] = None
+    ) -> str:
+        """Execute one job from an event loop and return its output.
+
+        At most ``jobs`` calls execute at once; ``timeout_s`` overrides the
+        executor's default budget for this job.
+        """
+        import asyncio
+
+        budget = self.timeout_s if timeout_s is None else timeout_s
+        if self._semaphore is None:
+            self._semaphore = asyncio.Semaphore(self.jobs)
+        async with self._semaphore:
+            self._running += 1
+            self.peak_running = max(self.peak_running, self._running)
+            try:
+                attempt = 0
+                while True:
+                    attempt += 1
+                    future, generation = self._submit(job)
+                    waiter = asyncio.wrap_future(future)
+                    try:
+                        done, _ = await asyncio.wait({waiter}, timeout=budget)
+                    finally:
+                        # A no-op once done; otherwise (over budget, or this
+                        # task cancelled) it detaches the worker's future from
+                        # this loop, which may be closed when the future ends.
+                        waiter.cancel()
+                    if not done:
+                        self._rebuild(generation, kill=True)
+                        self.jobs_failed += 1
+                        raise JobTimeoutError(
+                            f"the {describe_job(job)} exceeded its {budget:g}s "
+                            "budget; its worker was killed and the pool rebuilt"
+                        )
+                    output = self._collect(job, waiter, attempt, generation)
+                    if output is not _RETRY:
+                        return output
+            finally:
+                self._running -= 1
+
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, Any]:
+        """Worker-health snapshot for the service's ``/status`` document.
+
+        ``completed``/``failed`` count pool jobs; :meth:`run_all`'s
+        in-process serial path runs none.
+        """
+        return {
+            "workers": self.jobs,
+            "alive": self._pool is not None,
+            "peak_running": self.peak_running,
+            "restarts": self.restarts,
+            "completed": self.jobs_completed,
+            "failed": self.jobs_failed,
+            "retries_used": self.retries_used,
+        }
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -660,7 +817,20 @@ class ResultCache:
             (_cache_version_tag() + spec.to_json()).encode("utf-8")
         ).hexdigest()
 
-    def _read(self, key: str) -> Optional[RunResult]:
+    def load_key(self, key: str) -> Optional[RunResult]:
+        """The result stored under ``key``, or ``None`` on a miss.
+
+        A cache entry that cannot be parsed back into a :class:`RunResult`
+        — a file torn by a crash mid-write under the old non-atomic writer,
+        or truncated by a full disk — is treated as a miss (the entry is
+        re-run and atomically overwritten), never as an error: a shared
+        cache directory must not be able to poison later runs.  ``key`` may
+        come off the wire (the service's ``cache-get`` op), so anything but
+        a content address raises :class:`ValueError`
+        (:func:`~repro.experiments.warmstart.require_store_key`) instead of
+        naming a path outside the store.
+        """
+        require_store_key(key)
         if self.directory is None:
             return None
         try:
@@ -668,40 +838,23 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def load(self, spec: ScenarioSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` on a miss.
-
-        A cache entry that cannot be parsed back into a :class:`RunResult`
-        — a file torn by a crash mid-write under the old non-atomic writer,
-        or truncated by a full disk — is treated as a miss (the entry is
-        re-run and atomically overwritten), never as an error: a shared
-        cache directory must not be able to poison later runs.
-        """
-        return self._read(self.key(spec))
-
-    def load_key(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw result document stored under ``key``, or ``None``.
-
-        The service's ``cache-get`` op answers from here without touching
-        the worker pool; the same torn-entry-is-a-miss contract applies.
-        ``key`` comes off the wire, so anything but a content address
-        raises :class:`ValueError`
-        (:func:`~repro.experiments.warmstart.require_store_key`) instead of
-        naming a path outside the store.
-        """
-        result = self._read(require_store_key(key))
-        return None if result is None else result.to_dict()
-
-    def store(self, spec: ScenarioSpec, output: str) -> None:
-        """Atomically publish ``output`` as the cache entry for ``spec``.
+    def store_key(self, key: str, output: str) -> None:
+        """Atomically publish ``output`` as the cache entry under ``key``.
 
         Readers see the old state or the whole new document, nothing in
         between (:func:`~repro.experiments.warmstart.publish_atomically`).
         """
+        require_store_key(key)
         if self.directory is not None:
-            publish_atomically(
-                self.directory / f"{self.key(spec)}.json", output.encode("utf-8")
-            )
+            publish_atomically(self.directory / f"{key}.json", output.encode("utf-8"))
+
+    def load(self, spec: ScenarioSpec) -> Optional[RunResult]:
+        """The cached result for ``spec`` (:meth:`load_key` of its key)."""
+        return self.load_key(self.key(spec))
+
+    def store(self, spec: ScenarioSpec, output: str) -> None:
+        """Publish ``output`` for ``spec`` (:meth:`store_key` of its key)."""
+        self.store_key(self.key(spec), output)
 
 
 # ----------------------------------------------------------------------
@@ -935,49 +1088,46 @@ class ExperimentRunner:
         return Path(self._scratch.name)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def cache_key(spec: ScenarioSpec) -> str:
-        """SHA-256 cache key of ``spec`` (see :meth:`ResultCache.key`)."""
-        return ResultCache.key(spec)
-
-    # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Execute every spec, preserving input order in the results.
 
-        Cache lookups happen first; identical pending specs are deduplicated
-        (one execution, one counted miss, the result fanned out to every
-        occurrence).  The pending cells are planned as one batch by
+        Each cell is hashed once (:meth:`ResultCache.key`); cache lookups
+        happen first, and identical pending specs — equal keys — are
+        deduplicated (one execution, one counted miss, the result fanned out
+        to every occurrence).  The pending cells are planned as one batch by
         :func:`plan_cells`; all their jobs — ordinary specs, warm resumes,
         the ``N`` region jobs of a ``shards=N`` spec — share one flat job
         list over the process pool.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
+        #: cache key -> the pending spec / the indices it answers
+        pending: Dict[str, ScenarioSpec] = {}
         occurrences: Dict[str, List[int]] = {}
-        pending: List[ScenarioSpec] = []
         for index, spec in enumerate(specs):
-            cached = self._cache.load(spec)
+            key = ResultCache.key(spec)
+            cached = self._cache.load_key(key)
             if cached is not None:
                 results[index] = cached
                 self.cache_hits += 1
                 continue
-            group = occurrences.setdefault(spec.to_json(), [])
-            if not group:
-                pending.append(spec)
+            if key not in pending:
+                pending[key] = spec
                 self.cache_misses += 1
-            group.append(index)
+            occurrences.setdefault(key, []).append(index)
 
         if pending:
-            for spec, result in zip(pending, self._execute_pending(pending)):
-                for duplicate in occurrences[spec.to_json()]:
+            for key, result in zip(pending, self._execute_pending(pending)):
+                for duplicate in occurrences[key]:
                     results[duplicate] = result
         return [result for result in results if result is not None]
 
-    def _execute_pending(self, pending: Sequence[ScenarioSpec]) -> List[RunResult]:
-        """Run the uncached cells: plan, then setup jobs, jobs, merge, store."""
+    def _execute_pending(self, pending: Mapping[str, ScenarioSpec]) -> List[RunResult]:
+        """Run the uncached cells (by cache key): plan, then setup jobs,
+        jobs, merge, store."""
         plan_started = time.perf_counter()
         plans = plan_cells(
-            pending,
+            list(pending.values()),
             checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
             durable=self.cache_dir is not None,
             verify=self.verify_warm_start,
@@ -998,12 +1148,12 @@ class ExperimentRunner:
 
         results: List[RunResult] = []
         offset = 0
-        for plan in plans:
+        for key, plan in zip(pending, plans):
             middle = offset + len(plan.jobs)
             end = middle + len(plan.verify_jobs)
             result = plan.merge(outputs[offset:middle], outputs[middle:end])
             offset = end
-            self._cache.store(plan.spec, result.to_json())
+            self._cache.store_key(key, result.to_json())
             results.append(result)
         return results
 
@@ -1015,20 +1165,6 @@ class ExperimentRunner:
     def run_seed_sweep(self, spec: ScenarioSpec, seeds: Iterable[int]) -> List[RunResult]:
         """Run the same spec under each seed."""
         return self.run([spec.with_seed(seed) for seed in seeds])
-
-    def run_grid(
-        self,
-        spec: ScenarioSpec,
-        seeds: Iterable[int] = (0,),
-        overrides: Optional[Sequence[Mapping[str, Any]]] = None,
-    ) -> List[RunResult]:
-        """Run a spec × seed × override grid (overrides are spec field dicts)."""
-        variants: List[ScenarioSpec] = []
-        for override in overrides if overrides is not None else [{}]:
-            base = replace(spec, **dict(override)) if override else spec
-            for seed in seeds:
-                variants.append(base.with_seed(seed))
-        return self.run(variants)
 
 
 # ----------------------------------------------------------------------

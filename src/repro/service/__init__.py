@@ -15,6 +15,7 @@ uses, a result obtained through the service is byte-identical to the batch
 result for the same spec — the property ``tests/service/`` proves.
 """
 
+from ..experiments.runner import JobTimeoutError
 from .client import ServiceClient, ServiceError
 from .jobs import (
     CellOutcome,
@@ -22,7 +23,6 @@ from .jobs import (
     QueueFullError,
     ServiceDrainingError,
 )
-from .pool import AsyncJobPool, JobTimeoutError
 from .protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
@@ -33,7 +33,6 @@ from .protocol import (
 from .server import ExperimentService, ServiceConfig, run_daemon
 
 __all__ = [
-    "AsyncJobPool",
     "CellOutcome",
     "ExperimentScheduler",
     "ExperimentService",

@@ -23,9 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..experiments.runner import CellPlan, ResultCache, RunResult, plan_cell
+from ..experiments.runner import (
+    CellPlan,
+    JobExecutor,
+    ResultCache,
+    RunResult,
+    plan_cell,
+)
 from ..experiments.spec import ScenarioSpec
-from .pool import AsyncJobPool
 
 __all__ = [
     "CellOutcome",
@@ -64,7 +69,7 @@ class ExperimentScheduler:
 
     def __init__(
         self,
-        pool: AsyncJobPool,
+        pool: JobExecutor,
         cache: ResultCache,
         checkpoint_dir: Optional[Path],
         warm_start: bool = True,
@@ -121,12 +126,14 @@ class ExperimentScheduler:
     ) -> CellOutcome:
         """Answer one cell: cache first, then dedup, then the pool.
 
-        The execution itself is a detached task shielded from this caller's
-        cancellation — a client disconnect abandons the *stream*, never the
-        simulation, so the result still publishes to the shared store.
+        The spec is hashed once; its key serves the lookup, the dedup table
+        and the store.  The execution itself is a detached task shielded
+        from this caller's cancellation — a client disconnect abandons the
+        *stream*, never the simulation, so the result still publishes to the
+        shared store.
         """
         key = self.cache.key(spec)
-        cached = self.cache.load(spec)
+        cached = self.cache.load_key(key)
         if cached is not None:
             self.cache_hits += 1
             return CellOutcome(cached, key, cached=True)
@@ -141,7 +148,7 @@ class ExperimentScheduler:
         self.checkpoint_hits += plan.checkpoint_hits
         self.checkpoint_misses += plan.checkpoint_misses
         task = asyncio.get_running_loop().create_task(
-            self._execute_cell(plan, timeout_s)
+            self._execute_cell(plan, key, timeout_s)
         )
         self._inflight[key] = task
         task.add_done_callback(lambda done: self._finish(key, done))
@@ -161,9 +168,9 @@ class ExperimentScheduler:
             self.cells_failed += 1
 
     async def _execute_cell(
-        self, plan: CellPlan, timeout_s: Optional[float]
+        self, plan: CellPlan, key: str, timeout_s: Optional[float]
     ) -> RunResult:
-        """Run one planned cell on the pool and publish its result.
+        """Run one planned cell on the pool; publish its result under ``key``.
 
         The batch runner's four steps, per cell: setup jobs (a sharded
         cell's region blobs, side by side), jobs, merge, cache store.
@@ -175,7 +182,7 @@ class ExperimentScheduler:
             *(self.pool.run(job, timeout_s) for job in plan.jobs)
         )
         result = plan.merge(outputs)
-        self.cache.store(plan.spec, result.to_json())
+        self.cache.store_key(key, result.to_json())
         self.cells_executed += 1
         if plan.warm:
             self.warm_runs += 1

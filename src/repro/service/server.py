@@ -3,10 +3,11 @@
 :class:`ExperimentService` listens on a Unix socket or a TCP port, speaks
 the line-delimited protocol from :mod:`repro.service.protocol`, and routes
 submissions through an :class:`~repro.service.jobs.ExperimentScheduler`
-onto an :class:`~repro.service.pool.AsyncJobPool`.  The daemon owns the
-durable stores — the SHA-256 result cache and the ``ck_*.pkl`` warm-start
-blobs — so every client shares one cache and one simulation per distinct
-spec.
+onto the batch runner's own worker pool,
+:class:`~repro.experiments.runner.JobExecutor`, awaited one job at a time.
+The daemon owns the durable stores — the SHA-256 result cache and the
+``ck_*.pkl`` warm-start blobs — so every client shares one cache and one
+simulation per distinct spec.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` (or a ``shutdown`` request) begin a
 *drain* — the listener closes, new submissions are rejected with a
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import math
 import signal
 import sys
 import time
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
-from ..experiments.runner import ResultCache
+from ..experiments.runner import JobExecutor, ResultCache, timeout_budget
 from ..experiments.spec import ScenarioSpec
 from ..experiments.warmstart import CheckpointStore
 from .jobs import (
@@ -36,7 +36,6 @@ from .jobs import (
     QueueFullError,
     ServiceDrainingError,
 )
-from .pool import AsyncJobPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
@@ -75,32 +74,12 @@ class ServiceConfig:
         return Path(self.checkpoint_dir or self.cache_dir)
 
 
-def _timeout_budget(raw: Any) -> Optional[float]:
-    """A submission's ``timeout_s`` as a per-job budget, or :class:`ValueError`.
-
-    ``None`` (use the daemon's default) or a positive finite number.  A zero
-    or negative budget would time every job out at once — SIGKILLing the
-    workers and rebuilding the pool under all other clients' jobs — so it
-    is refused before the submission reserves queue room.
-    """
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        try:
-            budget = float(raw)
-        except OverflowError:
-            budget = math.inf
-        if 0 < budget < math.inf:
-            return budget
-    raise ValueError("timeout_s must be null or a positive finite number")
-
-
 class ExperimentService:
     """One daemon instance: listener, scheduler, pool and drain logic."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.pool = AsyncJobPool(
+        self.pool = JobExecutor(
             jobs=config.jobs, retries=config.retries, timeout_s=config.timeout_s
         )
         self.cache = ResultCache(Path(config.cache_dir))
@@ -280,11 +259,11 @@ class ExperimentService:
             key = str(message.get("key", ""))
             try:
                 if op == "cache-get":
-                    document = self.cache.load_key(key)
+                    result = self.cache.load_key(key)
                     reply = {
                         "event": "cache",
-                        "hit": document is not None,
-                        "result": document,
+                        "hit": result is not None,
+                        "result": None if result is None else result.to_dict(),
                     }
                 else:
                     path = self.blobs.path(key)
@@ -347,7 +326,7 @@ class ExperimentService:
         else:
             return await reject("seeds must be a non-empty list of integers")
         try:
-            timeout_s = _timeout_budget(message.get("timeout_s"))
+            timeout_s = timeout_budget(message.get("timeout_s"))
         except ValueError as exc:
             return await reject(str(exc))
         try:

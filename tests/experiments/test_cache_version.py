@@ -12,7 +12,13 @@ import json
 import pytest
 
 import repro
-from repro.experiments import ExperimentRunner, PAPER_DEFAULTS, ScenarioSpec, SessionDecl
+from repro.experiments import (
+    ExperimentRunner,
+    PAPER_DEFAULTS,
+    ResultCache,
+    ScenarioSpec,
+    SessionDecl,
+)
 from repro.experiments.runner import CACHE_SCHEMA_VERSION, RunResult
 
 
@@ -29,9 +35,9 @@ def spec() -> ScenarioSpec:
 
 def test_cache_key_includes_package_version(monkeypatch, spec):
     """Bumping the package version must invalidate every cached result."""
-    before = ExperimentRunner.cache_key(spec)
+    before = ResultCache.key(spec)
     monkeypatch.setattr(repro, "__version__", "999.0.0")
-    after = ExperimentRunner.cache_key(spec)
+    after = ResultCache.key(spec)
     assert before != after
 
 
@@ -42,10 +48,10 @@ def test_cache_key_includes_schema_tag(spec):
             f"{repro.__version__}:{CACHE_SCHEMA_VERSION}:" + spec.to_json()
         ).encode("utf-8")
     ).hexdigest()
-    assert ExperimentRunner.cache_key(spec) == expected
+    assert ResultCache.key(spec) == expected
     # In particular it is NOT the legacy unversioned key.
     legacy = hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
-    assert ExperimentRunner.cache_key(spec) != legacy
+    assert ResultCache.key(spec) != legacy
 
 
 def test_stale_legacy_cache_entries_are_ignored(tmp_path, spec):
@@ -77,6 +83,6 @@ def test_same_version_cache_round_trip(tmp_path, spec):
     second = again.run_one(spec)
     assert again.cache_hits == 1
     assert first.to_json() == second.to_json()
-    cached = tmp_path / f"{ExperimentRunner.cache_key(spec)}.json"
+    cached = tmp_path / f"{ResultCache.key(spec)}.json"
     assert cached.exists()
     assert json.loads(cached.read_text()) == first.to_dict()

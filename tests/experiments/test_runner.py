@@ -13,6 +13,7 @@ from repro.analysis import aggregate_metrics, flatten_metrics
 from repro.experiments import (
     ExperimentRunner,
     PAPER_DEFAULTS,
+    ResultCache,
     RunResult,
     ScenarioSpec,
     SessionDecl,
@@ -90,19 +91,6 @@ class TestRunner:
         results = ExperimentRunner(jobs=1).run_seed_sweep(fast_spec(), (0, 1, 2))
         assert [result.seed for result in results] == [0, 1, 2]
 
-    def test_grid_crosses_overrides_and_seeds(self):
-        results = ExperimentRunner(jobs=1).run_grid(
-            fast_spec(),
-            seeds=(0, 1),
-            overrides=[{"duration_s": 5.0}, {"duration_s": 6.0}],
-        )
-        assert [(round(r.duration_s, 1), r.seed) for r in results] == [
-            (5.0, 0),
-            (5.0, 1),
-            (6.0, 0),
-            (6.0, 1),
-        ]
-
     def test_cache_hit_skips_execution(self, tmp_path):
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         first = runner.run_one(fast_spec())
@@ -114,9 +102,7 @@ class TestRunner:
         assert second.to_json() == first.to_json()
 
     def test_cache_key_depends_on_seed(self):
-        assert ExperimentRunner.cache_key(fast_spec(0)) != ExperimentRunner.cache_key(
-            fast_spec(1)
-        )
+        assert ResultCache.key(fast_spec(0)) != ResultCache.key(fast_spec(1))
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -224,11 +210,12 @@ class TestCli:
         assert "ScenarioSpec.duration_s" in proc.stderr
 
     @staticmethod
-    def _numpy_modules_after(modules):
-        """The numpy modules a fresh interpreter holds after importing ``modules``."""
+    def _modules_after(modules, package="numpy"):
+        """The ``package`` modules a fresh interpreter holds after importing
+        ``modules``."""
         code = (
             f"import sys, {', '.join(modules)}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -243,7 +230,7 @@ class TestCli:
     def test_cli_and_daemon_start_without_numpy(self):
         """Every CLI call, daemon and pool worker pays its imports; none of
         them needs numpy (whether or not it is installed)."""
-        assert self._numpy_modules_after(["repro.__main__", "repro.service.server"]) == "[]"
+        assert self._modules_after(["repro.__main__", "repro.service.server"]) == "[]"
 
     @pytest.mark.parametrize(
         "package",
@@ -253,7 +240,13 @@ class TestCli:
     def test_package_imports_without_numpy(self, package):
         """Each package on its own, so a regression names the one that
         pulls numpy back into start-up."""
-        assert self._numpy_modules_after([package]) == "[]"
+        assert self._modules_after([package]) == "[]"
+
+    @pytest.mark.parametrize("module", ["repro.experiments", "repro.__main__"])
+    def test_batch_side_imports_without_asyncio(self, module):
+        """The pool the runner shares with the daemon imports asyncio only
+        when the daemon awaits it."""
+        assert self._modules_after([module], "asyncio") == "[]"
 
     @pytest.mark.parametrize("seeds", ["0", "-1", "two", "1.5"])
     @pytest.mark.parametrize(
@@ -276,7 +269,7 @@ class TestCacheHardening:
     """Torn/corrupt/concurrent cache entries must never poison a run."""
 
     def _cache_file(self, tmp_path, spec):
-        return tmp_path / f"{ExperimentRunner.cache_key(spec)}.json"
+        return tmp_path / f"{ResultCache.key(spec)}.json"
 
     def test_truncated_cache_entry_is_a_miss_and_is_repaired(self, tmp_path):
         spec = fast_spec()
@@ -380,8 +373,6 @@ class TestCacheHardening:
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_load_key_refuses_keys_that_are_not_content_addresses(self, tmp_path):
-        from repro.experiments import ResultCache
-
         outside = tmp_path / "outside"
         outside.with_suffix(".json").write_text(execute_spec(fast_spec()).to_json())
         cache = ResultCache(tmp_path / "store")
@@ -389,6 +380,17 @@ class TestCacheHardening:
             with pytest.raises(ValueError, match="invalid store key"):
                 cache.load_key(key)
         assert cache.load_key("0" * 64) is None
+
+    def test_store_key_round_trips_and_refuses_bad_keys(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = execute_spec(fast_spec())
+        key = ResultCache.key(fast_spec())
+        cache.store_key(key, result.to_json())
+        assert cache.load_key(key).to_json() == result.to_json()
+        assert cache.load(fast_spec()).to_json() == result.to_json()
+        with pytest.raises(ValueError, match="invalid store key"):
+            cache.store_key("../outside", result.to_json())
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.json"]
 
 
 class TestOnePipeline:

@@ -249,7 +249,7 @@ def test_sharded_verify_jobs_catch_divergence(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for the daemon's ``AsyncJobPool``: runs jobs in-process."""
+    """Stands in for the daemon's ``JobExecutor``: runs jobs in-process."""
 
     def __init__(self):
         self.jobs = []

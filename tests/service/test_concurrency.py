@@ -105,7 +105,7 @@ class TestOneSubmissionFillsThePool:
         """Each job waits for a partner: only ``jobs`` workers busy at once
         with cells of *one* submission let any of them through."""
         monkeypatch.setattr("test_concurrency.BARRIER", multiprocessing.Barrier(2))
-        monkeypatch.setattr("repro.service.pool.run_job", paired_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", paired_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)
@@ -128,7 +128,7 @@ class TestOneSubmissionFillsThePool:
         monkeypatch.setattr(
             "test_concurrency.LAST_SEED_DONE", multiprocessing.Event()
         )
-        monkeypatch.setattr("repro.service.pool.run_job", last_seed_first_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", last_seed_first_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)
@@ -176,7 +176,7 @@ class TestSubmissionsInterleave:
         other connection's cell takes the next free worker."""
         monkeypatch.setattr("test_concurrency.GATE", multiprocessing.Event())
         monkeypatch.setattr("test_concurrency.STARTED", multiprocessing.SimpleQueue())
-        monkeypatch.setattr("repro.service.pool.run_job", logged_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", logged_worker)
 
         async def scenario():
             loop = await service_loop(jobs=1)
@@ -206,7 +206,9 @@ class TestShardedSetup:
         spec = sharded_spec()
         expected = ExperimentRunner(jobs=1).run_one(spec).to_json()
         monkeypatch.setattr("test_concurrency.BARRIER", multiprocessing.Barrier(2))
-        monkeypatch.setattr("repro.service.pool.run_job", paired_checkpoint_worker)
+        monkeypatch.setattr(
+            "repro.experiments.runner.run_job", paired_checkpoint_worker
+        )
 
         async def scenario():
             loop = await service_loop(jobs=2)
@@ -233,7 +235,7 @@ class TestInProcessDedup:
         self, service_loop, monkeypatch
     ):
         spec = fast_spec()
-        monkeypatch.setattr("repro.service.pool.run_job", slow_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", slow_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)
@@ -248,7 +250,7 @@ class TestInProcessDedup:
             first.close()
             second.close()
             stats = loop.service.scheduler.stats()
-            pool_stats = loop.service.pool.stats()
+            pool_stats = loop.service.status()["pool"]
             await loop.stop()
             return events_a, events_b, stats, pool_stats
 
@@ -265,7 +267,7 @@ class TestInProcessDedup:
 
     @fork_only
     def test_dedup_does_not_conflate_distinct_seeds(self, service_loop, monkeypatch):
-        monkeypatch.setattr("repro.service.pool.run_job", slow_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", slow_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)

@@ -19,8 +19,9 @@ Each failure mode the service must absorb, proven deterministically:
 * a ``shutdown`` sent over a connection that stays open exits 0 with
   nothing on stderr.
 
-Crash/slow workers are injected by monkeypatching the async pool's worker
-entry point; ``fork``-started pool workers inherit the patched binding.
+Crash/slow workers are injected by monkeypatching the pool's worker entry
+point (``repro.experiments.runner.run_job``); ``fork``-started pool workers
+inherit the patched binding.
 """
 
 import asyncio
@@ -120,14 +121,14 @@ class TestWorkerCrash:
         monkeypatch.setenv(MARKER_ENV, str(tmp_path / "crash.marker"))
         spec = fast_spec()
         expected = execute_spec(spec).to_json()
-        monkeypatch.setattr("repro.service.pool.run_job", crash_once_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", crash_once_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)
             conn = await loop.connect()
             events = await _submit_and_collect(conn, spec)
             conn.close()
-            stats = loop.service.pool.stats()
+            stats = loop.service.status()["pool"]
             await loop.stop()
             return events, stats
 
@@ -150,7 +151,7 @@ class TestClientDisconnect:
     ):
         spec = fast_spec()
         expected = execute_spec(spec).to_json()
-        monkeypatch.setattr("repro.service.pool.run_job", slow_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", slow_worker)
 
         async def scenario():
             loop = await service_loop(jobs=1)
@@ -184,7 +185,7 @@ class TestClientDisconnect:
     ):
         seeds = [0, 1, 2, 3]
         monkeypatch.setattr("test_faults.GATE", multiprocessing.Event())
-        monkeypatch.setattr("repro.service.pool.run_job", held_seeds_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", held_seeds_worker)
         over_released = []
 
         async def scenario():
@@ -305,17 +306,17 @@ class TestJobTimeout:
         self, service_loop, monkeypatch
     ):
         spec = fast_spec()
-        monkeypatch.setattr("repro.service.pool.run_job", sleep_forever_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", sleep_forever_worker)
 
         async def scenario():
             loop = await service_loop(jobs=1)
             conn = await loop.connect()
             events = await _submit_and_collect(conn, spec, timeout_s=0.5)
             # Un-wedge the worker binding and prove the rebuilt pool works.
-            monkeypatch.setattr("repro.service.pool.run_job", run_job)
+            monkeypatch.setattr("repro.experiments.runner.run_job", run_job)
             healthy = await _submit_and_collect(conn, spec)
             conn.close()
-            stats = loop.service.pool.stats()
+            stats = loop.service.status()["pool"]
             await loop.stop()
             return events, healthy, stats
 
@@ -345,7 +346,7 @@ class TestJobTimeout:
         expected = {
             seed: execute_spec(spec.with_seed(seed)).to_json() for seed in (1, 2)
         }
-        monkeypatch.setattr("repro.service.pool.run_job", one_seed_hangs_worker)
+        monkeypatch.setattr("repro.experiments.runner.run_job", one_seed_hangs_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)

@@ -1,10 +1,12 @@
-"""Worker-crash and timeout semantics of the two job execution substrates.
+"""Worker-crash and timeout semantics of the one job execution substrate.
 
-Covers the PR's runner fix — a worker that dies mid-job no longer aborts a
-grid with a raw :class:`BrokenProcessPool`; it is retried (bounded) on a
-fresh pool and, when retries are exhausted, surfaces an actionable
-:class:`~repro.experiments.ExperimentExecutionError` — plus the async
-pool's per-job timeout (stuck worker killed, pool rebuilt, caller told).
+:class:`~repro.experiments.runner.JobExecutor` is driven two ways over one
+pool: the batch runner's synchronous ``run_all`` and the daemon's awaited
+``run``.  Both must survive a worker that dies mid-job — retried (bounded)
+on a rebuilt pool and, when retries are exhausted, surfaced as an
+actionable :class:`~repro.experiments.ExperimentExecutionError` — and
+``run`` adds the per-job timeout (stuck worker killed, pool rebuilt, caller
+told).
 
 Crash injection monkeypatches the module-level worker entry point; the
 ``fork`` start method propagates the patched binding into pool workers, so
@@ -12,6 +14,7 @@ the tests skip on platforms with ``spawn``/``forkserver`` defaults.
 """
 
 import asyncio
+import math
 import multiprocessing
 import os
 import time
@@ -29,7 +32,7 @@ from repro.experiments import (
     SessionDecl,
 )
 from repro.experiments.runner import describe_job, run_job
-from repro.service import AsyncJobPool, JobTimeoutError
+from repro.service import JobTimeoutError
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -73,8 +76,12 @@ def sleep_forever_worker(job):
     return run_job(job)
 
 
+def raising_worker(job):
+    raise RuntimeError("the simulation itself failed")
+
+
 # ----------------------------------------------------------------------
-# JobExecutor (the batch substrate)
+# run_all (the batch runner's loop)
 # ----------------------------------------------------------------------
 class TestJobExecutor:
     def test_validates_parameters(self):
@@ -82,6 +89,13 @@ class TestJobExecutor:
             JobExecutor(jobs=0)
         with pytest.raises(ValueError, match="retries"):
             JobExecutor(retries=-1)
+
+    @pytest.mark.parametrize("timeout_s", [0, 0.0, -1.0, math.nan, math.inf, True])
+    def test_default_budget_must_be_positive_and_finite(self, timeout_s):
+        """A zero, negative or NaN default used to time every job out,
+        SIGKILLing the workers each time: the wire's rule applies here too."""
+        with pytest.raises(ValueError, match="timeout_s"):
+            JobExecutor(timeout_s=timeout_s)
 
     def test_serial_equals_pooled(self):
         jobs = _jobs((0, 1))
@@ -140,18 +154,12 @@ class TestRunnerCrashRecovery:
 
 
 # ----------------------------------------------------------------------
-# AsyncJobPool (the service substrate)
+# run (the daemon's loop)
 # ----------------------------------------------------------------------
-class TestAsyncJobPool:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="jobs"):
-            AsyncJobPool(jobs=0)
-        with pytest.raises(ValueError, match="retries"):
-            AsyncJobPool(retries=-1)
-
+class TestJobExecutorRun:
     def test_runs_jobs_and_counts_completions(self):
         async def scenario():
-            pool = AsyncJobPool(jobs=2)
+            pool = JobExecutor(jobs=2)
             try:
                 jobs = _jobs((0, 1))
                 outputs = await asyncio.gather(*(pool.run(job) for job in jobs))
@@ -164,11 +172,28 @@ class TestAsyncJobPool:
         asyncio.run(scenario())
 
     @fork_only
+    def test_a_raising_worker_counts_as_failed(self):
+        """``completed + failed`` is every job the pool finished."""
+
+        async def scenario():
+            pool = JobExecutor(jobs=1, worker=raising_worker)
+            try:
+                with pytest.raises(RuntimeError, match="simulation itself"):
+                    await pool.run(_jobs((0,))[0])
+                return pool.stats()
+            finally:
+                pool.close()
+
+        stats = asyncio.run(scenario())
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+        assert (stats["restarts"], stats["retries_used"]) == (0, 0)
+
+    @fork_only
     def test_crashed_worker_retried_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setenv(MARKER_ENV, str(tmp_path / "crash.marker"))
 
         async def scenario():
-            pool = AsyncJobPool(jobs=2, retries=2, worker=crash_once_worker)
+            pool = JobExecutor(jobs=2, retries=2, worker=crash_once_worker)
             try:
                 job = _jobs((0,))[0]
                 assert await pool.run(job) == run_job(job)
@@ -183,7 +208,7 @@ class TestAsyncJobPool:
     @fork_only
     def test_exhausted_retries_raise_actionable_error(self):
         async def scenario():
-            pool = AsyncJobPool(jobs=1, retries=1, worker=always_crash_worker)
+            pool = JobExecutor(jobs=1, retries=1, worker=always_crash_worker)
             try:
                 with pytest.raises(ExperimentExecutionError, match="jobs=1"):
                     await pool.run(_jobs((0,))[0])
@@ -197,7 +222,7 @@ class TestAsyncJobPool:
         """A job admitted between another job's worker crash and its rebuild."""
 
         async def scenario():
-            pool = AsyncJobPool(jobs=2, retries=2)
+            pool = JobExecutor(jobs=2, retries=2)
             try:
                 job = _jobs((0,))[0]
                 # The concurrent job: its worker dies and breaks the executor,
@@ -217,7 +242,7 @@ class TestAsyncJobPool:
     @fork_only
     def test_submit_on_a_pool_that_stays_broken_exhausts_retries(self, monkeypatch):
         async def scenario():
-            pool = AsyncJobPool(jobs=1, retries=1)
+            pool = JobExecutor(jobs=1, retries=1)
             broken = pool._ensure_pool()
             with pytest.raises(BrokenProcessPool):
                 broken.submit(always_crash_worker, None).result()
@@ -235,7 +260,7 @@ class TestAsyncJobPool:
     @fork_only
     def test_timeout_kills_worker_and_pool_recovers(self):
         async def scenario():
-            pool = AsyncJobPool(jobs=1, worker=sleep_forever_worker)
+            pool = JobExecutor(jobs=1, worker=sleep_forever_worker)
             try:
                 job = _jobs((0,))[0]
                 with pytest.raises(JobTimeoutError, match="budget"):

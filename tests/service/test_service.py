@@ -21,6 +21,8 @@ from _util import AsyncConn, daemon_env
 from repro.experiments import (
     PAPER_DEFAULTS,
     CohortDecl,
+    ExperimentRunner,
+    JobExecutor,
     ResultCache,
     RunResult,
     ScenarioSpec,
@@ -35,7 +37,6 @@ from repro.service.jobs import (
     QueueFullError,
     ServiceDrainingError,
 )
-from repro.service.pool import AsyncJobPool
 
 
 def fast_spec(seed: int = 0) -> ScenarioSpec:
@@ -420,7 +421,7 @@ class TestProtocolErrorHandling:
 class TestSchedulerAdmission:
     def _scheduler(self, tmp_path, max_queue=2):
         return ExperimentScheduler(
-            pool=AsyncJobPool(jobs=1),
+            pool=JobExecutor(jobs=1),
             cache=ResultCache(tmp_path),
             checkpoint_dir=tmp_path,
             max_queue=max_queue,
@@ -453,6 +454,47 @@ class TestSchedulerAdmission:
             # A submission that fits still goes through afterwards.
             (result,) = client.run(fast_spec(), seeds=[0])
             assert result.seed == 0
+
+
+class TestOneHashPerCell:
+    """A cell's spec is hashed once (``ResultCache.key``), batch or served:
+    the key serves the lookup, the dedup and the store."""
+
+    @pytest.fixture
+    def hashed_seeds(self, monkeypatch):
+        seeds = []
+        real_key = ResultCache.key
+
+        def counting_key(spec):
+            seeds.append(spec.seed)
+            return real_key(spec)
+
+        monkeypatch.setattr(ResultCache, "key", staticmethod(counting_key))
+        return seeds
+
+    def test_batch_miss(self, tmp_path, hashed_seeds):
+        ExperimentRunner(jobs=1, cache_dir=tmp_path).run([fast_spec(0), fast_spec(1)])
+        assert sorted(hashed_seeds) == [0, 1]
+
+    def test_daemon_miss_and_hit(self, service_loop, hashed_seeds):
+        async def scenario():
+            loop = await service_loop(jobs=1)
+            conn = await loop.connect()
+            missed = await conn.submit(fast_spec(), [0, 1], request_id="miss")
+            on_miss = sorted(hashed_seeds)
+            hit = await conn.submit(fast_spec(), [0, 1], request_id="hit")
+            conn.close()
+            await loop.stop()
+            return missed, on_miss, hit
+
+        missed, on_miss, hit = asyncio.run(scenario())
+        cached = [
+            [e["cached"] for e in events if e["event"] == "result"]
+            for events in (missed, hit)
+        ]
+        assert cached == [[False, False], [True, True]]
+        assert on_miss == [0, 1]
+        assert sorted(hashed_seeds) == [0, 0, 1, 1]
 
 
 class TestCli:
@@ -500,6 +542,25 @@ class TestCli:
         proc = self._cli("serve", "--cache-dir", str(tmp_path))
         assert proc.returncode == 2
         assert "--socket" in proc.stderr
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_unusable_default_budget_exits_2_promptly(self, tmp_path, timeout):
+        """``serve --timeout 0`` used to start a daemon that SIGKILLed every
+        job's worker and rebuilt its pool."""
+        proc = subprocess.run(
+            # ``--timeout=-1``: argparse reads a bare ``-1`` as an option.
+            [sys.executable, "-m", "repro", "serve", "--socket",
+             str(tmp_path / "d.sock"), "--cache-dir", str(tmp_path / "cache"),
+             f"--timeout={timeout}"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=daemon_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "timeout_s" in proc.stderr
+        assert not (tmp_path / "d.sock").exists()
 
     def test_submit_to_missing_daemon_exits_2(self, tmp_path):
         proc = self._cli(

@@ -66,7 +66,6 @@ SCOPED: Tuple[str, ...] = (
     "multicast_cc/flid_dl.py",
     "multicast_cc/flid_ds.py",
     "service/protocol.py",
-    "service/pool.py",
     "service/jobs.py",
     "service/server.py",
     "service/client.py",
