@@ -24,7 +24,7 @@ byte-deterministic across processes.
 
 from .context import AttackContext
 from .registry import ADVERSARIES, adversary_names, build_strategies, register_adversary
-from .spec import BATCHED_DECISION_RULES, COHORT_BATCHED_STRATEGIES, AttackSpec
+from .spec import AttackSpec
 from .strategy import AttackStrategy
 from .strategies import (
     ChurnStrategy,
@@ -42,8 +42,6 @@ __all__ = [
     "AttackSpec",
     "AttackStrategy",
     "ADVERSARIES",
-    "BATCHED_DECISION_RULES",
-    "COHORT_BATCHED_STRATEGIES",
     "adversary_names",
     "build_strategies",
     "register_adversary",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..multicast_cc.decision import forbidden_groups as _forbidden_groups
 from ..simulator.address import GroupAddress
 from ..simulator.igmp import IgmpHostInterface
 
@@ -126,7 +125,7 @@ class AttackContext:
 
     def forbidden_groups(self, slot: int) -> List[int]:
         """Groups above the receiver's legitimate entitlement for ``slot``."""
-        return list(_forbidden_groups(self.entitled_level(slot), self.group_count))
+        return list(range(self.entitled_level(slot) + 1, self.group_count + 1))
 
     def set_level(self, level: int) -> None:
         """Overwrite the receiver's subscription level (and its history)."""
@@ -159,6 +158,7 @@ class AttackContext:
         self._igmp().leave(self.address_of(group))
 
     def igmp_join_all(self) -> None:
+        """One membership report per group, in ascending group order."""
         for group in range(1, self.group_count + 1):
             self.igmp_join(group)
 

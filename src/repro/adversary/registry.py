@@ -54,12 +54,8 @@ def build_strategies(
     """
     strategies: List[AttackStrategy] = []
     for index, attack in enumerate(attacks):
-        cls = ADVERSARIES.get(attack.strategy)
-        if cls is None:
-            raise KeyError(
-                f"unknown adversary strategy {attack.strategy!r}; "
-                f"known: {adversary_names()}"
-            )
+        # AttackSpec refuses unregistered names at declaration.
+        cls = ADVERSARIES[attack.strategy]
         rng = network.random.stream(
             f"adversary:{session_spec.session_id}:{host_name}:{index}:{attack.strategy}"
         )

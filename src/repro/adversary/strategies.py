@@ -7,32 +7,19 @@ deliberately small — composition (stacking several on one receiver) is how
 richer attackers are built, e.g. the Figure 7 attacker is inflated-join +
 key-replay + key-guessing.
 
-Every strategy here is a thin shim over a pure decision rule in
-:mod:`repro.multicast_cc.decision` (the
-:data:`~repro.adversary.spec.BATCHED_DECISION_RULES` mapping names the
-pairing): the shim gathers the slot's inputs — entitlement, stash, pooled
-keys, and for key guessing the slot's *per-cohort* draw budget from the
-strategy's seeded stream — and books the rule's output through the
-capability context at ``member_count`` weight.  That split is what makes
-cohort batching exact for the whole registry; the exhaustive small-model
-harness (``tests/properties/exhaustive.py``) gates every rule.
+Each strategy decides its per-slot action inline from what the capability
+context exposes — entitlement, stash, pooled keys, and for key guessing the
+slot's draw budget from the strategy's seeded stream, drawn once per
+receiver — and books it through the context at ``member_count`` weight, so
+one receiver standing for N attackers acts exactly as N one-member receivers
+would.  The exhaustive small-model harness (``tests/properties/exhaustive.py``)
+drives every class here against an independent reference model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, TYPE_CHECKING
+from typing import Dict, Set, TYPE_CHECKING
 
-from ..multicast_cc.decision import (
-    attack_rate,
-    attack_target_level,
-    churn_phase,
-    collusion_volley,
-    decide_churn,
-    decide_join_storm,
-    guess_volley,
-    mask_congestion,
-    replay_volley,
-)
 from .context import AttackContext
 from .registry import register_adversary
 from .strategy import AttackStrategy
@@ -68,11 +55,9 @@ class InflatedJoinStrategy(AttackStrategy):
 
     name = "inflated-join"
 
-    def _target_level(self, ctx: AttackContext) -> int:
-        return attack_target_level(self.intensity, ctx.group_count)
-
     def on_start(self, ctx: AttackContext) -> None:
-        target = self._target_level(ctx)
+        # ``intensity`` of the session's groups, clamped to a valid level.
+        target = max(1, min(ctx.group_count, round(self.intensity * ctx.group_count)))
         for group in range(1, target + 1):
             ctx.igmp_join(group)
         if self.param("suppress_honest", True):
@@ -98,7 +83,7 @@ class IgnoreCongestionStrategy(AttackStrategy):
     def filter_congestion(
         self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool
     ) -> bool:
-        return mask_congestion(congested, str(self.param("mode", "mask")))
+        return congested and self.param("mode", "mask") != "mask"
 
     def on_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> bool:
         return self.param("mode", "mask") == "hold" and congested
@@ -123,28 +108,23 @@ class ChurnStrategy(AttackStrategy):
         self._phase_high = False
         self._joined: Set[int] = set()
 
-    def _period_s(self) -> float:
-        return max(1e-3, float(self.param("period_s", 4.0)) / self.intensity)
-
     def on_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> bool:
-        phase_high = churn_phase(
-            ctx.now - self.start_s, self._period_s(), float(self.param("duty", 0.5))
-        )
-        action = decide_churn(
-            phase_high,
-            self._phase_high,
-            ctx.entitled_level(slot),
-            ctx.group_count,
-            self._joined,
-        )
-        for group in action.join_groups:
-            ctx.igmp_join(group)
-            self._joined.add(group)
-        if action.session_rejoin:
+        # The cycle spends ``duty`` (clamped to [0, 1]) of every period —
+        # floored to a millisecond — in the high phase.
+        period_s = max(1e-3, float(self.param("period_s", 4.0)) / self.intensity)
+        duty = min(1.0, max(0.0, float(self.param("duty", 0.5))))
+        phase_high = (ctx.now - self.start_s) % period_s < duty * period_s
+        if phase_high and not self._phase_high:
+            # Rising edge: join everything and re-run the key-less session-join.
+            ctx.igmp_join_all()
+            self._joined.update(range(1, ctx.group_count + 1))
             ctx.sigma_rejoin()
-        for group in action.leave_groups:
-            ctx.igmp_leave(group)
-        if not phase_high and self._phase_high:
+        elif self._phase_high and not phase_high:
+            # Falling edge: abandon the joined groups above the entitlement.
+            entitled = ctx.entitled_level(slot)
+            for group in sorted(self._joined):
+                if group > entitled:
+                    ctx.igmp_leave(group)
             self._joined.clear()
         self._phase_high = phase_high
         return False
@@ -184,19 +164,23 @@ class KeyReplayStrategy(AttackStrategy):
         if not ctx.protected:
             return
         governed = slot + 2
-        per_group = attack_rate(float(self.param("replays_per_group", 1)), self.intensity)
-        candidates: List[int] = []
-        for stash_slot in sorted(self._stash, reverse=True):
-            candidates.extend(self._stash[stash_slot].values())
+        # The freshest stashed keys, replayed for every forbidden group,
+        # group-major.
+        candidates = [
+            key
+            for stash_slot in sorted(self._stash, reverse=True)
+            for key in self._stash[stash_slot].values()
+        ]
         if not candidates:
             return
-        volley = replay_volley(
-            candidates, ctx.entitled_level(governed), ctx.group_count, per_group
-        )
-        ctx.replay_attempts += ctx.member_count * len(volley)
-        ctx.sigma_subscribe(
-            governed, [(ctx.address_of(group), key) for group, key in volley]
-        )
+        replayed = candidates[: self.rate("replays_per_group", 1)]
+        pairs = [
+            (ctx.address_of(group), key)
+            for group in ctx.forbidden_groups(governed)
+            for key in replayed
+        ]
+        ctx.replay_attempts += ctx.member_count * len(pairs)
+        ctx.sigma_subscribe(governed, pairs)
 
 
 @register_adversary
@@ -214,19 +198,17 @@ class KeyGuessingStrategy(AttackStrategy):
         if not ctx.protected:
             return
         governed = slot + 2
-        guesses = attack_rate(float(self.param("guesses_per_slot", 4)), self.intensity)
+        guesses = self.rate("guesses_per_slot", 4)
         key_bits = int(self.param("key_bits", getattr(ctx.receiver, "key_bits", 16)))
-        entitled = ctx.entitled_level(governed)
-        # One draw budget per slot covers the whole cohort (per-cohort
-        # randomness); the flat draw order matches the group-major loop the
-        # per-object strategy historically ran, byte for byte.
-        needed = max(0, ctx.group_count - entitled) * guesses
-        draws = [self.rng.getrandbits(key_bits) for _ in range(needed)]
-        volley = guess_volley(entitled, ctx.group_count, guesses, draws)
-        ctx.guess_attempts += ctx.member_count * len(volley)
-        ctx.sigma_subscribe(
-            governed, [(ctx.address_of(group), key) for group, key in volley]
-        )
+        # One draw budget per slot covers every member the receiver stands
+        # for, drawn group-major: ``guesses`` keys per forbidden group.
+        pairs = [
+            (ctx.address_of(group), self.rng.getrandbits(key_bits))
+            for group in ctx.forbidden_groups(governed)
+            for _ in range(guesses)
+        ]
+        ctx.guess_attempts += ctx.member_count * len(pairs)
+        ctx.sigma_subscribe(governed, pairs)
 
 
 @register_adversary
@@ -244,9 +226,8 @@ class JoinStormStrategy(AttackStrategy):
     name = "join-storm"
 
     def after_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> None:
-        bursts = attack_rate(float(self.param("bursts_per_slot", 1)), self.intensity)
-        for group in decide_join_storm(bursts, ctx.group_count):
-            ctx.igmp_join(group)
+        for _ in range(self.rate("bursts_per_slot", 1)):
+            ctx.igmp_join_all()
 
 
 @register_adversary
@@ -275,8 +256,10 @@ class CollusionStrategy(AttackStrategy):
             return
         governed = slot + 2
         pooled = self._pool(ctx).keys_for(governed)
-        volley = collusion_volley(pooled, ctx.entitled_level(governed), ctx.group_count)
-        ctx.shared_key_submissions += ctx.member_count * len(volley)
-        ctx.sigma_subscribe(
-            governed, [(ctx.address_of(group), key) for group, key in volley]
-        )
+        pairs = [
+            (ctx.address_of(group), pooled[group])
+            for group in ctx.forbidden_groups(governed)
+            if group in pooled
+        ]
+        ctx.shared_key_submissions += ctx.member_count * len(pairs)
+        ctx.sigma_subscribe(governed, pairs)

@@ -68,6 +68,16 @@ class AttackStrategy:
         """A declared strategy parameter, or ``default`` when unset."""
         return self.params.get(key, default)
 
+    def rate(self, key: str, default: float) -> int:
+        """Per-slot action count of a volume knob, scaled by ``intensity``.
+
+        Every volume knob (replays per group, guesses per slot, storm bursts)
+        scales by the attack's ``intensity`` and is floored at one action —
+        an active attacker always acts — so intensity sweeps mean the same
+        thing for every strategy.
+        """
+        return max(1, round(float(self.param(key, default)) * self.intensity))
+
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------

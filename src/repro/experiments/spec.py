@@ -280,9 +280,10 @@ class CohortDecl(PlainData):
     ``start_s`` is the members' shared join time.
 
     ``attack`` makes the block an **adversarial cohort**: every member
-    mounts the declared strategy (the whole registry batches exactly —
-    :data:`~repro.adversary.spec.COHORT_BATCHED_STRATEGIES`; the attack's
-    ``receivers`` indices are ignored, the block itself is the target).
+    mounts the declared strategy (any registered strategy: one receiver
+    books every message and counter at member weight, so N members act as N
+    one-member receivers would; the attack's ``receivers`` indices are
+    ignored, the block itself is the target).
     ``churn`` drives the member count by a deterministic
     :class:`~repro.multicast_cc.churn.ChurnProcess` (flash crowds, gradual
     arrival/departure); churn requires the aggregated ``"cohort"`` model.
@@ -317,9 +318,6 @@ class CohortDecl(PlainData):
                     "cohorts only applies to aggregated models; individual "
                     "receivers are already one object per member"
                 )
-        # Every declarable strategy batches exactly over a cohort: AttackSpec
-        # itself rejects registered strategies without batched decision rules
-        # (BATCHED_DECISION_RULES), so no per-model gate is needed here.
         if self.churn is not None and (
             self.model != "cohort" or (self.cohorts or 1) != 1
         ):
@@ -358,7 +356,7 @@ class SessionDecl(PlainData):
     ``receivers`` individual ones.  ``attacks`` entries can only target
     individual receiver indices (``0 .. receivers-1``); a population block
     becomes adversarial by carrying its own :class:`CohortDecl.attack`
-    (batch-exact strategies only), which is the paper's threat model taken
+    (any registered strategy), which is the paper's threat model taken
     to scale — bounded attacker cohorts against large honest audiences.  A
     session declaring a population may set ``receivers=0``.
     """

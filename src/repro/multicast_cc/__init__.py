@@ -12,22 +12,11 @@
   protocol protected by the Figure 5 DELTA instantiation.
 * :mod:`repro.multicast_cc.session` — session descriptions (rates, groups,
   slots) shared by all protocols.
-* :mod:`repro.multicast_cc.decision` — the pure per-slot subscription rules
-  of the honest protocols and of every attack strategy.
 * :mod:`repro.multicast_cc.population` — :func:`split_counts`, which cuts a
   declared population into the rows of member counts a receiver stands for.
 """
 
 from .churn import ChurnProcess
-from .decision import (
-    ChurnAction,
-    DlDecision,
-    attack_target_level,
-    churn_phase,
-    decide_churn,
-    decide_dl,
-    mask_congestion,
-)
 from .flid_dl import FlidDlReceiver, FlidDlSender
 from .flid_ds import FlidDsReceiver, FlidDsSender
 from .receiver_base import LayeredReceiverBase, SlotRecord
@@ -37,13 +26,6 @@ from .session import SessionSpec, fair_level_for_rate
 
 __all__ = [
     "ChurnProcess",
-    "ChurnAction",
-    "DlDecision",
-    "attack_target_level",
-    "churn_phase",
-    "decide_churn",
-    "decide_dl",
-    "mask_congestion",
     "FlidDlReceiver",
     "FlidDlSender",
     "FlidDsReceiver",

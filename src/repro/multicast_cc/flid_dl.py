@@ -29,7 +29,6 @@ from ..simulator.igmp import IgmpHostInterface
 from ..simulator.node import Host
 from ..simulator.topology import Network
 from .churn import ChurnProcess
-from .decision import DlDecision, decide_dl
 from .receiver_base import LayeredReceiverBase, SlotRecord
 from .sender_base import LayeredSenderBase
 from .session import SessionSpec
@@ -94,28 +93,19 @@ class FlidDlReceiver(LayeredReceiverBase):
             self.igmp.leave(self.spec.address_of(group), members=members)
 
     def _apply_decision(self, evaluated_slot: int, record: SlotRecord, congested: bool) -> None:
-        """Apply the three FLID-DL subscription rules for one evaluated slot.
-
-        The rules themselves are the pure :func:`decide_dl`; this method only
-        enacts the returned decision on the receiver's IGMP interface.
-        """
+        """Apply the three FLID-DL subscription rules for one evaluated slot."""
         if self.igmp is None:
             return
-        decision = decide_dl(
-            self.level, congested, record.upgrade_groups, self.spec.group_count
-        )
-        self._enact(evaluated_slot, decision)
-
-    def _enact(self, evaluated_slot: int, decision: DlDecision) -> None:
-        """Turn a pure decision into IGMP membership changes and level state."""
-        if decision.leave_group is not None:
-            self.igmp.leave(self.spec.address_of(decision.leave_group))
-            self._set_level(decision.next_level)
-            if decision.deaf_slots:
+        level = self.level
+        if congested:
+            if level > 1:
+                self.igmp.leave(self.spec.address_of(level))
+                self._set_level(level - 1)
                 # The leave takes one IGMP prune latency to relieve the
                 # bottleneck; losses in the next slot belong to this episode.
-                self._enter_deaf_period(evaluated_slot + decision.deaf_slots)
+                self._enter_deaf_period(evaluated_slot + 1)
             return
-        if decision.join_group is not None:
-            self.igmp.join(self.spec.address_of(decision.join_group))
-            self._set_level(decision.next_level)
+        target = level + 1
+        if target <= self.spec.group_count and target in record.upgrade_groups:
+            self.igmp.join(self.spec.address_of(target))
+            self._set_level(target)

@@ -44,6 +44,18 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             AttackSpec("churn", start_s=10.0, stop_s=5.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_are_refused(self, value):
+        """A NaN or infinite intensity used to pass ``<= 0`` and crash the run
+        (NaN to int, inf overflow); a non-finite schedule never fired or never
+        ended.  Each is refused at declaration, naming its field."""
+        with pytest.raises(ValueError, match=r"AttackSpec\.intensity must be a finite number > 0"):
+            AttackSpec("churn", intensity=value)
+        with pytest.raises(ValueError, match=r"AttackSpec\.start_s"):
+            AttackSpec("churn", start_s=value)
+        with pytest.raises(ValueError, match=r"AttackSpec\.stop_s"):
+            AttackSpec("churn", stop_s=value)
+
     def test_window(self):
         """The window semantics the receivers dispatch on (strategy side)."""
         from repro.adversary.strategies import ChurnStrategy
@@ -115,14 +127,13 @@ class TestRegistry:
             "collusion",
         } <= set(adversary_names())
 
-    def test_unknown_strategy_raises(self, tmp_path):
-        from repro.simulator.topology import DumbbellConfig, DumbbellNetwork
-        from repro.multicast_cc import SessionSpec
-
-        net = DumbbellNetwork(DumbbellConfig())
-        spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
-        with pytest.raises(KeyError, match="no-such-strategy"):
-            build_strategies([AttackSpec("no-such-strategy")], net, spec, "h")
+    def test_unknown_strategy_raises(self):
+        """An unregistered name never reaches ``build_strategies``: the spec
+        refuses it, naming the strategies that exist."""
+        with pytest.raises(ValueError, match="no-such-strategy") as excinfo:
+            AttackSpec("no-such-strategy")
+        for name in adversary_names():
+            assert repr(name) in str(excinfo.value)
 
     def test_streams_are_isolated_per_strategy(self):
         from repro.simulator.topology import DumbbellConfig, DumbbellNetwork

@@ -139,29 +139,16 @@ def test_paper_to_code_modules_importable():
 
 
 def test_threat_model_covers_every_registered_strategy():
-    """docs/threat-model.md documents each adversary registry entry — in the
-    taxonomy table *and* in the scale-limits (batches exactly?) table."""
-    from repro.adversary import ADVERSARIES, COHORT_BATCHED_STRATEGIES
+    """docs/threat-model.md documents exactly the adversary registry, in the
+    taxonomy table *and* in the at-scale table of why each one batches."""
+    from repro.adversary import ADVERSARIES
 
     text = (DOCS / "threat-model.md").read_text()
-    for name in ADVERSARIES:
-        assert f"`{name}`" in text, f"threat-model.md misses strategy {name!r}"
-    # The batch-exact verdicts in the scale-limits table match the enforced
-    # constant (each strategy appears in two tables; the verdict column of
-    # the scale-limits one starts with "yes" or "no").
-    for name in ADVERSARIES:
-        expected = "yes" if name in COHORT_BATCHED_STRATEGIES else "no"
-        columns = [
-            match.strip()
-            for match in re.findall(
-                rf"^\| `{re.escape(name)}` \| ([^|]+) \|", text, flags=re.MULTILINE
-            )
-        ]
-        verdicts = [c for c in columns if c.startswith(("yes", "no"))]
-        assert verdicts, f"threat-model.md has no scale-limits row for {name!r}"
-        assert all(v.startswith(expected) for v in verdicts), (
-            f"threat-model.md scale-limits verdict for {name!r} disagrees "
-            f"with COHORT_BATCHED_STRATEGIES"
+    for heading in ("| Strategy | Paper taxonomy |", "| Strategy | Why one receiver"):
+        table = text[text.index(heading):].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| [^|\s]", table, flags=re.MULTILINE)
+        assert sorted(rows) == sorted(ADVERSARIES), (
+            f"threat-model.md table {heading!r} disagrees with the registry"
         )
 
 

@@ -39,6 +39,7 @@ from repro.experiments import (
     Scenario,
     ScenarioSpec,
     SessionDecl,
+    scenario_spec,
 )
 
 #: Small population (feasible as individuals) on a tight bottleneck, so the
@@ -323,31 +324,19 @@ def test_every_registered_strategy_declares_on_cohorts():
         assert decl.attack.strategy == strategy
 
 
-def test_strategy_without_batched_rules_rejected_at_declaration():
-    """A registered strategy missing its decision.py rules fails AttackSpec.
+def test_unknown_strategy_rejected_at_declaration():
+    """An unregistered strategy name fails AttackSpec, listing the known ones.
 
-    The actionable error names the module to extend and the gate to satisfy,
-    so a new strategy cannot ship half-batched.
+    It used to declare, round-trip through JSON and fail only when the
+    scenario was built — after a CLI traceback or a daemon admission.
     """
-    from repro.adversary import AttackStrategy
-    from repro.adversary.registry import ADVERSARIES, register_adversary
+    from repro.adversary import adversary_names
 
-    class UnbatchedStrategy(AttackStrategy):
-        name = "test-unbatched"
-
-    register_adversary(UnbatchedStrategy)
-    try:
-        with pytest.raises(ValueError) as excinfo:
-            AttackSpec("test-unbatched")
-        message = str(excinfo.value)
-        assert "repro.multicast_cc.decision" in message
-        assert "BATCHED_DECISION_RULES" in message
-        assert "exhaustive" in message
-    finally:
-        del ADVERSARIES["test-unbatched"]
-    # Unknown (unregistered) names still defer to the build-time KeyError.
-    spec = AttackSpec("no-such-strategy")
-    assert spec.strategy == "no-such-strategy"
+    with pytest.raises(ValueError, match=r"AttackSpec\.strategy 'no-such-strategy'") as excinfo:
+        scenario_spec("scale-protection", strategy="no-such-strategy")
+    assert str(adversary_names()) in str(excinfo.value)
+    with pytest.raises(ValueError, match="no-such-strategy"):
+        CohortDecl(3, attack=AttackSpec("no-such-strategy"))
 
 
 def test_adversarial_cohorts_refuse_churn_at_the_class_level():

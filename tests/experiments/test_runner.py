@@ -209,6 +209,30 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "ScenarioSpec.duration_s" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "param, field",
+        [
+            ("strategy=no-such-strategy", "AttackSpec.strategy"),
+            ("intensity=nan", "AttackSpec.intensity"),
+            ("intensity=inf", "AttackSpec.intensity"),
+            ("attack_start_s=nan", "AttackSpec.start_s"),
+        ],
+    )
+    def test_unusable_attack_exits_2_promptly(self, param, field):
+        """An unknown strategy or a non-finite attack parameter used to exit 1
+        with a traceback once the run had started."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "scale-protection",
+             "--param", param, "--param", "audience=100", "--duration", "12"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert field in proc.stderr
+
     @staticmethod
     def _modules_after(modules, package="numpy"):
         """The ``package`` modules a fresh interpreter holds after importing

@@ -234,18 +234,17 @@ class TestReplicatedProtocol:
 
 
 def test_one_receiver_class_per_protocol():
-    """The receiver lattice stays collapsed: two classes, scalar rules only.
+    """The receiver lattice stays collapsed: two classes.
 
     Placement (N hosts / one host per cohort / one host per edge router),
     population, attack strategies and churn are constructor arguments of the
-    two protocol receivers — never a reason for another subclass or for a
-    batched/array form of a decision rule.
+    two protocol receivers — never a reason for another subclass.
     """
     import importlib
     import pkgutil
 
     import repro
-    from repro.multicast_cc import LayeredReceiverBase, decision
+    from repro.multicast_cc import LayeredReceiverBase
 
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         if not module.name.endswith("__main__"):
@@ -257,6 +256,3 @@ def test_one_receiver_class_per_protocol():
             yield from descendants(sub)
 
     assert set(descendants(LayeredReceiverBase)) == {FlidDlReceiver, FlidDsReceiver}
-    assert not [
-        name for name in decision.__all__ if name.endswith(("_batch", "_array"))
-    ]

@@ -18,6 +18,7 @@ import pytest
 
 from _util import AsyncConn, daemon_env
 
+from repro.adversary import AttackSpec
 from repro.experiments import (
     PAPER_DEFAULTS,
     CohortDecl,
@@ -293,6 +294,43 @@ class TestProtocolErrorHandling:
         for rejected in rejections:
             assert rejected["event"] == "rejected", rejected
             assert "ScenarioSpec.duration_s" in rejected["reason"]
+        assert status["scheduler"]["queued"] == 0
+        assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
+
+    def test_unusable_attack_is_rejected_before_admission(self, daemon):
+        """An unknown strategy used to be admitted and fail on a worker, and a
+        non-finite intensity to crash one mid-run."""
+        template = ScenarioSpec(
+            name="service-attack",
+            protected=False,
+            sessions=(SessionDecl("mc", attacks=(AttackSpec("inflated-join"),)),),
+            duration_s=6.0,
+        ).to_json()
+        unusable = [
+            ("strategy", "no-such-strategy"),
+            ("intensity", float("nan")),
+            ("intensity", float("inf")),
+            ("start_s", float("nan")),
+            ("stop_s", float("nan")),
+        ]
+
+        async def scenario(conn):
+            rejections = []
+            for number, (field, value) in enumerate(unusable):
+                document = json.loads(template)
+                document["sessions"][0]["attacks"][0][field] = value
+                await conn.send(
+                    {"op": "submit", "id": f"a{number}", "spec": document,
+                     "timeout_s": 5}
+                )
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return rejections, await conn.recv()
+
+        rejections, status = self._converse(daemon(), scenario)
+        for (field, _), rejected in zip(unusable, rejections):
+            assert rejected["event"] == "rejected", rejected
+            assert f"AttackSpec.{field}" in rejected["reason"]
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 

@@ -57,7 +57,6 @@ SCOPED: Tuple[str, ...] = (
     "transport/tcp.py",
     "adversary/strategy.py",
     "adversary/receivers.py",
-    "multicast_cc/decision.py",
     "multicast_cc/churn.py",
     "multicast_cc/population.py",
     "multicast_cc/receiver_base.py",
