@@ -32,7 +32,7 @@ def main() -> None:
         name="quickstart",
         protected=True,
         topology="dumbbell",
-        expected_sessions=1,
+        topology_params={"bottleneck_bandwidth_bps": PAPER_DEFAULTS.fair_share_bps},
         sessions=(SessionDecl("quickstart"),),
         duration_s=DURATION_S,
         config=PAPER_DEFAULTS,
@@ -53,7 +53,7 @@ def main() -> None:
     print("\nFLID-DS quickstart (250 Kbps bottleneck, 10 groups)")
     print(f"  final subscription level : {receiver.level} "
           f"(fair level for 250 Kbps is {session_spec.fair_level(250_000.0)})")
-    print(f"  average goodput          : {receiver.average_rate_kbps(5, 30):.1f} Kbps")
+    print(f"  average goodput          : {receiver.average_rate_kbps(5, DURATION_S):.1f} Kbps")
     print(f"  SIGMA valid submissions  : {sigma.valid_submissions}")
     print(f"  SIGMA invalid submissions: {sigma.invalid_submissions}")
     print(f"  SIGMA revocations        : {sigma.revocations}")

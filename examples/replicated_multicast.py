@@ -17,7 +17,7 @@ from repro.analysis import format_series_table
 from repro.core.sigma import SigmaRouterAgent
 from repro.core.timeslot import SlotClock
 from repro.multicast_cc import ReplicatedReceiver, ReplicatedSender, SessionSpec
-from repro.simulator import DumbbellConfig, DumbbellNetwork
+from repro.simulator import NetworkGraph, dumbbell_topology
 from repro.transport import CbrSink, OnOffCbrSource
 
 DURATION_S = 60.0
@@ -25,8 +25,7 @@ BURST_WINDOW = (25.0, 40.0)
 
 
 def main() -> None:
-    config = DumbbellConfig(bottleneck_bandwidth_bps=500_000.0)
-    network = DumbbellNetwork(config)
+    network = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=500_000.0))
     slot_clock = SlotClock(network.sim, 0.25)
     sigma = SigmaRouterAgent(network.edge_router, network.multicast, slot_clock)
     slot_clock.start()

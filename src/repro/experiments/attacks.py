@@ -40,17 +40,21 @@ def duel_spec(
 
     The one shape behind the attack and scale scenario catalogue: the
     already-declared multicast ``sessions`` (in the order given) and ``tcp``
-    flows contend for a bottleneck sized at one fair share per flow — so
-    ``expected_sessions`` is their count, a multicast session weighing one
-    however many receivers or cohort members it declares, because it sends
-    one copy across the bottleneck.  ``extras`` are the remaining
+    flows contend for a dumbbell bottleneck sized at one fair share per
+    flow — a multicast session weighing one however many receivers or
+    cohort members it declares, because it sends one copy across the
+    bottleneck.  ``extras`` are the remaining
     :class:`~repro.experiments.spec.ScenarioSpec` fields a builder sets
-    (``topology``, ``topology_params``, ``cbr``, ``shards``).
+    (``topology``, ``topology_params``, ``cbr``, ``shards``); a builder
+    naming its own ``topology_params`` sizes its links itself.
     """
+    flows = len(sessions) + len(tcp)
+    extras.setdefault(
+        "topology_params", {"bottleneck_bandwidth_bps": flows * config.fair_share_bps}
+    )
     return ScenarioSpec(
         name=name,
         protected=protected,
-        expected_sessions=len(sessions) + len(tcp),
         sessions=tuple(sessions),
         tcp=tuple(tcp),
         duration_s=duration_s,

@@ -5,7 +5,7 @@ Unless an experiment overrides them, the settings are exactly the paper's:
 * single-bottleneck topology; every session's path is three links with the
   bottleneck in the middle;
 * fair share of 250 Kbps per session (the bottleneck capacity is the fair
-  share times the number of sessions);
+  share times the number of flows crossing it);
 * bottleneck propagation delay 20 ms; access links 10 Mbps with 10 ms delay;
 * buffers of two bandwidth-delay products;
 * 10 groups per multicast session, 100 Kbps minimal group, cumulative rate
@@ -14,15 +14,18 @@ Unless an experiment overrides them, the settings are exactly the paper's:
   because SIGMA enforces access with a responsiveness of two slots);
 * 576-byte data packets;
 * 200-second experiments.
+
+The link settings are the defaults of the ``dumbbell`` factory
+(:func:`~repro.simulator.topology.dumbbell_topology`), overridden through a
+scenario's ``topology_params``; the config keeps only the fair share the
+builders size bottlenecks from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from ..multicast_cc.session import SessionSpec
-from ..simulator.topology import DumbbellConfig
 
 __all__ = ["ExperimentConfig", "PAPER_DEFAULTS"]
 
@@ -32,10 +35,6 @@ class ExperimentConfig:
     """Shared knobs of the §5 evaluation scenarios."""
 
     fair_share_bps: float = 250_000.0
-    bottleneck_delay_s: float = 0.020
-    access_bandwidth_bps: float = 10_000_000.0
-    access_delay_s: float = 0.010
-    buffer_bdp_multiple: float = 2.0
 
     group_count: int = 10
     base_rate_bps: float = 100_000.0
@@ -48,20 +47,6 @@ class ExperimentConfig:
     duration_s: float = 200.0
     warmup_s: float = 5.0
     seed: int = 0
-
-    # ------------------------------------------------------------------
-    def dumbbell(self, sessions: int, bottleneck_bps: Optional[float] = None) -> DumbbellConfig:
-        """Dumbbell configuration for ``sessions`` competing sessions."""
-        if bottleneck_bps is None:
-            bottleneck_bps = self.fair_share_bps * max(1, sessions)
-        return DumbbellConfig(
-            bottleneck_bandwidth_bps=bottleneck_bps,
-            bottleneck_delay_s=self.bottleneck_delay_s,
-            access_bandwidth_bps=self.access_bandwidth_bps,
-            access_delay_s=self.access_delay_s,
-            buffer_bdp_multiple=self.buffer_bdp_multiple,
-            seed=self.seed,
-        )
 
     def session_spec(self, session_id: str, protected: bool) -> SessionSpec:
         """Session description for one FLID-DL (unprotected) or FLID-DS session."""

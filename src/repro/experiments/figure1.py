@@ -51,7 +51,7 @@ def inflated_subscription_spec(
     return ScenarioSpec(
         name="figure7-defence" if protected else "figure1-attack",
         protected=protected,
-        expected_sessions=4,
+        topology_params={"bottleneck_bandwidth_bps": 4 * config.fair_share_bps},
         sessions=(
             SessionDecl("F1", receivers=1, misbehaving=(0,), attack_start_s=attack_start),
             SessionDecl("F2", receivers=1),

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.convergence import convergence_time
 from ..analysis.fairness import max_min_ratio
+from ..simulator.topology import dumbbell_topology
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario, series_kbps
 from .runner import RunResult
@@ -69,17 +70,17 @@ def throughput_vs_sessions_spec(
     """
     config = config or PAPER_DEFAULTS
     competing_sessions = count * 2 if cross_traffic else count
+    bottleneck = config.fair_share_bps * competing_sessions
     tcp = tuple(TcpDecl(f"tcp{i + 1}") for i in range(count)) if cross_traffic else ()
     cbr = ()
     if cross_traffic:
-        bottleneck_bps = config.fair_share_bps * competing_sessions
-        cbr = (CbrDecl("cbr", rate_bps=0.1 * bottleneck_bps, on_s=5.0, off_s=5.0),)
+        cbr = (CbrDecl("cbr", rate_bps=0.1 * bottleneck, on_s=5.0, off_s=5.0),)
     variant = "ds" if protected else "dl"
     suffix = "-cross" if cross_traffic else ""
     return ScenarioSpec(
         name=f"figure8-throughput-{variant}{suffix}-{count}",
         protected=protected,
-        expected_sessions=competing_sessions,
+        topology_params={"bottleneck_bandwidth_bps": bottleneck},
         sessions=tuple(SessionDecl(f"mc{i + 1}") for i in range(count)),
         tcp=tcp,
         cbr=cbr,
@@ -142,7 +143,7 @@ register_figure(
 def responsiveness_spec(
     protected: bool = False,
     config: Optional[ExperimentConfig] = None,
-    bottleneck_bps: float = 1_000_000.0,
+    bottleneck_bandwidth_bps: float = 1_000_000.0,
     burst_rate_bps: float = 800_000.0,
     burst_window: Tuple[float, float] = (45.0, 75.0),
     duration_s: float = 110.0,
@@ -152,8 +153,7 @@ def responsiveness_spec(
     return ScenarioSpec(
         name=f"figure8-responsiveness-{'ds' if protected else 'dl'}",
         protected=protected,
-        expected_sessions=1,
-        bottleneck_bps=bottleneck_bps,
+        topology_params={"bottleneck_bandwidth_bps": bottleneck_bandwidth_bps},
         sessions=(SessionDecl("mc"),),
         cbr=(
             CbrDecl(
@@ -219,8 +219,9 @@ def rtt_fairness_spec(
     # The queue keeps its size for the default 20 ms bottleneck, as in the
     # NS-2 setup: at 250 Kbps both paths' 2-BDP buffers fall to the
     # dumbbell's 4-packet floor.
-    bottleneck_delay_s = 0.005
-    fixed_one_way_ms = (config.access_delay_s + bottleneck_delay_s) * 1e3
+    topology_params = dict(bottleneck_bandwidth_bps=config.fair_share_bps, bottleneck_delay_s=0.005)
+    topology = dumbbell_topology(**topology_params)
+    fixed_one_way_ms = (topology.access_delay_s + topology.links[0].delay_s) * 1e3
     rtts = [
         rtt_range_ms[0] + (rtt_range_ms[1] - rtt_range_ms[0]) * i / max(1, receiver_count - 1)
         for i in range(receiver_count)
@@ -228,8 +229,7 @@ def rtt_fairness_spec(
     return ScenarioSpec(
         name=f"figure8-rtt-fairness-{'ds' if protected else 'dl'}",
         protected=protected,
-        expected_sessions=1,
-        topology_params={"bottleneck_delay_s": bottleneck_delay_s},
+        topology_params=topology_params,
         sessions=(
             SessionDecl(
                 "mc",
@@ -280,7 +280,7 @@ def convergence_spec(
     return ScenarioSpec(
         name=f"figure8-convergence-{'ds' if protected else 'dl'}",
         protected=protected,
-        expected_sessions=1,
+        topology_params={"bottleneck_bandwidth_bps": config.fair_share_bps},
         sessions=(
             SessionDecl(
                 "mc",

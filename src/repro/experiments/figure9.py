@@ -77,7 +77,7 @@ register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
 def measured_overhead_spec(
     config: Optional[ExperimentConfig] = None,
     duration_s: float = 30.0,
-    bottleneck_bps: Optional[float] = None,
+    bottleneck_bandwidth_bps: Optional[float] = None,
 ) -> ScenarioSpec:
     """Declarative form of the measured-overhead FLID-DS session.
 
@@ -86,13 +86,13 @@ def measured_overhead_spec(
     session rate flows — matching the analytic model's denominator.
     """
     config = config or PAPER_DEFAULTS
-    if bottleneck_bps is None:
-        bottleneck_bps = 2.0 * figure9_model(slot_duration_s=config.flid_ds_slot_s).cumulative_rate_bps
+    if bottleneck_bandwidth_bps is None:
+        model = figure9_model(slot_duration_s=config.flid_ds_slot_s)
+        bottleneck_bandwidth_bps = 2.0 * model.cumulative_rate_bps
     return ScenarioSpec(
         name="figure9-measured-overhead",
         protected=True,
-        expected_sessions=1,
-        bottleneck_bps=bottleneck_bps,
+        topology_params={"bottleneck_bandwidth_bps": bottleneck_bandwidth_bps},
         sessions=(
             SessionDecl(
                 "overhead", track_overhead=True, suppress_unsubscribed_groups=False

@@ -289,8 +289,7 @@ def scale_overhead_spec(
     return ScenarioSpec(
         name="scale-overhead-100k",
         protected=True,
-        expected_sessions=1,
-        bottleneck_bps=2.0 * max_rate_bps,
+        topology_params={"bottleneck_bandwidth_bps": 2.0 * max_rate_bps},
         sessions=(
             SessionDecl(
                 "audience",

@@ -14,8 +14,10 @@ and :meth:`~Scenario.add_onoff_cbr` are *declaration constructors*, not a
 second API: each builds the corresponding declaration from its keyword
 arguments (the declaration's own fields and defaults, auto-naming sessions
 ``mc<N>`` and connections ``tcp<N>``) and realises it on a scenario made
-with ``Scenario(config, protected, …)`` — over the paper's dumbbell by
-default, or any :class:`~repro.simulator.topology.TopologySpec`.
+with ``Scenario(config, protected, …)`` — a
+:class:`~repro.simulator.topology.NetworkGraph` of any topology, the §5.1
+dumbbell included, seeded from the config (by default the ``dumbbell``
+factory at one fair share).
 
 Group management is installed on *every* receiver-side router of the
 topology: an IGMP manager per router for the unprotected baseline, or one
@@ -53,13 +55,7 @@ from ..multicast_cc.sender_base import LayeredSenderBase
 from ..simulator.igmp import IgmpGroupManager, install_igmp
 from ..simulator.monitors import OverheadAccumulator
 from ..simulator.node import Host
-from ..simulator.topology import (
-    DumbbellConfig,
-    DumbbellNetwork,
-    NetworkGraph,
-    TopologySpec,
-    build_topology,
-)
+from ..simulator.topology import NetworkGraph, TopologySpec, dumbbell_topology
 from ..transport.cbr import CbrSink, OnOffCbrSource
 from ..transport.tcp import TcpConnection
 from .config import ExperimentConfig
@@ -69,7 +65,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -151,20 +147,14 @@ class Scenario:
         self,
         config: ExperimentConfig,
         protected: bool,
-        bottleneck_bps: Optional[float] = None,
-        expected_sessions: int = 1,
         sigma_config: Optional[SigmaConfig] = None,
         topology: Optional[TopologySpec] = None,
-        dumbbell_config: Optional[DumbbellConfig] = None,
     ) -> None:
         self.config = config
         self.protected = protected
         if topology is None:
-            self.network: NetworkGraph = DumbbellNetwork(
-                dumbbell_config or config.dumbbell(expected_sessions, bottleneck_bps)
-            )
-        else:
-            self.network = NetworkGraph(topology, seed=config.seed)
+            topology = dumbbell_topology(bottleneck_bandwidth_bps=config.fair_share_bps)
+        self.network = NetworkGraph(topology, seed=config.seed)
         self.sessions: List[MulticastSession] = []
         self.tcp_connections: List[TcpConnection] = []
         self.cbr_sources: List[OnOffCbrSource] = []
@@ -205,31 +195,11 @@ class Scenario:
     @classmethod
     def from_spec(cls, spec: ScenarioSpec, sigma_config: Optional[SigmaConfig] = None) -> "Scenario":
         """Realise a declarative :class:`ScenarioSpec` into a live scenario."""
-        params = dict(spec.topology_params)
-        topology: Optional[TopologySpec] = None
-        dumbbell_config = None
-        if spec.topology == "dumbbell":
-            # Dumbbells always go through DumbbellConfig (sized from fair
-            # share × expected sessions) so parameter overrides — including
-            # seed and graft/prune delays — reach the realised network.
-            if params:
-                dumbbell_config = spec.config.dumbbell(
-                    spec.expected_sessions, spec.bottleneck_bps
-                )
-                for key, value in params.items():
-                    if not hasattr(dumbbell_config, key):
-                        raise TypeError(f"unknown dumbbell parameter {key!r}")
-                    setattr(dumbbell_config, key, value)
-        else:
-            topology = build_topology(spec.topology, **params)
         scenario = cls(
             spec.config,
             spec.protected,
-            bottleneck_bps=spec.bottleneck_bps,
-            expected_sessions=spec.expected_sessions,
             sigma_config=sigma_config,
-            topology=topology,
-            dumbbell_config=dumbbell_config,
+            topology=spec.network_topology,
         )
         for session in spec.sessions:
             scenario._realise_session(session)

@@ -10,9 +10,10 @@ worker), and merge the results deterministically.
 
 The three layers:
 
-* :func:`plan_shards` — the **region planner**.  Validates that a spec with
-  ``shards=N`` runs on a topology whose :class:`~repro.simulator.topology.
-  TopologySpec` annotates exactly ``N`` regions, then splits every session's
+* :func:`plan_shards` — the **region planner**.  A spec with ``shards=N``
+  runs on a topology whose :class:`~repro.simulator.topology.TopologySpec`
+  annotates exactly ``N`` regions (checked when the spec is declared); the
+  planner validates the rest, then splits every session's
   vector population blocks into per-region sub-blocks.  The split is exact:
   receiver edge routers are region-contiguous, so the round-robin row
   placement assigns each region a contiguous share of the
@@ -52,7 +53,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..multicast_cc.population import split_counts
-from ..simulator.topology import TopologySpec, build_topology
+from ..simulator.topology import TopologySpec
 from .runner import RunResult, assemble, attack_onsets, collect_ingredients
 from .spec import CohortDecl, ScenarioSpec, SessionDecl, canonical_json
 from .warmstart import run_scenario
@@ -102,9 +103,9 @@ class ShardPlan:
 def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     """Partition a ``shards=N`` spec into ``N`` standalone region sub-specs.
 
-    Raises :class:`ValueError` when the spec is not shardable: the topology
-    must annotate exactly ``N`` regions with region-contiguous receiver edge
-    routers, sessions must realise their whole population as blocks
+    Raises :class:`ValueError` when the spec is not shardable: the
+    topology's receiver edge routers must be region-contiguous, sessions
+    must realise their whole population as blocks
     (``receivers=0``; the individual-receiver path uses a topology-global
     placement cursor), every round-robin block must use the
     ``model="vector"`` placement, and globally-coupled features (TCP/CBR cross
@@ -112,25 +113,9 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     """
     if spec.shards is None:
         raise ValueError("spec has no shards field set; nothing to plan")
-    if spec.topology == "dumbbell":
-        raise ValueError(
-            "the default dumbbell has no topology regions; sharding needs an "
-            "annotated topology such as 'sharded-dumbbell'"
-        )
-    params = dict(spec.topology_params)
-    if "region" in params:
-        raise ValueError("topology_params['region'] is reserved for region workers")
-    topology = build_topology(spec.topology, **params)
-    if not topology.regions:
-        raise ValueError(
-            f"topology {spec.topology!r} annotates no regions; sharding cuts "
-            "at region boundaries"
-        )
-    if len(topology.regions) != spec.shards:
-        raise ValueError(
-            f"spec declares shards={spec.shards} but topology "
-            f"{spec.topology!r} annotates {len(topology.regions)} regions"
-        )
+    # Declaring the spec matched ``shards`` to the region count, so it names
+    # no ``region``: a region's sub-topology annotates only that one.
+    topology = spec.network_topology
     if spec.tcp or spec.cbr:
         raise ValueError("TCP/CBR cross traffic couples regions; cannot shard")
     if spec.record_series:
@@ -223,7 +208,7 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
             region=region + 1,
             spec=replace(
                 spec,
-                topology_params={**params, "region": region + 1},
+                topology_params={**spec.topology_params, "region": region + 1},
                 sessions=tuple(share for _, share in shares),
                 shards=None,
             ),

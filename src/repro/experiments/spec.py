@@ -22,8 +22,10 @@ A declaration's fields are spelled once, in its dataclass body.  The codec
 (:func:`encode` / :func:`decode`, exposed on every declaration through
 :class:`PlainData`) walks :func:`dataclasses.fields` and the annotations, so
 adding a field is one dataclass line — declared through :func:`unset` when
-it is optional, which keeps the JSON of every older spec byte-identical —
-and a wire spec whose value does not fit its annotation is refused at decode.
+it is optional, which keeps the JSON of every older spec byte-identical.
+Decoding has one policy for every declaration: a key that names no field
+is refused, and so is a value that does not fit its annotation — a
+misspelt or retired key never silently runs the defaults.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import math
 from collections.abc import Mapping as AbstractMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import (
     Any,
     Callable,
@@ -48,6 +50,7 @@ from typing import (
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
+from ..simulator.topology import TopologySpec, build_topology
 from .config import PAPER_DEFAULTS, ExperimentConfig
 
 __all__ = [
@@ -78,12 +81,6 @@ def canonical_json(document: Any) -> str:
 # the codec: one dataclass walk between declarations and plain JSON data
 # ----------------------------------------------------------------------
 _OMIT_WHEN_UNSET = "omit_when_unset"
-
-#: Classes whose decode refuses keys that name no field.  Declarations
-#: ignore them (documents written by a build with more fields still read);
-#: the config is all knobs, where a misspelt key would silently run the
-#: paper defaults.
-_REJECT_UNKNOWN_KEYS = frozenset({ExperimentConfig})
 
 #: The JSON types a scalar annotation accepts.  Checked, never coerced: a
 #: JSON integer is a legal ``float`` (``10`` for ``start_s``), a boolean is
@@ -200,9 +197,9 @@ def decode(cls: type, payload: Any) -> Any:
 
     This is the trust boundary of everything that takes a spec from outside
     the process (the daemon's ``submit``, worker payloads, the result
-    cache).  Absent keys take the dataclass default, unknown keys are
-    ignored (except on the config), and every present value is checked
-    against its field's annotation: a missing required key raises
+    cache).  Absent keys take the dataclass default, a key naming no field
+    raises :class:`TypeError` listing it, and every present value is
+    checked against its field's annotation: a missing required key raises
     :class:`KeyError`, a wrongly-typed value :class:`TypeError` or
     :class:`ValueError` naming the field, instead of a crash inside a run.
     """
@@ -210,6 +207,9 @@ def decode(cls: type, payload: Any) -> Any:
         raise TypeError(
             f"{cls.__name__} must be a mapping, got {type(payload).__name__}"
         )
+    unknown = payload.keys() - {name for name, *_ in _field_plan(cls)}
+    if unknown:
+        raise TypeError(f"{cls.__name__} got unknown keys {sorted(unknown)}")
     kwargs: Dict[str, Any] = {}
     name = ""
     try:
@@ -221,9 +221,6 @@ def decode(cls: type, payload: Any) -> Any:
     except (TypeError, ValueError) as error:
         kind = TypeError if isinstance(error, TypeError) else ValueError
         raise kind(f"{cls.__name__}.{name}: {error}") from None
-    if len(kwargs) != len(payload) and cls in _REJECT_UNKNOWN_KEYS:
-        unknown = sorted(set(payload) - set(kwargs))
-        raise TypeError(f"{cls.__name__} got unknown keys {unknown}")
     return cls(**kwargs)
 
 
@@ -448,10 +445,13 @@ class ScenarioSpec(PlainData):
     """Declarative description of one experiment run.
 
     ``topology`` names a factory in :data:`repro.simulator.topology.TOPOLOGIES`
-    and ``topology_params`` are its keyword arguments.  For the default
-    ``dumbbell`` kind with no explicit parameters, the bottleneck is sized from
-    the config's fair share times ``expected_sessions`` (or ``bottleneck_bps``
-    when given), exactly as the imperative builder always did.
+    and ``topology_params`` are its keyword arguments — the one place a
+    scenario's links are described, the §5.1 dumbbell's included (its
+    default bottleneck is one 250 Kbps fair share; builders that share it
+    among more flows pass ``bottleneck_bandwidth_bps``).  The topology is
+    built once when the spec is declared (:attr:`network_topology`), so an
+    unknown kind, an unknown parameter or an impossible link is refused
+    here, not inside a run.
 
     ``shards`` opts the spec into region-sharded execution: the runner
     partitions the topology's annotated regions into ``shards`` standalone
@@ -469,8 +469,6 @@ class ScenarioSpec(PlainData):
     cbr: Tuple[CbrDecl, ...] = ()
     topology: str = "dumbbell"
     topology_params: Mapping[str, Any] = field(default_factory=dict)
-    expected_sessions: int = 1
-    bottleneck_bps: Optional[float] = None
     duration_s: Optional[float] = None
     record_series: bool = False
     shards: Optional[int] = unset()
@@ -487,6 +485,12 @@ class ScenarioSpec(PlainData):
             raise ValueError(
                 "shards must be >= 2 when set (omit it for unsharded execution)"
             )
+        regions = len(self.network_topology.regions)
+        if self.shards is not None and self.shards != regions:
+            raise ValueError(
+                f"spec declares shards={self.shards} but topology "
+                f"{self.topology!r} annotates {regions} regions"
+            )
 
     # ------------------------------------------------------------------
     # derived values
@@ -495,6 +499,11 @@ class ScenarioSpec(PlainData):
     def effective_duration_s(self) -> float:
         """The run duration: the spec override or the config default."""
         return self.config.duration_s if self.duration_s is None else self.duration_s
+
+    @cached_property
+    def network_topology(self) -> TopologySpec:
+        """The topology ``topology`` and ``topology_params`` describe."""
+        return build_topology(self.topology, **self.topology_params)
 
     @property
     def seed(self) -> int:

@@ -50,8 +50,10 @@ __all__ = [
 
 #: Bumped on any incompatible change to the message schema.  The server
 #: advertises it in the ``hello`` event; clients refuse to talk to a newer
-#: major protocol.
-PROTOCOL_VERSION = 1
+#: major protocol.  2: the ``submit`` spec lost its two dumbbell-only
+#: sizing keys and the config's four link keys (a dumbbell is sized through
+#: ``topology_params``), and unknown keys are refused.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one framed message.  Spec documents and result documents
 #: with recorded series are large but bounded; 64 MiB leaves headroom while

@@ -36,8 +36,6 @@ from .rng import RandomStreams
 from .routing import RoutingError, compute_routes, shortest_path
 from .topology import (
     TOPOLOGIES,
-    DumbbellConfig,
-    DumbbellNetwork,
     LinkSpec,
     Network,
     NetworkGraph,
@@ -99,7 +97,5 @@ __all__ = [
     "RoutingError",
     "compute_routes",
     "shortest_path",
-    "DumbbellConfig",
-    "DumbbellNetwork",
     "Network",
 ]

@@ -11,19 +11,22 @@ it sit two layers:
   specs for the named topologies — ``dumbbell``, ``parking-lot`` (chain of
   bottlenecks), ``star`` and ``binary-tree`` — and the :data:`TOPOLOGIES`
   registry makes them addressable by name from scenario specifications.
-* :class:`DumbbellNetwork` — the single-bottleneck topology used throughout
-  the paper's evaluation (§5.1), now just the ``dumbbell`` factory realised
-  by :class:`NetworkGraph` with convenience accessors: every *session* gets
-  its own sender host attached to the left-hand router and receiver host(s)
-  on the right; the shared middle link's capacity is normally
-  ``fair_share × number_of_sessions``; access links are 10 Mbps with 10 ms
-  propagation delay, the bottleneck has a 20 ms delay, and every queue holds
-  two bandwidth-delay products.
+
+The paper's §5.1 evaluation topology is the ``dumbbell`` factory realised
+like any other: senders attach to the ``left`` router and receivers to the
+``right`` one, so every session's path is three links with the
+``left``–``right`` bottleneck in the middle; access links are 10 Mbps with
+10 ms propagation delay, the bottleneck has a 20 ms delay, and its queue
+holds two path bandwidth-delay products.  Its default capacity is one
+250 Kbps fair share; experiments that share it size it at one fair share
+per flow crossing it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,8 +42,6 @@ from .rng import RandomStreams
 __all__ = [
     "Network",
     "NetworkGraph",
-    "DumbbellNetwork",
-    "DumbbellConfig",
     "LinkSpec",
     "TopologySpec",
     "TOPOLOGIES",
@@ -64,20 +65,12 @@ QUEUE_DISCIPLINES: Dict[str, Callable[[int], DropTailQueue]] = {
 class Network:
     """A collection of nodes and links plus the shared services they need."""
 
-    def __init__(
-        self,
-        sim: Optional[Simulator] = None,
-        seed: int = 0,
-        graft_delay_s: float = 0.02,
-        prune_delay_s: float = 0.02,
-    ) -> None:
+    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0) -> None:
         self.sim = sim or Simulator()
         self.random = RandomStreams(seed)
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
-        self.multicast = MulticastRoutingService(
-            self.sim, graft_delay_s=graft_delay_s, prune_delay_s=prune_delay_s
-        )
+        self.multicast = MulticastRoutingService(self.sim)
         self.groups = GroupAddressAllocator()
         self._next_address = itertools.count(1)
         self._routes_stale = True
@@ -207,6 +200,19 @@ class Network:
 # ----------------------------------------------------------------------
 # declarative topology graph
 # ----------------------------------------------------------------------
+def _check_link_numbers(where: str, prefix: str, bandwidth_bps: float, delay_s: float) -> None:
+    """Refuse a bandwidth that is not finite and > 0 or a delay that is not
+    finite and >= 0, naming the ``<prefix>bandwidth_bps``/``delay_s`` field."""
+    if not (math.isfinite(bandwidth_bps) and bandwidth_bps > 0):
+        raise ValueError(
+            f"{where}: {prefix}bandwidth_bps must be a finite number > 0, got {bandwidth_bps!r}"
+        )
+    if not (math.isfinite(delay_s) and delay_s >= 0):
+        raise ValueError(
+            f"{where}: {prefix}delay_s must be a finite number >= 0, got {delay_s!r}"
+        )
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """One duplex router-to-router link of a :class:`TopologySpec`."""
@@ -218,6 +224,9 @@ class LinkSpec:
     buffer_bytes: Optional[int] = None
     buffer_bdp_multiple: float = 2.0
     queue: str = "droptail"
+
+    def __post_init__(self) -> None:
+        _check_link_numbers(f"link {self.a!r}-{self.b!r}", "", self.bandwidth_bps, self.delay_s)
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,9 @@ class TopologySpec:
     regions: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_link_numbers(
+            f"topology {self.kind!r}", "access_", self.access_bandwidth_bps, self.access_delay_s
+        )
         known = set(self.routers)
         if len(known) != len(self.routers):
             raise ValueError("router names must be unique")
@@ -301,16 +313,8 @@ class NetworkGraph(Network):
     attachment routers (round-robin by default, or an explicit ``router=``).
     """
 
-    def __init__(
-        self,
-        spec: TopologySpec,
-        seed: int = 0,
-        graft_delay_s: float = 0.02,
-        prune_delay_s: float = 0.02,
-    ) -> None:
-        super().__init__(
-            seed=seed, graft_delay_s=graft_delay_s, prune_delay_s=prune_delay_s
-        )
+    def __init__(self, spec: TopologySpec, seed: int = 0) -> None:
+        super().__init__(seed=seed)
         self.spec = spec
         for name in spec.routers:
             self.add_router(name)
@@ -386,76 +390,20 @@ class NetworkGraph(Network):
         return self.router(self.spec.receiver_routers[0])
 
 
-@dataclass
-class DumbbellConfig:
-    """Parameters of the §5.1 single-bottleneck topology."""
-
-    bottleneck_bandwidth_bps: float = 1_000_000.0
-    bottleneck_delay_s: float = 0.020
-    access_bandwidth_bps: float = 10_000_000.0
-    access_delay_s: float = 0.010
-    buffer_bdp_multiple: float = 2.0
-    seed: int = 0
-    graft_delay_s: float = 0.02
-    prune_delay_s: float = 0.02
-
-    @property
-    def path_rtt_s(self) -> float:
-        """Round-trip propagation delay of the three-link path (§5.1)."""
-        return 2.0 * (2.0 * self.access_delay_s + self.bottleneck_delay_s)
-
-    def bottleneck_buffer_bytes(self) -> int:
-        """Bottleneck queue sized at ``buffer_bdp_multiple`` path BDPs.
-
-        The paper sizes buffers at two bandwidth-delay products; using the
-        path round-trip time (80 ms in the default topology) rather than the
-        single link's propagation delay gives the queue headroom NS-2 runs
-        exhibit and keeps the smallest Figure 8 configurations (250 Kbps
-        bottleneck) from degenerating to a two-packet buffer.
-        """
-        return _chain_buffer_bytes(
-            self.bottleneck_bandwidth_bps, self.path_rtt_s, self.buffer_bdp_multiple
-        )
-
-    @classmethod
-    def for_fair_share(
-        cls, sessions: int, fair_share_bps: float = 250_000.0, **overrides
-    ) -> "DumbbellConfig":
-        """Bottleneck sized so each of ``sessions`` flows gets ``fair_share_bps``."""
-        if sessions <= 0:
-            raise ValueError("sessions must be positive")
-        config = cls(bottleneck_bandwidth_bps=fair_share_bps * sessions)
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
-
-
-class DumbbellNetwork(NetworkGraph):
-    """The paper's evaluation topology: left router — bottleneck — right router.
-
-    Senders attach on the left, receivers on the right; every session's path
-    is therefore three links long with the bottleneck in the middle, exactly
-    as described in §5.1.  This is the ``dumbbell`` factory of the general
-    :class:`NetworkGraph` plus the accessors experiments historically used.
-    """
-
-    def __init__(self, config: Optional[DumbbellConfig] = None) -> None:
-        self.config = config or DumbbellConfig()
-        super().__init__(
-            dumbbell_topology(self.config),
-            seed=self.config.seed,
-            graft_delay_s=self.config.graft_delay_s,
-            prune_delay_s=self.config.prune_delay_s,
-        )
-        self.left = self.router("left")
-        self.right = self.router("right")
-        self.bottleneck = self.find_link(self.left, self.right)
-        self.bottleneck_reverse = self.find_link(self.right, self.left)
-
-
 # ----------------------------------------------------------------------
 # named topology factories
 # ----------------------------------------------------------------------
+#: The most routers a named factory builds.  A spec's topology is built when
+#: the spec is declared, also from an untrusted document on the daemon's
+#: event loop, so a larger size is refused before anything is allocated.
+MAX_ROUTERS = 4096
+
+
+def _check_router_count(kind: str, routers: int) -> None:
+    if routers > MAX_ROUTERS:
+        raise ValueError(f"{kind} would have {routers} routers; the limit is {MAX_ROUTERS}")
+
+
 def _chain_buffer_bytes(
     bandwidth_bps: float,
     path_rtt_s: float,
@@ -463,21 +411,39 @@ def _chain_buffer_bytes(
 ) -> int:
     """Queue capacity of ``buffer_bdp_multiple`` path BDPs with a sane floor.
 
-    The sizing rule of every bottleneck, the dumbbell's included
-    (:meth:`DumbbellConfig.bottleneck_buffer_bytes`): sizing on the
-    path round-trip time rather than the single hop's delay keeps small
-    bottlenecks from degenerating to a couple-of-packets buffer.
+    The sizing rule of every bottleneck: the paper sizes buffers at two
+    bandwidth-delay products, and sizing on the path round-trip time (80 ms
+    on the default dumbbell) rather than the single hop's delay gives the
+    queue the headroom NS-2 runs exhibit and keeps small bottlenecks (the
+    250 Kbps Figure 8 points) from degenerating to a two-packet buffer.
+    A non-finite bandwidth or delay sizes the floor; the
+    :class:`LinkSpec` or :class:`TopologySpec` built next refuses it by name.
     """
-    bdp_bytes = bandwidth_bps * path_rtt_s / 8.0
-    return max(int(buffer_bdp_multiple * bdp_bytes), 4 * 1600)
+    if not (math.isfinite(buffer_bdp_multiple) and buffer_bdp_multiple > 0):
+        raise ValueError(
+            f"buffer_bdp_multiple must be a finite number > 0, got {buffer_bdp_multiple!r}"
+        )
+    buffer_bytes = buffer_bdp_multiple * (bandwidth_bps * path_rtt_s / 8.0)
+    return max(int(buffer_bytes), 4 * 1600) if math.isfinite(buffer_bytes) else 4 * 1600
 
 
-def dumbbell_topology(config: Optional[DumbbellConfig] = None, **overrides) -> TopologySpec:
-    """The §5.1 single-bottleneck dumbbell as a :class:`TopologySpec`."""
-    if config is None:
-        config = DumbbellConfig(**overrides)
-    elif overrides:
-        raise TypeError("pass either a DumbbellConfig or keyword overrides, not both")
+def dumbbell_topology(
+    bottleneck_bandwidth_bps: float = 250_000.0,
+    bottleneck_delay_s: float = 0.020,
+    access_bandwidth_bps: float = 10_000_000.0,
+    access_delay_s: float = 0.010,
+    buffer_bdp_multiple: float = 2.0,
+) -> TopologySpec:
+    """The §5.1 single-bottleneck dumbbell: ``left`` — bottleneck — ``right``.
+
+    Senders attach at ``left`` and receivers at ``right``, so every path is
+    three links long with the bottleneck in the middle.  The default
+    capacity is one 250 Kbps fair share (the paper's single session).
+    """
+    path_rtt_s = 2.0 * (2.0 * access_delay_s + bottleneck_delay_s)
+    buffer_bytes = _chain_buffer_bytes(
+        bottleneck_bandwidth_bps, path_rtt_s, buffer_bdp_multiple
+    )
     return TopologySpec(
         kind="dumbbell",
         routers=("left", "right"),
@@ -485,15 +451,15 @@ def dumbbell_topology(config: Optional[DumbbellConfig] = None, **overrides) -> T
             LinkSpec(
                 "left",
                 "right",
-                config.bottleneck_bandwidth_bps,
-                config.bottleneck_delay_s,
-                buffer_bytes=config.bottleneck_buffer_bytes(),
+                bottleneck_bandwidth_bps,
+                bottleneck_delay_s,
+                buffer_bytes=buffer_bytes,
             ),
         ),
         sender_routers=("left",),
         receiver_routers=("right",),
-        access_bandwidth_bps=config.access_bandwidth_bps,
-        access_delay_s=config.access_delay_s,
+        access_bandwidth_bps=access_bandwidth_bps,
+        access_delay_s=access_delay_s,
     )
 
 
@@ -514,6 +480,7 @@ def parking_lot_topology(
     """
     if hops < 1:
         raise ValueError("parking lot needs at least one bottleneck hop")
+    _check_router_count("parking lot", hops + 1)
     routers = tuple(f"r{i}" for i in range(hops + 1))
     path_rtt_s = 2.0 * (2.0 * access_delay_s + hops * bottleneck_delay_s)
     buffer_bytes = _chain_buffer_bytes(
@@ -556,6 +523,7 @@ def star_topology(
     """
     if arms < 1:
         raise ValueError("star needs at least one arm")
+    _check_router_count("star", arms + 1)
     arm_names = tuple(f"arm{i + 1}" for i in range(arms))
     path_rtt_s = 2.0 * (2.0 * access_delay_s + arm_delay_s)
     buffer_bytes = _chain_buffer_bytes(arm_bandwidth_bps, path_rtt_s, buffer_bdp_multiple)
@@ -596,6 +564,7 @@ def multi_edge_dumbbell_topology(
     """
     if edges < 1:
         raise ValueError("multi-edge dumbbell needs at least one edge router")
+    _check_router_count("multi-edge dumbbell", edges + 2)
     edge_names = tuple(f"edge{i + 1}" for i in range(edges))
     path_rtt_s = 2.0 * (2.0 * access_delay_s + bottleneck_delay_s + edge_delay_s)
     bottleneck_buffer = _chain_buffer_bytes(
@@ -657,6 +626,7 @@ def sharded_dumbbell_topology(
         raise ValueError("sharded dumbbell needs at least one region")
     if edges_per_region < 1:
         raise ValueError("sharded dumbbell needs at least one edge per region")
+    _check_router_count("sharded dumbbell", regions * (edges_per_region + 1) + 1)
     if region is not None and not 1 <= region <= regions:
         raise ValueError(f"region must be in 1..{regions}, got {region}")
     wanted = range(1, regions + 1) if region is None else (region,)
@@ -718,7 +688,10 @@ def binary_tree_topology(
     """
     if depth < 2:
         raise ValueError("binary tree needs depth >= 2")
+    if depth > MAX_ROUTERS.bit_length():
+        raise ValueError(f"binary tree of depth {depth} would exceed {MAX_ROUTERS} routers")
     count = 2**depth - 1
+    _check_router_count("binary tree", count)
     routers = tuple(f"t{i}" for i in range(count))
     path_rtt_s = 2.0 * (2.0 * access_delay_s + depth * link_delay_s)
     buffer_bytes = _chain_buffer_bytes(link_bandwidth_bps, path_rtt_s, buffer_bdp_multiple)
@@ -763,4 +736,9 @@ def build_topology(kind: str, **params) -> TopologySpec:
         raise ValueError(
             f"unknown topology {kind!r}; known: {sorted(TOPOLOGIES)}"
         ) from exc
+    for name, value in params.items():
+        # A JSON integer past the float range would raise OverflowError in
+        # the factory's arithmetic; refuse it by name instead.
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"topology {kind!r}: {name} is past the float range")
     return factory(**params)

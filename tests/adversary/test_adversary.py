@@ -136,10 +136,10 @@ class TestRegistry:
             assert repr(name) in str(excinfo.value)
 
     def test_streams_are_isolated_per_strategy(self):
-        from repro.simulator.topology import DumbbellConfig, DumbbellNetwork
+        from repro.simulator.topology import NetworkGraph, dumbbell_topology
         from repro.multicast_cc import SessionSpec
 
-        net = DumbbellNetwork(DumbbellConfig(seed=7))
+        net = NetworkGraph(dumbbell_topology(), seed=7)
         spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
         attacks = [AttackSpec("key-guessing"), AttackSpec("key-guessing")]
         first, second = build_strategies(attacks, net, spec, "h")
@@ -168,7 +168,7 @@ def build_protected_duel(attacks, duration=8.0):
     spec = ScenarioSpec(
         name="unit-duel",
         protected=True,
-        expected_sessions=2,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(
             SessionDecl("atk", receivers=1, attacks=tuple(attacks)),
             SessionDecl("hon", receivers=1),
@@ -265,10 +265,10 @@ class TestCollusionPool:
         assert cohort_pool.published == 6
 
     def test_pools_are_scoped_per_network(self):
-        from repro.simulator.topology import DumbbellConfig, DumbbellNetwork
+        from repro.simulator.topology import NetworkGraph, dumbbell_topology
 
-        first = DumbbellNetwork(DumbbellConfig())
-        second = DumbbellNetwork(DumbbellConfig())
+        first = NetworkGraph(dumbbell_topology())
+        second = NetworkGraph(dumbbell_topology())
         for net in (first, second):
             net._adversary_pools = {}
         first._adversary_pools["p"] = CollusionPool("p")

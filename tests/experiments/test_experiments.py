@@ -6,8 +6,6 @@ the benchmark harness.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.experiments import (
     ExperimentConfig,
     PAPER_DEFAULTS,
@@ -18,6 +16,7 @@ from repro.experiments import (
     figure9_model,
     run_figure,
 )
+from repro.simulator import dumbbell_topology
 
 
 class TestExperimentConfig:
@@ -32,13 +31,31 @@ class TestExperimentConfig:
         assert cfg.flid_ds_slot_s == 0.25
         assert cfg.duration_s == 200.0
 
-    def test_dumbbell_scales_with_sessions(self):
-        assert PAPER_DEFAULTS.dumbbell(4).bottleneck_bandwidth_bps == pytest.approx(1_000_000.0)
-        assert PAPER_DEFAULTS.dumbbell(1).bottleneck_bandwidth_bps == pytest.approx(250_000.0)
+    def test_every_duel_dumbbell_gets_one_fair_share_per_flow(self, monkeypatch):
+        """A duel's bottleneck carries one fair share per multicast session
+        and per TCP flow crossing it, however many receivers a session has."""
+        from repro.experiments import attacks, list_scenarios, scale
 
-    def test_dumbbell_explicit_bottleneck(self):
-        cfg = PAPER_DEFAULTS.dumbbell(3, bottleneck_bps=2_000_000.0)
-        assert cfg.bottleneck_bandwidth_bps == 2_000_000.0
+        duels = []
+
+        def recording(*args, **kwargs):
+            spec = real_duel_spec(*args, **kwargs)
+            duels.append(spec)
+            return spec
+
+        real_duel_spec = attacks.duel_spec
+        monkeypatch.setattr(attacks, "duel_spec", recording)
+        monkeypatch.setattr(scale, "duel_spec", recording)
+        for entry in list_scenarios():
+            entry.build()
+        dumbbells = [spec for spec in duels if spec.topology == "dumbbell"]
+        assert len(dumbbells) >= 10
+        for spec in dumbbells:
+            network = Scenario.from_spec(spec).network
+            bottleneck = network.find_link(network.router("left"), network.router("right"))
+            flows = len(spec.sessions) + len(spec.tcp)
+            assert flows >= 2
+            assert bottleneck.bandwidth_bps == spec.config.fair_share_bps * flows, spec.name
 
     def test_session_spec_slot_duration_depends_on_protection(self):
         assert PAPER_DEFAULTS.session_spec("a", protected=False).slot_duration_s == 0.5
@@ -53,23 +70,27 @@ class TestExperimentConfig:
 
 class TestScenarioBuilder:
     def test_unprotected_scenario_installs_igmp(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=False, expected_sessions=1)
+        scenario = Scenario(PAPER_DEFAULTS, protected=False)
         assert scenario.sigma is None
-        assert scenario.network.right.group_manager is not None
+        assert scenario.network.router("right").group_manager is not None
 
     def test_protected_scenario_installs_sigma(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=True, expected_sessions=1)
+        scenario = Scenario(PAPER_DEFAULTS, protected=True)
         assert scenario.sigma is not None
-        assert scenario.network.right.group_manager is scenario.sigma
+        assert scenario.network.router("right").group_manager is scenario.sigma
 
     def test_add_multicast_session_creates_sender_and_receivers(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=False, expected_sessions=1)
+        scenario = Scenario(PAPER_DEFAULTS, protected=False)
         session = scenario.add_multicast_session(receivers=3)
         assert len(session.receivers) == 3
         assert session.spec.group_count == 10
 
     def test_sessions_get_distinct_group_addresses(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=False, expected_sessions=2)
+        scenario = Scenario(
+            PAPER_DEFAULTS,
+            protected=False,
+            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
+        )
         first = scenario.add_multicast_session()
         second = scenario.add_multicast_session()
         overlap = set(map(int, first.spec.group_addresses)) & set(
@@ -79,7 +100,7 @@ class TestScenarioBuilder:
 
     def test_short_run_produces_throughput(self):
         config = PAPER_DEFAULTS.with_duration(10.0)
-        scenario = Scenario(config, protected=False, expected_sessions=1)
+        scenario = Scenario(config, protected=False)
         scenario.add_multicast_session()
         scenario.run()
         rates = scenario.multicast_average_kbps(2.0, 10.0)
@@ -87,7 +108,11 @@ class TestScenarioBuilder:
 
     def test_tcp_and_cbr_can_join_the_mix(self):
         config = PAPER_DEFAULTS.with_duration(8.0)
-        scenario = Scenario(config, protected=False, expected_sessions=2)
+        scenario = Scenario(
+            config,
+            protected=False,
+            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
+        )
         scenario.add_multicast_session()
         scenario.add_tcp_connection()
         scenario.add_onoff_cbr(rate_bps=50_000.0)

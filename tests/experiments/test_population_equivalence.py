@@ -77,7 +77,6 @@ def population_spec(
         return ScenarioSpec(
             name="population-equivalence",
             protected=protected,
-            expected_sessions=1,
             sessions=(
                 SessionDecl(
                     "s",
@@ -91,7 +90,7 @@ def population_spec(
     return ScenarioSpec(
         name="adversarial-population-equivalence",
         protected=protected,
-        expected_sessions=2,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(
             SessionDecl(
                 "atk",

@@ -233,6 +233,35 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert field in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scale-dumbbell-1m", "--param", "edges=0"], "at least one edge router"),
+            (
+                ["scale-dumbbell-10m", "--param", "shards=4", "--duration", "2"],
+                "spec declares shards=4 but topology 'sharded-dumbbell' annotates 8 regions",
+            ),
+            (
+                ["figure8-responsiveness", "--param", "bottleneck_bandwidth_bps=nan"],
+                "bandwidth_bps must be a finite number > 0, got nan",
+            ),
+        ],
+    )
+    def test_unusable_topology_exits_2_promptly(self, argv, message):
+        """A topology mistake used to exit 1 with a traceback from inside
+        the run (or from the shard planner)."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @staticmethod
     def _modules_after(modules, package="numpy"):
         """The ``package`` modules a fresh interpreter holds after importing

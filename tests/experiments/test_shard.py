@@ -96,23 +96,25 @@ class TestPlannerValidation:
             plan_shards(replace(spec, shards=None))
 
     def test_rejects_default_dumbbell(self):
-        plain = ScenarioSpec(
-            name="x",
-            protected=False,
-            shards=2,
-            sessions=(SessionDecl("mc"),),
-        )
-        with pytest.raises(ValueError, match="no topology regions"):
-            plan_shards(plain)
+        """Refused when declared: the dumbbell annotates no regions."""
+        with pytest.raises(ValueError, match="annotates 0 regions"):
+            ScenarioSpec(
+                name="x",
+                protected=False,
+                shards=2,
+                sessions=(SessionDecl("mc"),),
+            )
 
     def test_rejects_region_count_mismatch(self, spec):
         with pytest.raises(ValueError, match="annotates 2 regions"):
             plan_shards(replace(spec, shards=3))
 
     def test_rejects_reserved_region_param(self, spec):
+        """A region worker's sub-topology annotates one region, so a sharded
+        spec naming ``region`` is refused when declared."""
         params = {**spec.topology_params, "region": 1}
-        with pytest.raises(ValueError, match="reserved for region workers"):
-            plan_shards(replace(spec, topology_params=params))
+        with pytest.raises(ValueError, match="annotates 1 regions"):
+            replace(spec, topology_params=params)
 
     def test_rejects_cross_traffic(self, spec):
         with pytest.raises(ValueError, match="cross traffic couples regions"):

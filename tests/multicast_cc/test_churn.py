@@ -101,10 +101,9 @@ def _churned_spec(
     return ScenarioSpec(
         name="churned-cohort",
         protected=protected,
-        expected_sessions=1,
         # A generous bottleneck keeps the run congestion-free, so counter
         # identities are not obscured by rejoin/revocation traffic.
-        bottleneck_bps=2.0 * max_rate_bps if generous else None,
+        topology_params={"bottleneck_bandwidth_bps": 2.0 * max_rate_bps} if generous else {},
         sessions=(
             SessionDecl(
                 "crowd",

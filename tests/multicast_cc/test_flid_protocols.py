@@ -18,14 +18,12 @@ from repro.multicast_cc import (
     ReplicatedSender,
     SessionSpec,
 )
-from repro.simulator import DumbbellConfig, DumbbellNetwork, install_igmp
+from repro.simulator import NetworkGraph, dumbbell_topology, install_igmp
 
 
-def build_dl(bottleneck_bps=250_000.0, groups=10, seed=0):
-    config = DumbbellConfig.for_fair_share(1, bottleneck_bps)
-    config.seed = seed
-    net = DumbbellNetwork(config)
-    install_igmp(net.right, net.multicast)
+def build_dl(bandwidth_bps=250_000.0, groups=10, seed=0):
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps), seed=seed)
+    install_igmp(net.edge_router, net.multicast)
     sender_host = net.add_sender()
     receiver_host = net.add_receiver()
     net.build_routes()
@@ -35,15 +33,13 @@ def build_dl(bottleneck_bps=250_000.0, groups=10, seed=0):
     return net, spec, sender, receiver
 
 
-def build_ds(bottleneck_bps=250_000.0, groups=10, seed=0, receivers=1):
-    config = DumbbellConfig.for_fair_share(1, bottleneck_bps)
-    config.seed = seed
-    net = DumbbellNetwork(config)
+def build_ds(bandwidth_bps=250_000.0, groups=10, seed=0, receivers=1):
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps), seed=seed)
     spec = SessionSpec("s", group_count=groups, slot_duration_s=0.25).with_addresses(
         net.allocate_groups(groups)
     )
     clock = SlotClock(net.sim, 0.25)
-    agent = SigmaRouterAgent(net.right, net.multicast, clock)
+    agent = SigmaRouterAgent(net.edge_router, net.multicast, clock)
     clock.start()
     sender_host = net.add_sender()
     receiver_hosts = [net.add_receiver() for _ in range(receivers)]
@@ -63,7 +59,7 @@ class TestFlidDl:
         assert net.multicast.is_member(receiver.host, spec.minimal_group())
 
     def test_receiver_climbs_toward_fair_level(self):
-        net, spec, sender, receiver = build_dl(bottleneck_bps=250_000.0)
+        net, spec, sender, receiver = build_dl(bandwidth_bps=250_000.0)
         sender.start()
         receiver.start()
         net.run(until=30.0)
@@ -72,14 +68,14 @@ class TestFlidDl:
         assert receiver.average_rate_kbps(5, 30) > 120.0
 
     def test_receiver_does_not_exceed_capacity_for_long(self):
-        net, spec, sender, receiver = build_dl(bottleneck_bps=150_000.0)
+        net, spec, sender, receiver = build_dl(bandwidth_bps=150_000.0)
         sender.start()
         receiver.start()
         net.run(until=30.0)
         assert receiver.average_rate_kbps(5, 30) < 170.0
 
     def test_loss_causes_decreases(self):
-        net, spec, sender, receiver = build_dl(bottleneck_bps=150_000.0)
+        net, spec, sender, receiver = build_dl(bandwidth_bps=150_000.0)
         sender.start()
         receiver.start()
         net.run(until=30.0)
@@ -186,14 +182,13 @@ class TestFlidDs:
 
 
 class TestReplicatedProtocol:
-    def build(self, bottleneck_bps=400_000.0):
-        config = DumbbellConfig.for_fair_share(1, bottleneck_bps)
-        net = DumbbellNetwork(config)
+    def build(self, bandwidth_bps=400_000.0):
+        net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps))
         spec = SessionSpec(
             "repl", group_count=4, base_rate_bps=100_000.0, rate_factor=1.5, slot_duration_s=0.25
         ).with_addresses(net.allocate_groups(4))
         clock = SlotClock(net.sim, 0.25)
-        agent = SigmaRouterAgent(net.right, net.multicast, clock)
+        agent = SigmaRouterAgent(net.edge_router, net.multicast, clock)
         clock.start()
         sender_host = net.add_sender()
         receiver_host = net.add_receiver()
@@ -226,7 +221,7 @@ class TestReplicatedProtocol:
         assert agent.valid_submissions > 0
 
     def test_tight_bottleneck_keeps_receiver_in_slow_groups(self):
-        net, spec, sender, receiver, agent = self.build(bottleneck_bps=120_000.0)
+        net, spec, sender, receiver, agent = self.build(bandwidth_bps=120_000.0)
         sender.start()
         receiver.start()
         net.run(until=20.0)

@@ -17,7 +17,7 @@ from repro.multicast_cc import (
     FlidDsSender,
     SessionSpec,
 )
-from repro.simulator import DumbbellConfig, DumbbellNetwork, install_igmp
+from repro.simulator import NetworkGraph, dumbbell_topology, install_igmp
 
 
 def mount(net, spec, host, attacks):
@@ -25,11 +25,10 @@ def mount(net, spec, host, attacks):
     return StrategyStack(build_strategies(attacks, net, spec, host.name))
 
 
-def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
+def build_dl_with_attacker(attack_start=5.0, bandwidth_bps=500_000.0):
     """Two FLID-DL sessions share the bottleneck; session 1's receiver attacks."""
-    config = DumbbellConfig.for_fair_share(2, bottleneck_bps / 2)
-    net = DumbbellNetwork(config)
-    install_igmp(net.right, net.multicast)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps))
+    install_igmp(net.edge_router, net.multicast)
     sessions = []
     for index in (1, 2):
         spec = SessionSpec(f"s{index}").with_addresses(net.allocate_groups(10))
@@ -56,11 +55,10 @@ def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
     return net, attacker, victim
 
 
-def build_ds_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
-    config = DumbbellConfig.for_fair_share(2, bottleneck_bps / 2)
-    net = DumbbellNetwork(config)
+def build_ds_with_attacker(attack_start=5.0, bandwidth_bps=500_000.0):
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps))
     clock = SlotClock(net.sim, 0.25)
-    agent = SigmaRouterAgent(net.right, net.multicast, clock)
+    agent = SigmaRouterAgent(net.edge_router, net.multicast, clock)
     clock.start()
     sessions = []
     for index in (1, 2):
@@ -179,9 +177,8 @@ class TestAttackOnFlidDs:
 
 class TestIgnoreCongestionReceiver:
     def test_never_decreases(self):
-        config = DumbbellConfig.for_fair_share(1, 150_000.0)
-        net = DumbbellNetwork(config)
-        install_igmp(net.right, net.multicast)
+        net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=150_000.0))
+        install_igmp(net.edge_router, net.multicast)
         spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
         tx = FlidDlSender(net, net.add_sender(), spec)
         rx_host = net.add_receiver()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.multicast_cc import FlidDlReceiver, SessionSpec
 from repro.multicast_cc.population import active_backend, split_counts
-from repro.simulator import DumbbellConfig, DumbbellNetwork
+from repro.simulator import NetworkGraph, dumbbell_topology
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -55,7 +55,7 @@ def test_split_counts_error_names_the_split(count, cohorts):
 
 
 def _receiver(counts):
-    net = DumbbellNetwork(DumbbellConfig.for_fair_share(1, 250_000.0))
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
     host = net.add_receiver()
     spec = SessionSpec("s", group_count=4).with_addresses(net.allocate_groups(4))
     return host, FlidDlReceiver(net, host, spec, counts=counts)

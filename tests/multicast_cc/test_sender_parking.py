@@ -26,7 +26,7 @@ from repro.multicast_cc import (
     SessionSpec,
     headers,
 )
-from repro.simulator import DumbbellConfig, DumbbellNetwork, install_igmp
+from repro.simulator import NetworkGraph, dumbbell_topology, install_igmp
 from repro.simulator.node import PacketAgent
 
 
@@ -99,18 +99,16 @@ def run_dumbbell(protocol, sender_class, until_s=24.0):
     on another host joins afresh.
     """
     protected = protocol == "ds"
-    config = DumbbellConfig.for_fair_share(1, 400_000.0)
-    config.seed = 11
-    net = DumbbellNetwork(config)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=400_000.0), seed=11)
     slot_s = 0.25 if protected else 0.5
     spec = SessionSpec("s", slot_duration_s=slot_s).with_addresses(net.allocate_groups(10))
     if protected:
         clock = SlotClock(net.sim, slot_s)
-        SigmaRouterAgent(net.right, net.multicast, clock)
+        SigmaRouterAgent(net.edge_router, net.multicast, clock)
         clock.start()
         receiver_class = FlidDsReceiver
     else:
-        install_igmp(net.right, net.multicast)
+        install_igmp(net.edge_router, net.multicast)
         receiver_class = FlidDlReceiver
     sender_host = net.add_sender()
     hosts = [net.add_receiver(), net.add_receiver()]
@@ -164,8 +162,7 @@ def test_packets_suppressed_is_exact_between_events():
 
 def test_idle_sender_costs_no_tick_events():
     """No receivers: one event per group to park it, then slot boundaries only."""
-    config = DumbbellConfig.for_fair_share(1, 250_000.0)
-    net = DumbbellNetwork(config)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
     sender_host = net.add_sender()
     net.build_routes()
     spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
@@ -184,8 +181,7 @@ def test_idle_sender_costs_no_tick_events():
 
 def test_unsuppressed_sender_never_parks():
     """``suppress_unsubscribed_groups=False``: every tick sends, no hook."""
-    config = DumbbellConfig.for_fair_share(1, 250_000.0)
-    net = DumbbellNetwork(config)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
     sender_host = net.add_sender()
     net.build_routes()
     spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
@@ -228,9 +224,8 @@ def ticks(sender):
 
 def test_restart_leaves_one_tick_chain_per_group():
     """``stop(); start()`` used to run the old and the new tick chains."""
-    config = DumbbellConfig.for_fair_share(1, 250_000.0)
-    net = DumbbellNetwork(config)
-    install_igmp(net.right, net.multicast)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
+    install_igmp(net.edge_router, net.multicast)
     sender_host = net.add_sender()
     receiver_host = net.add_receiver()
     net.build_routes()
@@ -254,8 +249,7 @@ def test_restart_leaves_one_tick_chain_per_group():
 
 
 def test_replicated_restart_leaves_one_tick_chain_per_group():
-    config = DumbbellConfig.for_fair_share(1, 250_000.0)
-    net = DumbbellNetwork(config)
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
     sender_host = net.add_sender()
     net.build_routes()
     spec = SessionSpec("s", group_count=4).with_addresses(net.allocate_groups(4))

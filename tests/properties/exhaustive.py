@@ -34,7 +34,7 @@ from repro.adversary.context import COUNTER_KEYS, AttackContext
 from repro.adversary.registry import ADVERSARIES
 from repro.adversary.strategy import AttackStrategy
 from repro.multicast_cc import FlidDlReceiver, SessionSpec, SlotRecord
-from repro.simulator import DumbbellConfig, DumbbellNetwork
+from repro.simulator import NetworkGraph, dumbbell_topology
 from repro.simulator.address import GroupAddressAllocator
 
 # ----------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _upgrade_subsets():
 def check_dl() -> int:
     """FLID-DL: every (level, congested, upgrade-set) tuple through a live
     receiver's ``_apply_decision``, its IGMP interface recorded."""
-    net = DumbbellNetwork(DumbbellConfig())
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=1_000_000.0))
     spec = session(GROUP_COUNT)
     receiver = FlidDlReceiver(net, net.add_receiver(), spec)
     receiver.igmp = MessageLog(spec)

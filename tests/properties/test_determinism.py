@@ -28,7 +28,7 @@ def dumbbell_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="determinism-dumbbell",
         protected=True,
-        expected_sessions=2,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(SessionDecl("mc", receivers=2, misbehaving=(1,), attack_start_s=2.0),),
         tcp=(TcpDecl("t1"),),
         duration_s=6.0,
@@ -42,7 +42,7 @@ def cohort_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="determinism-cohort",
         protected=True,
-        expected_sessions=2,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(
             SessionDecl(
                 "audience",
@@ -145,7 +145,7 @@ def attack_grid_specs():
             ScenarioSpec(
                 name=f"determinism-{strategy}-{intensity}",
                 protected=True,
-                expected_sessions=2,
+                topology_params={"bottleneck_bandwidth_bps": 500_000.0},
                 sessions=(
                     SessionDecl(
                         "atk",

@@ -56,7 +56,7 @@ def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = Tr
         return ScenarioSpec(
             name=f"bound-{attack.strategy}-dumbbell",
             protected=protected,
-            expected_sessions=3,
+            topology_params={"bottleneck_bandwidth_bps": 750_000.0},
             sessions=(
                 SessionDecl("atk", receivers=attacker_receivers, attacks=(attack,)),
                 SessionDecl("hon", receivers=1),

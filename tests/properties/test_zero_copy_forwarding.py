@@ -352,7 +352,7 @@ def pooled_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="zero-copy-monitor-determinism",
         protected=True,
-        expected_sessions=2,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(
             SessionDecl("mc1", receivers=2),
             SessionDecl("mc2", receivers=1, misbehaving=(0,), attack_start_s=2.0),

@@ -334,6 +334,59 @@ class TestProtocolErrorHandling:
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 
+    def test_unusable_topology_or_unknown_key_is_rejected_before_admission(self, daemon):
+        """A topology mistake used to be admitted and fail on a worker, and a
+        misspelt or retired key to be dropped: ``"durration_s"`` ran the
+        default 200 s, a retired session-count key silently ran a 250 kbps
+        bottleneck.  An oversized topology is refused before the event loop
+        allocates it, and a bandwidth past the float range by name."""
+        template = ScenarioSpec(
+            name="service-topology", protected=False, sessions=(SessionDecl("mc"),),
+            duration_s=6.0,
+        ).to_json()
+        unusable = [
+            ({"topology": "nope"}, "unknown topology 'nope'"),
+            ({"topology": "parking-lot", "topology_params": {"hopz": 3}}, "hopz"),
+            (
+                {"topology_params": {"bottleneck_bandwidth_bps": float("nan")}},
+                "bandwidth_bps must be a finite number > 0",
+            ),
+            (
+                {"topology": "sharded-dumbbell", "shards": 2},
+                "spec declares shards=2 but topology 'sharded-dumbbell' annotates 4 regions",
+            ),
+            ({"topology_params": {"seed": 7}}, "seed"),
+            (
+                {"topology": "binary-tree", "topology_params": {"depth": 40}},
+                "binary tree of depth 40 would exceed",
+            ),
+            (
+                {"topology_params": {"bottleneck_bandwidth_bps": 10**400}},
+                "bottleneck_bandwidth_bps is past the float range",
+            ),
+            ({"durration_s": 5}, "unknown keys ['durration_s']"),
+            ({"expected_" "sessions": 4}, "unknown keys ['expected_" "sessions']"),
+        ]
+
+        async def scenario(conn):
+            rejections = []
+            for number, (fields, _) in enumerate(unusable):
+                document = {**json.loads(template), **fields}
+                await conn.send(
+                    {"op": "submit", "id": f"t{number}", "spec": document,
+                     "timeout_s": 5}
+                )
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return rejections, await conn.recv()
+
+        rejections, status = self._converse(daemon(), scenario)
+        for (_, message), rejected in zip(unusable, rejections):
+            assert rejected["event"] == "rejected", rejected
+            assert message in rejected["reason"], rejected
+        assert status["scheduler"]["queued"] == 0
+        assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
+
     def test_non_integer_seeds_are_rejected(self, daemon):
         async def scenario(conn):
             await conn.send(

@@ -4,8 +4,6 @@ import pytest
 
 from repro.simulator import (
     TOPOLOGIES,
-    DumbbellConfig,
-    DumbbellNetwork,
     LinkSpec,
     NetworkGraph,
     TopologySpec,
@@ -74,13 +72,56 @@ class TestFactories:
             "sharded-dumbbell",
         }
 
-    def test_dumbbell_factory_matches_config(self):
-        config = DumbbellConfig(bottleneck_bandwidth_bps=2e6)
-        spec = dumbbell_topology(config)
+    def test_dumbbell_factory_sizes_its_bottleneck(self):
+        spec = dumbbell_topology(bottleneck_bandwidth_bps=2e6)
         assert spec.routers == ("left", "right")
         assert len(spec.links) == 1
         assert spec.links[0].bandwidth_bps == 2e6
-        assert spec.links[0].buffer_bytes == config.bottleneck_buffer_bytes()
+        # Two BDPs of the 80 ms path round trip: 2 * 2 Mbps * 0.08 s / 8.
+        assert spec.links[0].buffer_bytes == 40_000
+        assert (spec.access_bandwidth_bps, spec.access_delay_s) == (10_000_000.0, 0.010)
+
+    def test_dumbbell_default_is_one_fair_share(self):
+        (link,) = dumbbell_topology().links
+        assert (link.bandwidth_bps, link.delay_s) == (250_000.0, 0.020)
+        assert link.buffer_bytes == 4 * 1600  # the floor: 2 BDPs are 5000 bytes
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(bandwidth_bps=float("nan")), "bandwidth_bps must be a finite number > 0"),
+            (dict(bandwidth_bps=float("inf")), "bandwidth_bps must be a finite number > 0"),
+            (dict(bandwidth_bps=0.0), "bandwidth_bps must be a finite number > 0"),
+            (dict(bandwidth_bps=-1e6), "bandwidth_bps must be a finite number > 0"),
+            (dict(delay_s=float("nan")), "delay_s must be a finite number >= 0"),
+            (dict(delay_s=-0.01), "delay_s must be a finite number >= 0"),
+        ],
+    )
+    def test_link_spec_refuses_impossible_links(self, kwargs, match):
+        fields = {"a": "x", "b": "y", "bandwidth_bps": 1e6, "delay_s": 0.01, **kwargs}
+        with pytest.raises(ValueError, match=f"link 'x'-'y': {match}"):
+            LinkSpec(**fields)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_factories_refuse_an_impossible_bottleneck(self, bandwidth):
+        """A NaN used to die in the buffer arithmetic, not at the link."""
+        with pytest.raises(ValueError, match="bandwidth_bps must be a finite number > 0"):
+            dumbbell_topology(bottleneck_bandwidth_bps=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth_bps must be a finite number > 0"):
+            parking_lot_topology(bottleneck_bandwidth_bps=bandwidth)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(access_bandwidth_bps=0.0), "'dumbbell': access_bandwidth_bps must be a finite"),
+            (dict(access_delay_s=float("nan")), "'dumbbell': access_delay_s must be a finite"),
+            (dict(access_delay_s=-0.01), "'dumbbell': access_delay_s must be a finite"),
+            (dict(buffer_bdp_multiple=float("nan")), "buffer_bdp_multiple must be a finite"),
+        ],
+    )
+    def test_factories_refuse_impossible_access_links_and_buffers(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            dumbbell_topology(**kwargs)
 
     def test_parking_lot_shape(self):
         spec = parking_lot_topology(hops=4)
@@ -162,13 +203,16 @@ class TestNetworkGraph:
         assert [router.name for router in graph.receiver_edge_routers] == ["arm1", "arm2"]
         assert graph.edge_router.name == "arm1"
 
-    def test_dumbbell_network_is_a_network_graph(self):
-        network = DumbbellNetwork()
-        assert isinstance(network, NetworkGraph)
+    def test_dumbbell_network_is_left_bottleneck_right(self):
+        network = NetworkGraph(dumbbell_topology())
         assert network.spec.kind == "dumbbell"
-        assert network.bottleneck.src is network.left
-        assert network.bottleneck.dst is network.right
-        assert network.edge_router is network.right
+        left, right = network.router("left"), network.router("right")
+        assert [(link.src, link.dst) for link in network.links] == [
+            (left, right),
+            (right, left),
+        ]
+        assert network.find_link(left, right).bandwidth_bps == 250_000.0
+        assert network.edge_router is right
 
 
 class TestTopologyRegions:

@@ -5,11 +5,11 @@ import pickle
 import pytest
 
 from repro.simulator import (
-    DumbbellConfig,
-    DumbbellNetwork,
     IgmpHostInterface,
     Network,
+    NetworkGraph,
     Packet,
+    dumbbell_topology,
     install_igmp,
 )
 from repro.simulator.node import PacketAgent
@@ -336,12 +336,8 @@ class TestIgmp:
 
 
 class TestDumbbell:
-    def test_fair_share_sizing(self):
-        config = DumbbellConfig.for_fair_share(4, 250_000.0)
-        assert config.bottleneck_bandwidth_bps == pytest.approx(1_000_000.0)
-
     def test_three_link_paths(self):
-        net = DumbbellNetwork(DumbbellConfig())
+        net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=1_000_000.0))
         sender = net.add_sender()
         receiver = net.add_receiver()
         net.build_routes()
@@ -349,12 +345,11 @@ class TestDumbbell:
         assert [n.name for n in path] == [sender.name, "left", "right", receiver.name]
 
     def test_bottleneck_buffer_uses_path_rtt(self):
-        config = DumbbellConfig.for_fair_share(1, 250_000.0)
-        # 2 * 250 Kbps * 80 ms / 8 = 5000 bytes, above the 6400-byte floor? no:
-        # the floor of four max-size packets applies.
-        assert config.bottleneck_buffer_bytes() >= 5000
+        # 2 * 1 Mbps * 80 ms (the path round trip, not the 20 ms hop) / 8.
+        (link,) = dumbbell_topology(bottleneck_bandwidth_bps=1_000_000.0).links
+        assert link.buffer_bytes == 20_000
 
     def test_receiver_edge_router_is_right(self):
-        net = DumbbellNetwork()
+        net = NetworkGraph(dumbbell_topology())
         receiver = net.add_receiver()
-        assert receiver.edge_router is net.right
+        assert receiver.edge_router is net.router("right")

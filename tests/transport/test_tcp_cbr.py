@@ -3,13 +3,12 @@
 import pytest
 
 from repro.experiments import PAPER_DEFAULTS, Scenario
-from repro.simulator import DumbbellConfig, DumbbellNetwork
+from repro.simulator import NetworkGraph, dumbbell_topology
 from repro.transport import CbrSink, CbrSource, OnOffCbrSource, TcpConnection
 
 
-def make_dumbbell(bottleneck_bps=1_000_000.0):
-    config = DumbbellConfig(bottleneck_bandwidth_bps=bottleneck_bps)
-    return DumbbellNetwork(config)
+def make_dumbbell(bandwidth_bps=1_000_000.0):
+    return NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps))
 
 
 class TestTcpReno:

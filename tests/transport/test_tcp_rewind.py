@@ -9,12 +9,12 @@ flow that loses a whole window to a CBR burst.
 """
 
 from repro.experiments import PAPER_DEFAULTS, Scenario, ScenarioSpec, CbrDecl, TcpDecl
-from repro.simulator.topology import DumbbellConfig, DumbbellNetwork
+from repro.simulator.topology import NetworkGraph, dumbbell_topology
 from repro.transport.tcp import TcpConnection
 
 
 def build_connection():
-    net = DumbbellNetwork(DumbbellConfig())
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=1_000_000.0))
     source = net.add_sender()
     sink = net.add_receiver()
     net.build_routes()
@@ -64,8 +64,7 @@ class TestGoBackNRewind:
         spec = ScenarioSpec(
             name="tcp-burst-recovery",
             protected=False,
-            expected_sessions=1,
-            bottleneck_bps=500_000.0,
+            topology_params={"bottleneck_bandwidth_bps": 500_000.0},
             tcp=(TcpDecl("t1"),),
             cbr=(
                 CbrDecl(

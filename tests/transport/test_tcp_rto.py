@@ -11,7 +11,7 @@ instants and walk the same congestion window, ACK by ACK.
 import pytest
 
 from repro.simulator.engine import Event
-from repro.simulator.topology import DumbbellConfig, DumbbellNetwork
+from repro.simulator.topology import NetworkGraph, dumbbell_topology
 from repro.transport.tcp import TcpRenoSender, TcpSink
 
 
@@ -65,8 +65,8 @@ class CancelPerAckSender(Recorded, CancelPerAck, TcpRenoSender):
 
 def lossy_dumbbell(sender_cls, seed, flows=4, duration_s=30.0):
     """``flows`` Reno flows through a 300 Kbps, one-BDP bottleneck."""
-    net = DumbbellNetwork(
-        DumbbellConfig(bottleneck_bandwidth_bps=300_000.0, buffer_bdp_multiple=1.0)
+    net = NetworkGraph(
+        dumbbell_topology(bottleneck_bandwidth_bps=300_000.0, buffer_bdp_multiple=1.0)
     )
     senders = []
     for flow in range(flows):
@@ -84,7 +84,7 @@ def lossy_dumbbell(sender_cls, seed, flows=4, duration_s=30.0):
 
 def black_hole_sender(sender_cls):
     """A sender whose segments reach a host with no sink: no ACK ever returns."""
-    net = DumbbellNetwork(DumbbellConfig())
+    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=1_000_000.0))
     source, sink = net.add_sender(), net.add_receiver()
     net.build_routes()
     return net.sim, sender_cls(source, sink, 9000)
