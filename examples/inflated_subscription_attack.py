@@ -3,7 +3,8 @@
 
 Reproduces a shortened version of Figures 1 and 7: two multicast sessions
 (receivers F1 and F2) and two TCP Reno connections (T1 and T2) share a
-1 Mbps bottleneck; at t = 40 s receiver F1 inflates its subscription.
+1 Mbps bottleneck; halfway through the run (t = 40 s) receiver F1 inflates
+its subscription.
 
 The script runs both registered figures — plain FLID-DL (IGMP-managed
 groups, the attack succeeds) and FLID-DS (DELTA + SIGMA, the attack is
@@ -18,16 +19,16 @@ from repro.analysis import format_table
 from repro.experiments import PAPER_DEFAULTS, figure, run_figure
 
 DURATION_S = 80.0
-ATTACK_START_S = 40.0
 FAIR_SHARE_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
 
 
 def run_variant(protected: bool) -> None:
     label = "FLID-DS (protected by DELTA + SIGMA)" if protected else "FLID-DL (unprotected)"
+    attack_start_s = DURATION_S / 2
     table = run_figure(
         figure("figure7_flid_ds_protection" if protected else "figure1_flid_dl_attack"),
         config=PAPER_DEFAULTS.with_duration(DURATION_S),
-        attack_start_s=ATTACK_START_S,
+        attack_start_s=attack_start_s,
         duration_s=DURATION_S,
     )
     rows = [
@@ -39,7 +40,7 @@ def run_variant(protected: bool) -> None:
         for flow in ("F1", "F2", "T1", "T2")
     ]
     print(f"\n=== {label} ===")
-    print(f"F1 starts misbehaving at t = {ATTACK_START_S:.0f} s; fair share is "
+    print(f"F1 starts misbehaving at t = {attack_start_s:.0f} s; fair share is "
           f"{FAIR_SHARE_KBPS:.0f} Kbps per flow")
     print(format_table(["flow", "before attack (Kbps)", "during attack (Kbps)"], rows))
     print(f"Jain fairness index: before = {table['fairness_before']:.3f}, "

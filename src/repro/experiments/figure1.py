@@ -86,6 +86,11 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
     warmup = spec.config.warmup_s
     attack_start = spec.sessions[0].attack_start_s
     duration = spec.effective_duration_s
+    if attack_start >= duration:
+        raise ValueError(
+            f"attack onset {attack_start} s leaves no attack window in a "
+            f"{duration} s run; start the attack before the run ends"
+        )
     before = {name: series_kbps(bins, warmup, attack_start) for name, bins in series.items()}
     during = {name: series_kbps(bins, attack_start, duration) for name, bins in series.items()}
     return {

@@ -211,16 +211,16 @@ def collect_ingredients(
     Everything that needs the live scenario is read here; what needs more
     than one run (a region sees only its own receivers) is left to
     :func:`assemble`.  Per session, group 0 holds the individual receivers
-    and group ``i + 1`` the objects population block ``i`` realised as;
-    each group is a set of per-receiver columns: goodput over ``[warmup,
-    duration]``, final level, population and, given ``onsets``, a
-    ``protection`` column — an honest receiver's goodput over the global
-    attack window (a term of the honest baseline), an attacker's
-    :func:`_attacker_record`, or ``None`` for an attacker whose session's
-    attack never starts within the run.  Whole-session extras
-    (``overhead_percent``, ``series``), ``tcp_kbps`` and the summed SIGMA
-    counters ride along.  With ``spec.record_series`` a session's ``series``
-    holds every receiver's raw 1-second ``(bin, bytes)`` counts
+    and group ``i + 1`` the rows of population block ``i`` (one per row of
+    a cohort-model block's split, one per receiver otherwise); each group
+    is a set of per-row columns: goodput over ``[warmup, duration]``,
+    final level, population and, given ``onsets``, a ``protection`` column
+    — an honest row's goodput over the global attack window (a term of the
+    honest baseline), an attacker's :func:`_attacker_record`, or ``None``
+    for an attacker whose session's attack never starts within the run.
+    Whole-session extras (``overhead_percent``, ``series``), ``tcp_kbps``
+    and the summed SIGMA counters ride along.  With ``spec.record_series`` a session's ``series``
+    holds every row's raw 1-second ``(bin, bytes)`` counts
     (:meth:`~repro.simulator.monitors.ThroughputMonitor.bins`) and
     ``(time, level)`` history, and ``tcp_series`` every connection's bins.
     """
@@ -241,21 +241,28 @@ def collect_ingredients(
         individuals = slices[0][0] if slices else len(session.receivers)
         attackers = set(decl.attacker_indices())
         groups: List[Dict[str, Any]] = []
+        reported: List[Tuple[Any, int]] = []  # (receiver, members) per row
         for g_index, (start, stop) in enumerate([(0, individuals), *slices]):
-            rows = session.receivers[start:stop]
+            per_row = g_index > 0 and decl.population[g_index - 1].model == "cohort"
+            rows = [
+                (receiver, count)
+                for receiver in session.receivers[start:stop]
+                for count in (receiver.counts if per_row else (receiver.population,))
+            ]
+            reported.extend(rows)
             group: Dict[str, Any] = {
                 "receiver_kbps": [
-                    receiver.average_rate_kbps(warmup, duration) for receiver in rows
+                    receiver.average_rate_kbps(warmup, duration) for receiver, _ in rows
                 ],
-                "final_levels": [receiver.level for receiver in rows],
-                "population": [receiver.population for receiver in rows],
+                "final_levels": [receiver.level for receiver, _ in rows],
+                "population": [count for _, count in rows],
             }
             if onsets is not None:
                 block_attacks = (
                     g_index > 0 and decl.population[g_index - 1].attack is not None
                 )
                 column: List[Any] = []
-                for index, receiver in enumerate(rows, start):
+                for index, (receiver, _) in enumerate(rows, start):
                     if not (block_attacks or index in attackers):
                         column.append(
                             receiver.average_rate_kbps(onsets["global"], duration)
@@ -277,8 +284,8 @@ def collect_ingredients(
             entry["overhead_percent"] = {"delta": delta_pct, "sigma": sigma_pct}
         if spec.record_series:
             entry["series"] = {
-                "bins": [receiver.monitor.bins() for receiver in session.receivers],
-                "levels": [list(receiver.level_history) for receiver in session.receivers],
+                "bins": [receiver.monitor.bins() for receiver, _ in reported],
+                "levels": [list(receiver.level_history) for receiver, _ in reported],
             }
         sessions.append(entry)
     document: Dict[str, Any] = {"sessions": sessions}

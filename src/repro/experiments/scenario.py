@@ -65,7 +65,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -124,9 +124,10 @@ class MulticastSession:
     #: its realised receiver objects occupy in ``receivers`` — one entry per
     #: ``SessionDecl.population`` declaration, in declaration order.  How
     #: many objects a block realises as depends on its placement (``count``
-    #: for individuals, ``cohorts`` for per-cohort objects, one per edge
-    #: router for vector blocks), so downstream code maps declarations to
-    #: objects through these slices rather than re-deriving the arithmetic.
+    #: for individuals, one for an honest cohort block however many rows it
+    #: splits into, one per row for an attacking one, one per edge router
+    #: for vector blocks), so downstream code maps declarations to objects
+    #: through these slices rather than re-deriving the arithmetic.
     block_slices: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -334,8 +335,13 @@ class Scenario:
 
         * ``"individual"`` — ``count`` hosts of one member each (the
           reference realisation the equivalence tests compare against);
-        * ``"cohort"`` — ``cohorts`` hosts (default one), each standing for
-          one row of the as-even split;
+        * ``"cohort"`` — one host carrying every row of the as-even split
+          when the block is honest and its rows share a router (pinned, or
+          the topology's only receiver edge): such rows would receive the
+          same packets at the same instants and decide alike.  Otherwise
+          one host per row: an attacking row's strategy stack draws from
+          its own host-named stream, and unpinned rows spread round-robin
+          across several edges;
         * ``"vector"`` — one host per receiver edge router (or the pinned
           ``cohort.router``), carrying the rows spread round-robin across
           the edges.
@@ -361,13 +367,15 @@ class Scenario:
                         (f"{session_id}-vec{c_index + 1}-{e_index + 1}", edge, rows)
                     )
         else:
-            counts = split_counts(cohort.count, cohort.cohorts or 1)
-            for k, members in enumerate(counts):
-                # The single-cohort host keeps its historical name so legacy
-                # scenarios stay byte-identical; split cohorts get a -k suffix.
-                suffix = "" if len(counts) == 1 else f"-{k + 1}"
-                hosts.append(
-                    (f"{session_id}-cohort{c_index + 1}{suffix}", cohort.router, (members,))
+            counts = tuple(split_counts(cohort.count, cohort.cohorts or 1))
+            name = f"{session_id}-cohort{c_index + 1}"
+            shared = cohort.router is not None or len(self.network.spec.receiver_routers) == 1
+            if len(counts) == 1 or (cohort.attack is None and shared):
+                hosts.append((name, cohort.router, counts))
+            else:
+                hosts.extend(
+                    (f"{name}-{k + 1}", cohort.router, (members,))
+                    for k, members in enumerate(counts)
                 )
         return hosts
 

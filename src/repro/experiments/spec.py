@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping as AbstractMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, lru_cache, partial
@@ -266,10 +267,14 @@ class CohortDecl(PlainData):
       (sessions scale past 1M receivers).
 
     ``cohorts`` splits the block's ``count`` members into that many
-    homogeneous cohorts (as even as possible; ``None`` means one).  With
-    ``model="cohort"`` each gets its own host and receiver — the reference
-    path the cohort-count benchmark measures against — while
-    ``model="vector"`` packs them as rows behind one receiver per edge.
+    homogeneous cohorts (as even as possible; ``None`` means one), and the
+    metrics report one entry per cohort.  With ``model="cohort"`` an honest
+    block's rows share one host and receiver when they share a router
+    (``router`` is set, or the topology has one receiver edge): they would
+    get the same packets at the same instants and decide alike.  An
+    attacking block keeps one host per row, because each row's strategy
+    stack draws from its own host-named stream.  ``model="vector"`` packs
+    the rows behind one receiver per edge.
 
     ``router`` optionally pins the cohort to a named edge router (default:
     the topology's round-robin receiver placement — for ``"vector"`` the
@@ -491,6 +496,33 @@ class ScenarioSpec(PlainData):
                 f"spec declares shards={self.shards} but topology "
                 f"{self.topology!r} annotates {regions} regions"
             )
+        # Where and when every receiver attaches: a pinned router outside
+        # the receiver edges, or a start time or access delay the engine
+        # cannot schedule, would otherwise fail inside the build.
+        edges = self.network_topology.receiver_routers
+        for decl in self.sessions:
+            where = f"(session {decl.session_id!r})"
+            blocks = decl.population
+            pins = decl.receiver_routers or ()
+            routers = [("SessionDecl.receiver_routers", r) for r in pins]
+            routers += [("CohortDecl.router", block.router) for block in blocks]
+            for name, router in routers:
+                if router is not None and router not in edges:
+                    raise ValueError(
+                        f"{name} {router!r} {where} is not a receiver edge router "
+                        f"of topology {self.topology!r}: one of {list(edges)}"
+                    )
+            starts = decl.receiver_start_times or ()
+            delays = decl.receiver_access_delays or ()
+            times = [("SessionDecl.receiver_start_times", t) for t in starts]
+            times += [("SessionDecl.receiver_access_delays", d) for d in delays]
+            times += [("CohortDecl.start_s", block.start_s) for block in blocks]
+            for name, seconds in times:
+                if seconds is not None and not 0 <= seconds <= sys.float_info.max:
+                    raise ValueError(
+                        f"{name} must be a finite number of seconds >= 0 {where}, "
+                        f"got {seconds!r}"
+                    )
 
     # ------------------------------------------------------------------
     # derived values

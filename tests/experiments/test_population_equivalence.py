@@ -296,15 +296,15 @@ def test_member_population_counting(honest_case):
     [
         ("individual", None, [(1,)] * POPULATION),
         ("cohort", None, [(POPULATION,)]),
-        ("cohort", POPULATION, [(1,)] * POPULATION),
+        ("cohort", POPULATION, [(1,) * POPULATION]),
         ("vector", None, [(1,) * POPULATION]),
         ("vector", 2, [(2, 1)]),
     ],
 )
 def test_placement_hands_each_receiver_a_tuple_of_rows(model, cohorts, rows):
     """Every placement passes its receivers plain tuples of row counts (the
-    dumbbell has one edge, so a vector block lands on a single receiver);
-    no population table is built beside them."""
+    dumbbell has one edge, so a vector block and a split honest cohort block
+    land on a single receiver); no population table is built beside them."""
     scenario = Scenario.from_spec(population_spec(True, model, cohorts=cohorts))
     receivers = scenario.sessions[0].receivers
     assert [receiver.counts for receiver in receivers] == rows
@@ -386,13 +386,120 @@ def test_vector_blocks_cannot_churn():
 
 
 def test_cohorts_split_of_cohort_model_matches_single_cohort():
-    """model="cohort" with cohorts=N realises N per-cohort objects, exactly
-    equivalent to the single aggregated cohort."""
+    """model="cohort" with cohorts=N realises one receiver carrying the N
+    rows, running exactly the single aggregated cohort's events."""
     split = run(population_spec(True, "cohort", cohorts=POPULATION))
     single = run(population_spec(True, "cohort"))
-    assert len(split.sessions[0].receivers) == POPULATION
+    [receiver] = split.sessions[0].receivers
+    assert receiver.counts == (1,) * POPULATION
     assert split.sessions[0].total_population == POPULATION
-    history = single.sessions[0].receivers[0].level_history
-    for receiver in split.sessions[0].receivers:
-        assert receiver.level_history == history
+    assert receiver.level_history == single.sessions[0].receivers[0].level_history
+    assert split.network.sim.events_executed == single.network.sim.events_executed
     assert split.sigma.valid_submissions == single.sigma.valid_submissions
+
+
+# ----------------------------------------------------------------------
+# a split honest cohort block is one receiver, reported row by row
+# ----------------------------------------------------------------------
+def audience_duel_spec(
+    protected: bool, audience, record_series: bool = False
+) -> ScenarioSpec:
+    """An honest ``audience`` population beside one default attacker, so the
+    metric document carries a ``protection`` block (and ``sigma`` when
+    ``protected``)."""
+    return ScenarioSpec(
+        name="split-audience",
+        protected=protected,
+        topology_params={"bottleneck_bandwidth_bps": 500_000.0},
+        sessions=(
+            SessionDecl("aud", receivers=0, population=tuple(audience)),
+            SessionDecl(
+                "atk", receivers=1, misbehaving=(0,), attack_start_s=ATTACK_START_S
+            ),
+        ),
+        duration_s=ATTACK_DURATION_S,
+        record_series=record_series,
+        config=PAPER_DEFAULTS,
+    )
+
+
+@pytest.mark.parametrize("record_series", [False, True], ids=["plain", "series"])
+@pytest.mark.parametrize("protected", PROTOCOLS, ids=["flid_dl", "flid_ds"])
+@pytest.mark.parametrize(
+    "split, twin",
+    [
+        (CohortDecl(7, cohorts=3), (CohortDecl(3), CohortDecl(2), CohortDecl(2))),
+        (CohortDecl(3, cohorts=3), (CohortDecl(3, model="individual"),)),
+    ],
+    ids=["as-blocks", "as-individuals"],
+)
+def test_split_honest_block_reports_like_its_multi_host_twin(
+    split, twin, protected, record_series
+):
+    """The one receiver of a split honest block reports every row, byte for
+    byte what the rows' separate hosts report."""
+    from repro.experiments import ExperimentRunner
+    from repro.experiments.spec import canonical_json
+    from repro.multicast_cc.population import split_counts
+
+    runner = ExperimentRunner()
+    documents = [
+        runner.run_one(audience_duel_spec(protected, audience, record_series)).metrics
+        for audience in ((split,), twin)
+    ]
+    assert "protection" in documents[0]
+    assert ("sigma" in documents[0]) == protected
+    assert ("series" in documents[0]["multicast"]["aud"]) == record_series
+    assert documents[0]["multicast"]["aud"]["receiver_population"] == split_counts(
+        split.count, split.cohorts
+    )
+    assert canonical_json(documents[0]) == canonical_json(documents[1])
+
+
+def test_splitting_an_honest_block_adds_no_event():
+    """100 rows of a 100k audience run exactly the single cohort's events."""
+    from repro.experiments.scale import scale_dumbbell_spec
+
+    runs = [
+        run(scale_dumbbell_spec(receivers=100_000, model="cohort", cohorts=cohorts))
+        for cohorts in (100, None)
+    ]
+    assert [sum(len(s.receivers) for s in r.sessions) for r in runs] == [2, 2]
+    assert runs[0].sessions[0].receivers[0].counts == (1000,) * 100
+    assert runs[0].network.sim.events_executed == runs[1].network.sim.events_executed
+
+
+def test_attack_block_keeps_one_host_per_row():
+    """Each attacking row draws from its own host-named stream, so a split
+    attack block stays one receiver per row."""
+    scenario = Scenario.from_spec(
+        population_spec(True, "cohort", "inflated-join", cohorts=2)
+    )
+    receivers = scenario.sessions[0].receivers
+    assert [receiver.counts for receiver in receivers] == [(2,), (1,)]
+    assert [receiver.host.name for receiver in receivers] == [
+        "atk-cohort1-1",
+        "atk-cohort1-2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "router, hosts", [(None, ["s-cohort1-1", "s-cohort1-2"]), ("edge2", ["s-cohort1"])]
+)
+def test_unpinned_rows_on_several_edges_keep_their_hosts(router, hosts):
+    """Unpinned rows spread round-robin over the receiver edges, so only a
+    pinned split shares one receiver on a multi-edge topology."""
+    spec = ScenarioSpec(
+        name="split-over-edges",
+        protected=True,
+        topology="multi-edge-dumbbell",
+        topology_params={"edges": 2},
+        sessions=(
+            SessionDecl(
+                "s", receivers=0, population=(CohortDecl(4, router=router, cohorts=2),)
+            ),
+        ),
+        duration_s=DURATION_S,
+    )
+    receivers = Scenario.from_spec(spec).sessions[0].receivers
+    assert [receiver.host.name for receiver in receivers] == hosts

@@ -85,6 +85,15 @@ class TestExecution:
             assert decl.reduce(cells, read_back) == decl.reduce(cells, in_memory)
             assert decl.reduce(cells, in_memory) == run_figure(decl, **axes)
 
+    def test_duel_table_refuses_an_empty_attack_window(self):
+        """An onset at or past the run's end used to reduce to "during" 0 for
+        every flow and a perfect fairness of 1.000."""
+        for name in ("figure1_flid_dl_attack", "figure7_flid_ds_protection"):
+            with pytest.raises(
+                ValueError, match=r"attack onset 6\.0 s leaves no attack window in a 6\.0 s run"
+            ):
+                run_figure(figure(name), attack_start_s=40.0, duration_s=6.0)
+
 
 class TestRunner:
     def test_seed_sweep_orders_results_by_seed(self):

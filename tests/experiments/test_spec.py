@@ -315,6 +315,112 @@ class TestTopologyCheckedAtDeclaration:
         assert Scenario.from_spec(spec).network.spec == spec.network_topology
 
 
+#: Receiver placements that used to declare and crash the build (a
+#: ``KeyError``, a missing group manager, a NaN-to-integer conversion or a
+#: schedule into the past): ``(session, message fragment)``.
+RECEIVER_MISTAKES = {
+    "unknown-block-router": (
+        SessionDecl("mc", receivers=0, population=(CohortDecl(5, router="nope"),)),
+        "CohortDecl.router 'nope' (session 'mc') is not a receiver edge router",
+    ),
+    "unknown-receiver-router": (
+        SessionDecl("mc", receiver_routers=("nope",)),
+        "SessionDecl.receiver_routers 'nope' (session 'mc') is not a receiver edge",
+    ),
+    "sender-side-block-router": (
+        SessionDecl("mc", receivers=0, population=(CohortDecl(5, router="left"),)),
+        "CohortDecl.router 'left' (session 'mc') is not a receiver edge router "
+        "of topology 'dumbbell': one of ['right']",
+    ),
+    "sender-side-receiver-router": (
+        SessionDecl("mc", receiver_routers=("left",)),
+        "SessionDecl.receiver_routers 'left' (session 'mc')",
+    ),
+    "nan-block-start": (
+        SessionDecl("mc", receivers=0, population=(CohortDecl(5, start_s=float("nan")),)),
+        "CohortDecl.start_s must be a finite number of seconds >= 0 (session 'mc'), got nan",
+    ),
+    "negative-block-start": (
+        SessionDecl("mc", receivers=0, population=(CohortDecl(5, start_s=-1.0),)),
+        "CohortDecl.start_s must be a finite number of seconds >= 0 (session 'mc'), got -1.0",
+    ),
+    "nan-access-delay": (
+        SessionDecl("mc", receiver_access_delays=(float("nan"),)),
+        "SessionDecl.receiver_access_delays must be a finite number of seconds",
+    ),
+    "negative-access-delay": (
+        SessionDecl("mc", receiver_access_delays=(-0.01,)),
+        "SessionDecl.receiver_access_delays must be a finite number of seconds",
+    ),
+    "nan-receiver-start": (
+        SessionDecl("mc", receiver_start_times=(float("nan"),)),
+        "SessionDecl.receiver_start_times must be a finite number of seconds",
+    ),
+    "negative-receiver-start": (
+        SessionDecl("mc", receiver_start_times=(-1.0,)),
+        "SessionDecl.receiver_start_times must be a finite number of seconds",
+    ),
+    "infinite-receiver-start": (
+        SessionDecl("mc", receiver_start_times=(float("inf"),)),
+        "SessionDecl.receiver_start_times must be a finite number of seconds",
+    ),
+}
+
+
+class TestReceiverPlacementCheckedAtDeclaration:
+    @pytest.mark.parametrize("case", sorted(RECEIVER_MISTAKES))
+    def test_placement_mistake_is_refused_when_declared(self, case):
+        session, fragment = RECEIVER_MISTAKES[case]
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            ScenarioSpec(name="bad", protected=True, sessions=(session,))
+
+    @pytest.mark.parametrize("case", sorted(RECEIVER_MISTAKES))
+    def test_placement_mistake_is_refused_when_decoded(self, case):
+        session, fragment = RECEIVER_MISTAKES[case]
+        document = ScenarioSpec(
+            name="bad", protected=True, sessions=(SessionDecl("mc"),)
+        ).to_dict()
+        document["sessions"] = [session.to_dict()]
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            ScenarioSpec.from_dict(document)
+
+    def test_registered_builders_refuse_a_misplaced_audience(self):
+        """The two scenarios the mistakes were first seen on."""
+        for name in ("scale-dumbbell-10k", "figure1-attack"):
+            spec = scenario_spec(name, duration_s=5.0)
+            session = spec.sessions[0]
+            if session.population:
+                bad = dataclasses.replace(
+                    session,
+                    population=(dataclasses.replace(session.population[0], router="nope"),),
+                )
+            else:
+                bad = dataclasses.replace(
+                    session, receiver_routers=("left",) * session.receivers
+                )
+            with pytest.raises(ValueError, match="is not a receiver edge router"):
+                dataclasses.replace(spec, sessions=(bad, *spec.sessions[1:]))
+
+    def test_pinned_receiver_edges_still_declare(self):
+        spec = ScenarioSpec(
+            name="ok",
+            protected=False,
+            topology="multi-edge-dumbbell",
+            topology_params={"edges": 2},
+            sessions=(
+                SessionDecl(
+                    "mc",
+                    receivers=2,
+                    receiver_routers=("edge2", None),
+                    receiver_access_delays=(0.0, None),
+                    receiver_start_times=(0, 1.5),
+                    population=(CohortDecl(4, router="edge1", start_s=2.0),),
+                ),
+            ),
+        )
+        assert spec.sessions[0].population[0].router == "edge1"
+
+
 class TestVectorChurnRejection:
     """model="vector" blocks cannot churn: the columnar rows are fixed-size.
 
@@ -394,14 +500,14 @@ SAMPLES = {
         attacks=(AttackSpec("churn", receivers=(1,)),),
         receiver_start_times=(0.0, 1.0),
         receiver_access_delays=(None, 0.02),
-        receiver_routers=("r1", None),
+        receiver_routers=("edge1-1", None),
         track_overhead=True,
         suppress_unsubscribed_groups=False,
         population=(CohortDecl(5), CohortDecl(6, model="vector")),
     ),
     CohortDecl: dict(
         count=7,
-        router="r1",
+        router="edge1-1",
         start_s=2.0,
         model="vector",
         attack=AttackSpec("inflated-join", start_s=4.0),

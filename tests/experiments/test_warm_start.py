@@ -32,6 +32,7 @@ from repro.experiments import (
     execute_spec,
     plan_prefix,
     scale_dumbbell_10m_spec,
+    scale_dumbbell_spec,
     scale_protection_spec,
     scenario_spec,
 )
@@ -398,7 +399,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 8
+    assert CHECKPOINT_VERSION == 9
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -441,7 +442,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 8
+    assert CHECKPOINT_VERSION == 9
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -463,7 +464,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 8
+    assert CHECKPOINT_VERSION == 9
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -481,6 +482,27 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     store.path(key).write_bytes(
         b"(I8\ncrepro.simulator.topology\n" + retired_class + b"\n)Rt."
     )
+    assert store.load(key) is None
+    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 8 realised a split honest cohort block as one receiver per
+    row; its blobs are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 9
+    spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
+    plan = plan_prefix(spec)
+    key = plan.checkpoint_key()
+    payload = json.dumps(
+        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
+         "dir": str(tmp_path), "key": key}
+    )
+    store = CheckpointStore(tmp_path)
+    run_checkpoint_json(payload)
+    assert len(store.load(key).sessions[0].receivers) == 1
+    stale = pickle.dumps((8, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False
     assert store.load(key) is not None

@@ -387,6 +387,43 @@ class TestProtocolErrorHandling:
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 
+    def test_misplaced_receiver_is_rejected_before_admission(self, daemon):
+        """A receiver pinned off the receiver edges, or starting at a time
+        the engine cannot schedule, used to be admitted and crash the build
+        on a worker."""
+        template = ScenarioSpec(
+            name="service-placement",
+            protected=True,
+            sessions=(SessionDecl("mc", receivers=0, population=(CohortDecl(5),)),),
+            duration_s=6.0,
+        ).to_json()
+        unusable = [
+            ("router", "nope", "CohortDecl.router 'nope'"),
+            ("router", "left", "CohortDecl.router 'left'"),
+            ("start_s", float("nan"), "CohortDecl.start_s must be a finite"),
+            ("start_s", -1.0, "CohortDecl.start_s must be a finite"),
+        ]
+
+        async def scenario(conn):
+            rejections = []
+            for number, (field, value, _) in enumerate(unusable):
+                document = json.loads(template)
+                document["sessions"][0]["population"][0][field] = value
+                await conn.send(
+                    {"op": "submit", "id": f"p{number}", "spec": document,
+                     "timeout_s": 5}
+                )
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return rejections, await conn.recv()
+
+        rejections, status = self._converse(daemon(), scenario)
+        for (_, _, message), rejected in zip(unusable, rejections):
+            assert rejected["event"] == "rejected", rejected
+            assert message in rejected["reason"], rejected
+        assert status["scheduler"]["queued"] == 0
+        assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
+
     def test_non_integer_seeds_are_rejected(self, daemon):
         async def scenario(conn):
             await conn.send(
