@@ -5,15 +5,11 @@
   per-packet overhead; this ablation quantifies both designs.
 * **FEC choice** (§3.2.1): MDS erasure coding versus naive repetition for the
   SIGMA announcements, at equal loss tolerance.
-* **Threshold scheme cost** (§3.1.2): per-packet overhead of the Shamir-based
-  threshold instantiation versus the XOR instantiation, illustrating why the
-  paper calls component reuse for threshold schemes an open problem.
 """
 
 import random
 
 from repro.analysis import format_table
-from repro.core.delta import ThresholdDeltaSender
 from repro.core.overhead import OverheadModel
 from repro.fec import ErasureCode, FecConfig, RepetitionCode
 
@@ -89,28 +85,3 @@ def test_ablation_erasure_vs_repetition(bench_record):
     )
     bench_record({"erasure_success": erasure_rate, "repetition_success": repetition_rate})
     assert erasure_rate > repetition_rate
-
-
-def test_ablation_threshold_scheme_overhead(bench_record):
-    """Shamir-based threshold DELTA costs far more per packet than XOR DELTA."""
-
-    def run():
-        model = OverheadModel()
-        xor_bits = (2 * model.key_bits)  # component + decrease field
-        sender = ThresholdDeltaSender(10, loss_threshold=0.25, rng=random.Random(0))
-        packets = [max(2, round(r)) for r in [5, 3, 4, 6, 9, 13, 20, 30, 45, 67]]
-        sender.begin_slot(0, packets)
-        shares = sender.shares_for_packet(1)
-        shamir_bits = shares.share_bits(model.key_bits)
-        return xor_bits, shamir_bits
-
-    xor_bits, shamir_bits = run()
-    print("\nAblation — worst-case per-packet key bits (group 1 packet, 10 groups)")
-    print(
-        format_table(
-            ["instantiation", "bits per packet"],
-            [("XOR (Figure 4)", xor_bits), ("Shamir threshold (§3.1.2)", shamir_bits)],
-        )
-    )
-    bench_record({"xor_bits": xor_bits, "shamir_bits": shamir_bits})
-    assert shamir_bits > 3 * xor_bits

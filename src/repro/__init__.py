@@ -5,8 +5,8 @@ The package is organised bottom-up:
 
 * :mod:`repro.simulator` — discrete-event network simulator (the NS-2
   substitute): engine, links, queues, routers, multicast, IGMP, monitors.
-* :mod:`repro.crypto` / :mod:`repro.fec` — nonces, XOR key algebra, Shamir
-  secret sharing and erasure coding.
+* :mod:`repro.crypto` / :mod:`repro.fec` — nonces, XOR key algebra and
+  erasure coding.
 * :mod:`repro.core` — the paper's contribution: DELTA (in-band key
   distribution), SIGMA (key-based group access at edge routers), the time-slot
   pipeline and the analytic overhead model.

@@ -2,16 +2,15 @@
 
 Protocol-specific, in-band distribution of group keys to exactly the
 receivers that are eligible to access the groups in the governed time slot.
-Three instantiations from the paper are provided:
+Two instantiations from the paper are provided:
 
 * :class:`LayeredDeltaSender` / :class:`LayeredDeltaReceiver` — Figure 4,
   cumulative layered multicast with single-loss congestion (FLID-DL, RLC);
 * :class:`ReplicatedDeltaSender` / :class:`ReplicatedDeltaReceiver` —
-  Figure 5, replicated multicast (one group per subscription level);
-* :class:`ThresholdDeltaSender` / :class:`ThresholdDeltaReceiver` — §3.1.2,
-  threshold-based protocols using Shamir secret sharing;
+  Figure 5, replicated multicast (one group per subscription level).
 
-plus the ECN adaptation (:class:`EcnComponentScrambler`).
+The threshold and ECN extensions of §3.1.2 are not implemented: no protocol
+in this reproduction carries a loss threshold or reacts to ECN marks.
 """
 
 from .base import (
@@ -24,15 +23,8 @@ from .base import (
     ReconstructionResult,
     SlotKeyMaterial,
 )
-from .ecn import COMPONENT_HEADER, DECREASE_HEADER, EcnComponentScrambler, ecn_observation
 from .layered import LayeredDeltaReceiver, LayeredDeltaSender
 from .replicated import ReplicatedDeltaReceiver, ReplicatedDeltaSender
-from .threshold import (
-    ThresholdDeltaReceiver,
-    ThresholdDeltaSender,
-    ThresholdLevelPlan,
-    ThresholdPacketShares,
-)
 
 __all__ = [
     "DeltaPacketFields",
@@ -43,16 +35,8 @@ __all__ = [
     "ReceiverSlotObservation",
     "ReconstructionResult",
     "SlotKeyMaterial",
-    "COMPONENT_HEADER",
-    "DECREASE_HEADER",
-    "EcnComponentScrambler",
-    "ecn_observation",
     "LayeredDeltaReceiver",
     "LayeredDeltaSender",
     "ReplicatedDeltaReceiver",
     "ReplicatedDeltaSender",
-    "ThresholdDeltaReceiver",
-    "ThresholdDeltaSender",
-    "ThresholdLevelPlan",
-    "ThresholdPacketShares",
 ]

@@ -1,7 +1,7 @@
 """Shared vocabulary of the DELTA instantiations.
 
-Every DELTA instantiation — layered (Figure 4), replicated (Figure 5),
-threshold-based (§3.1.2) — produces the same kinds of artefacts:
+Both DELTA instantiations — layered (Figure 4) and replicated (Figure 5) —
+produce the same kinds of artefacts:
 
 * a set of per-group **keys** for the governed time slot (top, decrease and
   optionally increase keys, Figure 3);

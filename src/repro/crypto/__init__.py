@@ -1,22 +1,17 @@
 """Cryptographic substrate for DELTA and SIGMA.
 
-Nonces, the XOR key algebra used by the layered and replicated DELTA
-instantiations, and Shamir's (k, n) threshold sharing used by the
-threshold-protocol variant.  The values are simulation-grade (deterministic
-when seeded), not production cryptography; what matters for the reproduction
-is the *reconstructability* semantics, which is preserved exactly.
+Nonces and the XOR key algebra used by the layered and replicated DELTA
+instantiations.  The values are simulation-grade (deterministic when seeded),
+not production cryptography; what matters for the reproduction is the
+*reconstructability* semantics, which is preserved exactly.
 """
 
 from .nonce import DEFAULT_KEY_BITS, NonceGenerator
-from .shamir import DEFAULT_PRIME, ShamirSecretSharing, Share
 from .xorkeys import KeyAccumulator, combine_levels, keys_equal, xor_fold
 
 __all__ = [
     "DEFAULT_KEY_BITS",
     "NonceGenerator",
-    "DEFAULT_PRIME",
-    "ShamirSecretSharing",
-    "Share",
     "KeyAccumulator",
     "combine_levels",
     "keys_equal",

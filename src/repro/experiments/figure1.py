@@ -47,7 +47,9 @@ def inflated_subscription_spec(
     """
     config = config or PAPER_DEFAULTS
     duration = config.duration_s if duration_s is None else duration_s
-    attack_start = min(attack_start_s, duration)
+    # The attack never starts after the run ends; a horizon that is not > 0
+    # is left for ScenarioSpec to refuse by name.
+    attack_start = min(attack_start_s, duration) if duration > 0 else attack_start_s
     return ScenarioSpec(
         name="figure7-defence" if protected else "figure1-attack",
         protected=protected,

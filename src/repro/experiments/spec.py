@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Mapping as AbstractMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, lru_cache, partial
@@ -225,6 +224,16 @@ def decode(cls: type, payload: Any) -> Any:
     return cls(**kwargs)
 
 
+def _check_number(
+    name: str, value: float, where: str, *, unit: str = "", positive: bool = False
+) -> None:
+    """Refuse a ``value`` that is not finite and >= 0 (> 0 when ``positive``),
+    naming the field ``name`` and the declaration ``where``."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number{unit} {bound} {where}, got {value!r}")
+
+
 class PlainData:
     """The codec as methods, shared by every declaration and by results."""
 
@@ -376,6 +385,10 @@ class SessionDecl(PlainData):
     population: Tuple[CohortDecl, ...] = unset(())
 
     def __post_init__(self) -> None:
+        _check_number(
+            "SessionDecl.attack_start_s", self.attack_start_s,
+            f"(session {self.session_id!r})", unit=" of seconds",
+        )
         if self.receivers < 0:
             raise ValueError("receivers cannot be negative")
         if self.receivers < 1 and not self.population:
@@ -431,6 +444,9 @@ class TcpDecl(PlainData):
     sender_router: Optional[str] = None
     receiver_router: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        _check_number("TcpDecl.start_s", self.start_s, f"(tcp {self.name!r})", unit=" of seconds")
+
 
 @dataclass(frozen=True)
 class CbrDecl(PlainData):
@@ -443,6 +459,22 @@ class CbrDecl(PlainData):
     active_window: Optional[Tuple[float, float]] = None
     sender_router: Optional[str] = None
     receiver_router: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        where = f"(cbr {self.name!r})"
+        _check_number("CbrDecl.rate_bps", self.rate_bps, where, positive=True)
+        _check_number("CbrDecl.on_s", self.on_s, where, unit=" of seconds", positive=True)
+        _check_number("CbrDecl.off_s", self.off_s, where, unit=" of seconds")
+        # A window that ends before it begins is empty: the source never
+        # turns on (a registered builder declares one when the run ends
+        # before its attack starts).
+        if self.active_window is not None and not all(
+            math.isfinite(seconds) and seconds >= 0 for seconds in self.active_window
+        ):
+            raise ValueError(
+                f"CbrDecl.active_window must be two finite numbers of seconds >= 0 "
+                f"{where}, got {self.active_window!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -518,11 +550,8 @@ class ScenarioSpec(PlainData):
             times += [("SessionDecl.receiver_access_delays", d) for d in delays]
             times += [("CohortDecl.start_s", block.start_s) for block in blocks]
             for name, seconds in times:
-                if seconds is not None and not 0 <= seconds <= sys.float_info.max:
-                    raise ValueError(
-                        f"{name} must be a finite number of seconds >= 0 {where}, "
-                        f"got {seconds!r}"
-                    )
+                if seconds is not None:
+                    _check_number(name, seconds, where, unit=" of seconds")
 
     # ------------------------------------------------------------------
     # derived values

@@ -2,13 +2,10 @@
 
 Keeping the header vocabulary in one place avoids subtle typos between the
 senders (which write the headers), the receivers (which read them) and the
-tests (which assert on them).  DELTA field names are re-exported from the
-core package so the ECN scrambler and FLID-DS agree on them.
+tests (which assert on them).
 """
 
 from __future__ import annotations
-
-from ..core.delta.ecn import COMPONENT_HEADER, DECREASE_HEADER
 
 __all__ = [
     "SESSION",
@@ -35,8 +32,8 @@ GROUP_SEQ = "flid_group_seq"
 UPGRADE_GROUPS = "flid_upgrade_groups"
 
 #: DELTA component field (FLID-DS only).
-COMPONENT = COMPONENT_HEADER
+COMPONENT = "delta_component"
 #: DELTA decrease field (FLID-DS only).
-DECREASE = DECREASE_HEADER
+DECREASE = "delta_decrease"
 #: True on the packet whose component closes the group's XOR sum for the slot.
 CLOSING = "delta_closing"

@@ -31,7 +31,7 @@ from .monitors import (
 from .multicast import MulticastRoutingService
 from .node import ControlChannel, Host, Node, PacketAgent, Router
 from .packet import DEFAULT_DATA_PACKET_BYTES, Packet, PacketFactory
-from .queues import DropTailQueue, ECNMarkingQueue, QueueStats
+from .queues import DropTailQueue, QueueStats
 from .rng import RandomStreams
 from .routing import RoutingError, compute_routes, shortest_path
 from .topology import (
@@ -91,7 +91,6 @@ __all__ = [
     "Packet",
     "PacketFactory",
     "DropTailQueue",
-    "ECNMarkingQueue",
     "QueueStats",
     "RandomStreams",
     "RoutingError",

@@ -188,9 +188,6 @@ class Router(Node):
         self.multicast_service: Optional["MulticastRoutingService"] = None
         #: Group manager (IGMP or SIGMA agent) present only on edge routers.
         self.group_manager: Optional[Any] = None
-        #: Hook for the ECN DELTA variant: called for every multicast packet
-        #: forwarded toward a local interface, may mutate headers.
-        self.local_delivery_hook: Optional[Callable[[Packet, Link], None]] = None
         self.multicast_packets_forwarded = 0
         self.multicast_copies_sent = 0
 
@@ -216,10 +213,10 @@ class Router(Node):
 
         The last eligible branch takes the incoming packet itself; only the
         branches before it get a :meth:`~repro.simulator.packet.Packet.replicate`
-        (shared headers, private ECN/hop state) drawn from the network's
-        packet pool, in out-link order.  With individual receivers almost
-        every fan-out is of one, so a hop usually allocates nothing.  A
-        packet with no eligible branch ends here and is recycled.
+        (shared headers, private hop count) drawn from the network's packet
+        pool, in out-link order.  With individual receivers almost every
+        fan-out is of one, so a hop usually allocates nothing.  A packet
+        with no eligible branch ends here and is recycled.
         """
         service = self.multicast_service
         if service is None:
@@ -235,30 +232,19 @@ class Router(Node):
         self.multicast_packets_forwarded += 1
         copies = 0
         pool = service.packet_pool
-        hook = self.local_delivery_hook
         incoming_src = incoming.src if incoming is not None else None
-        last = None  # eligible branch still waiting for its packet
+        last = None  # out-link of the eligible branch still waiting for its packet
         for row in rows:
             if row[1] is incoming_src:
                 continue  # never send back toward where the packet came from
             if intercept and row[2]:
                 continue  # special packets never reach local interfaces
             if last is not None:
-                out, _, is_local_interface = last
-                copy = packet.replicate(pool)
-                if is_local_interface and hook is not None:
-                    hook(copy, out)
                 copies += 1
-                out.send(copy)
-            last = row
+                last.send(packet.replicate(pool))
+            last = row[0]
         if last is None:
             pool.release(packet)
             return
-        out, _, is_local_interface = last
-        if copies:
-            # Sibling replicas share these headers: writes must copy first.
-            packet._owns_headers = False
-        if is_local_interface and hook is not None:
-            hook(packet, out)
         self.multicast_copies_sent += copies + 1
-        out.send(packet)
+        last.send(packet)

@@ -23,10 +23,8 @@ profile.  Three choices keep them cheap:
 * ``__slots__`` storage with the multicast flag and the integer routing key
   (``dest_key``) precomputed once at construction instead of per hop;
 * :meth:`Packet.replicate` — the router fan-out primitive — shares the
-  (logically immutable after send) ``headers`` dictionary between replicas
-  instead of copying it; a consumer that genuinely needs to mutate headers
-  (the ECN DELTA scrambler) must call :meth:`Packet.mutable_headers`, which
-  copies on first write;
+  ``headers`` dictionary between replicas instead of copying it; nothing
+  writes a packet's headers once it is sent;
 * a :class:`PacketPool` recycles the dominant multicast DATA/key packet
   objects.  Only the forwarding plane releases packets, and only at points
   where the packet provably has no remaining consumer (at a router with no
@@ -78,15 +76,10 @@ class Packet:
     headers:
         Free-form protocol headers.  DELTA fields (component, decrease) and
         SIGMA control payloads are carried here.  Treated as immutable once
-        the packet is sent; replicas share the dictionary by reference (see
-        :meth:`mutable_headers`).
+        the packet is sent; replicas share the dictionary by reference.
     overhead_bits:
         Number of bits in the packet that are DELTA/SIGMA overhead rather
         than application data; used by the measured-overhead accounting.
-    ecn:
-        Explicit congestion notification mark, set by routers when an
-        ECN-enabled queue is congested (used by the ECN DELTA variant).
-        Per-replica state: marking one copy never marks its siblings.
     created_at:
         Simulated time at which the packet was created by its sender.
     dest_key:
@@ -102,13 +95,11 @@ class Packet:
         "protocol",
         "headers",
         "overhead_bits",
-        "ecn",
         "created_at",
         "uid",
         "hop_count",
         "dest_key",
         "multicast",
-        "_owns_headers",
         "_pool",
     )
 
@@ -120,7 +111,6 @@ class Packet:
         protocol: str = "data",
         headers: Optional[dict] = None,
         overhead_bits: int = 0,
-        ecn: bool = False,
         created_at: float = 0.0,
     ) -> None:
         if size_bytes <= 0:
@@ -131,13 +121,11 @@ class Packet:
         self.protocol = protocol
         self.headers = {} if headers is None else headers
         self.overhead_bits = overhead_bits
-        self.ecn = ecn
         self.created_at = created_at
         self.uid = next(_packet_ids)
         self.hop_count = 0
         self.dest_key = destination.value
         self.multicast = type(destination) is GroupAddress
-        self._owns_headers = True
         self._pool: Optional["PacketPool"] = None
 
     @property
@@ -145,37 +133,13 @@ class Packet:
         """Wire size in bits."""
         return self.size_bytes * 8
 
-    @property
-    def is_multicast(self) -> bool:
-        """True when the packet is addressed to a multicast group."""
-        return self.multicast
-
-    def copy(self) -> "Packet":
-        """Return an independent copy with its own headers dictionary.
-
-        Retained for callers that intend to mutate headers; the forwarding
-        plane itself uses :meth:`replicate`, which shares them.
-        """
-        clone = Packet(
-            source=self.source,
-            destination=self.destination,
-            size_bytes=self.size_bytes,
-            protocol=self.protocol,
-            headers=dict(self.headers),
-            overhead_bits=self.overhead_bits,
-            ecn=self.ecn,
-            created_at=self.created_at,
-        )
-        clone.hop_count = self.hop_count
-        return clone
-
     def replicate(self, pool: Optional["PacketPool"] = None) -> "Packet":
         """Zero-copy duplicate for multicast fan-out.
 
         The replica shares this packet's ``headers`` dictionary (no copy) and
-        carries its own ``ecn`` mark and ``hop_count``.  When ``pool`` is
-        given, the replica is drawn from it and will be recycled once the
-        forwarding plane proves it dead.
+        carries its own ``hop_count``.  When ``pool`` is given, the replica is
+        drawn from it and will be recycled once the forwarding plane proves it
+        dead.
         """
         if pool is not None:
             clone = pool.acquire_blank()
@@ -189,25 +153,11 @@ class Packet:
         clone.protocol = self.protocol
         clone.headers = self.headers
         clone.overhead_bits = self.overhead_bits
-        clone.ecn = self.ecn
         clone.created_at = self.created_at
         clone.hop_count = self.hop_count
         clone.dest_key = self.dest_key
         clone.multicast = self.multicast
-        clone._owns_headers = False
         return clone
-
-    def mutable_headers(self) -> dict:
-        """Headers dictionary that is safe to mutate (copy-on-write).
-
-        Replicas share the sender's headers; the first in-flight mutation
-        (only the ECN DELTA scrambler does this) detaches a private copy so
-        sibling replicas and the original never observe the change.
-        """
-        if not self._owns_headers:
-            self.headers = dict(self.headers)
-            self._owns_headers = True
-        return self.headers
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -278,12 +228,10 @@ class PacketPool:
         packet.protocol = protocol
         packet.headers = {} if headers is None else headers
         packet.overhead_bits = overhead_bits
-        packet.ecn = False
         packet.created_at = created_at
         packet.hop_count = 0
         packet.dest_key = destination.value
         packet.multicast = type(destination) is GroupAddress
-        packet._owns_headers = True
         return packet
 
     def release(self, packet: Packet) -> None:
@@ -302,10 +250,6 @@ class PacketPool:
         if len(free) >= self.max_size:
             return
         packet.headers = _EMPTY_HEADERS
-        # The shared sentinel must stay CoW-protected: a stale holder that
-        # (incorrectly) calls mutable_headers() detaches a private copy
-        # instead of mutating the sentinel for every parked packet.
-        packet._owns_headers = False
         packet.source = None  # type: ignore[assignment]
         packet.destination = None  # type: ignore[assignment]
         free.append(packet)

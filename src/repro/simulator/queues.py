@@ -1,10 +1,8 @@
 """Output queues for simulated links.
 
 The paper's evaluation uses plain drop-tail FIFO queues sized at two
-bandwidth-delay products of the attached link (§5.1).  The drop-tail queue is
-therefore the workhorse of this reproduction; a RED-like marking queue is
-also provided because §3.1.2 describes an ECN variant of DELTA in which edge
-routers scramble the component field of marked packets.
+bandwidth-delay products of the attached link (§5.1), and the drop-tail queue
+is the only discipline this reproduction needs.
 
 A link schedules each packet's delivery when its queue admits it
 (:mod:`repro.simulator.link`), so a queue holds no packets: it keeps the start
@@ -24,7 +22,6 @@ from .packet import Packet
 __all__ = [
     "QueueStats",
     "DropTailQueue",
-    "ECNMarkingQueue",
 ]
 
 
@@ -42,7 +39,6 @@ class QueueStats:
     enqueued_bytes: int = 0
     dequeued_bytes: int = 0
     dropped_bytes: int = 0
-    marked_packets: int = 0
 
     def conservation_holds(self, currently_queued: int) -> bool:
         """Check the enqueue = dequeue + drop + queued invariant."""
@@ -132,34 +128,4 @@ class DropTailQueue:
         else:
             stats.dequeued_packets += 1
             stats.dequeued_bytes += size_bytes
-        return True
-
-
-class ECNMarkingQueue(DropTailQueue):
-    """Drop-tail queue that additionally marks packets above a threshold.
-
-    When the instantaneous occupancy exceeds ``mark_threshold`` (a fraction
-    of capacity), admitted ECN-capable packets are marked instead of relying
-    solely on loss.  The ECN DELTA variant (§3.1.2) uses the mark as the
-    trigger for edge routers to scramble the packet's component field so
-    marked packets cannot contribute to key reconstruction.
-    """
-
-    def __init__(self, capacity_bytes: int, mark_threshold: float = 0.5) -> None:
-        super().__init__(capacity_bytes)
-        if not (0.0 < mark_threshold <= 1.0):
-            raise ValueError(
-                f"mark_threshold must be in (0, 1] (got {mark_threshold})"
-            )
-        self.mark_threshold = mark_threshold
-
-    def admit(self, packet: Packet, now: float, start: float) -> bool:
-        """Admit as drop-tail does; mark the packet if it found the threshold reached."""
-        self._retire(now)
-        crowded = self._queued_bytes / self.capacity_bytes >= self.mark_threshold
-        if not super().admit(packet, now, start):
-            return False
-        if crowded:
-            packet.ecn = True
-            self._stats.marked_packets += 1
         return True

@@ -5,10 +5,10 @@ the unicast routing computation and the multicast routing service.  On top of
 it sit two layers:
 
 * :class:`TopologySpec` / :class:`NetworkGraph` — a declarative description
-  of an arbitrary router graph (named routers, per-link bandwidth, delay,
-  buffer and queue discipline, plus designated sender/receiver attachment
-  routers) and the builder that realises it.  Factory functions produce the
-  specs for the named topologies — ``dumbbell``, ``parking-lot`` (chain of
+  of an arbitrary router graph (named routers, per-link bandwidth, delay
+  and buffer, plus designated sender/receiver attachment routers) and the
+  builder that realises it.  Factory functions produce the specs for the
+  named topologies — ``dumbbell``, ``parking-lot`` (chain of
   bottlenecks), ``star`` and ``binary-tree`` — and the :data:`TOPOLOGIES`
   registry makes them addressable by name from scenario specifications.
 
@@ -35,7 +35,7 @@ from .engine import Simulator
 from .link import Link, default_buffer_bytes
 from .multicast import MulticastRoutingService
 from .node import ControlChannel, Host, Node, Router
-from .queues import DropTailQueue, ECNMarkingQueue
+from .queues import DropTailQueue
 from .routing import compute_routes
 from .rng import RandomStreams
 
@@ -45,7 +45,6 @@ __all__ = [
     "LinkSpec",
     "TopologySpec",
     "TOPOLOGIES",
-    "QUEUE_DISCIPLINES",
     "build_topology",
     "dumbbell_topology",
     "parking_lot_topology",
@@ -53,14 +52,6 @@ __all__ = [
     "sharded_dumbbell_topology",
     "binary_tree_topology",
 ]
-
-#: Queue disciplines addressable from :class:`LinkSpec`.  Each factory takes
-#: the queue capacity in bytes and returns a queue instance.
-QUEUE_DISCIPLINES: Dict[str, Callable[[int], DropTailQueue]] = {
-    "droptail": DropTailQueue,
-    "ecn": ECNMarkingQueue,
-}
-
 
 class Network:
     """A collection of nodes and links plus the shared services they need."""
@@ -111,23 +102,15 @@ class Network:
         delay_s: float,
         buffer_bytes: Optional[int] = None,
         buffer_bdp_multiple: float = 2.0,
-        queue: str = "droptail",
     ) -> Tuple[Link, Link]:
         """Connect ``a`` and ``b`` with two simplex links (one per direction)."""
         if buffer_bytes is None:
             buffer_bytes = default_buffer_bytes(bandwidth_bps, delay_s, buffer_bdp_multiple)
-        try:
-            make_queue = QUEUE_DISCIPLINES[queue]
-        except KeyError as exc:
-            raise ValueError(
-                f"unknown queue discipline {queue!r}; "
-                f"known: {sorted(QUEUE_DISCIPLINES)}"
-            ) from exc
         forward = Link(
-            self.sim, a, b, bandwidth_bps, delay_s, make_queue(buffer_bytes)
+            self.sim, a, b, bandwidth_bps, delay_s, DropTailQueue(buffer_bytes)
         )
         backward = Link(
-            self.sim, b, a, bandwidth_bps, delay_s, make_queue(buffer_bytes)
+            self.sim, b, a, bandwidth_bps, delay_s, DropTailQueue(buffer_bytes)
         )
         a.attach_link(forward)
         b.attach_link(backward)
@@ -223,7 +206,6 @@ class LinkSpec:
     delay_s: float
     buffer_bytes: Optional[int] = None
     buffer_bdp_multiple: float = 2.0
-    queue: str = "droptail"
 
     def __post_init__(self) -> None:
         _check_link_numbers(f"link {self.a!r}-{self.b!r}", "", self.bandwidth_bps, self.delay_s)
@@ -326,7 +308,6 @@ class NetworkGraph(Network):
                 link.delay_s,
                 buffer_bytes=link.buffer_bytes,
                 buffer_bdp_multiple=link.buffer_bdp_multiple,
-                queue=link.queue,
             )
         self._sender_count = 0
         self._receiver_count = 0

@@ -1,22 +1,13 @@
-"""Tests of the replicated, threshold and ECN DELTA instantiations."""
+"""Tests of the replicated DELTA instantiation."""
 
 import random
 
-import pytest
-
 from repro.core.delta import (
-    EcnComponentScrambler,
     ReceiverSlotObservation,
     ReplicatedDeltaReceiver,
     ReplicatedDeltaSender,
-    ThresholdDeltaReceiver,
-    ThresholdDeltaSender,
-    ecn_observation,
 )
-from repro.core.delta.ecn import COMPONENT_HEADER, DECREASE_HEADER
 from repro.crypto.nonce import NonceGenerator
-from repro.simulator.address import NodeAddress
-from repro.simulator.packet import Packet
 
 
 def make_replicated(groups=4, seed=0):
@@ -113,137 +104,3 @@ class TestReplicatedDelta:
         material, fields = emit_replicated_slot(sender, [3, 3, 3, 3], upgrades=(3,))
         key = material.keys[3].increase
         assert not material.accepts(4, key)
-
-
-class TestThresholdDelta:
-    def test_receiver_below_threshold_recovers_key(self):
-        sender = ThresholdDeltaSender(3, loss_threshold=0.25, rng=random.Random(0))
-        material = sender.begin_slot(0, [8, 8, 8])
-        receiver = ThresholdDeltaReceiver(3)
-        # Deliver 7 of the 8 level-1 packets (12.5 % loss < 25 %).
-        shares = [sender.shares_for_packet(1) for _ in range(8)]
-        for packet_shares in shares[:7]:
-            receiver.observe_packet(packet_shares)
-        plan = sender.plan_for(1)
-        key = receiver.reconstruct_level(1, plan.threshold_k)
-        assert key == plan.key
-        assert material.accepts(1, key)
-
-    def test_receiver_above_threshold_learns_nothing(self):
-        sender = ThresholdDeltaSender(2, loss_threshold=0.25, rng=random.Random(0), cumulative=False)
-        sender.begin_slot(0, [8, 8])
-        receiver = ThresholdDeltaReceiver(2)
-        shares = [sender.shares_for_packet(1) for _ in range(8)]
-        for packet_shares in shares[:4]:  # 50 % loss > 25 % threshold
-            receiver.observe_packet(packet_shares)
-        plan = sender.plan_for(1)
-        assert receiver.reconstruct_level(1, plan.threshold_k) is None
-
-    def test_cumulative_levels_share_packets(self):
-        sender = ThresholdDeltaSender(3, loss_threshold=0.25, rng=random.Random(1))
-        sender.begin_slot(0, [4, 4, 4])
-        # A packet of group 1 carries one share for every level 1..3.
-        shares = sender.shares_for_packet(1)
-        assert set(shares.shares) == {1, 2, 3}
-        # A packet of group 3 carries a share only for level 3.
-        shares3 = sender.shares_for_packet(3)
-        assert set(shares3.shares) == {3}
-
-    def test_share_overhead_grows_with_levels(self):
-        sender = ThresholdDeltaSender(4, loss_threshold=0.25, rng=random.Random(1))
-        sender.begin_slot(0, [4, 4, 4, 4])
-        low = sender.shares_for_packet(4).share_bits(16)
-        high = sender.shares_for_packet(1).share_bits(16)
-        assert high > low
-
-    def test_higher_levels_have_tighter_thresholds(self):
-        sender = ThresholdDeltaSender(5, loss_threshold=0.25)
-        assert sender.level_loss_threshold(3) < sender.level_loss_threshold(1)
-
-    def test_reconstruct_all(self):
-        sender = ThresholdDeltaSender(2, loss_threshold=0.5, rng=random.Random(2), cumulative=False)
-        sender.begin_slot(0, [6, 6])
-        receiver = ThresholdDeltaReceiver(2)
-        for _ in range(6):
-            receiver.observe_packet(sender.shares_for_packet(1))
-        thresholds = {1: sender.plan_for(1).threshold_k}
-        recovered = receiver.reconstruct_all(thresholds)
-        assert recovered == {1: sender.plan_for(1).key}
-
-    def test_reset_clears_shares(self):
-        sender = ThresholdDeltaSender(1, loss_threshold=0.5, rng=random.Random(3), cumulative=False)
-        sender.begin_slot(0, [4])
-        receiver = ThresholdDeltaReceiver(1)
-        receiver.observe_packet(sender.shares_for_packet(1))
-        receiver.reset()
-        assert receiver.received_count(1) == 0
-
-    def test_packet_count_mismatch_rejected(self):
-        sender = ThresholdDeltaSender(3, loss_threshold=0.25)
-        with pytest.raises(ValueError):
-            sender.begin_slot(0, [4, 4])
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdDeltaSender(2, loss_threshold=1.0)
-
-
-def make_flid_packet(component=0x1234, decrease=0x5678, ecn=False):
-    packet = Packet(
-        source=NodeAddress(1),
-        destination=NodeAddress(2),
-        size_bytes=576,
-        headers={COMPONENT_HEADER: component, DECREASE_HEADER: decrease},
-    )
-    packet.ecn = ecn
-    return packet
-
-
-class TestEcnDelta:
-    def test_scrambler_changes_marked_component(self):
-        scrambler = EcnComponentScrambler(key_bits=16, rng=random.Random(0))
-        packet = make_flid_packet(ecn=True)
-        scrambler(packet, link=None)
-        assert packet.headers[COMPONENT_HEADER] != 0x1234
-        assert scrambler.scrambled_packets == 1
-
-    def test_unmarked_packet_untouched(self):
-        scrambler = EcnComponentScrambler(key_bits=16, rng=random.Random(0))
-        packet = make_flid_packet(ecn=False)
-        scrambler(packet, link=None)
-        assert packet.headers[COMPONENT_HEADER] == 0x1234
-
-    def test_packet_without_component_ignored(self):
-        scrambler = EcnComponentScrambler()
-        packet = Packet(source=NodeAddress(1), destination=NodeAddress(2), size_bytes=100)
-        packet.ecn = True
-        scrambler(packet, link=None)
-        assert scrambler.scrambled_packets == 0
-
-    def test_ecn_observation_treats_marks_as_congestion(self):
-        marked = make_flid_packet(ecn=True)
-        clean = make_flid_packet(ecn=False)
-        obs = ecn_observation(2, {1: [clean], 2: [marked]})
-        assert obs.congested
-        assert 2 in obs.lost_groups
-        assert 1 not in obs.lost_groups
-
-    def test_ecn_observation_collects_fields(self):
-        packets = [make_flid_packet(component=i, decrease=100 + i) for i in range(3)]
-        obs = ecn_observation(1, {1: packets})
-        assert obs.components[1] == [0, 1, 2]
-        assert obs.decrease_fields[1] == [100, 101, 102]
-
-    def test_scrambled_component_breaks_key(self):
-        """End-to-end: the marked packet's component no longer folds to the key."""
-        from repro.crypto.xorkeys import xor_fold
-
-        components = [0x1111, 0x2222, 0x3333]
-        true_key = xor_fold(components)
-        packets = [make_flid_packet(component=c) for c in components]
-        packets[1].ecn = True
-        scrambler = EcnComponentScrambler(key_bits=16, rng=random.Random(1))
-        for packet in packets:
-            scrambler(packet, link=None)
-        observed = xor_fold(p.headers[COMPONENT_HEADER] for p in packets)
-        assert observed != true_key

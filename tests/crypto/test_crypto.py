@@ -1,4 +1,4 @@
-"""Tests of the crypto substrate: nonces, XOR key algebra and Shamir sharing."""
+"""Tests of the crypto substrate: nonces and the XOR key algebra."""
 
 import random
 
@@ -7,8 +7,6 @@ import pytest
 from repro.crypto import (
     KeyAccumulator,
     NonceGenerator,
-    ShamirSecretSharing,
-    Share,
     combine_levels,
     xor_fold,
 )
@@ -111,68 +109,3 @@ class TestKeyAccumulator:
         acc.closing_component()
         assert acc.running_value == 0xFF
         assert acc.closed
-
-
-class TestShamir:
-    def test_reconstruct_with_exact_threshold(self):
-        sharer = ShamirSecretSharing(threshold=3, rng=random.Random(0))
-        shares = sharer.split(0xCAFE, 6)
-        assert sharer.reconstruct(shares[:3]) == 0xCAFE
-
-    def test_reconstruct_with_any_subset(self):
-        sharer = ShamirSecretSharing(threshold=3, rng=random.Random(0))
-        shares = sharer.split(12345, 7)
-        assert sharer.reconstruct([shares[1], shares[4], shares[6]]) == 12345
-
-    def test_insufficient_shares_raise(self):
-        sharer = ShamirSecretSharing(threshold=4, rng=random.Random(0))
-        shares = sharer.split(99, 6)
-        with pytest.raises(ValueError):
-            sharer.reconstruct(shares[:3])
-
-    def test_duplicate_shares_do_not_count_twice(self):
-        sharer = ShamirSecretSharing(threshold=3, rng=random.Random(0))
-        shares = sharer.split(7, 5)
-        with pytest.raises(ValueError):
-            sharer.reconstruct([shares[0], shares[0], shares[0]])
-
-    def test_wrong_subset_below_threshold_learns_nothing(self):
-        # With only threshold-1 shares every candidate secret remains possible;
-        # here we simply verify reconstruction is refused.
-        sharer = ShamirSecretSharing(threshold=2, rng=random.Random(0))
-        shares = sharer.split(42, 4)
-        with pytest.raises(ValueError):
-            sharer.reconstruct(shares[:1])
-
-    def test_extra_shares_are_harmless(self):
-        sharer = ShamirSecretSharing(threshold=2, rng=random.Random(0))
-        shares = sharer.split(2024, 5)
-        assert sharer.reconstruct(shares) == 2024
-
-    def test_secret_out_of_range_rejected(self):
-        sharer = ShamirSecretSharing(threshold=2)
-        with pytest.raises(ValueError):
-            sharer.split(sharer.prime, 3)
-
-    def test_too_few_shares_requested_rejected(self):
-        sharer = ShamirSecretSharing(threshold=3)
-        with pytest.raises(ValueError):
-            sharer.split(1, 2)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ShamirSecretSharing(threshold=0)
-
-    def test_loss_threshold_helper(self):
-        sharer = ShamirSecretSharing(threshold=2)
-        # RLM's 25 % threshold over 20 packets -> need at least 15 packets.
-        assert sharer.minimum_packets_for_loss_threshold(20, 0.25) == 15
-        assert sharer.minimum_packets_for_loss_threshold(1, 0.99) == 1
-        with pytest.raises(ValueError):
-            sharer.minimum_packets_for_loss_threshold(0, 0.1)
-        with pytest.raises(ValueError):
-            sharer.minimum_packets_for_loss_threshold(10, 1.0)
-
-    def test_share_is_point_value_pair(self):
-        share = Share(x=3, y=17)
-        assert share.x == 3 and share.y == 17

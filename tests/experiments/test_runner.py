@@ -254,11 +254,33 @@ class TestCli:
                 ["figure8-responsiveness", "--param", "bottleneck_bandwidth_bps=nan"],
                 "bandwidth_bps must be a finite number > 0, got nan",
             ),
+            (
+                ["figure8-responsiveness", "--param", "burst_rate_bps=inf", "--duration", "12"],
+                "CbrDecl.rate_bps must be a finite number > 0 (cbr 'burst'), got inf",
+            ),
+            (
+                ["figure8-responsiveness", "--param", "burst_rate_bps=nan", "--duration", "12"],
+                "CbrDecl.rate_bps must be a finite number > 0 (cbr 'burst'), got nan",
+            ),
+            (
+                ["figure8-responsiveness", "--param", "burst_rate_bps=0", "--duration", "12"],
+                "CbrDecl.rate_bps must be a finite number > 0 (cbr 'burst'), got 0",
+            ),
+            (
+                ["figure1-attack", "--param", "attack_start_s=nan", "--duration", "12"],
+                "SessionDecl.attack_start_s must be a finite number of seconds >= 0",
+            ),
+            (
+                ["figure1-attack", "--param", "attack_start_s=-1", "--duration", "12"],
+                "SessionDecl.attack_start_s must be a finite number of seconds >= 0 "
+                "(session 'F1'), got -1",
+            ),
         ],
     )
     def test_unusable_topology_exits_2_promptly(self, argv, message):
         """A topology mistake used to exit 1 with a traceback from inside
-        the run (or from the shard planner)."""
+        the run (or from the shard planner).  So did a NaN attack start;
+        an infinite CBR rate hung the run in a zero-delay send loop."""
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", *argv],
             capture_output=True,

@@ -421,6 +421,68 @@ class TestReceiverPlacementCheckedAtDeclaration:
         assert spec.sessions[0].population[0].router == "edge1"
 
 
+#: Traffic times and rates that used to declare and then hang the run (an
+#: infinite CBR rate is a zero-delay send loop), run it silently wrong (a NaN
+#: TCP start never starts the flow) or fail it midway (a negative TCP start, a
+#: NaN attack start): ``(declaration, field, value)``.
+TRAFFIC_MISTAKES = {
+    "cbr-infinite-rate": (CbrDecl, "rate_bps", float("inf")),
+    "cbr-nan-rate": (CbrDecl, "rate_bps", float("nan")),
+    "cbr-zero-rate": (CbrDecl, "rate_bps", 0.0),
+    "cbr-negative-rate": (CbrDecl, "rate_bps", -100.0),
+    "cbr-nan-on": (CbrDecl, "on_s", float("nan")),
+    "cbr-zero-on": (CbrDecl, "on_s", 0.0),
+    "cbr-infinite-off": (CbrDecl, "off_s", float("inf")),
+    "cbr-negative-off": (CbrDecl, "off_s", -1.0),
+    "cbr-nan-window": (CbrDecl, "active_window", (float("nan"), 5.0)),
+    "cbr-infinite-window": (CbrDecl, "active_window", (0.0, float("inf"))),
+    "cbr-negative-window": (CbrDecl, "active_window", (-1.0, 5.0)),
+    "cbr-negative-window-end": (CbrDecl, "active_window", (1.0, -5.0)),
+    "tcp-nan-start": (TcpDecl, "start_s", float("nan")),
+    "tcp-infinite-start": (TcpDecl, "start_s", float("inf")),
+    "tcp-negative-start": (TcpDecl, "start_s", -1.0),
+    "session-nan-attack-start": (SessionDecl, "attack_start_s", float("nan")),
+    "session-negative-attack-start": (SessionDecl, "attack_start_s", -1.0),
+    "session-infinite-attack-start": (SessionDecl, "attack_start_s", float("inf")),
+}
+
+#: Where each declaration sits in :func:`_wire_spec`, and the name it has.
+TRAFFIC_PLACES = {
+    CbrDecl: (("cbr", 0), "(cbr 'cbr')"),
+    TcpDecl: (("tcp", 0), "(tcp 't')"),
+    SessionDecl: (("sessions", 0), "(session 'mc')"),
+}
+
+
+class TestTrafficCheckedAtDeclaration:
+    @pytest.mark.parametrize("case", sorted(TRAFFIC_MISTAKES))
+    def test_traffic_mistake_is_refused_when_declared(self, case):
+        cls, name, value = TRAFFIC_MISTAKES[case]
+        _, where = TRAFFIC_PLACES[cls]
+        required = {TcpDecl: ("t",), SessionDecl: ("mc",)}.get(cls, ())
+        fragment = re.escape(f"{cls.__name__}.{name} must be")
+        with pytest.raises(ValueError, match=fragment) as raised:
+            cls(*required, **{name: value})
+        assert where in str(raised.value)
+        assert str(raised.value).endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("case", sorted(TRAFFIC_MISTAKES))
+    def test_traffic_mistake_is_refused_when_decoded(self, case):
+        cls, name, value = TRAFFIC_MISTAKES[case]
+        path, _ = TRAFFIC_PLACES[cls]
+        document = _wire_spec()
+        _set((*path, name), list(value) if isinstance(value, tuple) else value)(document)
+        with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name} must be")):
+            ScenarioSpec.from_dict(document)
+
+    def test_edge_values_still_declare(self):
+        assert CbrDecl(off_s=0.0, active_window=(0.0, 0.0)).off_s == 0.0
+        # An empty window (the run ends before the burst would begin).
+        assert CbrDecl(active_window=(10.0, 3.0)).active_window == (10.0, 3.0)
+        assert TcpDecl("t", start_s=0).start_s == 0
+        assert SessionDecl("mc", attack_start_s=0.0).attack_start_s == 0.0
+
+
 class TestVectorChurnRejection:
     """model="vector" blocks cannot churn: the columnar rows are fixed-size.
 

@@ -399,7 +399,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -442,7 +442,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -464,7 +464,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -490,7 +490,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -502,6 +502,30 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     run_checkpoint_json(payload)
     assert len(store.load(key).sessions[0].receivers) == 1
     stale = pickle.dumps((8, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_9_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 9 packets carried an ECN mark and a header-ownership flag,
+    queue counters a mark count and routers a delivery hook; its blobs are
+    refused by the stamp."""
+    assert CHECKPOINT_VERSION == 10
+    plan = plan_prefix(
+        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    )
+    key = plan.checkpoint_key()
+    payload = json.dumps(
+        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
+         "dir": str(tmp_path), "key": key}
+    )
+    store = CheckpointStore(tmp_path)
+    run_checkpoint_json(payload)
+    scenario = store.load(key)
+    assert not hasattr(scenario.network.links[0].queue.stats, "marked_packets")
+    stale = pickle.dumps((9, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False

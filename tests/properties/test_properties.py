@@ -1,10 +1,9 @@
 """Property-based tests (hypothesis) of the core invariants.
 
 The invariants checked here are the ones the paper's security argument rests
-on: XOR key reconstruction requires every component, Shamir reconstruction
-requires the threshold, the erasure code is MDS, DELTA eligibility matches
-congestion status for arbitrary loss patterns, and the event engine is
-order-preserving.
+on: XOR key reconstruction requires every component, the erasure code is
+MDS, DELTA eligibility matches congestion status for arbitrary loss patterns,
+and the event engine is order-preserving.
 """
 
 import random
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delta import LayeredDeltaReceiver, LayeredDeltaSender, ReceiverSlotObservation
-from repro.crypto import KeyAccumulator, NonceGenerator, ShamirSecretSharing, xor_fold
+from repro.crypto import KeyAccumulator, NonceGenerator, xor_fold
 from repro.fec import ErasureCode, FecConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.queues import DropTailQueue
@@ -54,39 +53,6 @@ class TestXorKeyProperties:
         # "partial" view still folds to the key, so exclude that case.
         if emitted[index] != 0:
             assert xor_fold(partial) != target
-
-
-class TestShamirProperties:
-    @given(
-        secret=st.integers(min_value=0, max_value=2**31 - 1),
-        threshold=st.integers(min_value=1, max_value=6),
-        extra=st.integers(min_value=0, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_any_threshold_subset_reconstructs(self, secret, threshold, extra, seed):
-        rng = random.Random(seed)
-        sharer = ShamirSecretSharing(threshold=threshold, rng=rng)
-        shares = sharer.split(secret, threshold + extra)
-        subset = rng.sample(shares, threshold)
-        assert sharer.reconstruct(subset) == secret
-
-    @given(
-        secret=st.integers(min_value=0, max_value=2**31 - 1),
-        threshold=st.integers(min_value=2, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_below_threshold_subset_is_refused(self, secret, threshold, seed):
-        rng = random.Random(seed)
-        sharer = ShamirSecretSharing(threshold=threshold, rng=rng)
-        shares = sharer.split(secret, threshold + 2)
-        subset = rng.sample(shares, threshold - 1)
-        try:
-            sharer.reconstruct(subset)
-        except ValueError:
-            return
-        raise AssertionError("reconstruction below the threshold must be refused")
 
 
 field_symbols = st.integers(min_value=0, max_value=ErasureCode().prime - 1)

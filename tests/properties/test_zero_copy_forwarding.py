@@ -4,10 +4,6 @@ The multicast fan-out shares one headers dictionary between every replica of
 a packet and recycles dead replicas through a :class:`PacketPool`.  These
 tests pin down the safety contract:
 
-* **mutation canary** — a receiver that mutates its delivered copy (through
-  the copy-on-write :meth:`Packet.mutable_headers` surface) never leaks the
-  mutation into sibling receivers' deliveries, the sender's packet, or later
-  packets that reuse the pooled object;
 * **pool hygiene** — recycling never rewrites a shared headers dictionary,
   double release is a no-op, and foreign packets pass through untouched;
 * **observational equivalence** — a scenario run with pooling/zero-copy
@@ -21,11 +17,7 @@ tests pin down the safety contract:
 
 import hashlib
 import json
-import random
 
-import pytest
-
-from repro.core.delta.ecn import COMPONENT_HEADER, EcnComponentScrambler
 from repro.experiments import (
     ExperimentRunner,
     PAPER_DEFAULTS,
@@ -65,62 +57,11 @@ def build_fanout():
 class Recorder(PacketAgent):
     """Snapshots every delivery (agents must not retain the packet)."""
 
-    def __init__(self, mutate: bool = False) -> None:
-        self.mutate = mutate
+    def __init__(self) -> None:
         self.snapshots = []
 
     def handle_packet(self, packet: Packet) -> None:
-        if self.mutate:
-            headers = packet.mutable_headers()
-            headers["component"] = "tampered"
-            headers["injected"] = True
         self.snapshots.append(dict(packet.headers))
-
-
-class TestMutationCanary:
-    def test_receiver_mutation_never_aliases_into_siblings(self):
-        sim, router, service, hosts, group = build_fanout()
-        recorders = [Recorder(mutate=(i == 1)) for i in range(3)]
-        for host, recorder in zip(hosts, recorders):
-            host.register_group_agent(group, recorder)
-
-        pool = service.packet_pool
-        for n in range(20):
-            packet = pool.acquire(
-                source=NodeAddress(99),
-                destination=group,
-                size_bytes=576,
-                protocol="flid",
-                headers={"component": n, "seq": n},
-                created_at=sim.now,
-            )
-            router.receive(packet, None)
-            sim.run()
-
-        for index, recorder in enumerate(recorders):
-            assert len(recorder.snapshots) == 20
-            if index == 1:
-                assert all(s["component"] == "tampered" for s in recorder.snapshots)
-            else:
-                # The canary: sibling deliveries carry the genuine values.
-                assert [s["component"] for s in recorder.snapshots] == list(range(20))
-                assert all("injected" not in s for s in recorder.snapshots)
-
-    def test_replicas_share_headers_until_first_write(self):
-        original = Packet(NodeAddress(1), GroupAddress(MULTICAST_BASE + 2), 100, headers={"a": 1})
-        replica = original.replicate()
-        assert replica.headers is original.headers
-        mutated = replica.mutable_headers()
-        mutated["a"] = 2
-        assert original.headers["a"] == 1
-        assert replica.headers is not original.headers
-
-    def test_ecn_mark_is_per_replica(self):
-        original = Packet(NodeAddress(1), GroupAddress(MULTICAST_BASE + 2), 100)
-        first = original.replicate()
-        second = original.replicate()
-        first.ecn = True
-        assert not second.ecn and not original.ecn
 
 
 class TestPoolHygiene:
@@ -135,6 +76,40 @@ class TestPoolHygiene:
         assert reused is packet  # recycled object ...
         assert replica.headers is shared and shared["k"] == "v"  # ... old dict intact
         assert reused.headers is not shared
+
+    def test_acquire_resets_every_field_a_recycled_packet_carried(self):
+        pool = PacketPool()
+        packet = pool.acquire(
+            NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100, protocol="flid",
+            headers={"k": "v"}, overhead_bits=32, created_at=4.0,
+        )
+        packet.hop_count = 5
+        pool.release(packet)
+        reused = pool.acquire(NodeAddress(2), NodeAddress(3), 200)
+        assert reused is packet
+        fresh = Packet(NodeAddress(2), NodeAddress(3), 200)
+        for name in Packet.__slots__:
+            if name not in ("uid", "_pool"):
+                assert getattr(reused, name) == getattr(fresh, name), name
+
+    def test_replica_copies_every_slot_but_its_identity(self):
+        """A slot ``replicate`` forgets would read stale state off a pooled
+        object (or raise on a fresh one)."""
+        pool = PacketPool()
+        original = pool.acquire(
+            NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100, protocol="flid",
+            headers={"k": "v"}, overhead_bits=32, created_at=4.0,
+        )
+        original.hop_count = 2
+        stale = pool.acquire(NodeAddress(9), NodeAddress(8), 900)
+        pool.release(stale)
+        for replica in (original.replicate(), original.replicate(pool)):
+            assert replica.headers is original.headers
+            assert replica.uid != original.uid
+            for name in Packet.__slots__:
+                if name not in ("uid", "_pool"):
+                    assert getattr(replica, name) == getattr(original, name), name
+        assert pool.recycled == 1  # the second replica reused the stale object
 
     def test_double_release_is_idempotent(self):
         pool = PacketPool()
@@ -195,7 +170,6 @@ def forward_by_copying(self, packet, incoming):
     self.multicast_packets_forwarded += 1
     copies = 0
     pool = service.packet_pool
-    hook = self.local_delivery_hook
     incoming_src = incoming.src if incoming is not None else None
     for out in service.out_links(self, packet.destination):
         dst = out.dst
@@ -204,11 +178,8 @@ def forward_by_copying(self, packet, incoming):
         is_local_interface = isinstance(dst, Host)
         if intercept and is_local_interface:
             continue
-        copy = packet.replicate(pool)
-        if is_local_interface and hook is not None:
-            hook(copy, out)
         copies += 1
-        out.send(copy)
+        out.send(packet.replicate(pool))
     self.multicast_copies_sent += copies
     pool.release(packet)
 
@@ -224,42 +195,6 @@ class IdentityRecorder(PacketAgent):
 
 
 class TestMovingThePacket:
-    def marked_packet(self, pool, group, n):
-        packet = pool.acquire(
-            source=NodeAddress(99),
-            destination=group,
-            size_bytes=576,
-            headers={COMPONENT_HEADER: 1000 + n, "seq": n},
-        )
-        packet.ecn = True  # as if a congested queue upstream had marked it
-        return packet
-
-    @pytest.mark.parametrize("scrambled", [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}])
-    def test_scrambler_writes_never_cross_between_moved_packet_and_replicas(self, scrambled):
-        """Branch 2 (the last) carries the moved packet, 0 and 1 carry replicas."""
-        sim, router, service, hosts, group = build_fanout()
-        scrambler = EcnComponentScrambler(rng=random.Random(7))
-        targets = {hosts[i] for i in scrambled}
-        router.local_delivery_hook = (
-            lambda packet, link: scrambler(packet, link) if link.dst in targets else None
-        )
-        recorders = [Recorder() for _ in hosts]
-        for host, recorder in zip(hosts, recorders):
-            host.register_group_agent(group, recorder)
-        for n in range(10):
-            router.receive(self.marked_packet(service.packet_pool, group, n), None)
-            sim.run()
-        for index, recorder in enumerate(recorders):
-            components = [s[COMPONENT_HEADER] for s in recorder.snapshots]
-            genuine = [1000 + n for n in range(10)]
-            if index in scrambled:
-                assert all(got != real for got, real in zip(components, genuine))
-                assert all(s["delta_component_scrambled"] for s in recorder.snapshots)
-            else:
-                assert components == genuine
-                assert all("delta_component_scrambled" not in s for s in recorder.snapshots)
-        assert scrambler.scrambled_packets == 10 * len(scrambled)
-
     def test_fanout_of_one_moves_the_packet_and_allocates_nothing(self):
         sim, router, service, hosts, group = build_fanout()
         for host in hosts[1:]:
@@ -288,7 +223,6 @@ class TestMovingThePacket:
         packet = pool.acquire(NodeAddress(99), group, 576, headers={"seq": 0})
         acquisitions = pool.allocated + pool.recycled
         router.receive(packet, None)
-        assert not packet._owns_headers  # siblings share its headers now
         sim.run()
         assert pool.allocated + pool.recycled == acquisitions + 2
         assert [r.objects[0] is packet for r in recorders] == [False, False, True]
@@ -316,7 +250,7 @@ class TestMovingThePacket:
             if packet.multicast:
                 seen.update(
                     repr(
-                        (host.sim.now, host.name, packet.hop_count, packet.ecn,
+                        (host.sim.now, host.name, packet.hop_count,
                          sorted(packet.headers.items()))
                     ).encode()
                 )

@@ -339,7 +339,9 @@ class TestProtocolErrorHandling:
         misspelt or retired key to be dropped: ``"durration_s"`` ran the
         default 200 s, a retired session-count key silently ran a 250 kbps
         bottleneck.  An oversized topology is refused before the event loop
-        allocates it, and a bandwidth past the float range by name."""
+        allocates it, and a bandwidth past the float range by name.  So are
+        unusable traffic times and rates: an infinite CBR rate used to hang
+        a worker, a NaN TCP start to run without the flow."""
         template = ScenarioSpec(
             name="service-topology", protected=False, sessions=(SessionDecl("mc"),),
             duration_s=6.0,
@@ -363,6 +365,20 @@ class TestProtocolErrorHandling:
             (
                 {"topology_params": {"bottleneck_bandwidth_bps": 10**400}},
                 "bottleneck_bandwidth_bps is past the float range",
+            ),
+            (
+                {"cbr": [{"rate_bps": float("inf")}]},
+                "CbrDecl.rate_bps must be a finite number > 0",
+            ),
+            (
+                {"cbr": [{"active_window": [float("nan"), 5.0]}]},
+                "CbrDecl.active_window must be two finite numbers of seconds >= 0",
+            ),
+            ({"tcp": [{"name": "t", "start_s": float("nan")}]}, "TcpDecl.start_s must be"),
+            ({"tcp": [{"name": "t", "start_s": -1.0}]}, "TcpDecl.start_s must be"),
+            (
+                {"sessions": [{"session_id": "mc", "attack_start_s": float("nan")}]},
+                "SessionDecl.attack_start_s must be",
             ),
             ({"durration_s": 5}, "unknown keys ['durration_s']"),
             ({"expected_" "sessions": 4}, "unknown keys ['expected_" "sessions']"),

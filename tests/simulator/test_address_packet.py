@@ -89,24 +89,23 @@ class TestPacket:
     def test_multicast_flag(self):
         unicast = self._packet()
         multicast = self._packet(destination=GroupAddress(MULTICAST_BASE + 1))
-        assert not unicast.is_multicast
-        assert multicast.is_multicast
+        assert not unicast.multicast
+        assert multicast.multicast
 
     def test_unique_ids(self):
         assert self._packet().uid != self._packet().uid
 
-    def test_copy_is_independent(self):
-        original = self._packet(headers={"k": 1})
-        clone = original.copy()
-        clone.headers["k"] = 2
-        assert original.headers["k"] == 1
-        assert clone.size_bytes == original.size_bytes
-        assert clone.created_at == original.created_at
-
-    def test_copy_preserves_hop_count(self):
-        original = self._packet()
+    def test_replica_shares_headers_and_keeps_its_own_hop_count(self):
+        original = self._packet(
+            destination=GroupAddress(MULTICAST_BASE + 1), headers={"k": 1}, created_at=2.0
+        )
         original.hop_count = 3
-        assert original.copy().hop_count == 3
+        replica = original.replicate()
+        assert replica.headers is original.headers
+        assert (replica.size_bytes, replica.created_at, replica.multicast) == (576, 2.0, True)
+        assert replica.uid != original.uid
+        replica.hop_count += 1
+        assert (original.hop_count, replica.hop_count) == (3, 4)
 
 
 class TestPacketFactory:

@@ -7,7 +7,7 @@ now schedules the delivery when its queue *admits* the packet — at the end
 of the backlog ahead of it — and its queue keeps start times, not packets.
 :class:`TwoEventLink` and :class:`PacketFifo` below are the old link and the
 old packet-holding queue, and the tests drive both links with the same
-arrivals and demand the same deliveries, counters, drops and marks — the way
+arrivals and demand the same deliveries, counters and drops — the way
 ``PerTickLoop`` is kept for the parked sender ticks.
 """
 
@@ -23,26 +23,20 @@ from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.node import Node
 from repro.simulator.packet import Packet
-from repro.simulator.queues import DropTailQueue, ECNMarkingQueue, QueueStats
+from repro.simulator.queues import DropTailQueue, QueueStats
 
 BANDWIDTH_BPS = 1e6
 DELAY_S = 0.01
 CAPACITY_BYTES = 4000
-MARK_THRESHOLD = 0.4
 #: Serialisation time of a 576-byte packet, spelled the way the link spells it.
 TX_576_S = 576 * 8 / BANDWIDTH_BPS
 
 
 class PacketFifo:
-    """The old drop-tail queue: the waiting packets themselves, in a deque.
+    """The old drop-tail queue: the waiting packets themselves, in a deque."""
 
-    With a ``mark_threshold`` it is the ECN queue, marking only packets it
-    admits.
-    """
-
-    def __init__(self, capacity_bytes, mark_threshold=None) -> None:
+    def __init__(self, capacity_bytes) -> None:
         self.capacity_bytes = capacity_bytes
-        self.mark_threshold = mark_threshold
         self._queue = deque()
         self._queued_bytes = 0
         self.stats = QueueStats()
@@ -57,12 +51,6 @@ class PacketFifo:
             stats.dropped_packets += 1
             stats.dropped_bytes += size_bytes
             return False
-        if (
-            self.mark_threshold is not None
-            and self._queued_bytes / self.capacity_bytes >= self.mark_threshold
-        ):
-            packet.ecn = True
-            stats.marked_packets += 1
         self._queue.append(packet)
         self._queued_bytes += size_bytes
         stats.enqueued_packets += 1
@@ -131,39 +119,26 @@ class TwoEventLink:
 
 
 class Sink(Node):
-    """Far end of the link: logs ``(time, tag, ecn)`` of every delivery."""
+    """Far end of the link: logs ``(time, tag)`` of every delivery."""
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim, "sink", NodeAddress(2))
         self.deliveries = []
 
     def receive(self, packet, link) -> None:
-        self.deliveries.append((self.sim.now, packet.headers["tag"], packet.ecn))
-
-
-#: Queue name -> (oracle queue, queue of the real link).
-QUEUES = {
-    "drop-tail": (
-        lambda: PacketFifo(CAPACITY_BYTES),
-        lambda: DropTailQueue(CAPACITY_BYTES),
-    ),
-    "ecn": (
-        lambda: PacketFifo(CAPACITY_BYTES, MARK_THRESHOLD),
-        lambda: ECNMarkingQueue(CAPACITY_BYTES, mark_threshold=MARK_THRESHOLD),
-    ),
-}
+        self.deliveries.append((self.sim.now, packet.headers["tag"]))
 
 
 class Harness:
     """One link of the given class between two nodes, with a drop log."""
 
-    def __init__(self, link_cls, queue_name="drop-tail", queue=None) -> None:
+    def __init__(self, link_cls, queue=None) -> None:
         self.sim = Simulator()
         self.sink = Sink(self.sim)
         source = Node(self.sim, "source", NodeAddress(1))
         if queue is None:
-            oracle_queue, real_queue = QUEUES[queue_name]
-            queue = (oracle_queue if link_cls is TwoEventLink else real_queue)()
+            fifo = PacketFifo if link_cls is TwoEventLink else DropTailQueue
+            queue = fifo(CAPACITY_BYTES)
         self.link = link_cls(
             self.sim, source, self.sink, BANDWIDTH_BPS, DELAY_S, queue=queue
         )
@@ -222,43 +197,37 @@ def arrival_process(seed: int, count: int = 400):
     return arrivals
 
 
-def both(queue_name, arrivals):
+def both(arrivals):
     observed = []
     for link_cls in (TwoEventLink, Link):
-        harness = Harness(link_cls, queue_name)
+        harness = Harness(link_cls)
         harness.play(arrivals)
         observed.append(harness.observed())
     return observed
 
 
-@pytest.mark.parametrize("queue_name", sorted(QUEUES))
 @pytest.mark.parametrize("seed", range(6))
-def test_same_arrivals_same_everything(queue_name, seed):
-    oracle, actual = both(queue_name, arrival_process(seed))
+def test_same_arrivals_same_everything(seed):
+    oracle, actual = both(arrival_process(seed))
     assert actual == oracle
     # The process really exercised what it claims to.
     assert oracle["drops"] and oracle["deliveries"] and oracle["left_in_queue"] == 0
     assert oracle["queue"]["enqueued_packets"] == oracle["queue"]["dequeued_packets"]
-    if queue_name == "ecn":
-        assert oracle["queue"]["marked_packets"] > 0
-        assert any(ecn for _, _, ecn in oracle["deliveries"])
 
 
-@pytest.mark.parametrize("queue_name", sorted(QUEUES))
-def test_arrival_at_exactly_busy_until_starts_at_that_instant(queue_name):
+def test_arrival_at_exactly_busy_until_starts_at_that_instant():
     arrivals = [(0.0, 576), (0.0 + TX_576_S, 576)]
-    oracle, actual = both(queue_name, arrivals)
+    oracle, actual = both(arrivals)
     assert actual == oracle
-    times = [time for time, _, _ in actual["deliveries"]]
+    times = [time for time, _ in actual["deliveries"]]
     assert times == [TX_576_S + DELAY_S, TX_576_S + TX_576_S + DELAY_S]
 
 
-@pytest.mark.parametrize("queue_name", sorted(QUEUES))
-def test_packet_larger_than_the_queue_is_dropped_on_an_idle_link(queue_name):
-    oracle, actual = both(queue_name, [(0.5, CAPACITY_BYTES + 1), (1.0, CAPACITY_BYTES)])
+def test_packet_larger_than_the_queue_is_dropped_on_an_idle_link():
+    oracle, actual = both([(0.5, CAPACITY_BYTES + 1), (1.0, CAPACITY_BYTES)])
     assert actual == oracle
     assert actual["drops"] == [(0.5, 0)]
-    assert [tag for _, tag, _ in actual["deliveries"]] == [1]
+    assert [tag for _, tag in actual["deliveries"]] == [1]
     assert actual["queue"]["dropped_bytes"] == CAPACITY_BYTES + 1
 
 
@@ -269,7 +238,7 @@ def hand_over_arrival(link_cls, late: bool) -> dict:
     With ``late`` the last arrival is scheduled after the burst ran, so the
     two-event link's completion at that instant sorts ahead of it.
     """
-    harness = Harness(link_cls, "ecn")
+    harness = Harness(link_cls)
     sim = harness.sim
 
     def burst():
@@ -285,14 +254,13 @@ def hand_over_arrival(link_cls, late: bool) -> dict:
     return harness.observed()
 
 
-def test_ecn_arrival_at_a_hand_over_instant_finds_the_starting_packet_gone():
+def test_an_arrival_at_the_hand_over_instant_is_admitted_and_the_oracle_in_the_wrong_order_drops_it():
     oracle = hand_over_arrival(TwoEventLink, late=True)
     actual = hand_over_arrival(Link, late=True)
     assert actual == oracle
-    # Five packets still wait (2,880 B): the arrival fits and is marked.
+    # Five packets still wait (2,880 B): the arrival fits.
     assert not actual["drops"]
-    assert [tag for _, tag, _ in actual["deliveries"]] == list(range(8))
-    assert actual["deliveries"][-1][2]
+    assert [tag for _, tag in actual["deliveries"]] == list(range(8))
     # The link does not depend on scheduling order; the oracle did: with the
     # arrival sorted ahead of its completion event it still counted the
     # starting packet and dropped the arrival.
@@ -316,7 +284,7 @@ def test_busy_mid_serialisation_and_while_draining(link_cls):
     sim.run(until=TX_576_S * 2.5)
     assert not link.busy
     sim.run()
-    assert [tag for _, tag, _ in harness.sink.deliveries] == [0, 1]
+    assert [tag for _, tag in harness.sink.deliveries] == [0, 1]
 
 
 def test_counters_read_correctly_between_events():

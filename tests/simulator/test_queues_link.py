@@ -7,7 +7,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.link import Link, default_buffer_bytes
 from repro.simulator.node import Host
 from repro.simulator.packet import Packet
-from repro.simulator.queues import DropTailQueue, ECNMarkingQueue
+from repro.simulator.queues import DropTailQueue
 
 
 def make_packet(size=500, src=1, dst=2):
@@ -83,34 +83,6 @@ class TestDropTailQueue:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             DropTailQueue(0)
-
-
-class TestEcnQueue:
-    def test_marks_above_threshold(self):
-        queue = clocked(ECNMarkingQueue(capacity_bytes=2000, mark_threshold=0.5))
-        first = make_packet(1100)
-        second = make_packet(800)
-        wait(queue, first, 1.0)
-        wait(queue, second, 2.0)
-        assert not first.ecn
-        assert second.ecn
-        assert queue.stats.marked_packets == 1
-
-    def test_dropped_packets_are_never_marked(self):
-        queue = clocked(ECNMarkingQueue(capacity_bytes=1000, mark_threshold=0.5))
-        packets = [make_packet(400) for _ in range(4)]
-        admitted = [wait(queue, packet, 1.0 + n) for n, packet in enumerate(packets)]
-        assert admitted == [True, True, False, False]
-        # The last two found the queue 80 % full, but the queue dropped them.
-        assert [packet.ecn for packet in packets] == [False, False, False, False]
-        assert queue.stats.marked_packets == 0
-        small = make_packet(100)
-        assert wait(queue, small, 5.0) and small.ecn
-        assert queue.stats.marked_packets == 1
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ECNMarkingQueue(1000, mark_threshold=0.0)
 
 
 class TestDefaultBuffer:

@@ -15,6 +15,8 @@ from repro.simulator import (
     sharded_dumbbell_topology,
     star_topology,
 )
+from repro.simulator.link import default_buffer_bytes
+from repro.simulator.queues import DropTailQueue
 from repro.simulator.routing import shortest_path
 
 
@@ -48,17 +50,6 @@ class TestTopologySpecValidation:
                 sender_routers=("a",),
                 receiver_routers=("a",),
             )
-
-    def test_unknown_queue_discipline_rejected(self):
-        spec = TopologySpec(
-            kind="bad-queue",
-            routers=("a", "b"),
-            links=(LinkSpec("a", "b", 1e6, 0.01, queue="red-lite"),),
-            sender_routers=("a",),
-            receiver_routers=("b",),
-        )
-        with pytest.raises(ValueError, match="queue discipline"):
-            NetworkGraph(spec)
 
 
 class TestFactories:
@@ -171,6 +162,23 @@ class TestFactories:
 
 
 class TestNetworkGraph:
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_every_link_queues_drop_tail_at_its_declared_buffer(self, kind):
+        """Both directions of every declared link get a drop-tail queue of
+        the link's buffer (two bandwidth-delay products when unset)."""
+        spec = build_topology(kind)
+        graph = NetworkGraph(spec)
+        assert len(graph.links) == 2 * len(spec.links)
+        for declared, forward, backward in zip(spec.links, graph.links[::2], graph.links[1::2]):
+            assert (forward.src.name, forward.dst.name) == (declared.a, declared.b)
+            assert (backward.src.name, backward.dst.name) == (declared.b, declared.a)
+            expected = declared.buffer_bytes or default_buffer_bytes(
+                declared.bandwidth_bps, declared.delay_s, declared.buffer_bdp_multiple
+            )
+            for link in (forward, backward):
+                assert type(link.queue) is DropTailQueue
+                assert link.queue.capacity_bytes == expected
+
     def test_round_robin_receiver_placement(self):
         graph = NetworkGraph(star_topology(arms=3))
         receivers = [graph.add_receiver() for _ in range(4)]
