@@ -44,7 +44,7 @@ def main() -> None:
     #    and returns plain JSON metrics; going through Scenario keeps the
     #    live objects inspectable.)
     scenario = Scenario.from_spec(spec)
-    scenario.run(DURATION_S)
+    scenario.run()
 
     # 3. Report.
     receiver = scenario.sessions[0].receiver

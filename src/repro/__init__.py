@@ -11,8 +11,8 @@ The package is organised bottom-up:
   distribution), SIGMA (key-based group access at edge routers), the time-slot
   pipeline and the analytic overhead model.
 * :mod:`repro.transport` — TCP Reno and CBR cross traffic.
-* :mod:`repro.multicast_cc` — FLID-DL, FLID-DS (one receiver per protocol,
-  standing for any population) and the replicated-multicast variant.
+* :mod:`repro.multicast_cc` — FLID-DL and FLID-DS (one receiver per
+  protocol, standing for any population).
 * :mod:`repro.adversary` — composable attack strategies mounted on those
   receivers (the misbehaving receivers of Figures 1 and 7).
 * :mod:`repro.analysis` — throughput, fairness and convergence analysis.

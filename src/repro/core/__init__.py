@@ -1,7 +1,7 @@
 """The paper's primary contribution: DELTA + SIGMA.
 
 * :mod:`repro.core.delta` — in-band distribution of group keys to eligible
-  receivers (layered and replicated instantiations).
+  receivers (the layered instantiation of Figure 4).
 * :mod:`repro.core.sigma` — key-based group access control at edge routers.
 * :mod:`repro.core.timeslot` — the s / s+1 / s+2 key pipeline of Figure 2.
 * :mod:`repro.core.overhead` — the analytic overhead model of §5.4.

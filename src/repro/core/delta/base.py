@@ -1,7 +1,7 @@
-"""Shared vocabulary of the DELTA instantiations.
+"""Artefacts of the DELTA key distribution.
 
-Both DELTA instantiations — layered (Figure 4) and replicated (Figure 5) —
-produce the same kinds of artefacts:
+The layered instantiation (Figure 4, :mod:`repro.core.delta.layered`)
+produces three kinds of artefacts:
 
 * a set of per-group **keys** for the governed time slot (top, decrease and
   optionally increase keys, Figure 3);
@@ -12,37 +12,24 @@ produce the same kinds of artefacts:
   during a slot, plus the receiver's congestion status and the protocol's
   upgrade authorisation, into the set of keys to submit to the edge router.
 
-This module defines those artefacts as small dataclasses plus the abstract
-sender/receiver interfaces the instantiations implement.  SIGMA consumes only
-``SlotKeyMaterial`` (the address-to-keys tuples) and never looks inside a
-specific instantiation, which is what keeps the edge-router code generic
+This module defines those artefacts as small dataclasses.  SIGMA consumes
+only ``SlotKeyMaterial`` (the address-to-keys tuples) and never looks inside
+the instantiation, which is what keeps the edge-router code generic
 (Requirement 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = [
-    "KeyKind",
     "GroupKeys",
     "SlotKeyMaterial",
     "DeltaPacketFields",
     "ReceiverSlotObservation",
     "ReconstructionResult",
-    "DeltaSender",
-    "DeltaReceiver",
 ]
-
-
-class KeyKind(str, Enum):
-    """The three key roles of Figure 3."""
-
-    TOP = "top"
-    DECREASE = "decrease"
-    INCREASE = "increase"
 
 
 @dataclass(frozen=True)
@@ -153,23 +140,3 @@ class ReconstructionResult:
     def submitted_pairs(self) -> List[tuple[int, int]]:
         """(group, key) pairs ordered by group number."""
         return sorted(self.keys.items())
-
-
-class DeltaSender:
-    """Interface of sender-side DELTA instantiations."""
-
-    def begin_slot(self, distribution_slot: int, upgrade_authorized: Sequence[int]) -> SlotKeyMaterial:
-        """Precompute the keys governed by ``distribution_slot + 2``."""
-        raise NotImplementedError
-
-    def fields_for_packet(self, group: int, is_last_in_slot: bool) -> DeltaPacketFields:
-        """Fields for the next packet of ``group`` in the current slot."""
-        raise NotImplementedError
-
-
-class DeltaReceiver:
-    """Interface of receiver-side DELTA instantiations."""
-
-    def reconstruct(self, observation: ReceiverSlotObservation) -> ReconstructionResult:
-        """Derive next-slot keys from the packets observed in one slot."""
-        raise NotImplementedError

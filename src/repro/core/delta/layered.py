@@ -25,14 +25,12 @@ the precomputed per-group constant ``C_g``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ...crypto.nonce import NonceGenerator
 from ...crypto.xorkeys import KeyAccumulator, xor_fold
 from .base import (
     DeltaPacketFields,
-    DeltaReceiver,
-    DeltaSender,
     GroupKeys,
     ReceiverSlotObservation,
     ReconstructionResult,
@@ -52,7 +50,7 @@ class _GroupSlotState:
     closed: bool = False
 
 
-class LayeredDeltaSender(DeltaSender):
+class LayeredDeltaSender:
     """Sender-side algorithm of Figure 4 (layered multicast, single-loss)."""
 
     def __init__(self, group_count: int, nonces: NonceGenerator) -> None:
@@ -65,11 +63,6 @@ class LayeredDeltaSender(DeltaSender):
         self._distribution_slot: Optional[int] = None
 
     # ------------------------------------------------------------------
-    @property
-    def current_material(self) -> Optional[SlotKeyMaterial]:
-        """Key material produced by the most recent :meth:`begin_slot`."""
-        return self._current_material
-
     def begin_slot(
         self, distribution_slot: int, upgrade_authorized: Sequence[int]
     ) -> SlotKeyMaterial:
@@ -169,7 +162,7 @@ class LayeredDeltaSender(DeltaSender):
         return closing
 
 
-class LayeredDeltaReceiver(DeltaReceiver):
+class LayeredDeltaReceiver:
     """Receiver-side algorithm of Figure 4."""
 
     def __init__(self, group_count: int) -> None:

@@ -1,52 +1,30 @@
 """XOR key algebra.
 
-The DELTA instantiations of §3.1.1 and the replicated variant of §3.1.2
-define every key as the XOR of a set of per-packet nonces: the *top key* of
-level ``g`` is the XOR of the component fields of all packets of groups
-``1..g`` (Equation 3), the *increase key* of group ``m`` is the XOR of the
-components of groups ``1..m-1`` (Equation 5), and the replicated-protocol
-keys use per-group XOR sums (Equation 6).
+The layered DELTA instantiation of §3.1.1 defines every key as the XOR of
+a set of per-packet nonces: the *top key* of level ``g`` is the XOR of the
+component fields of all packets of groups ``1..g`` (Equation 3), and the
+*increase key* of group ``m`` is the XOR of the components of groups
+``1..m-1`` (Equation 5).
 
 This module provides the small, well-tested algebra those definitions need:
-folding a sequence of components into a key, incremental accumulators for
-senders that learn the packet count only at the end of a slot, and helpers
-for validating widths.  XOR is self-inverse and associative, which is what
-gives DELTA its "must have received every packet" semantics: missing any one
-component leaves the receiver with a value that is uniformly random relative
-to the true key.
+folding a sequence of components into a key, and incremental accumulators
+for senders that learn the packet count only at the end of a slot.  XOR is
+self-inverse and associative, which is what gives DELTA its "must have
+received every packet" semantics: missing any one component leaves the
+receiver with a value that is uniformly random relative to the true key.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
-__all__ = ["xor_fold", "KeyAccumulator", "combine_levels", "keys_equal"]
+__all__ = ["xor_fold", "KeyAccumulator"]
 
 
 def xor_fold(components: Iterable[int]) -> int:
     """XOR all ``components`` together; the empty sequence folds to 0."""
     return reduce(lambda a, b: a ^ b, components, 0)
-
-
-def combine_levels(per_level_components: Sequence[Sequence[int]], level: int) -> int:
-    """XOR every component of levels ``1..level`` (1-indexed, Equation 3).
-
-    ``per_level_components[j-1]`` holds the component fields of group ``j``.
-    """
-    if not (1 <= level <= len(per_level_components)):
-        raise ValueError(
-            f"level {level} out of range 1..{len(per_level_components)}"
-        )
-    value = 0
-    for group_components in per_level_components[:level]:
-        value ^= xor_fold(group_components)
-    return value
-
-
-def keys_equal(a: int, b: int) -> bool:
-    """Constant-form key comparison (semantic sugar for readability)."""
-    return a == b
 
 
 class KeyAccumulator:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tempfile
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -1177,6 +1178,25 @@ class ExperimentRunner:
 # ----------------------------------------------------------------------
 # cache maintenance
 # ----------------------------------------------------------------------
+#: The names the two stores write, and the ``<name>.<random>.tmp`` siblings
+#: :func:`publish_atomically` makes of them.  Any other file sharing the
+#: directory (a ``run --out`` document, a user's notes) is not the cache's.
+_RESULT_NAME = re.compile(r"[0-9a-f]{64}\.json")
+_CHECKPOINT_NAME = re.compile(r"ck_[0-9a-f]{64}\.pkl")
+_SIBLING_NAME = re.compile(
+    rf"(?:{_RESULT_NAME.pattern}|{_CHECKPOINT_NAME.pattern})\.[a-z0-9_]+\.tmp"
+)
+
+
+def _store_files(directory: Path, *names: re.Pattern) -> List[Path]:
+    """The files of ``directory`` whose whole name matches one of ``names``."""
+    return [
+        path
+        for path in directory.glob("*")
+        if any(name.fullmatch(path.name) for name in names)
+    ]
+
+
 def cache_stats(cache_dir: Path) -> Dict[str, Any]:
     """Size and entry counts of one cache directory, by entry kind.
 
@@ -1196,8 +1216,8 @@ def cache_stats(cache_dir: Path) -> Dict[str, Any]:
             entries += 1
         return {"entries": entries, "bytes": total}
 
-    results = tally(directory.glob("*.json"))
-    checkpoints = tally(directory.glob("ck_*.pkl"))
+    results = tally(_store_files(directory, _RESULT_NAME))
+    checkpoints = tally(_store_files(directory, _CHECKPOINT_NAME))
     return {
         "path": str(directory),
         "results": results,
@@ -1210,21 +1230,20 @@ def prune_cache(cache_dir: Path, max_bytes: int) -> Dict[str, Any]:
     """Evict cache entries, oldest first, until the store fits ``max_bytes``.
 
     Both entry kinds (result documents and checkpoint blobs) and any
-    leftover ``.tmp`` siblings compete by modification time; eviction is
-    safe at any point because every reader treats a missing or torn entry
-    as a miss.
+    leftover ``.tmp`` siblings of them compete by modification time; no
+    other file is touched.  Eviction is safe at any point because every
+    reader treats a missing or torn entry as a miss.
     """
     if max_bytes < 0:
         raise ValueError("max_bytes must be non-negative")
     directory = Path(cache_dir)
     entries: List[Tuple[float, str, Path, int]] = []
-    for pattern in ("*.json", "ck_*.pkl", "*.tmp"):
-        for path in directory.glob(pattern):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, path.name, path, stat.st_size))
+    for path in _store_files(directory, _RESULT_NAME, _CHECKPOINT_NAME, _SIBLING_NAME):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue
+        entries.append((stat.st_mtime, path.name, path, stat.st_size))
     entries.sort()
     total = sum(size for _, _, _, size in entries)
     deleted = 0

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..adversary.receivers import StrategyStack
 from ..adversary.registry import build_strategies
 from ..adversary.spec import AttackSpec
-from ..core.sigma import SigmaConfig, SigmaRouterAgent
+from ..core.sigma import SigmaRouterAgent
 from ..core.timeslot import SlotClock
 from ..multicast_cc import (
     FlidDlReceiver,
@@ -65,7 +65,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -148,11 +148,14 @@ class Scenario:
         self,
         config: ExperimentConfig,
         protected: bool,
-        sigma_config: Optional[SigmaConfig] = None,
         topology: Optional[TopologySpec] = None,
     ) -> None:
         self.config = config
         self.protected = protected
+        #: What :meth:`run` and the averaging helpers default to: the
+        #: config's duration, or the spec's once :meth:`from_spec` or
+        #: :meth:`rebind_spec` records it.
+        self.duration_s = config.duration_s
         if topology is None:
             topology = dumbbell_topology(bottleneck_bandwidth_bps=config.fair_share_bps)
         self.network = NetworkGraph(topology, seed=config.seed)
@@ -173,12 +176,7 @@ class Scenario:
             self.slot_clock = SlotClock(self.network.sim, config.flid_ds_slot_s)
             for router in self.network.receiver_edge_routers:
                 self.sigma_agents.append(
-                    SigmaRouterAgent(
-                        router,
-                        self.network.multicast,
-                        self.slot_clock,
-                        config=sigma_config,
-                    )
+                    SigmaRouterAgent(router, self.network.multicast, self.slot_clock)
                 )
             self.slot_clock.start()
         else:
@@ -194,14 +192,10 @@ class Scenario:
     # declarative construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec, sigma_config: Optional[SigmaConfig] = None) -> "Scenario":
+    def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
         """Realise a declarative :class:`ScenarioSpec` into a live scenario."""
-        scenario = cls(
-            spec.config,
-            spec.protected,
-            sigma_config=sigma_config,
-            topology=spec.network_topology,
-        )
+        scenario = cls(spec.config, spec.protected, topology=spec.network_topology)
+        scenario.duration_s = spec.effective_duration_s
         for session in spec.sessions:
             scenario._realise_session(session)
         for tcp in spec.tcp:
@@ -485,8 +479,8 @@ class Scenario:
     # execution
     # ------------------------------------------------------------------
     def run(self, duration_s: Optional[float] = None) -> None:
-        """Build routes and run the simulation for the configured duration."""
-        self.network.run(duration_s if duration_s is not None else self.config.duration_s)
+        """Build routes and run to ``duration_s`` (default: :attr:`duration_s`)."""
+        self.network.run(self.duration_s if duration_s is None else duration_s)
 
     # ------------------------------------------------------------------
     # checkpoint / warm-start
@@ -547,6 +541,7 @@ class Scenario:
         keep their initial-population booking because an inert process never
         changed the population before the barrier.
         """
+        self.duration_s = spec.effective_duration_s
         for decl, session in zip(spec.sessions, self.sessions):
             individual_attacks, block_attacks = self._declared_attacks(decl)
             for r_index, attacks in individual_attacks.items():
@@ -571,7 +566,7 @@ class Scenario:
     ) -> List[float]:
         """Average throughput of each session's first receiver."""
         start = self.config.warmup_s if start_s is None else start_s
-        end = self.config.duration_s if end_s is None else end_s
+        end = self.duration_s if end_s is None else end_s
         return [s.receiver.average_rate_kbps(start, end) for s in self.sessions]
 
     def tcp_average_kbps(
@@ -579,5 +574,5 @@ class Scenario:
     ) -> List[float]:
         """Average throughput of each TCP connection."""
         start = self.config.warmup_s if start_s is None else start_s
-        end = self.config.duration_s if end_s is None else end_s
+        end = self.duration_s if end_s is None else end_s
         return [c.monitor.average_rate_kbps(start, end) for c in self.tcp_connections]

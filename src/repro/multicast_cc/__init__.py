@@ -8,10 +8,8 @@
   population is a weight on the messages of one state machine), optionally
   mounting an attack-strategy stack (:mod:`repro.adversary`) and a
   :class:`~repro.multicast_cc.churn.ChurnProcess`.
-* :mod:`repro.multicast_cc.replicated` — a replicated (single-group-per-level)
-  protocol protected by the Figure 5 DELTA instantiation.
 * :mod:`repro.multicast_cc.session` — session descriptions (rates, groups,
-  slots) shared by all protocols.
+  slots) shared by both protocols.
 * :mod:`repro.multicast_cc.population` — :func:`split_counts`, which cuts a
   declared population into the rows of member counts a receiver stands for.
 """
@@ -20,7 +18,6 @@ from .churn import ChurnProcess
 from .flid_dl import FlidDlReceiver, FlidDlSender
 from .flid_ds import FlidDsReceiver, FlidDsSender
 from .receiver_base import LayeredReceiverBase, SlotRecord
-from .replicated import ReplicatedReceiver, ReplicatedSender
 from .sender_base import LayeredSenderBase
 from .session import SessionSpec, fair_level_for_rate
 
@@ -33,8 +30,6 @@ __all__ = [
     "LayeredReceiverBase",
     "SlotRecord",
     "LayeredSenderBase",
-    "ReplicatedReceiver",
-    "ReplicatedSender",
     "SessionSpec",
     "fair_level_for_rate",
 ]

@@ -92,7 +92,6 @@ class LayeredReceiverBase(PacketAgent):
         strategies: Optional[Any] = None,
         churn: Optional[ChurnProcess] = None,
         bin_width_s: float = 1.0,
-        guard_s: float = DEFAULT_GUARD_S,
         name: str = "",
     ) -> None:
         """Stand for ``sum(counts)`` homogeneous members behind ``host``.
@@ -121,7 +120,6 @@ class LayeredReceiverBase(PacketAgent):
         self.host = host
         self.spec = spec
         self.sim = host.sim
-        self.guard_s = guard_s
         self.name = name or f"{spec.session_id}-rx-{host.name}"
         self.monitor = ThroughputMonitor(self.sim, bin_width_s=bin_width_s, name=self.name)
         self._stack = strategies
@@ -175,7 +173,7 @@ class LayeredReceiverBase(PacketAgent):
         slot_duration = self.spec.slot_duration_s
         current_slot = int(self.sim.now / slot_duration)
         self._last_processed_slot = current_slot - 1
-        first_delay = (current_slot + 1) * slot_duration + self.guard_s - self.sim.now
+        first_delay = (current_slot + 1) * slot_duration + DEFAULT_GUARD_S - self.sim.now
         self._timer = PeriodicTimer(
             self.sim, slot_duration, self._on_timer, first_delay=max(first_delay, 1e-6)
         )
@@ -337,7 +335,7 @@ class LayeredReceiverBase(PacketAgent):
         if self._churn is not None:
             self._apply_churn()
         slot_duration = self.spec.slot_duration_s
-        ready_until = int((self.sim.now - self.guard_s) / slot_duration) - 1
+        ready_until = int((self.sim.now - DEFAULT_GUARD_S) / slot_duration) - 1
         while self._last_processed_slot < ready_until:
             self._last_processed_slot += 1
             self._evaluate_slot(self._last_processed_slot)

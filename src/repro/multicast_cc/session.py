@@ -25,7 +25,7 @@ __all__ = ["SessionSpec", "fair_level_for_rate"]
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Static description of one layered (or replicated) multicast session."""
+    """Static description of one layered multicast session."""
 
     session_id: str
     group_count: int = 10

@@ -88,9 +88,9 @@ def is_multicast(address: "NodeAddress | GroupAddress | int") -> bool:
 class GroupAddressAllocator:
     """Hands out fresh multicast group addresses.
 
-    Multi-group sessions (FLID-DL, FLID-DS, replicated multicast) ask the
-    allocator for one address per group.  Addresses are never reused within a
-    simulation, which mirrors how session announcements assign distinct class-D
+    Multi-group sessions (FLID-DL, FLID-DS) ask the allocator for one
+    address per group.  Addresses are never reused within a simulation,
+    which mirrors how session announcements assign distinct class-D
     addresses per layer.
     """
 

@@ -7,7 +7,6 @@ import pytest
 from repro.crypto import (
     KeyAccumulator,
     NonceGenerator,
-    combine_levels,
     xor_fold,
 )
 
@@ -58,18 +57,6 @@ class TestXorFold:
     def test_order_independent(self):
         values = [1, 2, 3, 4, 5]
         assert xor_fold(values) == xor_fold(reversed(values))
-
-    def test_combine_levels_is_cumulative(self):
-        per_level = [[1, 2], [4], [8, 16]]
-        assert combine_levels(per_level, 1) == 3
-        assert combine_levels(per_level, 2) == 3 ^ 4
-        assert combine_levels(per_level, 3) == 3 ^ 4 ^ 24
-
-    def test_combine_levels_bounds(self):
-        with pytest.raises(ValueError):
-            combine_levels([[1]], 2)
-        with pytest.raises(ValueError):
-            combine_levels([[1]], 0)
 
 
 class TestKeyAccumulator:

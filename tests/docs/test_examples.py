@@ -14,8 +14,8 @@ EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.py"
 SMOKE_DURATION_S = 12.0
 
 
-def test_there_are_seven_examples():
-    assert len(EXAMPLES) == 7
+def test_there_are_six_examples():
+    assert len(EXAMPLES) == 6
 
 
 @pytest.mark.smoke

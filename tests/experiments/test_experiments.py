@@ -15,6 +15,7 @@ from repro.experiments import (
     figure,
     figure9_model,
     run_figure,
+    scenario_spec,
 )
 from repro.simulator import dumbbell_topology
 
@@ -118,6 +119,19 @@ class TestScenarioBuilder:
         scenario.add_onoff_cbr(rate_bps=50_000.0)
         scenario.run()
         assert scenario.tcp_average_kbps(2.0, 8.0)[0] > 0.0
+
+    def test_scenario_from_spec_runs_for_the_spec_duration(self):
+        """A spec's duration, not its config's 200 s, ends the run and the averages."""
+        spec = scenario_spec("figure8-throughput", duration_s=6.0, count=1)
+        assert spec.config.duration_s == 200.0
+        scenario = Scenario.from_spec(spec)
+        scenario.run()
+        assert scenario.network.sim.now == 6.0
+        warmup = spec.config.warmup_s
+        assert scenario.multicast_average_kbps() == scenario.multicast_average_kbps(warmup, 6.0)
+        assert scenario.multicast_average_kbps()[0] > 50.0
+        assert scenario.tcp_average_kbps() == scenario.tcp_average_kbps(warmup, 6.0)
+        assert Scenario(spec.config, protected=False).duration_s == 200.0
 
 
 class TestFigure9:

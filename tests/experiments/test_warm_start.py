@@ -21,6 +21,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -399,7 +400,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -442,7 +443,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -464,7 +465,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -490,7 +491,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -508,11 +509,10 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     assert store.load(key) is not None
 
 
-def test_version_9_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 9 packets carried an ECN mark and a header-ownership flag,
-    queue counters a mark count and routers a delivery hook; its blobs are
-    refused by the stamp."""
-    assert CHECKPOINT_VERSION == 10
+def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 10 receivers carried a per-object ``guard_s`` and scenarios
+    no recorded ``duration_s``; its blobs are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 11
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -524,8 +524,9 @@ def test_version_9_checkpoint_blob_is_a_miss(tmp_path):
     store = CheckpointStore(tmp_path)
     run_checkpoint_json(payload)
     scenario = store.load(key)
-    assert not hasattr(scenario.network.links[0].queue.stats, "marked_packets")
-    stale = pickle.dumps((9, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    assert scenario.duration_s == plan.barrier_s
+    assert not hasattr(scenario.sessions[0].receivers[0], "guard_s")
+    stale = pickle.dumps((10, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False
@@ -601,6 +602,29 @@ def test_cache_stats_and_prune(tmp_path):
     assert report["deleted"] == len(grid) + 1
     assert report["remaining_bytes"] == 0
     assert cache_stats(tmp_path)["total_bytes"] == 0
+
+
+def test_cache_stats_and_prune_touch_only_the_stores_files(tmp_path):
+    """A ``run --out`` document or a user's file beside the cache is neither
+    counted nor evicted; a publish's leftover ``.tmp`` sibling is evicted."""
+    foreign = ["figure1-attack-runs.json", "notes.tmp"]
+    for name in foreign:
+        (tmp_path / name).write_text("not a cache entry")
+    assert cache_stats(tmp_path)["results"]["entries"] == 0
+    assert cache_stats(tmp_path)["total_bytes"] == 0
+    assert prune_cache(tmp_path, 0)["deleted"] == 0
+    key = "0123456789abcdef" * 4
+    (tmp_path / f"{key}.json").write_text("{}")
+    (tmp_path / f"ck_{key}.pkl").write_bytes(b"blob")
+    for name in (f"{key}.json", f"ck_{key}.pkl"):
+        fd, _ = tempfile.mkstemp(dir=tmp_path, prefix=f"{name}.", suffix=".tmp")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(b"torn")
+    stats = cache_stats(tmp_path)
+    assert stats["results"]["entries"] == 1
+    assert stats["checkpoints"]["entries"] == 1
+    assert prune_cache(tmp_path, 0)["deleted"] == 4
+    assert sorted(path.name for path in tmp_path.iterdir()) == foreign
 
 
 def test_engine_exclusive_barrier_cut():

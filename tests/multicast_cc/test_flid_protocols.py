@@ -1,4 +1,4 @@
-"""Behavioural tests of FLID-DL, FLID-DS and the replicated protocol.
+"""Behavioural tests of FLID-DL and FLID-DS.
 
 These are short simulator runs (seconds of simulated time) asserting on the
 protocol mechanics: admission, level adaptation, key submission and the
@@ -14,8 +14,6 @@ from repro.multicast_cc import (
     FlidDlSender,
     FlidDsReceiver,
     FlidDsSender,
-    ReplicatedReceiver,
-    ReplicatedSender,
     SessionSpec,
 )
 from repro.simulator import NetworkGraph, dumbbell_topology, install_igmp
@@ -179,53 +177,6 @@ class TestFlidDs:
             rx.start()
         net.run(until=30.0)
         assert abs(receivers[0].level - receivers[1].level) <= 1
-
-
-class TestReplicatedProtocol:
-    def build(self, bandwidth_bps=400_000.0):
-        net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=bandwidth_bps))
-        spec = SessionSpec(
-            "repl", group_count=4, base_rate_bps=100_000.0, rate_factor=1.5, slot_duration_s=0.25
-        ).with_addresses(net.allocate_groups(4))
-        clock = SlotClock(net.sim, 0.25)
-        agent = SigmaRouterAgent(net.edge_router, net.multicast, clock)
-        clock.start()
-        sender_host = net.add_sender()
-        receiver_host = net.add_receiver()
-        net.build_routes()
-        sender = ReplicatedSender(net, sender_host, spec)
-        receiver = ReplicatedReceiver(net, receiver_host, spec)
-        return net, spec, sender, receiver, agent
-
-    def test_receiver_subscribes_to_single_group(self):
-        net, spec, sender, receiver, agent = self.build()
-        sender.start()
-        receiver.start()
-        net.run(until=15.0)
-        groups = net.multicast.groups_of(receiver.host)
-        assert len(groups) <= 2  # at most old + new during a switch
-        assert receiver.group >= 1
-
-    def test_receiver_receives_content(self):
-        net, spec, sender, receiver, agent = self.build()
-        sender.start()
-        receiver.start()
-        net.run(until=15.0)
-        assert receiver.monitor.average_rate_kbps(5, 15) > 60.0
-
-    def test_keys_validated_at_router(self):
-        net, spec, sender, receiver, agent = self.build()
-        sender.start()
-        receiver.start()
-        net.run(until=10.0)
-        assert agent.valid_submissions > 0
-
-    def test_tight_bottleneck_keeps_receiver_in_slow_groups(self):
-        net, spec, sender, receiver, agent = self.build(bandwidth_bps=120_000.0)
-        sender.start()
-        receiver.start()
-        net.run(until=20.0)
-        assert receiver.group <= 2
 
 
 def test_one_receiver_class_per_protocol():

@@ -22,7 +22,6 @@ from repro.multicast_cc import (
     FlidDlSender,
     FlidDsReceiver,
     FlidDsSender,
-    ReplicatedSender,
     SessionSpec,
     headers,
 )
@@ -246,19 +245,3 @@ def test_restart_leaves_one_tick_chain_per_group():
     stopped = ticks(sender)
     net.run(until=25.0)
     assert ticks(sender) == stopped
-
-
-def test_replicated_restart_leaves_one_tick_chain_per_group():
-    net = NetworkGraph(dumbbell_topology(bottleneck_bandwidth_bps=250_000.0))
-    sender_host = net.add_sender()
-    net.build_routes()
-    spec = SessionSpec("s", group_count=4).with_addresses(net.allocate_groups(4))
-    sender = ReplicatedSender(net, sender_host, spec, protected=False)
-    sender.start()
-    net.run(until=10.0)
-    before = net.sim.events_executed
-    sender.stop()
-    sender.start()
-    net.run(until=20.0)
-    after = net.sim.events_executed - before
-    assert after == pytest.approx(before, rel=0.02)
