@@ -9,9 +9,12 @@ import random
 import pytest
 
 from repro.core.delta import (
+    DeltaPacketFields,
+    GroupKeys,
     LayeredDeltaReceiver,
     LayeredDeltaSender,
     ReceiverSlotObservation,
+    SlotKeyMaterial,
 )
 from repro.crypto.nonce import NonceGenerator
 
@@ -56,7 +59,46 @@ def observation_from_fields(fields, level, received, upgrade_authorized=(), lost
     )
 
 
+class TestDeltaArtefacts:
+    def test_group_keys_list_only_present_keys(self):
+        assert GroupKeys(top=1, increase=3).valid_keys() == [1, 3]
+        assert GroupKeys().valid_keys() == []
+
+    def test_any_present_key_opens_the_group(self):
+        keys = GroupKeys(top=1, decrease=2, increase=3)
+        assert all(keys.accepts(key) for key in (1, 2, 3))
+        assert not keys.accepts(4)
+        assert not GroupKeys(top=1).accepts(None)
+
+    def test_slot_material_refuses_a_group_it_does_not_guard(self):
+        material = SlotKeyMaterial(governed_slot=2, keys={1: GroupKeys(top=7)})
+        assert material.group_count == 1
+        assert material.accepts(1, 7)
+        assert not material.accepts(2, 7)
+
+    def test_field_bits_count_the_decrease_field(self):
+        assert DeltaPacketFields(group=1, component=5).field_bits(16) == 16
+        assert DeltaPacketFields(group=2, component=5, decrease=9).field_bits(16) == 32
+
+    def test_a_receiver_is_congested_iff_it_lost_in_a_group(self):
+        assert not ReceiverSlotObservation(subscription_level=3).congested
+        lossy = ReceiverSlotObservation(subscription_level=3, lost_groups=frozenset({2}))
+        assert lossy.congested
+
+
 class TestSenderKeyStructure:
+    def test_a_session_needs_a_group(self):
+        with pytest.raises(ValueError):
+            make_sender(groups=0)
+        with pytest.raises(ValueError):
+            LayeredDeltaReceiver(0)
+
+    def test_upgrades_outside_groups_two_to_n_are_dropped(self):
+        sender = make_sender(groups=5)
+        material = sender.begin_slot(0, (0, 1, 3, 6))
+        assert material.upgrade_authorized == frozenset({3})
+        assert [g for g in range(1, 6) if material.keys[g].increase is not None] == [3]
+
     def test_top_keys_are_cumulative_xor_of_components(self):
         sender = make_sender()
         material, fields = emit_slot(sender, [4, 3, 5, 2, 6])
@@ -243,6 +285,50 @@ class TestReceiverEligibility:
         assert result.next_level == 1
         assert material.accepts(1, result.keys[1])
         assert 2 not in result.keys
+
+    def test_increase_key_does_not_open_the_group_above(self):
+        sender = make_sender()
+        material, _ = emit_slot(sender, [2, 2, 2, 2, 2], upgrade_authorized=(3,))
+        key = material.keys[3].increase
+        assert material.accepts(3, key)
+        assert not material.accepts(4, key)
+
+    def test_subscription_above_the_group_count_is_clamped(self):
+        sender = make_sender(groups=3)
+        material, fields = emit_slot(sender, [3, 3, 3])
+        receiver = LayeredDeltaReceiver(3)
+        result = receiver.reconstruct(observation_from_fields(fields, level=3, received={}))
+        clamped = ReceiverSlotObservation(
+            subscription_level=7,
+            components={g: [f.component for f in fields[g]] for g in fields},
+            decrease_fields={g: [f.decrease for f in fields[g] if f.decrease is not None]
+                             for g in fields},
+        )
+        assert receiver.reconstruct(clamped) == result
+        assert result.next_level == 3
+
+    def test_every_reconstructed_key_opens_its_group(self):
+        """Under random losses and upgrades a receiver holds keys for exactly
+        groups ``1..next_level``, each accepted by the router, and never climbs
+        more than one group."""
+        rng = random.Random(7)
+        for slot in range(200):
+            sender = make_sender(seed=slot)
+            counts = [rng.randint(1, 4) for _ in range(5)]
+            upgrades = tuple(g for g in range(2, 6) if rng.random() < 0.3)
+            material, fields = emit_slot(sender, counts, upgrade_authorized=upgrades, slot=slot)
+            level = rng.randint(1, 5)
+            received = {
+                g: [i for i in range(counts[g - 1]) if rng.random() > 0.1]
+                for g in range(1, level + 1)
+            }
+            obs = observation_from_fields(fields, level, received, upgrade_authorized=upgrades)
+            result = LayeredDeltaReceiver(5).reconstruct(obs)
+            assert sorted(result.keys) == list(range(1, result.next_level + 1))
+            assert all(material.accepts(g, key) for g, key in result.keys.items())
+            assert result.next_level <= level + 1
+            if obs.congested:
+                assert result.next_level <= level
 
     def test_zero_level_receiver_gets_nothing(self):
         receiver = LayeredDeltaReceiver(5)

@@ -109,6 +109,11 @@ class TestMessages:
         assert sub.groups() == [group(1)]
         assert UnsubscriptionMessage("s", (group(1), group(2))).size_bytes() > 0
 
+    def test_unsubscription_size_counts_its_addresses(self):
+        assert UnsubscriptionMessage("s", ()).size_bytes() == 8
+        three = UnsubscriptionMessage("s", (group(1), group(2), group(3)))
+        assert three.size_bytes() == 8 + 3 * 4
+
 
 class TestRouterKeyTable:
     def test_accepts_any_stored_key(self):
@@ -227,6 +232,37 @@ class TestSigmaRouterAgent:
         sigma.unsubscribe([group(1)])
         net.run(until=0.2)
         assert not agent.is_forwarding(receiver, group(1))
+
+    def test_unsubscription_leaves_the_other_groups_forwarded(self):
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        agent.key_table.store_key_values(3, group(1), [41])
+        agent.key_table.store_key_values(3, group(2), [42])
+        sigma = SigmaHostInterface(receiver, "s")
+        sigma.subscribe(3, [(group(1), 41), (group(2), 42)])
+        net.run(until=0.80)  # inside slot 3 (0.75 - 1.0)
+        assert agent.is_forwarding(receiver, group(2))
+        sigma.unsubscribe([group(2)])
+        net.run(until=0.85)
+        assert agent.is_forwarding(receiver, group(1))
+        assert not agent.is_forwarding(receiver, group(2))
+        assert not net.multicast.is_member(receiver, group(2))
+        assert (sigma.unsubscriptions_sent, agent.unsubscriptions) == (1, 1)
+
+    def test_unsubscription_from_an_unforwarded_group_is_counted_only(self):
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        sigma = SigmaHostInterface(receiver, "s")
+        sigma.unsubscribe([group(3)])
+        net.run(until=0.1)
+        assert agent.unsubscriptions == 1
+        assert agent.forwarded_groups(receiver) == []
+        assert agent.revocations == 0
+
+    def test_empty_unsubscription_sends_nothing(self):
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        sigma = SigmaHostInterface(receiver, "s")
+        sigma.unsubscribe([])
+        net.run(until=0.1)
+        assert (sigma.unsubscriptions_sent, agent.unsubscriptions) == (0, 0)
 
     def test_revocation_at_slot_boundary_without_renewal(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()

@@ -533,6 +533,28 @@ def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     assert store.load(key) is not None
 
 
+def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
+    """A prefix stops at its barrier; rebinding a cell onto it moves the
+    default end of :meth:`Scenario.run` and of the averages to the cell's
+    duration, so the resumed scenario reads like a cold one."""
+    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    plan = plan_prefix(spec)
+    key = plan.checkpoint_key()
+    run_checkpoint_json(json.dumps(
+        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
+         "dir": str(tmp_path), "key": key}
+    ))
+    warm = CheckpointStore(tmp_path).load(key)
+    assert warm.duration_s == plan.barrier_s == 12.0
+    warm.rebind_spec(spec)
+    assert warm.duration_s == spec.effective_duration_s == 18.0
+    warm.run()
+    cold = Scenario.from_spec(spec)
+    cold.run()
+    assert warm.network.sim.now == cold.network.sim.now == 18.0
+    assert warm.multicast_average_kbps() == cold.multicast_average_kbps()
+
+
 #: Hand-written protocol-0 blobs.  Under a plain ``pickle.loads`` the first
 #: two run ``touch {marker}`` and the third hands back a module's globals.
 HOSTILE_BLOBS = {
@@ -604,6 +626,9 @@ def test_cache_stats_and_prune(tmp_path):
     assert cache_stats(tmp_path)["total_bytes"] == 0
 
 
+_KEY = "0123456789abcdef" * 4
+
+
 def test_cache_stats_and_prune_touch_only_the_stores_files(tmp_path):
     """A ``run --out`` document or a user's file beside the cache is neither
     counted nor evicted; a publish's leftover ``.tmp`` sibling is evicted."""
@@ -613,7 +638,7 @@ def test_cache_stats_and_prune_touch_only_the_stores_files(tmp_path):
     assert cache_stats(tmp_path)["results"]["entries"] == 0
     assert cache_stats(tmp_path)["total_bytes"] == 0
     assert prune_cache(tmp_path, 0)["deleted"] == 0
-    key = "0123456789abcdef" * 4
+    key = _KEY
     (tmp_path / f"{key}.json").write_text("{}")
     (tmp_path / f"ck_{key}.pkl").write_bytes(b"blob")
     for name in (f"{key}.json", f"ck_{key}.pkl"):
@@ -625,6 +650,25 @@ def test_cache_stats_and_prune_touch_only_the_stores_files(tmp_path):
     assert stats["checkpoints"]["entries"] == 1
     assert prune_cache(tmp_path, 0)["deleted"] == 4
     assert sorted(path.name for path in tmp_path.iterdir()) == foreign
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        f"{_KEY[:63]}.json",  # one hex digit short of a content address
+        f"{_KEY.upper()}.json",  # digests are written in lower case
+        f"ck_{_KEY}.json",  # a checkpoint prefix on a result suffix
+        f"{_KEY}.pkl",  # a checkpoint suffix without its prefix
+        f"{_KEY}.json.tmp",  # no random part: not a publish sibling
+        f"{_KEY}.json.bak",
+    ],
+)
+def test_cache_leaves_names_the_stores_never_write(name, tmp_path):
+    (tmp_path / name).write_text("not a cache entry")
+    stats = cache_stats(tmp_path)
+    assert (stats["results"]["entries"], stats["checkpoints"]["entries"]) == (0, 0)
+    assert prune_cache(tmp_path, 0)["deleted"] == 0
+    assert (tmp_path / name).exists()
 
 
 def test_engine_exclusive_barrier_cut():
