@@ -104,10 +104,29 @@ def _parse_param(text: str):
 
 
 def _positive_int(text: str) -> int:
-    """Parse an ``int`` >= 1 (``--seeds``); anything else is a usage error."""
+    """Parse an ``int`` >= 1 (``--seeds``, ``--top``); anything else is a usage error."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _directory_error(flag: str, text: str, must_exist: bool = False) -> Optional[str]:
+    """The ``error:`` line for a directory option that names no usable directory.
+
+    ``run`` and ``serve`` make a missing cache directory on first write, so
+    there only a regular file on the path is an error; ``cache`` inspects a
+    directory, so there it must already exist.
+    """
+    path = Path(text)
+    if path.is_dir():
+        return None
+    if must_exist and not path.exists():
+        return f"error: {flag} {text}: no such directory"
+    blocker = next(p for p in (path, *path.parents) if p.exists())
+    if blocker.is_dir():
+        return None
+    where = "" if blocker == path else f" ({blocker} is a file)"
+    return f"error: {flag} {text} is not a directory{where}"
 
 
 def _resolve_spec(args: argparse.Namespace):
@@ -184,6 +203,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if resolved is None:
         return 2
     entry, spec = resolved
+    problem = args.cache_dir and _directory_error("--cache-dir", args.cache_dir)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     try:
         runner = ExperimentRunner(
             jobs=args.jobs,
@@ -235,6 +258,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.socket is None and args.port is None:
         print("error: serve needs --socket PATH or --port N", file=sys.stderr)
         return 2
+    directories = (("--cache-dir", args.cache_dir), ("--checkpoint-dir", args.checkpoint_dir))
+    for flag, text in directories:
+        problem = text and _directory_error(flag, text)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
     try:
         config = ServiceConfig(
             cache_dir=Path(args.cache_dir),
@@ -343,6 +372,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    problem = _directory_error("--cache-dir", args.cache_dir, must_exist=True)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     directory = Path(args.cache_dir)
     try:
         if args.cache_command == "prune":
@@ -480,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[spec_options],
     )
     profile.add_argument("--seed", type=int, default=0, help="seed to profile")
-    profile.add_argument("--top", type=int, default=20, help="pstats rows to print")
+    profile.add_argument("--top", type=_positive_int, default=20, help="pstats rows to print")
     profile.add_argument(
         "--sort",
         default="cumulative",

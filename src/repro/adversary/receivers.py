@@ -42,8 +42,6 @@ class StrategyStack:
     def attach(self, receiver: "LayeredReceiverBase") -> None:
         """Bind the stack to ``receiver`` once it has joined its session."""
         self.ctx = AttackContext(receiver)
-        for strategy in self.strategies:
-            strategy.on_attach(self.ctx)
 
     @property
     def attacking(self) -> bool:
@@ -81,18 +79,6 @@ class StrategyStack:
         effective = congested
         for strategy in active:
             effective = strategy.filter_congestion(ctx, evaluated_slot, record, effective)
-
-        # Loss classification is only recomputed when some active strategy
-        # actually listens for it (the sets are rebuilt per call site).
-        listeners = [
-            s for s in active if type(s).on_loss is not AttackStrategy.on_loss
-        ]
-        if listeners:
-            # The same loss signal the honest pipeline classifies on.
-            lost = receiver._lost_groups(record, congested)
-            if lost:
-                for strategy in listeners:
-                    strategy.on_loss(ctx, evaluated_slot, set(lost))
 
         suppress = False
         for strategy in active:

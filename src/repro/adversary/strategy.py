@@ -5,12 +5,11 @@ loop.  Hooks fire in a fixed order per evaluated slot:
 
 1. :meth:`filter_congestion` — may rewrite the congestion verdict the honest
    pipeline will see (e.g. mask losses);
-2. :meth:`on_loss` — fires when the slot detected losses in entitled groups;
-3. :meth:`on_slot` — pre-decision action; returning True suppresses the
+2. :meth:`on_slot` — pre-decision action; returning True suppresses the
    honest subscription decision for this slot;
-4. the honest pipeline runs (unless suppressed); for FLID-DS it calls
+3. the honest pipeline runs (unless suppressed); for FLID-DS it calls
    :meth:`on_keys` with whatever DELTA keys it reconstructed;
-5. :meth:`after_slot` — post-decision action (key guessing, replay,
+4. :meth:`after_slot` — post-decision action (key guessing, replay,
    collusion submissions target ``slot + 2``, the governed slot).
 
 :meth:`on_start` / :meth:`on_stop` bracket the scheduled attack window; all
@@ -22,7 +21,7 @@ experiments stay byte-deterministic.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Mapping, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
 
 from .context import AttackContext
 
@@ -81,9 +80,6 @@ class AttackStrategy:
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
-    def on_attach(self, ctx: AttackContext) -> None:
-        """Called once when the receiver joins the session."""
-
     def on_start(self, ctx: AttackContext) -> None:
         """Called at the first slot boundary inside the attack window."""
 
@@ -98,9 +94,6 @@ class AttackStrategy:
     ) -> bool:
         """Rewrite the congestion verdict the honest pipeline will act on."""
         return congested
-
-    def on_loss(self, ctx: AttackContext, slot: int, lost_groups: Set[int]) -> None:
-        """Called when the evaluated slot lost packets in entitled groups."""
 
     def on_slot(
         self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool

@@ -1,11 +1,10 @@
 """Analysis helpers: fairness, convergence, protection and report formatting."""
 
-from .fairness import bandwidth_shares, jain_index, max_min_ratio
+from .fairness import jain_index, max_min_ratio
 from .convergence import convergence_time, levels_converged
 from .golden import scenario_trace_digest, subscription_vector
 from .protection import (
     excess_goodput_kbps,
-    honest_baseline_kbps,
     time_to_containment_s,
     weighted_excess_goodput_kbps,
     weighted_honest_baseline_kbps,
@@ -15,13 +14,11 @@ from .reporting import (
     flatten_metrics,
     format_aggregate_table,
     format_protection_table,
-    format_series_table,
     format_table,
     write_json,
 )
 
 __all__ = [
-    "bandwidth_shares",
     "jain_index",
     "max_min_ratio",
     "convergence_time",
@@ -29,7 +26,6 @@ __all__ = [
     "scenario_trace_digest",
     "subscription_vector",
     "excess_goodput_kbps",
-    "honest_baseline_kbps",
     "time_to_containment_s",
     "weighted_excess_goodput_kbps",
     "weighted_honest_baseline_kbps",
@@ -37,7 +33,6 @@ __all__ = [
     "flatten_metrics",
     "format_aggregate_table",
     "format_protection_table",
-    "format_series_table",
     "format_table",
     "write_json",
 ]

@@ -6,16 +6,16 @@ these helpers quantify it for the figure reducers of
 tables ``tests/integration/test_paper_claims.py`` asserts the paper's claims
 on: Jain's fairness index (``jain_index``, the one body in
 :func:`repro.simulator.monitors.jain_fairness` under its analysis-layer
-name), the max/min share ratio, and normalised bandwidth shares.
+name) and the max/min share ratio.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..simulator.monitors import jain_fairness as jain_index
 
-__all__ = ["jain_index", "max_min_ratio", "bandwidth_shares"]
+__all__ = ["jain_index", "max_min_ratio"]
 
 
 def max_min_ratio(throughputs: Sequence[float]) -> float:
@@ -33,10 +33,3 @@ def max_min_ratio(throughputs: Sequence[float]) -> float:
         return float("inf") if largest > 0 else 1.0
     return largest / smallest
 
-
-def bandwidth_shares(throughputs: Dict[str, float]) -> Dict[str, float]:
-    """Normalise named throughputs to fractions of the total."""
-    total = sum(throughputs.values())
-    if total <= 0:
-        return {name: 0.0 for name in throughputs}
-    return {name: value / total for name, value in throughputs.items()}

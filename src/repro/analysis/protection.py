@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
-    "honest_baseline_kbps",
     "weighted_honest_baseline_kbps",
     "excess_goodput_kbps",
     "weighted_excess_goodput_kbps",
@@ -25,20 +24,6 @@ __all__ = [
     "goodput_containment_s",
     "combined_containment_s",
 ]
-
-
-def honest_baseline_kbps(
-    honest_rates_kbps: Sequence[float], fallback_kbps: float
-) -> float:
-    """Mean goodput of the honest receivers, or ``fallback_kbps`` without any.
-
-    The fallback (typically the configured fair share) covers scenarios whose
-    every multicast receiver is an attacker.
-    """
-    rates = list(honest_rates_kbps)
-    if not rates:
-        return fallback_kbps
-    return sum(rates) / len(rates)
 
 
 def weighted_honest_baseline_kbps(
@@ -49,9 +34,9 @@ def weighted_honest_baseline_kbps(
     Each ``(rate, weight)`` pair is one receiver *model*: an individual
     receiver weighs 1 and a cohort weighs its member count, so the baseline
     is the mean goodput over *end systems* rather than over receiver
-    objects.  With unit weights this reduces — bit for bit (``rate * 1`` is
-    exact in IEEE arithmetic) — to :func:`honest_baseline_kbps`, which keeps
-    every pre-population protection metric byte-identical.
+    objects.  With unit weights it is the plain mean — bit for bit
+    (``rate * 1`` is exact in IEEE arithmetic) — which keeps every
+    pre-population protection metric byte-identical.
     """
     pairs = list(rates_and_weights_kbps)
     if not pairs:

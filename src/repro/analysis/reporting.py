@@ -15,7 +15,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
 
 __all__ = [
     "format_table",
-    "format_series_table",
     "format_protection_table",
     "flatten_metrics",
     "aggregate_metrics",
@@ -41,17 +40,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     for row in materialised:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series_table(
-    label: str, series: Sequence[tuple[float, float]], x_name: str = "time (s)", y_name: str = "value"
-) -> str:
-    """Render an (x, y) series with a caption line."""
-    body = format_table(
-        [x_name, y_name],
-        [(f"{x:.2f}", f"{y:.1f}") for x, y in series],
-    )
-    return f"{label}\n{body}"
 
 
 def _fmt(cell: object) -> str:

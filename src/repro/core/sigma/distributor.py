@@ -10,7 +10,9 @@ correction rather than acknowledgements.
 into a :class:`~repro.core.sigma.messages.KeyAnnouncement`, FEC-encodes it and
 transmits the coded symbols in one or more special packets addressed to the
 session's minimal group — the group every edge router with session receivers
-is already part of.  The byte cost of the special packets is recorded in an
+is already part of.  There is no un-coded form: sender and edge router each
+build the default :class:`~repro.fec.erasure.ErasureCode`, so they always
+agree on the code.  The byte cost of the special packets is recorded in an
 :class:`~repro.simulator.monitors.OverheadAccumulator` so measured SIGMA
 overhead (Figure 9) can be compared with the analytic model of §5.4.
 """
@@ -20,8 +22,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ...fec.erasure import ErasureCode, FecConfig
-from ...simulator.address import GroupAddress, NodeAddress
+from ...fec.erasure import ErasureCode
+from ...simulator.address import GroupAddress
 from ...simulator.monitors import OverheadAccumulator
 from ...simulator.node import Host
 from ...simulator.packet import Packet
@@ -44,10 +46,7 @@ class SigmaKeyDistributor:
         session_id: str,
         group_addresses: Sequence[GroupAddress],
         key_bits: int = 16,
-        slot_bits: int = 8,
-        fec_config: Optional[FecConfig] = None,
         symbols_per_packet: int = 16,
-        use_fec: bool = True,
         overhead: Optional[OverheadAccumulator] = None,
     ) -> None:
         if not group_addresses:
@@ -58,12 +57,9 @@ class SigmaKeyDistributor:
         self.session_id = session_id
         self.group_addresses = list(group_addresses)
         self.key_bits = key_bits
-        self.slot_bits = slot_bits
-        self.fec_config = fec_config or FecConfig()
         self.symbols_per_packet = symbols_per_packet
-        self.use_fec = use_fec
         self.overhead = overhead
-        self._erasure = ErasureCode(self.fec_config)
+        self._erasure = ErasureCode()
         self.announcements_sent = 0
         self.special_packets_sent = 0
         self.special_bits_sent = 0
@@ -77,11 +73,7 @@ class SigmaKeyDistributor:
         announcement = KeyAnnouncement.from_material(
             self.session_id, material, self.group_addresses
         )
-        packets = (
-            self._fec_packets(announcement)
-            if self.use_fec
-            else [self._plain_packet(announcement)]
-        )
+        packets = self._fec_packets(announcement)
         for packet in packets:
             self.host.send(packet)
             self.special_packets_sent += 1
@@ -114,14 +106,6 @@ class SigmaKeyDistributor:
             overhead_bits=size_bytes * 8,
             created_at=self.host.sim.now,
         )
-
-    def _plain_packet(self, announcement: KeyAnnouncement) -> Packet:
-        size = SPECIAL_PACKET_HEADER_BYTES + math.ceil(
-            announcement.payload_bits(self.key_bits, self.slot_bits) / 8
-        )
-        packet = self._base_packet(size)
-        packet.headers[ANNOUNCEMENT_HEADER] = announcement
-        return packet
 
     def _fec_packets(self, announcement: KeyAnnouncement) -> List[Packet]:
         source_symbols = announcement.to_ints()

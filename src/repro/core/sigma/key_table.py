@@ -12,10 +12,9 @@ Old slots are pruned as the slot clock advances so the table stays bounded by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ...simulator.address import GroupAddress
-from ..delta.base import GroupKeys
 from .messages import ABSENT_KEY, KeyAnnouncement
 
 __all__ = ["RouterKeyTable"]
@@ -34,10 +33,6 @@ class RouterKeyTable:
         self.hits = 0
 
     # ------------------------------------------------------------------
-    def store(self, governed_slot: int, group: GroupAddress, keys: GroupKeys) -> None:
-        """Record the keys that open ``group`` during ``governed_slot``."""
-        self._add(governed_slot, int(group), keys.valid_keys())
-
     def store_announcement(self, values: Sequence[int]) -> None:
         """Record every tuple of a serialised announcement (``KeyAnnouncement.to_ints``).
 
@@ -47,19 +42,10 @@ class RouterKeyTable:
         """
         slot, count = KeyAnnouncement.frame(values)
         for at in range(2, 2 + 4 * count, 4):
-            self._add(slot, values[at], [k for k in values[at + 1 : at + 4] if k != ABSENT_KEY])
-
-    def _add(self, governed_slot: int, address: int, keys: Sequence[int]) -> None:
-        if not keys:  # a group with no valid key is not stored (and not counted)
-            return
-        self._table.setdefault((governed_slot, address), set()).update(keys)
-        self.entries_stored += 1
-
-    def store_key_values(
-        self, governed_slot: int, group: GroupAddress, keys: Iterable[int]
-    ) -> None:
-        """Record raw key values (used by tests and replay tooling)."""
-        self._add(governed_slot, int(group), list(keys))
+            keys = [k for k in values[at + 1 : at + 4] if k != ABSENT_KEY]
+            if keys:  # a group with no valid key is not stored (and not counted)
+                self._table.setdefault((slot, values[at]), set()).update(keys)
+                self.entries_stored += 1
 
     # ------------------------------------------------------------------
     def accepts(self, governed_slot: int, group: GroupAddress, submitted: int) -> bool:
@@ -70,14 +56,6 @@ class RouterKeyTable:
             self.hits += 1
             return True
         return False
-
-    def has_keys_for(self, governed_slot: int, group: GroupAddress) -> bool:
-        """True when the router holds any key for (slot, group)."""
-        return bool(self._table.get((governed_slot, int(group))))
-
-    def keys_for(self, governed_slot: int, group: GroupAddress) -> Set[int]:
-        """The stored key set (copy); empty when unknown."""
-        return set(self._table.get((governed_slot, int(group)), set()))
 
     # ------------------------------------------------------------------
     def prune_before(self, oldest_slot_to_keep: int) -> int:
@@ -91,5 +69,3 @@ class RouterKeyTable:
         """Retain only the last ``retained_slots`` slots relative to ``current_slot``."""
         return self.prune_before(current_slot - self.retained_slots + 1)
 
-    def __len__(self) -> int:
-        return len(self._table)

@@ -3,8 +3,8 @@
 Figure 6 of the paper defines the three messages receivers send to their edge
 router, and §3.2.1 describes the special packets through which the sender
 distributes per-slot keys to edge routers.  This module defines all of them
-as dataclasses plus the integer serialisation used when key announcements are
-FEC-protected.
+as dataclasses plus the integer serialisation that FEC coding spreads across
+special packets.
 
 Receiver → edge router (Figure 6):
 
@@ -19,14 +19,15 @@ Sender → edge routers (§3.2.1):
 
 * :class:`KeyAnnouncement` — for one governed slot, the tuple
   ``(group address, top key, decrease key, increase key)`` for every group in
-  the session.  Serialisable to a flat list of field-sized integers so it can
-  be spread across FEC-coded special packets.
+  the session.  It travels only as a flat list of field-sized integers,
+  FEC-coded across special packets; an edge router reads the integers
+  straight into its key table (``RouterKeyTable.store_announcement``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ...simulator.address import GroupAddress
 from ..delta.base import GroupKeys, SlotKeyMaterial
@@ -116,20 +117,6 @@ class KeyAnnouncementEntry:
             self.keys.increase if self.keys.increase is not None else ABSENT_KEY,
         ]
 
-    @classmethod
-    def from_ints(cls, values: Sequence[int]) -> "KeyAnnouncementEntry":
-        if len(values) != 4:
-            raise ValueError(f"expected 4 integers per entry, got {len(values)}")
-        address, top, decrease, increase = values
-        return cls(
-            group=GroupAddress(address),
-            keys=GroupKeys(
-                top=None if top == ABSENT_KEY else top,
-                decrease=None if decrease == ABSENT_KEY else decrease,
-                increase=None if increase == ABSENT_KEY else increase,
-            ),
-        )
-
 
 @dataclass
 class KeyAnnouncement:
@@ -182,30 +169,3 @@ class KeyAnnouncement:
                 f"announcement serialisation truncated: need {expected} ints, got {len(values)}"
             )
         return slot, count
-
-    @classmethod
-    def from_ints(cls, session_id: str, values: Sequence[int]) -> "KeyAnnouncement":
-        slot, count = cls.frame(values)
-        entries = [
-            KeyAnnouncementEntry.from_ints(values[2 + i * 4 : 6 + i * 4])
-            for i in range(count)
-        ]
-        return cls(session_id=session_id, governed_slot=slot, entries=entries)
-
-    # ------------------------------------------------------------------
-    def payload_bits(self, key_bits: int = 16, slot_bits: int = 8) -> int:
-        """Bits of key material carried, per the §5.4 overhead model.
-
-        Each tuple carries a 32-bit group address, a top key, a decrease key
-        for all but the last group, and an increase key when present.
-        """
-        bits = slot_bits
-        for index, entry in enumerate(self.entries):
-            bits += 32  # multicast address
-            if entry.keys.top is not None:
-                bits += key_bits
-            if entry.keys.decrease is not None:
-                bits += key_bits
-            if entry.keys.increase is not None:
-                bits += key_bits
-        return bits

@@ -4,7 +4,7 @@ The agent replaces IGMP at a protected edge router (§3.2.3) and implements
 the two SIGMA tasks of §3.2:
 
 1. **Key acquisition** — intercept the sender's special packets, reassemble
-   (and FEC-decode when needed) the per-slot key announcements, and store the
+   and FEC-decode the per-slot key announcements, and store the
    address-key tuples in the :class:`~repro.core.sigma.key_table.RouterKeyTable`.
 2. **Group management** — process session-join, subscription and
    unsubscription messages from local receivers, verify submitted keys, and
@@ -19,9 +19,9 @@ keys against announced keys, which is Requirement 3 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ...fec.erasure import ErasureCode, FecConfig
+from ...fec.erasure import ErasureCode
 from ...simulator.address import GroupAddress
 from ...simulator.multicast import MulticastRoutingService
 from ...simulator.node import Host, Router
@@ -30,7 +30,6 @@ from ..timeslot import SlotClock
 from .key_table import RouterKeyTable
 from .messages import (
     ANNOUNCEMENT_HEADER,
-    KeyAnnouncement,
     SessionJoinMessage,
     SubscriptionMessage,
     UnsubscriptionMessage,
@@ -81,14 +80,13 @@ class SigmaRouterAgent:
         multicast: MulticastRoutingService,
         slot_clock: SlotClock,
         config: Optional[SigmaConfig] = None,
-        fec_config: Optional[FecConfig] = None,
     ) -> None:
         self.router = router
         self.multicast = multicast
         self.slot_clock = slot_clock
         self.config = config or SigmaConfig()
         self.key_table = RouterKeyTable(retained_slots=self.config.retained_slots)
-        self._erasure = ErasureCode(fec_config or FecConfig())
+        self._erasure = ErasureCode()
         #: (host name, group value) -> access record
         self._access: Dict[Tuple[str, int], AccessRecord] = {}
         #: Hosts indexed by name so slot processing can call the multicast service.
@@ -118,11 +116,8 @@ class SigmaRouterAgent:
         payload = packet.headers.get(ANNOUNCEMENT_HEADER)
         if payload is None:
             return
-        if isinstance(payload, KeyAnnouncement):
-            self._store_announcement(payload.to_ints())
-            return
-        # FEC-coded form: a dict with the symbol slice of a serialised
-        # announcement plus the metadata needed to decode it.
+        # A dict with the symbol slice of a serialised announcement plus the
+        # metadata needed to decode it (announcements always travel coded).
         session_id = payload["session_id"]
         governed_slot = payload["governed_slot"]
         source_count = payload["source_count"]
@@ -137,14 +132,10 @@ class SigmaRouterAgent:
                 values = self._erasure.decode(list(buffer.values()), source_count)
             except ValueError:
                 return
-            self._store_announcement(values)
+            self.key_table.store_announcement(values)
+            self.announcements_decoded += 1
             self._decoded_announcements.add(key)
             del self._symbol_buffers[key]
-
-    def _store_announcement(self, values: Sequence[int]) -> None:
-        """Absorb a serialised announcement, whichever form it travelled in."""
-        self.key_table.store_announcement(values)
-        self.announcements_decoded += 1
 
     # ------------------------------------------------------------------
     # receiver-facing messages

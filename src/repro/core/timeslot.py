@@ -43,7 +43,6 @@ class SlotClock:
         self.duration_s = duration_s
         self.origin_s = origin_s
         self._callbacks: List[Callable[[int], None]] = []
-        self._timer: Optional[PeriodicTimer] = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -96,18 +95,13 @@ class SlotClock:
         now = self.sim.now
         next_slot = self.slot_of(now) + 1
         delay = max(self.start_of(next_slot) - now, 0.0)
-        self._timer = PeriodicTimer(
+        timer = PeriodicTimer(
             self.sim, self.duration_s, self._fire, first_delay=delay if delay > 0 else self.duration_s
         )
         # When we are exactly on a boundary, fire immediately for that slot.
         if delay == 0.0:
             self.sim.schedule(0.0, self._fire)
-        self._timer.start()
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-        self._started = False
+        timer.start()
 
     def _fire(self) -> None:
         slot = self.current_slot

@@ -32,7 +32,6 @@ from ..core.delta import (
 )
 from ..core.sigma import SigmaHostInterface, SigmaKeyDistributor
 from ..crypto.nonce import NonceGenerator
-from ..fec.erasure import FecConfig
 from ..simulator.monitors import OverheadAccumulator
 from ..simulator.node import Host
 from ..simulator.packet import Packet
@@ -58,8 +57,6 @@ class FlidDsSender(LayeredSenderBase):
         rng: Optional[random.Random] = None,
         suppress_unsubscribed_groups: bool = True,
         overhead: Optional[OverheadAccumulator] = None,
-        fec_config: Optional[FecConfig] = None,
-        use_fec: bool = True,
     ) -> None:
         super().__init__(
             network,
@@ -79,8 +76,6 @@ class FlidDsSender(LayeredSenderBase):
             session_id=spec.session_id,
             group_addresses=list(spec.group_addresses),
             key_bits=key_bits,
-            fec_config=fec_config,
-            use_fec=use_fec,
             overhead=overhead,
         )
 

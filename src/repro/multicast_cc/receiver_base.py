@@ -138,7 +138,6 @@ class LayeredReceiverBase(PacketAgent):
         #: Groups from which packets have ever been received (starvation of a
         #: never-seen group is join latency, not congestion).
         self._seen_groups: Set[int] = set()
-        self._timer: Optional[PeriodicTimer] = None
         self._started_at: Optional[float] = None
         self._last_processed_slot = -1
 
@@ -174,15 +173,9 @@ class LayeredReceiverBase(PacketAgent):
         current_slot = int(self.sim.now / slot_duration)
         self._last_processed_slot = current_slot - 1
         first_delay = (current_slot + 1) * slot_duration + DEFAULT_GUARD_S - self.sim.now
-        self._timer = PeriodicTimer(
+        PeriodicTimer(
             self.sim, slot_duration, self._on_timer, first_delay=max(first_delay, 1e-6)
-        )
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Stop evaluating slots (the receiver keeps its memberships)."""
-        if self._timer is not None:
-            self._timer.stop()
+        ).start()
 
     # ------------------------------------------------------------------
     # population, strategies, churn

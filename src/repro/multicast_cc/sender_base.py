@@ -26,8 +26,8 @@ without** :meth:`LayeredSenderBase._catch_up` **first**.  It replays, in time
 order, every parked tick that lies before ``sim.now`` — one jitter draw and
 one ``packets_suppressed`` count each, exactly what the tick would have done
 as an engine event — and runs at the top of every live tick that finds one
-due, ahead of every slot-start hook, in the first-member hook, in
-:meth:`LayeredSenderBase.stop` and on every read of ``packets_suppressed``.
+due, ahead of every slot-start hook, in the first-member hook and on every read
+of ``packets_suppressed``.
 RNG stream, tick times, packets and counters are therefore those of a sender
 that fires every tick; the per-tick loop survives as the oracle in
 ``tests/multicast_cc/test_sender_parking.py``.
@@ -97,10 +97,6 @@ class LayeredSenderBase:
         self._group_seq: Dict[int, int] = {g: 0 for g in range(1, spec.group_count + 1)}
         self._current_upgrades: Tuple[int, ...] = ()
         self._started = False
-        #: Bumped by :meth:`stop`; bootstrap and tick events carry the epoch
-        #: they were scheduled in and return once it is stale, so a restart
-        #: never runs beside the previous start's tick chains.
-        self._epoch = 0
         #: Heap of ``(next firing time, group)`` for the ticks of groups
         #: without members (see the module docstring).
         self._parked: List[Tuple[float, int]] = []
@@ -119,11 +115,9 @@ class LayeredSenderBase:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(delay_s, self._bootstrap, self._epoch)
+        self.sim.schedule(delay_s, self._bootstrap)
 
-    def _bootstrap(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
+    def _bootstrap(self) -> None:
         self._current_upgrades = self._draw_upgrades()
         self._on_slot_start(self.slot_clock.current_slot)
         self.slot_clock.start()
@@ -131,15 +125,7 @@ class LayeredSenderBase:
             # Stagger group start times slightly so slot boundaries do not see
             # synchronised bursts across layers.
             offset = self.rng.uniform(0.0, self.spec.packet_interval_s(group))
-            self.sim.call_after(offset, self._transmit_group, group, epoch)
-
-    def stop(self) -> None:
-        """Stop transmitting; ticks still in the engine return when they fire."""
-        self._catch_up()
-        self._parked.clear()
-        self._epoch += 1
-        self._started = False
-        self.slot_clock.stop()
+            self.sim.call_after(offset, self._transmit_group, group)
 
     # ------------------------------------------------------------------
     # per-slot behaviour (overridden by FLID-DS)
@@ -169,9 +155,7 @@ class LayeredSenderBase:
     # ------------------------------------------------------------------
     # transmission loop
     # ------------------------------------------------------------------
-    def _transmit_group(self, group: int, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
+    def _transmit_group(self, group: int) -> None:
         now = self.sim.now
         parked = self._parked
         if parked and parked[0][0] < now:
@@ -184,11 +168,7 @@ class LayeredSenderBase:
             return
         self._send_group_packet(group, interval)
         spacing = interval * (_JITTER_LOW + _JITTER_SPAN * self.rng.random())
-        self.sim.call_after(spacing, self._transmit_group, group, epoch)
-
-    def _has_subscribers(self, group: int) -> bool:
-        """The membership test :meth:`_transmit_group` makes in place."""
-        return self.network.multicast.has_members(self._group_address[group])
+        self.sim.call_after(spacing, self._transmit_group, group)
 
     def _send_group_packet(self, group: int, interval: float) -> None:
         now = self.sim.now
@@ -251,7 +231,7 @@ class LayeredSenderBase:
             if entry[1] == group:
                 parked.remove(entry)
                 heapify(parked)
-                self.sim.call_at(entry[0], self._transmit_group, group, self._epoch)
+                self.sim.call_at(entry[0], self._transmit_group, group)
                 return
 
     @property

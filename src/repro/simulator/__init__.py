@@ -30,10 +30,10 @@ from .monitors import (
 )
 from .multicast import MulticastRoutingService
 from .node import ControlChannel, Host, Node, PacketAgent, Router
-from .packet import DEFAULT_DATA_PACKET_BYTES, Packet, PacketFactory
+from .packet import Packet
 from .queues import DropTailQueue, QueueStats
 from .rng import RandomStreams
-from .routing import RoutingError, compute_routes, shortest_path
+from .routing import compute_routes
 from .topology import (
     TOPOLOGIES,
     LinkSpec,
@@ -87,14 +87,10 @@ __all__ = [
     "Node",
     "PacketAgent",
     "Router",
-    "DEFAULT_DATA_PACKET_BYTES",
     "Packet",
-    "PacketFactory",
     "DropTailQueue",
     "QueueStats",
     "RandomStreams",
-    "RoutingError",
     "compute_routes",
-    "shortest_path",
     "Network",
 ]

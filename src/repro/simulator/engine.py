@@ -22,10 +22,9 @@ Design notes
 * :meth:`Event.cancel` removes its entry from the heap *eagerly*
   (``heap.remove`` + ``heapify``).  There are no lazy tombstones anywhere —
   the heap never retains cancelled events, so its size is exactly the number
-  of live events even under timer churn (flapping receivers).  The price is
-  that **``cancel()`` is O(live events)**: it is for control-plane timers
-  (a stopped source, an emptied timer group).  A per-packet timer keeps a
-  deadline and lets one wake re-arm itself, as
+  of live events.  The price is that **``cancel()`` is O(live events)**: it
+  is for control-plane timers (a stopped CBR source).  A per-packet timer
+  keeps a deadline and lets one wake re-arm itself, as
   :class:`~repro.transport.tcp.TcpRenoSender` does for its RTO.
 * Recurring activities are provided by :class:`PeriodicTimer`.  Timers with
   the same interval that fire at the same instant (FLID slot timers, SIGMA
@@ -111,7 +110,7 @@ class Event:
         self.cancelled = True
         try:
             self._heap.remove(self._entry)
-        except ValueError:  # already executed (or cleared)
+        except ValueError:  # already executed
             return
         heapq.heapify(self._heap)
 
@@ -145,7 +144,6 @@ class Simulator:
         self._timer_groups: Dict[Tuple[float, float], "_TimerGroup"] = {}
         self._seq = 0
         self._now = 0.0
-        self._stopped = False
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -234,44 +232,12 @@ class Simulator:
         if group is None:
             group = _TimerGroup(self, fire_time, timer._interval)
             self._timer_groups[key] = group
-            group.event = self.schedule_at(fire_time, group._fire)
+            self.call_at(fire_time, group._fire)
         group.members.append(timer)
-        timer._group = group
-
-    def _timer_group_leave(self, timer: "PeriodicTimer") -> None:
-        """Remove ``timer`` from its group, cancelling an empty group's wakeup."""
-        group = timer._group
-        timer._group = None
-        if group is None:
-            return
-        try:
-            group.members.remove(timer)
-        except ValueError:  # already detached by a firing group
-            return
-        if not group.members and not group.firing:
-            if group.event is not None:
-                group.event.cancel()
-                group.event = None
-            self._timer_groups.pop((group.next_time, group.interval), None)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Execute the single next pending event.
-
-        Returns a handle describing the event executed, or ``None`` if the
-        heap is empty.  :meth:`run` is the efficient bulk driver; ``step``
-        exists for tests and debugging.
-        """
-        if not self._heap:
-            return None
-        entry = heapq.heappop(self._heap)
-        self._now = entry[0]
-        entry[2](*entry[3])
-        self._events_executed += 1
-        return Event(entry, self._heap)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -298,13 +264,12 @@ class Simulator:
             clock advances to the barrier, and the barrier's own events fire
             first on the next :meth:`run`.
         """
-        self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
         executed = 0
         counted = max_events is not None
         try:
-            while heap and not self._stopped:
+            while heap:
                 if counted and executed >= max_events:
                     break
                 entry = heap[0]
@@ -319,19 +284,10 @@ class Simulator:
             self._events_executed += executed
         # Advance only across an empty stretch: after a ``max_events`` stop,
         # events the run should have reached are still queued.
-        if until is not None and self._now < until and not self._stopped and (
+        if until is not None and self._now < until and (
             not heap or heap[0][0] > until or (not inclusive and heap[0][0] >= until)
         ):
             self._now = until
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` loop after the executing event."""
-        self._stopped = True
-
-    def clear(self) -> None:
-        """Drop all pending events without executing them."""
-        self._heap.clear()
-        self._timer_groups.clear()
 
 
 class _TimerGroup:
@@ -339,55 +295,41 @@ class _TimerGroup:
 
     A group fires all member callbacks in registration order — the same
     FIFO order the members' separate events would have had — then
-    reschedules itself one interval ahead.
+    reschedules itself one interval ahead.  Timers never stop, so every
+    member fires on every beat of the run.
     """
 
-    __slots__ = ("sim", "next_time", "interval", "members", "event", "firing")
+    __slots__ = ("sim", "next_time", "interval", "members")
 
     def __init__(self, sim: Simulator, next_time: float, interval: float) -> None:
         self.sim = sim
         self.next_time = next_time
         self.interval = interval
         self.members: List["PeriodicTimer"] = []
-        self.event: Optional[Event] = None
-        self.firing = False
 
     def _fire(self) -> None:
         sim = self.sim
         sim._timer_groups.pop((self.next_time, self.interval), None)
-        self.event = None
-        self.firing = True
-        survivors: List["PeriodicTimer"] = []
-        for timer in list(self.members):
-            if not timer._running or timer._group is not self:
-                continue
+        # A timer started by a callback below joins a group of its own: this
+        # one has already left ``_timer_groups``.
+        members = self.members
+        for timer in members:
             timer._callback()
-            if timer._running and timer._group is self:
-                survivors.append(timer)
-        self.firing = False
-        self.members = []
-        if not survivors:
-            return
         next_time = sim._now + self.interval
         key = (next_time, self.interval)
         existing = sim._timer_groups.get(key)
         if existing is not None:
             # A timer started during this firing already claimed the beat;
-            # survivors keep their earlier registration order ahead of it.
-            existing.members[0:0] = survivors
-            for timer in survivors:
-                timer._group = existing
+            # the members keep their earlier registration order ahead of it.
+            existing.members[0:0] = members
             return
         self.next_time = next_time
-        self.members = survivors
-        for timer in survivors:
-            timer._group = self
         sim._timer_groups[key] = self
-        self.event = sim.schedule_at(next_time, self._fire)
+        sim.call_at(next_time, self._fire)
 
 
 class PeriodicTimer:
-    """Fires a callback every ``interval`` seconds until stopped.
+    """Fires a callback every ``interval`` seconds for the rest of the run.
 
     The first firing happens ``interval`` seconds after :meth:`start`
     (or after ``first_delay`` when supplied).  The callback receives no
@@ -396,8 +338,7 @@ class PeriodicTimer:
     Timers sharing an interval and a beat (for example the per-receiver
     FLID slot-evaluation timers, which all fire at ``slot + guard``) are
     coalesced by the engine into one heap event per beat; see
-    :class:`_TimerGroup`.  Stopping a timer detaches it from its group
-    eagerly, so no cancelled work lingers in the heap.
+    :class:`_TimerGroup`.
     """
 
     def __init__(
@@ -413,28 +354,11 @@ class PeriodicTimer:
         self._interval = interval
         self._callback = callback
         self._first_delay = interval if first_delay is None else first_delay
-        self._group: Optional[_TimerGroup] = None
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        """True while the timer is scheduled to keep firing."""
-        return self._running
-
-    @property
-    def interval(self) -> float:
-        """Firing interval in simulated seconds."""
-        return self._interval
-
     def start(self) -> None:
-        """Begin firing; idempotent while running."""
+        """Begin firing; idempotent."""
         if self._running:
             return
         self._running = True
         self._sim._timer_group_join(self, self._sim.now + self._first_delay)
-
-    def stop(self) -> None:
-        """Stop firing and leave the shared wakeup group eagerly."""
-        self._running = False
-        if self._group is not None:
-            self._sim._timer_group_leave(self)

@@ -152,11 +152,6 @@ class IgmpHostInterface:
             handler, *args, size_bytes=IgmpGroupManager.REPORT_SIZE_BYTES
         )
 
-    def leave_all(self) -> None:
-        """Send a leave report for every currently joined group."""
-        for value in list(self.joined):
-            self.leave(GroupAddress(value))
-
     # ------------------------------------------------------------------
     def _manager(self):
         manager = self.host.edge_router.group_manager

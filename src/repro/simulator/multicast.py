@@ -18,7 +18,7 @@ routing plane) dominates responsiveness.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .address import GroupAddress
 from .engine import Simulator
@@ -223,8 +223,3 @@ class MulticastRoutingService:
                 rows.append((link, link.dst, isinstance(link.dst, Host)))
         table[router.name] = rows
         return rows
-
-    # ------------------------------------------------------------------
-    def groups(self) -> Iterable[GroupAddress]:
-        """Every group with at least one member."""
-        return [GroupAddress(value) for value, members in self._members.items() if members]

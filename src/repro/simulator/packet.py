@@ -38,19 +38,14 @@ profile.  Three choices keep them cheap:
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from .address import GroupAddress, NodeAddress
 
 __all__ = [
     "Packet",
-    "PacketFactory",
     "PacketPool",
-    "DEFAULT_DATA_PACKET_BYTES",
 ]
-
-#: Default data packet size used throughout §5.1-§5.3 of the paper.
-DEFAULT_DATA_PACKET_BYTES = 576
 
 _packet_ids = itertools.count(1)
 
@@ -253,42 +248,3 @@ class PacketPool:
         packet.source = None  # type: ignore[assignment]
         packet.destination = None  # type: ignore[assignment]
         free.append(packet)
-
-
-class PacketFactory:
-    """Creates packets stamped with the current simulated time.
-
-    Senders hold a factory bound to the simulator clock so every packet's
-    ``created_at`` reflects its true send time, which end-to-end delay and
-    throughput monitors rely on.
-    """
-
-    def __init__(self, clock, default_size: int = DEFAULT_DATA_PACKET_BYTES) -> None:
-        """``clock`` is any object with a ``now`` attribute (usually the Simulator)."""
-        self._clock = clock
-        self._default_size = default_size
-
-    @property
-    def default_size(self) -> int:
-        """Packet size used when :meth:`make` is not given one."""
-        return self._default_size
-
-    def make(
-        self,
-        source: NodeAddress,
-        destination: "NodeAddress | GroupAddress",
-        size_bytes: Optional[int] = None,
-        protocol: str = "data",
-        headers: Optional[dict[str, Any]] = None,
-        overhead_bits: int = 0,
-    ) -> Packet:
-        """Create a packet stamped with the current simulated time."""
-        return Packet(
-            source=source,
-            destination=destination,
-            size_bytes=self._default_size if size_bytes is None else size_bytes,
-            protocol=protocol,
-            headers=headers or {},
-            overhead_bits=overhead_bits,
-            created_at=self._clock.now,
-        )

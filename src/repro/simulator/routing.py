@@ -22,11 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 from .link import Link
 from .node import Node
 
-__all__ = ["compute_routes", "shortest_path", "RoutingError"]
-
-
-class RoutingError(RuntimeError):
-    """Raised when a path is requested between disconnected nodes."""
+__all__ = ["compute_routes"]
 
 
 def _adjacency(nodes: Iterable[Node]) -> Dict[str, List[Tuple[float, Link]]]:
@@ -75,36 +71,3 @@ def compute_routes(nodes: Iterable[Node]) -> None:
             int(by_name[dest_name].address): link
             for dest_name, link in first_hop.items()
         }
-
-
-def shortest_path(src: Node, dst: Node) -> List[Node]:
-    """Return the node sequence of the delay-shortest path from src to dst.
-
-    Used by the multicast service to discover which routers lie on the path
-    toward a member host.  Raises :class:`RoutingError` when no path exists.
-    """
-    if src is dst:
-        return [src]
-    dist: Dict[str, float] = {src.name: 0.0}
-    prev: Dict[str, Node] = {}
-    heap: List[Tuple[float, str, Node]] = [(0.0, src.name, src)]
-    visited: set[str] = set()
-    while heap:
-        d, name, node = heapq.heappop(heap)
-        if name in visited:
-            continue
-        visited.add(name)
-        if node is dst:
-            path = [dst]
-            while path[-1] is not src:
-                path.append(prev[path[-1].name])
-            path.reverse()
-            return path
-        for link in node.links.values():
-            neighbour = link.dst
-            nd = d + link.delay_s + 1e-12 / link.bandwidth_bps
-            if nd < dist.get(neighbour.name, float("inf")):
-                dist[neighbour.name] = nd
-                prev[neighbour.name] = node
-                heapq.heappush(heap, (nd, neighbour.name, neighbour))
-    raise RoutingError(f"no path from {src.name} to {dst.name}")

@@ -116,10 +116,6 @@ class OnOffCbrSource:
         self.sim = host.sim
         self._running = False
 
-    @property
-    def packets_sent(self) -> int:
-        return self.source.packets_sent
-
     # ------------------------------------------------------------------
     def start(self, delay_s: float = 0.0) -> None:
         if self._running:
@@ -134,9 +130,6 @@ class OnOffCbrSource:
             self.sim.schedule(delay_s, self._enter_on)
         else:
             self.sim.schedule(delay_s, self._enter_off)
-
-    def stop(self) -> None:
-        self._shutdown()
 
     # ------------------------------------------------------------------
     def _enter_on(self) -> None:

@@ -24,6 +24,7 @@ from repro.experiments import (
     Scenario,
     ScenarioSpec,
     SessionDecl,
+    attack_duel_spec,
     scenario_spec,
 )
 
@@ -209,6 +210,28 @@ class TestComposition:
         assert not attacker.attacking
         guesses_at_stop = attacker.adversary_stats()["guess_attempts"]
         assert guesses_at_stop > 0
+
+    @pytest.mark.parametrize("stop_s", [11.0, None])
+    def test_churn_stop_abandons_the_groups_above_the_level(self, stop_s):
+        """Stopped in its high phase, churn leaves every group it joined above
+        ``ctx.level``; never stopped, it ends holding them (unprotected
+        flapping duel, 4 s period: high at 10-12 s and again at 18-20 s)."""
+        attack = AttackSpec("churn", start_s=2.0, stop_s=stop_s, params={"period_s": 4.0})
+        spec = attack_duel_spec("attack-flapping", attack, protected=False, duration_s=20.0)
+        scenario = Scenario.from_spec(spec)
+        scenario.run(20.0)
+        attacker = scenario.sessions[0].receivers[0]
+        held = sorted(
+            attacker.spec.group_index_of(address)
+            for address in scenario.network.multicast.groups_of(attacker.host)
+        )
+        strategy = attacker.strategies[0]
+        if stop_s is None:
+            assert not strategy.stopped
+            assert (attacker.level, held) == (3, [1, 2, 3, *range(5, 11)])
+        else:
+            assert strategy.stopped and not strategy._joined
+            assert held == list(range(1, attacker.level + 1)) == [1]
 
     def test_legacy_misbehaving_translates_to_strategy_stack(self):
         spec = ScenarioSpec(

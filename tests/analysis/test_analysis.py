@@ -3,9 +3,7 @@
 import pytest
 
 from repro.analysis import (
-    bandwidth_shares,
     convergence_time,
-    format_series_table,
     format_table,
     jain_index,
     levels_converged,
@@ -36,14 +34,6 @@ class TestFairness:
         assert max_min_ratio([100, 0]) == float("inf")
         assert max_min_ratio([]) == 1.0
         assert max_min_ratio([0, 0]) == 1.0
-
-    def test_bandwidth_shares_normalise(self):
-        shares = bandwidth_shares({"a": 300, "b": 100})
-        assert shares["a"] == pytest.approx(0.75)
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_bandwidth_shares_zero_total(self):
-        assert bandwidth_shares({"a": 0.0}) == {"a": 0.0}
 
 
 class TestConvergence:
@@ -89,8 +79,3 @@ class TestReporting:
     def test_format_table_handles_wide_cells(self):
         text = format_table(["x"], [["a-very-long-cell-value"]])
         assert "a-very-long-cell-value" in text
-
-    def test_format_series_table(self):
-        text = format_series_table("Figure 8(e)", [(1.0, 100.0), (2.0, 200.0)])
-        assert text.startswith("Figure 8(e)")
-        assert "1.00" in text and "200.0" in text

@@ -6,8 +6,8 @@ from repro.analysis.protection import (
     combined_containment_s,
     excess_goodput_kbps,
     goodput_containment_s,
-    honest_baseline_kbps,
     time_to_containment_s,
+    weighted_honest_baseline_kbps,
 )
 from repro.analysis.golden import subscription_vector
 
@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 class TestBaselineAndExcess:
     def test_baseline_means_honest_rates(self):
-        assert honest_baseline_kbps([100.0, 200.0], 250.0) == 150.0
+        assert weighted_honest_baseline_kbps([(100.0, 1), (200.0, 1)], 250.0) == 150.0
+        assert weighted_honest_baseline_kbps([(100.0, 3), (200.0, 1)], 250.0) == 125.0
 
     def test_baseline_falls_back_without_honest_receivers(self):
-        assert honest_baseline_kbps([], 250.0) == 250.0
+        assert weighted_honest_baseline_kbps([], 250.0) == 250.0
 
     def test_excess_is_signed(self):
         assert excess_goodput_kbps(300.0, 250.0) == 50.0

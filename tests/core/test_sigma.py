@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.delta.base import GroupKeys, SlotKeyMaterial
 from repro.core.sigma import (
+    ANNOUNCEMENT_HEADER,
     KeyAnnouncement,
     KeyAnnouncementEntry,
     RouterKeyTable,
@@ -15,13 +16,21 @@ from repro.core.sigma import (
     SubscriptionMessage,
     UnsubscriptionMessage,
 )
+from repro.core.sigma.messages import ABSENT_KEY
 from repro.core.timeslot import KEY_PIPELINE_DEPTH, SlotClock
-from repro.simulator import Network, Simulator
+from repro.fec import FecConfig
+from repro.simulator import IgmpHostInterface, Network, Simulator, install_igmp
 from repro.simulator.address import MULTICAST_BASE, GroupAddress
 
 
 def group(n):
     return GroupAddress(MULTICAST_BASE + n)
+
+
+def seed_keys(table, slot, address, *keys):
+    """Store ``keys`` (top, decrease, increase) for one group, as an announcement does."""
+    entry = KeyAnnouncementEntry(address, GroupKeys(*keys))
+    table.store_announcement(KeyAnnouncement("s", slot, [entry]).to_ints())
 
 
 class TestSlotClock:
@@ -50,15 +59,6 @@ class TestSlotClock:
         with pytest.raises(ValueError):
             SlotClock(Simulator(), 0.0)
 
-    def test_stop_prevents_callbacks(self):
-        sim = Simulator()
-        clock = SlotClock(sim, 0.5)
-        fired = []
-        clock.on_slot_start(fired.append)
-        clock.start()
-        sim.schedule(1.1, clock.stop)
-        sim.run(until=3.0)
-        assert fired == [1, 2]
 
 
 class TestMessages:
@@ -68,12 +68,16 @@ class TestMessages:
             KeyAnnouncementEntry(group(2), GroupKeys(top=20, decrease=None, increase=22)),
         ]
         announcement = KeyAnnouncement("s", governed_slot=7, entries=entries)
-        restored = KeyAnnouncement.from_ints("s", announcement.to_ints())
-        assert restored.governed_slot == 7
-        assert restored.entries[0].keys.top == 10
-        assert restored.entries[0].keys.increase is None
-        assert restored.entries[1].keys.increase == 22
-        assert int(restored.entries[1].group) == int(group(2))
+        values = announcement.to_ints()
+        assert KeyAnnouncement.frame(values) == (7, 2)
+        table = RouterKeyTable()
+        table.store_announcement(values)
+        assert table.entries_stored == 2
+        assert table.accepts(7, group(1), 10) and table.accepts(7, group(1), 11)
+        assert table.accepts(7, group(2), 20) and table.accepts(7, group(2), 22)
+        assert not table.accepts(7, group(1), ABSENT_KEY)  # the absent increase key
+        assert not table.accepts(7, group(2), 11)
+        assert not table.accepts(8, group(1), 10)
 
     def test_announcement_from_material(self):
         material = SlotKeyMaterial(
@@ -91,16 +95,7 @@ class TestMessages:
 
     def test_truncated_serialisation_rejected(self):
         with pytest.raises(ValueError):
-            KeyAnnouncement.from_ints("s", [5, 2, 1, 2, 3])
-
-    def test_payload_bits_counts_present_keys(self):
-        entries = [
-            KeyAnnouncementEntry(group(1), GroupKeys(top=10, decrease=11)),
-            KeyAnnouncementEntry(group(2), GroupKeys(top=20)),
-        ]
-        announcement = KeyAnnouncement("s", 0, entries)
-        # 8-bit slot + 2*32-bit addresses + 3 keys of 16 bits.
-        assert announcement.payload_bits(16, 8) == 8 + 64 + 48
+            KeyAnnouncement.frame([5, 2, 1, 2, 3])
 
     def test_message_sizes(self):
         assert SessionJoinMessage("s", group(1)).size_bytes() > 0
@@ -118,37 +113,31 @@ class TestMessages:
 class TestRouterKeyTable:
     def test_accepts_any_stored_key(self):
         table = RouterKeyTable()
-        table.store(4, group(1), GroupKeys(top=100, decrease=200, increase=300))
+        seed_keys(table, 4, group(1), 100, 200, 300)
         assert table.accepts(4, group(1), 100)
         assert table.accepts(4, group(1), 200)
         assert table.accepts(4, group(1), 300)
 
     def test_rejects_wrong_key_slot_or_group(self):
         table = RouterKeyTable()
-        table.store(4, group(1), GroupKeys(top=100))
+        seed_keys(table, 4, group(1), 100)
         assert not table.accepts(4, group(1), 101)
         assert not table.accepts(5, group(1), 100)
         assert not table.accepts(4, group(2), 100)
 
     def test_prune_drops_old_slots(self):
         table = RouterKeyTable(retained_slots=2)
-        table.store(1, group(1), GroupKeys(top=1))
-        table.store(5, group(1), GroupKeys(top=5))
+        seed_keys(table, 1, group(1), 1)
+        seed_keys(table, 5, group(1), 5)
         table.prune_for_current_slot(6)
         assert not table.accepts(1, group(1), 1)
         assert table.accepts(5, group(1), 5)
 
     def test_empty_keys_not_stored(self):
         table = RouterKeyTable()
-        table.store(1, group(1), GroupKeys())
-        assert len(table) == 0
-
-    def test_keys_for_and_has_keys(self):
-        table = RouterKeyTable()
-        table.store_key_values(2, group(3), [7, 8])
-        assert table.has_keys_for(2, group(3))
-        assert table.keys_for(2, group(3)) == {7, 8}
-        assert not table.has_keys_for(3, group(3))
+        seed_keys(table, 1, group(1))
+        assert table.entries_stored == 0
+        assert not table.accepts(1, group(1), ABSENT_KEY)
 
     def test_retained_slots_validation(self):
         with pytest.raises(ValueError):
@@ -191,7 +180,7 @@ class TestSigmaRouterAgent:
 
     def test_valid_key_extends_access(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
-        agent.key_table.store_key_values(3, group(1), [42])
+        seed_keys(agent.key_table, 3, group(1), 42)
         sigma = SigmaHostInterface(receiver, "s")
         sigma.session_join(group(1))
         sigma.subscribe(3, [(group(1), 42)])
@@ -201,7 +190,7 @@ class TestSigmaRouterAgent:
 
     def test_invalid_key_is_rejected_and_counted(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
-        agent.key_table.store_key_values(3, group(2), [42])
+        seed_keys(agent.key_table, 3, group(2), 42)
         sigma = SigmaHostInterface(receiver, "s")
         sigma.subscribe(3, [(group(2), 41)])
         net.run(until=1.1)
@@ -211,7 +200,7 @@ class TestSigmaRouterAgent:
     def test_guess_alarm_raised_after_threshold(self):
         config = SigmaConfig(guess_alarm_threshold=3)
         net, sender, receiver, edge, agent, clock = build_sigma_network(config=config)
-        agent.key_table.store_key_values(3, group(1), [999])
+        seed_keys(agent.key_table, 3, group(1), 999)
         sigma = SigmaHostInterface(receiver, "s")
         sigma.subscribe(3, [(group(1), k) for k in (1, 2, 3, 4)])
         net.run(until=0.2)
@@ -235,8 +224,8 @@ class TestSigmaRouterAgent:
 
     def test_unsubscription_leaves_the_other_groups_forwarded(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
-        agent.key_table.store_key_values(3, group(1), [41])
-        agent.key_table.store_key_values(3, group(2), [42])
+        seed_keys(agent.key_table, 3, group(1), 41)
+        seed_keys(agent.key_table, 3, group(2), 42)
         sigma = SigmaHostInterface(receiver, "s")
         sigma.subscribe(3, [(group(1), 41), (group(2), 42)])
         net.run(until=0.80)  # inside slot 3 (0.75 - 1.0)
@@ -266,7 +255,7 @@ class TestSigmaRouterAgent:
 
     def test_revocation_at_slot_boundary_without_renewal(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
-        agent.key_table.store_key_values(2, group(1), [7])
+        seed_keys(agent.key_table, 2, group(1), 7)
         sigma = SigmaHostInterface(receiver, "s")
         sigma.subscribe(2, [(group(1), 7)])
         net.run(until=0.6)  # slot 2 in progress, access granted
@@ -295,25 +284,25 @@ class TestKeyDistribution:
         # subscribed; bootstrap via session join.
         SigmaHostInterface(receiver, "s").session_join(group(1))
         net.run(until=0.05)
-        distributor = SigmaKeyDistributor(
-            sender, "s", [group(1), group(2), group(3)], use_fec=True
-        )
+        distributor = SigmaKeyDistributor(sender, "s", [group(1), group(2), group(3)])
         distributor.announce(self._material())
         net.run(until=0.3)
         assert agent.announcements_decoded == 1
         assert agent.key_table.accepts(4, group(2), 20)
 
-    def test_plain_announcement_without_fec(self):
+    def test_announcements_travel_only_as_coded_symbols(self):
+        """Sender and router build the same default code; every special
+        packet carries a slice of the z = 2 coded symbols, nothing else."""
         net, sender, receiver, edge, agent, clock = build_sigma_network()
-        SigmaHostInterface(receiver, "s").session_join(group(1))
-        net.run(until=0.05)
-        distributor = SigmaKeyDistributor(
-            sender, "s", [group(1), group(2), group(3)], use_fec=False
-        )
+        distributor = SigmaKeyDistributor(sender, "s", [group(g) for g in range(1, 4)])
+        assert distributor._erasure.config == agent._erasure.config == FecConfig()
         packets = distributor.announce(self._material())
-        assert len(packets) == 1
-        net.run(until=0.3)
-        assert agent.key_table.accepts(4, group(1), 10)
+        payloads = [packet.headers[ANNOUNCEMENT_HEADER] for packet in packets]
+        fields = {"session_id", "governed_slot", "source_count", "symbols"}
+        assert all(set(payload) == fields for payload in payloads)
+        source_count = payloads[0]["source_count"]
+        assert source_count == 2 + 3 * 4
+        assert sum(len(p["symbols"]) for p in payloads) == 2 * source_count
 
     def test_special_packets_not_delivered_to_hosts(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
@@ -326,11 +315,43 @@ class TestKeyDistribution:
         receiver.register_group_agent(group(1), Spy())
         SigmaHostInterface(receiver, "s").session_join(group(1))
         net.run(until=0.05)
-        SigmaKeyDistributor(sender, "s", [group(1)], use_fec=False).announce(
+        packets = SigmaKeyDistributor(sender, "s", [group(1)]).announce(
             self._material(groups=1)
         )
         net.run(until=0.3)
+        assert packets and agent.announcements_decoded == 1
         assert not delivered
+
+    def test_igmp_edge_ignores_special_packets(self):
+        """An unprotected edge forwards the session but absorbs no keys and
+        hands no special packet to its hosts (mixed IGMP/SIGMA deployments)."""
+        net = Network()
+        sender = net.add_host("sender")
+        receiver = net.add_host("receiver")
+        core = net.add_router("core")
+        edge = net.add_router("edge")
+        net.attach_host(sender, core, 10e6, 0.001)
+        net.duplex_link(core, edge, 10e6, 0.005)
+        net.attach_host(receiver, edge, 10e6, 0.001)
+        net.build_routes()
+        manager = install_igmp(edge, net.multicast)
+        delivered = []
+
+        class Spy:
+            def handle_packet(self, packet):
+                delivered.append(packet)
+
+        receiver.register_group_agent(group(1), Spy())
+        IgmpHostInterface(receiver).join(group(1))
+        net.run(until=0.05)
+        packets = SigmaKeyDistributor(sender, "s", [group(1), group(2)]).announce(
+            self._material(groups=2)
+        )
+        net.run(until=0.3)
+        assert edge.multicast_packets_forwarded == len(packets) > 0
+        assert not delivered
+        assert (manager.joins_handled, manager.leaves_handled) == (1, 0)
+        assert manager.memberships == {"receiver": {int(group(1))}}
 
     def test_fec_decoding_survives_packet_loss(self):
         """Drop every other special packet; the announcement must still decode."""
@@ -350,8 +371,8 @@ class TestKeyDistribution:
         assert agent.announcements_decoded == 1
         assert agent.key_table.accepts(4, group(10), 100)
 
-    def test_coded_and_plain_forms_fill_the_table_alike(self):
-        """One absorb routine: FEC symbols (systematic or parity) and the plain object agree."""
+    def test_systematic_and_parity_symbols_fill_the_table_alike(self):
+        """Either half of the FEC symbols decodes to the same key table."""
         keys = {
             g: GroupKeys(
                 top=g * 10,
@@ -366,24 +387,22 @@ class TestKeyDistribution:
             "s", SlotKeyMaterial(governed_slot=6, keys=keys), groups
         )
         agents = []
-        for form in ("systematic", "parity", "plain"):
+        for form in ("systematic", "parity"):
             net, sender, receiver, edge, agent, clock = build_sigma_network()
             distributor = SigmaKeyDistributor(sender, "s", groups, symbols_per_packet=6)
-            if form == "plain":
-                packets = [distributor._plain_packet(announcement)]
-            else:
-                packets = distributor._fec_packets(announcement)
-                if form == "parity":  # symbols 43..84 of 84: every source symbol interpolated
-                    packets = packets[len(packets) // 2 :]
+            packets = distributor._fec_packets(announcement)
+            if form == "parity":  # symbols 43..84 of 84: every source symbol interpolated
+                packets = packets[len(packets) // 2 :]
             for packet in packets:
                 agent.handle_control_packet(packet)
             agents.append(agent)
         for agent in agents:
             assert agent.announcements_decoded == 1
             assert agent.key_table.entries_stored == 9
-            assert len(agent.key_table) == 9
             for g in range(1, 11):
-                assert agent.key_table.keys_for(6, group(g)) == set(keys[g].valid_keys())
+                for key in keys[g].valid_keys():
+                    assert agent.key_table.accepts(6, group(g), key)
+                assert not agent.key_table.accepts(6, group(g), g * 10 + 3)
 
     def test_truncated_serialisation_stores_nothing(self):
         class Truncated(KeyAnnouncement):
@@ -403,7 +422,6 @@ class TestKeyDistribution:
             agent.key_table.store_announcement(cut.to_ints())
         with pytest.raises(ValueError, match="too short"):
             agent.key_table.store_announcement(whole.to_ints()[:1])
-        assert len(agent.key_table) == 0
         assert agent.key_table.entries_stored == 0
         assert agent.announcements_decoded == 0
 

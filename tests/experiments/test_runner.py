@@ -348,6 +348,61 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "error: argument --seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_profile_top_must_be_positive(self, top, capsys):
+        """``--top -3`` used to print every row but the last three (pstats
+        slices ``[:-3]``) and ``--top 0`` none."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "figure1-attack", f"--top={top}"])
+        assert exit_info.value.code == 2
+        assert "error: argument --top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "beneath-a-file"])
+    def test_cache_dir_that_names_a_file_exits_2(self, tmp_path, below):
+        """``run --cache-dir <regular file>`` used to run the cell, then die
+        storing it with a ``FileExistsError`` traceback and exit 1."""
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "figure1-attack",
+             "--duration", "12", "--cache-dir", str(blocker / below)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: --cache-dir")
+        assert "Traceback" not in proc.stderr
+        assert blocker.read_text() == "not a directory"
+
+    def test_missing_cache_dir_is_made_on_first_write(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        cache = tmp_path / "a" / "b"
+        argv = ["run", "figure8-throughput", "--duration", "5", "--param", "count=1"]
+        assert main([*argv, "--cache-dir", str(cache)]) == 0
+        assert len(list(cache.glob("*.json"))) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["prune", "--max-bytes", "0"]], ids=["stats", "prune"]
+    )
+    def test_cache_command_needs_an_existing_directory(self, tmp_path, command, kind, capsys):
+        """A mistyped path used to read as an empty cache (``0 entries``,
+        ``deleted 0 file(s)``) and exit 0."""
+        from repro.__main__ import main
+
+        path = tmp_path / "cache"
+        if kind == "file":
+            path.write_text("not a directory")
+        assert main(["cache", *command, "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --cache-dir")
+        assert captured.out == ""
+
 
 class TestCacheHardening:
     """Torn/corrupt/concurrent cache entries must never poison a run."""
@@ -475,6 +530,18 @@ class TestCacheHardening:
         with pytest.raises(ValueError, match="invalid store key"):
             cache.store_key("../outside", result.to_json())
         assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.json"]
+
+
+    def test_store_publishes_under_the_specs_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = execute_spec(fast_spec())
+        cache.store(fast_spec(), result.to_json())
+        entry = tmp_path / f"{ResultCache.key(fast_spec())}.json"
+        assert entry.read_text() == result.to_json()
+        assert cache.load(fast_spec()).to_json() == result.to_json()
+        assert cache.load(fast_spec(seed=1)) is None
+        ResultCache(None).store(fast_spec(), result.to_json())  # no directory: no-op
+        assert [path.name for path in tmp_path.iterdir()] == [entry.name]
 
 
 class TestOnePipeline:

@@ -400,7 +400,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -443,7 +443,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -465,7 +465,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -491,7 +491,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -512,7 +512,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 11
+    assert CHECKPOINT_VERSION == 12
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -527,6 +527,33 @@ def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     assert scenario.duration_s == plan.barrier_s
     assert not hasattr(scenario.sessions[0].receivers[0], "guard_s")
     stale = pickle.dumps((10, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 11 simulators carried a stop flag, senders a restart epoch in
+    every pending tick and timer groups a wakeup handle; its blobs are
+    refused by the stamp."""
+    assert CHECKPOINT_VERSION == 12
+    plan = plan_prefix(
+        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    )
+    key = plan.checkpoint_key()
+    payload = json.dumps(
+        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
+         "dir": str(tmp_path), "key": key}
+    )
+    store = CheckpointStore(tmp_path)
+    run_checkpoint_json(payload)
+    scenario = store.load(key)
+    sim = scenario.network.sim
+    assert set(vars(sim)) == {"_heap", "_timer_groups", "_seq", "_now", "_events_executed"}
+    ticks = [entry[3] for entry in sim._heap if entry[2].__name__ == "_transmit_group"]
+    assert ticks and all(len(args) == 1 for args in ticks)  # the group, nothing else
+    stale = pickle.dumps((11, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False

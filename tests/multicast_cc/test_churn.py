@@ -170,6 +170,37 @@ def test_sigma_member_counts_follow_the_process():
     assert agent.valid_submissions > 0
 
 
+def test_sigma_departures_are_silent_and_shrink_the_next_stamp():
+    """Protected: a departure wave sends no SIGMA message; the cohort's next
+    subscription already speaks for the shrunken population."""
+    process = ChurnProcess(burst=((8.0, -60),))
+    scenario = Scenario.from_spec(_churned_spec(True, process, generous=True))
+    receiver = scenario.sessions[0].receivers[0]
+    agent = scenario.sigma
+    messages = []
+
+    def recording(handler):
+        def record(host, message):
+            messages.append((type(message).__name__, message.member_count))
+            handler(host, message)
+
+        return record
+
+    agent.handle_session_join = recording(agent.handle_session_join)
+    agent.handle_subscription = recording(agent.handle_subscription)
+    scenario.run(20.0)
+
+    assert receiver.population == 40
+    assert receiver.sigma.unsubscriptions_sent == 0
+    assert [m for m in messages if m[0] != "SubscriptionMessage"] == [
+        ("SessionJoinMessage", 100)
+    ]
+    stamps = [count for kind, count in messages if kind == "SubscriptionMessage"]
+    shrink = stamps.index(40)
+    assert shrink > 0 and set(stamps[:shrink]) == {100} and set(stamps[shrink:]) == {40}
+    assert agent.session_joins == 100 and agent.unsubscriptions == 0
+
+
 def test_churned_specs_are_byte_deterministic_across_pool():
     """Serial and process-pool paths agree for churned cohort specs."""
     process = ChurnProcess(arrival_rate=25.0, burst=((8.0, 500),))

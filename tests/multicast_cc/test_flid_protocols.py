@@ -140,7 +140,7 @@ class TestFlidDs:
         receiver.start()
         net.run(until=5.0)
         assert agent.announcements_decoded > 0
-        assert len(agent.key_table) > 0
+        assert agent.key_table.entries_stored > 0
 
     def test_data_packets_carry_delta_fields(self):
         from repro.multicast_cc import headers as h

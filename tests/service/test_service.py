@@ -706,6 +706,26 @@ class TestCli:
         assert "timeout_s" in proc.stderr
         assert not (tmp_path / "d.sock").exists()
 
+    @pytest.mark.parametrize("flag", ["--cache-dir", "--checkpoint-dir"])
+    def test_directory_that_names_a_file_exits_2_promptly(self, tmp_path, flag):
+        """``serve --cache-dir <regular file>`` used to print ``listening``
+        and then fail every cell with ``[Errno 17] File exists``."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        dirs = {"--cache-dir": str(tmp_path / "cache"), flag: str(blocker)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--socket",
+             str(tmp_path / "d.sock"), *(x for pair in dirs.items() for x in pair)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=daemon_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {flag}")
+        assert "listening" not in proc.stdout
+        assert not (tmp_path / "d.sock").exists()
+
     def test_submit_to_missing_daemon_exits_2(self, tmp_path):
         proc = self._cli(
             "submit",

@@ -9,8 +9,7 @@ from repro.simulator.address import (
     NodeAddress,
     is_multicast,
 )
-from repro.simulator.engine import Simulator
-from repro.simulator.packet import DEFAULT_DATA_PACKET_BYTES, Packet, PacketFactory
+from repro.simulator.packet import Packet
 
 
 class TestAddresses:
@@ -106,27 +105,3 @@ class TestPacket:
         assert replica.uid != original.uid
         replica.hop_count += 1
         assert (original.hop_count, replica.hop_count) == (3, 4)
-
-
-class TestPacketFactory:
-    def test_stamps_current_time(self):
-        sim = Simulator()
-        factory = PacketFactory(sim)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        packet = factory.make(NodeAddress(1), NodeAddress(2))
-        assert packet.created_at == 2.0
-
-    def test_default_size(self):
-        factory = PacketFactory(Simulator())
-        packet = factory.make(NodeAddress(1), NodeAddress(2))
-        assert packet.size_bytes == DEFAULT_DATA_PACKET_BYTES
-
-    def test_explicit_size_and_headers(self):
-        factory = PacketFactory(Simulator())
-        packet = factory.make(
-            NodeAddress(1), NodeAddress(2), size_bytes=100, protocol="cbr", headers={"port": 9}
-        )
-        assert packet.size_bytes == 100
-        assert packet.protocol == "cbr"
-        assert packet.headers["port"] == 9

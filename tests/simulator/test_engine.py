@@ -159,32 +159,12 @@ class TestRunControl:
         sim.run(until=30.0, max_events=0)
         assert sim.now == 20.0  # the event at 25 s was never reached
 
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: seen.append(2))
-        sim.run()
-        assert seen[0] == 1
-        assert 2 not in seen
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for i in range(5):
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_executed == 5
-
-    def test_step_returns_none_when_empty(self):
-        assert Simulator().step() is None
-
-    def test_clear_drops_pending_events(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.clear()
-        sim.run()
-        assert seen == []
 
 
 class TestPeriodicTimer:
@@ -203,15 +183,6 @@ class TestPeriodicTimer:
         timer.start()
         sim.run(until=2.5)
         assert ticks == [0.25, 1.25, 2.25]
-
-    def test_stop_prevents_future_firings(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.schedule(2.5, timer.stop)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(SimulationError):

@@ -17,7 +17,14 @@ from repro.simulator import (
 )
 from repro.simulator.link import default_buffer_bytes
 from repro.simulator.queues import DropTailQueue
-from repro.simulator.routing import shortest_path
+
+
+def route_path(src, dst):
+    """The nodes a unicast packet from ``src`` to ``dst`` visits, hop by hop."""
+    path = [src]
+    while path[-1] is not dst:
+        path.append(path[-1].route_for(dst.address).dst)
+    return path
 
 
 class TestTopologySpecValidation:
@@ -195,7 +202,7 @@ class TestNetworkGraph:
         sender = graph.add_sender()
         receiver = graph.add_receiver(router="r3")
         graph.build_routes()
-        path = [node.name for node in shortest_path(sender, receiver)]
+        path = [node.name for node in route_path(sender, receiver)]
         assert path == [sender.name, "r0", "r1", "r2", "r3", receiver.name]
 
     def test_tree_path_descends_from_root(self):
@@ -203,7 +210,7 @@ class TestNetworkGraph:
         sender = graph.add_sender()
         receiver = graph.add_receiver(router="t6")
         graph.build_routes()
-        path = [node.name for node in shortest_path(sender, receiver)]
+        path = [node.name for node in route_path(sender, receiver)]
         assert path == [sender.name, "t0", "t2", "t6", receiver.name]
 
     def test_receiver_edge_routers(self):

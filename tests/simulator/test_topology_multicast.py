@@ -13,7 +13,6 @@ from repro.simulator import (
     install_igmp,
 )
 from repro.simulator.node import PacketAgent
-from repro.simulator.routing import RoutingError, shortest_path
 
 
 class Collector(PacketAgent):
@@ -32,6 +31,14 @@ class FirstMemberLog:
 
     def heard(self, group):
         self.groups.append(group)
+
+
+def route_path(src, dst):
+    """The nodes a unicast packet from ``src`` to ``dst`` visits, hop by hop."""
+    path = [src]
+    while path[-1] is not dst:
+        path.append(path[-1].route_for(dst.address).dst)
+    return path
 
 
 def build_line_network():
@@ -102,19 +109,30 @@ class TestUnicastRouting:
 
     def test_shortest_path_nodes(self):
         net, a, b, r1, r2 = build_line_network()
-        path = shortest_path(a, b)
+        path = route_path(a, b)
         assert [n.name for n in path] == ["a", "r1", "r2", "b"]
 
-    def test_shortest_path_to_self(self):
-        net, a, *_ = build_line_network()
-        assert shortest_path(a, a) == [a]
-
-    def test_disconnected_raises(self):
+    def test_routes_follow_the_lowest_delay_path(self):
+        """Delay is the metric: two fast hops beat one slow direct link."""
         net = Network()
         a = net.add_host("a")
         b = net.add_host("b")
-        with pytest.raises(RoutingError):
-            shortest_path(a, b)
+        r1, r2, r3 = (net.add_router(name) for name in ("r1", "r2", "r3"))
+        net.attach_host(a, r1, 10e6, 0.001)
+        net.attach_host(b, r3, 10e6, 0.001)
+        net.duplex_link(r1, r3, 10e6, 0.050)
+        net.duplex_link(r1, r2, 1e6, 0.010)
+        net.duplex_link(r2, r3, 1e6, 0.010)
+        net.build_routes()
+        assert [n.name for n in route_path(a, b)] == ["a", "r1", "r2", "r3", "b"]
+        assert [n.name for n in route_path(b, a)] == ["b", "r3", "r2", "r1", "a"]
+
+    def test_disconnected_nodes_have_no_route(self):
+        net = Network()
+        a = net.add_host("a")
+        b = net.add_host("b")
+        net.build_routes()
+        assert a.route_for(b.address) is None
 
 
 class TestMulticastForwarding:
@@ -341,7 +359,7 @@ class TestDumbbell:
         sender = net.add_sender()
         receiver = net.add_receiver()
         net.build_routes()
-        path = shortest_path(sender, receiver)
+        path = route_path(sender, receiver)
         assert [n.name for n in path] == [sender.name, "left", "right", receiver.name]
 
     def test_bottleneck_buffer_uses_path_rtt(self):
