@@ -193,6 +193,8 @@ class KeyGuessingStrategy(AttackStrategy):
     """
 
     name = "key-guessing"
+    #: Each host draws its guesses from its own host-named stream.
+    interchangeable = False
 
     def after_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> None:
         if not ctx.protected:
@@ -243,6 +245,8 @@ class CollusionStrategy(AttackStrategy):
     """
 
     name = "collusion"
+    #: Colluders behind every edge feed and read one shared pool.
+    interchangeable = False
 
     def _pool(self, ctx: AttackContext):
         return ctx.collusion_pool(str(self.param("pool", "default")))

@@ -36,6 +36,11 @@ class AttackStrategy:
 
     #: Registry name; set by concrete strategies.
     name: str = ""
+    #: True when a stack of this strategy acts the same behind any edge
+    #: that sees the same packets: it draws no randomness and shares no
+    #: state across receivers.  Only then may several interchangeable edges
+    #: be realised as one (:func:`repro.experiments.scenario.interchangeable_edges`).
+    interchangeable: bool = True
 
     def __init__(
         self,

@@ -72,7 +72,7 @@ def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
     sessions: Dict[str, Any] = {}
     for decl, session in zip(spec.sessions, scenario.sessions):
         receivers = []
-        for receiver in session.receivers:
+        for receiver, _rows in (entry for group in session.declared for entry in group):
             series = [
                 [sample.time_s, sample.rate_kbps]
                 for sample in receiver.monitor.smoothed_series(

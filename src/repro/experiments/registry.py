@@ -22,7 +22,17 @@ parking-lot / star / binary-tree topologies are registered here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    get_type_hints,
+)
 
 from ..simulator.monitors import window_rate_bps
 from .config import PAPER_DEFAULTS
@@ -52,6 +62,20 @@ class ScenarioEntry:
     builder: Callable[..., ScenarioSpec]
 
     def build(self, **params) -> ScenarioSpec:
+        """The builder's spec for ``params``.
+
+        A parameter the builder declares ``int`` (or ``Optional[int]``)
+        must be an integer: ``True`` or ``2.0`` would otherwise size a
+        topology or a population wrongly, or fail inside the builder.
+        """
+        hints = get_type_hints(self.builder) if params else {}
+        for key, value in params.items():
+            if hints.get(key) in (int, Optional[int]) and value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(
+                    f"scenario {self.name!r}: {key} must be an integer, got {value!r}"
+                )
         return self.builder(**params)
 
 

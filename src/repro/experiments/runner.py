@@ -174,22 +174,32 @@ def attack_onsets(spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
 
 def _attacker_record(
     receiver: Any,
+    members: int,
     onset: float,
     bound_level: int,
     bound_kbps: float,
     duration: float,
     from_population: bool,
 ) -> Dict[str, Any]:
-    """What one attacking receiver contributes to the protection block.
+    """What one attacking row of ``members`` members contributes to the
+    protection block.
 
     Everything except the excess fields, which need the honest baseline
     only :func:`assemble` can compute.  Attackers from a population block
-    (and only they) carry their ``population``.
+    (and only they) carry their ``population``.  Every attack counter is
+    booked at the receiver's member weight, so a row that is one edge's
+    share of a receiver standing for a class of interchangeable edges
+    reports that share of each counter.
     """
     rate_series = [
         (sample.time_s, sample.rate_kbps)
         for sample in receiver.monitor.series(end_time_s=duration)
     ]
+    counters = receiver.adversary_stats()
+    if members != receiver.population:
+        counters = {
+            key: value // receiver.population * members for key, value in counters.items()
+        }
     record: Dict[str, Any] = {
         "goodput_kbps": receiver.average_rate_kbps(onset, duration),
         "containment_s": combined_containment_s(
@@ -197,10 +207,10 @@ def _attacker_record(
             goodput_containment_s(rate_series, onset, bound_kbps, duration),
         ),
         "bound_level": bound_level,
-        "counters": receiver.adversary_stats(),
+        "counters": counters,
     }
     if from_population:
-        record["population"] = receiver.population
+        record["population"] = members
     return record
 
 
@@ -236,19 +246,19 @@ def collect_ingredients(
         #: with slack for 1-second bin jitter around slot boundaries.
         bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
 
-        # Group boundaries come from the session's recorded ``block_slices``:
-        # how many objects a block realised as depends on its placement.
-        slices = session.block_slices
-        individuals = slices[0][0] if slices else len(session.receivers)
+        # Group members come from the session's ``declared`` hosts: a
+        # receiver carrying a class of interchangeable edges is reported
+        # once per edge, with that edge's rows.
         attackers = set(decl.attacker_indices())
         groups: List[Dict[str, Any]] = []
         reported: List[Tuple[Any, int]] = []  # (receiver, members) per row
-        for g_index, (start, stop) in enumerate([(0, individuals), *slices]):
+        for g_index, members in enumerate(session.declared):
             per_row = g_index > 0 and decl.population[g_index - 1].model == "cohort"
             rows = [
                 (receiver, count)
-                for receiver in session.receivers[start:stop]
-                for count in (receiver.counts if per_row else (receiver.population,))
+                for receiver, own in members
+                for counts in [receiver.counts if own is None else own]
+                for count in (counts if per_row else (sum(counts),))
             ]
             reported.extend(rows)
             group: Dict[str, Any] = {
@@ -263,8 +273,8 @@ def collect_ingredients(
                     g_index > 0 and decl.population[g_index - 1].attack is not None
                 )
                 column: List[Any] = []
-                for index, (receiver, _) in enumerate(rows, start):
-                    if not (block_attacks or index in attackers):
+                for index, (receiver, count) in enumerate(rows):
+                    if not (block_attacks or (g_index == 0 and index in attackers)):
                         column.append(
                             receiver.average_rate_kbps(onsets["global"], duration)
                         )
@@ -273,8 +283,8 @@ def collect_ingredients(
                     else:
                         column.append(
                             _attacker_record(
-                                receiver, onset, bound_level, bound_kbps, duration,
-                                from_population=g_index > 0,
+                                receiver, count, onset, bound_level, bound_kbps,
+                                duration, from_population=g_index > 0,
                             )
                         )
                 group["protection"] = column
@@ -302,13 +312,19 @@ def collect_ingredients(
             }
     agents = scenario.sigma_agents
     if agents:
+        # An agent on a class of interchangeable edges books every
+        # member-weighted counter of the class; its per-agent ones count
+        # once per edge.
+        edges = [
+            len(scenario.edge_classes.get(a.router.name, (a.router.name,))) for a in agents
+        ]
         document["sigma"] = {
             "valid_submissions": sum(a.valid_submissions for a in agents),
             "invalid_submissions": sum(a.invalid_submissions for a in agents),
             "revocations": sum(a.revocations for a in agents),
             "igmp_joins_ignored": sum(a.igmp_joins_ignored for a in agents),
-            "guess_alarms": sum(a.guess_alarms for a in agents),
-            "edge_agents": len(agents),
+            "guess_alarms": sum(a.guess_alarms * n for a, n in zip(agents, edges)),
+            "edge_agents": sum(edges),
         }
     return document
 

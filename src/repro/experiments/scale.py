@@ -191,8 +191,8 @@ def scale_dumbbell_1m_spec(
     over the edge routers and one receiver per edge carries that edge's
     rows at one shared subscription level, so the Python object count
     scales with ``edges`` — not ``cohorts``, and certainly not
-    ``receivers``.  That is what lets a 1M-receiver scenario finish on one
-    CPU inside the CI scale-smoke budget (see ``docs/scale.md``).
+    ``receivers``.  The edges are interchangeable, so one of them is built
+    and carries the rows of all (see ``docs/scale.md``).
     """
     return duel_spec(
         "scale-dumbbell-1m",

@@ -25,6 +25,14 @@ SIGMA agent per router (sharing a single slot clock) for the protected
 system — on multi-bottleneck topologies such as the parking lot, star and
 binary tree, each edge router polices its own local receivers.
 
+:meth:`Scenario.from_spec` realises each class of *interchangeable* receiver
+edges (:func:`interchangeable_edges`) as one edge: the class's first edge in
+topology order carries the rows of every edge of the class, and the other
+edges and their links are not built.  Each declared host on such an edge is
+still reported on its own (:attr:`MulticastSession.declared`), so the result
+document is the one the edge-by-edge build gives; the declaration
+constructors always build every edge, which makes them the reference.
+
 The scenario exposes the created senders/receivers/connections so experiments
 and tests can interrogate throughput monitors, SIGMA statistics and level
 histories after :meth:`run`.
@@ -33,12 +41,13 @@ histories after :meth:`run`.
 from __future__ import annotations
 
 import io
+import itertools
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..adversary.receivers import StrategyStack
-from ..adversary.registry import build_strategies
+from ..adversary.registry import ADVERSARIES, build_strategies
 from ..adversary.spec import AttackSpec
 from ..core.sigma import SigmaRouterAgent
 from ..core.timeslot import SlotClock
@@ -65,7 +74,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 12
+CHECKPOINT_VERSION = 13
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -103,7 +112,125 @@ def _checkpoint_getattr(obj: Any, name: str) -> Any:
     return getattr(obj, name)
 
 
-__all__ = ["MulticastSession", "Scenario"]
+__all__ = ["MulticastSession", "Scenario", "interchangeable_edges"]
+
+#: A receiver host to build: its name, its router (``None``: round-robin over
+#: the receiver edges) and the member counts of the rows it stands for.
+HostRows = Tuple[str, Optional[str], Sequence[int]]
+
+
+def _block_hosts(
+    edges: Sequence[str], session_id: str, c_index: int, cohort: CohortDecl
+) -> List[HostRows]:
+    """Every receiver host of one population block over the receiver ``edges``.
+
+    Every placement builds the same receiver; ``cohort.model`` decides
+    how many hosts carry the block and how many members each stands for:
+
+    * ``"individual"`` — ``count`` hosts of one member each (the
+      reference realisation the equivalence tests compare against);
+    * ``"cohort"`` — one host carrying every row of the as-even split
+      when the block is honest and its rows share a router (pinned, or
+      the topology's only receiver edge): such rows would receive the
+      same packets at the same instants and decide alike.  Otherwise
+      one host per row: an attacking row's strategy stack draws from
+      its own host-named stream, and unpinned rows spread round-robin
+      across several edges;
+    * ``"vector"`` — one host per receiver edge router (or the pinned
+      ``cohort.router``), carrying the rows spread round-robin across
+      the edges.
+    """
+    hosts: List[HostRows] = []
+    if cohort.model == "individual":
+        for member in range(cohort.count):
+            hosts.append(
+                (f"{session_id}-pop{c_index + 1}-rx{member + 1}", cohort.router, (1,))
+            )
+    elif cohort.model == "vector":
+        counts = split_counts(cohort.count, cohort.cohorts or 1)
+        spread = [cohort.router] if cohort.router is not None else list(edges)
+        for e_index, edge in enumerate(spread):
+            # Row k of the split lands on edge k mod E; edges left
+            # without a row get no receiver.
+            rows = tuple(counts[e_index :: len(spread)])
+            if rows:
+                hosts.append((f"{session_id}-vec{c_index + 1}-{e_index + 1}", edge, rows))
+    else:
+        counts = tuple(split_counts(cohort.count, cohort.cohorts or 1))
+        name = f"{session_id}-cohort{c_index + 1}"
+        shared = cohort.router is not None or len(edges) == 1
+        if len(counts) == 1 or (cohort.attack is None and shared):
+            hosts.append((name, cohort.router, counts))
+        else:
+            hosts.extend(
+                (f"{name}-{k + 1}", cohort.router, (members,))
+                for k, members in enumerate(counts)
+            )
+    return hosts
+
+
+def interchangeable_edges(
+    spec: ScenarioSpec, membership_log: bool = False
+) -> Tuple[Tuple[str, ...], ...]:
+    """The classes of receiver edges of ``spec`` that one edge can stand for.
+
+    Edges are interchangeable when every one of them
+
+    * is a leaf hanging off the same parent router by a link of the same
+      orientation, bandwidth, delay and buffer (access links are the
+      topology's, the same for every vector host);
+    * has the same population blocks behind it — only the member counts
+      of their rows may differ — and each is a ``model="vector"`` block
+      whose strategy, if any, is :attr:`~repro.adversary.strategy.AttackStrategy.interchangeable`
+      (a vector block cannot churn);
+    * has no individual receiver, no cohort- or individual-model host and
+      no sender, TCP or CBR endpoint behind it.
+
+    Such edges see the same packets at the same instants and decide alike,
+    so one edge carrying all their rows books every member-weighted counter
+    the class would.  A run that records a membership log (a region run, or
+    a ``shards`` spec, whose regions do) names every host in its boundary
+    digest, so none of its edges is interchangeable.  Returns each class of
+    two or more edges in topology order; its first edge is the one built.
+    """
+    if membership_log or spec.shards is not None:
+        return ()
+    topology = spec.network_topology
+    edges = topology.receiver_routers
+    cursor = itertools.count()
+
+    def place(router: Optional[str]) -> str:
+        return edges[next(cursor) % len(edges)] if router is None else router
+
+    # Edge -> (session, block) of every block behind it, in placement order.
+    blocks: Dict[str, List[Tuple[int, int]]] = {edge: [] for edge in edges}
+    held: Set[Optional[str]] = set(topology.sender_routers)
+    for s_index, decl in enumerate(spec.sessions):
+        held.update(place(router) for router in decl.receiver_routers or [None] * decl.receivers)
+        for c_index, cohort in enumerate(decl.population):
+            alike = cohort.model == "vector" and (
+                cohort.attack is None or ADVERSARIES[cohort.attack.strategy].interchangeable
+            )
+            for _name, router, _rows in _block_hosts(edges, decl.session_id, c_index, cohort):
+                if alike:
+                    blocks[place(router)].append((s_index, c_index))
+                else:
+                    held.add(place(router))
+    for unicast in (*spec.tcp, *spec.cbr):
+        held.update((place(unicast.receiver_router), unicast.sender_router))
+
+    # Router -> (neighbour, whether the router is the link's ``b`` end, link
+    # numbers) of each of its links: a leaf edge has exactly one.
+    links: Dict[str, List[Tuple[Any, ...]]] = {}
+    for link in topology.links:
+        numbers = (link.bandwidth_bps, link.delay_s, link.buffer_bytes, link.buffer_bdp_multiple)
+        links.setdefault(link.a, []).append((link.b, False, *numbers))
+        links.setdefault(link.b, []).append((link.a, True, *numbers))
+    classes: Dict[Tuple[Any, ...], List[str]] = {}
+    for edge in edges:
+        if edge not in held and len(links.get(edge, ())) == 1:
+            classes.setdefault((*links[edge], *blocks[edge]), []).append(edge)
+    return tuple(tuple(members) for members in classes.values() if len(members) > 1)
 
 
 @dataclass
@@ -120,15 +247,22 @@ class MulticastSession:
     sender: LayeredSenderBase
     receivers: List[LayeredReceiverBase] = field(default_factory=list)
     overhead: Optional[OverheadAccumulator] = None
-    #: Per population block, the half-open ``(start, stop)`` range of indices
-    #: its realised receiver objects occupy in ``receivers`` — one entry per
-    #: ``SessionDecl.population`` declaration, in declaration order.  How
-    #: many objects a block realises as depends on its placement (``count``
-    #: for individuals, one for an honest cohort block however many rows it
-    #: splits into, one per row for an attacking one, one per edge router
-    #: for vector blocks), so downstream code maps declarations to objects
-    #: through these slices rather than re-deriving the arithmetic.
-    block_slices: List[Tuple[int, int]] = field(default_factory=list)
+    #: Per declaration group — the individuals, then each
+    #: ``SessionDecl.population`` block in declaration order — one
+    #: ``(receiver, rows)`` entry per declared host: the live receiver
+    #: realising it and, when that receiver carries a whole class of
+    #: interchangeable edges, the member counts of this edge's own rows
+    #: (``None``: the receiver's own, live rows).  How many hosts a block
+    #: declares depends on its placement (``count`` for individuals, one for
+    #: an honest cohort block however many rows it splits into, one per row
+    #: for an attacking one, one per edge router for vector blocks), so
+    #: downstream code maps declarations to receivers through these groups
+    #: rather than re-deriving the arithmetic.  A class's receiver appears
+    #: once per edge of the class, which is how metric code reports the
+    #: class edge by edge.
+    declared: List[List[Tuple[LayeredReceiverBase, Optional[Tuple[int, ...]]]]] = field(
+        default_factory=list
+    )
 
     @property
     def receiver(self) -> LayeredReceiverBase:
@@ -149,6 +283,7 @@ class Scenario:
         config: ExperimentConfig,
         protected: bool,
         topology: Optional[TopologySpec] = None,
+        edge_classes: Sequence[Sequence[str]] = (),
     ) -> None:
         self.config = config
         self.protected = protected
@@ -158,7 +293,24 @@ class Scenario:
         self.duration_s = config.duration_s
         if topology is None:
             topology = dumbbell_topology(bottleneck_bandwidth_bps=config.fair_share_bps)
-        self.network = NetworkGraph(topology, seed=config.seed)
+        #: The declared receiver edges, built or not: placement spreads over
+        #: these, in topology order.
+        self.receiver_edges = topology.receiver_routers
+        #: First edge -> all edges (itself first) of every class of
+        #: interchangeable edges built as its first edge alone.
+        self.edge_classes: Dict[str, Tuple[str, ...]] = {
+            members[0]: tuple(members) for members in edge_classes
+        }
+        self._built_edge = {
+            edge: members[0] for members in edge_classes for edge in members
+        }
+        self._receiver_cursor = 0
+        self.network = NetworkGraph(
+            topology.without_routers(
+                {edge for members in edge_classes for edge in members[1:]}
+            ),
+            seed=config.seed,
+        )
         self.sessions: List[MulticastSession] = []
         self.tcp_connections: List[TcpConnection] = []
         self.cbr_sources: List[OnOffCbrSource] = []
@@ -192,9 +344,18 @@ class Scenario:
     # declarative construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
-        """Realise a declarative :class:`ScenarioSpec` into a live scenario."""
-        scenario = cls(spec.config, spec.protected, topology=spec.network_topology)
+    def from_spec(
+        cls, spec: ScenarioSpec, edge_classes: Optional[Sequence[Sequence[str]]] = None
+    ) -> "Scenario":
+        """Realise a declarative :class:`ScenarioSpec` into a live scenario.
+
+        Each class of ``edge_classes`` (by default the classes
+        :func:`interchangeable_edges` finds in ``spec``) is built as its
+        first edge, carrying the rows of every edge of the class.
+        """
+        if edge_classes is None:
+            edge_classes = interchangeable_edges(spec)
+        scenario = cls(spec.config, spec.protected, spec.network_topology, edge_classes)
         scenario.duration_s = spec.effective_duration_s
         for session in spec.sessions:
             scenario._realise_session(session)
@@ -250,8 +411,10 @@ class Scenario:
         Individual receivers and population blocks go through one placement
         loop: the individuals first (one member each, with their own start
         time, access delay, router and attack stack), then each block at
-        the placement its ``model`` names (:meth:`_block_hosts`), in
-        declaration order.
+        the placement its ``model`` names (:func:`_block_hosts`), in
+        declaration order.  A block's hosts on the edges of one class of
+        interchangeable edges become one host, on the class's first edge,
+        carrying all their rows.
         """
         session_id = decl.session_id
         spec = self.config.session_spec(session_id, self.protected).with_addresses(
@@ -278,28 +441,43 @@ class Scenario:
         routers = decl.receiver_routers or [None] * count
         #: One entry per receiver object to create: host name, router, the
         #: rows it stands for, its attacks, start time, access delay, churn.
-        placements: List[Tuple[Any, ...]] = [
-            (
+        placements: List[List[Any]] = [
+            [
                 f"{session_id}-rx{index + 1}",
-                routers[index],
-                (1,),
+                self._place(routers[index]),
+                [1],
                 individual_attacks.get(index, ()),
                 start_times[index],
                 access_delays[index],
                 None,
-            )
+            ]
             for index in range(count)
         ]
-        bounds = [count]
+        #: Per declaration group, (placement index, own rows) per declared host.
+        declared: List[List[Tuple[int, Optional[Tuple[int, ...]]]]] = [
+            [(index, None) for index in range(count)]
+        ]
         for c_index, (cohort, attacks) in enumerate(zip(decl.population, block_attacks)):
-            placements.extend(
-                (host_name, router, rows, attacks, cohort.start_s, None, cohort.churn)
-                for host_name, router, rows in self._block_hosts(
-                    session_id, c_index, cohort
+            group: List[Tuple[int, Optional[Tuple[int, ...]]]] = []
+            #: Built edge -> the placement carrying its class's rows.
+            carriers: Dict[str, int] = {}
+            for host_name, router, rows in _block_hosts(
+                self.receiver_edges, session_id, c_index, cohort
+            ):
+                edge = self._place(router)
+                built = self._built_edge.get(edge)
+                if built in carriers:
+                    placements[carriers[built]][2].extend(rows)
+                    group.append((carriers[built], tuple(rows)))
+                    continue
+                if built is not None:
+                    # The class's first edge comes first: its host carries the class.
+                    carriers[built] = len(placements)
+                group.append((len(placements), None if built is None else tuple(rows)))
+                placements.append(
+                    [host_name, edge, list(rows), attacks, cohort.start_s, None, cohort.churn]
                 )
-            )
-            bounds.append(len(placements))
-        session.block_slices = list(zip(bounds, bounds[1:]))
+            declared.append(group)
         for host_name, router, rows, attacks, start_s, access_delay_s, churn in placements:
             host = self.network.add_receiver(
                 host_name, access_delay_s=access_delay_s, router=router
@@ -315,63 +493,23 @@ class Scenario:
             )
             session.receivers.append(receiver)
             receiver.start(start_s)
+        session.declared = [
+            [(session.receivers[index], rows) for index, rows in group] for group in declared
+        ]
         sender.start()
         self.sessions.append(session)
         return session
 
-    def _block_hosts(
-        self, session_id: str, c_index: int, cohort: CohortDecl
-    ) -> List[Tuple[str, Optional[str], Sequence[int]]]:
-        """``(host name, router, rows)`` of every receiver of one population block.
+    def _place(self, router: Optional[str]) -> str:
+        """The declared edge a receiver host attaches to.
 
-        Every placement builds the same receiver; ``cohort.model`` decides
-        how many hosts carry the block and how many members each stands for:
-
-        * ``"individual"`` — ``count`` hosts of one member each (the
-          reference realisation the equivalence tests compare against);
-        * ``"cohort"`` — one host carrying every row of the as-even split
-          when the block is honest and its rows share a router (pinned, or
-          the topology's only receiver edge): such rows would receive the
-          same packets at the same instants and decide alike.  Otherwise
-          one host per row: an attacking row's strategy stack draws from
-          its own host-named stream, and unpinned rows spread round-robin
-          across several edges;
-        * ``"vector"`` — one host per receiver edge router (or the pinned
-          ``cohort.router``), carrying the rows spread round-robin across
-          the edges.
+        ``router``, or the next receiver edge round-robin; every receiver
+        host, TCP and CBR sink takes its turn, built edge or not.
         """
-        hosts: List[Tuple[str, Optional[str], Sequence[int]]] = []
-        if cohort.model == "individual":
-            for member in range(cohort.count):
-                hosts.append(
-                    (f"{session_id}-pop{c_index + 1}-rx{member + 1}", cohort.router, (1,))
-                )
-        elif cohort.model == "vector":
-            counts = split_counts(cohort.count, cohort.cohorts or 1)
-            if cohort.router is not None:
-                edges: List[str] = [cohort.router]
-            else:
-                edges = list(self.network.spec.receiver_routers)
-            for e_index, edge in enumerate(edges):
-                # Row k of the split lands on edge k mod E; edges left
-                # without a row get no receiver.
-                rows = tuple(counts[e_index :: len(edges)])
-                if rows:
-                    hosts.append(
-                        (f"{session_id}-vec{c_index + 1}-{e_index + 1}", edge, rows)
-                    )
-        else:
-            counts = tuple(split_counts(cohort.count, cohort.cohorts or 1))
-            name = f"{session_id}-cohort{c_index + 1}"
-            shared = cohort.router is not None or len(self.network.spec.receiver_routers) == 1
-            if len(counts) == 1 or (cohort.attack is None and shared):
-                hosts.append((name, cohort.router, counts))
-            else:
-                hosts.extend(
-                    (f"{name}-{k + 1}", cohort.router, (members,))
-                    for k, members in enumerate(counts)
-                )
-        return hosts
+        if router is None:
+            router = self.receiver_edges[self._receiver_cursor % len(self.receiver_edges)]
+            self._receiver_cursor += 1
+        return router
 
     def _declared_attacks(
         self, decl: SessionDecl
@@ -435,7 +573,9 @@ class Scenario:
     ) -> Tuple[Host, Host, int]:
         """Source host, sink host and port for one declared TCP/CBR flow."""
         source = self.network.add_sender(f"{decl.name}-src", router=decl.sender_router)
-        sink = self.network.add_receiver(f"{decl.name}-dst", router=decl.receiver_router)
+        sink = self.network.add_receiver(
+            f"{decl.name}-dst", router=self._place(decl.receiver_router)
+        )
         self.network.build_routes()
         port = self._next_port
         self._next_port += 1
@@ -549,10 +689,11 @@ class Scenario:
                 receiver.rebind(
                     self._strategy_stack(session.spec, receiver.host.name, attacks)
                 )
-            for cohort, attacks, (start, stop) in zip(
-                decl.population, block_attacks, session.block_slices
+            for cohort, attacks, group in zip(
+                decl.population, block_attacks, session.declared[1:]
             ):
-                for receiver in session.receivers[start:stop]:
+                # A receiver carrying a class of edges is declared once per edge.
+                for receiver in dict.fromkeys(receiver for receiver, _ in group):
                     receiver.rebind(
                         self._strategy_stack(session.spec, receiver.host.name, attacks),
                         cohort.churn,

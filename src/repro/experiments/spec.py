@@ -234,6 +234,15 @@ def _check_number(
         raise ValueError(f"{name} must be a finite number{unit} {bound} {where}, got {value!r}")
 
 
+def _check_count(name: str, value: int, minimum: int, where: str = "") -> None:
+    """Refuse a ``value`` that is not an integer >= ``minimum``, naming the
+    field ``name``: a boolean or a float never counts, although Python would
+    let ``True`` or ``2.0`` pass for one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        where = f" {where}" if where else ""
+        raise ValueError(f"{name} must be an integer >= {minimum}{where}, got {value!r}")
+
+
 class PlainData:
     """The codec as methods, shared by every declaration and by results."""
 
@@ -312,13 +321,11 @@ class CohortDecl(PlainData):
     cohorts: Optional[int] = unset()
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("a cohort needs at least one receiver")
+        _check_count("CohortDecl.count", self.count, 1)
         if self.model not in ("cohort", "individual", "vector"):
             raise ValueError(f"unknown receiver model {self.model!r}")
         if self.cohorts is not None:
-            if self.cohorts < 1:
-                raise ValueError("cohorts must be >= 1 when given")
+            _check_count("CohortDecl.cohorts", self.cohorts, 1)
             if self.cohorts > self.count:
                 raise ValueError(
                     f"cannot split {self.count} members into {self.cohorts} "
@@ -389,8 +396,9 @@ class SessionDecl(PlainData):
             "SessionDecl.attack_start_s", self.attack_start_s,
             f"(session {self.session_id!r})", unit=" of seconds",
         )
-        if self.receivers < 0:
-            raise ValueError("receivers cannot be negative")
+        _check_count(
+            "SessionDecl.receivers", self.receivers, 0, f"(session {self.session_id!r})"
+        )
         if self.receivers < 1 and not self.population:
             raise ValueError("a session needs at least one receiver")
         for index in self.misbehaving:

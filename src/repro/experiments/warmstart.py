@@ -50,11 +50,11 @@ import re
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
-from .scenario import CHECKPOINT_VERSION, Scenario
+from .scenario import CHECKPOINT_VERSION, Scenario, interchangeable_edges
 from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
@@ -128,24 +128,33 @@ def _canonical_session(decl: SessionDecl, barrier_s: float) -> SessionDecl:
 
 @dataclass(frozen=True)
 class PrefixPlan:
-    """A cell's shareable prefix: the canonical spec and its slot barrier."""
+    """A cell's shareable prefix: the canonical spec and its slot barrier.
+
+    ``edge_classes`` are the interchangeable receiver edges of the *cell*
+    (:func:`~repro.experiments.scenario.interchangeable_edges`), which the
+    prefix is built with: the placeholder strategy is interchangeable where
+    the cell's own (key guessing, collusion) may not be, so the canonical
+    spec alone cannot tell them.
+    """
 
     barrier_s: float
     spec: ScenarioSpec
+    edge_classes: Tuple[Tuple[str, ...], ...] = ()
 
     def checkpoint_key(self) -> str:
         """Content address of this prefix's checkpoint blob.
 
         Mixes the runner cache's version tag (package + schema versions),
-        the checkpoint layout version and the barrier into the hash, on top
-        of the canonical prefix JSON — so a blob is only ever restored by
-        the same code and barrier that wrote it.
+        the checkpoint layout version, the barrier and the edge classes into
+        the hash, on top of the canonical prefix JSON — so a blob is only
+        ever restored by the same code, barrier and edge layout that wrote
+        it.
         """
         from .runner import _cache_version_tag
 
         material = (
             f"{_cache_version_tag()}warmstart:{CHECKPOINT_VERSION}:"
-            f"{self.barrier_s!r}:{self.spec.to_json()}"
+            f"{self.barrier_s!r}:{json.dumps(self.edge_classes)}:{self.spec.to_json()}"
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -160,6 +169,7 @@ class PrefixPlan:
             "key": self.checkpoint_key(),
             "prefix": self.spec.to_dict(),
             "barrier_s": self.barrier_s,
+            "edge_classes": [list(members) for members in self.edge_classes],
         }
 
 
@@ -195,7 +205,7 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
         record_series=False,
         sessions=tuple(_canonical_session(d, barrier_s) for d in spec.sessions),
     )
-    return PrefixPlan(barrier_s=barrier_s, spec=prefix)
+    return PrefixPlan(barrier_s, prefix, interchangeable_edges(spec))
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +293,20 @@ class CheckpointStore:
         publish_atomically(self.path(key), scenario.checkpoint())
 
 
-def _build_prefix(
-    prefix: ScenarioSpec, barrier_s: float, membership_log: bool
-) -> Scenario:
-    """Realise a canonical prefix spec and run it up to (excluding) the barrier."""
-    scenario = Scenario.from_spec(prefix)
+def _build_prefix(block: Mapping[str, Any], membership_log: bool) -> Scenario:
+    """Realise a canonical prefix spec and run it up to (excluding) the barrier.
+
+    ``block`` names the prefix (:meth:`PrefixPlan.block`); it is built with
+    the cell's edge classes.
+    """
+    scenario = Scenario.from_spec(
+        ScenarioSpec.from_dict(block["prefix"]), block.get("edge_classes", ())
+    )
     if membership_log:
         # Region runs record boundary events from t=0; the log must be
         # attached before the prefix runs so it survives inside the blob.
         scenario.network.multicast.membership_log = []
-    scenario.run_to_barrier(barrier_s)
+    scenario.run_to_barrier(block["barrier_s"])
     return scenario
 
 
@@ -313,9 +327,7 @@ def _ensure_checkpoint(block: Mapping[str, Any], membership_log: bool) -> tuple:
         scenario = None
     if scenario is not None:
         return scenario, True
-    scenario = _build_prefix(
-        ScenarioSpec.from_dict(block["prefix"]), block["barrier_s"], membership_log
-    )
+    scenario = _build_prefix(block, membership_log)
     store.save(block["key"], scenario)
     return scenario, False
 
@@ -335,7 +347,7 @@ def run_scenario(
     records the effective membership transitions from ``t=0`` (region runs).
     """
     if warm is None:
-        scenario = Scenario.from_spec(spec)
+        scenario = Scenario.from_spec(spec, interchangeable_edges(spec, membership_log))
         if membership_log:
             scenario.network.multicast.membership_log = []
     else:
@@ -352,7 +364,8 @@ def run_checkpoint_json(payload_json: str) -> str:
     """Worker entry point: build (or find) one prefix checkpoint.
 
     Payload: ``{"prefix": spec dict, "barrier_s": float, "dir": str,
-    "key": str, "membership_log": bool}``.  Returns a small JSON document
+    "key": str, "edge_classes": list, "membership_log": bool}`` (no
+    ``edge_classes``: every edge is built).  Returns a small JSON document
     reporting whether an already-published blob was reused.
     """
     payload = json.loads(payload_json)

@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .address import GroupAddress, GroupAddressAllocator, NodeAddress
 from .engine import Simulator
@@ -279,6 +279,22 @@ class TopologySpec:
                     )
 
     # ------------------------------------------------------------------
+    def without_routers(self, names: Collection[str]) -> "TopologySpec":
+        """This graph less the routers ``names`` and every link touching one."""
+        if not names:
+            return self
+        return replace(
+            self,
+            routers=tuple(r for r in self.routers if r not in names),
+            links=tuple(
+                link for link in self.links if link.a not in names and link.b not in names
+            ),
+            receiver_routers=tuple(r for r in self.receiver_routers if r not in names),
+            regions=tuple(
+                tuple(r for r in group if r not in names) for group in self.regions
+            ),
+        )
+
     def region_of(self, router: str) -> Optional[int]:
         """0-based region index of ``router`` (``None`` for trunk routers)."""
         for index, group in enumerate(self.regions):
@@ -380,6 +396,14 @@ class NetworkGraph(Network):
 MAX_ROUTERS = 4096
 
 
+def _check_integer(kind: str, name: str, value: int) -> None:
+    """Refuse a size parameter that is not an integer, naming it: ``True``
+    or ``2.0`` would pass Python's arithmetic and build the wrong graph, or
+    fail deep inside the factory."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{kind}: {name} must be an integer, got {value!r}")
+
+
 def _check_router_count(kind: str, routers: int) -> None:
     if routers > MAX_ROUTERS:
         raise ValueError(f"{kind} would have {routers} routers; the limit is {MAX_ROUTERS}")
@@ -459,6 +483,7 @@ def parking_lot_topology(
     several bottlenecks while cross traffic can enter at any point of the
     chain.
     """
+    _check_integer("parking lot", "hops", hops)
     if hops < 1:
         raise ValueError("parking lot needs at least one bottleneck hop")
     _check_router_count("parking lot", hops + 1)
@@ -502,6 +527,7 @@ def star_topology(
     arm link is a private bottleneck and every arm router runs its own group
     manager (IGMP or SIGMA).
     """
+    _check_integer("star", "arms", arms)
     if arms < 1:
         raise ValueError("star needs at least one arm")
     _check_router_count("star", arms + 1)
@@ -538,11 +564,12 @@ def multi_edge_dumbbell_topology(
     Senders attach at ``left``; one shared ``left``–``core`` bottleneck
     carries the session, and ``edges`` fat (non-bottleneck) distribution
     links fan out from ``core`` to the receiver edge routers.  Every edge
-    router runs its own group manager, so this is the shape the columnar
-    population engine spreads a very large audience over: one packet copy
-    crosses the bottleneck, ``edges`` copies leave the core — receivers
-    behind each edge still share a single access interface per block.
+    router runs its own group manager, so this is the shape vector
+    placement spreads a very large audience over: one packet copy crosses
+    the bottleneck, ``edges`` copies leave the core — receivers behind each
+    edge still share a single access interface per block.
     """
+    _check_integer("multi-edge dumbbell", "edges", edges)
     if edges < 1:
         raise ValueError("multi-edge dumbbell needs at least one edge router")
     _check_router_count("multi-edge dumbbell", edges + 2)
@@ -603,11 +630,15 @@ def sharded_dumbbell_topology(
     parameters — which is how a region worker expresses its share of the
     scenario as an ordinary standalone spec.
     """
+    _check_integer("sharded dumbbell", "regions", regions)
+    _check_integer("sharded dumbbell", "edges_per_region", edges_per_region)
     if regions < 1:
         raise ValueError("sharded dumbbell needs at least one region")
     if edges_per_region < 1:
         raise ValueError("sharded dumbbell needs at least one edge per region")
     _check_router_count("sharded dumbbell", regions * (edges_per_region + 1) + 1)
+    if region is not None:
+        _check_integer("sharded dumbbell", "region", region)
     if region is not None and not 1 <= region <= regions:
         raise ValueError(f"region must be in 1..{regions}, got {region}")
     wanted = range(1, regions + 1) if region is None else (region,)
@@ -667,6 +698,7 @@ def binary_tree_topology(
     the root carry the aggregated load and become the bottlenecks, the shape
     a single-source multicast distribution tree stresses.
     """
+    _check_integer("binary tree", "depth", depth)
     if depth < 2:
         raise ValueError("binary tree needs depth >= 2")
     if depth > MAX_ROUTERS.bit_length():

@@ -185,9 +185,9 @@ def test_population_accounting(case):
     assert len(aggregated.receivers) == 1
     assert len(individual.receivers) == POPULATION
     assert aggregated.receivers[0].population == POPULATION
-    # block_slices records each declaration's realised object range.
-    assert aggregated.block_slices == [(0, 1)]
-    assert individual.block_slices == [(0, POPULATION)]
+    # declared maps each declaration group to its realised objects.
+    assert [len(group) for group in aggregated.declared] == [0, 1]
+    assert [len(group) for group in individual.declared] == [0, POPULATION]
 
 
 def test_rows_carry_the_receivers_level(case):

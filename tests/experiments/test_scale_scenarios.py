@@ -105,7 +105,7 @@ def test_scale_dumbbell_1m_reduced_run():
     result = ExperimentRunner().run_one(spec)
     audience = result.metrics["multicast"]["audience"]
     assert audience["population"] == 1_000
-    # One vector receiver object per edge, however many cohort rows.
+    # One row per edge, however many cohort rows each edge carries.
     assert len(audience["receiver_population"]) == 4
     assert sum(audience["receiver_population"]) == 1_000
     protection = result.metrics["protection"]
@@ -131,7 +131,7 @@ def test_scale_dumbbell_1m_full_population_wall_clock_budget():
     assert wall_s < 60.0
     audience = result.metrics["multicast"]["audience"]
     assert audience["population"] == 1_000_000
-    assert len(audience["receiver_population"]) == 32  # one object per edge
+    assert len(audience["receiver_population"]) == 32  # one row per edge
     protection = result.metrics["protection"]
     entries = protection["sessions"]["attackers"]["attackers"]
     assert sum(e["population"] for e in entries.values()) == 10_000

@@ -400,7 +400,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -443,7 +443,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -465,7 +465,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -491,7 +491,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -512,7 +512,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -537,7 +537,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     """Version 11 simulators carried a stop flag, senders a restart epoch in
     every pending tick and timer groups a wakeup handle; its blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 12
+    assert CHECKPOINT_VERSION == 13
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -554,6 +554,32 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     ticks = [entry[3] for entry in sim._heap if entry[2].__name__ == "_transmit_group"]
     assert ticks and all(len(args) == 1 for args in ticks)  # the group, nothing else
     stale = pickle.dumps((11, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 12 scenarios built every declared edge and mapped blocks to
+    receivers by ``block_slices``; a version 13 scenario carries its edge
+    classes and the declared hosts each receiver stands for, so old blobs
+    are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 13
+    spec = scale_dumbbell_10m_spec(
+        receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
+        attack_start_s=6.0, duration_s=9.0, shards=None,
+    )
+    plan = plan_prefix(spec)
+    assert plan.edge_classes
+    key = plan.checkpoint_key()
+    payload = json.dumps(plan.block(tmp_path))
+    store = CheckpointStore(tmp_path)
+    run_checkpoint_json(payload)
+    scenario = store.load(key)
+    assert set(scenario.edge_classes) == {members[0] for members in plan.edge_classes}
+    assert all(session.declared for session in scenario.sessions)
+    stale = pickle.dumps((12, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert json.loads(run_checkpoint_json(payload))["reused"] is False

@@ -58,14 +58,42 @@ CASES = {
     ),
 }
 
+#: Multi-edge shapes of the vector flagship: golden name -> (scenario,
+#: overrides).  The first is ``scale-dumbbell-1m`` scaled down; the second
+#: spreads 4 audience rows and 2 attacker rows over 8 edges, so its edges
+#: fall into three interchangeable classes ({1,2}, {3,4}, the empty 5-8).
+MULTI_EDGE_CASES = {
+    "scale-dumbbell-1m-4-edges": (
+        "scale-dumbbell-1m",
+        dict(
+            receivers=1000, cohorts=16, attackers=10, attacker_cohorts=4,
+            edges=4, duration_s=12.0,
+        ),
+    ),
+    "scale-dumbbell-1m-uneven": (
+        "scale-dumbbell-1m",
+        dict(
+            receivers=1000, cohorts=4, attackers=10, attacker_cohorts=2,
+            edges=8, duration_s=12.0,
+        ),
+    ),
+}
+
 
 def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+GOLDENS = {
+    **{name: (name, overrides) for name, overrides in CASES.items()},
+    **MULTI_EDGE_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden_trace(name, update_golden):
-    digest = scenario_trace_digest(scenario_spec(name, **CASES[name]))
+    scenario, overrides = GOLDENS[name]
+    digest = scenario_trace_digest(scenario_spec(scenario, **overrides))
     path = golden_path(name)
     if update_golden:
         path.write_text(json.dumps(digest, sort_keys=True, indent=1) + "\n")

@@ -272,6 +272,28 @@ class TestProtocolErrorHandling:
         assert [e["event"] for e in events] == ["accepted", "result", "done"]
         assert events[-1]["completed"] == 1 and events[-1]["failed"] == 0
 
+    def test_non_integer_topology_size_is_rejected(self, daemon):
+        """``edges: true`` used to build a one-edge dumbbell in silence."""
+        hostile = [
+            ("multi-edge-dumbbell", {"edges": True}, "edges"),
+            ("multi-edge-dumbbell", {"edges": 1.5}, "edges"),
+            ("binary-tree", {"depth": 2.0}, "depth"),
+        ]
+
+        async def scenario(conn):
+            rejections = []
+            for number, (kind, params, _name) in enumerate(hostile):
+                document = fast_spec().to_dict()
+                document.update(topology=kind, topology_params=params)
+                await conn.send({"op": "submit", "id": f"t{number}", "spec": document})
+                rejections.append(await conn.recv())
+            return rejections
+
+        rejections = self._converse(daemon(), scenario)
+        for rejected, (_kind, _params, name) in zip(rejections, hostile):
+            assert rejected["event"] == "rejected", rejected
+            assert f"{name} must be an integer" in rejected["reason"], rejected
+
     def test_unusable_duration_is_rejected_before_admission(self, daemon):
         """A NaN horizon used to hold a worker until its timeout killed it."""
         unusable = [float("nan"), float("inf"), -5.0, 0.0]
