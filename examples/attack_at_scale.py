@@ -24,7 +24,7 @@ cohorts, and ``docs/scale.md`` for the cohort model itself.
 """
 
 from repro.analysis import format_table
-from repro.experiments import run_scale_protection_sweep
+from repro.experiments import ExperimentRunner, scale_protection_spec
 
 AUDIENCES = (1_000, 10_000, 100_000)
 FRACTIONS = (0.001, 0.01, 0.1)
@@ -33,13 +33,17 @@ ONSET_S = 10.0
 
 
 def main() -> None:
-    results = run_scale_protection_sweep(
-        audiences=AUDIENCES,
-        attacker_fractions=FRACTIONS,
-        duration_s=DURATION_S,
-        attack_start_s=ONSET_S,
-        jobs=2,
-    )
+    grid = [
+        scale_protection_spec(
+            audience=audience,
+            attacker_fraction=fraction,
+            attack_start_s=ONSET_S,
+            duration_s=DURATION_S,
+        ).with_seed(0)
+        for audience in AUDIENCES
+        for fraction in FRACTIONS
+    ]
+    results = ExperimentRunner(jobs=2).run(grid)
 
     rows = []
     index = 0

@@ -35,6 +35,7 @@ rate, worker health).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -108,6 +109,30 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _port(text: str) -> int:
+    """Parse a TCP port, 0-65535 (``0``: ``serve`` picks a free one)."""
+    if not text.strip().isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {text!r}")
+    return int(text)
+
+
+def _positive_seconds(text: str) -> float:
+    """Parse a finite number of seconds > 0 (``--connect-timeout``).
+
+    A socket timeout of ``0`` would leave the connection non-blocking, and
+    a negative, infinite or NaN one makes the socket call itself raise.
+    """
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return seconds
 
 
 def _directory_error(flag: str, text: str, must_exist: bool = False) -> Optional[str]:
@@ -258,12 +283,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.socket is None and args.port is None:
         print("error: serve needs --socket PATH or --port N", file=sys.stderr)
         return 2
-    directories = (("--cache-dir", args.cache_dir), ("--checkpoint-dir", args.checkpoint_dir))
-    for flag, text in directories:
-        problem = text and _directory_error(flag, text)
-        if problem:
-            print(problem, file=sys.stderr)
-            return 2
+    problem = _directory_error("--cache-dir", args.cache_dir)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     try:
         config = ServiceConfig(
             cache_dir=Path(args.cache_dir),
@@ -274,8 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retries=args.retries,
             timeout_s=args.timeout,
             max_queue=args.max_queue,
-            warm_start=args.warm_start,
-            checkpoint_dir=Path(args.checkpoint_dir) if args.checkpoint_dir else None,
         )
         run_daemon(config)
     except (TypeError, ValueError) as exc:
@@ -532,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="daemon TCP host (with --port)"
     )
     endpoint_options.add_argument(
-        "--port", type=int, default=None, help="daemon TCP port"
+        "--port", type=_port, default=None, help="daemon TCP port"
     )
 
     serve = sub.add_parser(
@@ -544,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         required=True,
         help="shared result-cache / checkpoint-store directory",
-    )
-    serve.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="warm-start blob directory (default: --cache-dir)",
     )
     serve.add_argument("--jobs", type=int, default=1, help="worker processes")
     serve.add_argument(
@@ -566,13 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue", type=int, default=256, help="pending-cell admission bound"
     )
-    serve.add_argument(
-        "--no-warm-start",
-        dest="warm_start",
-        action="store_false",
-        help="disable common-prefix warm starts (always run cells cold)",
-    )
-    serve.set_defaults(func=_cmd_serve, warm_start=True)
+    serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
         "submit",
@@ -587,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--connect-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="socket timeout for talking to the daemon (s)",
     )
@@ -606,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "--connect-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="socket timeout for talking to the daemon (s)",
     )

@@ -76,7 +76,6 @@ from .scale import (
     attack_collusion_100k_spec,
     attack_inflated_100k_spec,
     attack_keys_100k_spec,
-    run_scale_protection_sweep,
     scale_dumbbell_1m_spec,
     scale_dumbbell_10m_spec,
     scale_dumbbell_spec,
@@ -101,7 +100,6 @@ __all__ = [
     "attack_collusion_100k_spec",
     "attack_inflated_100k_spec",
     "attack_keys_100k_spec",
-    "run_scale_protection_sweep",
     "scale_dumbbell_1m_spec",
     "scale_dumbbell_10m_spec",
     "scale_dumbbell_spec",

@@ -848,9 +848,9 @@ class ResultCache:
         — a file torn by a crash mid-write under the old non-atomic writer,
         or truncated by a full disk — is treated as a miss (the entry is
         re-run and atomically overwritten), never as an error: a shared
-        cache directory must not be able to poison later runs.  ``key`` may
-        come off the wire (the service's ``cache-get`` op), so anything but
-        a content address raises :class:`ValueError`
+        cache directory must not be able to poison later runs.  ``key`` is
+        joined into a path, so anything but a content address raises
+        :class:`ValueError`
         (:func:`~repro.experiments.warmstart.require_store_key`) instead of
         naming a path outside the store.
         """
@@ -890,19 +890,16 @@ class CellPlan:
 
     ``setup_jobs`` build missing prefix-checkpoint blobs and must finish
     before ``jobs`` start; ``jobs`` are the cell's main work (one spec/warm
-    job, or one region job per shard); ``verify_jobs`` (sharded cells under
-    runtime verification only) re-run the regions cold alongside them.
-    :meth:`merge` folds the outputs into the cell's :class:`RunResult`.
-    Every executor — the batch runner, the service daemon, the benchmark's
-    traced walk — runs the same four steps over these fields (setup jobs,
-    jobs, :meth:`merge`, cache store), so all produce byte-identical
-    results by construction.
+    job, or one cold region job per shard).  :meth:`merge` folds the
+    outputs into the cell's :class:`RunResult`.  Every executor — the batch
+    runner, the service daemon, the benchmark's traced walk — runs the same
+    four steps over these fields (setup jobs, jobs, :meth:`merge`, cache
+    store), so all produce byte-identical results by construction.
     """
 
     spec: ScenarioSpec
     setup_jobs: List[Tuple[str, str]] = field(default_factory=list)
     jobs: List[Tuple[str, str]] = field(default_factory=list)
-    verify_jobs: List[Tuple[str, str]] = field(default_factory=list)
     shard_plan: Optional[Any] = None
     warm: bool = False
     #: Blobs this cell found published / has ``setup_jobs`` building.  A
@@ -910,54 +907,24 @@ class CellPlan:
     checkpoint_hits: int = 0
     checkpoint_misses: int = 0
 
-    def merge(
-        self, outputs: Sequence[str], verify_outputs: Sequence[str] = ()
-    ) -> RunResult:
+    def merge(self, outputs: Sequence[str]) -> RunResult:
         """Fold the main jobs' outputs into this cell's result.
 
         A sharded cell is the deterministic region merge, any other the
-        single output parsed.  ``verify_outputs`` (the ``verify_jobs``'
-        outputs) must merge to the same bytes, else :class:`RuntimeError`.
+        single output parsed.
         """
         if self.shard_plan is None:
             return RunResult.from_json(outputs[0])
         from .shard import merge_region_results
 
-        result = merge_region_results(
+        return merge_region_results(
             self.shard_plan, [json.loads(output) for output in outputs]
         )
-        if verify_outputs and self.merge(verify_outputs).to_json() != result.to_json():
-            raise RuntimeError(
-                f"warm-start divergence on {self.spec.name!r} "
-                f"(seed {self.spec.seed}): the warm sharded "
-                "result does not byte-match the cold run"
-            )
-        return result
-
-
-def _prefix_blobs(
-    spec: ScenarioSpec, prefix: PrefixPlan, directory: Path
-) -> List[Dict[str, Any]]:
-    """The checkpoint blobs ``spec`` resumes from (:meth:`PrefixPlan.block`).
-
-    An unsharded cell has one blob; a sharded cell has one per region (the
-    prefix spec shards into regions that align one-to-one with the real
-    spec's — canonicalization never touches populations or the topology).
-    """
-    if spec.shards is None:
-        return [prefix.block(directory)]
-    from .shard import plan_shards
-
-    return [
-        PrefixPlan(prefix.barrier_s, region.spec).block(directory)
-        for region in plan_shards(prefix.spec).regions
-    ]
 
 
 def plan_cells(
     specs: Sequence[ScenarioSpec],
     checkpoint_dir: Optional[Path] = None,
-    warm_start: bool = True,
     durable: bool = True,
     verify: bool = False,
 ) -> List[CellPlan]:
@@ -965,87 +932,73 @@ def plan_cells(
 
     Owns the whole warm-start policy.  Cells whose canonical prefix specs
     are byte-equal (:meth:`PrefixPlan.checkpoint_key`) form a group, and a
-    group resumes from the ``ck_*.pkl`` blobs under ``checkpoint_dir`` when
-    at least two cells share the prefix, when its blobs are already
+    group resumes from its ``ck_*.pkl`` blob under ``checkpoint_dir`` when
+    at least two cells share the prefix, when its blob is already
     published, or when the directory is ``durable`` (the caller's lasting
     store): the prefix must be simulated anyway, so publishing the blob
     costs one pickle and seeds every later batch, from any client, that
     sweeps the same prefix.  A lone cell over a scratch directory stays
     cold — a blob nothing will ever share is pure overhead — as does every
-    cell with no directory, no ``warm_start`` or no shareable prefix.  Each
-    missing blob is built by one ``checkpoint`` setup job, booked on the
-    first cell that needs it; ``verify`` makes the first cell of each warm
-    group re-run cold and compare bytes.  Sharded specs expand into one
-    region job per shard either way.
+    cell with no directory or no shareable prefix (sharded cells have none:
+    :func:`~repro.experiments.warmstart.plan_prefix`).  Each missing blob is
+    built by one ``checkpoint`` setup job, booked on the first cell that
+    needs it; ``verify`` makes the first cell of each warm group re-run
+    cold and compare bytes.  Sharded specs expand into one region job per
+    shard.
     """
     plans = [CellPlan(spec=spec) for spec in specs]
     # checkpoint key -> (prefix plan, indices of the cells sharing it)
     groups: Dict[str, Tuple[PrefixPlan, List[int]]] = {}
-    if warm_start and checkpoint_dir is not None:
+    if checkpoint_dir is not None:
         for index, spec in enumerate(specs):
             prefix = plan_prefix(spec)
             if prefix is not None:
                 key = prefix.checkpoint_key()
                 groups.setdefault(key, (prefix, []))[1].append(index)
 
-    blobs_of: Dict[int, List[Dict[str, Any]]] = {}
+    blobs_of: Dict[int, Dict[str, Any]] = {}
     verified = set()
-    planned_keys = set()
-    for prefix, members in groups.values():
-        store = CheckpointStore(Path(checkpoint_dir))
-        first = plans[members[0]]
-        blobs = _prefix_blobs(first.spec, prefix, store.directory)
-        published = {blob["key"]: store.exists(blob["key"]) for blob in blobs}
-        if len(members) < 2 and not all(published.values()) and not durable:
+    store = CheckpointStore(Path(checkpoint_dir)) if groups else None
+    for key, (prefix, members) in groups.items():
+        published = store.exists(key)
+        if len(members) < 2 and not published and not durable:
             continue
-        blobs_of.update((index, blobs) for index in members)
+        blob = prefix.block(store.directory)
+        blobs_of.update((index, blob) for index in members)
         if verify:
             verified.add(members[0])
-        for blob in blobs:
-            # Region blobs can recur across groups; build each key once.
-            if blob["key"] in planned_keys:
-                continue
-            planned_keys.add(blob["key"])
-            if published[blob["key"]]:
-                first.checkpoint_hits += 1
-                continue
+        first = plans[members[0]]
+        if published:
+            first.checkpoint_hits += 1
+        else:
             first.checkpoint_misses += 1
-            payload = {**blob, "membership_log": first.spec.shards is not None}
-            first.setup_jobs.append(("checkpoint", canonical_json(payload)))
+            first.setup_jobs.append(("checkpoint", canonical_json(blob)))
 
     for index, plan in enumerate(plans):
         spec = plan.spec
-        blobs = blobs_of.get(index)
-        plan.warm = blobs is not None
+        blob = blobs_of.get(index)
+        plan.warm = blob is not None
         if spec.shards is not None:
             from .shard import plan_shards, region_payloads
 
             plan.shard_plan = plan_shards(spec)
             plan.jobs = [
-                ("region", payload)
-                for payload in region_payloads(plan.shard_plan, blobs)
+                ("region", payload) for payload in region_payloads(plan.shard_plan)
             ]
-            if index in verified:
-                # Sharded runtime verify: re-run the regions cold; the
-                # merged documents must match byte for byte.
-                plan.verify_jobs = [
-                    ("region", payload) for payload in region_payloads(plan.shard_plan)
-                ]
-        elif blobs is not None:
-            payload = {**blobs[0], "spec": spec.to_dict(), "verify": index in verified}
+        elif blob is not None:
+            payload = {**blob, "spec": spec.to_dict(), "verify": index in verified}
             plan.jobs = [("warm", canonical_json(payload))]
         else:
             plan.jobs = [("spec", spec.to_json())]
     return plans
 
 
-def plan_cell(
-    spec: ScenarioSpec,
-    checkpoint_dir: Optional[Path] = None,
-    warm_start: bool = True,
-) -> CellPlan:
-    """Plan one cell against a durable store: :func:`plan_cells` of one."""
-    return plan_cells([spec], checkpoint_dir, warm_start)[0]
+def plan_cell(spec: ScenarioSpec, checkpoint_dir: Optional[Path] = None) -> CellPlan:
+    """Plan one cell against a durable store: :func:`plan_cells` of one.
+
+    With no ``checkpoint_dir`` the cell runs cold.
+    """
+    return plan_cells([spec], checkpoint_dir)[0]
 
 
 # ----------------------------------------------------------------------
@@ -1166,16 +1119,13 @@ class ExperimentRunner:
             checkpoint_started = time.perf_counter()
             executor.run_all([job for plan in plans for job in plan.setup_jobs])
             self.checkpoint_wall_s += time.perf_counter() - checkpoint_started
-            outputs = executor.run_all(
-                [job for plan in plans for job in plan.jobs + plan.verify_jobs]
-            )
+            outputs = executor.run_all([job for plan in plans for job in plan.jobs])
 
         results: List[RunResult] = []
         offset = 0
         for key, plan in zip(pending, plans):
-            middle = offset + len(plan.jobs)
-            end = middle + len(plan.verify_jobs)
-            result = plan.merge(outputs[offset:middle], outputs[middle:end])
+            end = offset + len(plan.jobs)
+            result = plan.merge(outputs[offset:end])
             offset = end
             self._cache.store_key(key, result.to_json())
             results.append(result)

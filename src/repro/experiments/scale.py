@@ -37,9 +37,8 @@ per edge interface; see ``docs/scale.md``):
   100 → 100,000 mid-session through a
   :class:`~repro.multicast_cc.churn.ChurnProcess` burst.
 * ``scale-protection`` — one point of the audience × attacker-fraction
-  protection grid; :func:`run_scale_protection_sweep` fans the full grid
-  through the parallel :class:`~repro.experiments.runner.ExperimentRunner`
-  (see ``examples/attack_at_scale.py``).
+  protection grid; ``examples/attack_at_scale.py`` runs the full grid
+  through the parallel :class:`~repro.experiments.runner.ExperimentRunner`.
 * ``scale-dumbbell-1m`` — the vector-placement flagship: a 1,000,000-receiver
   honest audience split across thousands of cohort rows on a generated
   multi-edge dumbbell, with an adversarial inflated-join population riding
@@ -58,14 +57,13 @@ per-object receivers — the reference the equivalence tests compare against
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
 from .attacks import duel_spec
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
-from .runner import ExperimentRunner, RunResult
 from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
@@ -78,7 +76,6 @@ __all__ = [
     "attack_collusion_100k_spec",
     "attack_churn_flash_crowd_spec",
     "scale_protection_spec",
-    "run_scale_protection_sweep",
 ]
 
 
@@ -569,43 +566,5 @@ register_scenario(
     "scale-protection",
     "One audience × attacker-fraction × strategy grid point: an attacker "
     "cohort sized as a fraction of the honest audience, mounting any "
-    "registered strategy (run_scale_protection_sweep fans the full grid)",
+    "registered strategy (examples/attack_at_scale.py runs the full grid)",
 )(scale_protection_spec)
-
-
-def run_scale_protection_sweep(
-    audiences: Sequence[int] = (1_000, 10_000, 100_000),
-    attacker_fractions: Sequence[float] = (0.001, 0.01, 0.1),
-    strategies: Sequence[str] = ("inflated-join",),
-    jobs: int = 1,
-    seeds: Sequence[int] = (0,),
-    duration_s: float = 30.0,
-    attack_start_s: float = 10.0,
-    protected: bool = True,
-    config: ExperimentConfig = PAPER_DEFAULTS,
-) -> List[RunResult]:
-    """Fan the audience × attacker-fraction × strategy grid through the runner.
-
-    Returns one :class:`~repro.experiments.runner.RunResult` per (audience,
-    fraction, strategy, seed), in grid order — each carrying the
-    population-weighted ``protection`` block.  ``strategies`` defaults to
-    the historical inflated-join axis; pass e.g. ``("key-replay",
-    "key-guessing", "collusion")`` for the batched key-oriented sweep rows.
-    ``examples/attack_at_scale.py`` renders the grid as a containment table.
-    """
-    specs = [
-        scale_protection_spec(
-            audience=audience,
-            attacker_fraction=fraction,
-            strategy=strategy,
-            protected=protected,
-            attack_start_s=attack_start_s,
-            duration_s=duration_s,
-            config=config,
-        ).with_seed(seed)
-        for audience in audiences
-        for fraction in attacker_fractions
-        for strategy in strategies
-        for seed in seeds
-    ]
-    return ExperimentRunner(jobs=jobs).run(specs)

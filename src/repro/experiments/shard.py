@@ -227,29 +227,20 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     )
 
 
-def region_payloads(
-    plan: ShardPlan, warm_blocks: Optional[Sequence[Dict[str, Any]]] = None
-) -> List[str]:
-    """One worker payload (JSON string) per region, in region order.
-
-    ``warm_blocks`` — one :meth:`PrefixPlan.block
-    <repro.experiments.warmstart.PrefixPlan.block>` per region, in region
-    order — makes the regions resume from their prefix checkpoints instead
-    of running from ``t=0``.
-    """
-    payloads: List[str] = []
-    for index, region in enumerate(plan.regions):
-        payload: Dict[str, Any] = {
-            "kind": "region",
-            "region": region.region,
-            "spec": region.spec.to_dict(),
-            "slot_s": plan.slot_s,
-            "onsets": plan.onsets,
-        }
-        if warm_blocks is not None:
-            payload["warm"] = warm_blocks[index]
-        payloads.append(canonical_json(payload))
-    return payloads
+def region_payloads(plan: ShardPlan) -> List[str]:
+    """One worker payload (JSON string) per region, in region order."""
+    return [
+        canonical_json(
+            {
+                "kind": "region",
+                "region": region.region,
+                "spec": region.spec.to_dict(),
+                "slot_s": plan.slot_s,
+                "onsets": plan.onsets,
+            }
+        )
+        for region in plan.regions
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +254,13 @@ def run_region_json(payload_json: str) -> str:
     (:func:`~repro.experiments.runner.collect_ingredients`, with the
     protection windows of the *whole* spec from the payload) plus the
     region number, the recorded boundary events and the region's wall time
-    (the only nondeterministic field — the merge drops it).  A ``warm``
-    block in the payload resumes the region from its prefix checkpoint.
+    (the only nondeterministic field — the merge drops it).  Regions always
+    run cold, from ``t=0``.
     """
     payload = json.loads(payload_json)
     spec = ScenarioSpec.from_dict(payload["spec"])
     started = time.perf_counter()
-    scenario = run_scenario(spec, warm=payload.get("warm"), membership_log=True)
+    scenario = run_scenario(spec, membership_log=True)
     wall_s = time.perf_counter() - started
     document = collect_ingredients(scenario, spec, payload.get("onsets"))
     document["region"] = payload["region"]

@@ -161,8 +161,8 @@ class PrefixPlan:
     def block(self, directory: Path) -> Dict[str, Any]:
         """How workers are told about this prefix's blob under ``directory``.
 
-        The fields a ``checkpoint`` payload, a ``warm`` payload and a region
-        payload's ``warm`` block share (consumed by :func:`run_scenario`).
+        The fields a ``checkpoint`` payload and a ``warm`` payload share
+        (consumed by :func:`run_scenario`).
         """
         return {
             "dir": str(directory),
@@ -178,10 +178,12 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
 
     The barrier is the last slot boundary at or before the earliest attack
     onset (slot duration per the spec's protocol variant).  ``None`` when
-    the spec declares no attacks, when the onset leaves less than one full
-    slot of shared prefix, or when the barrier would not land strictly
-    inside the run.
+    the spec is sharded (its regions run cold: ``docs/scale.md``), declares
+    no attacks, when the onset leaves less than one full slot of shared
+    prefix, or when the barrier would not land strictly inside the run.
     """
+    if spec.shards is not None:
+        return None
     onsets = [
         onset
         for decl in spec.sessions
@@ -218,10 +220,9 @@ def require_store_key(key: str) -> str:
     """``key`` itself when it is a content address, else :class:`ValueError`.
 
     Every result-cache and blob-store key is a SHA-256 hex digest, and keys
-    are joined into a path.  They also arrive from outside the program (the
-    service's ``cache-get``/``blob-stat`` ops, worker payloads), so anything
-    but 64 lowercase hex characters — an absolute path, ``..``, a NUL byte
-    — is refused before it can name a file outside the store.
+    are joined into a path.  They also arrive in worker payloads, so
+    anything but 64 lowercase hex characters — an absolute path, ``..``, a
+    NUL byte — is refused before it can name a file outside the store.
     """
     if not isinstance(key, str) or _STORE_KEY.fullmatch(key) is None:
         raise ValueError(
@@ -293,41 +294,21 @@ class CheckpointStore:
         publish_atomically(self.path(key), scenario.checkpoint())
 
 
-def _build_prefix(block: Mapping[str, Any], membership_log: bool) -> Scenario:
-    """Realise a canonical prefix spec and run it up to (excluding) the barrier.
-
-    ``block`` names the prefix (:meth:`PrefixPlan.block`); it is built with
-    the cell's edge classes.
-    """
-    scenario = Scenario.from_spec(
-        ScenarioSpec.from_dict(block["prefix"]), block.get("edge_classes", ())
-    )
-    if membership_log:
-        # Region runs record boundary events from t=0; the log must be
-        # attached before the prefix runs so it survives inside the blob.
-        scenario.network.multicast.membership_log = []
-    scenario.run_to_barrier(block["barrier_s"])
-    return scenario
-
-
-def _ensure_checkpoint(block: Mapping[str, Any], membership_log: bool) -> tuple:
+def _ensure_checkpoint(block: Mapping[str, Any]) -> Tuple[Scenario, bool]:
     """(scenario at the barrier, whether an existing blob was reused).
 
-    ``block`` names the checkpoint (:meth:`PrefixPlan.block`).
+    ``block`` names the checkpoint (:meth:`PrefixPlan.block`).  On a miss
+    the canonical prefix spec is realised with the cell's edge classes, run
+    up to (excluding) the barrier and published.
     """
     store = CheckpointStore(Path(block["dir"]))
     scenario = store.load(block["key"])
-    if (
-        scenario is not None
-        and membership_log
-        and scenario.network.multicast.membership_log is None
-    ):
-        # A blob written without the boundary log cannot serve a region
-        # run — events before the barrier would be lost from the merge.
-        scenario = None
     if scenario is not None:
         return scenario, True
-    scenario = _build_prefix(block, membership_log)
+    scenario = Scenario.from_spec(
+        ScenarioSpec.from_dict(block["prefix"]), block.get("edge_classes", ())
+    )
+    scenario.run_to_barrier(block["barrier_s"])
     store.save(block["key"], scenario)
     return scenario, False
 
@@ -339,19 +320,20 @@ def run_scenario(
 ) -> Scenario:
     """Realise ``spec`` and run it to the end — the body of every job kind.
 
-    Cold (``warm is None``) the scenario is built from the spec at ``t=0``.
-    Warm, ``warm`` names a prefix checkpoint (see :func:`_ensure_checkpoint`):
-    the blob is restored, or rebuilt in place on a miss — a concurrently
-    pruned or torn blob degrades to a cold prefix, never an error — and the
-    cell's real declarations are rebound onto it.  ``membership_log``
-    records the effective membership transitions from ``t=0`` (region runs).
+    Cold (``warm is None``) the scenario is built from the spec at ``t=0``;
+    ``membership_log`` records the effective membership transitions from
+    ``t=0`` (region runs, which are always cold).  Warm, ``warm`` names a
+    prefix checkpoint (see :func:`_ensure_checkpoint`): the blob is
+    restored, or rebuilt in place on a miss — a concurrently pruned or torn
+    blob degrades to a cold prefix, never an error — and the cell's real
+    declarations are rebound onto it.
     """
     if warm is None:
         scenario = Scenario.from_spec(spec, interchangeable_edges(spec, membership_log))
         if membership_log:
             scenario.network.multicast.membership_log = []
     else:
-        scenario, _reused = _ensure_checkpoint(warm, membership_log)
+        scenario, _reused = _ensure_checkpoint(warm)
         scenario.rebind_spec(spec)
     scenario.run(spec.effective_duration_s)
     return scenario
@@ -364,14 +346,12 @@ def run_checkpoint_json(payload_json: str) -> str:
     """Worker entry point: build (or find) one prefix checkpoint.
 
     Payload: ``{"prefix": spec dict, "barrier_s": float, "dir": str,
-    "key": str, "edge_classes": list, "membership_log": bool}`` (no
-    ``edge_classes``: every edge is built).  Returns a small JSON document
-    reporting whether an already-published blob was reused.
+    "key": str, "edge_classes": list}`` (no ``edge_classes``: every edge is
+    built).  Returns a small JSON document reporting whether an
+    already-published blob was reused.
     """
     payload = json.loads(payload_json)
-    _scenario, reused = _ensure_checkpoint(
-        payload, payload.get("membership_log", False)
-    )
+    _scenario, reused = _ensure_checkpoint(payload)
     return json.dumps({"key": payload["key"], "reused": reused})
 
 

@@ -159,18 +159,6 @@ class ServiceClient:
         self._send({"op": "status", "id": request_id})
         return self._await_event(request_id, "status")
 
-    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The result document under cache ``key``, or ``None`` on a miss."""
-        request_id = self._request_id()
-        self._send({"op": "cache-get", "id": request_id, "key": key})
-        return self._await_event(request_id, "cache").get("result")
-
-    def blob_stat(self, key: str) -> Dict[str, Any]:
-        """Existence/size of the warm-start blob under ``key``."""
-        request_id = self._request_id()
-        self._send({"op": "blob-stat", "id": request_id, "key": key})
-        return self._await_event(request_id, "blob")
-
     def shutdown(self) -> Dict[str, Any]:
         """Ask the daemon to drain and exit; returns its ``bye`` notice."""
         request_id = self._request_id()

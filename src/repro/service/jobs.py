@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..experiments.runner import (
@@ -65,22 +64,19 @@ class CellOutcome:
 
 
 class ExperimentScheduler:
-    """Admit, deduplicate and execute experiment cells for the service."""
+    """Admit, deduplicate and execute experiment cells for the service.
+
+    Warm-start blobs live beside the results, in ``cache.directory``; a
+    cache with no directory runs every cell cold.
+    """
 
     def __init__(
-        self,
-        pool: JobExecutor,
-        cache: ResultCache,
-        checkpoint_dir: Optional[Path],
-        warm_start: bool = True,
-        max_queue: int = 256,
+        self, pool: JobExecutor, cache: ResultCache, max_queue: int = 256
     ) -> None:
         if max_queue < 0:
             raise ValueError("max_queue must be non-negative")
         self.pool = pool
         self.cache = cache
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.warm_start = warm_start
         self.max_queue = max_queue
         self.draining = False
         #: Cells admitted but not yet finished (the queue depth ``/status``
@@ -142,9 +138,7 @@ class ExperimentScheduler:
         if task is not None:
             self.dedup_hits += 1
             return CellOutcome(await asyncio.shield(task), key, deduped=True)
-        plan = plan_cell(
-            spec, checkpoint_dir=self.checkpoint_dir, warm_start=self.warm_start
-        )
+        plan = plan_cell(spec, checkpoint_dir=self.cache.directory)
         self.checkpoint_hits += plan.checkpoint_hits
         self.checkpoint_misses += plan.checkpoint_misses
         task = asyncio.get_running_loop().create_task(
@@ -172,8 +166,9 @@ class ExperimentScheduler:
     ) -> RunResult:
         """Run one planned cell on the pool; publish its result under ``key``.
 
-        The batch runner's four steps, per cell: setup jobs (a sharded
-        cell's region blobs, side by side), jobs, merge, cache store.
+        The batch runner's four steps, per cell: setup jobs (the prefix
+        blob of a warm cell), jobs (a sharded cell's regions side by side),
+        merge, cache store.
         """
         await asyncio.gather(
             *(self.pool.run(job, timeout_s) for job in plan.setup_jobs)

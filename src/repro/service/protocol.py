@@ -17,10 +17,6 @@ submit     ``{"op": "submit", "id": str?, "spec": {...}, "seeds": [int]?,``
            sweep (default: the spec's own seed), streaming one ``result``
            event per cell as it completes.
 status     ``{"op": "status"}`` — service introspection snapshot.
-cache-get  ``{"op": "cache-get", "key": str}`` — fetch the result document
-           stored under a SHA-256 cache key, never touching the pool.
-blob-stat  ``{"op": "blob-stat", "key": str}`` — existence/size of a
-           ``ck_<key>.pkl`` warm-start blob in the shared store.
 shutdown   ``{"op": "shutdown"}`` — ask the daemon to drain and exit
            (equivalent to SIGTERM; in-flight jobs finish first).
 ========== ===========================================================
@@ -30,9 +26,9 @@ protocol/package versions), ``accepted``/``rejected`` (admission verdicts),
 ``result`` (one cell's :class:`~repro.experiments.runner.RunResult` dict,
 tagged with its seed and whether it was served from cache), ``error``
 (per-cell or per-request failure), ``done`` (end of a submission's stream,
-with summary counters), ``status``, ``cache``, ``blob`` and ``bye`` (drain
-notice).  Events for concurrent submissions on one connection interleave;
-every event echoes the request's ``id`` so clients can demultiplex.
+with summary counters), ``status`` and ``bye`` (drain notice).  Events
+for concurrent submissions on one connection interleave; every event
+echoes the request's ``id`` so clients can demultiplex.
 """
 
 from __future__ import annotations
@@ -52,8 +48,9 @@ __all__ = [
 #: advertises it in the ``hello`` event; clients refuse to talk to a newer
 #: major protocol.  2: the ``submit`` spec lost its two dumbbell-only
 #: sizing keys and the config's four link keys (a dumbbell is sized through
-#: ``topology_params``), and unknown keys are refused.
-PROTOCOL_VERSION = 2
+#: ``topology_params``), and unknown keys are refused.  3: the two
+#: store-inspection ops (result by key, blob size by key) are gone.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one framed message.  Spec documents and result documents
 #: with recorded series are large but bounded; 64 MiB leaves headroom while

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from .. import __version__
 from ..experiments.runner import JobExecutor, ResultCache, timeout_budget
 from ..experiments.spec import ScenarioSpec
-from ..experiments.warmstart import CheckpointStore
 from .jobs import (
     CellOutcome,
     ExperimentScheduler,
@@ -53,9 +52,9 @@ class ServiceConfig:
 
     Exactly one endpoint is used: ``socket`` (a Unix socket path) when set,
     otherwise TCP on ``host``/``port`` (``port=0`` picks a free port, which
-    the startup announcement reports).  ``checkpoint_dir`` defaults to
-    ``cache_dir`` so result entries and warm-start blobs share one store,
-    exactly like a batch runner pointed at the same directory.
+    the startup announcement reports).  Result entries and warm-start
+    blobs share ``cache_dir``, exactly like a batch runner pointed at the
+    same directory.
     """
 
     cache_dir: Path
@@ -66,12 +65,6 @@ class ServiceConfig:
     retries: int = 2
     timeout_s: Optional[float] = None
     max_queue: int = 256
-    warm_start: bool = True
-    checkpoint_dir: Optional[Path] = None
-
-    def resolved_checkpoint_dir(self) -> Path:
-        """The blob store directory (defaults to the result cache's)."""
-        return Path(self.checkpoint_dir or self.cache_dir)
 
 
 class ExperimentService:
@@ -84,13 +77,8 @@ class ExperimentService:
         )
         self.cache = ResultCache(Path(config.cache_dir))
         self.scheduler = ExperimentScheduler(
-            pool=self.pool,
-            cache=self.cache,
-            checkpoint_dir=config.resolved_checkpoint_dir(),
-            warm_start=config.warm_start,
-            max_queue=config.max_queue,
+            pool=self.pool, cache=self.cache, max_queue=config.max_queue
         )
-        self.blobs = CheckpointStore(config.resolved_checkpoint_dir())
         #: ``("unix", path)`` or ``("tcp", host, port)`` once listening.
         self.endpoint: Optional[Tuple[Any, ...]] = None
         self._drain = asyncio.Event()
@@ -255,29 +243,6 @@ class ExperimentService:
             await self._send(
                 writer, {"event": "status", "id": request_id, **self.status()}
             )
-        elif op in ("cache-get", "blob-stat"):
-            key = str(message.get("key", ""))
-            try:
-                if op == "cache-get":
-                    result = self.cache.load_key(key)
-                    reply = {
-                        "event": "cache",
-                        "hit": result is not None,
-                        "result": None if result is None else result.to_dict(),
-                    }
-                else:
-                    path = self.blobs.path(key)
-                    exists = path.exists()
-                    reply = {
-                        "event": "blob",
-                        "exists": exists,
-                        "size": path.stat().st_size if exists else 0,
-                    }
-            except ValueError as exc:
-                # Not a content address: it could name a path outside the
-                # store, so it is refused before any file is touched.
-                reply = {"event": "error", "message": str(exc)}
-            await self._send(writer, {"id": request_id, "key": key, **reply})
         elif op == "shutdown":
             await self._send(
                 writer, {"event": "bye", "id": request_id, "draining": True}

@@ -13,7 +13,6 @@ from repro.experiments import (
     SessionDecl,
     attack_churn_flash_crowd_spec,
     attack_inflated_100k_spec,
-    run_scale_protection_sweep,
     scale_dumbbell_1m_spec,
     scale_dumbbell_spec,
     scale_overhead_spec,
@@ -209,12 +208,17 @@ def test_attack_churn_flash_crowd_surges_to_100k():
 
 def test_scale_protection_sweep_grid():
     """The audience × attacker-fraction grid returns one result per point."""
-    results = run_scale_protection_sweep(
-        audiences=(200, 400),
-        attacker_fractions=(0.01, 0.1),
-        duration_s=12.0,
-        attack_start_s=4.0,
-    )
+    grid = [
+        scale_protection_spec(
+            audience=audience,
+            attacker_fraction=fraction,
+            duration_s=12.0,
+            attack_start_s=4.0,
+        ).with_seed(0)
+        for audience in (200, 400)
+        for fraction in (0.01, 0.1)
+    ]
+    results = ExperimentRunner(jobs=1).run(grid)
     assert len(results) == 4
     for result in results:
         entry = result.metrics["protection"]["sessions"]["attackers"]["attackers"]["0"]

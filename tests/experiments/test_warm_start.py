@@ -40,7 +40,7 @@ from repro.experiments import (
 from repro.experiments.runner import (
     ResultCache,
     cache_stats,
-    plan_cells,
+    plan_cell,
     prune_cache,
     run_job,
 )
@@ -221,33 +221,29 @@ def _tiny_sharded(intensity):
     )
 
 
-def test_sharded_warm_equals_cold(tmp_path):
-    """Region checkpoints compose with the sharded merge, serial and pooled."""
+def test_sharded_cells_run_cold(tmp_path):
+    """A sharded cell has no shareable prefix: it builds no blob and its
+    regions run from ``t=0``, even under a durable store and runtime verify."""
     grid = [_tiny_sharded(1.0), _tiny_sharded(2.0)]
     cold = [r.to_json() for r in ExperimentRunner(jobs=1, warm_start=False).run(grid)]
-    warm = ExperimentRunner(jobs=1, cache_dir=tmp_path / "serial")
-    assert [r.to_json() for r in warm.run(grid)] == cold
-    assert warm.warm_runs == len(grid)
-    assert warm.checkpoint_misses == grid[0].shards  # one blob per region
-    pooled = ExperimentRunner(jobs=2, cache_dir=tmp_path / "pool", verify_warm_start=True)
-    assert [r.to_json() for r in pooled.run(grid)] == cold
+    runner = ExperimentRunner(jobs=2, cache_dir=tmp_path, verify_warm_start=True)
+    assert [r.to_json() for r in runner.run(grid)] == cold
+    assert runner.warm_runs == runner.checkpoint_misses == 0
+    assert not list(tmp_path.glob("ck_*.pkl"))
+    assert plan_prefix(grid[0]) is None
+    plan = plan_cell(grid[0], checkpoint_dir=tmp_path)
+    assert plan.setup_jobs == [] and not plan.warm
+    assert not any('"warm"' in payload for _kind, payload in plan.jobs)
 
+    from repro.service.jobs import ExperimentScheduler
 
-def test_sharded_verify_jobs_catch_divergence(tmp_path):
-    """The cold re-run rides the plan as ``verify_jobs``; ``merge`` compares."""
-    (plan,) = plan_cells([_tiny_sharded(1.0)], checkpoint_dir=tmp_path, verify=True)
-    assert plan.warm and len(plan.verify_jobs) == len(plan.jobs) == 4
-    assert all('"warm"' in payload for _kind, payload in plan.jobs)
-    assert not any('"warm"' in payload for _kind, payload in plan.verify_jobs)
-    for job in plan.setup_jobs:
-        run_job(job)
-    outputs = [run_job(job) for job in plan.jobs]
-    cold = [run_job(job) for job in plan.verify_jobs]
-    assert plan.merge(outputs, cold).to_json() == plan.merge(outputs).to_json()
-    (other,) = plan_cells([_tiny_sharded(1.0).with_seed(99)], warm_start=False)
-    diverged = [run_job(job) for job in other.jobs]
-    with pytest.raises(RuntimeError, match="warm-start divergence"):
-        plan.merge(outputs, diverged)
+    pool = _RecordingPool()
+    scheduler = ExperimentScheduler(pool, ResultCache(tmp_path / "served"))
+    outcome = asyncio.run(scheduler.run_cell(grid[0]))
+    assert outcome.result.to_json() == cold[0] and not outcome.warm
+    assert scheduler.warm_runs == scheduler.checkpoint_misses == 0
+    assert [kind for kind, _payload in pool.jobs] == ["region"] * grid[0].shards
+    assert not list((tmp_path / "served").glob("ck_*.pkl"))
 
 
 class _RecordingPool:
@@ -287,7 +283,7 @@ def test_runner_and_scheduler_plan_identical_jobs(tmp_path, monkeypatch):
 
     def served_jobs():
         pool = _RecordingPool()
-        scheduler = ExperimentScheduler(pool, ResultCache(tmp_path), tmp_path)
+        scheduler = ExperimentScheduler(pool, ResultCache(tmp_path))
         outcome = asyncio.run(scheduler.run_cell(spec))
         assert outcome.warm and not outcome.cached
         return pool.jobs
@@ -434,7 +430,6 @@ def test_verify_catches_forced_divergence(tmp_path):
         "barrier_s": wrong.barrier_s,
         "dir": str(tmp_path),
         "key": plan.checkpoint_key(),  # published under the *wrong* key
-        "membership_log": False,
     }
     run_checkpoint_json(json.dumps(payload))
     with pytest.raises(RuntimeError, match="warm-start divergence"):

@@ -69,9 +69,9 @@ def paired_worker(job):
     return run_job(job)
 
 
-def paired_checkpoint_worker(job):
-    """Pair up ``checkpoint`` jobs only; everything else runs freely."""
-    return paired_worker(job) if job[0] == "checkpoint" else run_job(job)
+def paired_region_worker(job):
+    """Pair up ``region`` jobs only; everything else runs freely."""
+    return paired_worker(job) if job[0] == "region" else run_job(job)
 
 
 def last_seed_first_worker(job):
@@ -200,15 +200,13 @@ class TestSubmissionsInterleave:
 
 @fork_only
 class TestShardedSetup:
-    def test_region_blobs_of_a_sharded_cell_build_side_by_side(
+    def test_regions_of_a_sharded_cell_run_cold_side_by_side(
         self, service_loop, monkeypatch
     ):
         spec = sharded_spec()
         expected = ExperimentRunner(jobs=1).run_one(spec).to_json()
         monkeypatch.setattr("test_concurrency.BARRIER", multiprocessing.Barrier(2))
-        monkeypatch.setattr(
-            "repro.experiments.runner.run_job", paired_checkpoint_worker
-        )
+        monkeypatch.setattr("repro.experiments.runner.run_job", paired_region_worker)
 
         async def scenario():
             loop = await service_loop(jobs=2)
@@ -216,17 +214,21 @@ class TestShardedSetup:
             events = await conn.submit(spec)
             conn.close()
             status = loop.service.status()
+            blobs = list(loop.service.cache.directory.glob("ck_*.pkl"))
             await loop.stop()
-            return events, status
+            return events, status, blobs
 
-        events, status = asyncio.run(scenario())
+        events, status, blobs = asyncio.run(scenario())
         (result,) = results_of(events)
         assert wire_json(result["result"]) == expected
-        # A checkpoint job runs only beside another one: both region blobs
-        # were on workers before either could finish.
+        assert blobs == []
+        # A region job runs only beside another one: both regions were on
+        # workers before either could finish.  Neither resumed a prefix blob.
         assert status["pool"]["peak_running"] == 2
-        assert status["scheduler"]["checkpoint_misses"] == 2
-        assert status["pool"]["completed"] == 4  # 2 checkpoints + 2 regions
+        assert result["warm"] is False
+        assert status["scheduler"]["checkpoint_misses"] == 0
+        assert status["scheduler"]["warm_runs"] == 0
+        assert status["pool"]["completed"] == 2  # 2 regions, no checkpoint
 
 
 class TestInProcessDedup:

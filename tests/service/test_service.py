@@ -98,14 +98,6 @@ class TestEndToEnd:
         assert status["scheduler"]["cache_hits"] == 2
         assert status["scheduler"]["cache_hit_rate"] == pytest.approx(0.5)
 
-    def test_cache_get_round_trip_and_miss(self, daemon):
-        handle = daemon()
-        spec = fast_spec()
-        with handle.client() as client:
-            (result,) = client.run(spec, seeds=[0])
-            assert client.cache_get(ResultCache.key(spec)) == result.to_dict()
-            assert client.cache_get("0" * 64) is None
-
     def test_warm_start_blob_is_served_from_shared_store(self, daemon):
         spec = scenario_spec(
             "attack-flapping", attack_start_s=6.0, duration_s=18.0
@@ -115,11 +107,10 @@ class TestEndToEnd:
         handle = daemon()
         with handle.client() as client:
             events = list(client.stream(spec))
-            result = next(e for e in events if e["event"] == "result")
-            assert result["warm"] is True
-            stat = client.blob_stat(plan.checkpoint_key())
-        assert stat["exists"] is True
-        assert stat["size"] > 0
+        result = next(e for e in events if e["event"] == "result")
+        assert result["warm"] is True
+        blob = handle.cache_dir / f"ck_{plan.checkpoint_key()}.pkl"
+        assert blob.stat().st_size > 0
 
     def test_status_document_shape(self, daemon):
         with daemon(jobs=2).client() as client:
@@ -479,46 +470,27 @@ class TestProtocolErrorHandling:
         assert "seeds" in event["reason"]
 
 
-    #: Keys that are not a content address (64 lowercase hex characters).
-    HOSTILE_KEYS = (
-        "/etc/hostname",
-        "../../etc/hostname",
-        "",
-        "0" * 65,
-        "0" * 63 + "\x00",
-        "A" * 64,
-    )
-
-    def test_hostile_store_keys_answer_error_in_band(self, daemon, tmp_path):
-        """A key that could name a path outside the store opens no file."""
-        handle = daemon()
-        # A well-formed result document *outside* the store: a daemon that
-        # joined the raw key into a path would serve it as a cache hit.
-        outside = tmp_path / "outside"
-        outside.with_suffix(".json").write_text(execute_spec(fast_spec()).to_json())
-        (tmp_path / "ck_outside.pkl").write_bytes(b"not a blob")
-        keys = self.HOSTILE_KEYS + (str(outside), f"../{outside.name}")
+    def test_removed_store_ops_answer_unknown_op_in_band(self, daemon):
+        """Protocol 3 dropped the two store-inspection ops: each is an
+        unknown op, answered in-band, and touches neither store nor pool."""
 
         async def scenario(conn):
             replies = []
             for op in ("cache-get", "blob-stat"):
-                for number, key in enumerate(keys):
-                    await conn.send({"op": op, "id": f"{op}{number}", "key": key})
+                for key in ("0" * 64, "/etc/hostname"):
+                    await conn.send({"op": op, "id": op, "key": key})
                     replies.append(await conn.recv())
-            await conn.send({"op": "cache-get", "id": "ok", "key": "0" * 64})
-            miss = await conn.recv()
             await conn.send({"op": "status", "id": "s"})
-            return replies, miss, await conn.recv()
+            return replies, await conn.recv()
 
-        replies, miss, status = self._converse(handle, scenario)
-        assert len(replies) == 2 * len(keys)
+        replies, status = self._converse(daemon(), scenario)
+        assert len(replies) == 4
         for reply in replies:
             assert reply["event"] == "error", reply
-            assert "invalid store key" in reply["message"]
-            assert reply["id"] is not None
+            assert reply["message"] == f"unknown op {reply['id']!r}"
         # The connection and the daemon are still usable afterwards.
-        assert (miss["event"], miss["hit"]) == ("cache", False)
         assert status["event"] == "status"
+        assert status["pool"]["restarts"] == 0
 
     def test_unusable_timeout_is_rejected(self, daemon):
         unusable = [0, -1, -0.5, True, "5", float("inf"), float("nan"), 10**400, [1]]
@@ -589,7 +561,6 @@ class TestSchedulerAdmission:
         return ExperimentScheduler(
             pool=JobExecutor(jobs=1),
             cache=ResultCache(tmp_path),
-            checkpoint_dir=tmp_path,
             max_queue=max_queue,
         )
 
@@ -728,23 +699,49 @@ class TestCli:
         assert "timeout_s" in proc.stderr
         assert not (tmp_path / "d.sock").exists()
 
-    @pytest.mark.parametrize("flag", ["--cache-dir", "--checkpoint-dir"])
-    def test_directory_that_names_a_file_exits_2_promptly(self, tmp_path, flag):
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_port_outside_0_to_65535_exits_2(self, tmp_path, port, capsys):
+        """Refused at parse time: ``serve --port 99999`` used to crash with
+        an ``OverflowError`` traceback from ``bind()``."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", f"--port={port}", "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "error: argument --port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["status"], ["submit", "figure8-throughput"]], ids=["status", "submit"]
+    )
+    def test_connect_timeout_must_be_finite_and_positive(
+        self, tmp_path, command, seconds, capsys
+    ):
+        """Refused at parse time: a negative, NaN or infinite timeout used to
+        crash in ``settimeout`` and ``0`` to leave the socket non-blocking."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--socket", str(tmp_path / "d.sock"),
+                  f"--connect-timeout={seconds}"])
+        assert exit_info.value.code == 2
+        assert "error: argument --connect-timeout" in capsys.readouterr().err
+
+    def test_directory_that_names_a_file_exits_2_promptly(self, tmp_path):
         """``serve --cache-dir <regular file>`` used to print ``listening``
         and then fail every cell with ``[Errno 17] File exists``."""
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        dirs = {"--cache-dir": str(tmp_path / "cache"), flag: str(blocker)}
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--socket",
-             str(tmp_path / "d.sock"), *(x for pair in dirs.items() for x in pair)],
+             str(tmp_path / "d.sock"), "--cache-dir", str(blocker)],
             capture_output=True,
             text=True,
             timeout=10,
             env=daemon_env(),
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: {flag}")
+        assert proc.stderr.startswith("error: --cache-dir")
         assert "listening" not in proc.stdout
         assert not (tmp_path / "d.sock").exists()
 
