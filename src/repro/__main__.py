@@ -119,10 +119,12 @@ def _port(text: str) -> int:
 
 
 def _positive_seconds(text: str) -> float:
-    """Parse a finite number of seconds > 0 (``--connect-timeout``).
+    """Parse a finite number of seconds > 0 (``--connect-timeout``, ``--timeout``).
 
     A socket timeout of ``0`` would leave the connection non-blocking, and
-    a negative, infinite or NaN one makes the socket call itself raise.
+    a negative, infinite or NaN one makes the socket call itself raise; a
+    job budget like that is refused by the daemon, so it is refused here,
+    before connecting.
     """
     try:
         seconds = float(text)
@@ -236,7 +238,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runner = ExperimentRunner(
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            warm_start=args.warm_start,
             verify_warm_start=args.verify_warm_start,
         )
     except (TypeError, ValueError) as exc:
@@ -503,18 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="directory for JSON results")
     run.add_argument("--cache-dir", default=None, help="per-run result cache directory")
     run.add_argument(
-        "--no-warm-start",
-        dest="warm_start",
-        action="store_false",
-        help="disable common-prefix warm starts (always run cells cold)",
-    )
-    run.add_argument(
         "--verify-warm-start",
         action="store_true",
         help="re-run one warm-started cell per prefix cold and assert "
         "byte-identical results",
     )
-    run.set_defaults(func=_cmd_run, warm_start=True)
+    run.set_defaults(func=_cmd_run)
 
     cache = sub.add_parser("cache", help="inspect or prune a runner cache directory")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -593,7 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_positive_int, default=1, help="number of seeds (0..N-1)"
     )
     submit.add_argument(
-        "--timeout", type=float, default=None, help="per-job budget override (s)"
+        "--timeout",
+        type=_positive_seconds,
+        default=None,
+        help="per-job budget override (s)",
     )
     submit.add_argument(
         "--connect-timeout",

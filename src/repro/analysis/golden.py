@@ -62,7 +62,7 @@ def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
     # Imported here, not at module scope: the experiment runner itself uses
     # the analysis package, so an eager import would cycle through
     # ``analysis/__init__`` during ``repro.experiments`` initialisation.
-    from ..experiments.runner import collect_metrics
+    from ..experiments.metrics import collect_metrics
     from ..experiments.warmstart import run_scenario
 
     scenario = run_scenario(spec)

@@ -12,17 +12,21 @@ The stack is layered:
   reducer), run through the runner by :func:`run_figure`.
 * :mod:`repro.experiments.scenario` — the interpreter realising specs on the
   simulator's topology graph layer.
-* :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
-  assemble: the one planner (:func:`plan_cells`), the one metric assembler
-  (:func:`collect_metrics`) and the parallel :class:`ExperimentRunner` —
-  spec × seed × parameter grids over a process pool, atomic JSON caching.
-* :mod:`repro.experiments.shard` — region-sharded execution for 10M+
-  receivers: the planner splitting a ``shards=N`` spec into standalone
-  region sub-scenarios, the region worker, and the deterministic merge
-  (the assembler over N region documents plus the boundary-event summary).
+* :mod:`repro.experiments.metrics` — the one metric assembler
+  (:func:`collect_metrics`): a finished run's measurements, one document
+  per run, assembled into a :class:`RunResult`.
 * :mod:`repro.experiments.warmstart` — common-prefix warm-starts for sweep
   grids: canonical prefix planning, slot-barrier checkpoints, the blob
-  store, and the one worker body realising and running a scenario.
+  store, and the body realising and running a cell.
+* :mod:`repro.experiments.shard` — region-sharded execution for 10M+
+  receivers: the planner splitting a ``shards=N`` spec into standalone
+  region sub-scenarios and the deterministic merge (the assembler over N
+  region documents plus the boundary-event summary).
+* :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
+  assemble: the one planner (:func:`plan_cells`), the one worker entry
+  point (:func:`~repro.experiments.runner.run_job`) and the parallel
+  :class:`ExperimentRunner` — spec × seed × parameter grids over a process
+  pool, atomic JSON caching.
 * :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9` — the
   paper's scenarios and figure declarations, built on the layers above.
 """
@@ -41,20 +45,18 @@ from .registry import (
     scenario_entry,
     scenario_spec,
 )
+from .metrics import RunResult, collect_metrics
 from .runner import (
     CellPlan,
     ExperimentExecutionError,
     ExperimentRunner,
     JobExecutor,
     ResultCache,
-    RunResult,
     cache_stats,
-    collect_metrics,
     execute_spec,
     plan_cell,
     plan_cells,
     prune_cache,
-    run_spec_json,
 )
 from .figure1 import DEFAULT_ATTACK_START_S, inflated_subscription_spec
 from .figure8 import (
@@ -83,7 +85,7 @@ from .scale import (
     scale_protection_spec,
 )
 from .scenario import MulticastSession, Scenario
-from .shard import ShardPlan, merge_region_results, plan_shards, run_region_json
+from .shard import ShardPlan, merge_region_results, plan_shards
 from .warmstart import CheckpointStore, PrefixPlan, plan_prefix
 from ..multicast_cc.churn import ChurnProcess
 
@@ -127,7 +129,6 @@ __all__ = [
     "plan_cell",
     "plan_cells",
     "prune_cache",
-    "run_spec_json",
     "CheckpointStore",
     "PrefixPlan",
     "plan_prefix",
@@ -148,5 +149,4 @@ __all__ = [
     "ShardPlan",
     "merge_region_results",
     "plan_shards",
-    "run_region_json",
 ]

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Sequence
 from ..analysis.fairness import jain_index
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario, series_kbps
-from .runner import RunResult
+from .metrics import RunResult
 from .spec import ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = ["inflated_subscription_spec"]

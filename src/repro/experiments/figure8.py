@@ -29,7 +29,7 @@ from ..analysis.fairness import max_min_ratio
 from ..simulator.topology import dumbbell_topology
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario, series_kbps
-from .runner import RunResult
+from .metrics import RunResult
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.overhead import OverheadModel, OverheadPoint
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario
-from .runner import RunResult
+from .metrics import RunResult
 from .spec import ScenarioSpec, SessionDecl
 
 __all__ = [

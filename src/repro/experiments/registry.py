@@ -8,7 +8,7 @@ so registered scenarios stay parameterisable (seed, duration, scale knobs).
 
 Each table of the paper's evaluation is a :class:`FigureDecl`: the cells its
 registered builders produce at given axis values, and a pure reducer from
-those cells' :class:`~repro.experiments.runner.RunResult` documents to the
+those cells' :class:`~repro.experiments.metrics.RunResult` documents to the
 table.  :func:`run_figure` is the one way a figure runs — every cell goes
 through :class:`~repro.experiments.runner.ExperimentRunner`, so figures get
 the result cache, warm-starts and the worker pool like any other batch.
@@ -36,7 +36,8 @@ from typing import (
 
 from ..simulator.monitors import window_rate_bps
 from .config import PAPER_DEFAULTS
-from .runner import ExperimentRunner, RunResult
+from .metrics import RunResult
+from .runner import ExperimentRunner
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [

@@ -2,15 +2,17 @@
 
 The runner executes :class:`~repro.experiments.spec.ScenarioSpec` instances —
 optionally fanned out over a spec × seed × parameter grid — and returns
-:class:`RunResult` objects whose ``metrics`` are plain JSON data.
+:class:`~repro.experiments.metrics.RunResult` objects whose ``metrics`` are
+plain JSON data.
 
-Both execution paths go through the same serialised round-trip: a spec is
-canonicalised to JSON, handed to :func:`run_spec_json` (in-process when
-``jobs == 1``, in a :class:`~concurrent.futures.ProcessPoolExecutor` worker
-otherwise), and the result comes back as canonical JSON.  Because the
-simulator is deterministic, the serial and parallel paths produce
-byte-identical result documents for the same spec and seed — the property
-tests assert exactly that.
+Both execution paths go through the same serialised round-trip: every job
+is a ``(kind, payload)`` pair of strings handed to :func:`run_job`
+(in-process when ``jobs == 1``, in a
+:class:`~concurrent.futures.ProcessPoolExecutor` worker otherwise), and the
+result comes back as canonical JSON.  Because the simulator is
+deterministic, the serial and parallel paths produce byte-identical result
+documents for the same spec and seed — the property tests assert exactly
+that.
 
 Results can be cached on disk (``cache_dir``): the cache key is the SHA-256
 of the spec's canonical JSON, so a cache hit is definitionally the same
@@ -26,12 +28,11 @@ through one pipeline, **plan → run → assemble**:
   warm-start policy; :func:`plan_cell` is the batch of one.  A ``shards=N``
   spec expands into one job per topology region
   (:mod:`repro.experiments.shard`) on the same process pool.
-* :func:`run_job` executes one job in a worker; whatever the kind, the
-  scenario is realised and run by
-  :func:`~repro.experiments.warmstart.run_scenario`.
-* :func:`collect_ingredients` measures a finished run and :func:`assemble`
-  turns one such document (:func:`collect_metrics`) or one per region
-  (:func:`~repro.experiments.shard.merge_region_results`) into the metric
+* :func:`run_job` executes one job in a worker — the one worker entry
+  point, and with :func:`describe_job` the one reader of a job's payload.
+* :mod:`repro.experiments.metrics` measures a finished run and assembles
+  one document, or one per region
+  (:func:`~repro.experiments.shard.merge_region_results`), into the metric
   document, byte-deterministic across the serial and pooled paths.
 """
 
@@ -42,7 +43,6 @@ import json
 import math
 import re
 import tempfile
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -59,446 +59,96 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.protection import (
-    combined_containment_s,
-    excess_goodput_kbps,
-    goodput_containment_s,
-    time_to_containment_s,
-    weighted_excess_goodput_kbps,
-    weighted_honest_baseline_kbps,
-)
+from .metrics import RunResult, _cache_version_tag, collect_ingredients, collect_metrics
 from .scenario import Scenario
-from .spec import PlainData, ScenarioSpec, canonical_json
+from .shard import ShardPlan, merge_region_results, plan_shards
+from .spec import ScenarioSpec, canonical_json
 from .warmstart import (
     CheckpointStore,
     PrefixPlan,
+    _ensure_checkpoint,
     plan_prefix,
     publish_atomically,
     require_store_key,
-    run_checkpoint_json,
     run_scenario,
-    run_warm_json,
 )
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "CellPlan",
     "ExperimentExecutionError",
     "ExperimentRunner",
     "JobExecutor",
     "JobTimeoutError",
     "ResultCache",
-    "RunResult",
-    "assemble",
-    "attack_onsets",
     "cache_stats",
-    "collect_ingredients",
-    "collect_metrics",
     "describe_job",
     "execute_spec",
     "plan_cell",
     "plan_cells",
     "prune_cache",
-    "run_spec_json",
     "run_job",
     "timeout_budget",
 ]
 
-#: Bumped whenever the metric document schema (or what a run means for a
-#: given spec) changes.  Mixed into every cache key together with the package
-#: version so refactors can never resurrect stale cached results.
-CACHE_SCHEMA_VERSION = 3
-
-
-def _cache_version_tag() -> str:
-    """The ``<package version>:<schema version>:`` prefix of every cache key.
-
-    Looked up at call time (not import time) so the regression tests can
-    exercise a version change without reinstalling the package.
-    """
-    import repro
-
-    return f"{repro.__version__}:{CACHE_SCHEMA_VERSION}:"
-
-
-@dataclass(frozen=True)
-class RunResult(PlainData):
-    """Outcome of one spec execution, as plain JSON-serialisable data.
-
-    Serialises through the declarations' codec
-    (:class:`~repro.experiments.spec.PlainData`): ``to_dict``/``to_json``
-    and the type-checked ``from_dict``/``from_json``.
-    """
-
-    scenario: str
-    seed: int
-    protected: bool
-    duration_s: float
-    metrics: Dict[str, Any]
-
-    @classmethod
-    def for_spec(cls, spec: ScenarioSpec, metrics: Dict[str, Any]) -> "RunResult":
-        """The result of running ``spec`` to its end, given its metrics."""
-        return cls(
-            scenario=spec.name,
-            seed=spec.seed,
-            protected=spec.protected,
-            duration_s=spec.effective_duration_s,
-            metrics=metrics,
-        )
-
 
 # ----------------------------------------------------------------------
-# metric assembly: extract ingredients per run, assemble once per cell
-# ----------------------------------------------------------------------
-def attack_onsets(spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
-    """The protection windows of ``spec``, or ``None`` without attackers.
-
-    ``{"global": earliest onset, "sessions": {session id: onset}}``.
-    Sessions whose attack never starts within the run contribute nothing: a
-    clamped zero-width window would fabricate "contained in 0.0 s" results.
-    Always computed from the *whole* spec — a region sub-spec may omit
-    sessions, which would shift the global onset.
-    """
-    duration = spec.effective_duration_s
-    session_onsets = {
-        decl.session_id: onset
-        for decl in spec.sessions
-        for onset in [decl.attack_onset_s()]
-        if onset is not None and onset < duration
-    }
-    if not session_onsets:
-        return None
-    return {"global": min(session_onsets.values()), "sessions": session_onsets}
-
-
-def _attacker_record(
-    receiver: Any,
-    members: int,
-    onset: float,
-    bound_level: int,
-    bound_kbps: float,
-    duration: float,
-    from_population: bool,
-) -> Dict[str, Any]:
-    """What one attacking row of ``members`` members contributes to the
-    protection block.
-
-    Everything except the excess fields, which need the honest baseline
-    only :func:`assemble` can compute.  Attackers from a population block
-    (and only they) carry their ``population``.  Every attack counter is
-    booked at the receiver's member weight, so a row that is one edge's
-    share of a receiver standing for a class of interchangeable edges
-    reports that share of each counter.
-    """
-    rate_series = [
-        (sample.time_s, sample.rate_kbps)
-        for sample in receiver.monitor.series(end_time_s=duration)
-    ]
-    counters = receiver.adversary_stats()
-    if members != receiver.population:
-        counters = {
-            key: value // receiver.population * members for key, value in counters.items()
-        }
-    record: Dict[str, Any] = {
-        "goodput_kbps": receiver.average_rate_kbps(onset, duration),
-        "containment_s": combined_containment_s(
-            time_to_containment_s(receiver.level_history, onset, bound_level, duration),
-            goodput_containment_s(rate_series, onset, bound_kbps, duration),
-        ),
-        "bound_level": bound_level,
-        "counters": counters,
-    }
-    if from_population:
-        record["population"] = members
-    return record
-
-
-def collect_ingredients(
-    scenario: Scenario, spec: ScenarioSpec, onsets: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Measure a finished run into the plain-JSON ingredients of its metrics.
-
-    Everything that needs the live scenario is read here; what needs more
-    than one run (a region sees only its own receivers) is left to
-    :func:`assemble`.  Per session, group 0 holds the individual receivers
-    and group ``i + 1`` the rows of population block ``i`` (one per row of
-    a cohort-model block's split, one per receiver otherwise); each group
-    is a set of per-row columns: goodput over ``[warmup, duration]``,
-    final level, population and, given ``onsets``, a ``protection`` column
-    — an honest row's goodput over the global attack window (a term of the
-    honest baseline), an attacker's :func:`_attacker_record`, or ``None``
-    for an attacker whose session's attack never starts within the run.
-    Whole-session extras (``overhead_percent``, ``series``), ``tcp_kbps``
-    and the summed SIGMA counters ride along.  With ``spec.record_series`` a session's ``series``
-    holds every row's raw 1-second ``(bin, bytes)`` counts
-    (:meth:`~repro.simulator.monitors.ThroughputMonitor.bins`) and
-    ``(time, level)`` history, and ``tcp_series`` every connection's bins.
-    """
-    config = spec.config
-    duration = spec.effective_duration_s
-    warmup = config.warmup_s
-    sessions: List[Dict[str, Any]] = []
-    for decl, session in zip(spec.sessions, scenario.sessions):
-        onset = onsets["sessions"].get(decl.session_id) if onsets else None
-        bound_level = session.spec.fair_level(config.fair_share_bps)
-        #: Delivered-rate bound: the honest entitlement's cumulative rate,
-        #: with slack for 1-second bin jitter around slot boundaries.
-        bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
-
-        # Group members come from the session's ``declared`` hosts: a
-        # receiver carrying a class of interchangeable edges is reported
-        # once per edge, with that edge's rows.
-        attackers = set(decl.attacker_indices())
-        groups: List[Dict[str, Any]] = []
-        reported: List[Tuple[Any, int]] = []  # (receiver, members) per row
-        for g_index, members in enumerate(session.declared):
-            per_row = g_index > 0 and decl.population[g_index - 1].model == "cohort"
-            rows = [
-                (receiver, count)
-                for receiver, own in members
-                for counts in [receiver.counts if own is None else own]
-                for count in (counts if per_row else (sum(counts),))
-            ]
-            reported.extend(rows)
-            group: Dict[str, Any] = {
-                "receiver_kbps": [
-                    receiver.average_rate_kbps(warmup, duration) for receiver, _ in rows
-                ],
-                "final_levels": [receiver.level for receiver, _ in rows],
-                "population": [count for _, count in rows],
-            }
-            if onsets is not None:
-                block_attacks = (
-                    g_index > 0 and decl.population[g_index - 1].attack is not None
-                )
-                column: List[Any] = []
-                for index, (receiver, count) in enumerate(rows):
-                    if not (block_attacks or (g_index == 0 and index in attackers)):
-                        column.append(
-                            receiver.average_rate_kbps(onsets["global"], duration)
-                        )
-                    elif onset is None:
-                        column.append(None)
-                    else:
-                        column.append(
-                            _attacker_record(
-                                receiver, count, onset, bound_level, bound_kbps,
-                                duration, from_population=g_index > 0,
-                            )
-                        )
-                group["protection"] = column
-            groups.append(group)
-        entry: Dict[str, Any] = {"session_id": decl.session_id, "groups": groups}
-        if session.overhead is not None:
-            delta_pct, sigma_pct = session.overhead.as_percentages()
-            entry["overhead_percent"] = {"delta": delta_pct, "sigma": sigma_pct}
-        if spec.record_series:
-            entry["series"] = {
-                "bins": [receiver.monitor.bins() for receiver, _ in reported],
-                "levels": [list(receiver.level_history) for receiver, _ in reported],
-            }
-        sessions.append(entry)
-    document: Dict[str, Any] = {"sessions": sessions}
-    if spec.tcp:
-        document["tcp_kbps"] = {
-            decl.name: connection.monitor.average_rate_kbps(warmup, duration)
-            for decl, connection in zip(spec.tcp, scenario.tcp_connections)
-        }
-        if spec.record_series:
-            document["tcp_series"] = {
-                decl.name: connection.monitor.bins()
-                for decl, connection in zip(spec.tcp, scenario.tcp_connections)
-            }
-    agents = scenario.sigma_agents
-    if agents:
-        # An agent on a class of interchangeable edges books every
-        # member-weighted counter of the class; its per-agent ones count
-        # once per edge.
-        edges = [
-            len(scenario.edge_classes.get(a.router.name, (a.router.name,))) for a in agents
-        ]
-        document["sigma"] = {
-            "valid_submissions": sum(a.valid_submissions for a in agents),
-            "invalid_submissions": sum(a.invalid_submissions for a in agents),
-            "revocations": sum(a.revocations for a in agents),
-            "igmp_joins_ignored": sum(a.igmp_joins_ignored for a in agents),
-            "guess_alarms": sum(a.guess_alarms * n for a, n in zip(agents, edges)),
-            "edge_agents": sum(edges),
-        }
-    return document
-
-
-def assemble(
-    spec: ScenarioSpec,
-    onsets: Optional[Dict[str, Any]],
-    documents: Sequence[Mapping[str, Any]],
-    layouts: Sequence[Sequence[Tuple[int, Sequence[int]]]],
-) -> Dict[str, Any]:
-    """Turn :func:`collect_ingredients` documents into the metric document.
-
-    ``documents`` are the runs that together realise ``spec`` — one for an
-    ordinary run, one per region for a sharded one.  ``layouts[i]`` maps
-    document ``i`` onto the spec: per session document, the spec's session
-    index and the spec's block index of each of its blocks.  Per-receiver
-    lists are reassembled in the receiver index order of the single-process
-    run (group-major, document-major within a group) and every float
-    reduction is computed in that order, so where regional physics is
-    decoupled N documents assemble to the floats of one, term for term.
-
-    Per multicast session: per-receiver goodput, its mean, final levels
-    and, for sessions declaring cohorts, the population-weighted view.  The
-    ``protection`` block (attack scenarios only) adds to each attacker
-    record its excess over the honest baseline — the mean goodput of every
-    non-attacking receiver over the earliest attack window, individuals
-    weighing 1 and a cohort its member count — and, for attackers from
-    population blocks, the weighted excess.  SIGMA counters are summed.
-    """
-    # session index -> (its session documents, group index -> group documents)
-    collected: Dict[int, Tuple[List[Any], Dict[int, List[Any]]]] = {}
-    for document, layout in zip(documents, layouts):
-        for (s_index, block_indices), session in zip(layout, document["sessions"]):
-            session_docs, groups = collected.setdefault(s_index, ([], {}))
-            session_docs.append(session)
-            group_indices = (0, *(b_index + 1 for b_index in block_indices))
-            for g_index, group in zip(group_indices, session["groups"]):
-                groups.setdefault(g_index, []).append(group)
-
-    metrics: Dict[str, Any] = {"multicast": {}}
-    honest: List[Tuple[float, int]] = []
-    # session id -> receiver index -> attacker record
-    attackers: Dict[str, Dict[int, Any]] = {}
-    for s_index, decl in enumerate(spec.sessions):
-        session_docs, groups = collected.get(s_index, ([], {}))
-        receiver_kbps: List[float] = []
-        final_levels: List[int] = []
-        populations: List[int] = []
-        protection: List[Any] = []
-        for g_index in range(len(decl.population) + 1):
-            for group in groups.get(g_index, ()):
-                receiver_kbps.extend(group["receiver_kbps"])
-                final_levels.extend(group["final_levels"])
-                populations.extend(group["population"])
-                protection.extend(group.get("protection", ()))
-        entry: Dict[str, Any] = {
-            "receiver_kbps": receiver_kbps,
-            "average_kbps": sum(receiver_kbps) / len(receiver_kbps),
-            "final_levels": final_levels,
-        }
-        if decl.population:
-            # Population-weighted view, present only for sessions that
-            # declare cohorts (keeps legacy metric documents byte-identical).
-            total = sum(populations)
-            entry["receiver_population"] = populations
-            entry["population"] = total
-            entry["weighted_average_kbps"] = (
-                sum(rate * count for rate, count in zip(receiver_kbps, populations))
-                / total
-            )
-        for session in session_docs:
-            for extra in ("overhead_percent", "series"):
-                if extra in session:
-                    entry[extra] = session[extra]
-        metrics["multicast"][decl.session_id] = entry
-        for index, (item, population) in enumerate(zip(protection, populations)):
-            if isinstance(item, dict):
-                attackers.setdefault(decl.session_id, {})[index] = item
-            elif item is not None:
-                honest.append((item, population))
-
-    for document in documents:
-        for extra in ("tcp_kbps", "tcp_series"):
-            if extra in document:
-                metrics[extra] = document[extra]
-    sigma = [document["sigma"] for document in documents if "sigma" in document]
-    if sigma:
-        metrics["sigma"] = {key: sum(doc[key] for doc in sigma) for key in sigma[0]}
-
-    if onsets is not None:
-        baseline = weighted_honest_baseline_kbps(
-            honest, spec.config.fair_share_bps / 1e3
-        )
-        sessions: Dict[str, Any] = {}
-        for session_id, records in attackers.items():
-            entries: Dict[str, Any] = {}
-            for index, record in records.items():
-                goodput = record["goodput_kbps"]
-                entries[str(index)] = {
-                    **record,
-                    "excess_kbps": excess_goodput_kbps(goodput, baseline),
-                }
-                if "population" in record:
-                    # Cohort attackers report the population-weighted view;
-                    # individual attackers keep their historical shape.
-                    entries[str(index)]["weighted_excess_kbps"] = (
-                        weighted_excess_goodput_kbps(
-                            goodput, baseline, record["population"]
-                        )
-                    )
-            sessions[session_id] = {
-                "onset_s": onsets["sessions"][session_id],
-                "attackers": entries,
-            }
-        metrics["protection"] = {"honest_baseline_kbps": baseline, "sessions": sessions}
-    return metrics
-
-
-def collect_metrics(scenario: Scenario, spec: ScenarioSpec) -> Dict[str, Any]:
-    """Measure a finished scenario into plain JSON data.
-
-    An ordinary run is the one-document case of :func:`assemble` (which
-    documents the metric schema): its own ingredients, mapped onto the spec
-    one to one, with no JSON hop in between.
-    """
-    onsets = attack_onsets(spec)
-    layout = [
-        (s_index, range(len(decl.population)))
-        for s_index, decl in enumerate(spec.sessions)
-    ]
-    document = collect_ingredients(scenario, spec, onsets)
-    return assemble(spec, onsets, [document], [layout])
-
-
-# ----------------------------------------------------------------------
-# worker entry points
+# the worker
 # ----------------------------------------------------------------------
 def execute_spec(spec: ScenarioSpec) -> RunResult:
     """Interpret and run one spec in-process, returning its result."""
     return RunResult.for_spec(spec, collect_metrics(run_scenario(spec), spec))
 
 
-def run_spec_json(spec_json: str) -> str:
-    """Worker entry point: canonical spec JSON in, canonical result JSON out.
-
-    Module-level (and string-typed) so it pickles cleanly into pool workers;
-    the JSON round-trip also guarantees the serial path exercises exactly the
-    same serialisation as the parallel one.
-    """
-    return execute_spec(ScenarioSpec.from_json(spec_json)).to_json()
-
-
 def run_job(job: Tuple[str, str]) -> str:
-    """Dispatching worker entry point: a ``(kind, payload)`` job in, JSON out.
+    """The worker entry point: a ``(kind, payload)`` job in, JSON out.
 
-    ``kind`` is ``"spec"`` (an ordinary spec run through
-    :func:`run_spec_json`), ``"region"`` (one region of a sharded spec,
-    through :func:`repro.experiments.shard.run_region_json`),
-    ``"checkpoint"`` (build one prefix checkpoint) or ``"warm"`` (restore a
-    prefix checkpoint and run a cell to the end), the latter two through
-    :mod:`repro.experiments.warmstart`.  Module-level and built from plain
-    strings so it pickles into pool workers; the shard module imports this
-    one, so it is imported lazily.
+    The payload is one JSON object (built by :func:`plan_cells`) whose keys
+    mean the same in every kind that carries them: ``spec`` the cell's spec,
+    ``warm`` the prefix checkpoint (:meth:`PrefixPlan.block`), ``verify``
+    the runtime warm == cold check, ``region`` and ``onsets`` a region's
+    number and the whole spec's protection windows.  By ``kind``:
+
+    * ``"checkpoint"`` builds (or finds) the ``warm`` blob and reports
+      whether a published one was reused;
+    * ``"spec"`` runs the cell cold and ``"warm"`` resumes it from the
+      ``warm`` blob (:func:`~repro.experiments.warmstart.run_scenario`); both
+      return the result document.  With ``verify`` a warm cell is also run
+      cold, and the two documents must be byte-identical;
+    * ``"region"`` runs one region of a sharded cell from ``t=0``, every
+      edge built and the membership log on, and returns its metric
+      ingredients with the region number and the recorded boundary events
+      (effective membership transitions), for
+      :func:`~repro.experiments.shard.merge_region_results`.
+
+    Module-level and built from plain strings, so it pickles into pool
+    workers and the serial path exercises the same serialisation.
     """
     kind, payload = job
-    if kind == "region":
-        from .shard import run_region_json
-
-        return run_region_json(payload)
+    document = json.loads(payload)
     if kind == "checkpoint":
-        return run_checkpoint_json(payload)
-    if kind == "warm":
-        return run_warm_json(payload)
-    return run_spec_json(payload)
+        _scenario, reused = _ensure_checkpoint(document["warm"])
+        return json.dumps({"key": document["warm"]["key"], "reused": reused})
+    spec = ScenarioSpec.from_dict(document["spec"])
+    if kind == "region":
+        # A region names every host in its boundary digest, so none of its
+        # edges stands for another.
+        scenario = Scenario.from_spec(spec, ())
+        scenario.network.multicast.membership_log = []
+        scenario.run(spec.effective_duration_s)
+        region = collect_ingredients(scenario, spec, document["onsets"])
+        region["region"] = document["region"]
+        region["boundary"] = [
+            list(event) for event in scenario.network.multicast.membership_log
+        ]
+        return canonical_json(region)
+    scenario = run_scenario(spec, document.get("warm"))
+    output = RunResult.for_spec(spec, collect_metrics(scenario, spec)).to_json()
+    if document.get("verify") and execute_spec(spec).to_json() != output:
+        raise RuntimeError(
+            f"warm-start divergence on {spec.name!r} (seed {spec.seed}): "
+            "the warm result does not byte-match the cold run"
+        )
+    return output
 
 
 # ----------------------------------------------------------------------
@@ -524,12 +174,13 @@ def describe_job(job: Tuple[str, str]) -> str:
     if kind == "checkpoint":
         # The prefix spec carries a placeholder name; the barrier is what
         # tells one prefix checkpoint from another.
-        seed = document.get("prefix", {}).get("config", {}).get("seed", "?")
+        warm = document.get("warm", {})
+        seed = warm.get("prefix", {}).get("config", {}).get("seed", "?")
         return (
             f"checkpoint job for the prefix checkpoint at the "
-            f"{document.get('barrier_s', '?')}s barrier (seed {seed})"
+            f"{warm.get('barrier_s', '?')}s barrier (seed {seed})"
         )
-    spec = document.get("spec", {}) if kind in ("warm", "region") else document
+    spec = document.get("spec", {})
     name = spec.get("name", "?")
     seed = spec.get("config", {}).get("seed", "?")
     return f"{kind} job for scenario {name!r} (seed {seed})"
@@ -832,10 +483,10 @@ class ResultCache:
 
         Sound only because runs are byte-deterministic per spec (see
         ``docs/determinism.md``).  The package version and
-        :data:`CACHE_SCHEMA_VERSION` are mixed into the key: a cached result
-        is only reusable by the *same* code that produced it, so refactors
-        that change behaviour or the metric schema can never serve stale
-        documents from an old cache directory.
+        :data:`~repro.experiments.metrics.CACHE_SCHEMA_VERSION` are mixed
+        into the key: a cached result is only reusable by the *same* code
+        that produced it, so refactors that change behaviour or the metric
+        schema can never serve stale documents from an old cache directory.
         """
         return hashlib.sha256(
             (_cache_version_tag() + spec.to_json()).encode("utf-8")
@@ -900,7 +551,7 @@ class CellPlan:
     spec: ScenarioSpec
     setup_jobs: List[Tuple[str, str]] = field(default_factory=list)
     jobs: List[Tuple[str, str]] = field(default_factory=list)
-    shard_plan: Optional[Any] = None
+    shard_plan: Optional[ShardPlan] = None
     warm: bool = False
     #: Blobs this cell found published / has ``setup_jobs`` building.  A
     #: blob shared by several cells of one batch is booked on the first.
@@ -915,8 +566,6 @@ class CellPlan:
         """
         if self.shard_plan is None:
             return RunResult.from_json(outputs[0])
-        from .shard import merge_region_results
-
         return merge_region_results(
             self.shard_plan, [json.loads(output) for output in outputs]
         )
@@ -944,7 +593,8 @@ def plan_cells(
     built by one ``checkpoint`` setup job, booked on the first cell that
     needs it; ``verify`` makes the first cell of each warm group re-run
     cold and compare bytes.  Sharded specs expand into one region job per
-    shard.
+    shard.  Every payload is one JSON document whose keys :func:`run_job`
+    lists.
     """
     plans = [CellPlan(spec=spec) for spec in specs]
     # checkpoint key -> (prefix plan, indices of the cells sharing it)
@@ -972,24 +622,27 @@ def plan_cells(
             first.checkpoint_hits += 1
         else:
             first.checkpoint_misses += 1
-            first.setup_jobs.append(("checkpoint", canonical_json(blob)))
+            first.setup_jobs.append(("checkpoint", canonical_json({"warm": blob})))
 
     for index, plan in enumerate(plans):
         spec = plan.spec
         blob = blobs_of.get(index)
         plan.warm = blob is not None
         if spec.shards is not None:
-            from .shard import plan_shards, region_payloads
-
-            plan.shard_plan = plan_shards(spec)
-            plan.jobs = [
-                ("region", payload) for payload in region_payloads(plan.shard_plan)
+            shards = plan.shard_plan = plan_shards(spec)
+            documents = [
+                ("region", {"spec": region.spec.to_dict(), "region": region.region,
+                            "onsets": shards.onsets})
+                for region in shards.regions
             ]
         elif blob is not None:
-            payload = {**blob, "spec": spec.to_dict(), "verify": index in verified}
-            plan.jobs = [("warm", canonical_json(payload))]
+            documents = [
+                ("warm", {"spec": spec.to_dict(), "warm": blob,
+                          "verify": index in verified})
+            ]
         else:
-            plan.jobs = [("spec", spec.to_json())]
+            documents = [("spec", {"spec": spec.to_dict()})]
+        plan.jobs = [(kind, canonical_json(document)) for kind, document in documents]
     return plans
 
 
@@ -1046,12 +699,6 @@ class ExperimentRunner:
         self.checkpoint_misses = 0
         #: Cells executed from a restored prefix instead of from ``t=0``.
         self.warm_runs = 0
-        #: Wall seconds spent planning (prefixes, checkpoint keys, job
-        #: payloads — pure orchestration overhead, no simulation inside).
-        self.plan_overhead_s = 0.0
-        #: Wall seconds spent building/publishing missing prefix blobs
-        #: (the setup jobs; simulation of the shared prefix).
-        self.checkpoint_wall_s = 0.0
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
 
     def _checkpoint_dir(self) -> Path:
@@ -1102,23 +749,19 @@ class ExperimentRunner:
     def _execute_pending(self, pending: Mapping[str, ScenarioSpec]) -> List[RunResult]:
         """Run the uncached cells (by cache key): plan, then setup jobs,
         jobs, merge, store."""
-        plan_started = time.perf_counter()
         plans = plan_cells(
             list(pending.values()),
             checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
             durable=self.cache_dir is not None,
             verify=self.verify_warm_start,
         )
-        self.plan_overhead_s += time.perf_counter() - plan_started
         for plan in plans:
             self.checkpoint_hits += plan.checkpoint_hits
             self.checkpoint_misses += plan.checkpoint_misses
             self.warm_runs += plan.warm
 
         with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
-            checkpoint_started = time.perf_counter()
             executor.run_all([job for plan in plans for job in plan.setup_jobs])
-            self.checkpoint_wall_s += time.perf_counter() - checkpoint_started
             outputs = executor.run_all([job for plan in plans for job in plan.jobs])
 
         results: List[RunResult] = []

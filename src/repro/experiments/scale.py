@@ -222,7 +222,6 @@ def scale_dumbbell_10m_spec(
     attacker_cohorts: int = 512,
     regions: int = 8,
     edges_per_region: int = 8,
-    shards: int = 8,
     protected: bool = True,
     attack_start_s: float = 8.0,
     intensity: float = 1.0,
@@ -236,7 +235,7 @@ def scale_dumbbell_10m_spec(
     multi-edge dumbbells hang off a shared trunk, the honest audience and
     the batched inflated-join attacker population are ``model="vector"``
     blocks round-robined over all ``regions × edges_per_region`` edge
-    routers, and ``shards=N`` lets the runner execute each region in its own
+    routers, and ``shards=regions`` lets the runner execute each region in its own
     process-pool worker with a deterministic boundary-event merge
     (:mod:`repro.experiments.shard`).  The merged result is byte-identical
     between the serial and pooled paths — and, because each region has its
@@ -256,7 +255,7 @@ def scale_dumbbell_10m_spec(
             "edges_per_region": edges_per_region,
             "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
         },
-        shards=shards,
+        shards=regions,
     )
 
 

@@ -169,9 +169,7 @@ def _block_hosts(
     return hosts
 
 
-def interchangeable_edges(
-    spec: ScenarioSpec, membership_log: bool = False
-) -> Tuple[Tuple[str, ...], ...]:
+def interchangeable_edges(spec: ScenarioSpec) -> Tuple[Tuple[str, ...], ...]:
     """The classes of receiver edges of ``spec`` that one edge can stand for.
 
     Edges are interchangeable when every one of them
@@ -188,12 +186,13 @@ def interchangeable_edges(
 
     Such edges see the same packets at the same instants and decide alike,
     so one edge carrying all their rows books every member-weighted counter
-    the class would.  A run that records a membership log (a region run, or
-    a ``shards`` spec, whose regions do) names every host in its boundary
-    digest, so none of its edges is interchangeable.  Returns each class of
-    two or more edges in topology order; its first edge is the one built.
+    the class would.  The regions of a ``shards`` spec record a membership
+    log that names every host in its boundary digest, so none of its edges
+    is interchangeable (a region job builds every edge itself:
+    :func:`~repro.experiments.runner.run_job`).  Returns each class of two or
+    more edges in topology order; its first edge is the one built.
     """
-    if membership_log or spec.shards is not None:
+    if spec.shards is not None:
         return ()
     topology = spec.network_topology
     edges = topology.receiver_routers

@@ -1,4 +1,4 @@
-"""Region-sharded execution: planner, region workers and deterministic merge.
+"""Region-sharded execution: the region planner and the deterministic merge.
 
 Vector placement (one receiver per edge router carrying many cohort rows)
 takes one session to a million receivers on a single CPU; this module is the other half of the scale story
@@ -8,33 +8,26 @@ trunk-to-region links, run each region as an ordinary standalone scenario
 (in-process or in a :class:`~concurrent.futures.ProcessPoolExecutor`
 worker), and merge the results deterministically.
 
-The three layers:
+The two halves, around the ``region`` job that
+:func:`~repro.experiments.runner.run_job` runs in a worker:
 
 * :func:`plan_shards` — the **region planner**.  A spec with ``shards=N``
   runs on a topology whose :class:`~repro.simulator.topology.TopologySpec`
-  annotates exactly ``N`` regions (checked when the spec is declared); the
-  planner validates the rest, then splits every session's
-  vector population blocks into per-region sub-blocks.  The split is exact:
-  receiver edge routers are region-contiguous, so the round-robin row
-  placement assigns each region a contiguous share of the
+  annotates exactly ``N`` regions, and declaring it already refused
+  everything that would couple regions
+  (:class:`~repro.experiments.spec.ScenarioSpec`).  The planner splits every
+  session's vector population blocks into per-region sub-blocks.  The split
+  is exact: receiver edge routers are region-contiguous, so the round-robin
+  row placement assigns each region a contiguous share of the
   :func:`~repro.multicast_cc.population.split_counts` row sequence, and
   re-splitting that share inside the region reproduces the very same rows on
   the very same edges.  Each region becomes a standalone
   :class:`~repro.experiments.spec.ScenarioSpec` over the single-region
   sub-topology (``topology_params["region"]``) with identical router names
   and link parameters.
-* :func:`run_region_json` — the **worker entry point** (module-level and
-  string-typed, so it pickles into pool workers exactly like
-  :func:`~repro.experiments.runner.run_spec_json`).  Runs one region
-  through the shared worker body
-  (:func:`~repro.experiments.warmstart.run_scenario`), records the boundary
-  events (effective membership transitions — the result of IGMP/SIGMA
-  signalling crossing the region's cut link) via the multicast service's
-  ``membership_log`` hook, and returns the region's metric ingredients
-  (:func:`~repro.experiments.runner.collect_ingredients`) as JSON.
 * :func:`merge_region_results` — the **deterministic merge**.  Validates
   the region documents' count and order, hands them to the one metric
-  assembler (:func:`~repro.experiments.runner.assemble` — the same code an
+  assembler (:func:`~repro.experiments.metrics.assemble` — the same code an
   unsharded run goes through with a single document, so every float
   reduction happens in the unsharded receiver index order), and folds the
   boundary events into per-slot barriers (slot-major, then region-major)
@@ -48,23 +41,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..multicast_cc.population import split_counts
 from ..simulator.topology import TopologySpec
-from .runner import RunResult, assemble, attack_onsets, collect_ingredients
-from .spec import CohortDecl, ScenarioSpec, SessionDecl, canonical_json
-from .warmstart import run_scenario
+from .metrics import RunResult, assemble, attack_onsets
+from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
     "RegionSession",
     "RegionPlan",
     "ShardPlan",
     "plan_shards",
-    "region_payloads",
-    "run_region_json",
     "merge_region_results",
 ]
 
@@ -103,43 +92,16 @@ class ShardPlan:
 def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     """Partition a ``shards=N`` spec into ``N`` standalone region sub-specs.
 
-    Raises :class:`ValueError` when the spec is not shardable: the
-    topology's receiver edge routers must be region-contiguous, sessions
-    must realise their whole population as blocks
-    (``receivers=0``; the individual-receiver path uses a topology-global
-    placement cursor), every round-robin block must use the
-    ``model="vector"`` placement, and globally-coupled features (TCP/CBR cross
-    traffic, overhead tracking, series recording) are rejected.
+    Declaring the spec matched ``shards`` to the region count and refused
+    what would couple regions or depend on a topology-global placement
+    cursor, and ``sharded-dumbbell`` (the one factory annotating regions)
+    lists every receiver edge inside a region, region-major.
     """
     if spec.shards is None:
         raise ValueError("spec has no shards field set; nothing to plan")
-    # Declaring the spec matched ``shards`` to the region count, so it names
-    # no ``region``: a region's sub-topology annotates only that one.
     topology = spec.network_topology
-    if spec.tcp or spec.cbr:
-        raise ValueError("TCP/CBR cross traffic couples regions; cannot shard")
-    if spec.record_series:
-        raise ValueError("record_series is not supported on sharded runs")
-
     edges = topology.receiver_routers
-    edge_regions: List[int] = []
-    for edge in edges:
-        region = topology.region_of(edge)
-        if region is None:
-            raise ValueError(f"receiver router {edge!r} is not in any region")
-        edge_regions.append(region)
-    # Region contiguity is what makes the vector-row split exact: each
-    # region's edges must form one contiguous run of the receiver list.
-    seen: List[int] = []
-    for region in edge_regions:
-        if seen and seen[-1] != region and region in seen:
-            raise ValueError(
-                "receiver routers must be region-contiguous for exact "
-                "round-robin re-splitting"
-            )
-        if not seen or seen[-1] != region:
-            seen.append(region)
-
+    edge_regions = [topology.region_of(edge) for edge in edges]
     count = len(topology.regions)
     # Per region, for every session with blocks there: which of the spec's
     # blocks they are, and the region's share of the session.
@@ -147,34 +109,12 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
         [] for _ in range(count)
     ]
     for s_index, decl in enumerate(spec.sessions):
-        if decl.receivers != 0:
-            raise ValueError(
-                f"session {decl.session_id!r} declares individual receivers; "
-                "sharded sessions must realise their population as blocks "
-                "(receivers=0) so placement does not depend on a "
-                "topology-global cursor"
-            )
-        if decl.track_overhead:
-            raise ValueError(
-                f"session {decl.session_id!r} tracks overhead, which is a "
-                "whole-session accumulator; cannot shard"
-            )
         per_region: Dict[int, List[Tuple[int, CohortDecl]]] = {}
         for b_index, block in enumerate(decl.population):
             if block.router is not None:
                 region = topology.region_of(block.router)
-                if region is None:
-                    raise ValueError(
-                        f"block router {block.router!r} is not in any region"
-                    )
                 per_region.setdefault(region, []).append((b_index, block))
                 continue
-            if block.model != "vector":
-                raise ValueError(
-                    f"unpinned model={block.model!r} blocks round-robin over a "
-                    "topology-global cursor; pin them to a router or use "
-                    'model="vector" to shard'
-                )
             rows = split_counts(block.count, block.cohorts or 1)
             rows_by_region: Dict[int, List[int]] = {}
             for row, members in enumerate(rows):
@@ -225,50 +165,6 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
         slot_s=slot_s,
         onsets=attack_onsets(spec),
     )
-
-
-def region_payloads(plan: ShardPlan) -> List[str]:
-    """One worker payload (JSON string) per region, in region order."""
-    return [
-        canonical_json(
-            {
-                "kind": "region",
-                "region": region.region,
-                "spec": region.spec.to_dict(),
-                "slot_s": plan.slot_s,
-                "onsets": plan.onsets,
-            }
-        )
-        for region in plan.regions
-    ]
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-def run_region_json(payload_json: str) -> str:
-    """Worker entry point: region payload JSON in, region document JSON out.
-
-    Module-level and string-typed so it pickles into pool workers.  The
-    returned document is the region's metric ingredients
-    (:func:`~repro.experiments.runner.collect_ingredients`, with the
-    protection windows of the *whole* spec from the payload) plus the
-    region number, the recorded boundary events and the region's wall time
-    (the only nondeterministic field — the merge drops it).  Regions always
-    run cold, from ``t=0``.
-    """
-    payload = json.loads(payload_json)
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    started = time.perf_counter()
-    scenario = run_scenario(spec, membership_log=True)
-    wall_s = time.perf_counter() - started
-    document = collect_ingredients(scenario, spec, payload.get("onsets"))
-    document["region"] = payload["region"]
-    document["boundary"] = [
-        list(event) for event in scenario.network.multicast.membership_log
-    ]
-    document["wall_s"] = wall_s
-    return canonical_json(document)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +223,7 @@ def merge_region_results(
     """Deterministically merge region documents into one :class:`RunResult`.
 
     The documents must be the plan's regions, in region order.  Their
-    metric ingredients go through :func:`~repro.experiments.runner.assemble`
+    metric ingredients go through :func:`~repro.experiments.metrics.assemble`
     — the assembler of every run, here over N documents, each mapped onto
     the original spec's sessions and blocks by its region plan — and the
     ``boundary`` summary (:func:`merge_boundary_events`) is the one

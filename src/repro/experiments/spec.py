@@ -502,9 +502,10 @@ class ScenarioSpec(PlainData):
     partitions the topology's annotated regions into ``shards`` standalone
     sub-scenarios, runs them (serially or on the process pool) and merges the
     results deterministically (:mod:`repro.experiments.shard`).  It must
-    match the topology's region count and is omitted from the canonical JSON
-    when unset, so every pre-sharding spec hash and golden digest stays
-    byte-identical.
+    match the topology's region count, the spec's regions must be able to
+    run apart (:meth:`_check_shardable`), and it is omitted from the
+    canonical JSON when unset, so every pre-sharding spec hash and golden
+    digest stays byte-identical.
     """
 
     name: str
@@ -536,6 +537,8 @@ class ScenarioSpec(PlainData):
                 f"spec declares shards={self.shards} but topology "
                 f"{self.topology!r} annotates {regions} regions"
             )
+        if self.shards is not None:
+            self._check_shardable()
         # Where and when every receiver attaches: a pinned router outside
         # the receiver edges, or a start time or access delay the engine
         # cannot schedule, would otherwise fail inside the build.
@@ -560,6 +563,38 @@ class ScenarioSpec(PlainData):
             for name, seconds in times:
                 if seconds is not None:
                     _check_number(name, seconds, where, unit=" of seconds")
+
+    def _check_shardable(self) -> None:
+        """Refuse a ``shards`` spec whose regions could not run apart.
+
+        Cross traffic, series recording and overhead tracking couple the
+        regions; individual receivers and unpinned non-``vector`` blocks are
+        placed by a topology-global cursor a region cannot reproduce.
+        """
+        if self.tcp or self.cbr:
+            raise ValueError("TCP/CBR cross traffic couples regions; cannot shard")
+        if self.record_series:
+            raise ValueError("record_series is not supported on sharded runs")
+        for decl in self.sessions:
+            if decl.receivers != 0:
+                raise ValueError(
+                    f"session {decl.session_id!r} declares individual receivers; "
+                    "sharded sessions must realise their population as blocks "
+                    "(receivers=0) so placement does not depend on a "
+                    "topology-global cursor"
+                )
+            if decl.track_overhead:
+                raise ValueError(
+                    f"session {decl.session_id!r} tracks overhead, which is a "
+                    "whole-session accumulator; cannot shard"
+                )
+            for block in decl.population:
+                if block.router is None and block.model != "vector":
+                    raise ValueError(
+                        f"unpinned model={block.model!r} blocks round-robin over a "
+                        "topology-global cursor; pin them to a router or use "
+                        'model="vector" to shard'
+                    )
 
     # ------------------------------------------------------------------
     # derived values

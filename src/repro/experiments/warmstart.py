@@ -18,18 +18,14 @@ attack schedule starts.  This module amortises that prefix across cells.
   runner's result cache (``ck_<sha256>.pkl``), published atomically via a
   per-call tmp sibling + :func:`os.replace`; torn, corrupt or
   version-mismatched blobs read as misses, never as state.
-* :func:`run_scenario` — the **one worker body** behind every job kind:
-  obtain a scenario (cold :meth:`Scenario.from_spec`, or a restored prefix
-  with the cell's real declarations rebound by
-  :meth:`Scenario.rebind_spec`), with the boundary log on or off, and run
-  it to the end.  A cold run is the warm run with no prefix.
-* :func:`run_checkpoint_json` / :func:`run_warm_json` — module-level worker
-  entry points (string-typed, pool-picklable) mirroring
-  :func:`~repro.experiments.runner.run_spec_json`: the first builds and
-  publishes a prefix checkpoint, the second resumes one cell from it.  A
-  warm run is byte-identical to a cold run — the golden warm-start suite
-  asserts it for every golden scenario and ``verify=True`` re-checks it at
-  runtime.
+* :func:`run_scenario` — the body of the ``spec`` and ``warm`` jobs
+  (:func:`~repro.experiments.runner.run_job`): obtain a scenario (cold
+  :meth:`Scenario.from_spec`, or a restored prefix with the cell's real
+  declarations rebound by :meth:`Scenario.rebind_spec`) and run it to the
+  end.  A cold run is the warm run with no prefix; a ``checkpoint`` job is
+  :func:`_ensure_checkpoint` alone.  A warm run is byte-identical to a cold
+  run — the golden warm-start suite asserts it for every golden scenario
+  and a job's ``verify`` re-checks it at runtime.
 
 Why byte-identity holds: the barrier cut is *exclusive*
 (:meth:`Scenario.run_to_barrier`), so events scheduled at exactly the
@@ -54,6 +50,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
+from .metrics import _cache_version_tag
 from .scenario import CHECKPOINT_VERSION, Scenario, interchangeable_edges
 from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
@@ -63,9 +60,7 @@ __all__ = [
     "CheckpointStore",
     "publish_atomically",
     "require_store_key",
-    "run_checkpoint_json",
     "run_scenario",
-    "run_warm_json",
 ]
 
 #: Placeholder name for every canonical prefix spec — the scenario name
@@ -150,8 +145,6 @@ class PrefixPlan:
         ever restored by the same code, barrier and edge layout that wrote
         it.
         """
-        from .runner import _cache_version_tag
-
         material = (
             f"{_cache_version_tag()}warmstart:{CHECKPOINT_VERSION}:"
             f"{self.barrier_s!r}:{json.dumps(self.edge_classes)}:{self.spec.to_json()}"
@@ -161,8 +154,8 @@ class PrefixPlan:
     def block(self, directory: Path) -> Dict[str, Any]:
         """How workers are told about this prefix's blob under ``directory``.
 
-        The fields a ``checkpoint`` payload and a ``warm`` payload share
-        (consumed by :func:`run_scenario`).
+        The ``warm`` key of a ``checkpoint`` or ``warm`` job's payload
+        (consumed by :func:`_ensure_checkpoint`).
         """
         return {
             "dir": str(directory),
@@ -306,7 +299,7 @@ def _ensure_checkpoint(block: Mapping[str, Any]) -> Tuple[Scenario, bool]:
     if scenario is not None:
         return scenario, True
     scenario = Scenario.from_spec(
-        ScenarioSpec.from_dict(block["prefix"]), block.get("edge_classes", ())
+        ScenarioSpec.from_dict(block["prefix"]), block["edge_classes"]
     )
     scenario.run_to_barrier(block["barrier_s"])
     store.save(block["key"], scenario)
@@ -314,65 +307,20 @@ def _ensure_checkpoint(block: Mapping[str, Any]) -> Tuple[Scenario, bool]:
 
 
 def run_scenario(
-    spec: ScenarioSpec,
-    warm: Optional[Mapping[str, Any]] = None,
-    membership_log: bool = False,
+    spec: ScenarioSpec, warm: Optional[Mapping[str, Any]] = None
 ) -> Scenario:
-    """Realise ``spec`` and run it to the end — the body of every job kind.
+    """Realise ``spec`` and run it to the end — the body of a cell's job.
 
-    Cold (``warm is None``) the scenario is built from the spec at ``t=0``;
-    ``membership_log`` records the effective membership transitions from
-    ``t=0`` (region runs, which are always cold).  Warm, ``warm`` names a
-    prefix checkpoint (see :func:`_ensure_checkpoint`): the blob is
-    restored, or rebuilt in place on a miss — a concurrently pruned or torn
-    blob degrades to a cold prefix, never an error — and the cell's real
-    declarations are rebound onto it.
+    Cold (``warm is None``) the scenario is built from the spec at ``t=0``.
+    Warm, ``warm`` names a prefix checkpoint (see :func:`_ensure_checkpoint`):
+    the blob is restored, or rebuilt in place on a miss — a concurrently
+    pruned or torn blob degrades to a cold prefix, never an error — and the
+    cell's real declarations are rebound onto it.
     """
     if warm is None:
-        scenario = Scenario.from_spec(spec, interchangeable_edges(spec, membership_log))
-        if membership_log:
-            scenario.network.multicast.membership_log = []
+        scenario = Scenario.from_spec(spec)
     else:
         scenario, _reused = _ensure_checkpoint(warm)
         scenario.rebind_spec(spec)
     scenario.run(spec.effective_duration_s)
     return scenario
-
-
-# ----------------------------------------------------------------------
-# worker entry points
-# ----------------------------------------------------------------------
-def run_checkpoint_json(payload_json: str) -> str:
-    """Worker entry point: build (or find) one prefix checkpoint.
-
-    Payload: ``{"prefix": spec dict, "barrier_s": float, "dir": str,
-    "key": str, "edge_classes": list}`` (no ``edge_classes``: every edge is
-    built).  Returns a small JSON document reporting whether an
-    already-published blob was reused.
-    """
-    payload = json.loads(payload_json)
-    _scenario, reused = _ensure_checkpoint(payload)
-    return json.dumps({"key": payload["key"], "reused": reused})
-
-
-def run_warm_json(payload_json: str) -> str:
-    """Worker entry point: warm-start one grid cell from its prefix.
-
-    Payload: ``{"spec": real spec dict, "prefix": canonical spec dict,
-    "barrier_s": float, "dir": str, "key": str, "verify": bool}``
-    (:func:`run_scenario` resumes the cell from it).  With ``verify`` the
-    cell is also run cold and the result documents must be byte-identical
-    — the runtime spot-check behind ``--verify-warm-start``.
-    """
-    from .runner import RunResult, collect_metrics, execute_spec
-
-    payload = json.loads(payload_json)
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    scenario = run_scenario(spec, warm=payload)
-    output = RunResult.for_spec(spec, collect_metrics(scenario, spec)).to_json()
-    if payload.get("verify") and execute_spec(spec).to_json() != output:
-        raise RuntimeError(
-            f"warm-start divergence on {spec.name!r} (seed {spec.seed}): "
-            "the warm result does not byte-match the cold run"
-        )
-    return output

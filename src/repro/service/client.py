@@ -14,7 +14,7 @@ import socket
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
-from ..experiments.runner import RunResult
+from ..experiments.metrics import RunResult
 from ..experiments.spec import ScenarioSpec
 from .protocol import PROTOCOL_VERSION, ProtocolError, decode_line, encode_message
 

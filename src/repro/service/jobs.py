@@ -22,13 +22,8 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..experiments.runner import (
-    CellPlan,
-    JobExecutor,
-    ResultCache,
-    RunResult,
-    plan_cell,
-)
+from ..experiments.metrics import RunResult
+from ..experiments.runner import CellPlan, JobExecutor, ResultCache, plan_cell
 from ..experiments.spec import ScenarioSpec
 
 __all__ = [

@@ -23,7 +23,7 @@ shutdown   ``{"op": "shutdown"}`` — ask the daemon to drain and exit
 
 Server → client messages carry an ``event`` field: ``hello`` (greeting with
 protocol/package versions), ``accepted``/``rejected`` (admission verdicts),
-``result`` (one cell's :class:`~repro.experiments.runner.RunResult` dict,
+``result`` (one cell's :class:`~repro.experiments.metrics.RunResult` dict,
 tagged with its seed and whether it was served from cache), ``error``
 (per-cell or per-request failure), ``done`` (end of a submission's stream,
 with summary counters), ``status`` and ``bye`` (drain notice).  Events

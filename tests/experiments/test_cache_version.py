@@ -19,7 +19,7 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
 )
-from repro.experiments.runner import CACHE_SCHEMA_VERSION, RunResult
+from repro.experiments.metrics import CACHE_SCHEMA_VERSION, RunResult
 
 
 @pytest.fixture

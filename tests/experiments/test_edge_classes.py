@@ -25,7 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments.attacks import duel_spec
 from repro.experiments.config import PAPER_DEFAULTS
-from repro.experiments.runner import collect_metrics
+from repro.experiments.metrics import collect_metrics
 from repro.experiments.scenario import interchangeable_edges
 
 DURATION_S = 12.0
@@ -175,7 +175,7 @@ def test_warm_equals_cold_for_a_multi_edge_cell(tmp_path):
     ]
 
 
-def test_sharded_and_logged_runs_keep_every_edge():
+def test_sharded_runs_keep_every_edge():
     from repro.experiments import scale_dumbbell_10m_spec
 
     sharded = scale_dumbbell_10m_spec(receivers=10_000, cohorts=64, attackers=100,
@@ -183,7 +183,6 @@ def test_sharded_and_logged_runs_keep_every_edge():
     assert interchangeable_edges(sharded) == ()
     unsharded = dataclasses.replace(sharded, shards=None)
     assert interchangeable_edges(unsharded)
-    assert interchangeable_edges(unsharded, membership_log=True) == ()
 
 
 def test_full_flagship_runs_the_events_of_its_one_edge_twin():

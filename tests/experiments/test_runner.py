@@ -20,10 +20,11 @@ from repro.experiments import (
     TcpDecl,
     execute_spec,
     figure,
+    plan_cell,
     run_figure,
-    run_spec_json,
     scenario_spec,
 )
+from repro.experiments.runner import run_job
 
 FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
 
@@ -51,9 +52,10 @@ class TestExecution:
         result = execute_spec(fast_spec())
         assert RunResult.from_json(result.to_json()).to_json() == result.to_json()
 
-    def test_run_spec_json_worker_contract(self):
-        payload = run_spec_json(fast_spec().to_json())
-        document = json.loads(payload)
+    def test_run_job_worker_contract(self):
+        (job,) = plan_cell(fast_spec()).jobs
+        assert job[0] == "spec"
+        document = json.loads(run_job(job))
         assert document["scenario"] == "runner-fast"
         assert document["seed"] == 0
 
@@ -247,8 +249,9 @@ class TestCli:
         [
             (["scale-dumbbell-1m", "--param", "edges=0"], "at least one edge router"),
             (
+                # The shard count is the region count, not a second parameter.
                 ["scale-dumbbell-10m", "--param", "shards=4", "--duration", "2"],
-                "spec declares shards=4 but topology 'sharded-dumbbell' annotates 8 regions",
+                "unexpected keyword argument 'shards'",
             ),
             (
                 ["figure8-responsiveness", "--param", "bottleneck_bandwidth_bps=nan"],
@@ -292,6 +295,12 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_flagship_shards_follow_its_regions(self):
+        """``--param regions=4`` used to be refused: a second parameter
+        restated the shard count as 8."""
+        spec = scenario_spec("scale-dumbbell-10m", regions=4)
+        assert spec.shards == len(spec.network_topology.regions) == 4
 
     @staticmethod
     def _modules_after(modules, package="numpy"):
@@ -572,7 +581,7 @@ class TestOnePipeline:
                 for name, text in sources.items()
                 if re.search(rf"\b{formula}\b", text)
             ]
-            assert users == ["runner.py"], (formula, users)
+            assert users == ["metrics.py"], (formula, users)
 
     def test_runner_has_no_planner_of_its_own(self, tmp_path, monkeypatch):
         """One ``plan_cells`` call per run; the jobs executed are its jobs."""
@@ -589,7 +598,7 @@ class TestOnePipeline:
         ]
         sharded = scale_dumbbell_10m_spec(
             receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=2,
-            edges_per_region=2, shards=2, attack_start_s=6.0, duration_s=9.0,
+            edges_per_region=2, attack_start_s=6.0, duration_s=9.0,
         )
         batch = [fast_spec(), *group, sharded]
         # Planning writes nothing, so the runner below plans against the
@@ -625,6 +634,64 @@ class TestOnePipeline:
         runner.run(batch)  # all cached: nothing left to plan
         assert len(planned) == 1
 
+    @pytest.fixture(scope="class")
+    def mixed_batch(self):
+        """A cold cell, a two-cell warm group and a 2-region sharded cell,
+        with their cold results."""
+        from repro.experiments import scale_dumbbell_10m_spec, scale_protection_spec
+
+        batch = [
+            fast_spec(3),
+            *(
+                scale_protection_spec(
+                    audience=200, strategy=strategy, attack_start_s=6.0, duration_s=9.0
+                ).with_seed(3)
+                for strategy in ("inflated-join", "key-replay")
+            ),
+            scale_dumbbell_10m_spec(
+                receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=2,
+                edges_per_region=2, attack_start_s=6.0, duration_s=9.0,
+            ).with_seed(3),
+        ]
+        return batch, ExperimentRunner(jobs=1, warm_start=False).run(batch)
+
+    @pytest.mark.parametrize("path", ["in-process", "pool"])
+    def test_every_job_kind_is_one_document_run_job_reads(
+        self, mixed_batch, path, tmp_path
+    ):
+        """Every kind of job runs through ``run_job`` alike, in this process
+        or on ``JobExecutor`` workers, and ``describe_job`` names each one."""
+        from repro.experiments.runner import JobExecutor, describe_job, plan_cells
+
+        batch, cold = mixed_batch
+        plans = plan_cells(batch, checkpoint_dir=tmp_path)
+        setup = [job for plan in plans for job in plan.setup_jobs]
+        jobs = [job for plan in plans for job in plan.jobs]
+        kinds = {kind for kind, _ in setup + jobs}
+        assert kinds == {"checkpoint", "warm", "spec", "region"}
+        if path == "in-process":
+            for job in setup:
+                run_job(job)
+            outputs = [run_job(job) for job in jobs]
+        else:
+            with JobExecutor(jobs=2) as executor:
+                executor.run_all(setup)
+                outputs = executor.run_all(jobs)
+        results = []
+        for plan in plans:
+            results.append(plan.merge(outputs[: len(plan.jobs)]))
+            outputs = outputs[len(plan.jobs):]
+        assert [r.to_json() for r in results] == [r.to_json() for r in cold]
+
+        for kind, payload in setup + jobs:
+            description = describe_job((kind, payload))
+            assert description.startswith(f"{kind} job") and "(seed 3)" in description
+            if kind == "checkpoint":  # shared by cells: named by its barrier
+                assert "at the 6.0s barrier" in description
+            else:
+                name = json.loads(payload)["spec"]["name"]
+                assert f"scenario {name!r}" in description
+
 
 class TestPendingDeduplication:
     """Identical pending specs in one batch run once and fan the result out."""
@@ -633,13 +700,13 @@ class TestPendingDeduplication:
         import repro.experiments.runner as runner_module
 
         calls = []
-        original = runner_module.run_spec_json
+        original = runner_module.run_job
 
-        def counting(payload):
-            calls.append(payload)
-            return original(payload)
+        def counting(job):
+            calls.append(job)
+            return original(job)
 
-        monkeypatch.setattr(runner_module, "run_spec_json", counting)
+        monkeypatch.setattr(runner_module, "run_job", counting)
         runner = ExperimentRunner(jobs=1)
         results = runner.run([fast_spec(), fast_spec(), fast_spec(1)])
         assert len(results) == 3

@@ -2,9 +2,9 @@
 
 The contract under test (``docs/determinism.md``, ``docs/scale.md``):
 
-* :func:`repro.experiments.plan_shards` rejects every spec whose physics
-  could couple regions (cross traffic, global placement cursors,
-  whole-session accumulators) with actionable errors;
+* declaring a ``shards`` spec rejects every spec whose physics could
+  couple regions (cross traffic, global placement cursors, whole-session
+  accumulators) with actionable errors;
 * the vector-row re-split is exact — each region's sub-blocks reproduce the
   original ``split_counts`` rows on the original edge routers;
 * running the regions serially or on the process pool yields byte-identical
@@ -28,15 +28,13 @@ from repro.experiments import (
     ExperimentRunner,
     ScenarioSpec,
     SessionDecl,
+    TcpDecl,
     execute_spec,
+    plan_cell,
     plan_shards,
 )
-from repro.experiments.shard import (
-    merge_boundary_events,
-    merge_region_results,
-    region_payloads,
-    run_region_json,
-)
+from repro.experiments.runner import run_job
+from repro.experiments.shard import merge_boundary_events, merge_region_results
 from repro.multicast_cc.population import split_counts
 
 DURATION_S = 10.0
@@ -88,7 +86,7 @@ def serial_result(spec):
 
 
 # ----------------------------------------------------------------------
-# planner validation
+# what declaring a sharded spec refuses, and what the planner accepts
 # ----------------------------------------------------------------------
 class TestPlannerValidation:
     def test_rejects_spec_without_shards(self, spec):
@@ -107,7 +105,7 @@ class TestPlannerValidation:
 
     def test_rejects_region_count_mismatch(self, spec):
         with pytest.raises(ValueError, match="annotates 2 regions"):
-            plan_shards(replace(spec, shards=3))
+            replace(spec, shards=3)
 
     def test_rejects_reserved_region_param(self, spec):
         """A region worker's sub-topology annotates one region, so a sharded
@@ -116,31 +114,37 @@ class TestPlannerValidation:
         with pytest.raises(ValueError, match="annotates 1 regions"):
             replace(spec, topology_params=params)
 
-    def test_rejects_cross_traffic(self, spec):
+    @pytest.mark.parametrize(
+        "traffic",
+        [dict(cbr=(CbrDecl(rate_bps=1e5),)), dict(tcp=(TcpDecl("t"),))],
+        ids=["cbr", "tcp"],
+    )
+    def test_rejects_cross_traffic(self, spec, traffic):
         with pytest.raises(ValueError, match="cross traffic couples regions"):
-            plan_shards(replace(spec, cbr=(CbrDecl(rate_bps=1e5),)))
+            replace(spec, **traffic)
+        replace(spec, shards=None, **traffic)  # an unsharded spec may carry it
 
     def test_rejects_record_series(self, spec):
         with pytest.raises(ValueError, match="record_series"):
-            plan_shards(replace(spec, record_series=True))
+            replace(spec, record_series=True)
 
     def test_rejects_individual_receivers(self, spec):
         sessions = (SessionDecl("mc", receivers=2),)
         with pytest.raises(ValueError, match="individual receivers"):
-            plan_shards(replace(spec, sessions=sessions))
+            replace(spec, sessions=sessions)
 
     def test_rejects_overhead_tracking(self, spec):
         decl = spec.sessions[0]
         sessions = (replace(decl, track_overhead=True),)
         with pytest.raises(ValueError, match="whole-session accumulator"):
-            plan_shards(replace(spec, sessions=sessions))
+            replace(spec, sessions=sessions)
 
     def test_rejects_unpinned_non_vector_blocks(self, spec):
         sessions = (
             SessionDecl("mc", receivers=0, population=(CohortDecl(10),)),
         )
         with pytest.raises(ValueError, match="topology-global cursor"):
-            plan_shards(replace(spec, sessions=sessions))
+            replace(spec, sessions=sessions)
 
     def test_accepts_pinned_cohort_blocks(self, spec):
         sessions = (
@@ -341,11 +345,8 @@ def test_sharded_matches_unsharded_on_uncovered_shapes(shape):
 class TestMergeValidation:
     @pytest.fixture(scope="class")
     def documents(self, spec):
-        plan = plan_shards(spec)
-        return plan, [
-            json.loads(run_region_json(payload))
-            for payload in region_payloads(plan)
-        ]
+        plan = plan_cell(spec)
+        return plan.shard_plan, [json.loads(run_job(job)) for job in plan.jobs]
 
     def test_rejects_wrong_document_count(self, documents):
         plan, docs = documents
@@ -356,13 +357,6 @@ class TestMergeValidation:
         plan, docs = documents
         with pytest.raises(ValueError, match="out of order"):
             merge_region_results(plan, list(reversed(docs)))
-
-    def test_merge_drops_wall_time(self, documents):
-        """wall_s is the one nondeterministic field; it must not leak."""
-        plan, docs = documents
-        assert all("wall_s" in doc for doc in docs)
-        merged = merge_region_results(plan, docs)
-        assert "wall_s" not in json.dumps(merged.metrics)
 
     def test_boundary_digest_is_order_stable(self, documents):
         plan, docs = documents

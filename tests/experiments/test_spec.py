@@ -526,11 +526,14 @@ class TestVectorChurnRejection:
 #: added to a declaration must be given a sample here
 #: (``test_every_declaration_field_has_a_sample`` fails until it is).
 BASES = {
-    # Region-annotated, so a ``shards`` sample fits the base's topology.
+    # Region-annotated, and its audience a vector block, so a ``shards``
+    # sample fits the base's topology and sessions.
     ScenarioSpec: ScenarioSpec(
         name="base",
         protected=False,
-        sessions=(SessionDecl("s"),),
+        sessions=(
+            SessionDecl("s", receivers=0, population=(CohortDecl(10, model="vector"),)),
+        ),
         topology="sharded-dumbbell",
     ),
     SessionDecl: SessionDecl("s", receivers=2),

@@ -22,6 +22,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ from repro.experiments.runner import (
     run_job,
 )
 from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
-from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
+from repro.experiments.warmstart import PREFIX_NAME
 from repro.simulator.engine import Simulator
 
 #: The golden-trace scenarios (same shortened overrides as ``tests/golden``),
@@ -82,15 +83,13 @@ def _warm_via_worker(spec, tmp_path, verify=False):
     """Run ``spec`` through the pool worker's warm path; returns result JSON."""
     plan = plan_prefix(spec)
     assert plan is not None, f"{spec.name} must be warm-startable"
-    payload = {
-        "spec": spec.to_dict(),
-        "prefix": plan.spec.to_dict(),
-        "barrier_s": plan.barrier_s,
-        "dir": str(tmp_path),
-        "key": plan.checkpoint_key(),
-        "verify": verify,
-    }
-    return run_warm_json(json.dumps(payload))
+    document = {"spec": spec.to_dict(), "warm": plan.block(tmp_path), "verify": verify}
+    return run_job(("warm", json.dumps(document)))
+
+
+def _checkpoint_job(block):
+    """Run the ``checkpoint`` job for ``block``; its ``{key, reused}`` report."""
+    return json.loads(run_job(("checkpoint", json.dumps({"warm": block}))))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -101,20 +100,7 @@ def test_golden_warm_equals_cold(name, tmp_path):
     warm = _warm_via_worker(spec, tmp_path)
     assert warm == cold
     # The second warm run restores the published blob instead of rebuilding.
-    plan = plan_prefix(spec)
-    reused = json.loads(
-        run_checkpoint_json(
-            json.dumps(
-                {
-                    "prefix": plan.spec.to_dict(),
-                    "barrier_s": plan.barrier_s,
-                    "dir": str(tmp_path),
-                    "key": plan.checkpoint_key(),
-                }
-            )
-        )
-    )
-    assert reused["reused"] is True
+    assert _checkpoint_job(plan_prefix(spec).block(tmp_path))["reused"] is True
     assert _warm_via_worker(spec, tmp_path) == cold
 
 
@@ -214,7 +200,6 @@ def _tiny_sharded(intensity):
         attacker_cohorts=8,
         regions=4,
         edges_per_region=2,
-        shards=4,
         attack_start_s=8.0,
         intensity=intensity,
         duration_s=12.0,
@@ -425,13 +410,8 @@ def test_verify_catches_forced_divergence(tmp_path):
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     plan = plan_prefix(spec)
     wrong = plan_prefix(spec.with_seed(99))
-    payload = {
-        "prefix": wrong.spec.to_dict(),
-        "barrier_s": wrong.barrier_s,
-        "dir": str(tmp_path),
-        "key": plan.checkpoint_key(),  # published under the *wrong* key
-    }
-    run_checkpoint_json(json.dumps(payload))
+    # Published under the *wrong* key.
+    _checkpoint_job({**wrong.block(tmp_path), "key": plan.checkpoint_key()})
     with pytest.raises(RuntimeError, match="warm-start divergence"):
         _warm_via_worker(spec, tmp_path, verify=True)
 
@@ -443,16 +423,13 @@ def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
     key = plan.checkpoint_key()
-    payload = json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    )
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     stale = pickle.dumps((5, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None  # rebuilt and republished
 
 
@@ -465,12 +442,9 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
     key = plan.checkpoint_key()
-    payload = json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    )
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     stale = pickle.dumps((7, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
@@ -479,7 +453,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
         b"(I8\ncrepro.simulator.topology\n" + retired_class + b"\n)Rt."
     )
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None
 
 
@@ -490,17 +464,14 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
-    payload = json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    )
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     assert len(store.load(key).sessions[0].receivers) == 1
     stale = pickle.dumps((8, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None
 
 
@@ -512,19 +483,16 @@ def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
     key = plan.checkpoint_key()
-    payload = json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    )
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     scenario = store.load(key)
     assert scenario.duration_s == plan.barrier_s
     assert not hasattr(scenario.sessions[0].receivers[0], "guard_s")
     stale = pickle.dumps((10, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None
 
 
@@ -537,12 +505,9 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
     key = plan.checkpoint_key()
-    payload = json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    )
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     scenario = store.load(key)
     sim = scenario.network.sim
     assert set(vars(sim)) == {"_heap", "_timer_groups", "_seq", "_now", "_events_executed"}
@@ -551,7 +516,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     stale = pickle.dumps((11, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None
 
 
@@ -561,23 +526,23 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     classes and the declared hosts each receiver stands for, so old blobs
     are refused by the stamp."""
     assert CHECKPOINT_VERSION == 13
-    spec = scale_dumbbell_10m_spec(
+    spec = replace(scale_dumbbell_10m_spec(
         receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
-        attack_start_s=6.0, duration_s=9.0, shards=None,
-    )
+        attack_start_s=6.0, duration_s=9.0,
+    ), shards=None)
     plan = plan_prefix(spec)
     assert plan.edge_classes
     key = plan.checkpoint_key()
-    payload = json.dumps(plan.block(tmp_path))
+    block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
-    run_checkpoint_json(payload)
+    _checkpoint_job(block)
     scenario = store.load(key)
     assert set(scenario.edge_classes) == {members[0] for members in plan.edge_classes}
     assert all(session.declared for session in scenario.sessions)
     stale = pickle.dumps((12, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
-    assert json.loads(run_checkpoint_json(payload))["reused"] is False
+    assert _checkpoint_job(block)["reused"] is False
     assert store.load(key) is not None
 
 
@@ -588,10 +553,7 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
-    run_checkpoint_json(json.dumps(
-        {"prefix": plan.spec.to_dict(), "barrier_s": plan.barrier_s,
-         "dir": str(tmp_path), "key": key}
-    ))
+    _checkpoint_job(plan.block(tmp_path))
     warm = CheckpointStore(tmp_path).load(key)
     assert warm.duration_s == plan.barrier_s == 12.0
     warm.rebind_spec(spec)
@@ -615,7 +577,7 @@ HOSTILE_BLOBS = {
     ),
     # From a repro function to its module's globals, and on to ``os``.
     "dunder attribute": (
-        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nrun_checkpoint_json\n"
+        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nrun_scenario\n"
         "S'__globals__'\ntR."
     ),
 }

@@ -18,7 +18,7 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
     TcpDecl,
-    run_spec_json,
+    execute_spec,
 )
 
 FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
@@ -90,8 +90,8 @@ def parking_lot_spec() -> ScenarioSpec:
 )
 def test_identical_spec_and_seed_reproduce_byte_identical_results(make_spec):
     """Two in-process executions of the same spec serialise identically."""
-    first = run_spec_json(make_spec().to_json())
-    second = run_spec_json(make_spec().to_json())
+    first = execute_spec(make_spec()).to_json()
+    second = execute_spec(make_spec()).to_json()
     assert first == second
 
 

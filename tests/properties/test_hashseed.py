@@ -25,8 +25,10 @@ SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
 WORKER = (
     "import sys\n"
-    "from repro.experiments import run_spec_json\n"
-    "sys.stdout.write(run_spec_json(sys.stdin.read()))\n"
+    "from repro.experiments import ScenarioSpec, plan_cell\n"
+    "from repro.experiments.runner import run_job\n"
+    "(job,) = plan_cell(ScenarioSpec.from_json(sys.stdin.read())).jobs\n"
+    "sys.stdout.write(run_job(job))\n"
 )
 
 

@@ -23,9 +23,9 @@ from repro.experiments import (
     PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
+    execute_spec,
     scenario_spec,
 )
-from repro.experiments.runner import run_spec_json
 from repro.experiments.warmstart import run_scenario
 from repro.simulator.address import GroupAddress, NodeAddress, MULTICAST_BASE
 from repro.simulator.engine import Simulator
@@ -309,5 +309,5 @@ class TestBatchedMonitorDeterminism:
         assert serial_json == pooled_json
 
     def test_batched_monitors_repeat_byte_identical(self):
-        payload = pooled_spec().to_json()
-        assert run_spec_json(payload) == run_spec_json(payload)
+        first, second = (execute_spec(pooled_spec()).to_json() for _ in range(2))
+        assert first == second

@@ -30,6 +30,7 @@ from repro.experiments import (
     PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
+    plan_cell,
 )
 from repro.experiments.runner import describe_job, run_job
 from repro.service import JobTimeoutError
@@ -55,7 +56,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
 
 
 def _jobs(seeds):
-    return [("spec", fast_spec(seed).to_json()) for seed in seeds]
+    return [job for seed in seeds for job in plan_cell(fast_spec(seed)).jobs]
 
 
 def crash_once_worker(job):
@@ -276,7 +277,8 @@ class TestJobExecutorRun:
 
 
 def test_describe_job_names_scenario_and_seed():
-    description = describe_job(("spec", fast_spec(3).to_json()))
+    (job,) = plan_cell(fast_spec(3)).jobs
+    description = describe_job(job)
     assert "spec job" in description
     assert "'pool-fast'" in description
     assert "seed 3" in description
@@ -284,7 +286,7 @@ def test_describe_job_names_scenario_and_seed():
 
 def test_describe_job_names_the_prefix_checkpoint_and_its_barrier():
     """The prefix spec's placeholder name says nothing; the barrier does."""
-    from repro.experiments import plan_cell, scenario_spec
+    from repro.experiments import scenario_spec
 
     spec = scenario_spec("attack-flapping", attack_start_s=6.0, duration_s=18.0)
     (job,) = plan_cell(spec.with_seed(4), checkpoint_dir="/nonexistent").setup_jobs

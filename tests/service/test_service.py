@@ -359,6 +359,18 @@ class TestProtocolErrorHandling:
             name="service-topology", protected=False, sessions=(SessionDecl("mc"),),
             duration_s=6.0,
         ).to_json()
+        # Shardable but for the TCP flow, which used to be admitted and then
+        # fail every cell.
+        sharded = ScenarioSpec(
+            name="service-sharded", protected=False, topology="sharded-dumbbell",
+            topology_params={"regions": 2, "edges_per_region": 2}, shards=2,
+            sessions=(
+                SessionDecl(
+                    "mc", receivers=0, population=(CohortDecl(100, model="vector"),)
+                ),
+            ),
+            duration_s=6.0,
+        ).to_dict()
         unusable = [
             ({"topology": "nope"}, "unknown topology 'nope'"),
             ({"topology": "parking-lot", "topology_params": {"hopz": 3}}, "hopz"),
@@ -392,6 +404,10 @@ class TestProtocolErrorHandling:
             (
                 {"sessions": [{"session_id": "mc", "attack_start_s": float("nan")}]},
                 "SessionDecl.attack_start_s must be",
+            ),
+            (
+                {**sharded, "tcp": [{"name": "t"}]},
+                "TCP/CBR cross traffic couples regions; cannot shard",
             ),
             ({"durration_s": 5}, "unknown keys ['durration_s']"),
             ({"expected_" "sessions": 4}, "unknown keys ['expected_" "sessions']"),
@@ -726,6 +742,19 @@ class TestCli:
                   f"--connect-timeout={seconds}"])
         assert exit_info.value.code == 2
         assert "error: argument --connect-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    def test_submit_budget_must_be_finite_and_positive(self, tmp_path, seconds, capsys):
+        """Refused at parse time: the daemon refuses such a budget, and with
+        no daemon running the command used to report only that it could not
+        reach one."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "figure8-throughput", "--socket", str(tmp_path / "d.sock"),
+                  f"--timeout={seconds}"])
+        assert exit_info.value.code == 2
+        assert "error: argument --timeout" in capsys.readouterr().err
 
     def test_directory_that_names_a_file_exits_2_promptly(self, tmp_path):
         """``serve --cache-dir <regular file>`` used to print ``listening``

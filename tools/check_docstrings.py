@@ -49,6 +49,7 @@ SCOPED: Tuple[str, ...] = (
     "simulator/igmp.py",
     "experiments/spec.py",
     "experiments/scenario.py",
+    "experiments/metrics.py",
     "experiments/runner.py",
     "experiments/attacks.py",
     "experiments/scale.py",
