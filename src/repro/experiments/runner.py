@@ -26,7 +26,7 @@ through one pipeline, **plan → run → assemble**:
 * :func:`plan_cells` turns a batch of specs into :class:`CellPlan` objects
   (``(kind, payload)`` jobs plus how to merge their outputs) and owns the
   warm-start policy; :func:`plan_cell` is the batch of one.  A ``shards=N``
-  spec expands into one job per topology region
+  spec expands into one job per distinct topology region
   (:mod:`repro.experiments.shard`) on the same process pool.
 * :func:`run_job` executes one job in a worker — the one worker entry
   point, and with :func:`describe_job` the one reader of a job's payload.
@@ -541,17 +541,20 @@ class CellPlan:
 
     ``setup_jobs`` build missing prefix-checkpoint blobs and must finish
     before ``jobs`` start; ``jobs`` are the cell's main work (one spec/warm
-    job, or one cold region job per shard).  :meth:`merge` folds the
-    outputs into the cell's :class:`RunResult`.  Every executor — the batch
-    runner, the service daemon, the benchmark's traced walk — runs the same
-    four steps over these fields (setup jobs, jobs, :meth:`merge`, cache
-    store), so all produce byte-identical results by construction.
+    job, or one cold region job per distinct region sub-spec, with
+    ``region_jobs`` naming the job that stands for each region of
+    ``shard_plan``).  :meth:`merge` folds the outputs into the cell's
+    :class:`RunResult`.  Every executor — the batch runner, the service
+    daemon, the benchmark's traced walk — runs the same four steps over
+    these fields (setup jobs, jobs, :meth:`merge`, cache store), so all
+    produce byte-identical results by construction.
     """
 
     spec: ScenarioSpec
     setup_jobs: List[Tuple[str, str]] = field(default_factory=list)
     jobs: List[Tuple[str, str]] = field(default_factory=list)
     shard_plan: Optional[ShardPlan] = None
+    region_jobs: Tuple[int, ...] = ()
     warm: bool = False
     #: Blobs this cell found published / has ``setup_jobs`` building.  A
     #: blob shared by several cells of one batch is booked on the first.
@@ -561,13 +564,19 @@ class CellPlan:
     def merge(self, outputs: Sequence[str]) -> RunResult:
         """Fold the main jobs' outputs into this cell's result.
 
-        A sharded cell is the deterministic region merge, any other the
-        single output parsed.
+        A sharded cell is the deterministic region merge over one document
+        per region, in region order: the output of the job standing for
+        that region, renumbered to it.  Any other cell is its single output
+        parsed.
         """
         if self.shard_plan is None:
             return RunResult.from_json(outputs[0])
         return merge_region_results(
-            self.shard_plan, [json.loads(output) for output in outputs]
+            self.shard_plan,
+            [
+                {**json.loads(outputs[job]), "region": region.region}
+                for job, region in zip(self.region_jobs, self.shard_plan.regions)
+            ],
         )
 
 
@@ -593,8 +602,14 @@ def plan_cells(
     built by one ``checkpoint`` setup job, booked on the first cell that
     needs it; ``verify`` makes the first cell of each warm group re-run
     cold and compare bytes.  Sharded specs expand into one region job per
-    shard.  Every payload is one JSON document whose keys :func:`run_job`
-    lists.
+    *distinct* region sub-spec, keyed by the sub-spec's JSON without its
+    ``region`` number.  Regions that differ only in that number run once,
+    and :meth:`CellPlan.merge` hands the one output to each of them.  The
+    key is exact because no region run reads its region number: the
+    topology repeats the same links under region-numbered router names,
+    every RNG stream and host name is region-local, and a region document
+    names no router (:mod:`repro.experiments.shard`).  Every payload is one
+    JSON document whose keys :func:`run_job` lists.
     """
     plans = [CellPlan(spec=spec) for spec in specs]
     # checkpoint key -> (prefix plan, indices of the cells sharing it)
@@ -630,11 +645,20 @@ def plan_cells(
         plan.warm = blob is not None
         if spec.shards is not None:
             shards = plan.shard_plan = plan_shards(spec)
-            documents = [
-                ("region", {"spec": region.spec.to_dict(), "region": region.region,
-                            "onsets": shards.onsets})
-                for region in shards.regions
-            ]
+            documents = []
+            job_of: Dict[str, int] = {}  # sub-spec sans region number -> job
+            for region in shards.regions:
+                sub = region.spec.to_dict()
+                params = dict(sub["topology_params"])
+                del params["region"]
+                key = canonical_json({**sub, "topology_params": params})
+                if key not in job_of:
+                    job_of[key] = len(documents)
+                    documents.append(
+                        ("region", {"spec": sub, "region": region.region,
+                                    "onsets": shards.onsets})
+                    )
+                plan.region_jobs += (job_of[key],)
         elif blob is not None:
             documents = [
                 ("warm", {"spec": spec.to_dict(), "warm": blob,

@@ -235,11 +235,13 @@ def scale_dumbbell_10m_spec(
     multi-edge dumbbells hang off a shared trunk, the honest audience and
     the batched inflated-join attacker population are ``model="vector"``
     blocks round-robined over all ``regions × edges_per_region`` edge
-    routers, and ``shards=regions`` lets the runner execute each region in its own
-    process-pool worker with a deterministic boundary-event merge
-    (:mod:`repro.experiments.shard`).  The merged result is byte-identical
-    between the serial and pooled paths — and, because each region has its
-    own private bottleneck, to the unsharded run of the same topology.
+    routers, and ``shards=regions`` lets the runner execute each distinct
+    region in its own process-pool worker with a deterministic
+    boundary-event merge (:mod:`repro.experiments.shard`).  At the defaults
+    regions 1–4 and 5–8 are equal, so the cell runs 2 region jobs.  The
+    merged result is byte-identical between the serial and pooled paths —
+    and, because each region has its own private bottleneck, to the
+    unsharded run of the same topology.
     """
     return duel_spec(
         "scale-dumbbell-10m",
@@ -262,8 +264,8 @@ def scale_dumbbell_10m_spec(
 register_scenario(
     "scale-dumbbell-10m",
     "Inflated-join attacker population against a 10,000,000-receiver honest "
-    "audience sharded across 8 topology regions, each region a process-pool "
-    "worker, merged deterministically at slot barriers",
+    "audience sharded across 8 topology regions, each distinct region a "
+    "process-pool worker, merged deterministically at slot barriers",
 )(scale_dumbbell_10m_spec)
 
 
@@ -370,11 +372,14 @@ def attack_keys_100k_spec(
     reconstructed keys out of scope (§4.1) and ``guessers`` members
     submitting random keys (§4.2) — share a fair-share-sized dumbbell
     bottleneck with a ``receivers``-member honest cohort.  Both strategies
-    draw per-cohort randomness from their named seeded streams and book
-    counters at member weight, so the whole attacker population costs two
-    receiver objects however large it is declared.  SIGMA must hold every
-    replay in ``invalid_submissions`` and alarm on the guess volume while
-    the honest audience's goodput stays at its fair share.
+    book counters at member weight, so the whole attacker population costs
+    two receiver objects however large it is declared.  The guessers are
+    not exact: the block draws one guess budget per slot for all its
+    members, so it equals ``guessers`` individuals only while no guess
+    succeeds (ROADMAP item 16; the strict xfail
+    ``test_key_guessing_block_guesses_like_its_members``).  SIGMA must hold
+    every replay in ``invalid_submissions`` and alarm on the guess volume
+    while the honest audience's goodput stays at its fair share.
     """
     return duel_spec(
         "attack-keys-100k",

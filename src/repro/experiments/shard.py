@@ -25,6 +25,18 @@ The two halves, around the ``region`` job that
   :class:`~repro.experiments.spec.ScenarioSpec` over the single-region
   sub-topology (``topology_params["region"]``) with identical router names
   and link parameters.
+
+  Regions whose sub-specs are equal but for that ``region`` number run
+  once (:func:`~repro.experiments.runner.plan_cells`), and their one
+  document stands for each of them.  That is exact, for three reasons:
+
+  - ``sharded-dumbbell``, the only factory that annotates regions, builds
+    every region from the same link numbers and names its routers only by
+    region number;
+  - every RNG stream is named by session and host, and host names are
+    region-local (``audience-vec1-1`` in every region), so no stream,
+    placement or metric reads a region's router names;
+  - a region document names no router.
 * :func:`merge_region_results` — the **deterministic merge**.  Validates
   the region documents' count and order, hands them to the one metric
   assembler (:func:`~repro.experiments.metrics.assemble` — the same code an

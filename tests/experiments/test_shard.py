@@ -11,6 +11,8 @@ The contract under test (``docs/determinism.md``, ``docs/scale.md``):
   merged results, and those results match the *unsharded* run of the same
   spec metric for metric (the boundary summary is the one sharding-only
   block);
+* regions whose sub-specs differ only in their region number run as one
+  job, and the merge is byte-identical to the merge of every region run;
 * merged documents cache like any other result.
 """
 
@@ -32,9 +34,11 @@ from repro.experiments import (
     execute_spec,
     plan_cell,
     plan_shards,
+    scale_dumbbell_10m_spec,
 )
 from repro.experiments.runner import run_job
 from repro.experiments.shard import merge_boundary_events, merge_region_results
+from repro.experiments.spec import canonical_json
 from repro.multicast_cc.population import split_counts
 
 DURATION_S = 10.0
@@ -73,6 +77,30 @@ def sharded_spec(**overrides) -> ScenarioSpec:
     }
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+def every_region_documents(spec: ScenarioSpec):
+    """The shard plan and one ``run_job`` document per region — every
+    region run, none standing for another (the reference the planner's
+    deduplicated jobs must reproduce)."""
+    shards = plan_shards(spec)
+    return shards, [
+        json.loads(
+            run_job(
+                (
+                    "region",
+                    canonical_json(
+                        {
+                            "spec": region.spec.to_dict(),
+                            "region": region.region,
+                            "onsets": shards.onsets,
+                        }
+                    ),
+                )
+            )
+        )
+        for region in shards.regions
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -340,13 +368,97 @@ def test_sharded_matches_unsharded_on_uncovered_shapes(shape):
 
 
 # ----------------------------------------------------------------------
+# identical regions are one region
+# ----------------------------------------------------------------------
+def _sans_region(region_spec: ScenarioSpec):
+    """A region sub-spec's plain data without its ``region`` number."""
+    data = region_spec.to_dict()
+    params = dict(data["topology_params"])
+    del params["region"]
+    return {**data, "topology_params": params}
+
+
+def _flagship(seed: int) -> ScenarioSpec:
+    """A reduced flagship: 4 regions of 2 edges, attackers on 4 edges only."""
+    return scale_dumbbell_10m_spec(
+        receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=4,
+        edges_per_region=2, attack_start_s=ATTACK_START_S, duration_s=DURATION_S,
+    ).with_seed(seed)
+
+
+def _population(*blocks) -> dict:
+    return dict(sessions=(SessionDecl("mc", receivers=0, population=blocks),))
+
+
+_AUDIENCE = CohortDecl(AUDIENCE, model="vector", cohorts=AUDIENCE_COHORTS)
+_ATTACK = AttackSpec("inflated-join", start_s=ATTACK_START_S)
+
+#: case -> (spec, the job standing for each region)
+REGION_CASES = {
+    # Both regions carry 4 audience rows of 25 and 2 attacker rows of 10.
+    "test-spec": (sharded_spec, (0, 0)),
+    "pinned-block-in-region-2": (
+        lambda: sharded_spec(
+            **_population(
+                _AUDIENCE,
+                CohortDecl(ATTACKERS, model="vector", cohorts=4, attack=_ATTACK),
+                CohortDecl(5, router="edge2-1"),
+            )
+        ),
+        (0, 1),
+    ),
+    # 3 attacker rows: region 1 gets 2 of them, region 2 one.
+    "uneven-attacker-rows": (
+        lambda: sharded_spec(
+            **_population(
+                _AUDIENCE, CohortDecl(ATTACKERS, model="vector", cohorts=3, attack=_ATTACK)
+            )
+        ),
+        (0, 1),
+    ),
+    "flagship-seed-0": (lambda: _flagship(0), (0, 0, 1, 1)),
+    "flagship-seed-1": (lambda: _flagship(1), (0, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGION_CASES))
+def test_identical_regions_run_once(case):
+    """One region job per distinct region sub-spec, and a merge byte-equal
+    to the merge of every region run."""
+    build, standing = REGION_CASES[case]
+    spec = build()
+    plan = plan_cell(spec)
+    shards, documents = every_region_documents(spec)
+
+    distinct = []
+    for region in shards.regions:
+        if _sans_region(region.spec) not in distinct:
+            distinct.append(_sans_region(region.spec))
+    assert [kind for kind, _ in plan.jobs] == ["region"] * len(distinct)
+    assert [
+        _sans_region(ScenarioSpec.from_dict(json.loads(payload)["spec"]))
+        for _, payload in plan.jobs
+    ] == distinct
+    assert plan.region_jobs == standing
+    for region, job in zip(shards.regions, plan.region_jobs):
+        assert _sans_region(region.spec) == distinct[job]
+
+    outputs = [run_job(job) for job in plan.jobs]
+    for region, job, document in zip(shards.regions, plan.region_jobs, documents):
+        assert {**json.loads(outputs[job]), "region": region.region} == document
+    assert (
+        plan.merge(outputs).to_json()
+        == merge_region_results(shards, documents).to_json()
+    )
+
+
+# ----------------------------------------------------------------------
 # merge error paths
 # ----------------------------------------------------------------------
 class TestMergeValidation:
     @pytest.fixture(scope="class")
     def documents(self, spec):
-        plan = plan_cell(spec)
-        return plan.shard_plan, [json.loads(run_job(job)) for job in plan.jobs]
+        return every_region_documents(spec)
 
     def test_rejects_wrong_document_count(self, documents):
         plan, docs = documents

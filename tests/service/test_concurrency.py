@@ -9,7 +9,7 @@ subprocess test races two real clients through a real daemon and asserts
 the daemon-wide invariant that only one cell was ever executed.
 
 Within one submission the cells run on up to ``jobs`` workers at once and
-are reported in seed order, and a sharded cell's region blobs build side
+are reported in seed order, and a sharded cell's distinct regions run side
 by side.  Those tests pin the interleaving with cross-process gates
 (:mod:`multiprocessing` barriers and events the ``fork``-started workers
 inherit), never with sleeps, and assert counts and orders only.
@@ -19,6 +19,7 @@ import asyncio
 import concurrent.futures
 import multiprocessing
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.experiments import (
     PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
+    plan_cell,
 )
 from repro.experiments.runner import run_job
 
@@ -203,7 +205,18 @@ class TestShardedSetup:
     def test_regions_of_a_sharded_cell_run_cold_side_by_side(
         self, service_loop, monkeypatch
     ):
+        # 3 attacker rows over 2 regions: the region sub-specs differ, so
+        # the cell runs two region jobs (identical regions would run once).
         spec = sharded_spec()
+        (decl,) = spec.sessions
+        audience, attackers = decl.population
+        spec = replace(
+            spec,
+            sessions=(
+                replace(decl, population=(audience, replace(attackers, cohorts=3))),
+            ),
+        )
+        assert [kind for kind, _ in plan_cell(spec).jobs] == ["region", "region"]
         expected = ExperimentRunner(jobs=1).run_one(spec).to_json()
         monkeypatch.setattr("test_concurrency.BARRIER", multiprocessing.Barrier(2))
         monkeypatch.setattr("repro.experiments.runner.run_job", paired_region_worker)
