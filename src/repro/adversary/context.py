@@ -87,7 +87,10 @@ class AttackContext:
         #: Attackers this context speaks for: the receiver's population at
         #: admission.  Every attack counter is booked per member through this
         #: weight, so one receiver standing for N attackers reports exactly
-        #: what N one-member receivers would.
+        #: what N one-member receivers would — except under key guessing,
+        #: whose one draw budget per receiver is one member's guesses
+        #: (ROADMAP item 16; the strict xfail
+        #: ``test_key_guessing_block_guesses_like_its_members`` pins it).
         self.member_count = receiver.population
         # Attack counters, shared by all strategies on this receiver.
         for key in COUNTER_KEYS:

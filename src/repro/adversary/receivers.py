@@ -13,10 +13,12 @@ whether to augment, rewrite or suppress the honest subscription decision.
 A receiver standing for N members mounts the stack once: the shared
 :class:`~repro.adversary.context.AttackContext` books every counter, IGMP
 report and SIGMA ``member_count`` stamp **per member**, so N aggregated
-attackers report exactly what N one-member attackers would (per-slot
-randomness is drawn once per receiver from the strategy's named seeded
-stream; collusion pools take member-weighted contributions — see
-``docs/threat-model.md``).
+attackers report exactly what N one-member attackers would (collusion pools
+take member-weighted contributions — see ``docs/threat-model.md``).  Key
+guessing is the exception: its per-slot randomness is drawn once per
+receiver from the strategy's named seeded stream, so a block makes one
+member's guesses where N receivers would make N (ROADMAP item 16; the
+strict xfail ``test_key_guessing_block_guesses_like_its_members`` pins it).
 """
 
 from __future__ import annotations

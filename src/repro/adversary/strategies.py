@@ -1,8 +1,8 @@
 """Concrete adversary strategies.
 
 Each strategy models one self-beneficial misbehaviour from the paper's threat
-analysis (§2, §4) or the adaptive-misbehaviour literature; the README's
-threat-model section maps every class to its taxonomy entry.  Strategies are
+analysis (§2, §4) or the adaptive-misbehaviour literature;
+``docs/threat-model.md`` maps every class to its taxonomy entry.  Strategies are
 deliberately small — composition (stacking several on one receiver) is how
 richer attackers are built, e.g. the Figure 7 attacker is inflated-join +
 key-replay + key-guessing.
@@ -12,8 +12,11 @@ context exposes — entitlement, stash, pooled keys, and for key guessing the
 slot's draw budget from the strategy's seeded stream, drawn once per
 receiver — and books it through the context at ``member_count`` weight, so
 one receiver standing for N attackers acts exactly as N one-member receivers
-would.  The exhaustive small-model harness (``tests/properties/exhaustive.py``)
-drives every class here against an independent reference model.
+would.  Key guessing is the exception: one draw budget per receiver is one
+member's guesses, not N members' (ROADMAP item 16; the strict xfail
+``test_key_guessing_block_guesses_like_its_members`` pins it).  The
+exhaustive small-model harness (``tests/properties/exhaustive.py``) drives
+every class here against an independent reference model.
 """
 
 from __future__ import annotations

@@ -43,7 +43,8 @@ per edge interface; see ``docs/scale.md``):
   honest audience split across thousands of cohort rows on a generated
   multi-edge dumbbell, with an adversarial inflated-join population riding
   the same edges — both realised as ``model="vector"`` blocks, one receiver
-  per edge router carrying that edge's rows (completes on one CPU inside the 5-minute CI scale-smoke budget).
+  per edge router carrying that edge's rows (completes on one CPU inside the
+  5-minute budget of ``test_scale_scenario_finishes_inside_the_budget``).
 * ``scale-dumbbell-10m`` — the region-sharded flagship: the same duel at
   10,000,000 receivers on a ``sharded-dumbbell`` topology whose 8 regions
   run as independent process-pool workers with a deterministic

@@ -303,7 +303,10 @@ class CohortDecl(PlainData):
     mounts the declared strategy (any registered strategy: one receiver
     books every message and counter at member weight, so N members act as N
     one-member receivers would; the attack's ``receivers`` indices are
-    ignored, the block itself is the target).
+    ignored, the block itself is the target).  Key guessing is the
+    exception: the block draws one guess budget per slot for all its
+    members, where N receivers draw N (ROADMAP item 16; the strict xfail
+    ``test_key_guessing_block_guesses_like_its_members`` pins it).
     ``churn`` drives the member count by a deterministic
     :class:`~repro.multicast_cc.churn.ChurnProcess` (flash crowds, gradual
     arrival/departure); churn requires the aggregated ``"cohort"`` model.

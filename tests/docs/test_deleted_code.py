@@ -1,0 +1,121 @@
+"""Deleted code stays deleted.
+
+Each case names what was removed, a regular expression for it and the
+directories (from the repository root) in which no line may match it, as
+``git grep -E`` would read them.  This file spells every pattern out, so it
+is the one file the search skips.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+THIS_FILE = Path(__file__).resolve()
+
+DELETED = {
+    # It lives on as the oracle in tests/simulator/test_link_oracle.py.
+    "two-event link": (
+        r"_transmission_complete|_start_next_transmission",
+        ["src"],
+    ),
+    # A link schedules each delivery when its queue admits the packet.
+    "drain event behind a queue": (
+        r"\b_drain\b|_draining",
+        ["src/repro/simulator"],
+    ),
+    # It lives on as the oracle in tests/fec/fec_oracle.py.
+    "row-major FEC inner-product loop": (
+        r"for coeff, (symbol|y) in zip",
+        ["src/repro/fec"],
+    ),
+    # A population is a tuple of row counts; the CLI and the daemon start without it.
+    "numpy": (
+        r"\bnumpy\b",
+        ["src"],
+    ),
+    # The batch runner and the daemon share JobExecutor.
+    "second process pool": (
+        r"AsyncJobPool|repro\.service\.pool",
+        ["src", "tests", "docs", "tools"],
+    ),
+    # The dumbbell is one more topology.
+    "dumbbell-only network, config, spec field or decode exception": (
+        r"DumbbellNetwork|DumbbellConfig|for_fair_share|expected_sessions"
+        r"|\bbottleneck_bps\b|\.dumbbell\(|_REJECT_UNKNOWN_KEYS",
+        ["src", "tests", "examples", "docs", "tools"],
+    ),
+    # Each per-slot rule lives in the strategy or receiver that runs it.
+    "decision module or batching contract": (
+        r"multicast_cc\.decision|BATCHED_DECISION_RULES|COHORT_BATCHED_STRATEGIES"
+        r"|DlDecision|ChurnAction",
+        ["src", "tests", "docs", "tools"],
+    ),
+    # A figure is a registered grid and reducer.
+    "hand-written figure wrapper or result dataclass": (
+        r"\brun_(inflated_subscription_experiment|throughput_vs_sessions|responsiveness"
+        r"|heterogeneous_rtt|convergence|measured_overhead|group_count_sweep"
+        r"|slot_duration_sweep)\b|\b(InflatedSubscription|ThroughputVsSessions"
+        r"|Responsiveness|RttFairness|Convergence|OverheadSweep|MeasuredOverhead)Result\b",
+        ["src", "benchmarks", "tests", "examples"],
+    ),
+    # Only the DELTA variants a run can reach.
+    "unreachable DELTA variant, ECN queue or copy-on-write header hook": (
+        r"ECNMarkingQueue|EcnComponentScrambler|ecn_observation|local_delivery_hook"
+        r"|mutable_headers|_owns_headers|ThresholdDelta|Shamir|QUEUE_DISCIPLINES"
+        r"|Replicated(Sender|Receiver|DeltaSender|DeltaReceiver)|\bDelta(Sender|Receiver)\b"
+        r"|\bKeyKind\b|combine_levels|keys_equal",
+        ["src", "tests", "examples", "tools"],
+    ),
+    # Only what a run calls stays.
+    "stop/restart machinery, un-coded key announcement or test-only helper": (
+        r"PacketFactory|\bshortest_path\b|\buse_fec\b|_plain_packet|\.payload_bits\("
+        r"|from_ints|store_key_values|has_keys_for|\bon_loss\b|\bon_attach\b"
+        r"|\bhonest_baseline_kbps\(|bandwidth_shares|format_series_table"
+        r"|_timer_group_leave|\b_stopped\b|\b_epoch\b",
+        ["src", "tests", "examples", "tools"],
+    ),
+    # One warm-start path: sharded cells run cold, the daemon keeps its blobs in --cache-dir.
+    "second warm-start path or last run_* wrapper": (
+        r"verify_jobs|warm_blocks|_prefix_blobs|resolved_checkpoint_dir|blob_stat"
+        r"|cache_get|checkpoint-dir|run_scale_protection_sweep",
+        ["src", "tests", "examples", "tools"],
+    ),
+    # The daemon answers them as unknown ops (the tests send them on purpose).
+    "store-inspection op": (
+        r"cache-get|blob-stat",
+        ["src"],
+    ),
+    # run_job reads every job document.
+    "second worker entry point, region payload builder, unread counter or cold-only flag": (
+        r"run_(spec|warm|checkpoint|region)_json|region_payloads|plan_overhead_s"
+        r"|checkpoint_wall_s|no-warm-start",
+        ["src", "tests", "examples", "tools"],
+    ),
+    # metrics, warmstart, shard and runner import each other at module level, in that order.
+    "function-level import hiding a cycle": (
+        r"^\s+from \.(runner|shard|warmstart|metrics) import",
+        ["src/repro/experiments"],
+    ),
+}
+
+
+def searched_files(directory):
+    for path in sorted((REPO_ROOT / directory).rglob("*")):
+        if path.is_file() and path != THIS_FILE and "__pycache__" not in path.parts:
+            yield path
+
+
+@pytest.mark.parametrize("what", list(DELETED))
+def test_deleted_code_stays_deleted(what):
+    pattern, directories = DELETED[what]
+    regex = re.compile(pattern)
+    hits = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for directory in directories
+        for path in searched_files(directory)
+        for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1)
+        if regex.search(line)
+    ]
+    assert not hits, f"{what} came back: {hits}"

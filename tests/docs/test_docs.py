@@ -9,6 +9,7 @@ and when the scoped public API loses a docstring.
 
 import importlib
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,42 @@ DOC_FILES = sorted(DOCS.glob("*.md")) + [
     REPO_ROOT / "CONTRIBUTING.md",
 ]
 
-LINK_RE = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
+LINK_RE = re.compile(r"\[[^\]]+\]\(([^)#\s]*)(?:#([^)\s]*))?\)")
+FENCE_RE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def heading_slugs(text):
+    """The anchors GitHub gives the headings of a Markdown page: the
+    heading's text without markup, lower-cased, stripped of everything
+    but word characters, hyphens and spaces, spaces turned into hyphens,
+    and ``-1``, ``-2``, ... appended to repeats."""
+    seen = {}
+    slugs = set()
+    for line in FENCE_RE.sub("", text).splitlines():
+        match = re.match(r"#{1,6} (.+)", line)
+        if not match:
+            continue
+        title = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", match.group(1)).replace("`", "")
+        slug = re.sub(r"[^\w\- ]", "", title.strip().lower()).replace(" ", "-")
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        slugs.add(slug if count == 0 else f"{slug}-{count}")
+    return slugs
+
+
+def documented_cli_calls():
+    """``(page, argv)`` of every ``python -m repro ...`` command in an ``sh``
+    block of the docs, continuation lines joined and comments dropped."""
+    calls = []
+    for doc in DOC_FILES:
+        for language, body in FENCE_RE.findall(doc.read_text()):
+            if language != "sh":
+                continue
+            for line in body.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:3] == ["python", "-m", "repro"]:
+                    calls.append((doc.name, words[3:]))
+    return calls
 
 
 def test_docs_tree_exists():
@@ -44,13 +80,45 @@ def test_docs_tree_exists():
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
 def test_relative_links_resolve(doc):
-    """Every relative link in the docs points at an existing file."""
+    """Every relative link in the docs points at an existing file, and a
+    ``#fragment`` at a heading of the page it names."""
     for match in LINK_RE.finditer(doc.read_text()):
-        target = match.group(1)
+        target, fragment = match.groups()
         if "://" in target or target.startswith("mailto:"):
             continue
-        resolved = (doc.parent / target).resolve()
+        resolved = (doc.parent / target).resolve() if target else doc
         assert resolved.exists(), f"{doc.name}: broken link to {target}"
+        if fragment is not None:
+            assert fragment in heading_slugs(resolved.read_text()), (
+                f"{doc.name}: {target or doc.name} has no heading #{fragment}"
+            )
+
+
+def test_heading_slugs_follow_the_github_rule():
+    text = "# A `run`: 10M+ (`shards=N`)\n```sh\n# not a heading\n```\n## Twice\n## Twice\n"
+    assert heading_slugs(text) == {"a-run-10m-shardsn", "twice", "twice-1"}
+
+
+@pytest.mark.parametrize(
+    "page, argv",
+    documented_cli_calls(),
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_documented_cli_calls_parse(page, argv, capsys):
+    """Every command an ``sh`` block shows parses with the real parser
+    (nothing runs: a ``serve`` would never return).  Synopses, whose
+    placeholders are not values, are fenced as ``text``."""
+    from repro.__main__ import build_parser
+
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{page}: python -m repro {shlex.join(argv)}: {capsys.readouterr().err}")
+
+
+def test_the_docs_show_cli_calls():
+    pages = {page for page, _ in documented_cli_calls()}
+    assert {"cli.md", "README.md", "service.md"} <= pages
 
 
 def test_cited_files_exist():

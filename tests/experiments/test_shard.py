@@ -35,6 +35,7 @@ from repro.experiments import (
     plan_cell,
     plan_shards,
     scale_dumbbell_10m_spec,
+    scenario_spec,
 )
 from repro.experiments.runner import run_job
 from repro.experiments.shard import merge_boundary_events, merge_region_results
@@ -450,6 +451,15 @@ def test_identical_regions_run_once(case):
         plan.merge(outputs).to_json()
         == merge_region_results(shards, documents).to_json()
     )
+
+
+def test_registered_flagship_plans_two_region_jobs_for_eight_regions():
+    """Regions 1-4 and 5-8 of ``scale-dumbbell-10m`` differ only in the
+    attacker split (12,504 against 12,496 members)."""
+    plan = plan_cell(scenario_spec("scale-dumbbell-10m"))
+    assert [kind for kind, _ in plan.jobs] == ["region", "region"]
+    assert len(plan.shard_plan.regions) == 8
+    assert plan.region_jobs == (0, 0, 0, 0, 1, 1, 1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -807,8 +807,8 @@ HOSTILE = {
 
 
 #: The dumbbell-only keys spec documents carried before every topology was
-#: sized through ``topology_params`` (spelled in two parts so the CI guard
-#: against the names coming back stays empty).
+#: sized through ``topology_params`` (spelled in two parts so
+#: ``tests/docs/test_deleted_code.py`` finds no name coming back).
 RETIRED_SPEC_KEYS = ("expected_" "sessions", "bottleneck_" "bps")
 
 

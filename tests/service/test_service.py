@@ -508,6 +508,44 @@ class TestProtocolErrorHandling:
         assert status["event"] == "status"
         assert status["pool"]["restarts"] == 0
 
+    @pytest.mark.smoke
+    def test_hostile_input_answers_in_band_and_kills_no_worker(self, daemon):
+        """One connection sends, in turn, an op protocol 3 removed (its key
+        names a path outside the store), a zero job budget, a spec whose
+        receiver count is a float, one whose CBR rate is infinite and a
+        sharded spec with a TCP flow: each is refused in-band, and the
+        connection, the pool and the daemon stay usable."""
+        spec = scenario_spec("attack-flapping", attack_start_s=6.0, duration_s=18.0)
+        mistyped = spec.to_dict()
+        mistyped["sessions"][0]["receivers"] = 1.5
+        endless = spec.to_dict()
+        endless["cbr"] = [{"rate_bps": float("inf")}]
+        coupled = scenario_spec("scale-dumbbell-10m", regions=2, duration_s=4.0).to_dict()
+        coupled["tcp"] = [{"name": "t"}]
+        hostile = [
+            ({"op": "cache-get", "key": "/etc/hostname"}, "error", "unknown op 'cache-get'"),
+            ({"op": "submit", "spec": spec.to_dict(), "timeout_s": 0}, "rejected", "timeout_s"),
+            ({"op": "submit", "spec": mistyped}, "rejected", "invalid spec"),
+            ({"op": "submit", "spec": endless}, "rejected", "CbrDecl.rate_bps"),
+            ({"op": "submit", "spec": coupled}, "rejected", "cannot shard"),
+        ]
+
+        async def scenario(conn):
+            replies = []
+            for number, (message, _, _) in enumerate(hostile):
+                await conn.send({**message, "id": f"h{number}"})
+                replies.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return replies, await conn.recv()
+
+        replies, status = self._converse(daemon(), scenario)
+        for reply, (_, event, text) in zip(replies, hostile):
+            assert reply["event"] == event, reply
+            assert text in reply.get("message", reply.get("reason")), reply
+        assert status["event"] == "status"
+        assert status["pool"]["restarts"] == 0
+        assert status["scheduler"]["draining"] is False
+
     def test_unusable_timeout_is_rejected(self, daemon):
         unusable = [0, -1, -0.5, True, "5", float("inf"), float("nan"), 10**400, [1]]
 
