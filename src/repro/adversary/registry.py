@@ -51,6 +51,8 @@ def build_strategies(
     ``adversary:<session>:<host>:<index>:<strategy>`` — so adding or removing
     a strategy never perturbs the draws of the others (stream isolation), and
     the same spec reproduces the same attack byte-for-byte in any process.
+    Each strategy acts on its :meth:`~AttackStrategy.effective_intensity`,
+    the value the result cache keys the spec by.
     """
     strategies: List[AttackStrategy] = []
     for index, attack in enumerate(attacks):
@@ -63,7 +65,7 @@ def build_strategies(
             cls(
                 start_s=attack.start_s,
                 stop_s=attack.stop_s,
-                intensity=attack.intensity,
+                intensity=cls.effective_intensity(attack.intensity),
                 params=attack.params,
                 rng=rng,
             )

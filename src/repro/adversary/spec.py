@@ -7,10 +7,10 @@ target the same receiver — their strategies then *compose* on that host, in
 declaration order.
 
 The spec is plain data, so it serialises inside a
-:class:`~repro.experiments.spec.ScenarioSpec` (whose canonical JSON is the
-experiment cache key, written and read by the one codec in
-:mod:`repro.experiments.spec`) and survives the round trip to process-pool
-workers.
+:class:`~repro.experiments.spec.ScenarioSpec` (written and read by the one
+codec in :mod:`repro.experiments.spec`; its canonical JSON, with every
+intensity at its effective value, is the experiment cache key) and survives
+the round trip to process-pool workers.
 """
 
 from __future__ import annotations
@@ -26,11 +26,18 @@ __all__ = ["AttackSpec"]
 class AttackSpec:
     """One scheduled attack: strategy + params + schedule + target receivers.
 
-    ``intensity`` is a dimensionless scale factor every strategy interprets
-    against its own knobs (guesses per slot, churn frequency, storm width…),
-    so experiment grids can sweep attacker aggressiveness uniformly across
-    strategy types.  ``stop_s`` of ``None`` means the attack runs to the end
-    of the experiment.
+    ``intensity`` is a dimensionless scale factor, so experiment grids can
+    sweep attacker aggressiveness across strategy types.  Each strategy
+    reads it its own way: ``key-replay``, ``key-guessing`` and
+    ``join-storm`` scale their per-slot volume (replays, guesses, bursts)
+    by it; ``churn`` divides its flapping period by it; ``inflated-join``
+    joins that fraction of the session's groups, clamped at 1 (every
+    intensity >= 1 joins them all); ``collusion`` and ``ignore-congestion``
+    ignore it.  The spec keeps the declared value; the run and the result
+    cache key read the strategy's
+    :meth:`~repro.adversary.strategy.AttackStrategy.effective_intensity`.
+    ``stop_s`` of ``None`` means the attack runs to the end of the
+    experiment.
     """
 
     strategy: str

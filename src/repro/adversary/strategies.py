@@ -58,6 +58,11 @@ class InflatedJoinStrategy(AttackStrategy):
 
     name = "inflated-join"
 
+    @classmethod
+    def effective_intensity(cls, intensity: float) -> float:
+        # The target is the whole session for every intensity >= 1.
+        return min(intensity, 1.0)
+
     def on_start(self, ctx: AttackContext) -> None:
         # ``intensity`` of the session's groups, clamped to a valid level.
         target = max(1, min(ctx.group_count, round(self.intensity * ctx.group_count)))
@@ -82,6 +87,11 @@ class IgnoreCongestionStrategy(AttackStrategy):
     """
 
     name = "ignore-congestion"
+
+    @classmethod
+    def effective_intensity(cls, intensity: float) -> float:
+        # No hook reads intensity.
+        return 1.0
 
     def filter_congestion(
         self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool
@@ -250,6 +260,11 @@ class CollusionStrategy(AttackStrategy):
     name = "collusion"
     #: Colluders behind every edge feed and read one shared pool.
     interchangeable = False
+
+    @classmethod
+    def effective_intensity(cls, intensity: float) -> float:
+        # No hook reads intensity.
+        return 1.0
 
     def _pool(self, ctx: AttackContext):
         return ctx.collusion_pool(str(self.param("pool", "default")))

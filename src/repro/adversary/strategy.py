@@ -59,6 +59,20 @@ class AttackStrategy:
         self.started = False
         self.stopped = False
 
+    @classmethod
+    def effective_intensity(cls, intensity: float) -> float:
+        """The intensity this strategy acts on when ``intensity`` is declared.
+
+        Two declared intensities with one effective intensity make the same
+        attack: the strategy is built with this value
+        (:func:`~repro.adversary.registry.build_strategies`) and the result
+        cache keys a spec by it (:meth:`ResultCache.key
+        <repro.experiments.runner.ResultCache.key>`).  The identity, unless
+        a strategy's hooks read ``intensity`` only up to a clamp or not at
+        all.
+        """
+        return intensity
+
     # ------------------------------------------------------------------
     # schedule
     # ------------------------------------------------------------------

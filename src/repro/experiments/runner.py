@@ -15,10 +15,11 @@ documents for the same spec and seed — the property tests assert exactly
 that.
 
 Results can be cached on disk (``cache_dir``): the cache key is the SHA-256
-of the spec's canonical JSON, so a cache hit is definitionally the same
-experiment.  Cache entries are written atomically (tmp sibling +
-``os.replace``) and unparsable entries read as misses, so runners can share
-one cache directory and an interrupted run can never poison later ones.
+of the effective spec's canonical JSON (every attack at the intensity its
+strategy reads), so a cache hit is definitionally the same experiment.
+Cache entries are written atomically (tmp sibling + ``os.replace``) and
+unparsable entries read as misses, so runners can share one cache
+directory and an interrupted run can never poison later ones.
 
 Every cell — batch, sharded, warm-started or served by the daemon — goes
 through one pipeline, **plan → run → assemble**:
@@ -67,6 +68,7 @@ from .warmstart import (
     CheckpointStore,
     PrefixPlan,
     _ensure_checkpoint,
+    effective_spec,
     plan_prefix,
     publish_atomically,
     require_store_key,
@@ -466,12 +468,13 @@ class JobExecutor:
 class ResultCache:
     """The on-disk, content-addressed result store.
 
-    One directory maps ``sha256(version tag + canonical spec JSON)`` to the
-    spec's canonical result document (``<key>.json``).  The store is safe to
-    share between concurrent runners, the service daemon and its clients:
-    entries are published atomically (per-call tmp + :func:`os.replace`)
-    and a torn or corrupt entry reads as a miss, never as state.  With no
-    directory every operation is a no-op/miss, so callers need no branching.
+    One directory maps ``sha256(version tag + canonical effective spec
+    JSON)`` to the spec's canonical result document (``<key>.json``).  The
+    store is safe to share between concurrent runners, the service daemon
+    and its clients: entries are published atomically (per-call tmp +
+    :func:`os.replace`) and a torn or corrupt entry reads as a miss, never
+    as state.  With no directory every operation is a no-op/miss, so
+    callers need no branching.
     """
 
     def __init__(self, directory: Optional[Path]) -> None:
@@ -479,17 +482,22 @@ class ResultCache:
 
     @staticmethod
     def key(spec: ScenarioSpec) -> str:
-        """SHA-256 over a version tag plus the spec's canonical JSON.
+        """SHA-256 over a version tag plus the effective spec's canonical JSON.
 
-        Sound only because runs are byte-deterministic per spec (see
-        ``docs/determinism.md``).  The package version and
+        The effective spec (:func:`~repro.experiments.warmstart.effective_spec`)
+        is ``spec`` with every attack at the intensity its strategy acts on,
+        so cells that differ only in an intensity no strategy reads — a
+        ``collusion`` attack at 1 and at 4, an ``inflated-join`` at 2 and
+        at 4 — share one key and one document.  Sound only because runs are
+        byte-deterministic per effective spec (see ``docs/determinism.md``).
+        The package version and
         :data:`~repro.experiments.metrics.CACHE_SCHEMA_VERSION` are mixed
         into the key: a cached result is only reusable by the *same* code
         that produced it, so refactors that change behaviour or the metric
         schema can never serve stale documents from an old cache directory.
         """
         return hashlib.sha256(
-            (_cache_version_tag() + spec.to_json()).encode("utf-8")
+            (_cache_version_tag() + effective_spec(spec).to_json()).encode("utf-8")
         ).hexdigest()
 
     def load_key(self, key: str) -> Optional[RunResult]:
@@ -739,13 +747,14 @@ class ExperimentRunner:
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Execute every spec, preserving input order in the results.
 
-        Each cell is hashed once (:meth:`ResultCache.key`); cache lookups
-        happen first, and identical pending specs — equal keys — are
-        deduplicated (one execution, one counted miss, the result fanned out
-        to every occurrence).  The pending cells are planned as one batch by
-        :func:`plan_cells`; all their jobs — ordinary specs, warm resumes,
-        the ``N`` region jobs of a ``shards=N`` spec — share one flat job
-        list over the process pool.
+        Each cell is hashed once (:meth:`ResultCache.key`, which covers the
+        effective spec); cache lookups happen first, and pending specs with
+        equal keys — identical, or differing only in an intensity no
+        strategy reads — are deduplicated (one execution, one counted miss,
+        the result fanned out to every occurrence).  The pending cells are
+        planned as one batch by :func:`plan_cells`; all their jobs —
+        ordinary specs, warm resumes, the ``N`` region jobs of a
+        ``shards=N`` spec — share one flat job list over the process pool.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)

@@ -14,6 +14,9 @@ attack schedule starts.  This module amortises that prefix across cells.
   that is *active* before the barrier (a churn burst inside the prefix, an
   attack with an early onset) is left in place, which splits the key: such
   cells are never prefix-shared.
+* :func:`effective_spec` — the second canonical form, through the same
+  walker: every attack at the intensity its strategy acts on.  The result
+  cache key (:meth:`~repro.experiments.runner.ResultCache.key`) hashes it.
 * :class:`CheckpointStore` — content-addressed pickle blobs next to the
   runner's result cache (``ck_<sha256>.pkl``), published atomically via a
   per-call tmp sibling + :func:`os.replace`; torn, corrupt or
@@ -45,9 +48,11 @@ import pickle
 import re
 import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..adversary.registry import ADVERSARIES
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
 from .metrics import _cache_version_tag
@@ -57,6 +62,7 @@ from .spec import CohortDecl, ScenarioSpec, SessionDecl
 __all__ = [
     "PrefixPlan",
     "plan_prefix",
+    "effective_spec",
     "CheckpointStore",
     "publish_atomically",
     "require_store_key",
@@ -101,24 +107,67 @@ def _churn_inert_before(churn: ChurnProcess, start_s: float, barrier_s: float) -
     return all(start_s + elapsed_s >= barrier_s for elapsed_s, _delta in churn.burst)
 
 
-def _canonical_cohort(cohort: CohortDecl, barrier_s: float) -> CohortDecl:
+#: How a canonical form rewrites one attack declaration.
+AttackForm = Callable[[AttackSpec], AttackSpec]
+
+
+def _canonical_cohort(
+    cohort: CohortDecl, form: AttackForm, barrier_s: Optional[float] = None
+) -> CohortDecl:
     changes: Dict[str, Any] = {}
     if cohort.attack is not None:
-        changes["attack"] = _canonical_attack(cohort.attack, barrier_s)
-    if cohort.churn is not None and _churn_inert_before(
+        attack = form(cohort.attack)
+        if attack != cohort.attack:
+            changes["attack"] = attack
+    if barrier_s is not None and cohort.churn is not None and _churn_inert_before(
         cohort.churn, cohort.start_s, barrier_s
     ):
         changes["churn"] = ChurnProcess()
     return replace(cohort, **changes) if changes else cohort
 
 
-def _canonical_session(decl: SessionDecl, barrier_s: float) -> SessionDecl:
-    return replace(
-        decl,
-        attacks=tuple(_canonical_attack(a, barrier_s) for a in decl.attacks),
-        attack_start_s=barrier_s if decl.misbehaving else 0.0,
-        population=tuple(_canonical_cohort(c, barrier_s) for c in decl.population),
-    )
+def _canonical_session(
+    decl: SessionDecl, form: AttackForm, barrier_s: Optional[float] = None
+) -> SessionDecl:
+    """``decl`` with every attack, individual or cohort, rewritten by ``form``.
+
+    The one walker of both canonical forms.  With a ``barrier_s`` (the
+    prefix form) churn inert before the barrier and the ``misbehaving``
+    shorthand's onset are placeheld too.  ``decl`` itself comes back when
+    nothing changes.
+    """
+    changes: Dict[str, Any] = {}
+    attacks = tuple(form(attack) for attack in decl.attacks)
+    if attacks != decl.attacks:
+        changes["attacks"] = attacks
+    population = tuple(_canonical_cohort(c, form, barrier_s) for c in decl.population)
+    if population != decl.population:
+        changes["population"] = population
+    if barrier_s is not None:
+        changes["attack_start_s"] = barrier_s if decl.misbehaving else 0.0
+    return replace(decl, **changes) if changes else decl
+
+
+def _effective_attack(attack: AttackSpec) -> AttackSpec:
+    """``attack`` at the intensity its strategy acts on."""
+    intensity = ADVERSARIES[attack.strategy].effective_intensity(attack.intensity)
+    return attack if intensity == attack.intensity else replace(attack, intensity=intensity)
+
+
+def effective_spec(spec: ScenarioSpec) -> ScenarioSpec:
+    """``spec`` as its run reads it: every attack at its effective intensity.
+
+    Two specs with one effective spec hand the simulation equal inputs
+    (:meth:`AttackStrategy.effective_intensity
+    <repro.adversary.strategy.AttackStrategy.effective_intensity>`), so
+    they produce the same bytes; the result cache keys by this form.
+    ``spec`` itself comes back when no intensity moves, which is the
+    common case and costs no re-declaration.
+    """
+    sessions = tuple(_canonical_session(d, _effective_attack) for d in spec.sessions)
+    if all(new is old for new, old in zip(sessions, spec.sessions)):
+        return spec
+    return replace(spec, sessions=sessions)
 
 
 @dataclass(frozen=True)
@@ -198,7 +247,10 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
         name=PREFIX_NAME,
         duration_s=barrier_s,
         record_series=False,
-        sessions=tuple(_canonical_session(d, barrier_s) for d in spec.sessions),
+        sessions=tuple(
+            _canonical_session(d, partial(_canonical_attack, barrier_s=barrier_s), barrier_s)
+            for d in spec.sessions
+        ),
     )
     return PrefixPlan(barrier_s, prefix, interchangeable_edges(spec))
 

@@ -117,11 +117,13 @@ class ExperimentScheduler:
     ) -> CellOutcome:
         """Answer one cell: cache first, then dedup, then the pool.
 
-        The spec is hashed once; its key serves the lookup, the dedup table
-        and the store.  The execution itself is a detached task shielded
-        from this caller's cancellation — a client disconnect abandons the
-        *stream*, never the simulation, so the result still publishes to the
-        shared store.
+        The spec is hashed once (:meth:`ResultCache.key`, which covers the
+        effective spec, so a cell spelled with an intensity its strategy does
+        not read is answered by the equivalent cell's document); its key
+        serves the lookup, the dedup table and the store.  The execution
+        itself is a detached task shielded from this caller's cancellation —
+        a client disconnect abandons the *stream*, never the simulation, so
+        the result still publishes to the shared store.
         """
         key = self.cache.key(spec)
         cached = self.cache.load_key(key)

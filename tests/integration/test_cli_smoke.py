@@ -154,7 +154,10 @@ def test_interchangeable_edges_run_the_events_of_one_edge(capsys):
 @pytest.mark.smoke
 def test_warm_run_reuses_the_checkpoint_a_first_run_published(tmp_path, capsys):
     """The first run publishes the prefix blob and verifies its warm cell
-    against a cold rerun; a different intensity then resumes from it."""
+    against a cold rerun; another strategy then resumes from it.  The
+    default ``inflated-join`` at intensity 4 is the first cell itself (its
+    target is the whole session from intensity 1 on), answered from the
+    result cache."""
     cache = str(tmp_path / "warm-cache")
     argv = [
         "run", "scale-protection", "--param", "audience=500",
@@ -162,7 +165,10 @@ def test_warm_run_reuses_the_checkpoint_a_first_run_published(tmp_path, capsys):
         "--cache-dir", cache, "--verify-warm-start",
     ]
     assert "(0 reused, 1 built)" in run_cli(capsys, *argv)
-    assert "(1 reused, 0 built)" in run_cli(capsys, *argv, "--param", "intensity=4.0")
+    assert "cache: 1 hit(s), 0 miss(es); warm starts: 0 run(s)" in run_cli(
+        capsys, *argv, "--param", "intensity=4.0"
+    )
+    assert "(1 reused, 0 built)" in run_cli(capsys, *argv, "--param", "strategy=join-storm")
     assert "checkpoints: 1 blobs" in run_cli(capsys, "cache", "stats", "--cache-dir", cache)
     assert "0 bytes remain" in run_cli(
         capsys, "cache", "prune", "--cache-dir", cache, "--max-bytes", "0"
