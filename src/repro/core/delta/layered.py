@@ -146,22 +146,6 @@ class LayeredDeltaSender:
             closing=is_last_in_slot,
         )
 
-    def close_slot(self) -> Dict[int, int]:
-        """Force-close every group and return the closing components.
-
-        Used when a group's last packet of the slot cannot be predicted in
-        advance; the caller can piggyback the returned closing components on
-        the first packets of the next slot.  Groups already closed are
-        omitted.
-        """
-        closing: Dict[int, int] = {}
-        for group, state in self._slot_state.items():
-            if not state.closed and state.packets_emitted > 0:
-                closing[group] = state.accumulator.closing_component()
-                state.closed = True
-        return closing
-
-
 class LayeredDeltaReceiver:
     """Receiver-side algorithm of Figure 4."""
 

@@ -33,9 +33,8 @@ emits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 __all__ = ["OverheadModel", "OverheadPoint", "FIGURE9_DEFAULTS"]
 
@@ -145,25 +144,6 @@ class OverheadModel:
                 )
             )
         return points
-
-    # ------------------------------------------------------------------
-    # per-packet accounting helpers (used by the measured-overhead path)
-    # ------------------------------------------------------------------
-    def delta_bits_for_packet(self, group: int) -> int:
-        """DELTA field bits on one data packet of ``group``."""
-        bits = self.key_bits  # component field on every packet
-        if group >= 2:
-            bits += self.key_bits  # decrease field on groups 2..N
-        return bits
-
-    def sigma_bits_per_slot(self) -> float:
-        """Total special-packet bits per slot (before dividing by data bits)."""
-        n = self.group_count
-        upgrade_sum = self.upgrade_frequency * max(0, n - 1)
-        key_bits_total = self.key_bits * (2 * n - 1 + upgrade_sum)
-        return (
-            self.slot_number_bits + 32 * n + key_bits_total
-        ) * self.fec_expansion + self.special_packet_header_bits
 
 
 #: The exact parameterisation the paper uses to draw Figure 9.

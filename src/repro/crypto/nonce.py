@@ -14,7 +14,7 @@ needed inside a simulation.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["NonceGenerator", "DEFAULT_KEY_BITS"]
 
@@ -56,22 +56,6 @@ class NonceGenerator:
         """Return one fresh nonce in ``[0, 2**bits)``."""
         self.generated += 1
         return self._rng.getrandbits(self.bits)
-
-    def next_nonzero(self) -> int:
-        """Return a nonce guaranteed to be non-zero.
-
-        Useful when a zero value is reserved as a sentinel (e.g. "no key").
-        """
-        while True:
-            value = self.next()
-            if value != 0:
-                return value
-
-    def batch(self, count: int) -> list[int]:
-        """Return ``count`` fresh nonces."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.next() for _ in range(count)]
 
     def fits(self, value: int) -> bool:
         """True when ``value`` is representable in this generator's width."""

@@ -19,15 +19,30 @@ The link settings are the defaults of the ``dumbbell`` factory
 (:func:`~repro.simulator.topology.dumbbell_topology`), overridden through a
 scenario's ``topology_params``; the config keeps only the fair share the
 builders size bottlenecks from.
+
+A config is checked when it is declared, so a spec no run could finish is
+refused before one starts: counts are integers (never booleans), rates,
+sizes, slots and the duration finite and positive, the warm-up finite and
+non-negative, ``rate_factor`` at least 1, ``key_bits`` at most
+:data:`MAX_KEY_BITS` and ``group_count`` at most :data:`MAX_GROUP_COUNT`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..multicast_cc.session import SessionSpec
 
 __all__ = ["ExperimentConfig", "PAPER_DEFAULTS"]
+
+#: The largest group count the paper evaluates (Figure 9(a)); a run's cost
+#: grows about fivefold per four groups beyond it.
+MAX_GROUP_COUNT = 20
+
+#: The widest key every FEC symbol can carry: keys stay below the field
+#: prime 2^61 - 1 (:mod:`repro.fec.erasure`).
+MAX_KEY_BITS = 60
 
 
 @dataclass(frozen=True)
@@ -47,6 +62,45 @@ class ExperimentConfig:
     duration_s: float = 200.0
     warmup_s: float = 5.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Refuse, when declared, every value a run would fail on or hang at."""
+        for name, low, high in (
+            ("group_count", 1, MAX_GROUP_COUNT),
+            ("packet_bytes", 1, math.inf),
+            ("key_bits", 1, MAX_KEY_BITS),
+            ("seed", -math.inf, math.inf),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+                bound = (
+                    f" in {low}..{high}" if high < math.inf
+                    else f" >= {low}" if low > -math.inf
+                    else ""
+                )
+                raise ValueError(
+                    f"ExperimentConfig.{name} must be an integer{bound}, got {value!r}"
+                )
+        for name, low, strict in (
+            ("fair_share_bps", 0.0, True),
+            ("base_rate_bps", 0.0, True),
+            ("rate_factor", 1.0, False),
+            ("flid_dl_slot_s", 0.0, True),
+            ("flid_ds_slot_s", 0.0, True),
+            ("duration_s", 0.0, True),
+            ("warmup_s", 0.0, False),
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or not (value > low if strict else value >= low)
+            ):
+                bound = f"> {low:g}" if strict else f">= {low:g}"
+                raise ValueError(
+                    f"ExperimentConfig.{name} must be a finite number {bound}, got {value!r}"
+                )
 
     def session_spec(self, session_id: str, protected: bool) -> SessionSpec:
         """Session description for one FLID-DL (unprotected) or FLID-DS session."""

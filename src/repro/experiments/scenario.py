@@ -9,15 +9,10 @@ each of its :class:`~repro.experiments.spec.SessionDecl`,
 declaration is read where it is realised and nowhere else, so a new
 declaration field is one dataclass line plus its use here.
 
-:meth:`~Scenario.add_multicast_session`, :meth:`~Scenario.add_tcp_connection`
-and :meth:`~Scenario.add_onoff_cbr` are *declaration constructors*, not a
-second API: each builds the corresponding declaration from its keyword
-arguments (the declaration's own fields and defaults, auto-naming sessions
-``mc<N>`` and connections ``tcp<N>``) and realises it on a scenario made
-with ``Scenario(config, protected, …)`` — a
-:class:`~repro.simulator.topology.NetworkGraph` of any topology, the §5.1
-dumbbell included, seeded from the config (by default the ``dumbbell``
-factory at one fair share).
+:meth:`Scenario.from_spec` is the only constructor: the network is a
+:class:`~repro.simulator.topology.NetworkGraph` of the topology the spec
+declares (the §5.1 dumbbell is one more topology), seeded from the spec's
+config.
 
 Group management is installed on *every* receiver-side router of the
 topology: an IGMP manager per router for the unprotected baseline, or one
@@ -30,8 +25,8 @@ edges (:func:`interchangeable_edges`) as one edge: the class's first edge in
 topology order carries the rows of every edge of the class, and the other
 edges and their links are not built.  Each declared host on such an edge is
 still reported on its own (:attr:`MulticastSession.declared`), so the result
-document is the one the edge-by-edge build gives; the declaration
-constructors always build every edge, which makes them the reference.
+document is the one the edge-by-edge build gives.  ``Scenario.from_spec(spec,
+())`` builds every edge, which makes it the reference.
 
 The scenario exposes the created senders/receivers/connections so experiments
 and tests can interrogate throughput monitors, SIGMA statistics and level
@@ -64,17 +59,16 @@ from ..multicast_cc.sender_base import LayeredSenderBase
 from ..simulator.igmp import IgmpGroupManager, install_igmp
 from ..simulator.monitors import OverheadAccumulator
 from ..simulator.node import Host
-from ..simulator.topology import NetworkGraph, TopologySpec, dumbbell_topology
+from ..simulator.topology import NetworkGraph
 from ..transport.cbr import CbrSink, OnOffCbrSource
 from ..transport.tcp import TcpConnection
-from .config import ExperimentConfig
 from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 #: Stamped into every :meth:`Scenario.checkpoint` blob; bump whenever the
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 13
+CHECKPOINT_VERSION = 14
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -275,23 +269,19 @@ class MulticastSession:
 
 
 class Scenario:
-    """One experiment: a topology graph plus a configurable traffic mix."""
+    """One experiment: a topology graph plus a configurable traffic mix.
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        protected: bool,
-        topology: Optional[TopologySpec] = None,
-        edge_classes: Sequence[Sequence[str]] = (),
-    ) -> None:
-        self.config = config
-        self.protected = protected
-        #: What :meth:`run` and the averaging helpers default to: the
-        #: config's duration, or the spec's once :meth:`from_spec` or
-        #: :meth:`rebind_spec` records it.
-        self.duration_s = config.duration_s
-        if topology is None:
-            topology = dumbbell_topology(bottleneck_bandwidth_bps=config.fair_share_bps)
+    Build one with :meth:`from_spec`.
+    """
+
+    def __init__(self, spec: ScenarioSpec, edge_classes: Sequence[Sequence[str]]) -> None:
+        """The network of ``spec`` with its group management, no traffic yet."""
+        config = self.config = spec.config
+        protected = self.protected = spec.protected
+        #: What :meth:`run` defaults to: the duration of the spec the
+        #: scenario was built from or last rebound to (:meth:`rebind_spec`).
+        self.duration_s = spec.effective_duration_s
+        topology = spec.network_topology
         #: The declared receiver edges, built or not: placement spreads over
         #: these, in topology order.
         self.receiver_edges = topology.receiver_routers
@@ -350,12 +340,12 @@ class Scenario:
 
         Each class of ``edge_classes`` (by default the classes
         :func:`interchangeable_edges` finds in ``spec``) is built as its
-        first edge, carrying the rows of every edge of the class.
+        first edge, carrying the rows of every edge of the class; ``()``
+        builds every edge, the reference the classes are checked against.
         """
         if edge_classes is None:
             edge_classes = interchangeable_edges(spec)
-        scenario = cls(spec.config, spec.protected, spec.network_topology, edge_classes)
-        scenario.duration_s = spec.effective_duration_s
+        scenario = cls(spec, edge_classes)
         for session in spec.sessions:
             scenario._realise_session(session)
         for tcp in spec.tcp:
@@ -363,43 +353,6 @@ class Scenario:
         for cbr in spec.cbr:
             scenario._realise_cbr(cbr)
         return scenario
-
-    # ------------------------------------------------------------------
-    # declaration constructors
-    # ------------------------------------------------------------------
-    def add_multicast_session(
-        self, session_id: Optional[str] = None, **fields: Any
-    ) -> MulticastSession:
-        """Declare one multicast session and realise it.
-
-        Builds ``SessionDecl(session_id, **fields)`` — the keywords *are*
-        :class:`~repro.experiments.spec.SessionDecl`'s fields, with its
-        defaults and its declaration-time validation — and hands it to the
-        interpreter.  ``session_id`` defaults to ``mc<N>``, ``N`` counting
-        the scenario's sessions from 1.
-        """
-        session_id = session_id or f"mc{len(self.sessions) + 1}"
-        return self._realise_session(SessionDecl(session_id, **fields))
-
-    def add_tcp_connection(
-        self, name: Optional[str] = None, **fields: Any
-    ) -> TcpConnection:
-        """Declare one TCP Reno connection and realise it.
-
-        Builds ``TcpDecl(name, **fields)``; ``name`` defaults to ``tcp<N>``,
-        ``N`` counting the scenario's connections from 1.
-        """
-        name = name or f"tcp{len(self.tcp_connections) + 1}"
-        return self._realise_tcp(TcpDecl(name, **fields))
-
-    def add_onoff_cbr(
-        self, rate_bps: float, **fields: Any
-    ) -> Tuple[OnOffCbrSource, CbrSink]:
-        """Declare one on-off CBR source and realise it.
-
-        Builds ``CbrDecl(rate_bps=rate_bps, **fields)``.
-        """
-        return self._realise_cbr(CbrDecl(rate_bps=rate_bps, **fields))
 
     # ------------------------------------------------------------------
     # multicast sessions
@@ -697,22 +650,3 @@ class Scenario:
                         self._strategy_stack(session.spec, receiver.host.name, attacks),
                         cohort.churn,
                     )
-
-    # ------------------------------------------------------------------
-    # results helpers
-    # ------------------------------------------------------------------
-    def multicast_average_kbps(
-        self, start_s: Optional[float] = None, end_s: Optional[float] = None
-    ) -> List[float]:
-        """Average throughput of each session's first receiver."""
-        start = self.config.warmup_s if start_s is None else start_s
-        end = self.duration_s if end_s is None else end_s
-        return [s.receiver.average_rate_kbps(start, end) for s in self.sessions]
-
-    def tcp_average_kbps(
-        self, start_s: Optional[float] = None, end_s: Optional[float] = None
-    ) -> List[float]:
-        """Average throughput of each TCP connection."""
-        start = self.config.warmup_s if start_s is None else start_s
-        end = self.duration_s if end_s is None else end_s
-        return [c.monitor.average_rate_kbps(start, end) for c in self.tcp_connections]

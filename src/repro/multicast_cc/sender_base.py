@@ -125,7 +125,7 @@ class LayeredSenderBase:
             # Stagger group start times slightly so slot boundaries do not see
             # synchronised bursts across layers.
             offset = self.rng.uniform(0.0, self.spec.packet_interval_s(group))
-            self.sim.call_after(offset, self._transmit_group, group)
+            self.sim.schedule(offset, self._transmit_group, group)
 
     # ------------------------------------------------------------------
     # per-slot behaviour (overridden by FLID-DS)
@@ -168,7 +168,7 @@ class LayeredSenderBase:
             return
         self._send_group_packet(group, interval)
         spacing = interval * (_JITTER_LOW + _JITTER_SPAN * self.rng.random())
-        self.sim.call_after(spacing, self._transmit_group, group)
+        self.sim.schedule(spacing, self._transmit_group, group)
 
     def _send_group_packet(self, group: int, interval: float) -> None:
         now = self.sim.now
@@ -231,7 +231,7 @@ class LayeredSenderBase:
             if entry[1] == group:
                 parked.remove(entry)
                 heapify(parked)
-                self.sim.call_at(entry[0], self._transmit_group, group)
+                self.sim.schedule_at(entry[0], self._transmit_group, group)
                 return
 
     @property

@@ -15,8 +15,8 @@ the per-group packets-per-slot counts both DELTA and the overhead model need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..simulator.address import GroupAddress
 
@@ -95,10 +95,6 @@ class SessionSpec:
     def packets_per_slot(self, group: int) -> int:
         """Average number of packets ``group`` carries per time slot."""
         return max(1, round(self.group_rate_bps(group) * self.slot_duration_s / (self.packet_bytes * 8.0)))
-
-    def packets_per_slot_all_groups(self) -> List[int]:
-        """Per-group packets per slot, minimal group first."""
-        return [self.packets_per_slot(g) for g in range(1, self.group_count + 1)]
 
     # ------------------------------------------------------------------
     # subscription guidance

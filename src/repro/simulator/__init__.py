@@ -18,7 +18,7 @@ from .address import (
     NodeAddress,
     is_multicast,
 )
-from .engine import Event, PeriodicTimer, SimulationError, Simulator
+from .engine import PeriodicTimer, SimulationError, Simulator
 from .igmp import IgmpGroupManager, IgmpHostInterface, install_igmp
 from .link import Link, LinkStats, default_buffer_bytes
 from .monitors import (
@@ -66,7 +66,6 @@ __all__ = [
     "GroupAddressAllocator",
     "NodeAddress",
     "is_multicast",
-    "Event",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",

@@ -13,19 +13,16 @@ Design notes
   scheduling (a monotonically increasing sequence number breaks ties), which
   keeps runs fully deterministic.
 * The scheduler is **one** C ``heapq`` of ``(time, seq, callback, args)``
-  tuples, so every heap comparison stays in C.  :meth:`Simulator.call_after`
-  / :meth:`Simulator.call_at` push an entry and return nothing — the
-  per-packet hot path (link serialization, delivery, control-channel
-  messages) lives here.  :meth:`Simulator.schedule` /
-  :meth:`Simulator.schedule_at` push the same entry and return an
-  :class:`Event` handle onto it.
-* :meth:`Event.cancel` removes its entry from the heap *eagerly*
-  (``heap.remove`` + ``heapify``).  There are no lazy tombstones anywhere —
-  the heap never retains cancelled events, so its size is exactly the number
-  of live events.  The price is that **``cancel()`` is O(live events)**: it
-  is for control-plane timers (a stopped CBR source).  A per-packet timer
-  keeps a deadline and lets one wake re-arm itself, as
-  :class:`~repro.transport.tcp.TcpRenoSender` does for its RTO.
+  tuples, so every heap comparison stays in C.  It has one scheduling pair,
+  :meth:`Simulator.schedule` (relative) and :meth:`Simulator.schedule_at`
+  (absolute): each pushes an entry and returns nothing.
+* An entry leaves the heap only by running, so its size is exactly the
+  number of scheduled events.  A caller that may change its
+  mind checks when the callback runs whether it still applies: the TCP
+  retransmission timer keeps a *deadline* that one wake re-arms
+  (:class:`~repro.transport.tcp.TcpRenoSender`), and a stopped CBR source
+  ignores a send whose *generation* number is stale
+  (:class:`~repro.transport.cbr.CbrSource`).
 * Recurring activities are provided by :class:`PeriodicTimer`.  Timers with
   the same interval that fire at the same instant (FLID slot timers, SIGMA
   key distribution, monitor flushes at slot boundaries) are *coalesced*
@@ -45,7 +42,6 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "Event",
     "Simulator",
     "PeriodicTimer",
     "SimulationError",
@@ -65,61 +61,6 @@ class SimulationError(RuntimeError):
     """
 
 
-class Event:
-    """Handle onto one scheduled callback; lets the caller cancel it.
-
-    Instances are returned by :meth:`Simulator.schedule` and wrap the
-    ``(time, seq, callback, args)`` heap entry.  Events run in
-    ``(time, seq)`` order, so execution is stable and deterministic.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulated time at which the callback runs.
-    seq:
-        Global scheduling sequence number; breaks ties between events that
-        share a ``time`` (FIFO order of scheduling).
-    callback, args:
-        The callable and the positional arguments it will receive.
-    cancelled:
-        True once :meth:`cancel` has been called.  A cancelled event is no
-        longer in the heap; cancelling an event that already executed is a
-        harmless no-op.
-    """
-
-    __slots__ = ("_entry", "_heap", "cancelled")
-
-    def __init__(self, entry: _Entry, heap: List[_Entry]) -> None:
-        self._entry = entry
-        self._heap = heap
-        self.cancelled = False
-
-    time = property(lambda self: self._entry[0])
-    seq = property(lambda self: self._entry[1])
-    callback = property(lambda self: self._entry[2])
-    args = property(lambda self: self._entry[3])
-
-    def cancel(self) -> None:
-        """Cancel the event, removing its heap entry eagerly.
-
-        O(live events): meant for control-plane timers, not per-packet ones
-        (keep a deadline instead, as the TCP retransmission timer does).
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        try:
-            self._heap.remove(self._entry)
-        except ValueError:  # already executed
-            return
-        heapq.heapify(self._heap)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        state = ", cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}{state})"
-
-
 class Simulator:
     """Event-heap discrete-event simulator.
 
@@ -130,15 +71,12 @@ class Simulator:
         sim.run(until=10.0)
 
     The simulator can be run in increments: successive calls to
-    :meth:`run` continue from the current simulated time.  Use
-    :meth:`schedule` when the caller may need to cancel the event (it
-    returns an :class:`Event` handle) and :meth:`call_after` on hot paths
-    that never cancel (it allocates no handle and returns nothing).
+    :meth:`run` continue from the current simulated time.
     """
 
     def __init__(self) -> None:
-        #: Every live event: (time, seq, callback, args) tuples ordered by C
-        #: heapq.  Never rebound — Event handles and the run loop hold the list.
+        #: Every scheduled event: (time, seq, callback, args) tuples ordered
+        #: by C heapq.  Never rebound — the run loop holds the list.
         self._heap: List[_Entry] = []
         #: Coalesced periodic-timer groups keyed by (next fire time, interval).
         self._timer_groups: Dict[Tuple[float, float], "_TimerGroup"] = {}
@@ -166,45 +104,24 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events in the heap.
+        """Number of events in the heap: exactly its memory footprint.
 
-        Cancelled events are removed eagerly, so — unlike a tombstone
-        scheduler — this is exactly the heap memory footprint.
+        A superseded TCP wake or a stale CBR send counts until it runs, and
+        does nothing then.
         """
         return len(self._heap)
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` seconds from now.
 
-        Returns the :class:`Event`, which may be cancelled.  ``delay`` must
-        be non-negative; a zero delay runs the callback later in the same
-        simulated instant (after currently executing code returns).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} (now={self._now}): time is in the past"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, seq, callback, args)
-        heapq.heappush(self._heap, entry)
-        return Event(entry, self._heap)
-
-    def call_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` without a handle: no cancellation, nothing returned.
-
-        This is the per-packet scheduling primitive: link serialization and
-        propagation, control-channel deliveries and transmit-loop wakeups go
-        through here.
+        ``delay`` must be non-negative; a zero delay runs the callback later
+        in the same simulated instant (after currently executing code
+        returns).  Nothing is returned: an event cannot be cancelled, so a
+        caller that may change its mind checks, when the callback runs,
+        whether it still applies (a deadline or a generation number).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -212,8 +129,8 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._heap, (self._now + delay, seq, callback, args))
 
-    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule_at` without a handle: no cancellation, nothing returned."""
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now}): time is in the past"
@@ -232,7 +149,7 @@ class Simulator:
         if group is None:
             group = _TimerGroup(self, fire_time, timer._interval)
             self._timer_groups[key] = group
-            self.call_at(fire_time, group._fire)
+            self.schedule_at(fire_time, group._fire)
         group.members.append(timer)
 
     # ------------------------------------------------------------------
@@ -325,7 +242,7 @@ class _TimerGroup:
             return
         self.next_time = next_time
         sim._timer_groups[key] = self
-        sim.call_at(next_time, self._fire)
+        sim.schedule_at(next_time, self._fire)
 
 
 class PeriodicTimer:

@@ -139,7 +139,7 @@ class Link:
             # for the next packet; this one arrives a propagation delay later.
             done = start + packet.size_bytes * 8 / self.bandwidth_bps
             self._busy_until = done
-            sim.call_at(done + self.delay_s, self._deliver, packet)
+            sim.schedule_at(done + self.delay_s, self._deliver, packet)
             return True
         if self.on_drop is not None:
             self.on_drop(packet)

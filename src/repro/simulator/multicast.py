@@ -81,14 +81,6 @@ class MulticastRoutingService:
         """Hosts currently receiving ``group`` (a copy; safe to mutate)."""
         return set(self._members.get(int(group), set()))
 
-    def has_members(self, group: GroupAddress) -> bool:
-        """True when ``group`` has at least one member (no set copy).
-
-        The senders call this once per prospective packet of a live group,
-        so it must stay allocation-free.
-        """
-        return bool(self._members.get(group.value))
-
     def member_population(self, group: GroupAddress) -> int:
         """Receivers currently served by ``group``, cohort-aware.
 
@@ -138,7 +130,7 @@ class MulticastRoutingService:
         if immediate or self.graft_delay_s == 0:
             self._do_join(host, group)
         else:
-            self.sim.call_after(self.graft_delay_s, self._do_join, host, group)
+            self.sim.schedule(self.graft_delay_s, self._do_join, host, group)
 
     def leave(self, host: Host, group: GroupAddress, immediate: bool = False) -> None:
         """Remove ``host`` from ``group`` after the prune latency."""
@@ -146,12 +138,7 @@ class MulticastRoutingService:
         if immediate or self.prune_delay_s == 0:
             self._do_leave(host, group)
         else:
-            self.sim.call_after(self.prune_delay_s, self._do_leave, host, group)
-
-    def leave_all(self, host: Host, immediate: bool = True) -> None:
-        """Remove a host from every group (used at session teardown)."""
-        for group in self.groups_of(host):
-            self.leave(host, group, immediate=immediate)
+            self.sim.schedule(self.prune_delay_s, self._do_leave, host, group)
 
     def _do_join(self, host: Host, group: GroupAddress) -> None:
         members = self._members.setdefault(int(group), set())
@@ -181,18 +168,12 @@ class MulticastRoutingService:
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
-    def out_links(self, router: Router, group: GroupAddress) -> List[Link]:
-        """Outgoing links on which ``router`` must replicate ``group`` traffic.
-
-        The deduplicated set of next-hop links from ``router`` toward every
-        current member host, in replication order (see :meth:`out_rows`).
-        """
-        return [row[0] for row in self.out_rows(router, group)]
-
     def out_rows(self, router: Router, group: GroupAddress) -> List[Tuple[Link, Node, bool]]:
-        """:meth:`out_links` as cached ``(link, next_hop, is_host)`` rows.
+        """Where ``router`` replicates ``group`` traffic: ``(link, next_hop, is_host)`` rows.
 
-        The router's per-packet lookup, precomputed per (group, router) and
+        One row per deduplicated next-hop link from ``router`` toward every
+        current member host, in member address order.  The router's
+        per-packet lookup, precomputed per (group, router) and
         invalidated only by an effective IGMP/SIGMA join or leave — never
         recomputed per packet.  The next hop (to skip the branch a packet
         came from) and whether it is a local interface ride with the link

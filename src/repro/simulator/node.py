@@ -70,7 +70,7 @@ class ControlChannel:
         """Deliver ``handler(*args)`` after the channel delay."""
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        self.sim.call_after(self.delay_s, handler, *args)
+        self.sim.schedule(self.delay_s, handler, *args)
 
 
 class Node:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simulator.engine import Event, Simulator
+from ..simulator.engine import Simulator
 from ..simulator.monitors import ThroughputMonitor
 from ..simulator.node import Host, PacketAgent
 from ..simulator.packet import Packet
@@ -47,7 +47,9 @@ class CbrSource:
         self.sim: Simulator = host.sim
         self.packets_sent = 0
         self._running = False
-        self._next_event: Optional[Event] = None
+        #: Bumped by every :meth:`stop`: a send scheduled before it carries
+        #: an older number and does nothing.
+        self._generation = 0
 
     @property
     def interval_s(self) -> float:
@@ -55,22 +57,22 @@ class CbrSource:
         return self.packet_bytes * 8.0 / self.rate_bps
 
     # ------------------------------------------------------------------
-    def start(self, delay_s: float = 0.0) -> None:
+    def start(self) -> None:
+        """Send the first packet now and one per :attr:`interval_s` after it."""
         if self._running:
             return
         self._running = True
-        self._next_event = self.sim.schedule(delay_s, self._send_next)
+        self.sim.schedule(0.0, self._send_next, self._generation)
 
     def stop(self) -> None:
+        """Send nothing more until the next :meth:`start`."""
         self._running = False
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
+        self._generation += 1
 
     # ------------------------------------------------------------------
-    def _send_next(self) -> None:
-        if not self._running:
-            return
+    def _send_next(self, generation: int) -> None:
+        if generation != self._generation:
+            return  # scheduled before a stop
         packet = Packet(
             source=self.host.address,
             destination=self.destination.address,
@@ -81,16 +83,16 @@ class CbrSource:
         )
         self.packets_sent += 1
         self.host.send(packet)
-        self._next_event = self.sim.schedule(self.interval_s, self._send_next)
+        self.sim.schedule(self.interval_s, self._send_next, generation)
 
 
 class OnOffCbrSource:
     """A CBR source gated by alternating on and off periods.
 
-    The source starts in the *off* state at :meth:`start` time unless
-    ``start_on=True``; each on-period lasts ``on_s`` and each off-period
-    ``off_s`` seconds.  An optional ``active_window`` confines all activity
-    to an absolute time interval (used for the Figure 8(e) burst).
+    The source enters its first on-period at :meth:`start`; each on-period
+    lasts ``on_s`` and each off-period ``off_s`` seconds.  An optional
+    ``active_window`` instead keeps it on over one absolute time interval
+    (used for the Figure 8(e) burst).
     """
 
     def __init__(
@@ -102,7 +104,6 @@ class OnOffCbrSource:
         on_s: float,
         off_s: float,
         packet_bytes: int = 576,
-        start_on: bool = True,
         active_window: Optional[tuple[float, float]] = None,
         name: str = "",
     ) -> None:
@@ -111,25 +112,22 @@ class OnOffCbrSource:
         self.source = CbrSource(host, destination, port, rate_bps, packet_bytes, name)
         self.on_s = on_s
         self.off_s = off_s
-        self.start_on = start_on
         self.active_window = active_window
         self.sim = host.sim
         self._running = False
 
     # ------------------------------------------------------------------
-    def start(self, delay_s: float = 0.0) -> None:
+    def start(self) -> None:
+        """Begin the on/off cycle now (or the active window when it opens)."""
         if self._running:
             return
         self._running = True
         if self.active_window is not None:
             begin, end = self.active_window
-            start_at = max(begin - self.sim.now, 0.0)
-            self.sim.schedule(start_at, self._enter_on)
+            self.sim.schedule(max(begin - self.sim.now, 0.0), self._enter_on)
             self.sim.schedule(max(end - self.sim.now, 0.0), self._shutdown)
-        elif self.start_on:
-            self.sim.schedule(delay_s, self._enter_on)
         else:
-            self.sim.schedule(delay_s, self._enter_off)
+            self.sim.schedule(0.0, self._enter_on)
 
     # ------------------------------------------------------------------
     def _enter_on(self) -> None:
@@ -144,10 +142,7 @@ class OnOffCbrSource:
         if not self._running:
             return
         self.source.stop()
-        if self.off_s > 0:
-            self.sim.schedule(self.off_s, self._enter_on)
-        else:
-            self.sim.schedule(0.0, self._enter_on)
+        self.sim.schedule(self.off_s, self._enter_on)
 
     def _shutdown(self) -> None:
         self._running = False

@@ -38,12 +38,12 @@ class TcpRenoSender:
     """Reno congestion control with an unlimited (FTP-like) data supply.
 
     The retransmission timer restarts on every new ACK, so it is kept as a
-    *deadline* rather than as a cancellable event (``Event.cancel`` is
-    O(live events)): at most one engine wake is live at or before the
+    *deadline* rather than as one engine event per ACK (engine events cannot
+    be cancelled): at most one engine wake is live at or before the
     deadline, and a wake that fires early re-arms itself at the deadline it
-    finds.  Timeouts fire at exactly the instants a cancel-and-reschedule
-    timer would produce (``tests/transport/test_tcp_rto.py`` keeps that timer
-    as the oracle).
+    finds.  Timeouts fire at exactly the instants a restart-per-ACK timer
+    would produce (``tests/transport/test_tcp_rto.py`` keeps that timer as
+    the oracle).
     """
 
     def __init__(
@@ -157,7 +157,7 @@ class TcpRenoSender:
                 self._last_departure + 1e-6,
             )
             self._last_departure = departure
-            self.sim.call_after(departure - self.sim.now, self.host.send, packet)
+            self.sim.schedule(departure - self.sim.now, self.host.send, packet)
         else:
             self.host.send(packet)
         if self._rto_deadline is None:
@@ -247,7 +247,7 @@ class TcpRenoSender:
 
     def _wake_at(self, time: float) -> None:
         self._rto_wake = time
-        self.sim.call_at(time, self._on_rto_wake, time)
+        self.sim.schedule_at(time, self._on_rto_wake, time)
 
     def _on_rto_wake(self, wake: float) -> None:
         if wake != self._rto_wake:

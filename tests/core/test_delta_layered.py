@@ -175,13 +175,6 @@ class TestSenderKeyStructure:
         total = fields[1][0].component ^ fields[1][1].component
         assert total == material.keys[1].top
 
-    def test_close_slot_returns_closing_components(self):
-        sender = make_sender(groups=2)
-        sender.begin_slot(0, ())
-        sender.fields_for_packet(1, False)
-        closing = sender.close_slot()
-        assert set(closing) == {1}
-
 
 class TestReceiverEligibility:
     """The three key-distribution conditions of §3.1.1."""

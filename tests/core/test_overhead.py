@@ -58,11 +58,3 @@ class TestOverheadModel:
     def test_sweep_slot_duration(self):
         points = OverheadModel().sweep_slot_duration([0.25, 0.5])
         assert points[0].sigma_percent > points[1].sigma_percent
-
-    def test_per_packet_delta_bits(self):
-        model = OverheadModel()
-        assert model.delta_bits_for_packet(1) == 16
-        assert model.delta_bits_for_packet(2) == 32
-
-    def test_sigma_bits_per_slot_positive(self):
-        assert OverheadModel().sigma_bits_per_slot() > 0

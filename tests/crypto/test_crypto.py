@@ -19,15 +19,12 @@ class TestNonceGenerator:
     def test_deterministic_with_seed(self):
         a = NonceGenerator(bits=16, rng=random.Random(42))
         b = NonceGenerator(bits=16, rng=random.Random(42))
-        assert a.batch(10) == b.batch(10)
-
-    def test_nonzero_variant(self):
-        gen = NonceGenerator(bits=4, rng=random.Random(0))
-        assert all(gen.next_nonzero() != 0 for _ in range(50))
+        assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
 
     def test_counts_generated(self):
         gen = NonceGenerator(bits=8, rng=random.Random(0))
-        gen.batch(7)
+        for _ in range(7):
+            gen.next()
         assert gen.generated == 7
 
     def test_mask_and_space(self):
@@ -40,10 +37,6 @@ class TestNonceGenerator:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             NonceGenerator(bits=0)
-
-    def test_negative_batch_rejected(self):
-        with pytest.raises(ValueError):
-            NonceGenerator().batch(-1)
 
 
 class TestXorFold:

@@ -93,6 +93,15 @@ DELETED = {
         r"|checkpoint_wall_s|no-warm-start",
         ["src", "tests", "examples", "tools"],
     ),
+    # One scheduling pair without handles, one scenario constructor, only helpers a run calls.
+    "cancellable event, second scheduling pair, imperative builder or test-only helper": (
+        r"\bcall_after\b|\bcall_at\b|\bclass Event\b|Event\.cancel|engine import .*\bEvent\b"
+        r"|_next_event|\bstart_on\b|add_(multicast_session|tcp_connection|onoff_cbr)"
+        r"|(multicast|tcp)_average_kbps|has_members|out_links|leave_all|close_slot"
+        r"|next_nonzero|\.batch\(|packets_per_slot_all_groups|delta_bits_for_packet"
+        r"|sigma_bits_per_slot",
+        ["src", "tests", "examples", "tools", "docs"],
+    ),
     # metrics, warmstart, shard and runner import each other at module level, in that order.
     "function-level import hiding a cycle": (
         r"^\s+from \.(runner|shard|warmstart|metrics) import",

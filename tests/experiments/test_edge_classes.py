@@ -3,10 +3,10 @@
 :meth:`Scenario.from_spec` realises every class of interchangeable receiver
 edges (:func:`~repro.experiments.scenario.interchangeable_edges`) as the
 class's first edge carrying the rows of the whole class, and reports the
-class edge by edge.  The declaration constructors (``Scenario(config,
-protected, topology)`` plus ``add_multicast_session``) still build every
-declared edge, which makes them the oracle: for every spec here the metric
-document of the class build must equal the edge-by-edge one, float for float.
+class edge by edge.  ``Scenario.from_spec(spec, ())`` names no class and
+builds every declared edge, which makes it the oracle: for every spec here
+the metric document of the class build must equal the edge-by-edge one,
+float for float.
 """
 
 import dataclasses
@@ -33,20 +33,8 @@ ATTACK_START_S = 6.0
 
 
 def edge_by_edge(spec):
-    """``spec`` realised through the declaration constructors: every edge built."""
-    scenario = Scenario(spec.config, spec.protected, spec.network_topology)
-    scenario.duration_s = spec.effective_duration_s
-
-    def fields(decl):
-        return {item.name: getattr(decl, item.name) for item in dataclasses.fields(decl)}
-
-    for decl in spec.sessions:
-        scenario.add_multicast_session(**fields(decl))
-    for decl in spec.tcp:
-        scenario.add_tcp_connection(**fields(decl))
-    for decl in spec.cbr:
-        scenario.add_onoff_cbr(**fields(decl))
-    return scenario
+    """``spec`` realised with no class of edges: every edge built."""
+    return Scenario.from_spec(spec, ())
 
 
 def assert_matches_oracle(spec):

@@ -11,13 +11,16 @@ from repro.experiments import (
     PAPER_DEFAULTS,
     PAPER_GROUP_COUNTS,
     PAPER_SLOT_DURATIONS,
+    CbrDecl,
     Scenario,
+    ScenarioSpec,
+    SessionDecl,
+    TcpDecl,
     figure,
     figure9_model,
     run_figure,
     scenario_spec,
 )
-from repro.simulator import dumbbell_topology
 
 
 class TestExperimentConfig:
@@ -69,69 +72,66 @@ class TestExperimentConfig:
         assert PAPER_DEFAULTS.duration_s == 200.0  # frozen original untouched
 
 
+#: A 500 Kbps dumbbell: one fair share for each of two flows.
+TWO_SHARES = {"bottleneck_bandwidth_bps": 500_000.0}
+
+
+def built(protected=False, **fields):
+    """The scenario of a spec declaring ``fields``."""
+    return Scenario.from_spec(ScenarioSpec("builder", protected, **fields))
+
+
 class TestScenarioBuilder:
     def test_unprotected_scenario_installs_igmp(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=False)
+        scenario = built(protected=False)
         assert scenario.sigma is None
         assert scenario.network.router("right").group_manager is not None
 
     def test_protected_scenario_installs_sigma(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=True)
+        scenario = built(protected=True)
         assert scenario.sigma is not None
         assert scenario.network.router("right").group_manager is scenario.sigma
 
-    def test_add_multicast_session_creates_sender_and_receivers(self):
-        scenario = Scenario(PAPER_DEFAULTS, protected=False)
-        session = scenario.add_multicast_session(receivers=3)
+    def test_a_session_gets_its_sender_and_receivers(self):
+        [session] = built(sessions=(SessionDecl("mc1", receivers=3),)).sessions
         assert len(session.receivers) == 3
         assert session.spec.group_count == 10
 
     def test_sessions_get_distinct_group_addresses(self):
-        scenario = Scenario(
-            PAPER_DEFAULTS,
-            protected=False,
-            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
-        )
-        first = scenario.add_multicast_session()
-        second = scenario.add_multicast_session()
+        first, second = built(
+            sessions=(SessionDecl("mc1"), SessionDecl("mc2")), topology_params=TWO_SHARES
+        ).sessions
         overlap = set(map(int, first.spec.group_addresses)) & set(
             map(int, second.spec.group_addresses)
         )
         assert not overlap
 
     def test_short_run_produces_throughput(self):
-        config = PAPER_DEFAULTS.with_duration(10.0)
-        scenario = Scenario(config, protected=False)
-        scenario.add_multicast_session()
+        scenario = built(sessions=(SessionDecl("mc1"),), duration_s=10.0)
         scenario.run()
-        rates = scenario.multicast_average_kbps(2.0, 10.0)
-        assert rates[0] > 50.0
+        assert scenario.sessions[0].receiver.average_rate_kbps(2.0, 10.0) > 50.0
 
     def test_tcp_and_cbr_can_join_the_mix(self):
-        config = PAPER_DEFAULTS.with_duration(8.0)
-        scenario = Scenario(
-            config,
-            protected=False,
-            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
+        scenario = built(
+            sessions=(SessionDecl("mc1"),),
+            tcp=(TcpDecl("tcp1"),),
+            cbr=(CbrDecl(rate_bps=50_000.0),),
+            topology_params=TWO_SHARES,
+            duration_s=8.0,
         )
-        scenario.add_multicast_session()
-        scenario.add_tcp_connection()
-        scenario.add_onoff_cbr(rate_bps=50_000.0)
         scenario.run()
-        assert scenario.tcp_average_kbps(2.0, 8.0)[0] > 0.0
+        assert scenario.tcp_connections[0].monitor.average_rate_kbps(2.0, 8.0) > 0.0
+        assert scenario.cbr_sinks[0].packets_received > 0
 
     def test_scenario_from_spec_runs_for_the_spec_duration(self):
-        """A spec's duration, not its config's 200 s, ends the run and the averages."""
+        """A spec's duration, not its config's 200 s, ends the run."""
         spec = scenario_spec("figure8-throughput", duration_s=6.0, count=1)
         assert spec.config.duration_s == 200.0
         scenario = Scenario.from_spec(spec)
+        assert scenario.duration_s == 6.0
         scenario.run()
         assert scenario.network.sim.now == 6.0
-        warmup = spec.config.warmup_s
-        assert scenario.multicast_average_kbps() == scenario.multicast_average_kbps(warmup, 6.0)
-        assert scenario.multicast_average_kbps()[0] > 50.0
-        assert scenario.tcp_average_kbps() == scenario.tcp_average_kbps(warmup, 6.0)
-        assert Scenario(spec.config, protected=False).duration_s == 200.0
+        assert scenario.sessions[0].receiver.average_rate_kbps(spec.config.warmup_s, 6.0) > 50.0
 
 
 class TestFigure9:

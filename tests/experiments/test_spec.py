@@ -14,6 +14,7 @@ from repro.experiments import (
     CbrDecl,
     ChurnProcess,
     CohortDecl,
+    PAPER_GROUP_COUNTS,
     ExperimentConfig,
     RunResult,
     Scenario,
@@ -24,10 +25,9 @@ from repro.experiments import (
     list_scenarios,
     scenario_entry,
     scenario_spec,
-    throughput_vs_sessions_spec,
 )
+from repro.experiments.config import MAX_GROUP_COUNT
 from repro.experiments.spec import canonical_json, decode, encode, unset
-from repro.simulator import dumbbell_topology
 
 
 def _rich_spec() -> ScenarioSpec:
@@ -93,8 +93,54 @@ class TestValidation:
         spec = ScenarioSpec(name="d", protected=False, sessions=(SessionDecl("a"),))
         with pytest.raises(ValueError, match=r"ScenarioSpec\.duration_s"):
             spec.with_duration(duration_s)
-        with pytest.raises(ValueError, match=r"ScenarioSpec\.duration_s"):
+        with pytest.raises(ValueError, match=r"ExperimentConfig\.duration_s"):
             dataclasses.replace(spec, config=PAPER_DEFAULTS.with_duration(duration_s))
+
+
+#: Config values no run can finish, each under its field.  Before they were
+#: checked at declaration, a run failed on them inside ``SessionSpec``, the
+#: ``NonceGenerator`` or the FEC field ("symbols outside field range"), and
+#: a 2-s cell with 36 groups ran for over 50 s.
+CONFIG_MISTAKES = {
+    "no-groups": ("group_count", 0),
+    "more-groups-than-the-paper": ("group_count", 36),
+    "empty-packets": ("packet_bytes", 0),
+    "zero-dl-slot": ("flid_dl_slot_s", 0.0),
+    "zero-ds-slot": ("flid_ds_slot_s", 0.0),
+    "nan-ds-slot": ("flid_ds_slot_s", float("nan")),
+    "shrinking-layers": ("rate_factor", 0.5),
+    "zero-base-rate": ("base_rate_bps", 0.0),
+    "infinite-base-rate": ("base_rate_bps", float("inf")),
+    "zero-fair-share": ("fair_share_bps", 0.0),
+    "no-key-bits": ("key_bits", 0),
+    "negative-key-bits": ("key_bits", -3),
+    "keys-past-the-fec-prime": ("key_bits", 64),
+    "negative-warmup": ("warmup_s", -1.0),
+    "nan-warmup": ("warmup_s", float("nan")),
+    "infinite-duration": ("duration_s", float("inf")),
+}
+
+
+class TestConfigCheckedAtDeclaration:
+    @pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))
+    def test_config_mistake_is_refused_when_decoded(self, case):
+        name, value = CONFIG_MISTAKES[case]
+        document = scenario_spec("figure1-attack", duration_s=2.0).to_dict()
+        document["config"][name] = value
+        with pytest.raises(ValueError, match=re.escape(f"ExperimentConfig.{name} must be")):
+            ScenarioSpec.from_dict(document)
+
+    @pytest.mark.parametrize("name", ["group_count", "packet_bytes", "key_bits", "seed"])
+    def test_integer_fields_refuse_booleans(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"ExperimentConfig.{name} must be")):
+            ExperimentConfig(**{name: True})
+
+    def test_edge_values_still_declare(self):
+        widest = ExperimentConfig(group_count=20, key_bits=60, rate_factor=1, warmup_s=0)
+        assert (widest.group_count, widest.key_bits) == (20, 60)
+        narrowest = ExperimentConfig(group_count=1, key_bits=1, packet_bytes=1, seed=-1)
+        assert (narrowest.group_count, narrowest.key_bits) == (1, 1)
+        assert MAX_GROUP_COUNT == max(PAPER_GROUP_COUNTS)
 
 
 class TestRegistry:
@@ -140,27 +186,6 @@ class TestInterpreter:
         network = scenario.network
         bottleneck = network.find_link(network.router("left"), network.router("right"))
         assert bottleneck.bandwidth_bps == pytest.approx(1_000_000.0)
-
-    def test_from_spec_matches_imperative_builder(self):
-        config = PAPER_DEFAULTS.with_duration(8.0)
-        spec = throughput_vs_sessions_spec(
-            protected=False, count=2, config=config, duration_s=8.0
-        )
-        declarative = Scenario.from_spec(spec)
-        declarative.run(8.0)
-
-        imperative = Scenario(
-            config,
-            protected=False,
-            topology=dumbbell_topology(bottleneck_bandwidth_bps=500_000.0),
-        )
-        for i in range(2):
-            imperative.add_multicast_session(f"mc{i + 1}")
-        imperative.run(8.0)
-
-        assert declarative.multicast_average_kbps(2.0, 8.0) == pytest.approx(
-            imperative.multicast_average_kbps(2.0, 8.0)
-        )
 
     def test_dumbbell_topology_params_reach_the_network(self):
         spec = ScenarioSpec(

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    CbrDecl,
     CheckpointStore,
     ExperimentRunner,
     PrefixPlan,
@@ -48,6 +49,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
 from repro.experiments.warmstart import PREFIX_NAME
 from repro.simulator.engine import Simulator
+from repro.transport import CbrSource
 
 #: The golden-trace scenarios (same shortened overrides as ``tests/golden``),
 #: every one of which must warm-start byte-identically.
@@ -381,7 +383,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -396,7 +398,7 @@ def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     # A real version 4 blob does not even unpickle.
     sim = scenario.network.sim
     link = scenario.network.links[0]
-    sim.call_at(sim.now, _StaleBoundMethod(link), None)
+    sim.schedule_at(sim.now, _StaleBoundMethod(link), None)
     blob_path.write_bytes(pickle.dumps((4, scenario), protocol=pickle.HIGHEST_PROTOCOL))
     with pytest.raises(AttributeError, match="_transmission_complete"):
         pickle.loads(blob_path.read_bytes())
@@ -418,7 +420,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -437,7 +439,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -460,7 +462,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -478,7 +480,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -500,7 +502,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     """Version 11 simulators carried a stop flag, senders a restart epoch in
     every pending tick and timer groups a wakeup handle; its blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -525,7 +527,7 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     receivers by ``block_slices``; a version 13 scenario carries its edge
     classes and the declared hosts each receiver stands for, so old blobs
     are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 13
+    assert CHECKPOINT_VERSION == 14
     spec = replace(scale_dumbbell_10m_spec(
         receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
         attack_start_s=6.0, duration_s=9.0,
@@ -546,10 +548,57 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     assert store.load(key) is not None
 
 
+def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 13 CBR sources pickled a cancellable engine event for their
+    next send; a version 14 source carries a generation number instead and
+    its stale sends stay in the heap, so old blobs are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 14
+    plan = plan_prefix(_cbr_across_the_barrier())
+    key = plan.checkpoint_key()
+    block = plan.block(tmp_path)
+    store = CheckpointStore(tmp_path)
+    _checkpoint_job(block)
+    scenario = store.load(key)
+    [source] = scenario.cbr_sources
+    assert source.source._generation == 1  # stopped once, at 11.6 s
+    stale = pickle.dumps((13, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert _checkpoint_job(block)["reused"] is False
+    assert store.load(key) is not None
+
+
+def _cbr_across_the_barrier():
+    """``figure1-attack`` plus a slow on-off CBR source whose off period
+    spans the 12-s barrier: the send it scheduled before stopping at 11.6 s
+    is due at 13.824 s, after the barrier and after the 12.6-s restart."""
+    spec = scenario_spec("figure1-attack", **GOLDEN_CASES["figure1-attack"])
+    return replace(spec, cbr=(CbrDecl("slow", rate_bps=2_000.0, on_s=11.6, off_s=1.0),))
+
+
+def test_stale_cbr_send_in_the_checkpoint_warm_equals_cold(tmp_path):
+    spec = _cbr_across_the_barrier()
+    cold = execute_spec(spec).to_json()
+    assert _warm_via_worker(spec, tmp_path) == cold  # publishes the blob
+    plan = plan_prefix(spec)
+    assert plan.barrier_s == 12.0
+    restored = CheckpointStore(tmp_path).load(plan.checkpoint_key())
+    [source] = restored.cbr_sources
+    sends = [
+        (entry[0], entry[3][0])
+        for entry in restored.network.sim._heap
+        if getattr(entry[2], "__func__", None) is CbrSource._send_next
+    ]
+    # The source is off; its pending send carries the generation it stopped.
+    assert not source.source._running
+    assert sends == [(pytest.approx(13.824), source.source._generation - 1)]
+    assert _warm_via_worker(spec, tmp_path) == cold  # resumes from the blob
+
+
 def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     """A prefix stops at its barrier; rebinding a cell onto it moves the
-    default end of :meth:`Scenario.run` and of the averages to the cell's
-    duration, so the resumed scenario reads like a cold one."""
+    default end of :meth:`Scenario.run` to the cell's duration, so the
+    resumed scenario reads like a cold one."""
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -562,7 +611,10 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     cold = Scenario.from_spec(spec)
     cold.run()
     assert warm.network.sim.now == cold.network.sim.now == 18.0
-    assert warm.multicast_average_kbps() == cold.multicast_average_kbps()
+    warmup = spec.config.warmup_s
+    assert [s.receiver.average_rate_kbps(warmup, 18.0) for s in warm.sessions] == [
+        s.receiver.average_rate_kbps(warmup, 18.0) for s in cold.sessions
+    ]
 
 
 #: Hand-written protocol-0 blobs.  Under a plain ``pickle.loads`` the first

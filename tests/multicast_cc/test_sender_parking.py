@@ -34,12 +34,12 @@ class PerTickLoop:
 
     def _transmit_group(self, group):
         interval = self._interval_s[group]
-        members = self.network.multicast.has_members(self._group_address[group])
+        members = self.network.multicast.members(self._group_address[group])
         if self.suppress_unsubscribed_groups and not members:
             self._packets_suppressed += 1
         else:
             self._send_group_packet(group, interval)
-        self.sim.call_after(
+        self.sim.schedule(
             interval * self.rng.uniform(0.9, 1.1), self._transmit_group, group
         )
 
@@ -125,7 +125,8 @@ def run_dumbbell(protocol, sender_class, until_s=24.0):
 
     def tear_out():
         silenced.append(True)
-        net.multicast.leave_all(hosts[0])
+        for group in net.multicast.groups_of(hosts[0]):
+            net.multicast.leave(hosts[0], group, immediate=True)
 
     sender.start()
     receivers[0].start(2.3)

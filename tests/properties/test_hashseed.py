@@ -1,7 +1,7 @@
 """Regression: multicast replication must not depend on PYTHONHASHSEED.
 
 PR 1 fixed two sources of cross-process nondeterminism: the forwarding plane
-iterated a ``Set[Host]`` (id-ordered) in ``multicast.out_links``, and TCP
+iterated a ``Set[Host]`` (id-ordered) to list a router's replicas, and TCP
 jitter was seeded from the salted built-in ``hash()``.  The in-process
 determinism tests cannot catch a regression there — all objects share one
 hash salt — so this test executes the same spec in subprocesses pinned to

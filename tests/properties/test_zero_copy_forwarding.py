@@ -171,7 +171,7 @@ def forward_by_copying(self, packet, incoming):
     copies = 0
     pool = service.packet_pool
     incoming_src = incoming.src if incoming is not None else None
-    for out in service.out_links(self, packet.destination):
+    for out, _next_hop, _is_host in service.out_rows(self, packet.destination):
         dst = out.dst
         if dst is incoming_src:
             continue

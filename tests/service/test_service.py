@@ -347,6 +347,41 @@ class TestProtocolErrorHandling:
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 
+    def test_unusable_config_is_rejected_before_admission(self, daemon):
+        """Each of these config values used to be admitted and fail on a
+        worker; 36 groups held one for over 50 s of a 2-s cell."""
+        unusable = [
+            ("group_count", 0),
+            ("group_count", 36),
+            ("packet_bytes", 0),
+            ("flid_dl_slot_s", 0),
+            ("rate_factor", 0.5),
+            ("base_rate_bps", 0),
+            ("key_bits", 0),
+            ("key_bits", -3),
+            ("key_bits", 64),
+        ]
+
+        async def scenario(conn):
+            rejections = []
+            for number, (field, value) in enumerate(unusable):
+                document = fast_spec().to_dict()
+                document["config"][field] = value
+                await conn.send(
+                    {"op": "submit", "id": f"c{number}", "spec": document,
+                     "timeout_s": 5}
+                )
+                rejections.append(await conn.recv())
+            await conn.send({"op": "status", "id": "s"})
+            return rejections, await conn.recv()
+
+        rejections, status = self._converse(daemon(), scenario)
+        for (field, _), rejected in zip(unusable, rejections):
+            assert rejected["event"] == "rejected", rejected
+            assert f"ExperimentConfig.{field} must be" in rejected["reason"], rejected
+        assert status["scheduler"]["queued"] == 0
+        assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
+
     def test_unusable_topology_or_unknown_key_is_rejected_before_admission(self, daemon):
         """A topology mistake used to be admitted and fail on a worker, and a
         misspelt or retired key to be dropped: ``"durration_s"`` ran the

@@ -66,32 +66,6 @@ class TestScheduling:
         assert order == ["first", "second", "nested"]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        sim = Simulator()
-        seen = []
-        event = sim.schedule(1.0, lambda: seen.append("x"))
-        event.cancel()
-        sim.run()
-        assert seen == []
-
-    def test_cancel_one_of_many(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append("keep"))
-        cancelled = sim.schedule(1.0, lambda: seen.append("drop"))
-        cancelled.cancel()
-        sim.run()
-        assert seen == ["keep"]
-
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        event = sim.schedule(2.0, lambda: None)
-        event.cancel()
-        assert sim.pending_events == 1
-
-
 class TestRunControl:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
@@ -142,7 +116,7 @@ class TestRunControl:
         assert seen == [1, 2, 3]
         assert sim.now == 3.0
         assert sim.pending_events == 6
-        sim.call_after(0.5, seen.append, "after")
+        sim.schedule(0.5, seen.append, "after")
         sim.run(until=20.0, max_events=2)
         assert seen == [1, 2, 3, "after", 4]
         assert sim.now == 4.0

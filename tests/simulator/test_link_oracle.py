@@ -106,10 +106,10 @@ class TwoEventLink:
         stats = self.stats
         stats.transmitted_packets += 1
         stats.transmitted_bytes += size_bytes
-        self.sim.call_after(tx_time, self._transmission_complete, packet)
+        self.sim.schedule(tx_time, self._transmission_complete, packet)
 
     def _transmission_complete(self, packet: Packet) -> None:
-        self.sim.call_after(self.delay_s, self._deliver, packet)
+        self.sim.schedule(self.delay_s, self._deliver, packet)
         self._start_next_transmission()
 
     def _deliver(self, packet: Packet) -> None:
@@ -154,7 +154,7 @@ class Harness:
     def play(self, arrivals) -> None:
         """Schedule every ``(time, size)`` arrival up front, then run dry."""
         for tag, (time, size_bytes) in enumerate(arrivals):
-            self.sim.call_at(time, self.send, tag, size_bytes)
+            self.sim.schedule_at(time, self.send, tag, size_bytes)
         self.sim.run()
 
     def observed(self) -> dict:
@@ -245,11 +245,11 @@ def hand_over_arrival(link_cls, late: bool) -> dict:
         for tag in range(7):
             harness.send(tag)
         if late:
-            sim.call_at(TX_576_S, harness.send, 7)
+            sim.schedule_at(TX_576_S, harness.send, 7)
 
     if not late:
-        sim.call_at(TX_576_S, harness.send, 7)
-    sim.call_at(0.0, burst)
+        sim.schedule_at(TX_576_S, harness.send, 7)
+    sim.schedule_at(0.0, burst)
     sim.run()
     return harness.observed()
 

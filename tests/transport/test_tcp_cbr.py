@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import PAPER_DEFAULTS, Scenario
-from repro.simulator import NetworkGraph, dumbbell_topology
+from repro.simulator import NetworkGraph, PacketAgent, dumbbell_topology
 from repro.transport import CbrSink, CbrSource, OnOffCbrSource, TcpConnection
 
 
@@ -128,6 +128,32 @@ class TestCbr:
         net.sim.schedule(5.0, source.stop)
         net.run(until=20.0)
         assert sink.monitor.average_rate_kbps(10, 20) == pytest.approx(0.0, abs=1.0)
+
+    def test_restart_within_one_interval_sends_one_stream(self):
+        """Off for 10 ms, less than the 57.6-ms packet interval: the send the
+        source scheduled before stopping falls after its restart and must do
+        nothing.  The instants are those of the source that cancelled that
+        send; a source that only asks whether it is running sends it too."""
+        net = make_dumbbell(1_000_000.0)
+        src = net.add_sender()
+        dst = net.add_receiver()
+        net.build_routes()
+        created = []
+
+        class Tap(PacketAgent):
+            def handle_packet(self, packet):
+                created.append(packet.created_at)
+
+        dst.register_agent(9, Tap())
+        source = OnOffCbrSource(src, dst, port=9, rate_bps=80_000.0, on_s=0.1, off_s=0.01)
+        assert source.source.interval_s == 0.0576
+        source.start()
+        net.run(until=0.5)
+        assert created == [
+            0.0, 0.0576, 0.11, 0.1676, 0.22000000000000003, 0.2776,
+            0.33000000000000007, 0.38760000000000006, 0.44000000000000006,
+        ]
+        assert source.source.packets_sent == 10  # the tenth is still in flight
 
     def test_onoff_duty_cycle_halves_average_rate(self):
         net = make_dumbbell(2_000_000.0)

@@ -1,39 +1,49 @@
 """The retransmission deadline against the timer it replaced.
 
 ``TcpRenoSender`` keeps an RTO *deadline* and at most one live engine wake
-that re-arms itself when it fires early (``repro.transport.tcp``), because
-``Event.cancel`` is O(live events).  The oracle here is the timer it
-replaced — cancel the pending event and schedule a new one on every ACK —
-kept as a test-only subclass.  Both senders must time out at the same
-instants and walk the same congestion window, ACK by ACK.
+that re-arms itself when it fires early (``repro.transport.tcp``), instead of
+one engine event per ACK.  The oracle here is the timer it replaced —
+schedule a new event on every ACK and let the superseded one fire as a
+no-op — kept as a test-only subclass.  Both senders must time out at the
+same instants and walk the same congestion window, ACK by ACK.
 """
 
 import pytest
 
-from repro.simulator.engine import Event
 from repro.simulator.topology import NetworkGraph, dumbbell_topology
 from repro.transport.tcp import TcpRenoSender, TcpSink
 
 
-class CancelPerAck:
-    """The timer before the deadline: one cancellable event, restarted per ACK."""
+class RestartPerAck:
+    """The timer before the deadline: one new event per restart, per ACK.
 
-    _rto_event = None
+    Each event carries the generation it was armed in; a restart moves the
+    generation on, so every event but the newest fires as a no-op.
+    """
+
+    _rto_armed = False
+    _rto_generation = 0
+    superseded = 0
 
     def _arm_rto(self, restart=False):
-        if self._rto_event is not None:
+        if self._rto_armed:
             if not restart:
                 return
-            self._rto_event.cancel()
+            self._rto_generation += 1
+            self._rto_armed = False
         if self.flight_size <= 0 and self.next_seq > 0:
-            self._rto_event = self._rto_deadline = None
+            self._rto_deadline = None
             return
         # _transmit and _on_timeout read and clear _rto_deadline as "timer on".
         self._rto_deadline = self.sim.now + self.rto
-        self._rto_event = self.sim.schedule(self.rto, self._expire)
+        self._rto_armed = True
+        self.sim.schedule(self.rto, self._expire, self._rto_generation)
 
-    def _expire(self):
-        self._rto_event = None
+    def _expire(self, generation):
+        if generation != self._rto_generation:
+            self.superseded += 1
+            return
+        self._rto_armed = False
         self._on_timeout()
 
 
@@ -59,7 +69,7 @@ class DeadlineSender(Recorded, TcpRenoSender):
     pass
 
 
-class CancelPerAckSender(Recorded, CancelPerAck, TcpRenoSender):
+class RestartPerAckSender(Recorded, RestartPerAck, TcpRenoSender):
     pass
 
 
@@ -91,22 +101,11 @@ def black_hole_sender(sender_cls):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_deadline_matches_cancel_per_ack_on_a_lossy_dumbbell(seed, monkeypatch):
-    cancels = []
-    cancel = Event.cancel
-
-    def counted_cancel(event):
-        cancels.append(event)
-        cancel(event)
-
-    monkeypatch.setattr(Event, "cancel", counted_cancel)
-
-    oracle_net, oracle = lossy_dumbbell(CancelPerAckSender, seed)
-    oracle_cancels = len(cancels)
-    del cancels[:]
+def test_deadline_matches_restart_per_ack_on_a_lossy_dumbbell(seed):
+    oracle_net, oracle = lossy_dumbbell(RestartPerAckSender, seed)
     net, senders = lossy_dumbbell(DeadlineSender, seed)
 
-    assert not cancels and oracle_cancels > 1000
+    assert sum(s.superseded for s in oracle) > 1000
     assert net.sim.now == oracle_net.sim.now
     # The scenario is lossy enough to exercise every recovery path.
     assert sum(s.timeouts for s in senders) >= 3
@@ -120,7 +119,7 @@ def test_deadline_matches_cancel_per_ack_on_a_lossy_dumbbell(seed, monkeypatch):
         assert sender.cwnd_trace == expected.cwnd_trace
 
 
-@pytest.mark.parametrize("sender_cls", [DeadlineSender, CancelPerAckSender])
+@pytest.mark.parametrize("sender_cls", [DeadlineSender, RestartPerAckSender])
 def test_shrinking_rto_puts_the_deadline_before_the_outstanding_wake(sender_cls):
     sim, sender = black_hole_sender(sender_cls)
     sender.start()
@@ -147,7 +146,7 @@ def test_late_wake_after_the_flight_empties_is_a_noop():
     sender._handle_new_ack(0)
     assert sender.flight_size == 0
     assert sender._rto_deadline is None
-    assert sim.pending_events == 1  # the wake stays in the heap, uncancelled
+    assert sim.pending_events == 1  # the wake stays in the heap
     sim.run(until=5.0)
     assert sender.timeouts == 0 and sender.timeout_times == []
     assert sender._rto_wake is None
