@@ -65,19 +65,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Refuse, when declared, every value a run would fail on or hang at."""
-        for name, low, high in (
-            ("group_count", 1, MAX_GROUP_COUNT),
-            ("packet_bytes", 1, math.inf),
-            ("key_bits", 1, MAX_KEY_BITS),
-            ("seed", -math.inf, math.inf),
+        for name, high in (
+            ("group_count", MAX_GROUP_COUNT),
+            ("packet_bytes", math.inf),
+            ("key_bits", MAX_KEY_BITS),
+            ("seed", None),
         ):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-                bound = (
-                    f" in {low}..{high}" if high < math.inf
-                    else f" >= {low}" if low > -math.inf
-                    else ""
-                )
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or (high is not None and not 1 <= value <= high)
+            ):
+                bound = "" if high is None else f" in 1..{high}"
                 raise ValueError(
                     f"ExperimentConfig.{name} must be an integer{bound}, got {value!r}"
                 )

@@ -357,7 +357,7 @@ class Scenario:
     # ------------------------------------------------------------------
     # multicast sessions
     # ------------------------------------------------------------------
-    def _realise_session(self, decl: SessionDecl) -> MulticastSession:
+    def _realise_session(self, decl: SessionDecl) -> None:
         """Create one declared session: its sender, then every receiver.
 
         Individual receivers and population blocks go through one placement
@@ -450,7 +450,6 @@ class Scenario:
         ]
         sender.start()
         self.sessions.append(session)
-        return session
 
     def _place(self, router: Optional[str]) -> str:
         """The declared edge a receiver host attaches to.
@@ -533,7 +532,7 @@ class Scenario:
         self._next_port += 1
         return source, sink, port
 
-    def _realise_tcp(self, decl: TcpDecl) -> TcpConnection:
+    def _realise_tcp(self, decl: TcpDecl) -> None:
         """Create one declared TCP Reno connection crossing the topology."""
         source, sink_host, port = self._unicast_endpoints(decl)
         connection = TcpConnection.create(
@@ -545,9 +544,8 @@ class Scenario:
         )
         connection.start(decl.start_s)
         self.tcp_connections.append(connection)
-        return connection
 
-    def _realise_cbr(self, decl: CbrDecl) -> Tuple[OnOffCbrSource, CbrSink]:
+    def _realise_cbr(self, decl: CbrDecl) -> None:
         """Create one declared on-off CBR session crossing the topology."""
         source_host, sink_host, port = self._unicast_endpoints(decl)
         sink = CbrSink(sink_host, port, name=f"{decl.name}-sink")
@@ -565,7 +563,6 @@ class Scenario:
         source.start()
         self.cbr_sources.append(source)
         self.cbr_sinks.append(sink)
-        return source, sink
 
     # ------------------------------------------------------------------
     # execution

@@ -17,9 +17,9 @@ Design notes
   :meth:`Simulator.schedule` (relative) and :meth:`Simulator.schedule_at`
   (absolute): each pushes an entry and returns nothing.
 * An entry leaves the heap only by running, so its size is exactly the
-  number of scheduled events.  A caller that may change its
-  mind checks when the callback runs whether it still applies: the TCP
-  retransmission timer keeps a *deadline* that one wake re-arms
+  number of scheduled events.  A caller that may change its mind checks,
+  when the callback runs, whether it still applies: the TCP retransmission
+  timer keeps a *deadline* that one wake re-arms
   (:class:`~repro.transport.tcp.TcpRenoSender`), and a stopped CBR source
   ignores a send whose *generation* number is stale
   (:class:`~repro.transport.cbr.CbrSource`).
