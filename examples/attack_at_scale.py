@@ -2,7 +2,7 @@
 """Protection at scale: the audience × attacker-fraction containment grid.
 
 The paper's containment claim is population-relative — however large the
-honest audience and however big the misbehaving minority, SIGMA bounds what
+honest audience and however big the attacking minority, SIGMA bounds what
 the attackers extract.  This walkthrough sweeps exactly that grid: honest
 audiences from 1,000 to 100,000 receivers, attacker fractions from 0.1 % to
 10 %, every population realised as a cohort (honest audience as a

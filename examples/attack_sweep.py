@@ -15,12 +15,11 @@ Run with::
 
 from repro.adversary import AttackSpec, adversary_names
 from repro.analysis import format_table
-from repro.experiments import ExperimentRunner, PAPER_DEFAULTS, attack_duel_spec
+from repro.experiments import ExperimentRunner, attack_duel_spec
 
 DURATION_S = 30.0
 ONSET_S = 8.0
 INTENSITIES = (0.5, 1.0, 2.0)
-CONFIG = PAPER_DEFAULTS.with_duration(DURATION_S)
 
 
 def grid():
@@ -39,7 +38,6 @@ def grid():
                         intensity=intensity,
                     ),
                     duration_s=DURATION_S,
-                    config=CONFIG,
                 )
             )
     return specs

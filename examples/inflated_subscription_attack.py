@@ -4,7 +4,9 @@
 Reproduces a shortened version of Figures 1 and 7: two multicast sessions
 (receivers F1 and F2) and two TCP Reno connections (T1 and T2) share a
 1 Mbps bottleneck; halfway through the run (t = 40 s) receiver F1 inflates
-its subscription.
+its subscription: ``inflated-join`` against FLID-DL, and against FLID-DS
+the same joins stacked with key replay and key guessing
+(:func:`repro.adversary.paper_attacker`).
 
 The script runs both registered figures — plain FLID-DL (IGMP-managed
 groups, the attack succeeds) and FLID-DS (DELTA + SIGMA, the attack is
@@ -27,7 +29,6 @@ def run_variant(protected: bool) -> None:
     attack_start_s = DURATION_S / 2
     table = run_figure(
         figure("figure7_flid_ds_protection" if protected else "figure1_flid_dl_attack"),
-        config=PAPER_DEFAULTS.with_duration(DURATION_S),
         attack_start_s=attack_start_s,
         duration_s=DURATION_S,
     )
@@ -40,7 +41,7 @@ def run_variant(protected: bool) -> None:
         for flow in ("F1", "F2", "T1", "T2")
     ]
     print(f"\n=== {label} ===")
-    print(f"F1 starts misbehaving at t = {attack_start_s:.0f} s; fair share is "
+    print(f"F1 starts its attack at t = {attack_start_s:.0f} s; fair share is "
           f"{FAIR_SHARE_KBPS:.0f} Kbps per flow")
     print(format_table(["flow", "before attack (Kbps)", "during attack (Kbps)"], rows))
     print(f"Jain fairness index: before = {table['fairness_before']:.3f}, "

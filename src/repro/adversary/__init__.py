@@ -24,7 +24,7 @@ byte-deterministic across processes.
 
 from .context import AttackContext
 from .registry import ADVERSARIES, adversary_names, build_strategies, register_adversary
-from .spec import AttackSpec
+from .spec import AttackSpec, paper_attacker
 from .strategy import AttackStrategy
 from .strategies import (
     ChurnStrategy,
@@ -53,4 +53,5 @@ __all__ = [
     "KeyGuessingStrategy",
     "KeyReplayStrategy",
     "StrategyStack",
+    "paper_attacker",
 ]

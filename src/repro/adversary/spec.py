@@ -16,10 +16,10 @@ the round trip to process-pool workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Tuple
 
-__all__ = ["AttackSpec"]
+__all__ = ["AttackSpec", "paper_attacker"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ class AttackSpec:
             raise ValueError(
                 f"AttackSpec.intensity must be a finite number > 0, got {self.intensity!r}"
             )
-        if not math.isfinite(self.start_s):
+        if not (math.isfinite(self.start_s) and self.start_s >= 0):
             raise ValueError(
-                f"AttackSpec.start_s must be a finite number of seconds, got {self.start_s!r}"
+                f"AttackSpec.start_s must be a finite number of seconds >= 0, "
+                f"got {self.start_s!r}"
             )
         if self.stop_s is not None and not (
             math.isfinite(self.stop_s) and self.stop_s >= self.start_s
@@ -76,3 +77,21 @@ class AttackSpec:
                 f"AttackSpec.stop_s must be null or a finite number of seconds "
                 f">= start_s, got {self.stop_s!r}"
             )
+
+
+def paper_attacker(protected: bool, **schedule: Any) -> Tuple[AttackSpec, ...]:
+    """The paper's inflated-subscription attacker (Figures 1 and 7).
+
+    Against FLID-DL it is ``inflated-join`` alone.  Against FLID-DS it keeps
+    the honest pipeline running and stacks bare ``inflated-join`` joins
+    (``suppress_honest: False``), ``key-replay`` and ``key-guessing``.
+    ``schedule`` (``receivers``, ``start_s``, ...) applies to every strategy.
+    """
+    joins = AttackSpec("inflated-join", **schedule)
+    if not protected:
+        return (joins,)
+    return (
+        replace(joins, params={"suppress_honest": False}),
+        replace(joins, strategy="key-replay"),
+        replace(joins, strategy="key-guessing"),
+    )

@@ -14,9 +14,9 @@ can sweep attacker type × intensity × onset on any topology; see
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from ..adversary.spec import AttackSpec
+from ..adversary.spec import AttackSpec, paper_attacker
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_scenario
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
@@ -31,7 +31,7 @@ def duel_spec(
     name: str,
     sessions: Sequence[SessionDecl],
     protected: bool,
-    duration_s: Optional[float],
+    duration_s: float,
     config: ExperimentConfig,
     tcp: Sequence[TcpDecl] = (),
     **extras: Any,
@@ -67,7 +67,7 @@ def attack_duel_spec(
     name: str,
     attack: AttackSpec,
     protected: bool = True,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The Figure 1/7 duel with a pluggable attacker strategy.
@@ -102,7 +102,7 @@ def attack_flapping(
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     period_s: float = 4.0,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Join/leave churn against SIGMA: ``F1`` flaps its membership every ``period_s``."""
@@ -130,7 +130,7 @@ def attack_key_guessing(
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     guesses_per_slot: int = 8,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Random key guessing (§4.2): ``F1`` guesses a key per forbidden group."""
@@ -157,7 +157,7 @@ def attack_key_replay(
     protected: bool = True,
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Key replay (§4.1): ``F1`` re-submits reconstructed keys out of scope."""
@@ -179,7 +179,7 @@ def attack_join_storm(
     protected: bool = True,
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """IGMP join storm: ``F1`` reports every group at every slot boundary."""
@@ -201,7 +201,7 @@ def attack_ignore_congestion(
     protected: bool = True,
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Congestion masking (§2.1): ``F1`` pretends it saw no losses."""
@@ -223,21 +223,12 @@ def attack_composite(
     protected: bool = True,
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
-    """The full Figure 7 attacker: four composed strategies on one receiver."""
-    attacks = (
-        AttackSpec(
-            "inflated-join",
-            start_s=attack_start_s,
-            intensity=intensity,
-            params={"suppress_honest": False},
-        ),
-        AttackSpec("key-replay", start_s=attack_start_s, intensity=intensity),
-        AttackSpec("key-guessing", start_s=attack_start_s, intensity=intensity),
-        AttackSpec("join-storm", start_s=attack_start_s, intensity=intensity),
-    )
+    """The Figure 7 attacker plus a join storm: four strategies on one receiver."""
+    schedule = dict(start_s=attack_start_s, intensity=intensity)
+    attacks = (*paper_attacker(True, **schedule), AttackSpec("join-storm", **schedule))
     return duel_spec(
         "attack-composite",
         (
@@ -262,7 +253,7 @@ def attack_collusion_parking_lot(
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     hops: int = 3,
-    duration_s: Optional[float] = DEFAULT_DURATION_S,
+    duration_s: float = DEFAULT_DURATION_S,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Collusion across bottlenecks — impossible to express before the
@@ -308,10 +299,7 @@ def attack_collusion_parking_lot(
                 rate_bps=2 * config.fair_share_bps,
                 on_s=5.0,
                 off_s=2.0,
-                active_window=(
-                    attack_start_s,
-                    duration_s if duration_s is not None else config.duration_s,
-                ),
+                active_window=(attack_start_s, duration_s),
                 receiver_router=last,
             ),
         ),

@@ -13,7 +13,7 @@ Unless an experiment overrides them, the settings are exactly the paper's:
 * 500 ms FLID-DL slots and 250 ms FLID-DS slots (same control granularity,
   because SIGMA enforces access with a responsiveness of two slots);
 * 576-byte data packets;
-* 200-second experiments.
+* 200-second experiments (``ScenarioSpec.duration_s``, not a config knob).
 
 The link settings are the defaults of the ``dumbbell`` factory
 (:func:`~repro.simulator.topology.dumbbell_topology`), overridden through a
@@ -22,7 +22,7 @@ builders size bottlenecks from.
 
 A config is checked when it is declared, so a spec no run could finish is
 refused before one starts: counts are integers (never booleans), rates,
-sizes, slots and the duration finite and positive, the warm-up finite and
+sizes and slots finite and positive, the warm-up finite and
 non-negative, ``rate_factor`` at least 1, ``key_bits`` at most
 :data:`MAX_KEY_BITS` and ``group_count`` at most :data:`MAX_GROUP_COUNT`.
 """
@@ -59,7 +59,6 @@ class ExperimentConfig:
     flid_ds_slot_s: float = 0.25
     key_bits: int = 16
 
-    duration_s: float = 200.0
     warmup_s: float = 5.0
     seed: int = 0
 
@@ -87,7 +86,6 @@ class ExperimentConfig:
             ("rate_factor", 1.0, False),
             ("flid_dl_slot_s", 0.0, True),
             ("flid_ds_slot_s", 0.0, True),
-            ("duration_s", 0.0, True),
             ("warmup_s", 0.0, False),
         ):
             value = getattr(self, name)
@@ -112,10 +110,6 @@ class ExperimentConfig:
             packet_bytes=self.packet_bytes,
             slot_duration_s=self.flid_ds_slot_s if protected else self.flid_dl_slot_s,
         )
-
-    def with_duration(self, duration_s: float) -> "ExperimentConfig":
-        """Copy with a different experiment length (used by fast benchmarks)."""
-        return replace(self, duration_s=duration_s)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)

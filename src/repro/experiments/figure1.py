@@ -3,8 +3,8 @@
 The scenario (§1 and §5.2): receivers ``F1`` and ``F2`` belong to two
 different multicast sessions and share a 1 Mbps bottleneck with two TCP Reno
 receivers ``T1`` and ``T2``; every flow's fair share is 250 Kbps.  At
-``t = 100 s`` receiver ``F1`` starts misbehaving and inflates its
-subscription.
+``t = 100 s`` receiver ``F1`` mounts the paper's attacker and inflates its
+subscription (:func:`~repro.adversary.spec.paper_attacker`).
 
 * With FLID-DL (Figure 1) the attack succeeds: F1's throughput jumps to
   roughly 690 Kbps while F2, T1 and T2 are squeezed far below their fair
@@ -19,13 +19,14 @@ fair share.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
+from ..adversary.spec import paper_attacker
 from ..analysis.fairness import jain_index
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario, series_kbps
 from .metrics import RunResult
-from .spec import ScenarioSpec, SessionDecl, TcpDecl
+from .spec import PAPER_DURATION_S, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = ["inflated_subscription_spec"]
 
@@ -35,31 +36,31 @@ DEFAULT_ATTACK_START_S = 100.0
 
 def inflated_subscription_spec(
     protected: bool,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: Optional[float] = None,
+    duration_s: float = PAPER_DURATION_S,
 ) -> ScenarioSpec:
     """Declarative form of the Figure 1 / Figure 7 scenario.
 
     Four flows (2 multicast + 2 TCP) at a 250 Kbps fair share share a 1 Mbps
-    dumbbell bottleneck; multicast receiver F1 turns misbehaving at
-    ``attack_start_s``.
+    dumbbell bottleneck; multicast receiver F1 mounts the paper's attacker
+    for the protocol (:func:`~repro.adversary.spec.paper_attacker`) from
+    ``attack_start_s``, which never lies past the end of the run.
     """
-    config = config or PAPER_DEFAULTS
-    duration = config.duration_s if duration_s is None else duration_s
-    # The attack never starts after the run ends; a horizon that is not > 0
-    # is left for ScenarioSpec to refuse by name.
-    attack_start = min(attack_start_s, duration) if duration > 0 else attack_start_s
+    # The attack never starts after the run ends; a run length that is not
+    # > 0 is left for ScenarioSpec to refuse by name.
+    start_s = min(attack_start_s, duration_s) if duration_s > 0 else attack_start_s
+    attack = paper_attacker(protected, start_s=start_s)
     return ScenarioSpec(
         name="figure7-defence" if protected else "figure1-attack",
         protected=protected,
         topology_params={"bottleneck_bandwidth_bps": 4 * config.fair_share_bps},
         sessions=(
-            SessionDecl("F1", receivers=1, misbehaving=(0,), attack_start_s=attack_start),
+            SessionDecl("F1", receivers=1, attacks=attack),
             SessionDecl("F2", receivers=1),
         ),
         tcp=(TcpDecl("T1"), TcpDecl("T2")),
-        duration_s=duration,
+        duration_s=duration_s,
         config=config,
     )
 
@@ -86,7 +87,7 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
         "T2": metrics["tcp_series"]["T2"],
     }
     warmup = spec.config.warmup_s
-    attack_start = spec.sessions[0].attack_start_s
+    attack_start = spec.sessions[0].attack_onset_s()
     duration = spec.effective_duration_s
     if attack_start >= duration:
         raise ValueError(

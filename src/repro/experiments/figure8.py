@@ -22,7 +22,7 @@ them.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..analysis.convergence import convergence_time
 from ..analysis.fairness import max_min_ratio
@@ -30,7 +30,7 @@ from ..simulator.topology import dumbbell_topology
 from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario, series_kbps
 from .metrics import RunResult
-from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import PAPER_DURATION_S, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [
     "throughput_vs_sessions_spec",
@@ -59,8 +59,8 @@ def throughput_vs_sessions_spec(
     protected: bool = False,
     count: int = 4,
     cross_traffic: bool = False,
-    config: Optional[ExperimentConfig] = None,
-    duration_s: Optional[float] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
+    duration_s: float = PAPER_DURATION_S,
 ) -> ScenarioSpec:
     """Declarative form of one Figure 8(a)-(d) point: ``count`` sessions.
 
@@ -68,7 +68,6 @@ def throughput_vs_sessions_spec(
     all with the same 250 Kbps fair share, plus an on-off CBR source at 10 %
     of the bottleneck.
     """
-    config = config or PAPER_DEFAULTS
     competing_sessions = count * 2 if cross_traffic else count
     bottleneck = config.fair_share_bps * competing_sessions
     tcp = tuple(TcpDecl(f"tcp{i + 1}") for i in range(count)) if cross_traffic else ()
@@ -142,14 +141,13 @@ register_figure(
 # ----------------------------------------------------------------------
 def responsiveness_spec(
     protected: bool = False,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
     bottleneck_bandwidth_bps: float = 1_000_000.0,
     burst_rate_bps: float = 800_000.0,
     burst_window: Tuple[float, float] = (45.0, 75.0),
     duration_s: float = 110.0,
 ) -> ScenarioSpec:
     """Declarative form of the Figure 8(e) burst-response experiment."""
-    config = config or PAPER_DEFAULTS
     return ScenarioSpec(
         name=f"figure8-responsiveness-{'ds' if protected else 'dl'}",
         protected=protected,
@@ -204,7 +202,7 @@ def _responsiveness_table(
 # ----------------------------------------------------------------------
 def rtt_fairness_spec(
     protected: bool = False,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
     receiver_count: int = 20,
     rtt_range_ms: Tuple[float, float] = (30.0, 220.0),
     duration_s: float = 120.0,
@@ -215,7 +213,6 @@ def rtt_fairness_spec(
     receivers' access-link delays are chosen so their round-trip times spread
     uniformly across ``rtt_range_ms``.
     """
-    config = config or PAPER_DEFAULTS
     # The queue keeps its size for the default 20 ms bottleneck, as in the
     # NS-2 setup: at 250 Kbps both paths' 2-BDP buffers fall to the
     # dumbbell's 4-packet floor.
@@ -271,12 +268,11 @@ def _rtt_fairness_table(
 # ----------------------------------------------------------------------
 def convergence_spec(
     protected: bool = False,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
     join_times_s: Tuple[float, ...] = (0.0, 10.0, 20.0, 30.0),
     duration_s: float = 40.0,
 ) -> ScenarioSpec:
     """Declarative form of the Figure 8(g)/(h) staggered-join experiment."""
-    config = config or PAPER_DEFAULTS
     return ScenarioSpec(
         name=f"figure8-convergence-{'ds' if protected else 'dl'}",
         protected=protected,

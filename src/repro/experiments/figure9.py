@@ -75,7 +75,7 @@ register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
 # Measured overhead from the full simulator
 # ----------------------------------------------------------------------
 def measured_overhead_spec(
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig = PAPER_DEFAULTS,
     duration_s: float = 30.0,
     bottleneck_bandwidth_bps: Optional[float] = None,
 ) -> ScenarioSpec:
@@ -85,7 +85,6 @@ def measured_overhead_spec(
     suppression of unsubscribed groups is disabled, so the full cumulative
     session rate flows — matching the analytic model's denominator.
     """
-    config = config or PAPER_DEFAULTS
     if bottleneck_bandwidth_bps is None:
         model = figure9_model(slot_duration_s=config.flid_ds_slot_s)
         bottleneck_bandwidth_bps = 2.0 * model.cumulative_rate_bps

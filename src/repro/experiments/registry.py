@@ -34,6 +34,7 @@ from typing import (
     get_type_hints,
 )
 
+from ..adversary.spec import paper_attacker
 from ..simulator.monitors import window_rate_bps
 from .config import PAPER_DEFAULTS
 from .metrics import RunResult
@@ -197,7 +198,7 @@ def parking_lot_attack(
     protected: bool = True,
     hops: int = 3,
     attack_start_s: float = 30.0,
-    duration_s: Optional[float] = 90.0,
+    duration_s: float = 90.0,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     receivers = hops
@@ -219,8 +220,7 @@ def parking_lot_attack(
             SessionDecl(
                 "attacker",
                 receivers=1,
-                misbehaving=(0,),
-                attack_start_s=attack_start_s,
+                attacks=paper_attacker(protected, start_s=attack_start_s),
                 receiver_routers=("r1",),
             ),
         ),
@@ -237,7 +237,7 @@ def parking_lot_attack(
 def star_fanout(
     protected: bool = True,
     arms: int = 4,
-    duration_s: Optional[float] = 60.0,
+    duration_s: float = 60.0,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     return ScenarioSpec(
@@ -269,7 +269,7 @@ def star_fanout(
 def tree_convergence(
     protected: bool = True,
     depth: int = 3,
-    duration_s: Optional[float] = 60.0,
+    duration_s: float = 60.0,
     config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     leaves = 2 ** (depth - 1)

@@ -42,8 +42,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import signal
 import tempfile
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -228,6 +232,27 @@ def timeout_budget(raw: Any) -> Optional[float]:
 _RETRY = object()
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """End this worker process once ``parent_pid`` is no longer its parent."""
+    while os.getppid() == parent_pid:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _init_worker(parent_pid: int) -> None:
+    """Give a pool worker a fresh interpreter's signal handling, tied to its parent.
+
+    A fork-started worker inherits the daemon's asyncio SIGTERM/SIGINT
+    handlers and their wakeup socket, through which a signal sent to one
+    worker would drain the whole daemon.  A watcher thread ends the worker
+    once ``parent_pid`` is gone, so a SIGKILLed parent leaves no orphan.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    threading.Thread(target=_exit_with_parent, args=(parent_pid,), daemon=True).start()
+
+
 class JobExecutor:
     """Run ``(kind, payload)`` jobs over one self-healing worker-process pool.
 
@@ -288,7 +313,9 @@ class JobExecutor:
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_worker, initargs=(os.getpid(),)
+            )
         return self._pool
 
     def _rebuild(self, generation: int, kill: bool = False) -> None:
@@ -307,10 +334,8 @@ class JobExecutor:
         if pool is None:
             return
         if kill:
-            # SIGKILL, not SIGTERM: fork-started workers inherit the server's
-            # asyncio SIGTERM handler, which would swallow a terminate() and
-            # leave the worker running (and the abandoned pool's management
-            # thread waiting on it) for the rest of the job.
+            # SIGKILL: a stuck worker ends whatever it is running, and the
+            # abandoned pool's management thread is not left waiting on it.
             for process in list((getattr(pool, "_processes", None) or {}).values()):
                 try:
                     process.kill()

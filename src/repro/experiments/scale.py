@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..adversary.spec import AttackSpec
+from ..adversary.spec import AttackSpec, paper_attacker
 from ..multicast_cc.churn import ChurnProcess
 from .attacks import duel_spec
 from .config import PAPER_DEFAULTS, ExperimentConfig
@@ -97,7 +97,7 @@ def scale_dumbbell_spec(
     receivers: int = 10_000,
     protected: bool = True,
     attack_start_s: float = 10.0,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     cohorts: Optional[int] = None,
     config: ExperimentConfig = PAPER_DEFAULTS,
@@ -107,9 +107,10 @@ def scale_dumbbell_spec(
     Two sessions share a fair-share-sized dumbbell bottleneck: an
     ``audience`` session whose honest population is one cohort of
     ``receivers`` members, and an ``attacker`` session whose single
-    individual receiver mounts the paper's default inflated-subscription
-    stack from ``attack_start_s`` — few attackers, many honest receivers,
-    exactly the paper's threat model at scale.  ``cohorts`` splits the
+    individual receiver mounts the paper's attacker
+    (:func:`~repro.adversary.spec.paper_attacker`) from ``attack_start_s``
+    — few attackers, many honest receivers, exactly the paper's threat
+    model at scale.  ``cohorts`` splits the
     audience into that many cohort rows (the axis the cohort-count
     benchmark sweeps); ``None`` keeps the single-cohort legacy shape.
     """
@@ -120,8 +121,7 @@ def scale_dumbbell_spec(
             SessionDecl(
                 "attacker",
                 receivers=1,
-                misbehaving=(0,),
-                attack_start_s=attack_start_s,
+                attacks=paper_attacker(protected, start_s=attack_start_s),
             ),
         ),
         protected,
@@ -176,7 +176,7 @@ def scale_dumbbell_1m_spec(
     protected: bool = True,
     attack_start_s: float = 8.0,
     intensity: float = 1.0,
-    duration_s: Optional[float] = 20.0,
+    duration_s: float = 20.0,
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The million-receiver duel on a generated multi-edge dumbbell.
@@ -226,7 +226,7 @@ def scale_dumbbell_10m_spec(
     protected: bool = True,
     attack_start_s: float = 8.0,
     intensity: float = 1.0,
-    duration_s: Optional[float] = 20.0,
+    duration_s: float = 20.0,
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The region-sharded flagship: ten million receivers across 8 regions.
@@ -272,7 +272,7 @@ register_scenario(
 
 def scale_overhead_spec(
     receivers: int = 100_000,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
@@ -316,7 +316,7 @@ def attack_inflated_100k_spec(
     protected: bool = True,
     attack_start_s: float = 10.0,
     intensity: float = 1.0,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
@@ -363,7 +363,7 @@ def attack_keys_100k_spec(
     protected: bool = True,
     attack_start_s: float = 10.0,
     intensity: float = 1.0,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
@@ -419,7 +419,7 @@ def attack_collusion_100k_spec(
     attack_start_s: float = 10.0,
     intensity: float = 1.0,
     hops: int = 3,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
@@ -438,7 +438,6 @@ def attack_collusion_100k_spec(
     population-weighted protection metrics must show at scale.
     """
     last = f"r{hops}"
-    effective_duration = duration_s if duration_s is not None else config.duration_s
     collusion = AttackSpec(
         "collusion",
         start_s=attack_start_s,
@@ -469,7 +468,7 @@ def attack_collusion_100k_spec(
                 rate_bps=2 * config.fair_share_bps,
                 on_s=5.0,
                 off_s=2.0,
-                active_window=(attack_start_s, effective_duration),
+                active_window=(attack_start_s, duration_s),
                 receiver_router=last,
             ),
         ),
@@ -490,7 +489,7 @@ def attack_churn_flash_crowd_spec(
     surge_at_s: float = 12.0,
     attack_start_s: float = 6.0,
     protected: bool = True,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Flash-crowd churn under attack: the audience surges 100 → 100k.
@@ -535,7 +534,7 @@ def scale_protection_spec(
     protected: bool = True,
     attack_start_s: float = 10.0,
     intensity: float = 1.0,
-    duration_s: Optional[float] = 30.0,
+    duration_s: float = 30.0,
     model: str = "cohort",
     config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:

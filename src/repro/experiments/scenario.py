@@ -38,7 +38,7 @@ from __future__ import annotations
 import io
 import itertools
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..adversary.receivers import StrategyStack
@@ -68,7 +68,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 14
+CHECKPOINT_VERSION = 15
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -467,31 +467,13 @@ class Scenario:
     ) -> Tuple[Dict[int, List[AttackSpec]], List[Tuple[AttackSpec, ...]]]:
         """What ``decl`` mounts where: by individual index, and per block.
 
-        The legacy ``misbehaving`` shorthand expands to the paper's default
-        attacker for the scenario's protocol: plain ``inflated-join`` against
-        FLID-DL (Figure 1), or the composite Figure 7 stack (bare joins on
-        top of the honest pipeline, key replay, key guessing) against
-        FLID-DS.  Declared attacks follow in declaration order (their target
-        indices were range-checked when ``decl`` was declared).  A
-        population block mounts its own ``attack`` on every member.
+        Each individual receiver stacks its attacks in declaration order
+        (their target indices were range-checked when ``decl`` was
+        declared).  A population block mounts its own ``attack`` on every
+        member.
         """
-        legacy: List[AttackSpec] = []
-        if decl.misbehaving:
-            joins = AttackSpec(
-                "inflated-join",
-                receivers=tuple(decl.misbehaving),
-                start_s=decl.attack_start_s,
-            )
-            if self.protected:
-                legacy = [
-                    replace(joins, params={"suppress_honest": False}),
-                    replace(joins, strategy="key-replay"),
-                    replace(joins, strategy="key-guessing"),
-                ]
-            else:
-                legacy = [joins]
         individuals: Dict[int, List[AttackSpec]] = {}
-        for attack in (*legacy, *decl.attacks):
+        for attack in decl.attacks:
             for index in attack.receivers:
                 individuals.setdefault(index, []).append(attack)
         blocks = [

@@ -58,6 +58,8 @@ __all__ = [
     "SessionDecl",
     "TcpDecl",
     "CbrDecl",
+    "MAX_DURATION_S",
+    "PAPER_DURATION_S",
     "ScenarioSpec",
     "PlainData",
     "canonical_json",
@@ -365,13 +367,11 @@ class SessionDecl(PlainData):
     ``attacks`` declares the misbehaviour: each
     :class:`~repro.adversary.spec.AttackSpec` names a registered strategy,
     its parameters and schedule, and the (0-based) receiver indices mounting
-    it — several attacks may stack on one receiver.  The historical shorthand
-    remains: ``misbehaving`` lists receiver indices that mount the paper's
-    default inflated-subscription attack from ``attack_start_s`` (translated
-    by the scenario interpreter into the protocol-appropriate strategy
-    stack).  ``receiver_routers`` optionally pins each receiver to a named
-    router of the topology; ``None`` entries (or omitting the field) fall
-    back to the topology's round-robin receiver placement.
+    it — several attacks may stack on one receiver (the paper's own
+    attacker is :func:`~repro.adversary.spec.paper_attacker`).
+    ``receiver_routers`` optionally pins each receiver to a named router of
+    the topology; ``None`` entries (or omitting the field) fall back to the
+    topology's round-robin receiver placement.
 
     ``population`` appends :class:`CohortDecl` blocks *after* the
     ``receivers`` individual ones.  ``attacks`` entries can only target
@@ -384,8 +384,6 @@ class SessionDecl(PlainData):
 
     session_id: str
     receivers: int = 1
-    misbehaving: Tuple[int, ...] = ()
-    attack_start_s: float = 0.0
     attacks: Tuple[AttackSpec, ...] = ()
     receiver_start_times: Optional[Tuple[float, ...]] = None
     receiver_access_delays: Optional[Tuple[Optional[float], ...]] = None
@@ -395,18 +393,11 @@ class SessionDecl(PlainData):
     population: Tuple[CohortDecl, ...] = unset(())
 
     def __post_init__(self) -> None:
-        _check_number(
-            "SessionDecl.attack_start_s", self.attack_start_s,
-            f"(session {self.session_id!r})", unit=" of seconds",
-        )
         _check_count(
             "SessionDecl.receivers", self.receivers, 0, f"(session {self.session_id!r})"
         )
         if self.receivers < 1 and not self.population:
             raise ValueError("a session needs at least one receiver")
-        for index in self.misbehaving:
-            if not 0 <= index < self.receivers:
-                raise ValueError(f"misbehaving index {index} out of range")
         for attack in self.attacks:
             for index in attack.receivers:
                 if not 0 <= index < self.receivers:
@@ -425,16 +416,11 @@ class SessionDecl(PlainData):
     # ------------------------------------------------------------------
     def attacker_indices(self) -> Tuple[int, ...]:
         """Sorted *individual* receiver indices mounting any attack."""
-        indices = set(self.misbehaving)
-        for attack in self.attacks:
-            indices.update(attack.receivers)
-        return tuple(sorted(indices))
+        return tuple(sorted({index for attack in self.attacks for index in attack.receivers}))
 
     def attack_onset_s(self) -> Optional[float]:
         """Earliest scheduled attack start, or ``None`` without attackers."""
         onsets = [attack.start_s for attack in self.attacks]
-        if self.misbehaving:
-            onsets.append(self.attack_start_s)
         onsets.extend(
             block.attack.start_s for block in self.population
             if block.attack is not None
@@ -488,6 +474,14 @@ class CbrDecl(PlainData):
             )
 
 
+#: The paper's experiment length (§5.1), every spec's default run duration.
+PAPER_DURATION_S = 200.0
+
+#: The longest run a spec may declare, 18 times the longest registered one
+#: (Figures 1 and 7): a longer one would hold a worker for hours.
+MAX_DURATION_S = 3600.0
+
+
 @dataclass(frozen=True)
 class ScenarioSpec(PlainData):
     """Declarative description of one experiment run.
@@ -500,6 +494,9 @@ class ScenarioSpec(PlainData):
     built once when the spec is declared (:attr:`network_topology`), so an
     unknown kind, an unknown parameter or an impossible link is refused
     here, not inside a run.
+
+    ``duration_s`` is the one run length, in simulated seconds (> 0 and at
+    most :data:`MAX_DURATION_S`).
 
     ``shards`` opts the spec into region-sharded execution: the runner
     partitions the topology's annotated regions into ``shards`` standalone
@@ -518,17 +515,17 @@ class ScenarioSpec(PlainData):
     cbr: Tuple[CbrDecl, ...] = ()
     topology: str = "dumbbell"
     topology_params: Mapping[str, Any] = field(default_factory=dict)
-    duration_s: Optional[float] = None
+    duration_s: float = PAPER_DURATION_S
     record_series: bool = False
     shards: Optional[int] = unset()
     config: ExperimentConfig = PAPER_DEFAULTS
 
     def __post_init__(self) -> None:
-        duration = self.effective_duration_s
-        if not (math.isfinite(duration) and duration > 0):
+        duration = self.duration_s
+        if not (isinstance(duration, (int, float)) and 0 < duration <= MAX_DURATION_S):
             raise ValueError(
-                f"ScenarioSpec.duration_s must be a finite number of seconds "
-                f"> 0, got {duration!r}"
+                f"ScenarioSpec.duration_s must be a number of seconds > 0 and "
+                f"<= MAX_DURATION_S ({MAX_DURATION_S:g}), got {duration!r}"
             )
         if self.shards is not None and self.shards < 2:
             raise ValueError(
@@ -604,8 +601,8 @@ class ScenarioSpec(PlainData):
     # ------------------------------------------------------------------
     @property
     def effective_duration_s(self) -> float:
-        """The run duration: the spec override or the config default."""
-        return self.config.duration_s if self.duration_s is None else self.duration_s
+        """The run duration, :attr:`duration_s` (read by the CLI and the benchmark)."""
+        return self.duration_s
 
     @cached_property
     def network_topology(self) -> TopologySpec:
@@ -623,7 +620,3 @@ class ScenarioSpec(PlainData):
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """A copy of this spec whose config carries ``seed``."""
         return replace(self, config=self.config.with_seed(seed))
-
-    def with_duration(self, duration_s: float) -> "ScenarioSpec":
-        """A copy of this spec with an overridden run duration."""
-        return replace(self, duration_s=duration_s)

@@ -132,9 +132,8 @@ def _canonical_session(
     """``decl`` with every attack, individual or cohort, rewritten by ``form``.
 
     The one walker of both canonical forms.  With a ``barrier_s`` (the
-    prefix form) churn inert before the barrier and the ``misbehaving``
-    shorthand's onset are placeheld too.  ``decl`` itself comes back when
-    nothing changes.
+    prefix form) churn inert before the barrier is placeheld too.  ``decl``
+    itself comes back when nothing changes.
     """
     changes: Dict[str, Any] = {}
     attacks = tuple(form(attack) for attack in decl.attacks)
@@ -143,8 +142,6 @@ def _canonical_session(
     population = tuple(_canonical_cohort(c, form, barrier_s) for c in decl.population)
     if population != decl.population:
         changes["population"] = population
-    if barrier_s is not None:
-        changes["attack_start_s"] = barrier_s if decl.misbehaving else 0.0
     return replace(decl, **changes) if changes else decl
 
 

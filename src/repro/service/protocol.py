@@ -49,8 +49,11 @@ __all__ = [
 #: major protocol.  2: the ``submit`` spec lost its two dumbbell-only
 #: sizing keys and the config's four link keys (a dumbbell is sized through
 #: ``topology_params``), and unknown keys are refused.  3: the two
-#: store-inspection ops (result by key, blob size by key) are gone.
-PROTOCOL_VERSION = 3
+#: store-inspection ops (result by key, blob size by key) are gone.  4: the
+#: ``submit`` spec lost three keys — a session's ``misbehaving`` and
+#: ``attack_start_s`` (its attacks are declared in ``attacks``) and the
+#: config's ``duration_s`` (the spec's ``duration_s`` is the one run length).
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one framed message.  Spec documents and result documents
 #: with recorded series are large but bounded; 64 MiB leaves headroom while

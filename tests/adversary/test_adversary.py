@@ -2,8 +2,8 @@
 
 Covers the declarative layer (AttackSpec validation and serialisation inside
 ScenarioSpec), the registry (lookup, stream isolation), strategy composition
-and scheduling on live receivers, the collusion pool, and the legacy
-``misbehaving`` translation in the scenario interpreter.
+and scheduling on live receivers, the collusion pool, and the paper's attacker
+stack (:func:`~repro.adversary.paper_attacker`) in the scenario interpreter.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.adversary import (
     AttackSpec,
     adversary_names,
     build_strategies,
+    paper_attacker,
 )
 from repro.adversary.context import CollusionPool
 from repro.adversary.strategies import (
@@ -20,16 +21,12 @@ from repro.adversary.strategies import (
     KeyGuessingStrategy,
 )
 from repro.experiments import (
-    PAPER_DEFAULTS,
     Scenario,
     ScenarioSpec,
     SessionDecl,
     attack_duel_spec,
     scenario_spec,
 )
-
-FAST = PAPER_DEFAULTS.with_duration(8.0)
-
 
 # ----------------------------------------------------------------------
 # declarative layer
@@ -44,6 +41,10 @@ class TestAttackSpec:
             AttackSpec("churn", intensity=0.0)
         with pytest.raises(ValueError):
             AttackSpec("churn", start_s=10.0, stop_s=5.0)
+        # Every onset is checked here, the paper attacker's included.
+        with pytest.raises(ValueError, match=r"AttackSpec\.start_s must be .* >= 0, got -1\.0"):
+            AttackSpec("churn", start_s=-1.0)
+        assert AttackSpec("churn", start_s=0).start_s == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameters_are_refused(self, value):
@@ -89,7 +90,7 @@ class TestAttackSpec:
                     ),
                 )
             ,),
-            config=FAST,
+            duration_s=8.0,
         )
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
@@ -100,13 +101,14 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             SessionDecl("s", receivers=2, attacks=(AttackSpec("churn", receivers=(2,)),))
 
-    def test_attacker_indices_and_onset_merge_legacy_and_declared(self):
+    def test_attacker_indices_and_onset_span_every_attack(self):
         decl = SessionDecl(
             "s",
             receivers=4,
-            misbehaving=(3,),
-            attack_start_s=9.0,
-            attacks=(AttackSpec("churn", receivers=(1,), start_s=4.0),),
+            attacks=(
+                *paper_attacker(True, start_s=9.0, receivers=(3,)),
+                AttackSpec("churn", receivers=(1,), start_s=4.0),
+            ),
         )
         assert decl.attacker_indices() == (1, 3)
         assert decl.attack_onset_s() == 4.0
@@ -175,7 +177,6 @@ def build_protected_duel(attacks, duration=8.0):
             SessionDecl("hon", receivers=1),
         ),
         duration_s=duration,
-        config=FAST,
     )
     scenario = Scenario.from_spec(spec)
     scenario.run(duration)
@@ -233,13 +234,29 @@ class TestComposition:
             assert strategy.stopped and not strategy._joined
             assert held == list(range(1, attacker.level + 1)) == [1]
 
-    def test_legacy_misbehaving_translates_to_strategy_stack(self):
+    @pytest.mark.parametrize("protected", (False, True), ids=("flid-dl", "flid-ds"))
+    def test_paper_attacker_is_the_stack_of_its_figure(self, protected):
+        """Figure 1: inflated-join.  Figure 7: bare joins beside the honest
+        pipeline, key replay and key guessing."""
+        stack = paper_attacker(protected, start_s=5.0, receivers=(0, 2))
+        figure7 = [
+            ("inflated-join", {"suppress_honest": False}),
+            ("key-replay", {}),
+            ("key-guessing", {}),
+        ]
+        expected = figure7 if protected else [("inflated-join", {})]
+        assert [(attack.strategy, dict(attack.params)) for attack in stack] == expected
+        for attack in stack:
+            assert (attack.receivers, attack.start_s, attack.stop_s) == ((0, 2), 5.0, None)
+            assert attack.intensity == 1.0
+
+    def test_paper_attacker_mounts_the_figure7_stack(self):
+        attack = paper_attacker(True, start_s=2.0, receivers=(1,))
         spec = ScenarioSpec(
-            name="legacy",
+            name="paper-ds",
             protected=True,
-            sessions=(SessionDecl("s", receivers=2, misbehaving=(1,), attack_start_s=2.0),),
+            sessions=(SessionDecl("s", receivers=2, attacks=attack),),
             duration_s=6.0,
-            config=FAST,
         )
         scenario = Scenario.from_spec(spec)
         honest, attacker = scenario.sessions[0].receivers
@@ -247,13 +264,14 @@ class TestComposition:
         names = [type(s).name for s in attacker.strategies]
         assert names == ["inflated-join", "key-replay", "key-guessing"]
 
-    def test_legacy_misbehaving_on_unprotected_protocol(self):
+    def test_paper_attacker_on_unprotected_protocol(self):
         spec = ScenarioSpec(
-            name="legacy-dl",
+            name="paper-dl",
             protected=False,
-            sessions=(SessionDecl("s", receivers=1, misbehaving=(0,), attack_start_s=2.0),),
+            sessions=(
+                SessionDecl("s", receivers=1, attacks=paper_attacker(False, start_s=2.0)),
+            ),
             duration_s=6.0,
-            config=FAST,
         )
         scenario = Scenario.from_spec(spec)
         attacker = scenario.sessions[0].receivers[0]

@@ -102,6 +102,12 @@ DELETED = {
         r"|sigma_bits_per_slot",
         ["src", "tests", "examples", "tools", "docs"],
     ),
+    # A session declares its attacks (the paper's through paper_attacker); a spec has one run length.
+    "attacker shorthand or the config's second run length": (
+        r"misbehaving=|SessionDecl\.attack_start_s|\.attack_start_s\b"
+        r"|\.with_duration\b|config\.duration_s",
+        ["src", "examples"],
+    ),
     # metrics, warmstart, shard and runner import each other at module level, in that order.
     "function-level import hiding a cycle": (
         r"^\s+from \.(runner|shard|warmstart|metrics) import",

@@ -33,7 +33,8 @@ class TestExperimentConfig:
         assert cfg.packet_bytes == 576
         assert cfg.flid_dl_slot_s == 0.5
         assert cfg.flid_ds_slot_s == 0.25
-        assert cfg.duration_s == 200.0
+        # 200-second runs: the default of the spec's one run length.
+        assert ScenarioSpec(name="d", protected=False).duration_s == 200.0
 
     def test_every_duel_dumbbell_gets_one_fair_share_per_flow(self, monkeypatch):
         """A duel's bottleneck carries one fair share per multicast session
@@ -65,11 +66,10 @@ class TestExperimentConfig:
         assert PAPER_DEFAULTS.session_spec("a", protected=False).slot_duration_s == 0.5
         assert PAPER_DEFAULTS.session_spec("a", protected=True).slot_duration_s == 0.25
 
-    def test_with_duration_and_seed(self):
-        cfg = PAPER_DEFAULTS.with_duration(30.0).with_seed(7)
-        assert cfg.duration_s == 30.0
+    def test_with_seed(self):
+        cfg = PAPER_DEFAULTS.with_seed(7)
         assert cfg.seed == 7
-        assert PAPER_DEFAULTS.duration_s == 200.0  # frozen original untouched
+        assert PAPER_DEFAULTS.seed == 0  # frozen original untouched
 
 
 #: A 500 Kbps dumbbell: one fair share for each of two flows.
@@ -124,9 +124,9 @@ class TestScenarioBuilder:
         assert scenario.cbr_sinks[0].packets_received > 0
 
     def test_scenario_from_spec_runs_for_the_spec_duration(self):
-        """A spec's duration, not its config's 200 s, ends the run."""
+        """A spec's duration, not the paper's 200 s default, ends the run."""
+        assert scenario_spec("figure8-throughput", count=1).duration_s == 200.0
         spec = scenario_spec("figure8-throughput", duration_s=6.0, count=1)
-        assert spec.config.duration_s == 200.0
         scenario = Scenario.from_spec(spec)
         assert scenario.duration_s == 6.0
         scenario.run()

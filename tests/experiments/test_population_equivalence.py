@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.adversary import AttackSpec
+from repro.adversary import AttackSpec, paper_attacker
 from repro.analysis.golden import subscription_vector
 from repro.experiments import (
     PAPER_DEFAULTS,
@@ -429,7 +429,7 @@ def test_cohorts_split_of_cohort_model_matches_single_cohort():
 def audience_duel_spec(
     protected: bool, audience, record_series: bool = False
 ) -> ScenarioSpec:
-    """An honest ``audience`` population beside one default attacker, so the
+    """An honest ``audience`` population beside the paper's attacker, so the
     metric document carries a ``protection`` block (and ``sigma`` when
     ``protected``)."""
     return ScenarioSpec(
@@ -439,7 +439,7 @@ def audience_duel_spec(
         sessions=(
             SessionDecl("aud", receivers=0, population=tuple(audience)),
             SessionDecl(
-                "atk", receivers=1, misbehaving=(0,), attack_start_s=ATTACK_START_S
+                "atk", receivers=1, attacks=paper_attacker(protected, start_s=ATTACK_START_S)
             ),
         ),
         duration_s=ATTACK_DURATION_S,

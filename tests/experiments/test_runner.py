@@ -26,7 +26,6 @@ from repro.experiments import (
 )
 from repro.experiments.runner import run_job
 
-FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -37,7 +36,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=FAST_CONFIG.with_seed(seed),
+        config=PAPER_DEFAULTS.with_seed(seed),
     )
 
 
@@ -123,7 +122,7 @@ class TestRunner:
 class TestFigure8OnRunner:
     def test_throughput_sweep_uses_runner_and_caches(self, tmp_path):
         throughput = figure("figure8abc_throughput_without_cross_traffic")
-        axes = dict(counts=(1, 2), config=FAST_CONFIG, duration_s=6.0)
+        axes = dict(counts=(1, 2), duration_s=6.0)
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         first = run_figure(throughput, runner, **axes)
         assert set(first["flid_dl_avg_kbps"]) == set(first["flid_ds_avg_kbps"]) == {1, 2}
@@ -271,12 +270,11 @@ class TestCli:
             ),
             (
                 ["figure1-attack", "--param", "attack_start_s=nan", "--duration", "12"],
-                "SessionDecl.attack_start_s must be a finite number of seconds >= 0",
+                "AttackSpec.start_s must be a finite number of seconds >= 0",
             ),
             (
                 ["figure1-attack", "--param", "attack_start_s=-1", "--duration", "12"],
-                "SessionDecl.attack_start_s must be a finite number of seconds >= 0 "
-                "(session 'F1'), got -1",
+                "AttackSpec.start_s must be a finite number of seconds >= 0, got -1",
             ),
         ],
     )

@@ -8,7 +8,7 @@ from typing import Optional
 
 import pytest
 
-from repro.adversary import AttackSpec
+from repro.adversary import AttackSpec, paper_attacker
 from repro.experiments import (
     PAPER_DEFAULTS,
     CbrDecl,
@@ -27,7 +27,14 @@ from repro.experiments import (
     scenario_spec,
 )
 from repro.experiments.config import MAX_GROUP_COUNT
-from repro.experiments.spec import canonical_json, decode, encode, unset
+from repro.experiments.spec import (
+    MAX_DURATION_S,
+    PAPER_DURATION_S,
+    canonical_json,
+    decode,
+    encode,
+    unset,
+)
 
 
 def _rich_spec() -> ScenarioSpec:
@@ -40,8 +47,7 @@ def _rich_spec() -> ScenarioSpec:
             SessionDecl(
                 "mc",
                 receivers=2,
-                misbehaving=(1,),
-                attack_start_s=10.0,
+                attacks=paper_attacker(True, start_s=10.0, receivers=(1,)),
                 receiver_start_times=(0.0, 5.0),
                 receiver_access_delays=(None, 0.02),
                 receiver_routers=("r1", None),
@@ -69,32 +75,49 @@ class TestSerialisation:
         assert reseeded.config.seed == 9
         assert reseeded.with_seed(3) == spec
 
-    def test_effective_duration_falls_back_to_config(self):
+    def test_duration_defaults_to_the_papers_200_s(self):
         spec = ScenarioSpec(name="d", protected=False, sessions=(SessionDecl("a"),))
-        assert spec.effective_duration_s == PAPER_DEFAULTS.duration_s
-        assert spec.with_duration(7.0).effective_duration_s == 7.0
+        assert spec.duration_s == spec.effective_duration_s == PAPER_DURATION_S == 200.0
+        assert dataclasses.replace(spec, duration_s=7.0).effective_duration_s == 7.0
 
 
 class TestValidation:
-    def test_misbehaving_index_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SessionDecl("bad", receivers=1, misbehaving=(2,))
-
     def test_per_receiver_lists_must_match_count(self):
         with pytest.raises(ValueError, match="one entry per receiver"):
             SessionDecl("bad", receivers=2, receiver_start_times=(0.0,))
 
     @pytest.mark.parametrize(
-        "duration_s", [float("nan"), float("inf"), float("-inf"), -5.0, 0.0]
+        "duration_s", [float("nan"), float("inf"), float("-inf"), -5.0, 0.0, 1e9, 3600.5]
     )
-    def test_duration_must_be_finite_and_positive(self, duration_s):
+    def test_duration_must_be_finite_positive_and_capped(self, duration_s):
         """A NaN horizon never ends the engine loop; a non-positive one runs
-        nothing and reports zeros.  Both are refused, through either field."""
-        spec = ScenarioSpec(name="d", protected=False, sessions=(SessionDecl("a"),))
-        with pytest.raises(ValueError, match=r"ScenarioSpec\.duration_s"):
-            spec.with_duration(duration_s)
-        with pytest.raises(ValueError, match=r"ExperimentConfig\.duration_s"):
-            dataclasses.replace(spec, config=PAPER_DEFAULTS.with_duration(duration_s))
+        nothing and reports zeros; 1e9 s held a daemon worker for as long as
+        the daemon lived.  Each is refused by name when decoded."""
+        document = ScenarioSpec(name="d", protected=False, sessions=(SessionDecl("a"),)).to_dict()
+        document["duration_s"] = duration_s
+        with pytest.raises(ValueError, match=r"ScenarioSpec\.duration_s .*MAX_DURATION_S"):
+            ScenarioSpec.from_dict(document)
+
+    def test_the_duration_cap_is_inclusive(self):
+        assert MAX_DURATION_S == 3600.0
+        assert ScenarioSpec(name="d", protected=False, duration_s=3600.0).duration_s == 3600.0
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [(("sessions", 0), "misbehaving"), (("sessions", 0), "attack_start_s"),
+         (("config",), "duration_s")],
+        ids=["session-misbehaving", "session-attack-start", "config-duration"],
+    )
+    def test_deleted_keys_are_refused_by_name(self, path, key):
+        """The attacker shorthand and the config's second run length are gone;
+        a document still carrying them names the key instead of running
+        something else."""
+        document = scenario_spec("figure1-attack", duration_s=2.0).to_dict()
+        value = {"misbehaving": [0]}.get(key, 10.0)
+        _set((*path, key), value)(document)
+        owner = "ExperimentConfig" if key == "duration_s" else "SessionDecl"
+        with pytest.raises(TypeError, match=re.escape(f"{owner} got unknown keys ['{key}']")):
+            ScenarioSpec.from_dict(document)
 
 
 #: Config values no run can finish, each under its field.  Before they were
@@ -117,7 +140,6 @@ CONFIG_MISTAKES = {
     "keys-past-the-fec-prime": ("key_bits", 64),
     "negative-warmup": ("warmup_s", -1.0),
     "nan-warmup": ("warmup_s", float("nan")),
-    "infinite-duration": ("duration_s", float("inf")),
 }
 
 
@@ -466,16 +488,12 @@ TRAFFIC_MISTAKES = {
     "tcp-nan-start": (TcpDecl, "start_s", float("nan")),
     "tcp-infinite-start": (TcpDecl, "start_s", float("inf")),
     "tcp-negative-start": (TcpDecl, "start_s", -1.0),
-    "session-nan-attack-start": (SessionDecl, "attack_start_s", float("nan")),
-    "session-negative-attack-start": (SessionDecl, "attack_start_s", -1.0),
-    "session-infinite-attack-start": (SessionDecl, "attack_start_s", float("inf")),
 }
 
 #: Where each declaration sits in :func:`_wire_spec`, and the name it has.
 TRAFFIC_PLACES = {
     CbrDecl: (("cbr", 0), "(cbr 'cbr')"),
     TcpDecl: (("tcp", 0), "(tcp 't')"),
-    SessionDecl: (("sessions", 0), "(session 'mc')"),
 }
 
 
@@ -484,7 +502,7 @@ class TestTrafficCheckedAtDeclaration:
     def test_traffic_mistake_is_refused_when_declared(self, case):
         cls, name, value = TRAFFIC_MISTAKES[case]
         _, where = TRAFFIC_PLACES[cls]
-        required = {TcpDecl: ("t",), SessionDecl: ("mc",)}.get(cls, ())
+        required = {TcpDecl: ("t",)}.get(cls, ())
         fragment = re.escape(f"{cls.__name__}.{name} must be")
         with pytest.raises(ValueError, match=fragment) as raised:
             cls(*required, **{name: value})
@@ -505,7 +523,6 @@ class TestTrafficCheckedAtDeclaration:
         # An empty window (the run ends before the burst would begin).
         assert CbrDecl(active_window=(10.0, 3.0)).active_window == (10.0, 3.0)
         assert TcpDecl("t", start_s=0).start_s == 0
-        assert SessionDecl("mc", attack_start_s=0.0).attack_start_s == 0.0
 
 
 class TestVectorChurnRejection:
@@ -585,8 +602,6 @@ SAMPLES = {
     SessionDecl: dict(
         session_id="other",
         receivers=3,
-        misbehaving=(1,),
-        attack_start_s=3.0,
         attacks=(AttackSpec("churn", receivers=(1,)),),
         receiver_start_times=(0.0, 1.0),
         receiver_access_delays=(None, 0.02),
@@ -729,7 +744,7 @@ class TestSpelledOnce:
         noted = Annotated("s", receivers=2, note="hello", weight=3)
         assert noted.to_dict()["note"] == "hello"
         assert Annotated.from_dict(noted.to_dict()) == noted
-        assert decode(Annotated, {"session_id": "s", "misbehaving": []}) == Annotated("s")
+        assert decode(Annotated, {"session_id": "s", "attacks": []}) == Annotated("s")
         with pytest.raises(TypeError, match="Annotated.weight: expected float"):
             Annotated.from_dict({"session_id": "s", "weight": "3"})
 

@@ -22,24 +22,23 @@ from repro.experiments import PAPER_DEFAULTS, figure, list_figures, run_figure
 
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-BENCH = PAPER_DEFAULTS.with_duration(60.0)
 FAIR_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
 JOIN_TIMES_S = (0.0, 10.0, 20.0, 30.0)
 
 #: Figure name -> the axes its table is run at.
 SCALE = {
-    "figure1_flid_dl_attack": dict(config=BENCH, attack_start_s=30.0, duration_s=60.0),
-    "figure7_flid_ds_protection": dict(config=BENCH, attack_start_s=30.0, duration_s=60.0),
+    "figure1_flid_dl_attack": dict(attack_start_s=30.0, duration_s=60.0),
+    "figure7_flid_ds_protection": dict(attack_start_s=30.0, duration_s=60.0),
     "figure8abc_throughput_without_cross_traffic": dict(
-        config=BENCH, counts=(1, 2, 4), duration_s=40.0
+        counts=(1, 2, 4), duration_s=40.0
     ),
     "figure8d_throughput_with_cross_traffic": dict(
-        config=BENCH, counts=(1, 2), duration_s=40.0
+        counts=(1, 2), duration_s=40.0
     ),
-    "figure8e_responsiveness": dict(config=BENCH, burst_window=(25.0, 45.0), duration_s=70.0),
-    "figure8f_heterogeneous_rtt": dict(config=BENCH, receiver_count=10, duration_s=60.0),
-    "figure8gh_convergence": dict(config=BENCH, join_times_s=JOIN_TIMES_S, duration_s=50.0),
-    "figure9_measured_overhead_matches_model": dict(config=BENCH, duration_s=15.0),
+    "figure8e_responsiveness": dict(burst_window=(25.0, 45.0), duration_s=70.0),
+    "figure8f_heterogeneous_rtt": dict(receiver_count=10, duration_s=60.0),
+    "figure8gh_convergence": dict(join_times_s=JOIN_TIMES_S, duration_s=50.0),
+    "figure9_measured_overhead_matches_model": dict(duration_s=15.0),
     "figure9a_overhead_vs_group_count": {},
     "figure9b_overhead_vs_slot_duration": {},
 }

@@ -4,7 +4,8 @@ These tests are the unit-level counterpart of Figures 1 and 7: the attack
 must succeed against IGMP-managed FLID-DL and fail against SIGMA-managed
 FLID-DS.  Attackers are the ordinary receivers with a strategy stack passed
 as ``strategies=`` — the same stacks the scenario interpreter assembles for
-a ``misbehaving=`` declaration.
+a session's ``attacks`` (:func:`~repro.adversary.paper_attacker` spells out
+the paper's own).
 """
 
 from repro.adversary import AttackSpec, StrategyStack, build_strategies

@@ -10,30 +10,29 @@ so this holds across processes.
 
 import pytest
 
-from repro.adversary import AttackSpec
+from repro.adversary import AttackSpec, paper_attacker
 from repro.experiments import (
     CohortDecl,
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
     TcpDecl,
     execute_spec,
 )
 
-FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
-
-
 def dumbbell_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="determinism-dumbbell",
         protected=True,
         topology_params={"bottleneck_bandwidth_bps": 500_000.0},
-        sessions=(SessionDecl("mc", receivers=2, misbehaving=(1,), attack_start_s=2.0),),
+        sessions=(
+            SessionDecl(
+                "mc", receivers=2, attacks=paper_attacker(True, start_s=2.0, receivers=(1,))
+            ),
+        ),
         tcp=(TcpDecl("t1"),),
         duration_s=6.0,
         record_series=True,
-        config=FAST_CONFIG,
     )
 
 
@@ -49,10 +48,9 @@ def cohort_spec() -> ScenarioSpec:
                 receivers=0,
                 population=(CohortDecl(400),),
             ),
-            SessionDecl("rogue", receivers=1, misbehaving=(0,), attack_start_s=2.0),
+            SessionDecl("rogue", receivers=1, attacks=paper_attacker(True, start_s=2.0)),
         ),
         duration_s=6.0,
-        config=FAST_CONFIG,
     )
 
 
@@ -68,7 +66,6 @@ def vector_spec() -> ScenarioSpec:
         edges=4,
         duration_s=6.0,
         attack_start_s=2.0,
-        config=FAST_CONFIG,
     )
     return spec
 
@@ -81,7 +78,6 @@ def parking_lot_spec() -> ScenarioSpec:
         topology_params={"hops": 2, "bottleneck_bandwidth_bps": 500_000.0},
         sessions=(SessionDecl("mc", receivers=2, receiver_routers=("r1", "r2")),),
         duration_s=6.0,
-        config=FAST_CONFIG,
     )
 
 
@@ -157,8 +153,7 @@ def attack_grid_specs():
                     SessionDecl("hon", receivers=1),
                 ),
                 duration_s=6.0,
-                config=FAST_CONFIG,
-            )
+                    )
         )
     return specs
 

@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments import PAPER_DEFAULTS, ScenarioSpec, SessionDecl, TcpDecl
+from repro.experiments import ScenarioSpec, SessionDecl, TcpDecl
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -48,7 +48,6 @@ def replication_heavy_spec() -> ScenarioSpec:
         tcp=(TcpDecl("t1"),),
         duration_s=6.0,
         record_series=True,
-        config=PAPER_DEFAULTS.with_duration(6.0),
     )
 
 

@@ -18,9 +18,9 @@ tests pin down the safety contract:
 import hashlib
 import json
 
+from repro.adversary import paper_attacker
 from repro.experiments import (
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
     execute_spec,
@@ -279,9 +279,6 @@ class TestMovingThePacket:
         assert moved_acquisitions < copied_acquisitions / 2
 
 
-FAST_CONFIG = PAPER_DEFAULTS.with_duration(6.0)
-
-
 def pooled_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="zero-copy-monitor-determinism",
@@ -289,11 +286,10 @@ def pooled_spec() -> ScenarioSpec:
         topology_params={"bottleneck_bandwidth_bps": 500_000.0},
         sessions=(
             SessionDecl("mc1", receivers=2),
-            SessionDecl("mc2", receivers=1, misbehaving=(0,), attack_start_s=2.0),
+            SessionDecl("mc2", receivers=1, attacks=paper_attacker(True, start_s=2.0)),
         ),
         duration_s=6.0,
         record_series=True,
-        config=FAST_CONFIG,
     )
 
 

@@ -7,9 +7,11 @@ test files and ``conftest.py`` use literally the same harness.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -105,8 +107,50 @@ def spawn_daemon(base, started, jobs=1, cache_dir=None, extra_args=(), name="d")
     return DaemonHandle(proc, socket_path, cache)
 
 
+def _cmdline(pid):
+    """Process ``pid``'s command line, or ``None`` once it has ended.
+
+    A zombie counts as ended: it runs nothing, and whoever inherited it
+    reaps it.
+    """
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return None
+    return None if stat.rpartition(")")[2].split()[0] == "Z" else cmdline
+
+
+def live(pid):
+    """True while process ``pid`` runs."""
+    return _cmdline(pid) is not None
+
+
+def worker_pids(pid):
+    """The running children of process ``pid``: a daemon's pool workers."""
+    children = []
+    for listing in sorted(Path(f"/proc/{pid}/task").glob("*/children")):
+        try:
+            children += [int(child) for child in listing.read_text().split()]
+        except OSError:
+            pass
+    return sorted(child for child in children if live(child))
+
+
 def reap_daemons(started):
-    """Terminate (then kill) every daemon a factory fixture started."""
+    """Terminate (then kill) every daemon a factory fixture started, then
+    kill whatever pool worker of theirs still runs.
+
+    The workers are listed first: once its daemon is gone a worker is
+    nobody's child.  A worker is killed only while it still runs the
+    command line it was listed with, so a recycled pid is left alone.
+    """
+    workers = [
+        (worker, _cmdline(worker))
+        for proc in started
+        if proc.poll() is None
+        for worker in worker_pids(proc.pid)
+    ]
     for proc in started:
         if proc.poll() is None:
             proc.terminate()
@@ -116,6 +160,10 @@ def reap_daemons(started):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10)
+    for worker, cmdline in workers:
+        if cmdline is not None and _cmdline(worker) == cmdline:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
 
 
 class AsyncConn:

@@ -47,7 +47,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_duration(6.0).with_seed(seed),
+        config=PAPER_DEFAULTS.with_seed(seed),
     )
 
 

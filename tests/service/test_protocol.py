@@ -46,10 +46,12 @@ class TestDecode:
 
 
 class TestConstants:
-    def test_protocol_version_is_three(self):
-        """3: the two store-inspection ops are gone (2: the submit spec lost
-        its dumbbell-only keys and refuses unknown ones)."""
-        assert PROTOCOL_VERSION == 3
+    def test_protocol_version_is_four(self):
+        """4: the submit spec lost a session's ``misbehaving`` and
+        ``attack_start_s`` and the config's ``duration_s`` (3: the two
+        store-inspection ops are gone; 2: the submit spec lost its
+        dumbbell-only keys and refuses unknown ones)."""
+        assert PROTOCOL_VERSION == 4
 
     def test_message_bound_fits_large_result_documents(self):
         # A recorded-series result document is ~1 MiB; the bound leaves a

@@ -46,7 +46,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_duration(6.0).with_seed(seed),
+        config=PAPER_DEFAULTS.with_seed(seed),
     )
 
 
@@ -286,8 +286,9 @@ class TestProtocolErrorHandling:
             assert f"{name} must be an integer" in rejected["reason"], rejected
 
     def test_unusable_duration_is_rejected_before_admission(self, daemon):
-        """A NaN horizon used to hold a worker until its timeout killed it."""
-        unusable = [float("nan"), float("inf"), -5.0, 0.0]
+        """A NaN horizon used to hold a worker until its timeout killed it,
+        and a 1e9-s one for as long as the daemon lived."""
+        unusable = [float("nan"), float("inf"), -5.0, 0.0, 1e9]
 
         async def scenario(conn):
             rejections = []
@@ -437,14 +438,26 @@ class TestProtocolErrorHandling:
             ({"tcp": [{"name": "t", "start_s": float("nan")}]}, "TcpDecl.start_s must be"),
             ({"tcp": [{"name": "t", "start_s": -1.0}]}, "TcpDecl.start_s must be"),
             (
-                {"sessions": [{"session_id": "mc", "attack_start_s": float("nan")}]},
-                "SessionDecl.attack_start_s must be",
+                {"sessions": [{"session_id": "mc", "attacks": [
+                    {"strategy": "inflated-join", "start_s": -1.0}
+                ]}]},
+                "AttackSpec.start_s must be a finite number of seconds >= 0",
             ),
             (
                 {**sharded, "tcp": [{"name": "t"}]},
                 "TCP/CBR cross traffic couples regions; cannot shard",
             ),
             ({"durration_s": 5}, "unknown keys ['durration_s']"),
+            # Retired: the attacker shorthand and the config's second run length.
+            (
+                {"sessions": [{"session_id": "mc", "misbehaving": [0]}]},
+                "SessionDecl got unknown keys ['misbehaving']",
+            ),
+            (
+                {"sessions": [{"session_id": "mc", "attack_start_s": 10.0}]},
+                "SessionDecl got unknown keys ['attack_start_s']",
+            ),
+            ({"config": {"duration_s": 10.0}}, "ExperimentConfig got unknown keys ['duration_s']"),
             ({"expected_" "sessions": 4}, "unknown keys ['expected_" "sessions']"),
         ]
 

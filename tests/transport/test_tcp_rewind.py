@@ -8,7 +8,7 @@ two levels: the state machine's rewind itself, and end-to-end recovery of a
 flow that loses a whole window to a CBR burst.
 """
 
-from repro.experiments import PAPER_DEFAULTS, Scenario, ScenarioSpec, CbrDecl, TcpDecl
+from repro.experiments import Scenario, ScenarioSpec, CbrDecl, TcpDecl
 from repro.simulator.topology import NetworkGraph, dumbbell_topology
 from repro.transport.tcp import TcpConnection
 
@@ -60,7 +60,6 @@ class TestGoBackNRewind:
 
     def test_flow_recovers_from_burst_loss_within_bounded_rtos(self):
         """End to end: a window-wiping CBR burst must not starve the flow."""
-        config = PAPER_DEFAULTS.with_duration(40.0)
         spec = ScenarioSpec(
             name="tcp-burst-recovery",
             protected=False,
@@ -76,7 +75,6 @@ class TestGoBackNRewind:
                 ),
             ),
             duration_s=40.0,
-            config=config,
         )
         scenario = Scenario.from_spec(spec)
         scenario.run(40.0)
