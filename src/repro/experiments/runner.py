@@ -239,18 +239,21 @@ def _exit_with_parent(parent_pid: int) -> None:
     os._exit(1)
 
 
-def _init_worker(parent_pid: int) -> None:
-    """Give a pool worker a fresh interpreter's signal handling, tied to its parent.
+def _init_worker() -> None:
+    """Give a pool worker default signal handling, tied to its parent.
 
     A fork-started worker inherits the daemon's asyncio SIGTERM/SIGINT
     handlers and their wakeup socket, through which a signal sent to one
-    worker would drain the whole daemon.  A watcher thread ends the worker
-    once ``parent_pid`` is gone, so a SIGKILLed parent leaves no orphan.
+    worker would drain the whole daemon.  With the default handlers a
+    signalled worker dies, and the pool's crash retry reruns its job.  A
+    watcher thread ends the worker once the process that started it is gone
+    (the daemon under fork, the forkserver otherwise, which exits with the
+    daemon), so a SIGKILLed daemon leaves no orphan.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    threading.Thread(target=_exit_with_parent, args=(parent_pid,), daemon=True).start()
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
 
 
 class JobExecutor:
@@ -313,9 +316,7 @@ class JobExecutor:
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_init_worker, initargs=(os.getpid(),)
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs, initializer=_init_worker)
         return self._pool
 
     def _rebuild(self, generation: int, kill: bool = False) -> None:

@@ -153,7 +153,7 @@ def attack_grid_specs():
                     SessionDecl("hon", receivers=1),
                 ),
                 duration_s=6.0,
-                    )
+            )
         )
     return specs
 
