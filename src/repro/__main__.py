@@ -56,6 +56,7 @@ from .experiments import (
     prune_cache,
     scenario_entry,
 )
+from .experiments.spec import MAX_DURATION_S
 from .simulator.topology import TOPOLOGIES
 
 
@@ -250,9 +251,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{entry.name}: {entry.description}")
     print(
         f"topology={spec.topology} protected={spec.protected} "
-        f"duration={spec.effective_duration_s:g}s seeds={args.seeds} jobs={args.jobs}"
+        f"duration={spec.duration_s:g}s seeds={args.seeds} jobs={args.jobs}"
     )
-    simulated_s = spec.effective_duration_s * runner.cache_misses
+    simulated_s = spec.duration_s * runner.cache_misses
     print(_format_run_cost(results, wall_s, simulated_s, runner.cache_hits))
     print(
         f"cache: {runner.cache_hits} hit(s), {runner.cache_misses} miss(es); "
@@ -437,7 +438,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     entry, spec = resolved
     spec = spec.with_seed(args.seed)
-    duration = spec.effective_duration_s
+    duration = spec.duration_s
     scenario = Scenario.from_spec(spec)
     sim = scenario.network.sim
 
@@ -571,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--timeout",
         type=float,
-        default=None,
-        help="default per-job wall-clock budget (s)",
+        default=MAX_DURATION_S,
+        help=f"default per-job wall-clock budget (s; default MAX_DURATION_S = {MAX_DURATION_S:g})",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, help="pending-cell admission bound"

@@ -66,7 +66,7 @@ def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
     from ..experiments.warmstart import run_scenario
 
     scenario = run_scenario(spec)
-    duration = spec.effective_duration_s
+    duration = spec.duration_s
     metrics = collect_metrics(scenario, spec)
 
     sessions: Dict[str, Any] = {}

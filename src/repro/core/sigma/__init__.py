@@ -6,9 +6,9 @@ session-join / subscription / unsubscription messages, grace windows for new
 receivers and newly joined groups, and slot-boundary enforcement.
 """
 
-from .distributor import SigmaKeyDistributor
+from .distributor import SYMBOLS_PER_PACKET, SigmaKeyDistributor
 from .host_interface import SigmaHostInterface
-from .key_table import RouterKeyTable
+from .key_table import RETAINED_SLOTS, RouterKeyTable
 from .messages import (
     ANNOUNCEMENT_HEADER,
     KeyAnnouncement,
@@ -17,7 +17,13 @@ from .messages import (
     SubscriptionMessage,
     UnsubscriptionMessage,
 )
-from .router_agent import AccessRecord, SigmaConfig, SigmaRouterAgent
+from .router_agent import (
+    GUESS_ALARM_THRESHOLD,
+    NEW_GROUP_GRACE_SLOTS,
+    SESSION_JOIN_GRACE_SLOTS,
+    AccessRecord,
+    SigmaRouterAgent,
+)
 
 __all__ = [
     "SigmaKeyDistributor",
@@ -30,6 +36,10 @@ __all__ = [
     "SubscriptionMessage",
     "UnsubscriptionMessage",
     "AccessRecord",
-    "SigmaConfig",
     "SigmaRouterAgent",
+    "SESSION_JOIN_GRACE_SLOTS",
+    "NEW_GROUP_GRACE_SLOTS",
+    "GUESS_ALARM_THRESHOLD",
+    "RETAINED_SLOTS",
+    "SYMBOLS_PER_PACKET",
 ]

@@ -36,6 +36,10 @@ __all__ = ["SigmaKeyDistributor"]
 #: ``h`` term of the §5.4 overhead expression at a typical IP+UDP cost.
 SPECIAL_PACKET_HEADER_BYTES = 28
 
+#: Coded symbols carried by one special packet; a longer announcement is
+#: split over several packets.
+SYMBOLS_PER_PACKET = 16
+
 
 class SigmaKeyDistributor:
     """Builds and multicasts the per-slot key announcements of one session."""
@@ -46,18 +50,14 @@ class SigmaKeyDistributor:
         session_id: str,
         group_addresses: Sequence[GroupAddress],
         key_bits: int = 16,
-        symbols_per_packet: int = 16,
         overhead: Optional[OverheadAccumulator] = None,
     ) -> None:
         if not group_addresses:
             raise ValueError("a session needs at least one group address")
-        if symbols_per_packet < 1:
-            raise ValueError("symbols_per_packet must be positive")
         self.host = host
         self.session_id = session_id
         self.group_addresses = list(group_addresses)
         self.key_bits = key_bits
-        self.symbols_per_packet = symbols_per_packet
         self.overhead = overhead
         self._erasure = ErasureCode()
         self.announcements_sent = 0
@@ -111,8 +111,8 @@ class SigmaKeyDistributor:
         source_symbols = announcement.to_ints()
         coded = self._erasure.encode(source_symbols)
         packets: List[Packet] = []
-        for start in range(0, len(coded), self.symbols_per_packet):
-            chunk = coded[start : start + self.symbols_per_packet]
+        for start in range(0, len(coded), SYMBOLS_PER_PACKET):
+            chunk = coded[start : start + SYMBOLS_PER_PACKET]
             packet = self._base_packet(self._packet_size_bytes(len(chunk)))
             packet.headers[ANNOUNCEMENT_HEADER] = {
                 "session_id": self.session_id,

@@ -7,7 +7,7 @@ that a submitted key either matches one of the stored keys for (slot, group)
 or it does not (Requirement 3).
 
 Old slots are pruned as the slot clock advances so the table stays bounded by
-``groups × retained_slots`` regardless of session length.
+``groups × RETAINED_SLOTS`` regardless of session length.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ from typing import Dict, Sequence, Set, Tuple
 from ...simulator.address import GroupAddress
 from .messages import ABSENT_KEY, KeyAnnouncement
 
-__all__ = ["RouterKeyTable"]
+__all__ = ["RouterKeyTable", "RETAINED_SLOTS"]
+
+#: Governed slots of key material a router keeps: the current slot and the
+#: five before it (keys for slots still ahead are always kept).
+RETAINED_SLOTS = 6
 
 
 class RouterKeyTable:
     """Maps ``(governed slot, group address)`` to the set of accepted keys."""
 
-    def __init__(self, retained_slots: int = 6) -> None:
-        if retained_slots < 2:
-            raise ValueError("retained_slots must be at least 2")
-        self.retained_slots = retained_slots
+    def __init__(self) -> None:
         self._table: Dict[Tuple[int, int], Set[int]] = {}
         self.entries_stored = 0
         self.lookups = 0
@@ -66,6 +67,6 @@ class RouterKeyTable:
         return len(stale)
 
     def prune_for_current_slot(self, current_slot: int) -> int:
-        """Retain only the last ``retained_slots`` slots relative to ``current_slot``."""
-        return self.prune_before(current_slot - self.retained_slots + 1)
+        """Retain only the last :data:`RETAINED_SLOTS` slots up to ``current_slot``."""
+        return self.prune_before(current_slot - RETAINED_SLOTS + 1)
 

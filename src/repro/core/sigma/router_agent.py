@@ -35,24 +35,23 @@ from .messages import (
     UnsubscriptionMessage,
 )
 
-__all__ = ["SigmaConfig", "SigmaRouterAgent", "AccessRecord"]
+__all__ = [
+    "SigmaRouterAgent",
+    "AccessRecord",
+    "SESSION_JOIN_GRACE_SLOTS",
+    "NEW_GROUP_GRACE_SLOTS",
+    "GUESS_ALARM_THRESHOLD",
+]
 
-
-@dataclass
-class SigmaConfig:
-    """Tunable behaviour of a SIGMA edge router."""
-
-    #: Complete time slots of unrestricted access granted to a new receiver
-    #: joining the session's minimal group without a key (§3.2.2).
-    session_join_grace_slots: int = 2
-    #: Extra slots of unconditional forwarding after a key-validated join of a
-    #: group the interface was not yet receiving ("expected group" rule).
-    new_group_grace_slots: int = 1
-    #: Number of invalid keys from one interface for one (group, slot) that
-    #: raises the guessing-attack alarm (§4.2).
-    guess_alarm_threshold: int = 8
-    #: How many governed slots of key material the router retains.
-    retained_slots: int = 6
+#: Complete time slots of unrestricted access granted to a new receiver
+#: joining the session's minimal group without a key (§3.2.2).
+SESSION_JOIN_GRACE_SLOTS = 2
+#: Extra slots of unconditional forwarding after a key-validated join of a
+#: group the interface was not yet receiving ("expected group" rule).
+NEW_GROUP_GRACE_SLOTS = 1
+#: Number of invalid keys from one interface for one (group, slot) that
+#: raises the guessing-attack alarm (§4.2).
+GUESS_ALARM_THRESHOLD = 8
 
 
 @dataclass
@@ -79,13 +78,11 @@ class SigmaRouterAgent:
         router: Router,
         multicast: MulticastRoutingService,
         slot_clock: SlotClock,
-        config: Optional[SigmaConfig] = None,
     ) -> None:
         self.router = router
         self.multicast = multicast
         self.slot_clock = slot_clock
-        self.config = config or SigmaConfig()
-        self.key_table = RouterKeyTable(retained_slots=self.config.retained_slots)
+        self.key_table = RouterKeyTable()
         self._erasure = ErasureCode()
         #: (host name, group value) -> access record
         self._access: Dict[Tuple[str, int], AccessRecord] = {}
@@ -150,7 +147,7 @@ class SigmaRouterAgent:
         self.session_joins += message.member_count
         self._hosts[host.name] = host
         record = self._record_for(host, message.minimal_group)
-        grace = self.slot_clock.current_slot + self.config.session_join_grace_slots
+        grace = self.slot_clock.current_slot + SESSION_JOIN_GRACE_SLOTS
         record.grace_until_slot = max(record.grace_until_slot, grace)
         self._start_forwarding(host, record)
 
@@ -171,7 +168,7 @@ class SigmaRouterAgent:
                 record = self._record_for(host, group)
                 record.granted_slots.add(message.slot)
                 if not record.forwarding:
-                    grace = message.slot + self.config.new_group_grace_slots
+                    grace = message.slot + NEW_GROUP_GRACE_SLOTS
                     record.grace_until_slot = max(record.grace_until_slot, grace)
                     self._start_forwarding(host, record)
             else:
@@ -235,9 +232,11 @@ class SigmaRouterAgent:
         self._prune_access(slot)
 
     def _prune_access(self, slot: int) -> None:
-        horizon = slot - self.config.retained_slots
+        # ``AccessRecord.allows`` is read only by ``_on_slot_start``, in
+        # increasing slot order and before this prune, so a grant for the
+        # current slot or an earlier one is never read again.
         for record in self._access.values():
-            record.granted_slots = {s for s in record.granted_slots if s >= horizon}
+            record.granted_slots = {s for s in record.granted_slots if s > slot}
 
     # ------------------------------------------------------------------
     # internals
@@ -263,7 +262,7 @@ class SigmaRouterAgent:
     def _note_invalid(self, host: Host, group: GroupAddress, slot: int) -> None:
         key = (host.name, int(group), slot)
         self._guess_counts[key] = self._guess_counts.get(key, 0) + 1
-        if self._guess_counts[key] == self.config.guess_alarm_threshold:
+        if self._guess_counts[key] == GUESS_ALARM_THRESHOLD:
             self.guess_alarms += 1
 
     # ------------------------------------------------------------------

@@ -30,18 +30,18 @@ KEY_PIPELINE_DEPTH = 2
 class SlotClock:
     """Divides simulated time into fixed-length slots and fires callbacks.
 
-    The slot containing time ``t`` has index ``floor((t - origin) / duration)``.
+    Slot 0 starts at simulated time 0, so the slot containing time ``t`` has
+    index ``floor(t / duration)``.
     Callbacks registered with :meth:`on_slot_start` run at the beginning of
     every slot, in registration order, after the clock has advanced its own
     notion of the current slot.
     """
 
-    def __init__(self, sim: Simulator, duration_s: float, origin_s: float = 0.0) -> None:
+    def __init__(self, sim: Simulator, duration_s: float) -> None:
         if duration_s <= 0:
             raise ValueError(f"slot duration must be positive (got {duration_s})")
         self.sim = sim
         self.duration_s = duration_s
-        self.origin_s = origin_s
         self._callbacks: List[Callable[[int], None]] = []
         self._started = False
 
@@ -51,9 +51,7 @@ class SlotClock:
     def slot_of(self, time_s: Optional[float] = None) -> int:
         """Slot index containing ``time_s`` (defaults to the current time)."""
         t = self.sim.now if time_s is None else time_s
-        if t < self.origin_s:
-            return -1
-        return int((t - self.origin_s) / self.duration_s)
+        return int(t / self.duration_s)
 
     @property
     def current_slot(self) -> int:
@@ -61,7 +59,7 @@ class SlotClock:
 
     def start_of(self, slot: int) -> float:
         """Absolute simulated time at which ``slot`` begins."""
-        return self.origin_s + slot * self.duration_s
+        return slot * self.duration_s
 
     def end_of(self, slot: int) -> float:
         """Absolute simulated time at which ``slot`` ends."""

@@ -100,6 +100,10 @@ class ExperimentConfig:
                     f"ExperimentConfig.{name} must be a finite number {bound}, got {value!r}"
                 )
 
+    def slot_s(self, protected: bool) -> float:
+        """Slot length of the protocol a run uses: FLID-DS if ``protected``, else FLID-DL."""
+        return self.flid_ds_slot_s if protected else self.flid_dl_slot_s
+
     def session_spec(self, session_id: str, protected: bool) -> SessionSpec:
         """Session description for one FLID-DL (unprotected) or FLID-DS session."""
         return SessionSpec(
@@ -108,7 +112,7 @@ class ExperimentConfig:
             base_rate_bps=self.base_rate_bps,
             rate_factor=self.rate_factor,
             packet_bytes=self.packet_bytes,
-            slot_duration_s=self.flid_ds_slot_s if protected else self.flid_dl_slot_s,
+            slot_duration_s=self.slot_s(protected),
         )
 
     def with_seed(self, seed: int) -> "ExperimentConfig":

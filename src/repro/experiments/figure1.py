@@ -88,7 +88,7 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
     }
     warmup = spec.config.warmup_s
     attack_start = spec.sessions[0].attack_onset_s()
-    duration = spec.effective_duration_s
+    duration = spec.duration_s
     if attack_start >= duration:
         raise ValueError(
             f"attack onset {attack_start} s leaves no attack window in a "

@@ -192,7 +192,7 @@ def _responsiveness_table(
         table[f"{_variant(spec)}_kbps"] = {
             "before": series_kbps(bins, spec.config.warmup_s, start),
             "during": series_kbps(bins, start + 5.0, end),
-            "after": series_kbps(bins, end + 10.0, spec.effective_duration_s),
+            "after": series_kbps(bins, end + 10.0, spec.duration_s),
         }
     return table
 
@@ -312,7 +312,7 @@ def _convergence_table(
             "convergence_time_s": convergence_time(
                 session["series"]["levels"],
                 start_s=max(spec.sessions[0].receiver_start_times),
-                end_s=spec.effective_duration_s,
+                end_s=spec.duration_s,
             ),
         }
     return table

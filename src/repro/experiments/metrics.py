@@ -73,7 +73,7 @@ class RunResult(PlainData):
             scenario=spec.name,
             seed=spec.seed,
             protected=spec.protected,
-            duration_s=spec.effective_duration_s,
+            duration_s=spec.duration_s,
             metrics=metrics,
         )
 
@@ -90,7 +90,7 @@ def attack_onsets(spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
     Always computed from the *whole* spec — a region sub-spec may omit
     sessions, which would shift the global onset.
     """
-    duration = spec.effective_duration_s
+    duration = spec.duration_s
     session_onsets = {
         decl.session_id: onset
         for decl in spec.sessions
@@ -166,7 +166,7 @@ def collect_ingredients(
     ``(time, level)`` history, and ``tcp_series`` every connection's bins.
     """
     config = spec.config
-    duration = spec.effective_duration_s
+    duration = spec.duration_s
     warmup = config.warmup_s
     sessions: List[Dict[str, Any]] = []
     for decl, session in zip(spec.sessions, scenario.sessions):

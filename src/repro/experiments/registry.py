@@ -179,11 +179,11 @@ def run_figure(
 def series_kbps(bins: Collection[Tuple[int, int]], start_s: float, end_s: float) -> float:
     """Average Kbps over [start_s, end_s] of one recorded series' bins.
 
-    Every monitor a scenario builds bins by the second, so this is
-    :meth:`~repro.simulator.monitors.ThroughputMonitor.average_rate_kbps`
+    Every monitor bins by :data:`~repro.simulator.monitors.BIN_WIDTH_S`, so
+    this is :meth:`~repro.simulator.monitors.ThroughputMonitor.average_rate_kbps`
     of the live monitor, to the bit.
     """
-    return window_rate_bps(bins, 1.0, start_s, end_s) / 1e3
+    return window_rate_bps(bins, start_s, end_s) / 1e3
 
 
 # ----------------------------------------------------------------------

@@ -140,7 +140,7 @@ def run_job(job: Tuple[str, str]) -> str:
         # edges stands for another.
         scenario = Scenario.from_spec(spec, ())
         scenario.network.multicast.membership_log = []
-        scenario.run(spec.effective_duration_s)
+        scenario.run(spec.duration_s)
         region = collect_ingredients(scenario, spec, document["onsets"])
         region["region"] = document["region"]
         region["boundary"] = [

@@ -68,7 +68,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 15
+CHECKPOINT_VERSION = 16
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
@@ -280,7 +280,7 @@ class Scenario:
         protected = self.protected = spec.protected
         #: What :meth:`run` defaults to: the duration of the spec the
         #: scenario was built from or last rebound to (:meth:`rebind_spec`).
-        self.duration_s = spec.effective_duration_s
+        self.duration_s = spec.duration_s
         topology = spec.network_topology
         #: The declared receiver edges, built or not: placement spreads over
         #: these, in topology order.
@@ -314,7 +314,7 @@ class Scenario:
         if protected:
             # One slot clock drives every edge agent so all receiver-side
             # routers revoke/grant on the same slot boundaries (§3.2).
-            self.slot_clock = SlotClock(self.network.sim, config.flid_ds_slot_s)
+            self.slot_clock = SlotClock(self.network.sim, config.slot_s(protected))
             for router in self.network.receiver_edge_routers:
                 self.sigma_agents.append(
                     SigmaRouterAgent(router, self.network.multicast, self.slot_clock)
@@ -612,7 +612,7 @@ class Scenario:
         keep their initial-population booking because an inert process never
         changed the population before the barrier.
         """
-        self.duration_s = spec.effective_duration_s
+        self.duration_s = spec.duration_s
         for decl, session in zip(spec.sessions, self.sessions):
             individual_attacks, block_attacks = self._declared_attacks(decl)
             for r_index, attacks in individual_attacks.items():

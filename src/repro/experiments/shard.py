@@ -168,13 +168,11 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
         )
         for region, shares in enumerate(regional)
     ]
-    config = spec.config
-    slot_s = config.flid_ds_slot_s if spec.protected else config.flid_dl_slot_s
     return ShardPlan(
         spec=spec,
         topology=topology,
         regions=tuple(region_plans),
-        slot_s=slot_s,
+        slot_s=spec.config.slot_s(spec.protected),
         onsets=attack_onsets(spec),
     )
 

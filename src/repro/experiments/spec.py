@@ -601,7 +601,7 @@ class ScenarioSpec(PlainData):
     # ------------------------------------------------------------------
     @property
     def effective_duration_s(self) -> float:
-        """The run duration, :attr:`duration_s` (read by the CLI and the benchmark)."""
+        """:attr:`duration_s` under the name ``benchmarks/e2e`` reads; nothing else reads it."""
         return self.duration_s
 
     @cached_property

@@ -231,9 +231,8 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
     ]
     if not onsets:
         return None
-    duration = spec.effective_duration_s
-    config = spec.config
-    slot_s = config.flid_ds_slot_s if spec.protected else config.flid_dl_slot_s
+    duration = spec.duration_s
+    slot_s = spec.config.slot_s(spec.protected)
     divergence = min(min(onsets), duration)
     slots = int(divergence / slot_s + 1e-9)
     barrier_s = slots * slot_s
@@ -371,5 +370,5 @@ def run_scenario(
     else:
         scenario, _reused = _ensure_checkpoint(warm)
         scenario.rebind_spec(spec)
-    scenario.run(spec.effective_duration_s)
+    scenario.run(spec.duration_s)
     return scenario

@@ -61,7 +61,6 @@ class FlidDlReceiver(LayeredReceiverBase):
         counts: Sequence[int] = (1,),
         strategies: Optional[Any] = None,
         churn: Optional[ChurnProcess] = None,
-        bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
         super().__init__(
@@ -70,7 +69,6 @@ class FlidDlReceiver(LayeredReceiverBase):
             counts=counts,
             strategies=strategies,
             churn=churn,
-            bin_width_s=bin_width_s,
             name=name,
         )
         self.network = network

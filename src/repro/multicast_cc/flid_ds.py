@@ -123,7 +123,6 @@ class FlidDsReceiver(LayeredReceiverBase):
         strategies: Optional[Any] = None,
         churn: Optional[ChurnProcess] = None,
         key_bits: int = 16,
-        bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
         super().__init__(
@@ -132,7 +131,6 @@ class FlidDsReceiver(LayeredReceiverBase):
             counts=counts,
             strategies=strategies,
             churn=churn,
-            bin_width_s=bin_width_s,
             name=name,
         )
         self.network = network

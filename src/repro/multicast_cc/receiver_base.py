@@ -91,7 +91,6 @@ class LayeredReceiverBase(PacketAgent):
         counts: Sequence[int] = (1,),
         strategies: Optional[Any] = None,
         churn: Optional[ChurnProcess] = None,
-        bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
         """Stand for ``sum(counts)`` homogeneous members behind ``host``.
@@ -121,7 +120,7 @@ class LayeredReceiverBase(PacketAgent):
         self.spec = spec
         self.sim = host.sim
         self.name = name or f"{spec.session_id}-rx-{host.name}"
-        self.monitor = ThroughputMonitor(self.sim, bin_width_s=bin_width_s, name=self.name)
+        self.monitor = ThroughputMonitor(self.sim, name=self.name)
         self._stack = strategies
         self._churn: Optional[ChurnProcess] = None
         self._churn_initial = self.population

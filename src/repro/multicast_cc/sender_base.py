@@ -172,12 +172,10 @@ class LayeredSenderBase:
 
     def _send_group_packet(self, group: int, interval: float) -> None:
         now = self.sim.now
-        clock = self.slot_clock
-        origin = clock.origin_s
-        duration = clock.duration_s
+        duration = self.slot_clock.duration_s
         # ``SlotClock.current_slot`` and ``end_of``, in place: this runs per packet.
-        slot = int((now - origin) / duration) if now >= origin else -1
-        is_last_in_slot = (now + interval) >= (origin + (slot + 1) * duration - 1e-9)
+        slot = int(now / duration)
+        is_last_in_slot = (now + interval) >= ((slot + 1) * duration - 1e-9)
         seq = self._group_seq[group]
         self._group_seq[group] = seq + 1
         # DATA packets dominate the allocation profile; draw them from the

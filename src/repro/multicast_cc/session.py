@@ -20,7 +20,16 @@ from typing import Optional, Sequence
 
 from ..simulator.address import GroupAddress
 
-__all__ = ["SessionSpec", "fair_level_for_rate"]
+__all__ = ["SessionSpec", "fair_level_for_rate", "INCREASE_DECAY", "BASE_UPGRADE_INTERVAL_S"]
+
+#: Decay of the upgrade-authorisation rate per group above group 2 (see
+#: :meth:`SessionSpec.upgrade_probability`).
+INCREASE_DECAY = 0.5
+#: Mean interval between upgrade authorisations for group 2; higher groups
+#: are authorised geometrically less often.  Expressing the signal rate in
+#: seconds (rather than per slot) keeps FLID-DL (500 ms slots) and FLID-DS
+#: (250 ms slots) probing at the same real-time rate, as §5.1 intends.
+BASE_UPGRADE_INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,14 +45,6 @@ class SessionSpec:
     #: Group addresses, minimal group first.  Assigned by the experiment
     #: harness from the network's allocator.
     group_addresses: tuple[GroupAddress, ...] = ()
-    #: Per-slot probability decay of upgrade authorisations (see
-    #: :meth:`upgrade_probability`).
-    increase_decay: float = 0.5
-    #: Mean interval between upgrade authorisations for group 2; higher groups
-    #: are authorised geometrically less often.  Expressing the signal rate in
-    #: seconds (rather than per slot) keeps FLID-DL (500 ms slots) and FLID-DS
-    #: (250 ms slots) probing at the same real-time rate, as §5.1 intends.
-    base_upgrade_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.group_count < 1:
@@ -60,8 +61,6 @@ class SessionSpec:
             raise ValueError(
                 f"need {self.group_count} group addresses, got {len(self.group_addresses)}"
             )
-        if not (0.0 < self.increase_decay <= 1.0):
-            raise ValueError("increase_decay must be in (0, 1]")
 
     # ------------------------------------------------------------------
     # rates
@@ -104,15 +103,15 @@ class SessionSpec:
 
         FLID-DL issues increase signals whose frequency decays for higher
         layers so that probing of expensive layers is rare; we model this as
-        a geometric decay controlled by ``increase_decay``.  Group ``g`` is
-        authorised on average every ``base_upgrade_interval_s /
-        increase_decay^(g-2)`` seconds, independently of the slot duration,
+        a geometric decay controlled by :data:`INCREASE_DECAY`.  Group ``g`` is
+        authorised on average every ``BASE_UPGRADE_INTERVAL_S /
+        INCREASE_DECAY^(g-2)`` seconds, independently of the slot duration,
         so the unprotected and protected protocols probe at the same
         real-time rate despite their different slot lengths.
         """
         if group < 2 or group > self.group_count:
             return 0.0
-        mean_interval_s = self.base_upgrade_interval_s / (self.increase_decay ** (group - 2))
+        mean_interval_s = BASE_UPGRADE_INTERVAL_S / (INCREASE_DECAY ** (group - 2))
         return min(1.0, self.slot_duration_s / mean_interval_s)
 
     def fair_level(self, available_bps: float) -> int:

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
 from ..experiments.runner import JobExecutor, ResultCache, timeout_budget
-from ..experiments.spec import ScenarioSpec
+from ..experiments.spec import MAX_DURATION_S, ScenarioSpec
 from .jobs import (
     CellOutcome,
     ExperimentScheduler,
@@ -54,7 +54,9 @@ class ServiceConfig:
     otherwise TCP on ``host``/``port`` (``port=0`` picks a free port, which
     the startup announcement reports).  Result entries and warm-start
     blobs share ``cache_dir``, exactly like a batch runner pointed at the
-    same directory.
+    same directory.  A job's default wall-clock budget, ``timeout_s``, is
+    :data:`~repro.experiments.spec.MAX_DURATION_S` seconds, so a stuck
+    worker cannot hold its slot for as long as the daemon lives.
     """
 
     cache_dir: Path
@@ -63,7 +65,7 @@ class ServiceConfig:
     port: int = 0
     jobs: int = 1
     retries: int = 2
-    timeout_s: Optional[float] = None
+    timeout_s: float = MAX_DURATION_S
     max_queue: int = 256
 
 

@@ -91,13 +91,11 @@ class GroupAddressAllocator:
     Multi-group sessions (FLID-DL, FLID-DS) ask the allocator for one
     address per group.  Addresses are never reused within a simulation,
     which mirrors how session announcements assign distinct class-D
-    addresses per layer.
+    addresses per layer.  The first address handed out is ``MULTICAST_BASE + 1``.
     """
 
-    def __init__(self, start_offset: int = 1) -> None:
-        if start_offset < 0:
-            raise ValueError("start_offset must be non-negative")
-        self._next = MULTICAST_BASE + start_offset
+    def __init__(self) -> None:
+        self._next = MULTICAST_BASE + 1
 
     def allocate(self) -> GroupAddress:
         """Return the next unused group address."""

@@ -155,13 +155,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        inclusive: bool = True,
-    ) -> None:
-        """Run events until the heap drains, ``until`` passes, or ``max_events``.
+    def run(self, until: Optional[float] = None, inclusive: bool = True) -> None:
+        """Run events until the heap drains or ``until`` passes.
 
         Parameters
         ----------
@@ -170,10 +165,6 @@ class Simulator:
             ``until`` are executed; later events remain queued.  When the
             heap drains before ``until``, the clock is advanced to
             ``until`` so periodic post-processing sees a consistent end time.
-        max_events:
-            Optional hard cap on the number of events to execute, useful as
-            a safety net in tests.  A run the cap stops leaves the clock at
-            the last event executed, so the next :meth:`run` picks up there.
         inclusive:
             When ``False``, events scheduled at exactly ``until`` are left
             queued instead of executed — the slot-barrier cut used by
@@ -184,11 +175,8 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         executed = 0
-        counted = max_events is not None
         try:
             while heap:
-                if counted and executed >= max_events:
-                    break
                 entry = heap[0]
                 time = entry[0]
                 if until is not None and (time > until or (not inclusive and time >= until)):
@@ -199,11 +187,7 @@ class Simulator:
                 executed += 1
         finally:
             self._events_executed += executed
-        # Advance only across an empty stretch: after a ``max_events`` stop,
-        # events the run should have reached are still queued.
-        if until is not None and self._now < until and (
-            not heap or heap[0][0] > until or (not inclusive and heap[0][0] >= until)
-        ):
+        if until is not None and self._now < until:
             self._now = until
 
 

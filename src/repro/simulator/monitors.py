@@ -5,7 +5,8 @@ receivers, plus the overhead ratios of §5.4.  This module provides the
 corresponding instruments:
 
 ``ThroughputMonitor``
-    Records bytes received by one flow into fixed-width time bins and exposes
+    Records bytes received by one flow into one-second time bins
+    (:data:`BIN_WIDTH_S`) and exposes
     the per-bin rate series (the lines of Figures 1, 7, 8(e), 8(g), 8(h)) as
     well as interval averages (the points of Figures 8(a)-(d), 8(f)).
 
@@ -30,7 +31,13 @@ from typing import Collection, List, Optional, Sequence, Tuple
 
 from .link import Link
 
+#: Width of every throughput bin, in seconds: each of the paper's throughput
+#: series is a one-second rate.  :meth:`ThroughputMonitor.record` relies on it
+#: being one (a bin index is the whole second).
+BIN_WIDTH_S = 1.0
+
 __all__ = [
+    "BIN_WIDTH_S",
     "ThroughputMonitor",
     "ThroughputSample",
     "LinkMonitor",
@@ -53,7 +60,7 @@ class ThroughputSample:
 
 
 class ThroughputMonitor:
-    """Bins received bytes into fixed intervals and reports rates.
+    """Bins received bytes into :data:`BIN_WIDTH_S` intervals and reports rates.
 
     Receivers call :meth:`record` for every delivered packet.  The monitor is
     clock-driven rather than event-driven, and recording is *batched*: bytes
@@ -64,11 +71,8 @@ class ThroughputMonitor:
     byte-identical to the per-packet bookkeeping it replaced.
     """
 
-    def __init__(self, clock, bin_width_s: float = 1.0, name: str = "") -> None:
-        if bin_width_s <= 0:
-            raise ValueError(f"bin width must be positive (got {bin_width_s})")
+    def __init__(self, clock, name: str = "") -> None:
         self._clock = clock
-        self.bin_width_s = bin_width_s
         self.name = name
         self._bins: dict[int, int] = {}
         #: Bin currently accumulating (-1 before the first record).
@@ -85,7 +89,7 @@ class ThroughputMonitor:
         if nbytes < 0:
             raise ValueError("cannot record a negative byte count")
         t = self._clock.now if time_s is None else time_s
-        index = int(t / self.bin_width_s)
+        index = int(t)  # the bin of one-second width containing ``t``
         if index == self._open_index:
             self._open_bytes += nbytes
         elif index > self._open_index:
@@ -119,12 +123,12 @@ class ThroughputMonitor:
             return []
         last_bin = max(self._bins) if self._bins else 0
         if end_time_s is not None:
-            last_bin = max(last_bin, int(math.ceil(end_time_s / self.bin_width_s)) - 1)
+            last_bin = max(last_bin, int(math.ceil(end_time_s / BIN_WIDTH_S)) - 1)
         samples = []
         for index in range(0, last_bin + 1):
             nbytes = self._bins.get(index, 0)
-            rate = nbytes * 8.0 / self.bin_width_s
-            samples.append(ThroughputSample(time_s=(index + 1) * self.bin_width_s, rate_bps=rate))
+            rate = nbytes * 8.0 / BIN_WIDTH_S
+            samples.append(ThroughputSample(time_s=(index + 1) * BIN_WIDTH_S, rate_bps=rate))
         return samples
 
     def smoothed_series(
@@ -153,7 +157,7 @@ class ThroughputMonitor:
     ) -> float:
         """Average throughput over [start_s, end_s] in bits per second."""
         self._flush()
-        return window_rate_bps(self._bins.items(), self.bin_width_s, start_s, end_s)
+        return window_rate_bps(self._bins.items(), start_s, end_s)
 
     def average_rate_kbps(self, start_s: float = 0.0, end_s: Optional[float] = None) -> float:
         """Average throughput over [start_s, end_s] in kilobits per second."""
@@ -162,30 +166,29 @@ class ThroughputMonitor:
 
 def window_rate_bps(
     bins: Collection[Tuple[int, int]],
-    width_s: float,
     start_s: float = 0.0,
     end_s: Optional[float] = None,
 ) -> float:
     """Average rate over [start_s, end_s] of ``(bin index, bytes)`` counts, in bps.
 
-    Each bin of ``width_s`` seconds contributes the share of its bytes that
+    Each bin of :data:`BIN_WIDTH_S` seconds contributes the share of its bytes that
     falls inside the window; ``end_s`` defaults to the end of the last bin.
     The terms are summed in ``bins`` order, so a monitor's
     :meth:`~ThroughputMonitor.bins` — live, or read back from a result
     document — gives :meth:`ThroughputMonitor.average_rate_bps` to the bit.
     """
     if end_s is None:
-        end_s = (max(index for index, _ in bins) + 1) * width_s if bins else start_s
+        end_s = (max(index for index, _ in bins) + 1) * BIN_WIDTH_S if bins else start_s
     if end_s <= start_s:
         return 0.0
     total = 0
     for index, nbytes in bins:
-        bin_start = index * width_s
-        bin_end = bin_start + width_s
+        bin_start = index * BIN_WIDTH_S
+        bin_end = bin_start + BIN_WIDTH_S
         overlap = min(bin_end, end_s) - max(bin_start, start_s)
         if overlap <= 0:
             continue
-        total += nbytes * (overlap / width_s)
+        total += nbytes * (overlap / BIN_WIDTH_S)
     return total * 8.0 / (end_s - start_s)
 
 

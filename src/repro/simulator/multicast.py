@@ -10,10 +10,10 @@ hosts), which matches a source-specific tree on the paper's topologies.
 Membership changes are requested by edge routers — either their IGMP manager
 (unprotected baseline, any host join is honoured) or their SIGMA agent
 (protected system, joins require valid keys).  Joins take effect after a
-configurable *graft* latency and leaves after a *prune* latency, modelling the
-fact that IGMP/PIM signalling is not instantaneous; both default to small
-values so that, as in the paper, the access-control slot granularity (not the
-routing plane) dominates responsiveness.
+*graft* latency and leaves after a *prune* latency (:data:`GRAFT_DELAY_S`,
+:data:`PRUNE_DELAY_S`), modelling the fact that IGMP/PIM signalling is not
+instantaneous; both are small so that, as in the paper, the access-control
+slot granularity (not the routing plane) dominates responsiveness.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from .link import Link
 from .node import Host, Node, Router
 from .packet import PacketPool
 
-__all__ = ["MulticastRoutingService", "MembershipStats"]
+__all__ = ["MulticastRoutingService", "MembershipStats", "GRAFT_DELAY_S", "PRUNE_DELAY_S"]
+
+#: Seconds from a join request until the group reaches the host.
+GRAFT_DELAY_S = 0.02
+#: Seconds from a leave request until the group stops reaching the host.
+PRUNE_DELAY_S = 0.02
 
 
 class MembershipStats:
@@ -42,17 +47,8 @@ class MembershipStats:
 class MulticastRoutingService:
     """Tracks group membership and answers router forwarding queries."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        graft_delay_s: float = 0.02,
-        prune_delay_s: float = 0.02,
-    ) -> None:
-        if graft_delay_s < 0 or prune_delay_s < 0:
-            raise ValueError("graft/prune delays must be non-negative")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.graft_delay_s = graft_delay_s
-        self.prune_delay_s = prune_delay_s
         self._members: Dict[int, Set[Host]] = {}
         #: Replication tables: group value -> {router name -> rows}, a row
         #: being ``(out link, next hop, next hop is a host)`` — everything a
@@ -125,20 +121,20 @@ class MulticastRoutingService:
         self._first_member_hooks.setdefault(group.value, []).append(callback)
 
     def join(self, host: Host, group: GroupAddress, immediate: bool = False) -> None:
-        """Add ``host`` to ``group`` after the graft latency."""
+        """Add ``host`` to ``group`` after the graft latency (at once if ``immediate``)."""
         self.stats.joins_requested += 1
-        if immediate or self.graft_delay_s == 0:
+        if immediate:
             self._do_join(host, group)
         else:
-            self.sim.schedule(self.graft_delay_s, self._do_join, host, group)
+            self.sim.schedule(GRAFT_DELAY_S, self._do_join, host, group)
 
     def leave(self, host: Host, group: GroupAddress, immediate: bool = False) -> None:
-        """Remove ``host`` from ``group`` after the prune latency."""
+        """Remove ``host`` from ``group`` after the prune latency (at once if ``immediate``)."""
         self.stats.leaves_requested += 1
-        if immediate or self.prune_delay_s == 0:
+        if immediate:
             self._do_leave(host, group)
         else:
-            self.sim.schedule(self.prune_delay_s, self._do_leave, host, group)
+            self.sim.schedule(PRUNE_DELAY_S, self._do_leave, host, group)
 
     def _do_join(self, host: Host, group: GroupAddress) -> None:
         members = self._members.setdefault(int(group), set())

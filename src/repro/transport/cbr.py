@@ -152,11 +152,11 @@ class OnOffCbrSource:
 class CbrSink(PacketAgent):
     """Counts CBR packets delivered to a host/port."""
 
-    def __init__(self, host: Host, port: int, bin_width_s: float = 1.0, name: str = "") -> None:
+    def __init__(self, host: Host, port: int, name: str = "") -> None:
         self.host = host
         self.port = port
         self.name = name or f"cbr-sink-{host.name}-{port}"
-        self.monitor = ThroughputMonitor(host.sim, bin_width_s=bin_width_s, name=self.name)
+        self.monitor = ThroughputMonitor(host.sim, name=self.name)
         self.packets_received = 0
         host.register_agent(port, self)
 

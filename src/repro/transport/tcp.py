@@ -32,6 +32,8 @@ ACK_SIZE_BYTES = 40
 INITIAL_RTO_S = 1.0
 MIN_RTO_S = 0.2
 MAX_RTO_S = 60.0
+#: Slow-start threshold of a fresh connection, in segments.
+INITIAL_SSTHRESH = 64.0
 
 
 class TcpRenoSender:
@@ -52,7 +54,6 @@ class TcpRenoSender:
         destination: Host,
         port: int,
         segment_bytes: int = 576,
-        initial_ssthresh: float = 64.0,
         name: str = "",
         send_jitter_s: float = 0.001,
     ) -> None:
@@ -78,7 +79,7 @@ class TcpRenoSender:
 
         # Congestion control state (window units are segments).
         self.cwnd = 1.0
-        self.ssthresh = initial_ssthresh
+        self.ssthresh = INITIAL_SSTHRESH
         self.next_seq = 0
         self.highest_acked = -1  # highest cumulatively acknowledged sequence
         self.dup_acks = 0
@@ -304,13 +305,12 @@ class TcpSink(PacketAgent):
         self,
         host: Host,
         port: int,
-        bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
         self.host = host
         self.port = port
         self.name = name or f"tcp-sink-{host.name}-{port}"
-        self.monitor = ThroughputMonitor(host.sim, bin_width_s=bin_width_s, name=self.name)
+        self.monitor = ThroughputMonitor(host.sim, name=self.name)
         self._received: set[int] = set()
         self._next_expected = 0
         self.acks_sent = 0
@@ -360,11 +360,10 @@ class TcpConnection:
         sink_host: Host,
         port: int,
         segment_bytes: int = 576,
-        bin_width_s: float = 1.0,
         name: str = "",
     ) -> "TcpConnection":
         """Create a sender on ``source_host`` and a sink on ``sink_host``."""
-        sink = TcpSink(sink_host, port, bin_width_s=bin_width_s, name=f"{name}-sink" if name else "")
+        sink = TcpSink(sink_host, port, name=f"{name}-sink" if name else "")
         sender = TcpRenoSender(
             source_host, sink_host, port, segment_bytes=segment_bytes, name=name
         )

@@ -7,9 +7,10 @@ from repro.core.sigma import (
     ANNOUNCEMENT_HEADER,
     KeyAnnouncement,
     KeyAnnouncementEntry,
+    GUESS_ALARM_THRESHOLD,
+    RETAINED_SLOTS,
     RouterKeyTable,
     SessionJoinMessage,
-    SigmaConfig,
     SigmaHostInterface,
     SigmaKeyDistributor,
     SigmaRouterAgent,
@@ -126,12 +127,15 @@ class TestRouterKeyTable:
         assert not table.accepts(4, group(2), 100)
 
     def test_prune_drops_old_slots(self):
-        table = RouterKeyTable(retained_slots=2)
-        seed_keys(table, 1, group(1), 1)
-        seed_keys(table, 5, group(1), 5)
-        table.prune_for_current_slot(6)
-        assert not table.accepts(1, group(1), 1)
-        assert table.accepts(5, group(1), 5)
+        table = RouterKeyTable()
+        oldest_kept = 10 - RETAINED_SLOTS + 1
+        seed_keys(table, oldest_kept - 1, group(1), 1)
+        seed_keys(table, oldest_kept, group(1), 2)
+        seed_keys(table, 12, group(1), 3)
+        assert table.prune_for_current_slot(10) == 1
+        assert not table.accepts(oldest_kept - 1, group(1), 1)
+        assert table.accepts(oldest_kept, group(1), 2)
+        assert table.accepts(12, group(1), 3)
 
     def test_empty_keys_not_stored(self):
         table = RouterKeyTable()
@@ -139,12 +143,8 @@ class TestRouterKeyTable:
         assert table.entries_stored == 0
         assert not table.accepts(1, group(1), ABSENT_KEY)
 
-    def test_retained_slots_validation(self):
-        with pytest.raises(ValueError):
-            RouterKeyTable(retained_slots=1)
 
-
-def build_sigma_network(slot_s=0.25, config=None):
+def build_sigma_network(slot_s=0.25):
     """host -- edge router with a SIGMA agent; sender host on the other side."""
     net = Network()
     sender = net.add_host("sender")
@@ -156,7 +156,7 @@ def build_sigma_network(slot_s=0.25, config=None):
     net.attach_host(receiver, edge, 10e6, 0.001)
     net.build_routes()
     clock = SlotClock(net.sim, slot_s)
-    agent = SigmaRouterAgent(edge, net.multicast, clock, config=config)
+    agent = SigmaRouterAgent(edge, net.multicast, clock)
     clock.start()
     return net, sender, receiver, edge, agent, clock
 
@@ -198,13 +198,21 @@ class TestSigmaRouterAgent:
         assert agent.invalid_submissions == 1
 
     def test_guess_alarm_raised_after_threshold(self):
-        config = SigmaConfig(guess_alarm_threshold=3)
-        net, sender, receiver, edge, agent, clock = build_sigma_network(config=config)
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
         seed_keys(agent.key_table, 3, group(1), 999)
         sigma = SigmaHostInterface(receiver, "s")
-        sigma.subscribe(3, [(group(1), k) for k in (1, 2, 3, 4)])
+        guesses = range(1, GUESS_ALARM_THRESHOLD + 2)
+        sigma.subscribe(3, [(group(1), k) for k in guesses])
         net.run(until=0.2)
+        assert agent.invalid_submissions == GUESS_ALARM_THRESHOLD + 1
         assert agent.guess_alarms == 1
+
+    def test_guesses_below_the_threshold_raise_no_alarm(self):
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        sigma = SigmaHostInterface(receiver, "s")
+        sigma.subscribe(3, [(group(1), k) for k in range(1, GUESS_ALARM_THRESHOLD)])
+        net.run(until=0.2)
+        assert agent.guess_alarms == 0
 
     def test_bare_igmp_join_is_ignored(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
@@ -264,6 +272,22 @@ class TestSigmaRouterAgent:
         # router must stop forwarding.
         net.run(until=1.3)
         assert not agent.is_forwarding(receiver, group(1))
+
+    def test_access_records_keep_only_grants_for_slots_ahead(self):
+        """A grant is read once, at its slot's start; after that it is dropped."""
+        net, sender, receiver, edge, agent, clock = build_sigma_network()
+        sigma = SigmaHostInterface(receiver, "s")
+        for slot in range(1, 11):
+            seed_keys(agent.key_table, slot, group(1), 100 + slot)
+            sigma.subscribe(slot, [(group(1), 100 + slot)])
+        net.run(until=0.1)
+        record = agent._access[(receiver.name, int(group(1)))]
+        assert record.granted_slots == set(range(1, 11))
+        net.run(until=1.6)  # inside slot 6
+        assert clock.current_slot == 6
+        assert record.granted_slots == {7, 8, 9, 10}
+        assert agent.is_forwarding(receiver, group(1))
+        assert agent.valid_submissions == 10
 
     def test_forwarded_groups_listing(self):
         net, sender, receiver, edge, agent, clock = build_sigma_network()
@@ -358,13 +382,12 @@ class TestKeyDistribution:
         net, sender, receiver, edge, agent, clock = build_sigma_network()
         SigmaHostInterface(receiver, "s").session_join(group(1))
         net.run(until=0.05)
-        distributor = SigmaKeyDistributor(
-            sender, "s", [group(g) for g in range(1, 11)], symbols_per_packet=4
-        )
+        distributor = SigmaKeyDistributor(sender, "s", [group(g) for g in range(1, 11)])
         material = self._material(groups=10)
         packets = distributor._fec_packets(  # build without sending
             KeyAnnouncement.from_material("s", material, distributor.group_addresses)
         )
+        assert len(packets) == 6  # 84 coded symbols, SYMBOLS_PER_PACKET at a time
         for index, packet in enumerate(packets):
             if index % 2 == 0:  # deliver only half of them
                 agent.handle_control_packet(packet)
@@ -389,11 +412,17 @@ class TestKeyDistribution:
         agents = []
         for form in ("systematic", "parity"):
             net, sender, receiver, edge, agent, clock = build_sigma_network()
-            distributor = SigmaKeyDistributor(sender, "s", groups, symbols_per_packet=6)
-            packets = distributor._fec_packets(announcement)
-            if form == "parity":  # symbols 43..84 of 84: every source symbol interpolated
-                packets = packets[len(packets) // 2 :]
-            for packet in packets:
+            distributor = SigmaKeyDistributor(sender, "s", groups)
+            for packet in distributor._fec_packets(announcement):
+                # Symbols 1..42 of 84 are the source; 43..84 are parity, from
+                # which every source symbol is interpolated.
+                payload = packet.headers[ANNOUNCEMENT_HEADER]
+                source = payload["source_count"]
+                payload["symbols"] = [
+                    (index, value)
+                    for index, value in payload["symbols"]
+                    if (index > source) == (form == "parity")
+                ]
                 agent.handle_control_packet(packet)
             agents.append(agent)
         for agent in agents:

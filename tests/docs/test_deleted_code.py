@@ -108,6 +108,13 @@ DELETED = {
         r"|\.with_duration\b|config\.duration_s",
         ["src", "examples"],
     ),
+    # A value no run changes is a module constant beside the code that reads it.
+    "single-valued knob": (
+        r"SigmaConfig|max_events|graft_delay_s|prune_delay_s|bin_width|\bwidth_s\b|origin_s"
+        r"|start_offset|increase_decay|base_upgrade_interval_s|symbols_per_packet"
+        r"|initial_ssthresh|\bretained_slots\b",
+        ["src", "tests", "docs", "examples", "tools"],
+    ),
     # metrics, warmstart, shard and runner import each other at module level, in that order.
     "function-level import hiding a cycle": (
         r"^\s+from \.(runner|shard|warmstart|metrics) import",

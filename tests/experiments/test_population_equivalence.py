@@ -125,7 +125,7 @@ def run(spec: ScenarioSpec) -> Scenario:
 def _run(spec_json: str) -> Scenario:
     spec = ScenarioSpec.from_json(spec_json)
     scenario = Scenario.from_spec(spec)
-    scenario.run(spec.effective_duration_s)
+    scenario.run(spec.duration_s)
     return scenario
 
 

@@ -22,7 +22,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -383,7 +383,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -420,7 +420,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -439,7 +439,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -462,7 +462,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -480,7 +480,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -502,7 +502,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     """Version 11 simulators carried a stop flag, senders a restart epoch in
     every pending tick and timer groups a wakeup handle; its blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -527,7 +527,7 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     receivers by ``block_slices``; a version 13 scenario carries its edge
     classes and the declared hosts each receiver stands for, so old blobs
     are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     spec = replace(scale_dumbbell_10m_spec(
         receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
         attack_start_s=6.0, duration_s=9.0,
@@ -552,7 +552,7 @@ def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
     """Version 13 CBR sources pickled a cancellable engine event for their
     next send; a version 14 source carries a generation number instead and
     its stale sends stay in the heap, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(_cbr_across_the_barrier())
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -572,7 +572,7 @@ def test_version_14_checkpoint_blob_is_a_miss(tmp_path):
     """Version 14 scenarios pickled a config carrying a second run length
     (``duration_s``); a version 15 config has none, the spec's duration is
     the one run length, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 15
+    assert CHECKPOINT_VERSION == 16
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -581,6 +581,37 @@ def test_version_14_checkpoint_blob_is_a_miss(tmp_path):
     scenario = store.load(key)
     assert not hasattr(scenario.config, "duration_s")
     stale = pickle.dumps((14, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert _checkpoint_job(block)["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_15_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 15 SIGMA agents pickled a config, slot clocks an origin,
+    monitors a bin width and session specs two upgrade-signal fields; a
+    version 16 scenario reads those as module constants, so old blobs are
+    refused by the stamp."""
+    assert CHECKPOINT_VERSION == 16
+    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
+    key = plan.checkpoint_key()
+    block = plan.block(tmp_path)
+    store = CheckpointStore(tmp_path)
+    _checkpoint_job(block)
+    scenario = store.load(key)
+    assert scenario.sigma_agents
+    assert not any(hasattr(agent, "config") for agent in scenario.sigma_agents)
+    assert set(vars(scenario.slot_clock)) == {"sim", "duration_s", "_callbacks", "_started"}
+    session = scenario.sessions[0]
+    assert set(vars(session.receivers[0].monitor)) == {
+        "_clock", "name", "_bins", "_open_index", "_open_bytes",
+        "total_bytes", "total_packets", "first_time", "last_time",
+    }
+    assert [f.name for f in fields(session.spec)] == [
+        "session_id", "group_count", "base_rate_bps", "rate_factor",
+        "packet_bytes", "slot_duration_s", "group_addresses",
+    ]
+    stale = pickle.dumps((15, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert _checkpoint_job(block)["reused"] is False
@@ -625,7 +656,7 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     warm = CheckpointStore(tmp_path).load(key)
     assert warm.duration_s == plan.barrier_s == 12.0
     warm.rebind_spec(spec)
-    assert warm.duration_s == spec.effective_duration_s == 18.0
+    assert warm.duration_s == spec.duration_s == 18.0
     warm.run()
     cold = Scenario.from_spec(spec)
     cold.run()

@@ -118,7 +118,7 @@ def _churned_spec(
 
 def _run(spec: ScenarioSpec) -> Scenario:
     scenario = Scenario.from_spec(spec)
-    scenario.run(spec.effective_duration_s)
+    scenario.run(spec.duration_s)
     return scenario
 
 

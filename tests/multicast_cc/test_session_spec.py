@@ -76,10 +76,10 @@ class TestAddresses:
         assert spec.group_index_of(GroupAddress(MULTICAST_BASE + 999)) is None
 
     def test_with_addresses_preserves_other_fields(self):
-        spec = SessionSpec("s", slot_duration_s=0.25, increase_decay=0.7)
+        spec = SessionSpec("s", slot_duration_s=0.25, rate_factor=1.3)
         bound = spec.with_addresses(addresses(10))
         assert bound.slot_duration_s == 0.25
-        assert bound.increase_decay == 0.7
+        assert bound.rate_factor == 1.3
 
     def test_wrong_address_count_rejected(self):
         with pytest.raises(ValueError):
@@ -117,5 +117,3 @@ class TestValidation:
             SessionSpec("s", packet_bytes=0)
         with pytest.raises(ValueError):
             SessionSpec("s", slot_duration_s=0)
-        with pytest.raises(ValueError):
-            SessionSpec("s", increase_decay=0.0)

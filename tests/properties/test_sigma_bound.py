@@ -92,7 +92,7 @@ def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = Tr
 
 def attacker_vs_honest_kbps(spec: ScenarioSpec):
     scenario = Scenario.from_spec(spec)
-    scenario.run(spec.effective_duration_s)
+    scenario.run(spec.duration_s)
     attacker_session, honest_session = scenario.sessions
     attackers = [
         rx.average_rate_kbps(ONSET_S, DURATION_S) for rx in attacker_session.receivers

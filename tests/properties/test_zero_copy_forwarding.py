@@ -39,7 +39,7 @@ def build_fanout():
     """A router replicating one group to three directly attached hosts."""
     sim = Simulator()
     router = Router(sim, "r", NodeAddress(1))
-    service = MulticastRoutingService(sim, graft_delay_s=0.0, prune_delay_s=0.0)
+    service = MulticastRoutingService(sim)
     router.multicast_service = service
     hosts = []
     for i in range(3):

@@ -32,7 +32,9 @@ from repro.experiments import (
     plan_prefix,
     scenario_spec,
 )
+from repro.experiments.spec import MAX_DURATION_S
 from repro.service import PROTOCOL_VERSION, ServiceClient, ServiceError
+from repro.service.server import ExperimentService, ServiceConfig
 from repro.service.jobs import (
     ExperimentScheduler,
     QueueFullError,
@@ -48,6 +50,23 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         duration_s=6.0,
         config=PAPER_DEFAULTS.with_seed(seed),
     )
+
+
+class TestDefaultBudget:
+    def test_default_configured_daemon_gives_every_job_a_finite_budget(self, tmp_path):
+        """Without ``--timeout`` a stuck worker would hold its slot for as
+        long as the daemon lives."""
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--socket", str(tmp_path / "d.sock"), "--cache-dir", str(tmp_path)]
+        )
+        assert args.timeout == MAX_DURATION_S
+        service = ExperimentService(ServiceConfig(cache_dir=tmp_path))
+        try:
+            assert service.pool.timeout_s == MAX_DURATION_S
+        finally:
+            service.pool.close()
 
 
 class TestEndToEnd:

@@ -97,42 +97,6 @@ class TestRunControl:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
-    def test_max_events_caps_execution(self):
-        sim = Simulator()
-        seen = []
-        for i in range(10):
-            sim.schedule(float(i + 1), seen.append, i)
-        sim.run(max_events=3)
-        assert seen == [0, 1, 2]
-
-    def test_max_events_stop_leaves_the_clock_at_the_last_event(self):
-        sim = Simulator()
-        seen = []
-        for i in range(1, 10):
-            sim.schedule(float(i), seen.append, i)
-        sim.run(until=20.0, max_events=3)
-        # Six events at or before ``until`` are still queued: the clock must
-        # not jump past them, or the next run would move it backwards.
-        assert seen == [1, 2, 3]
-        assert sim.now == 3.0
-        assert sim.pending_events == 6
-        sim.schedule(0.5, seen.append, "after")
-        sim.run(until=20.0, max_events=2)
-        assert seen == [1, 2, 3, "after", 4]
-        assert sim.now == 4.0
-        sim.run(until=20.0)
-        assert seen[-1] == 9 and sim.now == 20.0
-
-    def test_max_events_cap_met_exactly_still_reaches_until(self):
-        sim = Simulator()
-        for i in range(1, 4):
-            sim.schedule(float(i), lambda: None)
-        sim.run(until=20.0, max_events=3)
-        assert sim.now == 20.0
-        sim.schedule(5.0, lambda: None)
-        sim.run(until=30.0, max_events=0)
-        assert sim.now == 20.0  # the event at 25 s was never reached
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for i in range(5):

@@ -56,7 +56,7 @@ class TestFifoOrder:
         seen = []
         sim.schedule(1.0, seen.append, "x")
         sim.schedule(2.0, seen.append, "y")
-        sim.run(max_events=1)
+        sim.run(until=1.0)
         assert seen == ["x"]
         assert (sim.now, sim.events_executed, sim.pending_events) == (1.0, 1, 1)
 

@@ -27,7 +27,7 @@ class FakeClock:
 class TestThroughputMonitor:
     def test_series_bins_bytes(self):
         clock = FakeClock()
-        monitor = ThroughputMonitor(clock, bin_width_s=1.0)
+        monitor = ThroughputMonitor(clock)
         monitor.record(1250, time_s=0.5)   # 10 kbit in bin 0
         monitor.record(2500, time_s=1.5)   # 20 kbit in bin 1
         series = monitor.series()
@@ -35,26 +35,26 @@ class TestThroughputMonitor:
         assert series[1].rate_bps == pytest.approx(20_000)
 
     def test_average_rate_over_interval(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         for second in range(10):
             monitor.record(12_500, time_s=second + 0.5)  # 100 kbps steady
         assert monitor.average_rate_bps(0, 10) == pytest.approx(100_000)
         assert monitor.average_rate_kbps(0, 10) == pytest.approx(100.0)
 
     def test_average_rate_partial_window(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         monitor.record(12_500, time_s=0.5)
         monitor.record(12_500, time_s=1.5)
         # Averaging over the first second only sees the first bin.
         assert monitor.average_rate_bps(0, 1) == pytest.approx(100_000)
 
     def test_empty_monitor_is_zero(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         assert monitor.average_rate_bps(0, 10) == 0.0
         assert monitor.series() == []
 
     def test_series_includes_idle_bins(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         monitor.record(1000, time_s=0.2)
         monitor.record(1000, time_s=3.2)
         series = monitor.series()
@@ -62,7 +62,7 @@ class TestThroughputMonitor:
         assert series[1].rate_bps == 0.0
 
     def test_smoothed_series_averages_window(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         monitor.record(1250, time_s=0.5)
         monitor.record(3750, time_s=1.5)
         smoothed = monitor.smoothed_series(window_bins=2)
@@ -70,7 +70,7 @@ class TestThroughputMonitor:
 
     def test_records_with_simulator_clock(self):
         sim = Simulator()
-        monitor = ThroughputMonitor(sim, bin_width_s=1.0)
+        monitor = ThroughputMonitor(sim)
         sim.schedule(2.5, lambda: monitor.record(1250))
         sim.run()
         assert monitor.series()[2].rate_bps == pytest.approx(10_000)
@@ -79,12 +79,8 @@ class TestThroughputMonitor:
         with pytest.raises(ValueError):
             ThroughputMonitor(FakeClock()).record(-1)
 
-    def test_invalid_bin_width_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputMonitor(FakeClock(), bin_width_s=0)
-
     def test_totals(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         monitor.record(100, time_s=0.0)
         monitor.record(200, time_s=0.5)
         assert monitor.total_bytes == 300
@@ -110,21 +106,20 @@ class TestWindowRate:
     """``average_rate_bps`` is :func:`window_rate_bps` over :meth:`bins`, to the
     bit, also after the bins have been through a JSON result document."""
 
-    @pytest.mark.parametrize("width", [1.0, 0.3])
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("recording", sorted(RECORDINGS))
-    def test_monitor_average_is_the_window_over_its_bins(self, recording, window, width):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=width)
+    def test_monitor_average_is_the_window_over_its_bins(self, recording, window):
+        monitor = ThroughputMonitor(FakeClock())
         for nbytes, time_s in RECORDINGS[recording]:
             monitor.record(nbytes, time_s=time_s)
         start, end = window
         documented = json.loads(json.dumps(monitor.bins()))
         expected = monitor.average_rate_bps(start, end)
-        assert window_rate_bps(monitor.bins(), width, start, end) == expected
-        assert window_rate_bps(documented, width, start, end) == expected
+        assert window_rate_bps(monitor.bins(), start, end) == expected
+        assert window_rate_bps(documented, start, end) == expected
 
     def test_bins_keep_the_table_order(self):
-        monitor = ThroughputMonitor(FakeClock(), bin_width_s=1.0)
+        monitor = ThroughputMonitor(FakeClock())
         for nbytes, time_s in RECORDINGS["out-of-order"]:
             monitor.record(nbytes, time_s=time_s)
         assert monitor.bins() == [

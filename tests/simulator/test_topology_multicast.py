@@ -13,6 +13,7 @@ from repro.simulator import (
     install_igmp,
 )
 from repro.simulator.node import PacketAgent
+from repro.simulator.multicast import GRAFT_DELAY_S
 
 
 class Collector(PacketAgent):
@@ -300,7 +301,7 @@ class TestFirstMemberHook:
         net.multicast.join(b, group)
         assert seen == []
         net.run(until=1.0)
-        assert seen == [(net.multicast.graft_delay_s, True)]
+        assert seen == [(GRAFT_DELAY_S, True)]
 
     def test_callbacks_survive_pickle_of_the_network(self):
         net, a, b, r1, r2 = build_line_network()
