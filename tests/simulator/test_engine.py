@@ -97,6 +97,19 @@ class TestRunControl:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
+    def test_run_without_until_leaves_the_clock_at_the_last_event(self):
+        sim = Simulator()
+        sim.schedule(1.5, lambda: None)
+        sim.schedule(4.25, lambda: None)
+        sim.run()
+        assert sim.now == 4.25
+
+    def test_run_until_in_the_past_never_moves_the_clock_back(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        sim.run(until=3.0)
+        assert sim.now == 5.0
+
     def test_events_executed_counter(self):
         sim = Simulator()
         for i in range(5):

@@ -1,6 +1,8 @@
 """Tests of the measurement instrumentation and random streams."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +119,28 @@ class TestWindowRate:
         expected = monitor.average_rate_bps(start, end)
         assert window_rate_bps(monitor.bins(), start, end) == expected
         assert window_rate_bps(documented, start, end) == expected
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("recording", sorted(RECORDINGS))
+    def test_window_rate_matches_the_raw_records(self, recording, window):
+        """An exact oracle from the raw records: each record lands in the
+        one-second bin ``floor(t)`` and counts for the share of that bin the
+        window covers."""
+        records = RECORDINGS[recording]
+        monitor = ThroughputMonitor(FakeClock())
+        for nbytes, time_s in records:
+            monitor.record(nbytes, time_s=time_s)
+        start, end = (Fraction(bound) if bound is not None else None for bound in window)
+        if end is None:
+            end = max((math.floor(t) + 1 for _, t in records), default=start)
+        expected = 0.0
+        if end > start:
+            inside = sum(
+                nbytes * max(0, min(math.floor(t) + 1, end) - max(math.floor(t), start))
+                for nbytes, t in records
+            )
+            expected = float(inside * 8 / (end - start))
+        assert monitor.average_rate_bps(*window) == pytest.approx(expected, rel=1e-12)
 
     def test_bins_keep_the_table_order(self):
         monitor = ThroughputMonitor(FakeClock())
