@@ -17,9 +17,27 @@ The package is organised bottom-up:
   receivers (the misbehaving receivers of Figures 1 and 7).
 * :mod:`repro.analysis` — throughput, fairness and convergence analysis.
 * :mod:`repro.experiments` — one module per paper figure, with the §5.1
-  settings as defaults.
+  settings as defaults, and the cell pipeline that runs them.
+* :mod:`repro.service` — the experiment daemon and its client.
+* :mod:`repro.__main__` — the command line.
 """
 
 __version__ = "1.1.0"
 
-__all__ = ["__version__"]
+#: Package prefix -> rank in the stack above, bottom first.  A module (its
+#: longest prefix) imports nothing of a higher rank, not even in a function.
+LAYERS = {
+    "repro.simulator": 0,
+    "repro.crypto": 1,
+    "repro.fec": 1,
+    "repro.core": 2,
+    "repro.transport": 3,
+    "repro.multicast_cc": 4,
+    "repro.adversary": 5,
+    "repro.analysis": 6,
+    "repro.experiments": 7,
+    "repro.service": 8,
+    "repro.__main__": 9,
+}
+
+__all__ = ["LAYERS", "__version__"]

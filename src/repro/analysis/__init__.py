@@ -1,8 +1,7 @@
 """Analysis helpers: fairness, convergence, protection and report formatting."""
 
 from .fairness import jain_index, max_min_ratio
-from .convergence import convergence_time, levels_converged
-from .golden import scenario_trace_digest, subscription_vector
+from .convergence import convergence_time, levels_converged, subscription_vector
 from .protection import (
     excess_goodput_kbps,
     time_to_containment_s,
@@ -23,7 +22,6 @@ __all__ = [
     "max_min_ratio",
     "convergence_time",
     "levels_converged",
-    "scenario_trace_digest",
     "subscription_vector",
     "excess_goodput_kbps",
     "time_to_containment_s",

@@ -3,14 +3,16 @@
 When several receivers of one session share a bottleneck, FLID-DL (and,
 per the paper, FLID-DS) drive them to the same subscription level even if
 they join at different times.  These helpers extract that property from the
-level histories the receivers record.
+level histories the receivers record; :func:`subscription_vector` samples
+one at every slot boundary, the per-slot trace a golden digest
+(:mod:`repro.experiments.golden`) stores in the clear.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["levels_converged", "convergence_time", "level_at"]
+__all__ = ["levels_converged", "convergence_time", "level_at", "subscription_vector"]
 
 LevelHistory = Sequence[Tuple[float, int]]
 
@@ -66,3 +68,26 @@ def convergence_time(
         else:
             run_length = 0
     return None
+
+
+def subscription_vector(
+    level_history: LevelHistory, slot_duration_s: float, duration_s: float
+) -> List[int]:
+    """Subscription level in force at the end of each slot.
+
+    ``level_history`` is the receiver's ``(time, level)`` transition list;
+    the vector samples it at every slot boundary, giving the per-slot trace
+    the paper's figures plot (and SIGMA enforces).
+    """
+    vector: List[int] = []
+    index = 0
+    level = 0
+    slots = int(round(duration_s / slot_duration_s))
+    history = list(level_history)
+    for slot in range(1, slots + 1):
+        boundary = slot * slot_duration_s
+        while index < len(history) and history[index][0] <= boundary:
+            level = history[index][1]
+            index += 1
+        vector.append(level)
+    return vector

@@ -27,7 +27,7 @@ from ...simulator.multicast import MulticastRoutingService
 from ...simulator.node import Host, Router
 from ...simulator.packet import Packet
 from ..timeslot import SlotClock
-from .key_table import RouterKeyTable
+from .key_table import RETAINED_SLOTS, RouterKeyTable
 from .messages import (
     ANNOUNCEMENT_HEADER,
     SessionJoinMessage,
@@ -229,14 +229,19 @@ class SigmaRouterAgent:
             # reads the same whether the population is aggregated or not.
             self.revocations += getattr(host, "population", 1)
         self.key_table.prune_for_current_slot(slot)
-        self._prune_access(slot)
+        self._prune(slot)
 
-    def _prune_access(self, slot: int) -> None:
+    def _prune(self, slot: int) -> None:
         # ``AccessRecord.allows`` is read only by ``_on_slot_start``, in
         # increasing slot order and before this prune, so a grant for the
         # current slot or an earlier one is never read again.
         for record in self._access.values():
             record.granted_slots = {s for s in record.granted_slots if s > slot}
+        # Per-slot bookkeeping goes with the key table's keys for that slot.
+        horizon = slot - RETAINED_SLOTS + 1
+        self._guess_counts = {k: n for k, n in self._guess_counts.items() if k[2] >= horizon}
+        self._decoded_announcements = {k for k in self._decoded_announcements if k[1] >= horizon}
+        self._symbol_buffers = {k: b for k, b in self._symbol_buffers.items() if k[1] >= horizon}
 
     # ------------------------------------------------------------------
     # internals

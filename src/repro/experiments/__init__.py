@@ -23,10 +23,8 @@ The stack is layered:
   region sub-scenarios and the deterministic merge (the assembler over N
   region documents plus the boundary-event summary).
 * :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
-  assemble: the one planner (:func:`plan_cells`), the one worker entry
-  point (:func:`~repro.experiments.runner.run_job`) and the parallel
-  :class:`ExperimentRunner` — spec × seed × parameter grids over a process
-  pool, atomic JSON caching.
+  assemble (the planner, a planned cell's steps, the worker entry point)
+  and the parallel :class:`ExperimentRunner` with atomic JSON caching.
 * :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9` — the
   paper's scenarios and figure declarations, built on the layers above.
 """

@@ -14,44 +14,21 @@ lock in.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any, Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (import cycle guard)
-    from ..experiments.spec import ScenarioSpec
+from ..analysis.convergence import subscription_vector
+from .metrics import collect_metrics
+from .spec import ScenarioSpec, canonical_json
+from .warmstart import run_scenario
 
-__all__ = ["subscription_vector", "scenario_trace_digest"]
+__all__ = ["scenario_trace_digest"]
 
 
 def _sha256(payload: Any) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def subscription_vector(
-    level_history: Sequence[Tuple[float, int]], slot_duration_s: float, duration_s: float
-) -> List[int]:
-    """Subscription level in force at the end of each slot.
-
-    ``level_history`` is the receiver's ``(time, level)`` transition list;
-    the vector samples it at every slot boundary, giving the per-slot trace
-    the paper's figures plot (and SIGMA enforces).
-    """
-    vector: List[int] = []
-    index = 0
-    level = 0
-    slots = int(round(duration_s / slot_duration_s))
-    history = list(level_history)
-    for slot in range(1, slots + 1):
-        boundary = slot * slot_duration_s
-        while index < len(history) and history[index][0] <= boundary:
-            level = history[index][1]
-            index += 1
-        vector.append(level)
-    return vector
-
-
-def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
+def scenario_trace_digest(spec: ScenarioSpec) -> Dict[str, Any]:
     """Run ``spec`` and fingerprint the result.
 
     The digest is plain JSON data: per session and receiver the subscription
@@ -59,12 +36,6 @@ def scenario_trace_digest(spec: "ScenarioSpec") -> Dict[str, Any]:
     hash of the complete metric document (which covers goodputs, SIGMA
     counters and the protection block).
     """
-    # Imported here, not at module scope: the experiment runner itself uses
-    # the analysis package, so an eager import would cycle through
-    # ``analysis/__init__`` during ``repro.experiments`` initialisation.
-    from ..experiments.metrics import collect_metrics
-    from ..experiments.warmstart import run_scenario
-
     scenario = run_scenario(spec)
     duration = spec.duration_s
     metrics = collect_metrics(scenario, spec)

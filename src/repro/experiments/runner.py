@@ -5,14 +5,10 @@ optionally fanned out over a spec × seed × parameter grid — and returns
 :class:`~repro.experiments.metrics.RunResult` objects whose ``metrics`` are
 plain JSON data.
 
-Both execution paths go through the same serialised round-trip: every job
-is a ``(kind, payload)`` pair of strings handed to :func:`run_job`
-(in-process when ``jobs == 1``, in a
-:class:`~concurrent.futures.ProcessPoolExecutor` worker otherwise), and the
-result comes back as canonical JSON.  Because the simulator is
-deterministic, the serial and parallel paths produce byte-identical result
-documents for the same spec and seed — the property tests assert exactly
-that.
+Every job is a ``(kind, payload)`` pair of strings handed to
+:func:`run_job`, in-process for a serial batch or in a pool worker, and its
+result comes back as canonical JSON, so the two paths produce byte-identical
+documents for the same spec and seed.
 
 Results can be cached on disk (``cache_dir``): the cache key is the SHA-256
 of the effective spec's canonical JSON (every attack at the intensity its
@@ -29,6 +25,12 @@ through one pipeline, **plan → run → assemble**:
   warm-start policy; :func:`plan_cell` is the batch of one.  A ``shards=N``
   spec expands into one job per distinct topology region
   (:mod:`repro.experiments.shard`) on the same process pool.
+* :func:`run_setup_jobs` and :func:`run_cell_jobs` are a planned cell's
+  steps, written once: setup jobs (the missing prefix blobs), then the
+  jobs, :meth:`CellPlan.merge` and the cache store under the cell's key.
+  :class:`ExperimentRunner` runs every cell's setup jobs before any cell's
+  jobs; the daemon (:mod:`repro.service.jobs`) runs both per cell.  Both
+  hand each job to :meth:`JobExecutor.run`, the one retry loop.
 * :func:`run_job` executes one job in a worker — the one worker entry
   point, and with :func:`describe_job` the one reader of a job's payload.
 * :mod:`repro.experiments.metrics` measures a finished run and assembles
@@ -40,6 +42,7 @@ through one pipeline, **plan → run → assemble**:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -48,17 +51,18 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    Awaitable,
     Callable,
+    Coroutine,
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -92,7 +96,9 @@ __all__ = [
     "plan_cell",
     "plan_cells",
     "prune_cache",
+    "run_cell_jobs",
     "run_job",
+    "run_setup_jobs",
     "timeout_budget",
 ]
 
@@ -163,10 +169,8 @@ def run_job(job: Tuple[str, str]) -> str:
 class ExperimentExecutionError(RuntimeError):
     """A job's worker process died and bounded retries did not recover it.
 
-    Raised instead of the raw :class:`BrokenProcessPool` traceback that used
-    to abort the whole grid: the message names the job (kind, scenario,
-    seed), how many attempts were made, and the usual causes, so the failure
-    is actionable rather than a lost batch.
+    The message names the job (kind, scenario, seed), how many attempts were
+    made, and the usual causes.
     """
 
 
@@ -228,10 +232,6 @@ def timeout_budget(raw: Any) -> Optional[float]:
     raise ValueError("timeout_s must be null or a positive finite number")
 
 
-#: What :meth:`JobExecutor._collect` returns for a crashed attempt.
-_RETRY = object()
-
-
 def _exit_with_parent(parent_pid: int) -> None:
     """End this worker process once ``parent_pid`` is no longer its parent."""
     while os.getppid() == parent_pid:
@@ -259,10 +259,9 @@ def _init_worker() -> None:
 class JobExecutor:
     """Run ``(kind, payload)`` jobs over one self-healing worker-process pool.
 
-    The one execution substrate: :class:`ExperimentRunner` calls the
-    synchronous :meth:`run_all` with a batch of jobs, the service daemon
-    (:mod:`repro.service`) awaits :meth:`run` once per job from its event
-    loop.  Both loops share the pool and its failure handling:
+    The one retry loop, :meth:`run`, is awaited by the daemon's event loop
+    and, through the synchronous :meth:`drive`, by :class:`ExperimentRunner`
+    and :meth:`run_all`.  It owns the pool's failure handling:
 
     * **bounded retry on worker crash** — a worker that dies mid-job (OOM
       kill, native crash), or a ``submit`` on a pool another job's crash
@@ -272,12 +271,12 @@ class JobExecutor:
       :class:`ExperimentExecutionError`.  Every job is a pure function of its
       payload, so a retried job returns exactly the bytes the crashed attempt
       would have;
-    * **per-job timeout** (:meth:`run`) — a job over its budget (``timeout_s``
-      by default, :func:`timeout_budget`) gets the workers SIGKILLed and the
-      pool rebuilt, surfacing :class:`JobTimeoutError` instead of wedging a
+    * **per-job timeout** — a job over its budget (``timeout_s`` by default,
+      :func:`timeout_budget`) gets the workers SIGKILLed and the pool
+      rebuilt, surfacing :class:`JobTimeoutError` instead of wedging a
       worker slot forever;
-    * **admission control** (:meth:`run`) — at most ``jobs`` jobs execute at
-      once, behind a FIFO semaphore, so the queue a client sees is the
+    * **admission control** — at most ``jobs`` jobs per event loop execute
+      at once, behind a FIFO semaphore, so the queue a client sees is the
       daemon's, not an opaque pool backlog.
 
     ``worker`` defaults to :func:`run_job`; tests inject crashing stand-ins.
@@ -302,7 +301,10 @@ class JobExecutor:
         #: Monotonic pool incarnation: a failed job only tears down the pool
         #: it actually ran on, so concurrent failures rebuild exactly once.
         self._generation = 0
-        #: Created by the first :meth:`run`, inside its event loop.
+        #: True while :meth:`drive` runs a serial batch in this process.
+        self._inline = False
+        #: A semaphore serves one event loop, and each drive is a new one.
+        self._loop: Any = None
         self._semaphore: Any = None
         self._running = 0
         #: High-water mark of jobs :meth:`run` executed at once (≤ ``jobs``).
@@ -352,91 +354,62 @@ class JobExecutor:
         that never started counts as a crashed attempt like any other.
         """
         pool = self._ensure_pool()
-        # Looked up per call, so tests can substitute ``run_job`` itself.
-        worker = self._worker if self._worker is not None else run_job
         try:
-            future = pool.submit(worker, job)
+            # Looked up per call, so tests can substitute ``run_job`` itself.
+            future = pool.submit(self._worker or run_job, job)
         except BrokenProcessPool as exc:
             future = Future()
             future.set_exception(exc)
         return future, self._generation
 
-    def _collect(
-        self, job: Tuple[str, str], future: Any, attempt: int, generation: int
-    ) -> Any:
-        """The output of attempt number ``attempt``, or ``_RETRY`` after a crash.
-
-        ``future`` is the attempt's future, or the asyncio future wrapping it.
-        This is the one place an attempt is accounted for.  A returned output
-        counts as ``completed`` and a raising worker as ``failed`` (the
-        exception propagates).  A crash counts a used retry and rebuilds the
-        pool the attempt rode; once ``retries`` are spent the job counts as
-        ``failed`` and :class:`ExperimentExecutionError` is raised.
-        """
-        try:
-            output = future.result()
-        except BrokenProcessPool:
-            self.retries_used += 1
-            self._rebuild(generation)
-            if attempt > self.retries:
-                self.jobs_failed += 1
-                raise ExperimentExecutionError(
-                    _crash_message(job, attempt, self.retries)
-                ) from None
-            return _RETRY
-        except Exception:
-            self.jobs_failed += 1
-            raise
-        self.jobs_completed += 1
-        return output
-
     # ------------------------------------------------------------------
-    def run_all(self, jobs: Sequence[Tuple[str, str]]) -> List[str]:
-        """Execute every job, returning outputs in input order.
+    def drive(self, work: Coroutine[Any, Any, Any], width: int) -> Any:
+        """Run ``work``, a coroutine awaiting at most ``width`` jobs side by
+        side, on an event loop of its own and return its value.
 
-        Serial (``jobs == 1`` or a single job) runs in-process, where an
-        exception is a real simulation failure and propagates unchanged.
-        Pooled runs resubmit each job whose worker crashed.
+        A serial batch (``jobs == 1`` or ``width <= 1``) runs every job in
+        this process, and a failing simulation's own exception propagates.
+        A caller whose thread already runs a loop (a notebook, an async
+        application) gets the batch's loop on a helper thread.
         """
+        import asyncio
+
+        self._inline = self.jobs == 1 or width <= 1
+        try:
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                return asyncio.run(work)
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                return helper.submit(asyncio.run, work).result()
+        finally:
+            self._inline = False
+
+    def run_all(self, jobs: Sequence[Tuple[str, str]]) -> List[str]:
+        """Execute every job, returning outputs in input order: a batch of
+        :meth:`run` under :meth:`drive` (in-process for ``jobs == 1`` or one job)."""
         jobs = list(jobs)
-        if self.jobs == 1 or len(jobs) <= 1:
-            worker = self._worker if self._worker is not None else run_job
-            return [worker(job) for job in jobs]
-        outputs: List[Any] = [None] * len(jobs)
-        attempts = [0] * len(jobs)
-        pending = list(range(len(jobs)))
-        while pending:
-            submitted = [(index, *self._submit(jobs[index])) for index in pending]
-            pending = []
-            for index, future, generation in submitted:
-                attempts[index] += 1
-                output = self._collect(jobs[index], future, attempts[index], generation)
-                if output is _RETRY:
-                    pending.append(index)
-                else:
-                    outputs[index] = output
-        return outputs
+        return self.drive(_gather(self.run(job) for job in jobs), len(jobs))
 
     async def run(
         self, job: Tuple[str, str], timeout_s: Optional[float] = None
     ) -> str:
-        """Execute one job from an event loop and return its output.
-
-        At most ``jobs`` calls execute at once; ``timeout_s`` overrides the
-        executor's default budget for this job.
-        """
+        """Execute one job, in-process in a serial :meth:`drive` or else on the
+        pool (counted in :meth:`stats`), and return its output; ``timeout_s``
+        overrides the default budget."""
+        if self._inline:
+            return (self._worker or run_job)(job)
         import asyncio
 
         budget = self.timeout_s if timeout_s is None else timeout_s
-        if self._semaphore is None:
-            self._semaphore = asyncio.Semaphore(self.jobs)
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            self._loop, self._semaphore = loop, asyncio.Semaphore(self.jobs)
         async with self._semaphore:
             self._running += 1
             self.peak_running = max(self.peak_running, self._running)
             try:
-                attempt = 0
-                while True:
-                    attempt += 1
+                for attempt in itertools.count(1):
                     future, generation = self._submit(job)
                     waiter = asyncio.wrap_future(future)
                     try:
@@ -453,19 +426,28 @@ class JobExecutor:
                             f"the {describe_job(job)} exceeded its {budget:g}s "
                             "budget; its worker was killed and the pool rebuilt"
                         )
-                    output = self._collect(job, waiter, attempt, generation)
-                    if output is not _RETRY:
-                        return output
+                    try:
+                        output = waiter.result()
+                    except BrokenProcessPool:
+                        self.retries_used += 1
+                        self._rebuild(generation)
+                        if attempt <= self.retries:
+                            continue
+                        self.jobs_failed += 1
+                        raise ExperimentExecutionError(
+                            _crash_message(job, attempt, self.retries)
+                        ) from None
+                    except Exception:
+                        self.jobs_failed += 1
+                        raise
+                    self.jobs_completed += 1
+                    return output
             finally:
                 self._running -= 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Worker-health snapshot for the service's ``/status`` document.
-
-        ``completed``/``failed`` count pool jobs; :meth:`run_all`'s
-        in-process serial path runs none.
-        """
+        """Worker-health snapshot for ``/status`` (pool jobs only)."""
         return {
             "workers": self.jobs,
             "alive": self._pool is not None,
@@ -483,11 +465,9 @@ class JobExecutor:
             pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "JobExecutor":
-        """Context-manager entry: the executor itself."""
         return self
 
     def __exit__(self, *_exc_info: Any) -> None:
-        """Context-manager exit: close the pool."""
         self.close()
 
 
@@ -529,11 +509,9 @@ class ResultCache:
     def load_key(self, key: str) -> Optional[RunResult]:
         """The result stored under ``key``, or ``None`` on a miss.
 
-        A cache entry that cannot be parsed back into a :class:`RunResult`
-        — a file torn by a crash mid-write under the old non-atomic writer,
-        or truncated by a full disk — is treated as a miss (the entry is
-        re-run and atomically overwritten), never as an error: a shared
-        cache directory must not be able to poison later runs.  ``key`` is
+        An entry that does not parse back into a :class:`RunResult` (torn or
+        truncated) is a miss, re-run and overwritten, so a shared cache
+        directory cannot poison later runs.  ``key`` is
         joined into a path, so anything but a content address raises
         :class:`ValueError`
         (:func:`~repro.experiments.warmstart.require_store_key`) instead of
@@ -578,10 +556,8 @@ class CellPlan:
     job, or one cold region job per distinct region sub-spec, with
     ``region_jobs`` naming the job that stands for each region of
     ``shard_plan``).  :meth:`merge` folds the outputs into the cell's
-    :class:`RunResult`.  Every executor — the batch runner, the service
-    daemon, the benchmark's traced walk — runs the same four steps over
-    these fields (setup jobs, jobs, :meth:`merge`, cache store), so all
-    produce byte-identical results by construction.
+    :class:`RunResult`.  The batch runner and the daemon both run these
+    steps through :func:`run_setup_jobs` and :func:`run_cell_jobs`.
     """
 
     spec: ScenarioSpec
@@ -645,6 +621,8 @@ def plan_cells(
     names no router (:mod:`repro.experiments.shard`).  Every payload is one
     JSON document whose keys :func:`run_job` lists.
     """
+    for spec in specs:
+        spec.check_measures()
     plans = [CellPlan(spec=spec) for spec in specs]
     # checkpoint key -> (prefix plan, indices of the cells sharing it)
     groups: Dict[str, Tuple[PrefixPlan, List[int]]] = {}
@@ -705,11 +683,40 @@ def plan_cells(
 
 
 def plan_cell(spec: ScenarioSpec, checkpoint_dir: Optional[Path] = None) -> CellPlan:
-    """Plan one cell against a durable store: :func:`plan_cells` of one.
-
-    With no ``checkpoint_dir`` the cell runs cold.
-    """
+    """:func:`plan_cells` of one, against a durable store (cold without one)."""
     return plan_cells([spec], checkpoint_dir)[0]
+
+
+# ----------------------------------------------------------------------
+# the cell steps (shared by the batch runner and the service daemon)
+# ----------------------------------------------------------------------
+async def _gather(work: Iterable[Awaitable[Any]]) -> List[Any]:
+    """Await ``work`` side by side, outputs in input order."""
+    import asyncio  # only a running batch or the daemon needs it
+
+    return list(await asyncio.gather(*work))
+
+
+async def run_setup_jobs(
+    plan: CellPlan, executor: JobExecutor, timeout_s: Optional[float] = None
+) -> None:
+    """Build the plan's missing prefix blobs, before any cell resumes from them."""
+    await _gather(executor.run(job, timeout_s) for job in plan.setup_jobs)
+
+
+async def run_cell_jobs(
+    plan: CellPlan,
+    key: str,
+    executor: JobExecutor,
+    cache: ResultCache,
+    timeout_s: Optional[float] = None,
+) -> RunResult:
+    """Run the plan's jobs side by side, merge them, store the result under
+    ``key`` (the cell's :meth:`ResultCache.key`) and return it."""
+    outputs = await _gather(executor.run(job, timeout_s) for job in plan.jobs)
+    result = plan.merge(outputs)
+    cache.store_key(key, result.to_json())
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -727,10 +734,8 @@ class ExperimentRunner:
     on any byte divergence — the runtime spot-check behind the CLI's
     ``--verify-warm-start``.
 
-    Execution rides a :class:`JobExecutor`: a worker that dies mid-job is
-    retried on a fresh pool up to ``retries`` times before the batch fails
-    with an actionable :class:`ExperimentExecutionError` (instead of the
-    historical raw :class:`BrokenProcessPool` losing the whole grid).
+    A worker that dies mid-job is retried on a fresh pool up to ``retries``
+    times before the batch fails with :class:`ExperimentExecutionError`.
     """
 
     def __init__(
@@ -778,9 +783,10 @@ class ExperimentRunner:
         equal keys — identical, or differing only in an intensity no
         strategy reads — are deduplicated (one execution, one counted miss,
         the result fanned out to every occurrence).  The pending cells are
-        planned as one batch by :func:`plan_cells`; all their jobs —
-        ordinary specs, warm resumes, the ``N`` region jobs of a
-        ``shards=N`` spec — share one flat job list over the process pool.
+        planned as one batch by :func:`plan_cells` and run on one
+        :class:`JobExecutor`, closed within this call so no worker outlives
+        it: every cell's :func:`run_setup_jobs`, then every cell's
+        :func:`run_cell_jobs`.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
@@ -800,38 +806,32 @@ class ExperimentRunner:
             occurrences.setdefault(key, []).append(index)
 
         if pending:
-            for key, result in zip(pending, self._execute_pending(pending)):
+            plans = plan_cells(
+                list(pending.values()),
+                checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
+                durable=self.cache_dir is not None,
+                verify=self.verify_warm_start,
+            )
+            for plan in plans:
+                self.checkpoint_hits += plan.checkpoint_hits
+                self.checkpoint_misses += plan.checkpoint_misses
+                self.warm_runs += plan.warm
+
+            async def batch(executor: JobExecutor) -> List[RunResult]:
+                # A group's blob is booked on one of its cells, and all resume from it.
+                await _gather(run_setup_jobs(plan, executor) for plan in plans)
+                return await _gather(
+                    run_cell_jobs(plan, key, executor, self._cache)
+                    for key, plan in zip(pending, plans)
+                )
+
+            width = max(sum(len(p.setup_jobs) for p in plans), sum(len(p.jobs) for p in plans))
+            with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
+                executed = executor.drive(batch(executor), width)
+            for key, result in zip(pending, executed):
                 for duplicate in occurrences[key]:
                     results[duplicate] = result
         return [result for result in results if result is not None]
-
-    def _execute_pending(self, pending: Mapping[str, ScenarioSpec]) -> List[RunResult]:
-        """Run the uncached cells (by cache key): plan, then setup jobs,
-        jobs, merge, store."""
-        plans = plan_cells(
-            list(pending.values()),
-            checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
-            durable=self.cache_dir is not None,
-            verify=self.verify_warm_start,
-        )
-        for plan in plans:
-            self.checkpoint_hits += plan.checkpoint_hits
-            self.checkpoint_misses += plan.checkpoint_misses
-            self.warm_runs += plan.warm
-
-        with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
-            executor.run_all([job for plan in plans for job in plan.setup_jobs])
-            outputs = executor.run_all([job for plan in plans for job in plan.jobs])
-
-        results: List[RunResult] = []
-        offset = 0
-        for key, plan in zip(pending, plans):
-            end = offset + len(plan.jobs)
-            result = plan.merge(outputs[offset:end])
-            offset = end
-            self._cache.store_key(key, result.to_json())
-            results.append(result)
-        return results
 
     # ------------------------------------------------------------------
     def run_one(self, spec: ScenarioSpec) -> RunResult:

@@ -564,6 +564,16 @@ class ScenarioSpec(PlainData):
                 if seconds is not None:
                     _check_number(name, seconds, where, unit=" of seconds")
 
+    def check_measures(self) -> None:
+        """Refuse a spec with no session, TCP flow or CBR flow: an idle
+        network measures nothing.  Checked where a spec enters (the planner,
+        the daemon's wire): a region of a sharded spec may hold no receivers."""
+        if not (self.sessions or self.tcp or self.cbr):
+            raise ValueError(
+                f"spec {self.name!r} measures nothing: ScenarioSpec.sessions, "
+                "tcp and cbr are all empty; declare a session or a flow"
+            )
+
     def _check_shardable(self) -> None:
         """Refuse a ``shards`` spec whose regions could not run apart.
 

@@ -3,13 +3,13 @@
 The scheduler is the daemon's single point of truth for *what work exists*:
 it admits submissions against a bounded queue, answers cells from the
 shared :class:`~repro.experiments.runner.ResultCache` without touching the
-pool, coalesces concurrent identical cells onto one execution (the
-cross-connection extension of the batch runner's in-batch dedup), and runs
-misses through :func:`~repro.experiments.runner.plan_cell` —
-:func:`~repro.experiments.runner.plan_cells`, the batch runner's planner,
-over a batch of one — and the runner's four steps over the
-:class:`~repro.experiments.runner.CellPlan` (setup jobs, jobs, merge, cache
-store), which is why service results are byte-identical to batch results.
+pool, and coalesces concurrent identical cells onto one execution (the
+cross-connection extension of the batch runner's in-batch dedup).  A miss
+runs the batch runner's own steps, per cell
+(:func:`~repro.experiments.runner.plan_cell`,
+:func:`~repro.experiments.runner.run_setup_jobs`,
+:func:`~repro.experiments.runner.run_cell_jobs`), so service results are
+byte-identical to batch results.
 
 Executions are detached :class:`asyncio.Task`s keyed by cache key: a
 client that disconnects mid-stream never cancels the simulation — the
@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..experiments.metrics import RunResult
-from ..experiments.runner import CellPlan, JobExecutor, ResultCache, plan_cell
+from ..experiments.runner import (
+    JobExecutor,
+    ResultCache,
+    plan_cell,
+    run_cell_jobs,
+    run_setup_jobs,
+)
 from ..experiments.spec import ScenarioSpec
 
 __all__ = [
@@ -138,9 +144,15 @@ class ExperimentScheduler:
         plan = plan_cell(spec, checkpoint_dir=self.cache.directory)
         self.checkpoint_hits += plan.checkpoint_hits
         self.checkpoint_misses += plan.checkpoint_misses
-        task = asyncio.get_running_loop().create_task(
-            self._execute_cell(plan, key, timeout_s)
-        )
+
+        async def execute() -> RunResult:
+            await run_setup_jobs(plan, self.pool, timeout_s)
+            result = await run_cell_jobs(plan, key, self.pool, self.cache, timeout_s)
+            self.cells_executed += 1
+            self.warm_runs += plan.warm
+            return result
+
+        task = asyncio.get_running_loop().create_task(execute())
         self._inflight[key] = task
         task.add_done_callback(lambda done: self._finish(key, done))
         return CellOutcome(await asyncio.shield(task), key, warm=plan.warm)
@@ -148,37 +160,14 @@ class ExperimentScheduler:
     def _finish(self, key: str, task: "asyncio.Task[RunResult]") -> None:
         """Drop a finished execution from the in-flight table.
 
-        The exception (if any) is consumed here so an execution every
-        awaiter abandoned (all clients gone) never logs an unretrieved-
-        exception warning; awaiters that are still around observe it
-        through their shielded await.
+        Its exception is consumed here, so an execution all clients abandoned
+        logs no unretrieved-exception warning; awaiters still around observe
+        it through their shielded await.
         """
         if self._inflight.get(key) is task:
             del self._inflight[key]
         if not task.cancelled() and task.exception() is not None:
             self.cells_failed += 1
-
-    async def _execute_cell(
-        self, plan: CellPlan, key: str, timeout_s: Optional[float]
-    ) -> RunResult:
-        """Run one planned cell on the pool; publish its result under ``key``.
-
-        The batch runner's four steps, per cell: setup jobs (the prefix
-        blob of a warm cell), jobs (a sharded cell's regions side by side),
-        merge, cache store.
-        """
-        await asyncio.gather(
-            *(self.pool.run(job, timeout_s) for job in plan.setup_jobs)
-        )
-        outputs = await asyncio.gather(
-            *(self.pool.run(job, timeout_s) for job in plan.jobs)
-        )
-        result = plan.merge(outputs)
-        self.cache.store_key(key, result.to_json())
-        self.cells_executed += 1
-        if plan.warm:
-            self.warm_runs += 1
-        return result
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -279,6 +279,7 @@ class ExperimentService:
 
         try:
             spec = ScenarioSpec.from_dict(message["spec"])
+            spec.check_measures()
         except (KeyError, TypeError, ValueError) as exc:
             return await reject(f"invalid spec: {exc}")
         raw_seeds = message.get("seeds")

@@ -9,7 +9,7 @@ from repro.analysis.protection import (
     time_to_containment_s,
     weighted_honest_baseline_kbps,
 )
-from repro.analysis.golden import subscription_vector
+from repro.analysis import subscription_vector
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

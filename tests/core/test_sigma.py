@@ -464,3 +464,23 @@ class TestKeyDistribution:
         distributor.announce(self._material(groups=1))
         assert acc.sigma_bits > 0
         assert distributor.special_packets_sent >= 1
+
+
+@pytest.mark.parametrize("duration_s", [20.0, 80.0])
+def test_agent_state_stays_within_the_key_table_horizon(duration_s):
+    """An edge agent drops its per-slot bookkeeping with the key table's keys.
+
+    Guess counts, decoded announcements and symbol buffers are kept only for
+    the retained slots and the ones ahead, so they do not grow with the run:
+    unpruned, an 80 s ``attack-key-guessing`` run held 3207 entries against
+    a 20 s run's 643; pruned, 66 against 62 (per-slot guess counts vary).
+    """
+    from repro.experiments import scenario_spec
+    from repro.experiments.warmstart import run_scenario
+
+    spec = scenario_spec("attack-key-guessing", attack_start_s=6.0, duration_s=duration_s)
+    (agent,) = run_scenario(spec).sigma_agents
+    slots = [key[2] for key in agent._guess_counts]
+    slots += [key[1] for key in (*agent._decoded_announcements, *agent._symbol_buffers)]
+    assert agent.guess_alarms > 0 and slots
+    assert min(slots) >= agent.slot_clock.current_slot - RETAINED_SLOTS + 1

@@ -115,6 +115,12 @@ DELETED = {
         r"|initial_ssthresh|\bretained_slots\b",
         ["src", "tests", "docs", "examples", "tools"],
     ),
+    # A planned cell's steps are runner.run_setup_jobs and run_cell_jobs; JobExecutor.run
+    # is the one retry loop.
+    "second cell pipeline or retry loop": (
+        r"_execute_pending|_execute_cell|\b_collect\(|\b_RETRY\b",
+        ["src"],
+    ),
     # metrics, warmstart, shard and runner import each other at module level, in that order.
     "function-level import hiding a cycle": (
         r"^\s+from \.(runner|shard|warmstart|metrics) import",

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from repro.adversary import AttackSpec, paper_attacker
-from repro.analysis.golden import subscription_vector
+from repro.analysis import subscription_vector
 from repro.experiments import (
     PAPER_DEFAULTS,
     ChurnProcess,

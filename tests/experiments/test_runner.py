@@ -336,7 +336,7 @@ class TestCli:
     @pytest.mark.parametrize("module", ["repro.experiments", "repro.__main__"])
     def test_batch_side_imports_without_asyncio(self, module):
         """The pool the runner shares with the daemon imports asyncio only
-        when the daemon awaits it."""
+        when a batch runs or the daemon awaits it."""
         assert self._modules_after([module], "asyncio") == "[]"
 
     @pytest.mark.parametrize("seeds", ["0", "-1", "two", "1.5"])

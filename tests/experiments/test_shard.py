@@ -368,6 +368,24 @@ def test_sharded_matches_unsharded_on_uncovered_shapes(shape):
         assert set(metrics["protection"]["sessions"]) == attacked
 
 
+@pytest.mark.parametrize(
+    "block",
+    [CohortDecl(AUDIENCE, router="edge1-2"), CohortDecl(AUDIENCE, model="vector")],
+    ids=["pinned", "one-vector-row"],
+)
+def test_a_region_without_receivers_runs_idle(block):
+    """A region holding no receiver — its only block pinned to the other
+    region, or one unpinned vector row, which lands on the first edge — is
+    an empty sub-spec: it plans, runs and merges, matching the unsharded run."""
+    spec = sharded_spec(**_population(block))
+    plan = plan_cell(spec)
+    assert [bool(region.spec.sessions) for region in plan.shard_plan.regions] == [True, False]
+    sharded = ExperimentRunner(jobs=1).run_one(spec)
+    metrics = dict(sharded.metrics)
+    assert metrics.pop("boundary")["per_region"].get("2", 0) == 0
+    assert metrics == execute_spec(replace(spec, shards=None)).metrics
+
+
 # ----------------------------------------------------------------------
 # identical regions are one region
 # ----------------------------------------------------------------------

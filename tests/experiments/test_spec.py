@@ -16,13 +16,16 @@ from repro.experiments import (
     CohortDecl,
     PAPER_GROUP_COUNTS,
     ExperimentConfig,
+    ExperimentRunner,
     RunResult,
     Scenario,
     ScenarioSpec,
     SessionDecl,
     TcpDecl,
     inflated_subscription_spec,
+    list_figures,
     list_scenarios,
+    plan_cell,
     scenario_entry,
     scenario_spec,
 )
@@ -97,6 +100,24 @@ class TestValidation:
         document["duration_s"] = duration_s
         with pytest.raises(ValueError, match=r"ScenarioSpec\.duration_s .*MAX_DURATION_S"):
             ScenarioSpec.from_dict(document)
+
+    def test_a_spec_that_measures_nothing_is_refused(self):
+        """With no session, TCP or CBR flow a spec ran an idle network and
+        returned ``{"multicast": {}}``; the planner refuses it by name (the
+        daemon's wire: ``tests/service``)."""
+        empty = ScenarioSpec(name="empty", protected=False, duration_s=2.0)
+        with pytest.raises(ValueError, match=r"measures nothing: ScenarioSpec\.sessions"):
+            ExperimentRunner().run([empty])
+        with pytest.raises(ValueError, match=r"ScenarioSpec\.sessions"):
+            plan_cell(empty)
+
+    @pytest.mark.parametrize(
+        "traffic",
+        [{"sessions": (SessionDecl("a"),)}, {"tcp": (TcpDecl("t"),)}, {"cbr": (CbrDecl("c"),)}],
+        ids=["session", "tcp", "cbr"],
+    )
+    def test_one_session_or_flow_is_enough(self, traffic):
+        ScenarioSpec(name="d", protected=False, **traffic).check_measures()
 
     def test_the_duration_cap_is_inclusive(self):
         assert MAX_DURATION_S == 3600.0
@@ -190,6 +211,13 @@ class TestRegistry:
         assert len(spec.sessions) == 6
         assert len(spec.tcp) == 6
         assert spec.topology_params == {"bottleneck_bandwidth_bps": 12 * 250_000.0}
+
+    def test_no_registered_scenario_or_figure_cell_is_empty(self):
+        cells = [entry.build() for entry in list_scenarios()]
+        cells += [spec for decl in list_figures() for spec in decl.cells()]
+        assert cells
+        for spec in cells:
+            spec.check_measures()
 
     def test_registered_specs_serialise(self):
         for entry in list_scenarios():

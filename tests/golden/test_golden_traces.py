@@ -1,7 +1,7 @@
 """Golden-trace regression tests for the protection results.
 
 Each case runs a registered scenario (shortened for test speed) and compares
-its :func:`~repro.analysis.golden.scenario_trace_digest` — per-slot
+its :func:`~repro.experiments.golden.scenario_trace_digest` — per-slot
 subscription vectors in the clear, SHA-256 over the throughput series and
 over the full metric document — against the stored digest in this directory.
 The simulator is byte-deterministic per spec (the property suite asserts it
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.golden import scenario_trace_digest
+from repro.experiments.golden import scenario_trace_digest
 from repro.experiments import scenario_spec
 
 GOLDEN_DIR = Path(__file__).parent

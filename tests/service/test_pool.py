@@ -1,12 +1,11 @@
 """Worker-crash and timeout semantics of the one job execution substrate.
 
-:class:`~repro.experiments.runner.JobExecutor` is driven two ways over one
-pool: the batch runner's synchronous ``run_all`` and the daemon's awaited
-``run``.  Both must survive a worker that dies mid-job — retried (bounded)
-on a rebuilt pool and, when retries are exhausted, surfaced as an
-actionable :class:`~repro.experiments.ExperimentExecutionError` — and
-``run`` adds the per-job timeout (stuck worker killed, pool rebuilt, caller
-told).
+:class:`~repro.experiments.runner.JobExecutor` has one retry loop, ``run``,
+which the daemon awaits and ``run_all`` batches synchronously.  It must
+survive a worker that dies mid-job — retried (bounded) on a rebuilt pool
+and, when retries are exhausted, surfaced as an actionable
+:class:`~repro.experiments.ExperimentExecutionError` — and enforce the
+per-job timeout (stuck worker killed, pool rebuilt, caller told).
 
 Crash injection monkeypatches the module-level worker entry point; the
 ``fork`` start method propagates the patched binding into pool workers, so
@@ -127,6 +126,29 @@ class TestJobExecutor:
             with pytest.raises(ValueError):
                 executor.run_all([("spec", "this is not a spec document")])
 
+    def test_pooled_batches_and_awaited_runs_share_one_executor(self):
+        """Each pooled ``run_all`` runs on a fresh event loop, and so does
+        the caller's ``asyncio.run``: a semaphore kept from an earlier loop
+        would raise (3.10+) or misbehave (3.9) on the next.  Three jobs on
+        two workers make the third wait on it."""
+        jobs = _jobs((0, 1, 2))
+        expected = [run_job(job) for job in jobs]
+        with JobExecutor(jobs=2) as executor:
+            assert executor.run_all(jobs) == expected
+            assert executor.run_all(jobs) == expected
+
+            async def awaited():
+                return await asyncio.gather(*(executor.run(job) for job in jobs))
+
+            assert asyncio.run(awaited()) == expected
+            assert executor.stats()["completed"] == 9
+            assert executor.stats()["peak_running"] == 2
+
+    def test_a_serial_batch_runs_in_process(self):
+        with JobExecutor(jobs=1) as executor:
+            assert executor.run_all(_jobs((0,))) == [run_job(_jobs((0,))[0])]
+            assert executor.stats()["completed"] == 0 and not executor.stats()["alive"]
+
 
 # ----------------------------------------------------------------------
 # ExperimentRunner regression: no more raw BrokenProcessPool grid loss
@@ -143,6 +165,25 @@ class TestRunnerCrashRecovery:
         )
         results = ExperimentRunner(jobs=2).run_seed_sweep(fast_spec(), (0, 1))
         assert [r.to_json() for r in results] == [r.to_json() for r in expected]
+
+    def test_no_worker_outlives_a_pooled_run(self):
+        runner = ExperimentRunner(jobs=2)
+        assert len(runner.run_seed_sweep(fast_spec(), (0, 1))) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runs_from_inside_a_running_event_loop(self, jobs):
+        """A caller that already runs a loop (a notebook, an async
+        application) gets the same bytes: the batch's own loop runs on a
+        helper thread."""
+        expected = ExperimentRunner(jobs=1).run_seed_sweep(fast_spec(), (0, 1))
+
+        async def caller():
+            return ExperimentRunner(jobs=jobs).run_seed_sweep(fast_spec(), (0, 1))
+
+        results = asyncio.run(caller())
+        assert [r.to_json() for r in results] == [r.to_json() for r in expected]
+        assert multiprocessing.active_children() == []
 
     @fork_only
     def test_persistent_crash_raises_experiment_error(self, monkeypatch):

@@ -409,7 +409,9 @@ class TestProtocolErrorHandling:
         bottleneck.  An oversized topology is refused before the event loop
         allocates it, and a bandwidth past the float range by name.  So are
         unusable traffic times and rates: an infinite CBR rate used to hang
-        a worker, a NaN TCP start to run without the flow."""
+        a worker, a NaN TCP start to run without the flow.  A spec with no
+        session or flow used to run an idle network and cache ``{"multicast":
+        {}}``."""
         template = ScenarioSpec(
             name="service-topology", protected=False, sessions=(SessionDecl("mc"),),
             duration_s=6.0,
@@ -467,6 +469,7 @@ class TestProtocolErrorHandling:
                 "TCP/CBR cross traffic couples regions; cannot shard",
             ),
             ({"durration_s": 5}, "unknown keys ['durration_s']"),
+            ({"sessions": []}, "measures nothing: ScenarioSpec.sessions"),
             # Retired: the attacker shorthand and the config's second run length.
             (
                 {"sessions": [{"session_id": "mc", "misbehaving": [0]}]},
