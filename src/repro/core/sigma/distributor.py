@@ -104,7 +104,6 @@ class SigmaKeyDistributor:
             protocol="sigma",
             headers={"sigma_intercept": True},
             overhead_bits=size_bytes * 8,
-            created_at=self.host.sim.now,
         )
 
     def _fec_packets(self, announcement: KeyAnnouncement) -> List[Packet]:

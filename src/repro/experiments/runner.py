@@ -41,6 +41,7 @@ through one pipeline, **plan → run → assemble**:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -762,17 +763,6 @@ class ExperimentRunner:
         self.checkpoint_misses = 0
         #: Cells executed from a restored prefix instead of from ``t=0``.
         self.warm_runs = 0
-        self._scratch: Optional[tempfile.TemporaryDirectory] = None
-
-    def _checkpoint_dir(self) -> Path:
-        """Where prefix blobs live: the result cache, or a runner-lifetime
-        scratch directory so batches without a ``cache_dir`` still share
-        prefixes within (and across) their own grids."""
-        if self.cache_dir is not None:
-            return self.cache_dir
-        if self._scratch is None:
-            self._scratch = tempfile.TemporaryDirectory(prefix="repro-warmstart-")
-        return Path(self._scratch.name)
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
@@ -786,7 +776,9 @@ class ExperimentRunner:
         planned as one batch by :func:`plan_cells` and run on one
         :class:`JobExecutor`, closed within this call so no worker outlives
         it: every cell's :func:`run_setup_jobs`, then every cell's
-        :func:`run_cell_jobs`.
+        :func:`run_cell_jobs`.  Prefix blobs live in the result cache, or,
+        without a ``cache_dir``, in a scratch directory removed when the call
+        returns, so cells still share prefixes within their own batch.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
@@ -806,28 +798,36 @@ class ExperimentRunner:
             occurrences.setdefault(key, []).append(index)
 
         if pending:
-            plans = plan_cells(
-                list(pending.values()),
-                checkpoint_dir=self._checkpoint_dir() if self.warm_start else None,
-                durable=self.cache_dir is not None,
-                verify=self.verify_warm_start,
+            store = (
+                tempfile.TemporaryDirectory(prefix="repro-warmstart-")
+                if self.warm_start and self.cache_dir is None
+                else contextlib.nullcontext(self.cache_dir)
             )
-            for plan in plans:
-                self.checkpoint_hits += plan.checkpoint_hits
-                self.checkpoint_misses += plan.checkpoint_misses
-                self.warm_runs += plan.warm
-
-            async def batch(executor: JobExecutor) -> List[RunResult]:
-                # A group's blob is booked on one of its cells, and all resume from it.
-                await _gather(run_setup_jobs(plan, executor) for plan in plans)
-                return await _gather(
-                    run_cell_jobs(plan, key, executor, self._cache)
-                    for key, plan in zip(pending, plans)
+            with store as checkpoint_dir:
+                plans = plan_cells(
+                    list(pending.values()),
+                    checkpoint_dir=Path(checkpoint_dir) if self.warm_start else None,
+                    durable=self.cache_dir is not None,
+                    verify=self.verify_warm_start,
                 )
+                for plan in plans:
+                    self.checkpoint_hits += plan.checkpoint_hits
+                    self.checkpoint_misses += plan.checkpoint_misses
+                    self.warm_runs += plan.warm
 
-            width = max(sum(len(p.setup_jobs) for p in plans), sum(len(p.jobs) for p in plans))
-            with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
-                executed = executor.drive(batch(executor), width)
+                async def batch(executor: JobExecutor) -> List[RunResult]:
+                    # A group's blob is booked on one of its cells, and all resume from it.
+                    await _gather(run_setup_jobs(plan, executor) for plan in plans)
+                    return await _gather(
+                        run_cell_jobs(plan, key, executor, self._cache)
+                        for key, plan in zip(pending, plans)
+                    )
+
+                width = max(
+                    sum(len(p.setup_jobs) for p in plans), sum(len(p.jobs) for p in plans)
+                )
+                with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
+                    executed = executor.drive(batch(executor), width)
             for key, result in zip(pending, executed):
                 for duplicate in occurrences[key]:
                     results[duplicate] = result

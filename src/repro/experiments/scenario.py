@@ -68,10 +68,10 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 16
+CHECKPOINT_VERSION = 17
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
-#: ``getattr(obj, name)``; links, packet ids and RNG streams hold the rest.
+#: ``getattr(obj, name)``; links, the address counter and RNG streams hold the rest.
 _CHECKPOINT_STDLIB = {
     ("builtins", "getattr"), ("collections", "deque"), ("itertools", "count"), ("random", "Random")
 }
@@ -509,7 +509,6 @@ class Scenario:
         sink = self.network.add_receiver(
             f"{decl.name}-dst", router=self._place(decl.receiver_router)
         )
-        self.network.build_routes()
         port = self._next_port
         self._next_port += 1
         return source, sink, port

@@ -90,7 +90,6 @@ class LayeredSenderBase:
         self._group_address = [None] + [spec.address_of(g) for g in groups]
         self._interval_s = [0.0] + [spec.packet_interval_s(g) for g in groups]
         self._group_key = [0] + [address.value for address in self._group_address[1:]]
-        self._pool = network.multicast.packet_pool
         #: The multicast service's member sets, read in place by every tick.
         self._members = network.multicast._members
 
@@ -178,9 +177,7 @@ class LayeredSenderBase:
         is_last_in_slot = (now + interval) >= ((slot + 1) * duration - 1e-9)
         seq = self._group_seq[group]
         self._group_seq[group] = seq + 1
-        # DATA packets dominate the allocation profile; draw them from the
-        # network's pool (the forwarding plane recycles them when dead).
-        packet = self._pool.acquire(
+        packet = Packet(
             source=self.host.address,
             destination=self._group_address[group],
             size_bytes=self.spec.packet_bytes,
@@ -193,7 +190,6 @@ class LayeredSenderBase:
                 headers.UPGRADE_GROUPS: self._current_upgrades,
                 headers.CLOSING: is_last_in_slot,
             },
-            created_at=now,
         )
         self._decorate_packet(packet, group, is_last_in_slot)
         self.packets_sent += 1

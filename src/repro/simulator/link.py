@@ -28,7 +28,7 @@ throughout the paper's evaluation (§5.1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .engine import Simulator
 from .packet import Packet
@@ -107,8 +107,6 @@ class Link:
         #: Time at which the last admitted packet finishes serializing: the
         #: end of the backlog.
         self._busy_until = 0.0
-        #: Optional hook invoked with every packet dropped at this link's queue.
-        self.on_drop: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -141,15 +139,8 @@ class Link:
             self._busy_until = done
             sim.schedule_at(done + self.delay_s, self._deliver, packet)
             return True
-        if self.on_drop is not None:
-            self.on_drop(packet)
-        pool = packet._pool
-        if pool is not None:
-            # A dropped pool replica has no remaining consumer: recycle.
-            pool.release(packet)
         return False
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1
-        packet.hop_count += 1
         self.dst.receive(packet, self)

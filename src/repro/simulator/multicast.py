@@ -24,7 +24,6 @@ from .address import GroupAddress
 from .engine import Simulator
 from .link import Link
 from .node import Host, Node, Router
-from .packet import PacketPool
 
 __all__ = ["MulticastRoutingService", "MembershipStats", "GRAFT_DELAY_S", "PRUNE_DELAY_S"]
 
@@ -44,8 +43,18 @@ class MembershipStats:
         self.leaves_effective = 0
 
 
+class ZeroPoolCounters:
+    """Zero counters of the packet free-list the forwarding plane once had."""
+
+    recycled = 0
+    allocated = 0
+
+
 class MulticastRoutingService:
     """Tracks group membership and answers router forwarding queries."""
+
+    # Always zero: read by benchmarks/e2e/traced.py until ROADMAP.md item 1a.
+    packet_pool = ZeroPoolCounters
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -56,9 +65,6 @@ class MulticastRoutingService:
         #: membership change invalidates the group's table (an O(1) pop, not
         #: a cache scan).
         self._tables: Dict[int, Dict[str, List[Tuple[Link, Node, bool]]]] = {}
-        #: Free-list for the multicast data plane: routers draw replicas
-        #: from here and the forwarding plane recycles them when dead.
-        self.packet_pool = PacketPool()
         self.stats = MembershipStats()
         #: Optional boundary-event recorder for region-sharded runs
         #: (:mod:`repro.experiments.shard`): when a list is assigned here,

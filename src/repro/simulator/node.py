@@ -154,10 +154,8 @@ class Host(Node):
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
         """Dispatch a delivered packet to the registered agent(s).
 
-        Agents must not retain the packet beyond ``handle_packet``: the host
-        is the terminal consumer of a multicast replica and recycles pooled
-        packets once dispatch returns (see
-        :class:`~repro.simulator.packet.PacketPool`).
+        A multicast packet goes to every agent of its group; the agents share
+        it and may keep it, since nothing writes a packet once it is sent.
         """
         self.packets_received += 1
         if packet.multicast:
@@ -165,9 +163,6 @@ class Host(Node):
             if agents:
                 for agent in agents:
                     agent.handle_packet(packet)
-            pool = packet._pool
-            if pool is not None:
-                pool.release(packet)
             return
         key = packet.headers.get("port")
         agent = self._agents.get(key)
@@ -213,10 +208,9 @@ class Router(Node):
 
         The last eligible branch takes the incoming packet itself; only the
         branches before it get a :meth:`~repro.simulator.packet.Packet.replicate`
-        (shared headers, private hop count) drawn from the network's packet
-        pool, in out-link order.  With individual receivers almost every
-        fan-out is of one, so a hop usually allocates nothing.  A packet
-        with no eligible branch ends here and is recycled.
+        (shared headers), in out-link order.  With individual receivers
+        almost every fan-out is of one, so a hop usually allocates nothing.
+        A packet with no eligible branch is dropped.
         """
         service = self.multicast_service
         if service is None:
@@ -231,7 +225,6 @@ class Router(Node):
         rows = service.out_rows(self, packet.destination)
         self.multicast_packets_forwarded += 1
         copies = 0
-        pool = service.packet_pool
         incoming_src = incoming.src if incoming is not None else None
         last = None  # out-link of the eligible branch still waiting for its packet
         for row in rows:
@@ -241,10 +234,9 @@ class Router(Node):
                 continue  # special packets never reach local interfaces
             if last is not None:
                 copies += 1
-                last.send(packet.replicate(pool))
+                last.send(packet.replicate())
             last = row[0]
         if last is None:
-            pool.release(packet)
             return
         self.multicast_copies_sent += copies + 1
         last.send(packet)

@@ -79,7 +79,6 @@ class CbrSource:
             size_bytes=self.packet_bytes,
             protocol="cbr",
             headers={"port": self.port},
-            created_at=self.sim.now,
         )
         self.packets_sent += 1
         self.host.send(packet)

@@ -140,7 +140,6 @@ class TcpRenoSender:
                 "seq": seq,
                 "reply_port": ("tcp-sender", self.port),
             },
-            created_at=self.sim.now,
         )
         self.segments_sent += 1
         # A segment re-sent through the normal window path after a go-back-N
@@ -340,7 +339,6 @@ class TcpSink(PacketAgent):
                 "kind": "ack",
                 "ack": self._next_expected,
             },
-            created_at=self.host.sim.now,
         )
         self.acks_sent += 1
         self.host.send(ack)

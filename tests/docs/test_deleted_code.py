@@ -121,6 +121,16 @@ DELETED = {
         r"_execute_pending|_execute_cell|\b_collect\(|\b_RETRY\b",
         ["src"],
     ),
+    # A packet is what the wire carries, and an agent may keep a delivered one.
+    "packet pool or per-packet field no run reads": (
+        r"PacketPool|acquire_blank|_packet_ids|hop_count|created_at|\.uid\b",
+        ["src"],
+    ),
+    # A link's send() returns False for a packet its queue drops.
+    "link drop hook": (
+        r"on_drop",
+        ["src", "tests"],
+    ),
     # metrics, warmstart, shard and runner import each other at module level, in that order.
     "function-level import hiding a cycle": (
         r"^\s+from \.(runner|shard|warmstart|metrics) import",

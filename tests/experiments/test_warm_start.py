@@ -49,6 +49,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
 from repro.experiments.warmstart import PREFIX_NAME
 from repro.simulator.engine import Simulator
+from repro.simulator.packet import Packet
 from repro.transport import CbrSource
 
 #: The golden-trace scenarios (same shortened overrides as ``tests/golden``),
@@ -164,6 +165,17 @@ def test_runner_verify_warm_start_passes(tmp_path):
     verified = ExperimentRunner(jobs=1, cache_dir=tmp_path, verify_warm_start=True)
     assert [r.to_json() for r in verified.run(grid)] == cold
     assert verified.warm_runs == len(grid)
+
+
+def test_scratch_blobs_are_removed_when_the_batch_returns(tmp_path, monkeypatch):
+    """Without a cache_dir the shared prefix lives in a scratch directory
+    that is gone once ``run`` returns, not when the runner is collected."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runner = ExperimentRunner(jobs=1)
+    results = runner.run(_protection_grid()[:2])
+    assert len(results) == 2
+    assert runner.warm_runs == 2 and runner.checkpoint_misses == 1
+    assert not list(tmp_path.glob("repro-warmstart-*"))
 
 
 def test_lone_cell_warms_only_with_durable_cache(tmp_path):
@@ -383,7 +395,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -420,7 +432,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -439,7 +451,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -462,7 +474,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -480,7 +492,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -502,7 +514,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     """Version 11 simulators carried a stop flag, senders a restart epoch in
     every pending tick and timer groups a wakeup handle; its blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -527,7 +539,7 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     receivers by ``block_slices``; a version 13 scenario carries its edge
     classes and the declared hosts each receiver stands for, so old blobs
     are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     spec = replace(scale_dumbbell_10m_spec(
         receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
         attack_start_s=6.0, duration_s=9.0,
@@ -552,7 +564,7 @@ def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
     """Version 13 CBR sources pickled a cancellable engine event for their
     next send; a version 14 source carries a generation number instead and
     its stale sends stay in the heap, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(_cbr_across_the_barrier())
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -572,7 +584,7 @@ def test_version_14_checkpoint_blob_is_a_miss(tmp_path):
     """Version 14 scenarios pickled a config carrying a second run length
     (``duration_s``); a version 15 config has none, the spec's duration is
     the one run length, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -592,7 +604,7 @@ def test_version_15_checkpoint_blob_is_a_miss(tmp_path):
     monitors a bin width and session specs two upgrade-signal fields; a
     version 16 scenario reads those as module constants, so old blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -612,6 +624,34 @@ def test_version_15_checkpoint_blob_is_a_miss(tmp_path):
         "packet_bytes", "slot_duration_s", "group_addresses",
     ]
     stale = pickle.dumps((15, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    assert _checkpoint_job(block)["reused"] is False
+    assert store.load(key) is not None
+
+
+def test_version_16_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 16 packets carried an id, a hop count, a creation time and a
+    pool tag, and the routing service a packet free-list; a version 17
+    packet is what the wire carries, so old blobs are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 17
+    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
+    key = plan.checkpoint_key()
+    block = plan.block(tmp_path)
+    store = CheckpointStore(tmp_path)
+    _checkpoint_job(block)
+    scenario = store.load(key)
+    in_flight = [
+        entry[3][0] for entry in scenario.network.sim._heap
+        if getattr(entry[2], "__name__", None) == "_deliver"
+    ]
+    assert in_flight and all(type(packet) is Packet for packet in in_flight)
+    assert Packet.__slots__ == (
+        "source", "destination", "size_bytes", "protocol", "headers",
+        "overhead_bits", "dest_key", "multicast",
+    )
+    assert "packet_pool" not in vars(scenario.network.multicast)
+    stale = pickle.dumps((16, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
     assert _checkpoint_job(block)["reused"] is False

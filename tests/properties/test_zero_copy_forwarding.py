@@ -1,12 +1,12 @@
-"""Aliasing and pooling properties of the zero-copy forwarding plane.
+"""Aliasing properties of the zero-copy forwarding plane.
 
 The multicast fan-out shares one headers dictionary between every replica of
-a packet and recycles dead replicas through a :class:`PacketPool`.  These
-tests pin down the safety contract:
+a packet, and a router hands the incoming packet itself to its last branch.
+These tests pin down the safety contract:
 
-* **pool hygiene** — recycling never rewrites a shared headers dictionary,
-  double release is a no-op, and foreign packets pass through untouched;
-* **observational equivalence** — a scenario run with pooling/zero-copy
+* **replicas are whole** — a replica copies every slot of its original and
+  shares its headers, and an agent may keep the packets a run delivers;
+* **observational equivalence** — a scenario run with zero-copy fan-out
   produces byte-identical metrics across repeated runs and across the
   serial versus process-pool runner paths (the batched monitors feed both);
 * **moving is invisible** — a router hands the incoming packet itself to its
@@ -21,18 +21,20 @@ import json
 from repro.adversary import paper_attacker
 from repro.experiments import (
     ExperimentRunner,
+    Scenario,
     ScenarioSpec,
     SessionDecl,
     execute_spec,
     scenario_spec,
 )
 from repro.experiments.warmstart import run_scenario
+from repro.multicast_cc import headers
 from repro.simulator.address import GroupAddress, NodeAddress, MULTICAST_BASE
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.multicast import MulticastRoutingService
 from repro.simulator.node import Host, PacketAgent, Router
-from repro.simulator.packet import Packet, PacketPool
+from repro.simulator.packet import Packet
 
 
 def build_fanout():
@@ -54,111 +56,74 @@ def build_fanout():
     return sim, router, service, hosts, group
 
 
-class Recorder(PacketAgent):
-    """Snapshots every delivery (agents must not retain the packet)."""
+class IdentityRecorder(PacketAgent):
+    """Keeps every packet delivered to it."""
 
     def __init__(self) -> None:
-        self.snapshots = []
+        self.objects = []
 
     def handle_packet(self, packet: Packet) -> None:
-        self.snapshots.append(dict(packet.headers))
+        self.objects.append(packet)
 
 
-class TestPoolHygiene:
-    def test_release_preserves_shared_headers_dict(self):
-        pool = PacketPool()
-        group = GroupAddress(MULTICAST_BASE + 3)
-        packet = pool.acquire(NodeAddress(1), group, 100, headers={"k": "v"})
-        shared = packet.headers
-        replica = packet.replicate(pool)
-        pool.release(packet)
-        reused = pool.acquire(NodeAddress(2), group, 200, headers={"k": "other"})
-        assert reused is packet  # recycled object ...
-        assert replica.headers is shared and shared["k"] == "v"  # ... old dict intact
-        assert reused.headers is not shared
+def count_replicas(monkeypatch) -> list:
+    """Count :meth:`Packet.replicate` calls into the returned one-item list."""
+    calls = [0]
+    replicate = Packet.replicate
 
-    def test_acquire_resets_every_field_a_recycled_packet_carried(self):
-        pool = PacketPool()
-        packet = pool.acquire(
-            NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100, protocol="flid",
-            headers={"k": "v"}, overhead_bits=32, created_at=4.0,
-        )
-        packet.hop_count = 5
-        pool.release(packet)
-        reused = pool.acquire(NodeAddress(2), NodeAddress(3), 200)
-        assert reused is packet
-        fresh = Packet(NodeAddress(2), NodeAddress(3), 200)
-        for name in Packet.__slots__:
-            if name not in ("uid", "_pool"):
-                assert getattr(reused, name) == getattr(fresh, name), name
+    def counting_replicate(packet):
+        calls[0] += 1
+        return replicate(packet)
 
+    monkeypatch.setattr(Packet, "replicate", counting_replicate)
+    return calls
+
+
+class TestWholeReplicas:
     def test_replica_copies_every_slot_but_its_identity(self):
-        """A slot ``replicate`` forgets would read stale state off a pooled
-        object (or raise on a fresh one)."""
-        pool = PacketPool()
-        original = pool.acquire(
+        """A slot ``replicate`` forgets would raise on the replica."""
+        original = Packet(
             NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100, protocol="flid",
-            headers={"k": "v"}, overhead_bits=32, created_at=4.0,
+            headers={"k": "v"}, overhead_bits=32,
         )
-        original.hop_count = 2
-        stale = pool.acquire(NodeAddress(9), NodeAddress(8), 900)
-        pool.release(stale)
-        for replica in (original.replicate(), original.replicate(pool)):
-            assert replica.headers is original.headers
-            assert replica.uid != original.uid
-            for name in Packet.__slots__:
-                if name not in ("uid", "_pool"):
-                    assert getattr(replica, name) == getattr(original, name), name
-        assert pool.recycled == 1  # the second replica reused the stale object
+        replica = original.replicate()
+        assert replica is not original and replica.headers is original.headers
+        for name in Packet.__slots__:
+            assert getattr(replica, name) == getattr(original, name), name
 
-    def test_double_release_is_idempotent(self):
-        pool = PacketPool()
-        packet = pool.acquire(NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100)
-        pool.release(packet)
-        pool.release(packet)
-        first = pool.acquire_blank()
-        second = pool.acquire_blank()
-        assert first is not second
-
-    def test_foreign_packets_are_never_pooled(self):
-        pool = PacketPool()
-        packet = Packet(NodeAddress(1), NodeAddress(2), 100)
-        pool.release(packet)
-        assert len(pool) == 0
-
-    def test_bounded_free_list(self):
-        pool = PacketPool(max_size=2)
-        packets = [
-            pool.acquire(NodeAddress(1), GroupAddress(MULTICAST_BASE + 3), 100)
-            for _ in range(5)
-        ]
-        for packet in packets:
-            pool.release(packet)
-        assert len(pool) == 2
-
-    def test_fanout_recycles_through_pool(self):
+    def test_fanout_leaves_the_shared_headers_intact(self, monkeypatch):
         sim, router, service, hosts, group = build_fanout()
-        for host in hosts:
-            host.register_group_agent(group, Recorder())
-        pool = service.packet_pool
+        recorders = [IdentityRecorder() for _ in hosts]
+        for host, recorder in zip(hosts, recorders):
+            host.register_group_agent(group, recorder)
+        replicas = count_replicas(monkeypatch)
         for n in range(50):
-            packet = pool.acquire(
-                source=NodeAddress(99),
-                destination=group,
-                size_bytes=576,
-                headers={"seq": n},
-                created_at=sim.now,
-            )
-            router.receive(packet, None)
+            router.receive(Packet(NodeAddress(99), group, 576, headers={"seq": n}), None)
             sim.run()
-        # Steady state: replicas come back; fresh allocations stay a small
-        # constant (the in-flight window), not one per delivery.
-        assert pool.recycled > pool.allocated
+        assert replicas == [100]
+        for n, copies in enumerate(zip(*(r.objects for r in recorders))):
+            assert len({id(packet) for packet in copies}) == 3
+            assert all(packet.headers is copies[0].headers for packet in copies)
+            assert copies[0].headers == {"seq": n}
+
+    def test_an_agent_may_keep_the_packets_a_run_delivers(self):
+        scenario = Scenario.from_spec(scenario_spec("figure1-attack", duration_s=3.0))
+        session = scenario.sessions[0]
+        keeper = IdentityRecorder()
+        session.receivers[0].host.register_group_agent(session.spec.address_of(1), keeper)
+        scenario.run(3.0)
+        assert len(keeper.objects) > 10
+        for packet in keeper.objects:
+            assert packet.source == session.sender.host.address
+            assert packet.headers[headers.SESSION] == session.spec.session_id
+            assert packet.headers[headers.GROUP] == 1
+        seqs = [packet.headers[headers.GROUP_SEQ] for packet in keeper.objects]
+        assert seqs == sorted(set(seqs))
 
 
 def forward_by_copying(self, packet, incoming):
     """``Router._forward_multicast`` as it was: a replica for *every* branch,
-    the incoming packet absorbed and recycled."""
+    the incoming packet dropped."""
     service = self.multicast_service
     if service is None:
         return
@@ -169,7 +134,6 @@ def forward_by_copying(self, packet, incoming):
             handler(packet)
     self.multicast_packets_forwarded += 1
     copies = 0
-    pool = service.packet_pool
     incoming_src = incoming.src if incoming is not None else None
     for out, _next_hop, _is_host in service.out_rows(self, packet.destination):
         dst = out.dst
@@ -179,80 +143,64 @@ def forward_by_copying(self, packet, incoming):
         if intercept and is_local_interface:
             continue
         copies += 1
-        out.send(packet.replicate(pool))
+        out.send(packet.replicate())
     self.multicast_copies_sent += copies
-    pool.release(packet)
-
-
-class IdentityRecorder(PacketAgent):
-    """Remembers *which object* arrived (compared, never dereferenced later)."""
-
-    def __init__(self) -> None:
-        self.objects = []
-
-    def handle_packet(self, packet: Packet) -> None:
-        self.objects.append(packet)
 
 
 class TestMovingThePacket:
-    def test_fanout_of_one_moves_the_packet_and_allocates_nothing(self):
+    def test_fanout_of_one_moves_the_packet_and_allocates_nothing(self, monkeypatch):
         sim, router, service, hosts, group = build_fanout()
         for host in hosts[1:]:
             service.leave(host, group, immediate=True)
         recorder = IdentityRecorder()
         hosts[0].register_group_agent(group, recorder)
-        pool = service.packet_pool
+        replicas = count_replicas(monkeypatch)
         for n in range(5):
-            packet = pool.acquire(NodeAddress(99), group, 576, headers={"seq": n})
-            uid = packet.uid
-            acquisitions = pool.allocated + pool.recycled
+            packet = Packet(NodeAddress(99), group, 576, headers={"seq": n})
             router.receive(packet, None)
             sim.run()
-            assert pool.allocated + pool.recycled == acquisitions  # no replica drawn
-            assert recorder.objects[-1] is packet and packet.uid == uid
-            assert packet._pool is None  # recycled by the host, its last consumer
+            assert recorder.objects[-1] is packet
+        assert replicas == [0]
         assert router.multicast_copies_sent == 5
         assert router.links["h0"].stats.transmitted_packets == 5
 
-    def test_fanout_of_three_copies_twice_and_moves_once(self):
+    def test_fanout_of_three_copies_twice_and_moves_once(self, monkeypatch):
         sim, router, service, hosts, group = build_fanout()
         recorders = [IdentityRecorder() for _ in hosts]
         for host, recorder in zip(hosts, recorders):
             host.register_group_agent(group, recorder)
-        pool = service.packet_pool
-        packet = pool.acquire(NodeAddress(99), group, 576, headers={"seq": 0})
-        acquisitions = pool.allocated + pool.recycled
+        replicas = count_replicas(monkeypatch)
+        packet = Packet(NodeAddress(99), group, 576, headers={"seq": 0})
         router.receive(packet, None)
         sim.run()
-        assert pool.allocated + pool.recycled == acquisitions + 2
+        assert replicas == [2]
         assert [r.objects[0] is packet for r in recorders] == [False, False, True]
+        assert all(r.objects[0].headers is packet.headers for r in recorders)
         assert router.multicast_copies_sent == 3
 
-    def test_no_eligible_branch_releases_the_packet(self):
+    def test_no_eligible_branch_drops_the_packet(self, monkeypatch):
         sim, router, service, hosts, group = build_fanout()
-        pool = service.packet_pool
-        packet = pool.acquire(
-            NodeAddress(99), group, 576, headers={"sigma_intercept": True}
-        )
+        replicas = count_replicas(monkeypatch)
+        packet = Packet(NodeAddress(99), group, 576, headers={"sigma_intercept": True})
         router.receive(packet, None)  # every branch is a local interface
-        assert packet._pool is None and len(pool) == 1
+        assert replicas == [0]
         assert router.multicast_copies_sent == 0
+        assert not any(link.stats.transmitted_packets for link in router.links.values())
         assert sim.pending_events == 0
 
     def observe(self, monkeypatch, copying):
-        """Run 10 s of figure1-attack; everything a bystander could compare."""
+        """Run 10 s of figure1-attack; everything a bystander could compare,
+        and the number of replicas the routers made."""
         if copying:
             monkeypatch.setattr(Router, "_forward_multicast", forward_by_copying)
+        replicas = count_replicas(monkeypatch)
         seen = hashlib.sha256()
         host_receive = Host.receive
 
         def logging_receive(host, packet, link):
             if packet.multicast:
                 seen.update(
-                    repr(
-                        (host.sim.now, host.name, packet.hop_count,
-                         sorted(packet.headers.items()))
-                    ).encode()
+                    repr((host.sim.now, host.name, sorted(packet.headers.items()))).encode()
                 )
             host_receive(host, packet, link)
 
@@ -261,22 +209,21 @@ class TestMovingThePacket:
         monkeypatch.undo()
         network = scenario.network
         routers = [node for node in network.nodes.values() if isinstance(node, Router)]
-        pool = network.multicast.packet_pool
         return {
             "copies": {r.name: r.multicast_copies_sent for r in routers},
             "forwarded": {r.name: r.multicast_packets_forwarded for r in routers},
             "transmitted": {l.name: l.stats.transmitted_packets for l in network.links},
             "dropped": {l.name: l.queue.stats.dropped_packets for l in network.links},
             "deliveries_sha256": seen.hexdigest(),
-        }, pool.allocated + pool.recycled
+        }, replicas[0]
 
     def test_figure1_attack_looks_the_same_as_with_the_copying_router(self, monkeypatch):
-        moved, moved_acquisitions = self.observe(monkeypatch, copying=False)
-        copied, copied_acquisitions = self.observe(monkeypatch, copying=True)
+        moved, moved_replicas = self.observe(monkeypatch, copying=False)
+        copied, copied_replicas = self.observe(monkeypatch, copying=True)
         assert moved == copied
         assert sum(moved["copies"].values()) > 1000  # the run did forward
         # ... and nearly every one of those copies was a move.
-        assert moved_acquisitions < copied_acquisitions / 2
+        assert moved_replicas < copied_replicas / 2
 
 
 def pooled_spec() -> ScenarioSpec:

@@ -91,17 +91,19 @@ class TestPacket:
         assert not unicast.multicast
         assert multicast.multicast
 
-    def test_unique_ids(self):
-        assert self._packet().uid != self._packet().uid
-
-    def test_replica_shares_headers_and_keeps_its_own_hop_count(self):
+    def test_replica_shares_headers_and_keeps_its_own_slots(self):
         original = self._packet(
-            destination=GroupAddress(MULTICAST_BASE + 1), headers={"k": 1}, created_at=2.0
+            destination=GroupAddress(MULTICAST_BASE + 1), headers={"k": 1}, protocol="flid"
         )
-        original.hop_count = 3
         replica = original.replicate()
-        assert replica.headers is original.headers
-        assert (replica.size_bytes, replica.created_at, replica.multicast) == (576, 2.0, True)
-        assert replica.uid != original.uid
-        replica.hop_count += 1
-        assert (original.hop_count, replica.hop_count) == (3, 4)
+        assert replica is not original and replica.headers is original.headers
+        assert (replica.size_bytes, replica.protocol, replica.multicast) == (576, "flid", True)
+        replica.size_bytes = 100
+        assert original.size_bytes == 576
+
+    def test_a_packet_holds_nothing_outside_its_slots(self):
+        packet = self._packet()
+        with pytest.raises(AttributeError):
+            packet.hop_count = 1
+        with pytest.raises(TypeError):
+            self._packet(created_at=0.0)

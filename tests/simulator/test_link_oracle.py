@@ -79,7 +79,6 @@ class TwoEventLink:
         self.stats = SimpleNamespace(
             transmitted_packets=0, transmitted_bytes=0, delivered_packets=0
         )
-        self.on_drop = None
         self._busy = False
 
     @property
@@ -88,8 +87,6 @@ class TwoEventLink:
 
     def send(self, packet: Packet) -> bool:
         if not self.queue.enqueue(packet):
-            if self.on_drop is not None:
-                self.on_drop(packet)
             return False
         if not self._busy:
             self._start_next_transmission()
@@ -114,7 +111,6 @@ class TwoEventLink:
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1
-        packet.hop_count += 1
         self.dst.receive(packet, self)
 
 
@@ -130,7 +126,8 @@ class Sink(Node):
 
 
 class Harness:
-    """One link of the given class between two nodes, with a drop log."""
+    """One link of the given class between two nodes, with a log of the
+    sends it refused."""
 
     def __init__(self, link_cls, queue=None) -> None:
         self.sim = Simulator()
@@ -143,13 +140,13 @@ class Harness:
             self.sim, source, self.sink, BANDWIDTH_BPS, DELAY_S, queue=queue
         )
         self.drops = []
-        self.link.on_drop = lambda packet: self.drops.append(
-            (self.sim.now, packet.headers["tag"])
-        )
 
     def send(self, tag: int, size_bytes: int = 576) -> bool:
         packet = Packet(NodeAddress(1), NodeAddress(2), size_bytes, headers={"tag": tag})
-        return self.link.send(packet)
+        admitted = self.link.send(packet)
+        if not admitted:
+            self.drops.append((self.sim.now, tag))
+        return admitted
 
     def play(self, arrivals) -> None:
         """Schedule every ``(time, size)`` arrival up front, then run dry."""

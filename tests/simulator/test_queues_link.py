@@ -142,14 +142,14 @@ class TestLink:
         assert not all(results)
         assert link.queue.stats.dropped_packets >= 1
 
-    def test_on_drop_hook_invoked(self):
+    def test_a_refused_send_is_never_delivered(self):
         sim, _, dst, link = make_link(bandwidth=100_000.0, delay=0.0, capacity=700)
-        dropped = []
-        link.on_drop = dropped.append
-        for _ in range(4):
-            link.send(make_packet(size=600))
+        packets = [make_packet(size=600) for _ in range(4)]
+        accepted = [packet for packet in packets if link.send(packet)]
         sim.run()
-        assert dropped, "expected at least one dropped packet"
+        assert len(accepted) < len(packets)
+        assert [packet for _, packet in dst.arrivals] == accepted
+        assert link.queue.stats.dropped_packets == len(packets) - len(accepted)
 
     def test_stats_count_transmissions(self):
         sim, _, dst, link = make_link()
@@ -160,12 +160,16 @@ class TestLink:
         assert link.stats.delivered_packets == 5
         assert link.stats.transmitted_bytes == 5 * 500
 
-    def test_hop_count_increments(self):
+    def test_delivery_hands_over_the_sent_packet_unchanged(self):
         sim, _, dst, link = make_link()
         packet = make_packet()
         link.send(packet)
         sim.run()
-        assert dst.arrivals[0][1].hop_count == 1
+        delivered = dst.arrivals[0][1]
+        assert delivered is packet
+        assert (delivered.source, delivered.destination, delivered.size_bytes) == (
+            NodeAddress(1), NodeAddress(2), 500,
+        )
 
     def test_invalid_parameters_rejected(self):
         sim = Simulator()

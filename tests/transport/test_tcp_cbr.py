@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import PAPER_DEFAULTS, Scenario
-from repro.simulator import NetworkGraph, PacketAgent, dumbbell_topology
+from repro.simulator import NetworkGraph, dumbbell_topology
 from repro.transport import CbrSink, CbrSource, OnOffCbrSource, TcpConnection
 
 
@@ -138,22 +138,23 @@ class TestCbr:
         src = net.add_sender()
         dst = net.add_receiver()
         net.build_routes()
-        created = []
+        sent = []
+        host_send = src.send
 
-        class Tap(PacketAgent):
-            def handle_packet(self, packet):
-                created.append(packet.created_at)
+        def recording_send(packet):
+            sent.append(net.sim.now)
+            return host_send(packet)
 
-        dst.register_agent(9, Tap())
+        src.send = recording_send
         source = OnOffCbrSource(src, dst, port=9, rate_bps=80_000.0, on_s=0.1, off_s=0.01)
         assert source.source.interval_s == 0.0576
         source.start()
         net.run(until=0.5)
-        assert created == [
+        assert sent == [
             0.0, 0.0576, 0.11, 0.1676, 0.22000000000000003, 0.2776,
-            0.33000000000000007, 0.38760000000000006, 0.44000000000000006,
+            0.33000000000000007, 0.38760000000000006, 0.44000000000000006, 0.49760000000000004,
         ]
-        assert source.source.packets_sent == 10  # the tenth is still in flight
+        assert source.source.packets_sent == 10
 
     def test_onoff_duty_cycle_halves_average_rate(self):
         net = make_dumbbell(2_000_000.0)
