@@ -80,8 +80,15 @@ def _cmd_topologies(_args: argparse.Namespace) -> int:
 
 
 def _cmd_adversaries(_args: argparse.Namespace) -> int:
-    rows = [(name, _first_doc_line(cls)) for name, cls in sorted(ADVERSARIES.items())]
-    print(format_table(["strategy", "description"], rows))
+    rows = [
+        (
+            name,
+            ", ".join(f"{key}={param.default!r}" for key, param in cls.parameters.items()),
+            _first_doc_line(cls),
+        )
+        for name, cls in sorted(ADVERSARIES.items())
+    ]
+    print(format_table(["strategy", "parameters (defaults)", "description"], rows))
     return 0
 
 

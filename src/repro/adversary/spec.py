@@ -21,6 +21,12 @@ from typing import Any, Mapping, Optional, Tuple
 
 __all__ = ["AttackSpec", "paper_attacker"]
 
+#: The value types each scalar kind admits, here and in the spec codec:
+#: an integer is a legal ``float``, a boolean is never a number although
+#: Python would let ``True`` pass for one.
+SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -37,7 +43,9 @@ class AttackSpec:
     cache key read the strategy's
     :meth:`~repro.adversary.strategy.AttackStrategy.effective_intensity`.
     ``stop_s`` of ``None`` means the attack runs to the end of the
-    experiment.
+    experiment.  ``params`` sets parameters the strategy declares
+    (:attr:`~repro.adversary.strategy.AttackStrategy.parameters`); an
+    undeclared key, or a value of another kind, is refused here.
     """
 
     strategy: str
@@ -77,6 +85,22 @@ class AttackSpec:
                 f"AttackSpec.stop_s must be null or a finite number of seconds "
                 f">= start_s, got {self.stop_s!r}"
             )
+        declared = ADVERSARIES[self.strategy].parameters
+        for key, value in self.params.items():
+            if key not in declared:
+                raise ValueError(
+                    f"AttackSpec.params: strategy {self.strategy!r} has no parameter "
+                    f"{key!r}; declared: {sorted(declared)}"
+                )
+            kind, _default, choices = declared[key]
+            if type(value) not in SCALAR_TYPES[kind] or (
+                kind is float and not math.isfinite(value)
+            ) or (choices is not None and value not in choices):
+                within = "" if choices is None else f" in {choices!r}"
+                raise ValueError(
+                    f"AttackSpec.params[{key!r}] of strategy {self.strategy!r} must be "
+                    f"{_NAMES[kind]}{within}, got {value!r}"
+                )
 
 
 def paper_attacker(protected: bool, **schedule: Any) -> Tuple[AttackSpec, ...]:

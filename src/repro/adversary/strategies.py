@@ -25,7 +25,7 @@ from typing import Dict, Set, TYPE_CHECKING
 
 from .context import AttackContext
 from .registry import register_adversary
-from .strategy import AttackStrategy
+from .strategy import AttackStrategy, Param
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (import cycle guard)
     from ..multicast_cc.receiver_base import SlotRecord
@@ -57,6 +57,7 @@ class InflatedJoinStrategy(AttackStrategy):
     """
 
     name = "inflated-join"
+    parameters = {"suppress_honest": Param(bool, True)}
 
     @classmethod
     def effective_intensity(cls, intensity: float) -> float:
@@ -68,11 +69,11 @@ class InflatedJoinStrategy(AttackStrategy):
         target = max(1, min(ctx.group_count, round(self.intensity * ctx.group_count)))
         for group in range(1, target + 1):
             ctx.igmp_join(group)
-        if self.param("suppress_honest", True):
+        if self.param("suppress_honest"):
             ctx.set_level(target)
 
     def on_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> bool:
-        return bool(self.param("suppress_honest", True))
+        return self.param("suppress_honest")
 
 
 @register_adversary
@@ -87,6 +88,7 @@ class IgnoreCongestionStrategy(AttackStrategy):
     """
 
     name = "ignore-congestion"
+    parameters = {"mode": Param(str, "mask", ("mask", "hold"))}
 
     @classmethod
     def effective_intensity(cls, intensity: float) -> float:
@@ -96,10 +98,10 @@ class IgnoreCongestionStrategy(AttackStrategy):
     def filter_congestion(
         self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool
     ) -> bool:
-        return congested and self.param("mode", "mask") != "mask"
+        return congested and self.param("mode") != "mask"
 
     def on_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> bool:
-        return self.param("mode", "mask") == "hold" and congested
+        return self.param("mode") == "hold" and congested
 
 
 @register_adversary
@@ -115,6 +117,7 @@ class ChurnStrategy(AttackStrategy):
     """
 
     name = "churn"
+    parameters = {"period_s": Param(float, 4.0), "duty": Param(float, 0.5)}
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -124,8 +127,8 @@ class ChurnStrategy(AttackStrategy):
     def on_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> bool:
         # The cycle spends ``duty`` (clamped to [0, 1]) of every period —
         # floored to a millisecond — in the high phase.
-        period_s = max(1e-3, float(self.param("period_s", 4.0)) / self.intensity)
-        duty = min(1.0, max(0.0, float(self.param("duty", 0.5))))
+        period_s = max(1e-3, self.param("period_s") / self.intensity)
+        duty = min(1.0, max(0.0, self.param("duty")))
         phase_high = (ctx.now - self.start_s) % period_s < duty * period_s
         if phase_high and not self._phase_high:
             # Rising edge: join everything and re-run the key-less session-join.
@@ -161,6 +164,7 @@ class KeyReplayStrategy(AttackStrategy):
     """
 
     name = "key-replay"
+    parameters = {"replays_per_group": Param(int, 1)}
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -186,7 +190,7 @@ class KeyReplayStrategy(AttackStrategy):
         ]
         if not candidates:
             return
-        replayed = candidates[: self.rate("replays_per_group", 1)]
+        replayed = candidates[: self.rate("replays_per_group")]
         pairs = [
             (ctx.address_of(group), key)
             for group in ctx.forbidden_groups(governed)
@@ -206,6 +210,12 @@ class KeyGuessingStrategy(AttackStrategy):
     """
 
     name = "key-guessing"
+    #: ``key_bits`` of ``None`` guesses keys as wide as the receiver's; a
+    #: receiver's keys are 1 to 60 bits wide (``experiments.config.MAX_KEY_BITS``).
+    parameters = {
+        "guesses_per_slot": Param(int, 4),
+        "key_bits": Param(int, None, range(1, 61)),
+    }
     #: Each host draws its guesses from its own host-named stream.
     interchangeable = False
 
@@ -213,8 +223,8 @@ class KeyGuessingStrategy(AttackStrategy):
         if not ctx.protected:
             return
         governed = slot + 2
-        guesses = self.rate("guesses_per_slot", 4)
-        key_bits = int(self.param("key_bits", getattr(ctx.receiver, "key_bits", 16)))
+        guesses = self.rate("guesses_per_slot")
+        key_bits = self.param("key_bits") or getattr(ctx.receiver, "key_bits", 16)
         # One draw budget per slot covers every member the receiver stands
         # for, drawn group-major: ``guesses`` keys per forbidden group.
         pairs = [
@@ -239,9 +249,10 @@ class JoinStormStrategy(AttackStrategy):
     """
 
     name = "join-storm"
+    parameters = {"bursts_per_slot": Param(int, 1)}
 
     def after_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> None:
-        for _ in range(self.rate("bursts_per_slot", 1)):
+        for _ in range(self.rate("bursts_per_slot")):
             ctx.igmp_join_all()
 
 
@@ -258,6 +269,11 @@ class CollusionStrategy(AttackStrategy):
     """
 
     name = "collusion"
+    parameters = {
+        "pool": Param(str, "default"),
+        "publish": Param(bool, True),
+        "exploit": Param(bool, True),
+    }
     #: Colluders behind every edge feed and read one shared pool.
     interchangeable = False
 
@@ -267,14 +283,14 @@ class CollusionStrategy(AttackStrategy):
         return 1.0
 
     def _pool(self, ctx: AttackContext):
-        return ctx.collusion_pool(str(self.param("pool", "default")))
+        return ctx.collusion_pool(self.param("pool"))
 
     def on_keys(self, ctx: AttackContext, governed_slot: int, keys: Dict[int, int]) -> None:
-        if self.param("publish", True):
+        if self.param("publish"):
             self._pool(ctx).publish(governed_slot, keys, members=ctx.member_count)
 
     def after_slot(self, ctx: AttackContext, slot: int, record: SlotRecord, congested: bool) -> None:
-        if not ctx.protected or not self.param("exploit", True):
+        if not ctx.protected or not self.param("exploit"):
             return
         governed = slot + 2
         pooled = self._pool(ctx).keys_for(governed)

@@ -21,14 +21,27 @@ experiments stay byte-deterministic.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
+from typing import Any, ClassVar, Collection, Dict, Mapping, NamedTuple, Optional, TYPE_CHECKING
 
 from .context import AttackContext
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (import cycle guard)
     from ..multicast_cc.receiver_base import SlotRecord
 
-__all__ = ["AttackStrategy"]
+__all__ = ["AttackStrategy", "Param"]
+
+
+class Param(NamedTuple):
+    """One parameter a strategy reads: its kind, its default and, when only
+    some values of the kind make a run, the ``choices`` it takes.
+
+    ``kind`` is ``bool``, ``int``, ``float`` or ``str``; a ``float`` takes
+    any finite number, and no number is ever a ``bool``.
+    """
+
+    kind: type
+    default: Any
+    choices: Optional[Collection[Any]] = None
 
 
 class AttackStrategy:
@@ -41,6 +54,10 @@ class AttackStrategy:
     #: state across receivers.  Only then may several interchangeable edges
     #: be realised as one (:func:`repro.experiments.scenario.interchangeable_edges`).
     interchangeable: bool = True
+    #: Every parameter the strategy reads, by name: the one place its
+    #: default is written.  :class:`~repro.adversary.spec.AttackSpec` refuses
+    #: a parameter not declared here, or of another kind.
+    parameters: ClassVar[Mapping[str, Param]] = {}
 
     def __init__(
         self,
@@ -82,11 +99,13 @@ class AttackStrategy:
             return False
         return self.stop_s is None or now < self.stop_s
 
-    def param(self, key: str, default: Any) -> Any:
-        """A declared strategy parameter, or ``default`` when unset."""
-        return self.params.get(key, default)
+    def param(self, key: str) -> Any:
+        """The parameter ``key`` as the attack sets it, or its declared default."""
+        if key in self.params:
+            return self.params[key]
+        return self.parameters[key].default
 
-    def rate(self, key: str, default: float) -> int:
+    def rate(self, key: str) -> int:
         """Per-slot action count of a volume knob, scaled by ``intensity``.
 
         Every volume knob (replays per group, guesses per slot, storm bursts)
@@ -94,7 +113,7 @@ class AttackStrategy:
         an active attacker always acts — so intensity sweeps mean the same
         thing for every strategy.
         """
-        return max(1, round(float(self.param(key, default)) * self.intensity))
+        return max(1, round(self.param(key) * self.intensity))
 
     # ------------------------------------------------------------------
     # lifecycle hooks

@@ -14,10 +14,10 @@ can sweep attacker type × intensity × onset on any topology; see
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..adversary.spec import AttackSpec, paper_attacker
-from .config import PAPER_DEFAULTS, ExperimentConfig
+from .config import PAPER_DEFAULTS
 from .registry import register_scenario
 from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
@@ -32,7 +32,6 @@ def duel_spec(
     sessions: Sequence[SessionDecl],
     protected: bool,
     duration_s: float,
-    config: ExperimentConfig,
     tcp: Sequence[TcpDecl] = (),
     **extras: Any,
 ) -> ScenarioSpec:
@@ -40,8 +39,9 @@ def duel_spec(
 
     The one shape behind the attack and scale scenario catalogue: the
     already-declared multicast ``sessions`` (in the order given) and ``tcp``
-    flows contend for a dumbbell bottleneck sized at one fair share per
-    flow — a multicast session weighing one however many receivers or
+    flows contend for a dumbbell bottleneck sized at one
+    :data:`~repro.experiments.config.PAPER_DEFAULTS` fair share per flow — a
+    multicast session weighing one however many receivers or
     cohort members it declares, because it sends one copy across the
     bottleneck.  ``extras`` are the remaining
     :class:`~repro.experiments.spec.ScenarioSpec` fields a builder sets
@@ -50,7 +50,7 @@ def duel_spec(
     """
     flows = len(sessions) + len(tcp)
     extras.setdefault(
-        "topology_params", {"bottleneck_bandwidth_bps": flows * config.fair_share_bps}
+        "topology_params", {"bottleneck_bandwidth_bps": flows * PAPER_DEFAULTS.fair_share_bps}
     )
     return ScenarioSpec(
         name=name,
@@ -58,7 +58,6 @@ def duel_spec(
         sessions=tuple(sessions),
         tcp=tuple(tcp),
         duration_s=duration_s,
-        config=config,
         **extras,
     )
 
@@ -68,7 +67,6 @@ def attack_duel_spec(
     attack: AttackSpec,
     protected: bool = True,
     duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The Figure 1/7 duel with a pluggable attacker strategy.
 
@@ -87,131 +85,75 @@ def attack_duel_spec(
         ),
         protected,
         duration_s,
-        config,
         tcp=(TcpDecl("T1"),),
     )
 
 
-@register_scenario(
-    "attack-flapping",
-    "Join/leave churn against SIGMA: the attacker flaps its membership and "
-    "milks the admission grace windows",
-)
-def attack_flapping(
-    protected: bool = True,
-    intensity: float = 1.0,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    period_s: float = 4.0,
-    duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
-) -> ScenarioSpec:
-    """Join/leave churn against SIGMA: ``F1`` flaps its membership every ``period_s``."""
-    return attack_duel_spec(
+#: The single-strategy duels: name, description, the strategy ``F1`` mounts
+#: and the parameters the scenario sets beyond the strategy's own defaults.
+DUELS = (
+    (
         "attack-flapping",
-        AttackSpec(
-            "churn",
-            start_s=attack_start_s,
-            intensity=intensity,
-            params={"period_s": period_s},
-        ),
-        protected=protected,
-        duration_s=duration_s,
-        config=config,
-    )
-
-
-@register_scenario(
-    "attack-key-guessing",
-    "Random key guessing (§4.2): uniformly random keys for every forbidden "
-    "group, every slot",
-)
-def attack_key_guessing(
-    protected: bool = True,
-    intensity: float = 1.0,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    guesses_per_slot: int = 8,
-    duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
-) -> ScenarioSpec:
-    """Random key guessing (§4.2): ``F1`` guesses a key per forbidden group."""
-    return attack_duel_spec(
+        "Join/leave churn against SIGMA: the attacker flaps its membership and "
+        "milks the admission grace windows",
+        "churn",
+        {"period_s": 4.0},
+    ),
+    (
         "attack-key-guessing",
-        AttackSpec(
-            "key-guessing",
+        "Random key guessing (§4.2): uniformly random keys for every forbidden "
+        "group, every slot",
+        "key-guessing",
+        {"guesses_per_slot": 8},
+    ),
+    (
+        "attack-key-replay",
+        "Key replay (§4.1): legitimately reconstructed keys re-submitted out of "
+        "scope, against higher groups and later slots",
+        "key-replay",
+        {},
+    ),
+    (
+        "attack-join-storm",
+        "IGMP join storm: bare membership reports for every group at every slot "
+        "boundary — inflation against IGMP, control-plane noise against SIGMA",
+        "join-storm",
+        {},
+    ),
+    (
+        "attack-ignore-congestion",
+        "Congestion masking (§2.1): the attacker pretends it saw no losses — "
+        "DELTA then hands it keys it cannot compute correctly",
+        "ignore-congestion",
+        {},
+    ),
+)
+
+
+def _duel_builder(name: str, strategy: str, scenario_params: Mapping[str, Any]):
+    """The builder of one :data:`DUELS` row: ``params`` override the row's
+    strategy parameters, which the strategy's declaration checks."""
+
+    def build(
+        protected: bool = True,
+        intensity: float = 1.0,
+        attack_start_s: float = DEFAULT_ATTACK_START_S,
+        duration_s: float = DEFAULT_DURATION_S,
+        **params: Any,
+    ) -> ScenarioSpec:
+        attack = AttackSpec(
+            strategy,
             start_s=attack_start_s,
             intensity=intensity,
-            params={"guesses_per_slot": guesses_per_slot},
-        ),
-        protected=protected,
-        duration_s=duration_s,
-        config=config,
-    )
+            params={**scenario_params, **params},
+        )
+        return attack_duel_spec(name, attack, protected=protected, duration_s=duration_s)
+
+    return build
 
 
-@register_scenario(
-    "attack-key-replay",
-    "Key replay (§4.1): legitimately reconstructed keys re-submitted out of "
-    "scope, against higher groups and later slots",
-)
-def attack_key_replay(
-    protected: bool = True,
-    intensity: float = 1.0,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
-) -> ScenarioSpec:
-    """Key replay (§4.1): ``F1`` re-submits reconstructed keys out of scope."""
-    return attack_duel_spec(
-        "attack-key-replay",
-        AttackSpec("key-replay", start_s=attack_start_s, intensity=intensity),
-        protected=protected,
-        duration_s=duration_s,
-        config=config,
-    )
-
-
-@register_scenario(
-    "attack-join-storm",
-    "IGMP join storm: bare membership reports for every group at every slot "
-    "boundary — inflation against IGMP, control-plane noise against SIGMA",
-)
-def attack_join_storm(
-    protected: bool = True,
-    intensity: float = 1.0,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
-) -> ScenarioSpec:
-    """IGMP join storm: ``F1`` reports every group at every slot boundary."""
-    return attack_duel_spec(
-        "attack-join-storm",
-        AttackSpec("join-storm", start_s=attack_start_s, intensity=intensity),
-        protected=protected,
-        duration_s=duration_s,
-        config=config,
-    )
-
-
-@register_scenario(
-    "attack-ignore-congestion",
-    "Congestion masking (§2.1): the attacker pretends it saw no losses — "
-    "DELTA then hands it keys it cannot compute correctly",
-)
-def attack_ignore_congestion(
-    protected: bool = True,
-    intensity: float = 1.0,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
-) -> ScenarioSpec:
-    """Congestion masking (§2.1): ``F1`` pretends it saw no losses."""
-    return attack_duel_spec(
-        "attack-ignore-congestion",
-        AttackSpec("ignore-congestion", start_s=attack_start_s, intensity=intensity),
-        protected=protected,
-        duration_s=duration_s,
-        config=config,
-    )
+for _name, _description, _strategy, _params in DUELS:
+    register_scenario(_name, _description)(_duel_builder(_name, _strategy, _params))
 
 
 @register_scenario(
@@ -224,7 +166,6 @@ def attack_composite(
     intensity: float = 1.0,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The Figure 7 attacker plus a join storm: four strategies on one receiver."""
     schedule = dict(start_s=attack_start_s, intensity=intensity)
@@ -237,7 +178,6 @@ def attack_composite(
         ),
         protected,
         duration_s,
-        config,
         tcp=(TcpDecl("T1"),),
     )
 
@@ -254,7 +194,6 @@ def attack_collusion_parking_lot(
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     hops: int = 3,
     duration_s: float = DEFAULT_DURATION_S,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Collusion across bottlenecks — impossible to express before the
     general topology layer: each colluder sits behind its own SIGMA edge
@@ -278,7 +217,7 @@ def attack_collusion_parking_lot(
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 3 * config.fair_share_bps,
+            "bottleneck_bandwidth_bps": 3 * PAPER_DEFAULTS.fair_share_bps,
         },
         sessions=(
             SessionDecl(
@@ -296,7 +235,7 @@ def attack_collusion_parking_lot(
         cbr=(
             CbrDecl(
                 "squeeze",
-                rate_bps=2 * config.fair_share_bps,
+                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
                 on_s=5.0,
                 off_s=2.0,
                 active_window=(attack_start_s, duration_s),
@@ -304,5 +243,4 @@ def attack_collusion_parking_lot(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )

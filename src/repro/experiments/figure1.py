@@ -23,7 +23,7 @@ from typing import Any, Dict, Sequence
 
 from ..adversary.spec import paper_attacker
 from ..analysis.fairness import jain_index
-from .config import PAPER_DEFAULTS, ExperimentConfig
+from .config import PAPER_DEFAULTS
 from .registry import register_figure, register_scenario, series_kbps
 from .metrics import RunResult
 from .spec import PAPER_DURATION_S, ScenarioSpec, SessionDecl, TcpDecl
@@ -36,7 +36,6 @@ DEFAULT_ATTACK_START_S = 100.0
 
 def inflated_subscription_spec(
     protected: bool,
-    config: ExperimentConfig = PAPER_DEFAULTS,
     attack_start_s: float = DEFAULT_ATTACK_START_S,
     duration_s: float = PAPER_DURATION_S,
 ) -> ScenarioSpec:
@@ -54,14 +53,13 @@ def inflated_subscription_spec(
     return ScenarioSpec(
         name="figure7-defence" if protected else "figure1-attack",
         protected=protected,
-        topology_params={"bottleneck_bandwidth_bps": 4 * config.fair_share_bps},
+        topology_params={"bottleneck_bandwidth_bps": 4 * PAPER_DEFAULTS.fair_share_bps},
         sessions=(
             SessionDecl("F1", receivers=1, attacks=attack),
             SessionDecl("F2", receivers=1),
         ),
         tcp=(TcpDecl("T1"), TcpDecl("T2")),
         duration_s=duration_s,
-        config=config,
     )
 
 

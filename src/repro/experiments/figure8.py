@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from ..analysis.convergence import convergence_time
 from ..analysis.fairness import max_min_ratio
 from ..simulator.topology import dumbbell_topology
-from .config import PAPER_DEFAULTS, ExperimentConfig
+from .config import PAPER_DEFAULTS
 from .registry import register_figure, register_scenario, series_kbps
 from .metrics import RunResult
 from .spec import PAPER_DURATION_S, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
@@ -59,7 +59,6 @@ def throughput_vs_sessions_spec(
     protected: bool = False,
     count: int = 4,
     cross_traffic: bool = False,
-    config: ExperimentConfig = PAPER_DEFAULTS,
     duration_s: float = PAPER_DURATION_S,
 ) -> ScenarioSpec:
     """Declarative form of one Figure 8(a)-(d) point: ``count`` sessions.
@@ -69,7 +68,7 @@ def throughput_vs_sessions_spec(
     of the bottleneck.
     """
     competing_sessions = count * 2 if cross_traffic else count
-    bottleneck = config.fair_share_bps * competing_sessions
+    bottleneck = PAPER_DEFAULTS.fair_share_bps * competing_sessions
     tcp = tuple(TcpDecl(f"tcp{i + 1}") for i in range(count)) if cross_traffic else ()
     cbr = ()
     if cross_traffic:
@@ -84,7 +83,6 @@ def throughput_vs_sessions_spec(
         tcp=tcp,
         cbr=cbr,
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -141,7 +139,6 @@ register_figure(
 # ----------------------------------------------------------------------
 def responsiveness_spec(
     protected: bool = False,
-    config: ExperimentConfig = PAPER_DEFAULTS,
     bottleneck_bandwidth_bps: float = 1_000_000.0,
     burst_rate_bps: float = 800_000.0,
     burst_window: Tuple[float, float] = (45.0, 75.0),
@@ -163,7 +160,6 @@ def responsiveness_spec(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -202,7 +198,6 @@ def _responsiveness_table(
 # ----------------------------------------------------------------------
 def rtt_fairness_spec(
     protected: bool = False,
-    config: ExperimentConfig = PAPER_DEFAULTS,
     receiver_count: int = 20,
     rtt_range_ms: Tuple[float, float] = (30.0, 220.0),
     duration_s: float = 120.0,
@@ -216,7 +211,9 @@ def rtt_fairness_spec(
     # The queue keeps its size for the default 20 ms bottleneck, as in the
     # NS-2 setup: at 250 Kbps both paths' 2-BDP buffers fall to the
     # dumbbell's 4-packet floor.
-    topology_params = dict(bottleneck_bandwidth_bps=config.fair_share_bps, bottleneck_delay_s=0.005)
+    topology_params = dict(
+        bottleneck_bandwidth_bps=PAPER_DEFAULTS.fair_share_bps, bottleneck_delay_s=0.005
+    )
     topology = dumbbell_topology(**topology_params)
     fixed_one_way_ms = (topology.access_delay_s + topology.links[0].delay_s) * 1e3
     rtts = [
@@ -237,7 +234,6 @@ def rtt_fairness_spec(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -268,7 +264,6 @@ def _rtt_fairness_table(
 # ----------------------------------------------------------------------
 def convergence_spec(
     protected: bool = False,
-    config: ExperimentConfig = PAPER_DEFAULTS,
     join_times_s: Tuple[float, ...] = (0.0, 10.0, 20.0, 30.0),
     duration_s: float = 40.0,
 ) -> ScenarioSpec:
@@ -276,7 +271,7 @@ def convergence_spec(
     return ScenarioSpec(
         name=f"figure8-convergence-{'ds' if protected else 'dl'}",
         protected=protected,
-        topology_params={"bottleneck_bandwidth_bps": config.fair_share_bps},
+        topology_params={"bottleneck_bandwidth_bps": PAPER_DEFAULTS.fair_share_bps},
         sessions=(
             SessionDecl(
                 "mc",
@@ -285,7 +280,6 @@ def convergence_spec(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.overhead import OverheadModel, OverheadPoint
-from .config import PAPER_DEFAULTS, ExperimentConfig
 from .registry import register_figure, register_scenario
 from .metrics import RunResult
 from .spec import ScenarioSpec, SessionDecl
@@ -75,7 +74,6 @@ register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
 # Measured overhead from the full simulator
 # ----------------------------------------------------------------------
 def measured_overhead_spec(
-    config: ExperimentConfig = PAPER_DEFAULTS,
     duration_s: float = 30.0,
     bottleneck_bandwidth_bps: Optional[float] = None,
 ) -> ScenarioSpec:
@@ -86,8 +84,7 @@ def measured_overhead_spec(
     session rate flows — matching the analytic model's denominator.
     """
     if bottleneck_bandwidth_bps is None:
-        model = figure9_model(slot_duration_s=config.flid_ds_slot_s)
-        bottleneck_bandwidth_bps = 2.0 * model.cumulative_rate_bps
+        bottleneck_bandwidth_bps = 2.0 * figure9_model().cumulative_rate_bps
     return ScenarioSpec(
         name="figure9-measured-overhead",
         protected=True,
@@ -98,7 +95,6 @@ def measured_overhead_spec(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 

@@ -199,7 +199,6 @@ def parking_lot_attack(
     hops: int = 3,
     attack_start_s: float = 30.0,
     duration_s: float = 90.0,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     receivers = hops
     routers = tuple(f"r{i + 1}" for i in range(receivers))
@@ -209,7 +208,7 @@ def parking_lot_attack(
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
         },
         sessions=(
             SessionDecl(
@@ -225,7 +224,6 @@ def parking_lot_attack(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -238,7 +236,6 @@ def star_fanout(
     protected: bool = True,
     arms: int = 4,
     duration_s: float = 60.0,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     return ScenarioSpec(
         name="star-fanout",
@@ -246,7 +243,7 @@ def star_fanout(
         topology="star",
         topology_params={
             "arms": arms,
-            "arm_bandwidth_bps": 2 * config.fair_share_bps,
+            "arm_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
         },
         sessions=(
             SessionDecl(
@@ -257,7 +254,6 @@ def star_fanout(
         ),
         tcp=(TcpDecl("cross", receiver_router="arm1"),),
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -270,7 +266,6 @@ def tree_convergence(
     protected: bool = True,
     depth: int = 3,
     duration_s: float = 60.0,
-    config=PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     leaves = 2 ** (depth - 1)
     first_leaf = 2 ** (depth - 1) - 1
@@ -280,7 +275,7 @@ def tree_convergence(
         topology="binary-tree",
         topology_params={
             "depth": depth,
-            "link_bandwidth_bps": 4 * config.fair_share_bps,
+            "link_bandwidth_bps": 4 * PAPER_DEFAULTS.fair_share_bps,
         },
         sessions=(
             SessionDecl(
@@ -293,7 +288,7 @@ def tree_convergence(
         cbr=(
             CbrDecl(
                 "burst",
-                rate_bps=2 * config.fair_share_bps,
+                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
                 on_s=15.0,
                 off_s=1.0,
                 active_window=(30.0, 45.0),
@@ -301,5 +296,4 @@ def tree_convergence(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )

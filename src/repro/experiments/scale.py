@@ -63,7 +63,7 @@ from typing import Optional, Tuple
 from ..adversary.spec import AttackSpec, paper_attacker
 from ..multicast_cc.churn import ChurnProcess
 from .attacks import duel_spec
-from .config import PAPER_DEFAULTS, ExperimentConfig
+from .config import PAPER_DEFAULTS
 from .registry import register_scenario
 from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl
 
@@ -100,7 +100,6 @@ def scale_dumbbell_spec(
     duration_s: float = 30.0,
     model: str = "cohort",
     cohorts: Optional[int] = None,
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Inflated-subscription duel against a ``receivers``-strong audience.
 
@@ -126,7 +125,6 @@ def scale_dumbbell_spec(
         ),
         protected,
         duration_s,
-        config,
     )
 
 
@@ -177,7 +175,6 @@ def scale_dumbbell_1m_spec(
     attack_start_s: float = 8.0,
     intensity: float = 1.0,
     duration_s: float = 20.0,
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The million-receiver duel on a generated multi-edge dumbbell.
 
@@ -199,11 +196,10 @@ def scale_dumbbell_1m_spec(
         ),
         protected,
         duration_s,
-        config,
         topology="multi-edge-dumbbell",
         topology_params={
             "edges": edges,
-            "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
         },
     )
 
@@ -227,7 +223,6 @@ def scale_dumbbell_10m_spec(
     attack_start_s: float = 8.0,
     intensity: float = 1.0,
     duration_s: float = 20.0,
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The region-sharded flagship: ten million receivers across 8 regions.
 
@@ -251,12 +246,11 @@ def scale_dumbbell_10m_spec(
         ),
         protected,
         duration_s,
-        config,
         topology="sharded-dumbbell",
         topology_params={
             "regions": regions,
             "edges_per_region": edges_per_region,
-            "bottleneck_bandwidth_bps": 2 * config.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
         },
         shards=regions,
     )
@@ -274,7 +268,6 @@ def scale_overhead_spec(
     receivers: int = 100_000,
     duration_s: float = 30.0,
     model: str = "cohort",
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Figure 9's measured overhead with a ``receivers``-strong audience.
 
@@ -284,7 +277,7 @@ def scale_overhead_spec(
     directly comparable with the analytic model — which predicts it does not
     depend on the audience size at all, because keys travel per edge router.
     """
-    max_rate_bps = config.base_rate_bps * config.rate_factor ** (config.group_count - 1)
+    max_rate_bps = PAPER_DEFAULTS.session_spec("audience", protected=True).max_rate_bps()
     return ScenarioSpec(
         name="scale-overhead-100k",
         protected=True,
@@ -299,7 +292,6 @@ def scale_overhead_spec(
             ),
         ),
         duration_s=duration_s,
-        config=config,
     )
 
 
@@ -318,7 +310,6 @@ def attack_inflated_100k_spec(
     intensity: float = 1.0,
     duration_s: float = 30.0,
     model: str = "cohort",
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The paper's robustness claim at full scale: cohorts on both sides.
 
@@ -344,7 +335,6 @@ def attack_inflated_100k_spec(
         ),
         protected,
         duration_s,
-        config,
     )
 
 
@@ -365,7 +355,6 @@ def attack_keys_100k_spec(
     intensity: float = 1.0,
     duration_s: float = 30.0,
     model: str = "cohort",
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """The §4 key-oriented attacks against a ``receivers``-strong audience.
 
@@ -398,7 +387,6 @@ def attack_keys_100k_spec(
         ),
         protected,
         duration_s,
-        config,
     )
 
 
@@ -421,7 +409,6 @@ def attack_collusion_100k_spec(
     hops: int = 3,
     duration_s: float = 30.0,
     model: str = "cohort",
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """§4.3 collusion at full scale: pooled keys across the parking lot.
 
@@ -456,16 +443,15 @@ def attack_collusion_100k_spec(
         ),
         protected,
         duration_s,
-        config,
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 3 * config.fair_share_bps,
+            "bottleneck_bandwidth_bps": 3 * PAPER_DEFAULTS.fair_share_bps,
         },
         cbr=(
             CbrDecl(
                 "squeeze",
-                rate_bps=2 * config.fair_share_bps,
+                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
                 on_s=5.0,
                 off_s=2.0,
                 active_window=(attack_start_s, duration_s),
@@ -490,7 +476,6 @@ def attack_churn_flash_crowd_spec(
     attack_start_s: float = 6.0,
     protected: bool = True,
     duration_s: float = 30.0,
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """Flash-crowd churn under attack: the audience surges 100 → 100k.
 
@@ -516,7 +501,6 @@ def attack_churn_flash_crowd_spec(
         ),
         protected,
         duration_s,
-        config,
     )
 
 
@@ -536,7 +520,6 @@ def scale_protection_spec(
     intensity: float = 1.0,
     duration_s: float = 30.0,
     model: str = "cohort",
-    config: ExperimentConfig = PAPER_DEFAULTS,
 ) -> ScenarioSpec:
     """One point of the audience × attacker-fraction protection grid.
 
@@ -562,7 +545,6 @@ def scale_protection_spec(
         ),
         protected,
         duration_s,
-        config,
     )
 
 

@@ -48,7 +48,7 @@ from typing import (
     get_type_hints,
 )
 
-from ..adversary.spec import AttackSpec
+from ..adversary.spec import SCALAR_TYPES, AttackSpec
 from ..multicast_cc.churn import ChurnProcess
 from ..simulator.topology import TopologySpec, build_topology
 from .config import PAPER_DEFAULTS, ExperimentConfig
@@ -84,11 +84,6 @@ def canonical_json(document: Any) -> str:
 # ----------------------------------------------------------------------
 _OMIT_WHEN_UNSET = "omit_when_unset"
 
-#: The JSON types a scalar annotation accepts.  Checked, never coerced: a
-#: JSON integer is a legal ``float`` (``10`` for ``start_s``), a boolean is
-#: never an ``int`` although Python would let it pass for one.
-_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
-
 
 def unset(default: Any = None) -> Any:
     """A declaration field left out of the plain-data form while unset.
@@ -111,7 +106,9 @@ def _plain(value: Any) -> Any:
 
 
 def _checked(kind: type, value: Any) -> Any:
-    if type(value) not in _SCALARS[kind]:
+    # Checked, never coerced: a JSON integer is a legal ``float`` (``10``
+    # for ``start_s``), a boolean never an ``int``.
+    if type(value) not in SCALAR_TYPES[kind]:
         raise TypeError(
             f"expected {kind.__name__}, got {type(value).__name__} {value!r}"
         )
@@ -140,7 +137,7 @@ def _decoder(hint: Any) -> Callable[[Any], Any]:
     declarations through :func:`decode`; free-form mappings
     (``Mapping[str, Any]``) for being mappings only.
     """
-    if hint in _SCALARS:
+    if hint in SCALAR_TYPES:
         return partial(_checked, hint)
     if is_dataclass(hint):
         return partial(decode, hint)
@@ -204,7 +201,12 @@ def decode(cls: type, payload: Any) -> Any:
     checked against its field's annotation: a missing required key raises
     :class:`KeyError`, a wrongly-typed value :class:`TypeError` or
     :class:`ValueError` naming the field, instead of a crash inside a run.
+    A ``payload`` that already is a ``cls`` declaration is checked field by
+    field the same way and returned as it is.
     """
+    if isinstance(payload, cls):
+        _decoded_fields(cls, vars(payload))
+        return payload
     if not isinstance(payload, AbstractMapping):
         raise TypeError(
             f"{cls.__name__} must be a mapping, got {type(payload).__name__}"
@@ -212,6 +214,11 @@ def decode(cls: type, payload: Any) -> Any:
     unknown = payload.keys() - {name for name, *_ in _field_plan(cls)}
     if unknown:
         raise TypeError(f"{cls.__name__} got unknown keys {sorted(unknown)}")
+    return cls(**_decoded_fields(cls, payload))
+
+
+def _decoded_fields(cls: type, payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """``cls``'s keyword arguments decoded from the fields in ``payload``."""
     kwargs: Dict[str, Any] = {}
     name = ""
     try:
@@ -223,7 +230,7 @@ def decode(cls: type, payload: Any) -> Any:
     except (TypeError, ValueError) as error:
         kind = TypeError if isinstance(error, TypeError) else ValueError
         raise kind(f"{cls.__name__}.{name}: {error}") from None
-    return cls(**kwargs)
+    return kwargs
 
 
 def _check_number(
@@ -521,11 +528,13 @@ class ScenarioSpec(PlainData):
     config: ExperimentConfig = PAPER_DEFAULTS
 
     def __post_init__(self) -> None:
-        duration = self.duration_s
-        if not (isinstance(duration, (int, float)) and 0 < duration <= MAX_DURATION_S):
+        # What the codec would refuse of this spec is refused when it is
+        # declared, so every declared spec decodes again.
+        _decoded_fields(ScenarioSpec, vars(self))
+        if not 0 < self.duration_s <= MAX_DURATION_S:
             raise ValueError(
                 f"ScenarioSpec.duration_s must be a number of seconds > 0 and "
-                f"<= MAX_DURATION_S ({MAX_DURATION_S:g}), got {duration!r}"
+                f"<= MAX_DURATION_S ({MAX_DURATION_S:g}), got {self.duration_s!r}"
             )
         if self.shards is not None and self.shards < 2:
             raise ValueError(

@@ -43,14 +43,24 @@ class ChurnProcess:
     burst: Tuple[Tuple[float, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.arrival_rate < 0 or self.departure_rate < 0:
-            raise ValueError("churn rates must be non-negative")
+        # ``json.loads`` reads ``Infinity`` and ``NaN``: either would fail
+        # the population arithmetic mid-run.
+        for name in ("arrival_rate", "departure_rate"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"ChurnProcess.{name} must be a finite number of members per "
+                    f"second >= 0, got {rate!r}"
+                )
         object.__setattr__(
             self, "burst", tuple((float(t), int(d)) for t, d in self.burst)
         )
         for time_s, _delta in self.burst:
-            if time_s < 0:
-                raise ValueError("burst times must be non-negative")
+            if not (math.isfinite(time_s) and time_s >= 0):
+                raise ValueError(
+                    f"ChurnProcess.burst times must be finite numbers of seconds "
+                    f">= 0, got {time_s!r}"
+                )
 
     # ------------------------------------------------------------------
     def population_at(self, initial: int, elapsed_s: float) -> int:

@@ -317,6 +317,70 @@ class TestCollusionPool:
 
 
 # ----------------------------------------------------------------------
+# declared strategy parameters
+# ----------------------------------------------------------------------
+class TestDeclaredParameters:
+    @pytest.mark.parametrize(
+        "strategy, params, message",
+        [
+            ("churn", {"perod_s": 1}, "has no parameter 'perod_s'"),
+            ("key-replay", {"period_s": 2.0}, "has no parameter 'period_s'"),
+            ("churn", {"period_s": "x"}, "must be a finite number"),
+            ("churn", {"period_s": float("nan")}, "must be a finite number"),
+            ("churn", {"duty": float("inf")}, "must be a finite number"),
+            ("churn", {"period_s": True}, "must be a finite number"),
+            ("key-guessing", {"guesses_per_slot": 2.5}, "must be an integer"),
+            ("join-storm", {"bursts_per_slot": True}, "must be an integer"),
+            ("key-guessing", {"key_bits": 0}, r"in range\(1, 61\)"),
+            ("key-guessing", {"key_bits": 61}, r"in range\(1, 61\)"),
+            ("ignore-congestion", {"mode": "off"}, r"in \('mask', 'hold'\)"),
+            ("inflated-join", {"suppress_honest": 0}, "must be a boolean"),
+            ("collusion", {"pool": 3}, "must be a string"),
+        ],
+    )
+    def test_a_param_no_run_can_use_is_refused(self, strategy, params, message):
+        """A misspelt key used to run the default in silence, a string period
+        to crash a worker mid-run, and ``mode="off"`` to run an honest receiver."""
+        with pytest.raises(ValueError, match=r"AttackSpec\.params.*" + message):
+            AttackSpec(strategy, params=params)
+
+    def test_declared_params_of_their_kind_are_admitted(self):
+        assert AttackSpec("churn", params={"period_s": 2, "duty": 0.25}).params["period_s"] == 2
+        AttackSpec("key-guessing", params={"guesses_per_slot": 2, "key_bits": 60})
+        AttackSpec("ignore-congestion", params={"mode": "hold"})
+        AttackSpec("collusion", params={"pool": "p", "publish": False, "exploit": True})
+
+    def test_an_unset_param_reads_its_declared_default(self):
+        for name, cls in ADVERSARIES.items():
+            strategy = cls()
+            for key, param in cls.parameters.items():
+                assert strategy.param(key) == param.default, (name, key)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["attack-flapping", "--param", "perod_s=1"], "AttackSpec.params"),
+            (["attack-key-guessing", "--param", "guesses_per_slot=2.5"], "AttackSpec.params"),
+            (["figure1-attack", "--param", "config=x"], "config"),
+            (["attack-key-replay", "--param", "protected=1"], "ScenarioSpec.protected"),
+            (["attack-key-replay", "--param", "intensity=true"], "AttackSpec.intensity"),
+        ],
+    )
+    def test_cli_refuses_the_spec_before_it_runs(self, argv, field, capsys):
+        from repro.__main__ import main
+
+        assert main(["run", *argv, "--duration", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and field in line
+
+    def test_scenario_param_overrides_the_rows_default(self):
+        spec = scenario_spec("attack-flapping", period_s=2)
+        assert spec.sessions[0].attacks[0].params == {"period_s": 2}
+        spec = scenario_spec("attack-key-guessing")
+        assert spec.sessions[0].attacks[0].params == {"guesses_per_slot": 8}
+
+
+# ----------------------------------------------------------------------
 # scenario registry entries
 # ----------------------------------------------------------------------
 class TestAttackScenarios:

@@ -6,10 +6,14 @@ directories (from the repository root) in which no line may match it, as
 is the one file the search skips.
 """
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.adversary import ADVERSARIES
+from repro.experiments import list_scenarios
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 THIS_FILE = Path(__file__).resolve()
@@ -136,6 +140,21 @@ DELETED = {
         r"^\s+from \.(runner|shard|warmstart|metrics) import",
         ["src/repro/experiments"],
     ),
+    # The single-strategy duels are rows of attacks.DUELS, built by one function.
+    "one builder per single-strategy duel": (
+        r"def attack_(flapping|key_guessing|key_replay|join_storm|ignore_congestion)\b",
+        ["src"],
+    ),
+    # Builders size their links from PAPER_DEFAULTS; only the spec carries a config.
+    "builder config parameter or pass-through": (
+        r"^\s+config(: ExperimentConfig)? ?= ?PAPER_DEFAULTS,$|config=config|^\s+config,$",
+        ["src/repro/experiments"],
+    ),
+    # A strategy parameter's default is declared once, in the class's ``parameters``.
+    "strategy parameter default at its call site": (
+        r"self\.(param|rate)\([^)]*,",
+        ["src/repro/adversary"],
+    ),
 }
 
 
@@ -157,3 +176,16 @@ def test_deleted_code_stays_deleted(what):
         if regex.search(line)
     ]
     assert not hits, f"{what} came back: {hits}"
+
+
+def test_no_builder_takes_a_config_and_strategies_declare_what_they_read():
+    """A builder's config would be one more spelling of ``ScenarioSpec.config``;
+    a parameter a strategy reads but does not declare has no checked value."""
+    takes_config = [
+        entry.name for entry in list_scenarios()
+        if "config" in inspect.signature(entry.builder).parameters
+    ]
+    assert takes_config == []
+    for name, cls in ADVERSARIES.items():
+        read = set(re.findall(r"self\.(?:param|rate)\(\"(\w+)\"\)", inspect.getsource(cls)))
+        assert read == set(cls.parameters), name

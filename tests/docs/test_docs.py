@@ -220,6 +220,22 @@ def test_threat_model_covers_every_registered_strategy():
         )
 
 
+def test_threat_model_parameter_table_is_the_declarations():
+    """The per-strategy parameter table lists every declared parameter with
+    its kind and default, and nothing else."""
+    from repro.adversary import ADVERSARIES
+
+    text = (DOCS / "threat-model.md").read_text()
+    table = text[text.index("| Strategy | Parameter |"):].split("\n\n", 1)[0]
+    rows = set(re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| `([^`]+)` \| `([^`]+)` \|", table, re.M))
+    declared = {
+        (name, key, param.kind.__name__, repr(param.default))
+        for name, cls in ADVERSARIES.items()
+        for key, param in cls.parameters.items()
+    }
+    assert rows == declared
+
+
 def test_bench_gallery_is_fresh():
     """docs/benchmarks.md matches the committed BENCH_*.json documents.
 

@@ -24,7 +24,6 @@ from repro.experiments import (
     scale_dumbbell_1m_spec,
 )
 from repro.experiments.attacks import duel_spec
-from repro.experiments.config import PAPER_DEFAULTS
 from repro.experiments.metrics import collect_metrics
 from repro.experiments.scenario import interchangeable_edges
 
@@ -63,7 +62,8 @@ def duel(edges, receivers=1000, cohorts=13, attackers=10, attacker_cohorts=3, **
 
 def vector_attackers(strategy, edges, count=12, cohorts=None, **block):
     """A spec whose attacker population mounts ``strategy`` as a vector block."""
-    attack = AttackSpec(strategy, start_s=ATTACK_START_S, params={"pool": "p"})
+    params = {"pool": "p"} if strategy == "collusion" else {}
+    attack = AttackSpec(strategy, start_s=ATTACK_START_S, params=params)
     return duel_spec(
         "edge-classes",
         (
@@ -84,7 +84,6 @@ def vector_attackers(strategy, edges, count=12, cohorts=None, **block):
         ),
         True,
         DURATION_S,
-        PAPER_DEFAULTS,
         topology="multi-edge-dumbbell",
         topology_params={"edges": edges, "bottleneck_bandwidth_bps": 500_000.0},
     )

@@ -12,13 +12,13 @@ from repro.experiments import (
     PAPER_GROUP_COUNTS,
     PAPER_SLOT_DURATIONS,
     CbrDecl,
+    ExperimentRunner,
     Scenario,
     ScenarioSpec,
     SessionDecl,
     TcpDecl,
     figure,
     figure9_model,
-    run_figure,
     scenario_spec,
 )
 
@@ -154,13 +154,12 @@ class TestFigure9:
         """Model and measurement cover the groups the cell's config declares:
         SIGMA's wire format then costs one near-constant multiple of the
         model, 6 groups or the paper's 10."""
+        decl = figure("figure9_measured_overhead_matches_model")
         measured_over_model = []
         for groups in (6, 10):
-            table = run_figure(
-                figure("figure9_measured_overhead_matches_model"),
-                config=replace(PAPER_DEFAULTS, group_count=groups),
-                duration_s=6.0,
-            )
+            config = replace(PAPER_DEFAULTS, group_count=groups)
+            cells = [replace(spec, config=config) for spec in decl.cells(duration_s=6.0)]
+            table = decl.reduce(cells, ExperimentRunner().run(cells))
             measured_over_model.append(
                 table["measured_sigma_percent"] / table["model_sigma_percent"]
             )

@@ -220,9 +220,24 @@ class TestRegistry:
             spec.check_measures()
 
     def test_registered_specs_serialise(self):
-        for entry in list_scenarios():
-            spec = entry.build()
+        cells = [entry.build() for entry in list_scenarios()]
+        cells += [spec for decl in list_figures() for spec in decl.cells()]
+        for spec in cells:
             assert ScenarioSpec.from_json(spec.to_json()) == spec
+            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"protected": 1}, "ScenarioSpec.protected: expected bool"),
+            ({"intensity": True}, "AttackSpec.intensity: expected float"),
+            ({"duration_s": "2"}, "ScenarioSpec.duration_s: expected float"),
+        ],
+    )
+    def test_a_spec_the_codec_would_refuse_is_refused_when_declared(self, params, field):
+        """Both used to declare, and then fail to decode inside the worker."""
+        with pytest.raises(TypeError, match=field):
+            scenario_spec("attack-key-replay", **params)
 
 
 class TestInterpreter:
@@ -663,7 +678,7 @@ SAMPLES = {
         start_s=2.0,
         stop_s=8.0,
         intensity=2.0,
-        params={"period_s": 2.0, "nested": {"deep": [1, 2.5, None]}},
+        params={"period_s": 2, "duty": 0.25},
     ),
     ChurnProcess: dict(
         arrival_rate=1.5, departure_rate=0.5, burst=((1.0, 5), (2.0, -3))
@@ -955,14 +970,22 @@ class TestDecodeRejectsWronglyTypedSpecs:
             "'access_delay_s', 'bottleneck_delay_s', 'buffer_bdp_multiple']"
         ) in str(raised.value)
 
-    def test_free_form_mappings_are_not_inspected(self):
+    @pytest.mark.parametrize(
+        "params",
+        [{"period_s": "soon"}, {"nested": {"deep": [1, 2.5, None]}}, {"duty": True}],
+    )
+    def test_attack_params_are_checked_against_the_strategy(self, params):
+        """Attack params used to be a free-form mapping: ``"soon"`` was
+        admitted and crashed a worker, a misspelt key ran the default."""
         document = _wire_spec()
-        document["sessions"][0]["attacks"][0]["params"] = {
-            "period_s": "soon",
-            "nested": {"deep": [1, 2.5, None]},
-        }
-        spec = ScenarioSpec.from_dict(document)
-        assert json.loads(spec.to_json()) == document
+        document["sessions"][0]["attacks"][0]["params"] = params
+        with pytest.raises(ValueError, match=r"AttackSpec\.params"):
+            ScenarioSpec.from_dict(document)
+
+    def test_free_form_mappings_are_not_inspected(self):
+        metrics = {"nested": {"deep": [1, 2.5, None]}, "flag": True}
+        result = RunResult(scenario="r", seed=0, protected=True, duration_s=1.0, metrics=metrics)
+        assert RunResult.from_json(result.to_json()).metrics == metrics
 
     def test_results_decode_through_the_same_walk(self):
         result = RunResult(

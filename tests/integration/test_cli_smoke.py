@@ -68,7 +68,10 @@ def profiled_events(output):
 @pytest.mark.smoke
 def test_catalogue_commands_list_the_registries(capsys):
     assert "figure1-attack" in run_cli(capsys, "list")
-    assert "inflated-join" in run_cli(capsys, "adversaries")
+    adversaries = run_cli(capsys, "adversaries")
+    assert "inflated-join" in adversaries
+    # Each strategy's declared parameters, at their defaults: a duel's --param keys.
+    assert "period_s=4.0, duty=0.5" in adversaries and "key_bits=None" in adversaries
     assert "sharded-dumbbell" in run_cli(capsys, "topologies")
 
 

@@ -58,6 +58,18 @@ def test_validation():
         )
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf")])
+def test_non_finite_rates_and_burst_times_are_refused(value):
+    """``json.loads`` reads ``Infinity`` and ``NaN``: a wire spec carrying
+    either used to be admitted and fail mid-run (``OverflowError``,
+    ``ValueError``)."""
+    for name in ("arrival_rate", "departure_rate"):
+        with pytest.raises(ValueError, match=f"ChurnProcess.{name} must be a finite"):
+            ChurnProcess(**{name: value})
+    with pytest.raises(ValueError, match="ChurnProcess.burst times must be finite"):
+        ChurnProcess(burst=((value, 5),))
+
+
 def test_round_trip():
     process = ChurnProcess(arrival_rate=3.5, departure_rate=0.5, burst=((12.0, 900),))
     assert ChurnProcess.from_dict(process.to_dict()) == process

@@ -296,7 +296,7 @@ def check_attack_rate() -> int:
     cases = 0
     for per_slot, intensity in itertools.product(RATE_GRID, RATE_GRID):
         knob = AttackStrategy(intensity=intensity, params={"knob": per_slot})
-        assert knob.rate("knob", 0) == model_rate(per_slot, intensity)
+        assert knob.rate("knob") == model_rate(per_slot, intensity)
         cases += 1
     return cases
 

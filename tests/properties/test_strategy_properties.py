@@ -40,7 +40,7 @@ def test_inflated_join_target_stays_in_range(intensity, group_count):
 def test_rate_knob_floors_at_one(per_slot, intensity):
     """An active attacker always acts at least once per slot."""
     knob = AttackStrategy(intensity=intensity, params={"knob": per_slot})
-    assert knob.rate("knob", 0) == max(1, round(per_slot * intensity))
+    assert knob.rate("knob") == max(1, round(per_slot * intensity))
 
 
 @given(

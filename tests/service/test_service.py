@@ -21,6 +21,7 @@ from _util import AsyncConn, daemon_env
 from repro.adversary import AttackSpec
 from repro.experiments import (
     PAPER_DEFAULTS,
+    ChurnProcess,
     CohortDecl,
     ExperimentRunner,
     JobExecutor,
@@ -330,28 +331,16 @@ class TestProtocolErrorHandling:
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 
-    def test_unusable_attack_is_rejected_before_admission(self, daemon):
-        """An unknown strategy used to be admitted and fail on a worker, and a
-        non-finite intensity to crash one mid-run."""
-        template = ScenarioSpec(
-            name="service-attack",
-            protected=False,
-            sessions=(SessionDecl("mc", attacks=(AttackSpec("inflated-join"),)),),
-            duration_s=6.0,
-        ).to_json()
-        unusable = [
-            ("strategy", "no-such-strategy"),
-            ("intensity", float("nan")),
-            ("intensity", float("inf")),
-            ("start_s", float("nan")),
-            ("stop_s", float("nan")),
-        ]
+    def _assert_rejected_before_admission(self, daemon, template, unusable):
+        """Submit ``template`` with each ``(field, mutate)`` of ``unusable``
+        applied: every one is rejected naming ``field``, and none reaches
+        the pool."""
 
         async def scenario(conn):
             rejections = []
-            for number, (field, value) in enumerate(unusable):
+            for number, (_field, mutate) in enumerate(unusable):
                 document = json.loads(template)
-                document["sessions"][0]["attacks"][0][field] = value
+                mutate(document)
                 await conn.send(
                     {"op": "submit", "id": f"a{number}", "spec": document,
                      "timeout_s": 5}
@@ -363,9 +352,64 @@ class TestProtocolErrorHandling:
         rejections, status = self._converse(daemon(), scenario)
         for (field, _), rejected in zip(unusable, rejections):
             assert rejected["event"] == "rejected", rejected
-            assert f"AttackSpec.{field}" in rejected["reason"]
+            assert field in rejected["reason"]
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
+
+    def test_unusable_attack_is_rejected_before_admission(self, daemon):
+        """An unknown strategy used to be admitted and fail on a worker, a
+        non-finite intensity or a string period to crash one mid-run, and a
+        misspelt parameter or an unknown mode to run the defaults."""
+        template = ScenarioSpec(
+            name="service-attack",
+            protected=False,
+            sessions=(SessionDecl("mc", attacks=(AttackSpec("inflated-join"),)),),
+            duration_s=6.0,
+        ).to_json()
+
+        def attack(**fields):
+            return lambda document: document["sessions"][0]["attacks"][0].update(fields)
+
+        unusable = [
+            ("AttackSpec.strategy", attack(strategy="no-such-strategy")),
+            ("AttackSpec.intensity", attack(intensity=float("nan"))),
+            ("AttackSpec.intensity", attack(intensity=float("inf"))),
+            ("AttackSpec.start_s", attack(start_s=float("nan"))),
+            ("AttackSpec.stop_s", attack(stop_s=float("nan"))),
+            ("AttackSpec.params", attack(strategy="churn", params={"perod_s": 1})),
+            ("AttackSpec.params", attack(strategy="churn", params={"period_s": "x"})),
+            ("AttackSpec.params", attack(strategy="churn", params={"period_s": float("nan")})),
+            ("AttackSpec.params", attack(strategy="ignore-congestion", params={"mode": "off"})),
+        ]
+        self._assert_rejected_before_admission(daemon, template, unusable)
+
+    def test_unusable_churn_is_rejected_before_admission(self, daemon):
+        """``Infinity`` and ``NaN`` are JSON to ``json.loads``: a cohort churn
+        carrying either used to be admitted and fail mid-run."""
+        template = ScenarioSpec(
+            name="service-churn",
+            protected=False,
+            sessions=(
+                SessionDecl(
+                    "mc",
+                    receivers=0,
+                    population=(CohortDecl(10, churn=ChurnProcess(arrival_rate=1.0)),),
+                ),
+            ),
+            duration_s=6.0,
+        ).to_json()
+
+        def churn(**fields):
+            return lambda document: document["sessions"][0]["population"][0]["churn"].update(
+                fields
+            )
+
+        unusable = [
+            ("ChurnProcess.arrival_rate", churn(arrival_rate=float("inf"))),
+            ("ChurnProcess.departure_rate", churn(departure_rate=float("nan"))),
+            ("ChurnProcess.burst", churn(burst=[[float("inf"), 5]])),
+        ]
+        self._assert_rejected_before_admission(daemon, template, unusable)
 
     def test_unusable_config_is_rejected_before_admission(self, daemon):
         """Each of these config values used to be admitted and fail on a
