@@ -18,10 +18,10 @@ Run with::
 """
 
 from repro.analysis import format_table
-from repro.experiments import PAPER_DEFAULTS, figure, run_figure
+from repro.experiments import FAIR_SHARE_BPS, figure, run_figure
 
 DURATION_S = 80.0
-FAIR_SHARE_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
+FAIR_SHARE_KBPS = FAIR_SHARE_BPS / 1e3
 
 
 def run_variant(protected: bool) -> None:

@@ -16,7 +16,7 @@ Run with::
 """
 
 from repro.experiments import (
-    PAPER_DEFAULTS,
+    FAIR_SHARE_BPS,
     ScenarioSpec,
     Scenario,
     SessionDecl,
@@ -32,10 +32,9 @@ def main() -> None:
         name="quickstart",
         protected=True,
         topology="dumbbell",
-        topology_params={"bottleneck_bandwidth_bps": PAPER_DEFAULTS.fair_share_bps},
+        topology_params={"bottleneck_bandwidth_bps": FAIR_SHARE_BPS},
         sessions=(SessionDecl("quickstart"),),
         duration_s=DURATION_S,
-        config=PAPER_DEFAULTS,
     )
     print("spec (canonical JSON):")
     print(f"  {spec.to_json()[:98]}...")

@@ -211,7 +211,8 @@ class KeyGuessingStrategy(AttackStrategy):
 
     name = "key-guessing"
     #: ``key_bits`` of ``None`` guesses keys as wide as the receiver's; a
-    #: receiver's keys are 1 to 60 bits wide (``experiments.config.MAX_KEY_BITS``).
+    #: session's keys are 1 to 60 bits wide (``SessionDecl.key_bits``, at
+    #: most ``experiments.spec.MAX_KEY_BITS``).
     parameters = {
         "guesses_per_slot": Param(int, 4),
         "key_bits": Param(int, None, range(1, 61)),

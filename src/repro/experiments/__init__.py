@@ -2,10 +2,10 @@
 
 The stack is layered:
 
-* :mod:`repro.experiments.config` — the shared §5.1 settings.
 * :mod:`repro.experiments.spec` — declarative, serialisable scenario
-  specifications (:class:`ScenarioSpec`): topology by name, sessions, attack
-  schedules, TCP/CBR cross traffic.
+  specifications (:class:`ScenarioSpec`): topology by name, sessions and
+  their layering, attack schedules, TCP/CBR cross traffic, the seed; the
+  §5.1 settings no run varies are its constants.
 * :mod:`repro.experiments.registry` — the named scenario registry (see
   ``python -m repro list``) and the figure registry: each table of the
   paper's evaluation as a :class:`FigureDecl` (a grid of cells and a pure
@@ -29,8 +29,7 @@ The stack is layered:
   paper's scenarios and figure declarations, built on the layers above.
 """
 
-from .config import PAPER_DEFAULTS, ExperimentConfig
-from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import FAIR_SHARE_BPS, CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 from .registry import (
     FigureDecl,
     ScenarioEntry,
@@ -88,8 +87,7 @@ from .warmstart import CheckpointStore, PrefixPlan, plan_prefix
 from ..multicast_cc.churn import ChurnProcess
 
 __all__ = [
-    "PAPER_DEFAULTS",
-    "ExperimentConfig",
+    "FAIR_SHARE_BPS",
     "CbrDecl",
     "ChurnProcess",
     "CohortDecl",

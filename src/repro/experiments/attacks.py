@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from ..adversary.spec import AttackSpec, paper_attacker
-from .config import PAPER_DEFAULTS
 from .registry import register_scenario
-from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import FAIR_SHARE_BPS, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = ["attack_duel_spec", "duel_spec"]
 
@@ -40,7 +39,7 @@ def duel_spec(
     The one shape behind the attack and scale scenario catalogue: the
     already-declared multicast ``sessions`` (in the order given) and ``tcp``
     flows contend for a dumbbell bottleneck sized at one
-    :data:`~repro.experiments.config.PAPER_DEFAULTS` fair share per flow — a
+    :data:`~repro.experiments.spec.FAIR_SHARE_BPS` per flow — a
     multicast session weighing one however many receivers or
     cohort members it declares, because it sends one copy across the
     bottleneck.  ``extras`` are the remaining
@@ -50,7 +49,7 @@ def duel_spec(
     """
     flows = len(sessions) + len(tcp)
     extras.setdefault(
-        "topology_params", {"bottleneck_bandwidth_bps": flows * PAPER_DEFAULTS.fair_share_bps}
+        "topology_params", {"bottleneck_bandwidth_bps": flows * FAIR_SHARE_BPS}
     )
     return ScenarioSpec(
         name=name,
@@ -217,7 +216,7 @@ def attack_collusion_parking_lot(
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 3 * PAPER_DEFAULTS.fair_share_bps,
+            "bottleneck_bandwidth_bps": 3 * FAIR_SHARE_BPS,
         },
         sessions=(
             SessionDecl(
@@ -235,7 +234,7 @@ def attack_collusion_parking_lot(
         cbr=(
             CbrDecl(
                 "squeeze",
-                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
+                rate_bps=2 * FAIR_SHARE_BPS,
                 on_s=5.0,
                 off_s=2.0,
                 active_window=(attack_start_s, duration_s),

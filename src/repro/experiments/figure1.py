@@ -23,10 +23,9 @@ from typing import Any, Dict, Sequence
 
 from ..adversary.spec import paper_attacker
 from ..analysis.fairness import jain_index
-from .config import PAPER_DEFAULTS
 from .registry import register_figure, register_scenario, series_kbps
-from .metrics import RunResult
-from .spec import PAPER_DURATION_S, ScenarioSpec, SessionDecl, TcpDecl
+from .metrics import WARMUP_S, RunResult
+from .spec import FAIR_SHARE_BPS, PAPER_DURATION_S, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = ["inflated_subscription_spec"]
 
@@ -46,21 +45,25 @@ def inflated_subscription_spec(
     for the protocol (:func:`~repro.adversary.spec.paper_attacker`) from
     ``attack_start_s``, which never lies past the end of the run.
     """
-    # The attack never starts after the run ends; a run length that is not
-    # > 0 is left for ScenarioSpec to refuse by name.
-    start_s = min(attack_start_s, duration_s) if duration_s > 0 else attack_start_s
-    attack = paper_attacker(protected, start_s=start_s)
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name="figure7-defence" if protected else "figure1-attack",
         protected=protected,
-        topology_params={"bottleneck_bandwidth_bps": 4 * PAPER_DEFAULTS.fair_share_bps},
+        topology_params={"bottleneck_bandwidth_bps": 4 * FAIR_SHARE_BPS},
         sessions=(
-            SessionDecl("F1", receivers=1, attacks=attack),
+            SessionDecl(
+                "F1", receivers=1, attacks=paper_attacker(protected, start_s=attack_start_s)
+            ),
             SessionDecl("F2", receivers=1),
         ),
         tcp=(TcpDecl("T1"), TcpDecl("T2")),
         duration_s=duration_s,
     )
+    # The attack never starts after the run ends.  The declarations have
+    # checked both times by name (``AttackSpec.start_s``,
+    # ``ScenarioSpec.duration_s``) before they are compared.
+    if attack_start_s > duration_s:
+        return inflated_subscription_spec(protected, duration_s, duration_s)
+    return spec
 
 
 register_scenario(
@@ -84,7 +87,6 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
         "T1": metrics["tcp_series"]["T1"],
         "T2": metrics["tcp_series"]["T2"],
     }
-    warmup = spec.config.warmup_s
     attack_start = spec.sessions[0].attack_onset_s()
     duration = spec.duration_s
     if attack_start >= duration:
@@ -92,10 +94,10 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
             f"attack onset {attack_start} s leaves no attack window in a "
             f"{duration} s run; start the attack before the run ends"
         )
-    before = {name: series_kbps(bins, warmup, attack_start) for name, bins in series.items()}
+    before = {name: series_kbps(bins, WARMUP_S, attack_start) for name, bins in series.items()}
     during = {name: series_kbps(bins, attack_start, duration) for name, bins in series.items()}
     return {
-        "attacker_gain": during["F1"] / (spec.config.fair_share_bps / 1e3),
+        "attacker_gain": during["F1"] / (FAIR_SHARE_BPS / 1e3),
         "before_kbps": before,
         "during_kbps": during,
         "fairness_before": jain_index(list(before.values())),

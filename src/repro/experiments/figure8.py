@@ -27,10 +27,9 @@ from typing import Any, Dict, List, Sequence, Tuple
 from ..analysis.convergence import convergence_time
 from ..analysis.fairness import max_min_ratio
 from ..simulator.topology import dumbbell_topology
-from .config import PAPER_DEFAULTS
 from .registry import register_figure, register_scenario, series_kbps
-from .metrics import RunResult
-from .spec import PAPER_DURATION_S, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .metrics import WARMUP_S, RunResult
+from .spec import FAIR_SHARE_BPS, PAPER_DURATION_S, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [
     "throughput_vs_sessions_spec",
@@ -68,7 +67,7 @@ def throughput_vs_sessions_spec(
     of the bottleneck.
     """
     competing_sessions = count * 2 if cross_traffic else count
-    bottleneck = PAPER_DEFAULTS.fair_share_bps * competing_sessions
+    bottleneck = FAIR_SHARE_BPS * competing_sessions
     tcp = tuple(TcpDecl(f"tcp{i + 1}") for i in range(count)) if cross_traffic else ()
     cbr = ()
     if cross_traffic:
@@ -186,7 +185,7 @@ def _responsiveness_table(
         bins = result.metrics["multicast"]["mc"]["series"]["bins"][0]
         start, end = spec.cbr[0].active_window
         table[f"{_variant(spec)}_kbps"] = {
-            "before": series_kbps(bins, spec.config.warmup_s, start),
+            "before": series_kbps(bins, WARMUP_S, start),
             "during": series_kbps(bins, start + 5.0, end),
             "after": series_kbps(bins, end + 10.0, spec.duration_s),
         }
@@ -211,9 +210,7 @@ def rtt_fairness_spec(
     # The queue keeps its size for the default 20 ms bottleneck, as in the
     # NS-2 setup: at 250 Kbps both paths' 2-BDP buffers fall to the
     # dumbbell's 4-packet floor.
-    topology_params = dict(
-        bottleneck_bandwidth_bps=PAPER_DEFAULTS.fair_share_bps, bottleneck_delay_s=0.005
-    )
+    topology_params = dict(bottleneck_bandwidth_bps=FAIR_SHARE_BPS, bottleneck_delay_s=0.005)
     topology = dumbbell_topology(**topology_params)
     fixed_one_way_ms = (topology.access_delay_s + topology.links[0].delay_s) * 1e3
     rtts = [
@@ -271,7 +268,7 @@ def convergence_spec(
     return ScenarioSpec(
         name=f"figure8-convergence-{'ds' if protected else 'dl'}",
         protected=protected,
-        topology_params={"bottleneck_bandwidth_bps": PAPER_DEFAULTS.fair_share_bps},
+        topology_params={"bottleneck_bandwidth_bps": FAIR_SHARE_BPS},
         sessions=(
             SessionDecl(
                 "mc",

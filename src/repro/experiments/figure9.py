@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.overhead import OverheadModel, OverheadPoint
+from ..multicast_cc.session import SessionSpec
 from .registry import register_figure, register_scenario
 from .metrics import RunResult
 from .spec import ScenarioSpec, SessionDecl
@@ -114,21 +115,22 @@ def _measured_overhead_table(
 ) -> Dict[str, Any]:
     """Measured DELTA/SIGMA percentages beside the model of the same session.
 
-    The model takes packet size, rates, group count, key width and slot
-    length from the cell's own config, so both cover the same groups.
+    The model takes group count and key width from the cell's session and
+    slot length from the cell, so both cover the same groups; packet size
+    and rates are the session's defaults.
     """
     (spec,), (result,) = cells, results
-    config = spec.config
-    session = config.session_spec(spec.sessions[0].session_id, protected=True)
+    decl = spec.sessions[0]
+    session = SessionSpec(decl.session_id, group_count=decl.group_count)
     model = OverheadModel(
         data_bits_per_packet=session.packet_bytes * 8,
         cumulative_rate_bps=session.max_rate_bps(),
         minimal_rate_bps=session.base_rate_bps,
-        key_bits=config.key_bits,
-        group_count=session.group_count,
-        slot_duration_s=session.slot_duration_s,
+        key_bits=decl.key_bits,
+        group_count=decl.group_count,
+        slot_duration_s=spec.slot_duration_s,
     )
-    measured = result.metrics["multicast"][session.session_id]["overhead_percent"]
+    measured = result.metrics["multicast"][decl.session_id]["overhead_percent"]
     return {
         "measured_delta_percent": measured["delta"],
         "measured_sigma_percent": measured["sigma"],

@@ -23,11 +23,12 @@ from ..analysis.protection import (
     weighted_honest_baseline_kbps,
 )
 from .scenario import Scenario
-from .spec import PlainData, ScenarioSpec
+from .spec import FAIR_SHARE_BPS, PlainData, ScenarioSpec
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "RunResult",
+    "WARMUP_S",
     "assemble",
     "attack_onsets",
     "collect_ingredients",
@@ -38,6 +39,10 @@ __all__ = [
 #: given spec) changes.  Mixed into every cache key together with the package
 #: version so refactors can never resurrect stale cached results.
 CACHE_SCHEMA_VERSION = 3
+
+#: The start-up transient left out of every goodput (§5.1): receivers are
+#: measured over ``[WARMUP_S, duration]``.
+WARMUP_S = 5.0
 
 
 def _cache_version_tag() -> str:
@@ -154,7 +159,7 @@ def collect_ingredients(
     :func:`assemble`.  Per session, group 0 holds the individual receivers
     and group ``i + 1`` the rows of population block ``i`` (one per row of
     a cohort-model block's split, one per receiver otherwise); each group
-    is a set of per-row columns: goodput over ``[warmup, duration]``,
+    is a set of per-row columns: goodput over ``[WARMUP_S, duration]``,
     final level, population and, given ``onsets``, a ``protection`` column
     — an honest row's goodput over the global attack window (a term of the
     honest baseline), an attacker's :func:`_attacker_record`, or ``None``
@@ -165,13 +170,11 @@ def collect_ingredients(
     (:meth:`~repro.simulator.monitors.ThroughputMonitor.bins`) and
     ``(time, level)`` history, and ``tcp_series`` every connection's bins.
     """
-    config = spec.config
     duration = spec.duration_s
-    warmup = config.warmup_s
     sessions: List[Dict[str, Any]] = []
     for decl, session in zip(spec.sessions, scenario.sessions):
         onset = onsets["sessions"].get(decl.session_id) if onsets else None
-        bound_level = session.spec.fair_level(config.fair_share_bps)
+        bound_level = session.spec.fair_level(FAIR_SHARE_BPS)
         #: Delivered-rate bound: the honest entitlement's cumulative rate,
         #: with slack for 1-second bin jitter around slot boundaries.
         bound_kbps = 1.25 * session.spec.cumulative_rate_bps(bound_level) / 1e3
@@ -193,7 +196,7 @@ def collect_ingredients(
             reported.extend(rows)
             group: Dict[str, Any] = {
                 "receiver_kbps": [
-                    receiver.average_rate_kbps(warmup, duration) for receiver, _ in rows
+                    receiver.average_rate_kbps(WARMUP_S, duration) for receiver, _ in rows
                 ],
                 "final_levels": [receiver.level for receiver, _ in rows],
                 "population": [count for _, count in rows],
@@ -232,7 +235,7 @@ def collect_ingredients(
     document: Dict[str, Any] = {"sessions": sessions}
     if spec.tcp:
         document["tcp_kbps"] = {
-            decl.name: connection.monitor.average_rate_kbps(warmup, duration)
+            decl.name: connection.monitor.average_rate_kbps(WARMUP_S, duration)
             for decl, connection in zip(spec.tcp, scenario.tcp_connections)
         }
         if spec.record_series:
@@ -345,9 +348,7 @@ def assemble(
         metrics["sigma"] = {key: sum(doc[key] for doc in sigma) for key in sigma[0]}
 
     if onsets is not None:
-        baseline = weighted_honest_baseline_kbps(
-            honest, spec.config.fair_share_bps / 1e3
-        )
+        baseline = weighted_honest_baseline_kbps(honest, FAIR_SHARE_BPS / 1e3)
         sessions: Dict[str, Any] = {}
         for session_id, records in attackers.items():
             entries: Dict[str, Any] = {}

@@ -36,10 +36,9 @@ from typing import (
 
 from ..adversary.spec import paper_attacker
 from ..simulator.monitors import window_rate_bps
-from .config import PAPER_DEFAULTS
 from .metrics import RunResult
 from .runner import ExperimentRunner
-from .spec import CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import FAIR_SHARE_BPS, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
 __all__ = [
     "FigureDecl",
@@ -208,7 +207,7 @@ def parking_lot_attack(
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * FAIR_SHARE_BPS,
         },
         sessions=(
             SessionDecl(
@@ -243,7 +242,7 @@ def star_fanout(
         topology="star",
         topology_params={
             "arms": arms,
-            "arm_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
+            "arm_bandwidth_bps": 2 * FAIR_SHARE_BPS,
         },
         sessions=(
             SessionDecl(
@@ -275,7 +274,7 @@ def tree_convergence(
         topology="binary-tree",
         topology_params={
             "depth": depth,
-            "link_bandwidth_bps": 4 * PAPER_DEFAULTS.fair_share_bps,
+            "link_bandwidth_bps": 4 * FAIR_SHARE_BPS,
         },
         sessions=(
             SessionDecl(
@@ -288,7 +287,7 @@ def tree_convergence(
         cbr=(
             CbrDecl(
                 "burst",
-                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
+                rate_bps=2 * FAIR_SHARE_BPS,
                 on_s=15.0,
                 off_s=1.0,
                 active_window=(30.0, 45.0),

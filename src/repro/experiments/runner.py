@@ -186,14 +186,14 @@ def describe_job(job: Tuple[str, str]) -> str:
         # The prefix spec carries a placeholder name; the barrier is what
         # tells one prefix checkpoint from another.
         warm = document.get("warm", {})
-        seed = warm.get("prefix", {}).get("config", {}).get("seed", "?")
+        seed = warm.get("prefix", {}).get("seed", "?")
         return (
             f"checkpoint job for the prefix checkpoint at the "
             f"{warm.get('barrier_s', '?')}s barrier (seed {seed})"
         )
     spec = document.get("spec", {})
     name = spec.get("name", "?")
-    seed = spec.get("config", {}).get("seed", "?")
+    seed = spec.get("seed", "?")
     return f"{kind} job for scenario {name!r} (seed {seed})"
 
 

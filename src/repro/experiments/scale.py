@@ -62,10 +62,10 @@ from typing import Optional, Tuple
 
 from ..adversary.spec import AttackSpec, paper_attacker
 from ..multicast_cc.churn import ChurnProcess
+from ..multicast_cc.session import SessionSpec
 from .attacks import duel_spec
-from .config import PAPER_DEFAULTS
 from .registry import register_scenario
-from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl
+from .spec import FAIR_SHARE_BPS, CbrDecl, CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
     "scale_dumbbell_spec",
@@ -199,7 +199,7 @@ def scale_dumbbell_1m_spec(
         topology="multi-edge-dumbbell",
         topology_params={
             "edges": edges,
-            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * FAIR_SHARE_BPS,
         },
     )
 
@@ -250,7 +250,7 @@ def scale_dumbbell_10m_spec(
         topology_params={
             "regions": regions,
             "edges_per_region": edges_per_region,
-            "bottleneck_bandwidth_bps": 2 * PAPER_DEFAULTS.fair_share_bps,
+            "bottleneck_bandwidth_bps": 2 * FAIR_SHARE_BPS,
         },
         shards=regions,
     )
@@ -277,7 +277,7 @@ def scale_overhead_spec(
     directly comparable with the analytic model — which predicts it does not
     depend on the audience size at all, because keys travel per edge router.
     """
-    max_rate_bps = PAPER_DEFAULTS.session_spec("audience", protected=True).max_rate_bps()
+    max_rate_bps = SessionSpec("audience").max_rate_bps()
     return ScenarioSpec(
         name="scale-overhead-100k",
         protected=True,
@@ -446,12 +446,12 @@ def attack_collusion_100k_spec(
         topology="parking-lot",
         topology_params={
             "hops": hops,
-            "bottleneck_bandwidth_bps": 3 * PAPER_DEFAULTS.fair_share_bps,
+            "bottleneck_bandwidth_bps": 3 * FAIR_SHARE_BPS,
         },
         cbr=(
             CbrDecl(
                 "squeeze",
-                rate_bps=2 * PAPER_DEFAULTS.fair_share_bps,
+                rate_bps=2 * FAIR_SHARE_BPS,
                 on_s=5.0,
                 off_s=2.0,
                 active_window=(attack_start_s, duration_s),

@@ -12,7 +12,7 @@ declaration field is one dataclass line plus its use here.
 :meth:`Scenario.from_spec` is the only constructor: the network is a
 :class:`~repro.simulator.topology.NetworkGraph` of the topology the spec
 declares (the §5.1 dumbbell is one more topology), seeded from the spec's
-config.
+``seed``.
 
 Group management is installed on *every* receiver-side router of the
 topology: an IGMP manager per router for the unprotected baseline, or one
@@ -68,7 +68,7 @@ from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
 #: pickled state layout changes so stale blobs read as misses, never as state.
 #: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
 #: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 17
+CHECKPOINT_VERSION = 18
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, the address counter and RNG streams hold the rest.
@@ -276,7 +276,6 @@ class Scenario:
 
     def __init__(self, spec: ScenarioSpec, edge_classes: Sequence[Sequence[str]]) -> None:
         """The network of ``spec`` with its group management, no traffic yet."""
-        config = self.config = spec.config
         protected = self.protected = spec.protected
         #: What :meth:`run` defaults to: the duration of the spec the
         #: scenario was built from or last rebound to (:meth:`rebind_spec`).
@@ -298,7 +297,7 @@ class Scenario:
             topology.without_routers(
                 {edge for members in edge_classes for edge in members[1:]}
             ),
-            seed=config.seed,
+            seed=spec.seed,
         )
         self.sessions: List[MulticastSession] = []
         self.tcp_connections: List[TcpConnection] = []
@@ -311,10 +310,12 @@ class Scenario:
         self.population_table: None = None
         self._next_port = 5000
 
+        #: The slot length of every session's protocol.
+        self.slot_duration_s = spec.slot_duration_s
         if protected:
             # One slot clock drives every edge agent so all receiver-side
             # routers revoke/grant on the same slot boundaries (§3.2).
-            self.slot_clock = SlotClock(self.network.sim, config.slot_s(protected))
+            self.slot_clock = SlotClock(self.network.sim, self.slot_duration_s)
             for router in self.network.receiver_edge_routers:
                 self.sigma_agents.append(
                     SigmaRouterAgent(router, self.network.multicast, self.slot_clock)
@@ -369,12 +370,15 @@ class Scenario:
         carrying all their rows.
         """
         session_id = decl.session_id
-        spec = self.config.session_spec(session_id, self.protected).with_addresses(
-            self.network.allocate_groups(self.config.group_count)
+        spec = SessionSpec(
+            session_id,
+            group_count=decl.group_count,
+            slot_duration_s=self.slot_duration_s,
+            group_addresses=tuple(self.network.allocate_groups(decl.group_count)),
         )
         overhead = OverheadAccumulator() if decl.track_overhead else None
 
-        sender_class, receiver_class, protocol = self._protocol()
+        sender_class, receiver_class, protocol = self._protocol(decl)
         sender: LayeredSenderBase = sender_class(
             self.network,
             self.network.add_sender(f"{session_id}-src"),
@@ -492,10 +496,10 @@ class Scenario:
             build_strategies(list(attacks), self.network, spec, host_name)
         )
 
-    def _protocol(self) -> Tuple[type, type, Dict[str, Any]]:
-        """The scenario's sender class, receiver class and their extra keywords."""
+    def _protocol(self, decl: SessionDecl) -> Tuple[type, type, Dict[str, Any]]:
+        """``decl``'s sender class, receiver class and their extra keywords."""
         if self.protected:
-            return FlidDsSender, FlidDsReceiver, {"key_bits": self.config.key_bits}
+            return FlidDsSender, FlidDsReceiver, {"key_bits": decl.key_bits}
         return FlidDlSender, FlidDlReceiver, {}
 
     # ------------------------------------------------------------------
@@ -520,7 +524,6 @@ class Scenario:
             source,
             sink_host,
             port=port,
-            segment_bytes=self.config.packet_bytes,
             name=decl.name,
         )
         connection.start(decl.start_s)
@@ -537,7 +540,6 @@ class Scenario:
             rate_bps=decl.rate_bps,
             on_s=decl.on_s,
             off_s=decl.off_s,
-            packet_bytes=self.config.packet_bytes,
             active_window=decl.active_window,
             name=decl.name,
         )

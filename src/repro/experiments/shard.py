@@ -172,7 +172,7 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
         spec=spec,
         topology=topology,
         regions=tuple(region_plans),
-        slot_s=spec.config.slot_s(spec.protected),
+        slot_s=spec.slot_duration_s,
         onsets=attack_onsets(spec),
     )
 

@@ -3,8 +3,11 @@
 A :class:`ScenarioSpec` is a complete, serialisable description of one §5-style
 experiment: which topology to build (by name, from the simulator's topology
 registry), which multicast sessions to run (protocol variant, receiver
-placement, misbehaviour schedules), which TCP/CBR cross traffic to add, and
-the shared :class:`~repro.experiments.config.ExperimentConfig` knobs.
+placement, misbehaviour schedules, layering), which TCP/CBR cross traffic to
+add, and the seed.  What the paper's §5.1 fixes for every run is a
+constant: :data:`FAIR_SHARE_BPS`, the slot lengths of
+:attr:`ScenarioSpec.slot_duration_s`, and the rates and packet size of
+:class:`~repro.multicast_cc.session.SessionSpec`'s defaults.
 
 Specs are plain frozen dataclasses with a canonical JSON form, so they can be
 
@@ -14,8 +17,8 @@ Specs are plain frozen dataclasses with a canonical JSON form, so they can be
 * hashed for result caching, and
 * registered under a name in :mod:`repro.experiments.registry`.
 
-The canonical JSON of a spec plus the seed inside its config fully determine
-an experiment's output bit-for-bit (the engine and the multicast forwarding
+The canonical JSON of a spec, its ``seed`` included, fully determines an
+experiment's output bit-for-bit (the engine and the multicast forwarding
 plane are deterministic), which the property tests assert.
 
 A declaration's fields are spelled once, in its dataclass body.  The codec
@@ -51,14 +54,16 @@ from typing import (
 from ..adversary.spec import SCALAR_TYPES, AttackSpec
 from ..multicast_cc.churn import ChurnProcess
 from ..simulator.topology import TopologySpec, build_topology
-from .config import PAPER_DEFAULTS, ExperimentConfig
 
 __all__ = [
     "CohortDecl",
     "SessionDecl",
     "TcpDecl",
     "CbrDecl",
+    "FAIR_SHARE_BPS",
     "MAX_DURATION_S",
+    "MAX_GROUP_COUNT",
+    "MAX_KEY_BITS",
     "PAPER_DURATION_S",
     "ScenarioSpec",
     "PlainData",
@@ -243,13 +248,18 @@ def _check_number(
         raise ValueError(f"{name} must be a finite number{unit} {bound} {where}, got {value!r}")
 
 
-def _check_count(name: str, value: int, minimum: int, where: str = "") -> None:
-    """Refuse a ``value`` that is not an integer >= ``minimum``, naming the
-    field ``name``: a boolean or a float never counts, although Python would
-    let ``True`` or ``2.0`` pass for one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+def _check_count(
+    name: str, value: int, minimum: int, where: str = "", maximum: Optional[int] = None
+) -> None:
+    """Refuse a ``value`` that is not an integer >= ``minimum`` (and <=
+    ``maximum``, when given), naming the field ``name``: a boolean or a
+    float never counts, although Python would let ``True`` or ``2.0`` pass
+    for one."""
+    high = math.inf if maximum is None else maximum
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= high:
+        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
         where = f" {where}" if where else ""
-        raise ValueError(f"{name} must be an integer >= {minimum}{where}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {bound}{where}, got {value!r}")
 
 
 class PlainData:
@@ -367,6 +377,15 @@ class CohortDecl(PlainData):
             )
 
 
+#: The largest group count the paper evaluates (Figure 9(a)); a run's cost
+#: grows about fivefold per four groups beyond it.
+MAX_GROUP_COUNT = 20
+
+#: The widest key every FEC symbol can carry: keys stay below the field
+#: prime 2^61 - 1 (:mod:`repro.fec.erasure`).
+MAX_KEY_BITS = 60
+
+
 @dataclass(frozen=True)
 class SessionDecl(PlainData):
     """One multicast session of a scenario.
@@ -379,6 +398,12 @@ class SessionDecl(PlainData):
     ``receiver_routers`` optionally pins each receiver to a named router of
     the topology; ``None`` entries (or omitting the field) fall back to the
     topology's round-robin receiver placement.
+
+    ``group_count`` and ``key_bits`` set the session's layering: how many
+    groups it sends (at most :data:`MAX_GROUP_COUNT`) and how wide the
+    keys of a FLID-DS session are (at most :data:`MAX_KEY_BITS`; FLID-DL
+    sends no keys).  Their defaults are the paper's 10 groups and 16-bit
+    keys (§5.1).
 
     ``population`` appends :class:`CohortDecl` blocks *after* the
     ``receivers`` individual ones.  ``attacks`` entries can only target
@@ -398,11 +423,14 @@ class SessionDecl(PlainData):
     track_overhead: bool = False
     suppress_unsubscribed_groups: bool = True
     population: Tuple[CohortDecl, ...] = unset(())
+    group_count: int = unset(10)
+    key_bits: int = unset(16)
 
     def __post_init__(self) -> None:
-        _check_count(
-            "SessionDecl.receivers", self.receivers, 0, f"(session {self.session_id!r})"
-        )
+        where = f"(session {self.session_id!r})"
+        _check_count("SessionDecl.receivers", self.receivers, 0, where)
+        _check_count("SessionDecl.group_count", self.group_count, 1, where, MAX_GROUP_COUNT)
+        _check_count("SessionDecl.key_bits", self.key_bits, 1, where, MAX_KEY_BITS)
         if self.receivers < 1 and not self.population:
             raise ValueError("a session needs at least one receiver")
         for attack in self.attacks:
@@ -484,6 +512,11 @@ class CbrDecl(PlainData):
 #: The paper's experiment length (§5.1), every spec's default run duration.
 PAPER_DURATION_S = 200.0
 
+#: Every flow's fair share of a bottleneck in the paper's set-up (§5.1):
+#: builders size a bottleneck at this times the flows crossing it, and the
+#: protection metrics measure honest receivers against it.
+FAIR_SHARE_BPS = 250_000.0
+
 #: The longest run a spec may declare, 18 times the longest registered one
 #: (Figures 1 and 7): a longer one would hold a worker for hours.
 MAX_DURATION_S = 3600.0
@@ -503,7 +536,10 @@ class ScenarioSpec(PlainData):
     here, not inside a run.
 
     ``duration_s`` is the one run length, in simulated seconds (> 0 and at
-    most :data:`MAX_DURATION_S`).
+    most :data:`MAX_DURATION_S`); ``seed`` seeds every random stream of the
+    run.  ``protected`` picks the protocol of every session, FLID-DS with
+    DELTA and SIGMA or plain FLID-DL, and with it the slot length
+    (:attr:`slot_duration_s`).
 
     ``shards`` opts the spec into region-sharded execution: the runner
     partitions the topology's annotated regions into ``shards`` standalone
@@ -523,9 +559,9 @@ class ScenarioSpec(PlainData):
     topology: str = "dumbbell"
     topology_params: Mapping[str, Any] = field(default_factory=dict)
     duration_s: float = PAPER_DURATION_S
+    seed: int = 0
     record_series: bool = False
     shards: Optional[int] = unset()
-    config: ExperimentConfig = PAPER_DEFAULTS
 
     def __post_init__(self) -> None:
         # What the codec would refuse of this spec is refused when it is
@@ -629,13 +665,16 @@ class ScenarioSpec(PlainData):
         return build_topology(self.topology, **self.topology_params)
 
     @property
-    def seed(self) -> int:
-        """The RNG seed carried inside the spec's config."""
-        return self.config.seed
+    def slot_duration_s(self) -> float:
+        """The slot length of the spec's protocol (§5.1): 250 ms FLID-DS
+        slots when ``protected``, else 500 ms FLID-DL slots — the same
+        control granularity, because SIGMA enforces access with a
+        responsiveness of two slots."""
+        return 0.25 if self.protected else 0.5
 
     # ------------------------------------------------------------------
     # functional updates
     # ------------------------------------------------------------------
     def with_seed(self, seed: int) -> "ScenarioSpec":
-        """A copy of this spec whose config carries ``seed``."""
-        return replace(self, config=self.config.with_seed(seed))
+        """A copy of this spec run under ``seed``."""
+        return replace(self, seed=seed)

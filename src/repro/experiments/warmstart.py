@@ -232,7 +232,7 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
     if not onsets:
         return None
     duration = spec.duration_s
-    slot_s = spec.config.slot_s(spec.protected)
+    slot_s = spec.slot_duration_s
     divergence = min(min(onsets), duration)
     slots = int(divergence / slot_s + 1e-9)
     barrier_s = slots * slot_s

@@ -53,7 +53,10 @@ __all__ = [
 #: ``submit`` spec lost three keys — a session's ``misbehaving`` and
 #: ``attack_start_s`` (its attacks are declared in ``attacks``) and the
 #: config's ``duration_s`` (the spec's ``duration_s`` is the one run length).
-PROTOCOL_VERSION = 4
+#: 5: the ``submit`` spec lost its ``config``: the seed is the spec's own
+#: ``seed``, a session's ``group_count`` and ``key_bits`` are fields of that
+#: session, and the other §5.1 settings are constants no spec carries.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one framed message.  Spec documents and result documents
 #: with recorded series are large but bounded; 64 MiB leaves headroom while

@@ -361,7 +361,10 @@ class TestDeclaredParameters:
         [
             (["attack-flapping", "--param", "perod_s=1"], "AttackSpec.params"),
             (["attack-key-guessing", "--param", "guesses_per_slot=2.5"], "AttackSpec.params"),
+            # No builder takes a config: the spec has none.
             (["figure1-attack", "--param", "config=x"], "config"),
+            # The spec checks the run length before the builder compares it.
+            (["figure1-attack", "--param", "duration_s=x"], "ScenarioSpec.duration_s"),
             (["attack-key-replay", "--param", "protected=1"], "ScenarioSpec.protected"),
             (["attack-key-replay", "--param", "intensity=true"], "AttackSpec.intensity"),
         ],
@@ -369,7 +372,8 @@ class TestDeclaredParameters:
     def test_cli_refuses_the_spec_before_it_runs(self, argv, field, capsys):
         from repro.__main__ import main
 
-        assert main(["run", *argv, "--duration", "2"]) == 2
+        duration = [] if "duration_s=x" in argv else ["--duration", "2"]
+        assert main(["run", *argv, *duration]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and field in line
 

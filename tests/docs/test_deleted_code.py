@@ -145,7 +145,7 @@ DELETED = {
         r"def attack_(flapping|key_guessing|key_replay|join_storm|ignore_congestion)\b",
         ["src"],
     ),
-    # Builders size their links from PAPER_DEFAULTS; only the spec carries a config.
+    # Builders size their links from FAIR_SHARE_BPS and take no config.
     "builder config parameter or pass-through": (
         r"^\s+config(: ExperimentConfig)? ?= ?PAPER_DEFAULTS,$|config=config|^\s+config,$",
         ["src/repro/experiments"],
@@ -154,6 +154,13 @@ DELETED = {
     "strategy parameter default at its call site": (
         r"self\.(param|rate)\([^)]*,",
         ["src/repro/adversary"],
+    ),
+    # The seed is the spec's, group count and key width a session's, the slot
+    # length ScenarioSpec.slot_duration_s, and the rest of §5.1 module constants.
+    "experiment config or its slot and session helpers": (
+        r"ExperimentConfig|PAPER_DEFAULTS|experiments\.config|spec\.config\b|slot_s\("
+        r"|flid_d[ls]_slot_s|session_spec\(",
+        ["src", "tests", "examples", "docs", "tools"],
     ),
 }
 
@@ -179,8 +186,9 @@ def test_deleted_code_stays_deleted(what):
 
 
 def test_no_builder_takes_a_config_and_strategies_declare_what_they_read():
-    """A builder's config would be one more spelling of ``ScenarioSpec.config``;
-    a parameter a strategy reads but does not declare has no checked value."""
+    """A builder's config would be a second home for what a spec and its
+    sessions declare (the seed, the layering); a parameter a strategy reads
+    but does not declare has no checked value."""
     takes_config = [
         entry.name for entry in list_scenarios()
         if "config" in inspect.signature(entry.builder).parameters

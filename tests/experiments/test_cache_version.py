@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.experiments import (
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ResultCache,
     ScenarioSpec,
     SessionDecl,
@@ -29,7 +28,6 @@ def spec() -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("s", receivers=1),),
         duration_s=3.0,
-        config=PAPER_DEFAULTS,
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests of the experiment configuration, scenario builder and figure modules.
+"""Tests of the §5.1 settings, scenario builder and figure modules.
 
 Experiment smoke tests use short durations; the full paper-scale runs live in
 the benchmark harness.
@@ -6,9 +6,10 @@ the benchmark harness.
 
 from dataclasses import replace
 
+import pytest
+
+from repro.adversary import AttackSpec
 from repro.experiments import (
-    ExperimentConfig,
-    PAPER_DEFAULTS,
     PAPER_GROUP_COUNTS,
     PAPER_SLOT_DURATIONS,
     CbrDecl,
@@ -19,20 +20,28 @@ from repro.experiments import (
     TcpDecl,
     figure,
     figure9_model,
+    plan_prefix,
+    plan_shards,
+    scale_dumbbell_10m_spec,
     scenario_spec,
 )
+from repro.experiments.metrics import WARMUP_S
+from repro.experiments.spec import FAIR_SHARE_BPS
+from repro.multicast_cc import SessionSpec
 
 
-class TestExperimentConfig:
+class TestPaperSettings:
     def test_paper_defaults_match_section_5_1(self):
-        cfg = PAPER_DEFAULTS
-        assert cfg.fair_share_bps == 250_000.0
-        assert cfg.group_count == 10
-        assert cfg.base_rate_bps == 100_000.0
-        assert cfg.rate_factor == 1.5
-        assert cfg.packet_bytes == 576
-        assert cfg.flid_dl_slot_s == 0.5
-        assert cfg.flid_ds_slot_s == 0.25
+        assert FAIR_SHARE_BPS == 250_000.0
+        assert WARMUP_S == 5.0
+        session = SessionSpec("a")
+        assert session.base_rate_bps == 100_000.0
+        assert session.rate_factor == 1.5
+        assert session.packet_bytes == 576
+        decl = SessionDecl("a")
+        assert (decl.group_count, decl.key_bits) == (10, 16)
+        assert ScenarioSpec(name="d", protected=False).slot_duration_s == 0.5
+        assert ScenarioSpec(name="d", protected=True).slot_duration_s == 0.25
         # 200-second runs: the default of the spec's one run length.
         assert ScenarioSpec(name="d", protected=False).duration_s == 200.0
 
@@ -60,16 +69,21 @@ class TestExperimentConfig:
             bottleneck = network.find_link(network.router("left"), network.router("right"))
             flows = len(spec.sessions) + len(spec.tcp)
             assert flows >= 2
-            assert bottleneck.bandwidth_bps == spec.config.fair_share_bps * flows, spec.name
+            assert bottleneck.bandwidth_bps == FAIR_SHARE_BPS * flows, spec.name
 
     def test_session_spec_slot_duration_depends_on_protection(self):
-        assert PAPER_DEFAULTS.session_spec("a", protected=False).slot_duration_s == 0.5
-        assert PAPER_DEFAULTS.session_spec("a", protected=True).slot_duration_s == 0.25
+        """Every session of a run takes the slot of the run's protocol."""
+        for protected, slot_s in ((False, 0.5), (True, 0.25)):
+            spec = ScenarioSpec(
+                name="d", protected=protected, sessions=(SessionDecl("a"), SessionDecl("b"))
+            )
+            sessions = Scenario.from_spec(spec).sessions
+            assert [s.spec.slot_duration_s for s in sessions] == [slot_s, slot_s]
 
     def test_with_seed(self):
-        cfg = PAPER_DEFAULTS.with_seed(7)
-        assert cfg.seed == 7
-        assert PAPER_DEFAULTS.seed == 0  # frozen original untouched
+        spec = ScenarioSpec(name="d", protected=False)
+        assert spec.with_seed(7).seed == 7
+        assert spec.seed == 0  # frozen original untouched
 
 
 #: A 500 Kbps dumbbell: one fair share for each of two flows.
@@ -131,7 +145,49 @@ class TestScenarioBuilder:
         assert scenario.duration_s == 6.0
         scenario.run()
         assert scenario.network.sim.now == 6.0
-        assert scenario.sessions[0].receiver.average_rate_kbps(spec.config.warmup_s, 6.0) > 50.0
+        assert scenario.sessions[0].receiver.average_rate_kbps(WARMUP_S, 6.0) > 50.0
+
+
+class TestARunIsItsDeclarations:
+    """Each value a run varies is read from the one declaration it lives on."""
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["flid-dl", "flid-ds"])
+    def test_every_reader_takes_the_one_slot_rule(self, protected):
+        slot_s = 0.25 if protected else 0.5
+        attack = AttackSpec("inflated-join", start_s=10.3)
+        spec = ScenarioSpec(
+            name="d", protected=protected, duration_s=12.0,
+            sessions=(SessionDecl("a", receivers=2, attacks=(attack,)), SessionDecl("b")),
+        )
+        if protected:
+            assert Scenario.from_spec(spec).slot_clock.duration_s == slot_s
+        # The warm-start barrier is the last slot boundary before the onset.
+        assert plan_prefix(spec).barrier_s == (10.25 if protected else 10.0)
+        sharded = scale_dumbbell_10m_spec(
+            receivers=1_000, cohorts=8, attackers=10, attacker_cohorts=2,
+            protected=protected, attack_start_s=2.0, duration_s=4.0,
+        )
+        assert plan_shards(sharded).slot_s == slot_s
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["flid-dl", "flid-ds"])
+    def test_each_session_sends_its_declared_groups(self, protected):
+        spec = ScenarioSpec(
+            name="d", protected=protected,
+            sessions=(SessionDecl("a", group_count=4), SessionDecl("b")),
+        )
+        narrow, paper = Scenario.from_spec(spec).sessions
+        assert (narrow.spec.group_count, paper.spec.group_count) == (4, 10)
+        assert len(narrow.spec.group_addresses) == 4
+        assert set(narrow.spec.group_addresses).isdisjoint(paper.spec.group_addresses)
+
+    def test_each_protected_session_keys_at_its_declared_width(self):
+        spec = ScenarioSpec(
+            name="d", protected=True,
+            sessions=(SessionDecl("a", key_bits=8), SessionDecl("b")),
+        )
+        narrow, paper = Scenario.from_spec(spec).sessions
+        assert (narrow.sender.key_bits, narrow.receiver.key_bits) == (8, 8)
+        assert (paper.sender.key_bits, paper.receiver.key_bits) == (16, 16)
 
 
 class TestFigure9:
@@ -151,14 +207,18 @@ class TestFigure9:
         assert model.key_bits == 16
 
     def test_measured_overhead_models_the_simulated_session(self):
-        """Model and measurement cover the groups the cell's config declares:
+        """Model and measurement cover the groups the cell's session declares:
         SIGMA's wire format then costs one near-constant multiple of the
         model, 6 groups or the paper's 10."""
         decl = figure("figure9_measured_overhead_matches_model")
         measured_over_model = []
         for groups in (6, 10):
-            config = replace(PAPER_DEFAULTS, group_count=groups)
-            cells = [replace(spec, config=config) for spec in decl.cells(duration_s=6.0)]
+            cells = [
+                replace(spec, sessions=tuple(
+                    replace(session, group_count=groups) for session in spec.sessions
+                ))
+                for spec in decl.cells(duration_s=6.0)
+            ]
             table = decl.reduce(cells, ExperimentRunner().run(cells))
             measured_over_model.append(
                 table["measured_sigma_percent"] / table["model_sigma_percent"]

@@ -36,7 +36,6 @@ import pytest
 from repro.adversary import AttackSpec, paper_attacker
 from repro.analysis import subscription_vector
 from repro.experiments import (
-    PAPER_DEFAULTS,
     ChurnProcess,
     CohortDecl,
     Scenario,
@@ -89,7 +88,6 @@ def population_spec(
                 ),
             ),
             duration_s=DURATION_S,
-            config=PAPER_DEFAULTS,
         )
     return ScenarioSpec(
         name="adversarial-population-equivalence",
@@ -111,7 +109,6 @@ def population_spec(
             SessionDecl("hon", receivers=1),
         ),
         duration_s=ATTACK_DURATION_S,
-        config=PAPER_DEFAULTS,
     )
 
 
@@ -228,10 +225,10 @@ def test_key_guessing_block_guesses_like_its_members(placement):
     """At 4-bit keys guesses succeed, and every member's trajectory should
     still equal the block's.  It does not yet: the block draws ``guesses``
     keys per slot for all its members, individuals draw them each."""
-    config = replace(PAPER_DEFAULTS, key_bits=4)
     aggregated, individual = (
-        run(replace(population_spec(True, model, "key-guessing"), config=config))
+        run(replace(spec, sessions=tuple(replace(s, key_bits=4) for s in spec.sessions)))
         for model in (placement, "individual")
+        for spec in [population_spec(True, model, "key-guessing")]
     )
     history = aggregated.sessions[0].receivers[0].level_history
     for receiver in individual.sessions[0].receivers:
@@ -444,7 +441,6 @@ def audience_duel_spec(
         ),
         duration_s=ATTACK_DURATION_S,
         record_series=record_series,
-        config=PAPER_DEFAULTS,
     )
 
 

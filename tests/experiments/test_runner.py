@@ -12,7 +12,6 @@ import pytest
 from repro.analysis import aggregate_metrics, flatten_metrics
 from repro.experiments import (
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ResultCache,
     RunResult,
     ScenarioSpec,
@@ -36,7 +35,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 

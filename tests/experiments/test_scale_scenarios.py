@@ -8,7 +8,6 @@ import pytest
 from repro.experiments import (
     CohortDecl,
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
     attack_churn_flash_crowd_spec,
@@ -236,7 +235,6 @@ def test_scale_protection_attacker_sizing():
 
 def test_cohort_population_weights_protection_baseline():
     """The honest baseline weighs the cohort as N receivers, not one."""
-    config = PAPER_DEFAULTS
     spec = scale_dumbbell_spec(receivers=200, duration_s=12.0, attack_start_s=4.0)
     result = ExperimentRunner().run_one(spec)
     protection = result.metrics["protection"]
@@ -249,4 +247,3 @@ def test_cohort_population_weights_protection_baseline():
         audience_kbps, rel=0.5
     )
     assert protection["honest_baseline_kbps"] > 0
-    assert config.fair_share_bps > 0  # silence unused warning paths

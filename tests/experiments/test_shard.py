@@ -24,7 +24,6 @@ import pytest
 
 from repro.adversary import AttackSpec
 from repro.experiments import (
-    PAPER_DEFAULTS,
     CbrDecl,
     CohortDecl,
     ExperimentRunner,
@@ -74,7 +73,6 @@ def sharded_spec(**overrides) -> ScenarioSpec:
                 ),
             ),
         ),
-        "config": PAPER_DEFAULTS,
     }
     fields.update(overrides)
     return ScenarioSpec(**fields)
@@ -280,7 +278,7 @@ class TestShardedDeterminism:
     def test_boundary_summary_shape(self, spec, serial_result):
         boundary = serial_result.metrics["boundary"]
         assert boundary["regions"] == 2
-        assert boundary["slot_s"] == spec.config.flid_ds_slot_s
+        assert boundary["slot_s"] == spec.slot_duration_s == 0.25
         assert boundary["events"] == boundary["joins"] + boundary["leaves"]
         assert set(boundary["per_region"]) == {"1", "2"}
         assert sum(boundary["per_region"].values()) == boundary["events"]

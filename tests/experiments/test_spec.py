@@ -10,12 +10,10 @@ import pytest
 
 from repro.adversary import AttackSpec, paper_attacker
 from repro.experiments import (
-    PAPER_DEFAULTS,
     CbrDecl,
     ChurnProcess,
     CohortDecl,
     PAPER_GROUP_COUNTS,
-    ExperimentConfig,
     ExperimentRunner,
     RunResult,
     Scenario,
@@ -29,9 +27,12 @@ from repro.experiments import (
     scenario_entry,
     scenario_spec,
 )
-from repro.experiments.config import MAX_GROUP_COUNT
+from repro.experiments.metrics import WARMUP_S
 from repro.experiments.spec import (
+    FAIR_SHARE_BPS,
     MAX_DURATION_S,
+    MAX_GROUP_COUNT,
+    MAX_KEY_BITS,
     PAPER_DURATION_S,
     canonical_json,
     decode,
@@ -59,7 +60,7 @@ def _rich_spec() -> ScenarioSpec:
         tcp=(TcpDecl("t1", start_s=1.0, receiver_router="r2"),),
         cbr=(CbrDecl("burst", rate_bps=50_000.0, active_window=(5.0, 9.0)),),
         duration_s=20.0,
-        config=PAPER_DEFAULTS.with_seed(3),
+        seed=3,
     )
 
 
@@ -72,10 +73,11 @@ class TestSerialisation:
         spec = _rich_spec()
         assert spec.to_json() == ScenarioSpec.from_json(spec.to_json()).to_json()
 
-    def test_with_seed_only_changes_config_seed(self):
+    def test_with_seed_only_changes_the_seed(self):
         spec = _rich_spec()
         reseeded = spec.with_seed(9)
-        assert reseeded.config.seed == 9
+        assert reseeded.seed == 9
+        assert reseeded.to_dict() == {**spec.to_dict(), "seed": 9}
         assert reseeded.with_seed(3) == spec
 
     def test_duration_defaults_to_the_papers_200_s(self):
@@ -124,65 +126,105 @@ class TestValidation:
         assert ScenarioSpec(name="d", protected=False, duration_s=3600.0).duration_s == 3600.0
 
     @pytest.mark.parametrize(
-        "path, key",
-        [(("sessions", 0), "misbehaving"), (("sessions", 0), "attack_start_s"),
-         (("config",), "duration_s")],
-        ids=["session-misbehaving", "session-attack-start", "config-duration"],
+        "path, key, owner",
+        [(("sessions", 0), "misbehaving", "SessionDecl"),
+         (("sessions", 0), "attack_start_s", "SessionDecl"),
+         ((), "config", "ScenarioSpec")],
+        ids=["session-misbehaving", "session-attack-start", "config"],
     )
-    def test_deleted_keys_are_refused_by_name(self, path, key):
-        """The attacker shorthand and the config's second run length are gone;
-        a document still carrying them names the key instead of running
-        something else."""
+    def test_deleted_keys_are_refused_by_name(self, path, key, owner):
+        """The attacker shorthand and the config are gone; a document still
+        carrying them names the key instead of running something else."""
         document = scenario_spec("figure1-attack", duration_s=2.0).to_dict()
-        value = {"misbehaving": [0]}.get(key, 10.0)
+        value = {"misbehaving": [0], "config": dict(PROTOCOL_4_CONFIG)}.get(key, 10.0)
         _set((*path, key), value)(document)
-        owner = "ExperimentConfig" if key == "duration_s" else "SessionDecl"
         with pytest.raises(TypeError, match=re.escape(f"{owner} got unknown keys ['{key}']")):
             ScenarioSpec.from_dict(document)
 
 
-#: Config values no run can finish, each under its field.  Before they were
+#: The ``config`` every spec document carried up to wire protocol 4: the
+#: seed, now the spec's own, the layering, now a session's, and the §5.1
+#: settings that are constants now.
+PROTOCOL_4_CONFIG = {
+    "base_rate_bps": 100_000.0,
+    "fair_share_bps": 250_000.0,
+    # Spelled in two parts so tests/docs/test_deleted_code.py finds no slot
+    # field coming back.
+    "flid_dl_" "slot_s": 0.5,
+    "flid_ds_" "slot_s": 0.25,
+    "group_count": 10,
+    "key_bits": 16,
+    "packet_bytes": 576,
+    "rate_factor": 1.5,
+    "seed": 0,
+    "warmup_s": 5.0,
+}
+
+@pytest.mark.parametrize("key", sorted(PROTOCOL_4_CONFIG))
+def test_each_protocol_4_config_value_has_one_home_now(key):
+    """The fold lost nothing: every value a protocol-4 config carried is
+    what a declared run reads from the one place it lives now."""
+    dl, ds = (
+        Scenario.from_spec(ScenarioSpec(name="h", protected=p, sessions=(SessionDecl("a"),)))
+        for p in (False, True)
+    )
+    session = ds.sessions[0]
+    homes = {
+        "base_rate_bps": session.spec.base_rate_bps,
+        "fair_share_bps": FAIR_SHARE_BPS,
+        "flid_dl_" "slot_s": dl.sessions[0].spec.slot_duration_s,
+        "flid_ds_" "slot_s": session.spec.slot_duration_s,
+        "group_count": session.spec.group_count,
+        "key_bits": session.sender.key_bits,
+        "packet_bytes": session.spec.packet_bytes,
+        "rate_factor": session.spec.rate_factor,
+        "seed": ScenarioSpec(name="h", protected=True).seed,
+        "warmup_s": WARMUP_S,
+    }
+    assert homes[key] == PROTOCOL_4_CONFIG[key]
+
+
+#: Layering no run can finish, each under its field.  Before they were
 #: checked at declaration, a run failed on them inside ``SessionSpec``, the
 #: ``NonceGenerator`` or the FEC field ("symbols outside field range"), and
 #: a 2-s cell with 36 groups ran for over 50 s.
-CONFIG_MISTAKES = {
+LAYERING_MISTAKES = {
     "no-groups": ("group_count", 0),
+    "one-group-past-the-cap": ("group_count", MAX_GROUP_COUNT + 1),
     "more-groups-than-the-paper": ("group_count", 36),
-    "empty-packets": ("packet_bytes", 0),
-    "zero-dl-slot": ("flid_dl_slot_s", 0.0),
-    "zero-ds-slot": ("flid_ds_slot_s", 0.0),
-    "nan-ds-slot": ("flid_ds_slot_s", float("nan")),
-    "shrinking-layers": ("rate_factor", 0.5),
-    "zero-base-rate": ("base_rate_bps", 0.0),
-    "infinite-base-rate": ("base_rate_bps", float("inf")),
-    "zero-fair-share": ("fair_share_bps", 0.0),
     "no-key-bits": ("key_bits", 0),
     "negative-key-bits": ("key_bits", -3),
+    "one-bit-past-the-cap": ("key_bits", MAX_KEY_BITS + 1),
     "keys-past-the-fec-prime": ("key_bits", 64),
-    "negative-warmup": ("warmup_s", -1.0),
-    "nan-warmup": ("warmup_s", float("nan")),
 }
 
 
-class TestConfigCheckedAtDeclaration:
-    @pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))
-    def test_config_mistake_is_refused_when_decoded(self, case):
-        name, value = CONFIG_MISTAKES[case]
+class TestLayeringCheckedAtDeclaration:
+    @pytest.mark.parametrize("case", sorted(LAYERING_MISTAKES))
+    def test_layering_mistake_is_refused_when_decoded(self, case):
+        name, value = LAYERING_MISTAKES[case]
         document = scenario_spec("figure1-attack", duration_s=2.0).to_dict()
-        document["config"][name] = value
-        with pytest.raises(ValueError, match=re.escape(f"ExperimentConfig.{name} must be")):
+        document["sessions"][1][name] = value
+        with pytest.raises(ValueError, match=re.escape(f"SessionDecl.{name} must be")):
             ScenarioSpec.from_dict(document)
 
-    @pytest.mark.parametrize("name", ["group_count", "packet_bytes", "key_bits", "seed"])
-    def test_integer_fields_refuse_booleans(self, name):
-        with pytest.raises(ValueError, match=re.escape(f"ExperimentConfig.{name} must be")):
-            ExperimentConfig(**{name: True})
+    @pytest.mark.parametrize(
+        "cls, name, fields",
+        [(SessionDecl, "group_count", {"session_id": "s"}),
+         (SessionDecl, "key_bits", {"session_id": "s"}),
+         (ScenarioSpec, "seed", {"name": "s", "protected": True})],
+        ids=["group_count", "key_bits", "seed"],
+    )
+    def test_integer_fields_refuse_booleans(self, cls, name, fields):
+        with pytest.raises((TypeError, ValueError), match=re.escape(f"{cls.__name__}.{name}")):
+            cls(**fields, **{name: True})
 
     def test_edge_values_still_declare(self):
-        widest = ExperimentConfig(group_count=20, key_bits=60, rate_factor=1, warmup_s=0)
+        widest = SessionDecl("s", group_count=MAX_GROUP_COUNT, key_bits=MAX_KEY_BITS)
         assert (widest.group_count, widest.key_bits) == (20, 60)
-        narrowest = ExperimentConfig(group_count=1, key_bits=1, packet_bytes=1, seed=-1)
+        narrowest = SessionDecl("s", group_count=1, key_bits=1)
         assert (narrowest.group_count, narrowest.key_bits) == (1, 1)
+        assert ScenarioSpec(name="s", protected=True, seed=-1).seed == -1
         assert MAX_GROUP_COUNT == max(PAPER_GROUP_COUNTS)
 
 
@@ -260,7 +302,7 @@ class TestInterpreter:
             topology_params={"bottleneck_delay_s": 0.005, "access_delay_s": 0.002},
             sessions=(SessionDecl("mc"),),
             duration_s=5.0,
-            config=PAPER_DEFAULTS.with_seed(42),
+            seed=42,
         )
         network = Scenario.from_spec(spec).network
         assert network.random.seed == 42
@@ -640,7 +682,7 @@ SAMPLES = {
         duration_s=9.0,
         record_series=True,
         shards=4,
-        config=PAPER_DEFAULTS.with_seed(5),
+        seed=5,
     ),
     SessionDecl: dict(
         session_id="other",
@@ -652,6 +694,8 @@ SAMPLES = {
         track_overhead=True,
         suppress_unsubscribed_groups=False,
         population=(CohortDecl(5), CohortDecl(6, model="vector")),
+        group_count=6,
+        key_bits=4,
     ),
     CohortDecl: dict(
         count=7,
@@ -684,12 +728,6 @@ SAMPLES = {
         arrival_rate=1.5, departure_rate=0.5, burst=((1.0, 5), (2.0, -3))
     ),
 }
-# The config is all numbers: sample every knob as "default plus one".
-BASES[ExperimentConfig] = PAPER_DEFAULTS
-SAMPLES[ExperimentConfig] = {
-    field.name: getattr(PAPER_DEFAULTS, field.name) + 1
-    for field in dataclasses.fields(ExperimentConfig)
-}
 
 FIELD_CASES = [
     (cls, name) for cls, samples in SAMPLES.items() for name in sorted(samples)
@@ -701,8 +739,6 @@ def _embedded(declaration) -> ScenarioSpec:
     base = BASES[ScenarioSpec]
     if isinstance(declaration, ScenarioSpec):
         return declaration
-    if isinstance(declaration, ExperimentConfig):
-        return dataclasses.replace(base, config=declaration)
     if isinstance(declaration, TcpDecl):
         return dataclasses.replace(base, tcp=(declaration,))
     if isinstance(declaration, CbrDecl):
@@ -753,6 +789,8 @@ class TestCodecFieldCompleteness:
         assert omitted == {
             ("ScenarioSpec", "shards"),
             ("SessionDecl", "population"),
+            ("SessionDecl", "group_count"),
+            ("SessionDecl", "key_bits"),
             ("CohortDecl", "attack"),
             ("CohortDecl", "churn"),
             ("CohortDecl", "cohorts"),
@@ -850,8 +888,22 @@ HOSTILE = {
         ValueError,
     ),
     "window-too-short": (_set(("cbr", 0, "active_window"), [1.0]), ValueError),
-    "config-seed-float": (_set(("config", "seed"), 1.5), TypeError),
-    "config-unknown-key": (_set(("config", "sede"), 3), TypeError),
+    "seed-float": (_set(("seed",), 1.5), TypeError, "ScenarioSpec.seed"),
+    "seed-bool": (_set(("seed",), True), TypeError, "ScenarioSpec.seed"),
+    "group-count-zero": (
+        _set(("sessions", 0, "group_count"), 0), ValueError, "SessionDecl.group_count"
+    ),
+    "group-count-21": (
+        _set(("sessions", 0, "group_count"), 21), ValueError, "SessionDecl.group_count"
+    ),
+    "group-count-bool": (
+        _set(("sessions", 0, "group_count"), True), TypeError, "SessionDecl.group_count"
+    ),
+    "key-bits-zero": (_set(("sessions", 0, "key_bits"), 0), ValueError, "SessionDecl.key_bits"),
+    "key-bits-61": (_set(("sessions", 0, "key_bits"), 61), ValueError, "SessionDecl.key_bits"),
+    "protocol-4-config": (
+        _set(("config",), PROTOCOL_4_CONFIG), TypeError, "ScenarioSpec got unknown keys ['config']"
+    ),
     "spec-unknown-key": (_set(("durration_s",), 5), TypeError),
     "session-unknown-key": (_set(("sessions", 0, "recievers"), 3), TypeError),
     "cohort-unknown-key": (_set(("sessions", 0, "population", 0, "colour"), "red"), TypeError),
@@ -881,7 +933,6 @@ HOSTILE = {
         ValueError,
     ),
     "shards-without-regions": (_set(("shards",), 4), ValueError),
-    "config-not-mapping": (_set(("config",), 7), TypeError),
     "out-of-range-target": (
         _set(("sessions", 0, "attacks", 0, "receivers"), [5]),
         ValueError,
@@ -902,10 +953,10 @@ class TestDecodeRejectsWronglyTypedSpecs:
 
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_wrongly_typed_value_raises_at_decode(self, case):
-        mutate, error = HOSTILE[case]
+        mutate, error, *named = HOSTILE[case]
         document = _wire_spec()
         mutate(document)
-        with pytest.raises(error):
+        with pytest.raises(error, match=re.escape(named[0]) if named else None):
             ScenarioSpec.from_dict(document)
 
     def test_error_names_the_field(self):
@@ -929,7 +980,7 @@ class TestDecodeRejectsWronglyTypedSpecs:
         document = _wire_spec()
         document["duration_s"] = 6
         document["sessions"][0]["attacks"][0]["start_s"] = 2
-        document["config"]["fair_share_bps"] = 250000
+        document["cbr"][0]["rate_bps"] = 100000
         spec = ScenarioSpec.from_dict(document)
         assert spec == ScenarioSpec.from_dict(_wire_spec())
         assert json.loads(spec.to_json()) == document
@@ -952,7 +1003,8 @@ class TestDecodeRejectsWronglyTypedSpecs:
         names the keys it carried; it is never re-sized to 250 kbps."""
         document = _wire_spec()
         document.update(dict.fromkeys(RETIRED_SPEC_KEYS, 4))
-        document["config"].update(
+        document["config"] = dict(
+            PROTOCOL_4_CONFIG,
             bottleneck_delay_s=0.02,
             access_bandwidth_bps=10_000_000.0,
             access_delay_s=0.01,
@@ -960,15 +1012,11 @@ class TestDecodeRejectsWronglyTypedSpecs:
         )
         with pytest.raises(TypeError) as raised:
             ScenarioSpec.from_dict(document)
-        assert f"unknown keys {sorted(RETIRED_SPEC_KEYS)}" in str(raised.value)
+        assert f"unknown keys {sorted([*RETIRED_SPEC_KEYS, 'config'])}" in str(raised.value)
         for key in RETIRED_SPEC_KEYS:
             del document[key]
-        with pytest.raises(TypeError) as raised:
+        with pytest.raises(TypeError, match=re.escape("ScenarioSpec got unknown keys ['config']")):
             ScenarioSpec.from_dict(document)
-        assert (
-            "ExperimentConfig got unknown keys ['access_bandwidth_bps', "
-            "'access_delay_s', 'bottleneck_delay_s', 'buffer_bdp_multiple']"
-        ) in str(raised.value)
 
     @pytest.mark.parametrize(
         "params",

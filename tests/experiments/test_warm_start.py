@@ -46,6 +46,7 @@ from repro.experiments.runner import (
     prune_cache,
     run_job,
 )
+from repro.experiments.metrics import WARMUP_S
 from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
 from repro.experiments.warmstart import PREFIX_NAME
 from repro.simulator.engine import Simulator
@@ -395,7 +396,7 @@ class _StaleBoundMethod:
 
 def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
     """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
@@ -432,7 +433,7 @@ def test_verify_catches_forced_divergence(tmp_path):
 
 def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
     """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -451,7 +452,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
     """Version 7 dumbbell scenarios pickled a dumbbell subclass of
     ``NetworkGraph`` that is gone: neither its stamp nor its class
     reference loads."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -474,7 +475,7 @@ def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
     """Version 8 realised a split honest cohort block as one receiver per
     row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
@@ -492,7 +493,7 @@ def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
 def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
     """Version 10 receivers carried a per-object ``guard_s`` and scenarios
     no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -514,7 +515,7 @@ def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
     """Version 11 simulators carried a stop flag, senders a restart epoch in
     every pending tick and timer groups a wakeup handle; its blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(
         scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     )
@@ -539,7 +540,7 @@ def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
     receivers by ``block_slices``; a version 13 scenario carries its edge
     classes and the declared hosts each receiver stands for, so old blobs
     are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     spec = replace(scale_dumbbell_10m_spec(
         receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
         attack_start_s=6.0, duration_s=9.0,
@@ -564,7 +565,7 @@ def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
     """Version 13 CBR sources pickled a cancellable engine event for their
     next send; a version 14 source carries a generation number instead and
     its stale sends stay in the heap, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(_cbr_across_the_barrier())
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -582,16 +583,16 @@ def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
 
 def test_version_14_checkpoint_blob_is_a_miss(tmp_path):
     """Version 14 scenarios pickled a config carrying a second run length
-    (``duration_s``); a version 15 config has none, the spec's duration is
-    the one run length, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    (``duration_s``); since version 15 the spec's duration is the one run
+    length, so old blobs are refused by the stamp."""
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
     store = CheckpointStore(tmp_path)
     _checkpoint_job(block)
     scenario = store.load(key)
-    assert not hasattr(scenario.config, "duration_s")
+    assert scenario.duration_s == plan.barrier_s
     stale = pickle.dumps((14, scenario), protocol=pickle.HIGHEST_PROTOCOL)
     store.path(key).write_bytes(stale)
     assert store.load(key) is None
@@ -604,7 +605,7 @@ def test_version_15_checkpoint_blob_is_a_miss(tmp_path):
     monitors a bin width and session specs two upgrade-signal fields; a
     version 16 scenario reads those as module constants, so old blobs are
     refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -634,7 +635,7 @@ def test_version_16_checkpoint_blob_is_a_miss(tmp_path):
     """Version 16 packets carried an id, a hop count, a creation time and a
     pool tag, and the routing service a packet free-list; a version 17
     packet is what the wire carries, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 17
+    assert CHECKPOINT_VERSION == 18
     plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
     key = plan.checkpoint_key()
     block = plan.block(tmp_path)
@@ -701,9 +702,8 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     cold = Scenario.from_spec(spec)
     cold.run()
     assert warm.network.sim.now == cold.network.sim.now == 18.0
-    warmup = spec.config.warmup_s
-    assert [s.receiver.average_rate_kbps(warmup, 18.0) for s in warm.sessions] == [
-        s.receiver.average_rate_kbps(warmup, 18.0) for s in cold.sessions
+    assert [s.receiver.average_rate_kbps(WARMUP_S, 18.0) for s in warm.sessions] == [
+        s.receiver.average_rate_kbps(WARMUP_S, 18.0) for s in cold.sessions
     ]
 
 
@@ -844,3 +844,27 @@ def test_engine_inclusive_default_unchanged():
         sim.schedule(when, fired.append, when)
     sim.run(until=2.0)
     assert fired == [1.0, 2.0]
+
+
+def test_version_17_checkpoint_blob_is_a_miss(tmp_path):
+    """Version 17 scenarios pickled the spec's config (seed, fair share,
+    layering, slots, warm-up); a version 18 scenario keeps only the slot
+    length its sessions share, and the config class is gone, so old blobs
+    are refused by the stamp and a real one does not even unpickle."""
+    assert CHECKPOINT_VERSION == 18
+    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
+    key = plan.checkpoint_key()
+    block = plan.block(tmp_path)
+    store = CheckpointStore(tmp_path)
+    _checkpoint_job(block)
+    scenario = store.load(key)
+    assert not hasattr(scenario, "config")
+    assert scenario.slot_duration_s == 0.25
+    stale = pickle.dumps((17, scenario), protocol=pickle.HIGHEST_PROTOCOL)
+    store.path(key).write_bytes(stale)
+    assert store.load(key) is None
+    retired = b"repro.experiments." b"config\nExperiment" b"Config"
+    store.path(key).write_bytes(b"(I17\nc" + retired + b"\n)Rt.")
+    assert store.load(key) is None
+    assert _checkpoint_job(block)["reused"] is False
+    assert store.load(key) is not None

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import PAPER_DEFAULTS, figure, list_figures, run_figure
+from repro.experiments import figure, list_figures, run_figure
+from repro.experiments.spec import FAIR_SHARE_BPS
 
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-FAIR_KBPS = PAPER_DEFAULTS.fair_share_bps / 1e3
+FAIR_KBPS = FAIR_SHARE_BPS / 1e3
 JOIN_TIMES_S = (0.0, 10.0, 20.0, 30.0)
 
 #: Figure name -> the axes its table is run at.

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.experiments import (
-    PAPER_DEFAULTS,
     ChurnProcess,
     CohortDecl,
     ExperimentRunner,
@@ -20,6 +19,7 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
 )
+from repro.multicast_cc import SessionSpec
 
 # ----------------------------------------------------------------------
 # the pure process
@@ -108,8 +108,7 @@ def _churned_spec(
     initial: int = 100,
     generous: bool = False,
 ) -> ScenarioSpec:
-    config = PAPER_DEFAULTS
-    max_rate_bps = config.base_rate_bps * config.rate_factor ** (config.group_count - 1)
+    max_rate_bps = SessionSpec("crowd").max_rate_bps()
     return ScenarioSpec(
         name="churned-cohort",
         protected=protected,
@@ -124,7 +123,6 @@ def _churned_spec(
             ),
         ),
         duration_s=20.0,
-        config=config,
     )
 
 

@@ -1,7 +1,7 @@
 """Determinism guard for the engine, interpreter and runner.
 
 The contract the result cache and the parallel runner rely on: an identical
-``ScenarioSpec`` (including the seed inside its config) produces a
+``ScenarioSpec`` (including its ``seed``) produces a
 byte-identical serialised result — across repeated runs in one process, and
 across the serial versus process-pool execution paths.  The multicast
 forwarding plane replicates in host-address order (not set order) precisely

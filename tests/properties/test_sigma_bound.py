@@ -15,7 +15,8 @@ invariant is a property of SIGMA, not of the test's tolerance.
 import pytest
 
 from repro.adversary import ADVERSARIES, AttackSpec
-from repro.experiments import PAPER_DEFAULTS, ScenarioSpec, Scenario, SessionDecl, TcpDecl
+from repro.experiments import ScenarioSpec, Scenario, SessionDecl, TcpDecl
+from repro.experiments.spec import FAIR_SHARE_BPS
 
 DURATION_S = 15.0
 ONSET_S = 4.0
@@ -48,7 +49,6 @@ def test_every_registered_strategy_has_a_case():
 
 def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = True) -> ScenarioSpec:
     """Attacker session vs honest session (+ TCP) on the given topology."""
-    config = PAPER_DEFAULTS.with_seed(seed)
     attacker_receivers = max(attack.receivers) + 1
     if topology == "dumbbell":
         # Three flows cross the bottleneck (two multicast sessions + TCP)
@@ -63,7 +63,7 @@ def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = Tr
             ),
             tcp=(TcpDecl("t1"),),
             duration_s=DURATION_S,
-            config=config,
+            seed=seed,
         )
     if topology == "parking-lot":
         routers = tuple(f"r{i + 1}" for i in range(attacker_receivers))
@@ -73,7 +73,7 @@ def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = Tr
             topology="parking-lot",
             topology_params={
                 "hops": 2,
-                "bottleneck_bandwidth_bps": (1 + attacker_receivers) * config.fair_share_bps,
+                "bottleneck_bandwidth_bps": (1 + attacker_receivers) * FAIR_SHARE_BPS,
             },
             sessions=(
                 SessionDecl(
@@ -85,7 +85,7 @@ def duel_spec(attack: AttackSpec, topology: str, seed: int, protected: bool = Tr
                 SessionDecl("hon", receivers=2, receiver_routers=("r1", "r2")),
             ),
             duration_s=DURATION_S,
-            config=config,
+            seed=seed,
         )
     raise ValueError(topology)
 

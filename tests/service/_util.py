@@ -28,7 +28,7 @@ GATE_TIMEOUT_S = 20.0
 
 def job_seed(job):
     """The seed of a ``spec`` job's cell (for seed-selective test workers)."""
-    return json.loads(job[1])["spec"]["config"]["seed"]
+    return json.loads(job[1])["spec"]["seed"]
 
 
 def wire_json(document):

@@ -25,7 +25,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
     plan_cell,
@@ -47,7 +46,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 

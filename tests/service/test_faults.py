@@ -35,7 +35,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    PAPER_DEFAULTS,
     ResultCache,
     ScenarioSpec,
     SessionDecl,
@@ -61,7 +60,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 

@@ -26,7 +26,6 @@ from repro.experiments import (
     ExperimentExecutionError,
     ExperimentRunner,
     JobExecutor,
-    PAPER_DEFAULTS,
     ScenarioSpec,
     SessionDecl,
     plan_cell,
@@ -50,7 +49,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 

@@ -46,12 +46,14 @@ class TestDecode:
 
 
 class TestConstants:
-    def test_protocol_version_is_four(self):
-        """4: the submit spec lost a session's ``misbehaving`` and
-        ``attack_start_s`` and the config's ``duration_s`` (3: the two
-        store-inspection ops are gone; 2: the submit spec lost its
-        dumbbell-only keys and refuses unknown ones)."""
-        assert PROTOCOL_VERSION == 4
+    def test_protocol_version_is_five(self):
+        """5: the submit spec lost its ``config``; the seed is the spec's
+        own, group count and key width are a session's (4: the submit spec
+        lost a session's ``misbehaving`` and ``attack_start_s`` and the
+        config's ``duration_s``; 3: the two store-inspection ops are gone;
+        2: the submit spec lost its dumbbell-only keys and refuses unknown
+        ones)."""
+        assert PROTOCOL_VERSION == 5
 
     def test_message_bound_fits_large_result_documents(self):
         # A recorded-series result document is ~1 MiB; the bound leaves a

@@ -20,7 +20,6 @@ from _util import AsyncConn, daemon_env
 
 from repro.adversary import AttackSpec
 from repro.experiments import (
-    PAPER_DEFAULTS,
     ChurnProcess,
     CohortDecl,
     ExperimentRunner,
@@ -49,7 +48,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 
@@ -411,16 +410,12 @@ class TestProtocolErrorHandling:
         ]
         self._assert_rejected_before_admission(daemon, template, unusable)
 
-    def test_unusable_config_is_rejected_before_admission(self, daemon):
-        """Each of these config values used to be admitted and fail on a
+    def test_unusable_layering_is_rejected_before_admission(self, daemon):
+        """Each of these layering values used to be admitted and fail on a
         worker; 36 groups held one for over 50 s of a 2-s cell."""
         unusable = [
             ("group_count", 0),
             ("group_count", 36),
-            ("packet_bytes", 0),
-            ("flid_dl_slot_s", 0),
-            ("rate_factor", 0.5),
-            ("base_rate_bps", 0),
             ("key_bits", 0),
             ("key_bits", -3),
             ("key_bits", 64),
@@ -430,7 +425,7 @@ class TestProtocolErrorHandling:
             rejections = []
             for number, (field, value) in enumerate(unusable):
                 document = fast_spec().to_dict()
-                document["config"][field] = value
+                document["sessions"][0][field] = value
                 await conn.send(
                     {"op": "submit", "id": f"c{number}", "spec": document,
                      "timeout_s": 5}
@@ -442,7 +437,7 @@ class TestProtocolErrorHandling:
         rejections, status = self._converse(daemon(), scenario)
         for (field, _), rejected in zip(unusable, rejections):
             assert rejected["event"] == "rejected", rejected
-            assert f"ExperimentConfig.{field} must be" in rejected["reason"], rejected
+            assert f"SessionDecl.{field} must be" in rejected["reason"], rejected
         assert status["scheduler"]["queued"] == 0
         assert (status["pool"]["completed"], status["pool"]["restarts"]) == (0, 0)
 
@@ -514,7 +509,30 @@ class TestProtocolErrorHandling:
             ),
             ({"durration_s": 5}, "unknown keys ['durration_s']"),
             ({"sessions": []}, "measures nothing: ScenarioSpec.sessions"),
-            # Retired: the attacker shorthand and the config's second run length.
+            # Moved: the seed is the spec's own, the layering a session's.
+            ({"seed": 1.5}, "ScenarioSpec.seed: expected int, got float 1.5"),
+            ({"seed": True}, "ScenarioSpec.seed: expected int, got bool True"),
+            (
+                {"sessions": [{"session_id": "mc", "group_count": 0}]},
+                "SessionDecl.group_count must be an integer in 1..20",
+            ),
+            (
+                {"sessions": [{"session_id": "mc", "group_count": 21}]},
+                "SessionDecl.group_count must be an integer in 1..20",
+            ),
+            (
+                {"sessions": [{"session_id": "mc", "group_count": True}]},
+                "SessionDecl.group_count: expected int, got bool True",
+            ),
+            (
+                {"sessions": [{"session_id": "mc", "key_bits": 0}]},
+                "SessionDecl.key_bits must be an integer in 1..60",
+            ),
+            (
+                {"sessions": [{"session_id": "mc", "key_bits": 61}]},
+                "SessionDecl.key_bits must be an integer in 1..60",
+            ),
+            # Retired: the attacker shorthand and a protocol-4 spec's config.
             (
                 {"sessions": [{"session_id": "mc", "misbehaving": [0]}]},
                 "SessionDecl got unknown keys ['misbehaving']",
@@ -523,7 +541,15 @@ class TestProtocolErrorHandling:
                 {"sessions": [{"session_id": "mc", "attack_start_s": 10.0}]},
                 "SessionDecl got unknown keys ['attack_start_s']",
             ),
-            ({"config": {"duration_s": 10.0}}, "ExperimentConfig got unknown keys ['duration_s']"),
+            (
+                {"config": {
+                    "base_rate_bps": 100_000.0, "fair_share_bps": 250_000.0,
+                    "flid_dl_" "slot_s": 0.5, "flid_ds_" "slot_s": 0.25, "group_count": 10,
+                    "key_bits": 16, "packet_bytes": 576, "rate_factor": 1.5, "seed": 0,
+                    "warmup_s": 5.0,
+                }},
+                "ScenarioSpec got unknown keys ['config']",
+            ),
             ({"expected_" "sessions": 4}, "unknown keys ['expected_" "sessions']"),
         ]
 

@@ -16,7 +16,6 @@ from repro.adversary import AttackSpec
 from repro.experiments import (
     CohortDecl,
     ExperimentRunner,
-    PAPER_DEFAULTS,
     ResultCache,
     RunResult,
     ScenarioSpec,
@@ -67,7 +66,7 @@ def fast_spec(seed: int = 0) -> ScenarioSpec:
         protected=False,
         sessions=(SessionDecl("mc"),),
         duration_s=6.0,
-        config=PAPER_DEFAULTS.with_seed(seed),
+        seed=seed,
     )
 
 
@@ -95,7 +94,6 @@ def sharded_spec() -> ScenarioSpec:
                 ),
             ),
         ),
-        config=PAPER_DEFAULTS,
     )
 
 

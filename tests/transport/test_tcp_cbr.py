@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import PAPER_DEFAULTS, Scenario
+from repro.experiments import Scenario
 from repro.simulator import NetworkGraph, dumbbell_topology
 from repro.transport import CbrSink, CbrSource, OnOffCbrSource, TcpConnection
 
