@@ -22,7 +22,25 @@ The package is organised bottom-up:
 * :mod:`repro.__main__` — the command line.
 """
 
+import hashlib
+from functools import lru_cache
+from pathlib import Path
+
 __version__ = "1.1.0"
+
+
+@lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 of the package's ``*.py`` files (``__pycache__`` holds none), in
+    package-relative POSIX path order, each as its path, length and bytes.
+    Both caches key by it, so an edit to any module misses them."""
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py")):
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
+
 
 #: Package prefix -> rank in the stack above, bottom first.  A module (its
 #: longest prefix) imports nothing of a higher rank, not even in a function.
@@ -40,4 +58,4 @@ LAYERS = {
     "repro.__main__": 9,
 }
 
-__all__ = ["LAYERS", "__version__"]
+__all__ = ["LAYERS", "__version__", "code_digest"]

@@ -67,8 +67,13 @@ class AttackSpec:
             )
         if not self.receivers:
             raise ValueError("an attack needs at least one target receiver")
-        if any(index < 0 for index in self.receivers):
-            raise ValueError("receiver indices must be non-negative")
+        if any(type(index) is not int or index < 0 for index in self.receivers):
+            raise ValueError(f"AttackSpec.receivers must be integers >= 0, got {self.receivers!r}")
+        # Each number's type before its value, as for ``params``.
+        for name in ("intensity", "start_s", "stop_s"):
+            value = getattr(self, name)
+            if type(value) not in SCALAR_TYPES[float] and not (name == "stop_s" and value is None):
+                raise TypeError(f"AttackSpec.{name}: expected float, got {value!r}")
         if not (math.isfinite(self.intensity) and self.intensity > 0):
             raise ValueError(
                 f"AttackSpec.intensity must be a finite number > 0, got {self.intensity!r}"

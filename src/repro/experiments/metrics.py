@@ -5,8 +5,7 @@ Every cell — ordinary, warm-started or region-sharded — ends here.
 :func:`assemble` turns one such document (:func:`collect_metrics`) or one per
 region (:func:`~repro.experiments.shard.merge_region_results`) into the
 metric document of a :class:`RunResult`, byte-deterministic across the serial
-and pooled paths.  :data:`CACHE_SCHEMA_VERSION` versions that document; it is
-mixed into every result-cache key and checkpoint key.
+and pooled paths.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .scenario import Scenario
 from .spec import FAIR_SHARE_BPS, PlainData, ScenarioSpec
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "RunResult",
     "WARMUP_S",
     "assemble",
@@ -35,25 +33,9 @@ __all__ = [
     "collect_metrics",
 ]
 
-#: Bumped whenever the metric document schema (or what a run means for a
-#: given spec) changes.  Mixed into every cache key together with the package
-#: version so refactors can never resurrect stale cached results.
-CACHE_SCHEMA_VERSION = 3
-
 #: The start-up transient left out of every goodput (§5.1): receivers are
 #: measured over ``[WARMUP_S, duration]``.
 WARMUP_S = 5.0
-
-
-def _cache_version_tag() -> str:
-    """The ``<package version>:<schema version>:`` prefix of every cache key.
-
-    Looked up at call time (not import time) so the regression tests can
-    exercise a version change without reinstalling the package.
-    """
-    import repro
-
-    return f"{repro.__version__}:{CACHE_SCHEMA_VERSION}:"
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from ..adversary.spec import paper_attacker
 from ..simulator.monitors import window_rate_bps
 from .metrics import RunResult
 from .runner import ExperimentRunner
-from .spec import FAIR_SHARE_BPS, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import FAIR_SHARE_BPS, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl, _decoder
 
 __all__ = [
     "FigureDecl",
@@ -65,18 +65,18 @@ class ScenarioEntry:
     def build(self, **params) -> ScenarioSpec:
         """The builder's spec for ``params``.
 
-        A parameter the builder declares ``int`` (or ``Optional[int]``)
-        must be an integer: ``True`` or ``2.0`` would otherwise size a
-        topology or a population wrongly, or fail inside the builder.
+        The codec's decoder for each named parameter's annotation refuses a
+        value of another kind, naming it, before ``True`` or ``2.0`` sizes a
+        topology wrongly or a string fails inside the builder.  A builder's
+        ``**params: Any`` are its strategy's, which ``AttackSpec`` checks.
         """
         hints = get_type_hints(self.builder) if params else {}
         for key, value in params.items():
-            if hints.get(key) in (int, Optional[int]) and value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ValueError(
-                    f"scenario {self.name!r}: {key} must be an integer, got {value!r}"
-                )
+            if hints.get(key, Any) is not Any:
+                try:
+                    params[key] = _decoder(hints[key])(value)
+                except (TypeError, ValueError) as error:
+                    raise type(error)(f"scenario {self.name!r}: {key}: {error}") from None
         return self.builder(**params)
 
 
@@ -266,8 +266,8 @@ def tree_convergence(
     depth: int = 3,
     duration_s: float = 60.0,
 ) -> ScenarioSpec:
-    leaves = 2 ** (depth - 1)
-    first_leaf = 2 ** (depth - 1) - 1
+    leaves = 2 ** max(depth - 1, 0)  # an int even where the topology refuses depth
+    first_leaf = leaves - 1
     return ScenarioSpec(
         name="tree-convergence",
         protected=protected,

@@ -69,7 +69,8 @@ from typing import (
     Tuple,
 )
 
-from .metrics import RunResult, _cache_version_tag, collect_ingredients, collect_metrics
+from .. import code_digest
+from .metrics import RunResult, collect_ingredients, collect_metrics
 from .scenario import Scenario
 from .shard import ShardPlan, merge_region_results, plan_shards
 from .spec import ScenarioSpec, canonical_json
@@ -489,7 +490,7 @@ class ResultCache:
 
     @staticmethod
     def key(spec: ScenarioSpec) -> str:
-        """SHA-256 over a version tag plus the effective spec's canonical JSON.
+        """SHA-256 over the code digest plus the effective spec's canonical JSON.
 
         The effective spec (:func:`~repro.experiments.warmstart.effective_spec`)
         is ``spec`` with every attack at the intensity its strategy acts on,
@@ -497,14 +498,12 @@ class ResultCache:
         ``collusion`` attack at 1 and at 4, an ``inflated-join`` at 2 and
         at 4 — share one key and one document.  Sound only because runs are
         byte-deterministic per effective spec (see ``docs/determinism.md``).
-        The package version and
-        :data:`~repro.experiments.metrics.CACHE_SCHEMA_VERSION` are mixed
-        into the key: a cached result is only reusable by the *same* code
-        that produced it, so refactors that change behaviour or the metric
-        schema can never serve stale documents from an old cache directory.
+        With :func:`repro.code_digest` in the key, only the code that produced
+        a result reuses it: no edit can serve stale documents from an old
+        cache directory.
         """
         return hashlib.sha256(
-            (_cache_version_tag() + effective_spec(spec).to_json()).encode("utf-8")
+            (code_digest() + ":" + effective_spec(spec).to_json()).encode("utf-8")
         ).hexdigest()
 
     def load_key(self, key: str) -> Optional[RunResult]:

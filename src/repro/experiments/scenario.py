@@ -41,6 +41,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from .. import code_digest
 from ..adversary.receivers import StrategyStack
 from ..adversary.registry import ADVERSARIES, build_strategies
 from ..adversary.spec import AttackSpec
@@ -63,12 +64,6 @@ from ..simulator.topology import NetworkGraph
 from ..transport.cbr import CbrSink, OnOffCbrSource
 from ..transport.tcp import TcpConnection
 from .spec import CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
-
-#: Stamped into every :meth:`Scenario.checkpoint` blob; bump whenever the
-#: pickled state layout changes so stale blobs read as misses, never as state.
-#: It is part of ``PrefixPlan.checkpoint_key``, so a bump leaves old blobs
-#: unaddressed instead of counted as hits the worker then fails to unpickle.
-CHECKPOINT_VERSION = 18
 
 #: The only non-``repro`` globals a checkpoint names: bound methods pickle as
 #: ``getattr(obj, name)``; links, the address counter and RNG streams hold the rest.
@@ -578,16 +573,15 @@ class Scenario:
         callable is a named bound method, so a single pickle captures the
         full simulation.  Rebuild with :meth:`restore`.
         """
-        return pickle.dumps(
-            (CHECKPOINT_VERSION, self), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        return pickle.dumps((code_digest(), self), protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def restore(cls, blob: bytes) -> "Scenario":
         """Rebuild a checkpointed scenario from :meth:`checkpoint` output.
 
-        Raises :class:`ValueError` when the blob was written by an
-        incompatible checkpoint layout and :class:`pickle.UnpicklingError`
+        Raises :class:`ValueError` when :func:`repro.code_digest` of other
+        code stamps the blob (a worker spawned after a source edit reads one
+        its planner addressed) and :class:`pickle.UnpicklingError`
         when it names a global outside :class:`_CheckpointUnpickler`'s
         allow-list; callers treat both as a cache miss.
         """
@@ -595,7 +589,7 @@ class Scenario:
         if (
             not isinstance(payload, tuple)
             or len(payload) != 2
-            or payload[0] != CHECKPOINT_VERSION
+            or payload[0] != code_digest()
             or not isinstance(payload[1], cls)
         ):
             raise ValueError("incompatible scenario checkpoint")

@@ -345,7 +345,7 @@ class CohortDecl(PlainData):
     def __post_init__(self) -> None:
         _check_count("CohortDecl.count", self.count, 1)
         if self.model not in ("cohort", "individual", "vector"):
-            raise ValueError(f"unknown receiver model {self.model!r}")
+            raise ValueError(f"CohortDecl.model {self.model!r} is not cohort, individual or vector")
         if self.cohorts is not None:
             _check_count("CohortDecl.cohorts", self.cohorts, 1)
             if self.cohorts > self.count:

@@ -52,11 +52,11 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from .. import code_digest
 from ..adversary.registry import ADVERSARIES
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
-from .metrics import _cache_version_tag
-from .scenario import CHECKPOINT_VERSION, Scenario, interchangeable_edges
+from .scenario import Scenario, interchangeable_edges
 from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
@@ -185,15 +185,14 @@ class PrefixPlan:
     def checkpoint_key(self) -> str:
         """Content address of this prefix's checkpoint blob.
 
-        Mixes the runner cache's version tag (package + schema versions),
-        the checkpoint layout version, the barrier and the edge classes into
-        the hash, on top of the canonical prefix JSON — so a blob is only
-        ever restored by the same code, barrier and edge layout that wrote
-        it.
+        Mixes :func:`repro.code_digest`, the barrier and the edge classes
+        into the hash, on top of the canonical prefix JSON — so a blob is
+        only ever restored by the same code, barrier and edge layout that
+        wrote it.
         """
         material = (
-            f"{_cache_version_tag()}warmstart:{CHECKPOINT_VERSION}:"
-            f"{self.barrier_s!r}:{json.dumps(self.edge_classes)}:{self.spec.to_json()}"
+            f"{code_digest()}:warmstart:{self.barrier_s!r}:"
+            f"{json.dumps(self.edge_classes)}:{self.spec.to_json()}"
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

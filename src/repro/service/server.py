@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .. import __version__
+from .. import __version__, code_digest
 from ..experiments.runner import JobExecutor, ResultCache, timeout_budget
 from ..experiments.spec import MAX_DURATION_S, ScenarioSpec
 from .jobs import (
@@ -398,6 +398,7 @@ class ExperimentService:
         return {
             "protocol": PROTOCOL_VERSION,
             "version": __version__,
+            "code": code_digest(),
             "uptime_s": round(time.monotonic() - self._started, 3),
             "connections": len(self._connections),
             "connections_served": self.connections_served,

@@ -363,10 +363,19 @@ class TestDeclaredParameters:
             (["attack-key-guessing", "--param", "guesses_per_slot=2.5"], "AttackSpec.params"),
             # No builder takes a config: the spec has none.
             (["figure1-attack", "--param", "config=x"], "config"),
-            # The spec checks the run length before the builder compares it.
+            # The spec checks the run length before the builder compares it,
+            # and the attack its start before comparing it.
             (["figure1-attack", "--param", "duration_s=x"], "ScenarioSpec.duration_s"),
-            (["attack-key-replay", "--param", "protected=1"], "ScenarioSpec.protected"),
-            (["attack-key-replay", "--param", "intensity=true"], "AttackSpec.intensity"),
+            (["figure1-attack", "--param", "attack_start_s=x"], "AttackSpec.start_s"),
+            # The registry checks each parameter a builder names before it runs.
+            (
+                ["attack-key-replay", "--param", "protected=1"],
+                "scenario 'attack-key-replay': protected: expected bool",
+            ),
+            (
+                ["attack-key-replay", "--param", "intensity=true"],
+                "scenario 'attack-key-replay': intensity: expected float",
+            ),
         ],
     )
     def test_cli_refuses_the_spec_before_it_runs(self, argv, field, capsys):

@@ -162,6 +162,11 @@ DELETED = {
         r"|flid_d[ls]_slot_s|session_spec\(",
         ["src", "tests", "examples", "docs", "tools"],
     ),
+    # Both caches key by repro.code_digest(), not by a hand-kept version number.
+    "hand-kept cache or checkpoint version": (
+        r"(CACHE_SCHEMA|CHECKPOINT)_VERSION|_cache_version_\w+",
+        ["src", "tests", "docs"],
+    ),
 }
 
 

@@ -116,6 +116,13 @@ def test_documented_cli_calls_parse(page, argv, capsys):
         pytest.fail(f"{page}: python -m repro {shlex.join(argv)}: {capsys.readouterr().err}")
 
 
+def test_the_service_page_names_the_protocol_it_documents():
+    from repro.service import PROTOCOL_VERSION
+
+    headings = re.findall(r"^## Wire protocol.*$", (DOCS / "service.md").read_text(), re.M)
+    assert headings == [f"## Wire protocol (v{PROTOCOL_VERSION})"]
+
+
 def test_the_docs_show_cli_calls():
     pages = {page for page, _ in documented_cli_calls()}
     assert {"cli.md", "README.md", "service.md"} <= pages

@@ -2,8 +2,8 @@
 
 Every module of ``src/repro`` falls under one prefix of :data:`repro.LAYERS`,
 and no ``import`` in it, at module level or inside a function, names a
-module of a higher rank.  The root package holds only the version and the
-table, so any layer may import it.
+module of a higher rank.  The root package holds only the version, the
+code digest and the table, so any layer may import it.
 """
 
 import ast

@@ -1,24 +1,41 @@
-"""Regression tests: result-cache keys are versioned.
+"""Regression tests: result-cache and checkpoint keys name the code.
 
 The original cache key was the SHA-256 of the spec's canonical JSON alone,
 so a refactor that changed behaviour (but not the spec) would happily serve
-stale cached results forever.  The key now mixes in the package version and
-the cache schema tag; these tests pin that down.
+stale cached results forever.  Both keys now mix in :func:`repro.code_digest`,
+the SHA-256 of the package's modules; these tests pin that down.
 """
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro import code_digest
 from repro.experiments import (
     ExperimentRunner,
     ResultCache,
     ScenarioSpec,
     SessionDecl,
+    plan_prefix,
+    scale_protection_spec,
 )
-from repro.experiments.metrics import CACHE_SCHEMA_VERSION, RunResult
+from repro.experiments.metrics import RunResult
+
+#: Prints the digest, a result key and a checkpoint key for one fixed spec.
+KEYS = """
+import json, repro
+from repro.experiments import ResultCache, plan_prefix, scale_protection_spec
+spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+print(json.dumps([repro.__file__, repro.code_digest(), ResultCache.key(spec),
+                  plan_prefix(spec).checkpoint_key()]))
+"""
 
 
 @pytest.fixture
@@ -31,25 +48,37 @@ def spec() -> ScenarioSpec:
     )
 
 
-def test_cache_key_includes_package_version(monkeypatch, spec):
-    """Bumping the package version must invalidate every cached result."""
-    before = ResultCache.key(spec)
-    monkeypatch.setattr(repro, "__version__", "999.0.0")
-    after = ResultCache.key(spec)
-    assert before != after
+def _keys_of(package: Path):
+    """``(digest, result key, checkpoint key)`` computed by the copy of the
+    package at ``package``, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", KEYS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=package.parent,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    origin, *keys = json.loads(proc.stdout)
+    assert Path(origin).parent == package
+    return tuple(keys)
 
 
-def test_cache_key_includes_schema_tag(spec):
-    """The key is exactly sha256 of the versioned tag + canonical JSON."""
-    expected = hashlib.sha256(
-        (
-            f"{repro.__version__}:{CACHE_SCHEMA_VERSION}:" + spec.to_json()
-        ).encode("utf-8")
-    ).hexdigest()
-    assert ResultCache.key(spec) == expected
-    # In particular it is NOT the legacy unversioned key.
-    legacy = hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
-    assert ResultCache.key(spec) != legacy
+def test_every_key_names_the_code_that_computes_it(tmp_path):
+    """An unchanged copy of the package computes this process's digest, result
+    key and checkpoint key; one byte appended to one module changes all three."""
+    package = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    here = (code_digest(), ResultCache.key(spec), plan_prefix(spec).checkpoint_key())
+    assert _keys_of(package) == here
+    with (package / "experiments" / "metrics.py").open("ab") as module:
+        module.write(b"\n")
+    edited = _keys_of(package)
+    assert all(theirs != ours for theirs, ours in zip(edited, here))
 
 
 def test_stale_legacy_cache_entries_are_ignored(tmp_path, spec):
@@ -60,6 +89,7 @@ def test_stale_legacy_cache_entries_are_ignored(tmp_path, spec):
     legacy entry below must be treated as a miss and the spec re-executed.
     """
     legacy_key = hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
+    assert ResultCache.key(spec) != legacy_key
     poisoned = RunResult(
         scenario="stale", seed=-1, protected=True, duration_s=0.0, metrics={}
     )

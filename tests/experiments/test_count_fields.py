@@ -3,9 +3,11 @@
 Python lets ``True`` pass for ``1`` and ``range(2.0)`` fail with a message
 naming no field, so a count declared as ``True`` once built a one-edge
 dumbbell in silence and ``depth=2.0`` died inside the builder.  Every count
-a declaration, a registered builder or a topology factory reads is refused
-when the spec is declared, with a :class:`ValueError` naming the field; the
-CLI turns it into an ``error:`` line and exit status 2.
+a declaration or a topology factory reads is refused when the spec is
+declared, with a :class:`ValueError` naming the field, and a registered
+builder's count parameter before the builder runs, with a :class:`TypeError`
+naming the parameter; the CLI turns either into an ``error:`` line and exit
+status 2.
 """
 
 import pytest
@@ -44,7 +46,7 @@ def test_declarations_refuse_non_integer_counts(build, field):
     ],
 )
 def test_builders_refuse_non_integer_counts(scenario, param, value):
-    with pytest.raises(ValueError, match=f"{param} must be an integer"):
+    with pytest.raises(TypeError, match=f"scenario {scenario!r}: {param}: expected int"):
         scenario_spec(scenario, **{param: value})
 
 
@@ -89,4 +91,4 @@ def test_cli_exits_2_naming_the_count(scenario, param, capsys):
 
     assert main(["run", scenario, "--param", param, "--duration", "1"]) == 2
     name = param.partition("=")[0]
-    assert f"error: scenario {scenario!r}: {name} must be an integer" in capsys.readouterr().err
+    assert f"error: scenario {scenario!r}: {name}: expected int" in capsys.readouterr().err

@@ -246,6 +246,8 @@ class TestCli:
         "argv, message",
         [
             (["scale-dumbbell-1m", "--param", "edges=0"], "at least one edge router"),
+            # The builder sized its leaves as 2 ** -1 before the topology refused.
+            (["tree-convergence", "--param", "depth=0"], "binary tree needs depth >= 2"),
             (
                 # The shard count is the region count, not a second parameter.
                 ["scale-dumbbell-10m", "--param", "shards=4", "--duration", "2"],
@@ -279,7 +281,7 @@ class TestCli:
     )
     def test_unusable_topology_exits_2_promptly(self, argv, message):
         """A topology mistake used to exit 1 with a traceback from inside
-        the run (or from the shard planner).  So did a NaN attack start;
+        the run (or from the shard planner, or the tree builder).  So did a NaN attack start;
         an infinite CBR rate hung the run in a zero-delay send loop."""
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", *argv],

@@ -269,17 +269,47 @@ class TestRegistry:
             assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize(
-        "params, field",
+        "declare, field",
         [
-            ({"protected": 1}, "ScenarioSpec.protected: expected bool"),
-            ({"intensity": True}, "AttackSpec.intensity: expected float"),
-            ({"duration_s": "2"}, "ScenarioSpec.duration_s: expected float"),
+            (lambda spec: dataclasses.replace(spec, protected=1),
+             "ScenarioSpec.protected: expected bool"),
+            (lambda spec: dataclasses.replace(spec, duration_s="2"),
+             "ScenarioSpec.duration_s: expected float"),
+            (lambda spec: AttackSpec("key-replay", intensity=True),
+             "AttackSpec.intensity: expected float"),
+            (lambda spec: AttackSpec("key-replay", intensity="x"),
+             "AttackSpec.intensity: expected float"),
+            (lambda spec: AttackSpec("key-replay", start_s="x"),
+             "AttackSpec.start_s: expected float"),
+            (lambda spec: AttackSpec("key-replay", stop_s="x"),
+             "AttackSpec.stop_s: expected float"),
+        ],
+        ids=["protected-int", "duration-string", "intensity-bool", "intensity-string",
+             "start-string", "stop-string"],
+    )
+    def test_a_spec_the_codec_would_refuse_is_refused_when_declared(self, declare, field):
+        """The first three used to declare, and then fail to decode inside the
+        worker; a string attack number failed in ``math.isfinite``, naming no
+        field."""
+        with pytest.raises(TypeError, match=field):
+            declare(scenario_spec("attack-key-replay"))
+
+    @pytest.mark.parametrize(
+        "scenario, param",
+        [
+            (entry.name, name)
+            for entry in list_scenarios()
+            for name, parameter in inspect.signature(entry.builder).parameters.items()
+            if parameter.kind is not inspect.Parameter.VAR_KEYWORD
         ],
     )
-    def test_a_spec_the_codec_would_refuse_is_refused_when_declared(self, params, field):
-        """Both used to declare, and then fail to decode inside the worker."""
-        with pytest.raises(TypeError, match=field):
-            scenario_spec("attack-key-replay", **params)
+    def test_a_string_for_any_builder_parameter_is_refused_naming_it(self, scenario, param):
+        """A string used to fail inside a builder's arithmetic (``'<' not
+        supported``, ``IndexError``), in ``math.isfinite``, or to turn
+        ``cross_traffic`` on, naming no parameter."""
+        with pytest.raises((TypeError, ValueError)) as refused:
+            scenario_spec(scenario, **{param: "x"})
+        assert param in str(refused.value)
 
 
 class TestInterpreter:

