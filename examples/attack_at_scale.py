@@ -24,7 +24,7 @@ cohorts, and ``docs/scale.md`` for the cohort model itself.
 """
 
 from repro.analysis import format_table
-from repro.experiments import ExperimentRunner, scale_protection_spec
+from repro.experiments import ExperimentRunner, scenario_spec
 
 AUDIENCES = (1_000, 10_000, 100_000)
 FRACTIONS = (0.001, 0.01, 0.1)
@@ -34,7 +34,8 @@ ONSET_S = 10.0
 
 def main() -> None:
     grid = [
-        scale_protection_spec(
+        scenario_spec(
+            "scale-protection",
             audience=audience,
             attacker_fraction=fraction,
             attack_start_s=ONSET_S,

@@ -31,12 +31,9 @@ def grid():
             specs.append(
                 attack_duel_spec(
                     f"sweep-{strategy}-x{intensity:g}",
-                    AttackSpec(
-                        strategy,
-                        receivers=receivers,
-                        start_s=ONSET_S,
-                        intensity=intensity,
-                    ),
+                    stack=(AttackSpec(strategy, receivers=receivers),),
+                    attack_start_s=ONSET_S,
+                    intensity=intensity,
                     duration_s=DURATION_S,
                 )
             )

@@ -6,10 +6,11 @@ The stack is layered:
   specifications (:class:`ScenarioSpec`): topology by name, sessions and
   their layering, attack schedules, TCP/CBR cross traffic, the seed; the
   §5.1 settings no run varies are its constants.
-* :mod:`repro.experiments.registry` — the named scenario registry (see
-  ``python -m repro list``) and the figure registry: each table of the
-  paper's evaluation as a :class:`FigureDecl` (a grid of cells and a pure
-  reducer), run through the runner by :func:`run_figure`.
+* :mod:`repro.experiments.registry` — the scenario catalogue, one
+  :class:`ScenarioEntry` row per named scenario (see ``python -m repro
+  list``), and the figure registry: each table of the paper's evaluation as
+  a :class:`FigureDecl` row (a scenario, a grid over its parameters and a
+  pure reducer), run through the runner by :func:`run_figure`.
 * :mod:`repro.experiments.scenario` — the interpreter realising specs on the
   simulator's topology graph layer.
 * :mod:`repro.experiments.metrics` — the one metric assembler
@@ -25,8 +26,9 @@ The stack is layered:
 * :mod:`repro.experiments.runner` — the cell pipeline, plan → run →
   assemble (the planner, a planned cell's steps, the worker entry point)
   and the parallel :class:`ExperimentRunner` with atomic JSON caching.
-* :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9` — the
-  paper's scenarios and figure declarations, built on the layers above.
+* :mod:`repro.experiments.figure1` / :mod:`figure8` / :mod:`figure9`,
+  :mod:`~repro.experiments.attacks` and :mod:`~repro.experiments.scale` —
+  the rows of the paper's scenarios and figures, built on the layers above.
 """
 
 from .spec import FAIR_SHARE_BPS, CbrDecl, CohortDecl, ScenarioSpec, SessionDecl, TcpDecl
@@ -55,32 +57,11 @@ from .runner import (
     plan_cells,
     prune_cache,
 )
-from .figure1 import DEFAULT_ATTACK_START_S, inflated_subscription_spec
-from .figure8 import (
-    PAPER_SESSION_COUNTS,
-    convergence_spec,
-    responsiveness_spec,
-    rtt_fairness_spec,
-    throughput_vs_sessions_spec,
-)
+from . import figure1  # registers the Figure 1 and Figure 7 rows
+from .figure8 import PAPER_SESSION_COUNTS
 from .attacks import attack_duel_spec
-from .figure9 import (
-    PAPER_GROUP_COUNTS,
-    PAPER_SLOT_DURATIONS,
-    figure9_model,
-    measured_overhead_spec,
-)
-from .scale import (
-    attack_churn_flash_crowd_spec,
-    attack_collusion_100k_spec,
-    attack_inflated_100k_spec,
-    attack_keys_100k_spec,
-    scale_dumbbell_1m_spec,
-    scale_dumbbell_10m_spec,
-    scale_dumbbell_spec,
-    scale_overhead_spec,
-    scale_protection_spec,
-)
+from .figure9 import PAPER_GROUP_COUNTS, PAPER_SLOT_DURATIONS, figure9_model
+from .scale import scale_dumbbell_spec, scale_protection_spec
 from .scenario import MulticastSession, Scenario
 from .shard import ShardPlan, merge_region_results, plan_shards
 from .warmstart import CheckpointStore, PrefixPlan, plan_prefix
@@ -94,14 +75,7 @@ __all__ = [
     "ScenarioSpec",
     "SessionDecl",
     "TcpDecl",
-    "attack_churn_flash_crowd_spec",
-    "attack_collusion_100k_spec",
-    "attack_inflated_100k_spec",
-    "attack_keys_100k_spec",
-    "scale_dumbbell_1m_spec",
-    "scale_dumbbell_10m_spec",
     "scale_dumbbell_spec",
-    "scale_overhead_spec",
     "scale_protection_spec",
     "FigureDecl",
     "ScenarioEntry",
@@ -129,17 +103,10 @@ __all__ = [
     "PrefixPlan",
     "plan_prefix",
     "attack_duel_spec",
-    "DEFAULT_ATTACK_START_S",
-    "inflated_subscription_spec",
     "PAPER_SESSION_COUNTS",
-    "convergence_spec",
-    "responsiveness_spec",
-    "rtt_fairness_spec",
-    "throughput_vs_sessions_spec",
     "PAPER_GROUP_COUNTS",
     "PAPER_SLOT_DURATIONS",
     "figure9_model",
-    "measured_overhead_spec",
     "MulticastSession",
     "Scenario",
     "ShardPlan",

@@ -19,64 +19,32 @@ fair share.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Sequence
 
 from ..adversary.spec import paper_attacker
 from ..analysis.fairness import jain_index
+from .attacks import attack_duel_spec
 from .registry import register_figure, register_scenario, series_kbps
 from .metrics import WARMUP_S, RunResult
-from .spec import FAIR_SHARE_BPS, PAPER_DURATION_S, ScenarioSpec, SessionDecl, TcpDecl
+from .spec import FAIR_SHARE_BPS, PAPER_DURATION_S, ScenarioSpec
 
-__all__ = ["inflated_subscription_spec"]
-
-#: Time at which F1 starts misbehaving (both figures).
-DEFAULT_ATTACK_START_S = 100.0
-
-
-def inflated_subscription_spec(
-    protected: bool,
-    attack_start_s: float = DEFAULT_ATTACK_START_S,
-    duration_s: float = PAPER_DURATION_S,
-) -> ScenarioSpec:
-    """Declarative form of the Figure 1 / Figure 7 scenario.
-
-    Four flows (2 multicast + 2 TCP) at a 250 Kbps fair share share a 1 Mbps
-    dumbbell bottleneck; multicast receiver F1 mounts the paper's attacker
-    for the protocol (:func:`~repro.adversary.spec.paper_attacker`) from
-    ``attack_start_s``, which never lies past the end of the run.
-    """
-    spec = ScenarioSpec(
-        name="figure7-defence" if protected else "figure1-attack",
-        protected=protected,
-        topology_params={"bottleneck_bandwidth_bps": 4 * FAIR_SHARE_BPS},
-        sessions=(
-            SessionDecl(
-                "F1", receivers=1, attacks=paper_attacker(protected, start_s=attack_start_s)
-            ),
-            SessionDecl("F2", receivers=1),
-        ),
-        tcp=(TcpDecl("T1"), TcpDecl("T2")),
-        duration_s=duration_s,
-    )
-    # The attack never starts after the run ends.  The declarations have
-    # checked both times by name (``AttackSpec.start_s``,
-    # ``ScenarioSpec.duration_s``) before they are compared.
-    if attack_start_s > duration_s:
-        return inflated_subscription_spec(protected, duration_s, duration_s)
-    return spec
-
-
+# F1 mounts the paper's attacker for the protocol against F2, T1 and T2 on a
+# 1 Mbps (four fair shares) bottleneck from 100 s, and never after the run ends.
 register_scenario(
     "figure1-attack",
     "Figure 1: inflated-subscription attack on FLID-DL — F1 squeezes F2/T1/T2",
-)(lambda **params: inflated_subscription_spec(protected=False, **params))
-
+    dict(attack_start_s=100.0, duration_s=PAPER_DURATION_S),
+)(partial(attack_duel_spec, stack=paper_attacker(False), tcp=2, in_run=True, protected=False))
 register_scenario(
     "figure7-defence",
     "Figure 7: the same attack against FLID-DS — DELTA/SIGMA hold the fair share",
-)(lambda **params: inflated_subscription_spec(protected=True, **params))
+    dict(attack_start_s=100.0, duration_s=PAPER_DURATION_S),
+)(partial(attack_duel_spec, stack=paper_attacker(True), tcp=2, in_run=True, protected=True))
 
 
+@register_figure("figure1_flid_dl_attack", scenario="figure1-attack")
+@register_figure("figure7_flid_ds_protection", scenario="figure7-defence")
 def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> Dict[str, Any]:
     """Per-flow averages before/during the attack, fairness and F1's gain."""
     (spec,), (result,) = cells, results
@@ -103,11 +71,3 @@ def _duel_table(cells: Sequence[ScenarioSpec], results: Sequence[RunResult]) -> 
         "fairness_before": jain_index(list(before.values())),
         "fairness_during": jain_index(list(during.values())),
     }
-
-
-register_figure(
-    "figure1_flid_dl_attack", lambda **axes: [inflated_subscription_spec(False, **axes)]
-)(_duel_table)
-register_figure(
-    "figure7_flid_ds_protection", lambda **axes: [inflated_subscription_spec(True, **axes)]
-)(_duel_table)

@@ -21,8 +21,7 @@ them.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from ..analysis.convergence import convergence_time
 from ..analysis.fairness import max_min_ratio
@@ -31,19 +30,15 @@ from .registry import register_figure, register_scenario, series_kbps
 from .metrics import WARMUP_S, RunResult
 from .spec import FAIR_SHARE_BPS, PAPER_DURATION_S, CbrDecl, ScenarioSpec, SessionDecl, TcpDecl
 
-__all__ = [
-    "throughput_vs_sessions_spec",
-    "responsiveness_spec",
-    "rtt_fairness_spec",
-    "convergence_spec",
-    "PAPER_SESSION_COUNTS",
-]
+__all__ = ["PAPER_SESSION_COUNTS"]
 
 #: Session counts on the x-axis of Figures 8(a)-8(d).
 PAPER_SESSION_COUNTS: Tuple[int, ...] = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18)
 
-#: The two protocol variants every Figure 8 table compares.
-PROTOCOLS = (False, True)
+#: Every Figure 8 table crosses the two protocol variants; 8(a)-(d) cross
+#: them with the session counts, which the ``counts`` axis replaces.
+_BOTH = {"protected": (False, True)}
+_COUNTS = {**_BOTH, "count": PAPER_SESSION_COUNTS}
 
 
 def _variant(spec: ScenarioSpec) -> str:
@@ -54,11 +49,14 @@ def _variant(spec: ScenarioSpec) -> str:
 # ----------------------------------------------------------------------
 # Figures 8(a)-8(d): throughput versus the number of sessions
 # ----------------------------------------------------------------------
-def throughput_vs_sessions_spec(
-    protected: bool = False,
-    count: int = 4,
-    cross_traffic: bool = False,
-    duration_s: float = PAPER_DURATION_S,
+@register_scenario(
+    "figure8-throughput",
+    "Figures 8(a)-(d): receiver throughput with N competing sessions "
+    "(params: protected, count, cross_traffic)",
+    dict(protected=False, count=4, cross_traffic=False, duration_s=PAPER_DURATION_S),
+)
+def _throughput_point(
+    name: str, protected: bool, count: int, cross_traffic: bool, duration_s: float
 ) -> ScenarioSpec:
     """Declarative form of one Figure 8(a)-(d) point: ``count`` sessions.
 
@@ -75,7 +73,7 @@ def throughput_vs_sessions_spec(
     variant = "ds" if protected else "dl"
     suffix = "-cross" if cross_traffic else ""
     return ScenarioSpec(
-        name=f"figure8-throughput-{variant}{suffix}-{count}",
+        name=f"{name}-{variant}{suffix}-{count}",
         protected=protected,
         topology_params={"bottleneck_bandwidth_bps": bottleneck},
         sessions=tuple(SessionDecl(f"mc{i + 1}") for i in range(count)),
@@ -85,13 +83,20 @@ def throughput_vs_sessions_spec(
     )
 
 
-register_scenario(
-    "figure8-throughput",
-    "Figures 8(a)-(d): receiver throughput with N competing sessions "
-    "(params: protected, count, cross_traffic)",
-)(throughput_vs_sessions_spec)
-
-
+@register_figure(
+    "figure8abc_throughput_without_cross_traffic",
+    scenario="figure8-throughput",
+    grid=_COUNTS,
+    fixed={"cross_traffic": False},
+    grid_axes={"counts": "count"},
+)
+@register_figure(
+    "figure8d_throughput_with_cross_traffic",
+    scenario="figure8-throughput",
+    grid=_COUNTS,
+    fixed={"cross_traffic": True},
+    grid_axes={"counts": "count"},
+)
 def _throughput_table(
     cells: Sequence[ScenarioSpec], results: Sequence[RunResult]
 ) -> Dict[str, Any]:
@@ -114,38 +119,32 @@ def _throughput_table(
     return table
 
 
-def _throughput_cells(
-    cross_traffic: bool, counts: Sequence[int] = PAPER_SESSION_COUNTS, **axes: Any
-) -> List[ScenarioSpec]:
-    """The Figure 8(a)-(d) grid: both protocols × ``counts``."""
-    return [
-        throughput_vs_sessions_spec(protected, count, cross_traffic, **axes)
-        for protected in PROTOCOLS
-        for count in counts
-    ]
-
-
-register_figure(
-    "figure8abc_throughput_without_cross_traffic", partial(_throughput_cells, False)
-)(_throughput_table)
-register_figure(
-    "figure8d_throughput_with_cross_traffic", partial(_throughput_cells, True)
-)(_throughput_table)
-
-
 # ----------------------------------------------------------------------
 # Figure 8(e): responsiveness to a CBR burst
 # ----------------------------------------------------------------------
-def responsiveness_spec(
-    protected: bool = False,
-    bottleneck_bandwidth_bps: float = 1_000_000.0,
-    burst_rate_bps: float = 800_000.0,
-    burst_window: Tuple[float, float] = (45.0, 75.0),
-    duration_s: float = 110.0,
+@register_scenario(
+    "figure8-responsiveness",
+    "Figure 8(e): responsiveness to an 800 Kbps CBR burst between 45 s and 75 s",
+    dict(
+        protected=False,
+        bottleneck_bandwidth_bps=1_000_000.0,
+        burst_rate_bps=800_000.0,
+        burst_window=(45.0, 75.0),
+        duration_s=110.0,
+    ),
+    hints={"burst_window": Tuple[float, float]},
+)
+def _responsiveness(
+    name: str,
+    protected: bool,
+    bottleneck_bandwidth_bps: float,
+    burst_rate_bps: float,
+    burst_window: Tuple[float, float],
+    duration_s: float,
 ) -> ScenarioSpec:
     """Declarative form of the Figure 8(e) burst-response experiment."""
     return ScenarioSpec(
-        name=f"figure8-responsiveness-{'ds' if protected else 'dl'}",
+        name=f"{name}-{'ds' if protected else 'dl'}",
         protected=protected,
         topology_params={"bottleneck_bandwidth_bps": bottleneck_bandwidth_bps},
         sessions=(SessionDecl("mc"),),
@@ -162,16 +161,7 @@ def responsiveness_spec(
     )
 
 
-register_scenario(
-    "figure8-responsiveness",
-    "Figure 8(e): responsiveness to an 800 Kbps CBR burst between 45 s and 75 s",
-)(responsiveness_spec)
-
-
-@register_figure(
-    "figure8e_responsiveness",
-    lambda **axes: [responsiveness_spec(protected, **axes) for protected in PROTOCOLS],
-)
+@register_figure("figure8e_responsiveness", scenario="figure8-responsiveness", grid=_BOTH)
 def _responsiveness_table(
     cells: Sequence[ScenarioSpec], results: Sequence[RunResult]
 ) -> Dict[str, Any]:
@@ -195,11 +185,18 @@ def _responsiveness_table(
 # ----------------------------------------------------------------------
 # Figure 8(f): heterogeneous round-trip times
 # ----------------------------------------------------------------------
-def rtt_fairness_spec(
-    protected: bool = False,
-    receiver_count: int = 20,
-    rtt_range_ms: Tuple[float, float] = (30.0, 220.0),
-    duration_s: float = 120.0,
+@register_scenario(
+    "figure8-rtt-fairness",
+    "Figure 8(f): throughput of receivers whose round-trip times spread 30-220 ms",
+    dict(protected=False, receiver_count=20, rtt_range_ms=(30.0, 220.0), duration_s=120.0),
+    hints={"rtt_range_ms": Tuple[float, float]},
+)
+def _rtt_fairness(
+    name: str,
+    protected: bool,
+    receiver_count: int,
+    rtt_range_ms: Tuple[float, float],
+    duration_s: float,
 ) -> ScenarioSpec:
     """Declarative form of the Figure 8(f) heterogeneous-RTT experiment.
 
@@ -218,7 +215,7 @@ def rtt_fairness_spec(
         for i in range(receiver_count)
     ]
     return ScenarioSpec(
-        name=f"figure8-rtt-fairness-{'ds' if protected else 'dl'}",
+        name=f"{name}-{'ds' if protected else 'dl'}",
         protected=protected,
         topology_params=topology_params,
         sessions=(
@@ -234,16 +231,7 @@ def rtt_fairness_spec(
     )
 
 
-register_scenario(
-    "figure8-rtt-fairness",
-    "Figure 8(f): throughput of receivers whose round-trip times spread 30-220 ms",
-)(rtt_fairness_spec)
-
-
-@register_figure(
-    "figure8f_heterogeneous_rtt",
-    lambda **axes: [rtt_fairness_spec(protected, **axes) for protected in PROTOCOLS],
-)
+@register_figure("figure8f_heterogeneous_rtt", scenario="figure8-rtt-fairness", grid=_BOTH)
 def _rtt_fairness_table(
     cells: Sequence[ScenarioSpec], results: Sequence[RunResult]
 ) -> Dict[str, Any]:
@@ -259,14 +247,18 @@ def _rtt_fairness_table(
 # ----------------------------------------------------------------------
 # Figures 8(g)/8(h): subscription convergence
 # ----------------------------------------------------------------------
-def convergence_spec(
-    protected: bool = False,
-    join_times_s: Tuple[float, ...] = (0.0, 10.0, 20.0, 30.0),
-    duration_s: float = 40.0,
+@register_scenario(
+    "figure8-convergence",
+    "Figures 8(g)/(h): subscription convergence of receivers joining at 0/10/20/30 s",
+    dict(protected=False, join_times_s=(0.0, 10.0, 20.0, 30.0), duration_s=40.0),
+    hints={"join_times_s": Tuple[float, ...]},
+)
+def _convergence(
+    name: str, protected: bool, join_times_s: Tuple[float, ...], duration_s: float
 ) -> ScenarioSpec:
     """Declarative form of the Figure 8(g)/(h) staggered-join experiment."""
     return ScenarioSpec(
-        name=f"figure8-convergence-{'ds' if protected else 'dl'}",
+        name=f"{name}-{'ds' if protected else 'dl'}",
         protected=protected,
         topology_params={"bottleneck_bandwidth_bps": FAIR_SHARE_BPS},
         sessions=(
@@ -280,16 +272,7 @@ def convergence_spec(
     )
 
 
-register_scenario(
-    "figure8-convergence",
-    "Figures 8(g)/(h): subscription convergence of receivers joining at 0/10/20/30 s",
-)(convergence_spec)
-
-
-@register_figure(
-    "figure8gh_convergence",
-    lambda **axes: [convergence_spec(protected, **axes) for protected in PROTOCOLS],
-)
+@register_figure("figure8gh_convergence", scenario="figure8-convergence", grid=_BOTH)
 def _convergence_table(
     cells: Sequence[ScenarioSpec], results: Sequence[RunResult]
 ) -> Dict[str, Any]:

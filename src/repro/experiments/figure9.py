@@ -30,7 +30,6 @@ from .spec import ScenarioSpec, SessionDecl
 
 __all__ = [
     "figure9_model",
-    "measured_overhead_spec",
     "PAPER_GROUP_COUNTS",
     "PAPER_SLOT_DURATIONS",
 ]
@@ -63,10 +62,10 @@ def _peaks(points: List[OverheadPoint]) -> Dict[str, float]:
     }
 
 
-register_figure("figure9a_overhead_vs_group_count", lambda: [])(
+register_figure("figure9a_overhead_vs_group_count")(
     lambda cells, results: _peaks(figure9_model().sweep_group_count(PAPER_GROUP_COUNTS))
 )
-register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
+register_figure("figure9b_overhead_vs_slot_duration")(
     lambda cells, results: _peaks(figure9_model().sweep_slot_duration(PAPER_SLOT_DURATIONS))
 )
 
@@ -74,9 +73,15 @@ register_figure("figure9b_overhead_vs_slot_duration", lambda: [])(
 # ----------------------------------------------------------------------
 # Measured overhead from the full simulator
 # ----------------------------------------------------------------------
-def measured_overhead_spec(
-    duration_s: float = 30.0,
-    bottleneck_bandwidth_bps: Optional[float] = None,
+@register_scenario(
+    "figure9-measured-overhead",
+    "Figure 9 cross-check: DELTA/SIGMA overhead measured on the wire for one "
+    "FLID-DS session",
+    dict(duration_s=30.0, bottleneck_bandwidth_bps=None),
+    hints={"bottleneck_bandwidth_bps": Optional[float]},
+)
+def _measured_overhead(
+    name: str, duration_s: float, bottleneck_bandwidth_bps: Optional[float]
 ) -> ScenarioSpec:
     """Declarative form of the measured-overhead FLID-DS session.
 
@@ -87,7 +92,7 @@ def measured_overhead_spec(
     if bottleneck_bandwidth_bps is None:
         bottleneck_bandwidth_bps = 2.0 * figure9_model().cumulative_rate_bps
     return ScenarioSpec(
-        name="figure9-measured-overhead",
+        name=name,
         protected=True,
         topology_params={"bottleneck_bandwidth_bps": bottleneck_bandwidth_bps},
         sessions=(
@@ -99,16 +104,8 @@ def measured_overhead_spec(
     )
 
 
-register_scenario(
-    "figure9-measured-overhead",
-    "Figure 9 cross-check: DELTA/SIGMA overhead measured on the wire for one "
-    "FLID-DS session",
-)(measured_overhead_spec)
-
-
 @register_figure(
-    "figure9_measured_overhead_matches_model",
-    lambda **axes: [measured_overhead_spec(**axes)],
+    "figure9_measured_overhead_matches_model", scenario="figure9-measured-overhead"
 )
 def _measured_overhead_table(
     cells: Sequence[ScenarioSpec], results: Sequence[RunResult]

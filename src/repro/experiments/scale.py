@@ -1,83 +1,43 @@
-"""Scale scenarios: cohort-aggregated audiences of 10k-100k+ receivers.
+"""Scale scenarios: cohort-aggregated audiences of 10k to 10M receivers.
 
 The paper's claims are scaling claims — SIGMA's bound on inflated
 subscription damage holds for *any* honest audience size, and the §5.4
 overhead model is independent of the receiver count because keys travel once
-per edge router, not once per receiver.  The historical scenarios exercise
-tens of receivers; the scenarios here push the population axis three orders
-of magnitude further by realising populations as
-:class:`~repro.experiments.spec.CohortDecl` blocks (one aggregated receiver
-per edge interface; see ``docs/scale.md``):
+per edge router, not once per receiver.  The rows here push the population
+axis three to six orders of magnitude past the historical scenarios by
+realising populations as :class:`~repro.experiments.spec.CohortDecl` blocks
+(one aggregated receiver per edge interface); ``docs/scale.md`` describes
+each of them.
 
-* ``scale-dumbbell-10k`` — the Figure 1/7 inflated-subscription duel with a
-  10,000-receiver honest audience behind the bottleneck: one individual
-  attacker inflates its subscription into a cohort-backed session, SIGMA
-  contains it, and the protection metrics are population-weighted.
-* ``scale-overhead-100k`` — the Figure 9 measured-overhead cross-check with
-  a 100,000-receiver audience: DELTA/SIGMA overhead on the wire must stay at
-  its per-session value however large the audience grows (the overhead
-  model's group-count axis, extended along the population dimension).
-* ``attack-inflated-100k`` — the robustness claim at full scale: an
-  **adversarial cohort** of inflated-join attackers against a
-  100,000-receiver honest audience, both aggregated, protection metrics
-  population-weighted (completes in seconds on one CPU; the acceptance
-  budget is 60 s wall).
-* ``attack-keys-100k`` — the §4 key-oriented attacks at full scale: a
-  key-replay cohort and a key-guessing cohort (the formerly randomised
-  strategies, batch-exact since PR 8) against a 100,000-receiver honest
-  audience, every counter population-weighted.
-* ``attack-collusion-100k`` — §4.3 key sharing at full scale on the
-  parking lot: an upstream publisher-colluder cohort keeps full entitlement
-  and feeds the shared pool while a downstream exploiting-colluder cohort,
-  squeezed by a CBR burst, submits the pooled keys across its own congested
-  bottleneck — with a 100,000-receiver honest audience behind the same
-  squeezed hop.
-* ``attack-churn-flash-crowd`` — audience dynamics: a churn-attack receiver
-  probing the grace windows while the honest cohort's population jumps
-  100 → 100,000 mid-session through a
-  :class:`~repro.multicast_cc.churn.ChurnProcess` burst.
-* ``scale-protection`` — one point of the audience × attacker-fraction
-  protection grid; ``examples/attack_at_scale.py`` runs the full grid
-  through the parallel :class:`~repro.experiments.runner.ExperimentRunner`.
-* ``scale-dumbbell-1m`` — the vector-placement flagship: a 1,000,000-receiver
-  honest audience split across thousands of cohort rows on a generated
-  multi-edge dumbbell, with an adversarial inflated-join population riding
-  the same edges — both realised as ``model="vector"`` blocks, one receiver
-  per edge router carrying that edge's rows (completes on one CPU inside the
-  5-minute budget of ``test_scale_scenario_finishes_inside_the_budget``).
-* ``scale-dumbbell-10m`` — the region-sharded flagship: the same duel at
-  10,000,000 receivers on a ``sharded-dumbbell`` topology whose 8 regions
-  run as independent process-pool workers with a deterministic
-  boundary-event merge (``shards=8``; see :mod:`repro.experiments.shard`
-  and ``docs/scale.md``).
-
-Builders accept ``model="individual"`` to realise the same spec with
-per-object receivers — the reference the equivalence tests compare against
-(at small counts; per-object 100k receivers would not fit in memory).
+Five rows are cohort duels, built by one builder: an honest audience against
+attacker blocks, each named as a (strategy, count parameter) pair.  The
+flagships' blocks are ``model="vector"`` rows spread over many edge routers,
+and ``scale-dumbbell-10m`` runs each distinct topology region as a
+process-pool shard (:mod:`repro.experiments.shard`).  The rows with a
+``model`` parameter accept ``model="individual"`` to realise the same spec
+with per-object receivers — the reference the equivalence tests compare
+against (at small counts; per-object 100k receivers would not fit in
+memory).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import partial
+from typing import Any, Optional, Sequence, Tuple
 
 from ..adversary.spec import AttackSpec, paper_attacker
 from ..multicast_cc.churn import ChurnProcess
 from ..multicast_cc.session import SessionSpec
-from .attacks import duel_spec
-from .registry import register_scenario
-from .spec import FAIR_SHARE_BPS, CbrDecl, CohortDecl, ScenarioSpec, SessionDecl
+from .attacks import attack_params, duel_spec, squeezed_lot
+from .registry import register_scenario, scenario_spec
+from .spec import FAIR_SHARE_BPS, CohortDecl, ScenarioSpec, SessionDecl
 
-__all__ = [
-    "scale_dumbbell_spec",
-    "scale_dumbbell_1m_spec",
-    "scale_dumbbell_10m_spec",
-    "scale_overhead_spec",
-    "attack_inflated_100k_spec",
-    "attack_keys_100k_spec",
-    "attack_collusion_100k_spec",
-    "attack_churn_flash_crowd_spec",
-    "scale_protection_spec",
-]
+__all__ = ["scale_dumbbell_spec", "scale_protection_spec"]
+
+
+#: ``scenario_spec`` of two rows, under the names the benchmark harness imports.
+scale_dumbbell_spec = partial(scenario_spec, "scale-dumbbell-10k")
+scale_protection_spec = partial(scenario_spec, "scale-protection")
 
 
 def _crowd(session_id: str, *blocks: CohortDecl) -> SessionDecl:
@@ -85,36 +45,163 @@ def _crowd(session_id: str, *blocks: CohortDecl) -> SessionDecl:
     return SessionDecl(session_id, receivers=0, population=blocks)
 
 
-def _attackers(
-    count: int, strategy: str, attack_start_s: float, intensity: float, **block
-) -> CohortDecl:
-    """An adversarial block: ``count`` members mounting ``strategy``."""
-    attack = AttackSpec(strategy, start_s=attack_start_s, intensity=intensity)
-    return CohortDecl(count, attack=attack, **block)
+#: The attack parameters of the 100k rows, with their cohort model.
+_AT_100K = dict(attack_params(10.0, 30.0), model="cohort")
+#: The flagships' attacker population: one inflated-join block.
+_INFLATED = (("inflated-join", "attackers"),)
 
 
-def scale_dumbbell_spec(
-    receivers: int = 10_000,
-    protected: bool = True,
-    attack_start_s: float = 10.0,
-    duration_s: float = 30.0,
+def _cohort_duel(
+    name: str,
+    *,
+    blocks: Sequence[Tuple[str, str]],
+    topology: str = "dumbbell",
     model: str = "cohort",
+    receivers: int,
+    protected: bool,
+    attack_start_s: float,
+    intensity: float,
+    duration_s: float,
     cohorts: Optional[int] = None,
+    attacker_cohorts: Optional[int] = None,
+    **counts: int,
 ) -> ScenarioSpec:
-    """Inflated-subscription duel against a ``receivers``-strong audience.
+    """The builder of every cohort duel row: an honest audience against
+    attacker blocks on a fair-share-sized bottleneck.
 
-    Two sessions share a fair-share-sized dumbbell bottleneck: an
-    ``audience`` session whose honest population is one cohort of
-    ``receivers`` members, and an ``attacker`` session whose single
-    individual receiver mounts the paper's attacker
-    (:func:`~repro.adversary.spec.paper_attacker`) from ``attack_start_s``
-    — few attackers, many honest receivers, exactly the paper's threat
-    model at scale.  ``cohorts`` splits the
-    audience into that many cohort rows (the axis the cohort-count
-    benchmark sweeps); ``None`` keeps the single-cohort legacy shape.
+    The ``audience`` session is one block of ``receivers`` honest members in
+    ``cohorts`` rows; the ``attackers`` session has one block per
+    ``(strategy, count parameter)`` pair of ``blocks``, each of that many
+    members in ``attacker_cohorts`` rows mounting the strategy from
+    ``attack_start_s``.  The ``counts`` no block names are the topology's
+    own parameters; a topology of regions runs one shard per region.
     """
+    attack = partial(AttackSpec, start_s=attack_start_s, intensity=intensity)
+    attackers = [
+        CohortDecl(counts[count], model=model, cohorts=attacker_cohorts, attack=attack(strategy))
+        for strategy, count in blocks
+    ]
+    named = dict(blocks).values()
+    topology_params = {key: value for key, value in counts.items() if key not in named}
     return duel_spec(
-        "scale-dumbbell-10k",
+        name,
+        (
+            _crowd("audience", CohortDecl(receivers, model=model, cohorts=cohorts)),
+            _crowd("attackers", *attackers),
+        ),
+        protected,
+        duration_s,
+        topology=topology,
+        topology_params=topology_params,
+        shards=topology_params.get("regions"),
+    )
+
+
+register_scenario(
+    "scale-dumbbell-1m",
+    "Inflated-join attacker population against a 1,000,000-receiver honest "
+    "audience on a 32-edge dumbbell — thousands of cohort rows carried by "
+    "one receiver per edge router",
+    dict(
+        receivers=1_000_000,
+        cohorts=4_096,
+        attackers=10_000,
+        attacker_cohorts=64,
+        edges=32,
+        **attack_params(8.0, 20.0),
+    ),
+)(partial(_cohort_duel, blocks=_INFLATED, topology="multi-edge-dumbbell", model="vector"))
+register_scenario(
+    "scale-dumbbell-10m",
+    "Inflated-join attacker population against a 10,000,000-receiver honest "
+    "audience sharded across 8 topology regions, each distinct region a "
+    "process-pool worker, merged deterministically at slot barriers",
+    dict(
+        receivers=10_000_000,
+        cohorts=8_192,
+        attackers=100_000,
+        attacker_cohorts=512,
+        regions=8,
+        edges_per_region=8,
+        **attack_params(8.0, 20.0),
+    ),
+)(partial(_cohort_duel, blocks=_INFLATED, topology="sharded-dumbbell", model="vector"))
+register_scenario(
+    "attack-inflated-100k",
+    "Inflated-join attacker cohort against a 100,000-receiver honest cohort: "
+    "the containment claim at full scale, protection metrics "
+    "population-weighted",
+    dict(receivers=100_000, attackers=100, **_AT_100K),
+)(partial(_cohort_duel, blocks=_INFLATED))
+register_scenario(
+    "attack-keys-100k",
+    "Key-replay and key-guessing attacker cohorts against a "
+    "100,000-receiver honest cohort: the paper's §4 key-oriented attacks "
+    "at full scale, randomness drawn per cohort, counters "
+    "population-weighted",
+    dict(receivers=100_000, replayers=50, guessers=50, **_AT_100K),
+)(partial(_cohort_duel, blocks=(("key-replay", "replayers"), ("key-guessing", "guessers"))))
+
+
+@register_scenario(
+    "scale-protection",
+    "One audience × attacker-fraction × strategy grid point: an attacker "
+    "cohort sized as a fraction of the honest audience, mounting any "
+    "registered strategy (examples/attack_at_scale.py runs the full grid)",
+    dict(audience=10_000, attacker_fraction=0.01, strategy="inflated-join", **_AT_100K),
+)
+def _protection_point(
+    name: str, audience: int, attacker_fraction: float, strategy: str, **params: Any
+) -> ScenarioSpec:
+    """The cohort duel of ``audience`` members, ``attacker_fraction`` of them
+    (at least one, and never all) one block mounting ``strategy``: any
+    registered strategy, as the whole registry batches exactly."""
+    if not 0.0 < attacker_fraction < 1.0:
+        raise ValueError("attacker_fraction must be in (0, 1)")
+    attackers = max(1, round(audience * attacker_fraction))
+    if attackers >= audience:
+        raise ValueError(
+            f"{name}: audience {audience} at attacker_fraction {attacker_fraction} "
+            f"leaves no honest member beside {attackers} attacker(s)"
+        )
+    return _cohort_duel(
+        name,
+        blocks=((strategy, "attackers"),),
+        receivers=audience - attackers,
+        attackers=attackers,
+        **params,
+    )
+
+
+@register_scenario(
+    "scale-dumbbell-10k",
+    "Inflated-subscription attack against a 10,000-receiver cohort audience "
+    "on the paper's dumbbell (population-weighted protection metrics)",
+    dict(
+        receivers=10_000,
+        protected=True,
+        attack_start_s=10.0,
+        duration_s=30.0,
+        model="cohort",
+        cohorts=None,
+    ),
+    hints={"cohorts": Optional[int]},
+)
+def _audience_duel(
+    name: str,
+    receivers: int,
+    protected: bool,
+    attack_start_s: float,
+    duration_s: float,
+    model: str,
+    cohorts: Optional[int],
+) -> ScenarioSpec:
+    """One individual receiver mounting the paper's attacker against a
+    ``receivers``-strong audience in ``cohorts`` rows (the axis the
+    cohort-count benchmark sweeps; ``None``: one row) — few attackers, many
+    honest receivers, exactly the paper's threat model at scale."""
+    return duel_spec(
+        name,
         (
             _crowd("audience", CohortDecl(receivers, model=model, cohorts=cohorts)),
             SessionDecl(
@@ -128,147 +215,13 @@ def scale_dumbbell_spec(
     )
 
 
-register_scenario(
-    "scale-dumbbell-10k",
-    "Inflated-subscription attack against a 10,000-receiver cohort audience "
-    "on the paper's dumbbell (population-weighted protection metrics)",
-)(scale_dumbbell_spec)
-
-
-def _vector_duel(
-    receivers: int,
-    cohorts: int,
-    attackers: int,
-    attacker_cohorts: int,
-    attack_start_s: float,
-    intensity: float,
-) -> Tuple[SessionDecl, SessionDecl]:
-    """The flagships' two sessions, both ``model="vector"`` populations.
-
-    An honest ``audience`` of ``receivers`` members in ``cohorts`` rows and
-    an ``attackers`` population of ``attackers`` members in
-    ``attacker_cohorts`` rows mounting inflated-join from ``attack_start_s``.
-    """
-    return (
-        _crowd("audience", CohortDecl(receivers, model="vector", cohorts=cohorts)),
-        _crowd(
-            "attackers",
-            _attackers(
-                attackers,
-                "inflated-join",
-                attack_start_s,
-                intensity,
-                model="vector",
-                cohorts=attacker_cohorts,
-            ),
-        ),
-    )
-
-
-def scale_dumbbell_1m_spec(
-    receivers: int = 1_000_000,
-    cohorts: int = 4_096,
-    attackers: int = 10_000,
-    attacker_cohorts: int = 64,
-    edges: int = 32,
-    protected: bool = True,
-    attack_start_s: float = 8.0,
-    intensity: float = 1.0,
-    duration_s: float = 20.0,
-) -> ScenarioSpec:
-    """The million-receiver duel on a generated multi-edge dumbbell.
-
-    An ``audience`` session of ``receivers`` honest members split across
-    ``cohorts`` cohort rows and an ``attackers`` session mounting the
-    inflated-join strategy from ``attack_start_s`` share one fair-share-sized
-    bottleneck feeding ``edges`` edge routers.  Both populations are
-    ``model="vector"`` blocks: the interpreter round-robins the cohort rows
-    over the edge routers and one receiver per edge carries that edge's
-    rows at one shared subscription level, so the Python object count
-    scales with ``edges`` — not ``cohorts``, and certainly not
-    ``receivers``.  The edges are interchangeable, so one of them is built
-    and carries the rows of all (see ``docs/scale.md``).
-    """
-    return duel_spec(
-        "scale-dumbbell-1m",
-        _vector_duel(
-            receivers, cohorts, attackers, attacker_cohorts, attack_start_s, intensity
-        ),
-        protected,
-        duration_s,
-        topology="multi-edge-dumbbell",
-        topology_params={
-            "edges": edges,
-            "bottleneck_bandwidth_bps": 2 * FAIR_SHARE_BPS,
-        },
-    )
-
-
-register_scenario(
-    "scale-dumbbell-1m",
-    "Inflated-join attacker population against a 1,000,000-receiver honest "
-    "audience on a 32-edge dumbbell — thousands of cohort rows carried by "
-    "one receiver per edge router",
-)(scale_dumbbell_1m_spec)
-
-
-def scale_dumbbell_10m_spec(
-    receivers: int = 10_000_000,
-    cohorts: int = 8_192,
-    attackers: int = 100_000,
-    attacker_cohorts: int = 512,
-    regions: int = 8,
-    edges_per_region: int = 8,
-    protected: bool = True,
-    attack_start_s: float = 8.0,
-    intensity: float = 1.0,
-    duration_s: float = 20.0,
-) -> ScenarioSpec:
-    """The region-sharded flagship: ten million receivers across 8 regions.
-
-    The ``scale-dumbbell-1m`` duel taken one order of magnitude further on a
-    ``sharded-dumbbell`` topology: ``regions`` independently-bottlenecked
-    multi-edge dumbbells hang off a shared trunk, the honest audience and
-    the batched inflated-join attacker population are ``model="vector"``
-    blocks round-robined over all ``regions × edges_per_region`` edge
-    routers, and ``shards=regions`` lets the runner execute each distinct
-    region in its own process-pool worker with a deterministic
-    boundary-event merge (:mod:`repro.experiments.shard`).  At the defaults
-    regions 1–4 and 5–8 are equal, so the cell runs 2 region jobs.  The
-    merged result is byte-identical between the serial and pooled paths —
-    and, because each region has its own private bottleneck, to the
-    unsharded run of the same topology.
-    """
-    return duel_spec(
-        "scale-dumbbell-10m",
-        _vector_duel(
-            receivers, cohorts, attackers, attacker_cohorts, attack_start_s, intensity
-        ),
-        protected,
-        duration_s,
-        topology="sharded-dumbbell",
-        topology_params={
-            "regions": regions,
-            "edges_per_region": edges_per_region,
-            "bottleneck_bandwidth_bps": 2 * FAIR_SHARE_BPS,
-        },
-        shards=regions,
-    )
-
-
-register_scenario(
-    "scale-dumbbell-10m",
-    "Inflated-join attacker population against a 10,000,000-receiver honest "
-    "audience sharded across 8 topology regions, each distinct region a "
-    "process-pool worker, merged deterministically at slot barriers",
-)(scale_dumbbell_10m_spec)
-
-
-def scale_overhead_spec(
-    receivers: int = 100_000,
-    duration_s: float = 30.0,
-    model: str = "cohort",
-) -> ScenarioSpec:
+@register_scenario(
+    "scale-overhead-100k",
+    "Figure 9 overhead cross-check with a 100,000-receiver cohort audience: "
+    "protection overhead is independent of the population size",
+    dict(receivers=100_000, duration_s=30.0, model="cohort"),
+)
+def _overhead(name: str, receivers: int, duration_s: float, model: str) -> ScenarioSpec:
     """Figure 9's measured overhead with a ``receivers``-strong audience.
 
     A generous bottleneck (twice the maximal cumulative session rate) keeps
@@ -279,7 +232,7 @@ def scale_overhead_spec(
     """
     max_rate_bps = SessionSpec("audience").max_rate_bps()
     return ScenarioSpec(
-        name="scale-overhead-100k",
+        name=name,
         protected=True,
         topology_params={"bottleneck_bandwidth_bps": 2.0 * max_rate_bps},
         sessions=(
@@ -295,120 +248,24 @@ def scale_overhead_spec(
     )
 
 
-register_scenario(
-    "scale-overhead-100k",
-    "Figure 9 overhead cross-check with a 100,000-receiver cohort audience: "
-    "protection overhead is independent of the population size",
-)(scale_overhead_spec)
-
-
-def attack_inflated_100k_spec(
-    receivers: int = 100_000,
-    attackers: int = 100,
-    protected: bool = True,
-    attack_start_s: float = 10.0,
-    intensity: float = 1.0,
-    duration_s: float = 30.0,
-    model: str = "cohort",
-) -> ScenarioSpec:
-    """The paper's robustness claim at full scale: cohorts on both sides.
-
-    Two sessions share a fair-share-sized dumbbell bottleneck: an
-    ``audience`` session whose honest population is one cohort of
-    ``receivers`` members, and an ``attackers`` session realised as an
-    *adversarial cohort* — ``attackers`` members all mounting the
-    inflated-join strategy from ``attack_start_s``.  SIGMA must contain the
-    whole attacker population (weighted excess goodput near zero); the
-    unprotected variant (``protected=False``) shows the aggregate damage an
-    IGMP edge would concede.
-    """
-    return duel_spec(
-        "attack-inflated-100k",
-        (
-            _crowd("audience", CohortDecl(receivers, model=model)),
-            _crowd(
-                "attackers",
-                _attackers(
-                    attackers, "inflated-join", attack_start_s, intensity, model=model
-                ),
-            ),
-        ),
-        protected,
-        duration_s,
-    )
-
-
-register_scenario(
-    "attack-inflated-100k",
-    "Inflated-join attacker cohort against a 100,000-receiver honest cohort: "
-    "the containment claim at full scale, protection metrics "
-    "population-weighted",
-)(attack_inflated_100k_spec)
-
-
-def attack_keys_100k_spec(
-    receivers: int = 100_000,
-    replayers: int = 50,
-    guessers: int = 50,
-    protected: bool = True,
-    attack_start_s: float = 10.0,
-    intensity: float = 1.0,
-    duration_s: float = 30.0,
-    model: str = "cohort",
-) -> ScenarioSpec:
-    """The §4 key-oriented attacks against a ``receivers``-strong audience.
-
-    Two adversarial cohorts — ``replayers`` members replaying legitimately
-    reconstructed keys out of scope (§4.1) and ``guessers`` members
-    submitting random keys (§4.2) — share a fair-share-sized dumbbell
-    bottleneck with a ``receivers``-member honest cohort.  Both strategies
-    book counters at member weight, so the whole attacker population costs
-    two receiver objects however large it is declared.  The guessers are
-    not exact: the block draws one guess budget per slot for all its
-    members, so it equals ``guessers`` individuals only while no guess
-    succeeds (ROADMAP item 16; the strict xfail
-    ``test_key_guessing_block_guesses_like_its_members``).  SIGMA must hold
-    every replay in ``invalid_submissions`` and alarm on the guess volume
-    while the honest audience's goodput stays at its fair share.
-    """
-    return duel_spec(
-        "attack-keys-100k",
-        (
-            _crowd("audience", CohortDecl(receivers, model=model)),
-            _crowd(
-                "attackers",
-                _attackers(
-                    replayers, "key-replay", attack_start_s, intensity, model=model
-                ),
-                _attackers(
-                    guessers, "key-guessing", attack_start_s, intensity, model=model
-                ),
-            ),
-        ),
-        protected,
-        duration_s,
-    )
-
-
-register_scenario(
-    "attack-keys-100k",
-    "Key-replay and key-guessing attacker cohorts against a "
-    "100,000-receiver honest cohort: the paper's §4 key-oriented attacks "
-    "at full scale, randomness drawn per cohort, counters "
-    "population-weighted",
-)(attack_keys_100k_spec)
-
-
-def attack_collusion_100k_spec(
-    receivers: int = 100_000,
-    publishers: int = 50,
-    exploiters: int = 50,
-    protected: bool = True,
-    attack_start_s: float = 10.0,
-    intensity: float = 1.0,
-    hops: int = 3,
-    duration_s: float = 30.0,
-    model: str = "cohort",
+@register_scenario(
+    "attack-collusion-100k",
+    "Publisher and exploiting collusion cohorts pooling keys across the "
+    "parking lot while a CBR burst squeezes the exploiters' hop — §4.3 key "
+    "sharing against a 100,000-receiver honest audience",
+    dict(receivers=100_000, publishers=50, exploiters=50, hops=3, **_AT_100K),
+)
+def _collusion(
+    name: str,
+    receivers: int,
+    publishers: int,
+    exploiters: int,
+    protected: bool,
+    attack_start_s: float,
+    intensity: float,
+    hops: int,
+    duration_s: float,
+    model: str,
 ) -> ScenarioSpec:
     """§4.3 collusion at full scale: pooled keys across the parking lot.
 
@@ -431,8 +288,8 @@ def attack_collusion_100k_spec(
         intensity=intensity,
         params={"pool": "lot"},
     )
-    return duel_spec(
-        "attack-collusion-100k",
+    return squeezed_lot(
+        name,
         (
             _crowd(
                 "colluders",
@@ -442,40 +299,33 @@ def attack_collusion_100k_spec(
             _crowd("audience", CohortDecl(receivers, router=last, model=model)),
         ),
         protected,
+        attack_start_s,
         duration_s,
-        topology="parking-lot",
-        topology_params={
-            "hops": hops,
-            "bottleneck_bandwidth_bps": 3 * FAIR_SHARE_BPS,
-        },
-        cbr=(
-            CbrDecl(
-                "squeeze",
-                rate_bps=2 * FAIR_SHARE_BPS,
-                on_s=5.0,
-                off_s=2.0,
-                active_window=(attack_start_s, duration_s),
-                receiver_router=last,
-            ),
-        ),
+        hops,
     )
 
 
-register_scenario(
-    "attack-collusion-100k",
-    "Publisher and exploiting collusion cohorts pooling keys across the "
-    "parking lot while a CBR burst squeezes the exploiters' hop — §4.3 key "
-    "sharing against a 100,000-receiver honest audience",
-)(attack_collusion_100k_spec)
-
-
-def attack_churn_flash_crowd_spec(
-    initial: int = 100,
-    surge: int = 99_900,
-    surge_at_s: float = 12.0,
-    attack_start_s: float = 6.0,
-    protected: bool = True,
-    duration_s: float = 30.0,
+@register_scenario(
+    "attack-churn-flash-crowd",
+    "Churn attacker probing the grace windows while the honest audience "
+    "flash-crowds from 100 to 100,000 members mid-session",
+    dict(
+        initial=100,
+        surge=99_900,
+        surge_at_s=12.0,
+        attack_start_s=6.0,
+        protected=True,
+        duration_s=30.0,
+    ),
+)
+def _flash_crowd(
+    name: str,
+    initial: int,
+    surge: int,
+    surge_at_s: float,
+    attack_start_s: float,
+    protected: bool,
+    duration_s: float,
 ) -> ScenarioSpec:
     """Flash-crowd churn under attack: the audience surges 100 → 100k.
 
@@ -487,7 +337,7 @@ def attack_churn_flash_crowd_spec(
     membership.
     """
     return duel_spec(
-        "attack-churn-flash-crowd",
+        name,
         (
             _crowd(
                 "crowd",
@@ -502,55 +352,3 @@ def attack_churn_flash_crowd_spec(
         protected,
         duration_s,
     )
-
-
-register_scenario(
-    "attack-churn-flash-crowd",
-    "Churn attacker probing the grace windows while the honest audience "
-    "flash-crowds from 100 to 100,000 members mid-session",
-)(attack_churn_flash_crowd_spec)
-
-
-def scale_protection_spec(
-    audience: int = 10_000,
-    attacker_fraction: float = 0.01,
-    strategy: str = "inflated-join",
-    protected: bool = True,
-    attack_start_s: float = 10.0,
-    intensity: float = 1.0,
-    duration_s: float = 30.0,
-    model: str = "cohort",
-) -> ScenarioSpec:
-    """One point of the audience × attacker-fraction protection grid.
-
-    ``attacker_fraction`` of the audience misbehaves (at least one member),
-    as an adversarial cohort mounting ``strategy`` — any registered strategy,
-    the whole registry batches exactly — against the honest remainder: the
-    axes along which the paper's containment claim must stay flat.
-    ``intensity`` scales the strategy's aggression (the figure-8 sweep axis
-    the warm-start benchmark shares one prefix checkpoint across).
-    """
-    if not 0.0 < attacker_fraction < 1.0:
-        raise ValueError("attacker_fraction must be in (0, 1)")
-    attackers = max(1, round(audience * attacker_fraction))
-    honest = max(1, audience - attackers)
-    return duel_spec(
-        "scale-protection",
-        (
-            _crowd("audience", CohortDecl(honest, model=model)),
-            _crowd(
-                "attackers",
-                _attackers(attackers, strategy, attack_start_s, intensity, model=model),
-            ),
-        ),
-        protected,
-        duration_s,
-    )
-
-
-register_scenario(
-    "scale-protection",
-    "One audience × attacker-fraction × strategy grid point: an attacker "
-    "cohort sized as a fraction of the honest audience, mounting any "
-    "registered strategy (examples/attack_at_scale.py runs the full grid)",
-)(scale_protection_spec)

@@ -217,8 +217,10 @@ class TestComposition:
         """Stopped in its high phase, churn leaves every group it joined above
         ``ctx.level``; never stopped, it ends holding them (unprotected
         flapping duel, 4 s period: high at 10-12 s and again at 18-20 s)."""
-        attack = AttackSpec("churn", start_s=2.0, stop_s=stop_s, params={"period_s": 4.0})
-        spec = attack_duel_spec("attack-flapping", attack, protected=False, duration_s=20.0)
+        attack = AttackSpec("churn", stop_s=stop_s, params={"period_s": 4.0})
+        spec = attack_duel_spec(
+            "attack-flapping", stack=(attack,), attack_start_s=2.0, protected=False, duration_s=20.0
+        )
         scenario = Scenario.from_spec(spec)
         scenario.run(20.0)
         attacker = scenario.sessions[0].receivers[0]
@@ -363,11 +365,17 @@ class TestDeclaredParameters:
             (["attack-key-guessing", "--param", "guesses_per_slot=2.5"], "AttackSpec.params"),
             # No builder takes a config: the spec has none.
             (["figure1-attack", "--param", "config=x"], "config"),
-            # The spec checks the run length before the builder compares it,
-            # and the attack its start before comparing it.
-            (["figure1-attack", "--param", "duration_s=x"], "ScenarioSpec.duration_s"),
-            (["figure1-attack", "--param", "attack_start_s=x"], "AttackSpec.start_s"),
-            # The registry checks each parameter a builder names before it runs.
+            # The registry checks each parameter a row declares before its builder
+            # runs (the figure rows' two used to be checked by the spec and the
+            # attack, behind a lambda that declared none).
+            (
+                ["figure1-attack", "--param", "duration_s=x"],
+                "scenario 'figure1-attack': duration_s: expected float",
+            ),
+            (
+                ["figure1-attack", "--param", "attack_start_s=x"],
+                "scenario 'figure1-attack': attack_start_s: expected float",
+            ),
             (
                 ["attack-key-replay", "--param", "protected=1"],
                 "scenario 'attack-key-replay': protected: expected bool",

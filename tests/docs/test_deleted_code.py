@@ -162,6 +162,14 @@ DELETED = {
         r"|flid_d[ls]_slot_s|session_spec\(",
         ["src", "tests", "examples", "docs", "tools"],
     ),
+    # A scenario is a registry row; call it by name with scenario_spec.
+    "public scenario builder": (
+        r"\b((attack_(inflated|keys|collusion)_100k|attack_churn_flash_crowd|scale_dumbbell_1?0?m"
+        r"|scale_overhead|inflated_subscription|throughput_vs_sessions|responsiveness"
+        r"|rtt_fairness|convergence|measured_overhead)_spec|attack_(composite|collusion_parking_lot)"
+        r"|(parking_lot_attack|star_fanout|tree_convergence)\b)\b",
+        ["src", "tests", "examples", "docs", "tools"],
+    ),
     # Both caches key by repro.code_digest(), not by a hand-kept version number.
     "hand-kept cache or checkpoint version": (
         r"(CACHE_SCHEMA|CHECKPOINT)_VERSION|_cache_version_\w+",
@@ -194,11 +202,7 @@ def test_no_builder_takes_a_config_and_strategies_declare_what_they_read():
     """A builder's config would be a second home for what a spec and its
     sessions declare (the seed, the layering); a parameter a strategy reads
     but does not declare has no checked value."""
-    takes_config = [
-        entry.name for entry in list_scenarios()
-        if "config" in inspect.signature(entry.builder).parameters
-    ]
-    assert takes_config == []
+    assert [entry.name for entry in list_scenarios() if "config" in entry.params] == []
     for name, cls in ADVERSARIES.items():
         read = set(re.findall(r"self\.(?:param|rate)\(\"(\w+)\"\)", inspect.getsource(cls)))
         assert read == set(cls.parameters), name

@@ -24,15 +24,15 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
     plan_prefix,
-    scale_protection_spec,
+    scenario_spec,
 )
 from repro.experiments.metrics import RunResult
 
 #: Prints the digest, a result key and a checkpoint key for one fixed spec.
 KEYS = """
 import json, repro
-from repro.experiments import ResultCache, plan_prefix, scale_protection_spec
-spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+from repro.experiments import ResultCache, plan_prefix, scenario_spec
+spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
 print(json.dumps([repro.__file__, repro.code_digest(), ResultCache.key(spec),
                   plan_prefix(spec).checkpoint_key()]))
 """
@@ -72,7 +72,7 @@ def test_every_key_names_the_code_that_computes_it(tmp_path):
     shutil.copytree(
         Path(repro.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
     )
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     here = (code_digest(), ResultCache.key(spec), plan_prefix(spec).checkpoint_key())
     assert _keys_of(package) == here
     with (package / "experiments" / "metrics.py").open("ab") as module:

@@ -21,7 +21,7 @@ from repro.experiments import (
     SessionDecl,
     execute_spec,
     plan_prefix,
-    scale_dumbbell_1m_spec,
+    scenario_spec,
 )
 from repro.experiments.attacks import duel_spec
 from repro.experiments.metrics import collect_metrics
@@ -48,7 +48,8 @@ def assert_matches_oracle(spec):
 
 def duel(edges, receivers=1000, cohorts=13, attackers=10, attacker_cohorts=3, **kwargs):
     """The vector flagship, small: row counts that need not divide ``edges``."""
-    return scale_dumbbell_1m_spec(
+    return scenario_spec(
+        "scale-dumbbell-1m",
         receivers=receivers,
         cohorts=cohorts,
         attackers=attackers,
@@ -163,9 +164,8 @@ def test_warm_equals_cold_for_a_multi_edge_cell(tmp_path):
 
 
 def test_sharded_runs_keep_every_edge():
-    from repro.experiments import scale_dumbbell_10m_spec
 
-    sharded = scale_dumbbell_10m_spec(receivers=10_000, cohorts=64, attackers=100,
+    sharded = scenario_spec("scale-dumbbell-10m", receivers=10_000, cohorts=64, attackers=100,
                                       attacker_cohorts=16, duration_s=4.0)
     assert interchangeable_edges(sharded) == ()
     unsharded = dataclasses.replace(sharded, shards=None)
@@ -173,10 +173,10 @@ def test_sharded_runs_keep_every_edge():
 
 
 def test_full_flagship_runs_the_events_of_its_one_edge_twin():
-    spec = scale_dumbbell_1m_spec()
+    spec = scenario_spec("scale-dumbbell-1m")
     flagship = Scenario.from_spec(spec)
     flagship.run()
-    twin = Scenario.from_spec(scale_dumbbell_1m_spec(edges=1))
+    twin = Scenario.from_spec(scenario_spec("scale-dumbbell-1m", edges=1))
     twin.run()
     assert flagship.network.sim.events_executed == twin.network.sim.events_executed
     metrics = collect_metrics(flagship, spec)

@@ -22,7 +22,6 @@ from repro.experiments import (
     figure9_model,
     plan_prefix,
     plan_shards,
-    scale_dumbbell_10m_spec,
     scenario_spec,
 )
 from repro.experiments.metrics import WARMUP_S
@@ -163,7 +162,8 @@ class TestARunIsItsDeclarations:
             assert Scenario.from_spec(spec).slot_clock.duration_s == slot_s
         # The warm-start barrier is the last slot boundary before the onset.
         assert plan_prefix(spec).barrier_s == (10.25 if protected else 10.0)
-        sharded = scale_dumbbell_10m_spec(
+        sharded = scenario_spec(
+            "scale-dumbbell-10m",
             receivers=1_000, cohorts=8, attackers=10, attacker_cohorts=2,
             protected=protected, attack_start_s=2.0, duration_s=4.0,
         )

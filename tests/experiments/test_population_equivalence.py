@@ -479,10 +479,10 @@ def test_split_honest_block_reports_like_its_multi_host_twin(
 
 def test_splitting_an_honest_block_adds_no_event():
     """100 rows of a 100k audience run exactly the single cohort's events."""
-    from repro.experiments.scale import scale_dumbbell_spec
+    from repro.experiments import scenario_spec
 
     runs = [
-        run(scale_dumbbell_spec(receivers=100_000, model="cohort", cohorts=cohorts))
+        run(scenario_spec("scale-dumbbell-10k", receivers=100_000, model="cohort", cohorts=cohorts))
         for cohorts in (100, None)
     ]
     assert [sum(len(s.receivers) for s in r.sessions) for r in runs] == [2, 2]

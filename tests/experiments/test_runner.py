@@ -585,17 +585,18 @@ class TestOnePipeline:
     def test_runner_has_no_planner_of_its_own(self, tmp_path, monkeypatch):
         """One ``plan_cells`` call per run; the jobs executed are its jobs."""
         import repro.experiments.runner as runner_module
-        from repro.experiments import scale_dumbbell_10m_spec, scale_protection_spec
 
         assert not [name for name in vars(ExperimentRunner) if "plan" in name]
 
         group = [
-            scale_protection_spec(
+            scenario_spec(
+                "scale-protection",
                 audience=200, strategy=strategy, attack_start_s=6.0, duration_s=9.0
             )
             for strategy in ("inflated-join", "key-replay", "join-storm")
         ]
-        sharded = scale_dumbbell_10m_spec(
+        sharded = scenario_spec(
+            "scale-dumbbell-10m",
             receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=2,
             edges_per_region=2, attack_start_s=6.0, duration_s=9.0,
         )
@@ -638,17 +639,18 @@ class TestOnePipeline:
     def mixed_batch(self):
         """A cold cell, a two-cell warm group and a 2-region sharded cell,
         with their cold results."""
-        from repro.experiments import scale_dumbbell_10m_spec, scale_protection_spec
 
         batch = [
             fast_spec(3),
             *(
-                scale_protection_spec(
+                scenario_spec(
+                    "scale-protection",
                     audience=200, strategy=strategy, attack_start_s=6.0, duration_s=9.0
                 ).with_seed(3)
                 for strategy in ("inflated-join", "key-replay")
             ),
-            scale_dumbbell_10m_spec(
+            scenario_spec(
+                "scale-dumbbell-10m",
                 receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=2,
                 edges_per_region=2, attack_start_s=6.0, duration_s=9.0,
             ).with_seed(3),

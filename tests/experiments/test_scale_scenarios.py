@@ -10,12 +10,6 @@ from repro.experiments import (
     ExperimentRunner,
     ScenarioSpec,
     SessionDecl,
-    attack_churn_flash_crowd_spec,
-    attack_inflated_100k_spec,
-    scale_dumbbell_1m_spec,
-    scale_dumbbell_spec,
-    scale_overhead_spec,
-    scale_protection_spec,
     scenario_spec,
 )
 
@@ -76,22 +70,24 @@ def test_scale_scenarios_registered():
 
 def test_cohorts_field_round_trip_and_legacy_omission():
     """cohorts survives the JSON round trip; None stays off the wire."""
-    spec = scale_dumbbell_spec(receivers=100, cohorts=4, duration_s=12.0)
+    spec = scenario_spec("scale-dumbbell-10k", receivers=100, cohorts=4, duration_s=12.0)
     rebuilt = type(spec).from_json(spec.to_json())
     assert rebuilt == spec
     assert rebuilt.sessions[0].population[0].cohorts == 4
-    legacy = scale_dumbbell_spec(receivers=100, duration_s=12.0)
+    legacy = scenario_spec("scale-dumbbell-10k", receivers=100, duration_s=12.0)
     payload = json.loads(legacy.to_json())
     assert "cohorts" not in payload["sessions"][0]["population"][0]
     # The canonical hash of a cohorts-free spec is therefore unchanged.
-    assert legacy.to_json() == scale_dumbbell_spec(
+    assert legacy.to_json() == scenario_spec(
+        "scale-dumbbell-10k",
         receivers=100, cohorts=None, duration_s=12.0
     ).to_json()
 
 
 def test_scale_dumbbell_1m_reduced_run():
     """A reduced 1k-receiver variant of the 1M scenario runs end to end."""
-    spec = scale_dumbbell_1m_spec(
+    spec = scenario_spec(
+        "scale-dumbbell-1m",
         receivers=1_000,
         cohorts=16,
         attackers=100,
@@ -120,7 +116,7 @@ def test_scale_dumbbell_1m_full_population_wall_clock_budget():
     a fifth of that leaves generous slack while failing loudly if per-row
     Python cost ever creeps back into the columnar per-slot path.
     """
-    spec = scale_dumbbell_1m_spec()
+    spec = scenario_spec("scale-dumbbell-1m")
     assert spec.sessions[0].total_population() == 1_000_000
     assert spec.sessions[1].total_population() == 10_000
     start = time.perf_counter()
@@ -140,7 +136,7 @@ def test_scale_dumbbell_1m_full_population_wall_clock_budget():
 
 def test_scale_dumbbell_reduced_run():
     """A reduced 500-receiver variant runs end to end with weighted metrics."""
-    spec = scale_dumbbell_spec(receivers=500, duration_s=12.0, attack_start_s=4.0)
+    spec = scenario_spec("scale-dumbbell-10k", receivers=500, duration_s=12.0, attack_start_s=4.0)
     result = ExperimentRunner().run_one(spec)
     audience = result.metrics["multicast"]["audience"]
     assert audience["population"] == 500
@@ -158,7 +154,7 @@ def test_scale_overhead_100k_wall_clock_budget():
     a tenth of that leaves an order of magnitude of slack while still failing
     loudly if per-receiver cost ever creeps back into the hot path.
     """
-    spec = scale_overhead_spec()  # the full 100,000 receivers, 30 s
+    spec = scenario_spec("scale-overhead-100k")  # the full 100,000 receivers, 30 s
     assert spec.sessions[0].total_population() == 100_000
     start = time.perf_counter()
     result = ExperimentRunner().run_one(spec)
@@ -178,7 +174,7 @@ def test_attack_inflated_100k_wall_clock_budget():
     asserting half of that leaves generous slack while failing loudly if
     per-member cost creeps back into the adversarial-cohort hot path.
     """
-    spec = attack_inflated_100k_spec()  # full: 100,000 honest + 100 attackers
+    spec = scenario_spec("attack-inflated-100k")  # full: 100,000 honest + 100 attackers
     assert spec.sessions[0].total_population() == 100_000
     assert spec.sessions[1].total_population() == 100
     start = time.perf_counter()
@@ -197,7 +193,7 @@ def test_attack_inflated_100k_wall_clock_budget():
 
 def test_attack_churn_flash_crowd_surges_to_100k():
     """The flash-crowd scenario grows the audience 100 -> 100k mid-session."""
-    spec = attack_churn_flash_crowd_spec()
+    spec = scenario_spec("attack-churn-flash-crowd")
     result = ExperimentRunner().run_one(spec)
     crowd = result.metrics["multicast"]["crowd"]
     assert crowd["population"] == 100_000
@@ -208,7 +204,8 @@ def test_attack_churn_flash_crowd_surges_to_100k():
 def test_scale_protection_sweep_grid():
     """The audience × attacker-fraction grid returns one result per point."""
     grid = [
-        scale_protection_spec(
+        scenario_spec(
+            "scale-protection",
             audience=audience,
             attacker_fraction=fraction,
             duration_s=12.0,
@@ -226,16 +223,23 @@ def test_scale_protection_sweep_grid():
 
 
 def test_scale_protection_attacker_sizing():
-    spec = scale_protection_spec(audience=1000, attacker_fraction=0.01)
+    spec = scenario_spec("scale-protection", audience=1000, attacker_fraction=0.01)
     assert spec.sessions[1].population[0].count == 10
     assert spec.sessions[0].population[0].count == 990
+    spec = scenario_spec("scale-protection", audience=2)
+    assert [s.population[0].count for s in spec.sessions] == [1, 1]
     with pytest.raises(ValueError):
-        scale_protection_spec(attacker_fraction=0.0)
+        scenario_spec("scale-protection", attacker_fraction=0.0)
+    # Audience 0 or 1 used to build 1 honest member and 1 attacker, and 10
+    # at 0.99 built 1 honest member and 10 attackers: 11 members.
+    for audience, fraction in ((0, 0.01), (1, 0.01), (10, 0.99), (-5, 0.5)):
+        with pytest.raises(ValueError, match="scale-protection: audience"):
+            scenario_spec("scale-protection", audience=audience, attacker_fraction=fraction)
 
 
 def test_cohort_population_weights_protection_baseline():
     """The honest baseline weighs the cohort as N receivers, not one."""
-    spec = scale_dumbbell_spec(receivers=200, duration_s=12.0, attack_start_s=4.0)
+    spec = scenario_spec("scale-dumbbell-10k", receivers=200, duration_s=12.0, attack_start_s=4.0)
     result = ExperimentRunner().run_one(spec)
     protection = result.metrics["protection"]
     audience_kbps = result.metrics["multicast"]["audience"]["receiver_kbps"][0]

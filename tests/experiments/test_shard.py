@@ -33,7 +33,6 @@ from repro.experiments import (
     execute_spec,
     plan_cell,
     plan_shards,
-    scale_dumbbell_10m_spec,
     scenario_spec,
 )
 from repro.experiments.runner import run_job
@@ -397,7 +396,8 @@ def _sans_region(region_spec: ScenarioSpec):
 
 def _flagship(seed: int) -> ScenarioSpec:
     """A reduced flagship: 4 regions of 2 edges, attackers on 4 edges only."""
-    return scale_dumbbell_10m_spec(
+    return scenario_spec(
+        "scale-dumbbell-10m",
         receivers=400, cohorts=8, attackers=40, attacker_cohorts=4, regions=4,
         edges_per_region=2, attack_start_s=ATTACK_START_S, duration_s=DURATION_S,
     ).with_seed(seed)

@@ -20,7 +20,6 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
     TcpDecl,
-    inflated_subscription_spec,
     list_figures,
     list_scenarios,
     plan_cell,
@@ -296,12 +295,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "scenario, param",
-        [
-            (entry.name, name)
-            for entry in list_scenarios()
-            for name, parameter in inspect.signature(entry.builder).parameters.items()
-            if parameter.kind is not inspect.Parameter.VAR_KEYWORD
-        ],
+        [(entry.name, name) for entry in list_scenarios() for name in entry.params],
     )
     def test_a_string_for_any_builder_parameter_is_refused_naming_it(self, scenario, param):
         """A string used to fail inside a builder's arithmetic (``'<' not
@@ -311,10 +305,23 @@ class TestRegistry:
             scenario_spec(scenario, **{param: "x"})
         assert param in str(refused.value)
 
+    def test_a_parameter_a_row_does_not_declare_is_refused_naming_it(self):
+        """The figure rows used to take ``protected`` through a ``**params``
+        lambda and fail inside it: "got multiple values for keyword argument
+        'protected'"."""
+        assert list(scenario_entry("figure7-defence").params) == ["attack_start_s", "duration_s"]
+        for name in ("figure1-attack", "figure7-defence"):
+            refusal = f"'{name}': unexpected keyword argument 'protected'"
+            with pytest.raises(TypeError, match=refusal):
+                scenario_spec(name, protected=False)
+        # A duel row hands what it does not declare to its strategy, which checks it.
+        with pytest.raises(ValueError, match="strategy 'churn' has no parameter 'hops'"):
+            scenario_spec("attack-flapping", hops=3)
+
 
 class TestInterpreter:
     def test_from_spec_builds_figure1_layout(self):
-        spec = inflated_subscription_spec(protected=False, duration_s=10.0)
+        spec = scenario_spec("figure1-attack", duration_s=10.0)
         scenario = Scenario.from_spec(spec)
         assert [s.spec.session_id for s in scenario.sessions] == ["F1", "F2"]
         assert [c.sender.name for c in scenario.tcp_connections] == ["T1", "T2"]

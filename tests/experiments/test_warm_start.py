@@ -34,9 +34,6 @@ from repro.experiments import (
     PrefixPlan,
     execute_spec,
     plan_prefix,
-    scale_dumbbell_10m_spec,
-    scale_dumbbell_spec,
-    scale_protection_spec,
     scenario_spec,
 )
 from repro.experiments.runner import (
@@ -130,7 +127,8 @@ def test_barrier_falls_while_sender_ticks_are_parked(scenario, tmp_path):
 
 def _protection_grid():
     return [
-        scale_protection_spec(
+        scenario_spec(
+            "scale-protection",
             audience=400,
             attacker_fraction=0.01,
             strategy=strategy,
@@ -192,7 +190,8 @@ def test_lone_cell_warms_only_with_durable_cache(tmp_path):
     assert durable.checkpoint_misses == 1
     # A later invocation sweeping the same prefix reuses the published blob.
     later = ExperimentRunner(jobs=1, cache_dir=tmp_path)
-    later.run([scale_protection_spec(
+    later.run([scenario_spec(
+        "scale-protection",
         audience=400, attacker_fraction=0.01, strategy="key-guessing",
         attack_start_s=12.0, duration_s=18.0)])
     assert later.checkpoint_hits == 1
@@ -208,7 +207,8 @@ def test_runner_warm_start_disabled(tmp_path):
 
 
 def _tiny_sharded(intensity):
-    return scale_dumbbell_10m_spec(
+    return scenario_spec(
+        "scale-dumbbell-10m",
         receivers=4000,
         cohorts=32,
         attackers=200,
@@ -314,7 +314,8 @@ def test_prefix_shared_across_swept_fields():
     """Strategy, intensity and name sweeps collapse to one canonical prefix."""
     keys = {
         plan_prefix(
-            scale_protection_spec(
+            scenario_spec(
+                "scale-protection",
                 audience=400,
                 strategy=strategy,
                 intensity=intensity,
@@ -327,13 +328,13 @@ def test_prefix_shared_across_swept_fields():
     }
     assert len(keys) == 1
     plan = plan_prefix(
-        scale_protection_spec(audience=400, attack_start_s=12.0, duration_s=18.0)
+        scenario_spec("scale-protection", audience=400, attack_start_s=12.0, duration_s=18.0)
     )
     assert plan.spec.name == PREFIX_NAME
     assert plan.barrier_s == 12.0
     # Fields that shape the prefix itself split the key.
     other = plan_prefix(
-        scale_protection_spec(audience=500, attack_start_s=12.0, duration_s=18.0)
+        scenario_spec("scale-protection", audience=500, attack_start_s=12.0, duration_s=18.0)
     )
     assert other.checkpoint_key() != plan.checkpoint_key()
 
@@ -363,14 +364,14 @@ def test_active_churn_before_divergence_never_shared():
 def test_plan_prefix_refuses_unplannable_specs():
     no_attack = scenario_spec("figure8-throughput")
     assert plan_prefix(no_attack) is None
-    early = scale_protection_spec(audience=400, attack_start_s=0.1, duration_s=18.0)
+    early = scenario_spec("scale-protection", audience=400, attack_start_s=0.1, duration_s=18.0)
     assert plan_prefix(early) is None  # less than one full slot of prefix
-    late = scale_protection_spec(audience=400, attack_start_s=18.0, duration_s=18.0)
+    late = scenario_spec("scale-protection", audience=400, attack_start_s=18.0, duration_s=18.0)
     assert plan_prefix(late) is None  # barrier would not land inside the run
 
 
 def test_corrupt_checkpoint_blob_is_a_miss(tmp_path):
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
     store = CheckpointStore(tmp_path)
@@ -453,11 +454,12 @@ def test_checkpoint_holds_the_current_state_only(tmp_path):
     assert "packet_pool" not in vars(scenario.network.multicast)
 
     _plan, scenario = _checkpointed(
-        scale_dumbbell_spec(receivers=300, cohorts=3, duration_s=18.0), tmp_path
+        scenario_spec("scale-dumbbell-10k", receivers=300, cohorts=3, duration_s=18.0), tmp_path
     )
     assert len(scenario.sessions[0].receivers) == 1
     plan, scenario = _checkpointed(
-        replace(scale_dumbbell_10m_spec(
+        replace(scenario_spec(
+            "scale-dumbbell-10m",
             receivers=2000, cohorts=16, attackers=20, attacker_cohorts=4,
             attack_start_s=6.0, duration_s=9.0,
         ), shards=None),
@@ -470,7 +472,7 @@ def test_checkpoint_holds_the_current_state_only(tmp_path):
 
 def test_verify_catches_forced_divergence(tmp_path):
     """A wrong blob planted under the cell's key trips the runtime check."""
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     plan = plan_prefix(spec)
     wrong = plan_prefix(spec.with_seed(99))
     # Published under the *wrong* key.
@@ -511,7 +513,7 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     """A prefix stops at its barrier; rebinding a cell onto it moves the
     default end of :meth:`Scenario.run` to the cell's duration, so the
     resumed scenario reads like a cold one."""
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
     _checkpoint_job(plan.block(tmp_path))
@@ -553,7 +555,7 @@ def test_blob_naming_a_disallowed_global_is_a_miss_and_runs_nothing(name, tmp_pa
     with pytest.raises(pickle.UnpicklingError):
         Scenario.restore(blob)
     key = plan_prefix(
-        scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+        scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     ).checkpoint_key()
     store = CheckpointStore(tmp_path)
     store.path(key).write_bytes(blob)
@@ -565,10 +567,10 @@ def test_checkpoint_key_is_the_same_in_every_interpreter():
     """The client, the daemon and every pool worker name one blob alike:
     the key depends on the prefix and the code alone, not on the process
     computing it (nor on its string-hash seed)."""
-    spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
+    spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     code = (
-        "from repro.experiments import plan_prefix, scale_protection_spec; "
-        "print(plan_prefix(scale_protection_spec("
+        "from repro.experiments import plan_prefix, scenario_spec; "
+        "print(plan_prefix(scenario_spec('scale-protection', "
         "audience=300, attack_start_s=12.0, duration_s=18.0)).checkpoint_key())"
     )
     src = Path(__file__).resolve().parents[2] / "src"

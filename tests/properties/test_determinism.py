@@ -56,9 +56,10 @@ def cohort_spec() -> ScenarioSpec:
 
 def vector_spec() -> ScenarioSpec:
     """Columnar vector blocks on a multi-edge dumbbell (PR 6 surface)."""
-    from repro.experiments import scale_dumbbell_1m_spec
+    from repro.experiments import scenario_spec
 
-    spec = scale_dumbbell_1m_spec(
+    spec = scenario_spec(
+        "scale-dumbbell-1m",
         receivers=600,
         cohorts=12,
         attackers=40,
@@ -173,28 +174,27 @@ def test_attack_grid_serial_and_parallel_paths_are_byte_identical():
 
 def scale_attack_specs():
     """Reduced variants of the adversarial-cohort / flash-crowd scenarios."""
-    from repro.experiments import (
-        attack_churn_flash_crowd_spec,
-        attack_collusion_100k_spec,
-        attack_inflated_100k_spec,
-        attack_keys_100k_spec,
-        scale_protection_spec,
-    )
+    from repro.experiments import scenario_spec
 
     return [
-        attack_inflated_100k_spec(
+        scenario_spec(
+            "attack-inflated-100k",
             receivers=300, attackers=3, duration_s=8.0, attack_start_s=2.0
         ),
-        attack_keys_100k_spec(
+        scenario_spec(
+            "attack-keys-100k",
             receivers=300, replayers=3, guessers=3, duration_s=8.0, attack_start_s=2.0
         ),
-        attack_collusion_100k_spec(
+        scenario_spec(
+            "attack-collusion-100k",
             receivers=300, publishers=3, exploiters=3, duration_s=8.0, attack_start_s=2.0
         ),
-        attack_churn_flash_crowd_spec(
+        scenario_spec(
+            "attack-churn-flash-crowd",
             initial=30, surge=270, surge_at_s=4.0, attack_start_s=2.0, duration_s=8.0
         ),
-        scale_protection_spec(
+        scenario_spec(
+            "scale-protection",
             audience=200,
             attacker_fraction=0.05,
             strategy="key-guessing",

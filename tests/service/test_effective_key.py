@@ -21,8 +21,8 @@ from repro.experiments import (
     Scenario,
     attack_duel_spec,
     execute_spec,
+    scenario_spec,
 )
-from repro.experiments.scale import scale_protection_spec
 
 from test_concurrency import fork_only, slow_worker
 
@@ -36,8 +36,14 @@ def duel(strategy, intensity, protected):
     """A short Figure 1/7 duel: the attacker shares a bottleneck sized for
     three fair shares with an honest session and a TCP flow, so it sees
     congestion from its onset at 2 s on."""
-    attack = AttackSpec(strategy, start_s=2.0, intensity=intensity)
-    return attack_duel_spec("duel", attack, protected=protected, duration_s=8.0)
+    return attack_duel_spec(
+        "duel",
+        stack=(AttackSpec(strategy),),
+        attack_start_s=2.0,
+        intensity=intensity,
+        protected=protected,
+        duration_s=8.0,
+    )
 
 
 @pytest.mark.parametrize("protected", (True, False), ids=("protected", "unprotected"))
@@ -82,7 +88,8 @@ def test_the_spec_keeps_its_declared_intensity_and_the_strategy_acts_on_the_effe
 def grid(seed):
     """The benchmark's 7-strategy × 3-intensity grid at a small audience."""
     return [
-        scale_protection_spec(
+        scenario_spec(
+            "scale-protection",
             audience=100,
             attacker_fraction=0.05,
             strategy=strategy,
