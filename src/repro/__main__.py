@@ -29,7 +29,8 @@ engine hot-path overhaul (see ``docs/performance.md``).
 ``serve`` runs the experiment daemon (see ``docs/service.md``); ``submit``
 sends a scenario sweep to a running daemon and streams the results back;
 ``status`` prints a daemon's introspection snapshot (queue depth, cache hit
-rate, worker health).
+rate, worker health).  Each subcommand imports only the layers it runs, so
+``status`` loads the client (:mod:`repro.service`) and no simulator.
 """
 
 from __future__ import annotations
@@ -41,24 +42,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .adversary import ADVERSARIES
-from .analysis.reporting import (
-    aggregate_metrics,
-    format_aggregate_table,
-    format_protection_table,
-    format_table,
-    write_json,
-)
-from .experiments import (
-    ExperimentRunner,
-    cache_stats,
-    list_scenarios,
-    prune_cache,
-    scenario_entry,
-)
-from .experiments.spec import MAX_DURATION_S
-from .simulator.topology import TOPOLOGIES
-
 
 def _first_doc_line(obj) -> str:
     """First docstring line, or empty (docstrings vanish under ``python -OO``)."""
@@ -66,12 +49,18 @@ def _first_doc_line(obj) -> str:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .experiments import list_scenarios
+
     rows = [(entry.name, entry.description) for entry in list_scenarios()]
     print(format_table(["scenario", "description"], rows))
     return 0
 
 
 def _cmd_topologies(_args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .simulator.topology import TOPOLOGIES
+
     rows = [
         (name, _first_doc_line(factory)) for name, factory in sorted(TOPOLOGIES.items())
     ]
@@ -80,6 +69,9 @@ def _cmd_topologies(_args: argparse.Namespace) -> int:
 
 
 def _cmd_adversaries(_args: argparse.Namespace) -> int:
+    from .adversary import ADVERSARIES
+    from .analysis.reporting import format_table
+
     rows = [
         (
             name,
@@ -124,6 +116,19 @@ def _port(text: str) -> int:
     if not text.strip().isdecimal() or int(text) > 65535:
         raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {text!r}")
     return int(text)
+
+
+def _job_budget(text: str) -> float:
+    """Parse ``serve --timeout``; its default, ``MAX_DURATION_S``, is read only
+    when ``serve`` parses, so no other subcommand loads the spec layer."""
+    if text == "MAX_DURATION_S":
+        from .experiments.spec import MAX_DURATION_S
+
+        return MAX_DURATION_S
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}") from None
 
 
 def _positive_seconds(text: str) -> float:
@@ -171,6 +176,8 @@ def _resolve_spec(args: argparse.Namespace):
     ``--duration`` and ``--param`` surface).  Prints an ``error:`` line and
     returns None on user error; callers exit 2.
     """
+    from .experiments import scenario_entry
+
     try:
         entry = scenario_entry(args.scenario)
     except KeyError as exc:
@@ -220,6 +227,8 @@ def _report_goodput(entry, results, out) -> Optional[Path]:
     """The report ``run`` and ``submit`` share: print the per-seed goodput
     table and, with ``out``, write ``<out>/<scenario>-runs.json`` (returns
     its path for the caller's own ``wrote ...`` line, else ``None``)."""
+    from .analysis.reporting import format_table, write_json
+
     rows = []
     for result in results:
         for session_id, session in result.metrics["multicast"].items():
@@ -234,6 +243,14 @@ def _report_goodput(entry, results, out) -> Optional[Path]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.reporting import (
+        aggregate_metrics,
+        format_aggregate_table,
+        format_protection_table,
+        write_json,
+    )
+    from .experiments import ExperimentRunner
+
     resolved = _resolve_spec(args)
     if resolved is None:
         return 2
@@ -287,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ServiceConfig, run_daemon
+    from .service.server import ServiceConfig, run_daemon
 
     if args.socket is None and args.port is None:
         print("error: serve needs --socket PATH or --port N", file=sys.stderr)
@@ -402,6 +419,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .experiments import cache_stats, prune_cache
+
     problem = _directory_error("--cache-dir", args.cache_dir, must_exist=True)
     if problem:
         print(problem, file=sys.stderr)
@@ -578,9 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout",
-        type=float,
-        default=MAX_DURATION_S,
-        help=f"default per-job wall-clock budget (s; default MAX_DURATION_S = {MAX_DURATION_S:g})",
+        type=_job_budget,
+        default="MAX_DURATION_S",
+        help="default per-job wall-clock budget (s; default %(default)s)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, help="pending-cell admission bound"

@@ -93,8 +93,9 @@ def attack_duel_spec(
     each strategy starts at ``attack_start_s`` with ``intensity``, and
     ``strategy_params`` override its parameters, which the strategy's
     declaration checks.  With ``in_run`` (the figure rows) the attack never
-    starts after the run ends; both times are checked by name before they
-    are compared.
+    starts after the run ends; without it an attack that starts when the run
+    has ended is refused.  Both times are checked by name before they are
+    compared.
     """
     receivers = max(index for attack in stack for index in attack.receivers) + 1
 
@@ -116,7 +117,13 @@ def attack_duel_spec(
         )
 
     spec = duel(attack_start_s)
-    return duel(duration_s) if in_run and attack_start_s > duration_s else spec
+    if attack_start_s < duration_s:
+        return spec
+    if in_run:
+        return duel(duration_s)
+    raise ValueError(
+        f"attack_start_s {attack_start_s:g} must be before the run ends (duration_s {duration_s:g})"
+    )
 
 
 #: The single-strategy duels: name, description and the attack ``F1``

@@ -52,11 +52,10 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Awaitable,
     Callable,
@@ -84,6 +83,9 @@ from .warmstart import (
     require_store_key,
     run_scenario,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - only JobExecutor loads the pool
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "CellPlan",
@@ -319,6 +321,8 @@ class JobExecutor:
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs, initializer=_init_worker)
         return self._pool
@@ -355,6 +359,9 @@ class JobExecutor:
         nobody has rebuilt yet; that is reported through the future, so a job
         that never started counts as a crashed attempt like any other.
         """
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._ensure_pool()
         try:
             # Looked up per call, so tests can substitute ``run_job`` itself.
@@ -375,6 +382,7 @@ class JobExecutor:
         application) gets the batch's loop on a helper thread.
         """
         import asyncio
+        from concurrent.futures import ThreadPoolExecutor
 
         self._inline = self.jobs == 1 or width <= 1
         try:
@@ -402,6 +410,7 @@ class JobExecutor:
         if self._inline:
             return (self._worker or run_job)(job)
         import asyncio
+        from concurrent.futures.process import BrokenProcessPool
 
         budget = self.timeout_s if timeout_s is None else timeout_s
         loop = asyncio.get_running_loop()

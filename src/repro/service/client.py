@@ -5,18 +5,22 @@ it connects to a daemon's Unix socket or TCP endpoint, validates the
 ``hello`` handshake, and exposes one method per protocol op.  The CLI's
 ``submit``/``status`` subcommands are built on it, and the test harness
 uses it directly — there is no async machinery on the client side, so any
-script (or REPL) can drive a daemon with a few lines.
+script (or REPL) can drive a daemon with a few lines.  It imports nothing
+above :mod:`repro.service.protocol`: :meth:`stream` yields event dicts, and
+only :meth:`run` loads the experiments layer, to return :class:`RunResult` objects.
 """
 
 from __future__ import annotations
 
 import socket
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Union
 
-from ..experiments.metrics import RunResult
-from ..experiments.spec import ScenarioSpec
 from .protocol import PROTOCOL_VERSION, ProtocolError, decode_line, encode_message
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (keeps the client light)
+    from ..experiments.metrics import RunResult
+    from ..experiments.spec import ScenarioSpec
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -135,6 +139,8 @@ class ServiceClient:
         results are in the shared cache regardless).  ``on_event`` observes
         every streamed event — the CLI uses it for progress lines.
         """
+        from ..experiments.metrics import RunResult
+
         results: List[RunResult] = []
         failures: List[str] = []
         for event in self.stream(spec, seeds=seeds, timeout_s=timeout_s):

@@ -18,6 +18,7 @@ their results, then connections are told ``bye`` and the process exits.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures.process  # JobExecutor's pool, loaded before workers fork
 import contextlib
 import signal
 import sys

@@ -384,12 +384,14 @@ class TestDeclaredParameters:
                 ["attack-key-replay", "--param", "intensity=true"],
                 "scenario 'attack-key-replay': intensity: expected float",
             ),
+            # The row's attack starts at 20 s, after a 12 s run has ended.
+            (["attack-flapping", "--duration", "12"], "attack_start_s 20"),
         ],
     )
     def test_cli_refuses_the_spec_before_it_runs(self, argv, field, capsys):
         from repro.__main__ import main
 
-        duration = [] if "duration_s=x" in argv else ["--duration", "2"]
+        duration = [] if "duration_s=x" in argv or "--duration" in argv else ["--duration", "2"]
         assert main(["run", *argv, *duration]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and field in line
@@ -425,12 +427,33 @@ class TestAttackScenarios:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def test_attack_scheduled_past_the_run_yields_no_protection_block(self):
-        """A clamped zero-width window must not fabricate containment results."""
+        """A clamped zero-width window must not fabricate containment results.
+
+        A figure row clamps a late attack to the run's end; the attack rows
+        refuse it (below)."""
         from repro.experiments import execute_spec
 
-        spec = scenario_spec("attack-flapping", duration_s=6.0, attack_start_s=50.0)
+        spec = scenario_spec("figure7-defence", duration_s=6.0, attack_start_s=50.0)
+        assert spec.sessions[0].attacks[0].start_s == 6.0
         result = execute_spec(spec)
         assert "protection" not in result.metrics
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "attack-flapping",
+            "attack-key-guessing",
+            "attack-key-replay",
+            "attack-join-storm",
+            "attack-ignore-congestion",
+            "attack-composite",
+        ],
+    )
+    @pytest.mark.parametrize("attack_start_s", [10.0, 50.0])
+    def test_an_attack_row_refuses_an_attack_that_never_starts(self, name, attack_start_s):
+        """It used to run the whole cell honestly under an attack's name."""
+        with pytest.raises(ValueError, match=r"attack_start_s .*\(duration_s 10\)"):
+            scenario_spec(name, duration_s=10.0, attack_start_s=attack_start_s)
 
     def test_intensity_parameter_reaches_the_strategy(self):
         spec = scenario_spec(

@@ -302,12 +302,12 @@ class TestCli:
         assert spec.shards == len(spec.network_topology.regions) == 4
 
     @staticmethod
-    def _modules_after(modules, package="numpy"):
-        """The ``package`` modules a fresh interpreter holds after importing
-        ``modules``."""
+    def _modules_after(modules, prefix="numpy"):
+        """The modules a fresh interpreter holds after importing ``modules``
+        that are ``prefix`` (a dotted module name) or lie below it."""
         code = (
             f"import sys, {', '.join(modules)}; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix!r} + '.')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -334,11 +334,48 @@ class TestCli:
         pulls numpy back into start-up."""
         assert self._modules_after([package]) == "[]"
 
-    @pytest.mark.parametrize("module", ["repro.experiments", "repro.__main__"])
+    @pytest.mark.parametrize("module", ["repro.experiments", "repro.__main__", "repro.service"])
     def test_batch_side_imports_without_asyncio(self, module):
         """The pool the runner shares with the daemon imports asyncio only
         when a batch runs or the daemon awaits it."""
         assert self._modules_after([module], "asyncio") == "[]"
+
+    @pytest.mark.parametrize(
+        "module, prefix",
+        [
+            ("repro.service", "concurrent"),
+            ("repro.service", "repro.simulator"),
+            ("repro.service", "repro.experiments"),
+            ("repro.experiments", "concurrent"),
+            ("repro.experiments", "multiprocessing"),
+        ],
+    )
+    def test_an_entry_point_loads_no_layer_it_does_not_run(self, module, prefix):
+        """The client surface (``repro.service``) imports the wire protocol
+        and nothing above it; an in-process run (``execute_spec``) starts no
+        pool, so only ``JobExecutor`` imports one."""
+        assert self._modules_after([module], prefix) == "[]"
+
+    def test_status_loads_only_the_client(self, tmp_path):
+        """``python -m repro status`` imports per subcommand, so asking a
+        (here missing) daemon for one line of JSON loads no simulator."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "status",
+             "--socket", str(tmp_path / "missing.sock")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: cannot reach the daemon" in proc.stderr
+        loaded = [
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.service.client" in loaded
+        assert [m for m in loaded if m.startswith(("repro.simulator", "asyncio"))] == []
 
     @pytest.mark.parametrize("seeds", ["0", "-1", "two", "1.5"])
     @pytest.mark.parametrize(

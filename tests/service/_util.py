@@ -16,7 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service import ExperimentService, ServiceClient, ServiceConfig
+from repro.service import ServiceClient
+from repro.service.server import ExperimentService, ServiceConfig
 from repro.service.protocol import decode_line, encode_message
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"

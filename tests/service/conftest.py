@@ -7,7 +7,7 @@ Two harnesses, used by different tests (both implemented in ``_util.py``):
   the CLI surface.  The factories wait for the daemon's ``listening``
   announcement before returning and guarantee teardown.
 * ``service_loop`` — an in-process
-  :class:`~repro.service.ExperimentService` inside a test-owned event
+  :class:`~repro.service.server.ExperimentService` inside a test-owned event
   loop, for fault injection (the pool's worker entry point can be
   monkeypatched, which ``fork``-started workers inherit) and for
   deterministic cross-connection concurrency tests.

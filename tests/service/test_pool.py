@@ -30,8 +30,7 @@ from repro.experiments import (
     SessionDecl,
     plan_cell,
 )
-from repro.experiments.runner import describe_job, run_job
-from repro.service import JobTimeoutError
+from repro.experiments.runner import JobTimeoutError, describe_job, run_job
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",

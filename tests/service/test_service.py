@@ -10,6 +10,7 @@ op answers in-band and never kills the connection's other work.
 import asyncio
 import hashlib
 import json
+import os
 import select
 import subprocess
 import sys
@@ -68,6 +69,24 @@ class TestDefaultBudget:
             assert service.pool.timeout_s == MAX_DURATION_S
         finally:
             service.pool.close()
+
+
+class TestFootprint:
+    def test_the_daemon_loads_the_cell_pipeline_before_it_listens(self, daemon, monkeypatch):
+        """Fork-started pool workers inherit what the daemon has loaded, so
+        no request pays an import: the runner, the pool and the simulator
+        are in before the ``listening`` line (which the factory waits for)."""
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+        handle = daemon()
+        stderr = handle.proc.stderr.fileno()
+        os.set_blocking(stderr, False)
+        loaded = {
+            line.rpartition("|")[2].strip()
+            for line in os.read(stderr, 1 << 20).decode().splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"repro.experiments.runner", "concurrent.futures.process"} <= loaded
+        assert any(module.startswith("repro.simulator.") for module in loaded)
 
 
 class TestEndToEnd:
