@@ -64,7 +64,7 @@ from .figure9 import PAPER_GROUP_COUNTS, PAPER_SLOT_DURATIONS, figure9_model
 from .scale import scale_dumbbell_spec, scale_protection_spec
 from .scenario import MulticastSession, Scenario
 from .shard import ShardPlan, merge_region_results, plan_shards
-from .warmstart import CheckpointStore, PrefixPlan, plan_prefix
+from .warmstart import PrefixPlan, plan_prefix
 from ..multicast_cc.churn import ChurnProcess
 
 __all__ = [
@@ -99,7 +99,6 @@ __all__ = [
     "plan_cell",
     "plan_cells",
     "prune_cache",
-    "CheckpointStore",
     "PrefixPlan",
     "plan_prefix",
     "attack_duel_spec",

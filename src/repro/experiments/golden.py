@@ -18,8 +18,8 @@ from typing import Any, Dict
 
 from ..analysis.convergence import subscription_vector
 from .metrics import collect_metrics
+from .runner import run_scenario
 from .spec import ScenarioSpec, canonical_json
-from .warmstart import run_scenario
 
 __all__ = ["scenario_trace_digest"]
 

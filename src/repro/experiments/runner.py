@@ -11,10 +11,12 @@ result comes back as canonical JSON, so the two paths produce byte-identical
 documents for the same spec and seed.
 
 Results can be cached on disk (``cache_dir``): the cache key is the SHA-256
-of the effective spec's canonical JSON (every attack at the intensity its
-strategy reads), so a cache hit is definitionally the same experiment.
-Cache entries are written atomically (tmp sibling + ``os.replace``) and
-unparsable entries read as misses, so runners can share one cache
+of the code digest and the effective spec's canonical JSON (every attack at
+the intensity its strategy reads), so a cache hit is definitionally the same
+experiment.  The same directory holds the warm-start prefix blobs, and
+:class:`ResultCache` is its one store: it names both kinds of entry,
+publishes them atomically (tmp sibling + ``os.replace``) and reads a torn,
+foreign or other-digest entry as a miss, so runners can share one cache
 directory and an interrupted run can never poison later ones.
 
 Every cell — batch, sharded, warm-started or served by the daemon — goes
@@ -33,6 +35,8 @@ through one pipeline, **plan → run → assemble**:
   hand each job to :meth:`JobExecutor.run`, the one retry loop.
 * :func:`run_job` executes one job in a worker — the one worker entry
   point, and with :func:`describe_job` the one reader of a job's payload.
+  :func:`run_scenario` is the body of a ``spec`` or ``warm`` job: a cold
+  build, or a prefix blob restored (built on a miss) and the cell rebound.
 * :mod:`repro.experiments.metrics` measures a finished run and assembles
   one document, or one per region
   (:func:`~repro.experiments.shard.merge_region_results`), into the metric
@@ -47,6 +51,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import tempfile
@@ -62,7 +67,9 @@ from typing import (
     Coroutine,
     Dict,
     Iterable,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -73,16 +80,7 @@ from .metrics import RunResult, collect_ingredients, collect_metrics
 from .scenario import Scenario
 from .shard import ShardPlan, merge_region_results, plan_shards
 from .spec import ScenarioSpec, canonical_json
-from .warmstart import (
-    CheckpointStore,
-    PrefixPlan,
-    _ensure_checkpoint,
-    effective_spec,
-    plan_prefix,
-    publish_atomically,
-    require_store_key,
-    run_scenario,
-)
+from .warmstart import PrefixPlan, effective_spec, plan_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - only JobExecutor loads the pool
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -102,6 +100,7 @@ __all__ = [
     "prune_cache",
     "run_cell_jobs",
     "run_job",
+    "run_scenario",
     "run_setup_jobs",
     "timeout_budget",
 ]
@@ -113,6 +112,45 @@ __all__ = [
 def execute_spec(spec: ScenarioSpec) -> RunResult:
     """Interpret and run one spec in-process, returning its result."""
     return RunResult.for_spec(spec, collect_metrics(run_scenario(spec), spec))
+
+
+def _ensure_checkpoint(block: Mapping[str, Any]) -> Tuple[Scenario, bool]:
+    """(scenario at the barrier, whether an existing blob was reused).
+
+    ``block`` names the checkpoint (:meth:`PrefixPlan.block`).  On a miss
+    the canonical prefix spec is realised with the cell's edge classes, run
+    up to (excluding) the barrier and published.
+    """
+    store = ResultCache(Path(block["dir"]))
+    scenario = store.load_blob(block["key"])
+    if scenario is not None:
+        return scenario, True
+    scenario = Scenario.from_spec(
+        ScenarioSpec.from_dict(block["prefix"]), block["edge_classes"]
+    )
+    scenario.run_to_barrier(block["barrier_s"])
+    store.store_blob(block["key"], scenario)
+    return scenario, False
+
+
+def run_scenario(
+    spec: ScenarioSpec, warm: Optional[Mapping[str, Any]] = None
+) -> Scenario:
+    """Realise ``spec`` and run it to the end — the body of a cell's job.
+
+    Cold (``warm is None``) the scenario is built from the spec at ``t=0``.
+    Warm, ``warm`` names a prefix checkpoint (see :func:`_ensure_checkpoint`):
+    the blob is restored, or rebuilt in place on a miss — a concurrently
+    pruned or torn blob degrades to a cold prefix, never an error — and the
+    cell's real declarations are rebound onto it.
+    """
+    if warm is None:
+        scenario = Scenario.from_spec(spec)
+    else:
+        scenario, _reused = _ensure_checkpoint(warm)
+        scenario.rebind_spec(spec)
+    scenario.run(spec.duration_s)
+    return scenario
 
 
 def run_job(job: Tuple[str, str]) -> str:
@@ -127,7 +165,7 @@ def run_job(job: Tuple[str, str]) -> str:
     * ``"checkpoint"`` builds (or finds) the ``warm`` blob and reports
       whether a published one was reused;
     * ``"spec"`` runs the cell cold and ``"warm"`` resumes it from the
-      ``warm`` blob (:func:`~repro.experiments.warmstart.run_scenario`); both
+      ``warm`` blob (:func:`run_scenario`); both
       return the result document.  With ``verify`` a warm cell is also run
       cold, and the two documents must be byte-identical;
     * ``"region"`` runs one region of a sharded cell from ``t=0``, every
@@ -482,16 +520,38 @@ class JobExecutor:
         self.close()
 
 
-class ResultCache:
-    """The on-disk, content-addressed result store.
+#: The one spelling of a cache directory's names.  Each kind of entry is
+#: ``<prefix><key><suffix>``, and :meth:`ResultCache._publish` writes it to a
+#: ``<entry name>.<random>.tmp`` sibling first (:func:`tempfile.mkstemp`'s
+#: alphabet).  Any other file sharing the directory (a ``run --out``
+#: document, a user's notes) is not the store's.
+_ENTRIES = {"results": ("", ".json"), "checkpoints": ("ck_", ".pkl")}
+_KEY = re.compile(r"[0-9a-f]{64}")
+_NAME = re.compile(
+    "(?:"
+    + "|".join(
+        f"(?P<{kind}>{re.escape(prefix)}{_KEY.pattern}{re.escape(suffix)})"
+        for kind, (prefix, suffix) in _ENTRIES.items()
+    )
+    + r")(?P<siblings>\.[a-z0-9_]+\.tmp)?"
+)
 
-    One directory maps ``sha256(version tag + canonical effective spec
-    JSON)`` to the spec's canonical result document (``<key>.json``).  The
-    store is safe to share between concurrent runners, the service daemon
-    and its clients: entries are published atomically (per-call tmp +
-    :func:`os.replace`) and a torn or corrupt entry reads as a miss, never
-    as state.  With no directory every operation is a no-op/miss, so
-    callers need no branching.
+
+class ResultCache:
+    """The one store of a cache directory: result documents and prefix blobs.
+
+    ``<key>.json`` holds the canonical result document of the spec whose
+    :meth:`key` is ``key``; ``ck_<key>.pkl`` holds the
+    :meth:`~repro.experiments.scenario.Scenario.checkpoint` of the prefix
+    whose :meth:`~repro.experiments.warmstart.PrefixPlan.checkpoint_key` is
+    ``key``.  Both keys start from :func:`repro.code_digest`.  This class
+    alone names the entries, checks their keys, publishes them and reads
+    them back, so the directory is safe to share between concurrent
+    runners, the service daemon and its clients: an entry is published
+    whole (per-call tmp sibling + :func:`os.replace`), and a torn, foreign
+    or other-digest entry reads as a miss, never as state.  With no
+    directory every result operation is a no-op/miss, so callers need no
+    branching.
     """
 
     def __init__(self, directory: Optional[Path]) -> None:
@@ -515,34 +575,92 @@ class ResultCache:
             (code_digest() + ":" + effective_spec(spec).to_json()).encode("utf-8")
         ).hexdigest()
 
+    # ------------------------------------------------------------------
+    def _path(self, kind: str, key: str) -> Optional[Path]:
+        """Where the ``kind`` entry under ``key`` lives (``None`` with no directory).
+
+        Keys arrive in worker payloads and are joined into a path, so anything
+        but a content address (64 lowercase hex characters) — an absolute
+        path, ``..``, a NUL byte — raises :class:`ValueError` before it can
+        name a file outside the store.
+        """
+        if not isinstance(key, str) or _KEY.fullmatch(key) is None:
+            raise ValueError(
+                f"invalid store key {key!r}: expected 64 lowercase hex characters"
+            )
+        if self.directory is None:
+            return None
+        prefix, suffix = _ENTRIES[kind]
+        return self.directory / f"{prefix}{key}{suffix}"
+
+    def _read(self, kind: str, key: str) -> Optional[bytes]:
+        """The bytes of the ``kind`` entry under ``key``, or ``None``."""
+        path = self._path(kind, key)
+        try:
+            return None if path is None else path.read_bytes()
+        except OSError:
+            return None
+
+    def _publish(self, kind: str, key: str, data: bytes) -> None:
+        """Write ``data`` as the ``kind`` entry under ``key``, all or nothing.
+
+        The bytes go to a ``.tmp`` sibling of their own (so two threads of one
+        process publishing one entry cannot share it) that is
+        :func:`os.replace`-d into place: concurrent writers and interrupted
+        runs leave the old entry or the whole new one under its name, nothing
+        in between; whatever interrupts the write, the sibling is removed.
+        """
+        path = self._path(kind, key)
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def files(self) -> Iterator[Tuple[str, Path, os.stat_result]]:
+        """``(kind, path, stat)`` of every file of the directory the store wrote.
+
+        ``kind`` is ``"results"``, ``"checkpoints"`` or ``"siblings"`` (an
+        unfinished or abandoned publish); a file removed meanwhile is skipped.
+        """
+        if self.directory is None:
+            return
+        for path in self.directory.glob("*"):
+            match = _NAME.fullmatch(path.name)
+            if match is None:
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            yield match.lastgroup, path, stat
+
+    # ------------------------------------------------------------------
     def load_key(self, key: str) -> Optional[RunResult]:
         """The result stored under ``key``, or ``None`` on a miss.
 
         An entry that does not parse back into a :class:`RunResult` (torn or
         truncated) is a miss, re-run and overwritten, so a shared cache
-        directory cannot poison later runs.  ``key`` is
-        joined into a path, so anything but a content address raises
-        :class:`ValueError`
-        (:func:`~repro.experiments.warmstart.require_store_key`) instead of
-        naming a path outside the store.
+        directory cannot poison later runs.
         """
-        require_store_key(key)
-        if self.directory is None:
-            return None
+        data = self._read("results", key)
         try:
-            return RunResult.from_json((self.directory / f"{key}.json").read_text())
-        except (OSError, ValueError, KeyError, TypeError):
+            return None if data is None else RunResult.from_json(data.decode("utf-8"))
+        except (ValueError, KeyError, TypeError):
             return None
 
     def store_key(self, key: str, output: str) -> None:
-        """Atomically publish ``output`` as the cache entry under ``key``.
-
-        Readers see the old state or the whole new document, nothing in
-        between (:func:`~repro.experiments.warmstart.publish_atomically`).
-        """
-        require_store_key(key)
-        if self.directory is not None:
-            publish_atomically(self.directory / f"{key}.json", output.encode("utf-8"))
+        """Publish ``output`` as the result document under ``key``."""
+        self._publish("results", key, output.encode("utf-8"))
 
     def load(self, spec: ScenarioSpec) -> Optional[RunResult]:
         """The cached result for ``spec`` (:meth:`load_key` of its key)."""
@@ -551,6 +669,29 @@ class ResultCache:
     def store(self, spec: ScenarioSpec, output: str) -> None:
         """Publish ``output`` for ``spec`` (:meth:`store_key` of its key)."""
         self.store_key(self.key(spec), output)
+
+    # ------------------------------------------------------------------
+    def has_blob(self, key: str) -> bool:
+        """True when a prefix blob is published under ``key`` (not validated)."""
+        path = self._path("checkpoints", key)
+        return path is not None and path.exists()
+
+    def load_blob(self, key: str) -> Optional[Scenario]:
+        """The checkpointed scenario under ``key``, or ``None`` on a miss.
+
+        A torn blob, one stamped by other code, or one naming a global the
+        checkpoint unpickler refuses (:meth:`Scenario.restore`) is a miss.
+        """
+        blob = self._read("checkpoints", key)
+        try:
+            return None if blob is None else Scenario.restore(blob)
+        except (ValueError, pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError, TypeError):
+            return None
+
+    def store_blob(self, key: str, scenario: Scenario) -> None:
+        """Publish ``scenario``'s checkpoint as the prefix blob under ``key``."""
+        self._publish("checkpoints", key, scenario.checkpoint())
 
 
 # ----------------------------------------------------------------------
@@ -644,9 +785,9 @@ def plan_cells(
 
     blobs_of: Dict[int, Dict[str, Any]] = {}
     verified = set()
-    store = CheckpointStore(Path(checkpoint_dir)) if groups else None
+    store = ResultCache(Path(checkpoint_dir)) if groups else None
     for key, (prefix, members) in groups.items():
-        published = store.exists(key)
+        published = store.has_blob(key)
         if len(members) < 2 and not published and not durable:
             continue
         blob = prefix.block(store.directory)
@@ -854,73 +995,42 @@ class ExperimentRunner:
 # ----------------------------------------------------------------------
 # cache maintenance
 # ----------------------------------------------------------------------
-#: The names the two stores write, and the ``<name>.<random>.tmp`` siblings
-#: :func:`publish_atomically` makes of them.  Any other file sharing the
-#: directory (a ``run --out`` document, a user's notes) is not the cache's.
-_RESULT_NAME = re.compile(r"[0-9a-f]{64}\.json")
-_CHECKPOINT_NAME = re.compile(r"ck_[0-9a-f]{64}\.pkl")
-_SIBLING_NAME = re.compile(
-    rf"(?:{_RESULT_NAME.pattern}|{_CHECKPOINT_NAME.pattern})\.[a-z0-9_]+\.tmp"
-)
-
-
-def _store_files(directory: Path, *names: re.Pattern) -> List[Path]:
-    """The files of ``directory`` whose whole name matches one of ``names``."""
-    return [
-        path
-        for path in directory.glob("*")
-        if any(name.fullmatch(path.name) for name in names)
-    ]
-
-
 def cache_stats(cache_dir: Path) -> Dict[str, Any]:
     """Size and entry counts of one cache directory, by entry kind.
 
     ``results`` counts the runner's ``<sha256>.json`` result documents,
-    ``checkpoints`` the warm-start ``ck_<sha256>.pkl`` prefix blobs.
+    ``checkpoints`` the warm-start ``ck_<sha256>.pkl`` prefix blobs
+    (:meth:`ResultCache.files`).
     """
     directory = Path(cache_dir)
-
-    def tally(paths: Iterable[Path]) -> Dict[str, int]:
-        entries = 0
-        total = 0
-        for path in paths:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-        return {"entries": entries, "bytes": total}
-
-    results = tally(_store_files(directory, _RESULT_NAME))
-    checkpoints = tally(_store_files(directory, _CHECKPOINT_NAME))
+    tally = {kind: {"entries": 0, "bytes": 0} for kind in _ENTRIES}
+    for kind, _path, stat in ResultCache(directory).files():
+        if kind in tally:
+            tally[kind]["entries"] += 1
+            tally[kind]["bytes"] += stat.st_size
     return {
         "path": str(directory),
-        "results": results,
-        "checkpoints": checkpoints,
-        "total_bytes": results["bytes"] + checkpoints["bytes"],
+        "results": tally["results"],
+        "checkpoints": tally["checkpoints"],
+        "total_bytes": tally["results"]["bytes"] + tally["checkpoints"]["bytes"],
     }
 
 
 def prune_cache(cache_dir: Path, max_bytes: int) -> Dict[str, Any]:
     """Evict cache entries, oldest first, until the store fits ``max_bytes``.
 
-    Both entry kinds (result documents and checkpoint blobs) and any
-    leftover ``.tmp`` siblings of them compete by modification time; no
-    other file is touched.  Eviction is safe at any point because every
-    reader treats a missing or torn entry as a miss.
+    Every file the store wrote (:meth:`ResultCache.files`: result documents,
+    checkpoint blobs and leftover ``.tmp`` siblings of them) competes by
+    modification time; no other file is touched.  Eviction is safe at any
+    point because every reader treats a missing or torn entry as a miss.
     """
     if max_bytes < 0:
         raise ValueError("max_bytes must be non-negative")
     directory = Path(cache_dir)
-    entries: List[Tuple[float, str, Path, int]] = []
-    for path in _store_files(directory, _RESULT_NAME, _CHECKPOINT_NAME, _SIBLING_NAME):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, path.name, path, stat.st_size))
-    entries.sort()
+    entries = sorted(
+        (stat.st_mtime, path.name, path, stat.st_size)
+        for _kind, path, stat in ResultCache(directory).files()
+    )
     total = sum(size for _, _, _, size in entries)
     deleted = 0
     freed = 0

@@ -301,7 +301,7 @@ class Scenario:
         self.sigma_agents: List[SigmaRouterAgent] = []
         self.igmp_managers: List[IgmpGroupManager] = []
         self.slot_clock: Optional[SlotClock] = None
-        # Always None: read by benchmarks/e2e/traced.py until ROADMAP.md item 1.
+        # Always None: read by benchmarks/e2e/traced.py until ROADMAP.md item 2.
         self.population_table: None = None
         self._next_port = 5000
 

@@ -1,8 +1,8 @@
-"""Common-prefix planning and checkpoint storage for warm-started grids.
+"""Common-prefix planning for warm-started grids: pure, with no I/O.
 
 Every paper sweep re-simulates an identical warm-up prefix in each grid
 cell: the honest audience runs unperturbed from ``t=0`` until the cell's
-attack schedule starts.  This module amortises that prefix across cells.
+attack schedule starts.  This module finds that prefix, so cells can share it.
 
 * :func:`plan_prefix` — the **canonicalizer**.  Given one cell's spec it
   finds the last slot barrier at (or before) the earliest attack onset and
@@ -17,18 +17,15 @@ attack schedule starts.  This module amortises that prefix across cells.
 * :func:`effective_spec` — the second canonical form, through the same
   walker: every attack at the intensity its strategy acts on.  The result
   cache key (:meth:`~repro.experiments.runner.ResultCache.key`) hashes it.
-* :class:`CheckpointStore` — content-addressed pickle blobs next to the
-  runner's result cache (``ck_<sha256>.pkl``), published atomically via a
-  per-call tmp sibling + :func:`os.replace`; torn, corrupt or
-  version-mismatched blobs read as misses, never as state.
-* :func:`run_scenario` — the body of the ``spec`` and ``warm`` jobs
-  (:func:`~repro.experiments.runner.run_job`): obtain a scenario (cold
-  :meth:`Scenario.from_spec`, or a restored prefix with the cell's real
-  declarations rebound by :meth:`Scenario.rebind_spec`) and run it to the
-  end.  A cold run is the warm run with no prefix; a ``checkpoint`` job is
-  :func:`_ensure_checkpoint` alone.  A warm run is byte-identical to a cold
-  run — the golden warm-start suite asserts it for every golden scenario
-  and a job's ``verify`` re-checks it at runtime.
+* :class:`PrefixPlan` — a prefix's canonical spec and barrier, the content
+  address of its checkpoint blob, and the block a job's payload names it by.
+
+The blobs themselves live in the cell's cache directory, whose one store is
+:class:`~repro.experiments.runner.ResultCache`; the worker half of a warm
+start (build or restore the prefix, rebind the cell, run it to the end) is
+:func:`~repro.experiments.runner.run_scenario`.  A warm run is
+byte-identical to a cold run — the golden warm-start suite asserts it for
+every golden scenario and a job's ``verify`` re-checks it at runtime.
 
 Why byte-identity holds: the barrier cut is *exclusive*
 (:meth:`Scenario.run_to_barrier`), so events scheduled at exactly the
@@ -43,30 +40,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-import re
-import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import code_digest
 from ..adversary.registry import ADVERSARIES
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
-from .scenario import Scenario, interchangeable_edges
+from .scenario import interchangeable_edges
 from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
 __all__ = [
     "PrefixPlan",
     "plan_prefix",
     "effective_spec",
-    "CheckpointStore",
-    "publish_atomically",
-    "require_store_key",
-    "run_scenario",
 ]
 
 #: Placeholder name for every canonical prefix spec — the scenario name
@@ -200,7 +189,7 @@ class PrefixPlan:
         """How workers are told about this prefix's blob under ``directory``.
 
         The ``warm`` key of a ``checkpoint`` or ``warm`` job's payload
-        (consumed by :func:`_ensure_checkpoint`).
+        (consumed by :func:`~repro.experiments.runner.run_scenario`).
         """
         return {
             "dir": str(directory),
@@ -248,126 +237,3 @@ def plan_prefix(spec: ScenarioSpec) -> Optional[PrefixPlan]:
         ),
     )
     return PrefixPlan(barrier_s, prefix, interchangeable_edges(spec))
-
-
-# ----------------------------------------------------------------------
-# checkpoint storage
-# ----------------------------------------------------------------------
-_STORE_KEY = re.compile(r"[0-9a-f]{64}")
-
-
-def require_store_key(key: str) -> str:
-    """``key`` itself when it is a content address, else :class:`ValueError`.
-
-    Every result-cache and blob-store key is a SHA-256 hex digest, and keys
-    are joined into a path.  They also arrive in worker payloads, so
-    anything but 64 lowercase hex characters — an absolute path, ``..``, a
-    NUL byte — is refused before it can name a file outside the store.
-    """
-    if not isinstance(key, str) or _STORE_KEY.fullmatch(key) is None:
-        raise ValueError(
-            f"invalid store key {key!r}: expected 64 lowercase hex characters"
-        )
-    return key
-
-
-def publish_atomically(path: Path, data: bytes) -> None:
-    """Write ``data`` under ``path`` so readers never see a torn file.
-
-    The bytes go to a ``.tmp`` sibling of their own (:func:`tempfile.mkstemp`,
-    so two threads of one process publishing the same path cannot share it)
-    that is :func:`os.replace`-d into place: concurrent writers sharing one
-    directory and interrupted runs leave the old state or the whole new
-    file under the final name, nothing in between; whatever interrupts the
-    write, the sibling is removed.  The one publish step of the result
-    cache and the checkpoint store.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-class CheckpointStore:
-    """Content-addressed prefix checkpoints in one directory.
-
-    Blob files are named ``ck_<key>.pkl`` so they live alongside the
-    runner's ``<key>.json`` result entries without colliding.  Publication
-    is atomic (per-call tmp + :func:`os.replace`) and every read
-    validates the checkpoint version — a torn or stale blob is a miss.
-    """
-
-    def __init__(self, directory: Path) -> None:
-        self.directory = Path(directory)
-
-    def path(self, key: str) -> Path:
-        """The blob path for ``key`` (:func:`require_store_key` applies)."""
-        return self.directory / f"ck_{require_store_key(key)}.pkl"
-
-    def exists(self, key: str) -> bool:
-        """True when a blob is published under ``key`` (not validated)."""
-        return self.path(key).exists()
-
-    def load(self, key: str) -> Optional[Scenario]:
-        """Restore the checkpointed scenario for ``key``, or ``None``."""
-        path = self.path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return Scenario.restore(blob)
-        except (ValueError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError):
-            return None
-
-    def save(self, key: str, scenario: Scenario) -> None:
-        """Atomically publish ``scenario``'s checkpoint under ``key``."""
-        publish_atomically(self.path(key), scenario.checkpoint())
-
-
-def _ensure_checkpoint(block: Mapping[str, Any]) -> Tuple[Scenario, bool]:
-    """(scenario at the barrier, whether an existing blob was reused).
-
-    ``block`` names the checkpoint (:meth:`PrefixPlan.block`).  On a miss
-    the canonical prefix spec is realised with the cell's edge classes, run
-    up to (excluding) the barrier and published.
-    """
-    store = CheckpointStore(Path(block["dir"]))
-    scenario = store.load(block["key"])
-    if scenario is not None:
-        return scenario, True
-    scenario = Scenario.from_spec(
-        ScenarioSpec.from_dict(block["prefix"]), block["edge_classes"]
-    )
-    scenario.run_to_barrier(block["barrier_s"])
-    store.save(block["key"], scenario)
-    return scenario, False
-
-
-def run_scenario(
-    spec: ScenarioSpec, warm: Optional[Mapping[str, Any]] = None
-) -> Scenario:
-    """Realise ``spec`` and run it to the end — the body of a cell's job.
-
-    Cold (``warm is None``) the scenario is built from the spec at ``t=0``.
-    Warm, ``warm`` names a prefix checkpoint (see :func:`_ensure_checkpoint`):
-    the blob is restored, or rebuilt in place on a miss — a concurrently
-    pruned or torn blob degrades to a cold prefix, never an error — and the
-    cell's real declarations are rebound onto it.
-    """
-    if warm is None:
-        scenario = Scenario.from_spec(spec)
-    else:
-        scenario, _reused = _ensure_checkpoint(warm)
-        scenario.rebind_spec(spec)
-    scenario.run(spec.duration_s)
-    return scenario

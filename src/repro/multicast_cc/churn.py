@@ -20,8 +20,8 @@ that stops submitting keys behind a still-active interface).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["ChurnProcess"]
 
@@ -77,13 +77,3 @@ class ChurnProcess:
         population -= math.floor(self.departure_rate * elapsed_s)
         population += sum(delta for time_s, delta in self.burst if time_s <= elapsed_s)
         return max(1, population)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChurnProcess":
-        """Rebuild a churn process from its plain-data form."""
-        return cls(**payload)

@@ -30,7 +30,7 @@ def active_backend() -> str:
     """The machine label ``benchmarks/e2e`` stamps; nothing selects on it.
 
     Names the array package when it is installed (never importing it) and
-    ``"fallback"`` otherwise; ROADMAP.md item 1 removes it.
+    ``"fallback"`` otherwise; ROADMAP.md item 2 removes it.
     """
     from importlib.util import find_spec
 

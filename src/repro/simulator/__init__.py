@@ -26,7 +26,6 @@ from .monitors import (
     OverheadAccumulator,
     ThroughputMonitor,
     ThroughputSample,
-    jain_fairness,
 )
 from .multicast import MulticastRoutingService
 from .node import ControlChannel, Host, Node, PacketAgent, Router
@@ -79,7 +78,6 @@ __all__ = [
     "OverheadAccumulator",
     "ThroughputMonitor",
     "ThroughputSample",
-    "jain_fairness",
     "MulticastRoutingService",
     "ControlChannel",
     "Host",

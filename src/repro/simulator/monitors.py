@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Tuple
 
 from .link import Link
 
@@ -257,15 +257,3 @@ class OverheadAccumulator:
     def as_percentages(self) -> Tuple[float, float]:
         """(DELTA %, SIGMA %) — the y-axis of Figure 9."""
         return self.delta_overhead * 100.0, self.sigma_overhead * 100.0
-
-
-def jain_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index: 1.0 is perfectly fair, 1/n is maximally unfair."""
-    values = list(values)
-    if not values:
-        return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(values) * squares)

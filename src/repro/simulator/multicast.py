@@ -53,7 +53,7 @@ class ZeroPoolCounters:
 class MulticastRoutingService:
     """Tracks group membership and answers router forwarding queries."""
 
-    # Always zero: read by benchmarks/e2e/traced.py until ROADMAP.md item 1a.
+    # Always zero: read by benchmarks/e2e/traced.py until ROADMAP.md item 2.
     packet_pool = ZeroPoolCounters
 
     def __init__(self, sim: Simulator) -> None:

@@ -21,6 +21,7 @@ class TestFairness:
 
     def test_jain_empty(self):
         assert jain_index([]) == 1.0
+        assert jain_index([0, 0]) == 1.0
 
     def test_jain_matches_figure1_intuition(self):
         """Figure 1 (attack) must be far less fair than Figure 7 (protected)."""

@@ -476,7 +476,7 @@ def test_agent_state_stays_within_the_key_table_horizon(duration_s):
     a 20 s run's 643; pruned, 66 against 62 (per-slot guess counts vary).
     """
     from repro.experiments import scenario_spec
-    from repro.experiments.warmstart import run_scenario
+    from repro.experiments.runner import run_scenario
 
     spec = scenario_spec("attack-key-guessing", attack_start_s=6.0, duration_s=duration_s)
     (agent,) = run_scenario(spec).sigma_agents

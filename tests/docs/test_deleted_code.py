@@ -175,6 +175,23 @@ DELETED = {
         r"(CACHE_SCHEMA|CHECKPOINT)_VERSION|_cache_version_\w+",
         ["src", "tests", "docs"],
     ),
+    # ResultCache is the one store of a cache directory, blobs included, and
+    # the one place its file names are spelled.
+    "second store of the cache directory or second spelling of its names": (
+        r"CheckpointStore|_store_files|_RESULT_NAME|_CHECKPOINT_NAME|_SIBLING_NAME"
+        r"|publish_atomically|require_store_key",
+        ["src", "tests", "docs", "tools", "examples"],
+    ),
+    # Jain's index has one name, in the analysis layer its one reducer reads.
+    "second name of Jain's index": (
+        r"jain_fairness",
+        ["src", "tests", "docs", "tools", "examples"],
+    ),
+    # The declaration codec encodes and decodes a cohort's churn.
+    "churn process's own codec": (
+        r"ChurnProcess\.(to|from)_dict|churn\)?\.to_dict\(",
+        ["src", "tests", "docs", "tools", "examples"],
+    ),
 }
 
 

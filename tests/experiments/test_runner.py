@@ -491,7 +491,7 @@ class TestCacheHardening:
 
     def test_crash_mid_write_leaves_no_torn_entry(self, tmp_path, monkeypatch):
         """A crash between tmp write and replace leaves no (partial) entry."""
-        import repro.experiments.warmstart as store_module
+        import repro.experiments.runner as store_module
 
         spec = fast_spec()
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
@@ -538,8 +538,6 @@ class TestCacheHardening:
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.experiments.warmstart import publish_atomically
-
         both_written = threading.Barrier(2)
         replace = os.replace
 
@@ -548,12 +546,13 @@ class TestCacheHardening:
             replace(source, target)
 
         monkeypatch.setattr(os, "replace", replace_once_both_wrote)
-        target = tmp_path / "entry.json"
-        payloads = [b"first" * 1000, b"second" * 1000]
+        cache = ResultCache(tmp_path)
+        key = "0" * 64
+        payloads = ["first" * 1000, "second" * 1000]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(lambda data: publish_atomically(target, data), payloads))
+            list(pool.map(lambda output: cache.store_key(key, output), payloads))
 
-        assert target.read_bytes() in payloads
+        assert (tmp_path / f"{key}.json").read_text() in payloads
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_load_key_refuses_keys_that_are_not_content_addresses(self, tmp_path):

@@ -675,7 +675,7 @@ class TestVectorChurnRejection:
         payload = {
             "count": 10,
             "model": "vector",
-            "churn": ChurnProcess(burst=((1.0, 5),)).to_dict(),
+            "churn": encode(ChurnProcess(burst=((1.0, 5),))),
         }
         with pytest.raises(ValueError, match="single aggregated cohort"):
             CohortDecl.from_dict(payload)

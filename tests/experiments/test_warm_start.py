@@ -29,7 +29,6 @@ import pytest
 
 from repro.experiments import (
     CbrDecl,
-    CheckpointStore,
     ExperimentRunner,
     PrefixPlan,
     execute_spec,
@@ -117,7 +116,7 @@ def test_barrier_falls_while_sender_ticks_are_parked(scenario, tmp_path):
     cold = execute_spec(spec).to_json()
     assert _warm_via_worker(spec, tmp_path) == cold  # publishes the blob
     plan = plan_prefix(spec)
-    restored = CheckpointStore(tmp_path).load(plan.checkpoint_key())
+    restored = ResultCache(tmp_path).load_blob(plan.checkpoint_key())
     for session in restored.sessions:
         parked = session.sender._parked
         assert parked
@@ -299,15 +298,43 @@ def test_runner_and_scheduler_plan_identical_jobs(tmp_path, monkeypatch):
     assert served_jobs() == published
 
 
-def test_checkpoint_store_refuses_keys_that_are_not_content_addresses(tmp_path):
-    store = CheckpointStore(tmp_path / "store")
+def test_blob_store_refuses_keys_that_are_not_content_addresses(tmp_path):
+    store = ResultCache(tmp_path / "store")
     (tmp_path / "ck_outside.pkl").write_bytes(b"outside the store")
+    scenario = Scenario.from_spec(scenario_spec("scale-protection", audience=300))
     for key in (str(tmp_path / "outside"), "../outside", "", "f" * 65, "f" * 63 + "\x00"):
         with pytest.raises(ValueError, match="invalid store key"):
-            store.path(key)
+            store.has_blob(key)
         with pytest.raises(ValueError, match="invalid store key"):
-            store.exists(key)
-    assert store.path("f" * 64).parent == store.directory
+            store.load_blob(key)
+        with pytest.raises(ValueError, match="invalid store key"):
+            store.store_blob(key, scenario)
+    assert not (tmp_path / "store").exists()
+    store.store_blob("f" * 64, scenario)
+    assert [path.name for path in (tmp_path / "store").iterdir()] == [f"ck_{'f' * 64}.pkl"]
+
+
+def test_prefix_planning_does_no_io():
+    """Warm-start planning is pure: the cache directory's one store
+    (``ResultCache``) reads and writes its blobs, and the worker half of a
+    warm start lives beside ``run_job``."""
+    import ast
+
+    import repro.experiments.warmstart as warmstart
+
+    tree = ast.parse(Path(warmstart.__file__).read_text())
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert imported.isdisjoint({"io", "os", "pickle", "re", "shutil", "tempfile"})
+    assert not hasattr(warmstart, "run_scenario")
 
 
 def test_prefix_shared_across_swept_fields():
@@ -374,11 +401,11 @@ def test_corrupt_checkpoint_blob_is_a_miss(tmp_path):
     spec = scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     cold = execute_spec(spec).to_json()
     plan = plan_prefix(spec)
-    store = CheckpointStore(tmp_path)
+    store = ResultCache(tmp_path)
     assert _warm_via_worker(spec, tmp_path) == cold
-    blob_path = store.path(plan.checkpoint_key())
+    blob_path = tmp_path / f"ck_{plan.checkpoint_key()}.pkl"
     assert blob_path.exists()
-    scenario = store.load(plan.checkpoint_key())
+    scenario = store.load_blob(plan.checkpoint_key())
     unloadable = {
         "empty": b"",
         "torn": b"torn",
@@ -399,17 +426,17 @@ def test_corrupt_checkpoint_blob_is_a_miss(tmp_path):
     }
     for name, garbage in unloadable.items():
         blob_path.write_bytes(garbage)
-        assert store.load(plan.checkpoint_key()) is None, name
+        assert store.load_blob(plan.checkpoint_key()) is None, name
         # The warm worker degrades to rebuilding the prefix, never to error.
         assert _warm_via_worker(spec, tmp_path) == cold
-        assert store.load(plan.checkpoint_key()) is not None  # republished
+        assert store.load_blob(plan.checkpoint_key()) is not None  # republished
 
 
 def _checkpointed(spec, tmp_path):
     """(plan, the scenario its checkpoint job publishes and the store restores)."""
     plan = plan_prefix(spec)
     _checkpoint_job(plan.block(tmp_path))
-    return plan, CheckpointStore(tmp_path).load(plan.checkpoint_key())
+    return plan, ResultCache(tmp_path).load_blob(plan.checkpoint_key())
 
 
 def test_checkpoint_holds_the_current_state_only(tmp_path):
@@ -495,7 +522,7 @@ def test_stale_cbr_send_in_the_checkpoint_warm_equals_cold(tmp_path):
     assert _warm_via_worker(spec, tmp_path) == cold  # publishes the blob
     plan = plan_prefix(spec)
     assert plan.barrier_s == 12.0
-    restored = CheckpointStore(tmp_path).load(plan.checkpoint_key())
+    restored = ResultCache(tmp_path).load_blob(plan.checkpoint_key())
     [source] = restored.cbr_sources
     sends = [
         (entry[0], entry[3][0])
@@ -517,7 +544,7 @@ def test_rebound_checkpoint_runs_to_the_cells_duration(tmp_path):
     plan = plan_prefix(spec)
     key = plan.checkpoint_key()
     _checkpoint_job(plan.block(tmp_path))
-    warm = CheckpointStore(tmp_path).load(key)
+    warm = ResultCache(tmp_path).load_blob(key)
     assert warm.duration_s == plan.barrier_s == 12.0
     warm.rebind_spec(spec)
     assert warm.duration_s == spec.duration_s == 18.0
@@ -537,12 +564,12 @@ HOSTILE_BLOBS = {
     "os.system": "cos\nsystem\n(S'touch {marker}'\ntR.",
     # The same function, reached through a module a repro module imports.
     "repro re-export": (
-        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nos\nS'system'\ntR"
+        "cbuiltins\ngetattr\n(crepro.experiments.runner\nos\nS'system'\ntR"
         "(S'touch {marker}'\ntR."
     ),
     # From a repro function to its module's globals, and on to ``os``.
     "dunder attribute": (
-        "cbuiltins\ngetattr\n(crepro.experiments.warmstart\nrun_scenario\n"
+        "cbuiltins\ngetattr\n(crepro.experiments.runner\nrun_scenario\n"
         "S'__globals__'\ntR."
     ),
 }
@@ -557,9 +584,8 @@ def test_blob_naming_a_disallowed_global_is_a_miss_and_runs_nothing(name, tmp_pa
     key = plan_prefix(
         scenario_spec("scale-protection", audience=300, attack_start_s=12.0, duration_s=18.0)
     ).checkpoint_key()
-    store = CheckpointStore(tmp_path)
-    store.path(key).write_bytes(blob)
-    assert store.load(key) is None  # a miss, like a torn blob
+    (tmp_path / f"ck_{key}.pkl").write_bytes(blob)
+    assert ResultCache(tmp_path).load_blob(key) is None  # a miss, like a torn blob
     assert not marker.exists()
 
 

@@ -19,6 +19,7 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
 )
+from repro.experiments.spec import decode, encode
 from repro.multicast_cc import SessionSpec
 
 # ----------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_non_finite_rates_and_burst_times_are_refused(value):
 
 def test_round_trip():
     process = ChurnProcess(arrival_rate=3.5, departure_rate=0.5, burst=((12.0, 900),))
-    assert ChurnProcess.from_dict(process.to_dict()) == process
+    assert decode(ChurnProcess, encode(process)) == process
 
 
 @given(

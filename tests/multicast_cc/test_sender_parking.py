@@ -16,7 +16,7 @@ from repro.core.timeslot import SlotClock
 from repro.experiments import scenario as scenario_module
 from repro.experiments import scenario_spec
 from repro.experiments.metrics import RunResult, collect_metrics
-from repro.experiments.warmstart import run_scenario
+from repro.experiments.runner import run_scenario
 from repro.multicast_cc import (
     FlidDlReceiver,
     FlidDlSender,

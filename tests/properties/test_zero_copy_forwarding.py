@@ -27,7 +27,7 @@ from repro.experiments import (
     execute_spec,
     scenario_spec,
 )
-from repro.experiments.warmstart import run_scenario
+from repro.experiments.runner import run_scenario
 from repro.multicast_cc import headers
 from repro.simulator.address import GroupAddress, NodeAddress, MULTICAST_BASE
 from repro.simulator.engine import Simulator

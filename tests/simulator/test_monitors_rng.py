@@ -13,7 +13,6 @@ from repro.simulator.monitors import (
     LinkMonitor,
     OverheadAccumulator,
     ThroughputMonitor,
-    jain_fairness,
     window_rate_bps,
 )
 from repro.simulator.node import Host
@@ -224,19 +223,6 @@ class TestOverheadAccumulator:
         acc = OverheadAccumulator()
         assert acc.delta_overhead == 0.0
         assert acc.sigma_overhead == 0.0
-
-
-class TestJainFairness:
-    def test_equal_shares_are_fair(self):
-        assert jain_fairness([100, 100, 100, 100]) == pytest.approx(1.0)
-
-    def test_single_hog_is_unfair(self):
-        index = jain_fairness([400, 0, 0, 0])
-        assert index == pytest.approx(0.25)
-
-    def test_empty_and_zero(self):
-        assert jain_fairness([]) == 1.0
-        assert jain_fairness([0, 0]) == 1.0
 
 
 class TestRandomStreams:
